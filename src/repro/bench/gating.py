@@ -11,9 +11,12 @@ Two classes of gate, matching what is and is not deterministic:
 * **time findings** -- the *normalized* (calibrated) wall-clock ratio
   must stay under ``time_tolerance``.  Cells whose baseline median is
   below ``min_time_s`` are skipped: timer noise dominates there and a
-  2x blowup of 40 microseconds is not a regression.
+  2x blowup of 40 microseconds is not a regression.  A skipped cell is
+  reported as loudly as a checked one: it yields a ``skipped`` finding
+  (:attr:`Finding.regression` is false) and ``bench --check`` prints
+  the gated-vs-skipped tally.
 
-Any finding fails the check (exit code 1 from ``bench --check``).
+Any regression fails the check (exit code 1 from ``bench --check``).
 """
 
 from __future__ import annotations
@@ -77,9 +80,15 @@ class Finding:
     strategy: str
     n: Optional[int]
     # schema | missing | outcome | answers | size | counter | time |
-    # plan | maintenance | parallel | backend
+    # plan | maintenance | parallel | backend | skipped
     kind: str
     message: str
+
+    @property
+    def regression(self) -> bool:
+        """False for a ``skipped`` finding: a gate that could not be
+        applied (and says why) rather than one that failed."""
+        return self.kind != "skipped"
 
     def __str__(self) -> str:
         where = (
@@ -101,6 +110,7 @@ def compare_reports(
     time_tolerance: float = DEFAULT_TIME_TOLERANCE,
     counter_tolerance: float = 0.0,
     min_time_s: float = DEFAULT_MIN_TIME_S,
+    time_gated: Optional[list] = None,
 ) -> list[Finding]:
     """All regressions of ``current`` relative to ``baseline``.
 
@@ -108,7 +118,11 @@ def compare_reports(
     (``current["sizes"]``) are compared, so a reduced-n smoke check
     against a full baseline works; a cell the current run should have
     produced but did not is a finding.  Extra cells in the current run
-    (a wider sweep) are ignored.  An empty list means the gate passes.
+    (a wider sweep) are ignored.  The gate passes when no finding is a
+    :attr:`~Finding.regression`; a time cell under the noise floor is
+    returned as a ``skipped`` finding, and the (strategy, n) of every
+    cell whose time *was* held to the tolerance is appended to
+    ``time_gated`` when the caller passes a list.
     """
     family = baseline.get("family", "?")
     findings: list[Finding] = []
@@ -170,9 +184,11 @@ def compare_reports(
                 family, strategy, n, base, cur, counter_tolerance
             )
         )
-        time_finding = _time_finding(
+        gated, time_finding = _time_finding(
             family, strategy, n, base, cur, time_tolerance, min_time_s
         )
+        if gated and time_gated is not None:
+            time_gated.append(key)
         if time_finding is not None:
             findings.append(time_finding)
     findings.extend(plan_growth_findings(current))
@@ -598,20 +614,26 @@ def _time_finding(
     cur: dict,
     tolerance: float,
     min_time_s: float,
-) -> Optional[Finding]:
+) -> tuple[bool, Optional[Finding]]:
+    """``(gated, finding)``: whether the cell's time was held to
+    ``tolerance``, and the ``time`` or ``skipped`` finding if any."""
     base_norm = base.get("normalized")
     cur_norm = cur.get("normalized")
     base_median = base.get("median_s")
     if base_norm is None or cur_norm is None or base_median is None:
-        return None
+        return False, None
     if base_median < min_time_s or base_norm <= 0:
-        return None  # below the noise floor; not gateable
+        return False, Finding(
+            family, strategy, n, "skipped",
+            f"time not gated: baseline median {base_median * 1e3:.3f}ms "
+            f"is below the {min_time_s * 1e3:g}ms noise floor",
+        )
     ratio = cur_norm / base_norm
     if ratio > tolerance:
-        return Finding(
+        return True, Finding(
             family, strategy, n, "time",
             f"normalized time ratio {ratio:.2f} exceeds tolerance "
             f"{tolerance:g} (baseline {base_norm:.3f} units, current "
             f"{cur_norm:.3f})",
         )
-    return None
+    return True, None

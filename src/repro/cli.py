@@ -1016,6 +1016,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     calibration = calibrate()
     findings = []
+    time_gated: list = []
     for family in families:
         report = run_family(
             family, sizes, repeats=args.repeats, budget=budget,
@@ -1029,6 +1030,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 report,
                 time_tolerance=time_tolerance,
                 counter_tolerance=args.counter_tolerance,
+                time_gated=time_gated,
             )
             findings.extend(family_findings)
         else:
@@ -1037,9 +1039,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print()
 
     if args.check:
-        if findings:
-            print(f"REGRESSIONS ({len(findings)}):")
-            for finding in findings:
+        regressions = [f for f in findings if f.regression]
+        skipped = [f for f in findings if not f.regression]
+        print(f"time gates: {len(time_gated)} gated, "
+              f"{len(skipped)} skipped")
+        for finding in skipped:
+            print(f"  {finding}")
+        if regressions:
+            print(f"REGRESSIONS ({len(regressions)}):")
+            for finding in regressions:
                 print(f"  {finding}")
             return 1
         print("bench --check: no regressions against baseline")

@@ -22,11 +22,12 @@ variables applied as final filters.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
+from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
 from ..datalog.joins import evaluate_body, instantiate_args
 from ..datalog.programs import Program
@@ -54,16 +55,22 @@ def _assemble(
     fixed: dict[int, ConstValue],
     up_tuples: frozenset[tuple],
 ) -> set[tuple]:
-    """Interleave fixed column values with ``seen_2`` tuples."""
-    answers: set[tuple] = set()
-    for ut in up_tuples:
-        values: list[ConstValue | None] = [None] * arity
-        for p, v in fixed.items():
-            values[p] = v
-        for col, p in enumerate(plan.up_positions):
-            values[p] = ut[col]
-        answers.add(tuple(values))
-    return answers
+    """Interleave fixed column values with ``seen_2`` tuples.
+
+    Where each answer column comes from -- a ``seen_2`` column or a
+    fixed value -- is worked out once; every answer is then one tuple
+    concatenation and one C-level pick.
+    """
+    up = plan.up_positions
+    rest = [p for p in range(arity) if p not in up]
+    consts = tuple(fixed.get(p) for p in rest)
+    if arity == 1:
+        return {ut + consts for ut in up_tuples}
+    pick = itemgetter(*(
+        up.index(p) if p in up else len(up) + rest.index(p)
+        for p in range(arity)
+    ))
+    return {pick(ut + consts) for ut in up_tuples}
 
 
 def _matches_query(fact: tuple, query: Atom) -> bool:
@@ -109,7 +116,8 @@ def full_selection_from_extent(
     analysis: RecursionAnalysis,
     component: tuple,
     seed: tuple,
-    extent,
+    extent: Relation,
+    tracer=None,
 ) -> frozenset[tuple]:
     """Recompute one memoized full-selection value from a ``t`` extent.
 
@@ -118,20 +126,22 @@ def full_selection_from_extent(
     in ascending position order (the compiler's ``up_positions``).
     Given a maintained materialization of ``t``, the same value falls
     out of a projection -- this is how the service repairs a dirty memo
-    entry after a mutation without re-running the carry loops.
+    entry after a mutation without re-running the carry loops.  The
+    selection is one ``extent.lookup(positions, seed)``: the relation's
+    lazy index on the component's columns is built by the first repair
+    and maintained by ``add``/``discard`` from then on, so a repair
+    costs its answer, not a scan of ``t`` (a live ``tracer`` sees the
+    one ``index_builds``).
     """
     from .selections import component_positions
 
     positions = component_positions(analysis, component)
-    selected = set(positions)
     up_positions = tuple(
-        p for p in range(analysis.arity) if p not in selected
+        p for p in range(analysis.arity) if p not in positions
     )
-    seed = tuple(seed)
     return frozenset(
         tuple(fact[p] for p in up_positions)
-        for fact in extent
-        if tuple(fact[p] for p in positions) == seed
+        for fact in extent.lookup(positions, tuple(seed), tracer)
     )
 
 
@@ -496,9 +506,16 @@ def evaluate_separable(
             allow_disconnected=allow_disconnected, tracer=tracer,
             memo=memo, parallel=parallel,
         )
-    result = frozenset(
-        fact for fact in answers if _matches_query(fact, query)
-    )
+    variables = [t for t in query.args if isinstance(t, Variable)]
+    if (selection.is_full and not selection.residual_bound()
+            and len(set(variables)) == len(variables)):
+        # Every query constant sits in the selected component, where
+        # assembly put it: the residual match is vacuous.
+        result = frozenset(answers)
+    else:
+        result = frozenset(
+            fact for fact in answers if _matches_query(fact, query)
+        )
     if stats is not None:
         stats.record_relation("ans", len(result))
     return result

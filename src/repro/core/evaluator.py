@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
-from ..datalog.joins import evaluate_body_project
+from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.planner import AdaptiveState
 from ..observability.tracer import live
 from ..stats import EvaluationStats
@@ -59,17 +59,21 @@ def _apply_joins(
     to ``rule_apps:<label>#<i>`` / ``rule_out:<label>#<i>`` counters --
     the compiled-plan analogue of the per-rule rows the profiler shows
     for rewritten-program strategies.
+
+    This runs once per round of a carry loop, ~1000 times on a deep
+    chain, so it goes to the plan cache and the plan's set-at-a-time
+    kernel directly: what :func:`~repro.datalog.joins.evaluate_body_into`
+    would re-derive per call is loop-invariant here (a carry join's body
+    and output are non-empty tuples with nothing pre-bound).
     """
     produced: set[tuple] = set()
+    plan_for = PLAN_CACHE.plan_for
+    unbound: frozenset = frozenset()
     for ji, join in enumerate(joins):
         before = len(produced)
-        for fact in evaluate_body_project(view, join.body, join.output,
-                                          stats=stats, order=order,
-                                          tracer=tracer,
-                                          adaptive=adaptive):
-            if stats is not None:
-                stats.bump_produced()
-            produced.add(fact)
+        plan_for(
+            join.body, unbound, order, view, tracer, adaptive
+        ).execute_into(join.output, view, produced, None, stats, tracer)
         if tracer is not None and label is not None:
             tracer.count(f"rule_apps:{label}#{ji}")
             out = len(produced) - before

@@ -12,7 +12,7 @@ sets), which Condition 4 of the separability test relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .terms import Constant, Term, Variable, make_term
@@ -31,10 +31,23 @@ class Atom:
 
     predicate: str
     args: tuple[Term, ...]
+    # Rule bodies key the plan cache, so atoms are hashed once or twice
+    # per join per fixpoint round: the value is computed once here
+    # (what the generated __hash__ would return every time) and kept out
+    # of equality, repr and pickles -- a spawned worker hashes strings
+    # under its own seed.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.predicate:
             raise ValueError("predicate name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Atom, (self.predicate, self.args))
 
     @property
     def arity(self) -> int:

@@ -31,9 +31,9 @@ Fact = tuple  # tuple[ConstValue, ...]
 class Relation:
     """A named set of same-arity tuples with lazy secondary indexes."""
 
-    __slots__ = ("name", "arity", "_tuples", "_indexes", "_version",
-                 "_distinct_cache", "_col_distinct_cache", "_sample_cache",
-                 "_observers")
+    __slots__ = ("name", "arity", "_tuples", "_indexes", "_borrowed",
+                 "_version", "_distinct_cache", "_col_distinct_cache",
+                 "_sample_cache", "_observers")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -41,6 +41,9 @@ class Relation:
         self.arity = arity
         self._tuples: set[Fact] = set()
         self._indexes: dict[tuple[int, ...], dict[tuple, list[Fact]]] = {}
+        #: True while bucket lists are shared with another relation
+        #: (:meth:`adopt_indexes`) and so must not be patched in place.
+        self._borrowed = False
         self._version = 0
         self._distinct_cache: tuple[int, frozenset[ConstValue]] | None = None
         self._col_distinct_cache: tuple[int, tuple[int, ...]] | None = None
@@ -97,9 +100,10 @@ class Relation:
             return False
         self._tuples.add(fact)
         self._version += 1
-        for positions, index in self._indexes.items():
-            key = tuple(fact[p] for p in positions)
-            index.setdefault(key, []).append(fact)
+        if self._indexes:
+            for positions, index in self._own_indexes().items():
+                key = tuple(fact[p] for p in positions)
+                index.setdefault(key, []).append(fact)
         if self._observers:
             for cb in self._observers:
                 cb(self, fact, 1)
@@ -130,10 +134,11 @@ class Relation:
         if not new:
             return 0
         self._version += len(new)
-        for positions, index in self._indexes.items():
-            for fact in new:
-                key = tuple(fact[p] for p in positions)
-                index.setdefault(key, []).append(fact)
+        if self._indexes:
+            for positions, index in self._own_indexes().items():
+                for fact in new:
+                    key = tuple(fact[p] for p in positions)
+                    index.setdefault(key, []).append(fact)
         if self._observers:
             for fact in new:
                 for cb in self._observers:
@@ -157,16 +162,17 @@ class Relation:
             return False
         self._tuples.discard(fact)
         self._version += 1
-        for positions, index in self._indexes.items():
-            key = tuple(fact[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                try:
-                    bucket.remove(fact)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del index[key]
+        if self._indexes:
+            for positions, index in self._own_indexes().items():
+                key = tuple(fact[p] for p in positions)
+                bucket = index.get(key)
+                if bucket is not None:
+                    try:
+                        bucket.remove(fact)
+                    except ValueError:
+                        pass
+                    if not bucket:
+                        del index[key]
         if self._observers:
             for cb in self._observers:
                 cb(self, fact, -1)
@@ -197,27 +203,38 @@ class Relation:
         if not removed:
             return 0
         self._version += len(removed)
-        for positions, index in self._indexes.items():
-            for fact in removed:
-                key = tuple(fact[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(fact)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del index[key]
+        if self._indexes:
+            for positions, index in self._own_indexes().items():
+                for fact in removed:
+                    key = tuple(fact[p] for p in positions)
+                    bucket = index.get(key)
+                    if bucket is not None:
+                        try:
+                            bucket.remove(fact)
+                        except ValueError:
+                            pass
+                        if not bucket:
+                            del index[key]
         if self._observers:
             for fact in removed:
                 for cb in self._observers:
                     cb(self, fact, -1)
         return len(removed)
 
+    def _own_indexes(self) -> dict:
+        """The indexes a mutation patches in place: none while their
+        buckets are shared with another relation -- they are dropped
+        and the next :meth:`lookup` rebuilds them."""
+        if self._borrowed:
+            self._indexes.clear()
+            self._borrowed = False
+        return self._indexes
+
     def clear(self) -> None:
         """Remove all tuples and drop all indexes."""
         self._tuples.clear()
         self._indexes.clear()
+        self._borrowed = False
         self._version += 1
         if self._observers:
             for cb in self._observers:
@@ -287,6 +304,7 @@ class Relation:
         self.arity = arity
         self._tuples = set(tuples)
         self._indexes = {}
+        self._borrowed = False
         self._version = version
         self._distinct_cache = None
         self._col_distinct_cache = None
@@ -370,6 +388,41 @@ class Relation:
         pins a WAL read transaction instead of copying tuples).
         """
         return self.copy()
+
+    def adopt_indexes(self, other: "Relation") -> None:
+        """Take over ``other``'s indexes, patched to this relation's tuples.
+
+        For a relation that differs from ``other`` by a few tuples -- the
+        snapshot after a small write: each index dict is copied
+        shallowly and only the buckets of the differing tuples are
+        built anew, so nothing is rebuilt from scratch and every other
+        bucket list is shared with ``other``.  Neither side may patch a
+        shared bucket in place any more: both are marked, and a marked
+        relation's next mutation drops its indexes instead.  Relations
+        that differ in more than a quarter of their tuples adopt
+        nothing; a lazy rebuild is cheaper there.
+        """
+        if other.arity != self.arity:
+            return
+        added = self._tuples - other._tuples
+        removed = other._tuples - self._tuples
+        if 4 * (len(added) + len(removed)) > len(self._tuples):
+            return
+        # list(): a reader may publish a freshly built index meanwhile.
+        for positions, index in list(other._indexes.items()):
+            index = dict(index)
+            for fact in removed:
+                key = tuple(fact[p] for p in positions)
+                bucket = [f for f in index[key] if f != fact]
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
+            for fact in added:
+                key = tuple(fact[p] for p in positions)
+                index[key] = index.get(key, []) + [fact]
+            self._indexes[positions] = index
+            self._borrowed = other._borrowed = True
 
     def __repr__(self) -> str:
         return f"Relation({self.name}/{self.arity}, {len(self)} tuples)"

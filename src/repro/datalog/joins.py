@@ -46,6 +46,7 @@ from .terms import Constant, ConstValue, Variable
 __all__ = [
     "evaluate_body",
     "evaluate_body_project",
+    "evaluate_body_into",
     "evaluate_body_interpreted",
     "instantiate_args",
     "Bindings",
@@ -56,6 +57,29 @@ __all__ = [
 Bindings = dict[Variable, ConstValue]
 
 _EMPTY_SIG: frozenset[Variable] = frozenset()
+
+
+def _plan_for(db, atoms, initial_bindings, order, tracer, adaptive):
+    """The cached :class:`JoinPlan` for ``atoms`` under the
+    bound-variable signature of ``initial_bindings``; None for the empty
+    conjunction (vacuous truth: exactly the initial bindings)."""
+    if order not in ORDERS:
+        raise ValueError(f"unknown join order {order!r}")
+    if not atoms:
+        return None
+    body = tuple(atoms)
+    if initial_bindings:
+        sig = frozenset(
+            t
+            for a in body
+            for t in a.args
+            if isinstance(t, Variable)
+            and initial_bindings.get(t) is not None
+        )
+    else:
+        sig = _EMPTY_SIG
+    return PLAN_CACHE.plan_for(body, sig, order, db, tracer,
+                               adaptive=adaptive)
 
 
 def evaluate_body(
@@ -84,7 +108,8 @@ def evaluate_body(
         Pre-bound variables (e.g. selection constants pushed in).
     stats:
         Optional accumulator; base tuples fetched are counted as
-        ``tuples_examined``.
+        ``tuples_examined`` (folded in when the enumeration ends or is
+        abandoned, not per lookup).
     order:
         One of :data:`~repro.datalog.plan_cache.ORDERS`:
         ``"greedy"``, ``"left_to_right"`` (see module docstring),
@@ -96,31 +121,15 @@ def evaluate_body(
         per-atom lookup counts, tuples fetched, the join fan-out
         (``bindings_out``), and the plan-cache traffic
         (``plan_compiles`` / ``plan_cache_hits`` / ``plan_cache_misses``).
-        ``None`` (the default) costs one pointer comparison per lookup.
     adaptive:
         Optional :class:`~repro.datalog.planner.AdaptiveState` owned by
         the enclosing fixpoint loop; only meaningful with
         ``order="adaptive"``.
     """
-    if order not in ORDERS:
-        raise ValueError(f"unknown join order {order!r}")
-    if not atoms:
-        yield dict(initial_bindings) if initial_bindings else {}
-        return
-    body = tuple(atoms)
-    if initial_bindings:
-        sig = frozenset(
-            t
-            for a in body
-            for t in a.args
-            if isinstance(t, Variable)
-            and initial_bindings.get(t) is not None
-        )
-    else:
-        sig = _EMPTY_SIG
-    plan = PLAN_CACHE.plan_for(body, sig, order, db, tracer,
-                               adaptive=adaptive)
-    yield from plan.execute(db, initial_bindings, stats, tracer)
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    if plan is None:
+        return iter((dict(initial_bindings) if initial_bindings else {},))
+    return plan.execute(db, initial_bindings, stats, tracer)
 
 
 def evaluate_body_project(
@@ -139,33 +148,47 @@ def evaluate_body_project(
     projection onto the rule head; going through a bindings dict per
     derivation costs a dict build plus one hash per variable.  This
     entry point has the compiled plan ground ``output`` (typically
-    ``rule.head.args``) directly from its register file instead.
+    ``rule.head.args``) directly from its kernel's locals instead.
     Counters, ordering, and result multiset match the two-step form
-    exactly.
+    exactly, and so does the laziness: a consumer that adds to a body
+    relation mid-iteration (naive and semi-naive round 0 do) sees its
+    own tuples.
     """
-    if order not in ORDERS:
-        raise ValueError(f"unknown join order {order!r}")
-    output = tuple(output)
-    if not atoms:
-        yield instantiate_args(
-            output, initial_bindings if initial_bindings else {}
-        )
-        return
-    body = tuple(atoms)
-    if initial_bindings:
-        sig = frozenset(
-            t
-            for a in body
-            for t in a.args
-            if isinstance(t, Variable)
-            and initial_bindings.get(t) is not None
-        )
-    else:
-        sig = _EMPTY_SIG
-    plan = PLAN_CACHE.plan_for(body, sig, order, db, tracer,
-                               adaptive=adaptive)
-    yield from plan.execute_project(output, db, initial_bindings, stats,
-                                    tracer)
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    if plan is None:
+        return iter((instantiate_args(output, initial_bindings or {}),))
+    return plan.execute_project(tuple(output), db, initial_bindings, stats,
+                                tracer)
+
+
+def evaluate_body_into(
+    db: Database,
+    atoms: Sequence[Atom],
+    output: Sequence,
+    sink: set,
+    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
+    stats: Optional[EvaluationStats] = None,
+    order: str = "greedy",
+    tracer=None,
+    adaptive=None,
+) -> int:
+    """``sink.update(evaluate_body_project(...))``, set-at-a-time.
+
+    The carry loops of Figure 2 only ever collect a join's output into
+    a fresh ``produced`` set, so nothing needs to surface tuple by
+    tuple: the kernel writes into ``sink`` itself.  Returns the number
+    of tuples produced (before duplicate elimination) and, unlike the
+    lazy entry points, counts them on ``stats.tuples_produced`` too.
+    ``sink`` must not be read by the body.
+    """
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    if plan is None:
+        sink.add(instantiate_args(output, initial_bindings or {}))
+        if stats is not None:
+            stats.bump_produced()
+        return 1
+    return plan.execute_into(tuple(output), db, sink, initial_bindings,
+                             stats, tracer)
 
 
 # ---------------------------------------------------------------------------

@@ -2,50 +2,52 @@
 
 :func:`~repro.datalog.joins.evaluate_body` used to re-derive the join
 order, re-split bound/free argument positions, and copy a full bindings
-dict per extension on *every* rule application -- once per rule per
-fixpoint round.  This module compiles a rule body once into a
-:class:`JoinPlan` -- a flat sequence of atom steps with precomputed
-index signatures (bound-position tuples), key templates, free-variable
-slot assignments, and ``eq/2`` guards fused between steps -- and
-executes it as an iterative nested loop over a flat register array.
-Bindings dicts materialize only at the yield boundary, so the public
-``evaluate_body`` contract is unchanged while the per-tuple cost drops
-to a few tuple unpacks.
+dict per extension on *every* rule application.  This module compiles a
+rule body once into a :class:`JoinPlan` -- a flat sequence of atom steps
+with precomputed index signatures, key templates, register slots for the
+free variables, and ``eq/2`` guards fused between steps -- and each plan
+generates, per output template, the *source* of a specialised Python
+function: nested ``for`` loops over ``Relation.lookup`` results with the
+registers as locals.  One generator emits both flavours: a lazy one
+(``yield`` per output tuple) for evaluators that watch their own
+insertions mid-iteration, and a set-at-a-time one that writes into the
+caller's ``produced`` set, for the carry loops of Figure 2.
 
 Plans are **pure functions of the body, the bound-variable signature,
 and the atom sequence actually executed** -- never of tuple values:
 
 * the greedy heuristic needs relation sizes only to break ties, so the
-  ordering pass (:func:`greedy_permutation` -- one O(k^2) sweep per
-  ``evaluate_body`` call, replacing the interpreter's per-recursion-node
-  re-derivation) is separated from compilation: the cache is keyed on
-  the resulting *permutation*, and a plan compiled on round 1 is still
-  correct (and still the same plan) on round 40.  No invalidation
-  machinery is needed, and because a permutation depends only on the
-  size *ranks* of the body's relations -- which take O(1) distinct
-  values per body over any fixpoint run -- ``plan_compiles`` stays O(1)
-  per (body, signature) regardless of database size or round count;
+  ordering pass (:func:`greedy_permutation`) is separated from
+  compilation: the cache is keyed on the resulting *permutation*, and a
+  plan compiled on round 1 is still correct (and still the same plan)
+  on round 40.  No invalidation machinery is needed, and because a
+  permutation depends only on the size *ranks* of the body's relations
+  -- O(1) distinct values per body over any fixpoint run --
+  ``plan_compiles`` stays O(1) per (body, signature) regardless of
+  database size or round count;
 * what *does* depend on the data -- which tuples an index bucket holds
   -- already lives inside :class:`~repro.datalog.database.Relation`'s
   lazy indexes, which are maintained incrementally on ``add``.
 
 The module-level :data:`PLAN_CACHE` is shared by every evaluator;
 callers that want deterministic ``plan_*`` counters (the bench harness)
-call :meth:`PlanCache.clear` first.
+call :meth:`PlanCache.clear` first, which also drops every generated
+function.
 
-One deliberate fast-path divergence from the old interpreter: a plan
-resolves all body relations up front and yields nothing if any is
+One deliberate fast-path divergence from the reference interpreter: a
+plan resolves all body relations up front and yields nothing if any is
 absent or empty.  That is sound for every evaluator here (a relation
 empty at call start cannot contribute a match, and fixpoint loops only
-grow relations via *completed* matches), but it means a consumer that
-grows a relation from empty *while* iterating the generator will not
-see the late tuples -- the interpreted path would have, one recursion
-level at a time.  No caller does this.
+grow relations via *completed* matches), but a consumer that grows a
+relation from empty *while* iterating will not see the late tuples.  No
+caller does this.
 """
 
 from __future__ import annotations
 
+import linecache
 import threading
+import zlib
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..stats import EvaluationStats
@@ -81,8 +83,6 @@ EQ = "eq"
 _FILTER = 0  # (0, a_is_slot, a, b_is_slot, b) -- pass iff values equal
 _ASSIGN = 1  # (1, src_is_slot, src, dst_slot) -- regs[dst] = value
 
-_SENTINEL = object()
-
 
 class JoinPlan:
     """A compiled join kernel for one (body, bound-signature, order).
@@ -96,7 +96,7 @@ class JoinPlan:
         :meth:`Relation.lookup`;
     ``key_sources``
         per bound position, ``(is_slot, slot_or_const)`` -- how to build
-        the lookup key from the register file;
+        the lookup key from the registers;
     ``writes``
         ``(position, slot)`` for the first occurrence of each free
         variable in the atom;
@@ -105,29 +105,26 @@ class JoinPlan:
         atom (slot was written earlier in the same step);
     ``guards``
         compiled ``eq/2`` atoms scheduled between this step and the
-        next: filters and assigns over the register file.
+        next: filters and assigns over the registers.
+
+    The steps are not interpreted: :meth:`_kernel` turns them, once per
+    output template and flavour, into the source of a specialised
+    Python function (see :meth:`kernel_source`).
     """
 
     __slots__ = (
         "body",
         "bound_vars",
         "order",
-        "n_slots",
         "preload",
         "pre_guards",
         "steps",
         "outputs",
         "always_empty",
-        # steps split into parallel tuples, saving an unpack per probe
-        "_preds",
-        "_positions",
-        "_keysrc",
-        "_writes",
-        "_checks",
-        "_guards",
-        # variable -> register slot, and cached projection templates
-        "_slot_of",
-        "_templates",
+        "_preds",    # the steps' predicates, in execution order
+        "_slot_of",  # variable -> register slot
+        "_kernels",  # (output, bulk) -> (function, constants, inputs)
+        "_shapes",   # source text -> function, shared across plans
     )
 
     def __init__(
@@ -135,35 +132,30 @@ class JoinPlan:
         body: tuple[Atom, ...],
         bound_vars: frozenset[Variable],
         order: str,
-        n_slots: int,
         preload: tuple[tuple[Variable, int], ...],
         pre_guards: tuple[tuple, ...],
         steps: tuple[tuple, ...],
-        outputs: tuple[tuple[Variable, int], ...],
+        outputs: tuple[Variable, ...],
         always_empty: bool,
-        slot_of: Optional[dict[Variable, int]] = None,
+        slot_of: dict[Variable, int],
+        shapes: Optional[dict] = None,
     ) -> None:
         self.body = body
         self.bound_vars = bound_vars
         self.order = order
-        self.n_slots = n_slots
         self.preload = preload
         self.pre_guards = pre_guards
         self.steps = steps
         self.outputs = outputs
         self.always_empty = always_empty
-        self._preds = tuple(st[0] for st in steps)
-        self._positions = tuple(st[1] for st in steps)
-        self._keysrc = tuple(st[2] for st in steps)
-        self._writes = tuple(st[3] for st in steps)
-        self._checks = tuple(st[4] for st in steps)
-        self._guards = tuple(st[5] for st in steps)
-        self._slot_of = dict(slot_of) if slot_of else {}
-        self._templates: dict[tuple, Optional[tuple]] = {}
+        self._preds = tuple(step[0] for step in steps)
+        self._slot_of = slot_of
+        self._kernels: dict[tuple, tuple] = {}
+        self._shapes: dict = {} if shapes is None else shapes
 
     def atom_order(self) -> tuple[str, ...]:
         """Predicates in execution order (for tests and plan dumps)."""
-        return tuple(st[0] for st in self.steps)
+        return self._preds
 
     def execute(
         self,
@@ -178,14 +170,12 @@ class JoinPlan:
         buckets are iterated live (tuples added to an already non-empty
         relation mid-iteration are visible, exactly as interpreted).
         """
-        regs: list = [None] * self.n_slots
-        base_items = tuple(initial_bindings.items()) if initial_bindings \
-            else ()
-        outputs = self.outputs
-        for _ in self._solutions(regs, db, initial_bindings, stats, tracer):
-            out = dict(base_items)
-            for var, s in outputs:
-                out[var] = regs[s]
+        names = self.outputs  # the body variables the caller did not bind
+        base = dict(initial_bindings) if initial_bindings else {}
+        for row in self.execute_project(names, db, initial_bindings,
+                                        stats, tracer):
+            out = base.copy()
+            out.update(zip(names, row))
             yield out
 
     def execute_project(
@@ -197,187 +187,199 @@ class JoinPlan:
         tracer=None,
     ) -> Iterator[tuple]:
         """Like ``execute`` followed by ``instantiate_args(output, ...)``
-        -- but the ground tuples are built straight from the register
-        file, skipping the bindings dict (and its per-key hashing)
+        -- but the ground tuples are built straight from the kernel's
+        locals, skipping the bindings dict (and its per-key hashing)
         entirely.  ``output`` is a term sequence, typically a rule
-        head's args.
+        head's args; a variable outside the body is read from
+        ``initial_bindings`` when the call is made, so the ``KeyError``
+        if it is not there either is raised here, solutions or not
+        (only an absent or empty body relation ends the run earlier).
+        Otherwise as lazy as :meth:`execute`.
         """
-        template = self._template_for(output)
-        if template is None:
-            # Some output term has no register (e.g. a variable bound
-            # only in initial_bindings, outside the body): take the
-            # dict path so KeyError semantics match instantiate_args.
-            from .joins import instantiate_args
-            for b in self.execute(db, initial_bindings, stats, tracer):
-                yield instantiate_args(output, b)
-            return
-        regs: list = [None] * self.n_slots
-        for _ in self._solutions(regs, db, initial_bindings, stats, tracer):
-            yield tuple(regs[s] if f else s for f, s in template)
+        rows = self._run(output, False, db, initial_bindings, None, stats,
+                         tracer)
+        return iter(()) if rows is None else rows
 
-    def _template_for(self, output: tuple) -> Optional[tuple]:
-        """(is_slot, slot_or_const) per output term; None -> fallback."""
-        tpl = self._templates.get(output, _SENTINEL)
-        if tpl is _SENTINEL:
-            entries = []
-            slot_of = self._slot_of
-            for term in output:
-                if isinstance(term, Constant):
-                    entries.append((False, term.value))
-                else:
-                    s = slot_of.get(term)
-                    if s is None:
-                        entries = None
-                        break
-                    entries.append((True, s))
-            tpl = tuple(entries) if entries is not None else None
-            self._templates[output] = tpl
-        return tpl
-
-    def _solutions(
+    def execute_into(
         self,
-        regs: list,
+        output: tuple,
         db: Database,
-        initial_bindings: Optional[Mapping[Variable, ConstValue]],
-        stats: Optional[EvaluationStats],
+        sink: set,
+        initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
+        stats: Optional[EvaluationStats] = None,
         tracer=None,
-    ) -> Iterator[None]:
-        """Yield once per satisfying assignment, leaving it in ``regs``."""
-        if self.always_empty:
-            return
-        if self.preload:
-            for var, s in self.preload:
-                regs[s] = initial_bindings[var]  # type: ignore[index]
-        for g in self.pre_guards:
-            if g[0] == _FILTER:
-                if (regs[g[2]] if g[1] else g[2]) != \
-                        (regs[g[4]] if g[3] else g[4]):
-                    return
-            else:
-                regs[g[3]] = regs[g[2]] if g[1] else g[2]
+    ) -> int:
+        """The set-at-a-time flavour: add every ``execute_project`` tuple
+        to ``sink`` and return how many were produced (before duplicate
+        elimination), also counted on ``stats.tuples_produced``.  Only
+        for a ``sink`` no body relation reads -- nothing is visible
+        mid-run.
+        """
+        return self._run(output, True, db, initial_bindings, sink, stats,
+                         tracer) or 0
 
-        n = len(self._preds)
-        relation = db.relation
+    def _run(self, output: tuple, bulk: bool, db: Database,
+             initial_bindings, sink, stats, tracer):
+        """Call the kernel for ``output``; None when the plan cannot
+        match (all body relations are resolved up front and an absent
+        or empty one ends the run -- see the module doc)."""
+        if self.always_empty:
+            return None
         rels: list[Relation] = []
+        relation = db.relation
         for pred in self._preds:
             rel = relation(pred)
             if rel is None or not rel:
-                return  # empty-body-relation fast path (see module doc)
+                return None
             rels.append(rel)
+        fn, consts, inputs = self._kernel(output, bulk)
+        if inputs:
+            inputs = tuple((initial_bindings or {})[var] for var in inputs)
+        return fn(rels, consts, inputs, sink, stats, tracer)
 
-        if n == 0:
-            yield None
-            return
+    def _kernel(self, output: tuple, bulk: bool) -> tuple:
+        """``(function, constants, input variables)`` for one output
+        template and flavour, generated on first use.  Plans of one
+        shape (Example 1.1's ``friend``, ``idol`` and ``cheaper`` joins)
+        produce one text and share its function through ``_shapes``."""
+        entry = self._kernels.get((output, bulk))
+        if entry is None:
+            source, consts, inputs = self.kernel_text(output, bulk)
+            fn = self._shapes.get(source)
+            if fn is None:
+                filename = f"<joinplan:{zlib.crc32(source.encode()):08x}>"
+                linecache.cache[filename] = (
+                    len(source), None, source.splitlines(True), filename)
+                namespace = {"_flush": _flush}
+                exec(compile(source, filename, "exec"), namespace)
+                fn = self._shapes[source] = namespace["kernel"]
+            entry = self._kernels[(output, bulk)] = (fn, consts, inputs)
+        return entry
 
-        count = tracer.count if tracer is not None else None
-        positions = self._positions
-        keysrc = self._keysrc
-        writes = self._writes
-        checks = self._checks
-        guards = self._guards
+    def kernel_source(self, output: Sequence, bulk: bool = True) -> str:
+        """The generated Python text of one kernel (what tracebacks
+        through a ``<joinplan:...>`` file show)."""
+        return self.kernel_text(tuple(output), bulk)[0]
 
-        def probe(d: int) -> list:
-            key = tuple((regs[v] if f else v) for f, v in keysrc[d])
-            cands = rels[d].lookup(positions[d], key, tracer)
-            if stats is not None:
-                stats.bump_examined(len(cands))
-            if count is not None:
-                count("atom_lookups")
-                count("tuples_examined", len(cands))
-            return cands
+    def kernel_text(self, output: tuple, bulk: bool) -> tuple:
+        """Generate ``(source, constants, input variables)``.
 
-        last = n - 1
-        w_last = writes[last]
-        c_last = checks[last]
-        g_last = guards[last]
+        Registers are locals ``r<slot>``.  What is specific to this plan
+        rather than to its shape -- index signatures, column numbers,
+        constants -- arrives in ``K`` and what the caller supplies
+        (preloaded bindings, output variables outside the body) in
+        ``P``, so the text never mentions a value or a name.
 
-        if n == 1:
-            for fact in probe(0):
-                for i, s in w_last:
-                    regs[s] = fact[i]
-                ok = True
-                for i, s in c_last:
-                    if fact[i] != regs[s]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if count is not None:
-                    count("bindings_out")
-                for g in g_last:
-                    if g[0] == _FILTER:
-                        if (regs[g[2]] if g[1] else g[2]) != \
-                                (regs[g[4]] if g[3] else g[4]):
-                            ok = False
-                            break
-                    else:
-                        regs[g[3]] = regs[g[2]] if g[1] else g[2]
-                if not ok:
-                    continue
-                yield None
-            return
+        Counting costs one ``e<d> += len(c<d>)`` per lookup and nothing
+        per tuple: with ``e``/``b``/``g`` the tuples a level fetched,
+        those passing its repeated-variable checks and those passing
+        its filter guards (each an alias of the one before when the
+        level has no such test), a level is looked up once per ``g`` of
+        the level above, ``bindings_out`` is the sum of the ``b`` and
+        the innermost ``g`` the output count; :func:`_flush` gets the
+        sums once per run.
+        """
+        consts: list = []
+        inputs = [var for var, _ in self.preload]
+        # slot -> the expression holding its value (assign guards alias)
+        reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
+        zero: list[str] = []  # counters to initialise
 
-        # Levels 0..n-2 run on an explicit iterator stack; the innermost
-        # level is a plain for-loop so the bulk of the candidate tuples
-        # iterate at C speed.
-        inner = last - 1
-        iters: list = [None] * last
-        iters[0] = iter(probe(0))
-        depth = 0
-        sentinel = _SENTINEL
-        while depth >= 0:
-            fact = next(iters[depth], sentinel)
-            if fact is sentinel:
-                depth -= 1
-                continue
-            for i, s in writes[depth]:
-                regs[s] = fact[i]
-            ok = True
-            for i, s in checks[depth]:  # repeated-variable checks
-                if fact[i] != regs[s]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if count is not None:
-                count("bindings_out")
-            for g in guards[depth]:  # fused eq guards
-                if g[0] == _FILTER:
-                    if (regs[g[2]] if g[1] else g[2]) != \
-                            (regs[g[4]] if g[3] else g[4]):
-                        ok = False
-                        break
+        def const(value) -> str:
+            consts.append(value)
+            return f"k{len(consts) - 1}"
+
+        def operand(is_slot, value) -> str:
+            return reg[value] if is_slot else const(value)
+
+        def row() -> str:
+            terms = []
+            for term in output:
+                if isinstance(term, Constant):
+                    terms.append(const(term.value))
+                elif term in self._slot_of:
+                    terms.append(reg[self._slot_of[term]])
                 else:
-                    regs[g[3]] = regs[g[2]] if g[1] else g[2]
-            if not ok:
-                continue
-            if depth != inner:
-                depth += 1
-                iters[depth] = iter(probe(depth))
-                continue
-            for fact in probe(last):
-                for i, s in w_last:
-                    regs[s] = fact[i]
-                ok = True
-                for i, s in c_last:
-                    if fact[i] != regs[s]:
-                        ok = False
-                        break
-                if not ok:
+                    inputs.append(term)
+                    terms.append(f"p{len(inputs) - 1}")
+            return _tuple_text(terms)
+
+        def guard(guards: tuple, name: str, test: str) -> None:
+            """Filters become ``test`` lines, assigns aliases; ``reached``
+            moves to the counter ``name`` of the runs that pass."""
+            nonlocal pad, reached
+            for g in guards:
+                if g[0] == _ASSIGN:
+                    reg[g[3]] = operand(g[1], g[2])
                     continue
-                if count is not None:
-                    count("bindings_out")
-                for g in g_last:
-                    if g[0] == _FILTER:
-                        if (regs[g[2]] if g[1] else g[2]) != \
-                                (regs[g[4]] if g[3] else g[4]):
-                            ok = False
-                            break
-                    else:
-                        regs[g[3]] = regs[g[2]] if g[1] else g[2]
-                if not ok:
-                    continue
-                yield None
+                lines.append(pad + test.format(operand(g[1], g[2]),
+                                               operand(g[3], g[4])))
+                if test.endswith(":"):
+                    pad += "    "
+                reached = name
+            if reached == name:
+                zero.append(name)
+                lines.append(f"{pad}{name} += 1")
+
+        lines: list[str] = []
+        pad = "    " if bulk else "        "
+        reached = "1"  # how often control gets here, as a counter sum
+        guard(self.pre_guards, "g", "if {} == {}:")
+        lookups, examined, bindings = [], [], []
+        last = len(self.steps) - 1
+        for d, (_, positions, keys, writes, checks, guards) in \
+                enumerate(self.steps):
+            index = const(positions)
+            key = _tuple_text(operand(*k) for k in keys)
+            lines.append(f"{pad}c{d} = rels[{d}].lookup({index}, {key}, "
+                         f"tracer)")
+            lines.append(f"{pad}e{d} += len(c{d})")
+            zero.append(f"e{d}")
+            lookups.append(reached)
+            examined.append(f"e{d}")
+            reached = f"e{d}"
+            if bulk and d == last and not checks and not guards:
+                # Innermost level with nothing to test: one C-speed
+                # comprehension straight off the index bucket.
+                reg.update((s, f"f[{const(i)}]") for i, s in writes)
+                lines.append(f"{pad}sink.update([{row()} for f in c{d}])")
+                bindings.append(reached)
+                break
+            lines.append(f"{pad}for f{d} in c{d}:")
+            pad += "    "
+            for i, s in writes:
+                reg[s] = f"r{s}"
+                lines.append(f"{pad}r{s} = f{d}[{const(i)}]")
+            for i, s in checks:
+                lines.append(f"{pad}if f{d}[{const(i)}] != {reg[s]}: "
+                             f"continue")
+            if checks:
+                reached = f"b{d}"
+                zero.append(reached)
+                lines.append(f"{pad}{reached} += 1")
+            bindings.append(reached)
+            guard(guards, f"g{d}", "if {} != {}: continue")
+        else:  # no break: the output is built inside the innermost loop
+            lines.append(f"{pad}sink.add({row()})" if bulk
+                         else f"{pad}yield {row()}")
+
+        head = ["def kernel(rels, K, P, sink, stats, tracer):"]
+        for count, name, source in ((len(consts), "k", "K"),
+                                    (len(inputs), "p", "P")):
+            if count:
+                targets = _tuple_text(f"{name}{i}" for i in range(count))
+                head.append(f"    {targets} = {source}")
+        if zero:
+            head.append(f"    {' = '.join(zero)} = 0")
+        flush = ("_flush(stats, tracer, %s, %s, %s, %s)" % (
+            " + ".join(lookups) or "0", " + ".join(examined) or "0",
+            " + ".join(bindings) or "0", reached if bulk else "0"))
+        if bulk:
+            tail = ["    " + flush, "    return " + reached, ""]
+        else:
+            head.append("    try:")
+            tail = ["    finally:", "        " + flush, ""]
+        return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -385,6 +387,24 @@ class JoinPlan:
             f"bound={sorted(v.name for v in self.bound_vars)}, "
             f"order={self.order!r}, steps={self.atom_order()})"
         )
+
+
+def _tuple_text(parts) -> str:
+    """Source of the tuple display of ``parts``."""
+    parts = list(parts)
+    return "(%s%s)" % (", ".join(parts), "," if len(parts) == 1 else "")
+
+
+def _flush(stats, tracer, lookups, examined, bindings, produced) -> None:
+    """Fold one kernel run's counters into ``stats`` and the tracer."""
+    if stats is not None:
+        stats.bump_examined(examined)
+        stats.bump_produced(produced)
+    if tracer is not None and lookups:
+        tracer.count("atom_lookups", lookups)
+        tracer.count("tuples_examined", examined)
+        if bindings:
+            tracer.count("bindings_out", bindings)
 
 
 def greedy_permutation(
@@ -433,61 +453,22 @@ def greedy_permutation(
     return tuple(ordered)
 
 
-def _order_left_to_right(
-    body: tuple[Atom, ...], bound_vars: frozenset[Variable]
-) -> list[Atom]:
-    """Given order, except unready ``eq`` atoms wait for a binder.
-
-    Rectification may emit ``eq(V2, V1)`` *before* the atom that binds
-    ``V1``; deferring it to the earliest point where a side is bound
-    preserves left-to-right semantics (eq atoms are pure filters --
-    commuting one later never changes the result set) instead of
-    crashing.  Atoms that never become ready fall through to the end,
-    where compilation raises the interpreter's unsafe-rule ValueError.
-    """
-    bound = set(bound_vars)
-
-    def ready(a: Atom) -> bool:
-        for t in a.args:
-            if isinstance(t, Constant) or t in bound:
-                return True
-        return False
-
-    ordered: list[Atom] = []
-    pending: list[Atom] = []
-
-    def place(a: Atom) -> None:
-        ordered.append(a)
-        for t in a.args:
-            if isinstance(t, Variable):
-                bound.add(t)
-
-    for a in body:
-        if a.predicate == EQ and a.arity == 2 and not ready(a):
-            pending.append(a)
-            continue
-        place(a)
-        progressed = True
-        while progressed and pending:
-            progressed = False
-            for k, p in enumerate(pending):
-                if ready(p):
-                    place(pending.pop(k))
-                    progressed = True
-                    break
-    ordered.extend(pending)  # still unready: unsafe, raises at compile
-    return ordered
-
-
 def _defer_eq_indices(
     body: tuple[Atom, ...],
     seq: Sequence[int],
     bound_vars: frozenset[Variable],
 ) -> tuple[int, ...]:
-    """Index-level :func:`_order_left_to_right`: reorder ``seq`` so each
-    unready ``eq`` waits for its earliest binder.  Used by the cost
-    orders, whose planner ranks only the non-eq atoms and leaves eq
-    placement to the same deferral semantics PR 4 fixed.
+    """``seq`` (positions of ``body``) with each unready ``eq`` moved
+    back to the earliest point where a side is bound.
+
+    Rectification may emit ``eq(V2, V1)`` *before* the atom that binds
+    ``V1``; deferring it preserves left-to-right semantics (eq atoms
+    are pure filters -- commuting one later never changes the result
+    set) instead of crashing.  Atoms that never become ready fall
+    through to the end, where compilation raises the interpreter's
+    unsafe-rule ValueError.  ``order="left_to_right"`` defers over the
+    given order; the cost orders, whose planner ranks only the non-eq
+    atoms, leave eq placement to the same rule.
     """
     bound = set(bound_vars)
 
@@ -522,6 +503,14 @@ def _defer_eq_indices(
                     break
     ordered.extend(pending)  # still unready: unsafe, raises at compile
     return tuple(ordered)
+
+
+def _order_left_to_right(
+    body: tuple[Atom, ...], bound_vars: frozenset[Variable]
+) -> list[Atom]:
+    """Given order, except unready ``eq`` atoms wait for a binder."""
+    return [body[i]
+            for i in _defer_eq_indices(body, range(len(body)), bound_vars)]
 
 
 def _cost_sequence(
@@ -580,8 +569,10 @@ def _compile_sequence(
     bound_vars: frozenset[Variable],
     order: str,
     ordered: list[Atom],
+    shapes: Optional[dict] = None,
 ) -> JoinPlan:
-    """Compile an already-ordered atom sequence into a :class:`JoinPlan`."""
+    """Compile an already-ordered atom sequence into a :class:`JoinPlan`
+    (``shapes``: the kernel-function table of its cache, if any)."""
     slot_of: dict[Variable, int] = {}
     preload: list[tuple[Variable, int]] = []
     bound: set[Variable] = set(bound_vars)
@@ -674,20 +665,18 @@ def _compile_sequence(
     steps = tuple(
         (p, pos, ks, w, c, tuple(g)) for p, pos, ks, w, c, g in raw_steps
     )
-    outputs = tuple(
-        (v, s) for v, s in slot_of.items() if v not in bound_vars
-    )
+    outputs = tuple(v for v in slot_of if v not in bound_vars)
     return JoinPlan(
         body=body,
         bound_vars=bound_vars,
         order=order,
-        n_slots=len(slot_of),
         preload=tuple(preload),
         pre_guards=tuple(pre_guards),
         steps=steps,
         outputs=outputs,
         always_empty=always_empty,
         slot_of=slot_of,
+        shapes=shapes,
     )
 
 
@@ -710,7 +699,7 @@ class PlanCache:
     """
 
     __slots__ = ("maxsize", "hits", "misses", "compiles", "evictions",
-                 "orders", "_plans", "_order_memo", "_lock")
+                 "orders", "_plans", "_order_memo", "_shapes", "_lock")
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
@@ -721,6 +710,8 @@ class PlanCache:
         self.orders: dict[str, int] = {}
         self._plans: dict[tuple, JoinPlan] = {}
         self._order_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
+        #: kernel source text -> compiled function, shared by its plans
+        self._shapes: dict = {}
         self._lock = threading.Lock()
 
     def plan_for(
@@ -784,21 +775,22 @@ class PlanCache:
             # distinct values per body over a run, and far cheaper to
             # key on than re-running the walk every call.
             if db is not None:
+                relation = db.relation
                 sizes = []
                 for a in body:
-                    rel = (
-                        db.relation(a.predicate)
-                        if a.predicate != EQ else None
-                    )
+                    rel = relation(a.predicate) if a.predicate != EQ \
+                        else None
                     sizes.append(len(rel) if rel is not None else 0)
                 rank = tuple(sorted(range(len(body)),
                                     key=sizes.__getitem__))
-                zeros = tuple(s == 0 for s in sizes)
+                zeros = tuple([s == 0 for s in sizes])
                 key = (body, bound_vars, rank, zeros)
             else:
                 key = (body, bound_vars, "greedy")
-        else:
+        elif order == "left_to_right":
             key = (body, bound_vars, order)
+        else:
+            raise ValueError(f"unknown join order {order!r}")
         with self._lock:
             self.orders[order] = self.orders.get(order, 0) + 1
             plan = self._plans.get(key)
@@ -811,17 +803,15 @@ class PlanCache:
         if tracer is not None:
             tracer.count("plan_cache_misses")
         if order in ("cost", "adaptive"):
-            plan = _compile_sequence(body, bound_vars, "cost",
-                                     [body[i] for i in key[3]])
+            ordered = [body[i] for i in key[3]]
         elif order == "greedy":
-            perm = greedy_permutation(body, bound_vars, db)
-            plan = _compile_sequence(body, bound_vars, order,
-                                     [body[i] for i in perm])
+            ordered = [body[i]
+                       for i in greedy_permutation(body, bound_vars, db)]
         else:
-            plan = _compile_sequence(
-                body, bound_vars, order,
-                _order_left_to_right(body, bound_vars),
-            )
+            ordered = _order_left_to_right(body, bound_vars)
+        plan = _compile_sequence(
+            body, bound_vars, "cost" if order == "adaptive" else order,
+            ordered, self._shapes)
         if tracer is not None:
             tracer.count("plan_compiles")
         with self._lock:
@@ -835,6 +825,8 @@ class PlanCache:
                     break
                 del self._plans[oldest]
                 self.evictions += 1
+            if len(self._shapes) >= self.maxsize:
+                self._shapes.clear()  # live plans keep their functions
             self._plans[key] = plan
         return plan
 
@@ -843,11 +835,19 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
             self._order_memo.clear()
+            self._shapes.clear()
             self.hits = 0
             self.misses = 0
             self.compiles = 0
             self.evictions = 0
             self.orders = {}
+
+    def plans_for(self, body: tuple, output: tuple) -> list[JoinPlan]:
+        """Cached plans of ``body`` that ran the set-at-a-time kernel
+        for ``output`` (for plan dumps)."""
+        with self._lock:
+            return [p for key, p in self._plans.items()
+                    if key[0] == body and (output, True) in p._kernels]
 
     def stats(self) -> dict:
         """Counter snapshot: ``{size, hits, misses, compiles,

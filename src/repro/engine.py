@@ -152,6 +152,22 @@ class Engine:
         self._base_db_fingerprint = edb.fingerprint()
         self._plans: dict[tuple[str, tuple[int, ...]], SeparablePlan] = {}
 
+    def with_edb(self, edb: Database) -> "Engine":
+        """An engine for the same program, budget, order and tracer
+        over another database.
+
+        Separability reports and compiled Separable plans are functions
+        of the program alone, so the sibling shares this engine's
+        caches of both and analyses nothing twice; what is cached per
+        database starts empty.  The query service makes its engine per
+        EDB snapshot -- one per write -- this way.
+        """
+        other = Engine(self.program, edb, self.budget, self.order,
+                       self.tracer)
+        other._reports = self._reports
+        other._plans = self._plans
+        return other
+
     # -- analysis ----------------------------------------------------------
 
     def join_plan_stats(self) -> dict:
@@ -336,7 +352,17 @@ class Engine:
             return cached
         needed = self.program.depends_on(predicate) - {predicate}
         needed &= self.program.idb_predicates
-        db = self.edb.copy()
+        if needed or self.edb.backend_name != "memory":
+            db = self.edb.copy()
+        else:
+            # Nothing to materialize: the joins read the EDB itself and
+            # the hash indexes they build stay with its relations,
+            # instead of with a private copy every new engine (one per
+            # service snapshot, so one per write) rebuilds.  An
+            # out-of-core EDB keeps the private copy: its indexes are
+            # SQL indexes, which must not land in a durable file and
+            # cannot be created on a read-only snapshot.
+            db = self.edb
         if needed:
             for scc in self.program.evaluation_order:
                 members = scc & needed

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Fact, Relation
-from ..datalog.joins import evaluate_body, evaluate_body_project
+from ..datalog.joins import evaluate_body_into, evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate, seminaive_stratum
@@ -107,9 +107,10 @@ class MaintainedView:
             init = self._head_bindings(rule, fact)
             if init is None:
                 continue
-            for _ in evaluate_body(self.db, rule.body,
-                                   initial_bindings=init,
-                                   order=self.order):
+            # Only the number of substitutions matters: project onto ().
+            for _ in evaluate_body_project(self.db, rule.body, (),
+                                           initial_bindings=init,
+                                           order=self.order):
                 total += 1
         return total
 
@@ -118,9 +119,9 @@ class MaintainedView:
             init = self._head_bindings(rule, fact)
             if init is None:
                 continue
-            for _ in evaluate_body(self.db, rule.body,
-                                   initial_bindings=init,
-                                   order=self.order):
+            for _ in evaluate_body_project(self.db, rule.body, (),
+                                           initial_bindings=init,
+                                           order=self.order):
                 return True
         return False
 
@@ -160,10 +161,10 @@ class MaintainedView:
                 body = (r.body[:i]
                         + (Atom(delta_name, a.args),)
                         + r.body[i + 1:])
-                out = heads.setdefault(r.head.predicate, set())
-                for fact in evaluate_body_project(view, body, r.head.args,
-                                                  order=self.order):
-                    out.add(fact)
+                evaluate_body_into(
+                    view, body, r.head.args,
+                    heads.setdefault(r.head.predicate, set()),
+                    order=self.order)
         return heads
 
     # -- maintenance -------------------------------------------------------

@@ -83,6 +83,26 @@ def _series_lines(tracer: Tracer) -> list[str]:
     return lines
 
 
+def _kernel_lines(plan) -> list[str]:
+    """The generated set-at-a-time kernel behind each join term of a
+    Separable ``plan``, for the cached join plans that ran it.
+
+    Kernels are generated on first use, so a term only pool workers ran
+    has none here.  ``K`` is the constants tuple the text unpacks:
+    index signatures, column numbers and body/output constants.
+    """
+    from ..datalog.plan_cache import PLAN_CACHE  # imports our tracer
+
+    lines: list[str] = []
+    for join in plan.down_joins + plan.exit_joins + plan.up_joins:
+        for cached in PLAN_CACHE.plans_for(join.body, join.output):
+            source, consts, _ = cached.kernel_text(join.output, True)
+            lines.append(f"  kernel {join}  steps={cached.atom_order()}  "
+                         f"K={consts}")
+            lines += [f"    {line}" for line in source.splitlines()]
+    return lines
+
+
 @dataclass
 class QueryProfile:
     """One traced query evaluation, ready to explain itself.
@@ -197,6 +217,8 @@ class QueryProfile:
         lines.append(header)
 
         lines += ["", f"-- plan {rule[8:]}", result.describe_plan()]
+        if result.plan is not None:
+            lines += _kernel_lines(result.plan)
         lines += ["", f"-- strategy advice {rule[19:]}",
                   self.advice.explain()]
 

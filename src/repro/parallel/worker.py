@@ -27,7 +27,7 @@ from typing import Optional
 from ..budget import Budget, UNLIMITED
 from ..core.evaluator import _with_pseudo, execute_plan
 from ..datalog.database import Database, Relation
-from ..datalog.joins import evaluate_body_project
+from ..datalog.joins import evaluate_body_into
 from ..errors import EvaluationError
 from ..observability.fragments import capture_fragment
 from ..observability.tracer import Tracer
@@ -170,16 +170,8 @@ def _apply_joins_task(args):
     def run() -> None:
         for join in joins:
             out: set[tuple] = set()
-            for fact in evaluate_body_project(
-                view,
-                join.body,
-                join.output,
-                stats=stats,
-                order=order,
-                tracer=tracer,
-            ):
-                stats.bump_produced()
-                out.add(fact)
+            evaluate_body_into(view, join.body, join.output, out,
+                               stats=stats, order=order, tracer=tracer)
             per_join.append(frozenset(out))
 
     if tracer is None:

@@ -50,7 +50,7 @@ from ..core.api import full_selection_from_extent
 from ..core.detection import require_separable
 from ..core.selections import SelectionDirtiness
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
+from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, ReproError
 from ..datalog.parser import parse_query
 from ..datalog.programs import Program
@@ -278,6 +278,15 @@ class QueryService:
             )
         self._snapshot_lock = threading.Lock()
         self._snapshots: OrderedDict[tuple, _Snapshot] = OrderedDict()
+        # Every snapshot's engine is a sibling of this one (over no
+        # data), so the program is analysed once, not once per write.
+        self._engine = Engine(
+            program,
+            Database(),
+            budget=self.config.budget,
+            order=self.config.order,
+            tracer=self.metrics.tracer,
+        )
         self._view: Optional[MaintainedView] = (
             MaintainedView(program, edb, order=self.config.order)
             if self.config.incremental
@@ -423,6 +432,9 @@ class QueryService:
             pred: ins | dels for pred, (ins, dels) in idb_changes.items()
         }
         dirtiness: dict[str, SelectionDirtiness] = {}
+        # A repaired entry cost no evaluation; cached stats are only
+        # ever merged into a caller's, so one zero serves them all.
+        no_work = EvaluationStats()
 
         def decide(tail: tuple, value):
             if len(tail) != 4:
@@ -445,11 +457,12 @@ class QueryService:
                         return ("keep", value)
                     up_tuples = full_selection_from_extent(
                         analysis, component, seed,
-                        self._view.db.tuples(pred),
+                        self._view.db.relation(pred),
+                        tracer=self.metrics.tracer,
                     )
                 except ValueError:
                     return ("drop", None)
-                return ("repair", (up_tuples, EvaluationStats()))
+                return ("repair", (up_tuples, no_work))
             deps = self._analysis_dependencies(analysis)
             if deps & mutated or any(
                 changed_by_pred.get(p) for p in deps
@@ -483,19 +496,19 @@ class QueryService:
                 # A stable view of the mutated relation: a copy for the
                 # in-memory backend, a read-only pinned connection for
                 # durable SQLite.
-                db.attach(live.snapshot(), name)
+                fresh = live.snapshot()
+                if (isinstance(fresh, Relation)
+                        and isinstance(shared, Relation)):
+                    # The copy differs from the previous snapshot's by
+                    # the delta: keep that one's indexes, patched.
+                    fresh.adopt_indexes(shared)
+                db.attach(fresh, name)
             else:
                 db.attach(shared, name)
         snap = _Snapshot(
             fingerprint=new_fp,
             db=db,
-            engine=Engine(
-                self.program,
-                db,
-                budget=self.config.budget,
-                order=self.config.order,
-                tracer=self.metrics.tracer,
-            ),
+            engine=self._engine.with_edb(db),
         )
         self._snapshots[new_fp] = snap
         self._snapshots.move_to_end(new_fp)
@@ -522,13 +535,7 @@ class QueryService:
             snap = _Snapshot(
                 fingerprint=fingerprint,
                 db=db,
-                engine=Engine(
-                    self.program,
-                    db,
-                    budget=self.config.budget,
-                    order=self.config.order,
-                    tracer=self.metrics.tracer,
-                ),
+                engine=self._engine.with_edb(db),
             )
             self._snapshots[fingerprint] = snap
             while len(self._snapshots) > self.config.snapshot_cache_size:

@@ -88,16 +88,34 @@ class TestCheckMode:
         assert code == 0
 
     def test_injected_slowdown_fails(
-        self, baseline_dir, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, fake_clock
     ):
+        # Baseline and check both run on the fake clock: every cell
+        # lasts one tick (above the noise floor) on any machine, so all
+        # four are time-gated and the 3x shim trips every one.
+        assert _bench(tmp_path) == 0
         monkeypatch.setattr(harness, "_TEST_SLOWDOWN", 3.0)
-        code = _bench(
-            baseline_dir, "--check", "--baseline-dir", str(baseline_dir)
-        )
+        code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
         assert code == 1
         out = capsys.readouterr().out
-        assert "REGRESSIONS" in out
-        assert "[time]" in out
+        assert "time gates: 4 gated, 0 skipped" in out
+        assert "REGRESSIONS (4)" in out
+        assert out.count("[time]") == 4
+
+    def test_below_floor_cells_are_reported_as_skipped(
+        self, tmp_path, capsys, monkeypatch, fake_clock
+    ):
+        # A baseline whose cells all sit under the floor gates nothing
+        # -- and says so instead of passing silently.
+        monkeypatch.setattr(fake_clock, "TICK_S", 1e-5)
+        assert _bench(tmp_path) == 0
+        monkeypatch.setattr(harness, "_TEST_SLOWDOWN", 3.0)
+        code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "time gates: 0 gated, 4 skipped" in out
+        assert out.count("[skipped]") == 4
+        assert "below the 1ms noise floor" in out
 
     def test_check_mode_never_writes(self, baseline_dir, tmp_path):
         code = _bench(

@@ -1,9 +1,9 @@
 """Regression-gate tests: ``compare_reports`` and the slowdown shim.
 
 Synthetic reports pin each finding kind; the end-to-end tests run a
-real (tiny) family twice and prove the gate is quiet on an honest
-re-run but fires when the test-only sleep shim stretches every timed
-repetition -- the acceptance story for ``bench --check``.
+real (tiny) family twice on a fixed-tick clock and prove the gate is
+quiet on an honest re-run but fires when the test-only shim stretches
+every timed repetition -- the acceptance story for ``bench --check``.
 """
 
 import copy
@@ -115,17 +115,25 @@ class TestFindingKinds:
         assert "ratio 2.00" in findings[0].message
 
     def test_time_within_tolerance_passes(self):
+        gated = []
         assert (
             compare_reports(
-                _synthetic(normalized=1.0), _synthetic(normalized=1.5)
+                _synthetic(normalized=1.0), _synthetic(normalized=1.5),
+                time_gated=gated,
             )
             == []
         )
+        assert gated == [("magic", 8)]
 
     def test_sub_noise_floor_cells_are_not_time_gated(self):
         base = _synthetic(normalized=1.0, median_s=1e-5)
         cur = _synthetic(normalized=50.0, median_s=5e-4)
-        assert compare_reports(base, cur) == []
+        gated = []
+        findings = compare_reports(base, cur, time_gated=gated)
+        assert [f.kind for f in findings] == ["skipped"]
+        assert not findings[0].regression
+        assert "below the 1ms noise floor" in findings[0].message
+        assert gated == []
 
     def test_finding_renders_location(self):
         f = Finding("e2", "magic", 8, "time", "too slow")
@@ -429,46 +437,36 @@ class TestBackendGate:
         assert "answers" in {f.kind for f in findings}
 
 
-@pytest.fixture(scope="module")
-def calibration():
-    return calibrate(repeats=1)
-
-
-@pytest.fixture(scope="module")
-def e2_baseline(calibration):
-    # Sizes large enough that the magic medians clear the gate's 1ms
-    # noise floor on any plausible machine; n=6 used to straddle it,
-    # making the slowdown test pass or fail on scheduler luck.
+def _run_e2(sizes=(8, 12)):
     return run_family(
-        FAMILIES["e2"], [8, 12], repeats=3, calibration=calibration
+        FAMILIES["e2"], list(sizes), repeats=3,
+        calibration=calibrate(repeats=1),
     )
 
 
 class TestEndToEnd:
-    def test_honest_rerun_passes(self, e2_baseline, calibration):
-        rerun = run_family(
-            FAMILIES["e2"], [8, 12], repeats=3, calibration=calibration
-        )
-        assert compare_reports(e2_baseline, rerun) == []
+    """Real (tiny) family runs on the fake clock: every cell lasts one
+    tick, above the noise floor, so all four are time-gated on any
+    machine -- these used to pass or fail on scheduler luck."""
 
-    def test_injected_slowdown_fails(
-        self, e2_baseline, calibration, monkeypatch
-    ):
-        """The acceptance shim: a 3x sleep stretch must trip the gate.
+    def test_honest_rerun_passes(self, fake_clock):
+        assert compare_reports(_run_e2(), _run_e2()) == []
 
-        Only cells whose baseline median clears the 1ms noise floor are
-        time-gated; on this family that is the magic strategy at n=12
-        (and usually n=8), so at least one time finding must appear and
-        nothing else may.
-        """
+    def test_injected_slowdown_fails(self, fake_clock, monkeypatch):
+        """The acceptance shim: a 3x stretch must trip the gate on
+        every cell, and nothing else may."""
+        baseline = _run_e2()
         monkeypatch.setattr(harness, "_TEST_SLOWDOWN", 3.0)
-        slowed = run_family(
-            FAMILIES["e2"], [8, 12], repeats=3, calibration=calibration
-        )
-        findings = compare_reports(e2_baseline, slowed)
-        assert findings, "3x slowdown escaped the regression gate"
-        assert {f.kind for f in findings} == {"time"}
-        assert ("magic", 12) in {(f.strategy, f.n) for f in findings}
+        findings = compare_reports(baseline, _run_e2())
+        assert [f.kind for f in findings] == ["time"] * 4
+        assert all("ratio 3.00" in f.message for f in findings)
+
+    def test_honest_rerun_passes_on_the_real_clock(self):
+        """``_timed`` and the interleaved calibration kernel on
+        ``time.perf_counter`` through the gate, at sizes where the magic
+        cells clear the noise floor on the machines we run on."""
+        findings = compare_reports(_run_e2([16, 24]), _run_e2([16, 24]))
+        assert [f for f in findings if f.regression] == []
 
     def test_shim_never_applies_to_calibration(self, monkeypatch):
         """A uniformly slower machine cancels; a slower code path must
@@ -476,5 +474,5 @@ class TestEndToEnd:
         baseline_unit = calibrate(repeats=1)["unit_s"]
         monkeypatch.setattr(harness, "_TEST_SLOWDOWN", 50.0)
         shimmed_unit = calibrate(repeats=1)["unit_s"]
-        # 50x on ~20ms would be a full second; same order instead.
+        # 50x would be far beyond run-to-run noise; same order instead.
         assert shimmed_unit < baseline_unit * 10

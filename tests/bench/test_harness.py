@@ -53,6 +53,7 @@ CELL_KEYS = {
     "counters",
     "trace_violations",
     "median_s",
+    "unit_s",
     "normalized",
 }
 
@@ -112,7 +113,7 @@ class TestFitExponent:
 class TestCalibration:
     def test_unit_is_positive_and_labelled(self, calibration):
         assert calibration["unit_s"] > 0
-        assert "chain(64)" in calibration["workload"]
+        assert "plain-python" in calibration["workload"]
         assert calibration["repeats"] == 1
 
 
@@ -130,7 +131,7 @@ class TestReportShape:
             assert cell["outcome"] == "ok"
             assert cell["answers"] is not None
             assert cell["median_s"] > 0
-            assert cell["normalized"] > 0
+            assert cell["normalized"] == cell["median_s"] / cell["unit_s"]
             assert cell["trace_violations"] == []
             assert cell["counters"]["tuples_examined"] > 0
 

@@ -424,6 +424,92 @@ class TestDiscard:
         assert not db.remove_fact("missing", ("a",))
 
 
+class TestAdoptIndexes:
+    """``adopt_indexes``: a near-copy inherits indexes, patched by the
+    difference, sharing every untouched bucket."""
+
+    FACTS = [("a", "b"), ("a", "c"), ("d", "e"), ("f", "e"), ("g", "h")] \
+        + [(f"s{i}", f"t{i}") for i in range(15)]
+
+    def _indexed(self) -> Relation:
+        old = Relation("p", 2, self.FACTS)
+        old.lookup((0,), ("a",))
+        old.lookup((1,), ("e",))
+        return old
+
+    @staticmethod
+    def _as_sets(index: dict) -> dict:
+        return {k: sorted(v) for k, v in index.items()}
+
+    def test_patched_indexes_equal_fresh_ones(self):
+        old = self._indexed()
+        new = old.copy()
+        new.discard(("a", "b"))      # bucket shrinks
+        new.discard(("g", "h"))      # bucket disappears
+        new.add(("a", "z"))          # bucket grows
+        new.add(("x", "y"))          # bucket appears
+        new.adopt_indexes(old)
+        fresh = Relation("p", 2, new.tuples())
+        for positions in ((0,), (1,)):
+            fresh.lookup(positions, ("?",))
+            assert self._as_sets(new._indexes[positions]) == \
+                self._as_sets(fresh._indexes[positions])
+        # ... and the lender's are what they were.
+        assert sorted(old.lookup((0,), ("a",))) == [("a", "b"), ("a", "c")]
+        assert old.lookup((0,), ("g",)) == [("g", "h")]
+        assert old.lookup((0,), ("x",)) == []
+
+    def test_untouched_buckets_are_shared_and_nothing_is_rebuilt(self):
+        from repro.observability import Tracer
+
+        old = self._indexed()
+        new = old.copy()
+        new.add(("a", "z"))
+        new.adopt_indexes(old)
+        assert new._indexes[(0,)][("d",)] is old._indexes[(0,)][("d",)]
+        assert new._indexes[(0,)][("a",)] is not old._indexes[(0,)][("a",)]
+        tracer = Tracer()
+        assert sorted(new.lookup((0,), ("a",), tracer)) == [
+            ("a", "b"), ("a", "c"), ("a", "z"),
+        ]
+        assert tracer.counter_total("index_builds") == 0
+
+    @pytest.mark.parametrize("who", ["adopter", "lender"])
+    def test_mutation_after_sharing_never_patches_a_shared_bucket(self, who):
+        old = self._indexed()
+        new = old.copy()
+        new.adopt_indexes(old)
+        mutated, other = (new, old) if who == "adopter" else (old, new)
+        mutated.add(("d", "q"))
+        mutated.discard(("f", "e"))
+        assert sorted(mutated.lookup((0,), ("d",))) == [("d", "e"), ("d", "q")]
+        assert mutated.lookup((1,), ("e",)) == [("d", "e")]
+        assert other.lookup((0,), ("d",)) == [("d", "e")]
+        assert sorted(other.lookup((1,), ("e",))) == [("d", "e"), ("f", "e")]
+        # Its indexes are its own again: the next patch is in place.
+        bucket = mutated.lookup((0,), ("d",))
+        mutated.add(("d", "r"))
+        assert mutated.lookup((0,), ("d",)) is bucket
+
+    def test_bulk_mutation_after_sharing(self):
+        old = self._indexed()
+        new = old.copy()
+        new.adopt_indexes(old)
+        new.add_all([("d", "q"), ("d", "r")])
+        new.discard_all([("d", "e")])
+        assert sorted(new.lookup((0,), ("d",))) == [("d", "q"), ("d", "r")]
+        assert old.lookup((0,), ("d",)) == [("d", "e")]
+
+    def test_mostly_different_or_other_arity_adopts_nothing(self):
+        old = self._indexed()
+        other = Relation("p", 2, [("a", "b"), ("u", "v"), ("w", "x")])
+        other.adopt_indexes(old)
+        assert other._indexes == {} and not old._borrowed
+        unary = Relation("p", 1, [("a",)])
+        unary.adopt_indexes(old)
+        assert unary._indexes == {}
+
+
 class TestObservers:
     def test_add_discard_clear_events(self):
         rel = Relation("p", 1)

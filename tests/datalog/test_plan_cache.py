@@ -15,6 +15,7 @@ from repro.datalog.joins import (
     EQ,
     evaluate_body,
     evaluate_body_interpreted,
+    evaluate_body_into,
     evaluate_body_project,
 )
 from repro.datalog.parser import parse_program
@@ -123,6 +124,22 @@ class TestExecuteProject:
                     db, (atom("edge", "X", "Y"),), (Variable("Nope"),)
                 )
             )
+
+    def test_unbound_output_variable_raises_at_the_call(self, db):
+        # Outside-the-body outputs are kernel arguments, resolved when
+        # the call is made: no row has to be pulled, and the join need
+        # not have a solution.
+        nope = (Variable("Nope"),)
+        with pytest.raises(KeyError):
+            evaluate_body_project(db, (atom("edge", "X", "Y"),), nope)
+        with pytest.raises(KeyError):
+            evaluate_body_project(db, (atom("edge", "zz", "Y"),), nope)
+        with pytest.raises(KeyError):
+            evaluate_body_into(db, (atom("edge", "zz", "Y"),), nope, set())
+        # ...but an empty body relation ends the run before that.
+        db.ensure("hollow", 1)
+        assert list(evaluate_body_project(
+            db, (atom("hollow", "X"),), nope)) == []
 
     def test_empty_body_projects_initial_bindings(self, db):
         z = Variable("Z")

@@ -263,3 +263,117 @@ class TestOverflowFallback:
         finally:
             service.close()
         assert metrics["view_rebuilds"] == 1
+
+
+class TestIndexBackedRepair:
+    def test_dirty_entries_are_repaired_off_one_index_build(self):
+        """A repair is ``σ_{component = seed}`` of the maintained extent,
+        served by the view relation's lazy index: five dirty entries
+        cost one ``index_builds`` (not five scans), a later mutation
+        none at all -- the index is maintained incrementally -- and
+        every repaired value equals a full scan of the extent."""
+        program = paper.example_1_1_program()
+        n = 8
+        service = QueryService(
+            program, _chain_db(n),
+            ServiceConfig(workers=2, incremental=True),
+        )
+
+        def index_builds() -> int:
+            counters = service.metrics_dict()["evaluator_counters"]
+            return counters.get("index_builds", 0)
+
+        def check_entries_against_full_scan() -> int:
+            extent = service._view.db.tuples("buys")
+            checked = 0
+            for key, (value, _stats) in service.memo._entries.items():
+                _fp, _analysis, component, seed, _order = key
+                assert component == ("class", 1)  # position 0 bound
+                assert value == frozenset(
+                    (y,) for x, y in extent if (x,) == seed
+                )
+                checked += 1
+            return checked
+
+        try:
+            for i in range(1, 6):
+                assert service.query(f"buys(a{i}, Y)?").ok
+            before = index_builds()
+            # Every a_i reaches a_n, so the new gift dirties all five.
+            service.mutate(
+                lambda db: db.add_fact("perfectFor", (f"a{n}", "gift"))
+            )
+            assert service.memo.stats()["repaired"] == 5
+            assert index_builds() - before == 1
+            assert check_entries_against_full_scan() == 5
+
+            before = index_builds()
+            service.mutate(
+                lambda db: db.remove_fact("perfectFor", (f"a{n}", "gift"))
+            )
+            assert service.memo.stats()["repaired"] == 10
+            assert index_builds() == before
+            assert check_entries_against_full_scan() == 5
+            for i in range(1, 6):
+                result = service.query(f"buys(a{i}, Y)?")
+                assert result.answers == oracle_answers(
+                    program, service.edb, result.query
+                )
+        finally:
+            service.close()
+
+
+class TestWritesReindexNothing:
+    def test_snapshot_indexes_survive_a_write(self):
+        """After a write the new snapshot shares untouched relations
+        (indexes included) with the old one and the mutated relation's
+        copy adopts the old indexes patched by the delta, so the misses
+        that follow build no index on any EDB relation -- and every
+        snapshot's engine shares one analysis of the program."""
+        program = paper.example_1_1_program()
+        n = 24
+        service = QueryService(
+            program, _chain_db(n),
+            ServiceConfig(workers=1, incremental=True, memo_size=1),
+        )
+
+        def edb_indexes(snap) -> dict:
+            return {
+                name: dict(snap.db.relation(name)._indexes)
+                for name in snap.db.predicates()
+            }
+
+        try:
+            assert service.query("buys(a1, Y)?").ok
+            assert service.query("buys(X, b%d)?" % n).ok
+            old = service._snapshot()
+            warm = edb_indexes(old)
+            assert warm["friend"] and warm["perfectFor"]
+            for step in range(3):
+                service.mutate(lambda db: db.add_fact(
+                    "friend", (f"new{step}", "a1")))
+                snap = service._snapshot()
+                assert snap is not old and snap.db is not old.db
+                # Untouched relation: the same object, indexes and all.
+                assert snap.db.relation("idol") is old.db.relation("idol")
+                # Mutated relation: a copy born with every old index.
+                friend = snap.db.relation("friend")
+                assert friend is not old.db.relation("friend")
+                assert friend._indexes.keys() == warm["friend"].keys()
+                assert friend.lookup((0,), (f"new{step}",)) == [
+                    (f"new{step}", "a1")]
+                assert snap.engine.report("buys") is old.engine.report("buys")
+                result = service.query(f"buys(new{step}, Y)?")
+                assert result.answers == oracle_answers(
+                    program, service.edb, result.query
+                )
+                result = service.query("buys(X, b%d)?" % n)
+                assert result.answers == oracle_answers(
+                    program, service.edb, result.query
+                )
+                # The misses above indexed nothing that was not indexed.
+                assert {k: v.keys() for k, v in edb_indexes(snap).items()} \
+                    == {k: v.keys() for k, v in warm.items()}
+                old, warm = snap, edb_indexes(snap)
+        finally:
+            service.close()

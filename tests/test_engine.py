@@ -13,6 +13,7 @@ from repro.datalog.errors import (
 )
 from repro.datalog.parser import parse_program
 from repro.engine import STRATEGIES, Engine
+from repro.observability import Tracer
 from repro.workloads.generators import chain, cycle
 from repro.workloads.paper import section_5_nonseparable_program
 
@@ -211,6 +212,62 @@ class TestBaseMaterialization:
         assert db.fingerprint() == fp
         db.add_fact("wire", ("b", "c"))
         assert db.fingerprint() != fp
+
+
+class TestDatabaseSharing:
+    def test_nothing_to_materialize_joins_on_the_edb_itself(self, example_1_1):
+        """No base IDB: no private copy, so the indexes the joins build
+        stay with the EDB's relations (a second engine finds them) and
+        a later mutation is still seen."""
+        program, db = example_1_1
+        engine = Engine(program, db)
+        cold = Tracer()
+        before = engine.query(
+            "buys(tom, Y)?", strategy="separable", tracer=cold
+        ).answers
+        assert engine._base_db["buys"] is db
+        built = {p: dict(db.relation(p)._indexes) for p in db.predicates()}
+        assert any(built.values())
+        warm = Tracer()
+        again = Engine(program, db).query(
+            "buys(tom, Y)?", strategy="separable", tracer=warm
+        )
+        assert again.answers == before
+        # Only the query's own carry/seen relations are indexed anew.
+        assert warm.counter_total("index_builds") \
+            < cold.counter_total("index_builds")
+        for p, indexes in built.items():
+            now = db.relation(p)._indexes
+            assert now.keys() == indexes.keys()
+            assert all(now[k] is indexes[k] for k in indexes)
+        db.add_fact("perfectFor", ("tom", "brand_new"))
+        after = engine.query("buys(tom, Y)?", strategy="separable").answers
+        assert after == before | {("tom", "brand_new")}
+
+    def test_materialization_still_gets_a_private_copy(self):
+        parsed = parse_program(TestBaseMaterialization.PROGRAM)
+        db = Database.from_facts({"wire": [("a", "b")]})
+        engine = Engine(parsed.program, db)
+        engine.query("conn(a, Y)?", strategy="separable")
+        assert engine._base_db["conn"] is not db
+        assert "link" not in db
+
+    def test_sibling_engine_shares_the_analysis_not_the_data(
+            self, example_1_1):
+        program, db = example_1_1
+        engine = Engine(program, db, order="cost")
+        first = engine.query("buys(tom, Y)?")
+        other_db = Database.from_facts({
+            "friend": [("ann", "bob")], "idol": [],
+            "perfectFor": [("bob", "kite")],
+        })
+        sibling = engine.with_edb(other_db)
+        assert sibling.edb is other_db and sibling.order == "cost"
+        assert sibling.report("buys") is engine.report("buys")
+        result = sibling.query("buys(ann, Y)?")
+        assert result.answers == {("ann", "kite")}
+        assert result.plan is first.plan
+        assert engine.query("buys(tom, Y)?").answers == first.answers
 
 
 class TestErrors:
