@@ -8,23 +8,23 @@ The package behind ``repro-datalog bench``:
   traced warmups, growth-exponent fits, and schema-versioned
   ``BENCH_<family>.json`` reports;
 * :mod:`repro.bench.gating` -- the ``--check`` regression gate that
-  diffs a fresh run against a committed baseline.
+  diffs a fresh run against a committed baseline and evaluates each
+  family's gate rows.
 
 See ``docs/benchmarking.md`` for the report schema and how to read the
 traces.
 """
 
-from .families import FAMILIES, Family, Workload, resolve_families
+from .families import FAMILIES, Cell, Family, Workload, resolve_families
 from .gating import (
     DEFAULT_MIN_TIME_S,
     DEFAULT_TIME_TOLERANCE,
+    Agrees,
+    Bound,
     Finding,
-    backend_findings,
+    Flat,
+    Ratio,
     compare_reports,
-    maintenance_findings,
-    parallel_findings,
-    plan_growth_findings,
-    skew_findings,
 )
 from .harness import (
     BENCH_BUDGET,
@@ -37,32 +37,34 @@ from .harness import (
     report_path,
     run_family,
     summarize,
+    to_markdown,
     write_report,
 )
 
 __all__ = [
+    "Agrees",
     "BENCH_BUDGET",
+    "Bound",
+    "Cell",
     "DEFAULT_MIN_TIME_S",
     "DEFAULT_TIME_TOLERANCE",
     "FAMILIES",
     "Family",
     "Finding",
+    "Flat",
+    "Ratio",
     "SCHEMA",
     "Workload",
-    "backend_findings",
     "calibrate",
     "classify_exponent",
     "compare_reports",
     "fit_exponent",
     "git_sha",
     "machine_info",
-    "maintenance_findings",
-    "parallel_findings",
-    "plan_growth_findings",
-    "skew_findings",
     "report_path",
     "resolve_families",
     "run_family",
     "summarize",
+    "to_markdown",
     "write_report",
 ]

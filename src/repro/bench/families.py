@@ -1,41 +1,36 @@
 """The paper's experiment families (E1-E9) as benchmarkable workloads.
 
-Each :class:`Family` knows how to build its inputs for one size ``n``
-and which strategies Section 4 (or the extension ablations) compares on
-it.  The parameterizations mirror ``benchmarks/bench_e*.py`` and
-:mod:`repro.reporting` -- this module is the single registry the
-``repro-datalog bench`` harness sweeps, so the wall-clock numbers, the
-pytest-benchmark numbers, and the report tables all describe the same
-inputs.
+Each :class:`Family` knows how to build its inputs for one size ``n``,
+which :class:`Cell` columns Section 4 (or the extension ablations)
+compares on it, and which gates (:mod:`repro.bench.gating` rows) hold
+between those columns.  This module is the single registry the
+``repro-datalog bench`` and ``report`` commands sweep.
 
 A family's ``build(n)`` returns a :class:`Workload`: program, database
-and query text.  Strategy names are :data:`repro.engine.STRATEGIES`
-members, plus pseudo-strategies the harness special-cases:
-``"detect"`` (E6), which times separability analysis alone -- the
-paper's "computationally simple to detect" claim -- and touches no
-data; ``"incremental"`` / ``"fromscratch"`` (the
-``incremental-write`` family), which replay one mutation stream
-through :class:`repro.maintenance.MaintainedView` repairs versus a
-full recomputation per write; ``"serial"`` / ``"parallel-N"``
-(``parallel-scaling``) and ``"order-<name>"`` (``skewed-join``),
-which vary the executor and the join order over one fixed plan; and
-``"backend-<name>"`` (``out-of-core``), which runs the same
-semi-naive evaluation over each :mod:`repro.storage` backend.  A
-mutation family supplies the stream via :attr:`Family.mutations`; the
-stream is *balanced* (every insert is later deleted) so each timed
-repeat starts from the same state.
+and query text.  A cell's ``label`` is the ``strategy`` key of its
+report cells on disk; the other fields say what it runs -- an
+:data:`repro.engine.STRATEGIES` member, optionally under a join
+``order``, on a storage ``backend`` or on a ``workers``-process pool,
+or one of three non-query kinds: ``"detect"`` (E6) times separability
+analysis alone -- the paper's "computationally simple to detect" claim
+-- and touches no data; ``"repair"`` / ``"recompute"`` (the
+``incremental-write`` family) replay one mutation stream through
+:class:`repro.maintenance.MaintainedView` repairs versus a full
+recomputation per write.  A mutation family supplies the stream via
+:attr:`Family.mutations`; the stream is *balanced* (every insert is
+later deleted) so each timed repeat starts from the same state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from ..datalog.database import Database
 from ..datalog.parser import parse_program
 from ..datalog.programs import Program
-from ..workloads.generators import chain, grid, random_dag
+from ..workloads.generators import chain, random_dag
 from ..workloads.paper import (
     example_1_1_database,
     example_1_1_program,
@@ -47,8 +42,9 @@ from ..workloads.paper import (
     lemma_4_3_program,
     section_5_nonseparable_program,
 )
+from .gating import Agrees, Bound, Ratio
 
-__all__ = ["Family", "Workload", "FAMILIES", "resolve_families"]
+__all__ = ["Cell", "Family", "Workload", "FAMILIES", "resolve_families"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,30 @@ class Workload:
 
 
 @dataclass(frozen=True)
+class Cell:
+    """One column of a family's sweep: its report label and what it runs."""
+
+    label: str
+    #: ``"query"`` | ``"detect"`` | ``"repair"`` | ``"recompute"``.
+    kind: str = "query"
+    #: The ``Engine.query`` strategy of a ``"query"`` cell.
+    strategy: Optional[str] = None
+    #: Join order of the cell's engine.
+    order: str = "greedy"
+    #: Storage backend the workload database is mounted on, outside the
+    #: timed region: ``"memory"`` is the explicit ``MemoryBackend`` (every
+    #: derived relation goes through the storage dispatch), ``"sqlite"``
+    #: a temporary out-of-core database; ``None`` a plain in-memory one.
+    backend: Optional[str] = None
+    #: Worker processes of the cell's pool; ``None`` evaluates serially.
+    workers: Optional[int] = None
+
+
+def _plain(*strategies: str) -> tuple[Cell, ...]:
+    return tuple(Cell(name, strategy=name) for name in strategies)
+
+
+@dataclass(frozen=True)
 class Family:
     """One experiment family of the reproduction."""
 
@@ -68,13 +88,16 @@ class Family:
     title: str
     #: What the size parameter means for this family.
     size_means: str
-    strategies: tuple[str, ...]
+    cells: tuple[Cell, ...]
     build: Callable[[int], Workload]
     #: What Section 4 predicts, recorded into the report for readers.
     expectation: str
+    #: Relations that must hold between the cells of one run, beyond
+    #: ``plan_compiles`` staying flat (gated for every family).
+    gates: tuple = ()
     #: For mutation families: ``mutations(n)`` yields the balanced op
     #: stream ``[("add" | "del", relation, fact), ...]`` both
-    #: pseudo-strategies replay.  ``None`` for query-only families.
+    #: maintenance cells replay.  ``None`` for query-only families.
     mutations: Callable[[int], list] | None = None
 
 
@@ -91,8 +114,8 @@ def _e2(n: int) -> Workload:
 
 
 def _e3(n: int, k: int = 3, w: int = 1) -> Workload:
-    # The Lemma 4.1 shape of benchmarks/bench_e3_lemma41.py at (k, w):
-    # seen_1 is n^w, seen_2 is n^(k-w); with (3, 1) the bound is n^2.
+    # The Lemma 4.1 shape at (k, w): seen_1 is n^w, seen_2 is n^(k-w);
+    # with (3, 1) the bound is n^2.
     head = ", ".join(f"X{j}" for j in range(1, k + 1))
     bound_head = ", ".join(f"X{j}" for j in range(1, w + 1))
     bound_body = ", ".join(f"W{j}" for j in range(1, w + 1))
@@ -138,18 +161,19 @@ def _e6(n: int) -> Workload:
     return Workload(program, Database(), "t(c, Q1, Q2)?")
 
 
-_E7_REACHABLE = 10
+#: Length of the chain the e7 query can reach, whatever the sweep size.
+E7_REACHABLE = 10
 
 
 def _e7(n: int) -> Workload:
     # Fixed reachable chain, n distractor edges: Separable work must not
-    # scale with n (benchmarks/bench_e7_focus.py).
+    # scale with n.
     db = Database.from_facts(
         {
-            "friend": chain(_E7_REACHABLE, "a") + chain(n, "z"),
+            "friend": chain(E7_REACHABLE, "a") + chain(n, "z"),
             "idol": [],
             "perfectFor": [
-                (f"a{_E7_REACHABLE - 1}", "thing"),
+                (f"a{E7_REACHABLE - 1}", "thing"),
                 (f"z{max(n // 2 - 1, 0)}", "other"),
             ],
         }
@@ -180,16 +204,11 @@ def _e9(n: int) -> Workload:
     return Workload(section_5_nonseparable_program(), db, "t(x0, Y)?")
 
 
-def _sq(n: int) -> int:
-    """Nearest square side for grid sizes (unused sizes stay meaningful)."""
-    return max(int(round(n ** 0.5)), 2)
-
-
 def _parallel_scaling(n: int) -> Workload:
     # The Lemma 4.1 dense cell (same shape as e3): carry_2 holds
     # Theta(n^2) tuples per up-loop iteration, so the intra-loop
     # hash-partitioning -- not just the Lemma 2.1 branch fan-out --
-    # carries the parallel work.  Serial and parallel-N strategies run
+    # carries the parallel work.  The serial and parallel-N cells run
     # the *same* compiled plan; only the executor differs.
     return _e3(n)
 
@@ -233,8 +252,7 @@ def _out_of_core(n: int) -> Workload:
     # edge factor so the reference cell clears the wall-clock noise
     # floor at modest n).  The same query runs on three storages: a
     # plain in-memory database (``backend-none``, the reference), the
-    # explicit MemoryBackend mount (``backend-memory``: every derived
-    # relation routed through the storage dispatch -- what the
+    # explicit MemoryBackend mount (``backend-memory``: what the
     # zero-overhead gate times), and out-of-core SQLite
     # (``backend-sqlite``: the facts live in temporary SQLite files
     # and every join probe is a SQL lookup).
@@ -277,26 +295,28 @@ FAMILIES: dict[str, Family] = {
         key="e1",
         title="Example 1.1: Counting Omega(2^n) vs Separable/Magic O(n)",
         size_means="chain length n",
-        strategies=("separable", "magic", "counting"),
+        cells=_plain("separable", "magic", "counting"),
         build=_e1,
         expectation=(
             "counting superpolynomial (path-indexed count relation); "
             "separable and magic linear"
         ),
+        gates=(Agrees("separable"),),
     ),
     "e2": Family(
         key="e2",
         title="Example 1.2: Magic Omega(n^2) vs Separable O(n)",
         size_means="chain length n",
-        strategies=("separable", "magic"),
+        cells=_plain("separable", "magic"),
         build=_e2,
         expectation="magic quadratic (all buys(a_i, b_j)); separable linear",
+        gates=(Agrees("separable"),),
     ),
     "e3": Family(
         key="e3",
         title="Lemma 4.1: Separable O(n^max(w, k-w)) at (k, w) = (3, 1)",
         size_means="constants per column n",
-        strategies=("separable",),
+        cells=_plain("separable"),
         build=_e3,
         expectation="separable quadratic (seen_2 bound n^(k-w) = n^2)",
     ),
@@ -304,23 +324,25 @@ FAMILIES: dict[str, Family] = {
         key="e4",
         title="Lemma 4.2: Magic n^k vs Separable n^(k-1) at k = 2",
         size_means="constants per column n",
-        strategies=("separable", "magic"),
+        cells=_plain("separable", "magic"),
         build=_e4,
         expectation="magic quadratic; separable linear",
+        gates=(Agrees("separable"),),
     ),
     "e5": Family(
         key="e5",
         title="Lemma 4.3: Counting sum p^l vs Separable O(n) at p = 2",
         size_means="descent depth n",
-        strategies=("separable", "counting"),
+        cells=_plain("separable", "counting"),
         build=_e5,
         expectation="counting superpolynomial; separable linear",
+        gates=(Agrees("separable"),),
     ),
     "e6": Family(
         key="e6",
         title="Detection cost vs rule count (Section 5)",
         size_means="recursive rule count",
-        strategies=("detect",),
+        cells=(Cell("detect", kind="detect"),),
         build=_e6,
         expectation="near-linear detection time, no data touched",
     ),
@@ -328,41 +350,54 @@ FAMILIES: dict[str, Family] = {
         key="e7",
         title="Section 3.2 focus: reachable work vs distractor size",
         size_means="distractor edges n",
-        strategies=("separable", "magic", "seminaive"),
+        cells=_plain("separable", "magic", "seminaive"),
         build=_e7,
         expectation=(
             "separable tuples_examined constant in n; seminaive scales "
             "with the whole database"
         ),
+        gates=(Agrees("separable"),),
     ),
     "e8": Family(
         key="e8",
         title="Average case: transitive closure on a random DAG",
         size_means="node count n",
-        strategies=("separable", "magic", "seminaive", "nodedup"),
+        cells=_plain("separable", "magic", "seminaive", "nodedup"),
         build=_e8,
         expectation=(
             "separable <= magic << seminaive in generated tuples; "
             "nodedup pays duplicate derivation paths"
         ),
+        gates=(Agrees("separable"),),
     ),
     "e9": Family(
         key="e9",
         title="Section 5 relaxed mode vs Magic on a condition-4 violator",
         size_means="chain length n",
-        strategies=("relaxed", "magic"),
+        cells=_plain("relaxed", "magic"),
         build=_e9,
         expectation="both linear; relaxed pays the unfocused sideways pass",
+        gates=(Agrees("magic"),),
     ),
     "incremental-write": Family(
         key="incremental-write",
         title="Incremental maintenance vs recompute on a write stream",
         size_means="chain length n",
-        strategies=("incremental", "fromscratch"),
+        cells=(
+            Cell("incremental", kind="repair"),
+            Cell("fromscratch", kind="recompute"),
+        ),
         build=_incremental_write,
         expectation=(
             "incremental repairs touch O(delta) facts per write; "
             "from-scratch re-derives the whole IDB per write"
+        ),
+        gates=(
+            Agrees("fromscratch"),
+            Ratio(
+                "incremental", "fromscratch", 1.0, kind="maintenance",
+                claim="repairs must beat recomputation", floor_s=1e-3,
+            ),
         ),
         mutations=_incremental_write_ops,
     ),
@@ -370,7 +405,11 @@ FAMILIES: dict[str, Family] = {
         key="out-of-core",
         title="Storage backends: in-memory dispatch cost and SQLite spill",
         size_means="DAG node count n (4n edges)",
-        strategies=("backend-none", "backend-memory", "backend-sqlite"),
+        cells=(
+            Cell("backend-none", strategy="seminaive"),
+            Cell("backend-memory", strategy="seminaive", backend="memory"),
+            Cell("backend-sqlite", strategy="seminaive", backend="sqlite"),
+        ),
         build=_out_of_core,
         expectation=(
             "answers byte-identical on every backend; backend-memory "
@@ -378,28 +417,59 @@ FAMILIES: dict[str, Family] = {
             "free); backend-sqlite pays per-probe SQL overhead but "
             "keeps the fact set out of process memory"
         ),
+        gates=(
+            Agrees("backend-none"),
+            # Enough slack that timer noise on a loaded CI runner does
+            # not fail it.  backend-sqlite has no time gate: paying
+            # per-probe SQL cost to keep facts out of process memory is
+            # the point, not a regression.
+            Ratio(
+                "backend-memory", "backend-none", 1.5, kind="backend",
+                claim="backend selection must be free", floor_s=5e-3,
+            ),
+        ),
     ),
     "parallel-scaling": Family(
         key="parallel-scaling",
         title="Theorem 2.1 as a scheduler: speedup vs worker count",
         size_means="constants per column n (the Lemma 4.1 dense cell)",
-        strategies=("serial", "parallel-1", "parallel-2", "parallel-4"),
+        cells=(
+            Cell("serial", strategy="separable"),
+            Cell("parallel-1", strategy="separable", workers=1),
+            Cell("parallel-2", strategy="separable", workers=2),
+            Cell("parallel-4", strategy="separable", workers=4),
+        ),
         build=_parallel_scaling,
         expectation=(
             "answers byte-identical at every worker count; >= 1.5x "
             "speedup at 4 workers on machines with >= 4 CPUs (the "
             "speedup gate is hardware-gated, the identity gate is not)"
         ),
+        gates=(
+            Agrees("serial"),
+            # A worker that builds and pickles a span tree nobody asked
+            # for silently taxes every parallel evaluation.
+            Bound(
+                "untraced_fragments", 0,
+                cells=("parallel-1", "parallel-2", "parallel-4"),
+                kind="parallel",
+                claim="tracer=None ships no trace fragments "
+                "(zero-overhead default)",
+            ),
+            Ratio(
+                "parallel-4", "serial", 1 / 1.5, kind="parallel",
+                claim=">= 1.5x speedup at 4 workers", floor_s=0.05,
+                sizes="largest", required_cpus=4,
+            ),
+        ),
     ),
     "skewed-join": Family(
         key="skewed-join",
         title="Cost-based join order vs greedy size-rank on skewed data",
         size_means="selective tuples n (big fans out to n/2 per x)",
-        strategies=(
-            "order-greedy",
-            "order-left_to_right",
-            "order-cost",
-            "order-adaptive",
+        cells=tuple(
+            Cell(f"order-{order}", strategy="seminaive", order=order)
+            for order in ("greedy", "left_to_right", "cost", "adaptive")
         ),
         build=_skewed_join,
         expectation=(
@@ -408,6 +478,25 @@ FAMILIES: dict[str, Family] = {
             "(linear); answers byte-identical across all four orders, "
             "plan_compiles flat, adaptive re-plans bounded (<= 2 per "
             "fixpoint)"
+        ),
+        gates=(
+            Agrees("order-greedy"),
+            # Mirrors repro.datalog.planner.MAX_REPLANS: bounded
+            # feedback keeps re-planning from thrashing a fixpoint.
+            Bound(
+                "plan_replans", 2, cells=("order-adaptive",), kind="plan",
+                claim="adaptive re-plans at most twice per fixpoint",
+            ),
+            Ratio(
+                "order-cost", "order-greedy", 1.0, kind="plan",
+                claim="the cost model must reduce join fanout",
+                metric="bindings_out", sizes="any",
+            ),
+            Ratio(
+                "order-cost", "order-greedy", 1.0, kind="plan",
+                claim="cost order must beat greedy on wall time",
+                floor_s=1e-3, sizes="any",
+            ),
         ),
     ),
 }

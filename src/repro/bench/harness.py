@@ -3,11 +3,12 @@
 The harness turns one :class:`~repro.bench.families.Family` plus a size
 sweep into a schema-versioned report (``BENCH_<family>.json``):
 
-* every (strategy, n) cell runs once with a recording
+* every (cell, n) runs once with a recording
   :class:`~repro.observability.Tracer` (the *warmup*, which also
-  discovers non-``ok`` outcomes: a tripped budget, cyclic data, an
-  inapplicable method) and then ``repeats`` times untraced for the
-  median wall-clock time;
+  discovers non-``ok`` outcomes -- a tripped budget, cyclic data, an
+  inapplicable method -- and whose answer set is digested into
+  ``answers_sha``) and then ``repeats`` times untraced for the median
+  wall-clock time;
 * times are *calibrated*: the report stores ``normalized`` =
   median seconds divided by the time of a fixed reference workload
   (a plain-Python transitive closure that runs none of the code under
@@ -53,7 +54,7 @@ from ..datalog.parser import parse_query
 from ..engine import Engine
 from ..observability import Tracer, to_chrome_trace, trace_violations
 from ..stats import EvaluationStats
-from .families import Family, Workload
+from .families import Cell, Family, Workload
 
 __all__ = [
     "SCHEMA",
@@ -66,13 +67,14 @@ __all__ = [
     "classify_exponent",
     "machine_info",
     "git_sha",
+    "summarize",
+    "to_markdown",
 ]
 
 #: Version tag of the report layout; bump on incompatible changes.
 SCHEMA = "repro-bench/1"
 
-#: Default budget protecting the exponential baselines (mirrors
-#: ``repro.reporting.REPORT_BUDGET``).
+#: Default budget protecting the exponential baselines.
 BENCH_BUDGET = Budget(max_relation_tuples=200_000)
 
 #: Tracer counters copied into each report cell.
@@ -194,26 +196,28 @@ def _answer_matches(query, fact: tuple) -> bool:
 
 
 def _make_runner(
-    workload: Workload, strategy: str, budget: Budget,
+    workload: Workload, cell: Cell, budget: Budget,
     mutations: Optional[list] = None,
-) -> Callable[[Optional[Tracer]], tuple[int, EvaluationStats]]:
-    """A zero-setup closure running one (workload, strategy) cell.
+) -> Callable[[Optional[Tracer]], tuple[object, EvaluationStats]]:
+    """A zero-setup closure running one (workload, cell).
 
-    Program/data construction and, for engine strategies, plan and
-    base-IDB caches live outside the timed region -- repeats measure
-    steady-state evaluation, not parsing.
+    Program/data construction, backend migration, the worker pool and,
+    for query cells, plan and base-IDB caches live outside the timed
+    region -- repeats measure steady-state evaluation, not parsing or
+    load cost.  A query cell returns its answer set; the other kinds
+    return an answer *count*.
 
-    The maintenance pseudo-strategies replay ``mutations`` -- a
-    *balanced* op stream, so every run starts from the state the last
-    one left -- answering the workload query after each write.
-    ``"incremental"`` repairs a :class:`repro.maintenance.MaintainedView`
-    built once outside the timed region; ``"fromscratch"`` re-derives
-    the whole IDB with semi-naive evaluation per write.  Both count the
-    same answers (the gate cross-checks them) and report empty stats:
+    The maintenance kinds replay ``mutations`` -- a *balanced* op
+    stream, so every run starts from the state the last one left --
+    answering the workload query after each write.  ``"repair"``
+    repairs a :class:`repro.maintenance.MaintainedView` built once
+    outside the timed region; ``"recompute"`` re-derives the whole IDB
+    with semi-naive evaluation per write.  Both count the same answers
+    (the family's gate cross-checks them) and report empty stats:
     their counters are deterministically zero, so hard gating stays
     exact.
     """
-    if strategy == "detect":
+    if cell.kind == "detect":
         predicate = parse_query(workload.query).predicate
 
         def run_detect(tracer: Optional[Tracer] = None):
@@ -222,160 +226,83 @@ def _make_runner(
 
         return run_detect
 
-    if strategy in ("incremental", "fromscratch"):
+    if cell.kind in ("repair", "recompute"):
         from ..datalog.seminaive import seminaive_evaluate
         from ..maintenance import MaintainedView
 
         query = parse_query(workload.query)
         ops = list(mutations or [])
-
-        if strategy == "incremental":
+        if cell.kind == "repair":
             view = MaintainedView(workload.program, workload.db)
 
-            def run_incremental(tracer: Optional[Tracer] = None):
-                total = 0
-                for op, name, fact in ops:
-                    delta = (
-                        {name: ((fact,), ())} if op == "add"
-                        else {name: ((), (fact,))}
-                    )
-                    view.apply(delta)
-                    total += sum(
-                        1 for f in view.db.tuples(query.predicate)
-                        if _answer_matches(query, f)
-                    )
-                return total, EvaluationStats()
-
-            return run_incremental
-
-        def run_fromscratch(tracer: Optional[Tracer] = None):
-            total = 0
-            for op, name, fact in ops:
+            def write(op: str, name: str, fact: tuple):
+                view.apply(
+                    {name: ((fact,), ())} if op == "add"
+                    else {name: ((), (fact,))}
+                )
+                return view.db
+        else:
+            def write(op: str, name: str, fact: tuple):
                 if op == "add":
                     workload.db.add_fact(name, fact)
                 else:
                     workload.db.remove_fact(name, fact)
-                db = seminaive_evaluate(workload.program, workload.db)
+                return seminaive_evaluate(workload.program, workload.db)
+
+        def run_writes(tracer: Optional[Tracer] = None):
+            total = 0
+            for op in ops:
                 total += sum(
-                    1 for f in db.tuples(query.predicate)
+                    1 for f in write(*op).tuples(query.predicate)
                     if _answer_matches(query, f)
                 )
             return total, EvaluationStats()
 
-        return run_fromscratch
+        return run_writes
 
-    if strategy == "serial" or strategy.startswith("parallel-"):
-        # The parallel-scaling pseudo-strategies: the Separable
-        # evaluator serial vs on an N-worker process pool.  Each run
-        # stashes a digest of the sorted answer set on the closure
-        # (``run.answers_sha``) so the gate can assert byte-identical
-        # answers across worker counts, not just equal counts.
+    db = workload.db
+    if cell.backend == "memory":
+        # ensure_backend would hand a plain in-memory database back
+        # unchanged; the zero-overhead gate needs the explicit mount.
+        from ..storage import MemoryBackend
+
+        db = db.with_backend(MemoryBackend())
+    elif cell.backend is not None:
+        from ..storage import ensure_backend
+
+        db = ensure_backend(db, cell.backend)
+    executor = None
+    if cell.workers is not None:
         from ..parallel import ParallelConfig, get_executor
 
-        executor = None
-        if strategy.startswith("parallel-"):
-            workers = int(strategy.split("-", 1)[1])
-            executor = get_executor(ParallelConfig(
-                workers=workers,
-                partitions=workers,
-                min_partition_tuples=16,
-            ))
-
-        engine = Engine(workload.program, workload.db, budget=budget)
-
-        def run_separable(tracer: Optional[Tracer] = None):
-            stats = EvaluationStats()
-            result = engine.query(
-                workload.query, strategy="separable", stats=stats,
-                tracer=tracer, parallel=executor,
-            )
-            digest = hashlib.sha256()
-            for fact in sorted(result.answers, key=repr):
-                digest.update(repr(fact).encode())
-            run_separable.answers_sha = digest.hexdigest()
-            return len(result.answers), stats
-
-        # Exposed so _run_cell can read fragments_received around the
-        # traced warmup and the untraced repeats (the zero-overhead
-        # gate in gating.parallel_findings).
-        run_separable.executor = executor
-        return run_separable
-
-    if strategy.startswith("order-"):
-        # The join-order pseudo-strategies: the same semi-naive
-        # evaluation under each of the four join orders (greedy,
-        # left_to_right, cost, adaptive).  Each run stashes a digest of
-        # the sorted answer set on the closure (``run.answers_sha``) so
-        # the gate can assert byte-identical answers across orders.
-        order = strategy.split("-", 1)[1]
-        engine = Engine(
-            workload.program, workload.db, budget=budget, order=order,
-        )
-
-        def run_ordered(tracer: Optional[Tracer] = None):
-            stats = EvaluationStats()
-            result = engine.query(
-                workload.query, strategy="seminaive", stats=stats,
-                tracer=tracer,
-            )
-            digest = hashlib.sha256()
-            for fact in sorted(result.answers, key=repr):
-                digest.update(repr(fact).encode())
-            run_ordered.answers_sha = digest.hexdigest()
-            return len(result.answers), stats
-
-        return run_ordered
-
-    if strategy.startswith("backend-"):
-        # The storage pseudo-strategies (``out-of-core`` family): the
-        # same semi-naive evaluation with the workload database on each
-        # storage backend.  ``backend-none`` is the reference cell --
-        # an ordinary in-memory database, no backend machinery in the
-        # path at all.  ``backend-memory`` mounts the explicit
-        # MemoryBackend so every derived relation goes through the
-        # ``_make_relation`` dispatch -- the cell the zero-overhead
-        # gate compares against the reference.  ``backend-sqlite``
-        # migrates the facts into out-of-core SQLite.  Migration
-        # happens here, outside the timed region: the gate compares
-        # evaluation cost, not load cost.  Each run stashes
-        # ``run.answers_sha`` so the gate can assert byte-identical
-        # answers across backends, not just equal counts.
-        which = strategy.split("-", 1)[1]
-        db = workload.db
-        if which == "memory":
-            from ..storage import MemoryBackend
-
-            db = db.with_backend(MemoryBackend())
-        elif which != "none":
-            from ..storage import ensure_backend
-
-            db = ensure_backend(db, which)
-        engine = Engine(workload.program, db, budget=budget)
-
-        def run_backend(tracer: Optional[Tracer] = None):
-            stats = EvaluationStats()
-            result = engine.query(
-                workload.query, strategy="seminaive", stats=stats,
-                tracer=tracer,
-            )
-            digest = hashlib.sha256()
-            for fact in sorted(result.answers, key=repr):
-                digest.update(repr(fact).encode())
-            run_backend.answers_sha = digest.hexdigest()
-            return len(result.answers), stats
-
-        return run_backend
-
-    engine = Engine(workload.program, workload.db, budget=budget)
+        executor = get_executor(ParallelConfig(
+            workers=cell.workers,
+            partitions=cell.workers,
+            min_partition_tuples=16,
+        ))
+    engine = Engine(workload.program, db, budget=budget, order=cell.order)
 
     def run(tracer: Optional[Tracer] = None):
         stats = EvaluationStats()
         result = engine.query(
-            workload.query, strategy=strategy, stats=stats, tracer=tracer
+            workload.query, strategy=cell.strategy, stats=stats,
+            tracer=tracer, parallel=executor,
         )
-        return len(result.answers), stats
+        return result.answers, stats
 
+    # Exposed so _run_cell can read fragments_received around the
+    # traced warmup and the untraced repeats.
+    run.executor = executor
     return run
+
+
+def _digest(answers) -> str:
+    """sha-256 over the sorted answer set: equal digests mean
+    byte-identical answers, not just equal counts."""
+    digest = hashlib.sha256()
+    for fact in sorted(answers, key=repr):
+        digest.update(repr(fact).encode())
+    return digest.hexdigest()
 
 
 def _timed(run: Callable) -> float:
@@ -388,13 +315,13 @@ def _timed(run: Callable) -> float:
 def _run_cell(
     family: Family,
     n: int,
-    strategy: str,
+    cell: Cell,
     budget: Budget,
     repeats: int,
     trace_dir: Optional[Path] = None,
     backend: Optional[str] = None,
 ) -> dict:
-    """One (strategy, n) cell: traced warmup, then timed repeats.
+    """One (cell, n) of a report: traced warmup, then timed repeats.
 
     The calibration kernel runs before and after every repetition and
     the cell's ``unit_s`` is the median of those runs: a shared machine
@@ -404,17 +331,19 @@ def _run_cell(
     ``normalized`` spread 0.71-1.38x, p5-p95, against the per-process
     unit and 0.88-1.15x against the interleaved one).
 
+    A query cell's ``answers_sha`` is taken from the warmup's answer
+    set, so sorting and hashing stay out of the timed repeats.
+
     With a ``trace_dir``, the warmup run's trace is exported as a
     chrome-trace JSON next to the report and its path recorded under
     the cell's ``trace`` key (additive: gating ignores unknown keys,
     so existing baselines remain comparable).  ``backend`` (from
     ``bench --backend``) migrates the workload database onto a storage
-    backend before the warmup, outside the timed region; the
-    ``backend-*`` pseudo-strategies ignore it because they pick their
-    own backend per cell.
+    backend before the warmup, outside the timed region; a family
+    whose cells pick their own backends ignores it.
     """
     workload = family.build(n)
-    if backend is not None and not strategy.startswith("backend-"):
+    if backend is not None and not any(c.backend for c in family.cells):
         from ..storage import ensure_backend
 
         workload = Workload(
@@ -423,23 +352,23 @@ def _run_cell(
             workload.query,
         )
     mutations = family.mutations(n) if family.mutations else None
-    run = _make_runner(workload, strategy, budget, mutations=mutations)
+    run = _make_runner(workload, cell, budget, mutations=mutations)
     # A cold join-plan cache per cell: the traced warmup then reports
-    # the full compile count for this (strategy, n), making the
+    # the full compile count for this (cell, n), making the
     # plan_compiles counter comparable across cells and runs -- the
-    # plan-growth gate in :mod:`repro.bench.gating` relies on this.
+    # plan_compiles-is-flat gate relies on this.
     from ..datalog.plan_cache import PLAN_CACHE
 
     PLAN_CACHE.clear()
     tracer = Tracer(context={
-        "family": family.key, "strategy": strategy, "n": n,
+        "family": family.key, "strategy": cell.label, "n": n,
     })
     executor = getattr(run, "executor", None)
     fragments_before = (
         executor.fragments_received if executor is not None else 0
     )
     outcome = "ok"
-    answers: Optional[int] = None
+    answers = None
     stats = EvaluationStats()
     try:
         answers, stats = run(tracer)
@@ -455,8 +384,13 @@ def _run_cell(
         # before real work starts.
         outcome = "n/a"
 
-    cell: dict = {
-        "strategy": strategy,
+    # A query cell that finished returned its answer set; the other
+    # kinds return a count.
+    digest = None
+    if cell.kind == "query" and answers is not None:
+        digest, answers = _digest(answers), len(answers)
+    result: dict = {
+        "strategy": cell.label,
         "n": n,
         "outcome": outcome,
         "answers": answers,
@@ -472,28 +406,27 @@ def _run_cell(
         "unit_s": None,
         "normalized": None,
     }
-    sha = getattr(run, "answers_sha", None)
-    if sha is not None:
-        cell["answers_sha"] = sha
+    if digest is not None:
+        result["answers_sha"] = digest
     if executor is not None:
         # Fragments shipped during the traced warmup (informational:
         # the stitched trace below carries them) vs during the untraced
         # timed repeats (must stay 0 -- the zero-overhead default).
         # Both keys are additive, so older baselines stay comparable.
-        cell["traced_fragments"] = (
+        result["traced_fragments"] = (
             executor.fragments_received - fragments_before
         )
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
         trace_path = (
-            trace_dir / f"{family.key}-{strategy}-n{n}.trace.json"
+            trace_dir / f"{family.key}-{cell.label}-n{n}.trace.json"
         )
         trace_path.write_text(
             json.dumps(to_chrome_trace(tracer), sort_keys=True) + "\n"
         )
-        cell["trace"] = str(trace_path)
+        result["trace"] = str(trace_path)
     if outcome != "ok":
-        return cell
+        return result
     untraced_before = (
         executor.fragments_received if executor is not None else 0
     )
@@ -502,15 +435,15 @@ def _run_cell(
         times.append(_timed(run))
         units.append(_unit_time())
     if executor is not None:
-        cell["untraced_fragments"] = (
+        result["untraced_fragments"] = (
             executor.fragments_received - untraced_before
         )
     median_s = statistics.median(times)
     unit_s = statistics.median(units)
-    cell["median_s"] = median_s
-    cell["unit_s"] = unit_s
-    cell["normalized"] = median_s / unit_s if unit_s > 0 else None
-    return cell
+    result["median_s"] = median_s
+    result["unit_s"] = unit_s
+    result["normalized"] = median_s / unit_s if unit_s > 0 else None
+    return result
 
 
 def fit_exponent(points: list[tuple[float, float]]) -> Optional[float]:
@@ -558,9 +491,9 @@ def classify_exponent(exponent: Optional[float]) -> str:
     return "superpolynomial"
 
 
-def _fits(results: list[dict], strategies: tuple[str, ...]) -> list[dict]:
+def _fits(results: list[dict], labels: list[str]) -> list[dict]:
     fits: list[dict] = []
-    for strategy in strategies:
+    for strategy in labels:
         cells = [
             c
             for c in results
@@ -605,11 +538,11 @@ def run_family(
     if calibration is None:
         calibration = calibrate()
     results: list[dict] = []
-    for strategy in family.strategies:
+    for cell in family.cells:
         for n in sizes:
             results.append(
                 _run_cell(
-                    family, n, strategy, budget, repeats,
+                    family, n, cell, budget, repeats,
                     trace_dir=trace_dir, backend=backend,
                 )
             )
@@ -630,7 +563,7 @@ def run_family(
         "sizes": list(sizes),
         "calibration": calibration,
         "results": results,
-        "fits": _fits(results, family.strategies),
+        "fits": _fits(results, [cell.label for cell in family.cells]),
     }
 
 
@@ -676,3 +609,24 @@ def summarize(report: dict) -> str:
             f"exponent {exp} ({fit['classification']})"
         )
     return "\n".join(lines)
+
+
+def to_markdown(report: dict) -> str:
+    """One family report as a Markdown table (``repro-datalog report``),
+    ready to diff against EXPERIMENTS.md."""
+    lines = [
+        f"## {report['family'].upper()} {report['title']}",
+        "",
+        f"n = {report['size_means']}; expected: {report['expectation']}.",
+        "",
+        "| strategy | n | outcome | answers | max_relation_size | median ms |",
+        "|---|---|---|---|---|---|",
+    ]
+    for cell in report["results"]:
+        median = cell["median_s"]
+        lines.append(
+            f"| {cell['strategy']} | {cell['n']} | {cell['outcome']} "
+            f"| {cell['answers']} | {cell['max_relation_size']} "
+            f"| {'' if median is None else f'{median * 1e3:.2f}'} |"
+        )
+    return "\n".join(lines) + "\n"

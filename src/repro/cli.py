@@ -34,8 +34,8 @@ Subcommands::
         ``repro.observability.replay_file`` (see docs/observability.md).
 
     repro-datalog report
-        Rerun the paper's experiment sweeps (no timing calibration) and
-        print the measured series as Markdown tables.
+        Run the bench families e1, e2, e4, e5 and e6 once at the
+        default sweep and print the reports as Markdown tables.
 
     repro-datalog fuzz [--iterations 200] [--seed 0] [--strategy s ...]
                        [--corpus DIR] [--no-shrink]
@@ -66,8 +66,9 @@ Subcommands::
         families, writing schema-versioned BENCH_<family>.json reports
         with per-strategy timings, tracer counters and fitted growth
         exponents; ``--check`` instead diffs a fresh run against the
-        committed baselines and exits 1 on regression (see
-        docs/benchmarking.md).
+        committed baselines, evaluates each family's gates, prints
+        what was applied and what was skipped (and why), and exits 1
+        on regression (see docs/benchmarking.md).
 
 Also usable as ``python -m repro ...``.
 """
@@ -88,6 +89,9 @@ from .datalog.pretty import answers_to_text
 from .engine import STRATEGIES, Engine
 
 __all__ = ["main", "build_parser"]
+
+#: The size sweep of ``bench`` (default) and ``report``.
+_BENCH_SIZES = "8,16,32"
 
 
 def _nonnegative_int(text: str) -> int:
@@ -510,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--sizes",
-        default="8,16,32",
-        help="comma-separated size sweep (default: 8,16,32)",
+        default=_BENCH_SIZES,
+        help=f"comma-separated size sweep (default: {_BENCH_SIZES})",
     )
     bench.add_argument(
         "--repeats",
@@ -721,9 +725,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .reporting import main as report_main
+    from .bench import calibrate, resolve_families, run_family, to_markdown
 
-    return report_main()
+    sizes = [int(s) for s in _BENCH_SIZES.split(",")]
+    calibration = calibrate()
+    print("# Reproduction report (generated)\n")
+    for family in resolve_families("e1,e2,e4,e5,e6"):
+        print(to_markdown(
+            run_family(family, sizes, repeats=1, calibration=calibration)
+        ))
+    return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1016,7 +1027,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     calibration = calibrate()
     findings = []
-    time_gated: list = []
+    gated: list = []
     for family in families:
         report = run_family(
             family, sizes, repeats=args.repeats, budget=budget,
@@ -1030,7 +1041,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 report,
                 time_tolerance=time_tolerance,
                 counter_tolerance=args.counter_tolerance,
-                time_gated=time_gated,
+                gated=gated,
             )
             findings.extend(family_findings)
         else:
@@ -1041,8 +1052,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.check:
         regressions = [f for f in findings if f.regression]
         skipped = [f for f in findings if not f.regression]
-        print(f"time gates: {len(time_gated)} gated, "
-              f"{len(skipped)} skipped")
+        print(f"gates: {len(gated)} applied ({gated.count('time')} "
+              f"baseline time cells), {len(skipped)} skipped")
         for finding in skipped:
             print(f"  {finding}")
         if regressions:

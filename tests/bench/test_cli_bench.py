@@ -1,9 +1,10 @@
 """The ``repro-datalog bench`` subcommand end to end (in process).
 
 Covers the write mode, the ``--check`` regression mode against a real
-baseline (pass, injected-slowdown fail, missing baseline), and the
-argument-validation exits.  Sizes are tiny so the whole module stays
-CI-cheap; the magic cells still clear the gating noise floor.
+baseline (pass, injected-slowdown fail, nothing-gated fail, missing
+baseline), and the argument-validation exits.  Sizes are tiny so the
+whole module stays CI-cheap; every ``--check`` runs on the fixed-tick
+clock, where each cell clears the gating noise floor on any machine.
 """
 
 import json
@@ -11,7 +12,10 @@ import json
 import pytest
 
 import repro.bench.harness as harness
+from repro.bench import FAMILIES
 from repro.cli import main
+
+from .conftest import FakeClock
 
 
 def _bench(tmp_path, *extra):
@@ -34,7 +38,9 @@ def _bench(tmp_path, *extra):
 @pytest.fixture(scope="module")
 def baseline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("baseline")
-    assert _bench(out) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_CLOCK", FakeClock())
+        assert _bench(out) == 0
     return out
 
 
@@ -60,7 +66,9 @@ class TestWriteMode:
 
 
 class TestCheckMode:
-    def test_passes_against_own_baseline(self, baseline_dir, capsys):
+    def test_passes_against_own_baseline(
+        self, baseline_dir, capsys, fake_clock
+    ):
         code = _bench(
             baseline_dir, "--check", "--baseline-dir", str(baseline_dir)
         )
@@ -68,7 +76,7 @@ class TestCheckMode:
         assert "no regressions" in capsys.readouterr().out.lower()
 
     def test_reduced_sizes_smoke_check_passes(
-        self, baseline_dir, capsys
+        self, baseline_dir, capsys, fake_clock
     ):
         """CI smoke mode: sweep a subset of the baseline's sizes."""
         code = main(
@@ -98,26 +106,33 @@ class TestCheckMode:
         code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
         assert code == 1
         out = capsys.readouterr().out
-        assert "time gates: 4 gated, 0 skipped" in out
+        # 4 time cells, magic-agrees-with-separable at 2 sizes,
+        # plan_compiles flat for 2 strategies.
+        assert "gates: 8 applied (4 baseline time cells), 0 skipped" in out
         assert "REGRESSIONS (4)" in out
         assert out.count("[time]") == 4
 
-    def test_below_floor_cells_are_reported_as_skipped(
+    def test_family_that_gated_no_time_cell_fails(
         self, tmp_path, capsys, monkeypatch, fake_clock
     ):
-        # A baseline whose cells all sit under the floor gates nothing
-        # -- and says so instead of passing silently.
+        # A baseline whose cells all sit under the floor gates nothing:
+        # every cell says it was skipped, and the check fails instead of
+        # passing a 3x slowdown silently.
         monkeypatch.setattr(fake_clock, "TICK_S", 1e-5)
         assert _bench(tmp_path) == 0
         monkeypatch.setattr(harness, "_TEST_SLOWDOWN", 3.0)
         code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
-        assert code == 0
+        assert code == 1
         out = capsys.readouterr().out
-        assert "time gates: 0 gated, 4 skipped" in out
+        assert "gates: 4 applied (0 baseline time cells), 4 skipped" in out
         assert out.count("[skipped]") == 4
         assert "below the 1ms noise floor" in out
+        assert "REGRESSIONS (1)" in out
+        assert "[ungated] e2/-: none of the 4 compared time cell(s)" in out
 
-    def test_check_mode_never_writes(self, baseline_dir, tmp_path):
+    def test_check_mode_never_writes(
+        self, baseline_dir, tmp_path, fake_clock
+    ):
         code = _bench(
             tmp_path, "--check", "--baseline-dir", str(baseline_dir)
         )
@@ -175,3 +190,25 @@ class TestArgumentValidation:
         )
         assert code == 2
         assert "positive" in capsys.readouterr().err
+
+
+class TestReport:
+    def test_prints_the_section_4_rows_from_bench_reports(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.cli._BENCH_SIZES", "4,6")
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line[:2] == "##"] == [
+            f"## {key.upper()} {FAMILIES[key].title}"
+            for key in ("e1", "e2", "e4", "e5", "e6")
+        ]
+        e1, e2 = out.split("\n## ")[1:3]
+        # Counting's relation on Example 1.1 is 2^n - 1, Separable's n.
+        assert "| counting | 4 | ok | 1 | 15 |" in e1
+        assert "| counting | 6 | ok | 1 | 63 |" in e1
+        assert "| separable | 6 | ok | 1 | 6 |" in e1
+        # Magic materializes n^2 on Example 1.2.
+        assert "| magic | 4 | ok | 4 | 16 |" in e2
+        assert "| magic | 6 | ok | 6 | 36 |" in e2
+        assert "| separable | 6 | ok | 6 | 6 |" in e2

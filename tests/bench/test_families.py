@@ -1,10 +1,17 @@
-"""The family registry: resolution, construction, and strategy lists."""
+"""The family registry: resolution, construction, cells and gates."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.families import FAMILIES, Workload, resolve_families
+from repro.bench.gating import Agrees, Bound, Ratio
 from repro.datalog.parser import parse_query
+from repro.datalog.plan_cache import ORDERS
 from repro.engine import STRATEGIES
+
+BASELINES = sorted(Path(__file__).parents[2].glob("BENCH_*.json"))
 
 
 class TestResolve:
@@ -27,14 +34,6 @@ class TestResolve:
             resolve_families("e1,nope")
 
 
-#: Harness-level pseudo-strategies with no Engine counterpart.
-PSEUDO = {"detect", "incremental", "fromscratch", "serial",
-          "parallel-1", "parallel-2", "parallel-4",
-          "order-greedy", "order-left_to_right", "order-cost",
-          "order-adaptive",
-          "backend-none", "backend-memory", "backend-sqlite"}
-
-
 class TestRegistry:
     def test_registry_keys(self):
         assert list(FAMILIES) == [f"e{i}" for i in range(1, 10)] + [
@@ -49,9 +48,45 @@ class TestRegistry:
         assert isinstance(workload, Workload)
         query = parse_query(workload.query)
         assert query.predicate
-        assert family.strategies
-        for strategy in family.strategies:
-            assert strategy in PSEUDO or strategy in STRATEGIES
+        assert family.cells
+
+    @pytest.mark.parametrize("key", list(FAMILIES))
+    def test_cells_say_what_they_run(self, key):
+        cells = FAMILIES[key].cells
+        assert len({cell.label for cell in cells}) == len(cells)
+        for cell in cells:
+            assert cell.order in ORDERS
+            if cell.kind == "query":
+                assert cell.strategy in STRATEGIES
+            else:
+                assert cell.kind in ("detect", "repair", "recompute")
+                assert (cell.strategy, cell.backend, cell.workers) == (
+                    None, None, None,
+                )
+
+    @pytest.mark.parametrize("key", list(FAMILIES))
+    def test_gates_name_cells_of_their_family(self, key):
+        labels = {cell.label for cell in FAMILIES[key].cells}
+        for gate in FAMILIES[key].gates:
+            if isinstance(gate, (Agrees, Ratio)):
+                assert gate.reference in labels
+            if isinstance(gate, Ratio):
+                assert gate.cell in labels
+                assert gate.sizes in ("all", "largest", "any")
+            if isinstance(gate, Bound):
+                assert set(gate.cells) <= labels
+
+    @pytest.mark.parametrize(
+        "path", BASELINES, ids=[path.stem for path in BASELINES]
+    )
+    def test_labels_match_the_committed_baseline(self, path):
+        """Cell labels are the on-disk contract: a renamed label would
+        orphan every baseline cell recorded under the old one."""
+        report = json.loads(path.read_text())
+        family = FAMILIES[report["family"]]
+        assert {cell.label for cell in family.cells} == {
+            cell["strategy"] for cell in report["results"]
+        }
 
     def test_mutation_streams_are_balanced(self):
         """Every insert is deleted again: replays are idempotent."""

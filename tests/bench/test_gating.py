@@ -1,9 +1,11 @@
 """Regression-gate tests: ``compare_reports`` and the slowdown shim.
 
-Synthetic reports pin each finding kind; the end-to-end tests run a
-real (tiny) family twice on a fixed-tick clock and prove the gate is
-quiet on an honest re-run but fires when the test-only shim stretches
-every timed repetition -- the acceptance story for ``bench --check``.
+Synthetic reports pin each finding kind -- the baseline gates, then
+each family's gate rows through the same ``compare_reports`` entry
+point; the end-to-end tests run a real (tiny) family twice on a
+fixed-tick clock and prove the gate is quiet on an honest re-run but
+fires when the test-only shim stretches every timed repetition -- the
+acceptance story for ``bench --check``.
 """
 
 import copy
@@ -12,21 +14,35 @@ import pytest
 
 import repro.bench.harness as harness
 from repro.bench import (
-    backend_findings,
+    Bound,
+    Flat,
+    Ratio,
     calibrate,
     compare_reports,
-    maintenance_findings,
-    parallel_findings,
     run_family,
-    skew_findings,
 )
 from repro.bench.families import FAMILIES
-from repro.bench.gating import Finding
+from repro.bench.gating import Finding, evaluate_gates
+
+
+def kinds(findings):
+    return [f.kind for f in findings]
+
+
+def regressions(findings):
+    return [f for f in findings if f.regression]
+
+
+def skips(findings):
+    """``(strategy, n, message)`` of every gate that said it skipped."""
+    return [
+        (f.strategy, f.n, f.message) for f in findings if not f.regression
+    ]
 
 
 def _synthetic(normalized=1.0, median_s=0.01, **cell_overrides):
     cell = {
-        "strategy": "magic",
+        "strategy": "separable",
         "n": 8,
         "outcome": "ok",
         "answers": 9,
@@ -34,7 +50,9 @@ def _synthetic(normalized=1.0, median_s=0.01, **cell_overrides):
         "tuples_produced": 100,
         "tuples_examined": 200,
         "iterations": 5,
-        "counters": {"tuples_examined": 200, "index_builds": 3},
+        "counters": {
+            "tuples_examined": 200, "index_builds": 3, "plan_compiles": 2,
+        },
         "trace_violations": [],
         "median_s": median_s,
         "normalized": normalized,
@@ -42,7 +60,7 @@ def _synthetic(normalized=1.0, median_s=0.01, **cell_overrides):
     cell.update(cell_overrides)
     return {
         "schema": "repro-bench/1",
-        "family": "e2",
+        "family": "e3",  # one column, so no cross-cell gate rows
         "sizes": [8],
         "results": [cell],
     }
@@ -64,21 +82,22 @@ class TestFindingKinds:
         cur = _synthetic()
         cur["results"] = []
         findings = compare_reports(_synthetic(), cur)
-        assert [f.kind for f in findings] == ["missing"]
+        assert kinds(findings) == ["missing", "ungated"]
 
-    def test_unswept_sizes_are_skipped(self):
-        """A reduced-n smoke run only gates the sizes it swept."""
+    def test_unswept_sizes_are_not_compared(self):
+        """A reduced-n smoke run only gates the sizes it swept -- and
+        one that shares no size with the baseline gated nothing."""
         cur = _synthetic()
         cur["sizes"] = [4]  # baseline cell is n=8: out of scope
         cur["results"] = []
-        assert compare_reports(_synthetic(), cur) == []
+        assert kinds(compare_reports(_synthetic(), cur)) == ["ungated"]
 
     def test_outcome_change_suppresses_downstream_gates(self):
         cur = _synthetic(
             outcome="budget", answers=None, max_relation_size=10
         )
         findings = compare_reports(_synthetic(), cur)
-        assert [f.kind for f in findings] == ["outcome"]
+        assert kinds(findings) == ["outcome", "ungated"]
 
     def test_answer_drift_is_a_finding(self):
         findings = compare_reports(_synthetic(), _synthetic(answers=8))
@@ -91,17 +110,17 @@ class TestFindingKinds:
         assert [f.kind for f in findings] == ["size"]
 
     def test_counter_drift_is_exact_by_default(self):
-        cur = _synthetic(
-            counters={"tuples_examined": 201, "index_builds": 3}
-        )
+        cur = _synthetic(counters={
+            "tuples_examined": 201, "index_builds": 3, "plan_compiles": 2,
+        })
         findings = compare_reports(_synthetic(), cur)
         assert [f.kind for f in findings] == ["counter"]
         assert "tuples_examined" in findings[0].message
 
     def test_counter_tolerance_loosens_the_gate(self):
-        cur = _synthetic(
-            counters={"tuples_examined": 210, "index_builds": 3}
-        )
+        cur = _synthetic(counters={
+            "tuples_examined": 210, "index_builds": 3, "plan_compiles": 2,
+        })
         assert (
             compare_reports(_synthetic(), cur, counter_tolerance=0.1)
             == []
@@ -119,21 +138,36 @@ class TestFindingKinds:
         assert (
             compare_reports(
                 _synthetic(normalized=1.0), _synthetic(normalized=1.5),
-                time_gated=gated,
+                gated=gated,
             )
             == []
         )
-        assert gated == [("magic", 8)]
+        assert gated == ["time", "flat"]
 
     def test_sub_noise_floor_cells_are_not_time_gated(self):
         base = _synthetic(normalized=1.0, median_s=1e-5)
         cur = _synthetic(normalized=50.0, median_s=5e-4)
         gated = []
-        findings = compare_reports(base, cur, time_gated=gated)
-        assert [f.kind for f in findings] == ["skipped"]
+        findings = compare_reports(base, cur, gated=gated)
+        assert kinds(findings) == ["skipped", "ungated"]
         assert not findings[0].regression
         assert "below the 1ms noise floor" in findings[0].message
-        assert gated == []
+        assert "time" not in gated
+
+    def test_gating_no_time_cell_is_a_regression(self):
+        """A check that skipped every time cell would pass any
+        slowdown, so it fails instead."""
+        base = _synthetic(median_s=1e-5)
+        findings = compare_reports(base, copy.deepcopy(base))
+        assert kinds(regressions(findings)) == ["ungated"]
+        assert "would pass any slowdown" in findings[-1].message
+
+    def test_digest_drift_is_a_finding(self):
+        findings = compare_reports(
+            _synthetic(answers_sha="aa"), _synthetic(answers_sha="bb")
+        )
+        assert kinds(findings) == ["answers"]
+        assert "digest" in findings[0].message
 
     def test_finding_renders_location(self):
         f = Finding("e2", "magic", 8, "time", "too slow")
@@ -147,7 +181,7 @@ def _maintenance_report(inc_s=0.002, fs_s=0.01, inc_answers=40,
             "strategy": strategy, "n": 8, "outcome": outcome,
             "answers": answers, "max_relation_size": 0,
             "tuples_produced": 0, "tuples_examined": 0, "iterations": 0,
-            "counters": {}, "trace_violations": [],
+            "counters": {"plan_compiles": 0}, "trace_violations": [],
             "median_s": median_s, "normalized": median_s / 0.005,
         }
 
@@ -164,40 +198,50 @@ def _maintenance_report(inc_s=0.002, fs_s=0.01, inc_answers=40,
 
 class TestMaintenanceGate:
     def test_faster_incremental_passes(self):
-        assert maintenance_findings(_maintenance_report()) == []
+        assert evaluate_gates(_maintenance_report()) == []
 
     def test_slower_incremental_fails(self):
-        findings = maintenance_findings(
+        findings = evaluate_gates(
             _maintenance_report(inc_s=0.02, fs_s=0.01)
         )
-        assert [f.kind for f in findings] == ["maintenance"]
+        assert kinds(findings) == ["maintenance"]
         assert "beat recomputation" in findings[0].message
 
     def test_tie_fails(self):
         # "Strictly faster": a repair path that merely matches a full
         # recomputation is not earning its complexity.
-        findings = maintenance_findings(
+        findings = evaluate_gates(
             _maintenance_report(inc_s=0.01, fs_s=0.01)
         )
-        assert [f.kind for f in findings] == ["maintenance"]
+        assert kinds(findings) == ["maintenance"]
 
     def test_answer_mismatch_is_a_correctness_finding(self):
-        findings = maintenance_findings(
-            _maintenance_report(inc_answers=41)
-        )
-        assert [f.kind for f in findings] == ["answers"]
+        findings = evaluate_gates(_maintenance_report(inc_answers=41))
+        assert kinds(findings) == ["answers"]
 
     def test_noise_floor_skips_speed_but_not_answers(self):
         report = _maintenance_report(
             inc_s=9e-4, fs_s=5e-4, inc_answers=41
         )
-        assert [f.kind for f in maintenance_findings(report)] == [
-            "answers"
-        ]
+        findings = evaluate_gates(report)
+        assert kinds(findings) == ["answers", "skipped"]
+        assert skips(findings) == [(
+            "incremental", 8,
+            "repairs must beat recomputation not checked: fromscratch "
+            "median 0.50ms is below the 1ms noise floor",
+        )]
 
     def test_non_ok_cells_are_skipped(self):
         report = _maintenance_report(inc_s=0.02, outcome="budget")
-        assert maintenance_findings(report) == []
+        findings = evaluate_gates(report)
+        assert regressions(findings) == []
+        # Both rows (answers agree, repairs win) say why they stood down.
+        assert [message for _, _, message in skips(findings)] == [
+            "same answers as fromscratch not checked: incremental "
+            "outcome is budget",
+            "repairs must beat recomputation not checked: incremental "
+            "outcome is budget",
+        ]
 
     def test_compare_reports_runs_the_gate_on_the_current_run(self):
         base = _maintenance_report()
@@ -216,7 +260,8 @@ def _parallel_report(serial_s=0.10, par_s=0.05, par_answers=100,
             "strategy": strategy, "n": 24, "outcome": outcome,
             "answers": answers, "answers_sha": sha,
             "max_relation_size": 0, "tuples_produced": 0,
-            "tuples_examined": 0, "iterations": 0, "counters": {},
+            "tuples_examined": 0, "iterations": 0,
+            "counters": {"plan_compiles": 2},
             "trace_violations": [], "median_s": median_s,
             "normalized": median_s / 0.005,
         }
@@ -237,51 +282,80 @@ def _parallel_report(serial_s=0.10, par_s=0.05, par_answers=100,
 
 class TestParallelGate:
     def test_honest_speedup_passes(self):
-        assert parallel_findings(_parallel_report()) == []
+        assert evaluate_gates(_parallel_report()) == []
 
     def test_missing_speedup_fails_on_big_machines(self):
-        findings = parallel_findings(_parallel_report(par_s=0.09))
-        assert [f.kind for f in findings] == ["parallel"]
+        findings = evaluate_gates(_parallel_report(par_s=0.09))
+        assert kinds(findings) == ["parallel"]
         assert "speedup" in findings[0].message
 
     def test_speedup_gate_is_hardware_gated(self):
         # A 1-CPU container cannot manufacture parallelism: physics,
         # not tolerance.  The correctness gates below still apply.
         report = _parallel_report(par_s=0.09, cpu_count=1)
-        assert parallel_findings(report) == []
+        assert skips(evaluate_gates(report)) == [(
+            "parallel-4", None,
+            ">= 1.5x speedup at 4 workers not checked: cpu_count 1 < 4",
+        )]
 
     def test_answer_count_mismatch_is_correctness(self):
-        findings = parallel_findings(
+        findings = evaluate_gates(
             _parallel_report(par_answers=99, cpu_count=1)
         )
-        assert [f.kind for f in findings] == ["answers"]
+        assert kinds(regressions(findings)) == ["answers"]
 
     def test_digest_mismatch_is_correctness_even_at_equal_counts(self):
-        findings = parallel_findings(
+        findings = regressions(evaluate_gates(
             _parallel_report(par_sha="bb", cpu_count=1)
-        )
-        assert [f.kind for f in findings] == ["answers"]
+        ))
+        assert kinds(findings) == ["answers"]
         assert "digest" in findings[0].message
 
     def test_noise_floor_skips_speedup(self):
         report = _parallel_report(serial_s=0.001, par_s=0.002)
-        assert parallel_findings(report) == []
+        assert skips(evaluate_gates(report)) == [(
+            "parallel-4", 24,
+            ">= 1.5x speedup at 4 workers not checked: serial median "
+            "1.00ms is below the 50ms noise floor",
+        )]
+
+    def test_speedup_is_judged_at_the_largest_eligible_size(self):
+        report = _parallel_report(par_s=0.09)  # n=24: 1.1x, would fail
+        bigger = copy.deepcopy(report["results"])
+        for cell in bigger:
+            cell["n"] = 40
+            if cell["strategy"] == "parallel-4":
+                cell["median_s"] = 0.05  # n=40: 2x
+                cell["normalized"] = 0.05 / 0.005
+        report["results"] += bigger
+        assert evaluate_gates(report) == []
 
     def test_untraced_fragments_fail_the_zero_overhead_gate(self):
-        findings = parallel_findings(
+        findings = regressions(evaluate_gates(
             _parallel_report(cpu_count=1, untraced_fragments=3)
-        )
-        assert [f.kind for f in findings] == ["parallel"]
+        ))
+        assert kinds(findings) == ["parallel"]
         assert "zero-overhead" in findings[0].message
 
     def test_old_baselines_without_the_key_are_skipped(self):
-        report = _parallel_report(cpu_count=1)
+        report = _parallel_report()
         del report["results"][1]["untraced_fragments"]
-        assert parallel_findings(report) == []
+        assert skips(evaluate_gates(report)) == [(
+            "parallel-4", 24,
+            "tracer=None ships no trace fragments (zero-overhead "
+            "default) not checked: untraced_fragments not recorded",
+        )]
 
     def test_non_ok_cells_are_skipped(self):
         report = _parallel_report(par_s=0.2, outcome="budget")
-        assert parallel_findings(report) == []
+        findings = evaluate_gates(report)
+        assert regressions(findings) == []
+        assert len(skips(findings)) == 3  # agrees, fragments, speedup
+        assert all(
+            "serial outcome is budget" in message
+            or "parallel-4 outcome is budget" in message
+            for _, _, message in skips(findings)
+        )
 
     def test_compare_reports_runs_the_gate_on_the_current_run(self):
         base = _parallel_report()
@@ -299,7 +373,10 @@ def _skew_report(cost_s=0.002, greedy_s=0.01, cost_fanout=70,
             "answers": answers, "answers_sha": sha,
             "max_relation_size": 0, "tuples_produced": 0,
             "tuples_examined": 0, "iterations": 0,
-            "counters": {"bindings_out": fanout, **(counters or {})},
+            "counters": {
+                "bindings_out": fanout, "plan_compiles": 3,
+                **(counters or {}),
+            },
             "trace_violations": [], "median_s": median_s,
             "normalized": median_s / 0.005,
         }
@@ -322,46 +399,69 @@ def _skew_report(cost_s=0.002, greedy_s=0.01, cost_fanout=70,
 
 class TestSkewGate:
     def test_honest_cost_win_passes(self):
-        assert skew_findings(_skew_report()) == []
+        assert evaluate_gates(_skew_report()) == []
 
     def test_fanout_tie_fails(self):
         # "Strictly reduces join fanout": matching greedy's fanout
         # means the cost model earned nothing.
-        findings = skew_findings(_skew_report(cost_fanout=670))
-        assert "plan" in {f.kind for f in findings}
-        assert any("bindings_out" in f.message for f in findings)
+        findings = evaluate_gates(_skew_report(cost_fanout=670))
+        assert kinds(findings) == ["plan"]
+        assert "bindings_out" in findings[0].message
 
     def test_wall_time_loss_fails(self):
-        findings = skew_findings(_skew_report(cost_s=0.02))
-        assert [f.kind for f in findings] == ["plan"]
+        findings = evaluate_gates(_skew_report(cost_s=0.02))
+        assert kinds(findings) == ["plan"]
         assert "wall time" in findings[0].message
+
+    def test_one_winning_size_is_enough(self):
+        report = _skew_report(cost_s=0.02, cost_fanout=670)
+        winner = copy.deepcopy(report["results"])
+        for cell in winner:
+            cell["n"] = 16
+            if cell["strategy"] == "order-cost":
+                cell["median_s"] = 0.002
+                cell["normalized"] = 0.002 / 0.005
+                cell["counters"]["bindings_out"] = 70
+        report["results"] += winner
+        assert evaluate_gates(report) == []
 
     def test_noise_floor_waives_wall_clock_only(self):
         report = _skew_report(cost_s=9e-4, greedy_s=5e-4,
                               cost_fanout=670)
-        findings = skew_findings(report)
-        assert len(findings) == 1  # fanout still gated, time waived
+        findings = evaluate_gates(report)
+        assert kinds(findings) == ["plan", "skipped"]  # fanout still gated
         assert "bindings_out" in findings[0].message
+        assert skips(findings) == [(
+            "order-cost", 8,
+            "cost order must beat greedy on wall time not checked: "
+            "order-greedy median 0.50ms is below the 1ms noise floor",
+        )]
 
     def test_answer_count_mismatch_is_correctness(self):
-        findings = skew_findings(_skew_report(cost_answers=5))
-        assert "answers" in {f.kind for f in findings}
+        findings = evaluate_gates(_skew_report(cost_answers=5))
+        assert "answers" in kinds(findings)
 
     def test_digest_mismatch_is_correctness_even_at_equal_counts(self):
-        findings = skew_findings(_skew_report(cost_sha="bb"))
-        assert "answers" in {f.kind for f in findings}
+        findings = evaluate_gates(_skew_report(cost_sha="bb"))
+        assert "answers" in kinds(findings)
         assert any("digest" in f.message for f in findings)
 
     def test_replan_budget_overrun_fails(self):
-        findings = skew_findings(_skew_report(replans=3))
-        assert [f.kind for f in findings] == ["plan"]
-        assert "re-planned 3" in findings[0].message
+        findings = evaluate_gates(_skew_report(replans=3))
+        assert kinds(findings) == ["plan"]
+        assert "plan_replans is 3; bound is 2" in findings[0].message
 
     def test_non_ok_cells_are_skipped(self):
-        assert skew_findings(_skew_report(outcome="budget")) == []
+        findings = evaluate_gates(_skew_report(outcome="budget"))
+        assert regressions(findings) == []
+        # 3 x agrees, the replan bound, fanout, wall time.
+        assert len(skips(findings)) == 6
+        assert all("outcome is budget" in m for _, _, m in skips(findings))
 
-    def test_other_families_produce_no_findings(self):
-        assert skew_findings(_parallel_report()) == []
+    def test_rows_of_another_family_do_not_apply(self):
+        report = _parallel_report()
+        gates = FAMILIES["skewed-join"].gates
+        assert regressions(evaluate_gates(report, gates)) == []
 
     def test_compare_reports_runs_the_gate_on_the_current_run(self):
         base = _skew_report()
@@ -379,7 +479,7 @@ def _backend_report(none_s=0.02, memory_s=0.022, sqlite_s=0.08,
             "answers": answers, "answers_sha": sha,
             "max_relation_size": 999, "tuples_produced": 0,
             "tuples_examined": 0, "iterations": 0,
-            "counters": {}, "trace_violations": [],
+            "counters": {"plan_compiles": 4}, "trace_violations": [],
             "median_s": median_s, "normalized": median_s / 0.005,
         }
 
@@ -397,44 +497,131 @@ def _backend_report(none_s=0.02, memory_s=0.022, sqlite_s=0.08,
 
 class TestBackendGate:
     def test_honest_run_passes(self):
-        assert backend_findings(_backend_report()) == []
+        assert evaluate_gates(_backend_report()) == []
 
     def test_memory_dispatch_overhead_fails(self):
-        findings = backend_findings(_backend_report(memory_s=0.05))
-        assert [f.kind for f in findings] == ["backend"]
+        findings = evaluate_gates(_backend_report(memory_s=0.05))
+        assert kinds(findings) == ["backend"]
         assert "selection must be free" in findings[0].message
 
     def test_sqlite_slowness_is_not_a_finding(self):
         # Paying per-probe SQL cost is the out-of-core deal, not a
         # regression; only correctness is gated for sqlite.
-        assert backend_findings(_backend_report(sqlite_s=5.0)) == []
+        assert evaluate_gates(_backend_report(sqlite_s=5.0)) == []
 
     def test_noise_floor_waives_overhead_only(self):
         report = _backend_report(none_s=1e-3, memory_s=1e-2,
                                  sqlite_sha="bb")
-        findings = backend_findings(report)
-        assert [f.kind for f in findings] == ["answers"]
+        findings = evaluate_gates(report)
+        assert kinds(findings) == ["answers", "skipped"]
+        assert skips(findings) == [(
+            "backend-memory", 64,
+            "backend selection must be free not checked: backend-none "
+            "median 1.00ms is below the 5ms noise floor",
+        )]
 
     def test_answer_count_mismatch_is_correctness(self):
-        findings = backend_findings(_backend_report(sqlite_answers=41))
-        assert "answers" in {f.kind for f in findings}
+        findings = evaluate_gates(_backend_report(sqlite_answers=41))
+        assert "answers" in kinds(findings)
 
     def test_digest_mismatch_is_correctness_even_at_equal_counts(self):
-        findings = backend_findings(_backend_report(memory_sha="bb"))
-        assert "answers" in {f.kind for f in findings}
+        findings = evaluate_gates(_backend_report(memory_sha="bb"))
+        assert "answers" in kinds(findings)
         assert any("digest" in f.message for f in findings)
 
     def test_non_ok_cells_are_skipped(self):
-        assert backend_findings(_backend_report(outcome="budget")) == []
-
-    def test_other_families_produce_no_findings(self):
-        assert backend_findings(_skew_report()) == []
+        findings = evaluate_gates(_backend_report(outcome="budget"))
+        assert regressions(findings) == []
+        assert len(skips(findings)) == 3  # 2 x agrees, overhead
+        assert all("outcome is budget" in m for _, _, m in skips(findings))
 
     def test_compare_reports_runs_the_gate_on_the_current_run(self):
         base = _backend_report()
         cur = _backend_report(sqlite_sha="bb")
         findings = compare_reports(base, cur, time_tolerance=1e9)
         assert "answers" in {f.kind for f in findings}
+
+
+def _growth_report(compiles_by_n, outcome="ok"):
+    report = _synthetic()
+    cell = report["results"][0]
+    report["results"] = [
+        dict(cell, n=n, outcome=outcome, counters={"plan_compiles": c})
+        for n, c in compiles_by_n.items()
+    ]
+    report["sizes"] = sorted(compiles_by_n)
+    return report
+
+
+class TestGateRows:
+    """Rows built directly, for the edges no family's table reaches."""
+
+    def test_flat_counter_passes(self):
+        assert evaluate_gates(_growth_report({8: 3, 16: 3})) == []
+
+    def test_growing_counter_fails(self):
+        findings = evaluate_gates(
+            _growth_report({8: 3, 16: 4}), [Flat("plan_compiles")]
+        )
+        assert kinds(findings) == ["plan"]
+        assert "n=8:3 n=16:4" in findings[0].message
+        assert "size-independent" in findings[0].message
+
+    def test_flat_ignores_cells_that_did_not_finish(self):
+        report = _growth_report({8: 3, 16: 3})
+        report["results"].append(dict(
+            report["results"][0], n=32, outcome="budget",
+            counters={"plan_compiles": 9},
+        ))
+        assert evaluate_gates(report, [Flat("plan_compiles")]) == []
+
+    def test_flat_on_a_report_without_the_counter_is_skipped(self):
+        report = _growth_report({8: 3})
+        report["results"][0]["counters"] = {}
+        assert skips(evaluate_gates(report, [Flat("plan_compiles")])) == [(
+            "separable", None,
+            "plan_compiles must be size-independent not checked: "
+            "plan_compiles not recorded",
+        )]
+
+    def test_bound_reads_tracer_counters_and_cell_keys(self):
+        report = _growth_report({8: 3})
+        report["results"][0]["iterations"] = 7
+        for counter, limit, expect in [
+            ("plan_compiles", 3, []), ("plan_compiles", 2, ["plan"]),
+            ("iterations", 7, []), ("iterations", 6, ["plan"]),
+        ]:
+            gate = Bound(
+                counter, limit, ("separable",), "plan", "stays small"
+            )
+            assert kinds(evaluate_gates(report, [gate])) == expect
+
+    def test_ratio_with_a_missing_reference_cell_is_skipped(self):
+        gate = Ratio("separable", "magic", 1.0, "time", "separable wins")
+        assert skips(evaluate_gates(_synthetic(), [gate])) == [(
+            "separable", 8, "separable wins not checked: no magic cell",
+        )]
+
+    def test_time_ratios_compare_calibrated_times(self):
+        # The machine ran twice as fast while the greedy cells were
+        # timed (their calibration unit halved): raw medians say cost
+        # lost, normalized times say it won.
+        report = _skew_report(cost_s=0.012, greedy_s=0.010)
+        for cell in report["results"]:
+            if cell["median_s"] == 0.010:
+                cell["normalized"] = 0.010 / 0.0025
+        assert evaluate_gates(report) == []
+
+    def test_every_evaluation_is_counted_once(self):
+        gated = []
+        report = _skew_report(cost_s=9e-4, greedy_s=5e-4)
+        findings = evaluate_gates(report, gated=gated)
+        # flat x4, agrees x3, bound, fanout ratio applied; wall-time
+        # ratio skipped.
+        assert sorted(gated) == (
+            ["agrees"] * 3 + ["bound"] + ["flat"] * 4 + ["ratio"]
+        )
+        assert kinds(findings) == ["skipped"]
 
 
 def _run_e2(sizes=(8, 12)):

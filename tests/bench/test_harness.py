@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import repro.bench.harness as harness
 from repro.bench import (
     SCHEMA,
     calibrate,
@@ -46,6 +47,7 @@ CELL_KEYS = {
     "n",
     "outcome",
     "answers",
+    "answers_sha",
     "max_relation_size",
     "tuples_produced",
     "tuples_examined",
@@ -138,13 +140,13 @@ class TestReportShape:
     def test_one_cell_per_strategy_size_pair(self, e2_report):
         keys = [(c["strategy"], c["n"]) for c in e2_report["results"]]
         assert len(keys) == len(set(keys))
-        assert len(keys) == len(FAMILIES["e2"].strategies) * 2
+        assert len(keys) == len(FAMILIES["e2"].cells) * 2
 
     def test_fits_cover_both_metrics(self, e2_report):
         pairs = {(f["strategy"], f["metric"]) for f in e2_report["fits"]}
-        for strategy in FAMILIES["e2"].strategies:
-            assert (strategy, "max_relation_size") in pairs
-            assert (strategy, "median_s") in pairs
+        for cell in FAMILIES["e2"].cells:
+            assert (cell.label, "max_relation_size") in pairs
+            assert (cell.label, "median_s") in pairs
 
     def test_report_is_json_serializable(self, e2_report, tmp_path):
         path = write_report(e2_report, tmp_path)
@@ -212,8 +214,38 @@ class TestDeterminism:
             assert a["answers"] == b["answers"]
 
 
+class TestDigest:
+    def test_strategies_agree_on_the_answer_digest(self, e2_report):
+        by_n = {}
+        for cell in e2_report["results"]:
+            by_n.setdefault(cell["n"], set()).add(cell["answers_sha"])
+        assert all(len(digests) == 1 for digests in by_n.values())
+        assert len({min(d) for d in by_n.values()}) == len(by_n)
+
+    def test_digest_is_taken_outside_the_timed_region(
+        self, calibration, fake_clock, monkeypatch
+    ):
+        """Sorting and hashing the answer set must not move
+        ``median_s``: on the fixed-tick clock a timed repeat lasts one
+        tick however long a ``_digest`` that reads the clock takes."""
+        real_digest = harness._digest
+        slow_calls = []
+
+        def slow_digest(answers):
+            slow_calls.append(fake_clock())  # a "slow" sort: 1 tick
+            return real_digest(answers)
+
+        monkeypatch.setattr(harness, "_digest", slow_digest)
+        report = run_family(
+            FAMILIES["e2"], [4], repeats=3, calibration=calibration
+        )
+        assert len(slow_calls) == len(report["results"])  # warmup only
+        for cell in report["results"]:
+            assert cell["median_s"] == pytest.approx(fake_clock.TICK_S)
+
+
 class TestIncrementalWriteFamily:
-    """The maintenance pseudo-strategies through the real harness."""
+    """The maintenance cells through the real harness."""
 
     @pytest.fixture(scope="class")
     def iw_report(self, calibration):
@@ -256,7 +288,7 @@ class TestIncrementalWriteFamily:
 
 
 class TestSkewedJoinFamily:
-    """The join-order pseudo-strategies through the real harness."""
+    """The join-order cells through the real harness."""
 
     @pytest.fixture(scope="class")
     def sj_report(self, calibration):

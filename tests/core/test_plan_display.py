@@ -1,9 +1,8 @@
-"""Tests for the human-readable compiled forms: Figure 3/4 listings and
-the relational-algebra rendering, checked structurally."""
+"""Tests for the human-readable compiled form: the Figure 3/4
+listings, checked structurally."""
 
 import pytest
 
-from repro.core.algebra import plan_to_algebra_text
 from repro.core.compiler import compile_selection
 from repro.core.detection import require_separable
 from repro.core.selections import classify_selection
@@ -55,39 +54,6 @@ class TestFigure3Listing:
     def test_listing_stable_across_calls(self):
         plan = plan_for(example_1_1_program(), "buys", "buys(tom, Y)")
         assert plan.describe() == plan.describe()
-
-
-class TestAlgebraListing:
-    def test_every_join_term_rendered(self):
-        plan = plan_for(example_2_4_program(), "t", "t(c, d, Z)")
-        text = plan_to_algebra_text(plan)
-        assert text.count("[r") == len(plan.down_joins) + len(plan.up_joins)
-        assert text.count("[exit") == len(plan.exit_joins)
-
-    def test_projection_wraps_joins(self):
-        plan = plan_for(example_1_2_program(), "buys", "buys(tom, Y)")
-        text = plan_to_algebra_text(plan)
-        for marker in ("π[", "⋈", "__carry__", "__seen1__"):
-            assert marker in text
-
-    def test_constants_render_as_selections(self):
-        from repro.core.algebra import compile_join
-        from repro.core.plan import CarryJoin, CARRY
-        from repro.datalog.atoms import Atom, atom
-        from repro.datalog.relalg import to_text
-        from repro.datalog.terms import Variable
-
-        join = CarryJoin(
-            label="demo",
-            body=(
-                Atom(CARRY, (Variable("X"),)),
-                atom("edge", "X", "W", "fixed"),
-            ),
-            output=(Variable("W"),),
-            rule_index=0,
-        )
-        text = to_text(compile_join(join).expression)
-        assert "σ[__k2=fixed]" in text
 
 
 class TestSeedAndAnswerArities:

@@ -1,7 +1,7 @@
 """Integration tests asserting the Section 4 growth shapes on real runs.
 
 These are the paper's headline claims, tested as *trends* at small n so
-the suite stays fast; the benchmark harness sweeps the same inputs at
+the suite stays fast; ``repro-datalog bench`` sweeps the same inputs at
 larger scale:
 
 * E1 / Section 4: Generalized Counting generates a relation of size
@@ -11,16 +11,24 @@ larger scale:
 * E3 / Lemma 4.1: Separable's relations are bounded by
   n^max(w(e1), k - w(e1));
 * E4 / Lemma 4.2: Magic Sets generates n^k tuples on the S^k_p family;
-* E5 / Lemma 4.3: Counting generates sum of p^l tuples there.
+* E5 / Lemma 4.3: Counting generates sum of p^l tuples there;
+* E6 / Section 3.1: the detection verdict never consults the database;
+* E7 / Section 3.2: Separable (and Magic) only touch the part of the
+  database reachable from the selection constant.
 """
 
 import pytest
 
+from repro.bench.families import E7_REACHABLE, FAMILIES
 from repro.core.api import evaluate_separable
+from repro.datalog.database import Database
 from repro.datalog.parser import parse_atom
+from repro.datalog.seminaive import seminaive_evaluate
+from repro.engine import Engine
 from repro.rewriting.counting import evaluate_counting
 from repro.rewriting.magic import evaluate_magic
 from repro.stats import EvaluationStats
+from repro.workloads.generators import chain
 from repro.workloads.paper import (
     example_1_1_database,
     example_1_1_program,
@@ -86,6 +94,17 @@ class TestE2MagicBlowup:
         )
         assert stats.relation_sizes["buys__bf"] == n * n
 
+    @pytest.mark.parametrize("style", ["basic", "supplementary"])
+    def test_both_magic_variants_materialize_n_squared(self, style):
+        n = 12
+        stats = EvaluationStats()
+        answers = evaluate_magic(
+            example_1_2_program(), example_1_2_database(n),
+            parse_atom("buys(a1, Y)"), stats=stats, style=style,
+        )
+        assert stats.relation_sizes["buys__bf"] == n * n
+        assert len(answers) == n
+
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_separable_linear(self, n):
         _, stats = run(
@@ -125,7 +144,6 @@ class TestE3Lemma41Bound:
             f"t({head}) :- a({bound_head}, {bound_body}) & t({body_args}).\n"
             f"t({head}) :- t0({head})."
         ).program
-        from repro.datalog.database import Database
         import itertools
 
         consts = [f"c{i}" for i in range(1, n + 1)]
@@ -196,3 +214,47 @@ class TestE5Lemma43:
             "t(c1, Y)",
         )
         assert stats.max_relation_size <= n + 1
+
+
+class TestE6DetectionIgnoresTheDatabase:
+    def test_same_verdict_on_an_empty_and_a_large_database(self):
+        workload = FAMILIES["e6"].build(8)
+        large = Database.from_facts({"a0": chain(10_000)})
+        before = large.fingerprint()
+        reports = [
+            Engine(workload.program, db).report("t")
+            for db in (workload.db, large)
+        ]
+        assert all(report.separable for report in reports)
+        assert reports[0].explain() == reports[1].explain()
+        assert large.fingerprint() == before
+
+
+class TestE7Focus:
+    """The bench family's input: a chain of E7_REACHABLE edges from the
+    selection constant beside a chain of ``distractors`` it cannot reach."""
+
+    @pytest.mark.parametrize("distractors", [100, 1000])
+    def test_separable_examines_the_reachable_part_only(self, distractors):
+        workload = FAMILIES["e7"].build(distractors)
+        _, stats = run(
+            evaluate_separable, workload.program, workload.db,
+            workload.query.rstrip("?"),
+        )
+        assert stats.tuples_examined <= 4 * E7_REACHABLE
+
+    @pytest.mark.parametrize("distractors", [100, 1000])
+    def test_magic_set_stays_within_the_reachable_part(self, distractors):
+        workload = FAMILIES["e7"].build(distractors)
+        _, stats = run(
+            evaluate_magic, workload.program, workload.db,
+            workload.query.rstrip("?"),
+        )
+        assert stats.relation_sizes["magic_buys__bf"] <= E7_REACHABLE
+
+    @pytest.mark.parametrize("distractors", [100, 1000])
+    def test_seminaive_scales_with_the_whole_database(self, distractors):
+        workload = FAMILIES["e7"].build(distractors)
+        stats = EvaluationStats()
+        seminaive_evaluate(workload.program, workload.db, stats=stats)
+        assert stats.tuples_examined >= distractors

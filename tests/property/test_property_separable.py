@@ -96,31 +96,6 @@ def test_counting_matches_oracle_when_applicable(data):
         setup[0].arity("t"), setup[2], setup[3]
     ).map(lambda q: (setup, q))
 ))
-def test_algebra_backend_matches_direct(data):
-    """The relational-algebra backend executes every compiled plan to
-    the same seen_2 set as the direct evaluator."""
-    from repro.core.algebra import execute_plan_algebra
-    from repro.core.compiler import compile_selection
-    from repro.core.evaluator import execute_plan
-    from repro.core.selections import classify_selection
-
-    (program, db, _, _), query = data
-    analysis = require_separable(program, "t")
-    selection = classify_selection(analysis, query)
-    if not selection.is_full:
-        return  # plans exist only for full selections
-    plan = compile_selection(selection)
-    direct = execute_plan(plan, db, [selection.seed])
-    algebra = execute_plan_algebra(plan, db, [selection.seed])
-    assert direct == algebra, f"program:\n{program}\nquery: {query}"
-
-
-@COMMON
-@given(data=separable_setups().flatmap(
-    lambda setup: queries_for(
-        setup[0].arity("t"), setup[2], setup[3]
-    ).map(lambda q: (setup, q))
-))
 def test_justifications_reconstructible(data):
     """Every answer of a traced full-selection run has a justification
     whose derivation string reproduces the answer (Lemma 3.1)."""
