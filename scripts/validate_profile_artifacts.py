@@ -8,7 +8,8 @@ every artifact the observability pipeline promises:
 2. the JSONL event log replays into a tracer whose exporter output is
    byte-identical to the live trace's;
 3. the deterministic (``--no-timings``) text report is stable across
-   two runs;
+   two runs, and its ``-- plan --`` section shows the generated source
+   of the carry loops that ran (a ``while carry:`` line);
 4. a ``--parallel 2`` profile of the branch-fan-out example stitches
    worker trace fragments into one Chrome trace with a lane per worker
    pid, replays byte-identically, and its reconciled counter totals
@@ -112,7 +113,14 @@ def main(argv: list[str]) -> int:
     second = run_cli("profile", *base, "--no-timings")
     assert first == second, "untimed profile report is not deterministic"
     assert first.startswith("EXPLAIN ANALYZE"), first[:80]
-    print("text report ok: deterministic EXPLAIN ANALYZE output")
+    plan_section = first.split("-- plan --", 1)[1].split("\n-- ", 1)[0]
+    assert any(line.strip() == "while carry:"
+               for line in plan_section.splitlines()), (
+        "the plan section does not show a generated carry loop:\n"
+        + plan_section
+    )
+    print("text report ok: deterministic EXPLAIN ANALYZE output, "
+          "generated loop source shown")
 
     # 4. a parallel=2 profile stitches worker fragments into one trace.
     check_stitched_profile(workdir, replay_file, to_chrome_trace)

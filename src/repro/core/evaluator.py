@@ -15,7 +15,8 @@ are what Lemma 4.1's ``O(n^max(w(e1), k-w(e1)))`` bound speaks about.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
@@ -26,7 +27,7 @@ from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
-__all__ = ["execute_plan"]
+__all__ = ["execute_plan", "loop_source"]
 
 
 def _with_pseudo(
@@ -89,7 +90,7 @@ def _carry_loop(
     db: Database,
     carry_name: str,
     seen_name: str,
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
     tracer=None,
@@ -119,9 +120,8 @@ def _carry_loop(
     # and re-planning (bounded) on >4x divergence.  Partitioned
     # (parallel) iterations skip the feedback -- workers plan privately.
     adaptive = AdaptiveState() if order == "adaptive" else None
-    if stats is not None:
-        stats.record_relation(carry_name, len(carry))
-        stats.record_relation(seen_name, len(seen))
+    stats.record_relation(carry_name, len(carry))
+    stats.record_relation(seen_name, len(seen))
     span_cm = (
         tracer.span("separable.loop", relation=seen_name,
                     seed=len(initial))
@@ -135,11 +135,8 @@ def _carry_loop(
     view = _with_pseudo(db, CARRY, carry_rel)
     with span_cm as span:
         while carry:
-            # Wall-clock deadlines must trip even for stats-less
-            # callers (the stats-guarded checks below cannot).
             budget.check_wall(stats)
-            if stats is not None:
-                stats.bump_iterations()
+            stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
             if parallel is not None and parallel.should_partition(
@@ -160,14 +157,86 @@ def _carry_loop(
             seen |= carry
             if tracer is not None:
                 tracer.record("carry", len(carry))
-            if stats is not None:
-                stats.record_relation(carry_name, len(carry))
-                stats.record_relation(seen_name, len(seen))
-                budget.check_relation(seen_name, len(seen), stats)
-                budget.check_stats(stats)
+            stats.record_relation(carry_name, len(carry))
+            stats.record_relation(seen_name, len(seen))
+            budget.check_relation(seen_name, len(seen), stats)
+            budget.check_stats(stats)
         if span is not None:
             span.attrs["final_seen"] = len(seen)
     return seen
+
+
+def _generated_loop(
+    joins: tuple[CarryJoin, ...],
+    initial: set[tuple],
+    db: Database,
+    carry_name: str,
+    seen_name: str,
+    stats: EvaluationStats,
+    budget: Budget,
+    order: str,
+    tracer=None,
+) -> set[tuple]:
+    """:func:`_carry_loop`, compiled: the same loop, relation records,
+    budget checks, span and counters, run by the generated function of
+    :meth:`~repro.datalog.plan_cache.PlanCache.loop_for`.
+
+    That function is valid while ``len(carry)`` keeps its size rank
+    among the joins' fixed relations (``order="greedy"`` plans depend on
+    it); when a round leaves that interval it hands ``carry`` back and
+    this driver asks for the function of the new rank -- one plan lookup
+    per join per rank change where the reference loop makes one per join
+    per round.
+    """
+    seen: set[tuple] = set(initial)
+    carry: set[tuple] = set(initial)
+    stats.record_relation(carry_name, len(carry))
+    stats.record_relation(seen_name, len(seen))
+    span_cm = (
+        tracer.span("separable.loop", relation=seen_name,
+                    seed=len(initial))
+        if tracer is not None
+        else nullcontext()
+    )
+    with span_cm as span:
+        while carry:
+            run = PLAN_CACHE.loop_for(joins, CARRY, len(carry), order, db,
+                                      tracer)
+            carry = run(carry, seen, carry_name, seen_name, stats, budget,
+                        tracer)
+        if span is not None:
+            span.attrs["final_seen"] = len(seen)
+    return seen
+
+
+_REFERENCE: ContextVar[bool] = ContextVar("reference_loops", default=False)
+
+
+@contextmanager
+def _reference_loops():
+    """Within the block, :func:`execute_plan` (in this thread) runs
+    every carry loop through :func:`_carry_loop`: how the differential
+    oracle and the tests get the reference the generated loop is diffed
+    against."""
+    token = _REFERENCE.set(True)
+    try:
+        yield
+    finally:
+        _REFERENCE.reset(token)
+
+
+def loop_source(plan: SeparablePlan, which: str,
+                traced: bool = False) -> list[str]:
+    """The generated Python texts ``plan``'s ``which`` (``"down"`` or
+    ``"up"``) loop has run in this process -- what tracebacks through a
+    ``<separable-loop:...>`` file show.  One text per set of join orders
+    and live terms the loop was entered with (see
+    :meth:`~repro.datalog.plan_cache.PlanCache.loops_for`): none before
+    the first run, several once ``carry`` has changed its size rank."""
+    joins = getattr(plan, f"{which}_joins")
+    return list(dict.fromkeys(
+        source for was_traced, source, _ in PLAN_CACHE.loops_for(joins)
+        if was_traced == traced))
 
 
 def execute_plan(
@@ -197,6 +266,10 @@ def execute_plan(
     constants (see :mod:`repro.core.api`).
     """
     tracer = live(tracer)
+    if stats is None:
+        # The relation, total and iteration limits are metered on the
+        # statistics, so a caller that keeps none still needs them kept.
+        stats = EvaluationStats()
     seed_set = {tuple(s) for s in seeds}
     for s in seed_set:
         if len(s) != plan.seed_arity:
@@ -205,20 +278,28 @@ def execute_plan(
                 f"{plan.seed_arity}"
             )
 
-    # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
-    seen_1 = _carry_loop(
-        plan.down_joins,
-        seed_set,
-        plan.seed_arity,
-        db,
-        "carry_1",
-        "seen_1",
-        stats,
-        budget,
-        order,
-        tracer,
-        parallel,
+    # The reference loop decides per round what the generated one fixes
+    # per loop: whether to partition the carry over a worker pool, and
+    # which plan a cost order wants now.
+    per_round = (
+        (parallel is not None and parallel.active)
+        or order in ("cost", "adaptive")
+        or _REFERENCE.get()
     )
+
+    def loop(joins, initial, arity, carry_name, seen_name):
+        # A loop without join terms is one empty round; there is
+        # nothing to compile.
+        if per_round or not joins:
+            return _carry_loop(joins, initial, arity, db, carry_name,
+                               seen_name, stats, budget, order, tracer,
+                               parallel)
+        return _generated_loop(joins, initial, db, carry_name, seen_name,
+                               stats, budget, order, tracer)
+
+    # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
+    seen_1 = loop(plan.down_joins, seed_set, plan.seed_arity,
+                  "carry_1", "seen_1")
 
     # Line 8: carry_2 := g_2(seen_1) -- join seen_1 with each exit body.
     # The exit stage has the same shape as one carry iteration (a union
@@ -245,19 +326,7 @@ def execute_plan(
                                    tracer, label="exit")
 
     # Lines 9-15: the up loop; ans := seen_2.
-    seen_2 = _carry_loop(
-        plan.up_joins,
-        carry_2,
-        plan.answer_arity,
-        db,
-        "carry_2",
-        "seen_2",
-        stats,
-        budget,
-        order,
-        tracer,
-        parallel,
-    )
-    if stats is not None:
-        stats.record_relation("ans", len(seen_2))
+    seen_2 = loop(plan.up_joins, carry_2, plan.answer_arity,
+                  "carry_2", "seen_2")
+    stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import linecache
 import threading
 import zlib
+from functools import partial
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..stats import EvaluationStats
@@ -245,14 +246,7 @@ class JoinPlan:
         entry = self._kernels.get((output, bulk))
         if entry is None:
             source, consts, inputs = self.kernel_text(output, bulk)
-            fn = self._shapes.get(source)
-            if fn is None:
-                filename = f"<joinplan:{zlib.crc32(source.encode()):08x}>"
-                linecache.cache[filename] = (
-                    len(source), None, source.splitlines(True), filename)
-                namespace = {"_flush": _flush}
-                exec(compile(source, filename, "exec"), namespace)
-                fn = self._shapes[source] = namespace["kernel"]
+            fn = _function(self._shapes, source, "joinplan", "kernel")
             entry = self._kernels[(output, bulk)] = (fn, consts, inputs)
         return entry
 
@@ -281,13 +275,52 @@ class JoinPlan:
         """
         consts: list = []
         inputs = [var for var, _ in self.preload]
-        # slot -> the expression holding its value (assign guards alias)
-        reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
-        zero: list[str] = []  # counters to initialise
 
         def const(value) -> str:
             consts.append(value)
             return f"k{len(consts) - 1}"
+
+        def fetch(d, pred, positions, key):
+            index = const(positions)
+            return (), f"rels[{d}].lookup({index}, {key()}, tracer)", False
+
+        lines, zero, lookups, examined, bindings, reached = self._nest(
+            output, bulk, "    " if bulk else "        ", const, inputs,
+            fetch)
+        head = ["def kernel(rels, K, P, sink, stats, tracer):"]
+        for count, name, source in ((len(consts), "k", "K"),
+                                    (len(inputs), "p", "P")):
+            if count:
+                targets = _tuple_text(f"{name}{i}" for i in range(count))
+                head.append(f"    {targets} = {source}")
+        if zero:
+            head.append(f"    {' = '.join(zero)} = 0")
+        flush = (f"_flush(stats, tracer, {lookups}, {examined}, {bindings}, "
+                 f"{reached if bulk else '0'})")
+        if bulk:
+            tail = ["    " + flush, "    return " + reached, ""]
+        else:
+            head.append("    try:")
+            tail = ["    finally:", "        " + flush, ""]
+        return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
+
+    def _nest(self, output: tuple, bulk: bool, pad: str, const, inputs: list,
+              fetch, sink: str = "sink") -> tuple:
+        """The nested loops of this plan as source lines at ``pad``.
+
+        ``const(value)`` names a constant and ``inputs`` collects the
+        caller-supplied variables; ``fetch(d, predicate, positions,
+        key)`` says how level ``d`` gets its candidates -- ``(lines to
+        run first, expression, whether it may be empty or None)`` with
+        ``key()`` the text of the lookup key -- which is all that
+        differs between a stand-alone kernel and a join inlined into a
+        generated carry loop (:func:`loop_text`).  Returns ``(lines,
+        counters to zero, lookups, examined, bindings, produced)``, the
+        last four as sums over the counters.
+        """
+        # slot -> the expression holding its value (assign guards alias)
+        reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
+        zero: list[str] = []  # counters to initialise
 
         def operand(is_slot, value) -> str:
             return reg[value] if is_slot else const(value)
@@ -322,17 +355,20 @@ class JoinPlan:
                 lines.append(f"{pad}{name} += 1")
 
         lines: list[str] = []
-        pad = "    " if bulk else "        "
         reached = "1"  # how often control gets here, as a counter sum
         guard(self.pre_guards, "g", "if {} == {}:")
         lookups, examined, bindings = [], [], []
         last = len(self.steps) - 1
-        for d, (_, positions, keys, writes, checks, guards) in \
+        for d, (pred, positions, keys, writes, checks, guards) in \
                 enumerate(self.steps):
-            index = const(positions)
-            key = _tuple_text(operand(*k) for k in keys)
-            lines.append(f"{pad}c{d} = rels[{d}].lookup({index}, {key}, "
-                         f"tracer)")
+            first, candidates, guarded = fetch(
+                d, pred, positions,
+                lambda: _tuple_text(operand(*k) for k in keys))
+            lines += [pad + line for line in first]
+            lines.append(f"{pad}c{d} = {candidates}")
+            if guarded:
+                lines.append(f"{pad}if c{d}:")
+                pad += "    "
             lines.append(f"{pad}e{d} += len(c{d})")
             zero.append(f"e{d}")
             lookups.append(reached)
@@ -342,7 +378,7 @@ class JoinPlan:
                 # Innermost level with nothing to test: one C-speed
                 # comprehension straight off the index bucket.
                 reg.update((s, f"f[{const(i)}]") for i, s in writes)
-                lines.append(f"{pad}sink.update([{row()} for f in c{d}])")
+                lines.append(f"{pad}{sink}.update([{row()} for f in c{d}])")
                 bindings.append(reached)
                 break
             lines.append(f"{pad}for f{d} in c{d}:")
@@ -360,26 +396,11 @@ class JoinPlan:
             bindings.append(reached)
             guard(guards, f"g{d}", "if {} != {}: continue")
         else:  # no break: the output is built inside the innermost loop
-            lines.append(f"{pad}sink.add({row()})" if bulk
+            lines.append(f"{pad}{sink}.add({row()})" if bulk
                          else f"{pad}yield {row()}")
-
-        head = ["def kernel(rels, K, P, sink, stats, tracer):"]
-        for count, name, source in ((len(consts), "k", "K"),
-                                    (len(inputs), "p", "P")):
-            if count:
-                targets = _tuple_text(f"{name}{i}" for i in range(count))
-                head.append(f"    {targets} = {source}")
-        if zero:
-            head.append(f"    {' = '.join(zero)} = 0")
-        flush = ("_flush(stats, tracer, %s, %s, %s, %s)" % (
-            " + ".join(lookups) or "0", " + ".join(examined) or "0",
-            " + ".join(bindings) or "0", reached if bulk else "0"))
-        if bulk:
-            tail = ["    " + flush, "    return " + reached, ""]
-        else:
-            head.append("    try:")
-            tail = ["    finally:", "        " + flush, ""]
-        return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
+        return (lines, zero, " + ".join(lookups) or "0",
+                " + ".join(examined) or "0", " + ".join(bindings) or "0",
+                reached)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -393,6 +414,22 @@ def _tuple_text(parts) -> str:
     """Source of the tuple display of ``parts``."""
     parts = list(parts)
     return "(%s%s)" % (", ".join(parts), "," if len(parts) == 1 else "")
+
+
+def _function(shapes: dict, source: str, kind: str, name: str):
+    """The function ``name`` that ``source`` defines, compiled once per
+    text: ``shapes`` maps text to function, and the text is registered
+    with :mod:`linecache` under ``<kind:crc>`` so tracebacks through
+    generated code show its lines."""
+    fn = shapes.get(source)
+    if fn is None:
+        filename = f"<{kind}:{zlib.crc32(source.encode()):08x}>"
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename)
+        namespace = {"_flush": _flush}
+        exec(compile(source, filename, "exec"), namespace)
+        fn = shapes[source] = namespace[name]
+    return fn
 
 
 def _flush(stats, tracer, lookups, examined, bindings, produced) -> None:
@@ -680,6 +717,205 @@ def _compile_sequence(
     )
 
 
+def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
+              pseudo: str, live: Sequence[bool], traced: bool) -> tuple:
+    """Source of one whole ``carry``/``seen`` loop of Figure 2.
+
+    ``plans[i]`` executes the body of the loop's ``i``-th join term and
+    ``outputs[i]`` is its output template; the atom named ``pseudo``
+    stands for ``carry``.  ``live[i]`` is False for a term that cannot
+    match (a fixed relation absent or empty): it gets no code.  Returns
+    ``(source, groups)``: consecutive join terms whose nested loops
+    (:meth:`JoinPlan._nest`) read the same are one *shape*, inlined once
+    and run ``for`` each of them in turn (terms keep their order:
+    ``rule_out:`` credits a tuple to the first term that produces it),
+    and ``groups[g]`` lists the terms of the ``g``-th run as ``(probes,
+    constants, i)`` -- ``probes`` the ``(step, positions)`` of each
+    lookup into a fixed relation.  The text unpacks one tuple ``(*probe
+    callables, *constants, i)`` per term from ``J[g]``; it mentions
+    neither values nor how long a run is, so Example 1.1's two-term down
+    loop and Example 1.2's two one-term loops are all one function.
+
+    Everything the reference loop (``core/evaluator.py::_carry_loop``)
+    re-derives per round, but that cannot change while ``carry`` is the
+    only relation that does, is bound before the loop: the plans
+    themselves, valid while ``lo <= len(carry) < hi`` (see
+    :func:`_rank_interval`; outside it the function returns and the
+    caller re-plans), and each fixed relation's probe ``q<j>``.
+    ``carry`` is iterated where a plan scans it and indexed lazily, once
+    per round, where a plan probes it.  The counter sums of a round
+    reach ``stats`` once, before the budget checks.  ``traced`` adds the
+    tracer counters and the ``carry`` series of the reference loop
+    (``D`` lists the terms without code, for their ``rule_apps:``); the
+    ``separable.loop`` span stays with the caller, which may enter
+    several functions under one span.
+    """
+    pad = " " * 12
+    shapes: list[tuple] = []  # the text of each run of like terms
+    groups: list[list] = []   # the terms of each run
+    indexed = False           # does some term probe carry?
+    for i, (plan, output, alive) in enumerate(zip(plans, outputs, live)):
+        if not alive:
+            continue
+        consts: list = []
+        probes: list[tuple] = []
+        inputs: list = []
+
+        def const(value) -> str:
+            consts.append(value)
+            return f"k{len(consts) - 1}"
+
+        def fetch(d, pred, positions, key):
+            nonlocal indexed
+            if pred != pseudo:
+                probes.append((d, positions))
+                return (), f"q{len(probes) - 1}({key()})", True
+            if not positions:
+                return (["S += 1"] if traced else ()), "carry", False
+            indexed = True
+            index = const(positions)
+            cols = _tuple_text(f"f[{const(p)}]" for p in positions)
+            build = [f"x = indexes.get({index})", "if x is None:",
+                     f"    x = indexes[{index}] = {{}}", "    for f in carry:",
+                     f"        x.setdefault({cols}, []).append(f)"]
+            if traced:
+                build += ["    count('index_builds')",
+                          "    count('index_tuples', n)"]
+            return build, f"x.get({key()})", True
+
+        lines, zero, *sums = plan._nest(output, True, pad, const, inputs,
+                                        fetch, "produced")
+        if inputs:  # an output variable the body does not bind
+            raise KeyError(inputs[0])
+        shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts))
+        if not shapes or shapes[-1] != shape:
+            shapes.append(shape)
+            groups.append([])
+        groups[-1].append((tuple(probes), tuple(consts), i))
+
+    body: list[str] = []
+    for g, (lines, zero, lookups, examined, bindings, made, nq, nk) in \
+            enumerate(shapes):
+        names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
+        body.append(f"        for {', '.join(names + ['i'])} in J{g}:")
+        if traced:
+            body.append(f"{pad}before = len(produced)")
+        body.append(f"{pad}{' = '.join(zero)} = 0")
+        body += lines
+        body += [f"{pad}X += {examined}", f"{pad}P += {made}"]
+        if traced:
+            body += [f"{pad}L += {lookups}", f"{pad}B += {bindings}",
+                     f"{pad}count(f'rule_apps:{{seen_name}}#{{i}}')",
+                     f"{pad}out = len(produced) - before",
+                     f"{pad}if out:",
+                     f"{pad}    count(f'rule_out:{{seen_name}}#{{i}}', out)"]
+
+    head = ["def loop(J, D, lo, hi, carry, seen, carry_name, seen_name, "
+            "stats, budget, tracer):"]
+    if shapes:
+        targets = _tuple_text(f"J{g}" for g in range(len(shapes)))
+        head.append(f"    {targets} = J")
+    head.append("    record = stats.record_relation")
+    if traced:
+        head.append("    count = tracer.count")
+    head += ["    while carry:",
+             "        n = len(carry)",
+             "        if not lo <= n < hi:",
+             "            break",
+             "        budget.check_wall(stats)",
+             "        stats.bump_iterations()"]
+    if traced:
+        head += ["        count('iterations')",
+                 "        for i in D:",
+                 "            count(f'rule_apps:{seen_name}#{i}')"]
+    head += ["        produced = set()",
+             "        L = X = B = P = S = 0" if traced else "        X = P = 0"]
+    if indexed:
+        head.append("        indexes = {}")
+    tail = ["        carry = produced - seen",
+            "        seen |= carry",
+            "        stats.bump_examined(X)",
+            "        stats.bump_produced(P)"]
+    if traced:
+        tail += ["        if L:",
+                 "            count('atom_lookups', L)",
+                 "            count('tuples_examined', X)",
+                 "        if B:",
+                 "            count('bindings_out', B)",
+                 "        if S:",
+                 "            count('full_scans', S)",
+                 "        tracer.record('carry', len(carry))"]
+    tail += ["        record(carry_name, len(carry))",
+             "        record(seen_name, len(seen))",
+             "        budget.check_relation(seen_name, len(seen), stats)",
+             "        budget.check_stats(stats)",
+             "    return carry",
+             ""]
+    return "\n".join(head + body + tail), tuple(map(tuple, groups))
+
+
+def _rank_interval(body: tuple[Atom, ...], pseudo: str, db: Database,
+                   n: int) -> tuple[int, float]:
+    """The sizes ``[lo, hi)`` of the relation ``pseudo`` around ``n``
+    over which :meth:`PlanCache.plan_for` keys ``body`` the same under
+    ``order="greedy"``, every other relation keeping its size.
+
+    That key is the stable argsort of the body's relation sizes plus
+    which are empty, so it only asks, per other position ``i``, whether
+    ``pseudo`` (at position ``p``) sorts before it: ``n < size_i`` when
+    ``i < p`` and ``n <= size_i`` when ``i > p``.
+    """
+    p = next(i for i, a in enumerate(body) if a.predicate == pseudo)
+    lo, hi = 1, float("inf")
+    for i, a in enumerate(body):
+        if i == p:
+            continue
+        rel = db.relation(a.predicate) if a.predicate != EQ else None
+        bound = (len(rel) if rel is not None else 0) + (i > p)
+        if bound <= n:
+            lo = max(lo, bound)
+        else:
+            hi = min(hi, bound)
+    return lo, hi
+
+
+class _Mounted:
+    """``db`` as planning sees it with a relation of ``n`` tuples
+    mounted as ``name``: planning reads nothing of a relation but its
+    size, so the carry of a loop need not be copied into one."""
+
+    __slots__ = ("_relation", "_name", "_sized")
+
+    def __init__(self, db: Database, name: str, n: int) -> None:
+        self._relation = db.relation
+        self._name = name
+        self._sized = range(n)
+
+    def relation(self, name: str):
+        return self._sized if name == self._name else self._relation(name)
+
+
+def _probe(rel, positions: tuple[int, ...], tracer):
+    """``key -> tuples`` (a sequence, possibly empty, or None) of one
+    loop-invariant relation, for a generated carry loop.
+
+    The bound ``dict.get`` of a :class:`Relation` index: the index is
+    the relation's own, built here if need be, and stays current because
+    nothing writes the relation during the loop.  A traced run probes a
+    still-unbuilt index through :meth:`Relation.lookup` so that the
+    build is counted where the reference loop counts it; so does every
+    full scan, and every other ``RelationStorage`` (SQLite).
+    """
+    if positions and type(rel) is Relation:
+        index = rel._indexes.get(positions)
+        if index is None and tracer is None:
+            rel.lookup(positions, ())
+            index = rel._indexes[positions]
+        if index is not None:
+            return index.get
+    return partial(rel.lookup, positions, tracer=tracer)
+
+
 class PlanCache:
     """FIFO-bounded, thread-safe cache of :class:`JoinPlan` objects.
 
@@ -699,7 +935,8 @@ class PlanCache:
     """
 
     __slots__ = ("maxsize", "hits", "misses", "compiles", "evictions",
-                 "orders", "_plans", "_order_memo", "_shapes", "_lock")
+                 "orders", "_plans", "_order_memo", "_shapes", "_loops",
+                 "_lock")
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
@@ -710,8 +947,11 @@ class PlanCache:
         self.orders: dict[str, int] = {}
         self._plans: dict[tuple, JoinPlan] = {}
         self._order_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
-        #: kernel source text -> compiled function, shared by its plans
+        #: generated source text -> compiled function, shared by the
+        #: plans (kernels) and carry loops of that shape
         self._shapes: dict = {}
+        #: (joins, pseudo, plans, live, traced) -> (function, groups, text)
+        self._loops: dict[tuple, tuple] = {}
         self._lock = threading.Lock()
 
     def plan_for(
@@ -830,12 +1070,82 @@ class PlanCache:
             self._plans[key] = plan
         return plan
 
+    def loop_for(self, joins: Sequence, pseudo: str, n: int, order: str,
+                 db: Database, tracer=None):
+        """One loop of Figure 2 over the join terms ``joins`` (objects
+        with a ``body`` and an ``output``), as a generated function.
+
+        ``n`` is the current size of ``carry``, the relation the bodies
+        call ``pseudo``; ``db`` holds the others.  Asks :meth:`plan_for`
+        once per join -- not once per round -- and binds the
+        :func:`loop_text` function of those plans to the fixed
+        relations' probes and to the ``carry`` sizes ``[lo, hi)`` the
+        plans are :meth:`plan_for`'s choice for.  Returns ``run(carry,
+        seen, carry_name, seen_name, stats, budget, tracer) -> carry``:
+        it advances the loop in place (``seen`` grows) and returns the
+        next ``carry`` -- empty when the loop is done, otherwise of a
+        size outside the interval, and the caller asks again.  The
+        flavour follows ``tracer is None``.
+        """
+        unbound: frozenset = frozenset()
+        db = _Mounted(db, pseudo, n)
+        plans, rels, live = [], [], []
+        lo, hi = 1, float("inf")
+        for join in joins:
+            plan = self.plan_for(join.body, unbound, order, db, tracer)
+            found = [db.relation(pred) for pred in plan._preds]
+            plans.append(plan)
+            rels.append(found)
+            live.append(not plan.always_empty and all(found))
+            if order == "greedy":
+                a, b = _rank_interval(join.body, pseudo, db, n)
+                lo, hi = max(lo, a), min(hi, b)
+        key = (joins, pseudo, tuple(plans), tuple(live), tracer is not None)
+        with self._lock:
+            entry = self._loops.get(key)
+        if entry is None:
+            source, groups = loop_text(
+                plans, [join.output for join in joins], pseudo, live,
+                tracer is not None)
+            entry = (_function(self._shapes, source, "separable-loop",
+                               "loop"), groups, source)
+            with self._lock:
+                while len(self._loops) >= self.maxsize:
+                    del self._loops[next(iter(self._loops))]
+                self._loops[key] = entry
+        fn, groups, _ = entry
+        return partial(
+            fn,
+            tuple([tuple([(*[_probe(rels[i][d], positions, tracer)
+                             for d, positions in probes], *consts, i)
+                          for probes, consts, i in group])
+                   for group in groups]),
+            tuple([i for i, alive in enumerate(live) if not alive]), lo, hi)
+
+    def loops_for(self, joins: Sequence) -> list[tuple]:
+        """``(traced, source, terms)`` of the generated carry loops that
+        ran over ``joins`` (for plan dumps): ``terms`` says per join term
+        with code ``(g, i, probed, constants)`` -- it is ``joins[i]``,
+        read from ``J<g>``, and ``probed`` names the ``(relation, index
+        signature)`` behind each of its probes."""
+        with self._lock:
+            return [
+                (key[4], source, [
+                    (g, i, tuple((key[2][i].atom_order()[d], positions)
+                                 for d, positions in probes), consts)
+                    for g, group in enumerate(groups)
+                    for probes, consts, i in group])
+                for key, (_, groups, source) in self._loops.items()
+                if key[0] == joins
+            ]
+
     def clear(self) -> None:
-        """Drop all plans and zero the counters."""
+        """Drop all plans and generated functions, zero the counters."""
         with self._lock:
             self._plans.clear()
             self._order_memo.clear()
             self._shapes.clear()
+            self._loops.clear()
             self.hits = 0
             self.misses = 0
             self.compiles = 0

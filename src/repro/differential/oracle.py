@@ -27,6 +27,12 @@ one :class:`~repro.differential.cases.Case`:
   when the strategy exits via ``BudgetExceeded`` or
   ``CyclicDataError``.
 
+* a separable case additionally runs the Separable strategy through the
+  **reference carry loop** (``core/evaluator.py::_carry_loop``) and
+  through both flavours of the generated one, and the three must agree
+  on answers, statistics and -- span by span -- every traced counter
+  and series except ``plan_cache_hits`` (:func:`_run_loop_sweep`).
+
 Exceptions the paper itself predicts (Counting and the no-dedup
 ablation on cyclic data, budget blowups of the exponential baselines)
 are tolerated as *skips*; anything else an applicable strategy raises
@@ -35,11 +41,13 @@ is a finding.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..budget import Budget
 from ..core.detection import analyze_recursion
+from ..core.evaluator import _reference_loops
 from ..datalog.errors import (
     BudgetExceeded,
     CyclicDataError,
@@ -291,6 +299,77 @@ def _append_trace_findings(
             Disagreement(kind="trace", strategy=strategy, detail=problem,
                          profile=profile)
         )
+
+
+def _separable_run(case: Case, budget: Budget, traced: bool,
+                   reference: bool) -> tuple:
+    """One Separable evaluation on a fresh engine: ``(answers or None,
+    stats, limit tripped or None, tracer or None)``.
+
+    ``reference`` runs the carry loops through ``_carry_loop`` instead
+    of the generated function.
+    """
+    engine = Engine(case.program, case.database, budget=budget)
+    stats = EvaluationStats()
+    tracer = Tracer() if traced else None
+    try:
+        with _reference_loops() if reference else nullcontext():
+            result = engine.query(
+                case.query, strategy="separable", stats=stats, tracer=tracer,
+            )
+    except BudgetExceeded as exc:
+        return None, exc.stats or stats, exc.limit, tracer
+    return result.answers, result.stats, None, tracer
+
+
+def _span_rows(tracer: Tracer) -> list[tuple]:
+    """Every span as ``(name, attrs, counters, series)``, in order and
+    without ``plan_cache_hits``: the generated loop looks its plans up
+    once per loop where the reference loop does once per round, which
+    is the one traced difference between them."""
+    return [
+        (s.name, s.attrs,
+         {k: v for k, v in s.counters.items() if k != "plan_cache_hits"},
+         s.series)
+        for s in tracer.spans()
+    ]
+
+
+def _run_loop_sweep(verdict: OracleVerdict, case: Case,
+                    budget: Budget) -> None:
+    """Diff the generated carry loops against the reference loop.
+
+    Outcomes are recorded as ``loop[reference]``, ``loop[traced]`` and
+    ``loop[untraced]``.  Required: equal answers (or the same budget
+    limit tripped), equal :class:`EvaluationStats`, and, between the two
+    traced runs, equal span forests up to ``plan_cache_hits``; the
+    reference run's forest is held to :func:`trace_violations` like any
+    other (the traced flavour's already was, as strategy ``separable``).
+    """
+    reference, ref_stats, ref_limit, ref_tracer = _separable_run(
+        case, budget, traced=True, reference=True)
+    verdict.outcomes["loop[reference]"] = StrategyOutcome(
+        strategy="loop[reference]", answers=reference, stats=ref_stats,
+        skipped=ref_limit,
+    )
+    _append_trace_findings(verdict, "loop[reference]", ref_tracer)
+    for traced in (True, False):
+        name = f"loop[{'traced' if traced else 'untraced'}]"
+        answers, stats, limit, tracer = _separable_run(
+            case, budget, traced=traced, reference=False)
+        verdict.outcomes[name] = StrategyOutcome(
+            strategy=name, answers=answers, stats=stats, skipped=limit,
+        )
+        got = {"answers": limit or answers, "stats": stats}
+        want = {"answers": ref_limit or reference, "stats": ref_stats}
+        if traced:
+            got["trace"] = _span_rows(tracer)
+            want["trace"] = _span_rows(ref_tracer)
+        verdict.disagreements += [
+            Disagreement(kind=kind, strategy=name, detail=(
+                f"{got[kind]} vs the reference loop's {want[kind]}"))
+            for kind in got if got[kind] != want[kind]
+        ]
 
 
 def _run_parallel_sweep(
@@ -654,6 +733,9 @@ def run_case(
                 Disagreement(kind="stats", strategy=strategy, detail=problem,
                              profile=profile)
             )
+    separable = verdict.outcomes.get("separable")
+    if separable is not None and separable.error is None:
+        _run_loop_sweep(verdict, case, budget)
     if parallel_workers:
         _run_parallel_sweep(verdict, case, budget, parallel_workers)
     if orders:

@@ -84,12 +84,17 @@ def _series_lines(tracer: Tracer) -> list[str]:
 
 
 def _kernel_lines(plan) -> list[str]:
-    """The generated set-at-a-time kernel behind each join term of a
-    Separable ``plan``, for the cached join plans that ran it.
+    """The generated code behind a Separable ``plan``, for what ran: the
+    set-at-a-time kernel of each join term (the exit joins, and loop
+    terms the reference loop or a pool worker's partition evaluated)
+    and the whole-loop function of each carry loop.
 
-    Kernels are generated on first use, so a term only pool workers ran
-    has none here.  ``K`` is the constants tuple the text unpacks:
-    index signatures, column numbers and body/output constants.
+    Code is generated on first use, so a term only pool workers ran has
+    none here.  ``K`` is the constants tuple a kernel unpacks: index
+    signatures, column numbers and body/output constants.  A loop
+    unpacks them per join term from ``J<g>``; each term's line gives
+    the relation and index signature behind its probes ``q`` and its
+    constants ``k``.
     """
     from ..datalog.plan_cache import PLAN_CACHE  # imports our tracer
 
@@ -99,6 +104,13 @@ def _kernel_lines(plan) -> list[str]:
             source, consts, _ = cached.kernel_text(join.output, True)
             lines.append(f"  kernel {join}  steps={cached.atom_order()}  "
                          f"K={consts}")
+            lines += [f"    {line}" for line in source.splitlines()]
+    for which, joins in (("down", plan.down_joins), ("up", plan.up_joins)):
+        for traced, source, terms in PLAN_CACHE.loops_for(joins):
+            lines.append(f"  {which} loop ({'traced' if traced else 'untraced'}"
+                         f" flavour)")
+            lines += [f"    J{g}: {joins[i]}  q={probed}  k={consts}"
+                      for g, i, probed, consts in terms]
             lines += [f"    {line}" for line in source.splitlines()]
     return lines
 

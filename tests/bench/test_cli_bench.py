@@ -106,9 +106,10 @@ class TestCheckMode:
         code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
         assert code == 1
         out = capsys.readouterr().out
-        # 4 time cells, magic-agrees-with-separable at 2 sizes,
-        # plan_compiles flat for 2 strategies.
-        assert "gates: 8 applied (4 baseline time cells), 0 skipped" in out
+        # 4 time cells, magic-agrees-with-separable and separable's
+        # plan_cache_hits bound at 2 sizes each, plan_compiles flat for
+        # 2 strategies.
+        assert "gates: 10 applied (4 baseline time cells), 0 skipped" in out
         assert "REGRESSIONS (4)" in out
         assert out.count("[time]") == 4
 
@@ -124,7 +125,7 @@ class TestCheckMode:
         code = _bench(tmp_path, "--check", "--baseline-dir", str(tmp_path))
         assert code == 1
         out = capsys.readouterr().out
-        assert "gates: 4 applied (0 baseline time cells), 4 skipped" in out
+        assert "gates: 6 applied (0 baseline time cells), 4 skipped" in out
         assert out.count("[skipped]") == 4
         assert "below the 1ms noise floor" in out
         assert "REGRESSIONS (1)" in out

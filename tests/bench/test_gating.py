@@ -596,6 +596,18 @@ class TestGateRows:
             )
             assert kinds(evaluate_gates(report, [gate])) == expect
 
+    def test_per_round_plan_lookups_fail_the_separable_families(self):
+        # 18 is what e7's separable cell counted while its carry loops
+        # asked the plan cache once per join per round (9 rounds x 2).
+        for key in ("e1", "e2", "e5", "e7"):
+            rows = [g for g in FAMILIES[key].gates if isinstance(g, Bound)]
+            assert [g.counter for g in rows] == ["plan_cache_hits"]
+            report = _growth_report({8: 3})
+            report["results"][0]["counters"]["plan_cache_hits"] = 18
+            assert kinds(evaluate_gates(report, rows)) == ["plan"]
+            report["results"][0]["counters"]["plan_cache_hits"] = 3
+            assert evaluate_gates(report, rows) == []
+
     def test_ratio_with_a_missing_reference_cell_is_skipped(self):
         gate = Ratio("separable", "magic", 1.0, "time", "separable wins")
         assert skips(evaluate_gates(_synthetic(), [gate])) == [(

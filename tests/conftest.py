@@ -7,14 +7,22 @@ no-dedup) is tested for answer-set equality against it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
+from repro.budget import UNLIMITED
+from repro.core.evaluator import _reference_loops, execute_plan
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
+from repro.datalog.errors import BudgetExceeded
 from repro.datalog.parser import parse_program
 from repro.datalog.programs import Program
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.terms import Constant, Variable
+from repro.differential.oracle import _span_rows
+from repro.observability import Tracer
+from repro.stats import EvaluationStats
 from repro.workloads import paper
 
 
@@ -38,6 +46,26 @@ def oracle_answers(program: Program, edb: Database, query: Atom) -> frozenset:
         if ok:
             answers.add(fact)
     return frozenset(answers)
+
+
+def run_loops(plan, db, seeds, reference, traced=False, order="greedy",
+              budget=UNLIMITED):
+    """``execute_plan`` through the reference carry loop
+    (``_carry_loop``) or through the generated one.  Returns ``(answers,
+    or the limit of the BudgetExceeded raised, stats, span rows)`` --
+    what the two must agree on, span rows less ``plan_cache_hits``."""
+    stats = EvaluationStats()
+    tracer = Tracer() if traced else None
+    try:
+        with _reference_loops() if reference else nullcontext():
+            outcome = execute_plan(
+                plan, db, seeds, stats=stats, budget=budget, order=order,
+                tracer=tracer,
+            )
+    except BudgetExceeded as exc:
+        assert exc.stats is stats
+        outcome = exc.limit
+    return outcome, stats, _span_rows(tracer) if traced else None
 
 
 @pytest.fixture

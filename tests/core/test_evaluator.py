@@ -1,21 +1,37 @@
 """Unit tests for plan execution: the carry/seen loops of Figure 2."""
 
+import linecache
+import traceback
+
 import pytest
 
 from repro.budget import Budget
 from repro.core.api import evaluate_separable
 from repro.core.compiler import compile_selection
 from repro.core.detection import require_separable
-from repro.core.evaluator import execute_plan
+from repro.core.evaluator import (
+    _reference_loops,
+    execute_plan,
+    loop_source,
+)
 from repro.core.selections import classify_selection
-from repro.datalog.database import Database
+from repro.datalog.database import Database, Relation
 from repro.datalog.errors import BudgetExceeded, NotFullSelectionError
 from repro.datalog.parser import parse_atom, parse_program
+from repro.datalog.plan_cache import PLAN_CACHE, PlanCache
+from repro.parallel import resolve_parallel
 from repro.stats import EvaluationStats
+from repro.storage import ensure_backend
 from repro.workloads.generators import chain, cycle, grid
 from repro.workloads.paper import example_1_1_program
 
-from ..conftest import oracle_answers
+from ..conftest import oracle_answers, run_loops
+
+
+def plan_of(program, predicate, query_text):
+    analysis = require_separable(program, predicate)
+    selection = classify_selection(analysis, parse_atom(query_text))
+    return compile_selection(selection), selection.seed
 
 
 def run(program, db, query_text, **kwargs):
@@ -152,6 +168,28 @@ class TestBudget:
             )
 
 
+    def test_budget_needs_no_caller_stats(self):
+        """The relation, total and iteration limits are metered on the
+        statistics; a caller that passes none is still held to them."""
+        program = example_1_1_program()
+        db = Database.from_facts(
+            {
+                "friend": chain(100, "a"),
+                "idol": [],
+                "perfectFor": [("a99", "thing")],
+            }
+        )
+        db.ensure("idol", 2)
+        plan, seed = plan_of(program, "buys", "buys(a0, Y)")
+        budget = Budget(max_relation_tuples=10, max_iterations=5)
+        with pytest.raises(BudgetExceeded) as caught:
+            execute_plan(plan, db, [seed], budget=budget)
+        assert caught.value.limit == "iterations"
+        assert caught.value.stats.iterations == 6
+        with pytest.raises(BudgetExceeded), _reference_loops():
+            execute_plan(plan, db, [seed], budget=budget)
+
+
 class TestExecutePlanDirect:
     def test_seed_arity_checked(self, example_1_1):
         program, db = example_1_1
@@ -186,3 +224,146 @@ class TestGridWorkload:
         answers, expected = run(program, db, "tc(g0_0, Y)")
         assert answers == expected
         assert len(answers) == 15  # every other grid node
+
+
+TWO_RULES = parse_program(
+    "t(X, Y) :- e(X, W) & t(W, Y).\n"
+    "t(X, Y) :- s(X, W) & t(W, Y).\n"
+    "t(X, Y) :- t0(X, Y)."
+).program
+
+
+def fan_database():
+    """``a`` fans out to five ``b`` nodes that converge on ``c -> d``;
+    the two-tuple relation ``s`` continues to ``z``: the down loop's
+    carry holds 1, 5, 1, 1, 1 tuples, so it outgrows ``s`` and shrinks
+    below it again."""
+    bs = [f"b{i}" for i in range(5)]
+    return Database.from_facts({
+        "e": [("a", b) for b in bs] + [(b, "c") for b in bs] + [("c", "d")],
+        "s": [("a", "b0"), ("d", "z")],
+        "t0": [("z", "end")],
+    })
+
+
+class TestGeneratedLoop:
+    """The compiled carry loop against ``_carry_loop``, its reference:
+    same answers, same statistics, same spans up to ``plan_cache_hits``."""
+
+    @pytest.mark.parametrize("order", ["greedy", "left_to_right"])
+    def test_rank_change_reenters_with_the_reference_plans(
+            self, monkeypatch, order):
+        entries = []
+        loop_for = PlanCache.loop_for
+
+        def spy(self, joins, *args, **kwargs):
+            entries.append(joins)
+            return loop_for(self, joins, *args, **kwargs)
+
+        monkeypatch.setattr(PlanCache, "loop_for", spy)
+        plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
+        db = fan_database()
+        for traced in (False, True):
+            entries.clear()
+            got = run_loops(plan, db, [seed], False, traced, order)
+            want = run_loops(plan, db, [seed], True, traced, order)
+            assert got == want
+            assert got[0] == {("end",)}
+            assert got[1].relation_sizes["carry_1"] == 5
+            # Entered at |carry| = 1, again at 5 (> |s| = 2: greedy now
+            # scans s and probes carry) and again back at 1.
+            down = [j for j in entries if j == plan.down_joins]
+            assert len(down) == (3 if order == "greedy" else 1)
+
+    @pytest.mark.parametrize("budget, limit", [
+        (Budget(max_iterations=3), "iterations"),
+        (Budget(max_relation_tuples=4), "relation_tuples"),
+        (Budget(max_total_tuples=7), "total_tuples"),
+        (Budget(max_wall_seconds=0.0).start_clock(now=-1.0), "wall_clock"),
+    ])
+    def test_budget_trip_mid_loop_matches_reference(self, budget, limit):
+        plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
+        db = fan_database()
+        for traced in (False, True):
+            got = run_loops(plan, db, [seed], False, traced, budget=budget)
+            want = run_loops(plan, db, [seed], True, traced, budget=budget)
+            assert got[0] == want[0] == limit
+            assert got[1] == want[1]  # exc.stats, asserted to be ours
+
+    def test_sqlite_relations_are_probed_through_lookup(self):
+        plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
+        memory = fan_database()
+        stored = ensure_backend(fan_database(), "sqlite")
+        assert type(stored.relation("e")) is not Relation
+        for traced in (False, True):
+            got = run_loops(plan, stored, [seed], False, traced)
+            assert got == run_loops(plan, stored, [seed], True, traced)
+            assert got[:2] == run_loops(plan, memory, [seed], False,
+                                        traced)[:2]
+
+    def test_loops_of_one_shape_share_one_function(self, example_1_1,
+                                                   example_1_2):
+        """Example 1.2's down loop (over ``friend``) and up loop (over
+        ``cheaper``) differ only in constants, and so does Example 1.1's
+        down loop: its ``friend`` and ``idol`` terms are one shape, run
+        twice.  (Example 1.1 has a single class; its up loop is empty.)"""
+        PLAN_CACHE.clear()
+        program, db = example_1_1
+        both, seed = plan_of(program, "buys", "buys(tom, Y)")
+        assert loop_source(both, "down") == []  # has not run yet
+        execute_plan(both, db, [seed])
+        text, = loop_source(both, "down")
+        assert text.count("for f0 in c0:") == 1
+        assert loop_source(both, "down", traced=True) == []
+        program, db = example_1_2
+        plan, seed = plan_of(program, "buys", "buys(tom, Y)")
+        execute_plan(plan, db, [seed])
+        down, = PLAN_CACHE.loops_for(plan.down_joins)
+        up, = PLAN_CACHE.loops_for(plan.up_joins)
+        assert [down[1]] == [up[1]] == loop_source(plan, "up") == [text]
+        assert down[2] != up[2]  # probed relations and constants
+        loops = [source for source in PLAN_CACHE._shapes
+                 if source.startswith("def loop(")]
+        assert loops == [text]
+        PLAN_CACHE.clear()
+        assert not loop_source(plan, "down")
+        assert not PLAN_CACHE._shapes
+
+    def test_an_executor_that_cannot_partition_takes_the_generated_loop(
+            self, example_1_2):
+        program, db = example_1_2
+        plan, seed = plan_of(program, "buys", "buys(tom, Y)")
+        in_thread = resolve_parallel(1)
+        assert not in_thread.active
+        PLAN_CACHE.clear()
+        answers = execute_plan(plan, db, [seed], parallel=in_thread)
+        assert loop_source(plan, "down")
+        PLAN_CACHE.clear()
+        with _reference_loops():
+            assert execute_plan(plan, db, [seed]) == answers
+        assert not loop_source(plan, "down")
+
+    def test_storage_error_traceback_shows_generated_source(self):
+        class Failing(Relation):
+            __slots__ = ()
+
+            def lookup(self, positions, key, tracer=None):
+                if key == ("c",):
+                    raise OSError("disk I/O error")
+                return super().lookup(positions, key, tracer)
+
+        db = fan_database()
+        db.attach(Failing("e", 2, db.relation("e")), "e")
+        plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
+        PLAN_CACHE.clear()
+        with pytest.raises(OSError) as caught:
+            execute_plan(plan, db, [seed])
+        frame, = [f for f in traceback.extract_tb(caught.value.__traceback__)
+                  if f.filename.startswith("<separable-loop:")]
+        assert frame.name == "loop"
+        assert frame.line == "c1 = q0((r0,))"
+        # The down loop ran two texts by then: carry scanned, and carry
+        # probed while it was larger than ``s``.
+        scanning, probing = loop_source(plan, "down")
+        assert "".join(linecache.getlines(frame.filename)) == scanning
+        assert "indexes" in probing and "indexes" not in scanning

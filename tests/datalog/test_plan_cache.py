@@ -14,7 +14,6 @@ from repro.datalog.database import Database
 from repro.datalog.joins import (
     EQ,
     evaluate_body,
-    evaluate_body_interpreted,
     evaluate_body_into,
     evaluate_body_project,
 )
@@ -29,6 +28,8 @@ from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.terms import Constant, Variable
 from repro.engine import Engine
 from repro.workloads.generators import chain
+
+from ..interpreter import evaluate_body_interpreted
 
 TC_TEXT = "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y)."
 

@@ -12,11 +12,7 @@ import pytest
 
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
-from repro.datalog.joins import (
-    EQ,
-    evaluate_body,
-    evaluate_body_interpreted,
-)
+from repro.datalog.joins import EQ, evaluate_body
 from repro.datalog.plan_cache import ORDERS, PlanCache, compile_join_plan
 from repro.datalog.planner import (
     DIVERGENCE_FACTOR,
@@ -28,6 +24,8 @@ from repro.datalog.planner import (
 )
 from repro.datalog.terms import Variable
 from repro.observability import Tracer
+
+from ..interpreter import evaluate_body_interpreted
 
 
 def binding_set(results):

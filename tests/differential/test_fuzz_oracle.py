@@ -111,6 +111,44 @@ class TestCorpusReplay:
         assert verdict.ok, verdict.summary()
 
 
+class TestLoopSweep:
+    """The oracle runs every separable case through the reference carry
+    loop and both flavours of the generated one, with no flag."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS.glob("*.dl")), ids=lambda p: p.name
+    )
+    def test_corpus_runs_reference_and_both_flavours(self, path):
+        case = load_case(path)
+        verdict = run_case(case)
+        assert verdict.ok, verdict.summary()
+        names = ("loop[reference]", "loop[traced]", "loop[untraced]")
+        if "separable" not in applicable_strategies(case):
+            assert not set(names) & set(verdict.outcomes)
+            return
+        reference, traced, untraced = (verdict.outcomes[n] for n in names)
+        assert reference.ran and traced.ran and untraced.ran
+        assert reference.answers == verdict.reference
+        assert reference.stats == traced.stats == untraced.stats
+
+    def test_a_miscounting_generated_loop_is_a_finding(self, monkeypatch):
+        from repro.core import evaluator
+
+        generated = evaluator._generated_loop
+
+        def miscounting(joins, initial, db, carry_name, seen_name, stats,
+                        *rest):
+            stats.bump_examined()
+            return generated(joins, initial, db, carry_name, seen_name,
+                             stats, *rest)
+
+        monkeypatch.setattr(evaluator, "_generated_loop", miscounting)
+        verdict = run_case(load_case(CORPUS / "example-1-2-friend-cheaper.dl"))
+        assert {d.signature for d in verdict.disagreements} == {
+            ("stats", "loop[traced]"), ("stats", "loop[untraced]"),
+        }, verdict.summary()
+
+
 class TestGeneratorContracts:
     def test_deterministic_from_seed(self):
         first = [c.to_text() for c in CaseGenerator(seed=11).cases(10)]

@@ -27,7 +27,6 @@ from repro.datalog.database import Database
 from repro.datalog.joins import (
     EQ,
     evaluate_body,
-    evaluate_body_interpreted,
     evaluate_body_into,
     evaluate_body_project,
 )
@@ -39,6 +38,7 @@ from repro.observability import Tracer
 from repro.stats import EvaluationStats
 from repro.workloads import paper
 
+from ..interpreter import evaluate_body_interpreted
 from .strategies import CONSTANTS, separable_setups
 
 COMMON = settings(

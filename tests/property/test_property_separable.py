@@ -13,7 +13,7 @@ from repro.rewriting.counting import (
 )
 from repro.rewriting.magic import evaluate_magic
 
-from ..conftest import oracle_answers
+from ..conftest import oracle_answers, run_loops
 from .strategies import queries_for, separable_setups
 
 COMMON = settings(
@@ -132,3 +132,32 @@ def test_justifications_reconstructible(data):
             f"program:\n{program}\nquery: {query}\nanswer {full} not "
             f"justified by {justification}"
         )
+
+
+@COMMON
+@given(data=separable_setups().flatmap(
+    lambda setup: queries_for(
+        setup[0].arity("t"), setup[2], setup[3]
+    ).map(lambda q: (setup, q))
+))
+def test_generated_loop_matches_reference_loop(data):
+    """Both flavours of the compiled carry loop against ``_carry_loop``:
+    equal answers, statistics and spans (less ``plan_cache_hits``), under
+    both orders the compiled loop serves."""
+    from repro.core.compiler import compile_selection
+    from repro.core.selections import classify_selection
+
+    (program, db, _, _), query = data
+    analysis = require_separable(program, "t")
+    selection = classify_selection(analysis, query)
+    if not selection.is_full:
+        return
+    plan = compile_selection(selection)
+    for order in ("greedy", "left_to_right"):
+        for traced in (False, True):
+            got = run_loops(plan, db, [selection.seed], False, traced, order)
+            want = run_loops(plan, db, [selection.seed], True, traced, order)
+            assert got == want, (
+                f"program:\n{program}\nquery: {query}\norder {order}, "
+                f"traced {traced}:\n{got}\nvs the reference loop's\n{want}"
+            )
