@@ -5,7 +5,8 @@ the query ``t(c, Y, Z)?`` binds only *part* of class e_1 and is not a
 full selection.  Lemma 2.1 rewrites the recursion into ``t_full`` and
 ``t_part`` so that sideways information passing turns the query into a
 union of full selections.  This example prints the explicit rewrite,
-the compiled plans for both halves, and verifies the answers against
+the compiled plans for both halves -- the ``t_full`` union runs as one
+fixpoint over seed-tagged tuples -- and verifies the answers against
 semi-naive materialization.
 
 Run:  python examples/partial_selections.py
@@ -62,9 +63,11 @@ def main() -> None:
     print("\n=== Lemma 2.1 rewrite (t_full / t_part) ===")
     print(rewritten)
 
-    # The two compiled plans the evaluation actually uses.
-    print("\n=== plan for the t_full half (seeds via the sideways pass) ===")
-    print(compile_plan(analysis, selected_class=cls).describe())
+    # The two compiled plans the evaluation actually uses.  The seeds
+    # the sideways pass finds run together: seed i enters as (i, *seed)
+    # and the answers split by that leading tag afterwards.
+    print("\n=== plan for the t_full half (every seed, one fixpoint) ===")
+    print(compile_plan(analysis, selected_class=cls, tagged=True).describe())
 
     from repro.core.rewrite import program_without_class
 

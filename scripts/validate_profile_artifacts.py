@@ -10,10 +10,15 @@ every artifact the observability pipeline promises:
 3. the deterministic (``--no-timings``) text report is stable across
    two runs, and its ``-- plan --`` section shows the generated source
    of the carry loops that ran (a ``while carry:`` line);
-4. a ``--parallel 2`` profile of the branch-fan-out example stitches
-   worker trace fragments into one Chrome trace with a lane per worker
-   pid, replays byte-identically, and its reconciled counter totals
-   are byte-identical to the serial profile's.
+4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
+   seed-tagged fixpoint: the report prints the tagged plan and the
+   number of ``separable.loop`` spans does not grow with the seeds;
+5. a ``--parallel 2`` profile of the three-seed example stitches
+   worker trace fragments (carry partitions) into one Chrome trace
+   with a lane per worker pid, replays byte-identically, and its
+   reconciled counter totals equal the serial profile's -- but for the
+   two counters that count carry scans, which grow by exactly one per
+   extra partition of every partitioned round.
 
 ``http-smoke`` mode instead drives a live ``repro-datalog serve
 --http-port`` process and curls ``/metrics``, ``/healthz`` and
@@ -37,6 +42,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_PROGRAM = REPO / "examples" / "example_1_2.dl"
 PARALLEL_PROGRAM = REPO / "examples" / "parallel_lanes.dl"
+PARTIAL_PROGRAM = (REPO / "tests" / "differential" / "corpus"
+                   / "example-2-4-partial-selection.dl")
 
 
 def run_cli(*args: str) -> str:
@@ -122,27 +129,49 @@ def main(argv: list[str]) -> int:
     print("text report ok: deterministic EXPLAIN ANALYZE output, "
           "generated loop source shown")
 
-    # 4. a parallel=2 profile stitches worker fragments into one trace.
+    # 4. a partial selection is one batched fixpoint.
+    check_batched_union()
+
+    # 5. a parallel=2 profile stitches worker fragments into one trace.
     check_stitched_profile(workdir, replay_file, to_chrome_trace)
     return 0
 
 
+def check_batched_union() -> None:
+    """Example 2.4's ``t(c, Y, Z)?``: the report shows the seed-tagged
+    plan, and the loop spans do not depend on the number of seeds --
+    ``t_part`` is an exit and an up loop, the whole ``t_full`` union a
+    down loop, an exit and an up loop."""
+    report = run_cli("profile", str(PARTIAL_PROGRAM), "--no-timings")
+    plan_section = report.split("-- plan --", 1)[1].split("\n-- ", 1)[0]
+    assert "seed tag" in plan_section, (
+        "the plan section does not show the tagged plan:\n" + plan_section
+    )
+    loops = sum(line.startswith("separable.loop ")
+                for line in report.splitlines())
+    assert 1 <= loops <= 4, f"{loops} separable.loop spans, expected <= 4"
+    print(f"batched union ok: tagged plan shown, {loops} loop spans")
+
+
 def check_stitched_profile(workdir: Path, replay_file,
                            to_chrome_trace) -> None:
-    """A --parallel 2 profile of the fan-out example: worker lanes,
-    replay identity, and serial-identical reconciled counters."""
+    """A --parallel 2 profile of the three-seed example: worker lanes
+    (one carry partition per fragment), replay identity, and reconciled
+    counters equal to the serial profile's."""
     from repro.observability import reconciled_counter_totals
 
+    # left_to_right: a partition joins in the order the whole carry
+    # would, so only the scan counts below can differ.
     serial_events = workdir / "serial.jsonl"
     run_cli(
         "profile", str(PARALLEL_PROGRAM), "--no-timings",
-        "--events", str(serial_events),
+        "--order", "left_to_right", "--events", str(serial_events),
     )
     par_events = workdir / "parallel.jsonl"
     par_trace = workdir / "parallel.trace.json"
     run_cli(
         "profile", str(PARALLEL_PROGRAM), "--parallel", "2",
-        "--format", "chrome-trace",
+        "--order", "left_to_right", "--format", "chrome-trace",
         "--out", str(par_trace), "--events", str(par_events),
     )
     chrome = json.loads(par_trace.read_text())
@@ -177,10 +206,21 @@ def check_stitched_profile(workdir: Path, replay_file,
             "stitched trace does not replay byte-identically"
         )
 
-    # Branch fan-out ships whole branches: every portable counter
-    # total must be byte-identical to the serial profile's.
+    # Partitions are exact: every portable counter total must equal
+    # the serial profile's, except that each partition scans its own
+    # share of the carry where the serial round scans it once -- every
+    # stage of this plan is a single join, so one more lookup and one
+    # more full scan per partition beyond a round's first.
+    hosts = [span.attrs["index"] for span in replayed.spans("parallel.worker")]
+    extra = len(hosts) - hosts.count(0)
+    assert extra > 0, "no round was split into more than one partition"
     serial_totals = reconciled_counter_totals(replay_file(serial_events))
     stitched_totals = reconciled_counter_totals(replayed)
+    for name in ("atom_lookups", "full_scans"):
+        grew = stitched_totals.pop(name) - serial_totals.pop(name)
+        assert grew == extra, (
+            f"{name} grew by {grew}, expected {extra} (one per extra "
+            f"partition)")
     assert stitched_totals == serial_totals, (
         f"stitched totals drifted from serial:\n"
         f"  serial   {json.dumps(serial_totals, sort_keys=True)}\n"
@@ -188,7 +228,7 @@ def check_stitched_profile(workdir: Path, replay_file,
     )
     print(
         f"stitched profile ok: {len(worker_pids)} worker lane(s), "
-        f"replay byte-identical, totals == serial"
+        f"replay byte-identical, totals == serial + {extra} carry scans"
     )
 
 

@@ -639,17 +639,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     selection = classify_selection(analysis, query)
     if not selection.is_full:
         print(
-            f"{query} is not a full selection; it would be evaluated "
-            f"through the Lemma 2.1 rewrite. Plans for its full parts:"
+            f"{query} is not a full selection; it is evaluated through "
+            f"the Lemma 2.1 rewrite. The plans that run:"
         )
+        from .core.compiler import compile_plan
         from .core.rewrite import choose_rewrite_class, program_without_class
 
         cls = choose_rewrite_class(analysis, set(selection.bound))
-        print(f"\n-- t_full (seeds via sideways pass through class "
-              f"e_{cls.index}):")
-        from .core.compiler import compile_plan
-
-        print(compile_plan(analysis, selected_class=cls).describe())
+        print(f"\n-- t_full (one seed-tagged fixpoint over every seed the "
+              f"sideways pass through class e_{cls.index} finds):")
+        print(compile_plan(analysis, selected_class=cls,
+                           tagged=True).describe())
         part = program_without_class(analysis, cls)
         part_analysis = require_separable(part, query.predicate)
         part_selection = classify_selection(part_analysis, query)
@@ -697,7 +697,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.parallel:
         from .parallel import ParallelConfig, ParallelExecutor
 
-        executor = ParallelExecutor(ParallelConfig(workers=args.parallel))
+        # Example-sized inputs: partition every carry, as the oracle and
+        # the tests do, so the profile shows the worker lanes.
+        executor = ParallelExecutor(ParallelConfig.eager(args.parallel))
     try:
         prof = engine.profile(
             query, strategy=args.strategy, sink=sink, parallel=executor

@@ -144,6 +144,16 @@ class RecursionAnalysis:
         in_class = {p for c in self.classes for p in c.positions}
         return tuple(p for p in range(self.arity) if p not in in_class)
 
+    @cached_property
+    def part_analyses(self) -> dict[tuple, "RecursionAnalysis"]:
+        """Analyses of this recursion's ``t_part`` rewrites (Lemma 2.1:
+        the recursion without one class), per ``(class index,
+        allow_disconnected)``.  Filled in on first use by
+        :mod:`repro.core.api`; kept here because they are a function of
+        the program alone and so live exactly as long as this analysis.
+        """
+        return {}
+
     def class_of_position(self, position: int) -> EquivalenceClass | None:
         """The class owning ``position``, or ``None`` for persistent ones."""
         for c in self.classes:

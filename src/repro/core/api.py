@@ -9,7 +9,8 @@ separable recursion:
   ``t_part`` recursion (the class dropped, constants persistent) plus,
   for each rule of the rewritten class, a sideways pass through its
   nonrecursive atoms producing fully bound seeds for the original
-  recursion, evaluated per distinct seed with a cache;
+  recursion, all of them evaluated as one fixpoint over seed-tagged
+  tuples (:func:`_run_batch`);
 * queries with *no* constants are outside the paper's scope ("queries in
   which at least one argument of the query predicate is a constant") and
   raise :class:`~repro.datalog.errors.NotFullSelectionError`; the engine
@@ -22,6 +23,7 @@ variables applied as final filters.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Optional
 
@@ -29,7 +31,7 @@ from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
-from ..datalog.joins import evaluate_body, instantiate_args
+from ..datalog.joins import evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.terms import ConstValue, Variable
 from ..observability.tracer import live
@@ -49,28 +51,22 @@ __all__ = [
 ]
 
 
-def _assemble(
-    arity: int,
-    plan: SeparablePlan,
-    fixed: dict[int, ConstValue],
-    up_tuples: frozenset[tuple],
-) -> set[tuple]:
-    """Interleave fixed column values with ``seen_2`` tuples.
+def _assembler(plan: SeparablePlan):
+    """``(seed, seen_2 tuples) -> answers``: interleave the values of
+    the selected columns with ``seen_2`` tuples.
 
     Where each answer column comes from -- a ``seen_2`` column or a
-    fixed value -- is worked out once; every answer is then one tuple
-    concatenation and one C-level pick.
+    seed value -- is worked out once per plan; every answer is then one
+    tuple concatenation and one C-level pick.
     """
-    up = plan.up_positions
-    rest = [p for p in range(arity) if p not in up]
-    consts = tuple(fixed.get(p) for p in rest)
-    if arity == 1:
-        return {ut + consts for ut in up_tuples}
+    up, selected = plan.up_positions, plan.selected_positions
+    if plan.arity == 1:
+        return lambda seed, up_tuples: {ut + seed for ut in up_tuples}
     pick = itemgetter(*(
-        up.index(p) if p in up else len(up) + rest.index(p)
-        for p in range(arity)
+        up.index(p) if p in up else len(up) + selected.index(p)
+        for p in range(plan.arity)
     ))
-    return {pick(ut + consts) for ut in up_tuples}
+    return lambda seed, up_tuples: {pick(ut + seed) for ut in up_tuples}
 
 
 def _matches_query(fact: tuple, query: Atom) -> bool:
@@ -145,58 +141,39 @@ def full_selection_from_extent(
     )
 
 
-def _run_plan(
-    plan: SeparablePlan,
-    key: Optional[tuple],
-    db: Database,
-    seed: tuple,
-    stats: Optional[EvaluationStats],
-    budget: Budget,
-    order: str,
-    tracer=None,
-    memo=None,
-    parallel=None,
-) -> frozenset[tuple]:
-    """Execute one full-selection plan, through the memo when given.
+def _through_memo(memo, key: tuple, run, stats, budget: Budget):
+    """``memo.get_or_run(key, ...)`` for ``run(branch) -> tuples``.
 
-    The memo (see :class:`repro.service.FullSelectionMemo`) caches and
-    coalesces on ``key``; each miss runs under a *fresh* branch
-    :class:`EvaluationStats` so the cached entry carries exactly the
-    work that one full selection cost, and every consumer -- first
-    evaluator or cache hit -- merges that branch into its own
-    accumulator.  A budget trip during the miss merges the partial
-    branch into the caller's stats before propagating, so union-level
-    handlers always see the complete picture.  ``parallel`` reaches
-    :func:`~repro.core.evaluator.execute_plan` for intra-loop carry
-    partitioning.
+    A miss runs under a *fresh* branch :class:`EvaluationStats`, cached
+    beside the tuples as the work the entry cost, and every consumer --
+    first evaluator or cache hit -- merges that branch into ``stats``
+    (``None``: nothing to report to).  A budget trip during the miss
+    merges the partial branch before propagating, so union-level
+    handlers always see the complete picture.
     """
-    if memo is None or key is None:
-        return execute_plan(
-            plan, db, [seed], stats=stats, budget=budget,
-            order=order, tracer=tracer, parallel=parallel,
-        )
+    ran = False
 
     def compute() -> tuple[frozenset[tuple], EvaluationStats]:
+        nonlocal ran
+        ran = True
         branch = EvaluationStats()
         try:
-            tuples = execute_plan(
-                plan, db, [seed], stats=branch, budget=budget,
-                order=order, tracer=tracer, parallel=parallel,
-            )
+            return run(branch), branch
         except BudgetExceeded as exc:
             if stats is not None:
                 stats.merge(branch)
                 exc.stats = stats
             raise
-        return tuples, branch
 
     tuples, branch = memo.get_or_run(key, compute)
     if stats is not None:
         stats.merge(branch)
-        # Branch misses are metered against a fresh accumulator, so the
-        # union-level limits must be re-applied to the merged totals --
-        # a cache hit still spends the caller's budget.
-        budget.check_stats(stats)
+        if ran:
+            # The miss was metered against its own accumulator: re-apply
+            # the union-level limits to the merged totals.  A hit is
+            # reported but never trips by itself -- it did no work, and
+            # an entry may carry more than its own (see _run_batch).
+            budget.check_stats(stats)
     return tuples
 
 
@@ -210,114 +187,124 @@ def _evaluate_full(
     memo=None,
     parallel=None,
 ) -> set[tuple]:
+    """One full selection, through the memo when given.
+
+    The memo (see :class:`repro.service.FullSelectionMemo`) caches and
+    coalesces on :func:`full_selection_key`.  ``parallel`` reaches
+    :func:`~repro.core.evaluator.execute_plan` for intra-loop carry
+    partitioning.
+    """
     plan = compile_selection(selection)
-    key = full_selection_key(
-        selection.analysis, selection.selected_class,
-        selection.selected_positions, selection.seed, order,
-    )
-    up_tuples = _run_plan(plan, key, db, selection.seed, stats, budget,
-                          order, tracer, memo, parallel)
-    fixed = {p: selection.bound[p] for p in plan.selected_positions}
-    return _assemble(selection.analysis.arity, plan, fixed, up_tuples)
+    seed = selection.seed
+
+    def run(branch: Optional[EvaluationStats]) -> frozenset[tuple]:
+        return execute_plan(
+            plan, db, [seed], stats=branch, budget=budget,
+            order=order, tracer=tracer, parallel=parallel,
+        )
+
+    if memo is None:
+        up_tuples = run(stats)
+    else:
+        key = full_selection_key(
+            selection.analysis, selection.selected_class,
+            selection.selected_positions, seed, order,
+        )
+        up_tuples = _through_memo(memo, key, run, stats, budget)
+    return _assembler(plan)(seed, up_tuples)
 
 
-def _fanout_branches(
-    plan: SeparablePlan,
+def _part_analysis(
+    analysis: RecursionAnalysis, cls: EquivalenceClass,
+    allow_disconnected: bool,
+) -> RecursionAnalysis:
+    """The analysis of ``t_part`` (the recursion without ``cls``): a
+    function of the program alone, so derived once and kept with
+    ``analysis`` -- 0.17 ms to re-derive on every partial query."""
+    key = (cls.index, allow_disconnected)
+    part = analysis.part_analyses.get(key)
+    if part is None:
+        part = analysis.part_analyses[key] = require_separable(
+            program_without_class(analysis, cls), analysis.predicate,
+            allow_disconnected=allow_disconnected,
+        )
+    return part
+
+
+def _run_batch(
     analysis: RecursionAnalysis,
     cls: EquivalenceClass,
+    plan: SeparablePlan,
     seeds: list[tuple],
     db: Database,
     stats: Optional[EvaluationStats],
     budget: Budget,
     order: str,
-    memo,
-    parallel,
     tracer=None,
-) -> tuple[dict[tuple, frozenset[tuple]], Optional[BaseException]]:
-    """Evaluate the Lemma 2.1 branches for ``seeds`` on the worker pool.
+    memo=None,
+    parallel=None,
+):
+    """``t_full`` for every seed of one partial selection, as one run;
+    yields each seed's share, in seed order.
 
-    Each branch runs on a parent thread that blocks on a worker-pool
-    result; with a memo, the thread sits inside ``memo.get_or_run`` so
-    in-flight coalescing across concurrent requests keeps its contract
-    (followers wait on the leader's event, a leader failure caches
-    nothing).  Branch stats merge into ``stats`` in *seed order* --
-    merged counter totals are therefore deterministic across runs --
-    with the union-level budget re-applied after every merge, exactly
-    like the serial path.
+    A union of fixpoints over the same rules is one fixpoint over the
+    union of the seeds if each tuple remembers its seed: the tagged
+    ``plan`` (``compile_plan(..., tagged=True)``) runs Figure 2 once
+    from ``(i, *seeds[i])`` and ``seen_2`` splits by its first column
+    into what ``execute_plan(untagged, db, [seeds[i]])`` would have
+    returned -- as many rounds as the deepest seed needs, not the sum
+    over seeds.
 
-    When tracing, each worker ships its branch span tree home as a
-    :class:`~repro.observability.fragments.TraceFragment`.  The
-    fragments are stripped off *before* the memo caches a value (memo
-    entries stay ``(tuples, branch_stats)`` pairs, and a cached hit
-    costs no trace) and stitched into ``tracer`` on this thread, in
-    seed order, after every branch thread has joined -- ``Tracer`` is
-    not thread-safe, so installation never happens on branch threads.
-
-    Returns ``(seed_cache, failure)``: the completed branches' results
-    plus the first failure in seed order (``None`` on success).  The
-    caller assembles the completed answers before re-raising, so a
-    budget trip still degrades into a well-formed partial answer set.
+    With a memo the protocol stays one ``get_or_run`` per seed, in seed
+    order, on the per-seed :func:`full_selection_key` (what the service
+    repairs entry by entry after a write).  The first ``compute`` that
+    actually runs evaluates the batch over its seed and those later
+    seeds the memo holds no entry for (``memo.peek``, where the memo
+    has one; all of them otherwise), and the later ``compute``s take
+    their share of it.  The batch's statistics go with the seed whose
+    ``compute`` ran it and an empty accumulator with the others, so the
+    batch's work is merged exactly once -- a seed this query's batch
+    covered merges nothing more, even if another query's entry answers
+    it in the end.  No ``compute`` waits on the memo, so two queries
+    meeting each other's seeds in opposite orders cannot deadlock.
     """
-    fragments: dict[tuple, object] = {}
 
-    def branch(seed: tuple):
-        def compute() -> tuple[frozenset[tuple], EvaluationStats]:
-            if tracer is None:
-                return parallel.run_plan_remote(
-                    db, plan, [seed], order, budget
-                )
-            tuples, branch_stats, fragment = parallel.run_plan_remote(
-                db, plan, [seed], order, budget, collect_fragment=True
-            )
-            if fragment is not None:
-                fragments[seed] = fragment
-            return tuples, branch_stats
-
-        if memo is None:
-            return compute()
-        key = full_selection_key(analysis, cls, cls.positions, seed, order)
-        return memo.get_or_run(key, compute)
-
-    outcomes = parallel.map_threads(branch, seeds)
-    if tracer is not None:
-        for seed in seeds:
-            fragment = fragments.get(seed)
-            if fragment is not None:
-                parallel.install_fragment(
-                    tracer, fragment, task="branch", seed=list(seed)
-                )
-    seed_cache: dict[tuple, frozenset[tuple]] = {}
-    failure: Optional[BaseException] = None
-    for seed, (status, value) in zip(seeds, outcomes):
-        if status == "error":
-            if failure is None:
-                failure = value
-            continue
-        tuples, branch_stats = value
-        seed_cache[seed] = tuples
-        if stats is not None:
-            stats.merge(branch_stats)
-            if failure is None:
-                try:
-                    budget.check_stats(stats)
-                except BudgetExceeded as exc:
-                    failure = exc
-    if isinstance(failure, BudgetExceeded) and stats is not None:
-        # Mirror the serial contract: the escaping trip carries the
-        # union accumulator, with the failing branch's own partial
-        # stats folded in first.
-        branch_stats = failure.stats
-        if (
-            isinstance(branch_stats, EvaluationStats)
-            and branch_stats is not stats
+    def run(batch, branch: Optional[EvaluationStats]) -> dict[int, list]:
+        shares: dict[int, list] = {i: [] for i in batch}
+        for t in execute_plan(
+            plan, db, [(i, *seeds[i]) for i in batch], stats=branch,
+            budget=budget, order=order, tracer=tracer, parallel=parallel,
         ):
-            stats.merge(branch_stats)
-        failure.stats = stats
-    return seed_cache, failure
+            shares[t[0]].append(t[1:])
+        return shares
+
+    if memo is None:
+        if seeds:
+            yield from run(range(len(seeds)), stats).values()
+        return
+
+    keys = [full_selection_key(analysis, cls, cls.positions, seed, order)
+            for seed in seeds]
+    peek = getattr(memo, "peek", None)
+    missing = [i for i, key in enumerate(keys)
+               if peek is None or peek(key) is None]
+    done: dict[int, list] = {}  # the shares of what this query ran
+
+    def share(i: int, branch: EvaluationStats) -> frozenset[tuple]:
+        if i not in done:
+            done.update(run(
+                [i] + [j for j in missing if j > i and j not in done],
+                branch))
+        return frozenset(done[i])
+
+    for i, key in enumerate(keys):
+        yield _through_memo(memo, key, partial(share, i),
+                            None if i in done else stats, budget)
 
 
 def _evaluate_partial(
     selection: Selection,
+    cls: EquivalenceClass,
     db: Database,
     stats: Optional[EvaluationStats],
     budget: Budget,
@@ -327,105 +314,62 @@ def _evaluate_partial(
     memo=None,
     parallel=None,
 ) -> set[tuple]:
-    """Operational Lemma 2.1: ``t_part`` answers plus per-seed ``t_full``.
+    """Operational Lemma 2.1 on the partially bound class ``cls``:
+    ``t_part`` answers plus the ``t_full`` batch (:func:`_run_batch`).
 
-    The evaluation is a union of full selections.  When any branch
-    raises :class:`BudgetExceeded`, the exception leaves here carrying
-    the *merged* statistics of every completed branch (not just the
-    failing one) and the answers assembled so far as
-    :attr:`~repro.errors.BudgetExceeded.partial` -- the query service
+    When either half raises :class:`BudgetExceeded`, the exception
+    leaves here carrying the *merged* statistics of everything that ran
+    and the answers assembled so far -- ``t_part``'s, and those of the
+    seeds the memo answered before the batch tripped -- as
+    :attr:`~repro.errors.BudgetExceeded.partial`: the query service
     degrades those into a ``PartialResult`` instead of a bare error.
-
-    The union branches are independent (Theorem 2.1), so with a
-    :class:`~repro.parallel.ParallelExecutor` and enough distinct
-    seeds they fan out across the worker pool
-    (:func:`_fanout_branches`); answers and merged statistics stay
-    deterministic because the merge happens in seed-discovery order.
     """
     analysis = selection.analysis
-    cls = choose_rewrite_class(analysis, set(selection.bound))
     answers: set[tuple] = set()
 
     try:
         # t_part: the recursion without cls; the same query is full
         # there because cls's columns are persistent in t_part.
-        part_program = program_without_class(analysis, cls)
-        part_analysis = require_separable(
-            part_program, analysis.predicate,
-            allow_disconnected=allow_disconnected,
+        answers |= _evaluate_full(
+            classify_selection(
+                _part_analysis(analysis, cls, allow_disconnected),
+                selection.query,
+            ),
+            db, stats, budget, order, tracer, memo, parallel,
         )
-        part_selection = classify_selection(part_analysis, selection.query)
-        if part_selection.is_full:
-            answers |= _evaluate_full(part_selection, db, stats, budget,
-                                      order, tracer, memo, parallel)
-        else:  # pragma: no cover - cannot happen: bound cls cols are pers
-            answers |= _evaluate_partial(
-                part_selection, db, stats, budget, order,
-                allow_disconnected=allow_disconnected, tracer=tracer,
-                memo=memo, parallel=parallel,
-            )
 
-        # t_full: sideways pass through each rule of cls produces fully
-        # bound seeds; evaluate the original recursion once per seed.
-        plan = compile_plan(analysis, selected_class=cls)
+        # t_full: a sideways pass through each rule of cls produces
+        # fully bound seeds of the original recursion, each with the
+        # head values of cls's columns it answers for.
         head_vars = analysis.head_vars
         init = {
             head_vars[p]: selection.bound[p]
             for p in cls.positions
             if p in selection.bound
         }
-        seed_terms = {
-            a.index: tuple(a.recursive_atom.args[p] for p in cls.positions)
-            for a in analysis.rules_of_class(cls)
-        }
         head_terms = tuple(head_vars[p] for p in cls.positions)
-        rows: list[tuple[tuple, tuple]] = []
+        width = len(head_terms)
+        heads_of: dict[tuple, list[tuple]] = {}  # in discovery order
         for a in analysis.rules_of_class(cls):
-            for bindings in evaluate_body(
-                db, a.nonrecursive_atoms, initial_bindings=init,
-                stats=stats, order=order, tracer=tracer,
+            seed_terms = tuple(
+                a.recursive_atom.args[p] for p in cls.positions)
+            for row in evaluate_body_project(
+                db, a.nonrecursive_atoms, seed_terms + head_terms,
+                initial_bindings=init, stats=stats, order=order,
+                tracer=tracer,
             ):
-                rows.append((
-                    instantiate_args(seed_terms[a.index], bindings),
-                    instantiate_args(head_terms, bindings),
-                ))
-        seeds: list[tuple] = []
-        seen_seeds: set[tuple] = set()
-        for seed, _ in rows:
-            if seed not in seen_seeds:
-                seen_seeds.add(seed)
-                seeds.append(seed)
+                heads_of.setdefault(row[:width], []).append(row[width:])
 
-        seed_cache: dict[tuple, frozenset[tuple]] = {}
-        failure: Optional[BaseException] = None
-        if (
-            parallel is not None
-            and parallel.active
-            and len(seeds) >= parallel.config.min_branch_tasks
-        ):
-            seed_cache, failure = _fanout_branches(
-                plan, analysis, cls, seeds, db, stats, budget, order,
-                memo, parallel, tracer=tracer,
-            )
-        for seed, fixed_values in rows:
-            cached = seed_cache.get(seed)
-            if cached is None:
-                if failure is not None:
-                    continue  # branch never completed before the trip
-                key = full_selection_key(
-                    analysis, cls, cls.positions, seed, order,
-                )
-                cached = _run_plan(plan, key, db, seed, stats,
-                                   budget, order, tracer, memo, parallel)
-                seed_cache[seed] = cached
-            fixed = dict(zip(cls.positions, fixed_values))
-            answers |= _assemble(analysis.arity, plan, fixed, cached)
-        if failure is not None:
-            raise failure
+        plan = compile_plan(analysis, selected_class=cls, tagged=True)
+        assemble = _assembler(plan)
+        shares = _run_batch(analysis, cls, plan, list(heads_of), db, stats,
+                            budget, order, tracer, memo, parallel)
+        for heads, share in zip(heads_of.values(), shares):
+            for head in heads:
+                answers |= assemble(head, share)
     except BudgetExceeded as exc:
-        # The failing branch attached only its own stats; replace them
-        # with the union accumulator (which the completed branches
-        # already merged into) and keep the answers assembled so far.
+        # The failing run attached only its own stats; replace them with
+        # the union accumulator and keep the answers assembled so far.
         if stats is not None:
             exc.stats = stats
         if exc.partial is None:
@@ -467,15 +411,18 @@ def evaluate_separable(
     memo:
         An optional full-selection memo (anything with ``get_or_run(key,
         compute)``, e.g. :class:`repro.service.FullSelectionMemo`):
-        every carry/seen run -- the direct one for a full selection, and
-        each branch of the Lemma 2.1 union for a partial one -- is
-        served from it when already answered, and computed once under a
-        fresh branch ``EvaluationStats`` otherwise.  The caller must
-        scope the memo (or the keys) to this exact ``db`` snapshot.
+        every full selection -- the direct one, and each seed of the
+        Lemma 2.1 union of a partial one -- is served from it when
+        already answered, and computed under a fresh branch
+        ``EvaluationStats`` otherwise (the seeds of one union that miss
+        are computed together, told apart beforehand through the memo's
+        ``peek(key)`` if it has one; see :func:`_run_batch` for which
+        entry carries the work).  The caller must scope the memo (or
+        the keys) to this exact ``db`` snapshot.
     parallel:
-        An optional :class:`~repro.parallel.ParallelExecutor`.  Partial
-        selections fan their Lemma 2.1 union branches across the worker
-        pool, and large carry iterations hash-partition within a loop;
+        An optional :class:`~repro.parallel.ParallelExecutor`: large
+        carry iterations hash-partition across the worker pool within a
+        loop -- the seed-tagged carry of a partial selection included;
         answers are byte-identical to the serial run (see
         ``docs/parallelism.md``).  ``None`` (or an inactive executor)
         keeps everything in-process.
@@ -500,17 +447,22 @@ def evaluate_separable(
     if selection.is_full:
         answers = _evaluate_full(selection, db, stats, budget, order,
                                  tracer, memo, parallel)
+        placed = selection.selected_positions
     else:
+        cls = choose_rewrite_class(analysis, set(selection.bound))
         answers = _evaluate_partial(
-            selection, db, stats, budget, order,
+            selection, cls, db, stats, budget, order,
             allow_disconnected=allow_disconnected, tracer=tracer,
             memo=memo, parallel=parallel,
         )
+        placed = cls.positions
     variables = [t for t in query.args if isinstance(t, Variable)]
-    if (selection.is_full and not selection.residual_bound()
-            and len(set(variables)) == len(variables)):
-        # Every query constant sits in the selected component, where
-        # assembly put it: the residual match is vacuous.
+    if (len(set(variables)) == len(variables)
+            and all(p in placed for p in selection.bound)):
+        # Every query constant sits where evaluation put it -- in the
+        # selected component, or in the rewritten class, whose bound
+        # columns seed the sideways pass and are persistent (so
+        # selected) in t_part: the residual match is vacuous.
         result = frozenset(answers)
     else:
         result = frozenset(

@@ -33,18 +33,21 @@ from .selections import Selection
 __all__ = ["compile_plan", "compile_selection"]
 
 
-def _down_join(a: RuleAnalysis, positions: tuple[int, ...]) -> CarryJoin:
+def _down_join(a: RuleAnalysis, positions: tuple[int, ...],
+               tag: tuple[Variable, ...]) -> CarryJoin:
     """``f_1`` term for one rule of the selected class.
 
     The carry holds values of the *head* variables at the class columns;
     joining the rule's nonrecursive atoms yields the corresponding
     *body*-instance values -- the bindings passed down to the next
     recursion level (compare Figure 3's
-    ``carry_1(W) := carry_1(X) & f(X, W)``).
+    ``carry_1(W) := carry_1(X) & f(X, W)``).  ``tag`` -- empty, or the
+    seed-tag variable of a tagged plan -- leads the pseudo-atom and the
+    output of every term, here and below.
     """
     head_terms = tuple(a.rule.head.args[p] for p in positions)
-    carry_atom = Atom(CARRY, head_terms)
-    output = tuple(a.recursive_atom.args[p] for p in positions)
+    carry_atom = Atom(CARRY, tag + head_terms)
+    output = tag + tuple(a.recursive_atom.args[p] for p in positions)
     return CarryJoin(
         label=f"r{a.index + 1}",
         body=(carry_atom,) + a.nonrecursive_atoms,
@@ -56,6 +59,7 @@ def _down_join(a: RuleAnalysis, positions: tuple[int, ...]) -> CarryJoin:
 def _up_join(
     a: RuleAnalysis,
     up_positions: tuple[int, ...],
+    tag: tuple[Variable, ...],
 ) -> CarryJoin:
     """``f_2`` term for one rule of a non-selected class.
 
@@ -66,8 +70,8 @@ def _up_join(
     (their body terms equal their head terms by Conditions 1-2).
     """
     carry_terms = tuple(a.recursive_atom.args[p] for p in up_positions)
-    carry_atom = Atom(CARRY, carry_terms)
-    output = tuple(a.rule.head.args[p] for p in up_positions)
+    carry_atom = Atom(CARRY, tag + carry_terms)
+    output = tag + tuple(a.rule.head.args[p] for p in up_positions)
     return CarryJoin(
         label=f"r{a.index + 1}",
         body=(carry_atom,) + a.nonrecursive_atoms,
@@ -81,6 +85,7 @@ def _exit_join(
     exit_index: int,
     selected_positions: tuple[int, ...],
     up_positions: tuple[int, ...],
+    tag: tuple[Variable, ...],
 ) -> CarryJoin:
     """``carry_2`` initialization term for one exit rule (line 8).
 
@@ -89,8 +94,8 @@ def _exit_join(
     ``carry_2(W) := seen_1(X) & t_0(X, W)``).
     """
     seen_terms = tuple(exit_rule.head.args[p] for p in selected_positions)
-    seen_atom = Atom(SEEN, seen_terms)
-    output = tuple(exit_rule.head.args[p] for p in up_positions)
+    seen_atom = Atom(SEEN, tag + seen_terms)
+    output = tag + tuple(exit_rule.head.args[p] for p in up_positions)
     return CarryJoin(
         label=f"exit{exit_index + 1}",
         body=(seen_atom,) + tuple(exit_rule.body),
@@ -99,16 +104,38 @@ def _exit_join(
     )
 
 
+def _fresh_tag(analysis: RecursionAnalysis) -> Variable:
+    """A variable no rule of the recursion mentions."""
+    used = {
+        v.name
+        for r in tuple(a.rule for a in analysis.rules) + analysis.exit_rules
+        for atom in (r.head,) + tuple(r.body)
+        for v in atom.variable_set()
+    }
+    name = "Seed"
+    while name in used:
+        name += "_"
+    return Variable(name)
+
+
 def compile_plan(
     analysis: RecursionAnalysis,
     selected_class: EquivalenceClass | None = None,
     pers_positions: Sequence[int] = (),
+    tagged: bool = False,
 ) -> SeparablePlan:
     """Instantiate the schema for one selected component.
 
     Exactly one of ``selected_class`` / ``pers_positions`` must be
     given: a fully bound equivalence class, or the bound persistent
     columns for the dummy-class case.
+
+    ``tagged`` prepends one fresh variable -- the seed tag -- to the
+    pseudo-atom and the output of every term, so each relation of the
+    plan grows one leading column the joins copy unchanged.  A tuple
+    then remembers which seed it descends from, and the union of the
+    fixpoints of many seeds is one fixpoint over all of them
+    (:attr:`SeparablePlan.tag`).
     """
     if (selected_class is None) == (not pers_positions):
         raise ValueError(
@@ -138,16 +165,18 @@ def compile_plan(
         p for p in range(analysis.arity) if p not in selected_positions
     )
 
+    tag = (_fresh_tag(analysis),) if tagged else ()
+
     down_joins = tuple(
-        _down_join(a, selected_positions) for a in down_rules
+        _down_join(a, selected_positions, tag) for a in down_rules
     )
     up_joins = tuple(
-        _up_join(a, up_positions)
+        _up_join(a, up_positions, tag)
         for cls in up_classes
         for a in analysis.rules_of_class(cls)
     )
     exit_joins = tuple(
-        _exit_join(r, i, selected_positions, up_positions)
+        _exit_join(r, i, selected_positions, up_positions, tag)
         for i, r in enumerate(analysis.exit_rules)
     )
     return SeparablePlan(
@@ -159,6 +188,7 @@ def compile_plan(
         exit_joins=exit_joins,
         up_joins=up_joins,
         selected_class_index=selected_index,
+        tag=tag[0] if tag else None,
     )
 
 

@@ -328,5 +328,9 @@ def execute_plan(
     # Lines 9-15: the up loop; ans := seen_2.
     seen_2 = loop(plan.up_joins, carry_2, plan.answer_arity,
                   "carry_2", "seen_2")
-    stats.record_relation("ans", len(seen_2))
+    if plan.tag is None:
+        # A tagged seen_2 holds (tag, answer) pairs, one per seed that
+        # reaches the answer: its size is not the number of answers
+        # (the caller, who splits by tag, records that).
+        stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datalog.atoms import Atom
-from ..datalog.terms import Term
+from ..datalog.terms import Term, Variable
 
 __all__ = ["CARRY", "SEEN", "CarryJoin", "SeparablePlan"]
 
@@ -80,6 +80,13 @@ class SeparablePlan:
     selected_class_index:
         1-based index of the selected equivalence class, or ``None`` for
         the pers-driven (dummy class) case.
+    tag:
+        The *seed tag* variable of a tagged plan, else ``None``.  Every
+        relation of a tagged plan carries one extra leading column that
+        each join passes through unchanged: seeds ``(i, *seed_i)`` run
+        as one fixpoint and ``seen_2`` splits by tag into what each seed
+        alone would have produced (the batched Lemma 2.1 union of
+        :mod:`repro.core.api`).
     """
 
     predicate: str
@@ -90,16 +97,17 @@ class SeparablePlan:
     exit_joins: tuple[CarryJoin, ...]
     up_joins: tuple[CarryJoin, ...]
     selected_class_index: int | None
+    tag: Variable | None = None
 
     @property
     def seed_arity(self) -> int:
         """Columns of ``carry_1`` / ``seen_1``."""
-        return len(self.selected_positions)
+        return len(self.selected_positions) + (self.tag is not None)
 
     @property
     def answer_arity(self) -> int:
         """Columns of ``carry_2`` / ``seen_2`` / ``ans``."""
-        return len(self.up_positions)
+        return len(self.up_positions) + (self.tag is not None)
 
     def describe(self) -> str:
         """Pretty-print the plan in the style of Figures 3 and 4."""
@@ -113,6 +121,11 @@ class SeparablePlan:
             ),
             f"  answer columns {tuple(p + 1 for p in self.up_positions)}",
         ]
+        if self.tag is not None:
+            lines.append(
+                f"  seed tag      {self.tag}  (leading column of every "
+                f"relation: one fixpoint for all seeds)"
+            )
         if self.down_joins:
             lines.append("  down loop (f_1):")
             lines.extend(f"    {j}" for j in self.down_joins)

@@ -33,6 +33,12 @@ one :class:`~repro.differential.cases.Case`:
   on answers, statistics and -- span by span -- every traced counter
   and series except ``plan_cache_hits`` (:func:`_run_loop_sweep`).
 
+* a partial selection additionally evaluates its Lemma 2.1 union
+  *literally* -- ``t_part`` plus one reference-loop run of the untagged
+  plan per sideways seed -- and the seed-tagged batch the Separable
+  strategy ran must have found exactly those answers
+  (:func:`_run_union_check`, outcome ``union[batched]``).
+
 Exceptions the paper itself predicts (Counting and the no-dedup
 ablation on cyclic data, budget blowups of the exponential baselines)
 are tolerated as *skips*; anything else an applicable strategy raises
@@ -46,8 +52,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..budget import Budget
-from ..core.detection import analyze_recursion
-from ..core.evaluator import _reference_loops
+from ..core.compiler import compile_plan, compile_selection
+from ..core.detection import analyze_recursion, require_separable
+from ..core.evaluator import _reference_loops, execute_plan
+from ..core.rewrite import choose_rewrite_class, program_without_class
+from ..core.selections import classify_selection
+from ..datalog.joins import evaluate_body, instantiate_args
 from ..datalog.errors import (
     BudgetExceeded,
     CyclicDataError,
@@ -372,6 +382,78 @@ def _run_loop_sweep(verdict: OracleVerdict, case: Case,
         ]
 
 
+def _run_union_check(verdict: OracleVerdict, case: Case,
+                     budget: Budget) -> None:
+    """Lemma 2.1 taken literally, against the batch that replaced it.
+
+    The Separable strategy evaluates the ``t_full`` half of a partial
+    selection as one fixpoint over seed-tagged tuples.  This evaluates
+    it the way the lemma states it: the sideways pass through each rule
+    of the rewritten class, then one run of the *untagged* plan per
+    seed through the reference loop, unioned with ``t_part``.  Recorded
+    as outcome ``union[batched]``; the strategy's answers differing from
+    the union's is an ``answers`` finding under that name.
+    """
+    batched = verdict.outcomes["separable"].answers
+    engine = Engine(case.program, case.database, budget=budget)
+    predicate = case.query.predicate
+    analysis = engine.report(predicate).analysis
+    selection = classify_selection(analysis, case.query)
+    if batched is None or selection.is_full or not selection.has_constants:
+        return
+    cls = choose_rewrite_class(analysis, set(selection.bound))
+    db = engine._database_for(predicate)
+    arity = analysis.arity
+
+    def facts(plan, seed, up_tuples):
+        for ut in up_tuples:
+            fact: list = [None] * arity
+            for p, v in zip(plan.selected_positions, seed):
+                fact[p] = v
+            for p, v in zip(plan.up_positions, ut):
+                fact[p] = v
+            yield tuple(fact)
+
+    part = classify_selection(
+        require_separable(program_without_class(analysis, cls), predicate),
+        case.query)
+    part_plan = compile_selection(part)
+    plan = compile_plan(analysis, selected_class=cls)
+    init = {analysis.head_vars[p]: selection.bound[p]
+            for p in cls.positions if p in selection.bound}
+    head_terms = tuple(analysis.head_vars[p] for p in cls.positions)
+    runs: dict[tuple, frozenset] = {}
+    try:
+        with _reference_loops():
+            union = set(facts(part_plan, part.seed, execute_plan(
+                part_plan, db, [part.seed], budget=budget)))
+            for a in analysis.rules_of_class(cls):
+                seed_terms = tuple(
+                    a.recursive_atom.args[p] for p in cls.positions)
+                for bindings in evaluate_body(db, a.nonrecursive_atoms,
+                                              initial_bindings=init):
+                    seed = instantiate_args(seed_terms, bindings)
+                    if seed not in runs:
+                        runs[seed] = execute_plan(plan, db, [seed],
+                                                  budget=budget)
+                    union.update(facts(
+                        plan, instantiate_args(head_terms, bindings),
+                        runs[seed]))
+    except _TOLERATED as exc:
+        verdict.outcomes["union[batched]"] = StrategyOutcome(
+            strategy="union[batched]", skipped=str(exc))
+        return
+    answers = frozenset(
+        f for f in union if _matches_query(f, case.query))
+    verdict.outcomes["union[batched]"] = StrategyOutcome(
+        strategy="union[batched]", answers=answers)
+    if batched != answers:
+        verdict.disagreements.append(Disagreement(
+            kind="answers", strategy="union[batched]",
+            detail="the seed-tagged batch against the per-seed union of "
+                   f"{len(runs)} runs: " + _diff_detail(answers, batched)))
+
+
 def _run_parallel_sweep(
     verdict: OracleVerdict,
     case: Case,
@@ -382,8 +464,8 @@ def _run_parallel_sweep(
 
     For each requested worker count the Separable strategy re-runs on a
     fresh engine with an *eager* :class:`~repro.parallel.ParallelConfig`
-    (thresholds floored so even corpus-sized inputs exercise the remote
-    branch fan-out and carry partitioning).  Outcomes are recorded as
+    (threshold floored so even corpus-sized inputs exercise carry and
+    exit partitioning).  Outcomes are recorded as
     ``parallel[w]``; answer diffs, stats invariants, and trace
     invariants are held to exactly the serial standard, and each
     finding's profile carries the worker count.
@@ -736,6 +818,7 @@ def run_case(
     separable = verdict.outcomes.get("separable")
     if separable is not None and separable.error is None:
         _run_loop_sweep(verdict, case, budget)
+        _run_union_check(verdict, case, budget)
     if parallel_workers:
         _run_parallel_sweep(verdict, case, budget, parallel_workers)
     if orders:

@@ -81,17 +81,19 @@ class BudgetExceeded(EvaluationError):
     stats:
         The partially accumulated :class:`repro.stats.EvaluationStats`.
         When the trip happened inside a Lemma 2.1 union evaluation this
-        is the *merged* accumulator over every already-completed full
-        selection, not just the failing branch.
+        is the *merged* accumulator over everything that ran (``t_part``
+        and the ``t_full`` batch), not just the failing run's.
     limit:
         Which limit tripped: ``"relation_tuples"``, ``"total_tuples"``,
         ``"iterations"`` or ``"wall_clock"`` (``None`` for callers that
         raise without tagging).  ``"wall_clock"`` trips are the only
         ones worth retrying -- every other limit is deterministic.
     partial:
-        Answers from completed union branches, when the evaluation can
-        degrade gracefully (``None`` when nothing was completed or the
-        strategy cannot produce partial answers).
+        Answers of what completed of a Lemma 2.1 union (when the
+        ``t_full`` batch trips: ``t_part``, and the seeds a memo had
+        answered by then), when the evaluation can degrade gracefully
+        (``None`` when nothing was completed or the strategy cannot
+        produce partial answers).
     """
 
     def __init__(

@@ -83,6 +83,26 @@ def _series_lines(tracer: Tracer) -> list[str]:
     return lines
 
 
+def _plan_that_ran(result):
+    """``result.plan``, or -- for a partial selection the Separable
+    strategy answered, which has no one plan of its own -- the
+    seed-tagged plan of its ``t_full`` half, compiled here for display
+    (its ``t_part`` half is a full selection on another recursion)."""
+    if result.plan is not None or result.strategy not in (
+            "separable", "relaxed"):
+        return result.plan
+    from ..core.compiler import compile_plan
+    from ..core.rewrite import choose_rewrite_class
+    from ..core.selections import classify_selection
+
+    analysis = result.report.analysis
+    selection = classify_selection(analysis, result.query)
+    if selection.is_full:  # pragma: no cover - full selections have a plan
+        return None
+    cls = choose_rewrite_class(analysis, set(selection.bound))
+    return compile_plan(analysis, selected_class=cls, tagged=True)
+
+
 def _kernel_lines(plan) -> list[str]:
     """The generated code behind a Separable ``plan``, for what ran: the
     set-at-a-time kernel of each join term (the exit joins, and loop
@@ -228,9 +248,11 @@ class QueryProfile:
             header += f"; wall-clock: {self.wall_s * 1e3:.3f} ms"
         lines.append(header)
 
-        lines += ["", f"-- plan {rule[8:]}", result.describe_plan()]
-        if result.plan is not None:
-            lines += _kernel_lines(result.plan)
+        plan = _plan_that_ran(result)
+        lines += ["", f"-- plan {rule[8:]}",
+                  result.describe_plan() if plan is None else plan.describe()]
+        if plan is not None:
+            lines += _kernel_lines(plan)
         lines += ["", f"-- strategy advice {rule[19:]}",
                   self.advice.explain()]
 

@@ -1,10 +1,9 @@
-"""Parallel class-independent evaluation (Theorem 2.1 as a scheduler).
+"""Parallel evaluation of the Figure 2 loops by carry partitioning.
 
-The paper's structural insight -- equivalence classes of a separable
-recursion evaluate independently -- is also a parallel decomposition:
-the Lemma 2.1 union of full selections fans across a worker pool, and
-within one carry/seen loop the carry relation hash-partitions exactly
-whenever every join term consumes it exactly once.  This package holds
+Within one carry/seen loop (and the exit stage) the carry relation
+hash-partitions exactly whenever every join term consumes it exactly
+once; the seed-tagged batch that evaluates a Lemma 2.1 union puts every
+seed's tuples into that one carry.  This package holds
 the spawn-based pool (:mod:`~repro.parallel.executor`), the picklable
 task functions that run inside workers (:mod:`~repro.parallel.worker`),
 and :func:`resolve_parallel`, the front door behind

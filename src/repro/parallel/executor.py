@@ -1,17 +1,13 @@
 """The parent-side worker-pool executor for parallel Separable evaluation.
 
-Theorem 2.1 makes equivalence classes of a separable recursion
-independent, which exposes two safe axes of parallelism:
-
-* **branch fan-out** -- the Lemma 2.1 union of full selections runs one
-  carry/seen evaluation per distinct sideways seed; each is a pure
-  function of ``(plan, db, seed, order)`` and ships whole to a worker
-  (:meth:`ParallelExecutor.run_plan_remote`);
-* **carry partitioning** -- inside one carry loop, when every join term
-  touches the carry pseudo-relation exactly once, every output row is
-  derived from exactly one carry tuple, so hash-partitioning the carry
-  across workers partitions the outputs exactly
-  (:meth:`ParallelExecutor.apply_joins`).
+One axis of parallelism, **carry partitioning**: inside one carry loop
+(or the exit stage), when every join term touches the pseudo-relation
+exactly once, every output row is derived from exactly one carry tuple,
+so hash-partitioning the carry across workers partitions the outputs
+exactly (:meth:`ParallelExecutor.apply_joins`).  The Lemma 2.1 union of
+a partial selection needs no axis of its own: it runs as one seed-tagged
+fixpoint (:mod:`repro.core.api`) whose carry holds every seed's tuples,
+which is exactly the carry this module splits.
 
 Pools use the explicit ``"spawn"`` start method: ``fork`` under a
 threaded parent (the query service) inherits locks in unknown states,
@@ -36,8 +32,8 @@ import threading
 import time
 import weakref
 import zlib
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..core.plan import CARRY
@@ -59,9 +55,8 @@ __all__ = [
 #: Environment knob consulted by ``parallel=True``.
 ENV_WORKERS = "REPRO_PARALLEL_WORKERS"
 
-#: Grace added to a worker's own wall budget before the parent-side
-#: wait gives up -- the worker should trip its re-armed deadline first;
-#: the parent timeout only fires when a worker genuinely stalls.
+#: Grace added to the caller's remaining wall budget before the
+#: parent-side wait gives up on a worker.
 _WAIT_GRACE_S = 0.25
 
 
@@ -72,22 +67,20 @@ class ParallelConfig:
     ``workers <= 1`` is the in-thread fallback: the executor is a
     passthrough that never spawns a pool and every evaluation runs
     serially in the calling thread -- same code path, zero IPC.  The
-    thresholds gate the two parallel axes so tiny inputs, where a
-    pickle round-trip costs more than the join, stay serial.
+    threshold keeps tiny carries, where a pickle round-trip costs more
+    than the join, serial.
     """
 
     workers: int = 0
     #: Carry partitions per iteration (default: one per worker).
     partitions: Optional[int] = None
-    #: Fan union branches out only with at least this many distinct seeds.
-    min_branch_tasks: int = 2
     #: Partition a carry only when it holds at least this many tuples.
     min_partition_tuples: int = 2048
     start_method: str = "spawn"
 
     @classmethod
     def eager(cls, workers: int, partitions: int = 3) -> "ParallelConfig":
-        """Thresholds floored so every eligible site goes parallel.
+        """The threshold floored so every eligible site goes parallel.
 
         The differential oracle and the test suites use this: corpus
         inputs are tiny, and the point there is exercising the remote
@@ -96,7 +89,6 @@ class ParallelConfig:
         return cls(
             workers=workers,
             partitions=partitions,
-            min_branch_tasks=2,
             min_partition_tuples=1,
         )
 
@@ -230,12 +222,13 @@ class ParallelExecutor:
     def _wait(self, async_result, remaining: Optional[float]):
         """Collect one task result, enforcing the caller's wall budget.
 
-        The worker re-arms the same budget on its own clock and should
-        trip first; the parent-side timeout is the backstop for a
-        worker that stalls outright.  The abandoned task keeps running
-        in its worker until it finishes (its result is discarded), but
-        the pool itself stays healthy -- "deadline fires even when a
-        worker stalls" is exactly this path.
+        A partition task is one round's share of joins and carries no
+        budget of its own (the loop's checks run here, in the parent,
+        between rounds); the timeout is the backstop for a worker that
+        stalls outright.  The abandoned task keeps running in its worker
+        until it finishes (its result is discarded), but the pool itself
+        stays healthy -- "deadline fires even when a worker stalls" is
+        exactly this path.
         """
         if remaining is None:
             return async_result.get()
@@ -249,87 +242,6 @@ class ParallelExecutor:
                 f"(the worker task was abandoned, the pool stays up)",
                 limit="wall_clock",
             ) from None
-
-    # -- branch fan-out ----------------------------------------------------
-
-    def run_plan_remote(
-        self,
-        db: Database,
-        plan,
-        seeds: Iterable[tuple],
-        order: str,
-        budget: Budget,
-        _test_ignore_budget: bool = False,
-        collect_fragment: bool = False,
-    ):
-        """Run one compiled plan in a worker process.
-
-        Returns ``(answer tuples, branch EvaluationStats)`` exactly as
-        a serial ``_run_plan`` miss would produce under a fresh branch
-        accumulator.  With ``collect_fragment`` the worker additionally
-        runs the branch under a real tracer and the return grows a
-        third element: the shipped
-        :class:`~repro.observability.fragments.TraceFragment` (or
-        ``None`` if the branch recorded nothing).  The caller installs
-        it -- fan-out runs on many threads and ``Tracer`` is not
-        thread-safe, so installation must happen on whichever single
-        thread owns the parent tracer.  ``_test_ignore_budget`` makes
-        the worker discard its re-armed budget -- the fault suite's
-        stand-in for a stalled worker.
-        """
-        seeds = [tuple(s) for s in seeds]
-        shipped, remaining = _ship_budget(budget)
-        for attempt in (0, 1):
-            token = self.ensure_installed(db)
-            result = self._ensure_pool().apply_async(
-                _worker._branch_task,
-                ((token, plan, seeds, order, shipped, remaining,
-                  _test_ignore_budget, collect_fragment),),
-            )
-            try:
-                tuples, stats, fragment = self._wait(result, remaining)
-            except _worker.WorkerStateMissing:
-                if attempt:
-                    raise
-                self._forget(token)
-                continue
-            if fragment is not None:
-                fragment.recv_s = time.perf_counter()
-            if collect_fragment:
-                return tuples, stats, fragment
-            return tuples, stats
-
-    def map_threads(self, fn, items: Sequence):
-        """Run ``fn(item)`` per item on parent threads.
-
-        The threads exist to block on pool results concurrently (and to
-        let each branch sit inside ``memo.get_or_run`` so cross-request
-        coalescing keeps working); they do no CPU work themselves.
-        Returns outcomes aligned with ``items``: ``("ok", value)`` or
-        ``("error", exception)`` -- never raises, so the caller merges
-        deterministically in item order.
-        """
-        items = list(items)
-        results: list = [None] * len(items)
-
-        def run(i: int, item) -> None:
-            try:
-                results[i] = ("ok", fn(item))
-            except BaseException as exc:  # noqa: BLE001 - relayed whole
-                results[i] = ("error", exc)
-
-        threads = [
-            threading.Thread(target=run, args=(i, item), daemon=True)
-            for i, item in enumerate(items)
-        ]
-        wave = max(2, self.config.workers * 4)
-        for start in range(0, len(threads), wave):
-            batch = threads[start:start + wave]
-            for t in batch:
-                t.start()
-            for t in batch:
-                t.join()
-        return results
 
     # -- trace stitching ---------------------------------------------------
 
@@ -509,19 +421,6 @@ class ParallelExecutor:
         return f"ParallelExecutor(workers={self.config.workers}, {state})"
 
 
-def _ship_budget(budget: Budget) -> tuple[Budget, Optional[float]]:
-    """Split a budget into a portable copy plus the seconds it has left.
-
-    Monotonic deadlines mean nothing in another process, so the worker
-    receives ``deadline=None`` and re-arms from ``remaining`` on its
-    own clock (:func:`repro.parallel.worker._rearm`).
-    """
-    remaining = budget.remaining_seconds()
-    if budget.deadline is None:
-        return budget, None
-    return replace(budget, deadline=None), remaining
-
-
 # -- the shared registry -----------------------------------------------------
 
 _REGISTRY: dict[ParallelConfig, ParallelExecutor] = {}
@@ -567,7 +466,7 @@ def resolve_parallel(parallel) -> Optional[ParallelExecutor]:
     :class:`ParallelConfig` for a shared pool with those thresholds,
     and a :class:`ParallelExecutor` is used as-is.  A resolved executor
     with fewer than two workers is the documented in-thread fallback:
-    callers keep it but every ``should_partition``/fan-out check says
+    callers keep it but every ``should_partition`` check says
     no, so evaluation stays in the calling thread.
     """
     if parallel is None or parallel is False:

@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
-from typing import Optional
 
-from ..budget import Budget, UNLIMITED
-from ..core.evaluator import _with_pseudo, execute_plan
+from ..core.evaluator import _with_pseudo
 from ..datalog.database import Database, Relation
 from ..datalog.joins import evaluate_body_into
 from ..errors import EvaluationError
@@ -76,20 +73,6 @@ def _database_for(token: int) -> Database:
     return db
 
 
-def _rearm(budget: Budget, remaining: Optional[float]) -> Budget:
-    """Re-arm a deadline-stripped budget on this worker's own clock.
-
-    Monotonic-clock instants are not portable across processes, so the
-    parent ships ``deadline=None`` plus the seconds it had left; the
-    worker turns that back into an armed deadline locally.
-    """
-    if remaining is None:
-        return budget
-    return replace(
-        budget, max_wall_seconds=max(remaining, 0.0), deadline=None
-    ).start_clock()
-
-
 def _install_task(args) -> int:
     """Install one database under a token (barrier-broadcast).
 
@@ -106,42 +89,6 @@ def _install_task(args) -> int:
     while len(_STATE_ORDER) > STATE_SLOTS:
         _STATE.pop(_STATE_ORDER.pop(0), None)
     return os.getpid()
-
-
-def _branch_task(args):
-    """One Lemma 2.1 union branch: run a compiled plan start to finish.
-
-    Returns ``(answer tuples, branch EvaluationStats, fragment)``.
-    When the parent is tracing it sets ``trace`` and the branch runs
-    under a real per-task :class:`Tracer`, shipping the closed span
-    tree home as a :class:`~repro.observability.fragments.TraceFragment`
-    (``None`` otherwise -- the untraced path allocates no tracer at
-    all, preserving the zero-overhead default).  A budget trip raises
-    :class:`~repro.errors.BudgetExceeded` carrying the branch stats;
-    its ``__reduce__`` preserves them across the pickle back to the
-    parent.
-    """
-    token, plan, seeds, order, budget, remaining, ignore_budget, trace = args
-    db = _database_for(token)
-    budget = UNLIMITED if ignore_budget else _rearm(budget, remaining)
-    stats = EvaluationStats()
-    if not trace:
-        tuples = execute_plan(
-            plan, db, seeds, stats=stats, budget=budget, order=order
-        )
-        return tuples, stats, None
-    tracer = Tracer()
-    with tracer.span("worker.branch", seeds=len(seeds)):
-        tuples = execute_plan(
-            plan,
-            db,
-            seeds,
-            stats=stats,
-            budget=budget,
-            order=order,
-            tracer=tracer,
-        )
-    return tuples, stats, capture_fragment(tracer, pid=os.getpid())
 
 
 def _apply_joins_task(args):

@@ -63,7 +63,8 @@ class FullSelectionMemo:
     """Thread-safe bounded LRU of answered full selections.
 
     ``get_or_run(key, compute)`` is the whole interface the evaluator
-    needs; counters (``hits`` / ``misses`` / ``coalesced`` /
+    needs (:meth:`peek` only spares a partial selection's batch the
+    seeds already answered); counters (``hits`` / ``misses`` / ``coalesced`` /
     ``evictions``) feed the service metrics.  ``compute`` runs outside
     the lock -- it is a whole fixpoint evaluation -- so lookups never
     block behind evaluations of *other* keys.
@@ -127,6 +128,15 @@ class FullSelectionMemo:
                 self._inflight.pop(key, None)
             flight.resolve(value)
             return value
+
+    def peek(self, key: tuple):
+        """The completed entry for ``key``, or ``None``: no waiting on a
+        leader, no counter, no LRU touch.  Lets a Lemma 2.1 batch leave
+        out the seeds that are already answered
+        (:func:`repro.core.api._run_batch`); the answer may be stale by
+        the time ``get_or_run`` is called, which then decides."""
+        with self._lock:
+            return self._entries.get(key)
 
     def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
@@ -237,3 +247,6 @@ class ScopedMemo:
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
         return self.memo.get_or_run((self.scope,) + tuple(key), compute)
+
+    def peek(self, key: tuple):
+        return self.memo.peek((self.scope,) + tuple(key))

@@ -30,8 +30,8 @@ a divergent or overweight evaluation trips
 of pinning a worker.  Wall-clock trips (the only retryable kind) get
 bounded retry with exponential backoff; a Lemma 2.1 union that dies
 mid-way degrades into a :class:`PartialResult` carrying the merged
-:class:`~repro.stats.EvaluationStats` and answers of its completed
-branches.
+:class:`~repro.stats.EvaluationStats` and the answers of the half that
+completed (``t_part``; the ``t_full`` seeds run as one batch).
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ class ServiceConfig:
 class PartialResult:
     """What a deadline-tripped union evaluation still managed to answer.
 
-    ``stats`` is the *merged* :class:`EvaluationStats` over every
-    completed full selection of the Lemma 2.1 union (plus the failing
-    branch's partial work) -- see the satellite contract in
+    ``stats`` is the *merged* :class:`EvaluationStats` over everything
+    that ran of the Lemma 2.1 union -- ``t_part`` plus the partial work
+    of the seed-tagged ``t_full`` batch that tripped -- see
     :mod:`repro.core.api`.
     """
 

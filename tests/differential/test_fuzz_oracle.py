@@ -149,6 +149,42 @@ class TestLoopSweep:
         }, verdict.summary()
 
 
+class TestUnionCheck:
+    """Every partial selection is also evaluated as the literal Lemma
+    2.1 union -- one reference run per seed -- with no flag."""
+
+    def test_partial_selection_records_the_per_seed_union(self):
+        case = load_case(CORPUS / "example-2-4-partial-selection.dl")
+        verdict = run_case(case)
+        assert verdict.ok, verdict.summary()
+        union = verdict.outcomes["union[batched]"]
+        assert union.ran and union.answers == verdict.reference
+
+    def test_full_selections_have_no_union_to_check(self):
+        verdict = run_case(load_case(CORPUS / "example-1-2-friend-cheaper.dl"))
+        assert "union[batched]" not in verdict.outcomes
+
+    def test_a_batch_that_mixes_up_its_tags_is_a_finding(self, monkeypatch):
+        """Tag every seed 0: each row then gets every seed's answers."""
+        from repro.core import api
+
+        real = api.execute_plan
+
+        def untagging(plan, db, seeds, **kwargs):
+            if plan.tag is not None:
+                seeds = [(0, *seed[1:]) for seed in seeds]
+            return real(plan, db, seeds, **kwargs)
+
+        monkeypatch.setattr(api, "execute_plan", untagging)
+        text = (CORPUS / "example-2-4-partial-selection.dl").read_text()
+        case = case_from_text(text.replace(
+            "a(m, n, g, h).", "a(m, n, g, h).\na(c, e, p, q).\nt0(p, q, w1)."))
+        verdict = run_case(case, strategies=["separable"])
+        assert ("answers", "union[batched]") in {
+            d.signature for d in verdict.disagreements
+        }, verdict.summary()
+
+
 class TestGeneratorContracts:
     def test_deterministic_from_seed(self):
         first = [c.to_text() for c in CaseGenerator(seed=11).cases(10)]

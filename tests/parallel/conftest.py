@@ -1,10 +1,10 @@
 """Shared fixtures: one small two-class separable workload.
 
 Class 1 descends on column 0 (through ``a``), class 2 ascends on
-column 1 (through ``b``); ``e`` is the exit relation.  Queries with
-both columns bound take the Lemma 2.1 partial-selection path (branch
-fan-out); one bound column takes the full-selection path (carry
-partitioning).
+column 1 (through ``b``); ``e`` is the exit relation.  Both classes
+are one column wide, so every selection on it is full and runs through
+carry partitioning (``test_trace_stitching.branching_workload`` has the
+partial selections).
 """
 
 import pytest

@@ -12,7 +12,7 @@ from .conftest import two_class_workload
 QUERIES = [
     "t(x0, Y)?",   # full selection: carry partitioning
     "t(X, z8)?",   # full selection on the other class
-    "t(x0, z6)?",  # partial selection: Lemma 2.1 branch fan-out
+    "t(x0, z6)?",  # both classes bound: full, with a residual constant
     "t(x3, z9)?",
 ]
 

@@ -2,6 +2,7 @@
 separable recursions, queries, and databases (cyclic ones included)."""
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.budget import Budget
 from repro.core.api import evaluate_separable
@@ -14,7 +15,7 @@ from repro.rewriting.counting import (
 from repro.rewriting.magic import evaluate_magic
 
 from ..conftest import oracle_answers, run_loops
-from .strategies import queries_for, separable_setups
+from .strategies import CONSTANTS, queries_for, separable_setups
 
 COMMON = settings(
     max_examples=60,
@@ -161,3 +162,63 @@ def test_generated_loop_matches_reference_loop(data):
                 f"program:\n{program}\nquery: {query}\norder {order}, "
                 f"traced {traced}:\n{got}\nvs the reference loop's\n{want}"
             )
+
+
+@COMMON
+@given(setup=separable_setups(), data=st.data())
+def test_tagged_batch_splits_into_the_per_seed_runs(setup, data):
+    """One fixpoint over seed-tagged tuples against one fixpoint per
+    seed: the same answers seed by seed and the same tuples produced;
+    under ``left_to_right`` (where the join order cannot depend on how
+    large the carry is) the same tuples examined too.  Rounds are the
+    deepest seed's per loop, not the sum over seeds."""
+    from repro.core.compiler import compile_plan
+    from repro.core.evaluator import execute_plan
+    from repro.observability import Tracer, trace_violations
+    from repro.stats import EvaluationStats
+
+    program, db, _, _ = setup
+    analysis = require_separable(program, "t")
+    if not analysis.classes:
+        return
+    cls = data.draw(st.sampled_from(analysis.classes))
+    seeds = data.draw(st.lists(
+        st.tuples(*[st.sampled_from(CONSTANTS)] * cls.width),
+        min_size=1, max_size=5, unique=True,
+    ))
+    plain = compile_plan(analysis, selected_class=cls)
+    tagged = compile_plan(analysis, selected_class=cls, tagged=True)
+
+    def rounds(tracer) -> dict:
+        return {s.attrs["relation"]: s.counters.get("iterations", 0)
+                for s in tracer.spans("separable.loop")}
+
+    for order in ("greedy", "left_to_right"):
+        alone = []
+        for seed in seeds:
+            stats, tracer = EvaluationStats(), Tracer()
+            answers = execute_plan(plain, db, [seed], stats=stats,
+                                   order=order, tracer=tracer)
+            alone.append((answers, stats, rounds(tracer)))
+        for traced in (False, True):
+            stats = EvaluationStats()
+            tracer = Tracer() if traced else None
+            seen_2 = execute_plan(
+                tagged, db, [(i, *s) for i, s in enumerate(seeds)],
+                stats=stats, order=order, tracer=tracer,
+            )
+            context = (f"program:\n{program}\nclass {cls}, seeds {seeds}, "
+                       f"order {order}, traced {traced}")
+            for i, (answers, _, _) in enumerate(alone):
+                assert {t[1:] for t in seen_2 if t[0] == i} == answers, context
+            assert stats.tuples_produced == sum(
+                s.tuples_produced for _, s, _ in alone), context
+            assert stats.iterations == sum(
+                max(r.get(loop, 0) for _, _, r in alone)
+                for loop in ("seen_1", "seen_2")), context
+            if order == "left_to_right":
+                assert stats.tuples_examined == sum(
+                    s.tuples_examined for _, s, _ in alone), context
+            if traced:
+                # seed + sum(carry) == |seen| holds on the tagged loops.
+                assert trace_violations(tracer) == [], context

@@ -187,11 +187,7 @@ class TestSlowlogRecords:
         with _service(
             program, db,
             trace_sample=1.0,
-            parallel=ParallelConfig(
-                workers=2,
-                min_branch_tasks=2,
-                min_partition_tuples=1 << 30,
-            ),
+            parallel=ParallelConfig.eager(2),
         ) as service:
             result = service.query("t(x0, Y, Z)?")
         assert result.ok
