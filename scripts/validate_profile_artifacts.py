@@ -9,7 +9,9 @@ every artifact the observability pipeline promises:
    byte-identical to the live trace's;
 3. the deterministic (``--no-timings``) text report is stable across
    two runs, and its ``-- plan --`` section shows the generated source
-   of the carry loops that ran (a ``while carry:`` line);
+   of the carry loops that ran (a ``while carry:`` line) -- for
+   Example 1.2 with the innermost level of both loops in the projected
+   form, ``produced.update(c1)``, not a per-fact comprehension;
 4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
    seed-tagged fixpoint: the report prints the tagged plan and the
    number of ``separable.loop`` spans does not grow with the seeds;
@@ -126,6 +128,8 @@ def main(argv: list[str]) -> int:
         "the plan section does not show a generated carry loop:\n"
         + plan_section
     )
+    if program == str(DEFAULT_PROGRAM):
+        check_projected_innermost(plan_section)
     print("text report ok: deterministic EXPLAIN ANALYZE output, "
           "generated loop source shown")
 
@@ -135,6 +139,24 @@ def main(argv: list[str]) -> int:
     # 5. a parallel=2 profile stitches worker fragments into one trace.
     check_stitched_profile(workdir, replay_file, to_chrome_trace)
     return 0
+
+
+def check_projected_innermost(plan_section: str) -> None:
+    """Example 1.2's loops each probe one fixed relation for the output
+    column: the reported source must union the projected bucket.  A
+    change that silently falls back to the comprehension fails here,
+    not only on a benchmark."""
+    unions = [line.strip() for line in plan_section.splitlines()
+              if "produced.update(" in line]
+    assert unions == ["produced.update(c1)"] * 2, (
+        "the carry loops do not union a projected bucket at their "
+        "innermost level:\n" + "\n".join(unions)
+    )
+    probes = [line for line in plan_section.splitlines() if " q=[" in line]
+    assert len(probes) == 2 and all(" -> " in line for line in probes), (
+        "the loops' probes are not reported as projected:\n"
+        + "\n".join(probes)
+    )
 
 
 def check_batched_union() -> None:

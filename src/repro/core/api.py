@@ -123,11 +123,12 @@ def full_selection_from_extent(
     Given a maintained materialization of ``t``, the same value falls
     out of a projection -- this is how the service repairs a dirty memo
     entry after a mutation without re-running the carry loops.  The
-    selection is one ``extent.lookup(positions, seed)``: the relation's
-    lazy index on the component's columns is built by the first repair
-    and maintained by ``add``/``discard`` from then on, so a repair
-    costs its answer, not a scan of ``t`` (a live ``tracer`` sees the
-    one ``index_builds``).
+    selection and the projection are one ``extent.lookup_projected(
+    positions, up_positions, seed)``: the relation's lazy index on the
+    component's columns, holding the other columns, is built by the
+    first repair and maintained by ``add``/``discard`` from then on,
+    so a repair costs a copy of its answer, not a scan of ``t`` (a
+    live ``tracer`` sees the one ``index_builds``).
     """
     from .selections import component_positions
 
@@ -135,10 +136,8 @@ def full_selection_from_extent(
     up_positions = tuple(
         p for p in range(analysis.arity) if p not in positions
     )
-    return frozenset(
-        tuple(fact[p] for p in up_positions)
-        for fact in extent.lookup(positions, tuple(seed), tracer)
-    )
+    return frozenset(extent.lookup_projected(
+        positions, up_positions, tuple(seed), tracer))
 
 
 def _through_memo(memo, key: tuple, run, stats, budget: Budget):

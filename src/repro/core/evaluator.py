@@ -147,8 +147,9 @@ def _carry_loop(
                     budget=budget, tracer=tracer, label=seen_name,
                 )
             else:
-                carry_rel.clear()
-                carry_rel.add_all(carry)
+                if joins:  # else nothing reads the carry relation
+                    carry_rel.clear()
+                    carry_rel.add_all(carry)
                 produced = _apply_joins(joins, view, stats, order, tracer,
                                         label=seen_name, adaptive=adaptive)
                 if adaptive is not None:

@@ -17,7 +17,8 @@ mutation/lookup/version/stats/observer/pickle surface and plug into
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
 from .errors import ArityError
@@ -28,12 +29,27 @@ __all__ = ["Relation", "Database"]
 Fact = tuple  # tuple[ConstValue, ...]
 
 
+def _columns(facts: Sequence[Fact], cols: tuple[int, ...]):
+    """``tuple(f[c] for c in cols)`` for each of ``facts``, in order,
+    extracted at C speed (one ``itemgetter`` pass per column)."""
+    if not cols:
+        return [()] * len(facts)  # zip() of no columns yields no rows
+    return zip(*[map(itemgetter(c), facts) for c in cols])
+
+
+def _arity_error(name: str, arity: int, fact: Fact) -> ArityError:
+    return ArityError(
+        f"relation {name} has arity {arity}, "
+        f"got tuple of length {len(fact)}: {fact!r}"
+    )
+
+
 class Relation:
     """A named set of same-arity tuples with lazy secondary indexes."""
 
-    __slots__ = ("name", "arity", "_tuples", "_indexes", "_borrowed",
-                 "_version", "_distinct_cache", "_col_distinct_cache",
-                 "_sample_cache", "_observers")
+    __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
+                 "_borrowed", "_version", "_distinct_cache",
+                 "_col_distinct_cache", "_sample_cache", "_observers")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -41,7 +57,10 @@ class Relation:
         self.arity = arity
         self._tuples: set[Fact] = set()
         self._indexes: dict[tuple[int, ...], dict[tuple, list[Fact]]] = {}
-        #: True while bucket lists are shared with another relation
+        #: ``(positions, cols) -> key -> {cols of the facts under key}``
+        #: (:meth:`lookup_projected`), maintained like ``_indexes``.
+        self._projected: dict[tuple, dict[tuple, set[tuple]]] = {}
+        #: True while buckets are shared with another relation
         #: (:meth:`adopt_indexes`) and so must not be patched in place.
         self._borrowed = False
         self._version = 0
@@ -92,18 +111,13 @@ class Relation:
         """Insert a tuple; returns True if it was new."""
         fact = tuple(fact)
         if len(fact) != self.arity:
-            raise ArityError(
-                f"relation {self.name} has arity {self.arity}, "
-                f"got tuple of length {len(fact)}: {fact!r}"
-            )
+            raise _arity_error(self.name, self.arity, fact)
         if fact in self._tuples:
             return False
         self._tuples.add(fact)
         self._version += 1
-        if self._indexes:
-            for positions, index in self._own_indexes().items():
-                key = tuple(fact[p] for p in positions)
-                index.setdefault(key, []).append(fact)
+        if self._indexes or self._projected:
+            self._index_added((fact,))
         if self._observers:
             for cb in self._observers:
                 cb(self, fact, 1)
@@ -116,29 +130,36 @@ class Relation:
         tuple set first and every live index is patched once at the
         end, instead of paying the per-fact index walk ``add`` does.
         Semi-naive delta installation and the carry-loop refills go
-        through here.
+        through here.  An empty relation nobody indexes or observes --
+        every carry refill, and the ``seen_1`` of the exit stage -- is
+        loaded without a Python-level step per fact.
         """
         arity = self.arity
         tuples = self._tuples
+        if not (tuples or self._indexes or self._projected
+                or self._observers):
+            if not isinstance(facts, (set, frozenset, list, tuple)):
+                facts = list(facts)  # read twice when the arity is off
+            loaded = set(map(tuple, facts))
+            if loaded and set(map(len, loaded)) != {arity}:
+                raise _arity_error(self.name, arity, next(
+                    f for f in map(tuple, facts) if len(f) != arity))
+            self._tuples = loaded
+            self._version += len(loaded)
+            return len(loaded)
         new: list[Fact] = []
         for f in facts:
             f = tuple(f)
             if len(f) != arity:
-                raise ArityError(
-                    f"relation {self.name} has arity {arity}, "
-                    f"got tuple of length {len(f)}: {f!r}"
-                )
+                raise _arity_error(self.name, arity, f)
             if f not in tuples:
                 tuples.add(f)
                 new.append(f)
         if not new:
             return 0
         self._version += len(new)
-        if self._indexes:
-            for positions, index in self._own_indexes().items():
-                for fact in new:
-                    key = tuple(fact[p] for p in positions)
-                    index.setdefault(key, []).append(fact)
+        if self._indexes or self._projected:
+            self._index_added(new)
         if self._observers:
             for fact in new:
                 for cb in self._observers:
@@ -154,25 +175,13 @@ class Relation:
         """
         fact = tuple(fact)
         if len(fact) != self.arity:
-            raise ArityError(
-                f"relation {self.name} has arity {self.arity}, "
-                f"got tuple of length {len(fact)}: {fact!r}"
-            )
+            raise _arity_error(self.name, self.arity, fact)
         if fact not in self._tuples:
             return False
         self._tuples.discard(fact)
         self._version += 1
-        if self._indexes:
-            for positions, index in self._own_indexes().items():
-                key = tuple(fact[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(fact)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del index[key]
+        if self._indexes or self._projected:
+            self._index_removed((fact,))
         if self._observers:
             for cb in self._observers:
                 cb(self, fact, -1)
@@ -193,47 +202,69 @@ class Relation:
         for f in facts:
             f = tuple(f)
             if len(f) != arity:
-                raise ArityError(
-                    f"relation {self.name} has arity {arity}, "
-                    f"got tuple of length {len(f)}: {f!r}"
-                )
+                raise _arity_error(self.name, arity, f)
             if f in tuples:
                 tuples.discard(f)
                 removed.append(f)
         if not removed:
             return 0
         self._version += len(removed)
-        if self._indexes:
-            for positions, index in self._own_indexes().items():
-                for fact in removed:
-                    key = tuple(fact[p] for p in positions)
-                    bucket = index.get(key)
-                    if bucket is not None:
-                        try:
-                            bucket.remove(fact)
-                        except ValueError:
-                            pass
-                        if not bucket:
-                            del index[key]
+        if self._indexes or self._projected:
+            self._index_removed(removed)
         if self._observers:
             for fact in removed:
                 for cb in self._observers:
                     cb(self, fact, -1)
         return len(removed)
 
-    def _own_indexes(self) -> dict:
-        """The indexes a mutation patches in place: none while their
-        buckets are shared with another relation -- they are dropped
-        and the next :meth:`lookup` rebuilds them."""
+    def _unshare(self) -> None:
+        """Before a mutation patches the indexes in place: drop them
+        while their buckets are shared with another relation -- the
+        next lookup rebuilds them."""
         if self._borrowed:
             self._indexes.clear()
+            self._projected.clear()
             self._borrowed = False
-        return self._indexes
+
+    def _index_added(self, facts: Sequence[Fact]) -> None:
+        """Patch every live index with the newly inserted ``facts``."""
+        self._unshare()
+        for positions, index in self._indexes.items():
+            for key, fact in zip(_columns(facts, positions), facts):
+                index.setdefault(key, []).append(fact)
+        for (positions, cols), index in self._projected.items():
+            for key, row in zip(_columns(facts, positions),
+                                _columns(facts, cols)):
+                index.setdefault(key, set()).add(row)
+
+    def _index_removed(self, facts: Sequence[Fact]) -> None:
+        """Patch every live index for the just removed ``facts``."""
+        self._unshare()
+        for positions, index in self._indexes.items():
+            for key, fact in zip(_columns(facts, positions), facts):
+                bucket = index.get(key)
+                if bucket is not None:
+                    try:
+                        bucket.remove(fact)
+                    except ValueError:
+                        pass
+                    if not bucket:
+                        del index[key]
+        for (positions, cols), index in self._projected.items():
+            # Injective: no other fact under ``key`` projects to ``row``.
+            for key, row in zip(_columns(facts, positions),
+                                _columns(facts, cols)):
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.discard(row)
+                    if not bucket:
+                        del index[key]
 
     def clear(self) -> None:
         """Remove all tuples and drop all indexes."""
         self._tuples.clear()
         self._indexes.clear()
+        self._projected.clear()
         self._borrowed = False
         self._version += 1
         if self._observers:
@@ -275,14 +306,55 @@ class Relation:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            for fact in self._tuples:
-                k = tuple(fact[p] for p in positions)
+            facts = list(self._tuples)
+            for k, fact in zip(_columns(facts, positions), facts):
                 index.setdefault(k, []).append(fact)
             self._indexes[positions] = index
             if tracer is not None:
                 tracer.count("index_builds")
-                tracer.count("index_tuples", len(self._tuples))
+                tracer.count("index_tuples", len(facts))
         return index.get(tuple(key), [])
+
+    def lookup_projected(self, positions: tuple[int, ...],
+                         cols: tuple[int, ...], key: tuple,
+                         tracer=None) -> set[tuple]:
+        """``{tuple(f[c] for c in cols) for f in lookup(positions, key)}``
+        straight off an index that stores it: a join level whose output
+        is made of the probed atom's other columns unions the bucket
+        instead of building one tuple per fact.
+
+        Only for *injective* projections -- ``positions`` and ``cols``
+        together cover every column (``ValueError`` otherwise) -- so a
+        bucket holds exactly one entry per fact, ``len`` of it counts
+        what ``lookup`` would have examined, and a delete can patch it
+        with one ``set.discard``.  The index is built lazily on first
+        use (reported to a live ``tracer`` like a plain one) and kept
+        current by the same mutations.  Equal projected tuples are one
+        object across the buckets built together: a union over several
+        keys then settles most of its duplicate tests on identity.
+        """
+        index = self._projected.get((positions, cols))
+        if index is None:
+            if len({*positions, *cols}) != self.arity:
+                raise ValueError(
+                    f"columns {cols} of {self.name}/{self.arity} keyed on "
+                    f"{positions} do not determine the fact"
+                )
+            facts = list(self._tuples)
+            if not positions:
+                if tracer is not None:
+                    tracer.count("full_scans")
+                return set(_columns(facts, cols))
+            index = {}
+            share = {}.setdefault  # not kept: only the build shares
+            for k, row in zip(_columns(facts, positions),
+                              _columns(facts, cols)):
+                index.setdefault(k, set()).add(share(row, row))
+            self._projected[positions, cols] = index
+            if tracer is not None:
+                tracer.count("index_builds")
+                tracer.count("index_tuples", len(facts))
+        return index.get(tuple(key), set())
 
     # -- pickling ----------------------------------------------------------
 
@@ -304,6 +376,7 @@ class Relation:
         self.arity = arity
         self._tuples = set(tuples)
         self._indexes = {}
+        self._projected = {}
         self._borrowed = False
         self._version = version
         self._distinct_cache = None
@@ -404,24 +477,36 @@ class Relation:
         """
         if other.arity != self.arity:
             return
-        added = self._tuples - other._tuples
-        removed = other._tuples - self._tuples
+        added = list(self._tuples - other._tuples)
+        removed = list(other._tuples - self._tuples)
         if 4 * (len(added) + len(removed)) > len(self._tuples):
             return
         # list(): a reader may publish a freshly built index meanwhile.
         for positions, index in list(other._indexes.items()):
             index = dict(index)
-            for fact in removed:
-                key = tuple(fact[p] for p in positions)
+            for key, fact in zip(_columns(removed, positions), removed):
                 bucket = [f for f in index[key] if f != fact]
                 if bucket:
                     index[key] = bucket
                 else:
                     del index[key]
-            for fact in added:
-                key = tuple(fact[p] for p in positions)
+            for key, fact in zip(_columns(added, positions), added):
                 index[key] = index.get(key, []) + [fact]
             self._indexes[positions] = index
+            self._borrowed = other._borrowed = True
+        for (positions, cols), index in list(other._projected.items()):
+            index = dict(index)
+            for key, row in zip(_columns(removed, positions),
+                                _columns(removed, cols)):
+                bucket = index[key] - {row}
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
+            for key, row in zip(_columns(added, positions),
+                                _columns(added, cols)):
+                index[key] = index.get(key, set()) | {row}
+            self._projected[positions, cols] = index
             self._borrowed = other._borrowed = True
 
     def __repr__(self) -> str:

@@ -280,8 +280,11 @@ class JoinPlan:
             consts.append(value)
             return f"k{len(consts) - 1}"
 
-        def fetch(d, pred, positions, key):
+        def fetch(d, pred, positions, key, cols):
             index = const(positions)
+            if cols is not None:
+                return (), (f"rels[{d}].lookup_projected({index}, "
+                            f"{const(cols)}, {key()}, tracer)"), False
             return (), f"rels[{d}].lookup({index}, {key()}, tracer)", False
 
         lines, zero, lookups, examined, bindings, reached = self._nest(
@@ -305,18 +308,25 @@ class JoinPlan:
         return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
 
     def _nest(self, output: tuple, bulk: bool, pad: str, const, inputs: list,
-              fetch, sink: str = "sink") -> tuple:
+              fetch, sink: str = "sink",
+              pseudo: Optional[str] = None) -> tuple:
         """The nested loops of this plan as source lines at ``pad``.
 
         ``const(value)`` names a constant and ``inputs`` collects the
         caller-supplied variables; ``fetch(d, predicate, positions,
-        key)`` says how level ``d`` gets its candidates -- ``(lines to
-        run first, expression, whether it may be empty or None)`` with
-        ``key()`` the text of the lookup key -- which is all that
-        differs between a stand-alone kernel and a join inlined into a
-        generated carry loop (:func:`loop_text`).  Returns ``(lines,
-        counters to zero, lookups, examined, bindings, produced)``, the
-        last four as sums over the counters.
+        key, cols)`` says how level ``d`` gets its candidates --
+        ``(lines to run first, expression, whether it may be empty or
+        None)`` with ``key()`` the text of the lookup key -- which is
+        all that differs between a stand-alone kernel and a join
+        inlined into a generated carry loop (:func:`loop_text`).
+        ``cols`` is None for the facts themselves; otherwise the level
+        is the innermost one and its output rows are exactly those
+        columns of each fact, so ``fetch`` answers with the set of them
+        (:meth:`Relation.lookup_projected`) and the level is one
+        ``sink.update``.  A level reading ``pseudo`` (a plain set, not
+        a relation) is never asked that.  Returns ``(lines, counters to
+        zero, lookups, examined, bindings, produced)``, the last four
+        as sums over the counters.
         """
         # slot -> the expression holding its value (assign guards alias)
         reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
@@ -361,9 +371,19 @@ class JoinPlan:
         last = len(self.steps) - 1
         for d, (pred, positions, keys, writes, checks, guards) in \
                 enumerate(self.steps):
+            innermost = bulk and d == last and not checks and not guards
+            cols = None
+            if innermost and pred != pseudo:
+                # The output made of this atom's free columns, each of
+                # them used: with the probed ones they determine the
+                # fact, so the projected bucket has one row per fact.
+                column = {s: i for i, s in writes}
+                slots = [self._slot_of.get(term) for term in output]
+                if slots and set(slots) == set(column):
+                    cols = tuple(column[s] for s in slots)
             first, candidates, guarded = fetch(
                 d, pred, positions,
-                lambda: _tuple_text(operand(*k) for k in keys))
+                lambda: _tuple_text(operand(*k) for k in keys), cols)
             lines += [pad + line for line in first]
             lines.append(f"{pad}c{d} = {candidates}")
             if guarded:
@@ -374,11 +394,15 @@ class JoinPlan:
             lookups.append(reached)
             examined.append(f"e{d}")
             reached = f"e{d}"
-            if bulk and d == last and not checks and not guards:
-                # Innermost level with nothing to test: one C-speed
-                # comprehension straight off the index bucket.
-                reg.update((s, f"f[{const(i)}]") for i, s in writes)
-                lines.append(f"{pad}{sink}.update([{row()} for f in c{d}])")
+            if innermost:
+                # Nothing to test: the bucket of rows as it is, or one
+                # C-speed comprehension over the bucket of facts.
+                if cols is None:
+                    reg.update((s, f"f[{const(i)}]") for i, s in writes)
+                    rows = f"[{row()} for f in c{d}]"
+                else:
+                    rows = f"c{d}"
+                lines.append(f"{pad}{sink}.update({rows})")
                 bindings.append(reached)
                 break
             lines.append(f"{pad}for f{d} in c{d}:")
@@ -730,8 +754,9 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     and run ``for`` each of them in turn (terms keep their order:
     ``rule_out:`` credits a tuple to the first term that produces it),
     and ``groups[g]`` lists the terms of the ``g``-th run as ``(probes,
-    constants, i)`` -- ``probes`` the ``(step, positions)`` of each
-    lookup into a fixed relation.  The text unpacks one tuple ``(*probe
+    constants, i)`` -- ``probes`` the ``(step, positions, cols)`` of each
+    lookup into a fixed relation (``cols``: the columns of a projected
+    probe, else None).  The text unpacks one tuple ``(*probe
     callables, *constants, i)`` per term from ``J[g]``; it mentions
     neither values nor how long a run is, so Example 1.1's two-term down
     loop and Example 1.2's two one-term loops are all one function.
@@ -765,10 +790,10 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             consts.append(value)
             return f"k{len(consts) - 1}"
 
-        def fetch(d, pred, positions, key):
+        def fetch(d, pred, positions, key, cols):
             nonlocal indexed
             if pred != pseudo:
-                probes.append((d, positions))
+                probes.append((d, positions, cols))
                 return (), f"q{len(probes) - 1}({key()})", True
             if not positions:
                 return (["S += 1"] if traced else ()), "carry", False
@@ -784,7 +809,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             return build, f"x.get({key()})", True
 
         lines, zero, *sums = plan._nest(output, True, pad, const, inputs,
-                                        fetch, "produced")
+                                        fetch, "produced", pseudo)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
         shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts))
@@ -895,25 +920,33 @@ class _Mounted:
         return self._sized if name == self._name else self._relation(name)
 
 
-def _probe(rel, positions: tuple[int, ...], tracer):
-    """``key -> tuples`` (a sequence, possibly empty, or None) of one
-    loop-invariant relation, for a generated carry loop.
+def _probe(rel, positions: tuple[int, ...], cols, tracer):
+    """``key -> tuples`` (a collection, possibly empty, or None) of one
+    loop-invariant relation, for a generated carry loop: the facts
+    matching ``key`` on ``positions``, or with ``cols`` those columns of
+    them (:meth:`Relation.lookup_projected`).
 
     The bound ``dict.get`` of a :class:`Relation` index: the index is
     the relation's own, built here if need be, and stays current because
     nothing writes the relation during the loop.  A traced run probes a
-    still-unbuilt index through :meth:`Relation.lookup` so that the
+    still-unbuilt index through the relation's method so that the
     build is counted where the reference loop counts it; so does every
     full scan, and every other ``RelationStorage`` (SQLite).
     """
+    if cols is None:
+        lookup = partial(rel.lookup, positions)
+    else:
+        lookup = partial(rel.lookup_projected, positions, cols)
     if positions and type(rel) is Relation:
-        index = rel._indexes.get(positions)
+        indexes, signature = ((rel._indexes, positions) if cols is None
+                              else (rel._projected, (positions, cols)))
+        index = indexes.get(signature)
         if index is None and tracer is None:
-            rel.lookup(positions, ())
-            index = rel._indexes[positions]
+            lookup(())
+            index = indexes[signature]
         if index is not None:
             return index.get
-    return partial(rel.lookup, positions, tracer=tracer)
+    return partial(lookup, tracer=tracer)
 
 
 class PlanCache:
@@ -1116,8 +1149,8 @@ class PlanCache:
         fn, groups, _ = entry
         return partial(
             fn,
-            tuple([tuple([(*[_probe(rels[i][d], positions, tracer)
-                             for d, positions in probes], *consts, i)
+            tuple([tuple([(*[_probe(rels[i][d], positions, cols, tracer)
+                             for d, positions, cols in probes], *consts, i)
                           for probes, consts, i in group])
                    for group in groups]),
             tuple([i for i, alive in enumerate(live) if not alive]), lo, hi)
@@ -1127,12 +1160,13 @@ class PlanCache:
         ran over ``joins`` (for plan dumps): ``terms`` says per join term
         with code ``(g, i, probed, constants)`` -- it is ``joins[i]``,
         read from ``J<g>``, and ``probed`` names the ``(relation, index
-        signature)`` behind each of its probes."""
+        signature, projected columns or None)`` behind each of its
+        probes."""
         with self._lock:
             return [
                 (key[4], source, [
-                    (g, i, tuple((key[2][i].atom_order()[d], positions)
-                                 for d, positions in probes), consts)
+                    (g, i, tuple((key[2][i].atom_order()[d], positions, cols)
+                                 for d, positions, cols in probes), consts)
                     for g, group in enumerate(groups)
                     for probes, consts, i in group])
                 for key, (_, groups, source) in self._loops.items()

@@ -113,8 +113,9 @@ def _kernel_lines(plan) -> list[str]:
     none here.  ``K`` is the constants tuple a kernel unpacks: index
     signatures, column numbers and body/output constants.  A loop
     unpacks them per join term from ``J<g>``; each term's line gives
-    the relation and index signature behind its probes ``q`` and its
-    constants ``k``.
+    the relation and index signature behind its probes ``q`` --
+    ``(relation, positions -> cols)`` for a projected one, which
+    answers with those columns of the facts -- and its constants ``k``.
     """
     from ..datalog.plan_cache import PLAN_CACHE  # imports our tracer
 
@@ -129,8 +130,12 @@ def _kernel_lines(plan) -> list[str]:
         for traced, source, terms in PLAN_CACHE.loops_for(joins):
             lines.append(f"  {which} loop ({'traced' if traced else 'untraced'}"
                          f" flavour)")
-            lines += [f"    J{g}: {joins[i]}  q={probed}  k={consts}"
-                      for g, i, probed, consts in terms]
+            for g, i, probed, consts in terms:
+                q = ", ".join(
+                    f"({pred}, {positions})" if cols is None
+                    else f"({pred}, {positions} -> {cols})"
+                    for pred, positions, cols in probed)
+                lines.append(f"    J{g}: {joins[i]}  q=[{q}]  k={consts}")
             lines += [f"    {line}" for line in source.splitlines()]
     return lines
 

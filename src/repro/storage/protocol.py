@@ -10,7 +10,10 @@ evaluators, planner, service and parallel workers use on
 - lookup: ``__contains__`` / ``__len__`` / ``__iter__`` / ``__bool__``
   / ``tuples()`` and the indexed ``lookup(positions, key, tracer)``
   probe, which builds secondary indexes lazily and reports index
-  builds to a live tracer;
+  builds to a live tracer, plus ``lookup_projected(positions, cols,
+  key, tracer)``: the set of the matching facts' ``cols`` columns, for
+  projections that determine the fact (``positions`` and ``cols``
+  cover every column);
 - versioning: a ``version`` counter bumped once per effective mutation
   (``add_all``/``discard_all`` bump by the batch's effective size),
   which feeds :meth:`~repro.datalog.database.Database.fingerprint`;
@@ -76,6 +79,8 @@ class RelationStorage(Protocol):
     def __iter__(self): ...
     def tuples(self) -> frozenset: ...
     def lookup(self, positions: tuple, key: tuple, tracer=None) -> list: ...
+    def lookup_projected(self, positions: tuple, cols: tuple, key: tuple,
+                         tracer=None) -> set: ...
 
     # planner statistics
     def distinct_values(self) -> frozenset: ...

@@ -15,7 +15,8 @@ The protocol mapping:
 
 - secondary indexes -> ``CREATE INDEX`` (lazily, on first ``lookup``
   per column subset, mirroring the in-memory backend's tracer
-  accounting);
+  accounting); ``lookup_projected`` is ``SELECT <cols>`` over the same
+  index;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
   transaction (falling back to per-row statements only when observers
   need per-fact effectiveness);
@@ -321,11 +322,34 @@ class SQLiteRelation:
 
     def lookup(self, positions: tuple[int, ...], key: tuple,
                tracer=None) -> list[Fact]:
+        rows = self._select(", ".join(self._columns), positions, key, tracer)
+        return [self._fact(r) for r in rows]
+
+    def lookup_projected(self, positions: tuple[int, ...],
+                         cols: tuple[int, ...], key: tuple,
+                         tracer=None) -> set[Fact]:
+        """The ``cols`` columns of ``lookup(positions, key)``, selected
+        by SQLite over the same lazily created index (injective
+        projections only, as on the in-memory backend)."""
+        if len({*positions, *cols}) != self.arity:
+            raise ValueError(
+                f"columns {cols} of {self.name}/{self.arity} keyed on "
+                f"{positions} do not determine the fact"
+            )
+        # No column to select (all are keyed, or arity 0): one () per row.
+        select = ", ".join(self._columns[c] for c in cols) or "0"
+        rows = self._select(select, positions, key, tracer)
+        return set(rows) if cols else {() for _ in rows}
+
+    def _select(self, select: str, positions: tuple[int, ...], key: tuple,
+                tracer) -> list:
+        """``SELECT select`` over the rows matching ``key`` on
+        ``positions``: a counted full scan without any, otherwise over
+        an index created on first use."""
         if not positions:
             if tracer is not None:
                 tracer.count("full_scans")
-            return [self._fact(r) for r in self._all_rows()]
-        if positions not in self._indexed and not self._readonly:
+        elif positions not in self._indexed and not self._readonly:
             cols = ", ".join(self._columns[p] for p in positions)
             with self._lock:
                 self._conn.execute(
@@ -337,13 +361,12 @@ class SQLiteRelation:
                 tracer.count("index_builds")
                 tracer.count("index_tuples", len(self))
         where = " AND ".join(f"{self._columns[p]} = ?" for p in positions)
-        cols = ", ".join(self._columns)
         with self._lock:
-            rows = self._conn.execute(
-                f"SELECT {cols} FROM {self._table} WHERE {where}",
+            return self._conn.execute(
+                f"SELECT {select} FROM {self._table}"
+                + (f" WHERE {where}" if where else ""),
                 tuple(key),
             ).fetchall()
-        return [self._fact(r) for r in rows]
 
     # -- planner statistics -------------------------------------------------
 

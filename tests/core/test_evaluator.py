@@ -329,6 +329,31 @@ class TestGeneratedLoop:
         assert not loop_source(plan, "down")
         assert not PLAN_CACHE._shapes
 
+    def test_a_loop_without_join_terms_fills_no_relation(
+            self, monkeypatch, example_1_1):
+        """Example 1.1 has one class: its up loop is one round over no
+        join terms, recorded like any other but reading nothing."""
+        from repro.core.plan import CARRY
+
+        filled = []
+        add_all = Relation.add_all
+
+        def spy(self, facts):
+            if self.name == CARRY:
+                filled.append(len(facts))
+            return add_all(self, facts)
+
+        monkeypatch.setattr(Relation, "add_all", spy)
+        program, db = example_1_1
+        plan, seed = plan_of(program, "buys", "buys(tom, Y)")
+        assert plan.up_joins == ()
+        answers, stats, _ = run_loops(plan, db, [seed], True, True)
+        assert filled == [1, 2, 1, 1]  # the down loop's carries only
+        assert stats.iterations == len(filled) + 1
+        assert stats.relation_sizes["carry_2"] == len(answers) == 3
+        assert (answers, stats) == run_loops(plan, db, [seed], False,
+                                             True)[:2]
+
     def test_an_executor_that_cannot_partition_takes_the_generated_loop(
             self, example_1_2):
         program, db = example_1_2
@@ -351,6 +376,13 @@ class TestGeneratedLoop:
                 if key == ("c",):
                     raise OSError("disk I/O error")
                 return super().lookup(positions, key, tracer)
+
+            # The probe the loop makes: ``e(X, W)`` is its innermost
+            # level and ``(W)`` its output.
+            def lookup_projected(self, positions, cols, key, tracer=None):
+                if key == ("c",):
+                    raise OSError("disk I/O error")
+                return super().lookup_projected(positions, cols, key, tracer)
 
         db = fan_database()
         db.attach(Failing("e", 2, db.relation("e")), "e")

@@ -1,6 +1,10 @@
 """Unit tests for relations and databases (storage + lazy indexes)."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.atoms import atom
 from repro.datalog.database import Database, Relation
@@ -39,6 +43,38 @@ class TestRelation:
         r = Relation("p", 2)
         with pytest.raises(ArityError):
             r.add_all([("a", "b"), ("c",)])
+
+    def test_bulk_load_of_an_empty_relation(self):
+        """Empty, unindexed, unobserved: ``add_all`` (and ``__init__``)
+        load the whole batch at once -- same contents, count, version
+        and ``ArityError`` as the per-fact path."""
+        facts = [("a", "b"), ["c", "d"], ("a", "b")]
+        loaded = Relation("p", 2, iter(facts))
+        stepwise = Relation("p", 2)
+        stepwise.observe(lambda *event: None)  # takes the per-fact path
+        assert stepwise.add_all(facts) == 2
+        assert loaded.tuples() == stepwise.tuples() \
+            == {("a", "b"), ("c", "d")}
+        assert loaded.version == stepwise.version == 2
+        assert loaded.lookup((0,), ("c",)) == [("c", "d")]
+        cleared = Relation("p", 2, [("x", "y")])
+        cleared.lookup((0,), ("x",))
+        cleared.clear()  # empty again, indexes dropped: bulk path
+        assert cleared.add_all(frozenset(facts[:1])) == 1
+        assert cleared.version == 3
+
+    @pytest.mark.parametrize("wrap", [list, iter, tuple])
+    def test_bulk_load_names_the_first_offending_tuple(self, wrap):
+        facts = [("a", "b"), ("c",), ("d", "e", "f")]
+        stepwise = Relation("p", 2, [("z", "z")])
+        with pytest.raises(ArityError) as expected:
+            stepwise.add_all(wrap(facts))
+        empty = Relation("p", 2)
+        with pytest.raises(ArityError) as caught:
+            empty.add_all(wrap(facts))
+        assert str(caught.value) == str(expected.value)
+        assert "('c',)" in str(caught.value)
+        assert len(empty) == 0 and empty.version == 0
 
     def test_add_all_bumps_version_by_new_count(self):
         r = Relation("p", 1, [("a",)])
@@ -508,6 +544,157 @@ class TestAdoptIndexes:
         unary = Relation("p", 1, [("a",)])
         unary.adopt_indexes(old)
         assert unary._indexes == {}
+
+
+class TestProjectedLookup:
+    """``lookup_projected(P, C, k)`` is ``{project_C(f) for f in
+    lookup(P, k)}``, kept so by every mutation and copy."""
+
+    #: (positions, cols) signatures of an arity-3 relation, each
+    #: determining the fact; cols may reorder, repeat and overlap.
+    SIGNATURES = [
+        ((0,), (1, 2)), ((0,), (2, 1)), ((1, 2), (0,)), ((2,), (0, 1, 0)),
+        ((0, 1, 2), ()), ((1,), (0, 1, 2)), ((), (2, 0, 1)),
+    ]
+    VALUES = range(3)
+    FACT = st.tuples(*[st.sampled_from(VALUES)] * 3)
+    OPS = st.lists(st.one_of(
+        st.tuples(st.sampled_from(["add", "discard"]), FACT),
+        st.tuples(st.sampled_from(["add_all", "discard_all"]),
+                  st.lists(FACT, max_size=5)),
+        st.tuples(st.sampled_from(
+            ["clear", "copy", "snapshot", "pickle", "adopt", "read"]),
+            st.none()),
+    ), max_size=14)
+
+    @classmethod
+    def check(cls, rel: Relation, model: set) -> None:
+        import itertools
+
+        assert rel.tuples() == model
+        for positions, cols in cls.SIGNATURES:
+            for key in itertools.product(cls.VALUES, repeat=len(positions)):
+                rows = rel.lookup_projected(positions, cols, key)
+                assert rows == {
+                    tuple(f[c] for c in cols)
+                    for f in rel.lookup(positions, key)
+                } == {
+                    tuple(f[c] for c in cols) for f in model
+                    if tuple(f[p] for p in positions) == key
+                }
+                assert len(rows) == len(rel.lookup(positions, key))
+
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(FACT, max_size=27), ops=OPS)
+    def test_every_interleaving_keeps_the_law(self, initial, ops):
+        rel, model = Relation("p", 3, initial), set(initial)
+        others = []  # what a copy or an adoption left behind
+        for op, arg in ops:
+            if op in ("add", "discard"):
+                assert getattr(rel, op)(arg) == (
+                    (arg in model) == (op == "discard"))
+                (model.add if op == "add" else model.discard)(arg)
+            elif op == "add_all":
+                assert rel.add_all(arg) == len(set(arg) - model)
+                model |= set(arg)
+            elif op == "discard_all":
+                assert rel.discard_all(arg) == len(set(arg) & model)
+                model -= set(arg)
+            elif op == "clear":
+                rel.clear()
+                model.clear()
+            elif op == "read":
+                self.check(rel, model)  # builds every index
+            elif op == "pickle":
+                rel = pickle.loads(pickle.dumps(rel))
+                assert not rel._projected and not rel._indexes
+            else:
+                others.append((rel, set(model)))
+                if op == "adopt":
+                    self.check(rel, model)  # there are indexes to adopt
+                    gone = min(model, default=(2, 1, 0))
+                    new = rel.copy()
+                    new.discard(gone)
+                    new.add((0, 1, 2))
+                    new.adopt_indexes(rel)
+                    model = (model - {gone}) | {(0, 1, 2)}
+                    rel = new
+                else:
+                    rel = getattr(rel, op)()
+                    assert not rel._projected
+        for each, expected in others + [(rel, model)]:
+            self.check(each, expected)
+
+    def test_build_is_lazy_counted_and_shares_equal_rows(self):
+        from repro.observability import Tracer
+
+        rel = Relation("p", 3, [("a", "x", "y"), ("b", "x", "y"),
+                                ("b", "u", "v")])
+        tracer = Tracer()
+        a = rel.lookup_projected((0,), (1, 2), ("a",), tracer)
+        b = rel.lookup_projected((0,), (1, 2), ("b",), tracer)
+        assert tracer.counter_total("index_builds") == 1
+        assert tracer.counter_total("index_tuples") == 3
+        assert not rel._indexes  # the plain index is not needed for it
+        (row,) = a
+        assert any(row is other for other in b)  # one object, two buckets
+        assert rel.lookup_projected((0,), (1, 2), ("zz",)) == set()
+        assert rel.lookup_projected((), (2, 0, 1), (), tracer) == {
+            ("y", "a", "x"), ("y", "b", "x"), ("v", "b", "u")}
+        assert tracer.counter_total("full_scans") == 1
+
+    def test_a_projection_that_loses_a_column_is_refused(self):
+        rel = Relation("p", 3, [("a", "x", "y")])
+        with pytest.raises(ValueError, match="do not determine the fact"):
+            rel.lookup_projected((0,), (1,), ("a",))
+        assert not rel._projected
+
+    def test_mutations_patch_the_projected_index_in_place(self):
+        rel = Relation("p", 2, [("a", "b"), ("a", "c"), ("d", "e")])
+        bucket = rel.lookup_projected((0,), (1,), ("a",))
+        rel.add(("a", "z"))
+        rel.discard(("a", "b"))
+        rel.add_all([("a", "y"), ("q", "r")])
+        rel.discard_all([("a", "c"), ("d", "e")])
+        assert rel.lookup_projected((0,), (1,), ("a",)) is bucket
+        assert bucket == {("z",), ("y",)}
+        assert rel._projected[(0,), (1,)].keys() == {("a",), ("q",)}
+
+    @pytest.mark.parametrize("who", ["adopter", "lender"])
+    def test_mutation_after_sharing_never_patches_a_shared_bucket(self, who):
+        """The fault case of ``adopt_indexes``: a write on either side
+        between the adoption and the next read."""
+        facts = TestAdoptIndexes.FACTS
+        old = Relation("p", 2, facts)
+        old.lookup_projected((0,), (1,), ("a",))
+        old.lookup((1,), ("e",))
+        new = old.copy()
+        new.add(("a", "z"))
+        new.discard(("s0", "t0"))
+        new.discard(("a", "b"))
+        new.adopt_indexes(old)
+        shared = new._projected[(0,), (1,)]
+        assert shared[("d",)] is old._projected[(0,), (1,)][("d",)]
+        assert shared[("a",)] == {("c",), ("z",)} and ("s0",) not in shared
+        assert old._projected[(0,), (1,)][("a",)] == {("b",), ("c",)}
+        assert old._projected[(0,), (1,)][("s0",)] == {("t0",)}
+        mutated, other = (new, old) if who == "adopter" else (old, new)
+        buckets = dict(other._projected[(0,), (1,)])
+        contents = {k: set(v) for k, v in buckets.items()}
+        mutated.add(("d", "q"))
+        mutated.discard(("f", "e"))
+        mutated.add_all([("d", "r"), ("n", "m")])
+        mutated.discard_all([("g", "h")])
+        after = other._projected[(0,), (1,)]
+        assert after.keys() == buckets.keys()
+        assert all(after[k] is buckets[k] for k in buckets)
+        assert {k: set(v) for k, v in after.items()} == contents
+        assert mutated.lookup_projected((0,), (1,), ("d",)) == {
+            ("e",), ("q",), ("r",)}
+        assert mutated.lookup_projected((0,), (1,), ("g",)) == set()
+        assert other.lookup_projected((0,), (1,), ("d",)) == {("e",)}
+        assert other.lookup_projected((0,), (1,), ("g",)) == {("h",)}
+        assert sorted(other.lookup((1,), ("e",))) == [("d", "e"), ("f", "e")]
 
 
 class TestObservers:

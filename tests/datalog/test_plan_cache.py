@@ -9,6 +9,7 @@ database size.
 
 import pytest
 
+from repro.core.evaluator import loop_source
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.joins import (
@@ -23,6 +24,7 @@ from repro.datalog.plan_cache import (
     PlanCache,
     compile_join_plan,
     greedy_permutation,
+    loop_text,
 )
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.terms import Constant, Variable
@@ -354,3 +356,261 @@ class TestPlanCacheThreadSafety:
             t.join(30)
         assert not failures
         assert cache.stats()["size"] <= 2
+
+
+X, W, V = Variable("X"), Variable("W"), Variable("V")
+
+
+class TestProjectedInnermostLevel:
+    """The innermost bulk level is ``sink.update(<projected bucket>)``
+    exactly when its output is the probed atom's free columns, each of
+    them used, with nothing to test; every other shape keeps the
+    comprehension (or the per-fact loop) it had."""
+
+    #: carry is the smallest relation everywhere, so greedy scans it
+    #: and probes the fixed relation at the innermost level.
+    FACTS = {
+        "carry": [("a",)],
+        "e": [("a", "b"), ("a", "c"), ("b", "d")],
+        "e3": [("a", "b", "b"), ("a", "c", "d"), ("b", "d", "d")],
+    }
+
+    def kernel(self, body, output):
+        db = Database.from_facts(self.FACTS)
+        plan = compile_join_plan(body, db=db)
+        sink: set = set()
+        made = plan.execute_into(output, db, sink)
+        text, consts, _ = plan.kernel_text(output, True)
+        return text, consts, sink, made
+
+    def loop(self, body, output, facts, pseudo="carry"):
+        db = Database.from_facts(facts)
+        plan = compile_join_plan(body, db=db)
+        return loop_text([plan], [output], pseudo, [True], False)
+
+    def test_kernel_unions_the_projected_bucket(self):
+        text, consts, sink, made = self.kernel(
+            (atom("carry", "X"), atom("e", "X", "W")), (W,))
+        assert "c1 = rels[1].lookup_projected(k2, k3, (r0,), tracer)" in text
+        assert "        sink.update(c1)" in text.splitlines()
+        assert "for f in c" not in text
+        assert consts[2:] == ((0,), (1,))  # positions -> cols
+        assert sink == {("b",), ("c",)} and made == 2
+
+    def test_output_order_and_repeats_are_columns(self):
+        text, consts, sink, _ = self.kernel(
+            (atom("carry", "X"), atom("e3", "X", "W", "V")), (V, W, V))
+        assert "sink.update(c1)" in text
+        assert consts[-1] == (2, 1, 2)
+        assert sink == {("b", "b", "b"), ("d", "c", "d")}
+
+    def test_generated_loop_probes_the_fixed_relation_projected(self):
+        text, groups = self.loop(
+            (atom("carry", "X"), atom("e", "X", "W")), (W,), self.FACTS)
+        assert "produced.update(c1)" in map(str.strip, text.splitlines())
+        assert "for f in c" not in text
+        (((probe,), _, _),), = groups
+        assert probe == (1, (0,), (1,))  # step, positions, cols
+
+    @pytest.mark.parametrize("body, output, line", [
+        pytest.param(  # a repeated variable within the atom
+            (atom("carry", "X"), atom("e3", "X", "W", "W")), (W,),
+            "            sink.add((r1,))", id="check"),
+        pytest.param(  # an eq guard scheduled after the atom
+            (atom("carry", "X"), atom("e3", "X", "W", "V"),
+             atom(EQ, "W", "V")), (W, V),
+            "            sink.add((r1, r2))", id="guard"),
+        pytest.param(  # a constant in the output
+            (atom("carry", "X"), atom("e", "X", "W")),
+            (Constant("tag"), W),
+            "        sink.update([(k4, f[k3]) for f in c1])", id="constant"),
+        pytest.param(  # a register of an outer level in the output
+            (atom("carry", "X"), atom("e", "X", "W")), (X, W),
+            "        sink.update([(r0, f[k3]) for f in c1])", id="outer"),
+        pytest.param(  # a free column the output drops
+            (atom("carry", "X"), atom("e3", "X", "W", "V")), (W,),
+            "        sink.update([(f[k3],) for f in c1])", id="dropped"),
+        pytest.param(  # no output column: zip() of no columns is no rows
+            (atom("carry", "X"), atom("e", "X", "W")), (),
+            "        sink.update([() for f in c1])", id="empty"),
+        pytest.param(  # ... also when the atom has no free column
+            (atom("carry", "X"), atom("e", "X", "X")), (),
+            "        sink.update([() for f in c1])", id="all-bound"),
+    ])
+    def test_other_shapes_keep_their_text(self, body, output, line):
+        text, _, sink, made = self.kernel(body, output)
+        assert line in text.splitlines()
+        assert "lookup_projected" not in text
+        db = Database.from_facts(self.FACTS)
+        expected = [
+            tuple(b[t] if isinstance(t, Variable) else t.value
+                  for t in output)
+            for b in evaluate_body_interpreted(db, body)
+        ]
+        assert sink == set(expected) and made == len(expected)
+
+    def test_a_loop_level_probing_carry_is_not_projected(self):
+        """``s`` is smaller than ``carry``: greedy scans ``s`` and
+        probes the per-round index over ``carry``, a plain set."""
+        facts = {"carry": [("a", "b"), ("a", "c"), ("d", "e")],
+                 "s": [("a",)]}
+        body, output = (atom("carry", "X", "W"), atom("s", "X")), (W,)
+        text, groups = self.loop(body, output, facts)
+        assert "produced.update([(f[k3],) for f in c1])" in text
+        (((probe,), _, _),), = groups
+        assert probe == (0, (), None)  # the scan of s
+        # The stand-alone kernel reads a carry *relation*: eligible.
+        db = Database.from_facts(facts)
+        plan = compile_join_plan(body, db=db)
+        assert "lookup_projected" in plan.kernel_source(output)
+
+    def test_tagged_plans_keep_the_comprehension(self):
+        """PR 17's seed-tagged output starts with the tag, a register
+        of the carry level."""
+        from repro.core.compiler import compile_plan
+        from repro.core.detection import require_separable
+        from repro.workloads import paper
+
+        analysis = require_separable(paper.example_2_4_program(), "t")
+        cls = next(c for c in analysis.classes if c.positions == (0, 1))
+        plan = compile_plan(analysis, selected_class=cls, tagged=True)
+        db = Database.from_facts({
+            "__carry__": [(0, "c", "d")],
+            "a": [("c", "d", "e", "f"), ("e", "f", "g", "h")],
+        })
+        join, = plan.down_joins
+        text, _ = loop_text([compile_join_plan(join.body, db=db)],
+                            [join.output], "__carry__", [True], False)
+        assert "produced.update([(r0, f[k" in text
+
+
+def _interpreted_plan(plan, db, seed, tracer):
+    """Figure 2 with every join term run by ``tests/interpreter.py``:
+    the counters a Separable run must report, whatever executes it."""
+    from repro.core.plan import CARRY, SEEN
+    from repro.datalog.database import Relation
+    from repro.stats import EvaluationStats
+
+    stats = EvaluationStats()
+
+    def apply(joins, pseudo, tuples, arity, label):
+        view = Database()
+        for pred in db.predicates():
+            view.attach(db.relation(pred), pred)
+        view.attach(Relation(pseudo, arity, tuples), pseudo)
+        produced = set()
+        for i, join in enumerate(joins):
+            before = len(produced)
+            for b in evaluate_body_interpreted(view, join.body, stats=stats,
+                                               tracer=tracer):
+                produced.add(tuple(b[t] for t in join.output))
+                stats.bump_produced()
+            tracer.count(f"rule_apps:{label}#{i}")
+            if len(produced) > before:
+                tracer.count(f"rule_out:{label}#{i}", len(produced) - before)
+        return produced
+
+    def loop(joins, initial, arity, label):
+        seen, carry = set(initial), set(initial)
+        while carry:
+            carry = apply(joins, CARRY, carry, arity, label) - seen
+            seen |= carry
+        return seen
+
+    seen_1 = loop(plan.down_joins, {seed}, plan.seed_arity, "seen_1")
+    carry_2 = apply(plan.exit_joins, SEEN, seen_1, plan.seed_arity, "exit")
+    return loop(plan.up_joins, carry_2, plan.answer_arity, "seen_2"), stats
+
+
+def _lemma_4_1_cell(n=5):
+    """The ledger's ``dense-lemma41`` shape (k=3, w=1) at a small n."""
+    import itertools
+
+    consts = [f"c{i}" for i in range(1, n + 1)]
+    program = parse_program(
+        "t(X1, X2, X3) :- a(X1, W1) & t(W1, X2, X3).\n"
+        "t(X1, X2, X3) :- t0(X1, X2, X3).\n").program
+    return program, {
+        "a": [p for p in itertools.product(consts, repeat=2)
+              if p[0] != p[1]],
+        "t0": [t for t in itertools.product(consts, repeat=3)
+               if t != ("c1", "c2", "c3")],
+    }
+
+
+def _paper_case(name):
+    from repro.workloads import paper
+
+    if name == "lemma-4-1":
+        program, facts = _lemma_4_1_cell()
+        return program, facts, "t", "t(c1, X2, X3)"
+    if name.startswith("example-2-4"):
+        facts = {
+            "a": [("c", "d", "e", "f"), ("e", "f", "g", "h"),
+                  ("c", "x", "e", "f")],
+            "b": [("p", "q"), ("q", "r")],
+            "t0": [("g", "h", "p"), ("e", "f", "p"), ("c", "d", "z")],
+        }
+        query = "t(c, d, Z)" if name.endswith("down") else "t(X, Y, r)"
+        return paper.example_2_4_program(), facts, "t", query
+    db = getattr(paper, f"{name.replace('-', '_')}_database")(8)
+    facts = {p: db.tuples(p) for p in db.predicates()}
+    program = getattr(paper, f"{name.replace('-', '_')}_program")()
+    return program, facts, "buys", "buys(a1, Y)"
+
+
+@pytest.mark.parametrize("case", [
+    "example-1-1", "example-1-2", "example-2-4-down", "example-2-4-up",
+    "lemma-4-1"])
+def test_projected_probes_count_what_the_interpreter_counts(case):
+    """Reference loop, generated loop and the interpreter agree on every
+    counter a projected probe could have moved: its bucket has as many
+    rows as the plain one, and it is one index build like the plain
+    one."""
+    from repro.core.compiler import compile_selection
+    from repro.core.detection import require_separable
+    from repro.core.evaluator import _reference_loops, execute_plan
+    from repro.core.selections import classify_selection
+    from repro.datalog.parser import parse_atom
+    from repro.observability import Tracer
+    from repro.stats import EvaluationStats
+
+    program, facts, predicate, query = _paper_case(case)
+    selection = classify_selection(
+        require_separable(program, predicate), parse_atom(query))
+    plan = compile_selection(selection)
+
+    def counters(tracer, stats):
+        names = {n for s in tracer.spans() for n in s.counters}
+        picked = {
+            n: tracer.counter_total(n) for n in names
+            if n in ("tuples_examined", "atom_lookups", "bindings_out",
+                     "index_builds")
+            or n.startswith(("rule_apps:", "rule_out:"))
+        }
+        picked["tuples_produced"] = stats.tuples_produced
+        assert stats.tuples_examined == picked["tuples_examined"]
+        return picked
+
+    runs = {}
+    for path in ("interpreter", "reference", "generated"):
+        db = Database.from_facts(facts)  # every path builds its indexes
+        tracer, stats = Tracer(), EvaluationStats()
+        PLAN_CACHE.clear()
+        if path == "interpreter":
+            answers, stats = _interpreted_plan(plan, db, selection.seed,
+                                               tracer)
+        elif path == "reference":
+            with _reference_loops():
+                answers = execute_plan(plan, db, [selection.seed], stats,
+                                       tracer=tracer)
+        else:
+            answers = execute_plan(plan, db, [selection.seed], stats,
+                                   tracer=tracer)
+            texts = "".join(loop_source(plan, "down", traced=True)
+                            + loop_source(plan, "up", traced=True))
+            assert not (plan.down_joins or plan.up_joins) \
+                or "produced.update(c" in texts
+        runs[path] = (frozenset(answers), counters(tracer, stats))
+    assert runs["generated"] == runs["reference"] == runs["interpreter"]
+    assert runs["generated"][0]

@@ -199,6 +199,79 @@ class TestLookup:
         assert rel.lookup((0,), ("q",)) == [("q", "r")]
 
 
+class TestProjectedLookup:
+    """``lookup_projected(P, C, k) == {project_C(f) for f in lookup(P,
+    k)}`` wherever the tuples live."""
+
+    FACTS = [("a", "x", 1), ("a", "y", 2), ("b", "x", 1), ("c", "z", 3)]
+    SIGNATURES = [((0,), (1, 2)), ((0,), (2, 1)), ((1, 2), (0,)),
+                  ((2,), (0, 1, 0)), ((0, 1, 2), ()), ((), (2, 0, 1))]
+
+    @pytest.fixture(params=["memory", "sqlite", "sqlite:path"])
+    def store(self, request, tmp_path):
+        spec = request.param
+        if spec == "sqlite:path":
+            spec = f"sqlite:{tmp_path / 'relations.db'}"
+        return resolve_backend(spec)
+
+    @classmethod
+    def check(cls, rel, facts) -> None:
+        for positions, cols in cls.SIGNATURES:
+            for key in {tuple(f[p] for p in positions)
+                        for f in cls.FACTS} | {("nope",) * len(positions)}:
+                rows = rel.lookup_projected(positions, cols, key)
+                assert isinstance(rows, set)
+                assert rows == {
+                    tuple(f[c] for c in cols)
+                    for f in rel.lookup(positions, key)
+                } == {
+                    tuple(f[c] for c in cols) for f in facts
+                    if tuple(f[p] for p in positions) == key
+                }
+
+    def test_law_holds_through_mutations_and_snapshots(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        facts = set(self.FACTS)
+        self.check(rel, facts)
+        rel.add(("q", "r", 9))
+        rel.add_all([("a", "z", 3), ("a", "x", 1)])
+        rel.discard(("b", "x", 1))          # empties the bucket of b
+        rel.discard_all([("a", "y", 2), ("never", "there", 0)])
+        facts = (facts | {("q", "r", 9), ("a", "z", 3)}) \
+            - {("b", "x", 1), ("a", "y", 2)}
+        self.check(rel, facts)
+        frozen = rel.snapshot()             # read-only on a durable file
+        rel.add(("late", "x", 1))
+        self.check(frozen, facts)
+        self.check(rel.copy(), facts | {("late", "x", 1)})
+        self.check(pickle.loads(pickle.dumps(rel)),
+                   facts | {("late", "x", 1)})
+        rel.clear()
+        self.check(rel, set())
+
+    def test_one_lazy_index_build_reported(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        tracer = Tracer()
+        rel.lookup_projected((0,), (1, 2), ("a",), tracer)
+        rel.lookup_projected((0,), (1, 2), ("b",), tracer)
+        assert tracer.counter_total("index_builds") == 1
+        assert tracer.counter_total("index_tuples") == 4
+        rel.lookup_projected((), (2, 0, 1), (), tracer)
+        assert tracer.counter_total("full_scans") == 1
+        assert tracer.counter_total("index_builds") == 1
+
+    def test_only_projections_that_determine_the_fact(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        with pytest.raises(ValueError):
+            rel.lookup_projected((0,), (1,), ("a",))
+
+    def test_arity_zero(self, store):
+        rel = make(store, name="flag", arity=0)
+        assert rel.lookup_projected((), (), ()) == set()
+        rel.add(())
+        assert rel.lookup_projected((), (), ()) == {()}
+
+
 class TestPlannerStatistics:
     FACTS = [(f"x{i % 7}", f"y{i}") for i in range(40)]
 

@@ -226,8 +226,14 @@ class TestDatabaseSharing:
             "buys(tom, Y)?", strategy="separable", tracer=cold
         ).answers
         assert engine._base_db["buys"] is db
-        built = {p: dict(db.relation(p)._indexes) for p in db.predicates()}
+
+        def indexes_of(p) -> dict:  # plain and projected together
+            rel = db.relation(p)
+            return {**rel._indexes, **rel._projected}
+
+        built = {p: indexes_of(p) for p in db.predicates()}
         assert any(built.values())
+        assert any(db.relation(p)._projected for p in db.predicates())
         warm = Tracer()
         again = Engine(program, db).query(
             "buys(tom, Y)?", strategy="separable", tracer=warm
@@ -237,7 +243,7 @@ class TestDatabaseSharing:
         assert warm.counter_total("index_builds") \
             < cold.counter_total("index_builds")
         for p, indexes in built.items():
-            now = db.relation(p)._indexes
+            now = indexes_of(p)
             assert now.keys() == indexes.keys()
             assert all(now[k] is indexes[k] for k in indexes)
         db.add_fact("perfectFor", ("tom", "brand_new"))
