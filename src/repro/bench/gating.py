@@ -71,12 +71,14 @@ class Finding:
 
 @dataclass(frozen=True)
 class Agrees:
-    """Every other cell counts the same ``answers`` as the same-size
-    ``reference`` cell and, where both carry one, has its
+    """Every other cell (or just ``cells``, where a family has columns
+    that answer a different question) counts the same ``answers`` as
+    the same-size ``reference`` cell and, where both carry one, has its
     ``answers_sha`` -- byte-identical answer sets, not just
     equinumerous ones."""
 
     reference: str
+    cells: tuple[str, ...] = ()
 
     @property
     def claim(self) -> str:
@@ -182,7 +184,8 @@ def _evaluate(gate, report: dict) -> list[Optional[Finding]]:
     out: list[Optional[Finding]] = []
     if isinstance(gate, Agrees):
         for label, n in cells:
-            if label == gate.reference:
+            if label == gate.reference or (
+                    gate.cells and label not in gate.cells):
                 continue
             why = _unusable(cells, label, n) or _unusable(
                 cells, gate.reference, n

@@ -215,7 +215,8 @@ def _make_runner(
     with semi-naive evaluation per write.  Both count the same answers
     (the family's gate cross-checks them) and report empty stats:
     their counters are deterministically zero, so hard gating stays
-    exact.
+    exact.  ``"build"`` times the view's construction alone and counts
+    the derived facts it holds.
     """
     if cell.kind == "detect":
         predicate = parse_query(workload.query).predicate
@@ -225,6 +226,16 @@ def _make_runner(
             return 0, EvaluationStats()
 
         return run_detect
+
+    if cell.kind == "build":
+        from ..maintenance import MaintainedView
+
+        def run_build(tracer: Optional[Tracer] = None):
+            view = MaintainedView(workload.program, workload.db)
+            derived = sum(len(per) for per in view.counts.values())
+            return derived, EvaluationStats()
+
+        return run_build
 
     if cell.kind in ("repair", "recompute"):
         from ..datalog.seminaive import seminaive_evaluate

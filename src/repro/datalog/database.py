@@ -706,6 +706,19 @@ class Database:
                 relation.observe(cb)
                 cb(relation, None, 0)
 
+    def detach(self, name: str) -> None:
+        """Unmount ``name`` (missing is a no-op); the inverse of
+        :meth:`attach`.  The relation itself is untouched, and stops
+        being observed through this database once no mount is left."""
+        displaced = self._relations.pop(name, None)
+        if displaced is None:
+            return
+        self._fp_cache = None
+        if self._observers and all(r is not displaced
+                                   for r in self._relations.values()):
+            for cb in self._observers:
+                displaced.unobserve(cb)
+
     def ensure(self, name: str, arity: int) -> Relation:
         """Get the named relation, creating it empty if absent."""
         rel = self._relations.get(name)

@@ -138,10 +138,9 @@ def seminaive_stratum(
                     )
                 target = db.relation(p)
                 assert target is not None
-                fresh = delta_sets[p]
-                for fact in facts:
-                    if target.add(tuple(fact)):
-                        fresh.add(tuple(fact))
+                fresh = {f for f in map(tuple, facts) if f not in target}
+                target.add_all(fresh)
+                delta_sets[p] |= fresh
         produced_round = 0
         for ri, r in enumerate(rules if initial_deltas is None else ()):
             target = db.relation(r.head.predicate)

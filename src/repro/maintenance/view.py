@@ -12,10 +12,12 @@ Deletions (DRed, delete-and-rederive)
     overestimated tuple, with every delta join running against the
     untouched original database (so derivations using two deleted
     tuples are still seen).  Remove the base deletes and all of ``D``,
-    then rederive: bottom-up per SCC, repeatedly re-add any removed
-    fact that still has a derivation in the current database, until no
-    candidate fires.  Survivors on a cycle come back exactly when they
-    keep outside support.
+    then rederive bottom-up per SCC: one *candidate join* per rule --
+    the rule body behind ``Δ̂?p(<head args>)``, the removed ``p`` facts
+    mounted as a relation -- finds every removed fact that still has a
+    derivation in the current database, and the delta-seeded restart
+    below propagates from those.  Survivors on a cycle come back
+    exactly when they keep outside support.
 
 Insertions (delta-seeded restart)
     Install the base inserts, then per SCC seed the semi-naive fixpoint
@@ -29,13 +31,17 @@ Counting (recount the affected set)
     ``D`` (every lost derivation passes through a deleted tuple) plus
     the heads of delta joins seeded by the inserted facts against the
     final database (every gained derivation uses an inserted tuple,
-    because the old database was already a fixpoint).  Each affected
-    fact gets a fresh head-bound recount, so counts stay *exact* --
-    the property suite checks them against a from-scratch oracle.
+    because the old database was already a fixpoint).  A count is a
+    ``count`` aggregate over the head columns of a rule's join, so the
+    affected facts still present are recounted set-at-a-time: per rule
+    one candidate join, its bag of heads summed per predicate.  Counts
+    stay *exact* -- the property suite checks them against a
+    from-scratch oracle -- and no join in this module runs per fact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
@@ -44,7 +50,6 @@ from ..datalog.joins import evaluate_body_into, evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate, seminaive_stratum
-from ..datalog.terms import Constant
 
 __all__ = ["MaintainedView"]
 
@@ -52,7 +57,42 @@ __all__ = ["MaintainedView"]
 #: them from the semi-naive evaluator's own "Δ" views.
 _DELTA_PREFIX = "Δ̂"
 
+#: Candidate facts mounted as ``Δ̂?p(<head args>)`` in front of a rule
+#: body: the join then *is* the unification of the rule head with each
+#: candidate -- head constants and repeated head variables included --
+#: so one join per rule stands in for one head-bound body evaluation
+#: per (fact, rule).
+_CANDIDATE_PREFIX = _DELTA_PREFIX + "?"
+
 Delta = Mapping[str, tuple[frozenset, frozenset]]
+
+
+def _mount(view: Database, prefix: str,
+           facts: Mapping[str, set[Fact]]) -> dict[str, str]:
+    """Mount each non-empty fact set as relation ``prefix + predicate``
+    in ``view``; returns ``{predicate: mounted name}``."""
+    names: dict[str, str] = {}
+    for pred, tuples in facts.items():
+        if tuples:
+            name = names[pred] = prefix + pred
+            arity = len(next(iter(tuples)))
+            view.attach(Relation(name, arity, tuples), name)
+    return names
+
+
+def _unmount(view: Database, names: Mapping[str, str]) -> None:
+    for name in names.values():
+        view.detach(name)
+
+
+def _head_restricted(rule: Rule, names: Mapping[str, str]
+                     ) -> tuple[Atom, ...]:
+    """``rule.body`` behind the candidate atom of its head predicate
+    (the plain body when no candidates are mounted for it)."""
+    name = names.get(rule.head.predicate)
+    if name is None:
+        return rule.body
+    return (Atom(name, rule.head.args),) + rule.body
 
 
 class MaintainedView:
@@ -74,61 +114,37 @@ class MaintainedView:
     def rebuild(self, edb: Database) -> None:
         """Recompute the view from scratch (the overflow fallback)."""
         self.db = seminaive_evaluate(self.program, edb, order=self.order)
-        self.counts: dict[str, dict[Fact, int]] = {}
-        for pred in self.idb:
-            per: dict[Fact, int] = {}
-            rel = self.db.relation(pred)
-            if rel is not None:
-                for fact in rel:
-                    per[fact] = self._recount(pred, fact)
-            self.counts[pred] = per
+        # The database is a fixpoint, so every head a rule's join
+        # yields is a derived fact: the bag of heads is the count table.
+        self.counts: dict[str, dict[Fact, int]] = {
+            pred: dict(self._derivation_counts(self.db, pred, {}))
+            for pred in self.idb
+        }
 
     def count(self, pred: str, fact: Fact) -> int:
         """Derivation count of ``fact`` (0 if not derived)."""
         return self.counts.get(pred, {}).get(tuple(fact), 0)
 
-    # -- derivation counting ----------------------------------------------
+    # -- maintenance joins -------------------------------------------------
 
-    @staticmethod
-    def _head_bindings(rule: Rule, fact: Fact):
-        """Bindings unifying the rule head with ``fact`` (None: no match)."""
-        bindings: dict = {}
-        for term, value in zip(rule.head.args, fact):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif bindings.setdefault(term, value) != value:
-                return None
-        return bindings
+    def _derivation_counts(self, view: Database, pred: str,
+                           names: Mapping[str, str]) -> Counter:
+        """Derivation counts of ``pred`` facts in ``view``: one join per
+        rule, each head tuple once per body substitution producing it.
 
-    def _recount(self, pred: str, fact: Fact) -> int:
-        total = 0
-        for rule in self.program.rules_for(pred):
-            init = self._head_bindings(rule, fact)
-            if init is None:
-                continue
-            # Only the number of substitutions matters: project onto ().
-            for _ in evaluate_body_project(self.db, rule.body, (),
-                                           initial_bindings=init,
-                                           order=self.order):
-                total += 1
-        return total
-
-    def _derivable(self, pred: str, fact: Fact) -> bool:
-        for rule in self.program.rules_for(pred):
-            init = self._head_bindings(rule, fact)
-            if init is None:
-                continue
-            for _ in evaluate_body_project(self.db, rule.body, (),
-                                           initial_bindings=init,
-                                           order=self.order):
-                return True
-        return False
-
-    # -- delta joins -------------------------------------------------------
+        Restricted to the candidates mounted for ``pred`` in ``names``;
+        with none mounted every derivable head is counted.
+        """
+        counts: Counter = Counter()
+        for r in self.program.rules_for(pred):
+            counts.update(evaluate_body_project(
+                view, _head_restricted(r, names), r.head.args,
+                order=self.order))
+        return counts
 
     def _delta_join_heads(
-        self, rules: Iterable[Rule], changed: Mapping[str, set]
+        self, view: Database, rules: Iterable[Rule],
+        changed: Mapping[str, set],
     ) -> dict[str, set[Fact]]:
         """Rule heads derivable with one body atom restricted to a delta.
 
@@ -138,24 +154,13 @@ class MaintainedView:
         delta join, reused for the DRed overestimate, the insert seeds,
         and the gained-derivation candidates.
         """
-        changed = {n: facts for n, facts in changed.items() if facts}
-        if not changed:
+        names = _mount(view, _DELTA_PREFIX, changed)
+        if not names:
             return {}
-        view = Database()
-        for name in self.db.predicates():
-            rel = self.db.relation(name)
-            assert rel is not None
-            view.attach(rel, name)
-        delta_names: dict[str, str] = {}
-        for name, facts in changed.items():
-            arity = len(next(iter(facts)))
-            delta_name = _DELTA_PREFIX + name
-            view.attach(Relation(delta_name, arity, facts), delta_name)
-            delta_names[name] = delta_name
         heads: dict[str, set[Fact]] = {}
         for r in rules:
             for i, a in enumerate(r.body):
-                delta_name = delta_names.get(a.predicate)
+                delta_name = names.get(a.predicate)
                 if delta_name is None:
                     continue
                 body = (r.body[:i]
@@ -165,6 +170,7 @@ class MaintainedView:
                     view, body, r.head.args,
                     heads.setdefault(r.head.predicate, set()),
                     order=self.order)
+        _unmount(view, names)
         return heads
 
     # -- maintenance -------------------------------------------------------
@@ -196,30 +202,43 @@ class MaintainedView:
             if absent:
                 eff_ins[name] = absent
 
+        if not (eff_ins or eff_dels):
+            return {}
+
         # Per IDB fact we ever add or remove: was it present at entry?
         # Comparing against presence at exit yields the net IDB delta.
         touched: dict[str, dict[Fact, bool]] = {p: {} for p in self.idb}
 
+        # Every maintenance join of this call reads one view database:
+        # the relations of ``self.db`` shared, deltas and candidates
+        # mounted beside them by name for the join that reads them.
+        view = Database()
+        for name in self.db.predicates():
+            rel = self.db.relation(name)
+            assert rel is not None
+            view.attach(rel, name)
+
         if eff_dels:
-            self._apply_deletions(eff_dels, touched)
-        inserted = self._apply_insertions(eff_ins, touched) if eff_ins \
-            else {}
+            self._apply_deletions(view, eff_dels, touched)
+        inserted = self._apply_insertions(view, eff_ins, touched) \
+            if eff_ins else {}
 
         # Recount the affected set: everything removed or added along
         # the way, plus heads gaining a derivation through an inserted
-        # fact (delta join against the *final* database).
-        gains = self._delta_join_heads(self.program.rules, inserted)
+        # fact (delta join against the *final* database).  Only facts
+        # still present need the join: the removed ones gave up their
+        # counts with their membership.
+        gains = self._delta_join_heads(view, self.program.rules, inserted)
+        live: dict[str, set[Fact]] = {}
         for pred in self.idb:
-            affected = set(touched[pred]) | gains.get(pred, set())
-            if not affected:
-                continue
             rel = self.db.relation(pred)
-            per = self.counts.setdefault(pred, {})
-            for fact in affected:
-                if rel is not None and fact in rel:
-                    per[fact] = self._recount(pred, fact)
-                else:
-                    per.pop(fact, None)
+            live[pred] = {f for f in touched[pred].keys()
+                          | gains.get(pred, set()) if f in rel}
+        names = _mount(view, _CANDIDATE_PREFIX, live)
+        for pred in names:
+            self.counts[pred].update(
+                self._derivation_counts(view, pred, names))
+        _unmount(view, names)
 
         result: dict[str, tuple[frozenset, frozenset]] = {}
         for pred in self.idb:
@@ -236,7 +255,8 @@ class MaintainedView:
                 result[pred] = (frozenset(added), frozenset(removed))
         return result
 
-    def _apply_deletions(self, dels: Mapping[str, set[Fact]],
+    def _apply_deletions(self, view: Database,
+                         dels: Mapping[str, set[Fact]],
                          touched: dict[str, dict[Fact, bool]]) -> None:
         # Overestimate bottom-up per SCC against the original database.
         over: dict[str, set[Fact]] = {p: set() for p in self.idb}
@@ -244,7 +264,7 @@ class MaintainedView:
         for scc, rules in self._scc_rules:
             frontier: Mapping[str, set[Fact]] = visible
             while True:
-                heads = self._delta_join_heads(rules, frontier)
+                heads = self._delta_join_heads(view, rules, frontier)
                 fresh: dict[str, set[Fact]] = {}
                 for pred, facts in heads.items():
                     rel = self.db.relation(pred)
@@ -272,43 +292,47 @@ class MaintainedView:
         for pred, facts in over.items():
             if not facts:
                 continue
-            rel = self.db.relation(pred)
+            self.db.relation(pred).discard_all(facts)
             per = self.counts.setdefault(pred, {})
+            entry = touched[pred]
             for fact in facts:
-                rel.discard(fact)
                 per.pop(fact, None)
-                touched[pred].setdefault(fact, True)
+                entry.setdefault(fact, True)
 
-        # Rederive survivors bottom-up per SCC: re-add any removed fact
-        # that still has a derivation, until no candidate fires.
-        for scc, _rules in self._scc_rules:
-            pool = [(p, f) for p in scc for f in over.get(p, ())]
-            changed = True
-            while changed and pool:
-                changed = False
-                remaining = []
-                for pred, fact in pool:
-                    if self._derivable(pred, fact):
-                        self.db.relation(pred).add(fact)
-                        changed = True
-                    else:
-                        remaining.append((pred, fact))
-                pool = remaining
+        # Rederive survivors bottom-up per SCC.  One candidate join per
+        # rule finds the removed facts that still have a derivation in
+        # the current database; what is missing beyond them can only
+        # follow from them, which is the delta-seeded restart's
+        # precondition -- so the cascade costs one delta round per step
+        # instead of one sweep over every removed fact per step.
+        for scc, rules in self._scc_rules:
+            names = _mount(view, _CANDIDATE_PREFIX,
+                           {p: over[p] for p in scc})
+            back: dict[str, set[Fact]] = {}
+            for r in rules:
+                if r.head.predicate in names:
+                    evaluate_body_into(
+                        view, _head_restricted(r, names), r.head.args,
+                        back.setdefault(r.head.predicate, set()),
+                        order=self.order)
+            _unmount(view, names)
+            if any(back.values()):
+                seminaive_stratum(rules, scc, self.db, self.program,
+                                  order=self.order, initial_deltas=back)
 
     def _apply_insertions(
-        self, ins: Mapping[str, set[Fact]],
+        self, view: Database, ins: Mapping[str, set[Fact]],
         touched: dict[str, dict[Fact, bool]],
     ) -> dict[str, set[Fact]]:
         """Install base inserts, propagate; returns all inserted facts."""
         for name, facts in ins.items():
-            arity = len(next(iter(facts)))
-            self.db.ensure(name, arity).add_all(facts)
+            rel = self.db.ensure(name, len(next(iter(facts))))
+            view.attach(rel, name)  # a relation this write created
+            rel.add_all(facts)
         changed: dict[str, set[Fact]] = {n: set(f) for n, f in ins.items()}
         for scc, rules in self._scc_rules:
-            for pred in scc:
-                self.db.ensure(pred, self.program.arity(pred))
             lower = {n: f for n, f in changed.items() if n not in scc}
-            seed_heads = self._delta_join_heads(rules, lower)
+            seed_heads = self._delta_join_heads(view, rules, lower)
             seeds: dict[str, set[Fact]] = {}
             for pred in scc:
                 rel = self.db.relation(pred)

@@ -59,7 +59,9 @@ class TestRegistry:
             if cell.kind == "query":
                 assert cell.strategy in STRATEGIES
             else:
-                assert cell.kind in ("detect", "repair", "recompute")
+                assert cell.kind in (
+                    "detect", "repair", "recompute", "build",
+                )
                 assert (cell.strategy, cell.backend, cell.workers) == (
                     None, None, None,
                 )
@@ -70,6 +72,8 @@ class TestRegistry:
         for gate in FAMILIES[key].gates:
             if isinstance(gate, (Agrees, Ratio)):
                 assert gate.reference in labels
+            if isinstance(gate, Agrees):
+                assert set(gate.cells) <= labels
             if isinstance(gate, Ratio):
                 assert gate.cell in labels
                 assert gate.sizes in ("all", "largest", "any")

@@ -219,6 +219,15 @@ class TestMaintenanceGate:
         findings = evaluate_gates(_maintenance_report(inc_answers=41))
         assert kinds(findings) == ["answers"]
 
+    def test_build_cell_answers_a_different_question(self):
+        # ``build`` counts the view's derived facts, not answers over
+        # the write stream: the Agrees row names the cells it compares.
+        report = _maintenance_report()
+        report["results"].append(
+            dict(report["results"][0], strategy="build", answers=7)
+        )
+        assert evaluate_gates(report) == []
+
     def test_noise_floor_skips_speed_but_not_answers(self):
         report = _maintenance_report(
             inc_s=9e-4, fs_s=5e-4, inc_answers=41

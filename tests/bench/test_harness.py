@@ -256,7 +256,7 @@ class TestIncrementalWriteFamily:
 
     def test_both_strategies_complete(self, iw_report):
         cells = {c["strategy"]: c for c in iw_report["results"]}
-        assert set(cells) == {"incremental", "fromscratch"}
+        assert set(cells) == {"incremental", "fromscratch", "build"}
         for cell in cells.values():
             assert cell["outcome"] == "ok"
             assert cell["median_s"] > 0

@@ -8,11 +8,20 @@ cross-checks the repaired view against a view rebuilt from scratch on
 the mutated base -- extent *and* per-fact derivation counts.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
+from repro.datalog.joins import evaluate_body_project
 from repro.datalog.parser import parse_program
+from repro.datalog.plan_cache import PLAN_CACHE
+from repro.datalog.programs import Program
+from repro.datalog.rules import Rule
+from repro.datalog.terms import Constant
 from repro.maintenance import MaintainedView
+from repro.workloads.scenarios import social_commerce
 
 TC = parse_program(
     "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y)."
@@ -234,3 +243,167 @@ class TestApplyContract:
         edb.remove_fact("friend", ("a", "b"))
         edb.add_fact("perfectFor", ("d", "q"))
         assert_matches_rebuild(view, edb)
+
+
+def brute_force_count(program, db, pred, fact, order) -> int:
+    """The per-fact recount the view used to run: unify each rule head
+    with ``fact``, count the body substitutions under those bindings."""
+    total = 0
+    for rule in program.rules_for(pred):
+        bindings: dict = {}
+        for term, value in zip(rule.head.args, fact):
+            if isinstance(term, Constant):
+                if term.value != value:
+                    break
+            elif bindings.setdefault(term, value) != value:
+                break
+        else:
+            total += sum(1 for _ in evaluate_body_project(
+                db, rule.body, (), initial_bindings=bindings, order=order))
+    return total
+
+
+def assert_counts_match_brute_force(view: MaintainedView) -> None:
+    for pred in view.idb:
+        assert view.counts[pred] == {
+            fact: brute_force_count(
+                view.program, view.db, pred, fact, view.order)
+            for fact in view.db.tuples(pred)
+        }, pred
+
+
+def _rules(text: str, *extra: Rule) -> Program:
+    return Program(list(parse_program(text).program.rules) + list(extra))
+
+
+#: (program, EDB facts, a base fact whose delete-then-reinsert touches
+#: the counted facts) -- one per head shape the candidate atom must
+#: unify with.
+COUNT_CASES = {
+    "head-constant": (
+        _rules("p(a, X) :- q(X)."),
+        {"q": [("a",), ("b",), ("c",)]},
+        ("q", ("b",)),
+    ),
+    "repeated-head-variable": (
+        _rules("r(X, X) :- q(X).\nr(X, Y) :- e(X, Y)."),
+        {"q": [("a",), ("b",)], "e": [("a", "a"), ("a", "b")]},
+        ("q", ("a",)),
+    ),
+    "two-rules-one-fact": (
+        BUYS,
+        {"friend": [("a", "b")], "idol": [("a", "b")],
+         "perfectFor": [("b", "p"), ("b", "q")]},
+        ("friend", ("a", "b")),
+    ),
+    "body-less-rule": (
+        _rules("s(X) :- q(X).", Rule(Atom("s", (Constant("c"),)), ())),
+        {"q": [("c",), ("d",)]},
+        ("q", ("c",)),
+    ),
+    "mutual-recursion": (
+        _rules(
+            "even(X) :- zero(X).\n"
+            "even(Y) :- succ(X, Y) & odd(X).\n"
+            "odd(Y) :- succ(X, Y) & even(X)."
+        ),
+        {"zero": [("n0",)],
+         "succ": [(f"n{i}", f"n{i + 1}") for i in range(6)]
+         + [("n6", "n1"), ("n2", "n5")]},
+        ("succ", ("n2", "n3")),
+    ),
+}
+
+
+class TestCountsAreJoins:
+    @pytest.mark.parametrize("order", ["greedy", "left_to_right", "cost"])
+    @pytest.mark.parametrize("case", sorted(COUNT_CASES))
+    def test_counts_equal_the_per_fact_oracle(self, case, order):
+        program, facts, (name, fact) = COUNT_CASES[case]
+        edb = Database.from_facts(facts)
+        view = MaintainedView(program, edb, order=order)
+        assert_counts_match_brute_force(view)
+        for delta in ((frozenset(), frozenset([fact])),
+                      (frozenset([fact]), frozenset())):
+            view.apply({name: delta})
+            assert_counts_match_brute_force(view)
+        assert_matches_rebuild(view, edb)
+
+    def test_two_rules_deriving_one_fact_count_twice(self):
+        program, facts, _write = COUNT_CASES["two-rules-one-fact"]
+        view = MaintainedView(program, Database.from_facts(facts))
+        assert view.count("buys", ("a", "p")) == 2
+        assert view.count("buys", ("b", "p")) == 1
+
+
+REACH = parse_program(
+    "r(X) :- src(X).\nr(Y) :- r(X) & e(X, Y)."
+).program
+
+
+class TestRederivationCascade:
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_cycle_with_outside_support_comes_back_step_by_step(self, m):
+        # A cycle n0 -> ... -> n(m-1) -> n0 reached from src(n0) and,
+        # independently, from z -> n0.  Dropping src(n0) overestimates
+        # the whole cycle; only r(n0) is rederivable in one step (from
+        # r(z)), the rest return over an m-step cascade.
+        edb = Database.from_facts({
+            "src": [("n0",), ("z",)],
+            "e": [(f"n{i}", f"n{(i + 1) % m}") for i in range(m)]
+            + [("z", "n0")],
+        })
+        view = MaintainedView(REACH, edb)
+        changes = view.apply({"src": (frozenset(), frozenset([("n0",)]))})
+        edb.remove_fact("src", ("n0",))
+        assert changes == {}
+        assert len(view.db.tuples("r")) == m + 1
+        assert view.count("r", ("n0",)) == 2  # via z and via the cycle
+        assert_matches_rebuild(view, edb)
+        # Without the outside edge the cycle only supports itself.
+        changes = view.apply({"e": (frozenset(), frozenset([("z", "n0")]))})
+        edb.remove_fact("e", ("z", "n0"))
+        assert changes == {"r": (
+            frozenset(), frozenset((f"n{i}",) for i in range(m)),
+        )}
+        assert_matches_rebuild(view, edb)
+
+
+class TestNoPerFactJoin:
+    def test_plan_lookups_do_not_grow_with_the_overestimate(self):
+        # One write whose DRed overestimate is everyone reaching the
+        # most-befriended user.  Every maintenance join asks the plan
+        # cache once, so lookups per apply are O(rules x rounds); a join
+        # per (fact, rule) would scale them with the overestimate.
+        lookups, removed = {}, {}
+        for people in (40, 150):
+            scenario = social_commerce(people=people)
+            view = MaintainedView(scenario.program, scenario.database)
+            befriended = Counter(
+                w for _x, w in scenario.database.tuples("friend"))
+            user = max(befriended, key=lambda u: (befriended[u], u))
+            gift = frozenset([(user, "gift")])
+            view.apply({"perfectFor": (gift, frozenset())})
+
+            rounds = 0
+            delta_join = view._delta_join_heads
+
+            def counting(*args, **kwargs):
+                nonlocal rounds
+                rounds += 1
+                return delta_join(*args, **kwargs)
+
+            view._delta_join_heads = counting
+            before = PLAN_CACHE.stats()
+            changes = view.apply({"perfectFor": (frozenset(), gift)})
+            after = PLAN_CACHE.stats()
+            lookups[people] = (after["hits"] + after["misses"]
+                               - before["hits"] - before["misses"])
+            removed[people] = len(changes["buys"][1])
+            # Each delta-join round plans at most one join per body
+            # atom; the rederive and recount joins add one per rule.
+            body_atoms = sum(len(r.body) for r in scenario.program.rules)
+            assert lookups[people] <= body_atoms * (rounds + 2)
+        assert removed[150] >= 3 * removed[40]
+        assert lookups[150] < removed[150]
+        assert lookups[150] <= 1.5 * lookups[40]
