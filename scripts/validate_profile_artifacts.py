@@ -14,13 +14,7 @@ every artifact the observability pipeline promises:
    form, ``produced.update(c1)``, not a per-fact comprehension;
 4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
    seed-tagged fixpoint: the report prints the tagged plan and the
-   number of ``separable.loop`` spans does not grow with the seeds;
-5. a ``--parallel 2`` profile of the three-seed example stitches
-   worker trace fragments (carry partitions) into one Chrome trace
-   with a lane per worker pid, replays byte-identically, and its
-   reconciled counter totals equal the serial profile's -- but for the
-   two counters that count carry scans, which grow by exactly one per
-   extra partition of every partitioned round.
+   number of ``separable.loop`` spans does not grow with the seeds.
 
 ``http-smoke`` mode instead drives a live ``repro-datalog serve
 --http-port`` process and curls ``/metrics``, ``/healthz`` and
@@ -43,7 +37,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_PROGRAM = REPO / "examples" / "example_1_2.dl"
-PARALLEL_PROGRAM = REPO / "examples" / "parallel_lanes.dl"
 PARTIAL_PROGRAM = (REPO / "tests" / "differential" / "corpus"
                    / "example-2-4-partial-selection.dl")
 
@@ -135,9 +128,6 @@ def main(argv: list[str]) -> int:
 
     # 4. a partial selection is one batched fixpoint.
     check_batched_union()
-
-    # 5. a parallel=2 profile stitches worker fragments into one trace.
-    check_stitched_profile(workdir, replay_file, to_chrome_trace)
     return 0
 
 
@@ -173,85 +163,6 @@ def check_batched_union() -> None:
                 for line in report.splitlines())
     assert 1 <= loops <= 4, f"{loops} separable.loop spans, expected <= 4"
     print(f"batched union ok: tagged plan shown, {loops} loop spans")
-
-
-def check_stitched_profile(workdir: Path, replay_file,
-                           to_chrome_trace) -> None:
-    """A --parallel 2 profile of the three-seed example: worker lanes
-    (one carry partition per fragment), replay identity, and reconciled
-    counters equal to the serial profile's."""
-    from repro.observability import reconciled_counter_totals
-
-    # left_to_right: a partition joins in the order the whole carry
-    # would, so only the scan counts below can differ.
-    serial_events = workdir / "serial.jsonl"
-    run_cli(
-        "profile", str(PARALLEL_PROGRAM), "--no-timings",
-        "--order", "left_to_right", "--events", str(serial_events),
-    )
-    par_events = workdir / "parallel.jsonl"
-    par_trace = workdir / "parallel.trace.json"
-    run_cli(
-        "profile", str(PARALLEL_PROGRAM), "--parallel", "2",
-        "--order", "left_to_right", "--format", "chrome-trace",
-        "--out", str(par_trace), "--events", str(par_events),
-    )
-    chrome = json.loads(par_trace.read_text())
-    events = chrome["traceEvents"]
-    check_balanced(events)
-
-    # One lane per worker pid, each named by an M metadata event and
-    # individually balanced; counter-total C curves stay on the parent.
-    worker_pids = {e["pid"] for e in events if e["ph"] in "BE"} - {1}
-    assert worker_pids, "no worker lanes in the stitched trace"
-    lane_names = {
-        e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"
-    }
-    assert lane_names.get(1) == "parent"
-    for pid in worker_pids:
-        assert lane_names.get(pid) == f"worker {pid}", lane_names
-        depth = 0
-        for e in events:
-            if e["pid"] == pid and e["ph"] in "BE":
-                depth += 1 if e["ph"] == "B" else -1
-                assert depth >= 0, f"lane {pid} unbalanced"
-        assert depth == 0, f"lane {pid} left open"
-    assert all(
-        e["pid"] == 1
-        for e in events if e["ph"] == "C" and "." not in e["name"]
-    ), "counter totals left the parent lane"
-
-    # The stitched event log replays byte-identically too.
-    replayed = replay_file(par_events)
-    assert json.dumps(to_chrome_trace(replayed), sort_keys=True) == \
-        json.dumps(chrome, sort_keys=True), (
-            "stitched trace does not replay byte-identically"
-        )
-
-    # Partitions are exact: every portable counter total must equal
-    # the serial profile's, except that each partition scans its own
-    # share of the carry where the serial round scans it once -- every
-    # stage of this plan is a single join, so one more lookup and one
-    # more full scan per partition beyond a round's first.
-    hosts = [span.attrs["index"] for span in replayed.spans("parallel.worker")]
-    extra = len(hosts) - hosts.count(0)
-    assert extra > 0, "no round was split into more than one partition"
-    serial_totals = reconciled_counter_totals(replay_file(serial_events))
-    stitched_totals = reconciled_counter_totals(replayed)
-    for name in ("atom_lookups", "full_scans"):
-        grew = stitched_totals.pop(name) - serial_totals.pop(name)
-        assert grew == extra, (
-            f"{name} grew by {grew}, expected {extra} (one per extra "
-            f"partition)")
-    assert stitched_totals == serial_totals, (
-        f"stitched totals drifted from serial:\n"
-        f"  serial   {json.dumps(serial_totals, sort_keys=True)}\n"
-        f"  stitched {json.dumps(stitched_totals, sort_keys=True)}"
-    )
-    print(
-        f"stitched profile ok: {len(worker_pids)} worker lane(s), "
-        f"replay byte-identical, totals == serial + {extra} carry scans"
-    )
 
 
 def http_smoke() -> int:

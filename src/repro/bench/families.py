@@ -10,9 +10,8 @@ A family's ``build(n)`` returns a :class:`Workload`: program, database
 and query text.  A cell's ``label`` is the ``strategy`` key of its
 report cells on disk; the other fields say what it runs -- an
 :data:`repro.engine.STRATEGIES` member, optionally under a join
-``order``, on a storage ``backend`` or on a ``workers``-process pool,
-or one of four non-query kinds: ``"detect"`` (E6) times separability
-analysis alone -- the paper's "computationally simple to detect" claim
+``order`` or on a storage ``backend``, or one of four non-query
+kinds: ``"detect"`` (E6) times separability analysis alone -- the paper's "computationally simple to detect" claim
 -- and touches no data; ``"repair"`` / ``"recompute"`` (the
 ``incremental-write`` family) replay one mutation stream through
 :class:`repro.maintenance.MaintainedView` repairs versus a full
@@ -27,7 +26,7 @@ later deleted) so each timed repeat starts from the same state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..datalog.database import Database
@@ -76,8 +75,6 @@ class Cell:
     #: derived relation goes through the storage dispatch), ``"sqlite"``
     #: a temporary out-of-core database; ``None`` a plain in-memory one.
     backend: Optional[str] = None
-    #: Worker processes of the cell's pool; ``None`` evaluates serially.
-    workers: Optional[int] = None
 
 
 def _plain(*strategies: str) -> tuple[Cell, ...]:
@@ -208,15 +205,6 @@ def _e9(n: int) -> Workload:
     return Workload(section_5_nonseparable_program(), db, "t(x0, Y)?")
 
 
-def _parallel_scaling(n: int) -> Workload:
-    # The Lemma 4.1 dense cell (same shape as e3): carry_2 holds
-    # Theta(n^2) tuples per up-loop iteration, so the intra-loop
-    # hash-partitioning -- not just the Lemma 2.1 branch fan-out --
-    # carries the parallel work.  The serial and parallel-N cells run
-    # the *same* compiled plan; only the executor differs.
-    return _e3(n)
-
-
 def _skewed_join(n: int) -> Workload:
     # A three-way join whose *size* ranks mislead: ``big`` fans every x
     # out to n/2 z-values while ``sel`` (padded with junk so it is the
@@ -295,11 +283,12 @@ def _incremental_write_ops(n: int) -> list:
 
 
 #: A Separable query asks the plan cache once per join per entry into a
-#: generated carry loop -- O(joins x size-rank changes of carry) -- plus
-#: once per exit join; a count that grows with the rounds means a loop
-#: went back to planning per round.  These cells enter each loop once
-#: (at most e1's two joins plus the exit join, all misses on the cold
-#: cache a cell starts with); 6 leaves room for one rank change.
+#: generated carry loop -- O(joins x size-rank changes of carry) under
+#: ``greedy``, O(joins x log2 of the largest carry) under ``cost`` --
+#: plus once per exit join; a count that grows with the rounds means a
+#: loop went back to planning per round.  These cells enter each loop
+#: once (at most e1's two joins plus the exit join, all misses on the
+#: cold cache a cell starts with); 6 leaves room for one rank change.
 _LOOP_PLANS = Bound(
     "plan_cache_hits", 6, cells=("separable",), kind="plan",
     claim="plan lookups per query are O(joins x rank changes), "
@@ -340,10 +329,15 @@ FAMILIES: dict[str, Family] = {
         key="e4",
         title="Lemma 4.2: Magic n^k vs Separable n^(k-1) at k = 2",
         size_means="constants per column n",
-        cells=_plain("separable", "magic"),
+        cells=_plain("separable", "magic") + (
+            Cell("separable-cost", strategy="separable", order="cost"),
+        ),
         build=_e4,
         expectation="magic quadratic; separable linear",
-        gates=(Agrees("separable"),),
+        gates=(
+            Agrees("separable"),
+            replace(_LOOP_PLANS, cells=("separable", "separable-cost")),
+        ),
     ),
     "e5": Family(
         key="e5",
@@ -449,64 +443,23 @@ FAMILIES: dict[str, Family] = {
             ),
         ),
     ),
-    "parallel-scaling": Family(
-        key="parallel-scaling",
-        title="Theorem 2.1 as a scheduler: speedup vs worker count",
-        size_means="constants per column n (the Lemma 4.1 dense cell)",
-        cells=(
-            Cell("serial", strategy="separable"),
-            Cell("parallel-1", strategy="separable", workers=1),
-            Cell("parallel-2", strategy="separable", workers=2),
-            Cell("parallel-4", strategy="separable", workers=4),
-        ),
-        build=_parallel_scaling,
-        expectation=(
-            "answers byte-identical at every worker count; >= 1.5x "
-            "speedup at 4 workers on machines with >= 4 CPUs (the "
-            "speedup gate is hardware-gated, the identity gate is not)"
-        ),
-        gates=(
-            Agrees("serial"),
-            # A worker that builds and pickles a span tree nobody asked
-            # for silently taxes every parallel evaluation.
-            Bound(
-                "untraced_fragments", 0,
-                cells=("parallel-1", "parallel-2", "parallel-4"),
-                kind="parallel",
-                claim="tracer=None ships no trace fragments "
-                "(zero-overhead default)",
-            ),
-            Ratio(
-                "parallel-4", "serial", 1 / 1.5, kind="parallel",
-                claim=">= 1.5x speedup at 4 workers", floor_s=0.05,
-                sizes="largest", required_cpus=4,
-            ),
-        ),
-    ),
     "skewed-join": Family(
         key="skewed-join",
         title="Cost-based join order vs greedy size-rank on skewed data",
         size_means="selective tuples n (big fans out to n/2 per x)",
         cells=tuple(
             Cell(f"order-{order}", strategy="seminaive", order=order)
-            for order in ("greedy", "left_to_right", "cost", "adaptive")
+            for order in ("greedy", "left_to_right", "cost")
         ),
         build=_skewed_join,
         expectation=(
             "greedy probes the misleadingly-small fanout relation first "
             "(quadratic bindings); cost puts the selective atom second "
-            "(linear); answers byte-identical across all four orders, "
-            "plan_compiles flat, adaptive re-plans bounded (<= 2 per "
-            "fixpoint)"
+            "(linear); answers byte-identical across all three orders, "
+            "plan_compiles flat"
         ),
         gates=(
             Agrees("order-greedy"),
-            # Mirrors repro.datalog.planner.MAX_REPLANS: bounded
-            # feedback keeps re-planning from thrashing a fixpoint.
-            Bound(
-                "plan_replans", 2, cells=("order-adaptive",), kind="plan",
-                claim="adaptive re-plans at most twice per fixpoint",
-            ),
             Ratio(
                 "order-cost", "order-greedy", 1.0, kind="plan",
                 claim="the cost model must reduce join fanout",

@@ -17,7 +17,7 @@ Two sources of gates, matching what is and is not deterministic:
 Every evaluation of every gate ends one of three ways: it passes, it
 yields a regression :class:`Finding`, or it yields a ``skipped``
 finding that says why the gate could not be applied (reference below
-its noise floor, too few CPUs, a cell that did not finish, a key an
+its noise floor, a cell that did not finish, a key an
 older report does not carry).  ``bench --check`` prints the
 applied-vs-skipped tally and exits 1 on any regression -- including a
 family none of whose time cells could be gated.
@@ -51,7 +51,7 @@ class Finding:
     strategy: str
     n: Optional[int]
     # schema | missing | outcome | answers | size | counter | time |
-    # ungated | plan | maintenance | parallel | backend | skipped
+    # ungated | plan | maintenance | backend | skipped
     kind: str
     message: str
 
@@ -121,11 +121,7 @@ class Ratio:
     normalized by calibration runs interleaved with its own repeats.
     A size whose reference median is under ``floor_s`` seconds is
     skipped (timer noise).  ``sizes`` quantifies over the rest:
-    ``"all"`` of them, the ``"largest"`` one, or ``"any"`` one.  With
-    ``required_cpus`` the gate only applies to reports measured on at
-    least that many CPUs -- a process pool cannot beat serial on one
-    core, and pretending otherwise would make the gate a permanent lie
-    on small CI runners.
+    ``"all"`` of them, the ``"largest"`` one, or ``"any"`` one.
     """
 
     cell: str
@@ -136,7 +132,6 @@ class Ratio:
     metric: str = "normalized"
     floor_s: float = 0.0
     sizes: str = "all"
-    required_cpus: int = 0
 
 
 #: Evaluated for every family, before its own rows.
@@ -251,16 +246,11 @@ def _evaluate(gate, report: dict) -> list[Optional[Finding]]:
             else:
                 out.append(None)
     else:
-        cpus = (report.get("machine") or {}).get("cpu_count") or 0
-        out = _evaluate_ratio(gate, family, cpus, cells, sizes, skipped)
+        out = _evaluate_ratio(gate, family, cells, sizes, skipped)
     return out
 
 
-def _evaluate_ratio(gate: Ratio, family, cpus, cells, sizes, skipped):
-    if cpus < gate.required_cpus:
-        return [skipped(
-            gate.cell, None, f"cpu_count {cpus} < {gate.required_cpus}"
-        )]
+def _evaluate_ratio(gate: Ratio, family, cells, sizes, skipped):
     skips: list[Finding] = []
     eligible: list[tuple[int, float, float]] = []
     for n in sizes:

@@ -89,8 +89,6 @@ _COUNTER_NAMES = (
     "plan_compiles",
     "plan_cache_hits",
     "plan_cache_misses",
-    "plan_replans",
-    "plan_misestimates",
 )
 
 #: Test hook: a factor > 1 multiplies every *unit* timing (never the
@@ -282,28 +280,16 @@ def _make_runner(
         from ..storage import ensure_backend
 
         db = ensure_backend(db, cell.backend)
-    executor = None
-    if cell.workers is not None:
-        from ..parallel import ParallelConfig, get_executor
-
-        executor = get_executor(ParallelConfig(
-            workers=cell.workers,
-            partitions=cell.workers,
-            min_partition_tuples=16,
-        ))
     engine = Engine(workload.program, db, budget=budget, order=cell.order)
 
     def run(tracer: Optional[Tracer] = None):
         stats = EvaluationStats()
         result = engine.query(
             workload.query, strategy=cell.strategy, stats=stats,
-            tracer=tracer, parallel=executor,
+            tracer=tracer,
         )
         return result.answers, stats
 
-    # Exposed so _run_cell can read fragments_received around the
-    # traced warmup and the untraced repeats.
-    run.executor = executor
     return run
 
 
@@ -374,10 +360,6 @@ def _run_cell(
     tracer = Tracer(context={
         "family": family.key, "strategy": cell.label, "n": n,
     })
-    executor = getattr(run, "executor", None)
-    fragments_before = (
-        executor.fragments_received if executor is not None else 0
-    )
     outcome = "ok"
     answers = None
     stats = EvaluationStats()
@@ -419,14 +401,6 @@ def _run_cell(
     }
     if digest is not None:
         result["answers_sha"] = digest
-    if executor is not None:
-        # Fragments shipped during the traced warmup (informational:
-        # the stitched trace below carries them) vs during the untraced
-        # timed repeats (must stay 0 -- the zero-overhead default).
-        # Both keys are additive, so older baselines stay comparable.
-        result["traced_fragments"] = (
-            executor.fragments_received - fragments_before
-        )
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
         trace_path = (
@@ -438,17 +412,10 @@ def _run_cell(
         result["trace"] = str(trace_path)
     if outcome != "ok":
         return result
-    untraced_before = (
-        executor.fragments_received if executor is not None else 0
-    )
     times, units = [], [_unit_time()]
     for _ in range(max(repeats, 1)):
         times.append(_timed(run))
         units.append(_unit_time())
-    if executor is not None:
-        result["untraced_fragments"] = (
-            executor.fragments_received - untraced_before
-        )
     median_s = statistics.median(times)
     unit_s = statistics.median(units)
     result["median_s"] = median_s

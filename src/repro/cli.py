@@ -101,23 +101,8 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _worker_list(text: str) -> tuple[int, ...]:
-    """Comma-separated positive worker counts, e.g. ``1,2,4``."""
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"worker counts must be >= 1, got {text!r}"
-        )
-    return values
-
-
 def _order_list(text: str) -> tuple[str, ...]:
-    """Comma-separated join orders, e.g. ``cost,adaptive``."""
+    """Comma-separated join orders, e.g. ``greedy,cost``."""
     values = tuple(part.strip() for part in text.split(",") if part.strip())
     unknown = [v for v in values if v not in ORDERS]
     if not values or unknown:
@@ -183,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ORDERS,
         default="greedy",
         help="join order for compiled bodies (default: greedy); cost "
-        "uses the selectivity-aware planner, adaptive adds "
-        "mid-fixpoint re-planning (docs/planning.md)",
+        "uses the selectivity-aware planner (docs/planning.md)",
     )
     run.add_argument(
         "--stats",
@@ -247,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ORDERS,
         default="greedy",
         help="join order for compiled bodies (default: greedy); with "
-        "cost or adaptive the report gains a planner "
-        "estimate-vs-observed section",
+        "cost the report gains a planner estimate-vs-observed section",
     )
     profile.add_argument(
         "--format",
@@ -275,15 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit wall-clock figures from the text report (makes the "
         "output deterministic for a given program and query)",
-    )
-    profile.add_argument(
-        "--parallel",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="run Separable strategies on an N-worker process pool; "
-        "remote spans are stitched back in, so the trace shows one "
-        "lane per worker pid (default: 0 = serial)",
     )
     profile.add_argument(
         "--backend",
@@ -336,22 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="report raw failing cases without delta-debugging them",
     )
     fuzz.add_argument(
-        "--parallel-workers",
-        type=_worker_list,
-        default=None,
-        metavar="W[,W...]",
-        help="also run the Separable strategy under the worker-pool "
-        "executor at these worker counts (comma-separated, e.g. "
-        "'1,2,4'), cross-checking each run against the reference",
-    )
-    fuzz.add_argument(
         "--orders",
         type=_order_list,
         default=None,
         metavar="O[,O...]",
         help="also run semi-naive evaluation under these join orders "
-        "(comma-separated, e.g. 'cost,adaptive'), cross-checking each "
-        "run against the reference",
+        "(comma-separated, e.g. 'left_to_right,cost'), cross-checking "
+        "each run against the reference, and diff the generated "
+        "Separable loops against the reference loop under each",
     )
     fuzz.add_argument(
         "--backends",
@@ -382,14 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=4,
         help="thread-pool size (default: 4)",
-    )
-    serve.add_argument(
-        "--parallel",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="evaluate Separable queries on an N-worker process pool "
-        "(default: 0 = serial; see docs/parallelism.md)",
     )
     serve.add_argument(
         "--repeat",
@@ -509,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--families",
         default="all",
         help="comma-separated family keys (e1..e9, incremental-write, "
-        "parallel-scaling, skewed-join, out-of-core) or 'all' "
+        "skewed-join, out-of-core) or 'all' "
         "(default: all)",
     )
     bench.add_argument(
@@ -693,20 +651,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     engine = Engine(parsed.program, parsed.database, order=args.order,
                     backend=args.backend)
     sink = JsonlFileSink(args.events) if args.events is not None else None
-    executor = None
-    if args.parallel:
-        from .parallel import ParallelConfig, ParallelExecutor
-
-        # Example-sized inputs: partition every carry, as the oracle and
-        # the tests do, so the profile shows the worker lanes.
-        executor = ParallelExecutor(ParallelConfig.eager(args.parallel))
     try:
-        prof = engine.profile(
-            query, strategy=args.strategy, sink=sink, parallel=executor
-        )
+        prof = engine.profile(query, strategy=args.strategy, sink=sink)
     finally:
-        if executor is not None:
-            executor.close()
         if sink is not None:
             sink.close()
 
@@ -753,7 +700,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         strategies=tuple(args.strategy) or None,
         corpus_dir=args.corpus,
         shrink=not args.no_shrink,
-        parallel_workers=args.parallel_workers,
         orders=args.orders,
         backends=args.backends,
     )
@@ -822,7 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         default_deadline_s=args.deadline,
         incremental=args.incremental,
-        parallel=args.parallel or None,
         trace_sample=args.trace_sample,
         slow_query_threshold_s=args.slow_threshold,
         backend=args.backend,

@@ -184,14 +184,11 @@ def _evaluate_full(
     order: str,
     tracer=None,
     memo=None,
-    parallel=None,
 ) -> set[tuple]:
     """One full selection, through the memo when given.
 
     The memo (see :class:`repro.service.FullSelectionMemo`) caches and
-    coalesces on :func:`full_selection_key`.  ``parallel`` reaches
-    :func:`~repro.core.evaluator.execute_plan` for intra-loop carry
-    partitioning.
+    coalesces on :func:`full_selection_key`.
     """
     plan = compile_selection(selection)
     seed = selection.seed
@@ -199,7 +196,7 @@ def _evaluate_full(
     def run(branch: Optional[EvaluationStats]) -> frozenset[tuple]:
         return execute_plan(
             plan, db, [seed], stats=branch, budget=budget,
-            order=order, tracer=tracer, parallel=parallel,
+            order=order, tracer=tracer,
         )
 
     if memo is None:
@@ -241,7 +238,6 @@ def _run_batch(
     order: str,
     tracer=None,
     memo=None,
-    parallel=None,
 ):
     """``t_full`` for every seed of one partial selection, as one run;
     yields each seed's share, in seed order.
@@ -272,7 +268,7 @@ def _run_batch(
         shares: dict[int, list] = {i: [] for i in batch}
         for t in execute_plan(
             plan, db, [(i, *seeds[i]) for i in batch], stats=branch,
-            budget=budget, order=order, tracer=tracer, parallel=parallel,
+            budget=budget, order=order, tracer=tracer,
         ):
             shares[t[0]].append(t[1:])
         return shares
@@ -311,7 +307,6 @@ def _evaluate_partial(
     allow_disconnected: bool = False,
     tracer=None,
     memo=None,
-    parallel=None,
 ) -> set[tuple]:
     """Operational Lemma 2.1 on the partially bound class ``cls``:
     ``t_part`` answers plus the ``t_full`` batch (:func:`_run_batch`).
@@ -334,7 +329,7 @@ def _evaluate_partial(
                 _part_analysis(analysis, cls, allow_disconnected),
                 selection.query,
             ),
-            db, stats, budget, order, tracer, memo, parallel,
+            db, stats, budget, order, tracer, memo,
         )
 
         # t_full: a sideways pass through each rule of cls produces
@@ -362,7 +357,7 @@ def _evaluate_partial(
         plan = compile_plan(analysis, selected_class=cls, tagged=True)
         assemble = _assembler(plan)
         shares = _run_batch(analysis, cls, plan, list(heads_of), db, stats,
-                            budget, order, tracer, memo, parallel)
+                            budget, order, tracer, memo)
         for heads, share in zip(heads_of.values(), shares):
             for head in heads:
                 answers |= assemble(head, share)
@@ -390,7 +385,6 @@ def evaluate_separable(
     allow_disconnected: bool = False,
     tracer=None,
     memo=None,
-    parallel=None,
 ) -> frozenset[tuple]:
     """Answer a selection query on a separable recursion.
 
@@ -418,13 +412,6 @@ def evaluate_separable(
         ``peek(key)`` if it has one; see :func:`_run_batch` for which
         entry carries the work).  The caller must scope the memo (or
         the keys) to this exact ``db`` snapshot.
-    parallel:
-        An optional :class:`~repro.parallel.ParallelExecutor`: large
-        carry iterations hash-partition across the worker pool within a
-        loop -- the seed-tagged carry of a partial selection included;
-        answers are byte-identical to the serial run (see
-        ``docs/parallelism.md``).  ``None`` (or an inactive executor)
-        keeps everything in-process.
 
     Returns the full-arity answer tuples matching the query atom.
     """
@@ -445,14 +432,14 @@ def evaluate_separable(
         )
     if selection.is_full:
         answers = _evaluate_full(selection, db, stats, budget, order,
-                                 tracer, memo, parallel)
+                                 tracer, memo)
         placed = selection.selected_positions
     else:
         cls = choose_rewrite_class(analysis, set(selection.bound))
         answers = _evaluate_partial(
             selection, cls, db, stats, budget, order,
             allow_disconnected=allow_disconnected, tracer=tracer,
-            memo=memo, parallel=parallel,
+            memo=memo,
         )
         placed = cls.positions
     variables = [t for t in query.args if isinstance(t, Variable)]

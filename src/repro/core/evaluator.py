@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
 from ..datalog.plan_cache import PLAN_CACHE
-from ..datalog.planner import AdaptiveState
 from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
@@ -51,7 +50,6 @@ def _apply_joins(
     order: str,
     tracer=None,
     label: Optional[str] = None,
-    adaptive=None,
 ) -> set[tuple]:
     """Evaluate a union of carry-join terms against a view database.
 
@@ -61,20 +59,18 @@ def _apply_joins(
     the compiled-plan analogue of the per-rule rows the profiler shows
     for rewritten-program strategies.
 
-    This runs once per round of a carry loop, ~1000 times on a deep
-    chain, so it goes to the plan cache and the plan's set-at-a-time
-    kernel directly: what :func:`~repro.datalog.joins.evaluate_body_into`
-    would re-derive per call is loop-invariant here (a carry join's body
-    and output are non-empty tuples with nothing pre-bound).
+    It goes to the plan cache and the plan's set-at-a-time kernel
+    directly: what :func:`~repro.datalog.joins.evaluate_body_into` would
+    re-derive per call is invariant here (a carry join's body and output
+    are non-empty tuples with nothing pre-bound).
     """
     produced: set[tuple] = set()
     plan_for = PLAN_CACHE.plan_for
     unbound: frozenset = frozenset()
     for ji, join in enumerate(joins):
         before = len(produced)
-        plan_for(
-            join.body, unbound, order, view, tracer, adaptive
-        ).execute_into(join.output, view, produced, None, stats, tracer)
+        plan_for(join.body, unbound, order, view, tracer).execute_into(
+            join.output, view, produced, None, stats, tracer)
         if tracer is not None and label is not None:
             tracer.count(f"rule_apps:{label}#{ji}")
             out = len(produced) - before
@@ -94,9 +90,10 @@ def _carry_loop(
     budget: Budget,
     order: str,
     tracer=None,
-    parallel=None,
 ) -> set[tuple]:
-    """One while loop of Figure 2; returns the final ``seen`` set.
+    """One while loop of Figure 2, as the paper writes it; returns the
+    final ``seen`` set.  The reference :func:`_generated_loop` is diffed
+    against: it runs only under :func:`_reference_loops`.
 
     ``initial`` seeds both carry and seen (lines 1-2 / 8-9); each
     iteration applies the union of ``joins`` to the carry, removes
@@ -105,21 +102,9 @@ def _carry_loop(
     per-iteration post-difference carry sizes -- Lemma 3.4's
     disjointness makes ``seed + sum(carries) == |seen|`` an invariant
     the differential oracle checks on every traced run.
-
-    With a :class:`~repro.parallel.ParallelExecutor` in ``parallel``,
-    iterations whose carry clears the partition threshold evaluate the
-    union of joins across hash partitions of the carry on the worker
-    pool; the loop structure, the seen bookkeeping, the span series,
-    and the budget checks all stay in this (parent) process, so every
-    traced invariant is identical to the serial run.
     """
     seen: set[tuple] = set(initial)
     carry: set[tuple] = set(initial)
-    # order="adaptive": one feedback loop per carry loop, comparing the
-    # planner's row estimates against actual production each iteration
-    # and re-planning (bounded) on >4x divergence.  Partitioned
-    # (parallel) iterations skip the feedback -- workers plan privately.
-    adaptive = AdaptiveState() if order == "adaptive" else None
     stats.record_relation(carry_name, len(carry))
     stats.record_relation(seen_name, len(seen))
     span_cm = (
@@ -139,21 +124,11 @@ def _carry_loop(
             stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
-            if parallel is not None and parallel.should_partition(
-                joins, len(carry)
-            ):
-                produced = parallel.apply_joins(
-                    db, joins, carry, arity, CARRY, stats, order,
-                    budget=budget, tracer=tracer, label=seen_name,
-                )
-            else:
-                if joins:  # else nothing reads the carry relation
-                    carry_rel.clear()
-                    carry_rel.add_all(carry)
-                produced = _apply_joins(joins, view, stats, order, tracer,
-                                        label=seen_name, adaptive=adaptive)
-                if adaptive is not None:
-                    adaptive.observe_round(len(produced), tracer)
+            if joins:  # else nothing reads the carry relation
+                carry_rel.clear()
+                carry_rel.add_all(carry)
+            produced = _apply_joins(joins, view, stats, order, tracer,
+                                    label=seen_name)
             carry = produced - seen
             seen |= carry
             if tracer is not None:
@@ -182,12 +157,13 @@ def _generated_loop(
     budget checks, span and counters, run by the generated function of
     :meth:`~repro.datalog.plan_cache.PlanCache.loop_for`.
 
-    That function is valid while ``len(carry)`` keeps its size rank
-    among the joins' fixed relations (``order="greedy"`` plans depend on
-    it); when a round leaves that interval it hands ``carry`` back and
-    this driver asks for the function of the new rank -- one plan lookup
-    per join per rank change where the reference loop makes one per join
-    per round.
+    That function is valid over an interval of ``len(carry)``: its size
+    rank among the joins' fixed relations (``order="greedy"`` plans
+    depend on it) or its power-of-two bucket (``order="cost"``).  When a
+    round leaves the interval it hands ``carry`` back and this driver
+    asks for the function of the new one -- one plan lookup per join per
+    interval change where the reference loop makes one per join per
+    round.
     """
     seen: set[tuple] = set(initial)
     carry: set[tuple] = set(initial)
@@ -201,8 +177,7 @@ def _generated_loop(
     )
     with span_cm as span:
         while carry:
-            run = PLAN_CACHE.loop_for(joins, CARRY, len(carry), order, db,
-                                      tracer)
+            run = PLAN_CACHE.loop_for(joins, CARRY, carry, order, db, tracer)
             carry = run(carry, seen, carry_name, seen_name, stats, budget,
                         tracer)
         if span is not None:
@@ -248,7 +223,6 @@ def execute_plan(
     budget: Budget = UNLIMITED,
     order: str = "greedy",
     tracer=None,
-    parallel=None,
 ) -> frozenset[tuple]:
     """Run a compiled plan from the given seed tuples.
 
@@ -256,11 +230,6 @@ def execute_plan(
     full selection this is the single vector ``x_0`` of selection
     constants; the Lemma 2.1 evaluation passes sideways-computed seed
     sets through the same entry point.
-
-    ``parallel`` is an optional
-    :class:`~repro.parallel.ParallelExecutor`: carry-loop iterations
-    above its partition threshold evaluate across the worker pool (see
-    :func:`_carry_loop`); answers, spans, and statistics are unchanged.
 
     Returns the final ``seen_2``: tuples over ``plan.up_positions``.
     Callers reassemble full-arity answers by interleaving the selection
@@ -279,22 +248,12 @@ def execute_plan(
                 f"{plan.seed_arity}"
             )
 
-    # The reference loop decides per round what the generated one fixes
-    # per loop: whether to partition the carry over a worker pool, and
-    # which plan a cost order wants now.
-    per_round = (
-        (parallel is not None and parallel.active)
-        or order in ("cost", "adaptive")
-        or _REFERENCE.get()
-    )
+    reference = _REFERENCE.get()
 
     def loop(joins, initial, arity, carry_name, seen_name):
-        # A loop without join terms is one empty round; there is
-        # nothing to compile.
-        if per_round or not joins:
+        if reference:
             return _carry_loop(joins, initial, arity, db, carry_name,
-                               seen_name, stats, budget, order, tracer,
-                               parallel)
+                               seen_name, stats, budget, order, tracer)
         return _generated_loop(joins, initial, db, carry_name, seen_name,
                                stats, budget, order, tracer)
 
@@ -303,28 +262,15 @@ def execute_plan(
                   "carry_1", "seen_1")
 
     # Line 8: carry_2 := g_2(seen_1) -- join seen_1 with each exit body.
-    # The exit stage has the same shape as one carry iteration (a union
-    # of joins each consuming the pseudo-relation exactly once), so the
-    # same partitioning argument applies: seen_1 splits into disjoint
-    # shares whose outputs union exactly to the serial result.
     exit_cm = (
         tracer.span("separable.exit", seen_1=len(seen_1))
         if tracer is not None
         else nullcontext()
     )
     with exit_cm:
-        if parallel is not None and parallel.should_partition(
-            plan.exit_joins, len(seen_1), pseudo=SEEN
-        ):
-            carry_2 = parallel.apply_joins(
-                db, plan.exit_joins, seen_1, plan.seed_arity, SEEN,
-                stats, order, budget=budget, tracer=tracer, label="exit",
-            )
-        else:
-            view = _with_pseudo(db, SEEN,
-                                Relation(SEEN, plan.seed_arity, seen_1))
-            carry_2 = _apply_joins(plan.exit_joins, view, stats, order,
-                                   tracer, label="exit")
+        view = _with_pseudo(db, SEEN, Relation(SEEN, plan.seed_arity, seen_1))
+        carry_2 = _apply_joins(plan.exit_joins, view, stats, order, tracer,
+                               label="exit")
 
     # Lines 9-15: the up loop; ans := seen_2.
     seen_2 = loop(plan.up_joins, carry_2, plan.answer_arity,

@@ -362,9 +362,9 @@ class Relation:
         """Portable payload: name, arity, version, and the tuples.
 
         Indexes are rebuilt lazily on the receiving side, caches restart
-        cold, and observers never cross a process boundary -- a parallel
-        worker mutating its copy must not (and, with bound-method
-        callbacks, could not) feed the parent's delta capture.  Explicit
+        cold, and observers never cross a process boundary -- a clone
+        mutating its copy must not (and, with bound-method callbacks,
+        could not) feed the sender's delta capture.  Explicit
         because ``__slots__`` has no instance dict for pickle's default
         protocol to scrape.
         """

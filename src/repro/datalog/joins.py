@@ -56,7 +56,7 @@ Bindings = dict[Variable, ConstValue]
 _EMPTY_SIG: frozenset[Variable] = frozenset()
 
 
-def _plan_for(db, atoms, initial_bindings, order, tracer, adaptive):
+def _plan_for(db, atoms, initial_bindings, order, tracer):
     """The cached :class:`JoinPlan` for ``atoms`` under the
     bound-variable signature of ``initial_bindings``; None for the empty
     conjunction (vacuous truth: exactly the initial bindings)."""
@@ -75,8 +75,7 @@ def _plan_for(db, atoms, initial_bindings, order, tracer, adaptive):
         )
     else:
         sig = _EMPTY_SIG
-    return PLAN_CACHE.plan_for(body, sig, order, db, tracer,
-                               adaptive=adaptive)
+    return PLAN_CACHE.plan_for(body, sig, order, db, tracer)
 
 
 def evaluate_body(
@@ -86,7 +85,6 @@ def evaluate_body(
     stats: Optional[EvaluationStats] = None,
     order: str = "greedy",
     tracer=None,
-    adaptive=None,
 ) -> Iterator[Bindings]:
     """Enumerate substitutions satisfying every atom in ``atoms``.
 
@@ -109,21 +107,15 @@ def evaluate_body(
         abandoned, not per lookup).
     order:
         One of :data:`~repro.datalog.plan_cache.ORDERS`:
-        ``"greedy"``, ``"left_to_right"`` (see module docstring),
-        ``"cost"`` (the selectivity-aware planner), or ``"adaptive"``
-        (``cost`` plus mid-fixpoint re-planning when an
-        :class:`~repro.datalog.planner.AdaptiveState` is attached).
+        ``"greedy"``, ``"left_to_right"`` (see module docstring) or
+        ``"cost"`` (the selectivity-aware planner).
     tracer:
         Optional :class:`~repro.observability.Tracer`; receives
         per-atom lookup counts, tuples fetched, the join fan-out
         (``bindings_out``), and the plan-cache traffic
         (``plan_compiles`` / ``plan_cache_hits`` / ``plan_cache_misses``).
-    adaptive:
-        Optional :class:`~repro.datalog.planner.AdaptiveState` owned by
-        the enclosing fixpoint loop; only meaningful with
-        ``order="adaptive"``.
     """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
     if plan is None:
         return iter((dict(initial_bindings) if initial_bindings else {},))
     return plan.execute(db, initial_bindings, stats, tracer)
@@ -137,7 +129,6 @@ def evaluate_body_project(
     stats: Optional[EvaluationStats] = None,
     order: str = "greedy",
     tracer=None,
-    adaptive=None,
 ) -> Iterator[tuple[ConstValue, ...]]:
     """``instantiate_args(output, b) for b in evaluate_body(...)``, fused.
 
@@ -151,7 +142,7 @@ def evaluate_body_project(
     relation mid-iteration (naive and semi-naive round 0 do) sees its
     own tuples.
     """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
     if plan is None:
         return iter((instantiate_args(output, initial_bindings or {}),))
     return plan.execute_project(tuple(output), db, initial_bindings, stats,
@@ -167,7 +158,6 @@ def evaluate_body_into(
     stats: Optional[EvaluationStats] = None,
     order: str = "greedy",
     tracer=None,
-    adaptive=None,
 ) -> int:
     """``sink.update(evaluate_body_project(...))``, set-at-a-time.
 
@@ -178,7 +168,7 @@ def evaluate_body_into(
     lazy entry points, counts them on ``stats.tuples_produced`` too.
     ``sink`` must not be read by the body.
     """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer, adaptive)
+    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
     if plan is None:
         sink.add(instantiate_args(output, initial_bindings or {}))
         if stats is not None:

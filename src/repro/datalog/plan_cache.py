@@ -68,10 +68,8 @@ __all__ = [
 
 #: Recognised join-order strategies.  ``greedy`` and ``left_to_right``
 #: are the PR 4 heuristics; ``cost`` runs the selectivity-aware planner
-#: (:mod:`repro.datalog.planner`) and ``adaptive`` is ``cost`` plus
-#: mid-fixpoint re-planning driven by an
-#: :class:`~repro.datalog.planner.AdaptiveState`.
-ORDERS = ("greedy", "left_to_right", "cost", "adaptive")
+#: (:mod:`repro.datalog.planner`).
+ORDERS = ("greedy", "left_to_right", "cost")
 
 #: Reserved built-in equality predicate, produced by rectification
 #: (Section 2: repeated head variables and head constants "can be handled
@@ -528,8 +526,8 @@ def _defer_eq_indices(
     set) instead of crashing.  Atoms that never become ready fall
     through to the end, where compilation raises the interpreter's
     unsafe-rule ValueError.  ``order="left_to_right"`` defers over the
-    given order; the cost orders, whose planner ranks only the non-eq
-    atoms, leave eq placement to the same rule.
+    given order; ``cost``, whose planner ranks only the non-eq atoms,
+    leaves eq placement to the same rule.
     """
     bound = set(bound_vars)
 
@@ -604,8 +602,8 @@ def compile_join_plan(
     ``bound_vars`` is the signature: the body variables the caller will
     supply in ``initial_bindings``.  For ``order="greedy"`` the atom
     sequence comes from :func:`greedy_permutation` (pass ``db`` for the
-    size tiebreak); for ``order="cost"`` / ``"adaptive"`` from the
-    selectivity-aware planner (``db`` supplies the statistics -- without
+    size tiebreak); for ``order="cost"`` from the selectivity-aware
+    planner (``db`` supplies the statistics -- without
     one, every size reads 0 and the order degrades to body position).
     Raises the same ``ValueError`` as the interpreter for an ``eq``
     atom whose sides can never be bound (unsafe rule) or whose arity is
@@ -617,7 +615,7 @@ def compile_join_plan(
     if order == "greedy":
         perm = greedy_permutation(body, bound_vars, db)
         ordered = [body[i] for i in perm]
-    elif order in ("cost", "adaptive"):
+    elif order == "cost":
         perm, _ = _cost_sequence(body, bound_vars, db)
         ordered = [body[i] for i in perm]
     else:
@@ -764,9 +762,9 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     Everything the reference loop (``core/evaluator.py::_carry_loop``)
     re-derives per round, but that cannot change while ``carry`` is the
     only relation that does, is bound before the loop: the plans
-    themselves, valid while ``lo <= len(carry) < hi`` (see
-    :func:`_rank_interval`; outside it the function returns and the
-    caller re-plans), and each fixed relation's probe ``q<j>``.
+    themselves, valid while ``lo <= len(carry) < hi`` (the interval is
+    :meth:`PlanCache.loop_for`'s; outside it the function returns and
+    the caller re-plans), and each fixed relation's probe ``q<j>``.
     ``carry`` is iterated where a plan scans it and indexed lazily, once
     per round, where a plan probes it.  The counter sums of a round
     reach ``stats`` once, before the budget checks.  ``traced`` adds the
@@ -905,19 +903,20 @@ def _rank_interval(body: tuple[Atom, ...], pseudo: str, db: Database,
 
 
 class _Mounted:
-    """``db`` as planning sees it with a relation of ``n`` tuples
-    mounted as ``name``: planning reads nothing of a relation but its
-    size, so the carry of a loop need not be copied into one."""
+    """``db`` as planning sees it with ``relation`` mounted as ``name``:
+    the carry of a loop, as the set it is where planning reads nothing
+    of a relation but its size, and copied into a :class:`Relation`
+    where it reads statistics (``order="cost"``)."""
 
-    __slots__ = ("_relation", "_name", "_sized")
+    __slots__ = ("_relation", "_name", "_mounted")
 
-    def __init__(self, db: Database, name: str, n: int) -> None:
+    def __init__(self, db: Database, name: str, relation) -> None:
         self._relation = db.relation
         self._name = name
-        self._sized = range(n)
+        self._mounted = relation
 
     def relation(self, name: str):
-        return self._sized if name == self._name else self._relation(name)
+        return self._mounted if name == self._name else self._relation(name)
 
 
 def _probe(rel, positions: tuple[int, ...], cols, tracer):
@@ -994,7 +993,6 @@ class PlanCache:
         order: str,
         db: Optional[Database] = None,
         tracer=None,
-        adaptive=None,
     ) -> JoinPlan:
         """The cached plan for this key, compiling on first sight.
 
@@ -1003,25 +1001,18 @@ class PlanCache:
         mid-run transparently selects (or compiles) the matching plan
         rather than executing a stale order.
 
-        The cost orders go through a second, cheaper memo first: the
+        ``order="cost"`` goes through a second, cheaper memo first: the
         chosen permutation is remembered per ``(body, signature,
-        epoch, log-scale size signature)``, and only the *permutation*
-        keys the compiled-plan dict -- so relations growing across
-        fixpoint rounds re-plan O(log n) times but recompile only when
-        the chosen order actually changes, keeping ``plan_compiles``
-        O(1) per body.  ``adaptive`` is the optional
-        :class:`~repro.datalog.planner.AdaptiveState` of the enclosing
-        fixpoint (``order="adaptive"``): its epoch joins the memo key
-        (a re-plan invalidates every memoised order) and the row
-        estimate is accumulated for the divergence check.
+        log-scale size signature)``, and only the *permutation* keys
+        the compiled-plan dict -- so relations growing across fixpoint
+        rounds re-plan O(log n) times but recompile only when the
+        chosen order actually changes, keeping ``plan_compiles`` O(1)
+        per body.
         """
-        est: Optional[float] = None
-        if order in ("cost", "adaptive"):
+        if order == "cost":
             from .planner import size_signature
 
-            epoch = adaptive.epoch if adaptive is not None else 0
-            memo_key = (body, bound_vars, epoch,
-                        size_signature(body, db))
+            memo_key = (body, bound_vars, size_signature(body, db))
             with self._lock:
                 cached = self._order_memo.get(memo_key)
             if cached is None:
@@ -1031,15 +1022,11 @@ class PlanCache:
                         del self._order_memo[next(iter(self._order_memo))]
                     self._order_memo[memo_key] = cached
             perm, est = cached
-            if adaptive is not None:
-                adaptive.expect(est)
             if tracer is not None:
                 # Floored at 1 so even a sub-row estimate marks the
                 # profile as planner-driven (the profiler's
                 # estimate-vs-observed section gates on this counter).
                 tracer.count("plan_est_rows", max(1, int(est)))
-            # Both cost orders share compiled plans: the permutation is
-            # the whole identity of the executed sequence.
             key = (body, bound_vars, "cost", perm)
         elif order == "greedy":
             # The greedy walk only ever *compares* sizes, so its outcome
@@ -1075,16 +1062,15 @@ class PlanCache:
             self.misses += 1
         if tracer is not None:
             tracer.count("plan_cache_misses")
-        if order in ("cost", "adaptive"):
+        if order == "cost":
             ordered = [body[i] for i in key[3]]
         elif order == "greedy":
             ordered = [body[i]
                        for i in greedy_permutation(body, bound_vars, db)]
         else:
             ordered = _order_left_to_right(body, bound_vars)
-        plan = _compile_sequence(
-            body, bound_vars, "cost" if order == "adaptive" else order,
-            ordered, self._shapes)
+        plan = _compile_sequence(body, bound_vars, order, ordered,
+                                 self._shapes)
         if tracer is not None:
             tracer.count("plan_compiles")
         with self._lock:
@@ -1103,27 +1089,36 @@ class PlanCache:
             self._plans[key] = plan
         return plan
 
-    def loop_for(self, joins: Sequence, pseudo: str, n: int, order: str,
+    def loop_for(self, joins: Sequence, pseudo: str, carry: set, order: str,
                  db: Database, tracer=None):
         """One loop of Figure 2 over the join terms ``joins`` (objects
         with a ``body`` and an ``output``), as a generated function.
 
-        ``n`` is the current size of ``carry``, the relation the bodies
-        call ``pseudo``; ``db`` holds the others.  Asks :meth:`plan_for`
-        once per join -- not once per round -- and binds the
-        :func:`loop_text` function of those plans to the fixed
+        ``carry`` is the current (non-empty) value of the relation the
+        bodies call ``pseudo``; ``db`` holds the others.  Asks
+        :meth:`plan_for` once per join -- not once per round -- and
+        binds the :func:`loop_text` function of those plans to the fixed
         relations' probes and to the ``carry`` sizes ``[lo, hi)`` the
-        plans are :meth:`plan_for`'s choice for.  Returns ``run(carry,
-        seen, carry_name, seen_name, stats, budget, tracer) -> carry``:
-        it advances the loop in place (``seen`` grows) and returns the
-        next ``carry`` -- empty when the loop is done, otherwise of a
-        size outside the interval, and the caller asks again.  The
-        flavour follows ``tracer is None``.
+        plans are :meth:`plan_for`'s choice for: ``carry``'s size rank
+        among the fixed relations under ``greedy``
+        (:func:`_rank_interval`), its ``bit_length`` bucket -- what the
+        order memo keys on -- under ``cost``, any size under
+        ``left_to_right``.  Returns ``run(carry, seen, carry_name,
+        seen_name, stats, budget, tracer) -> carry``: it advances the
+        loop in place (``seen`` grows) and returns the next ``carry`` --
+        empty when the loop is done, otherwise of a size outside the
+        interval, and the caller asks again.  The flavour follows
+        ``tracer is None``.
         """
         unbound: frozenset = frozenset()
-        db = _Mounted(db, pseudo, n)
-        plans, rels, live = [], [], []
+        n = len(carry)
         lo, hi = 1, float("inf")
+        if order == "cost" and joins:
+            lo = 1 << n.bit_length() - 1
+            hi = 2 * lo
+            carry = Relation(pseudo, len(next(iter(carry))), carry)
+        db = _Mounted(db, pseudo, carry)
+        plans, rels, live = [], [], []
         for join in joins:
             plan = self.plan_for(join.body, unbound, order, db, tracer)
             found = [db.relation(pred) for pred in plan._preds]

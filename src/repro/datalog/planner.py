@@ -18,13 +18,10 @@ set cardinalities (never set iteration order), DP ties break on the
 lexicographically smallest permutation, and the per-mask cardinality is
 a function of the *set* of atoms, so the DP recurrence is sound.
 
-:class:`AdaptiveState` is the feedback half (``order="adaptive"``): the
-fixpoint loops accumulate the planner's estimated rows per iteration,
-compare them against the observed produced tuples, and -- when they
-diverge by more than :data:`DIVERGENCE_FACTOR` -- trigger a bounded
-number of mid-fixpoint re-plans by bumping the planning epoch, which
-forces :meth:`PlanCache.plan_for` to re-run the cost model against the
-*current* relation sizes.
+A fixpoint re-plans when a body relation crosses a power of two
+(:func:`size_signature`, the key of :meth:`PlanCache.plan_for`'s order
+memo), and a generated carry loop once per such crossing of its carry
+(:meth:`PlanCache.loop_for`).
 """
 
 from __future__ import annotations
@@ -36,10 +33,7 @@ from .database import Database
 from .terms import Constant, Variable
 
 __all__ = [
-    "AdaptiveState",
-    "DIVERGENCE_FACTOR",
     "DP_MAX_ATOMS",
-    "MAX_REPLANS",
     "SAMPLE_SIZE",
     "cost_permutation",
     "size_signature",
@@ -55,13 +49,6 @@ SAMPLE_SIZE = 32
 #: Exact DP subset enumeration up to this many non-eq atoms (2^k masks);
 #: larger bodies take the greedy one-step-lookahead sweep.
 DP_MAX_ATOMS = 8
-
-#: Observed/estimated ratio beyond which an iteration counts as a
-#: misestimate (checked both directions).
-DIVERGENCE_FACTOR = 4.0
-
-#: Re-plans allowed per fixpoint loop.
-MAX_REPLANS = 2
 
 #: Cardinality floor: keeps empty-relation estimates comparable without
 #: ever multiplying a real cost through zero.
@@ -190,8 +177,8 @@ def cost_permutation(
 
     Returns ``(permutation, estimated_rows)``: the non-eq body indices
     in execution order (eq atoms are interleaved later by the plan
-    cache's deferral pass) and the estimated final result cardinality,
-    which ``order="adaptive"`` compares against observed production.
+    cache's deferral pass) and the estimated final result cardinality
+    (the ``plan_est_rows`` counter).
     Cross products are deferred -- an atom sharing no variable with the
     prefix (and binding nothing) is only picked when no connected atom
     remains.
@@ -296,63 +283,3 @@ def _greedy_sweep(
         prefix.append(infos[p])
         pvars = pvars | infos[p].vars
     return tuple(perm), est
-
-
-class AdaptiveState:
-    """Per-fixpoint feedback loop for ``order="adaptive"``.
-
-    The plan cache calls :meth:`expect` with the estimated rows of each
-    plan it hands out; the fixpoint loop calls :meth:`observe_round`
-    with the tuples the iteration actually produced.  A divergence
-    beyond :data:`DIVERGENCE_FACTOR` (either direction, with +1
-    smoothing so empty rounds compare cleanly) counts a misestimate
-    and -- while the :data:`MAX_REPLANS` budget lasts -- bumps
-    :attr:`epoch`, invalidating the cost-plan memo so the next round
-    re-plans against current relation sizes.  Without a state attached
-    (sideways passes, parallel workers) ``adaptive`` degrades to plain
-    ``cost`` planning.
-    """
-
-    __slots__ = ("max_replans", "replans", "misestimates", "epoch",
-                 "_expected")
-
-    def __init__(self, max_replans: int = MAX_REPLANS) -> None:
-        self.max_replans = max_replans
-        self.replans = 0
-        self.misestimates = 0
-        self.epoch = 0
-        self._expected = 0.0
-
-    def expect(self, rows: float) -> None:
-        """Accumulate one plan's estimated output into this round."""
-        self._expected += rows
-
-    def observe_round(self, produced: int, tracer=None) -> bool:
-        """Compare one iteration's production against the estimate.
-
-        Returns True when a re-plan was triggered (the caller's next
-        round will plan fresh); always resets the per-round estimate
-        accumulator.
-        """
-        expected = self._expected
-        self._expected = 0.0
-        lo = expected + 1.0
-        hi = produced + 1.0
-        if hi <= DIVERGENCE_FACTOR * lo and lo <= DIVERGENCE_FACTOR * hi:
-            return False
-        self.misestimates += 1
-        if tracer is not None:
-            tracer.count("plan_misestimates")
-        if self.replans >= self.max_replans:
-            return False
-        self.replans += 1
-        self.epoch += 1
-        if tracer is not None:
-            with tracer.span(
-                "planner.replan",
-                replan=self.replans,
-                expected=int(expected),
-                observed=int(produced),
-            ):
-                tracer.count("plan_replans")
-        return True

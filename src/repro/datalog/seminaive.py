@@ -26,7 +26,6 @@ from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database, Relation
 from .joins import evaluate_body_project
-from .planner import AdaptiveState
 from .programs import Program
 from .rules import Rule
 
@@ -98,10 +97,6 @@ def seminaive_stratum(
     rules = list(rules)
     for p in scc:
         db.ensure(p, program.arity(p))
-    # One feedback loop per fixpoint: round production is compared
-    # against the planner's estimates, re-planning (bounded) on >4x
-    # divergence.  Only order="adaptive" pays for it.
-    adaptive = AdaptiveState() if order == "adaptive" else None
 
     span_cm = (
         tracer.span(
@@ -141,7 +136,6 @@ def seminaive_stratum(
                 fresh = {f for f in map(tuple, facts) if f not in target}
                 target.add_all(fresh)
                 delta_sets[p] |= fresh
-        produced_round = 0
         for ri, r in enumerate(rules if initial_deltas is None else ()):
             target = db.relation(r.head.predicate)
             assert target is not None
@@ -149,10 +143,8 @@ def seminaive_stratum(
             fresh = delta_sets[r.head.predicate]
             for fact in evaluate_body_project(db, r.body, r.head.args,
                                               stats=stats, order=order,
-                                              tracer=tracer,
-                                              adaptive=adaptive):
+                                              tracer=tracer):
                 produced_r += 1
-                produced_round += 1
                 if stats is not None:
                     stats.bump_produced()
                 if target.add(fact):
@@ -164,8 +156,6 @@ def seminaive_stratum(
         deltas: dict[str, Relation] = {
             p: Relation(p, program.arity(p), delta_sets[p]) for p in scc
         }
-        if adaptive is not None and initial_deltas is None:
-            adaptive.observe_round(produced_round, tracer)
         if tracer is not None:
             for p in sorted(scc):
                 tracer.record(f"delta:{p}", len(deltas[p]))
@@ -186,7 +176,6 @@ def seminaive_stratum(
             new_deltas: dict[str, Relation] = {
                 p: Relation(p, program.arity(p)) for p in scc
             }
-            produced_round = 0
             for ri, r in enumerate(rules):
                 target = db.relation(r.head.predicate)
                 assert target is not None
@@ -194,10 +183,9 @@ def seminaive_stratum(
                 for body in variant_cache[id(r)]:
                     for fact in evaluate_body_project(
                         view, body, r.head.args, stats=stats, order=order,
-                        tracer=tracer, adaptive=adaptive,
+                        tracer=tracer,
                     ):
                         produced_r += 1
-                        produced_round += 1
                         if stats is not None:
                             stats.bump_produced()
                         if target.add(fact):
@@ -207,8 +195,6 @@ def seminaive_stratum(
                     if produced_r:
                         tracer.count(f"rule_out:{labels[ri]}", produced_r)
             deltas = new_deltas
-            if adaptive is not None:
-                adaptive.observe_round(produced_round, tracer)
             if tracer is not None:
                 for p in sorted(scc):
                     tracer.record(f"delta:{p}", len(deltas[p]))

@@ -312,14 +312,14 @@ def _append_trace_findings(
 
 
 def _separable_run(case: Case, budget: Budget, traced: bool,
-                   reference: bool) -> tuple:
+                   reference: bool, order: str) -> tuple:
     """One Separable evaluation on a fresh engine: ``(answers or None,
     stats, limit tripped or None, tracer or None)``.
 
     ``reference`` runs the carry loops through ``_carry_loop`` instead
     of the generated function.
     """
-    engine = Engine(case.program, case.database, budget=budget)
+    engine = Engine(case.program, case.database, budget=budget, order=order)
     stats = EvaluationStats()
     tracer = Tracer() if traced else None
     try:
@@ -334,39 +334,48 @@ def _separable_run(case: Case, budget: Budget, traced: bool,
 
 def _span_rows(tracer: Tracer) -> list[tuple]:
     """Every span as ``(name, attrs, counters, series)``, in order and
-    without ``plan_cache_hits``: the generated loop looks its plans up
-    once per loop where the reference loop does once per round, which
-    is the one traced difference between them."""
+    without the counters of a plan lookup (``plan_cache_hits``, and
+    under ``order="cost"`` the ``plan_est_rows`` it adds up): the
+    generated loop looks its plans up once per loop entry where the
+    reference loop does once per round, which is the one traced
+    difference between them."""
     return [
         (s.name, s.attrs,
-         {k: v for k, v in s.counters.items() if k != "plan_cache_hits"},
+         {k: v for k, v in s.counters.items()
+          if k not in ("plan_cache_hits", "plan_est_rows")},
          s.series)
         for s in tracer.spans()
     ]
 
 
-def _run_loop_sweep(verdict: OracleVerdict, case: Case,
-                    budget: Budget) -> None:
+def _run_loop_sweep(verdict: OracleVerdict, case: Case, budget: Budget,
+                    order: str = "greedy") -> None:
     """Diff the generated carry loops against the reference loop.
 
     Outcomes are recorded as ``loop[reference]``, ``loop[traced]`` and
-    ``loop[untraced]``.  Required: equal answers (or the same budget
-    limit tripped), equal :class:`EvaluationStats`, and, between the two
-    traced runs, equal span forests up to ``plan_cache_hits``; the
-    reference run's forest is held to :func:`trace_violations` like any
-    other (the traced flavour's already was, as strategy ``separable``).
+    ``loop[untraced]`` (``loop[cost:reference]`` etc. under another
+    ``order`` than the default; the first run there warms the plan
+    cache and is not diffed).  Required: equal answers (or the same
+    budget limit tripped), equal :class:`EvaluationStats`, and, between
+    the two traced runs, equal span forests up to the plan-lookup
+    counters (:func:`_span_rows`); the reference run's forest is held to
+    :func:`trace_violations` like any other, and the traced flavour's
+    has to equal it.
     """
+    prefix = "" if order == "greedy" else f"{order}:"
+    if order != "greedy":  # the strategy run warmed the cache for greedy
+        _separable_run(case, budget, False, False, order)
     reference, ref_stats, ref_limit, ref_tracer = _separable_run(
-        case, budget, traced=True, reference=True)
-    verdict.outcomes["loop[reference]"] = StrategyOutcome(
-        strategy="loop[reference]", answers=reference, stats=ref_stats,
-        skipped=ref_limit,
+        case, budget, True, True, order)
+    verdict.outcomes[f"loop[{prefix}reference]"] = StrategyOutcome(
+        strategy=f"loop[{prefix}reference]", answers=reference,
+        stats=ref_stats, skipped=ref_limit,
     )
-    _append_trace_findings(verdict, "loop[reference]", ref_tracer)
+    _append_trace_findings(verdict, f"loop[{prefix}reference]", ref_tracer)
     for traced in (True, False):
-        name = f"loop[{'traced' if traced else 'untraced'}]"
+        name = f"loop[{prefix}{'traced' if traced else 'untraced'}]"
         answers, stats, limit, tracer = _separable_run(
-            case, budget, traced=traced, reference=False)
+            case, budget, traced, False, order)
         verdict.outcomes[name] = StrategyOutcome(
             strategy=name, answers=answers, stats=stats, skipped=limit,
         )
@@ -454,87 +463,6 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
                    f"{len(runs)} runs: " + _diff_detail(answers, batched)))
 
 
-def _run_parallel_sweep(
-    verdict: OracleVerdict,
-    case: Case,
-    budget: Budget,
-    parallel_workers: Sequence[int],
-) -> None:
-    """Cross-check the worker-pool evaluator against the reference.
-
-    For each requested worker count the Separable strategy re-runs on a
-    fresh engine with an *eager* :class:`~repro.parallel.ParallelConfig`
-    (threshold floored so even corpus-sized inputs exercise carry and
-    exit partitioning).  Outcomes are recorded as
-    ``parallel[w]``; answer diffs, stats invariants, and trace
-    invariants are held to exactly the serial standard, and each
-    finding's profile carries the worker count.
-    """
-    from ..parallel import ParallelConfig, get_executor
-
-    if "separable" not in applicable_strategies(case):
-        return
-    for workers in parallel_workers:
-        name = f"parallel[{workers}]"
-        executor = get_executor(ParallelConfig.eager(workers))
-        engine = Engine(case.program, case.database, budget=budget)
-        stats = EvaluationStats()
-        tracer = Tracer()
-        try:
-            result = engine.query(
-                case.query, strategy="separable", stats=stats,
-                tracer=tracer, parallel=executor,
-            )
-        except _TOLERATED as exc:
-            verdict.outcomes[name] = StrategyOutcome(
-                strategy=name, skipped=str(exc)
-            )
-            profile = _profile_summary(
-                name, getattr(exc, "stats", None) or stats, tracer
-            )
-            profile["parallel_workers"] = workers
-            _append_trace_findings(verdict, name, tracer, profile)
-            continue
-        except ReproError as exc:
-            verdict.outcomes[name] = StrategyOutcome(
-                strategy=name, error=str(exc)
-            )
-            profile = _profile_summary(name, stats, tracer)
-            profile["parallel_workers"] = workers
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="error",
-                    strategy=name,
-                    detail=f"{type(exc).__name__}: {exc}",
-                    profile=profile,
-                )
-            )
-            continue
-        verdict.outcomes[name] = StrategyOutcome(
-            strategy=name, answers=result.answers, stats=result.stats
-        )
-        profile = _profile_summary(name, result.stats, tracer)
-        profile["parallel_workers"] = workers
-        _append_trace_findings(verdict, name, tracer, profile)
-        if result.answers != verdict.reference:
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="answers",
-                    strategy=name,
-                    detail=_diff_detail(verdict.reference, result.answers),
-                    profile=profile,
-                )
-            )
-        for problem in _stats_violations(
-            result.answers, result.stats, "separable",
-            case.query.predicate,
-        ):
-            verdict.disagreements.append(
-                Disagreement(kind="stats", strategy=name, detail=problem,
-                             profile=profile)
-            )
-
-
 def _run_order_sweep(
     verdict: OracleVerdict,
     case: Case,
@@ -543,13 +471,13 @@ def _run_order_sweep(
 ) -> None:
     """Cross-check the cost-based join orders against the reference.
 
-    For each requested order (typically ``cost`` and ``adaptive``) the
-    semi-naive strategy re-runs on a fresh engine constructed with that
-    ``order=``.  Outcomes are recorded as ``order[cost]`` etc.; answer
-    diffs, stats invariants, and trace invariants are held to exactly
-    the default-order standard, and each finding's profile carries the
-    order name plus the replan counters -- so a planner that changes
-    *answers* (not just join order) surfaces as a differential finding.
+    For each requested order (typically ``cost``) the semi-naive
+    strategy re-runs on a fresh engine constructed with that ``order=``.
+    Outcomes are recorded as ``order[cost]`` etc.; answer diffs, stats
+    invariants, and trace invariants are held to exactly the
+    default-order standard, and each finding's profile carries the
+    order name -- so a planner that changes *answers* (not just join
+    order) surfaces as a differential finding.
     """
     for order in orders:
         name = f"order[{order}]"
@@ -593,10 +521,6 @@ def _run_order_sweep(
         )
         profile = _profile_summary(name, result.stats, tracer)
         profile["order"] = order
-        profile["plan_replans"] = tracer.counter_total("plan_replans")
-        profile["plan_misestimates"] = tracer.counter_total(
-            "plan_misestimates"
-        )
         _append_trace_findings(verdict, name, tracer, profile)
         if result.answers != verdict.reference:
             verdict.disagreements.append(
@@ -713,22 +637,18 @@ def run_case(
     case: Case,
     strategies: Optional[Sequence[str]] = None,
     budget: Budget = DEFAULT_FUZZ_BUDGET,
-    parallel_workers: Optional[Sequence[int]] = None,
     orders: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
 ) -> OracleVerdict:
     """Evaluate a case under every applicable strategy and diff results.
 
-    ``parallel_workers`` additionally runs the Separable strategy under
-    the worker-pool executor once per listed worker count (when the
-    case is separable at all), diffing each run against the reference
-    -- the parallel-vs-serial differential harness.  ``orders``
-    additionally re-runs semi-naive evaluation once per listed join
-    order (``cost``, ``adaptive``) on a fresh engine, diffing each run
-    against the reference -- the planner-vs-greedy differential
-    harness.  ``backends`` re-runs every applicable strategy (and every
-    listed order) over the case migrated onto each named storage
-    backend -- the backend-vs-memory differential harness.
+    ``orders`` additionally re-runs semi-naive evaluation once per
+    listed join order (``cost``) on a fresh engine, diffing each run
+    against the reference, and repeats the generated-vs-reference loop
+    diff of a separable case under that order -- the planner-vs-greedy
+    differential harness.  ``backends`` re-runs every applicable
+    strategy (and every listed order) over the case migrated onto each
+    named storage backend -- the backend-vs-memory differential harness.
     """
     verdict = OracleVerdict(case=case, reference=None)
 
@@ -819,10 +739,12 @@ def run_case(
     if separable is not None and separable.error is None:
         _run_loop_sweep(verdict, case, budget)
         _run_union_check(verdict, case, budget)
-    if parallel_workers:
-        _run_parallel_sweep(verdict, case, budget, parallel_workers)
     if orders:
         _run_order_sweep(verdict, case, budget, orders)
+        if separable is not None and separable.error is None:
+            for order in orders:
+                if order != "greedy":
+                    _run_loop_sweep(verdict, case, budget, order)
     if backends:
         _run_backend_sweep(verdict, case, budget, backends,
                            strategies=strategies, orders=orders)
@@ -833,7 +755,6 @@ def make_failure_predicate(
     signature: tuple[str, str],
     strategies: Optional[Sequence[str]] = None,
     budget: Budget = DEFAULT_FUZZ_BUDGET,
-    parallel_workers: Optional[Sequence[int]] = None,
     orders: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
 ) -> Callable[[Case], bool]:
@@ -849,7 +770,6 @@ def make_failure_predicate(
         try:
             verdict = run_case(candidate, strategies=strategies,
                                budget=budget,
-                               parallel_workers=parallel_workers,
                                orders=orders,
                                backends=backends)
         except Exception:

@@ -38,11 +38,10 @@ __all__ = ["FuzzConfig", "FuzzFailure", "FuzzReport", "run_fuzz"]
 class FuzzConfig:
     """One fuzz campaign's parameters.
 
-    ``parallel_workers`` adds a worker-pool Separable run per listed
-    worker count to every case (corpus and generated), cross-checked
-    against the reference -- the parallel-vs-serial half of the oracle.
-    ``orders`` adds a semi-naive run per listed join order (``cost``,
-    ``adaptive``) the same way -- the planner-vs-greedy half.
+    ``orders`` adds, per listed join order (``cost``), a semi-naive run
+    to every case (corpus and generated), cross-checked against the
+    reference, and a generated-vs-reference diff of the Separable carry
+    loops under that order -- the planner-vs-greedy half of the oracle.
     ``backends`` re-runs every applicable strategy (and every listed
     order) over each case migrated onto each named storage backend --
     the backend-vs-memory half.
@@ -56,7 +55,6 @@ class FuzzConfig:
     shrink: bool = True
     max_shrink_attempts: int = 2000
     generator: GeneratorConfig = GeneratorConfig()
-    parallel_workers: Optional[Sequence[int]] = None
     orders: Optional[Sequence[str]] = None
     backends: Optional[Sequence[str]] = None
 
@@ -155,8 +153,7 @@ def _shrink_failure(
     signature = failure.verdict.disagreements[0].signature
     predicate = make_failure_predicate(
         signature, strategies=config.strategies, budget=config.budget,
-        parallel_workers=config.parallel_workers, orders=config.orders,
-        backends=config.backends,
+        orders=config.orders, backends=config.backends,
     )
     result = shrink_case(
         failure.case, predicate, max_attempts=config.max_shrink_attempts
@@ -174,7 +171,6 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> FuzzReport:
         for path, case in load_corpus(config.corpus_dir):
             verdict = run_case(
                 case, strategies=config.strategies, budget=config.budget,
-                parallel_workers=config.parallel_workers,
                 orders=config.orders,
                 backends=config.backends,
             )
@@ -197,7 +193,6 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> FuzzReport:
             report.mutant_cases += 1
         verdict = run_case(
             case, strategies=config.strategies, budget=config.budget,
-            parallel_workers=config.parallel_workers,
             orders=config.orders,
             backends=config.backends,
         )

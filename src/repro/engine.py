@@ -390,7 +390,6 @@ class Engine:
         tracer=None,
         budget: Optional[Budget] = None,
         memo=None,
-        parallel=None,
         order: Optional[str] = None,
     ) -> QueryResult:
         """Answer a query under the chosen strategy.
@@ -413,17 +412,10 @@ class Engine:
 
         ``order`` overrides the engine's join order for this one call
         (one of :data:`repro.datalog.plan_cache.ORDERS`: ``greedy``,
-        ``left_to_right``, ``cost``, ``adaptive``) -- what the bench
-        harness and oracle use to sweep orders without rebuilding the
-        engine.  Base-IDB materialization keeps the engine's default
-        order (it is cached across queries).
-
-        ``parallel`` opts the Separable strategies into the worker-pool
-        executor: ``True`` (env/CPU-sized), a worker count, a
-        :class:`~repro.parallel.ParallelConfig`, or a ready
-        :class:`~repro.parallel.ParallelExecutor` (see
-        :func:`repro.parallel.resolve_parallel`).  Answers are identical
-        to the serial run; non-Separable strategies ignore it.
+        ``left_to_right``, ``cost``) -- what the bench harness and
+        oracle use to sweep orders without rebuilding the engine.
+        Base-IDB materialization keeps the engine's default order (it
+        is cached across queries).
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -467,16 +459,9 @@ class Engine:
                 chosen = "magic"
 
         stats.strategy = chosen
-        executor = None
-        if parallel is not None and chosen in ("separable", "relaxed"):
-            from .parallel import resolve_parallel
-
-            executor = resolve_parallel(parallel)
         # Keyword-only and omitted when unused: test doubles wrapping
         # _dispatch with the historical signature keep working.
-        extra = {"parallel": executor} if executor is not None else {}
-        if order != self.order:
-            extra["order"] = order
+        extra = {"order": order} if order != self.order else {}
         answers = self._dispatch(chosen, query, report, stats, tracer,
                                  budget, memo, **extra)
         plan: Optional[SeparablePlan] = None
@@ -496,7 +481,6 @@ class Engine:
         query: Union[Atom, str],
         strategy: str = "auto",
         sink=None,
-        parallel=None,
     ) -> QueryProfile:
         """Answer a query under a recording tracer; return the profile.
 
@@ -509,11 +493,7 @@ class Engine:
         ``sink`` is an optional :class:`~repro.observability.EventSink`
         that streams the trace as it is recorded (e.g. a
         :class:`~repro.observability.JsonlFileSink` for later replay);
-        the caller owns closing it.  ``parallel`` is forwarded to
-        :meth:`query`; when the Separable strategies fan work out to
-        pool workers, each remote call ships its span tree home as a
-        trace fragment and the profile's tracer shows one lane per
-        worker pid (see :mod:`repro.observability.fragments`).
+        the caller owns closing it.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -523,9 +503,7 @@ class Engine:
             context={"query": str(query), "strategy": strategy},
         )
         start = time.perf_counter()
-        result = self.query(
-            query, strategy=strategy, tracer=tracer, parallel=parallel
-        )
+        result = self.query(query, strategy=strategy, tracer=tracer)
         wall_s = time.perf_counter() - start
         return QueryProfile(
             result=result,
@@ -544,7 +522,6 @@ class Engine:
         tracer=None,
         budget: Optional[Budget] = None,
         memo=None,
-        parallel=None,
         order: Optional[str] = None,
     ) -> frozenset[tuple]:
         if budget is None:
@@ -580,7 +557,6 @@ class Engine:
                 allow_disconnected=strategy == "relaxed",
                 tracer=tracer,
                 memo=memo,
-                parallel=parallel,
             )
         if strategy == "nodedup":
             assert report is not None

@@ -110,10 +110,8 @@ class BudgetExceeded(EvaluationError):
 
     def __reduce__(self):
         # The default Exception reduction replays ``args`` only, which
-        # would drop the structured context when the exception crosses a
-        # process boundary (parallel workers re-raise budget trips in
-        # the parent, which needs ``stats``/``limit``/``partial`` to
-        # merge and degrade gracefully).
+        # would drop the structured context (``stats``/``limit``/
+        # ``partial``) when the exception is pickled.
         return (
             _rebuild_budget_exceeded,
             (self.args, self.stats, self.limit, self.partial),

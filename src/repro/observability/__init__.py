@@ -40,22 +40,12 @@ from .events import (
     replay_trace,
 )
 from .export import escape_label_value, to_chrome_trace, to_metrics_text
-from .fragments import (
-    FRAGMENT_SCHEMA,
-    NONPORTABLE_COUNTERS,
-    TraceFragment,
-    capture_fragment,
-    install_fragment,
-    reconciled_counter_totals,
-)
 from .invariants import trace_violations
 from .profiler import QueryProfile, RuleRow, rule_rows
 from .tracer import NULL, NullTracer, Span, Tracer, live
 
 __all__ = [
     "EVENT_SCHEMA",
-    "FRAGMENT_SCHEMA",
-    "NONPORTABLE_COUNTERS",
     "CompositeSink",
     "EventSink",
     "JsonlFileSink",
@@ -65,16 +55,12 @@ __all__ = [
     "RingBufferSink",
     "RuleRow",
     "Span",
-    "TraceFragment",
     "Tracer",
-    "capture_fragment",
     "escape_label_value",
-    "install_fragment",
     "live",
     "read_events",
     "replay_file",
     "replay_trace",
-    "reconciled_counter_totals",
     "rule_rows",
     "to_chrome_trace",
     "to_metrics_text",

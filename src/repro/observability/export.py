@@ -41,32 +41,14 @@ def _us(t: float, origin: float) -> float:
     return (t - origin) * 1e6
 
 
-def _worker_pids(tracer: Tracer) -> list[int]:
-    """Distinct ``worker_pid`` attrs, in first-appearance order."""
-    pids: list[int] = []
-    for span in tracer.spans():
-        pid = span.attrs.get("worker_pid")
-        if isinstance(pid, int) and pid not in pids:
-            pids.append(pid)
-    return pids
-
-
-def _span_events(
-    span: Span, origin: float, out: list[dict], pid: int = _PID
-) -> None:
-    # A stitched worker host span (see observability.fragments) carries
-    # a worker_pid attr; it and its whole subtree render on that pid's
-    # lane -- one Chrome "process" track per pool worker.
-    pid = span.attrs.get("worker_pid", pid)
-    if not isinstance(pid, int):
-        pid = _PID
+def _span_events(span: Span, origin: float, out: list[dict]) -> None:
     end_s = span.end_s if span.end_s is not None else span.start_s
     out.append(
         {
             "name": span.name,
             "ph": "B",
             "ts": _us(span.start_s, origin),
-            "pid": pid,
+            "pid": _PID,
             "tid": _TID,
             "args": dict(span.attrs),
         }
@@ -81,19 +63,19 @@ def _span_events(
                     "name": f"{span.name}.{name}",
                     "ph": "C",
                     "ts": _us(span.start_s + (i + 1) * step, origin),
-                    "pid": pid,
+                    "pid": _PID,
                     "tid": _TID,
                     "args": {name: value},
                 }
             )
     for child in span.children:
-        _span_events(child, origin, out, pid)
+        _span_events(child, origin, out)
     out.append(
         {
             "name": span.name,
             "ph": "E",
             "ts": _us(end_s, origin),
-            "pid": pid,
+            "pid": _PID,
             "tid": _TID,
             "args": {"status": span.status, "counters": dict(span.counters)},
         }
@@ -111,23 +93,6 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     """
     origin = _origin(tracer)
     events: list[dict] = []
-    worker_pids = _worker_pids(tracer)
-    if worker_pids:
-        # Name the lanes only when a stitched trace actually has more
-        # than one: serial traces keep their exact historical bytes.
-        for pid, name in [(_PID, "parent")] + [
-            (p, f"worker {p}") for p in worker_pids
-        ]:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "ts": 0.0,
-                    "pid": pid,
-                    "tid": _TID,
-                    "args": {"name": name},
-                }
-            )
     for root in tracer.roots:
         _span_events(root, origin, events)
 

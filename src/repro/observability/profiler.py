@@ -106,11 +106,10 @@ def _plan_that_ran(result):
 def _kernel_lines(plan) -> list[str]:
     """The generated code behind a Separable ``plan``, for what ran: the
     set-at-a-time kernel of each join term (the exit joins, and loop
-    terms the reference loop or a pool worker's partition evaluated)
-    and the whole-loop function of each carry loop.
+    terms the reference loop evaluated) and the whole-loop function of
+    each carry loop.
 
-    Code is generated on first use, so a term only pool workers ran has
-    none here.  ``K`` is the constants tuple a kernel unpacks: index
+    ``K`` is the constants tuple a kernel unpacks: index
     signatures, column numbers and body/output constants.  A loop
     unpacks them per join term from ``J<g>``; each term's line gives
     the relation and index signature behind its probes ``q`` --
@@ -172,60 +171,21 @@ class QueryProfile:
         return self.tracer.counter_total("bindings_out") / examined
 
     def planner_summary(self) -> Optional[dict]:
-        """Estimate-vs-observed digest of a cost/adaptive-order run.
+        """Estimate-vs-observed digest of a cost-order run.
 
         ``None`` unless the cost-based planner ran (the ``plan_est_rows``
-        counter only moves under ``order="cost"``/``"adaptive"``), so
-        default-order profile text stays byte-identical.  ``advice`` is
-        one actionable sentence: trust the estimates, or switch to the
-        adaptive order, or note that re-planning already kicked in.
+        counter only moves under ``order="cost"``), so default-order
+        profile text stays byte-identical.  The estimate is summed per
+        plan lookup: once per rule application of a rewritten program,
+        once per loop entry of a compiled carry loop.
         """
         estimated = self.tracer.counter_total("plan_est_rows")
         if not estimated:
             return None
-        observed = self.tracer.counter_total("bindings_out")
-        replans = self.tracer.counter_total("plan_replans")
-        misestimates = self.tracer.counter_total("plan_misestimates")
-        if not misestimates:
-            advice = (
-                "estimates tracked observed fanout; the chosen order "
-                "is trustworthy"
-            )
-        elif replans:
-            advice = (
-                f"estimates diverged {misestimates} time(s); adaptive "
-                f"re-planning corrected the order mid-fixpoint "
-                f"{replans} time(s)"
-            )
-        else:
-            advice = (
-                f"estimates diverged {misestimates} time(s) with no "
-                f"re-planning; try order=\"adaptive\" to correct "
-                f"mid-fixpoint"
-            )
         return {
             "estimated_rows": estimated,
-            "observed_bindings": observed,
-            "plan_replans": replans,
-            "plan_misestimates": misestimates,
-            "advice": advice,
+            "observed_bindings": self.tracer.counter_total("bindings_out"),
         }
-
-    def worker_lanes(self) -> dict[int, int]:
-        """Stitched-fragment host spans per worker pid (empty: serial).
-
-        A parallel profile run installs one ``parallel.worker`` host
-        span per shipped fragment (see
-        :mod:`repro.observability.fragments`); this is the pid -> count
-        map of those lanes, what the Chrome export renders as one
-        process track per pool worker.
-        """
-        lanes: dict[int, int] = {}
-        for span in self.tracer.spans():
-            pid = span.attrs.get("worker_pid")
-            if isinstance(pid, int):
-                lanes[pid] = lanes.get(pid, 0) + 1
-        return lanes
 
     # -- rendering ---------------------------------------------------------
 
@@ -345,30 +305,15 @@ class QueryProfile:
             f"plan_cache_misses="
             f"{self.tracer.counter_total('plan_cache_misses')}"
         )
-        lanes = self.worker_lanes()
-        if lanes:
-            # Only parallel profiles print this; serial report text
-            # stays byte-identical.
-            lines.append(
-                "worker_lanes="
-                + " ".join(
-                    f"pid{pid}:{count}"
-                    for pid, count in sorted(lanes.items())
-                )
-            )
-
         planner = self.planner_summary()
         if planner is not None:
-            # Only cost/adaptive-order profiles print this; greedy
-            # report text stays byte-identical.
+            # Only cost-order profiles print this; greedy report text
+            # stays byte-identical.
             lines += ["", f"-- planner (estimate vs observed) {rule[33:]}"]
             lines.append(
                 f"estimated_rows={planner['estimated_rows']} "
-                f"observed_bindings={planner['observed_bindings']} "
-                f"plan_replans={planner['plan_replans']} "
-                f"plan_misestimates={planner['plan_misestimates']}"
+                f"observed_bindings={planner['observed_bindings']}"
             )
-            lines.append(f"advice: {planner['advice']}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -384,10 +329,6 @@ class QueryProfile:
             "advice": self.advice.explain(),
             "stats": self.stats.as_dict(),
             "planner": self.planner_summary(),
-            "worker_lanes": {
-                str(pid): count
-                for pid, count in sorted(self.worker_lanes().items())
-            },
             "rules": [
                 {
                     "label": r.label,

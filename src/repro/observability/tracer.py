@@ -190,73 +190,6 @@ class Tracer:
         """The innermost open span, or ``None`` outside any span."""
         return self._stack[-1] if self._stack else None
 
-    def attach_closed(self, span: Span) -> Span:
-        """Graft an already-closed span subtree into this trace.
-
-        Trace stitching (:mod:`repro.observability.fragments`) revives
-        span trees recorded by worker processes and installs them under
-        whatever span is open on the parent at install time (or as a new
-        root).  The subtree must be fully closed: grafting never touches
-        the open-span stack, so counters keep attributing to the
-        parent's own innermost span.
-
-        When a sink is attached, the grafted subtree is emitted as the
-        same ``span_open``/``series``/``span_close`` records live spans
-        produce -- parents before children, children closed before
-        parents -- with fresh stream ids, so replaying the event log
-        reconstructs the stitched forest byte-identically.
-        """
-        for s in span.walk():
-            if s.end_s is None:
-                raise ValueError(
-                    f"attach_closed requires a closed subtree; "
-                    f"span {s.name!r} is open"
-                )
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-        if self._sink is not None:
-            self._emit_closed(span, parent)
-        return span
-
-    def _emit_closed(self, s: Span, parent: Optional[Span]) -> None:
-        s.sid = self._next_sid
-        self._next_sid += 1
-        self._sink.emit(
-            {
-                "type": "span_open",
-                "sid": s.sid,
-                "parent": parent.sid if parent is not None else None,
-                "name": s.name,
-                "t": s.start_s,
-                "attrs": dict(s.attrs),
-            }
-        )
-        for name, values in s.series.items():
-            for value in values:
-                self._sink.emit(
-                    {
-                        "type": "series",
-                        "sid": s.sid,
-                        "name": name,
-                        "value": value,
-                    }
-                )
-        for child in s.children:
-            self._emit_closed(child, s)
-        self._sink.emit(
-            {
-                "type": "span_close",
-                "sid": s.sid,
-                "t": s.end_s,
-                "status": s.status,
-                "attrs": dict(s.attrs),
-                "counters": dict(s.counters),
-            }
-        )
-
     # -- payload -----------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:

@@ -57,14 +57,9 @@ class MetricsTracer:
     evaluator time actually goes (loop vs. exit vs. sideways pass)
     without materializing a single span object.
 
-    Two absorption hooks fold external trace material in: a finished
-    per-request :class:`~repro.observability.Tracer` via
-    :meth:`absorb_tracer` (the service's sampled-request path), and a
-    worker-shipped
-    :class:`~repro.observability.fragments.TraceFragment` via
-    :meth:`absorb_fragment` (what
-    :func:`repro.observability.fragments.install_fragment` dispatches
-    to when the parallel executor's tracer is this facade).
+    :meth:`absorb_tracer` folds a finished per-request
+    :class:`~repro.observability.Tracer` in (the service's
+    sampled-request path).
     """
 
     enabled = True
@@ -129,31 +124,6 @@ class MetricsTracer:
                     self._counters[cname] = (
                         self._counters.get(cname, 0) + value
                     )
-
-    def absorb_fragment(self, fragment) -> None:
-        """Fold a worker trace fragment into the aggregates.
-
-        Packed spans carry portable counters only;
-        ``fragment.cache_warmup`` (the per-process plan/index warmup
-        the fragment stripped) is folded back in here because a service
-        aggregate *wants* total work done, wherever it happened.
-        """
-        with self._lock:
-            for packed in fragment.iter_spans():
-                name = f"span:{packed['name']}"
-                self._counters[name] = self._counters.get(name, 0) + 1
-                self._span_seconds[packed["name"]] = (
-                    self._span_seconds.get(packed["name"], 0.0)
-                    + (packed["end"] - packed["start"])
-                )
-                for cname, value in packed["counters"].items():
-                    self._counters[cname] = (
-                        self._counters.get(cname, 0) + value
-                    )
-            for cname, value in fragment.cache_warmup.items():
-                self._counters[cname] = (
-                    self._counters.get(cname, 0) + value
-                )
 
     def clear(self) -> None:
         with self._lock:

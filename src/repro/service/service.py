@@ -57,12 +57,15 @@ from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
 from ..maintenance import DeltaCapture, MaintainedView
 from ..observability.events import EVENT_SCHEMA, EventSink
-from ..observability.fragments import reconciled_counter_totals
 from ..observability.tracer import Tracer
 from ..stats import EvaluationStats
 from .memo import FullSelectionMemo
 from .metrics import ServiceMetrics
-from .slowlog import SlowlogRing, build_slowlog_record
+from .slowlog import (
+    SlowlogRing,
+    build_slowlog_record,
+    work_counter_totals,
+)
 
 __all__ = [
     "ServiceConfig",
@@ -105,15 +108,6 @@ class ServiceConfig:
         surviving/repairable memo entries to the new fingerprint, and
         rebuilds the snapshot by structural sharing -- instead of
         invalidating everything the fingerprint bump used to discard.
-    parallel:
-        Worker-pool executor specification for the Separable
-        strategies, with :func:`repro.parallel.resolve_parallel`
-        semantics: ``None``/``False`` serial, ``True`` env/CPU-sized,
-        an ``int`` worker count, a
-        :class:`~repro.parallel.ParallelConfig`, or a ready
-        :class:`~repro.parallel.ParallelExecutor`.  The resolved
-        executor comes from the process-wide registry and is shared
-        across services; :meth:`QueryService.close` leaves it running.
     trace_sample:
         Fraction of requests served under a full recording
         :class:`~repro.observability.Tracer` (0.0 = none, 1.0 = all).
@@ -153,7 +147,6 @@ class ServiceConfig:
     order: str = "greedy"
     budget: Budget = UNLIMITED
     incremental: bool = False
-    parallel: object = None
     trace_sample: float = 0.0
     slow_query_threshold_s: Optional[float] = None
     slowlog_capacity: int = 256
@@ -298,14 +291,6 @@ class QueryService:
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
         )
-        # Registry-shared process pool (or None): close() must not shut
-        # it down -- other services and future requests reuse it.
-        if self.config.parallel is not None:
-            from ..parallel import resolve_parallel
-
-            self._parallel = resolve_parallel(self.config.parallel)
-        else:
-            self._parallel = None
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -665,7 +650,6 @@ class QueryService:
                         if request_tracer is not None
                         else self.metrics.tracer
                     ),
-                    parallel=self._parallel,
                 )
             except BudgetExceeded as exc:
                 if exc.limit == "wall_clock":
@@ -761,12 +745,8 @@ class QueryService:
             latency_s=out.latency_s,
             answers=len(out.answers),
             attempts=out.attempts,
-            counter_totals=reconciled_counter_totals(tracer),
+            counter_totals=work_counter_totals(tracer),
             memo=memo_delta,
-            worker_fragments=sum(
-                1 for s in tracer.spans()
-                if s.name == "parallel.worker"
-            ),
             spans=sum(1 for _ in tracer.spans()),
             error=out.error,
         )

@@ -8,9 +8,8 @@ had run, captured after the fact.
 
 Records follow the ``repro-slowlog/1`` schema: query text, strategy,
 latency, why the record exists (``sampled`` / ``slow`` / both), the
-trace's reconciled counter totals, memo and plan-cache disposition over
-the request, and the worker fan-out (how many trace fragments pool
-workers shipped home).  They travel through the service's existing
+trace's counter totals (:func:`work_counter_totals`) and the memo
+disposition over the request.  They travel through the service's existing
 event sink (interleaved with ``service_request`` events; replay skips
 unknown types) and a bounded in-memory ring serves the HTTP
 ``/slowlog`` endpoint.
@@ -26,10 +25,22 @@ __all__ = [
     "SlowlogRing",
     "build_slowlog_record",
     "validate_slowlog_record",
+    "work_counter_totals",
 ]
 
 #: Version stamp carried by every slow-query record.
 SLOWLOG_SCHEMA = "repro-slowlog/1"
+
+#: Counters that describe cache warmup rather than work: what they read
+#: depends on what the process-wide plan cache and the relations' lazy
+#: indexes already held when the request arrived.
+_WARMUP_COUNTERS = frozenset({
+    "plan_compiles",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "index_builds",
+    "index_tuples",
+})
 
 #: Field -> required type(s) for schema validation.
 _REQUIRED: dict[str, tuple] = {
@@ -45,7 +56,6 @@ _REQUIRED: dict[str, tuple] = {
     "attempts": (int,),
     "counter_totals": (dict,),
     "memo": (dict,),
-    "worker_fragments": (int,),
     "spans": (int,),
 }
 
@@ -62,7 +72,6 @@ def build_slowlog_record(
     attempts: int,
     counter_totals: dict,
     memo: dict,
-    worker_fragments: int,
     spans: int,
     error: Optional[str] = None,
 ) -> dict:
@@ -72,8 +81,6 @@ def build_slowlog_record(
     ``["slow"]``, or both.  ``memo`` is the request's memo disposition
     -- the delta of :meth:`FullSelectionMemo.stats` across the request
     (hits/misses/coalesced the request itself caused).
-    ``worker_fragments`` counts the trace fragments pool workers
-    shipped home (0 on a serial evaluation).
     """
     record = {
         "type": "slow_query",
@@ -88,12 +95,22 @@ def build_slowlog_record(
         "attempts": attempts,
         "counter_totals": dict(counter_totals),
         "memo": dict(memo),
-        "worker_fragments": worker_fragments,
         "spans": spans,
     }
     if error is not None:
         record["error"] = error
     return record
+
+
+def work_counter_totals(tracer) -> dict[str, int]:
+    """A trace's counter totals less the cache-warmup counters: the
+    same request reads the same whatever ran before it."""
+    totals: dict[str, int] = {}
+    for span in tracer.spans():
+        for name, value in span.counters.items():
+            if name not in _WARMUP_COUNTERS:
+                totals[name] = totals.get(name, 0) + value
+    return totals
 
 
 def validate_slowlog_record(record: dict) -> list[str]:

@@ -1,7 +1,7 @@
 """The relation-storage protocol and the in-memory reference backend.
 
 A *relation storage* is anything that implements the surface the
-evaluators, planner, service and parallel workers use on
+evaluators, planner and service use on
 :class:`~repro.datalog.database.Relation`:
 
 - mutation: ``add`` / ``add_all`` / ``discard`` / ``discard_all`` /
@@ -27,9 +27,8 @@ evaluators, planner, service and parallel workers use on
 - copies: ``copy()`` (private writable clone) and ``snapshot()``
   (stable read view -- may be cheaper than a copy);
 - pickling: ``__getstate__`` returns the portable
-  ``(name, arity, version, tuples)`` payload parallel workers ship;
-  the receiving side always rehydrates private storage with no
-  observers.
+  ``(name, arity, version, tuples)`` payload; the receiving side
+  always rehydrates private storage with no observers.
 
 A *storage backend* is a factory for relation storages plus a
 ``scratch()`` method returning a variant safe for private copies --

@@ -37,8 +37,7 @@ class TestResolve:
 class TestRegistry:
     def test_registry_keys(self):
         assert list(FAMILIES) == [f"e{i}" for i in range(1, 10)] + [
-            "incremental-write", "out-of-core", "parallel-scaling",
-            "skewed-join",
+            "incremental-write", "out-of-core", "skewed-join",
         ]
 
     @pytest.mark.parametrize("key", list(FAMILIES))
@@ -62,9 +61,7 @@ class TestRegistry:
                 assert cell.kind in (
                     "detect", "repair", "recompute", "build",
                 )
-                assert (cell.strategy, cell.backend, cell.workers) == (
-                    None, None, None,
-                )
+                assert (cell.strategy, cell.backend) == (None, None)
 
     @pytest.mark.parametrize("key", list(FAMILIES))
     def test_gates_name_cells_of_their_family(self, key):

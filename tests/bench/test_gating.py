@@ -261,131 +261,16 @@ class TestMaintenanceGate:
         assert "maintenance" in {f.kind for f in findings}
 
 
-def _parallel_report(serial_s=0.10, par_s=0.05, par_answers=100,
-                     par_sha="aa", serial_sha="aa", cpu_count=8,
-                     outcome="ok", untraced_fragments=0):
-    def cell(strategy, median_s, answers, sha):
-        return {
-            "strategy": strategy, "n": 24, "outcome": outcome,
-            "answers": answers, "answers_sha": sha,
-            "max_relation_size": 0, "tuples_produced": 0,
-            "tuples_examined": 0, "iterations": 0,
-            "counters": {"plan_compiles": 2},
-            "trace_violations": [], "median_s": median_s,
-            "normalized": median_s / 0.005,
-        }
-
-    parallel_cell = cell("parallel-4", par_s, par_answers, par_sha)
-    parallel_cell["untraced_fragments"] = untraced_fragments
-    return {
-        "schema": "repro-bench/1",
-        "family": "parallel-scaling",
-        "sizes": [24],
-        "machine": {"cpu_count": cpu_count},
-        "results": [
-            cell("serial", serial_s, 100, serial_sha),
-            parallel_cell,
-        ],
-    }
-
-
-class TestParallelGate:
-    def test_honest_speedup_passes(self):
-        assert evaluate_gates(_parallel_report()) == []
-
-    def test_missing_speedup_fails_on_big_machines(self):
-        findings = evaluate_gates(_parallel_report(par_s=0.09))
-        assert kinds(findings) == ["parallel"]
-        assert "speedup" in findings[0].message
-
-    def test_speedup_gate_is_hardware_gated(self):
-        # A 1-CPU container cannot manufacture parallelism: physics,
-        # not tolerance.  The correctness gates below still apply.
-        report = _parallel_report(par_s=0.09, cpu_count=1)
-        assert skips(evaluate_gates(report)) == [(
-            "parallel-4", None,
-            ">= 1.5x speedup at 4 workers not checked: cpu_count 1 < 4",
-        )]
-
-    def test_answer_count_mismatch_is_correctness(self):
-        findings = evaluate_gates(
-            _parallel_report(par_answers=99, cpu_count=1)
-        )
-        assert kinds(regressions(findings)) == ["answers"]
-
-    def test_digest_mismatch_is_correctness_even_at_equal_counts(self):
-        findings = regressions(evaluate_gates(
-            _parallel_report(par_sha="bb", cpu_count=1)
-        ))
-        assert kinds(findings) == ["answers"]
-        assert "digest" in findings[0].message
-
-    def test_noise_floor_skips_speedup(self):
-        report = _parallel_report(serial_s=0.001, par_s=0.002)
-        assert skips(evaluate_gates(report)) == [(
-            "parallel-4", 24,
-            ">= 1.5x speedup at 4 workers not checked: serial median "
-            "1.00ms is below the 50ms noise floor",
-        )]
-
-    def test_speedup_is_judged_at_the_largest_eligible_size(self):
-        report = _parallel_report(par_s=0.09)  # n=24: 1.1x, would fail
-        bigger = copy.deepcopy(report["results"])
-        for cell in bigger:
-            cell["n"] = 40
-            if cell["strategy"] == "parallel-4":
-                cell["median_s"] = 0.05  # n=40: 2x
-                cell["normalized"] = 0.05 / 0.005
-        report["results"] += bigger
-        assert evaluate_gates(report) == []
-
-    def test_untraced_fragments_fail_the_zero_overhead_gate(self):
-        findings = regressions(evaluate_gates(
-            _parallel_report(cpu_count=1, untraced_fragments=3)
-        ))
-        assert kinds(findings) == ["parallel"]
-        assert "zero-overhead" in findings[0].message
-
-    def test_old_baselines_without_the_key_are_skipped(self):
-        report = _parallel_report()
-        del report["results"][1]["untraced_fragments"]
-        assert skips(evaluate_gates(report)) == [(
-            "parallel-4", 24,
-            "tracer=None ships no trace fragments (zero-overhead "
-            "default) not checked: untraced_fragments not recorded",
-        )]
-
-    def test_non_ok_cells_are_skipped(self):
-        report = _parallel_report(par_s=0.2, outcome="budget")
-        findings = evaluate_gates(report)
-        assert regressions(findings) == []
-        assert len(skips(findings)) == 3  # agrees, fragments, speedup
-        assert all(
-            "serial outcome is budget" in message
-            or "parallel-4 outcome is budget" in message
-            for _, _, message in skips(findings)
-        )
-
-    def test_compare_reports_runs_the_gate_on_the_current_run(self):
-        base = _parallel_report()
-        cur = _parallel_report(par_sha="bb", cpu_count=1)
-        findings = compare_reports(base, cur, time_tolerance=1e9)
-        assert "answers" in {f.kind for f in findings}
-
-
 def _skew_report(cost_s=0.002, greedy_s=0.01, cost_fanout=70,
                  greedy_fanout=670, cost_answers=4, cost_sha="aa",
-                 greedy_sha="aa", replans=1, outcome="ok"):
-    def cell(strategy, median_s, answers, sha, fanout, counters=None):
+                 greedy_sha="aa", outcome="ok"):
+    def cell(strategy, median_s, answers, sha, fanout):
         return {
             "strategy": strategy, "n": 8, "outcome": outcome,
             "answers": answers, "answers_sha": sha,
             "max_relation_size": 0, "tuples_produced": 0,
             "tuples_examined": 0, "iterations": 0,
-            "counters": {
-                "bindings_out": fanout, "plan_compiles": 3,
-                **(counters or {}),
-            },
+            "counters": {"bindings_out": fanout, "plan_compiles": 3},
             "trace_violations": [], "median_s": median_s,
             "normalized": median_s / 0.005,
         }
@@ -400,8 +285,6 @@ def _skew_report(cost_s=0.002, greedy_s=0.01, cost_fanout=70,
                  greedy_fanout),
             cell("order-cost", cost_s, cost_answers, cost_sha,
                  cost_fanout),
-            cell("order-adaptive", cost_s, cost_answers, cost_sha,
-                 cost_fanout, counters={"plan_replans": replans}),
         ],
     }
 
@@ -455,20 +338,15 @@ class TestSkewGate:
         assert "answers" in kinds(findings)
         assert any("digest" in f.message for f in findings)
 
-    def test_replan_budget_overrun_fails(self):
-        findings = evaluate_gates(_skew_report(replans=3))
-        assert kinds(findings) == ["plan"]
-        assert "plan_replans is 3; bound is 2" in findings[0].message
-
     def test_non_ok_cells_are_skipped(self):
         findings = evaluate_gates(_skew_report(outcome="budget"))
         assert regressions(findings) == []
-        # 3 x agrees, the replan bound, fanout, wall time.
-        assert len(skips(findings)) == 6
+        # 2 x agrees, fanout, wall time.
+        assert len(skips(findings)) == 4
         assert all("outcome is budget" in m for _, _, m in skips(findings))
 
     def test_rows_of_another_family_do_not_apply(self):
-        report = _parallel_report()
+        report = _backend_report()
         gates = FAMILIES["skewed-join"].gates
         assert regressions(evaluate_gates(report, gates)) == []
 
@@ -623,6 +501,22 @@ class TestGateRows:
             "separable", 8, "separable wins not checked: no magic cell",
         )]
 
+    def test_largest_judges_the_largest_eligible_size_alone(self):
+        gate = Ratio("order-cost", "order-greedy", 1.0, "plan",
+                     "cost wins where it counts", floor_s=1e-3,
+                     sizes="largest")
+        report = _skew_report(cost_s=0.02)  # n=8: cost loses
+        bigger = copy.deepcopy(report["results"])
+        for cell in bigger:
+            cell["n"] = 16
+            if cell["strategy"] == "order-cost":
+                cell["normalized"] = 0.002 / 0.005  # n=16: cost wins
+        report["results"] += bigger
+        assert evaluate_gates(report, [gate]) == []
+        for cell in bigger:
+            cell["median_s"] = 5e-4  # n=16 under the floor: n=8 judges
+        assert kinds(evaluate_gates(report, [gate])) == ["plan"]
+
     def test_time_ratios_compare_calibrated_times(self):
         # The machine ran twice as fast while the greedy cells were
         # timed (their calibration unit halved): raw medians say cost
@@ -637,10 +531,10 @@ class TestGateRows:
         gated = []
         report = _skew_report(cost_s=9e-4, greedy_s=5e-4)
         findings = evaluate_gates(report, gated=gated)
-        # flat x4, agrees x3, bound, fanout ratio applied; wall-time
-        # ratio skipped.
+        # flat x3, agrees x2, fanout ratio applied; wall-time ratio
+        # skipped.
         assert sorted(gated) == (
-            ["agrees"] * 3 + ["bound"] + ["flat"] * 4 + ["ratio"]
+            ["agrees"] * 2 + ["flat"] * 3 + ["ratio"]
         )
         assert kinds(findings) == ["skipped"]
 

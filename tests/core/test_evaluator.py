@@ -19,11 +19,10 @@ from repro.datalog.database import Database, Relation
 from repro.datalog.errors import BudgetExceeded, NotFullSelectionError
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.plan_cache import PLAN_CACHE, PlanCache
-from repro.parallel import resolve_parallel
 from repro.stats import EvaluationStats
 from repro.storage import ensure_backend
 from repro.workloads.generators import chain, cycle, grid
-from repro.workloads.paper import example_1_1_program
+from repro.workloads.paper import example_1_1_database, example_1_1_program
 
 from ..conftest import oracle_answers, run_loops
 
@@ -250,7 +249,7 @@ class TestGeneratedLoop:
     """The compiled carry loop against ``_carry_loop``, its reference:
     same answers, same statistics, same spans up to ``plan_cache_hits``."""
 
-    @pytest.mark.parametrize("order", ["greedy", "left_to_right"])
+    @pytest.mark.parametrize("order", ["greedy", "left_to_right", "cost"])
     def test_rank_change_reenters_with_the_reference_plans(
             self, monkeypatch, order):
         entries = []
@@ -271,9 +270,72 @@ class TestGeneratedLoop:
             assert got[0] == {("end",)}
             assert got[1].relation_sizes["carry_1"] == 5
             # Entered at |carry| = 1, again at 5 (> |s| = 2: greedy now
-            # scans s and probes carry) and again back at 1.
+            # scans s and probes carry; cost plans per power-of-two
+            # bucket, and 5 is in [4, 8)) and again back at 1.
             down = [j for j in entries if j == plan.down_joins]
-            assert len(down) == (3 if order == "greedy" else 1)
+            assert len(down) == (1 if order == "left_to_right" else 3)
+
+    @pytest.mark.parametrize("workload", ["tree", "lemma-4.1"])
+    def test_cost_plans_per_power_of_two_of_the_carry(self, monkeypatch,
+                                                      workload):
+        """``order="cost"`` is planned at loop entry and again whenever
+        ``carry`` leaves its bucket ``[2^(b-1), 2^b)``: what the
+        reference loop's per-round lookups come to, the order memo
+        being keyed on exactly that bucket."""
+        if workload == "tree":
+            # carry doubles per round down a binary tree of depth 5,
+            # then falls to the single edge below one leaf.
+            nodes = [format(i, "b").replace("1", "r").replace("0", "l")
+                     for i in range(1, 32)]
+            program = TWO_RULES
+            db = Database.from_facts({
+                "e": [(v, v + turn) for v in nodes[:15] for turn in "lr"]
+                + [("rrrrr", "z")],
+                "s": [("z", "end")],
+                "t0": [("end", "end")],
+            })
+            query, carries = "t(r, Y)", [1, 2, 4, 8, 16, 1]
+        else:
+            from repro.bench.families import FAMILIES
+
+            workload = FAMILIES["e3"].build(20)
+            program, db = workload.program, workload.db
+            query, carries = workload.query.rstrip("?"), [1, 19]
+        plan, seed = plan_of(program, "t", query)
+        entered = []
+        loop_for = PlanCache.loop_for
+
+        def spy(self, joins, pseudo, carry, *args, **kwargs):
+            if joins == plan.down_joins:
+                entered.append(len(carry))
+            return loop_for(self, joins, pseudo, carry, *args, **kwargs)
+
+        monkeypatch.setattr(PlanCache, "loop_for", spy)
+        runs = {}
+        for reference in (False, True):
+            # Cold caches: each side chooses its plans by itself.
+            PLAN_CACHE.clear()
+            runs[reference] = run_loops(plan, db, [seed], reference,
+                                        order="cost")
+        assert runs[False] == runs[True] and runs[False][0]
+        assert entered == carries  # one entry per bucket entered
+        assert run_loops(plan, db, [seed], False, True, "cost") == \
+            run_loops(plan, db, [seed], True, True, "cost")
+
+    def test_cost_plan_lookups_do_not_grow_with_the_rounds(self):
+        """Example 1.1 on a chain of 200 is ~200 rounds of a one-tuple
+        carry: the plan cache is asked once per join per bucket of
+        ``carry`` plus once per exit join, not once per join per round."""
+        plan, seed = plan_of(example_1_1_program(), "buys", "buys(a1, Y)")
+        db = example_1_1_database(200)
+        PLAN_CACHE.clear()
+        answers, stats, _ = run_loops(plan, db, [seed], False, True, "cost")
+        assert answers == {("b200",)} and stats.iterations > 200
+        lookups = PLAN_CACHE.hits + PLAN_CACHE.misses
+        largest = max(stats.relation_sizes[c] for c in ("carry_1", "carry_2"))
+        joins = len(plan.down_joins) + len(plan.up_joins)
+        assert lookups <= (joins * (largest.bit_length() + 1)
+                           + len(plan.exit_joins))
 
     @pytest.mark.parametrize("budget, limit", [
         (Budget(max_iterations=3), "iterations"),
@@ -306,7 +368,8 @@ class TestGeneratedLoop:
         """Example 1.2's down loop (over ``friend``) and up loop (over
         ``cheaper``) differ only in constants, and so does Example 1.1's
         down loop: its ``friend`` and ``idol`` terms are one shape, run
-        twice.  (Example 1.1 has a single class; its up loop is empty.)"""
+        twice.  (Example 1.1 has a single class: its up loop has no
+        join terms, which is a text of its own.)"""
         PLAN_CACHE.clear()
         program, db = example_1_1
         both, seed = plan_of(program, "buys", "buys(tom, Y)")
@@ -315,6 +378,8 @@ class TestGeneratedLoop:
         text, = loop_source(both, "down")
         assert text.count("for f0 in c0:") == 1
         assert loop_source(both, "down", traced=True) == []
+        empty, = loop_source(both, "up")
+        assert "produced.update" not in empty and "for " not in empty
         program, db = example_1_2
         plan, seed = plan_of(program, "buys", "buys(tom, Y)")
         execute_plan(plan, db, [seed])
@@ -324,7 +389,7 @@ class TestGeneratedLoop:
         assert down[2] != up[2]  # probed relations and constants
         loops = [source for source in PLAN_CACHE._shapes
                  if source.startswith("def loop(")]
-        assert loops == [text]
+        assert loops == [text, empty]
         PLAN_CACHE.clear()
         assert not loop_source(plan, "down")
         assert not PLAN_CACHE._shapes
@@ -354,18 +419,17 @@ class TestGeneratedLoop:
         assert (answers, stats) == run_loops(plan, db, [seed], False,
                                              True)[:2]
 
-    def test_an_executor_that_cannot_partition_takes_the_generated_loop(
-            self, example_1_2):
+    @pytest.mark.parametrize("order", ["greedy", "left_to_right", "cost"])
+    def test_only_reference_loops_selects_the_reference_loop(
+            self, example_1_2, order):
         program, db = example_1_2
         plan, seed = plan_of(program, "buys", "buys(tom, Y)")
-        in_thread = resolve_parallel(1)
-        assert not in_thread.active
         PLAN_CACHE.clear()
-        answers = execute_plan(plan, db, [seed], parallel=in_thread)
-        assert loop_source(plan, "down")
+        answers = execute_plan(plan, db, [seed], order=order)
+        assert loop_source(plan, "down") and loop_source(plan, "up")
         PLAN_CACHE.clear()
         with _reference_loops():
-            assert execute_plan(plan, db, [seed]) == answers
+            assert execute_plan(plan, db, [seed], order=order) == answers
         assert not loop_source(plan, "down")
 
     def test_storage_error_traceback_shows_generated_source(self):

@@ -1,16 +1,15 @@
-"""The pickle contracts the worker-pool transport depends on.
+"""The pickle contracts of ``Database``, ``Relation`` and
+``BudgetExceeded``.
 
-A database crosses the process boundary exactly once per install; what
-arrives must be the same data (aliasing included) with none of the
-parent's live wiring (observers, caches).  Budget trips must survive
-the trip back with their structured context intact.
+A pickled database must arrive as the same data (aliasing included)
+with none of the sender's live wiring (observers, caches), and a budget
+trip must keep its structured context.
 """
 
 import pickle
 
 from repro.datalog.database import Database, Relation
 from repro.errors import BudgetExceeded
-from repro.parallel.worker import WorkerStateMissing
 from repro.stats import EvaluationStats
 
 
@@ -86,9 +85,3 @@ class TestExceptionPickle:
         assert clone.limit == "total_tuples"
         assert clone.partial == partial
         assert clone.stats.tuples_produced == 1
-
-    def test_worker_state_missing_round_trips(self):
-        exc = WorkerStateMissing(7)
-        clone = pickle.loads(pickle.dumps(exc))
-        assert isinstance(clone, WorkerStateMissing)
-        assert clone.token == 7

@@ -2,10 +2,8 @@
 
 The contract under test: :func:`cost_permutation` picks orders from
 System-R style cardinality estimates (sizes, per-column distincts,
-sampled containment), deterministically; ``order="cost"`` and
-``order="adaptive"`` compute exactly the sets the greedy order does;
-and :class:`AdaptiveState` re-plans a bounded number of times only when
-estimates and observations diverge.
+sampled containment), deterministically, and ``order="cost"`` computes
+exactly the sets the greedy order does.
 """
 
 import pytest
@@ -15,10 +13,7 @@ from repro.datalog.database import Database
 from repro.datalog.joins import EQ, evaluate_body
 from repro.datalog.plan_cache import ORDERS, PlanCache, compile_join_plan
 from repro.datalog.planner import (
-    DIVERGENCE_FACTOR,
     DP_MAX_ATOMS,
-    MAX_REPLANS,
-    AdaptiveState,
     cost_permutation,
     size_signature,
 )
@@ -170,11 +165,10 @@ class TestCostOrderEquivalence:
         db = Database.from_facts({"edge": [("a", "a"), ("a", "b")]})
         body = (Atom(EQ, (Variable("X"), Variable("Y"))),
                 atom("edge", "X", "Y"))
-        for order in ("cost", "adaptive"):
-            results = list(evaluate_body(db, body, order=order))
-            assert binding_set(results) == binding_set(
-                [{Variable("X"): "a", Variable("Y"): "a"}]
-            ), order
+        results = list(evaluate_body(db, body, order="cost"))
+        assert binding_set(results) == binding_set(
+            [{Variable("X"): "a", Variable("Y"): "a"}]
+        )
 
     def test_never_bindable_eq_still_raises(self, skewed_db):
         body = (Atom(EQ, (Variable("A"), Variable("B"))),
@@ -183,9 +177,10 @@ class TestCostOrderEquivalence:
             list(evaluate_body(skewed_db, body, order="cost"))
 
     def test_unknown_order_rejected(self, skewed_db):
-        with pytest.raises(ValueError, match="unknown join order"):
-            list(evaluate_body(skewed_db, (atom("a", "X", "Y"),),
-                               order="bogus"))
+        for order in ("bogus", "adaptive"):
+            with pytest.raises(ValueError, match="unknown join order"):
+                list(evaluate_body(skewed_db, (atom("a", "X", "Y"),),
+                                   order=order))
 
 
 class TestCostPlanCaching:
@@ -212,79 +207,13 @@ class TestCostPlanCaching:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["compiles"] == 1  # same permutation
 
-    def test_cost_and_adaptive_share_plans(self, skewed_db):
-        cache = PlanCache()
-        first = cache.plan_for(self.BODY, frozenset(), "cost", skewed_db)
-        second = cache.plan_for(
-            self.BODY, frozenset(), "adaptive", skewed_db,
-            adaptive=AdaptiveState(),
-        )
-        assert first is second
-        assert cache.stats()["compiles"] == 1
-        assert cache.stats()["orders"] == {"cost": 1, "adaptive": 1}
-
-    def test_estimate_reported_to_tracer_and_state(self, skewed_db):
+    def test_estimate_reported_to_tracer(self, skewed_db):
         cache = PlanCache()
         tracer = Tracer()
-        state = AdaptiveState()
-        cache.plan_for(self.BODY, frozenset(), "adaptive", skewed_db,
-                       tracer=tracer, adaptive=state)
+        cache.plan_for(self.BODY, frozenset(), "cost", skewed_db,
+                       tracer=tracer)
         assert tracer.counter_total("plan_est_rows") >= 1
-        assert state._expected > 0
 
     def test_compile_join_plan_cost_order(self, skewed_db):
         plan = compile_join_plan(self.BODY, db=skewed_db, order="cost")
         assert plan.atom_order()[-1] == "big"
-
-
-class TestAdaptiveState:
-    def test_accurate_estimate_no_replan(self):
-        state = AdaptiveState()
-        state.expect(100.0)
-        assert state.observe_round(100) is False
-        assert state.misestimates == 0
-        assert state.replans == 0
-
-    def test_divergence_triggers_replan_and_epoch(self):
-        state = AdaptiveState()
-        tracer = Tracer()
-        state.expect(10.0)
-        assert state.observe_round(1000, tracer) is True
-        assert state.misestimates == 1
-        assert state.replans == 1
-        assert state.epoch == 1
-        assert tracer.counter_total("plan_replans") == 1
-        assert tracer.counter_total("plan_misestimates") == 1
-        assert [s.name for s in tracer.spans()
-                if s.name == "planner.replan"]
-
-    def test_both_directions_diverge(self):
-        over, under = AdaptiveState(), AdaptiveState()
-        over.expect(1000.0)
-        assert over.observe_round(10) is True
-        under.expect(10.0)
-        assert under.observe_round(1000) is True
-
-    def test_boundary_is_not_a_misestimate(self):
-        state = AdaptiveState()
-        state.expect(24.0)  # lo = 25, hi = 100 = 4.0 * lo exactly
-        assert state.observe_round(99) is False
-        assert state.misestimates == 0
-
-    def test_replan_budget_bounds_epoch(self):
-        state = AdaptiveState()
-        for _ in range(10):
-            state.expect(1.0)
-            state.observe_round(10_000)
-        assert state.replans == MAX_REPLANS
-        assert state.epoch == MAX_REPLANS
-        assert state.misestimates == 10
-
-    def test_empty_rounds_compare_cleanly(self):
-        state = AdaptiveState()
-        state.expect(0.0)
-        assert state.observe_round(0) is False
-        state.expect(0.0)
-        # +1 smoothing: 0 expected vs DIVERGENCE_FACTOR rows is the
-        # first produced count past the threshold.
-        assert state.observe_round(int(DIVERGENCE_FACTOR)) is True

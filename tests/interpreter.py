@@ -161,7 +161,7 @@ def evaluate_body_interpreted(
     """
     if order not in ORDERS:
         raise ValueError(f"unknown join order {order!r}")
-    if order in ("cost", "adaptive"):
+    if order == "cost":
         # The reference interpreter has no cost model; any valid order
         # yields the same set, so fall back to the greedy heuristic.
         order = "greedy"

@@ -107,10 +107,8 @@ class TestRenderText:
         assert planner is not None
         assert planner["estimated_rows"] >= 1
         assert planner["observed_bindings"] >= 1
-        assert "advice" in planner
         text = prof.render_text(timings=False)
         assert "-- planner (estimate vs observed)" in text
-        assert "advice:" in text
         assert prof.to_json()["planner"] == planner
 
 

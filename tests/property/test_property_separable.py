@@ -143,8 +143,8 @@ def test_justifications_reconstructible(data):
 ))
 def test_generated_loop_matches_reference_loop(data):
     """Both flavours of the compiled carry loop against ``_carry_loop``:
-    equal answers, statistics and spans (less ``plan_cache_hits``), under
-    both orders the compiled loop serves."""
+    equal answers, statistics and spans (less the plan-lookup
+    counters), under every join order."""
     from repro.core.compiler import compile_selection
     from repro.core.selections import classify_selection
 
@@ -154,7 +154,7 @@ def test_generated_loop_matches_reference_loop(data):
     if not selection.is_full:
         return
     plan = compile_selection(selection)
-    for order in ("greedy", "left_to_right"):
+    for order in ("greedy", "left_to_right", "cost"):
         for traced in (False, True):
             got = run_loops(plan, db, [selection.seed], False, traced, order)
             want = run_loops(plan, db, [selection.seed], True, traced, order)

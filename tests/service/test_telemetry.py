@@ -9,7 +9,6 @@ import pytest
 from repro.datalog.database import Database
 from repro.datalog.plan_cache import PLAN_CACHE
 from repro.observability import RingBufferSink
-from repro.parallel import ParallelConfig
 from repro.service import (
     QueryService,
     SLOWLOG_SCHEMA,
@@ -96,7 +95,6 @@ class TestSlowlogRecords:
         assert record["reason"] == ["sampled"]
         assert record["status"] == "ok"
         assert record["answers"] == len(result.answers)
-        assert record["worker_fragments"] == 0  # serial evaluation
         assert record["spans"] > 0
         assert record["counter_totals"].get("tuples_examined", 0) > 0
         assert set(record["memo"]) == {
@@ -168,29 +166,6 @@ class TestSlowlogRecords:
 
         assert run(0.0) == run(1.0)
 
-    def test_parallel_request_counts_worker_fragments(self):
-        program = paper.example_2_4_program()
-        db = Database()
-        for j in range(3):
-            db.add_fact("a", ("x0", "y0", f"p{j}_0", f"q{j}_0"))
-            for i in range(4):
-                db.add_fact(
-                    "a",
-                    (f"p{j}_{i}", f"q{j}_{i}",
-                     f"p{j}_{i + 1}", f"q{j}_{i + 1}"),
-                )
-                db.add_fact("t0", (f"p{j}_{i}", f"q{j}_{i}", "z0"))
-        db.add_fact("b", ("z0", "z1"))
-        with _service(
-            program, db,
-            trace_sample=1.0,
-            parallel=ParallelConfig.eager(2),
-        ) as service:
-            result = service.query("t(x0, Y, Z)?")
-        assert result.ok
-        (record,) = service.slowlog()
-        assert record["worker_fragments"] > 0
-
 
 class TestSlowlogValidation:
     def _valid(self):
@@ -205,7 +180,6 @@ class TestSlowlogValidation:
             attempts=1,
             counter_totals={"tuples_examined": 5},
             memo={"hits": 0, "misses": 1, "coalesced": 0, "size": 1},
-            worker_fragments=0,
             spans=4,
         )
 
@@ -217,7 +191,6 @@ class TestSlowlogValidation:
 
     @pytest.mark.parametrize("field", [
         "schema", "trace_id", "latency_s", "counter_totals",
-        "worker_fragments",
     ])
     def test_rejects_missing_field(self, field):
         record = self._valid()
