@@ -206,7 +206,6 @@ def http_smoke() -> int:
             "repro_service_requests_total",
             "repro_service_latency_seconds_count",
             "repro_service_memo_hit_ratio",
-            "repro_service_snapshot_cache_entries",
             "repro_service_plan_cache_entries",
         ):
             assert pinned in body, f"{pinned} missing from /metrics"

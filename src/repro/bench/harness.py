@@ -382,6 +382,7 @@ def _run_cell(
     digest = None
     if cell.kind == "query" and answers is not None:
         digest, answers = _digest(answers), len(answers)
+    totals = tracer.totals()
     result: dict = {
         "strategy": cell.label,
         "n": n,
@@ -391,9 +392,7 @@ def _run_cell(
         "tuples_produced": stats.tuples_produced,
         "tuples_examined": stats.tuples_examined,
         "iterations": stats.iterations,
-        "counters": {
-            name: tracer.counter_total(name) for name in _COUNTER_NAMES
-        },
+        "counters": {name: totals.get(name, 0) for name in _COUNTER_NAMES},
         "trace_violations": trace_violations(tracer),
         "median_s": None,
         "unit_s": None,

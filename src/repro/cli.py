@@ -138,6 +138,21 @@ def _backend_list(text: str) -> tuple[str, ...]:
     return values
 
 
+def _add_strategy(parser, help: str, default="auto", **kwargs) -> None:
+    parser.add_argument("--strategy", choices=STRATEGIES, default=default,
+                        help=help, **kwargs)
+
+
+def _add_order(parser, help: str) -> None:
+    parser.add_argument("--order", choices=ORDERS, default="greedy",
+                        help=help)
+
+
+def _add_backend(parser, help: str) -> None:
+    parser.add_argument("--backend", type=_backend_spec, default=None,
+                        help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-datalog",
@@ -157,17 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="query text, e.g. 'buys(tom, Y)?' (repeatable; defaults to "
         "the queries found in the file)",
     )
-    run.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="auto",
-        help="evaluation strategy (default: auto)",
-    )
-    run.add_argument(
-        "--order",
-        choices=ORDERS,
-        default="greedy",
-        help="join order for compiled bodies (default: greedy); cost "
+    _add_strategy(run, "evaluation strategy (default: auto)")
+    _add_order(
+        run,
+        "join order for compiled bodies (default: greedy); cost "
         "uses the selectivity-aware planner (docs/planning.md)",
     )
     run.add_argument(
@@ -175,11 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the generated-relation statistics after each query",
     )
-    run.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=None,
-        help="relation storage backend: memory (default), sqlite "
+    _add_backend(
+        run,
+        "relation storage backend: memory (default), sqlite "
         "(out-of-core temporary tables), or sqlite:<path> (durable "
         "file; see docs/storage.md)",
     )
@@ -220,17 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="query text, e.g. 'buys(tom, Y)?' (default: the single "
         "query found in the file)",
     )
-    profile.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="auto",
-        help="evaluation strategy to profile (default: auto)",
-    )
-    profile.add_argument(
-        "--order",
-        choices=ORDERS,
-        default="greedy",
-        help="join order for compiled bodies (default: greedy); with "
+    _add_strategy(profile, "evaluation strategy to profile (default: auto)")
+    _add_order(
+        profile,
+        "join order for compiled bodies (default: greedy); with "
         "cost the report gains a planner estimate-vs-observed section",
     )
     profile.add_argument(
@@ -259,11 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit wall-clock figures from the text report (makes the "
         "output deterministic for a given program and query)",
     )
-    profile.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=None,
-        help="relation storage backend: memory (default), sqlite, or "
+    _add_backend(
+        profile,
+        "relation storage backend: memory (default), sqlite, or "
         "sqlite:<path> (docs/storage.md)",
     )
 
@@ -289,13 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="PRNG seed; a campaign is reproducible from it (default: 0)",
     )
-    fuzz.add_argument(
-        "--strategy",
+    _add_strategy(
+        fuzz,
+        "restrict to these strategies (repeatable; default: all "
+        "applicable per case)",
         action="append",
         default=[],
-        choices=STRATEGIES,
-        help="restrict to these strategies (repeatable; default: all "
-        "applicable per case)",
     )
     fuzz.add_argument(
         "--corpus",
@@ -363,12 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wall-clock deadline in seconds "
         "(default: none)",
     )
-    serve.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="auto",
-        help="evaluation strategy (default: auto)",
-    )
+    _add_strategy(serve, "evaluation strategy (default: auto)")
     serve.add_argument(
         "--metrics-out",
         type=Path,
@@ -442,21 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also slowlog any request at least this slow (implies "
         "tracing every request; default: off)",
     )
-    serve.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=None,
-        help="relation storage backend for the live EDB: memory "
+    _add_backend(
+        serve,
+        "relation storage backend for the live EDB: memory "
         "(default), sqlite, or sqlite:<path> (docs/storage.md)",
-    )
-    serve.add_argument(
-        "--db-path",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="durable SQLite file for the live EDB (implies the sqlite "
-        "backend): facts already in the file are loaded and mutations "
-        "persist across restarts",
     )
 
     bench = sub.add_parser(
@@ -523,11 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="max tuples per generated relation before a run is "
         "recorded as outcome=budget (default: 200000)",
     )
-    bench.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=None,
-        help="run every cell with the workload database on this "
+    _add_backend(
+        bench,
+        "run every cell with the workload database on this "
         "storage backend: memory | sqlite | sqlite:<path> (default: "
         "plain in-memory; --check then needs a baseline generated "
         "with the same backend)",
@@ -758,10 +736,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not 0.0 <= args.trace_sample <= 1.0:
         print("error: --trace-sample must be in [0, 1]", file=sys.stderr)
         return 2
-    if args.db_path is not None and args.backend not in (None, "sqlite"):
-        print("error: --db-path requires --backend sqlite (or no "
-              "--backend)", file=sys.stderr)
-        return 2
 
     requests = [q for q in queries for _ in range(args.repeat)]
     config = ServiceConfig(
@@ -771,7 +745,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_sample=args.trace_sample,
         slow_query_threshold_s=args.slow_threshold,
         backend=args.backend,
-        db_path=str(args.db_path) if args.db_path is not None else None,
     )
     mutations = _serve_mutation_stream(
         parsed.database, parsed.program, args.mutations
@@ -792,6 +765,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # ephemeral port; keep the format stable.
                 print(f"telemetry listening on {httpd.url}", flush=True)
             if mutations:
+                def write(kind: str, name: str, fact: tuple) -> None:
+                    service.mutate(
+                        lambda db: db.add_fact(name, fact) if kind == "add"
+                        else db.remove_fact(name, fact)
+                    )
+
                 stride = max(1, len(requests) // (len(mutations) + 1))
                 futures = []
                 stream = iter(mutations)
@@ -799,30 +778,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     if i and i % stride == 0:
                         op = next(stream, None)
                         if op is not None:
-                            kind, name, fact = op
-                            if kind == "add":
-                                service.mutate(
-                                    lambda db, n=name, f=fact:
-                                    db.add_fact(n, f)
-                                )
-                            else:
-                                service.mutate(
-                                    lambda db, n=name, f=fact:
-                                    db.remove_fact(n, f)
-                                )
+                            write(*op)
                     futures.append(
                         service.submit(q, strategy=args.strategy)
                     )
-                for kind, name, fact in stream:
-                    if kind == "add":
-                        service.mutate(
-                            lambda db, n=name, f=fact: db.add_fact(n, f)
-                        )
-                    else:
-                        service.mutate(
-                            lambda db, n=name, f=fact:
-                            db.remove_fact(n, f)
-                        )
+                for op in stream:
+                    write(*op)
                 results = [f.result() for f in futures]
             else:
                 results = service.batch(requests, strategy=args.strategy)

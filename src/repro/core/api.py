@@ -34,7 +34,6 @@ from ..datalog.errors import BudgetExceeded, NotFullSelectionError
 from ..datalog.joins import evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.terms import ConstValue, Variable
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .analysis import EquivalenceClass, RecursionAnalysis
 from .compiler import compile_plan, compile_selection
@@ -415,7 +414,6 @@ def evaluate_separable(
 
     Returns the full-arity answer tuples matching the query atom.
     """
-    tracer = live(tracer)
     if analysis is None:
         analysis = require_separable(
             program, query.predicate,

@@ -22,25 +22,10 @@ from typing import Iterable, Optional
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
 from ..datalog.plan_cache import PLAN_CACHE
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
 __all__ = ["execute_plan", "loop_source"]
-
-
-def _with_pseudo(
-    db: Database, name: str, relation: Relation
-) -> Database:
-    """A view of ``db`` with one pseudo-relation attached (shared, not
-    copied)."""
-    view = Database()
-    for pred in db.predicates():
-        rel = db.relation(pred)
-        assert rel is not None
-        view.attach(rel, pred)
-    view.attach(relation, name)
-    return view
 
 
 def _apply_joins(
@@ -117,7 +102,7 @@ def _carry_loop(
     # refills the relation in place (a clear + bulk add_all) instead of
     # rebuilding the Database wrapper and re-copying the base mounts.
     carry_rel = Relation(CARRY, arity)
-    view = _with_pseudo(db, CARRY, carry_rel)
+    view = db.with_mounts({CARRY: carry_rel})
     with span_cm as span:
         while carry:
             budget.check_wall(stats)
@@ -235,7 +220,6 @@ def execute_plan(
     Callers reassemble full-arity answers by interleaving the selection
     constants (see :mod:`repro.core.api`).
     """
-    tracer = live(tracer)
     if stats is None:
         # The relation, total and iteration limits are metered on the
         # statistics, so a caller that keeps none still needs them kept.
@@ -268,7 +252,8 @@ def execute_plan(
         else nullcontext()
     )
     with exit_cm:
-        view = _with_pseudo(db, SEEN, Relation(SEEN, plan.seed_arity, seen_1))
+        view = db.with_mounts(
+            {SEEN: Relation(SEEN, plan.seed_arity, seen_1)})
         carry_2 = _apply_joins(plan.exit_joins, view, stats, order, tracer,
                                label="exit")
 

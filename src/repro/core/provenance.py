@@ -26,9 +26,8 @@ from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
-from ..datalog.joins import evaluate_body, instantiate_args
+from ..datalog.joins import evaluate_body_project
 from ..stats import EvaluationStats
-from .evaluator import _with_pseudo
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
 __all__ = ["Justification", "Trace", "execute_plan_traced", "justify"]
@@ -92,6 +91,19 @@ class Trace:
     up_parent: dict[tuple, Parent]
 
 
+def _child_parent_rows(view: Database, join: CarryJoin, pseudo: str,
+                       stats: Optional[EvaluationStats], order: str):
+    """``(child, parent)`` per derivation of ``join`` over ``view``: the
+    output tuple and the ``pseudo`` (carry or seen) tuple it came from,
+    in the join's enumeration order."""
+    parent_atom = next(a for a in join.body if a.predicate == pseudo)
+    width = len(join.output)
+    for row in evaluate_body_project(
+            view, join.body, join.output + parent_atom.args,
+            stats=stats, order=order):
+        yield row[:width], row[width:]
+
+
 def _traced_loop(
     joins: tuple[CarryJoin, ...],
     initial: Iterable[tuple],
@@ -102,7 +114,12 @@ def _traced_loop(
     budget: Budget,
     order: str,
 ) -> set[tuple]:
-    """A Figure 2 loop that records a first parent for every new tuple."""
+    """A Figure 2 loop that records a first parent for every new tuple.
+
+    Separate from the generated loop on purpose: a ``parents=`` flavour
+    of ``loop_text`` would have to switch off the projected innermost
+    level and carry a second row template, i.e. branch on its caller.
+    """
     seen: set[tuple] = set()
     carry: set[tuple] = set()
     for s in initial:
@@ -114,18 +131,14 @@ def _traced_loop(
         budget.check_wall(stats)
         if stats is not None:
             stats.bump_iterations()
-        view = _with_pseudo(db, CARRY, Relation(CARRY, arity, carry))
+        view = db.with_mounts({CARRY: Relation(CARRY, arity, carry)})
         produced: dict[tuple, tuple[int, tuple]] = {}
         for join in joins:
-            carry_atom = next(a for a in join.body if a.predicate == CARRY)
             assert join.rule_index is not None
-            for bindings in evaluate_body(view, join.body, stats=stats,
-                                          order=order):
-                child = instantiate_args(join.output, bindings)
-                if child in seen or child in produced:
-                    continue
-                parent = instantiate_args(carry_atom.args, bindings)
-                produced[child] = (join.rule_index, parent)
+            for child, parent in _child_parent_rows(view, join, CARRY,
+                                                    stats, order):
+                if child not in seen and child not in produced:
+                    produced[child] = (join.rule_index, parent)
         carry = set(produced)
         seen |= carry
         for child, parent_record in produced.items():
@@ -154,20 +167,13 @@ def execute_plan_traced(
         trace.down_parent, stats, budget, order,
     )
 
-    view = _with_pseudo(db, SEEN, Relation(SEEN, plan.seed_arity, seen_1))
-    carry_2: set[tuple] = set()
+    view = db.with_mounts({SEEN: Relation(SEEN, plan.seed_arity, seen_1)})
     for join in plan.exit_joins:
-        seen_atom = next(a for a in join.body if a.predicate == SEEN)
         assert join.rule_index is not None
-        for bindings in evaluate_body(view, join.body, stats=stats,
-                                      order=order):
-            child = instantiate_args(join.output, bindings)
-            if child not in trace.exit_parent:
-                trace.exit_parent[child] = (
-                    join.rule_index,
-                    instantiate_args(seen_atom.args, bindings),
-                )
-            carry_2.add(child)
+        for child, parent in _child_parent_rows(view, join, SEEN, stats,
+                                                order):
+            trace.exit_parent.setdefault(child, (join.rule_index, parent))
+    carry_2 = set(trace.exit_parent)
 
     seen_2 = _traced_loop(
         plan.up_joins, carry_2, plan.answer_arity, db,

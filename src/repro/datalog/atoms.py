@@ -34,8 +34,7 @@ class Atom:
     # Rule bodies key the plan cache, so atoms are hashed once or twice
     # per join per fixpoint round: the value is computed once here
     # (what the generated __hash__ would return every time) and kept out
-    # of equality, repr and pickles -- a spawned worker hashes strings
-    # under its own seed.
+    # of equality, repr and pickles (string hashes are per process).
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -598,7 +598,7 @@ class Database:
         but built from :meth:`Relation.snapshot`, which out-of-core
         backends implement without copying tuples -- the SQLite backend
         returns read-only connections pinned to the current WAL state.
-        The service's fingerprint-keyed snapshot LRU goes through here.
+        The service's current snapshot is taken through here.
         """
         other = Database(backend=self._scratch_backend())
         copies: dict[int, Relation] = {}
@@ -626,6 +626,18 @@ class Database:
                 copies[id(rel)] = clone
             other._relations[name] = clone
         return other
+
+    def with_mounts(self, mounts: Mapping[str, Relation]) -> "Database":
+        """A view of this database with ``mounts`` (``{name: relation}``)
+        attached beside its relations.
+
+        Every relation is shared, not copied; the view has no observers
+        and no backend.  How evaluators put a carry, a delta or a
+        candidate relation next to the data a rule body reads.
+        """
+        view = Database()
+        view._relations = {**self._relations, **mounts}
+        return view
 
     # -- pickling ----------------------------------------------------------
 

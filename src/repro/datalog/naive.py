@@ -13,7 +13,6 @@ from contextlib import nullcontext
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .database import Database
 from .joins import evaluate_body_project
@@ -36,7 +35,6 @@ def naive_evaluate(
     per IDB predicate holding its least-fixpoint extent.  ``edb`` itself
     is not modified.
     """
-    tracer = live(tracer)
     db = edb.copy()
     for predicate in program.idb_predicates:
         db.ensure(predicate, program.arity(predicate))

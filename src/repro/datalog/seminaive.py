@@ -21,7 +21,6 @@ from contextlib import nullcontext
 from typing import Iterable, Mapping, Optional
 
 from ..budget import Budget, UNLIMITED
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database, Relation
@@ -32,23 +31,6 @@ from .rules import Rule
 __all__ = ["seminaive_evaluate", "seminaive_stratum"]
 
 _DELTA_PREFIX = "Δ"  # Δp never collides with parsed predicate names
-
-
-def _delta_views(
-    db: Database, deltas: dict[str, Relation]
-) -> Database:
-    """A view database in which ``Δp`` names each delta relation.
-
-    Relations are shared with ``db``; nothing is copied.
-    """
-    view = Database()
-    for name in db.predicates():
-        rel = db.relation(name)
-        assert rel is not None
-        view.attach(rel, name)
-    for name, rel in deltas.items():
-        view.attach(rel, _DELTA_PREFIX + name)
-    return view
 
 
 def _delta_variants(r: Rule, scc: frozenset[str]) -> list[tuple[Atom, ...]]:
@@ -76,7 +58,7 @@ def seminaive_stratum(
     order: str = "greedy",
     tracer=None,
     initial_deltas: Optional[Mapping[str, Iterable]] = None,
-) -> None:
+) -> Optional[dict[str, set]]:
     """Run one SCC of mutually recursive predicates to fixpoint in ``db``.
 
     ``db`` must already contain every predicate the SCC depends on.
@@ -92,8 +74,10 @@ def seminaive_stratum(
     caller must guarantee ``db`` is already a fixpoint of the SCC
     *except for* consequences of the seeds -- this is the delta-seeded
     restart incremental insert maintenance runs after a base mutation.
+    Only this mode returns something: the facts the restart added, per
+    member predicate (a full evaluation returns ``None`` and holds one
+    round's delta at a time, so the extent may live out of core).
     """
-    tracer = live(tracer)
     rules = list(rules)
     for p in scc:
         db.ensure(p, program.arity(p))
@@ -156,6 +140,9 @@ def seminaive_stratum(
         deltas: dict[str, Relation] = {
             p: Relation(p, program.arity(p), delta_sets[p]) for p in scc
         }
+        # The relations copied round 0's sets; a seeded restart goes on
+        # to collect every later round's delta in them.
+        added = delta_sets if initial_deltas is not None else None
         if tracer is not None:
             for p in sorted(scc):
                 tracer.record(f"delta:{p}", len(deltas[p]))
@@ -172,7 +159,8 @@ def seminaive_stratum(
                 stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
-            view = _delta_views(db, deltas)
+            view = db.with_mounts(
+                {_DELTA_PREFIX + p: rel for p, rel in deltas.items()})
             new_deltas: dict[str, Relation] = {
                 p: Relation(p, program.arity(p)) for p in scc
             }
@@ -195,6 +183,9 @@ def seminaive_stratum(
                     if produced_r:
                         tracer.count(f"rule_out:{labels[ri]}", produced_r)
             deltas = new_deltas
+            if added is not None:
+                for p in scc:
+                    added[p].update(deltas[p])
             if tracer is not None:
                 for p in sorted(scc):
                     tracer.record(f"delta:{p}", len(deltas[p]))
@@ -206,6 +197,7 @@ def seminaive_stratum(
             budget.check_stats(stats)
         if span is not None:
             span.attrs["final"] = {p: db.size(p) for p in sorted(scc)}
+    return added
 
 
 def seminaive_evaluate(
@@ -221,7 +213,6 @@ def seminaive_evaluate(
     Returns a new database with the EDB relations plus the least-fixpoint
     extent of each IDB predicate; ``edb`` is not modified.
     """
-    tracer = live(tracer)
     db = edb.copy()
     for scc in program.evaluation_order:
         scc_rules = [

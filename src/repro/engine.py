@@ -44,7 +44,7 @@ from .rewriting.magic import evaluate_magic
 from .rewriting.selection_push import evaluate_pushed
 from .rewriting.nodedup import execute_plan_nodedup
 from .observability.profiler import QueryProfile
-from .observability.tracer import Tracer, live
+from .observability.tracer import Tracer
 from .stats import EvaluationStats
 
 __all__ = ["Engine", "QueryResult", "StrategyAdvice", "STRATEGIES"]
@@ -442,7 +442,8 @@ class Engine:
             budget = self.budget
         if budget.deadline is None:
             budget = budget.start_clock()
-        tracer = live(tracer if tracer is not None else self.tracer)
+        if tracer is None:
+            tracer = self.tracer
 
         report: Optional[SeparabilityReport] = None
         if strategy in ("auto", "separable", "relaxed", "nodedup"):

@@ -212,11 +212,7 @@ class MaintainedView:
         # Every maintenance join of this call reads one view database:
         # the relations of ``self.db`` shared, deltas and candidates
         # mounted beside them by name for the join that reads them.
-        view = Database()
-        for name in self.db.predicates():
-            rel = self.db.relation(name)
-            assert rel is not None
-            view.attach(rel, name)
+        view = self.db.with_mounts({})
 
         if eff_dels:
             self._apply_deletions(view, eff_dels, touched)
@@ -340,20 +336,8 @@ class MaintainedView:
                                if f not in rel}
             if not any(seeds.values()):
                 continue
-            added: dict[str, set[Fact]] = {p: set() for p in scc}
-
-            def collect(relation, fact, sign, _added=added):
-                if sign > 0:
-                    _added[relation.name].add(fact)
-
-            for pred in scc:
-                self.db.relation(pred).observe(collect)
-            try:
-                seminaive_stratum(rules, scc, self.db, self.program,
-                                  order=self.order, initial_deltas=seeds)
-            finally:
-                for pred in scc:
-                    self.db.relation(pred).unobserve(collect)
+            added = seminaive_stratum(rules, scc, self.db, self.program,
+                                      order=self.order, initial_deltas=seeds)
             for pred, facts in added.items():
                 if facts:
                     changed.setdefault(pred, set()).update(facts)

@@ -9,14 +9,14 @@ carry sizes) -- the dynamic quantities that
 
 The default is no tracer at all: hot loops guard every emission with a
 single ``tracer is not None`` check, so the untraced path costs one
-pointer comparison (see ``tests/observability/test_overhead.py``).
-:data:`NULL` is a disabled tracer for callers that prefer passing an
-object; :func:`live` normalizes it back to ``None`` at API boundaries.
+pointer comparison (see ``tests/observability/test_overhead.py``), and
+``tracer=None`` is the one way to say "off".
 
-On top of the tracer sits the telemetry pipeline:
+The span tree with its counter totals (:meth:`Tracer.totals`) is the
+one telemetry model; everything else is a function of it:
 
 * :mod:`repro.observability.events` -- an :class:`EventSink` protocol
-  with ring-buffer, JSONL-file, and fan-out sinks; a tracer built with
+  with ring-buffer and JSONL-file sinks; a tracer built with
   ``Tracer(sink=...)`` streams every span open/close, counter bump and
   per-iteration observation as a schema-versioned event, and
   :func:`replay_trace` rebuilds an equivalent trace from a stored
@@ -31,7 +31,6 @@ On top of the tracer sits the telemetry pipeline:
 
 from .events import (
     EVENT_SCHEMA,
-    CompositeSink,
     EventSink,
     JsonlFileSink,
     RingBufferSink,
@@ -42,22 +41,18 @@ from .events import (
 from .export import escape_label_value, to_chrome_trace, to_metrics_text
 from .invariants import trace_violations
 from .profiler import QueryProfile, RuleRow, rule_rows
-from .tracer import NULL, NullTracer, Span, Tracer, live
+from .tracer import Span, Tracer
 
 __all__ = [
     "EVENT_SCHEMA",
-    "CompositeSink",
     "EventSink",
     "JsonlFileSink",
-    "NULL",
-    "NullTracer",
     "QueryProfile",
     "RingBufferSink",
     "RuleRow",
     "Span",
     "Tracer",
     "escape_label_value",
-    "live",
     "read_events",
     "replay_file",
     "replay_trace",

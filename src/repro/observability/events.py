@@ -51,7 +51,6 @@ __all__ = [
     "EventSink",
     "RingBufferSink",
     "JsonlFileSink",
-    "CompositeSink",
     "read_events",
     "replay_trace",
     "replay_file",
@@ -126,21 +125,6 @@ class JsonlFileSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class CompositeSink:
-    """Fans every event out to several sinks (ring buffer + file, ...)."""
-
-    def __init__(self, *sinks: EventSink) -> None:
-        self.sinks = tuple(sinks)
-
-    def emit(self, event: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 def read_events(path: Union[str, Path]) -> list[dict]:

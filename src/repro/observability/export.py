@@ -179,24 +179,17 @@ class MetricFamilies:
         self.lines.append(f"# TYPE {metric} {kind}")
 
 
-def to_metrics_text(tracer: Tracer) -> str:
-    """Final counter totals in the Prometheus text exposition format.
+def counter_lines(totals: dict[str, int], families: MetricFamilies,
+                  plain_help: str, labelled_help: str) -> None:
+    """Append counter totals to ``families.lines`` as Prometheus samples.
 
-    One ``counter`` metric per tracer counter name (summed over every
-    span), plus ``repro_spans_total``.  Rule-indexed counters
-    (``rule_out:<label>``) become labelled samples of one metric.
-    ``# HELP``/``# TYPE`` headers are emitted exactly once per metric
-    family and label values are escaped per the format.
+    A plain counter is one ``repro_<name>_total`` metric; the
+    ``family:label`` counters (``rule_out:<label>``, ``span:<name>``)
+    are labelled samples of one metric per family.  Both sorted by
+    name; the help strings are formatted with the counter's name.  The
+    one renderer behind :func:`to_metrics_text` and the service's
+    ``/metrics``.
     """
-    lines: list[str] = []
-    families = MetricFamilies(lines)
-    totals: dict[str, int] = {}
-    spans = 0
-    for span in tracer.spans():
-        spans += 1
-        for name, value in span.counters.items():
-            totals[name] = totals.get(name, 0) + value
-
     plain: dict[str, int] = {}
     labelled: dict[str, dict[str, int]] = {}
     for name, value in totals.items():
@@ -205,26 +198,39 @@ def to_metrics_text(tracer: Tracer) -> str:
             labelled.setdefault(metric, {})[label] = value
         else:
             plain[name] = value
-
-    families.declare(
-        "repro_spans_total", "Spans recorded in the trace."
-    )
-    lines.append(f"repro_spans_total {spans}")
+    lines = families.lines
     for name in sorted(plain):
         metric = _metric_name(name)
-        families.declare(
-            metric,
-            f"Tracer counter {name!r} summed over the trace.",
-        )
+        families.declare(metric, plain_help.format(name))
         lines.append(f"{metric} {plain[name]}")
     for name in sorted(labelled):
         metric = _metric_name(name)
-        families.declare(
-            metric, f"Tracer counter {name!r} by rule label."
-        )
+        families.declare(metric, labelled_help.format(name))
         for label in sorted(labelled[name]):
             lines.append(
                 f'{metric}{{rule="{escape_label_value(label)}"}} '
                 f"{labelled[name][label]}"
             )
+
+
+def to_metrics_text(tracer: Tracer) -> str:
+    """Final counter totals in the Prometheus text exposition format.
+
+    One ``counter`` metric per tracer counter name
+    (:meth:`Tracer.totals`), plus ``repro_spans_total``.  Rule-indexed
+    counters (``rule_out:<label>``) become labelled samples of one
+    metric.  ``# HELP``/``# TYPE`` headers are emitted exactly once per
+    metric family and label values are escaped per the format.
+    """
+    lines: list[str] = []
+    families = MetricFamilies(lines)
+    families.declare(
+        "repro_spans_total", "Spans recorded in the trace."
+    )
+    lines.append(f"repro_spans_total {sum(1 for _ in tracer.spans())}")
+    counter_lines(
+        tracer.totals(), families,
+        "Tracer counter {!r} summed over the trace.",
+        "Tracer counter {!r} by rule label.",
+    )
     return "\n".join(lines) + "\n"

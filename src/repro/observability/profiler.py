@@ -17,6 +17,7 @@ Chrome trace (``--format``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .export import to_chrome_trace, to_metrics_text
@@ -47,16 +48,17 @@ def rule_rows(tracer: Tracer) -> list[RuleRow]:
     rewritten rules here) and ``<loop>#<index>`` for compiled plan
     join terms.
     """
+    return _rule_rows(tracer.totals())
+
+
+def _rule_rows(totals: dict[str, int]) -> list[RuleRow]:
     apps: dict[str, int] = {}
     outs: dict[str, int] = {}
-    for span in tracer.spans():
-        for name, value in span.counters.items():
-            if name.startswith(RULE_APPS_PREFIX):
-                label = name[len(RULE_APPS_PREFIX):]
-                apps[label] = apps.get(label, 0) + value
-            elif name.startswith(RULE_OUT_PREFIX):
-                label = name[len(RULE_OUT_PREFIX):]
-                outs[label] = outs.get(label, 0) + value
+    for name, value in totals.items():
+        if name.startswith(RULE_APPS_PREFIX):
+            apps[name[len(RULE_APPS_PREFIX):]] = value
+        elif name.startswith(RULE_OUT_PREFIX):
+            outs[name[len(RULE_OUT_PREFIX):]] = value
     return [
         RuleRow(label, apps.get(label, 0), outs.get(label, 0))
         for label in sorted(set(apps) | set(outs))
@@ -163,12 +165,18 @@ class QueryProfile:
     def stats(self):
         return self.result.stats
 
+    @cached_property
+    def _totals(self) -> dict[str, int]:
+        """The finished trace's counter totals, folded once per profile."""
+        return self.tracer.totals()
+
     def fanout(self) -> Optional[float]:
         """Join output per examined tuple over the whole run."""
-        examined = self.tracer.counter_total("tuples_examined")
+        totals = self._totals
+        examined = totals.get("tuples_examined")
         if not examined:
             return None
-        return self.tracer.counter_total("bindings_out") / examined
+        return totals.get("bindings_out", 0) / examined
 
     def planner_summary(self) -> Optional[dict]:
         """Estimate-vs-observed digest of a cost-order run.
@@ -179,12 +187,13 @@ class QueryProfile:
         plan lookup: once per rule application of a rewritten program,
         once per loop entry of a compiled carry loop.
         """
-        estimated = self.tracer.counter_total("plan_est_rows")
+        totals = self._totals
+        estimated = totals.get("plan_est_rows")
         if not estimated:
             return None
         return {
             "estimated_rows": estimated,
-            "observed_bindings": self.tracer.counter_total("bindings_out"),
+            "observed_bindings": totals.get("bindings_out", 0),
         }
 
     # -- rendering ---------------------------------------------------------
@@ -258,7 +267,7 @@ class QueryProfile:
         for root in self.tracer.roots:
             emit_span(root, 0)
 
-        rows = rule_rows(self.tracer)
+        rows = _rule_rows(self._totals)
         if rows:
             lines += ["", f"-- per-rule work {rule[17:]}"]
             width = max(len(r.label) for r in rows)
@@ -290,20 +299,19 @@ class QueryProfile:
 
         lines += ["", f"-- totals {rule[10:]}"]
         fanout = self.fanout()
+        counter = self._totals.get
         lines.append(
             f"iterations={self.stats.iterations} "
-            f"tuples_examined={self.tracer.counter_total('tuples_examined')} "
-            f"bindings_out={self.tracer.counter_total('bindings_out')} "
+            f"tuples_examined={counter('tuples_examined', 0)} "
+            f"bindings_out={counter('bindings_out', 0)} "
             f"tuples_produced={self.stats.tuples_produced} "
             + (f"join_fanout={fanout:.3f}" if fanout is not None
                else "join_fanout=n/a")
         )
         lines.append(
-            f"plan_compiles={self.tracer.counter_total('plan_compiles')} "
-            f"plan_cache_hits="
-            f"{self.tracer.counter_total('plan_cache_hits')} "
-            f"plan_cache_misses="
-            f"{self.tracer.counter_total('plan_cache_misses')}"
+            f"plan_compiles={counter('plan_compiles', 0)} "
+            f"plan_cache_hits={counter('plan_cache_hits', 0)} "
+            f"plan_cache_misses={counter('plan_cache_misses', 0)}"
         )
         planner = self.planner_summary()
         if planner is not None:
@@ -335,18 +343,9 @@ class QueryProfile:
                     "applications": r.applications,
                     "tuples_out": r.tuples_out,
                 }
-                for r in rule_rows(self.tracer)
+                for r in _rule_rows(self._totals)
             ],
-            "counters": {
-                name: self.tracer.counter_total(name)
-                for name in sorted(
-                    {
-                        n
-                        for s in self.tracer.spans()
-                        for n in s.counters
-                    }
-                )
-            },
+            "counters": dict(sorted(self._totals.items())),
             "trace": self.tracer.to_dict(),
         }
 

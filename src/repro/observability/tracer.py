@@ -20,7 +20,7 @@ fixpoint must not leak open spans), and carry three kinds of payload:
 
 Counters bump on the *innermost open* span so nested strategy phases
 attribute work to themselves; aggregation over the whole run is
-:meth:`Tracer.counter_total`.
+:meth:`Tracer.totals`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL", "live"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -106,8 +106,6 @@ class Tracer:
     emission paths are guarded by a single ``self._sink is not None``
     check, so in-memory-only tracing pays nothing for the event layer.
     """
-
-    enabled = True
 
     def __init__(self, sink=None, context: Optional[dict] = None) -> None:
         self.roots: list[Span] = []
@@ -251,9 +249,20 @@ class Tracer:
                 if name is None or s.name == name:
                     yield s
 
+    def totals(self) -> dict[str, int]:
+        """Every counter summed over every span of the trace, names in
+        first-seen (depth first) order.  The one fold over
+        ``span.counters``: metrics text, slowlog records, profiles and
+        the service's aggregates are all read off this dict."""
+        totals: dict[str, int] = {}
+        for s in self.spans():
+            for name, value in s.counters.items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
     def counter_total(self, name: str) -> int:
-        """Sum of one counter over every span in the trace."""
-        return sum(s.counters.get(name, 0) for s in self.spans())
+        """One entry of :meth:`totals` (0 for a counter never bumped)."""
+        return self.totals().get(name, 0)
 
     def all_closed(self) -> bool:
         """True when no span is left open (exception safety check)."""
@@ -289,52 +298,3 @@ class Tracer:
         for root in self.roots:
             emit(root, 0)
         return "\n".join(lines)
-
-
-class NullTracer:
-    """A disabled tracer: every operation is a no-op.
-
-    Exists so call sites may unconditionally hold a tracer object;
-    evaluator entry points normalize it to ``None`` via :func:`live`,
-    keeping the hot loops on the single ``is not None`` guard.
-    """
-
-    enabled = False
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[None]:
-        yield None
-
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
-    def record(self, name: str, value) -> None:
-        pass
-
-    def counter_total(self, name: str) -> int:
-        return 0
-
-    def spans(self, name: Optional[str] = None):
-        return iter(())
-
-    def all_closed(self) -> bool:
-        return True
-
-    def to_dict(self) -> dict:
-        return {"spans": []}
-
-
-#: The shared disabled tracer.
-NULL = NullTracer()
-
-
-def live(tracer) -> Optional[Tracer]:
-    """Normalize a tracer argument: ``None`` unless recording is on.
-
-    Evaluator entry points call this once so their inner loops only pay
-    an ``is not None`` check, whether the caller passed ``None``,
-    :data:`NULL`, or a real :class:`Tracer`.
-    """
-    if tracer is None or not getattr(tracer, "enabled", False):
-        return None
-    return tracer

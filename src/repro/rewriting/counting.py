@@ -50,7 +50,6 @@ from ..datalog.programs import Program
 from ..datalog.rectify import rectify_definition
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, ConstValue, Variable
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 
 __all__ = [
@@ -279,16 +278,6 @@ def counting_rules_text(program: Program, query: Atom) -> str:
     return "\n".join(lines)
 
 
-def _with_carry(db: Database, carry: Relation) -> Database:
-    view = Database()
-    for pred in db.predicates():
-        rel = db.relation(pred)
-        assert rel is not None
-        view.attach(rel, pred)
-    view.attach(carry, _CARRY)
-    return view
-
-
 def evaluate_counting(
     program: Program,
     edb: Database,
@@ -308,7 +297,6 @@ def evaluate_counting(
     :class:`~repro.datalog.errors.BudgetExceeded` when ``budget`` trips
     first.
     """
-    tracer = live(tracer)
     if stats is not None and not stats.strategy:
         stats.strategy = "counting"
     plan = compile_counting(program, query)
@@ -331,7 +319,7 @@ def evaluate_counting(
     frontier: list[tuple[tuple[int, ...], set[tuple]]] = [((), {seed})]
     level = 0
     down_carry = Relation(_CARRY, len(plan.bound_positions))
-    down_view = _with_carry(edb, down_carry)
+    down_view = edb.with_mounts({_CARRY: down_carry})
     down_bodies = {
         cr.index: (Atom(_CARRY, cr.down_input),) + cr.down_atoms
         for cr in plan.rules
@@ -404,7 +392,7 @@ def evaluate_counting(
     )
     with ascent_cm as ascent_span:
         exit_carry = Relation(_CARRY, len(plan.bound_positions))
-        exit_view = _with_carry(edb, exit_carry)
+        exit_view = edb.with_mounts({_CARRY: exit_carry})
         exit_bodies = []
         for exit_rule in plan.exit_rules:
             carry_atom = Atom(
@@ -442,7 +430,7 @@ def evaluate_counting(
 
         # Replay each path backwards, deepest level first.
         up_carry = Relation(_CARRY, len(plan.free_positions))
-        up_view = _with_carry(edb, up_carry)
+        up_view = edb.with_mounts({_CARRY: up_carry})
         up_bodies = {
             cr.index: (Atom(_CARRY, cr.up_input),) + cr.up_atoms
             for cr in plan.rules

@@ -38,7 +38,6 @@ from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.terms import Constant
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 from .adornment import (
     AdornedAtom,
@@ -278,7 +277,6 @@ def evaluate_magic(
     Relation sizes of every generated (magic / adorned / supplementary)
     predicate are recorded in ``stats`` under their rewritten names.
     """
-    tracer = live(tracer)
     if stats is not None and not stats.strategy:
         stats.strategy = "magic"
     rewrite_cm = (

@@ -27,9 +27,8 @@ from ..budget import Budget, UNLIMITED
 from ..core.plan import CARRY, SEEN, SeparablePlan
 from ..datalog.database import Database, Relation
 from ..datalog.errors import CyclicDataError
-from ..observability.tracer import live
 from ..stats import EvaluationStats
-from ..core.evaluator import _apply_joins, _with_pseudo
+from ..core.evaluator import _apply_joins
 
 __all__ = ["execute_plan_nodedup"]
 
@@ -73,7 +72,7 @@ def _carry_loop_nodedup(
                 stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
-            view = _with_pseudo(db, CARRY, Relation(CARRY, arity, carry))
+            view = db.with_mounts({CARRY: Relation(CARRY, arity, carry)})
             carry = _apply_joins(joins, view, stats, order, tracer,
                                  label=seen_name)
             seen |= carry
@@ -106,7 +105,6 @@ def execute_plan_nodedup(
     tracer=None,
 ) -> frozenset[tuple]:
     """Run a compiled Separable plan without duplicate elimination."""
-    tracer = live(tracer)
     if stats is not None and not stats.strategy:
         stats.strategy = "nodedup"
     seed_set = {tuple(s) for s in seeds}
@@ -114,7 +112,7 @@ def execute_plan_nodedup(
         plan.down_joins, seed_set, plan.seed_arity, db,
         "carry_1", "seen_1", stats, budget, order, tracer,
     )
-    view = _with_pseudo(db, SEEN, Relation(SEEN, plan.seed_arity, seen_1))
+    view = db.with_mounts({SEEN: Relation(SEEN, plan.seed_arity, seen_1)})
     carry_2 = _apply_joins(plan.exit_joins, view, stats, order, tracer)
     seen_2 = _carry_loop_nodedup(
         plan.up_joins, carry_2, plan.answer_arity, db,

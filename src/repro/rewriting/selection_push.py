@@ -38,7 +38,6 @@ from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.terms import Constant, ConstValue, Variable
-from ..observability.tracer import live
 from ..stats import EvaluationStats
 
 __all__ = [
@@ -154,7 +153,6 @@ def evaluate_pushed(
     sigma predicate's extent -- for a pers-column selection on a
     separable recursion this matches Separable's ``seen_2``-side sizes.
     """
-    tracer = live(tracer)
     if stats is not None and not stats.strategy:
         stats.strategy = "pushdown"
     rewritten, sigma, pushed = push_selection(program, query)

@@ -19,9 +19,10 @@ Two pieces:
     Request-level aggregates -- queue depth, per-status request counts,
     retries, deadline trips, latency reservoir with p50/p99 -- plus the
     exporters: :meth:`ServiceMetrics.to_metrics_text` renders the
-    Prometheus text format (same conventions as
-    :func:`repro.observability.export.to_metrics_text`, so one scrape
-    pipeline handles traces and the service alike), and
+    Prometheus text format (the service's own lines, then the evaluator
+    counters through the renderer
+    :func:`repro.observability.export.to_metrics_text` uses, so one
+    scrape pipeline handles traces and the service alike), and
     :meth:`ServiceMetrics.as_dict` the JSON shape the CLI batch driver
     writes as its artifact.
 """
@@ -36,7 +37,7 @@ from typing import Iterator, Optional
 
 from ..observability.export import (
     MetricFamilies,
-    _metric_name,
+    counter_lines,
     escape_label_value,
 )
 
@@ -48,8 +49,7 @@ class MetricsTracer:
 
     Every counter bump and span open lands in one flat dict under a
     lock; series observations are dropped (unbounded per-iteration data
-    has no place in service-lifetime aggregates).  Satisfies
-    :func:`repro.observability.tracer.live` via ``enabled = True``.
+    has no place in service-lifetime aggregates).
 
     Spans are counted (``span:<name>``) *and* timed: the wall-clock
     width of every span accumulates per name in :meth:`span_seconds`,
@@ -61,8 +61,6 @@ class MetricsTracer:
     :class:`~repro.observability.Tracer` in (the service's
     sampled-request path).
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -106,24 +104,24 @@ class MetricsTracer:
     def absorb_tracer(self, tracer) -> None:
         """Fold a finished recording tracer's spans into the aggregates.
 
-        Every span bumps ``span:<name>``, adds its wall-clock width to
-        the per-name duration sum, and contributes its counters --
-        exactly what would have landed here had the evaluation run
-        against this facade directly (minus the dropped series).
+        Every span bumps ``span:<name>`` and adds its wall-clock width
+        to the per-name duration sum, and the trace's counter totals
+        are added in -- exactly what would have landed here had the
+        evaluation run against this facade directly (minus the dropped
+        series).
         """
+        totals = tracer.totals()
         with self._lock:
             for span in tracer.spans():
                 name = f"span:{span.name}"
-                self._counters[name] = self._counters.get(name, 0) + 1
+                totals[name] = totals.get(name, 0) + 1
                 if span.end_s is not None:
                     self._span_seconds[span.name] = (
                         self._span_seconds.get(span.name, 0.0)
                         + (span.end_s - span.start_s)
                     )
-                for cname, value in span.counters.items():
-                    self._counters[cname] = (
-                        self._counters.get(cname, 0) + value
-                    )
+            for name, value in totals.items():
+                self._counters[name] = self._counters.get(name, 0) + value
 
     def clear(self) -> None:
         with self._lock:
@@ -138,6 +136,25 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     rank = max(0, min(len(sorted_values) - 1,
                       round(q * (len(sorted_values) - 1))))
     return sorted_values[rank]
+
+
+#: The service's event counters: ``as_dict`` key -> (metric name less
+#: the ``repro_service_`` prefix, help text), in exposition order.
+_EVENTS = {
+    "retries": ("retries_total",
+                "Attempts retried after a transient trip."),
+    "deadline_trips": ("deadline_trips_total", "Wall-clock budget trips."),
+    "snapshots_created": ("snapshots_total", "EDB snapshots materialized."),
+    "snapshots_repaired": (
+        "snapshots_repaired_total",
+        "Snapshots rebuilt by structural sharing after a mutation."),
+    "view_repairs": (
+        "view_repairs_total",
+        "Incremental IDB repairs applied by the maintained view."),
+    "view_rebuilds": (
+        "view_rebuilds_total",
+        "Full view rebuilds after a delta-capture overflow."),
+}
 
 
 class ServiceMetrics:
@@ -156,12 +173,7 @@ class ServiceMetrics:
         self._started = 0
         self._completed = 0
         self._by_status: dict[str, int] = {}
-        self._retries = 0
-        self._deadline_trips = 0
-        self._snapshots_created = 0
-        self._snapshots_repaired = 0
-        self._view_repairs = 0
-        self._view_rebuilds = 0
+        self._events = dict.fromkeys(_EVENTS, 0)
         self._latencies: deque[float] = deque(maxlen=latency_capacity)
 
     # -- recording (called by the service) --------------------------------
@@ -180,29 +192,10 @@ class ServiceMetrics:
             self._by_status[status] = self._by_status.get(status, 0) + 1
             self._latencies.append(latency_s)
 
-    def retry(self) -> None:
+    def bump(self, event: str) -> None:
+        """Count one service event (a key of :data:`_EVENTS`)."""
         with self._lock:
-            self._retries += 1
-
-    def deadline_trip(self) -> None:
-        with self._lock:
-            self._deadline_trips += 1
-
-    def snapshot_created(self) -> None:
-        with self._lock:
-            self._snapshots_created += 1
-
-    def snapshot_repaired(self) -> None:
-        with self._lock:
-            self._snapshots_repaired += 1
-
-    def view_repair(self) -> None:
-        with self._lock:
-            self._view_repairs += 1
-
-    def view_rebuild(self) -> None:
-        with self._lock:
-            self._view_rebuilds += 1
+            self._events[event] += 1
 
     # -- reading ------------------------------------------------------------
 
@@ -226,7 +219,6 @@ class ServiceMetrics:
     def as_dict(
         self,
         memo_stats: Optional[dict] = None,
-        snapshot_stats: Optional[dict] = None,
         plan_cache_stats: Optional[dict] = None,
     ) -> dict:
         """JSON-ready snapshot (the batch driver's artifact payload)."""
@@ -238,12 +230,7 @@ class ServiceMetrics:
                 "queue_depth": self._submitted - self._started,
                 "in_flight": self._started - self._completed,
                 "by_status": dict(self._by_status),
-                "retries": self._retries,
-                "deadline_trips": self._deadline_trips,
-                "snapshots_created": self._snapshots_created,
-                "snapshots_repaired": self._snapshots_repaired,
-                "view_repairs": self._view_repairs,
-                "view_rebuilds": self._view_rebuilds,
+                **self._events,
                 "latency_s": {
                     "count": len(values),
                     "p50": _quantile(values, 0.50),
@@ -265,8 +252,6 @@ class ServiceMetrics:
         }
         if memo_stats is not None:
             out["memo"] = dict(memo_stats)
-        if snapshot_stats is not None:
-            out["snapshot_cache"] = dict(snapshot_stats)
         if plan_cache_stats is not None:
             out["plan_cache"] = dict(plan_cache_stats)
         return out
@@ -274,7 +259,6 @@ class ServiceMetrics:
     def to_metrics_text(
         self,
         memo_stats: Optional[dict] = None,
-        snapshot_stats: Optional[dict] = None,
         plan_cache_stats: Optional[dict] = None,
     ) -> str:
         """Prometheus text exposition of the service's current state.
@@ -287,11 +271,7 @@ class ServiceMetrics:
         ``# HELP``/``# TYPE`` are emitted once per family and label
         values are escaped per the exposition format.
         """
-        snap = self.as_dict(
-            memo_stats=memo_stats,
-            snapshot_stats=snapshot_stats,
-            plan_cache_stats=plan_cache_stats,
-        )
+        snap = self.as_dict()
         lines: list[str] = []
         families = MetricFamilies(lines)
 
@@ -315,25 +295,7 @@ class ServiceMetrics:
                 f'{{status="{escape_label_value(status)}"}} '
                 f"{snap['by_status'][status]}"
             )
-        for name, help_text in (
-            ("retries_total", "Attempts retried after a transient trip."),
-            ("deadline_trips_total", "Wall-clock budget trips."),
-            ("snapshots_total", "EDB snapshots materialized."),
-            ("snapshots_repaired_total",
-             "Snapshots rebuilt by structural sharing after a mutation."),
-            ("view_repairs_total",
-             "Incremental IDB repairs applied by the maintained view."),
-            ("view_rebuilds_total",
-             "Full view rebuilds after a delta-capture overflow."),
-        ):
-            key = {
-                "retries_total": "retries",
-                "deadline_trips_total": "deadline_trips",
-                "snapshots_total": "snapshots_created",
-                "snapshots_repaired_total": "snapshots_repaired",
-                "view_repairs_total": "view_repairs",
-                "view_rebuilds_total": "view_rebuilds",
-            }[name]
+        for key, (name, help_text) in _EVENTS.items():
             metric = f"repro_service_{name}"
             families.declare(metric, help_text)
             lines.append(f"{metric} {snap[key]}")
@@ -375,18 +337,6 @@ class ServiceMetrics:
                 "Memo hits over lookups (0 when idle).",
                 f"{memo_stats.get('hits', 0) / lookups:.6f}"
                 if lookups else "0.000000",
-            )
-
-        if snapshot_stats is not None:
-            gauge(
-                "snapshot_cache_entries",
-                "EDB snapshots currently resident in the LRU.",
-                snapshot_stats.get("entries", 0),
-            )
-            gauge(
-                "snapshot_cache_capacity",
-                "Configured snapshot LRU bound.",
-                snapshot_stats.get("capacity", 0),
             )
 
         if plan_cache_stats is not None:
@@ -436,29 +386,9 @@ class ServiceMetrics:
                     f"{phases[name]['seconds']:.6f}"
                 )
 
-        plain: dict[str, int] = {}
-        labelled: dict[str, dict[str, int]] = {}
-        for name, value in snap["evaluator_counters"].items():
-            if ":" in name:
-                metric, _, label = name.partition(":")
-                labelled.setdefault(metric, {})[label] = value
-            else:
-                plain[name] = value
-        for name in sorted(plain):
-            metric = _metric_name(name)
-            families.declare(
-                metric,
-                f"Evaluator counter {name!r} summed over all requests.",
-            )
-            lines.append(f"{metric} {plain[name]}")
-        for name in sorted(labelled):
-            metric = _metric_name(name)
-            families.declare(
-                metric, f"Evaluator counter {name!r} by label."
-            )
-            for label in sorted(labelled[name]):
-                lines.append(
-                    f'{metric}{{rule="{escape_label_value(label)}"}} '
-                    f"{labelled[name][label]}"
-                )
+        counter_lines(
+            snap["evaluator_counters"], families,
+            "Evaluator counter {!r} summed over all requests.",
+            "Evaluator counter {!r} by label.",
+        )
         return "\n".join(lines) + "\n"

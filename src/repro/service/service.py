@@ -12,9 +12,10 @@ copy of the EDB captured at dequeue time, keyed on
 mutation are serialized on one lock (mutations go through
 :meth:`QueryService.mutate`), so a fingerprint can never be torn --
 every answer is exactly the serial answer for *some* database state the
-service actually passed through.  Snapshots are shared by every request
-that sees the same fingerprint and a small LRU keeps recent ones warm
-across a mutation burst.
+service actually passed through.  The one current snapshot is shared
+by every request that sees its fingerprint; relation versions only ever
+increase, so an older fingerprint can never be asked for again and a
+write simply replaces it (in-flight requests keep the object they hold).
 
 **Full-selection memoization.**  Lemma 2.1 reduces every selection to a
 union of full selections; the service threads a
@@ -39,9 +40,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
@@ -53,6 +53,7 @@ from ..datalog.atoms import Atom
 from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, ReproError
 from ..datalog.parser import parse_query
+from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
 from ..maintenance import DeltaCapture, MaintainedView
@@ -85,8 +86,6 @@ class ServiceConfig:
         Thread-pool size.
     memo_size:
         Bound on the full-selection memo (entries, LRU).
-    snapshot_cache_size:
-        How many recent EDB snapshots to keep warm.
     default_deadline_s:
         Per-request wall-clock deadline applied when a request names
         none (``None`` = no deadline).  Measured from submission, so
@@ -129,18 +128,14 @@ class ServiceConfig:
         (:func:`repro.storage.resolve_backend` semantics: ``None`` /
         ``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"`` / a backend
         object).  The EDB handed to :class:`QueryService` is migrated
-        onto it at construction.
-    db_path:
-        Durable SQLite database file for the live EDB.  Implies the
-        ``sqlite`` backend; facts already in the file are loaded, and
-        mutations persist across service restarts.  Snapshots become
-        read-only WAL connections instead of tuple-set copies (see
-        ``docs/storage.md``).
+        onto it at construction.  ``"sqlite:<path>"`` is the durable
+        form: facts already in the file are loaded, mutations persist
+        across service restarts, and snapshots are read-only WAL
+        connections instead of tuple-set copies (``docs/storage.md``).
     """
 
     workers: int = 4
     memo_size: int = 1024
-    snapshot_cache_size: int = 4
     default_deadline_s: Optional[float] = None
     max_retries: int = 1
     retry_backoff_s: float = 0.02
@@ -151,7 +146,6 @@ class ServiceConfig:
     slow_query_threshold_s: Optional[float] = None
     slowlog_capacity: int = 256
     backend: object = None
-    db_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -240,18 +234,10 @@ class QueryService:
     ) -> None:
         self.program = program
         self.config = config or ServiceConfig()
-        backend = self.config.backend
-        if self.config.db_path is not None:
-            if backend not in (None, "sqlite"):
-                raise ValueError(
-                    "db_path requires the sqlite backend, "
-                    f"got backend={backend!r}"
-                )
-            backend = f"sqlite:{self.config.db_path}"
-        if backend is not None:
+        if self.config.backend is not None:
             from ..storage import ensure_backend
 
-            edb = ensure_backend(edb, backend)
+            edb = ensure_backend(edb, self.config.backend)
         self.edb = edb
         self.metrics = metrics or ServiceMetrics()
         self.memo = FullSelectionMemo(self.config.memo_size)
@@ -270,7 +256,7 @@ class QueryService:
                 }
             )
         self._snapshot_lock = threading.Lock()
-        self._snapshots: OrderedDict[tuple, _Snapshot] = OrderedDict()
+        self._current: Optional[_Snapshot] = None
         # Every snapshot's engine is a sibling of this one (over no
         # data), so the program is analysed once, not once per write.
         self._engine = Engine(
@@ -332,7 +318,8 @@ class QueryService:
                 self.edb, guard_predicates=self.program.idb_predicates
             )
             try:
-                return fn(self.edb)
+                with self.metrics.tracer.span("service.mutate.capture"):
+                    return fn(self.edb)
             finally:
                 capture.detach()
                 self._absorb_mutation(old_fp, capture)
@@ -344,24 +331,28 @@ class QueryService:
         if new_fp == old_fp:
             return
         assert self._view is not None
+        span = self.metrics.tracer.span
         if capture.overflow:
             self._view.rebuild(self.edb)
-            self.metrics.view_rebuild()
+            self.metrics.bump("view_rebuilds")
             return
         net = capture.net()
         try:
-            idb_changes = self._view.apply(net)
+            with span("service.mutate.apply"):
+                idb_changes = self._view.apply(net)
         except Exception:
             # A delta the maintenance layer cannot express exactly
             # (e.g. through an aliased relation) degrades to a rebuild;
             # correctness first, incrementality when possible.
             self._view.rebuild(self.edb)
-            self.metrics.view_rebuild()
+            self.metrics.bump("view_rebuilds")
             return
-        self.metrics.view_repair()
+        self.metrics.bump("view_repairs")
         mutated = frozenset(net)
-        self._repair_memo(old_fp, new_fp, mutated, idb_changes)
-        self._repair_snapshot(old_fp, new_fp, mutated)
+        with span("service.mutate.memo"):
+            self._repair_memo(old_fp, new_fp, mutated, idb_changes)
+        with span("service.mutate.snapshot"):
+            self._repair_snapshot(old_fp, new_fp, mutated)
 
     def _primary_analysis(self, pred: str) -> Optional[RecursionAnalysis]:
         """The service program's own analysis of ``pred`` (None: not
@@ -468,8 +459,8 @@ class QueryService:
         there is nothing to share and the next request pays the usual
         full copy.
         """
-        prev = self._snapshots.get(old_fp)
-        if prev is None:
+        prev = self._current
+        if prev is None or prev.fingerprint != old_fp:
             return
         db = Database()
         for name in sorted(self.edb.predicates()):
@@ -490,42 +481,34 @@ class QueryService:
                 db.attach(fresh, name)
             else:
                 db.attach(shared, name)
-        snap = _Snapshot(
+        self._current = _Snapshot(
             fingerprint=new_fp,
             db=db,
             engine=self._engine.with_edb(db),
         )
-        self._snapshots[new_fp] = snap
-        self._snapshots.move_to_end(new_fp)
-        while len(self._snapshots) > self.config.snapshot_cache_size:
-            self._snapshots.popitem(last=False)
-        self.metrics.snapshot_repaired()
+        self.metrics.bump("snapshots_repaired")
 
     def add_fact(self, name: str, fact: tuple) -> bool:
         """Convenience :meth:`mutate` for the common single-fact case."""
         return self.mutate(lambda db: db.add_fact(name, fact))
 
     def _snapshot(self) -> _Snapshot:
-        """The snapshot for the EDB's current fingerprint (LRU-cached)."""
+        """The snapshot for the EDB's current fingerprint."""
         with self._snapshot_lock:
             fingerprint = self.edb.fingerprint()
-            snap = self._snapshots.get(fingerprint)
-            if snap is not None:
-                self._snapshots.move_to_end(fingerprint)
+            snap = self._current
+            if snap is not None and snap.fingerprint == fingerprint:
                 return snap
             # Snapshots are never mutated once captured, so a stable
             # read view is enough; out-of-core backends make this much
             # cheaper than the deep copy it used to be.
             db = self.edb.snapshot()
-            snap = _Snapshot(
+            snap = self._current = _Snapshot(
                 fingerprint=fingerprint,
                 db=db,
                 engine=self._engine.with_edb(db),
             )
-            self._snapshots[fingerprint] = snap
-            while len(self._snapshots) > self.config.snapshot_cache_size:
-                self._snapshots.popitem(last=False)
-        self.metrics.snapshot_created()
+        self.metrics.bump("snapshots_created")
         return snap
 
     # -- serving ------------------------------------------------------------
@@ -632,9 +615,30 @@ class QueryService:
             if sampled or threshold is not None
             else None
         )
-        memo_before = self.memo.stats()
+        # The memo disposition a slowlog record reports is the stats
+        # delta across the request; only a traced request can land one.
+        memo_before = (
+            self.memo.stats() if request_tracer is not None else None
+        )
         attempts = 0
         backoff = self.config.retry_backoff_s
+
+        def served(status: str, strategy: str = strategy,
+                   answers: frozenset = frozenset(), **fields):
+            """The result of this request as of now (the last attempt's
+            snapshot)."""
+            return ServiceResult(
+                query=query,
+                strategy=strategy,
+                status=status,
+                answers=answers,
+                fingerprint=snap.fingerprint,
+                latency_s=time.monotonic() - submitted,
+                attempts=attempts,
+                trace_id=trace_id,
+                **fields,
+            )
+
         while True:
             attempts += 1
             snap = self._snapshot()
@@ -653,7 +657,7 @@ class QueryService:
                 )
             except BudgetExceeded as exc:
                 if exc.limit == "wall_clock":
-                    self.metrics.deadline_trip()
+                    self.metrics.bump("deadline_trips")
                 remaining = (
                     deadline_at - time.monotonic()
                     if deadline_at is not None
@@ -665,37 +669,32 @@ class QueryService:
                     and (remaining is None or remaining > backoff)
                 )
                 if can_retry:
-                    self.metrics.retry()
+                    self.metrics.bump("retries")
                     time.sleep(backoff)
                     backoff *= 2
                     continue
-                out = self._degraded(query, strategy, snap, exc,
-                                     submitted, attempts)
+                # Out of retries: partial answers if any exist.
+                stats = (exc.stats if isinstance(exc.stats, EvaluationStats)
+                         else None)
+                if exc.partial is None:
+                    out = served("error", stats=stats, error=str(exc),
+                                 limit=exc.limit)
+                else:
+                    partial = PartialResult(
+                        answers=exc.partial,
+                        stats=stats,
+                        reason=str(exc),
+                        limit=exc.limit,
+                    )
+                    out = served("partial", answers=partial.answers,
+                                 stats=stats, error=str(exc),
+                                 limit=exc.limit, partial=partial)
             except ReproError as exc:
-                out = ServiceResult(
-                    query=query,
-                    strategy=strategy,
-                    status="error",
-                    answers=frozenset(),
-                    stats=None,
-                    fingerprint=snap.fingerprint,
-                    latency_s=time.monotonic() - submitted,
-                    attempts=attempts,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                out = served("error", stats=None,
+                             error=f"{type(exc).__name__}: {exc}")
             else:
-                out = ServiceResult(
-                    query=query,
-                    strategy=result.strategy,
-                    status="ok",
-                    answers=result.answers,
-                    stats=result.stats,
-                    fingerprint=snap.fingerprint,
-                    latency_s=time.monotonic() - submitted,
-                    attempts=attempts,
-                    result=result,
-                )
-            out = replace(out, trace_id=trace_id)
+                out = served("ok", result.strategy, result.answers,
+                             stats=result.stats, result=result)
             if request_tracer is not None:
                 self._absorb_trace(
                     out, request_tracer, sampled, memo_before
@@ -755,50 +754,6 @@ class QueryService:
             with self._sink_lock:
                 self._sink.emit(record)
 
-    def _degraded(
-        self,
-        query: Atom,
-        strategy: str,
-        snap: _Snapshot,
-        exc: BudgetExceeded,
-        submitted: float,
-        attempts: int,
-    ) -> ServiceResult:
-        """Budget trip, out of retries: partial answers if any exist."""
-        stats = exc.stats if isinstance(exc.stats, EvaluationStats) else None
-        if exc.partial is not None:
-            partial = PartialResult(
-                answers=exc.partial,
-                stats=stats,
-                reason=str(exc),
-                limit=exc.limit,
-            )
-            return ServiceResult(
-                query=query,
-                strategy=strategy,
-                status="partial",
-                answers=partial.answers,
-                stats=stats,
-                fingerprint=snap.fingerprint,
-                latency_s=time.monotonic() - submitted,
-                attempts=attempts,
-                error=str(exc),
-                limit=exc.limit,
-                partial=partial,
-            )
-        return ServiceResult(
-            query=query,
-            strategy=strategy,
-            status="error",
-            answers=frozenset(),
-            stats=stats,
-            fingerprint=snap.fingerprint,
-            latency_s=time.monotonic() - submitted,
-            attempts=attempts,
-            error=str(exc),
-            limit=exc.limit,
-        )
-
     def _finish(self, out: ServiceResult) -> None:
         self.metrics.request_completed(out.status, out.latency_s)
         if self._sink is not None:
@@ -818,33 +773,18 @@ class QueryService:
 
     # -- introspection ------------------------------------------------------
 
-    def _cache_stats(self) -> tuple[dict, dict]:
-        """(snapshot-cache, plan-cache) occupancy for the exporters."""
-        from ..datalog.plan_cache import PLAN_CACHE
-
-        with self._snapshot_lock:
-            snapshot_stats = {
-                "entries": len(self._snapshots),
-                "capacity": self.config.snapshot_cache_size,
-            }
-        return snapshot_stats, PLAN_CACHE.stats()
-
     def metrics_dict(self) -> dict:
-        """Service + memo + cache + evaluator counters, JSON-ready."""
-        snapshot_stats, plan_cache_stats = self._cache_stats()
+        """Service + memo + plan-cache + evaluator counters, JSON-ready."""
         return self.metrics.as_dict(
             memo_stats=self.memo.stats(),
-            snapshot_stats=snapshot_stats,
-            plan_cache_stats=plan_cache_stats,
+            plan_cache_stats=PLAN_CACHE.stats(),
         )
 
     def metrics_text(self) -> str:
         """Prometheus text exposition (see :mod:`.metrics`)."""
-        snapshot_stats, plan_cache_stats = self._cache_stats()
         return self.metrics.to_metrics_text(
             memo_stats=self.memo.stats(),
-            snapshot_stats=snapshot_stats,
-            plan_cache_stats=plan_cache_stats,
+            plan_cache_stats=PLAN_CACHE.stats(),
         )
 
     def slowlog(self, n: Optional[int] = None) -> list[dict]:

@@ -105,12 +105,8 @@ def build_slowlog_record(
 def work_counter_totals(tracer) -> dict[str, int]:
     """A trace's counter totals less the cache-warmup counters: the
     same request reads the same whatever ran before it."""
-    totals: dict[str, int] = {}
-    for span in tracer.spans():
-        for name, value in span.counters.items():
-            if name not in _WARMUP_COUNTERS:
-                totals[name] = totals.get(name, 0) + value
-    return totals
+    return {name: value for name, value in tracer.totals().items()
+            if name not in _WARMUP_COUNTERS}
 
 
 def validate_slowlog_record(record: dict) -> list[str]:

@@ -4,12 +4,12 @@ Each :class:`SQLiteRelation` is one table.  Without a path the table
 lives in a *private temporary database* (``sqlite3.connect("")``),
 which SQLite spills to disk under memory pressure and deletes on
 close -- that is the out-of-core mode the ROADMAP asks for: relations
-no longer need to fit in RAM.  With a path (``--db-path`` on the
-service, ``sqlite:<path>`` backend specs) all relations share one
-durable WAL-mode database file, and :meth:`SQLiteRelation.snapshot`
-returns a *read-only connection* pinned to the current WAL state
-instead of copying tuples, so the service's fingerprint-keyed snapshot
-LRU stops deep-copying tuple sets.
+no longer need to fit in RAM.  With a path (``--backend
+sqlite:<path>``, or the same spec anywhere a backend is named) all
+relations share one durable WAL-mode database file, and
+:meth:`SQLiteRelation.snapshot` returns a *read-only connection*
+pinned to the current WAL state instead of copying tuples, so the
+service's snapshot stops deep-copying tuple sets.
 
 The protocol mapping:
 
@@ -502,10 +502,10 @@ class SQLiteBackend:
 
     ``path=None`` (the default) gives every relation its own private
     temporary database -- the out-of-core mode.  A path makes all
-    relations share one durable WAL file, which is what
-    ``serve --db-path`` uses; :meth:`scratch` then hands evaluator
-    copies a temporary-mode twin so derived relations never touch the
-    shared file.
+    relations share one durable WAL file, which is what ``serve
+    --backend sqlite:<path>`` uses; :meth:`scratch` then hands
+    evaluator copies a temporary-mode twin so derived relations never
+    touch the shared file.
     """
 
     name = "sqlite"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability import (
     EVENT_SCHEMA,
-    CompositeSink,
     JsonlFileSink,
     RingBufferSink,
     Tracer,
@@ -53,17 +52,6 @@ class TestRingBufferSink:
         start = next(iter(sink))
         assert start["schema"] == EVENT_SCHEMA
         assert start["context"] == {"query": "p(a, X)", "n": 8}
-
-
-class TestCompositeSink:
-    def test_fans_out_to_all_sinks(self, tmp_path):
-        ring = RingBufferSink()
-        path = tmp_path / "t.jsonl"
-        jsonl = JsonlFileSink(path)
-        sink = CompositeSink(ring, jsonl)
-        _traced_run(sink)
-        sink.close()
-        assert [e for e in ring] == read_events(path)
 
 
 class TestJsonlRoundTrip:

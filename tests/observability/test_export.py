@@ -35,6 +35,15 @@ def _traced_query(strategy, sink=None):
     return tracer
 
 
+def _per_name_sums(tracer):
+    """Counter totals the long way: one walk of the forest per name."""
+    names = {name for s in tracer.spans() for name in s.counters}
+    return {
+        name: sum(s.counters.get(name, 0) for s in tracer.spans())
+        for name in names
+    }
+
+
 def _assert_balanced(events):
     """B/E pairs must nest like parentheses on the single track."""
     stack = []
@@ -102,6 +111,13 @@ class TestReplayEquivalence:
         assert json.dumps(to_chrome_trace(live), sort_keys=True) == \
             json.dumps(to_chrome_trace(replayed), sort_keys=True)
         assert to_metrics_text(live) == to_metrics_text(replayed)
+        # The one fold every exporter reads agrees with per-name sums,
+        # on the live trace and on the one rebuilt from the JSONL file.
+        sums = _per_name_sums(live)
+        assert sums["tuples_examined"] > 0
+        assert live.totals() == replayed.totals() == sums
+        assert all(live.counter_total(n) == v for n, v in sums.items())
+        assert live.counter_total("never_bumped") == 0
 
     def test_counting_trace_replays_byte_identical(self, tmp_path):
         # Counting does not apply to EX12's binding pattern, so use the

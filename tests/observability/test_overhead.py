@@ -1,12 +1,11 @@
 """The default (untraced) path must not pay for the tracer's existence.
 
-Every hot loop guards its emissions with ``tracer is not None`` and
-entry points normalize :data:`NULL` to ``None`` via :func:`live`, so
-``tracer=None`` and ``tracer=NULL`` must execute byte-identical inner
-loops.  The timing check compares the two on a 10k-fact semi-naive
-materialization with a deliberately loose bound -- it exists to catch
-someone re-introducing per-tuple tracer calls on the default path, not
-to benchmark (that is ``repro-datalog bench``'s job).
+Every hot loop guards its emissions with ``tracer is not None``, and
+``tracer=None`` is the one way to say "off".  The timing checks compare
+untraced runs with traced ones under deliberately loose bounds -- they
+exist to catch someone re-introducing per-tuple tracer calls or
+per-tuple event emission, not to benchmark (that is ``repro-datalog
+bench``'s job).
 """
 
 import statistics
@@ -15,7 +14,7 @@ import time
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import seminaive_evaluate
-from repro.observability import NULL, Tracer
+from repro.observability import Tracer
 from repro.workloads import star
 
 #: One hub fanning out to 10,000 leaves: a 10k-fact EDB whose TC is
@@ -39,25 +38,6 @@ def _run(tracer):
     elapsed = time.perf_counter() - start
     assert result.size("tc") == N_LEAVES
     return elapsed
-
-
-def _median_time(tracer, repeats=5):
-    return statistics.median(_run(tracer) for _ in range(repeats))
-
-
-def test_null_tracer_within_noise_of_none():
-    none_t = _median_time(None)
-    null_t = _median_time(NULL)
-    # live() turns both into the same None fast path; 1.5x tolerates CI
-    # scheduling noise while still catching an un-normalized NULL that
-    # pays a method call per tuple (an order-of-magnitude regression on
-    # this workload).
-    assert null_t <= none_t * 1.5 + 0.01, (
-        f"NULL tracer path took {null_t:.4f}s vs {none_t:.4f}s untraced"
-    )
-    assert none_t <= null_t * 1.5 + 0.01, (
-        f"untraced path took {none_t:.4f}s vs {null_t:.4f}s with NULL"
-    )
 
 
 def test_live_tracer_records_the_same_run():

@@ -9,7 +9,7 @@ normalization that keeps the untraced hot path on one pointer check.
 
 import pytest
 
-from repro.observability import NULL, NullTracer, Span, Tracer, live
+from repro.observability import Span, Tracer
 
 
 class TestSpanNesting:
@@ -124,23 +124,3 @@ class TestPayload:
         assert "outer" in rendered
         assert "inner" in rendered
         assert "tuples_examined=9" in rendered
-
-
-class TestNullTracer:
-    def test_every_operation_is_a_noop(self):
-        n = NullTracer()
-        with n.span("anything", attr=1) as s:
-            assert s is None
-        n.count("x")
-        n.record("y", 2)
-        assert n.counter_total("x") == 0
-        assert list(n.spans()) == []
-        assert n.all_closed()
-        assert n.to_dict() == {"spans": []}
-
-    def test_live_normalizes_disabled_tracers_to_none(self):
-        assert live(None) is None
-        assert live(NULL) is None
-        assert live(NullTracer()) is None
-        t = Tracer()
-        assert live(t) is t

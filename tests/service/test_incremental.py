@@ -146,9 +146,26 @@ class TestMemoSurvival:
             service.mutate(
                 lambda db: db.add_fact("perfectFor", ("a2", "g"))
             )
+            # A write that changes nothing is captured and goes no further.
+            service.mutate(
+                lambda db: db.add_fact("perfectFor", ("a2", "g"))
+            )
             text = service.metrics_text()
+            phases = service.metrics_dict()["evaluator_phases"]
         finally:
             service.close()
+        # What a write costs, phase by phase, off the shared tracer.
+        assert {
+            name: phase["count"] for name, phase in phases.items()
+            if name.startswith("service.mutate.")
+        } == {
+            "service.mutate.capture": 2,
+            "service.mutate.apply": 1,
+            "service.mutate.memo": 1,
+            "service.mutate.snapshot": 1,
+        }
+        assert ('repro_service_span_seconds_total'
+                '{span="service.mutate.apply"}') in text
         assert 'repro_service_memo_events_total{kind="repaired"}' in text
         assert 'repro_service_memo_events_total{kind="survived"}' in text
         assert "repro_service_view_repairs_total 1" in text

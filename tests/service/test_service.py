@@ -1,5 +1,8 @@
 """QueryService: statuses, deadlines, retries, snapshots, metrics, events."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.budget import Budget
@@ -104,6 +107,11 @@ class TestServing:
 
 
 class TestSnapshots:
+    @pytest.mark.parametrize("gone", ["snapshot_cache_size", "db_path"])
+    def test_removed_config_fields_are_ordinary_errors(self, gone):
+        with pytest.raises(TypeError, match=gone):
+            ServiceConfig(**{gone: 1})
+
     def test_mutation_changes_fingerprint_and_answers(self, ex11):
         program, db = ex11
         with QueryService(program, db) as service:
@@ -120,6 +128,31 @@ class TestSnapshots:
             service.batch(["buys(tom, Y)?", "buys(sue, Y)?"] * 3)
             metrics = service.metrics_dict()
         assert metrics["snapshots_created"] == 1
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_one_current_snapshot_and_readers_keep_theirs(
+            self, ex11, incremental):
+        """Relation versions only grow, so an older fingerprint cannot
+        recur: a write replaces the one snapshot the service holds, and
+        a request that already took the old one finishes on it."""
+        program, db = ex11
+        config = ServiceConfig(workers=1, incremental=incremental)
+        with QueryService(program, db, config) as service:
+            started = service._snapshot()  # a request dequeued here ...
+            earlier = []
+            for i in range(6):
+                assert service.query("buys(tom, Y)?").ok
+                earlier.append(weakref.ref(service._snapshot().db))
+                service.add_fact("perfectFor", ("sue", f"item{i}"))
+            latest = service.query("buys(tom, Y)?")
+            # ... still answers from the state it started on.
+            old = started.engine.query("buys(tom, Y)?")
+            assert not any("item" in str(y) for _, y in old.answers)
+            assert {("tom", f"item{i}") for i in range(6)} <= latest.answers
+            del started, old
+            gc.collect()
+            assert [ref() for ref in earlier] == [None] * 6
+            assert service._snapshot().fingerprint == latest.fingerprint
 
     def test_memo_is_scoped_to_the_snapshot(self, ex11):
         program, db = ex11

@@ -265,7 +265,6 @@ class TestServiceHTTPD:
         for pinned in (
             'repro_service_requests_total{status="ok"} 1',
             "repro_service_memo_hit_ratio",
-            "repro_service_snapshot_cache_entries 1",
             "repro_service_plan_cache_entries",
             'repro_service_span_seconds_total{span="separable.',
         ):
@@ -335,7 +334,6 @@ class TestMetricsDict:
         for phase in phases.values():
             assert phase["seconds"] >= 0.0
             assert phase["count"] >= 1
-        assert snap["snapshot_cache"] == {"entries": 1, "capacity": 4}
         assert set(snap["plan_cache"]) >= {
             "size", "hits", "misses", "evictions", "orders",
         }

@@ -12,6 +12,7 @@ import pytest
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.engine import Engine
+from repro.service import QueryService, ServiceConfig
 from repro.storage import (
     MemoryBackend,
     ReadOnlyRelationError,
@@ -77,6 +78,18 @@ class TestDurability:
         assert reopened.tuples("unit") == frozenset([()])
         assert reopened.relation("unit").arity == 0
 
+        # The same through the service: ``backend="sqlite:<path>"`` is
+        # the durable deployment (what ``db_path`` used to spell), so a
+        # restarted service answers from the facts the last one wrote.
+        program = parse_program("tc(X, Y) :- e(X, Y).").program
+        config = ServiceConfig(workers=1, backend=f"sqlite:{target}")
+        with QueryService(program, Database(), config) as service:
+            service.add_fact("e", ("c", "d"))
+        with QueryService(program, Database(), config) as service:
+            assert service.edb.backend_name == "sqlite"
+            assert service.query("tc(X, Y)?").answers == frozenset(
+                [("a", "b"), ("b", "c"), ("c", "d")])
+
     def test_existing_relations_registry(self, tmp_path):
         target = str(tmp_path / "facts.db")
         backend = SQLiteBackend(target)
@@ -137,6 +150,18 @@ class TestSnapshots:
         db.add_fact("e", ("b", "c"))
         assert snap.tuples("e") == frozenset([("a", "b")])
         assert db.tuples("e") == frozenset([("a", "b"), ("b", "c")])
+
+        # A service on the file serves from exactly such snapshots:
+        # read-only WAL connections, not tuple-set copies.
+        program = parse_program("tc(X, Y) :- e(X, Y).").program
+        config = ServiceConfig(workers=1, backend=f"sqlite:{target}")
+        with QueryService(program, Database(), config) as service:
+            served = service._snapshot().db
+            service.add_fact("e", ("c", "d"))
+            assert served.tuples("e") == frozenset([("a", "b"), ("b", "c")])
+            with pytest.raises(ReadOnlyRelationError):
+                served.relation("e").add(("x", "y"))
+            assert ("c", "d") in service.query("tc(X, Y)?").answers
 
 
 class TestEngineEquivalence:

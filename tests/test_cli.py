@@ -77,6 +77,7 @@ class TestRun:
         ("profile", "--parallel"),
         ("serve", "--parallel"),
         ("fuzz", "--parallel-workers"),
+        ("serve", "--db-path"),  # now: --backend sqlite:<path>
     ])
     def test_pool_flags_are_unrecognized(self, program_file, capsys,
                                          command, flag):
