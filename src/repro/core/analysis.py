@@ -154,6 +154,14 @@ class RecursionAnalysis:
         """
         return {}
 
+    @cached_property
+    def compiled_plans(self) -> dict[tuple, object]:
+        """The :class:`~repro.core.plan.SeparablePlan` per ``(selected
+        class, pers positions, tagged)``: a plan is a pure function of
+        the analysis and those, so :func:`repro.core.compiler.compile_plan`
+        builds each once and every later request reuses the object."""
+        return {}
+
     def class_of_position(self, position: int) -> EquivalenceClass | None:
         """The class owning ``position``, or ``None`` for persistent ones."""
         for c in self.classes:

@@ -114,20 +114,20 @@ def full_selection_from_extent(
     extent: Relation,
     tracer=None,
 ) -> frozenset[tuple]:
-    """Recompute one memoized full-selection value from a ``t`` extent.
+    """One full-selection value read off a ``t`` extent.
 
-    A cached carry/seen run for ``(component, seed)`` holds exactly
+    A carry/seen run for ``(component, seed)`` returns exactly
     ``σ_{component=seed}(t)`` projected onto the non-selected columns
     in ascending position order (the compiler's ``up_positions``).
     Given a maintained materialization of ``t``, the same value falls
-    out of a projection -- this is how the service repairs a dirty memo
-    entry after a mutation without re-running the carry loops.  The
-    selection and the projection are one ``extent.lookup_projected(
-    positions, up_positions, seed)``: the relation's lazy index on the
+    out of a projection -- this is how an incremental service answers
+    a full selection without running the carry loops.  The selection
+    and the projection are one ``extent.lookup_projected(positions,
+    up_positions, seed)``: the relation's lazy index on the
     component's columns, holding the other columns, is built by the
-    first repair and maintained by ``add``/``discard`` from then on,
-    so a repair costs a copy of its answer, not a scan of ``t`` (a
-    live ``tracer`` sees the one ``index_builds``).
+    first probe and maintained by ``add``/``discard`` from then on, so
+    a probe costs a copy of its answer, not a scan of ``t`` (a live
+    ``tracer`` sees the one ``index_builds``).
     """
     from .selections import component_positions
 
@@ -250,8 +250,8 @@ def _run_batch(
     over seeds.
 
     With a memo the protocol stays one ``get_or_run`` per seed, in seed
-    order, on the per-seed :func:`full_selection_key` (what the service
-    repairs entry by entry after a write).  The first ``compute`` that
+    order, on the per-seed :func:`full_selection_key` (what an
+    incremental service answers from its view).  The first ``compute`` that
     actually runs evaluates the batch over its seed and those later
     seeds the memo holds no entry for (``memo.peek``, where the memo
     has one; all of them otherwise), and the later ``compute``s take

@@ -136,7 +136,14 @@ def compile_plan(
     then remembers which seed it descends from, and the union of the
     fixpoints of many seeds is one fixpoint over all of them
     (:attr:`SeparablePlan.tag`).
+
+    Compiled once per argument triple and kept with the analysis
+    (:attr:`RecursionAnalysis.compiled_plans`).
     """
+    plans = analysis.compiled_plans
+    key = (selected_class, tuple(pers_positions), tagged)
+    if key in plans:
+        return plans[key]
     if (selected_class is None) == (not pers_positions):
         raise ValueError(
             "provide exactly one of selected_class or pers_positions"
@@ -179,7 +186,7 @@ def compile_plan(
         _exit_join(r, i, selected_positions, up_positions, tag)
         for i, r in enumerate(analysis.exit_rules)
     )
-    return SeparablePlan(
+    plan = plans[key] = SeparablePlan(
         predicate=analysis.predicate,
         arity=analysis.arity,
         selected_positions=selected_positions,
@@ -190,6 +197,7 @@ def compile_plan(
         selected_class_index=selected_index,
         tag=tag[0] if tag else None,
     )
+    return plan
 
 
 def compile_selection(selection: Selection) -> SeparablePlan:

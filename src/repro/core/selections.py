@@ -27,7 +27,6 @@ from .analysis import EquivalenceClass, RecursionAnalysis
 
 __all__ = [
     "Selection",
-    "SelectionDirtiness",
     "classify_selection",
     "component_positions",
 ]
@@ -184,33 +183,6 @@ def component_positions(
     if kind == "pers":
         return tuple(payload)
     raise ValueError(f"unknown selection component kind {kind!r}")
-
-
-class SelectionDirtiness:
-    """Which full-selection keys a set of changed ``t`` facts dirties.
-
-    Theorem 2.1 makes the equivalence classes independent: the answers
-    of the full selection ``(component, seed)`` are exactly the ``t``
-    facts whose projection onto the component's positions equals the
-    seed, so a mutation dirties the key iff some changed fact projects
-    onto it.  Projections are computed once per distinct position set
-    and shared across every key the memo holds for this analysis.
-    """
-
-    def __init__(self, analysis: RecursionAnalysis, changed_facts) -> None:
-        self.analysis = analysis
-        self._changed = tuple(changed_facts)
-        self._seen: dict[tuple[int, ...], frozenset[tuple]] = {}
-
-    def dirty(self, component: tuple, seed: tuple) -> bool:
-        positions = component_positions(self.analysis, component)
-        seen = self._seen.get(positions)
-        if seen is None:
-            seen = frozenset(
-                tuple(fact[p] for p in positions) for fact in self._changed
-            )
-            self._seen[positions] = seen
-        return tuple(seed) in seen
 
 
 def require_full(selection: Selection) -> Selection:

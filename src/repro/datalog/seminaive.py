@@ -48,6 +48,21 @@ def _delta_variants(r: Rule, scc: frozenset[str]) -> list[tuple[Atom, ...]]:
     return variants
 
 
+def _install(rows: Iterable[tuple], target: Relation, delta: set,
+             stats: Optional[EvaluationStats]) -> int:
+    """Add one rule evaluation's output to ``target`` and what was new
+    of it to ``delta``, set-at-a-time: one membership pass and one
+    ``add_all`` (one index patch), not one ``add`` per fact.  Returns
+    the number of rows produced, duplicates included."""
+    rows = list(rows)
+    if stats is not None:
+        stats.bump_produced(len(rows))
+    fresh = {f for f in rows if f not in target}
+    target.add_all(fresh)
+    delta |= fresh
+    return len(rows)
+
+
 def seminaive_stratum(
     rules: Iterable[Rule],
     scc: frozenset[str],
@@ -123,16 +138,10 @@ def seminaive_stratum(
         for ri, r in enumerate(rules if initial_deltas is None else ()):
             target = db.relation(r.head.predicate)
             assert target is not None
-            produced_r = 0
-            fresh = delta_sets[r.head.predicate]
-            for fact in evaluate_body_project(db, r.body, r.head.args,
-                                              stats=stats, order=order,
-                                              tracer=tracer):
-                produced_r += 1
-                if stats is not None:
-                    stats.bump_produced()
-                if target.add(fact):
-                    fresh.add(fact)
+            produced_r = _install(
+                evaluate_body_project(db, r.body, r.head.args, stats=stats,
+                                      order=order, tracer=tracer),
+                target, delta_sets[r.head.predicate], stats)
             if tracer is not None:
                 tracer.count(f"rule_apps:{labels[ri]}")
                 if produced_r:
@@ -161,31 +170,26 @@ def seminaive_stratum(
                 tracer.count("iterations")
             view = db.with_mounts(
                 {_DELTA_PREFIX + p: rel for p, rel in deltas.items()})
-            new_deltas: dict[str, Relation] = {
-                p: Relation(p, program.arity(p)) for p in scc
-            }
+            new_deltas: dict[str, set] = {p: set() for p in scc}
             for ri, r in enumerate(rules):
                 target = db.relation(r.head.predicate)
                 assert target is not None
                 produced_r = 0
                 for body in variant_cache[id(r)]:
-                    for fact in evaluate_body_project(
-                        view, body, r.head.args, stats=stats, order=order,
-                        tracer=tracer,
-                    ):
-                        produced_r += 1
-                        if stats is not None:
-                            stats.bump_produced()
-                        if target.add(fact):
-                            new_deltas[r.head.predicate].add(fact)
+                    produced_r += _install(
+                        evaluate_body_project(
+                            view, body, r.head.args, stats=stats,
+                            order=order, tracer=tracer),
+                        target, new_deltas[r.head.predicate], stats)
                 if tracer is not None and variant_cache[id(r)]:
                     tracer.count(f"rule_apps:{labels[ri]}")
                     if produced_r:
                         tracer.count(f"rule_out:{labels[ri]}", produced_r)
-            deltas = new_deltas
+            deltas = {p: Relation(p, program.arity(p), new_deltas[p])
+                      for p in scc}
             if added is not None:
                 for p in scc:
-                    added[p].update(deltas[p])
+                    added[p] |= new_deltas[p]
             if tracer is not None:
                 for p in sorted(scc):
                     tracer.record(f"delta:{p}", len(deltas[p]))

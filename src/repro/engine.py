@@ -150,22 +150,20 @@ class Engine:
         self._reports: dict[str, SeparabilityReport] = {}
         self._base_db: dict[str, Database] = {}
         self._base_db_fingerprint = edb.fingerprint()
-        self._plans: dict[tuple[str, tuple[int, ...]], SeparablePlan] = {}
 
     def with_edb(self, edb: Database) -> "Engine":
         """An engine for the same program, budget, order and tracer
         over another database.
 
-        Separability reports and compiled Separable plans are functions
-        of the program alone, so the sibling shares this engine's
-        caches of both and analyses nothing twice; what is cached per
-        database starts empty.  The query service makes its engine per
-        EDB snapshot -- one per write -- this way.
+        Separability reports are functions of the program alone (and
+        carry their compiled Separable plans), so the sibling shares
+        this engine's cache of them and analyses nothing twice; what is
+        cached per database starts empty.  The query service makes its
+        engine per EDB snapshot -- one per write -- this way.
         """
         other = Engine(self.program, edb, self.budget, self.order,
                        self.tracer)
         other._reports = self._reports
-        other._plans = self._plans
         return other
 
     # -- analysis ----------------------------------------------------------
@@ -201,9 +199,10 @@ class Engine:
 
         Plans exist for *full* selections on predicates whose analysis
         is available (separable, or conditions 1-3 under the relaxed
-        mode); they are cached per (predicate, seed-column) binding
-        pattern, so repeated queries with different constants reuse one
-        compilation -- the "compiling" in the paper's title.
+        mode); :func:`~repro.core.compiler.compile_plan` keeps one per
+        selected component with the analysis, so repeated queries with
+        different constants reuse one compilation -- the "compiling" in
+        the paper's title.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -213,12 +212,7 @@ class Engine:
         selection = classify_selection(report.analysis, query)
         if not selection.is_full:
             return None
-        key = (query.predicate, selection.selected_positions)
-        cached = self._plans.get(key)
-        if cached is None:
-            cached = compile_selection(selection)
-            self._plans[key] = cached
-        return cached
+        return compile_selection(selection)
 
     def advise(self, query: Union[Atom, str]) -> StrategyAdvice:
         """Classify a query against every strategy, with reasons.

@@ -78,7 +78,6 @@ class FullSelectionMemo:
         self.misses = 0
         self.coalesced = 0
         self.evictions = 0
-        self.repaired = 0
         self.survived = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
@@ -138,59 +137,43 @@ class FullSelectionMemo:
         with self._lock:
             return self._entries.get(key)
 
-    def scoped(self, scope: object) -> "ScopedMemo":
+    def scoped(self, scope: object,
+               source: Optional[Callable] = None) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
 
         The service scopes each request's memo access to the EDB
         snapshot fingerprint it is served against, so entries from
         different database states can never answer each other while
         still sharing one bounded LRU (and one set of counters).
+        ``source(key)``, when given, is asked before the memo and its
+        answer -- unless ``None`` -- is the value (the incremental
+        service's maintained view, see :class:`ScopedMemo`).
         """
-        return ScopedMemo(self, scope)
+        return ScopedMemo(self, scope, source)
 
     def rescope(self, old_scope: object, new_scope: object,
-                decide: Callable) -> tuple[int, int]:
+                keep: Callable[[tuple], bool]) -> int:
         """Migrate entries from one snapshot scope to another.
 
-        Incremental maintenance's memo-repair hook: every completed
-        entry whose scope prefix equals ``old_scope`` is popped, handed
-        to ``decide(key_tail, value)``, and re-inserted under
-        ``new_scope`` when the verdict is ``("keep", _)`` (unchanged --
-        counted as *survived*) or ``("repair", new_value)`` (counted as
-        *repaired*); ``("drop", _)`` discards it.  ``decide`` runs
-        outside the lock -- repairing may project a whole relation.
-        In-flight leaders still publishing into the old scope are
-        harmless: their entries are simply dead weight until evicted.
-
-        Returns ``(survived, repaired)``.
+        Incremental maintenance's memo hook: every completed entry
+        whose scope prefix equals ``old_scope`` is popped and, when
+        ``keep(key_tail)`` says the write left it valid, re-inserted
+        unchanged under ``new_scope`` (counted as *survived*); the rest
+        are discarded.  In-flight leaders still publishing into the old
+        scope are harmless: their entries are simply dead weight until
+        evicted.  Returns the number that survived.
         """
         with self._lock:
-            moved = [
-                (key, value) for key, value in self._entries.items()
-                if key and key[0] == old_scope
-            ]
-            for key, _ in moved:
-                del self._entries[key]
-        survived = repaired = 0
-        keep: list[tuple[tuple, object]] = []
-        for key, value in moved:
-            verdict, new_value = decide(key[1:], value)
-            if verdict == "keep":
-                keep.append(((new_scope,) + key[1:], value))
-                survived += 1
-            elif verdict == "repair":
-                keep.append(((new_scope,) + key[1:], new_value))
-                repaired += 1
-        with self._lock:
-            for key, value in keep:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            self.survived += survived
-            self.repaired += repaired
-        return survived, repaired
+            moved = [key for key in self._entries
+                     if key and key[0] == old_scope]
+            kept = 0
+            for key in moved:
+                value = self._entries.pop(key)
+                if keep(key[1:]):
+                    self._entries[(new_scope,) + key[1:]] = value
+                    kept += 1
+            self.survived += kept
+        return kept
 
     def clear(self) -> None:
         """Drop all completed entries and zero the counters.
@@ -204,7 +187,6 @@ class FullSelectionMemo:
             self.misses = 0
             self.coalesced = 0
             self.evictions = 0
-            self.repaired = 0
             self.survived = 0
 
     def stats(self) -> dict[str, int]:
@@ -216,7 +198,9 @@ class FullSelectionMemo:
                 "misses": self.misses,
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
-                "repaired": self.repaired,
+                # Nothing is repaired since the view answers the full
+                # selections; the key stays for the ledger's reader.
+                "repaired": 0,
                 "survived": self.survived,
             }
 
@@ -231,22 +215,38 @@ class FullSelectionMemo:
         )
 
 
+def _no_source(key: tuple) -> None:
+    """The ``source`` of a :class:`ScopedMemo` given none."""
+
+
 class ScopedMemo:
     """A key-prefixing facade over a :class:`FullSelectionMemo`.
 
     Satisfies the same ``get_or_run`` protocol
     :func:`repro.core.api.evaluate_separable` expects, so it can be
     passed straight through :meth:`repro.engine.Engine.query`.
+
+    ``source(key) -> value or None`` stands in front of the memo: a
+    value it vouches for is returned as is -- no entry, no counter, no
+    ``compute`` -- and only ``None`` falls through to the memo.
     """
 
-    __slots__ = ("memo", "scope")
+    __slots__ = ("memo", "scope", "source")
 
-    def __init__(self, memo: FullSelectionMemo, scope: object) -> None:
+    def __init__(self, memo: FullSelectionMemo, scope: object,
+                 source: Optional[Callable] = None) -> None:
         self.memo = memo
         self.scope = scope
+        self.source = source or _no_source
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
+        value = self.source(key)
+        if value is not None:
+            return value
         return self.memo.get_or_run((self.scope,) + tuple(key), compute)
 
     def peek(self, key: tuple):
+        value = self.source(key)
+        if value is not None:
+            return value
         return self.memo.peek((self.scope,) + tuple(key))

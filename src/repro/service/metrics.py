@@ -154,6 +154,9 @@ _EVENTS = {
     "view_rebuilds": (
         "view_rebuilds_total",
         "Full view rebuilds after a delta-capture overflow."),
+    "view_probes": (
+        "view_probes_total",
+        "Full selections answered by an index probe on the view."),
 }
 
 

@@ -48,7 +48,6 @@ from ..budget import Budget, UNLIMITED
 from ..core.analysis import RecursionAnalysis
 from ..core.api import full_selection_from_extent
 from ..core.detection import require_separable
-from ..core.selections import SelectionDirtiness
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, ReproError
@@ -74,6 +73,11 @@ __all__ = [
     "ServiceResult",
     "QueryService",
 ]
+
+
+#: What a view probe cost in evaluation work: cached stats are only
+#: ever merged into a caller's, so one zero serves every probe.
+_NO_WORK = EvaluationStats()
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,11 @@ class ServiceConfig:
     incremental:
         Maintain a materialized IDB view under mutation (see
         :mod:`repro.maintenance`): :meth:`QueryService.mutate` captures
-        per-relation deltas, repairs the view incrementally, migrates
-        surviving/repairable memo entries to the new fingerprint, and
+        per-relation deltas, repairs the view incrementally, and
         rebuilds the snapshot by structural sharing -- instead of
-        invalidating everything the fingerprint bump used to discard.
+        invalidating everything the fingerprint bump used to discard --
+        and a read's full selections are index probes on the view
+        (Theorem 2.1) rather than Figure 2 runs.
     trace_sample:
         Fraction of requests served under a full recording
         :class:`~repro.observability.Tracer` (0.0 = none, 1.0 = all).
@@ -271,7 +276,8 @@ class QueryService:
             if self.config.incremental
             else None
         )
-        self._analysis_cache: dict[str, Optional[RecursionAnalysis]] = {}
+        # The EDB state the view stands at: what a probe vouches for.
+        self._view_fp = edb.fingerprint() if self._view else None
         self._deps_cache: dict[RecursionAnalysis, frozenset[str]] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -306,8 +312,9 @@ class QueryService:
         With :attr:`ServiceConfig.incremental` set, the mutation is
         observed as per-relation deltas and absorbed before the lock is
         released: the maintained IDB view is repaired (or rebuilt on a
-        delta-capture overflow), memo entries for clean full-selection
-        keys migrate to the new fingerprint, and the next snapshot is
+        delta-capture overflow, or when the EDB was changed behind
+        ``mutate``'s back), the ``t_part`` memo entries the write cannot
+        reach migrate to the new fingerprint, and the next snapshot is
         assembled by structural sharing of unchanged relations.
         """
         with self._snapshot_lock:
@@ -332,10 +339,13 @@ class QueryService:
             return
         assert self._view is not None
         span = self.metrics.tracer.span
-        if capture.overflow:
-            self._view.rebuild(self.edb)
-            self.metrics.bump("view_rebuilds")
-            return
+        # The deltas describe old_fp -> new_fp: a view standing anywhere
+        # else (the EDB was written to behind mutate's back) cannot
+        # absorb them.  It stands nowhere until brought to new_fp.
+        stale = old_fp != self._view_fp
+        self._view_fp = None
+        if stale or capture.overflow:
+            return self._rebuild_view(new_fp)
         net = capture.net()
         try:
             with span("service.mutate.apply"):
@@ -344,9 +354,8 @@ class QueryService:
             # A delta the maintenance layer cannot express exactly
             # (e.g. through an aliased relation) degrades to a rebuild;
             # correctness first, incrementality when possible.
-            self._view.rebuild(self.edb)
-            self.metrics.bump("view_rebuilds")
-            return
+            return self._rebuild_view(new_fp)
+        self._view_fp = new_fp
         self.metrics.bump("view_repairs")
         mutated = frozenset(net)
         with span("service.mutate.memo"):
@@ -354,16 +363,53 @@ class QueryService:
         with span("service.mutate.snapshot"):
             self._repair_snapshot(old_fp, new_fp, mutated)
 
+    def _rebuild_view(self, fingerprint: tuple) -> None:
+        """Bring the view to the live EDB by a full re-evaluation."""
+        self._view.rebuild(self.edb)
+        self._view_fp = fingerprint
+        self.metrics.bump("view_rebuilds")
+
+    def _view_source(self, fingerprint: tuple):
+        """The ``source`` of a request's scoped memo: full selections of
+        the program's own analyses, read off the maintained view.
+
+        Theorem 2.1: the value of ``full_selection_key(analysis,
+        component, seed, order)`` is ``σ_{component=seed}(t)`` on the
+        other columns -- one index bucket of the extent the view keeps.
+        The probe holds the snapshot lock (no write is mid-way) and
+        vouches only while the view stands at the request's
+        ``fingerprint``; a request holding an older snapshot, a
+        ``t_part`` analysis or a ``ValueError`` from the extent gets
+        ``None`` and evaluates against its snapshot as without a view.
+        """
+        if self._view is None:
+            return None
+
+        def probe(key: tuple):
+            analysis, component, seed, _order = key
+            if analysis is not self._primary_analysis(analysis.predicate):
+                return None
+            with self._snapshot_lock:
+                if self._view_fp != fingerprint:
+                    return None
+                try:
+                    up_tuples = full_selection_from_extent(
+                        analysis, component, seed,
+                        self._view.db.relation(analysis.predicate),
+                        tracer=self.metrics.tracer)
+                except ValueError:
+                    return None
+            self.metrics.bump("view_probes")
+            return up_tuples, _NO_WORK
+
+        return probe
+
     def _primary_analysis(self, pred: str) -> Optional[RecursionAnalysis]:
         """The service program's own analysis of ``pred`` (None: not
-        separable), as opposed to a Lemma 2.1 rewrite's analysis."""
-        if pred not in self._analysis_cache:
-            try:
-                analysis = require_separable(self.program, pred)
-            except ReproError:
-                analysis = None
-            self._analysis_cache[pred] = analysis
-        return self._analysis_cache[pred]
+        separable), as opposed to a Lemma 2.1 rewrite's analysis: the
+        object every snapshot's engine evaluates with."""
+        report = self._engine.report(pred)
+        return report.analysis if report.separable else None
 
     def _analysis_dependencies(
         self, analysis: RecursionAnalysis
@@ -396,57 +442,24 @@ class QueryService:
     ) -> None:
         """Migrate old-fingerprint memo entries to the new fingerprint.
 
-        Theorem 2.1's class independence gives the dirtiness rule: a
-        full-selection entry of the primary analysis changes only if
-        some inserted or deleted ``t`` fact projects onto its selected
-        component exactly at its seed.  Clean entries survive verbatim;
-        dirty ones are repaired by projecting the maintained extent.
-        Entries for non-primary analyses (``t_part`` rewrites) survive
-        only when the mutation cannot reach anything they read.
+        The view answers the primary analyses' full selections, so what
+        the memo holds at the live scope are the ``t_part`` rewrites'
+        entries: one survives when the mutation cannot reach anything
+        it reads.  A primary entry (the view could not vouch for it) or
+        a malformed key is dropped.
         """
-        changed_by_pred = {
-            pred: ins | dels for pred, (ins, dels) in idb_changes.items()
-        }
-        dirtiness: dict[str, SelectionDirtiness] = {}
-        # A repaired entry cost no evaluation; cached stats are only
-        # ever merged into a caller's, so one zero serves them all.
-        no_work = EvaluationStats()
+        changed = mutated | {p for p, (ins, dels) in idb_changes.items()
+                             if ins or dels}
 
-        def decide(tail: tuple, value):
-            if len(tail) != 4:
-                return ("drop", None)
-            analysis, component, seed, _order = tail
-            if not isinstance(analysis, RecursionAnalysis):
-                return ("drop", None)
-            pred = analysis.predicate
-            primary = self._primary_analysis(pred)
-            if primary is not None and analysis == primary:
-                changed = changed_by_pred.get(pred)
-                if not changed:
-                    return ("keep", value)
-                probe = dirtiness.get(pred)
-                if probe is None:
-                    probe = SelectionDirtiness(analysis, changed)
-                    dirtiness[pred] = probe
-                try:
-                    if not probe.dirty(component, seed):
-                        return ("keep", value)
-                    up_tuples = full_selection_from_extent(
-                        analysis, component, seed,
-                        self._view.db.relation(pred),
-                        tracer=self.metrics.tracer,
-                    )
-                except ValueError:
-                    return ("drop", None)
-                return ("repair", (up_tuples, no_work))
-            deps = self._analysis_dependencies(analysis)
-            if deps & mutated or any(
-                changed_by_pred.get(p) for p in deps
-            ):
-                return ("drop", None)
-            return ("keep", value)
+        def keep(tail: tuple) -> bool:
+            if len(tail) != 4 or not isinstance(tail[0], RecursionAnalysis):
+                return False
+            analysis = tail[0]
+            if analysis == self._primary_analysis(analysis.predicate):
+                return False
+            return not self._analysis_dependencies(analysis) & changed
 
-        self.memo.rescope(old_fp, new_fp, decide)
+        self.memo.rescope(old_fp, new_fp, keep)
 
     def _repair_snapshot(self, old_fp: tuple, new_fp: tuple,
                          mutated: frozenset[str]) -> None:
@@ -648,7 +661,9 @@ class QueryService:
                     query,
                     strategy=strategy,
                     budget=budget,
-                    memo=self.memo.scoped(snap.fingerprint),
+                    memo=self.memo.scoped(
+                        snap.fingerprint,
+                        self._view_source(snap.fingerprint)),
                     tracer=(
                         request_tracer
                         if request_tracer is not None

@@ -125,3 +125,51 @@ class TestValidation:
         analysis = require_separable(example_1_1_program(), "buys")
         with pytest.raises(ValueError):
             compile_plan(analysis, pers_positions=(0,))  # 0 is a class col
+
+
+class TestCompileOnce:
+    """A plan is a function of (analysis, component, tagged): compiled
+    once, kept with the analysis, shared by every query on it."""
+
+    def test_queries_on_one_component_share_one_plan_object(
+            self, example_1_1, monkeypatch):
+        from repro import Engine
+        from repro.core import api
+        from repro.datalog.plan_cache import PLAN_CACHE
+        from repro.observability.tracer import Tracer
+
+        program, db = example_1_1
+        engine = Engine(program, db)
+        ran = []
+        execute = api.execute_plan
+        monkeypatch.setattr(
+            api, "execute_plan",
+            lambda plan, *a, **kw: ran.append(plan) or execute(
+                plan, *a, **kw))
+        PLAN_CACHE.clear()
+        compiles = []
+        for query in ("buys(tom, Y)?", "buys(sue, Y)?", "buys(X, tent)?"):
+            tracer = Tracer()
+            result = engine.query(query, tracer=tracer)
+            assert result.plan is ran[-1] is engine.plan_for(query)
+            compiles.append(tracer.counter_total("plan_compiles"))
+        assert ran[0] is ran[1] and ran[2] is not ran[0]
+        # The join kernels: compiled per plan shape, as before.
+        assert compiles == [3, 0, 3]
+
+    def test_keyed_on_every_argument(self):
+        analysis = require_separable(example_2_4_program(), "t")
+        cls = analysis.classes[0]
+        plain = compile_plan(analysis, selected_class=cls)
+        assert compile_plan(analysis, selected_class=cls) is plain
+        tagged = compile_plan(analysis, selected_class=cls, tagged=True)
+        assert tagged is not plain and tagged.tag is not None
+        assert compile_plan(analysis, selected_class=cls,
+                            tagged=True) is tagged
+        other = require_separable(example_2_4_program(), "t")
+        assert other == analysis
+        assert compile_plan(other, selected_class=cls) is not plain
+        with pytest.raises(ValueError):
+            compile_plan(analysis)  # rejected every time, never cached
+        with pytest.raises(ValueError):
+            compile_plan(analysis)

@@ -4,14 +4,18 @@ The ``ServiceConfig(incremental=True)`` path must be observably
 equivalent to the rebuild-everything path (every answer still matches a
 serial oracle on the exact fingerprint served), while the metrics prove
 the cheap machinery actually ran: views repaired instead of rebuilt,
-snapshots structurally shared, and memo entries surviving or repaired
-across mutations instead of being dropped.
+snapshots structurally shared, and full selections read off the view
+(one index probe, no carry loop) wherever the view stands at the
+request's fingerprint -- and evaluated against the request's own
+snapshot wherever it does not.
 """
 
 from concurrent.futures import wait
 
+from repro.core.analysis import RecursionAnalysis
 from repro.datalog.database import Database
-from repro.service import QueryService, ServiceConfig
+from repro.datalog.parser import parse_program
+from repro.service import FullSelectionMemo, QueryService, ServiceConfig
 from repro.workloads import paper
 
 from ..conftest import oracle_answers
@@ -94,23 +98,31 @@ class TestWriteHeavyStress:
 
 class TestMemoSurvival:
     def test_class_confined_mutation_spares_the_other_class(self):
-        """Theorem 2.1's independence, observed through the memo: a
+        """Theorem 2.1's independence, observed through the view: a
         mutation whose IDB damage projects onto one new seed of class 2
-        repairs the class-1 entries it dirtied and keeps the other
-        class-2 entries verbatim -- ``memo_survived > 0``."""
+        changes the class-1 answers it reaches and leaves the other
+        class-2 answers verbatim -- and every read, before or after,
+        is an index probe: no carry loop runs, the memo is never asked
+        and a write has nothing of it to rescope."""
         program = paper.example_1_2_program()
         edb = paper.example_1_2_database(6)
         service = QueryService(
             program, edb, ServiceConfig(workers=2, incremental=True)
         )
+        # One class-1 selection (position 0 bound), two class-2 ones.
+        queries = ("buys(a1, Y)?", "buys(X, b3)?", "buys(X, b4)?")
+
+        def read_all() -> dict:
+            results = {q: service.query(q) for q in queries}
+            for result in results.values():
+                assert result.ok and result.stats.iterations == 0
+                assert result.answers == oracle_answers(
+                    program, service.edb, result.query)
+            return results
+
         try:
-            # Populate: one class-1 entry (position 0 bound) and two
-            # class-2 entries (position 1 bound).
-            assert service.query("buys(a1, Y)?").ok
-            assert service.query("buys(X, b3)?").ok
-            assert service.query("buys(X, b4)?").ok
-            before = service.memo.stats()
-            assert before["size"] >= 3
+            before = read_all()
+            assert service.metrics_dict()["view_probes"] == 3
 
             # zz undercuts b6: every buyer of b6 now also buys zz.
             # Changed buys facts are exactly {(a_i, zz)} -- they
@@ -118,22 +130,137 @@ class TestMemoSurvival:
             service.mutate(
                 lambda db: db.add_fact("cheaper", ("zz", "b6"))
             )
-            stats = service.memo.stats()
-            assert stats["survived"] >= 2   # (b3,), (b4,) untouched
-            assert stats["repaired"] >= 1   # (a1,) absorbed the gain
-
-            # Surviving and repaired entries are served as hits, and
-            # the repaired value includes the new product.
-            hits_before = stats["hits"]
-            for query in ("buys(X, b3)?", "buys(a1, Y)?"):
-                result = service.query(query)
-                assert result.answers == oracle_answers(
-                    program, service.edb, result.query
-                )
-            assert ("a1", "zz") in service.query("buys(a1, Y)?").answers
-            assert service.memo.stats()["hits"] > hits_before
+            after = read_all()
+            assert service.metrics_dict()["view_probes"] == 6
+            for clean in ("buys(X, b3)?", "buys(X, b4)?"):
+                assert after[clean].answers == before[clean].answers
+            assert after["buys(a1, Y)?"].answers == (
+                before["buys(a1, Y)?"].answers | {("a1", "zz")})
+            assert service.memo.stats() == {
+                "size": 0, "hits": 0, "misses": 0, "coalesced": 0,
+                "evictions": 0, "repaired": 0, "survived": 0,
+            }
         finally:
             service.close()
+
+    def test_direct_edb_write_is_detected_not_absorbed(self):
+        """A fact added through ``service.edb`` behind ``mutate()``'s
+        back: the view does not stand at the new fingerprint, so reads
+        evaluate against their snapshot, and the next ``mutate()`` --
+        whose deltas describe a state the view never saw -- rebuilds
+        the view instead of repairing a stale one (at the parent of
+        this test the last read lost ``direct``)."""
+        program = parse_program(
+            "buys(X,Y) :- friend(X,W) & buys(W,Y).\n"
+            "buys(X,Y) :- perfectFor(X,Y)."
+        ).program
+        edb = Database.from_facts({
+            "friend": [("a", "b"), ("b", "c")],
+            "perfectFor": [("c", "p0")],
+        })
+        service = QueryService(
+            program, edb, ServiceConfig(workers=1, incremental=True)
+        )
+
+        def bought() -> set:
+            result = service.query("buys(a, Y)?")
+            assert result.ok
+            return {y for _a, y in result.answers}
+
+        try:
+            assert bought() == {"p0"}
+            assert service.metrics_dict()["view_probes"] == 1
+            service.edb.add_fact("perfectFor", ("c", "direct"))
+            assert bought() == {"p0", "direct"}
+            # Not vouched for: the view still stands at the old state.
+            assert service.metrics_dict()["view_probes"] == 1
+            assert service.memo.stats()["misses"] == 1
+            service.mutate(
+                lambda db: db.add_fact("perfectFor", ("b", "viamutate")))
+            assert bought() == {"p0", "direct", "viamutate"}
+            metrics = service.metrics_dict()
+        finally:
+            service.close()
+        assert metrics["view_rebuilds"] == 1 and metrics["view_repairs"] == 0
+        assert metrics["view_probes"] == 2  # rebuilt: it vouches again
+
+    def test_a_request_holding_an_older_snapshot_evaluates_against_it(self):
+        """Snapshot isolation under the probe: the view vouches only for
+        the fingerprint it stands at, so a reader that captured its
+        snapshot before a write gets the *old* state's answers, by an
+        evaluation over that snapshot."""
+        program = paper.example_1_1_program()
+        service = QueryService(
+            program, _chain_db(4),
+            ServiceConfig(workers=1, incremental=True),
+        )
+        try:
+            snap = service._snapshot()
+            old_db = service.edb.copy()
+            service.mutate(
+                lambda db: db.add_fact("perfectFor", ("a4", "late")))
+            probes = service.metrics_dict()["view_probes"]
+            result = snap.engine.query(
+                "buys(a1, Y)?",
+                memo=service.memo.scoped(
+                    snap.fingerprint,
+                    service._view_source(snap.fingerprint)),
+            )
+            assert result.answers == oracle_answers(
+                program, old_db, result.query)
+            assert ("a1", "late") not in result.answers
+            assert result.stats.iterations > 0  # it ran Figure 2
+            assert service.metrics_dict()["view_probes"] == probes
+            assert service.memo.stats()["misses"] == 1
+            # The live state is the view's to answer.
+            live = service.query("buys(a1, Y)?")
+            assert ("a1", "late") in live.answers
+            assert live.stats.iterations == 0
+            assert service.metrics_dict()["view_probes"] == probes + 1
+        finally:
+            service.close()
+
+    def test_a_writes_memo_work_does_not_grow_with_the_seeds_read(
+            self, monkeypatch):
+        """60 or 600 distinct full selections read before a write: the
+        view answered them all, the memo holds none, and the write
+        visits no entry -- only a partial selection's ``t_part`` entry
+        is ever looked at."""
+        program = paper.example_2_4_program()
+        visited = []
+        rescope = FullSelectionMemo.rescope
+        monkeypatch.setattr(
+            FullSelectionMemo, "rescope",
+            lambda memo, old, new, keep: rescope(
+                memo, old, new,
+                lambda tail: visited.append(tail[0]) or keep(tail)))
+
+        def visits_of_one_write(seeds: int, partial: bool) -> int:
+            edb = Database.from_facts({
+                "a": [("x0", "y0", "p0", "q0")],
+                "t0": [(f"p{i}", f"q{i}", "z0") for i in range(seeds)],
+                "b": [("z0", "z1")],
+            })
+            service = QueryService(
+                program, edb, ServiceConfig(workers=1, incremental=True))
+            try:
+                for i in range(seeds):
+                    assert len(service.query(f"t(p{i}, q{i}, Z)?")) == 2
+                if partial:
+                    assert len(service.query("t(x0, Y, Z)?")) == 2
+                assert len(service.memo) == int(partial)
+                del visited[:]
+                service.mutate(lambda db: db.add_fact("b", ("z1", "z2")))
+                assert service.metrics_dict()["view_probes"] >= seeds
+                return len(visited)
+            finally:
+                service.close()
+
+        assert visits_of_one_write(60, False) == 0
+        assert visits_of_one_write(600, False) == 0
+        assert visits_of_one_write(60, True) == 1
+        assert visits_of_one_write(600, True) == 1
+        assert all(isinstance(a, RecursionAnalysis) for a in visited)
 
     def test_metrics_expose_the_repair_counters(self):
         program = paper.example_1_1_program()
@@ -170,6 +297,7 @@ class TestMemoSurvival:
         assert 'repro_service_memo_events_total{kind="survived"}' in text
         assert "repro_service_view_repairs_total 1" in text
         assert "repro_service_view_rebuilds_total 0" in text
+        assert "repro_service_view_probes_total 1" in text
         assert "repro_service_snapshots_repaired_total" in text
 
 
@@ -283,12 +411,13 @@ class TestOverflowFallback:
 
 
 class TestIndexBackedRepair:
-    def test_dirty_entries_are_repaired_off_one_index_build(self):
-        """A repair is ``σ_{component = seed}`` of the maintained extent,
-        served by the view relation's lazy index: five dirty entries
-        cost one ``index_builds`` (not five scans), a later mutation
-        none at all -- the index is maintained incrementally -- and
-        every repaired value equals a full scan of the extent."""
+    def test_probes_share_one_index_build(self):
+        """A full selection is ``σ_{component = seed}`` of the maintained
+        extent, served by the view relation's lazy index: five reads on
+        one component cost one ``index_builds`` (not five scans, and no
+        index on any EDB relation -- nothing is evaluated), a later
+        mutation none at all -- the index is maintained incrementally
+        -- and every answer equals a full scan of the extent."""
         program = paper.example_1_1_program()
         n = 8
         service = QueryService(
@@ -300,42 +429,37 @@ class TestIndexBackedRepair:
             counters = service.metrics_dict()["evaluator_counters"]
             return counters.get("index_builds", 0)
 
-        def check_entries_against_full_scan() -> int:
+        def check_reads_against_full_scan() -> int:
             extent = service._view.db.tuples("buys")
-            checked = 0
-            for key, (value, _stats) in service.memo._entries.items():
-                _fp, _analysis, component, seed, _order = key
-                assert component == ("class", 1)  # position 0 bound
-                assert value == frozenset(
-                    (y,) for x, y in extent if (x,) == seed
-                )
-                checked += 1
-            return checked
+            for i in range(1, 6):
+                result = service.query(f"buys(a{i}, Y)?")
+                assert result.ok and result.stats.iterations == 0
+                assert result.answers == frozenset(
+                    (x, y) for x, y in extent if x == f"a{i}")
+                assert result.answers == oracle_answers(
+                    program, service.edb, result.query)
+            return len(result.answers)
 
         try:
-            for i in range(1, 6):
-                assert service.query(f"buys(a{i}, Y)?").ok
             before = index_builds()
-            # Every a_i reaches a_n, so the new gift dirties all five.
+            answers = check_reads_against_full_scan()
+            assert index_builds() - before == 1
+            assert list(service._view.db.relation("buys")._projected) == [
+                ((0,), (1,))]
+
+            # Every a_i reaches a_n, so the new gift reaches all five.
+            before = index_builds()
             service.mutate(
                 lambda db: db.add_fact("perfectFor", (f"a{n}", "gift"))
             )
-            assert service.memo.stats()["repaired"] == 5
-            assert index_builds() - before == 1
-            assert check_entries_against_full_scan() == 5
-
-            before = index_builds()
+            assert check_reads_against_full_scan() == answers + 1
             service.mutate(
                 lambda db: db.remove_fact("perfectFor", (f"a{n}", "gift"))
             )
-            assert service.memo.stats()["repaired"] == 10
+            assert check_reads_against_full_scan() == answers
             assert index_builds() == before
-            assert check_entries_against_full_scan() == 5
-            for i in range(1, 6):
-                result = service.query(f"buys(a{i}, Y)?")
-                assert result.answers == oracle_answers(
-                    program, service.edb, result.query
-                )
+            assert service.metrics_dict()["view_probes"] == 15
+            assert len(service.memo) == 0
         finally:
             service.close()
 
@@ -344,14 +468,21 @@ class TestWritesReindexNothing:
     def test_snapshot_indexes_survive_a_write(self):
         """After a write the new snapshot shares untouched relations
         (indexes included) with the old one and the mutated relation's
-        copy adopts the old indexes patched by the delta, so the misses
-        that follow build no index on any EDB relation -- and every
-        snapshot's engine shares one analysis of the program."""
-        program = paper.example_1_1_program()
-        n = 24
+        copy adopts the old indexes patched by the delta, so the
+        evaluations that follow -- a partial selection's sideways pass
+        and its ``t_part``, which the view does not answer -- build no
+        index on any EDB relation, and every snapshot's engine shares
+        one analysis of the program."""
+        program = paper.example_2_4_program()
+        edb = Database.from_facts({
+            "a": [("x", "y", "p0", "q0")]
+            + [(f"p{i}", f"q{i}", f"p{i + 1}", f"q{i + 1}")
+               for i in range(6)],
+            "t0": [("p6", "q6", "z0"), ("x", "y", "z1")],
+            "b": [(f"z{i}", f"z{i + 1}") for i in range(4)],
+        })
         service = QueryService(
-            program, _chain_db(n),
-            ServiceConfig(workers=1, incremental=True, memo_size=1),
+            program, edb, ServiceConfig(workers=1, incremental=True),
         )
 
         def indexes_of(rel) -> dict:
@@ -366,35 +497,33 @@ class TestWritesReindexNothing:
             }
 
         try:
-            assert service.query("buys(a1, Y)?").ok
-            assert service.query("buys(X, b%d)?" % n).ok
+            assert len(service.query("t(x, Y, Z)?")) == 5
             old = service._snapshot()
             warm = edb_indexes(old)
-            assert warm["friend"] and warm["perfectFor"]
+            assert warm["a"] and warm["t0"] and warm["b"]
             for step in range(3):
                 service.mutate(lambda db: db.add_fact(
-                    "friend", (f"new{step}", "a1")))
+                    "a", (f"new{step}", "y", "p0", "q0")))
                 snap = service._snapshot()
                 assert snap is not old and snap.db is not old.db
                 # Untouched relation: the same object, indexes and all.
-                assert snap.db.relation("idol") is old.db.relation("idol")
+                assert snap.db.relation("b") is old.db.relation("b")
                 # Mutated relation: a copy born with every old index.
-                friend = snap.db.relation("friend")
-                assert friend is not old.db.relation("friend")
-                assert indexes_of(friend).keys() == warm["friend"].keys()
-                assert friend._projected, "the loops probe it projected"
-                assert friend.lookup_projected(
-                    (0,), (1,), (f"new{step}",)) == {("a1",)}
-                assert snap.engine.report("buys") is old.engine.report("buys")
-                result = service.query(f"buys(new{step}, Y)?")
+                a = snap.db.relation("a")
+                assert a is not old.db.relation("a")
+                assert indexes_of(a).keys() == warm["a"].keys()
+                assert len(a.lookup((0,), (f"new{step}",))) == 1
+                assert snap.engine.report("t") is old.engine.report("t")
+                # A first-seen constant: its t_part entry is a miss.
+                misses = service.memo.stats()["misses"]
+                result = service.query(f"t(new{step}, Y, Z)?")
+                assert service.memo.stats()["misses"] == misses + 1
+                assert result.stats.iterations > 0
+                assert len(result.answers) == 5
                 assert result.answers == oracle_answers(
                     program, service.edb, result.query
                 )
-                result = service.query("buys(X, b%d)?" % n)
-                assert result.answers == oracle_answers(
-                    program, service.edb, result.query
-                )
-                # The misses above indexed nothing that was not indexed.
+                # The evaluation indexed nothing that was not indexed.
                 assert {k: v.keys() for k, v in edb_indexes(snap).items()} \
                     == {k: v.keys() for k, v in warm.items()}
                 old, warm = snap, edb_indexes(snap)

@@ -7,6 +7,7 @@ with every answer checked against a serial oracle evaluation of the
 exact database state (by fingerprint) the request was served against.
 """
 
+import sys
 import threading
 from concurrent.futures import wait
 
@@ -33,11 +34,18 @@ def _chain_db(n: int) -> Database:
 
 
 class TestMixedWorkloadStress:
-    def test_snapshot_isolated_answers_match_serial_oracle(self):
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_snapshot_isolated_answers_match_serial_oracle(
+            self, incremental):
+        """With a view (``incremental``) the ``auto`` / ``separable``
+        reads are probes where the view stands at their fingerprint and
+        evaluations over their own snapshot where a write overtook
+        them; either way the answer is the serial one."""
         program = paper.example_1_1_program()
         n = 12
         service = QueryService(
-            program, _chain_db(n), ServiceConfig(workers=8)
+            program, _chain_db(n),
+            ServiceConfig(workers=8, incremental=incremental),
         )
         # Every database state the service can ever serve, keyed by
         # fingerprint.  States are recorded atomically with the
@@ -57,6 +65,10 @@ class TestMixedWorkloadStress:
         strategies = ["auto", "auto", "auto", "separable", "magic",
                       "seminaive"]
         futures = []
+        # Hand the interpreter over often: more readers overtaken by a
+        # write between their snapshot and their probe.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             for i in range(240):
                 if i % 12 == 5:
@@ -75,10 +87,13 @@ class TestMixedWorkloadStress:
             done, not_done = wait(futures, timeout=120)
             assert not not_done
             results = [f.result() for f in futures]
+            probes = service.metrics_dict()["view_probes"]
         finally:
+            sys.setswitchinterval(interval)
             service.close()
 
         assert len(results) == 240
+        assert (probes > 0) == incremental
         assert all(r.status == "ok" for r in results)
         # Serial oracle over the exact state each request was served
         # against (memoized per (fingerprint, query) -- many repeats).

@@ -134,4 +134,7 @@ class TestEngineMiscellany:
         first = Engine(program, db)
         second = Engine(program, db)
         first.query("buys(tom, Y)?")
-        assert not second._plans
+        # Reports -- and with them the compiled plans -- are per engine.
+        assert first._reports and not second._reports
+        assert second.plan_for("buys(tom, Y)?") is not first.plan_for(
+            "buys(tom, Y)?")
