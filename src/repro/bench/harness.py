@@ -179,20 +179,6 @@ def calibrate(repeats: int = 5) -> dict:
     }
 
 
-def _answer_matches(query, fact: tuple) -> bool:
-    """Constants equal, repeated query variables consistent."""
-    from ..datalog.terms import Variable
-
-    seen: dict = {}
-    for value, term in zip(fact, query.args):
-        if isinstance(term, Variable):
-            if seen.setdefault(term, value) != value:
-                return False
-        elif term.value != value:
-            return False
-    return True
-
-
 def _make_runner(
     workload: Workload, cell: Cell, budget: Budget,
     mutations: Optional[list] = None,
@@ -263,7 +249,7 @@ def _make_runner(
             for op in ops:
                 total += sum(
                     1 for f in write(*op).tuples(query.predicate)
-                    if _answer_matches(query, f)
+                    if query.matches(f)
                 )
             return total, EvaluationStats()
 

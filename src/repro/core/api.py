@@ -24,7 +24,6 @@ variables applied as final filters.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
@@ -33,7 +32,7 @@ from ..datalog.database import Database, Relation
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
 from ..datalog.joins import evaluate_body_project
 from ..datalog.programs import Program
-from ..datalog.terms import ConstValue, Variable
+from ..datalog.terms import Variable
 from ..stats import EvaluationStats
 from .analysis import EquivalenceClass, RecursionAnalysis
 from .compiler import compile_plan, compile_selection
@@ -48,37 +47,6 @@ __all__ = [
     "full_selection_from_extent",
     "full_selection_key",
 ]
-
-
-def _assembler(plan: SeparablePlan):
-    """``(seed, seen_2 tuples) -> answers``: interleave the values of
-    the selected columns with ``seen_2`` tuples.
-
-    Where each answer column comes from -- a ``seen_2`` column or a
-    seed value -- is worked out once per plan; every answer is then one
-    tuple concatenation and one C-level pick.
-    """
-    up, selected = plan.up_positions, plan.selected_positions
-    if plan.arity == 1:
-        return lambda seed, up_tuples: {ut + seed for ut in up_tuples}
-    pick = itemgetter(*(
-        up.index(p) if p in up else len(up) + selected.index(p)
-        for p in range(plan.arity)
-    ))
-    return lambda seed, up_tuples: {pick(ut + seed) for ut in up_tuples}
-
-
-def _matches_query(fact: tuple, query: Atom) -> bool:
-    """Residual check: constants equal, repeated variables consistent."""
-    seen_vars: dict[Variable, ConstValue] = {}
-    for value, term in zip(fact, query.args):
-        if isinstance(term, Variable):
-            prior = seen_vars.setdefault(term, value)
-            if prior != value:
-                return False
-        elif term.value != value:
-            return False
-    return True
 
 
 def full_selection_key(
@@ -178,7 +146,7 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget):
 def _evaluate_full(
     selection: Selection,
     db: Database,
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
     tracer=None,
@@ -206,7 +174,7 @@ def _evaluate_full(
             selection.selected_positions, seed, order,
         )
         up_tuples = _through_memo(memo, key, run, stats, budget)
-    return _assembler(plan)(seed, up_tuples)
+    return plan.assembler()(seed, up_tuples)
 
 
 def _part_analysis(
@@ -232,7 +200,7 @@ def _run_batch(
     plan: SeparablePlan,
     seeds: list[tuple],
     db: Database,
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
     tracer=None,
@@ -300,7 +268,7 @@ def _evaluate_partial(
     selection: Selection,
     cls: EquivalenceClass,
     db: Database,
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
     allow_disconnected: bool = False,
@@ -354,7 +322,7 @@ def _evaluate_partial(
                 heads_of.setdefault(row[:width], []).append(row[width:])
 
         plan = compile_plan(analysis, selected_class=cls, tagged=True)
-        assemble = _assembler(plan)
+        assemble = plan.assembler()
         shares = _run_batch(analysis, cls, plan, list(heads_of), db, stats,
                             budget, order, tracer, memo)
         for heads, share in zip(heads_of.values(), shares):
@@ -363,11 +331,10 @@ def _evaluate_partial(
     except BudgetExceeded as exc:
         # The failing run attached only its own stats; replace them with
         # the union accumulator and keep the answers assembled so far.
-        if stats is not None:
-            exc.stats = stats
+        exc.stats = stats
         if exc.partial is None:
             exc.partial = frozenset(
-                f for f in answers if _matches_query(f, selection.query)
+                f for f in answers if selection.query.matches(f)
             )
         raise
     return answers
@@ -419,7 +386,9 @@ def evaluate_separable(
             program, query.predicate,
             allow_disconnected=allow_disconnected,
         )
-    if stats is not None and not stats.strategy:
+    if stats is None:
+        stats = EvaluationStats()
+    if not stats.strategy:
         stats.strategy = "separable"
     selection = classify_selection(analysis, query)
     if not selection.has_constants:
@@ -450,8 +419,7 @@ def evaluate_separable(
         result = frozenset(answers)
     else:
         result = frozenset(
-            fact for fact in answers if _matches_query(fact, query)
+            fact for fact in answers if query.matches(fact)
         )
-    if stats is not None:
-        stats.record_relation("ans", len(result))
+    stats.record_relation("ans", len(result))
     return result

@@ -15,13 +15,14 @@ are what Lemma 4.1's ``O(n^max(w(e1), k-w(e1)))`` bound speaks about.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
 from ..datalog.plan_cache import PLAN_CACHE
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
@@ -92,18 +93,13 @@ def _carry_loop(
     carry: set[tuple] = set(initial)
     stats.record_relation(carry_name, len(carry))
     stats.record_relation(seen_name, len(seen))
-    span_cm = (
-        tracer.span("separable.loop", relation=seen_name,
-                    seed=len(initial))
-        if tracer is not None
-        else nullcontext()
-    )
     # One view and one carry relation for the whole loop: each round
     # refills the relation in place (a clear + bulk add_all) instead of
     # rebuilding the Database wrapper and re-copying the base mounts.
     carry_rel = Relation(CARRY, arity)
     view = db.with_mounts({CARRY: carry_rel})
-    with span_cm as span:
+    with span_of(tracer, "separable.loop", relation=seen_name,
+                 seed=len(initial)) as span:
         while carry:
             budget.check_wall(stats)
             stats.bump_iterations()
@@ -154,13 +150,8 @@ def _generated_loop(
     carry: set[tuple] = set(initial)
     stats.record_relation(carry_name, len(carry))
     stats.record_relation(seen_name, len(seen))
-    span_cm = (
-        tracer.span("separable.loop", relation=seen_name,
-                    seed=len(initial))
-        if tracer is not None
-        else nullcontext()
-    )
-    with span_cm as span:
+    with span_of(tracer, "separable.loop", relation=seen_name,
+                 seed=len(initial)) as span:
         while carry:
             run = PLAN_CACHE.loop_for(joins, CARRY, carry, order, db, tracer)
             carry = run(carry, seen, carry_name, seen_name, stats, budget,
@@ -246,12 +237,7 @@ def execute_plan(
                   "carry_1", "seen_1")
 
     # Line 8: carry_2 := g_2(seen_1) -- join seen_1 with each exit body.
-    exit_cm = (
-        tracer.span("separable.exit", seen_1=len(seen_1))
-        if tracer is not None
-        else nullcontext()
-    )
-    with exit_cm:
+    with span_of(tracer, "separable.exit", seen_1=len(seen_1)):
         view = db.with_mounts(
             {SEEN: Relation(SEEN, plan.seed_arity, seen_1)})
         carry_2 = _apply_joins(plan.exit_joins, view, stats, order, tracer,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datalog.atoms import Atom
+from ..datalog.atoms import Atom, answer_assembler
 from ..datalog.terms import Term, Variable
 
 __all__ = ["CARRY", "SEEN", "CarryJoin", "SeparablePlan"]
@@ -108,6 +108,13 @@ class SeparablePlan:
     def answer_arity(self) -> int:
         """Columns of ``carry_2`` / ``seen_2`` / ``ans``."""
         return len(self.up_positions) + (self.tag is not None)
+
+    def assembler(self):
+        """``(seed, seen_2 tuples) -> full-arity tuples`` of this plan
+        (tags stripped): :func:`~repro.datalog.atoms.answer_assembler`
+        over its seed and answer columns."""
+        return answer_assembler(
+            self.arity, self.selected_positions, self.up_positions)
 
     def describe(self) -> str:
         """Pretty-print the plan in the style of Figures 3 and 4."""

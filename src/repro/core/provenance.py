@@ -92,7 +92,7 @@ class Trace:
 
 
 def _child_parent_rows(view: Database, join: CarryJoin, pseudo: str,
-                       stats: Optional[EvaluationStats], order: str):
+                       stats: EvaluationStats, order: str):
     """``(child, parent)`` per derivation of ``join`` over ``view``: the
     output tuple and the ``pseudo`` (carry or seen) tuple it came from,
     in the join's enumeration order."""
@@ -110,7 +110,7 @@ def _traced_loop(
     arity: int,
     db: Database,
     parents: dict[tuple, Parent],
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
 ) -> set[tuple]:
@@ -129,8 +129,7 @@ def _traced_loop(
         parents.setdefault(s, None)
     while carry:
         budget.check_wall(stats)
-        if stats is not None:
-            stats.bump_iterations()
+        stats.bump_iterations()
         view = db.with_mounts({CARRY: Relation(CARRY, arity, carry)})
         produced: dict[tuple, tuple[int, tuple]] = {}
         for join in joins:
@@ -143,8 +142,7 @@ def _traced_loop(
         seen |= carry
         for child, parent_record in produced.items():
             parents[child] = parent_record
-        if stats is not None:
-            budget.check_stats(stats)
+        budget.check_stats(stats)
     return seen
 
 
@@ -161,6 +159,8 @@ def execute_plan_traced(
     Answers equal :func:`repro.core.evaluator.execute_plan`'s exactly;
     the extra cost is one parent record per derived tuple.
     """
+    if stats is None:
+        stats = EvaluationStats()
     trace = Trace(plan, {}, {}, {})
     seen_1 = _traced_loop(
         plan.down_joins, seeds, plan.seed_arity, db,
@@ -253,16 +253,12 @@ def explain(
     plan = compile_selection(selection)
     answers, trace = execute_plan_traced(plan, db, [selection.seed],
                                          order=order)
+    # justify() wants the up tuple a fact came from, so the facts are
+    # assembled one at a time.
+    assemble = plan.assembler()
     result: dict[tuple, Justification] = {}
     for up_tuple in answers:
-        values: list = [None] * analysis.arity
-        for p in plan.selected_positions:
-            values[p] = selection.bound[p]
-        for col, p in enumerate(plan.up_positions):
-            values[p] = up_tuple[col]
-        full = tuple(values)
-        from .api import _matches_query
-
-        if _matches_query(full, query):
+        (full,) = assemble(selection.seed, (up_tuple,))
+        if query.matches(full):
             result[full] = justify(trace, up_tuple)
     return result

@@ -13,12 +13,14 @@ sets), which Condition 4 of the separability test relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .terms import Constant, Term, Variable, make_term
+from .terms import Constant, ConstValue, Term, Variable, make_term
 
 __all__ = [
     "Atom",
+    "answer_assembler",
     "atom",
     "connected_components",
     "shared_variables",
@@ -83,6 +85,23 @@ class Atom:
                 seen.add(t)
         return False
 
+    def matches(self, fact: tuple) -> bool:
+        """Whether ``fact`` (a tuple of this atom's arity) answers this
+        atom as a query: constants equal, repeated variables consistent.
+
+        The one residual check between a strategy's candidate tuples and
+        the query's answers -- every strategy, the oracle's reference
+        and the bench cross-checks filter through it.
+        """
+        seen: dict[Variable, ConstValue] = {}
+        for value, term in zip(fact, self.args):
+            if isinstance(term, Variable):
+                if seen.setdefault(term, value) != value:
+                    return False
+            elif term.value != value:
+                return False
+        return True
+
     def substitute(self, mapping: Mapping[Variable, Term]) -> "Atom":
         """Apply a substitution, returning a new atom.
 
@@ -128,6 +147,27 @@ def atom(predicate: str, *args: object) -> Atom:
     Atom('friend(X, tom)')
     """
     return Atom(predicate, tuple(make_term(a) for a in args))
+
+
+def answer_assembler(
+    arity: int, selected: Sequence[int], others: Sequence[int]
+) -> Callable[[tuple, Iterable[tuple]], set[tuple]]:
+    """``(seed, rows) -> full-arity tuples``: ``seed`` holds the values
+    of the ``selected`` columns and each row those of the ``others``
+    (together every column of the predicate, each once).
+
+    Where each column comes from is worked out once here; every tuple
+    is then one concatenation and one C-level pick.  The one column
+    interleave: a Separable plan's ``seen_2`` and the counting method's
+    level-0 answers both become candidate answers through it.
+    """
+    if arity == 1:
+        return lambda seed, rows: {row + seed for row in rows}
+    pick = itemgetter(*(
+        others.index(p) if p in others else len(others) + selected.index(p)
+        for p in range(arity)
+    ))
+    return lambda seed, rows: {pick(row + seed) for row in rows}
 
 
 def shared_variables(a: Atom, b: Atom) -> frozenset[Variable]:

@@ -566,6 +566,18 @@ class Database:
         # inside -- the shared database file.
         return None if self._backend is None else self._backend.scratch()
 
+    def _remounted(self, backend, clone) -> "Database":
+        """A database on ``backend`` holding ``clone(other, relation)``
+        of every relation: each :class:`Relation` object is cloned
+        once and the clone mounted under every name the original is."""
+        other = Database(backend=backend)
+        clones: dict[int, Relation] = {}
+        for name, rel in self._relations.items():
+            if id(rel) not in clones:
+                clones[id(rel)] = clone(other, rel)
+            other._relations[name] = clones[id(rel)]
+        return other
+
     def copy(self) -> "Database":
         """A deep copy sharing no mutable state (indexes not copied).
 
@@ -581,15 +593,8 @@ class Database:
         the evaluators derive on the copy stay in the same storage
         class as the inputs without touching any durable file.
         """
-        other = Database(backend=self._scratch_backend())
-        copies: dict[int, Relation] = {}
-        for name, rel in self._relations.items():
-            clone = copies.get(id(rel))
-            if clone is None:
-                clone = rel.copy()
-                copies[id(rel)] = clone
-            other._relations[name] = clone
-        return other
+        return self._remounted(
+            self._scratch_backend(), lambda _, rel: rel.copy())
 
     def snapshot(self) -> "Database":
         """A stable read view of the current contents.
@@ -600,15 +605,8 @@ class Database:
         returns read-only connections pinned to the current WAL state.
         The service's current snapshot is taken through here.
         """
-        other = Database(backend=self._scratch_backend())
-        copies: dict[int, Relation] = {}
-        for name, rel in self._relations.items():
-            clone = copies.get(id(rel))
-            if clone is None:
-                clone = rel.snapshot()
-                copies[id(rel)] = clone
-            other._relations[name] = clone
-        return other
+        return self._remounted(
+            self._scratch_backend(), lambda _, rel: rel.snapshot())
 
     def with_backend(self, backend) -> "Database":
         """A copy of this database with every relation stored in ``backend``.
@@ -617,15 +615,9 @@ class Database:
         not carried over.  ``backend=None`` migrates back to the
         in-memory default.
         """
-        other = Database(backend=backend)
-        copies: dict[int, Relation] = {}
-        for name, rel in self._relations.items():
-            clone = copies.get(id(rel))
-            if clone is None:
-                clone = other._make_relation(rel.name, rel.arity, rel)
-                copies[id(rel)] = clone
-            other._relations[name] = clone
-        return other
+        return self._remounted(
+            backend,
+            lambda other, rel: other._make_relation(rel.name, rel.arity, rel))
 
     def with_mounts(self, mounts: Mapping[str, Relation]) -> "Database":
         """A view of this database with ``mounts`` (``{name: relation}``)

@@ -1,20 +1,22 @@
 """Index-backed join evaluation of conjunctive rule bodies.
 
-The single entry point :func:`evaluate_body` enumerates all substitutions
-(variable -> constant value) that satisfy a conjunction of atoms against
-a :class:`~repro.datalog.database.Database`.  It is the inner loop of
-every evaluator in this package: naive, semi-naive, magic, counting, and
-the Separable carry loops all reduce to body evaluations.
+Three entry points evaluate a conjunction of atoms against a
+:class:`~repro.datalog.database.Database`: :func:`evaluate_body`
+enumerates the satisfying substitutions (variable -> constant value),
+:func:`evaluate_body_project` yields them projected onto an output
+template, and :func:`evaluate_body_into` collects that projection into a
+caller's set.  They are the inner loop of every evaluator in this
+package: naive, semi-naive, magic, counting, and the Separable carry
+loops all reduce to body evaluations.
 
 Bodies are executed through compiled :class:`~repro.datalog.plan_cache.
 JoinPlan` kernels cached in the module-wide
 :data:`~repro.datalog.plan_cache.PLAN_CACHE` -- the atom order, index
 signatures, and variable slots are derived once per (body,
 bound-variable signature, order) and reused across every fixpoint
-round.  The interpreter these plans replaced lives on in
-``tests/interpreter.py`` as the differential reference for them.
+round.  ``tests/interpreter.py`` is the differential reference for them.
 
-Two atom orders are offered:
+Three atom orders are offered (:data:`~repro.datalog.plan_cache.ORDERS`):
 
 ``"left_to_right"``
     Evaluate atoms exactly in the given order -- this matches the paper's
@@ -29,6 +31,11 @@ Two atom orders are offered:
     simple join-order heuristic; results are identical, only the work
     differs.  The order is derived once per call
     (``plan_cache.greedy_permutation``).
+
+``"cost"``
+    The selectivity-aware planner (:mod:`repro.datalog.planner`): the
+    left-deep order with the smallest estimated sum of intermediate
+    result sizes, from relation sizes and per-column distinct counts.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ oracle for the other evaluators and as the bottom rung of benchmark E8.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .database import Database
 from .joins import evaluate_body_project
@@ -35,22 +35,19 @@ def naive_evaluate(
     per IDB predicate holding its least-fixpoint extent.  ``edb`` itself
     is not modified.
     """
+    if stats is None:
+        stats = EvaluationStats()
     db = edb.copy()
     for predicate in program.idb_predicates:
         db.ensure(predicate, program.arity(predicate))
 
-    span_cm = (
-        tracer.span("naive.fixpoint") if tracer is not None
-        else nullcontext()
-    )
-    with span_cm:
+    with span_of(tracer, "naive.fixpoint"):
         changed = True
         while changed:
             budget.check_wall(stats)
             changed = False
             new_facts = 0
-            if stats is not None:
-                stats.bump_iterations()
+            stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
             for ri, r in enumerate(program.rules):
@@ -60,8 +57,7 @@ def naive_evaluate(
                                                   stats=stats, order=order,
                                                   tracer=tracer):
                     produced_r += 1
-                    if stats is not None:
-                        stats.bump_produced()
+                    stats.bump_produced()
                     if target.add(fact):
                         changed = True
                         new_facts += 1
@@ -73,10 +69,8 @@ def naive_evaluate(
                         )
             if tracer is not None:
                 tracer.record("new_facts", new_facts)
-            if stats is not None:
-                for predicate in program.idb_predicates:
-                    stats.record_relation(predicate, db.size(predicate))
-                    budget.check_relation(predicate, db.size(predicate),
-                                          stats)
-                budget.check_stats(stats)
+            for predicate in program.idb_predicates:
+                stats.record_relation(predicate, db.size(predicate))
+                budget.check_relation(predicate, db.size(predicate), stats)
+            budget.check_stats(stats)
     return db

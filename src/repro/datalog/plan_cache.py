@@ -1,9 +1,8 @@
 """Compiled join kernels: slot-based plans cached per (body, signature).
 
-:func:`~repro.datalog.joins.evaluate_body` used to re-derive the join
-order, re-split bound/free argument positions, and copy a full bindings
-dict per extension on *every* rule application.  This module compiles a
-rule body once into a :class:`JoinPlan` -- a flat sequence of atom steps
+:func:`~repro.datalog.joins.evaluate_body` and its siblings run every
+rule application through this module, which compiles a rule body once
+into a :class:`JoinPlan` -- a flat sequence of atom steps
 with precomputed index signatures, key templates, register slots for the
 free variables, and ``eq/2`` guards fused between steps -- and each plan
 generates, per output template, the *source* of a specialised Python

@@ -17,10 +17,10 @@ restricted to the previous delta.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable, Mapping, Optional
 
 from ..budget import Budget, UNLIMITED
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database, Relation
@@ -97,15 +97,6 @@ def seminaive_stratum(
     for p in scc:
         db.ensure(p, program.arity(p))
 
-    span_cm = (
-        tracer.span(
-            "seminaive.scc",
-            scc=sorted(scc),
-            initial={p: db.size(p) for p in sorted(scc)},
-        )
-        if tracer is not None
-        else nullcontext()
-    )
     # Per-rule labels for the profiler's rule rows; only paid when
     # traced (the labels also key the rule_apps/rule_out counters).
     labels = (
@@ -114,7 +105,10 @@ def seminaive_stratum(
         else None
     )
 
-    with span_cm as span:
+    with span_of(
+        tracer, "seminaive.scc", scc=sorted(scc),
+        initial={p: db.size(p) for p in sorted(scc)},
+    ) as span:
         # Round 0: full evaluation of every rule (seeds the deltas).
         # New facts accumulate in plain sets and are installed into the
         # delta relations in one bulk add_all per predicate per round.
@@ -217,6 +211,8 @@ def seminaive_evaluate(
     Returns a new database with the EDB relations plus the least-fixpoint
     extent of each IDB predicate; ``edb`` is not modified.
     """
+    if stats is None:
+        stats = EvaluationStats()
     db = edb.copy()
     for scc in program.evaluation_order:
         scc_rules = [

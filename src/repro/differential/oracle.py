@@ -9,7 +9,9 @@ one :class:`~repro.differential.cases.Case`:
   selection filter (the same oracle the unit suite uses);
 * every strategy :meth:`~repro.engine.Engine.advise` deems applicable
   (plus ``auto``) runs on a *fresh* engine and its answers are diffed
-  against the reference;
+  against the reference -- through :func:`_checked_run`, the one block
+  that turns a run into an outcome and findings, which the order and
+  backend sweeps feed their configurations to as well;
 * the separability **detection verdict** is checked against the
   generator's ground truth (separable by construction, or a near-miss
   mutant built to violate Definition 2.4);
@@ -65,9 +67,9 @@ from ..datalog.errors import (
 )
 from ..datalog.seminaive import seminaive_evaluate
 from ..engine import STRATEGIES, Engine
-from ..core.api import _matches_query
 from ..observability import Tracer, trace_violations
 from ..stats import EvaluationStats
+from ..storage import ensure_backend
 from .cases import Case
 
 __all__ = [
@@ -177,7 +179,7 @@ def reference_answers(case: Case, budget: Budget) -> frozenset:
     return frozenset(
         fact
         for fact in materialized.tuples(case.query.predicate)
-        if _matches_query(fact, case.query)
+        if case.query.matches(fact)
     )
 
 
@@ -412,30 +414,21 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
         return
     cls = choose_rewrite_class(analysis, set(selection.bound))
     db = engine._database_for(predicate)
-    arity = analysis.arity
-
-    def facts(plan, seed, up_tuples):
-        for ut in up_tuples:
-            fact: list = [None] * arity
-            for p, v in zip(plan.selected_positions, seed):
-                fact[p] = v
-            for p, v in zip(plan.up_positions, ut):
-                fact[p] = v
-            yield tuple(fact)
 
     part = classify_selection(
         require_separable(program_without_class(analysis, cls), predicate),
         case.query)
     part_plan = compile_selection(part)
     plan = compile_plan(analysis, selected_class=cls)
+    assemble = plan.assembler()
     init = {analysis.head_vars[p]: selection.bound[p]
             for p in cls.positions if p in selection.bound}
     head_terms = tuple(analysis.head_vars[p] for p in cls.positions)
     runs: dict[tuple, frozenset] = {}
     try:
         with _reference_loops():
-            union = set(facts(part_plan, part.seed, execute_plan(
-                part_plan, db, [part.seed], budget=budget)))
+            union = part_plan.assembler()(part.seed, execute_plan(
+                part_plan, db, [part.seed], budget=budget))
             for a in analysis.rules_of_class(cls):
                 seed_terms = tuple(
                     a.recursive_atom.args[p] for p in cls.positions)
@@ -445,15 +438,13 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
                     if seed not in runs:
                         runs[seed] = execute_plan(plan, db, [seed],
                                                   budget=budget)
-                    union.update(facts(
-                        plan, instantiate_args(head_terms, bindings),
-                        runs[seed]))
+                    union |= assemble(
+                        instantiate_args(head_terms, bindings), runs[seed])
     except _TOLERATED as exc:
         verdict.outcomes["union[batched]"] = StrategyOutcome(
             strategy="union[batched]", skipped=str(exc))
         return
-    answers = frozenset(
-        f for f in union if _matches_query(f, case.query))
+    answers = frozenset(f for f in union if case.query.matches(f))
     verdict.outcomes["union[batched]"] = StrategyOutcome(
         strategy="union[batched]", answers=answers)
     if batched != answers:
@@ -463,174 +454,75 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
                    f"{len(runs)} runs: " + _diff_detail(answers, batched)))
 
 
-def _run_order_sweep(
-    verdict: OracleVerdict,
-    case: Case,
-    budget: Budget,
-    orders: Sequence[str],
-) -> None:
-    """Cross-check the cost-based join orders against the reference.
+def _checked_run(verdict: OracleVerdict, name: str, engine: Engine,
+                 strategy: str, extra: dict) -> None:
+    """One strategy run, held to the reference: the one place a run
+    becomes an outcome and findings.
 
-    For each requested order (typically ``cost``) the semi-naive
-    strategy re-runs on a fresh engine constructed with that ``order=``.
-    Outcomes are recorded as ``order[cost]`` etc.; answer diffs, stats
-    invariants, and trace invariants are held to exactly the
-    default-order standard, and each finding's profile carries the
-    order name -- so a planner that changes *answers* (not just join
-    order) surfaces as a differential finding.
+    ``strategy`` answers the case's query on ``engine`` under a
+    recording tracer; the outcome is stored as ``name``.  A tolerated
+    exception is a skip -- whose span forest must still have unwound
+    (exception safety of ``Tracer.span``; invariant checks on the
+    aborted loops themselves are status-gated and skipped) -- any other
+    :class:`ReproError` an ``error`` finding, and a completed run owes
+    ``trace``, ``answers`` and ``stats`` findings, in that order.  Every
+    finding carries the run's profile with ``extra`` (the swept
+    configuration: ``{"order": ...}``, ``{"backend": ...}``) merged in.
     """
-    for order in orders:
-        name = f"order[{order}]"
-        engine = Engine(
-            case.program, case.database, budget=budget, order=order,
+    case = verdict.case
+    stats = EvaluationStats()
+    tracer = Tracer()
+
+    def profile(run_stats: EvaluationStats) -> dict:
+        return {**_profile_summary(name, run_stats, tracer), **extra}
+
+    try:
+        result = engine.query(
+            case.query, strategy=strategy, stats=stats, tracer=tracer
         )
-        stats = EvaluationStats()
-        tracer = Tracer()
-        try:
-            result = engine.query(
-                case.query, strategy="seminaive", stats=stats,
-                tracer=tracer,
-            )
-        except _TOLERATED as exc:
-            verdict.outcomes[name] = StrategyOutcome(
-                strategy=name, skipped=str(exc)
-            )
-            profile = _profile_summary(
-                name, getattr(exc, "stats", None) or stats, tracer
-            )
-            profile["order"] = order
-            _append_trace_findings(verdict, name, tracer, profile)
-            continue
-        except ReproError as exc:
-            verdict.outcomes[name] = StrategyOutcome(
-                strategy=name, error=str(exc)
-            )
-            profile = _profile_summary(name, stats, tracer)
-            profile["order"] = order
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="error",
-                    strategy=name,
-                    detail=f"{type(exc).__name__}: {exc}",
-                    profile=profile,
-                )
-            )
-            continue
+    except _TOLERATED as exc:
         verdict.outcomes[name] = StrategyOutcome(
-            strategy=name, answers=result.answers, stats=result.stats
+            strategy=name, skipped=str(exc)
         )
-        profile = _profile_summary(name, result.stats, tracer)
-        profile["order"] = order
-        _append_trace_findings(verdict, name, tracer, profile)
-        if result.answers != verdict.reference:
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="answers",
-                    strategy=name,
-                    detail=_diff_detail(verdict.reference, result.answers),
-                    profile=profile,
-                )
+        _append_trace_findings(
+            verdict, name, tracer,
+            profile(getattr(exc, "stats", None) or stats))
+        return
+    except ReproError as exc:
+        verdict.outcomes[name] = StrategyOutcome(
+            strategy=name, error=str(exc)
+        )
+        verdict.disagreements.append(
+            Disagreement(
+                kind="error",
+                strategy=name,
+                detail=f"{type(exc).__name__}: {exc}",
+                profile=profile(stats),
             )
-        for problem in _stats_violations(
-            result.answers, result.stats, "seminaive",
-            case.query.predicate,
-        ):
-            verdict.disagreements.append(
-                Disagreement(kind="stats", strategy=name, detail=problem,
-                             profile=profile)
+        )
+        return
+    verdict.outcomes[name] = StrategyOutcome(
+        strategy=name, answers=result.answers, stats=result.stats
+    )
+    evidence = profile(result.stats)
+    _append_trace_findings(verdict, name, tracer, evidence)
+    if result.answers != verdict.reference:
+        verdict.disagreements.append(
+            Disagreement(
+                kind="answers",
+                strategy=name,
+                detail=_diff_detail(verdict.reference, result.answers),
+                profile=evidence,
             )
-
-
-def _run_backend_sweep(
-    verdict: OracleVerdict,
-    case: Case,
-    budget: Budget,
-    backends: Sequence[str],
-    strategies: Optional[Sequence[str]] = None,
-    orders: Optional[Sequence[str]] = None,
-) -> None:
-    """Cross-check alternative storage backends against the reference.
-
-    For each requested backend the case's database is migrated once
-    (:func:`repro.storage.ensure_backend`) and every applicable
-    strategy re-runs on a fresh engine over the migrated database;
-    when ``orders`` are requested, semi-naive additionally re-runs once
-    per order.  Outcomes are recorded as ``backend[sqlite:auto]``,
-    ``backend[sqlite:order-cost]`` etc.; answer diffs, stats
-    invariants, and trace invariants are held to exactly the in-memory
-    standard -- answer-set equality against the same reference is what
-    makes the sorted answer digests byte-identical across backends.
-    """
-    from ..storage import ensure_backend
-
-    for backend in backends:
-        db = ensure_backend(case.database, backend)
-        runs: list[tuple[str, str, dict]] = [
-            (strategy, strategy, {})
-            for strategy in applicable_strategies(case, strategies)
-        ]
-        for order in orders or ():
-            runs.append((f"order-{order}", "seminaive", {"order": order}))
-        for label, strategy, engine_kw in runs:
-            name = f"backend[{backend}:{label}]"
-            engine = Engine(case.program, db, budget=budget, **engine_kw)
-            stats = EvaluationStats()
-            tracer = Tracer()
-            try:
-                result = engine.query(
-                    case.query, strategy=strategy, stats=stats,
-                    tracer=tracer,
-                )
-            except _TOLERATED as exc:
-                verdict.outcomes[name] = StrategyOutcome(
-                    strategy=name, skipped=str(exc)
-                )
-                profile = _profile_summary(
-                    name, getattr(exc, "stats", None) or stats, tracer
-                )
-                profile["backend"] = backend
-                _append_trace_findings(verdict, name, tracer, profile)
-                continue
-            except ReproError as exc:
-                verdict.outcomes[name] = StrategyOutcome(
-                    strategy=name, error=str(exc)
-                )
-                profile = _profile_summary(name, stats, tracer)
-                profile["backend"] = backend
-                verdict.disagreements.append(
-                    Disagreement(
-                        kind="error",
-                        strategy=name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                        profile=profile,
-                    )
-                )
-                continue
-            verdict.outcomes[name] = StrategyOutcome(
-                strategy=name, answers=result.answers, stats=result.stats
-            )
-            profile = _profile_summary(name, result.stats, tracer)
-            profile["backend"] = backend
-            _append_trace_findings(verdict, name, tracer, profile)
-            if result.answers != verdict.reference:
-                verdict.disagreements.append(
-                    Disagreement(
-                        kind="answers",
-                        strategy=name,
-                        detail=_diff_detail(
-                            verdict.reference, result.answers
-                        ),
-                        profile=profile,
-                    )
-                )
-            for problem in _stats_violations(
-                result.answers, result.stats, result.strategy,
-                case.query.predicate,
-            ):
-                verdict.disagreements.append(
-                    Disagreement(kind="stats", strategy=name,
-                                 detail=problem, profile=profile)
-                )
+        )
+    for problem in _stats_violations(
+        result.answers, result.stats, result.strategy,
+        case.query.predicate,
+    ):
+        verdict.disagreements.append(
+            Disagreement(kind="stats", strategy=name, detail=problem,
+                         profile=evidence)
+        )
 
 
 def run_case(
@@ -642,13 +534,21 @@ def run_case(
 ) -> OracleVerdict:
     """Evaluate a case under every applicable strategy and diff results.
 
-    ``orders`` additionally re-runs semi-naive evaluation once per
-    listed join order (``cost``) on a fresh engine, diffing each run
-    against the reference, and repeats the generated-vs-reference loop
-    diff of a separable case under that order -- the planner-vs-greedy
-    differential harness.  ``backends`` re-runs every applicable
-    strategy (and every listed order) over the case migrated onto each
-    named storage backend -- the backend-vs-memory differential harness.
+    Three lists of ``(name, engine, strategy, extra)`` configurations
+    go through :func:`_checked_run`, each on a fresh engine:
+
+    * every applicable strategy under its own name;
+    * per listed join order (``orders``, typically ``cost``), semi-naive
+      on an engine built with that ``order=`` as ``order[cost]`` --
+      a planner that changes *answers*, not just join order, surfaces
+      as a differential finding -- after which the generated-vs-
+      reference loop diff of a separable case repeats under that order;
+    * per listed storage backend (``backends``), the case's database
+      migrated once (:func:`repro.storage.ensure_backend`) and every
+      applicable strategy as ``backend[sqlite:auto]`` etc., plus
+      semi-naive per listed order as ``backend[sqlite:order-cost]`` --
+      answer-set equality against the same reference is what makes the
+      sorted answer digests byte-identical across backends.
     """
     verdict = OracleVerdict(case=case, reference=None)
 
@@ -680,74 +580,44 @@ def run_case(
         )
         return verdict
 
-    for strategy in applicable_strategies(case, strategies):
-        engine = Engine(case.program, case.database, budget=budget)
-        stats = EvaluationStats()
-        tracer = Tracer()
-        try:
-            result = engine.query(
-                case.query, strategy=strategy, stats=stats, tracer=tracer
-            )
-        except _TOLERATED as exc:
-            verdict.outcomes[strategy] = StrategyOutcome(
-                strategy=strategy, skipped=str(exc)
-            )
-            # Even a tolerated abort must unwind every span (exception
-            # safety of ``Tracer.span``); invariant checks on the
-            # aborted loops themselves are status-gated and skipped.
-            profile = _profile_summary(
-                strategy, getattr(exc, "stats", None) or stats, tracer
-            )
-            _append_trace_findings(verdict, strategy, tracer, profile)
-            continue
-        except ReproError as exc:
-            verdict.outcomes[strategy] = StrategyOutcome(
-                strategy=strategy, error=str(exc)
-            )
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="error",
-                    strategy=strategy,
-                    detail=f"{type(exc).__name__}: {exc}",
-                    profile=_profile_summary(strategy, stats, tracer),
-                )
-            )
-            continue
-        verdict.outcomes[strategy] = StrategyOutcome(
-            strategy=strategy, answers=result.answers, stats=result.stats
-        )
-        profile = _profile_summary(strategy, result.stats, tracer)
-        _append_trace_findings(verdict, strategy, tracer, profile)
-        if result.answers != verdict.reference:
-            verdict.disagreements.append(
-                Disagreement(
-                    kind="answers",
-                    strategy=strategy,
-                    detail=_diff_detail(verdict.reference, result.answers),
-                    profile=profile,
-                )
-            )
-        for problem in _stats_violations(
-            result.answers, result.stats, result.strategy,
-            case.query.predicate,
-        ):
-            verdict.disagreements.append(
-                Disagreement(kind="stats", strategy=strategy, detail=problem,
-                             profile=profile)
-            )
+    def engine(db=case.database, order: str = "greedy") -> Engine:
+        return Engine(case.program, db, budget=budget, order=order)
+
+    applicable = applicable_strategies(case, strategies)
+    orders = orders or ()
+    strategy_runs = [(s, engine(), s, {}) for s in applicable]
+    order_runs = [
+        (f"order[{o}]", engine(order=o), "seminaive", {"order": o})
+        for o in orders
+    ]
+    backend_runs = []
+    for backend in backends or ():
+        db = ensure_backend(case.database, backend)
+        extra = {"backend": backend}
+        backend_runs += [
+            (f"backend[{backend}:{s}]", engine(db), s, extra)
+            for s in applicable
+        ] + [
+            (f"backend[{backend}:order-{o}]", engine(db, o), "seminaive",
+             extra)
+            for o in orders
+        ]
+
+    for run in strategy_runs:
+        _checked_run(verdict, *run)
     separable = verdict.outcomes.get("separable")
-    if separable is not None and separable.error is None:
+    loops = separable is not None and separable.error is None
+    if loops:
         _run_loop_sweep(verdict, case, budget)
         _run_union_check(verdict, case, budget)
-    if orders:
-        _run_order_sweep(verdict, case, budget, orders)
-        if separable is not None and separable.error is None:
-            for order in orders:
-                if order != "greedy":
-                    _run_loop_sweep(verdict, case, budget, order)
-    if backends:
-        _run_backend_sweep(verdict, case, budget, backends,
-                           strategies=strategies, orders=orders)
+    for run in order_runs:
+        _checked_run(verdict, *run)
+    if loops:
+        for order in orders:
+            if order != "greedy":
+                _run_loop_sweep(verdict, case, budget, order)
+    for run in backend_runs:
+        _checked_run(verdict, *run)
     return verdict
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .budget import Budget, UNLIMITED
-from .core.api import evaluate_separable, _matches_query
+from .core.api import evaluate_separable
 from .core.compiler import compile_selection
 from .core.detection import SeparabilityReport, analyze_recursion
 from .core.plan import SeparablePlan
@@ -367,9 +367,12 @@ class Engine:
                     for r in self.program.rules
                     if r.head.predicate in members
                 ]
+                # A throwaway accumulator: the budget's tuple and
+                # iteration limits are metered on one.
                 seminaive_stratum(
                     rules, frozenset(members), db, self.program,
-                    budget=self.budget, order=self.order,
+                    stats=EvaluationStats(), budget=self.budget,
+                    order=self.order,
                 )
         self._base_db[predicate] = db
         return db
@@ -579,20 +582,11 @@ class Engine:
                 order=order,
                 tracer=tracer,
             )
-            fixed = {
-                p: selection.bound[p] for p in plan.selected_positions
-            }
-            answers = set()
-            for ut in up_tuples:
-                values = [None] * analysis.arity
-                for p, v in fixed.items():
-                    values[p] = v
-                for col, p in enumerate(plan.up_positions):
-                    values[p] = ut[col]
-                fact = tuple(values)
-                if _matches_query(fact, query):
-                    answers.add(fact)
-            return frozenset(answers)
+            return frozenset(
+                fact
+                for fact in plan.assembler()(selection.seed, up_tuples)
+                if query.matches(fact)
+            )
         if strategy == "magic":
             return evaluate_magic(
                 self.program, self.edb, query,
@@ -630,5 +624,5 @@ class Engine:
         return frozenset(
             fact
             for fact in materialized.tuples(query.predicate)
-            if _matches_query(fact, query)
+            if query.matches(fact)
         )

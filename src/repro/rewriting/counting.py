@@ -37,19 +37,19 @@ method inapplicable (:class:`CountingNotApplicable`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
-from ..datalog.atoms import Atom, connected_components
+from ..datalog.atoms import Atom, answer_assembler, connected_components
 from ..datalog.database import Database, Relation
 from ..datalog.errors import CyclicDataError, EvaluationError
 from ..datalog.joins import evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.rectify import rectify_definition
 from ..datalog.rules import Rule
-from ..datalog.terms import Constant, ConstValue, Variable
+from ..datalog.terms import Constant, Variable
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 
 __all__ = [
@@ -297,7 +297,9 @@ def evaluate_counting(
     :class:`~repro.datalog.errors.BudgetExceeded` when ``budget`` trips
     first.
     """
-    if stats is not None and not stats.strategy:
+    if stats is None:
+        stats = EvaluationStats()
+    if not stats.strategy:
         stats.strategy = "counting"
     plan = compile_counting(program, query)
     seed = tuple(
@@ -324,12 +326,8 @@ def evaluate_counting(
         cr.index: (Atom(_CARRY, cr.down_input),) + cr.down_atoms
         for cr in plan.rules
     }
-    descent_cm = (
-        tracer.span("counting.descent", seed=list(seed))
-        if tracer is not None
-        else nullcontext()
-    )
-    with descent_cm as descent_span:
+    with span_of(tracer, "counting.descent",
+                 seed=list(seed)) as descent_span:
         while frontier:
             budget.check_wall(stats)
             if level >= max_levels:
@@ -340,8 +338,7 @@ def evaluate_counting(
                     stats=stats,
                 )
             level += 1
-            if stats is not None:
-                stats.bump_iterations()
+            stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
             new_frontier: list[tuple[tuple[int, ...], set[tuple]]] = []
@@ -354,8 +351,7 @@ def evaluate_counting(
                         down_view, down_bodies[cr.index], cr.down_output,
                         stats=stats, order=order, tracer=tracer,
                     ):
-                        if stats is not None:
-                            stats.bump_produced()
+                        stats.bump_produced()
                         produced.add(fact)
                     if tracer is not None:
                         tracer.count(f"rule_apps:down#{cr.index}")
@@ -373,10 +369,9 @@ def evaluate_counting(
             if tracer is not None:
                 tracer.record("frontier_paths", len(new_frontier))
                 tracer.record("count_size", count_size)
-            if stats is not None:
-                stats.record_relation("count", count_size)
-                budget.check_relation("count", count_size, stats)
-                budget.check_stats(stats)
+            stats.record_relation("count", count_size)
+            budget.check_relation("count", count_size, stats)
+            budget.check_stats(stats)
             frontier = new_frontier
         if descent_span is not None:
             descent_span.attrs["levels"] = level
@@ -385,12 +380,8 @@ def evaluate_counting(
     # -- ascent: seed per-(level, path) answers from the exit rules ----
     answers_at: dict[tuple[int, tuple[int, ...]], set[tuple]] = {}
     answers_size = 0
-    ascent_cm = (
-        tracer.span("counting.ascent", paths=len(count))
-        if tracer is not None
-        else nullcontext()
-    )
-    with ascent_cm as ascent_span:
+    with span_of(tracer, "counting.ascent",
+                 paths=len(count)) as ascent_span:
         exit_carry = Relation(_CARRY, len(plan.bound_positions))
         exit_view = edb.with_mounts({_CARRY: exit_carry})
         exit_bodies = []
@@ -415,8 +406,7 @@ def evaluate_counting(
                 for fact in evaluate_body_project(exit_view, body, output,
                                                   stats=stats, order=order,
                                                   tracer=tracer):
-                    if stats is not None:
-                        stats.bump_produced()
+                    stats.bump_produced()
                     produced.add(fact)
                 if tracer is not None:
                     tracer.count(f"rule_apps:exit#{ei}")
@@ -453,42 +443,27 @@ def evaluate_counting(
                     up_view, up_bodies[cr.index], cr.up_output,
                     stats=stats, order=order, tracer=tracer,
                 ):
-                    if stats is not None:
-                        stats.bump_produced()
+                    stats.bump_produced()
                     produced.add(fact)
                 if produced:
                     target = answers_at.setdefault(parent, set())
                     before = len(target)
                     target |= produced
                     answers_size += len(target) - before
-            if stats is not None:
-                stats.record_relation("count_ans", answers_size)
-                budget.check_relation("count_ans", answers_size, stats)
-                budget.check_stats(stats)
+            stats.record_relation("count_ans", answers_size)
+            budget.check_relation("count_ans", answers_size, stats)
+            budget.check_stats(stats)
         if ascent_span is not None:
             ascent_span.attrs["answers_size"] = answers_size
 
-    free_answers = answers_at.get((0, ()), set())
-    results: set[tuple] = set()
-    constants = {p: query.args[p].value for p in plan.bound_positions}  # type: ignore[union-attr]
-    variable_groups: dict[object, list[int]] = {}
-    for i, t in enumerate(query.args):
-        if not isinstance(t, Constant):
-            variable_groups.setdefault(t, []).append(i)
-    for fa in free_answers:
-        values: list[ConstValue] = [None] * plan.arity  # type: ignore[list-item]
-        for p, v in constants.items():
-            values[p] = v
-        for col, p in enumerate(plan.free_positions):
-            values[p] = fa[col]
-        fact = tuple(values)
-        if all(
-            len({fact[i] for i in positions}) == 1
-            for positions in variable_groups.values()
-        ):
-            results.add(fact)
-    if stats is not None:
-        stats.record_relation("count", count_size)
-        stats.record_relation("count_ans", answers_size)
-        stats.record_relation("ans", len(results))
-    return frozenset(results)
+    results = frozenset(
+        fact
+        for fact in answer_assembler(
+            plan.arity, plan.bound_positions, plan.free_positions,
+        )(seed, answers_at.get((0, ()), ()))
+        if query.matches(fact)
+    )
+    stats.record_relation("count", count_size)
+    stats.record_relation("count_ans", answers_size)
+    stats.record_relation("ans", len(results))
+    return results

@@ -27,7 +27,6 @@ concern their sizes.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from ..budget import Budget, UNLIMITED
@@ -38,6 +37,7 @@ from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate
 from ..datalog.terms import Constant
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .adornment import (
     AdornedAtom,
@@ -277,14 +277,11 @@ def evaluate_magic(
     Relation sizes of every generated (magic / adorned / supplementary)
     predicate are recorded in ``stats`` under their rewritten names.
     """
-    if stats is not None and not stats.strategy:
+    if stats is None:
+        stats = EvaluationStats()
+    if not stats.strategy:
         stats.strategy = "magic"
-    rewrite_cm = (
-        tracer.span("magic.rewrite", style=style)
-        if tracer is not None
-        else nullcontext()
-    )
-    with rewrite_cm as rewrite_span:
+    with span_of(tracer, "magic.rewrite", style=style) as rewrite_span:
         rewrite = magic_rewrite(program, query, style=style)
         if rewrite_span is not None:
             rewrite_span.attrs["rules"] = len(rewrite.program)
@@ -294,25 +291,10 @@ def evaluate_magic(
         rewrite.program, db, stats=stats, budget=budget, order=order,
         tracer=tracer,
     )
-    answers: set[tuple] = set()
-    constants = [
-        (i, t.value)
-        for i, t in enumerate(query.args)
-        if isinstance(t, Constant)
-    ]
-    variable_groups: dict[object, list[int]] = {}
-    for i, t in enumerate(query.args):
-        if not isinstance(t, Constant):
-            variable_groups.setdefault(t, []).append(i)
-    for fact in result.tuples(rewrite.answer_predicate):
-        if any(fact[i] != v for i, v in constants):
-            continue
-        if any(
-            len({fact[i] for i in positions}) != 1
-            for positions in variable_groups.values()
-        ):
-            continue
-        answers.add(fact)
-    if stats is not None:
-        stats.record_relation("ans", len(answers))
-    return frozenset(answers)
+    answers = frozenset(
+        fact
+        for fact in result.tuples(rewrite.answer_predicate)
+        if query.matches(fact)
+    )
+    stats.record_relation("ans", len(answers))
+    return answers

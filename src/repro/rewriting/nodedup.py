@@ -20,13 +20,13 @@ Behaviour:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..core.plan import CARRY, SEEN, SeparablePlan
 from ..datalog.database import Database, Relation
 from ..datalog.errors import CyclicDataError
+from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from ..core.evaluator import _apply_joins
 
@@ -40,7 +40,7 @@ def _carry_loop_nodedup(
     db: Database,
     carry_name: str,
     seen_name: str,
-    stats: Optional[EvaluationStats],
+    stats: EvaluationStats,
     budget: Budget,
     order: str,
     tracer=None,
@@ -56,20 +56,13 @@ def _carry_loop_nodedup(
     seen: set[tuple] = set(initial)
     carry: set[tuple] = set(initial)
     visited_states: set[frozenset[tuple]] = {frozenset(carry)}
-    if stats is not None:
-        stats.record_relation(carry_name, len(carry))
-        stats.record_relation(seen_name, len(seen))
-    span_cm = (
-        tracer.span("nodedup.loop", relation=seen_name,
-                    seed=len(initial))
-        if tracer is not None
-        else nullcontext()
-    )
-    with span_cm:
+    stats.record_relation(carry_name, len(carry))
+    stats.record_relation(seen_name, len(seen))
+    with span_of(tracer, "nodedup.loop", relation=seen_name,
+                 seed=len(initial)):
         while carry:
             budget.check_wall(stats)
-            if stats is not None:
-                stats.bump_iterations()
+            stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
             view = db.with_mounts({CARRY: Relation(CARRY, arity, carry)})
@@ -78,11 +71,10 @@ def _carry_loop_nodedup(
             seen |= carry
             if tracer is not None:
                 tracer.record("carry", len(carry))
-            if stats is not None:
-                stats.record_relation(carry_name, len(carry))
-                stats.record_relation(seen_name, len(seen))
-                budget.check_relation(seen_name, len(seen), stats)
-                budget.check_stats(stats)
+            stats.record_relation(carry_name, len(carry))
+            stats.record_relation(seen_name, len(seen))
+            budget.check_relation(seen_name, len(seen), stats)
+            budget.check_stats(stats)
             state = frozenset(carry)
             if carry and state in visited_states:
                 raise CyclicDataError(
@@ -105,7 +97,9 @@ def execute_plan_nodedup(
     tracer=None,
 ) -> frozenset[tuple]:
     """Run a compiled Separable plan without duplicate elimination."""
-    if stats is not None and not stats.strategy:
+    if stats is None:
+        stats = EvaluationStats()
+    if not stats.strategy:
         stats.strategy = "nodedup"
     seed_set = {tuple(s) for s in seeds}
     seen_1 = _carry_loop_nodedup(
@@ -118,6 +112,5 @@ def execute_plan_nodedup(
         plan.up_joins, carry_2, plan.answer_arity, db,
         "carry_2", "seen_2", stats, budget, order, tracer,
     )
-    if stats is not None:
-        stats.record_relation("ans", len(seen_2))
+    stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)

@@ -153,32 +153,17 @@ def evaluate_pushed(
     sigma predicate's extent -- for a pers-column selection on a
     separable recursion this matches Separable's ``seen_2``-side sizes.
     """
-    if stats is not None and not stats.strategy:
+    if stats is None:
+        stats = EvaluationStats()
+    if not stats.strategy:
         stats.strategy = "pushdown"
-    rewritten, sigma, pushed = push_selection(program, query)
+    rewritten, sigma, _ = push_selection(program, query)
     result = seminaive_evaluate(
         rewritten, edb, stats=stats, budget=budget, order=order,
         tracer=tracer,
     )
-    residual = {
-        p: t.value
-        for p, t in enumerate(query.args)
-        if isinstance(t, Constant) and p not in pushed
-    }
-    variable_groups: dict[Variable, list[int]] = {}
-    for p, t in enumerate(query.args):
-        if isinstance(t, Variable):
-            variable_groups.setdefault(t, []).append(p)
-    answers: set[tuple] = set()
-    for fact in result.tuples(sigma):
-        if any(fact[p] != v for p, v in residual.items()):
-            continue
-        if any(
-            len({fact[p] for p in group}) != 1
-            for group in variable_groups.values()
-        ):
-            continue
-        answers.add(fact)
-    if stats is not None:
-        stats.record_relation("ans", len(answers))
-    return frozenset(answers)
+    answers = frozenset(
+        fact for fact in result.tuples(sigma) if query.matches(fact)
+    )
+    stats.record_relation("ans", len(answers))
+    return answers

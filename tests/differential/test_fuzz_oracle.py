@@ -88,6 +88,50 @@ class TestOrderSweep:
         assert checked > 0
 
 
+class TestCheckedRun:
+    """Every configuration -- strategy, order, backend -- is run and
+    judged by the same code (``oracle._checked_run``)."""
+
+    def test_findings_carry_their_configuration(self, monkeypatch):
+        from repro.engine import Engine
+
+        dispatch = Engine._dispatch
+
+        def lossy(self, *args, **kwargs):
+            answers = dispatch(self, *args, **kwargs)
+            return answers - {min(answers)}
+
+        monkeypatch.setattr(Engine, "_dispatch", lossy)
+        verdict = run_case(
+            load_case(CORPUS / "example-1-2-friend-cheaper.dl"),
+            orders=("cost",), backends=("sqlite",))
+        found = {d.strategy: d for d in verdict.disagreements
+                 if d.kind == "answers"}
+        assert {"auto", "seminaive", "order[cost]", "backend[sqlite:auto]",
+                "backend[sqlite:seminaive]",
+                "backend[sqlite:order-cost]"} <= set(found)
+        for name, finding in found.items():
+            assert verdict.outcomes[name].ran
+            assert finding.profile["strategy"] == name
+            swept = {k: finding.profile.get(k) for k in ("order", "backend")}
+            assert swept == {
+                "order": "cost" if name.startswith("order[") else None,
+                "backend": "sqlite" if name.startswith("backend[") else None,
+            }
+
+    def test_a_reference_over_the_tuple_limit_is_inconclusive(self):
+        from repro.budget import Budget
+
+        edges = "\n".join(f"e(a{i}, a{i + 1})." for i in range(60))
+        case = case_from_text(
+            "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y).\n"
+            f"{edges}\ntc(a0, Y)?\n")
+        verdict = run_case(case, budget=Budget(max_relation_tuples=100))
+        assert verdict.ok and verdict.reference is None
+        assert list(verdict.outcomes) == ["seminaive"]
+        assert verdict.outcomes["seminaive"].skipped.startswith("reference:")
+
+
 class TestCorpusReplay:
     """Every stored repro file must keep agreeing forever."""
 

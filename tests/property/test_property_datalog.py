@@ -15,6 +15,7 @@ from repro.datalog.programs import Program
 from repro.datalog.rules import Rule
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.terms import Constant, Variable
+from repro.datalog.unify import match_atom
 
 COMMON = settings(
     max_examples=60,
@@ -106,6 +107,26 @@ def test_greedy_equals_left_to_right(data):
         }
 
     assert run("greedy") == run("left_to_right")
+
+
+_TERMS = st.one_of(
+    st.sampled_from(VARS[:2]),  # few variables: repeats are common
+    st.sampled_from([Constant(c) for c in CONSTS[:2]]),
+)
+
+
+@COMMON
+@given(data=st.integers(min_value=1, max_value=4).flatmap(
+    lambda arity: st.tuples(
+        st.tuples(*[_TERMS] * arity),
+        st.tuples(*[st.sampled_from(CONSTS[:3])] * arity))))
+def test_residual_match_agrees_with_match_atom(data):
+    """``Atom.matches`` (the boolean every strategy filters its answers
+    through) against ``match_atom``, which builds the bindings and
+    shares no code with it."""
+    args, fact = data
+    query = Atom("t", args)
+    assert query.matches(fact) == (match_atom(query, fact) is not None)
 
 
 @st.composite

@@ -339,3 +339,106 @@ class TestWallClockBudget:
                 budget=Budget(max_wall_seconds=0.0),
             )
         assert excinfo.value.limit == "wall_clock"
+
+
+# -- budgets are enforced with or without a statistics reader -----------------
+
+_TC = "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y).\n"
+
+
+def _tc_chain(rules=_TC, n=60):
+    from repro.datalog.database import Database
+    from repro.datalog.parser import parse_program
+    from repro.workloads.generators import chain
+
+    return parse_program(rules).program, Database.from_facts({"e": chain(n)})
+
+
+def _materialize(evaluate):
+    def run(stats, budget):
+        program, db = _tc_chain()
+        evaluate(program, db, stats=stats, budget=budget)
+
+    return run
+
+
+def _rewrite(evaluate, query):
+    def run(stats, budget):
+        from repro.datalog.parser import parse_query
+
+        program, db = _tc_chain()
+        evaluate(program, db, parse_query(query), stats=stats, budget=budget)
+
+    return run
+
+
+def _plan(execute):
+    def run(stats, budget):
+        from repro.engine import Engine
+
+        program, db = _tc_chain()
+        plan = Engine(program, db).plan_for("tc(a0, Y)?")
+        execute(plan, db, [("a0",)], stats=stats, budget=budget)
+
+    return run
+
+
+def _budgeted_runs():
+    """(evaluator run, a budget that tc over a 60-chain exceeds under
+    it, the limit's name).  The traced loop records no relation sizes,
+    so only the round count bounds it."""
+    from functools import partial
+
+    from repro.core.provenance import execute_plan_traced
+    from repro.datalog.naive import naive_evaluate
+    from repro.datalog.seminaive import seminaive_evaluate
+    from repro.rewriting.magic import evaluate_magic
+    from repro.rewriting.nodedup import execute_plan_nodedup
+    from repro.rewriting.selection_push import evaluate_pushed
+
+    tuples = (Budget(max_relation_tuples=40), "relation_tuples")
+    rounds = (Budget(max_iterations=10), "iterations")
+    for evaluate, run, budgets in [
+        (naive_evaluate, _materialize, (tuples, rounds)),
+        (seminaive_evaluate, _materialize, (tuples, rounds)),
+        (evaluate_magic, partial(_rewrite, query="tc(a0, Y)?"),
+         (tuples, rounds)),
+        (evaluate_pushed, partial(_rewrite, query="tc(X, a59)?"),
+         (tuples, rounds)),
+        (execute_plan_nodedup, _plan, (tuples, rounds)),
+        (execute_plan_traced, _plan, (rounds,)),
+    ]:
+        for budget, limit in budgets:
+            yield pytest.param(run(evaluate), budget, limit,
+                               id=f"{evaluate.__name__}-{limit}")
+
+
+class TestBudgetsNeedNoReader:
+    """The tuple and iteration limits are metered on an accumulator;
+    an evaluator whose caller keeps none makes its own."""
+
+    @pytest.mark.parametrize("run, budget, limit", _budgeted_runs())
+    def test_same_trip_with_and_without_an_accumulator(self, run, budget,
+                                                       limit):
+        stats = EvaluationStats()
+        with pytest.raises(BudgetExceeded) as metered:
+            run(stats, budget)
+        assert metered.value.limit == limit
+        assert metered.value.stats is stats
+        with pytest.raises(BudgetExceeded) as unread:
+            run(None, budget)
+        assert unread.value.limit == limit
+
+    def test_base_idb_materialization_is_budgeted(self):
+        from repro.engine import Engine
+
+        program, db = _tc_chain(
+            _TC + "t(X, Y) :- tc(X, W) & t(W, Y).\nt(X, Y) :- e0(X, Y).\n")
+        db.add_fact("e0", ("a59", "z"))
+        # The query's own relations stay tiny; tc, the base IDB the
+        # engine materializes first, holds 1,830 tuples.
+        assert len(Engine(program, db).query("t(a0, Y)?")) == 1
+        engine = Engine(program, db, budget=Budget(max_relation_tuples=100))
+        with pytest.raises(BudgetExceeded) as excinfo:
+            engine.query("t(a0, Y)?")
+        assert excinfo.value.limit == "relation_tuples"
