@@ -1,26 +1,36 @@
 #!/usr/bin/env python
-"""Where a ``serve-mixed`` pass spends its time, through the public API.
+"""Where a pass of a ledger write workload spends its time, through the
+public API.
 
-Builds the ledger's own ``serve-mixed`` stream (``ledger/workloads.py``,
-same seed -> same bytes; services opened and ops turned into calls by
-``ledger/harness.py``, as the benchmark does) and drives it through
-``QueryService`` twice over: an incremental service, which is timed,
-and a plain one on the same stream, whose answers are the reference.
-Per pass it prints
+Builds the ledger's own ``serve-mixed`` or ``serve-sqlite`` stream
+(``ledger/workloads.py``, same seed -> same bytes; services opened and
+ops turned into calls by ``ledger/harness.py``, as the benchmark does)
+and drives it through ``QueryService`` twice over: the workload's own
+service, which is timed, and a plain in-memory non-incremental one on
+the same stream, whose answers are the reference.  Per pass it prints
+the milliseconds spent in reads and in writes, then
 
-* the milliseconds spent in reads and in writes;
-* the read p50 of a seed seen earlier in the pass against the p50 of a
+``serve-mixed`` (the default; incremental view, memory)
+  the read p50 of a seed seen earlier in the pass against the p50 of a
   first-seen seed (every pass starts from a cleared memo, as the
-  ledger's passes do) and their ratio;
-* what the pass's writes cost, per write and per phase, from the
-  ``service.mutate.capture`` / ``.apply`` / ``.memo`` / ``.snapshot``
-  spans of ``metrics_dict()["evaluator_phases"]``.
+  ledger's passes do) and their ratio, and what the pass's writes cost,
+  per write and per phase, from the ``service.mutate.capture`` /
+  ``.apply`` / ``.memo`` / ``.snapshot`` spans of
+  ``metrics_dict()["evaluator_phases"]``;
+
+``serve-sqlite`` (temporary-mode SQLite, no view)
+  the read p50 of the first read after a write (it captures the new
+  snapshot) beside the other memo misses and the hits; then, from one
+  more *untimed* pass on a second service whose connections are opened
+  under ``sqlite3.Connection.set_trace_callback``, the relation copies,
+  connections and SQL statements per write and per read of each kind.
 
 These are the numbers ROADMAP aim 1 ("where the mixed workload
-stands") and ``docs/performance.md`` quote.  Exit status 1 when any read
-differs between the two services.
+stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
+Exit status 1 when any read differs between the two services.
 
-Usage: python scripts/mixed_split.py [--seed N] [--passes N] [--quick]
+Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
+                                     [--passes N] [--quick]
 """
 
 from __future__ import annotations
@@ -37,7 +47,13 @@ sys.path[:0] = [str(REPO / "ledger"), str(REPO / "src")]
 import workloads  # noqa: E402  (ledger/)
 from harness import calls, open_target  # noqa: E402
 
+from repro.storage import SQLiteRelation  # noqa: E402
+
 PHASES = ("capture", "apply", "memo", "snapshot")
+#: What a read is filed under, per workload, in print order.
+KINDS = {"serve-mixed": ("repeat", "first"),
+         "serve-sqlite": ("after_write", "miss", "hit")}
+COUNTED = ("copies", "connections", "statements")
 
 
 def phase_seconds(service) -> dict:
@@ -48,83 +64,149 @@ def phase_seconds(service) -> dict:
     }
 
 
-def one_pass(service, reference, ops) -> tuple[dict, int]:
-    """Run ``ops`` on both services; the timed one's split and the
-    number of reads on which they disagree."""
+def one_pass(service, reference, ops, kinds, counts=None):
+    """Run ``ops`` on both services: seconds per read kind and per
+    write, ``counts`` deltas filed the same way, and the number of
+    reads on which the services disagree."""
     service.memo.clear()
     reference.memo.clear()
-    before = phase_seconds(service)
     now = time.perf_counter
+    seconds = {kind: [] for kind in (*kinds, "write")}
+    counted = {kind: dict.fromkeys(COUNTED, 0) for kind in seconds}
     seen: set[str] = set()
-    repeat, first, writes = [], [], []
+    # A pass follows a pass: its first read comes after the last write.
+    written = ops[-1][0] != "read"
     differing = 0
     for op, call in zip(ops, calls(ops)):
+        before = dict(counts or ())
+        misses = service.memo.stats()["misses"]
+        start = now()
         if op[0] == "read":
-            start = now()
             result = service.query(call)
-            (repeat if call in seen else first).append(now() - start)
+            took = now() - start
+            if "first" in kinds:
+                kind = "repeat" if call in seen else "first"
+            elif written:
+                kind = "after_write"
+            else:
+                kind = ("miss" if service.memo.stats()["misses"] > misses
+                        else "hit")
             seen.add(call)
+            written = False
             want = reference.query(call)
             differing += not (result.ok and want.ok
                               and result.answers == want.answers)
         else:
-            start = now()
             service.mutate(call)
-            writes.append(now() - start)
+            took = now() - start
+            kind, written = "write", True
             reference.mutate(call)
-    after = phase_seconds(service)
-    n = max(len(writes), 1)
-    split = {
-        "reads_ms": (sum(repeat) + sum(first)) * 1e3,
-        "writes_ms": sum(writes) * 1e3,
-        "repeat_p50_us": statistics.median(repeat) * 1e6,
-        "first_p50_us": statistics.median(first) * 1e6,
-        **{f"{name}_ms": (after[name] - before[name]) * 1e3 / n
-           for name in PHASES},
-    }
-    return split, differing
+        seconds[kind].append(took)
+        for name, value in before.items():
+            counted[kind][name] += counts[name] - value
+    return seconds, counted, differing
+
+
+def trace_storage(counts: dict) -> None:
+    """Count, from here on, every ``SQLiteRelation.copy``, every
+    connection a relation opens and every statement run on one."""
+    copy, connect = SQLiteRelation.copy, SQLiteRelation._connect_rw
+
+    def bump(name):
+        counts[name] += 1
+
+    def counted_copy(self):
+        bump("copies")
+        return copy(self)
+
+    def counted_connect(self):
+        bump("connections")
+        conn = connect(self)
+        conn.set_trace_callback(lambda _statement: bump("statements"))
+        return conn
+
+    SQLiteRelation.copy = counted_copy
+    SQLiteRelation._connect_rw = counted_connect
+
+
+def p50_us(values: list) -> float:
+    return statistics.median(values) * 1e6 if values else float("nan")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(KINDS),
+                        default="serve-mixed")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--passes", type=int, default=5)
     parser.add_argument("--quick", action="store_true",
                         help="the ledger's --quick sizes, two passes")
     args = parser.parse_args(argv)
 
-    workload = workloads.build("serve-mixed", args.seed, args.quick)
+    workload = workloads.build(args.workload, args.seed, args.quick)
+    kinds = KINDS[args.workload]
     ops = workload.clients[0]
     reads = sum(op[0] == "read" for op in ops)
-    print(f"serve-mixed seed {args.seed}: {len(ops)} ops a pass "
+    print(f"{args.workload} seed {args.seed}: {len(ops)} ops a pass "
           f"({reads} reads, {len(ops) - reads} writes)")
     service = open_target(workload)
-    workload.service = {**workload.service, "incremental": False}
+    own_config = workload.service
+    workload.service = {"workers": own_config["workers"]}
     reference = open_target(workload)
+    opened = [service, reference]
     differing = 0
     try:
-        one_pass(service, reference, ops)  # warm-up
-        print("pass  reads_ms writes_ms  repeat_p50_us first_p50_us ratio  "
-              + "  ".join(f"{name}_ms/write" for name in PHASES))
+        one_pass(service, reference, ops, kinds)  # warm-up
+        print("pass  reads_ms writes_ms  "
+              + " ".join(f"{kind}_p50_us" for kind in kinds)
+              + ("  ratio  " + "  ".join(f"{name}_ms/write"
+                                         for name in PHASES)
+                 if "first" in kinds else ""))
         for k in range(2 if args.quick else args.passes):
-            split, bad = one_pass(service, reference, ops)
+            before = phase_seconds(service)
+            seconds, _, bad = one_pass(service, reference, ops, kinds)
+            after = phase_seconds(service)
             differing += bad
-            print(f"{k + 1:4d}  {split['reads_ms']:8.2f} "
-                  f"{split['writes_ms']:9.2f}  "
-                  f"{split['repeat_p50_us']:13.1f} "
-                  f"{split['first_p50_us']:12.1f} "
-                  f"{split['first_p50_us'] / split['repeat_p50_us']:5.2f}  "
-                  + "  ".join(f"{split[f'{name}_ms']:{len(name) + 9}.4f}"
-                              for name in PHASES))
+            line = (f"{k + 1:4d}  "
+                    f"{sum(map(sum, map(seconds.get, kinds))) * 1e3:8.2f} "
+                    f"{sum(seconds['write']) * 1e3:9.2f}  "
+                    + " ".join(f"{p50_us(seconds[kind]):{len(kind) + 7}.1f}"
+                               for kind in kinds))
+            if "first" in kinds:
+                n = max(len(seconds["write"]), 1)
+                ratio = p50_us(seconds["first"]) / p50_us(seconds["repeat"])
+                per_write = {name: (after[name] - before[name]) * 1e3 / n
+                             for name in PHASES}
+                line += f"  {ratio:5.2f}  " + "  ".join(
+                    f"{per_write[name]:{len(name) + 9}.4f}"
+                    for name in PHASES)
+            print(line)
+        if args.workload == "serve-sqlite":
+            counts = dict.fromkeys(COUNTED, 0)
+            trace_storage(counts)
+            workload.service = own_config
+            traced = open_target(workload)
+            opened.append(traced)
+            one_pass(traced, reference, ops, kinds)  # warm-up
+            seconds, counted, bad = one_pass(traced, reference, ops, kinds,
+                                             counts)
+            differing += bad
+            for kind in ("write", *kinds):
+                n = max(len(seconds[kind]), 1)
+                print(f"per {kind:<12} ({len(seconds[kind]):3d} a pass)  "
+                      + "  ".join(f"{name} {counted[kind][name] / n:8.2f}"
+                                  for name in COUNTED))
         metrics = service.metrics_dict()
-        print("view_probes {view_probes}  view_repairs {view_repairs}  "
-              "view_rebuilds {view_rebuilds}  memo {memo}".format(**metrics))
+        print("snapshots_created {snapshots_created}  snapshots_repaired "
+              "{snapshots_repaired}  view_probes {view_probes}  view_repairs "
+              "{view_repairs}  view_rebuilds {view_rebuilds}  memo {memo}"
+              .format(**metrics))
     finally:
-        service.close()
-        reference.close()
+        for target in opened:
+            target.close()
     if differing:
-        print(f"FAILED: {differing} reads differ from the non-incremental "
-              f"service", file=sys.stderr)
+        print(f"FAILED: {differing} reads differ from the in-memory "
+              f"non-incremental service", file=sys.stderr)
         return 1
     return 0
 

@@ -453,14 +453,24 @@ class Relation:
         """A private writable copy (indexes, caches, observers not copied)."""
         return Relation(self.name, self.arity, self._tuples)
 
-    def snapshot(self) -> "Relation":
-        """A stable view of the current contents.
+    def snapshot(self, previous: "Relation | None" = None) -> "Relation":
+        """A stable view of the current contents, at this version.
 
-        For the in-memory backend this is just :meth:`copy`; out-of-core
-        backends can return a cheaper read-only view (the SQLite backend
-        pins a WAL read transaction instead of copying tuples).
+        ``previous`` is the last snapshot taken of this relation: it is
+        the answer while the version has not moved (snapshots are never
+        written to), and otherwise lends the fresh copy its indexes,
+        patched by the difference (:meth:`adopt_indexes`).  Out-of-core
+        backends can return a cheaper read-only view than a copy (the
+        SQLite backend pins a WAL read transaction on a durable file).
         """
-        return self.copy()
+        if (previous is not None and previous.arity == self.arity
+                and previous._version == self._version):
+            return previous
+        snap = self.copy()
+        snap._version = self._version
+        if previous is not None:
+            snap.adopt_indexes(previous)
+        return snap
 
     def adopt_indexes(self, other: "Relation") -> None:
         """Take over ``other``'s indexes, patched to this relation's tuples.
@@ -553,6 +563,12 @@ class Database:
         """The storage backend's name (``"memory"`` for the default)."""
         return "memory" if self._backend is None else self._backend.name
 
+    @property
+    def shares_storage(self) -> bool:
+        """True on a durable file other connections read: whoever needs
+        private structures (an engine's indexes) must :meth:`copy`."""
+        return self._scratch_backend() is not self._backend
+
     def _make_relation(self, name: str, arity: int,
                        tuples: Iterable[Fact] = ()) -> Relation:
         if self._backend is None:
@@ -567,14 +583,15 @@ class Database:
         return None if self._backend is None else self._backend.scratch()
 
     def _remounted(self, backend, clone) -> "Database":
-        """A database on ``backend`` holding ``clone(other, relation)``
-        of every relation: each :class:`Relation` object is cloned
-        once and the clone mounted under every name the original is."""
+        """A database on ``backend`` holding ``clone(other, name,
+        relation)`` of every relation: each :class:`Relation` object is
+        cloned once and the clone mounted under every name the original
+        is."""
         other = Database(backend=backend)
         clones: dict[int, Relation] = {}
         for name, rel in self._relations.items():
             if id(rel) not in clones:
-                clones[id(rel)] = clone(other, rel)
+                clones[id(rel)] = clone(other, name, rel)
             other._relations[name] = clones[id(rel)]
         return other
 
@@ -594,19 +611,26 @@ class Database:
         class as the inputs without touching any durable file.
         """
         return self._remounted(
-            self._scratch_backend(), lambda _, rel: rel.copy())
+            self._scratch_backend(), lambda _, name, rel: rel.copy())
 
-    def snapshot(self) -> "Database":
+    def snapshot(self, previous: "Database | None" = None) -> "Database":
         """A stable read view of the current contents.
 
         Like :meth:`copy` (aliasing preserved, no observers inherited)
-        but built from :meth:`Relation.snapshot`, which out-of-core
-        backends implement without copying tuples -- the SQLite backend
-        returns read-only connections pinned to the current WAL state.
-        The service's current snapshot is taken through here.
+        but built from :meth:`Relation.snapshot`, and never written to
+        (so it keeps this database's backend, :attr:`shares_storage`
+        included).  ``previous``, the snapshot this one replaces, is
+        shared from: a relation whose ``(arity, version)`` has not moved
+        is mounted as the *same object* -- rows, indexes, on SQLite the
+        connection and its statements -- so a snapshot after a write
+        costs what the write touched.  A durable SQLite file copies
+        nothing and pins one read-only WAL connection per relation,
+        anew per snapshot.  Every service snapshot is taken here.
         """
+        held = previous._relations if previous is not None else {}
         return self._remounted(
-            self._scratch_backend(), lambda _, rel: rel.snapshot())
+            self._backend,
+            lambda _, name, rel: rel.snapshot(held.get(name)))
 
     def with_backend(self, backend) -> "Database":
         """A copy of this database with every relation stored in ``backend``.
@@ -616,8 +640,8 @@ class Database:
         in-memory default.
         """
         return self._remounted(
-            backend,
-            lambda other, rel: other._make_relation(rel.name, rel.arity, rel))
+            backend, lambda other, name, rel:
+            other._make_relation(rel.name, rel.arity, rel))
 
     def with_mounts(self, mounts: Mapping[str, Relation]) -> "Database":
         """A view of this database with ``mounts`` (``{name: relation}``)

@@ -346,16 +346,18 @@ class Engine:
             return cached
         needed = self.program.depends_on(predicate) - {predicate}
         needed &= self.program.idb_predicates
-        if needed or self.edb.backend_name != "memory":
+        if needed or self.edb.shares_storage:
             db = self.edb.copy()
         else:
             # Nothing to materialize: the joins read the EDB itself and
-            # the hash indexes they build stay with its relations,
+            # the indexes they build stay with its relations -- hash
+            # indexes in memory, ``CREATE INDEX`` on a temporary-mode
+            # SQLite relation, a frozen snapshot copy included --
             # instead of with a private copy every new engine (one per
-            # service snapshot, so one per write) rebuilds.  An
-            # out-of-core EDB keeps the private copy: its indexes are
-            # SQL indexes, which must not land in a durable file and
-            # cannot be created on a read-only snapshot.
+            # service snapshot, so one per write) rebuilds.  Only a
+            # durable file keeps the private scratch copy: a reader's
+            # indexes must not land in it, and its ``mode=ro`` snapshot
+            # connections could not create them.
             db = self.edb
         if needed:
             for scc in self.program.evaluation_order:

@@ -24,8 +24,10 @@ evaluators, planner and service use on
 - observation: ``observe`` / ``unobserve`` with
   ``callback(relation, fact, sign)`` events (``+1`` insert, ``-1``
   delete, ``0`` reset with ``fact=None``);
-- copies: ``copy()`` (private writable clone) and ``snapshot()``
-  (stable read view -- may be cheaper than a copy);
+- copies: ``copy()`` (private writable clone) and
+  ``snapshot(previous=None)`` (stable read view at the same version --
+  may be cheaper than a copy, and is ``previous``, the last snapshot of
+  this relation, while the version has not moved);
 - pickling: ``__getstate__`` returns the portable
   ``(name, arity, version, tuples)`` payload; the receiving side
   always rehydrates private storage with no observers.
@@ -88,7 +90,7 @@ class RelationStorage(Protocol):
 
     # copies
     def copy(self): ...
-    def snapshot(self): ...
+    def snapshot(self, previous=None): ...
 
 
 @runtime_checkable

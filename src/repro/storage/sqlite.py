@@ -8,15 +8,18 @@ no longer need to fit in RAM.  With a path (``--backend
 sqlite:<path>``, or the same spec anywhere a backend is named) all
 relations share one durable WAL-mode database file, and
 :meth:`SQLiteRelation.snapshot` returns a *read-only connection*
-pinned to the current WAL state instead of copying tuples, so the
-service's snapshot stops deep-copying tuple sets.
+pinned to the current WAL state instead of copying tuples.  A
+temporary-mode snapshot is one frozen copy that owns its rows: it
+rejects every mutator but still creates its SQL indexes lazily, and it
+is handed on unchanged to the next snapshot for as long as the
+relation is unwritten -- rows, connection, prepared statements, indexes.
 
 The protocol mapping:
 
 - secondary indexes -> ``CREATE INDEX`` (lazily, on first ``lookup``
   per column subset, mirroring the in-memory backend's tracer
   accounting); ``lookup_projected`` is ``SELECT <cols>`` over the same
-  index;
+  index, and a probe's SQL is text once per ``(positions, cols)``;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
   transaction (falling back to per-row statements only when observers
   need per-fact effectiveness);
@@ -77,6 +80,8 @@ class SQLiteRelation:
         self._version = 0
         self._observers: tuple = ()
         self._indexed: set[tuple[int, ...]] = set()
+        #: ``(positions, cols) -> SELECT text``; ``cols=None`` is ``lookup``.
+        self._probes: dict[tuple, str] = {}
         self._len_cache: tuple[int, int] | None = None
         self._distinct_cache = None
         self._col_distinct_cache = None
@@ -272,6 +277,7 @@ class SQLiteRelation:
                     f"DROP INDEX IF EXISTS {self._index_name(positions)}"
                 )
             self._indexed.clear()
+            self._probes.clear()
             self._version += 1
         for cb in self._observers:
             cb(self, None, 0)
@@ -322,8 +328,8 @@ class SQLiteRelation:
 
     def lookup(self, positions: tuple[int, ...], key: tuple,
                tracer=None) -> list[Fact]:
-        rows = self._select(", ".join(self._columns), positions, key, tracer)
-        return [self._fact(r) for r in rows]
+        rows = self._select(positions, None, key, tracer)
+        return rows if self.arity else [() for _ in rows]
 
     def lookup_projected(self, positions: tuple[int, ...],
                          cols: tuple[int, ...], key: tuple,
@@ -331,42 +337,54 @@ class SQLiteRelation:
         """The ``cols`` columns of ``lookup(positions, key)``, selected
         by SQLite over the same lazily created index (injective
         projections only, as on the in-memory backend)."""
-        if len({*positions, *cols}) != self.arity:
+        rows = self._select(positions, cols, key, tracer)
+        return set(rows) if cols else {() for _ in rows}
+
+    def _select(self, positions: tuple[int, ...], cols, key: tuple,
+                tracer) -> list:
+        """The ``cols`` columns (``None``: all) of the rows matching
+        ``key`` on ``positions``: a counted full scan without any,
+        otherwise over an index created on first use."""
+        sql = self._probes.get((positions, cols))
+        if sql is None:
+            sql = self._probes[positions, cols] = \
+                self._prepare(positions, cols, tracer)
+        if not positions and tracer is not None:
+            tracer.count("full_scans")
+        with self._lock:
+            return self._conn.execute(sql, tuple(key)).fetchall()
+
+    def _prepare(self, positions: tuple[int, ...], cols, tracer) -> str:
+        """The text of one probe, its index ensured: built once per
+        ``(positions, cols)`` and kept until :meth:`clear`.  A snapshot
+        that owns its rows (temporary mode) indexes them like any
+        relation; a ``mode=ro`` WAL connection cannot, and reads through
+        whatever indexes the live connection had made."""
+        if cols is None:
+            select = ", ".join(self._columns)
+        elif len({*positions, *cols}) != self.arity:
             raise ValueError(
                 f"columns {cols} of {self.name}/{self.arity} keyed on "
                 f"{positions} do not determine the fact"
             )
-        # No column to select (all are keyed, or arity 0): one () per row.
-        select = ", ".join(self._columns[c] for c in cols) or "0"
-        rows = self._select(select, positions, key, tracer)
-        return set(rows) if cols else {() for _ in rows}
-
-    def _select(self, select: str, positions: tuple[int, ...], key: tuple,
-                tracer) -> list:
-        """``SELECT select`` over the rows matching ``key`` on
-        ``positions``: a counted full scan without any, otherwise over
-        an index created on first use."""
-        if not positions:
-            if tracer is not None:
-                tracer.count("full_scans")
-        elif positions not in self._indexed and not self._readonly:
-            cols = ", ".join(self._columns[p] for p in positions)
-            with self._lock:
+        else:
+            # No column to select (all keyed, or arity 0): a 0 per row.
+            select = ", ".join(self._columns[c] for c in cols) or "0"
+        keyed = [self._columns[p] for p in positions]
+        with self._lock:
+            if positions and positions not in self._indexed \
+                    and not (self._readonly and self._wal):
                 self._conn.execute(
                     f"CREATE INDEX IF NOT EXISTS {self._index_name(positions)}"
-                    f" ON {self._table} ({cols})"
+                    f" ON {self._table} ({', '.join(keyed)})"
                 )
-            self._indexed.add(positions)
-            if tracer is not None:
-                tracer.count("index_builds")
-                tracer.count("index_tuples", len(self))
-        where = " AND ".join(f"{self._columns[p]} = ?" for p in positions)
-        with self._lock:
-            return self._conn.execute(
-                f"SELECT {select} FROM {self._table}"
-                + (f" WHERE {where}" if where else ""),
-                tuple(key),
-            ).fetchall()
+                self._indexed.add(positions)
+                if tracer is not None:
+                    tracer.count("index_builds")
+                    tracer.count("index_tuples", len(self))
+        where = " AND ".join(f"{c} = ?" for c in keyed)
+        return (f"SELECT {select} FROM {self._table}"
+                + (f" WHERE {where}" if where else ""))
 
     # -- planner statistics -------------------------------------------------
 
@@ -429,36 +447,33 @@ class SQLiteRelation:
         """A private writable copy in a fresh temporary database."""
         return SQLiteRelation(self.name, self.arity, self)
 
-    def snapshot(self) -> "SQLiteRelation":
+    def snapshot(self, previous=None) -> "SQLiteRelation":
         """A stable read view of the current contents.
 
         On a durable WAL database this opens a read-only connection and
         pins it with an open read transaction: later commits on the
         live connection are invisible to it, and no tuples are copied.
-        Temporary-database relations (private by construction) fall
-        back to a frozen copy.
+        It is re-pinned per snapshot -- a shared one would hold its read
+        transaction, and so every checkpoint, back for as long as the
+        relation stays unwritten.  Temporary-database relations (private
+        by construction) fall back to a frozen copy, and ``previous`` --
+        the last snapshot of this relation -- *is* that copy while the
+        version has not moved.
         """
         if not (self._path is not None and self._wal):
+            if (previous is not None and previous.arity == self.arity
+                    and previous.version == self._version):
+                return previous
             snap = self.copy()
             snap._readonly = True
             snap._version = self._version
             return snap
         snap = object.__new__(SQLiteRelation)
-        snap.name = self.name
-        snap.arity = self.arity
-        snap._path = self._path
-        snap._readonly = True
-        snap._wal = True
-        snap._version = self._version
-        snap._observers = ()
-        snap._indexed = set(self._indexed)
-        snap._len_cache = None
-        snap._distinct_cache = None
-        snap._col_distinct_cache = None
-        snap._sample_cache = None
-        snap._lock = threading.RLock()
-        snap._table = self._table
-        snap._columns = list(self._columns)
+        # Same table, version and (version-checked) caches; its own
+        # lock, probe texts and view of which indexes exist.
+        snap.__dict__.update(
+            self.__dict__, _readonly=True, _observers=(), _probes={},
+            _indexed=set(self._indexed), _lock=threading.RLock())
         uri = Path(self._path).resolve().as_uri() + "?mode=ro"
         snap._conn = sqlite3.connect(uri, uri=True, check_same_thread=False,
                                      isolation_level=None)

@@ -166,6 +166,119 @@ class TestSnapshots:
         assert ("tom", "kayak") not in before.answers
 
 
+@pytest.fixture(params=["memory", "sqlite", "sqlite:path"])
+def backend_spec(request, tmp_path):
+    spec = request.param
+    return f"sqlite:{tmp_path / 'edb.db'}" if spec == "sqlite:path" else spec
+
+
+class TestSnapshotSharing:
+    """A snapshot after a write shares what the write left alone, on the
+    lazy path of every backend and the eager one alike."""
+
+    @staticmethod
+    def service(ex11, backend_spec, **config):
+        program, db = ex11
+        return QueryService(program, db, ServiceConfig(
+            workers=1, backend=backend_spec, **config))
+
+    def test_unwritten_relations_are_the_same_objects(
+            self, ex11, backend_spec):
+        with self.service(ex11, backend_spec) as service:
+            assert service.query("buys(tom, Y)?").ok
+            held = service._snapshot()
+            service.add_fact("perfectFor", ("joe", "kayak"))
+            after = service.query("buys(tom, Y)?")
+            assert ("tom", "kayak") in after.answers
+            now = service._snapshot()
+            assert now is not held and now.db is not held.db
+            assert now.db.relation("perfectFor") \
+                is not held.db.relation("perfectFor")
+            # A durable file pins new connections instead (nothing copied).
+            shares = not backend_spec.startswith("sqlite:")
+            for name in ("friend", "idol"):
+                assert (now.db.relation(name)
+                        is held.db.relation(name)) == shares
+            # The request that took the older snapshot finishes on it.
+            old = held.engine.query("buys(tom, Y)?")
+            assert ("tom", "kayak") not in old.answers
+            assert old.answers == after.answers - {("tom", "kayak")}
+            assert service.metrics_dict()["snapshots_created"] == 2
+
+    def test_add_delete_cycle_answers_like_a_fresh_service(
+            self, ex11, backend_spec):
+        """16 states, each compared with a service built on that state."""
+        program, db = ex11
+        pool = [("friend", (f"new{i}", "sue")) for i in range(4)] \
+            + [("perfectFor", ("joe", f"gift{i}")) for i in range(4)]
+        writes = [("add", w) for w in pool] \
+            + [("del", w) for w in reversed(pool)]
+        queries = ["buys(tom, Y)?", "buys(new1, Y)?", "buys(X, gift2)?",
+                   "buys(X, camera)?"]
+        facts = {name: set(db.tuples(name)) for name in db.predicates()}
+        with self.service(ex11, backend_spec) as service:
+            for op, (name, fact) in writes:
+                if op == "add":
+                    service.add_fact(name, fact)
+                    facts[name].add(fact)
+                else:
+                    service.mutate(lambda d: d.remove_fact(name, fact))
+                    facts[name].discard(fact)
+                with QueryService(program, Database.from_facts(facts),
+                                  ServiceConfig(workers=1)) as fresh:
+                    for query in queries:
+                        got, want = service.query(query), fresh.query(query)
+                        assert got.ok and want.ok
+                        assert got.answers == want.answers, (op, fact, query)
+            assert service.metrics_dict()["snapshots_created"] == 16
+
+    def test_a_readers_engine_leaves_a_durable_file_unindexed(
+            self, ex11, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "edb.db"
+        with self.service(ex11, f"sqlite:{path}") as service:
+            assert service.query("buys(tom, Y)?").ok
+            service.add_fact("perfectFor", ("joe", "kayak"))
+            assert service.query("buys(X, kayak)?").ok
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND name LIKE 'idx_rel_%'").fetchall() == []
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_indexes_survive_a_write_in_memory(self, ex11, incremental):
+        """The written relation's copy adopts the previous snapshot's
+        indexes and the others are shared, so a small write makes no
+        request rebuild one -- with or without the maintained view."""
+        program, db = ex11
+        for i in range(12):     # a one-fact write moves < 1/4 of each
+            db.add_fact("friend", (f"p{i}", "tom"))
+            db.add_fact("perfectFor", (f"p{i}", f"thing{i}"))
+        config = ServiceConfig(workers=1, incremental=incremental,
+                               trace_sample=1.0)
+        with QueryService(program, db, config) as service:
+            service.query("buys(p1, Y)?", strategy="separable")
+
+            def builds():
+                return service.metrics_dict()["evaluator_counters"].get(
+                    "index_builds", 0)
+
+            before = builds()
+            assert before > 0
+            service.add_fact("perfectFor", ("joe", "kayak"))
+            after = service.query("buys(p2, Y)?", strategy="separable")
+            assert ("p2", "kayak") in after.answers
+            assert builds() == before
+            metrics = service.metrics_dict()
+            assert (metrics["snapshots_repaired"],
+                    metrics["snapshots_created"]) == (
+                (1, 1) if incremental else (0, 2))
+
+
 class TestDegradation:
     def test_partial_result_carries_completed_branches(self, ex24):
         program, db = ex24

@@ -18,6 +18,7 @@ from repro.observability import Tracer
 from repro.storage import (
     BACKENDS,
     MemoryBackend,
+    ReadOnlyRelationError,
     RelationStorage,
     StorageBackend,
     resolve_backend,
@@ -27,6 +28,15 @@ from repro.storage import (
 @pytest.fixture(params=list(BACKENDS))
 def backend(request):
     return resolve_backend(request.param)
+
+
+@pytest.fixture(params=["memory", "sqlite", "sqlite:path"])
+def store(request, tmp_path):
+    """Every backend *mode*: the two registered ones plus a durable file."""
+    spec = request.param
+    if spec == "sqlite:path":
+        spec = f"sqlite:{tmp_path / 'relations.db'}"
+    return resolve_backend(spec)
 
 
 def make(backend, name="p", arity=2, tuples=()):
@@ -207,13 +217,6 @@ class TestProjectedLookup:
     SIGNATURES = [((0,), (1, 2)), ((0,), (2, 1)), ((1, 2), (0,)),
                   ((2,), (0, 1, 0)), ((0, 1, 2), ()), ((), (2, 0, 1))]
 
-    @pytest.fixture(params=["memory", "sqlite", "sqlite:path"])
-    def store(self, request, tmp_path):
-        spec = request.param
-        if spec == "sqlite:path":
-            spec = f"sqlite:{tmp_path / 'relations.db'}"
-        return resolve_backend(spec)
-
     @classmethod
     def check(cls, rel, facts) -> None:
         for positions, cols in cls.SIGNATURES:
@@ -348,3 +351,89 @@ class TestCopiesAndPickles:
         back = moved.with_backend(None)
         assert back.backend_name == "memory"
         assert back.tuples("e") == moved.tuples("e")
+
+
+class TestSnapshotReads:
+    """A snapshot is read like its source -- same answers, same tracer
+    accounting -- whether it is a copy that owns its rows (memory,
+    temporary SQLite) or a ``mode=ro`` connection on a durable file."""
+
+    FACTS = TestProjectedLookup.FACTS
+
+    def test_answers_identical_to_source(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        snap = rel.snapshot()
+        assert snap.version == rel.version
+        for _ in range(2):      # built, then from the cached probe
+            TestProjectedLookup.check(snap, set(self.FACTS))
+            for positions in [(0,), (1, 2), (0, 1, 2), ()]:
+                for fact in self.FACTS + [("nope",) * 3]:
+                    key = tuple(fact[p] for p in positions)
+                    assert sorted(snap.lookup(positions, key)) \
+                        == sorted(rel.lookup(positions, key))
+
+    def test_index_and_scan_accounting(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        snap = rel.snapshot()
+        tracer = Tracer()
+        for _ in range(3):
+            snap.lookup((0,), ("a",), tracer)
+        # A durable file's read-only connection creates no index.
+        owned = 0 if getattr(store, "path", None) else 1
+        assert tracer.counter_total("index_builds") == owned
+        assert tracer.counter_total("index_tuples") == 4 * owned
+        # The projected index is its own structure in memory, the same
+        # SQL index (new text, nothing built) on SQLite.
+        snap.lookup_projected((0,), (1, 2), ("a",), tracer)
+        snap.lookup_projected((0,), (2, 1), ("a",), tracer)
+        built = tracer.counter_total("index_builds")
+        assert built == (owned if store.name == "sqlite" else 3)
+        for _ in range(3):
+            snap.lookup((0,), ("b",), tracer)
+            snap.lookup_projected((0,), (1, 2), ("b",), tracer)
+        assert tracer.counter_total("index_builds") == built
+        # Unkeyed calls are full scans every time, cached text or not.
+        for n in range(1, 4):
+            snap.lookup((), (), tracer)
+            snap.lookup_projected((), (2, 0, 1), (), tracer)
+            assert tracer.counter_total("full_scans") == 2 * n
+
+    def test_snapshot_rejects_every_mutator(self, store):
+        rel = make(store, tuples=[("a", "b")])
+        snap = rel.snapshot()
+        snap.lookup((0,), ("a",))     # indexable all the same
+        if store.name == "memory":
+            # A plain private copy: writing it cannot reach the source.
+            snap.clear()
+            assert rel.tuples() == frozenset([("a", "b")])
+            return
+        for mutate in (lambda: snap.add(("c", "d")),
+                       lambda: snap.add_all([("c", "d")]),
+                       lambda: snap.discard(("a", "b")),
+                       lambda: snap.discard_all([("a", "b")]),
+                       snap.clear):
+            with pytest.raises(ReadOnlyRelationError):
+                mutate()
+        assert snap.tuples() == rel.tuples() == frozenset([("a", "b")])
+
+    def test_unchanged_relation_is_its_previous_snapshot(self, store):
+        held = [("a", "b"), ("a", "c")] + [(f"x{i}", "y") for i in range(8)]
+        rel = make(store, tuples=held)
+        first = rel.snapshot()
+        first.lookup((0,), ("a",))
+        again = rel.snapshot(first)
+        # A durable file pins a new connection per snapshot (a shared
+        # one would hold its WAL read transaction open across writes).
+        assert (again is first) == (getattr(store, "path", None) is None)
+        rel.add(("b", "c"))
+        moved = rel.snapshot(again)
+        assert moved is not again and moved.version == rel.version
+        assert again.tuples() == frozenset(held)
+        tracer = Tracer()
+        assert sorted(moved.lookup((0,), ("a",), tracer)) \
+            == [("a", "b"), ("a", "c")]
+        assert moved.lookup((0,), ("b",), tracer) == [("b", "c")]
+        # In memory the fresh copy adopted the old indexes, patched
+        # (the write moved less than a quarter of the relation).
+        if store.name == "memory":
+            assert tracer.counter_total("index_builds") == 0

@@ -263,6 +263,65 @@ class TestDatabaseSharing:
         assert engine._base_db["conn"] is not db
         assert "link" not in db
 
+    @staticmethod
+    def _count_copies(monkeypatch) -> list:
+        from repro.storage import SQLiteRelation
+
+        copies: list = []
+        real = SQLiteRelation.copy
+
+        def counted(self):
+            copies.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(SQLiteRelation, "copy", counted)
+        return copies
+
+    def test_temporary_sqlite_edb_is_read_in_place(
+            self, example_1_1, monkeypatch):
+        """Temporary mode is private by construction: like a memory EDB
+        it is joined on directly -- frozen snapshot or live -- and keeps
+        the SQL indexes the joins asked for."""
+        program, db = example_1_1
+        engine = Engine(program, db, backend="sqlite")
+        snapshot = engine.edb.snapshot()
+        copies = self._count_copies(monkeypatch)
+        want = Engine(program, db).query("buys(tom, Y)?").answers
+        for edb in (engine.edb, snapshot):
+            reader = engine.with_edb(edb)
+            cold, warm = Tracer(), Tracer()
+            assert reader.query("buys(tom, Y)?", tracer=cold).answers == want
+            assert reader._base_db["buys"] is edb
+            assert engine.with_edb(edb).query(
+                "buys(tom, Y)?", tracer=warm).answers == want
+            assert warm.counter_total("index_builds") \
+                < cold.counter_total("index_builds")
+        assert copies == []
+
+    def test_durable_sqlite_edb_keeps_the_scratch_copy(
+            self, example_1_1, tmp_path):
+        program, db = example_1_1
+        engine = Engine(program, db, backend=f"sqlite:{tmp_path / 'e.db'}")
+        for edb in (engine.edb, engine.edb.snapshot()):
+            reader = engine.with_edb(edb)
+            assert reader.query("buys(tom, Y)?").answers \
+                == Engine(program, db).query("buys(tom, Y)?").answers
+            assert reader._base_db["buys"] is not edb
+            assert not any(rel._indexed for rel in
+                           map(edb.relation, edb.predicates()))
+
+    def test_sqlite_materialization_still_gets_a_private_copy(
+            self, monkeypatch):
+        parsed = parse_program(TestBaseMaterialization.PROGRAM)
+        db = Database.from_facts({"wire": [("a", "b"), ("c", "b")]})
+        engine = Engine(parsed.program, db, backend="sqlite")
+        copies = self._count_copies(monkeypatch)
+        result = engine.query("conn(a, Y)?", strategy="separable")
+        assert result.answers == {("a", "b"), ("a", "c"), ("a", "a")}
+        assert copies == ["wire"]
+        assert engine._base_db["conn"] is not engine.edb
+        assert engine.edb.predicates() == {"wire"}
+
     def test_sibling_engine_shares_the_analysis_not_the_data(
             self, example_1_1):
         program, db = example_1_1
