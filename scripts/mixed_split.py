@@ -15,8 +15,7 @@ the milliseconds spent in reads and in writes, then
   first-seen seed (every pass starts from a cleared memo, as the
   ledger's passes do) and their ratio, and what the pass's writes cost,
   per write and per phase, from the ``service.mutate.capture`` /
-  ``.apply`` / ``.memo`` / ``.snapshot`` spans of
-  ``metrics_dict()["evaluator_phases"]``;
+  ``.apply`` spans of ``metrics_dict()["evaluator_phases"]``;
 
 ``serve-sqlite`` (temporary-mode SQLite, no view)
   the read p50 of the first read after a write (it captures the new
@@ -27,7 +26,10 @@ the milliseconds spent in reads and in writes, then
 
 These are the numbers ROADMAP aim 1 ("where the mixed workload
 stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
-Exit status 1 when any read differs between the two services.
+Half-way through a pass's writes both services also answer, untimed,
+one all-free and one repeated-variable query (the stream itself holds
+full selections only).  Exit status 1 when any read differs between
+the two services.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -49,7 +51,9 @@ from harness import calls, open_target  # noqa: E402
 
 from repro.storage import SQLiteRelation  # noqa: E402
 
-PHASES = ("capture", "apply", "memo", "snapshot")
+PHASES = ("capture", "apply")
+#: Reads no ledger stream holds, diffed once a pass (untimed).
+EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 #: What a read is filed under, per workload, in print order.
 KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "hit")}
@@ -64,6 +68,11 @@ def phase_seconds(service) -> dict:
     }
 
 
+def differ(service, reference, call) -> bool:
+    result, want = service.query(call), reference.query(call)
+    return not (result.ok and want.ok and result.answers == want.answers)
+
+
 def one_pass(service, reference, ops, kinds, counts=None):
     """Run ``ops`` on both services: seconds per read kind and per
     write, ``counts`` deltas filed the same way, and the number of
@@ -71,6 +80,7 @@ def one_pass(service, reference, ops, kinds, counts=None):
     service.memo.clear()
     reference.memo.clear()
     now = time.perf_counter
+    half = sum(op[0] != "read" for op in ops) // 2
     seconds = {kind: [] for kind in (*kinds, "write")}
     counted = {kind: dict.fromkeys(COUNTED, 0) for kind in seconds}
     seen: set[str] = set()
@@ -104,6 +114,10 @@ def one_pass(service, reference, ops, kinds, counts=None):
         seconds[kind].append(took)
         for name, value in before.items():
             counted[kind][name] += counts[name] - value
+        if kind == "write" and len(seconds["write"]) == half:
+            differing += sum(differ(service, reference, extra)
+                             for extra in EXTRA_READS)
+            written = False  # the extras captured this write's snapshot
     return seconds, counted, differing
 
 
@@ -197,10 +211,9 @@ def main(argv=None) -> int:
                       + "  ".join(f"{name} {counted[kind][name] / n:8.2f}"
                                   for name in COUNTED))
         metrics = service.metrics_dict()
-        print("snapshots_created {snapshots_created}  snapshots_repaired "
-              "{snapshots_repaired}  view_probes {view_probes}  view_repairs "
-              "{view_repairs}  view_rebuilds {view_rebuilds}  memo {memo}"
-              .format(**metrics))
+        print("snapshots_created {snapshots_created}  view_probes "
+              "{view_probes}  view_repairs {view_repairs}  view_rebuilds "
+              "{view_rebuilds}  memo {memo}".format(**metrics))
     finally:
         for target in opened:
             target.close()

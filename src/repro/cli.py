@@ -843,9 +843,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"  incremental: view_repairs={metrics['view_repairs']} "
             f"view_rebuilds={metrics['view_rebuilds']} "
-            f"snapshots_repaired={metrics['snapshots_repaired']} "
-            f"memo_survived={memo.get('survived', 0)} "
-            f"memo_repaired={memo.get('repaired', 0)}"
+            f"view_probes={metrics['view_probes']}"
         )
     if args.trace_sample or args.slow_threshold is not None:
         sampled = sum(

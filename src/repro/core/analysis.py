@@ -122,7 +122,7 @@ class RecursionAnalysis:
     redundant_rule_indices: tuple[int, ...]
     # The analysis is part of every full-selection memo key; hashing its
     # rules afresh cost ~11 us per memo operation.  Computed once, kept
-    # out of equality, repr and pickles (see ``Atom._hash``).
+    # out of equality and repr (see ``Atom._hash``).
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -134,9 +134,6 @@ class RecursionAnalysis:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (RecursionAnalysis, self._key())
 
     @cached_property
     def pers_positions(self) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
-from ..datalog.database import Database, Relation
+from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
 from ..datalog.joins import evaluate_body_project
 from ..datalog.programs import Program
@@ -44,7 +44,6 @@ from .selections import Selection, classify_selection
 
 __all__ = [
     "evaluate_separable",
-    "full_selection_from_extent",
     "full_selection_key",
 ]
 
@@ -73,38 +72,6 @@ def full_selection_key(
         else ("pers", selected_positions)
     )
     return (analysis, component, tuple(seed), order)
-
-
-def full_selection_from_extent(
-    analysis: RecursionAnalysis,
-    component: tuple,
-    seed: tuple,
-    extent: Relation,
-    tracer=None,
-) -> frozenset[tuple]:
-    """One full-selection value read off a ``t`` extent.
-
-    A carry/seen run for ``(component, seed)`` returns exactly
-    ``σ_{component=seed}(t)`` projected onto the non-selected columns
-    in ascending position order (the compiler's ``up_positions``).
-    Given a maintained materialization of ``t``, the same value falls
-    out of a projection -- this is how an incremental service answers
-    a full selection without running the carry loops.  The selection
-    and the projection are one ``extent.lookup_projected(positions,
-    up_positions, seed)``: the relation's lazy index on the
-    component's columns, holding the other columns, is built by the
-    first probe and maintained by ``add``/``discard`` from then on, so
-    a probe costs a copy of its answer, not a scan of ``t`` (a live
-    ``tracer`` sees the one ``index_builds``).
-    """
-    from .selections import component_positions
-
-    positions = component_positions(analysis, component)
-    up_positions = tuple(
-        p for p in range(analysis.arity) if p not in positions
-    )
-    return frozenset(extent.lookup_projected(
-        positions, up_positions, tuple(seed), tracer))
 
 
 def _through_memo(memo, key: tuple, run, stats, budget: Budget):

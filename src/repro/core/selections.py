@@ -28,7 +28,6 @@ from .analysis import EquivalenceClass, RecursionAnalysis
 __all__ = [
     "Selection",
     "classify_selection",
-    "component_positions",
 ]
 
 
@@ -160,29 +159,6 @@ def classify_selection(
         selected_class=None,
         selected_positions=(),
     )
-
-
-def component_positions(
-    analysis: RecursionAnalysis, component: tuple
-) -> tuple[int, ...]:
-    """Argument positions of a memo-key component.
-
-    ``component`` is the discriminated pair a
-    :func:`repro.core.api.full_selection_key` carries: ``("class", i)``
-    for equivalence class ``e_i`` or ``("pers", positions)`` for a
-    pers-driven (dummy class) selection.
-    """
-    kind, payload = component
-    if kind == "class":
-        for cls in analysis.classes:
-            if cls.index == payload:
-                return cls.positions
-        raise ValueError(
-            f"analysis of {analysis.predicate} has no class {payload}"
-        )
-    if kind == "pers":
-        return tuple(payload)
-    raise ValueError(f"unknown selection component kind {kind!r}")
 
 
 def require_full(selection: Selection) -> Selection:

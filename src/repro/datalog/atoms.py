@@ -36,7 +36,7 @@ class Atom:
     # Rule bodies key the plan cache, so atoms are hashed once or twice
     # per join per fixpoint round: the value is computed once here
     # (what the generated __hash__ would return every time) and kept out
-    # of equality, repr and pickles (string hashes are per process).
+    # of equality and repr.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,9 +46,6 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (Atom, (self.predicate, self.args))
 
     @property
     def arity(self) -> int:

@@ -11,7 +11,7 @@ time and not just in relation sizes.
 :class:`Relation` is the reference implementation of the
 ``RelationStorage`` protocol (see :mod:`repro.storage`); alternative
 backends -- e.g. the out-of-core SQLite one -- implement the same
-mutation/lookup/version/stats/observer/pickle surface and plug into
+mutation/lookup/version/stats/observer surface and plug into
 :class:`Database` via its ``backend`` parameter.
 """
 
@@ -356,34 +356,6 @@ class Relation:
                 tracer.count("index_tuples", len(facts))
         return index.get(tuple(key), set())
 
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        """Portable payload: name, arity, version, and the tuples.
-
-        Indexes are rebuilt lazily on the receiving side, caches restart
-        cold, and observers never cross a process boundary -- a clone
-        mutating its copy must not (and, with bound-method callbacks,
-        could not) feed the sender's delta capture.  Explicit
-        because ``__slots__`` has no instance dict for pickle's default
-        protocol to scrape.
-        """
-        return (self.name, self.arity, self._version, tuple(self._tuples))
-
-    def __setstate__(self, state) -> None:
-        name, arity, version, tuples = state
-        self.name = name
-        self.arity = arity
-        self._tuples = set(tuples)
-        self._indexes = {}
-        self._projected = {}
-        self._borrowed = False
-        self._version = version
-        self._distinct_cache = None
-        self._col_distinct_cache = None
-        self._sample_cache = None
-        self._observers = ()
-
     def distinct_values(self) -> frozenset[ConstValue]:
         """All constant values appearing anywhere in the relation.
 
@@ -654,28 +626,6 @@ class Database:
         view = Database()
         view._relations = {**self._relations, **mounts}
         return view
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle the relation mounts only.
-
-        The pickle memo copies each :class:`Relation` object once, so a
-        relation mounted under several names via :meth:`attach` stays
-        aliased on the receiving side -- the same guarantee
-        :meth:`copy` gives.  Observers and the fingerprint/constant
-        caches stay behind: a worker's copy is a private snapshot.
-        """
-        return {"relations": self._relations}
-
-    def __setstate__(self, state) -> None:
-        self._relations = dict(state["relations"])
-        self._distinct_cache = None
-        self._observers = []
-        self._fp_cache = None
-        # Backend objects hold process-local handles (connections,
-        # paths); an unpickled copy is a private in-memory snapshot.
-        self._backend = None
 
     # -- observation -------------------------------------------------------
 

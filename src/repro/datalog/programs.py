@@ -149,6 +149,16 @@ class Program:
         except KeyError:
             raise KeyError(f"predicate {predicate} not used in program") from None
 
+    def check_arity(self, a: Atom) -> None:
+        """Raise :class:`ArityError` unless ``a`` uses its predicate at
+        the arity the program does."""
+        known = self.arity(a.predicate)
+        if a.arity != known:
+            raise ArityError(
+                f"predicate {a.predicate} used with arity {a.arity} "
+                f"and {known}"
+            )
+
     @cached_property
     def idb_predicates(self) -> frozenset[str]:
         """Predicates appearing in the head of some rule."""

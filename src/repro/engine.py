@@ -230,10 +230,7 @@ class Engine:
 
         if isinstance(query, str):
             query = parse_query(query)
-        if query.predicate not in self.program.idb_predicates:
-            raise UnknownPredicateError(
-                f"{query.predicate} is not defined by the program"
-            )
+        self._check_query(query)
         report = self.report(query.predicate)
         has_constant = any(isinstance(t, Constant) for t in query.args)
         applicable: list[str] = []
@@ -325,6 +322,14 @@ class Engine:
             recommended=recommended,
             notes=notes,
         )
+
+    def _check_query(self, query: Atom) -> None:
+        """Typed errors for a query no strategy can answer."""
+        if query.predicate not in self.program.idb_predicates:
+            raise UnknownPredicateError(
+                f"{query.predicate} is not defined by the program"
+            )
+        self.program.check_arity(query)
 
     # -- base materialization ------------------------------------------------
 
@@ -418,10 +423,7 @@ class Engine:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        if query.predicate not in self.program.idb_predicates:
-            raise UnknownPredicateError(
-                f"{query.predicate} is not defined by the program"
-            )
+        self._check_query(query)
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; choose from {STRATEGIES}"

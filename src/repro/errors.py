@@ -108,30 +108,10 @@ class BudgetExceeded(EvaluationError):
         self.partial = partial
         super().__init__(message)
 
-    def __reduce__(self):
-        # The default Exception reduction replays ``args`` only, which
-        # would drop the structured context (``stats``/``limit``/
-        # ``partial``) when the exception is pickled.
-        return (
-            _rebuild_budget_exceeded,
-            (self.args, self.stats, self.limit, self.partial),
-        )
-
     @property
     def retryable(self) -> bool:
         """True when retrying might succeed (wall-clock contention)."""
         return self.limit == "wall_clock"
-
-
-def _rebuild_budget_exceeded(
-    args: tuple, stats: object | None, limit: str | None,
-    partial: frozenset | None,
-) -> "BudgetExceeded":
-    exc = BudgetExceeded(
-        args[0] if args else "", stats=stats, limit=limit, partial=partial
-    )
-    exc.args = args
-    return exc
 
 
 class CyclicDataError(EvaluationError):

@@ -50,6 +50,7 @@ from ..datalog.joins import evaluate_body_into, evaluate_body_project
 from ..datalog.programs import Program
 from ..datalog.rules import Rule
 from ..datalog.seminaive import seminaive_evaluate, seminaive_stratum
+from ..datalog.terms import Constant
 
 __all__ = ["MaintainedView"]
 
@@ -124,6 +125,26 @@ class MaintainedView:
     def count(self, pred: str, fact: Fact) -> int:
         """Derivation count of ``fact`` (0 if not derived)."""
         return self.counts.get(pred, {}).get(tuple(fact), 0)
+
+    def select(self, query: Atom, tracer=None) -> frozenset[Fact]:
+        """The answers of ``query`` on a derived predicate, read off its
+        extent.
+
+        The view holds the whole least fixpoint ``t``, so any selection
+        -- full (Definition 2.7), partial, all-free, on a separable
+        recursion or not -- is ``σ(t)``: one lookup on the relation's
+        lazy index over the positions of the query's constants (built
+        by the first read of that binding pattern, patched by every
+        write after it; a live ``tracer`` sees the one ``index_builds``).
+        """
+        self.program.check_arity(query)
+        positions = tuple(p for p, t in enumerate(query.args)
+                          if isinstance(t, Constant))
+        facts = self.db.relation(query.predicate).lookup(
+            positions, tuple(query.args[p].value for p in positions), tracer)
+        if query.has_repeated_variables():
+            return frozenset(f for f in facts if query.matches(f))
+        return frozenset(facts)
 
     # -- maintenance joins -------------------------------------------------
 

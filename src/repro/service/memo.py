@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = ["FullSelectionMemo"]
 
@@ -78,7 +78,6 @@ class FullSelectionMemo:
         self.misses = 0
         self.coalesced = 0
         self.evictions = 0
-        self.survived = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._inflight: dict[tuple, _InFlight] = {}
@@ -137,43 +136,15 @@ class FullSelectionMemo:
         with self._lock:
             return self._entries.get(key)
 
-    def scoped(self, scope: object,
-               source: Optional[Callable] = None) -> "ScopedMemo":
+    def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
 
         The service scopes each request's memo access to the EDB
         snapshot fingerprint it is served against, so entries from
         different database states can never answer each other while
         still sharing one bounded LRU (and one set of counters).
-        ``source(key)``, when given, is asked before the memo and its
-        answer -- unless ``None`` -- is the value (the incremental
-        service's maintained view, see :class:`ScopedMemo`).
         """
-        return ScopedMemo(self, scope, source)
-
-    def rescope(self, old_scope: object, new_scope: object,
-                keep: Callable[[tuple], bool]) -> int:
-        """Migrate entries from one snapshot scope to another.
-
-        Incremental maintenance's memo hook: every completed entry
-        whose scope prefix equals ``old_scope`` is popped and, when
-        ``keep(key_tail)`` says the write left it valid, re-inserted
-        unchanged under ``new_scope`` (counted as *survived*); the rest
-        are discarded.  In-flight leaders still publishing into the old
-        scope are harmless: their entries are simply dead weight until
-        evicted.  Returns the number that survived.
-        """
-        with self._lock:
-            moved = [key for key in self._entries
-                     if key and key[0] == old_scope]
-            kept = 0
-            for key in moved:
-                value = self._entries.pop(key)
-                if keep(key[1:]):
-                    self._entries[(new_scope,) + key[1:]] = value
-                    kept += 1
-            self.survived += kept
-        return kept
+        return ScopedMemo(self, scope)
 
     def clear(self) -> None:
         """Drop all completed entries and zero the counters.
@@ -187,7 +158,6 @@ class FullSelectionMemo:
             self.misses = 0
             self.coalesced = 0
             self.evictions = 0
-            self.survived = 0
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot: size plus every event counter."""
@@ -198,10 +168,11 @@ class FullSelectionMemo:
                 "misses": self.misses,
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
-                # Nothing is repaired since the view answers the full
-                # selections; the key stays for the ledger's reader.
+                # A write neither repairs nor migrates an entry (the
+                # view answers an incremental service's reads); the
+                # keys stay for the ledger's reader.
                 "repaired": 0,
-                "survived": self.survived,
+                "survived": 0,
             }
 
     def __len__(self) -> int:
@@ -215,38 +186,22 @@ class FullSelectionMemo:
         )
 
 
-def _no_source(key: tuple) -> None:
-    """The ``source`` of a :class:`ScopedMemo` given none."""
-
-
 class ScopedMemo:
     """A key-prefixing facade over a :class:`FullSelectionMemo`.
 
     Satisfies the same ``get_or_run`` protocol
     :func:`repro.core.api.evaluate_separable` expects, so it can be
     passed straight through :meth:`repro.engine.Engine.query`.
-
-    ``source(key) -> value or None`` stands in front of the memo: a
-    value it vouches for is returned as is -- no entry, no counter, no
-    ``compute`` -- and only ``None`` falls through to the memo.
     """
 
-    __slots__ = ("memo", "scope", "source")
+    __slots__ = ("memo", "scope")
 
-    def __init__(self, memo: FullSelectionMemo, scope: object,
-                 source: Optional[Callable] = None) -> None:
+    def __init__(self, memo: FullSelectionMemo, scope: object) -> None:
         self.memo = memo
         self.scope = scope
-        self.source = source or _no_source
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
-        value = self.source(key)
-        if value is not None:
-            return value
         return self.memo.get_or_run((self.scope,) + tuple(key), compute)
 
     def peek(self, key: tuple):
-        value = self.source(key)
-        if value is not None:
-            return value
         return self.memo.peek((self.scope,) + tuple(key))

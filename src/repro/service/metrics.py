@@ -145,9 +145,11 @@ _EVENTS = {
                 "Attempts retried after a transient trip."),
     "deadline_trips": ("deadline_trips_total", "Wall-clock budget trips."),
     "snapshots_created": ("snapshots_total", "EDB snapshots materialized."),
+    # Never bumped since a write stopped capturing the next snapshot;
+    # the key stays for the ledger's reader.
     "snapshots_repaired": (
         "snapshots_repaired_total",
-        "Snapshots rebuilt by structural sharing after a mutation."),
+        "Snapshots captured eagerly by a mutation (always 0)."),
     "view_repairs": (
         "view_repairs_total",
         "Incremental IDB repairs applied by the maintained view."),
@@ -156,7 +158,7 @@ _EVENTS = {
         "Full view rebuilds after a delta-capture overflow."),
     "view_probes": (
         "view_probes_total",
-        "Full selections answered by an index probe on the view."),
+        "Reads answered by an index lookup on the maintained view."),
 }
 
 

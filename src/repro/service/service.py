@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
-from ..core.analysis import RecursionAnalysis
-from ..core.api import full_selection_from_extent
 from ..core.detection import require_separable
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -73,11 +71,6 @@ __all__ = [
     "ServiceResult",
     "QueryService",
 ]
-
-
-#: What a view probe cost in evaluation work: cached stats are only
-#: ever merged into a caller's, so one zero serves every probe.
-_NO_WORK = EvaluationStats()
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,11 @@ class ServiceConfig:
     incremental:
         Maintain a materialized IDB view under mutation (see
         :mod:`repro.maintenance`): :meth:`QueryService.mutate` captures
-        per-relation deltas, repairs the view incrementally, and
-        captures the next snapshot before it returns -- instead of
-        invalidating everything the fingerprint bump used to discard --
-        and a read's full selections are index probes on the view
-        (Theorem 2.1) rather than Figure 2 runs.
+        per-relation deltas and repairs the view incrementally, and a
+        ``strategy="auto"`` read of a derived predicate is one index
+        lookup on the view (:meth:`MaintainedView.select
+        <repro.maintenance.MaintainedView.select>`) instead of an
+        evaluation.  Every other request is served as without it.
     trace_sample:
         Fraction of requests served under a full recording
         :class:`~repro.observability.Tracer` (0.0 = none, 1.0 = all).
@@ -179,9 +172,9 @@ class ServiceResult:
     ``status`` is ``"ok"`` (complete answers), ``"partial"`` (budget
     tripped mid-union; ``partial`` carries what completed) or
     ``"error"`` (no answers; ``error`` says why).  ``fingerprint`` is
-    the EDB fingerprint of the snapshot the request was served against
-    -- the handle callers use to reason about which database state they
-    observed.  ``trace_id`` identifies the request in the slow-query
+    the EDB fingerprint of the database state the request was served
+    against -- the handle callers use to reason about which state they
+    observed (``()`` for an error raised before any state was read).  ``trace_id`` identifies the request in the slow-query
     log (every request gets one, whether or not it was sampled).
     """
 
@@ -281,7 +274,6 @@ class QueryService:
         )
         # The EDB state the view stands at: what a probe vouches for.
         self._view_fp = edb.fingerprint() if self._view else None
-        self._deps_cache: dict[RecursionAnalysis, frozenset[str]] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
@@ -316,10 +308,9 @@ class QueryService:
         observed as per-relation deltas and absorbed before the lock is
         released: the maintained IDB view is repaired (or rebuilt on a
         delta-capture overflow, or when the EDB was changed behind
-        ``mutate``'s back), the ``t_part`` memo entries the write cannot
-        reach migrate to the new fingerprint, and the next snapshot is
-        captured eagerly (sharing unchanged relations, as every
-        capture does: :meth:`_capture`).
+        ``mutate``'s back).  Nothing else is touched: memo entries and
+        the snapshot stay behind at the old fingerprint, as in a
+        service without a view.
         """
         with self._snapshot_lock:
             if self._view is None:
@@ -337,12 +328,11 @@ class QueryService:
 
     def _absorb_mutation(self, old_fp: tuple,
                          capture: DeltaCapture) -> None:
-        """Repair view, memo, and snapshot after a captured mutation."""
+        """Bring the view to the EDB a captured mutation left behind."""
         new_fp = self.edb.fingerprint()
         if new_fp == old_fp:
             return
         assert self._view is not None
-        span = self.metrics.tracer.span
         # The deltas describe old_fp -> new_fp: a view standing anywhere
         # else (the EDB was written to behind mutate's back) cannot
         # absorb them.  It stands nowhere until brought to new_fp.
@@ -352,8 +342,8 @@ class QueryService:
             return self._rebuild_view(new_fp)
         net = capture.net()
         try:
-            with span("service.mutate.apply"):
-                idb_changes = self._view.apply(net)
+            with self.metrics.tracer.span("service.mutate.apply"):
+                self._view.apply(net)
         except Exception:
             # A delta the maintenance layer cannot express exactly
             # (e.g. through an aliased relation) degrades to a rebuild;
@@ -361,16 +351,6 @@ class QueryService:
             return self._rebuild_view(new_fp)
         self._view_fp = new_fp
         self.metrics.bump("view_repairs")
-        mutated = frozenset(net)
-        with span("service.mutate.memo"):
-            self._repair_memo(old_fp, new_fp, mutated, idb_changes)
-        if self._current is not None:
-            # Eagerly: left to the next read this is what `serve-mixed`
-            # p95 pays (0.155 -> 0.23 ms, PR 24).  With no snapshot yet
-            # there is nothing to share and the first read captures.
-            with span("service.mutate.snapshot"):
-                self._capture(new_fp)
-            self.metrics.bump("snapshots_repaired")
 
     def _rebuild_view(self, fingerprint: tuple) -> None:
         """Bring the view to the live EDB by a full re-evaluation."""
@@ -378,97 +358,23 @@ class QueryService:
         self._view_fp = fingerprint
         self.metrics.bump("view_rebuilds")
 
-    def _view_source(self, fingerprint: tuple):
-        """The ``source`` of a request's scoped memo: full selections of
-        the program's own analyses, read off the maintained view.
+    def _view_read(self, query: Atom,
+                   tracer) -> Optional[tuple[tuple, frozenset]]:
+        """``(fingerprint, answers)`` of ``query`` off the maintained
+        view, or ``None`` when the view does not stand at the live EDB
+        (it was written to behind :meth:`mutate`'s back).
 
-        Theorem 2.1: the value of ``full_selection_key(analysis,
-        component, seed, order)`` is ``σ_{component=seed}(t)`` on the
-        other columns -- one index bucket of the extent the view keeps.
-        The probe holds the snapshot lock (no write is mid-way) and
-        vouches only while the view stands at the request's
-        ``fingerprint``; a request holding an older snapshot, a
-        ``t_part`` analysis or a ``ValueError`` from the extent gets
-        ``None`` and evaluates against its snapshot as without a view.
+        The lock keeps a write from being mid-way, so the answers are
+        exactly those of the state ``fingerprint`` names.
         """
-        if self._view is None:
-            return None
-
-        def probe(key: tuple):
-            analysis, component, seed, _order = key
-            if analysis is not self._primary_analysis(analysis.predicate):
+        with self._snapshot_lock:
+            fingerprint = self.edb.fingerprint()
+            if self._view_fp != fingerprint:
                 return None
-            with self._snapshot_lock:
-                if self._view_fp != fingerprint:
-                    return None
-                try:
-                    up_tuples = full_selection_from_extent(
-                        analysis, component, seed,
-                        self._view.db.relation(analysis.predicate),
-                        tracer=self.metrics.tracer)
-                except ValueError:
-                    return None
-            self.metrics.bump("view_probes")
-            return up_tuples, _NO_WORK
-
-        return probe
-
-    def _primary_analysis(self, pred: str) -> Optional[RecursionAnalysis]:
-        """The service program's own analysis of ``pred`` (None: not
-        separable), as opposed to a Lemma 2.1 rewrite's analysis: the
-        object every snapshot's engine evaluates with."""
-        report = self._engine.report(pred)
-        return report.analysis if report.separable else None
-
-    def _analysis_dependencies(
-        self, analysis: RecursionAnalysis
-    ) -> frozenset[str]:
-        """All predicates the analysed recursion transitively reads."""
-        cached = self._deps_cache.get(analysis)
-        if cached is not None:
-            return cached
-        base: set[str] = set()
-        for rule_analysis in analysis.rules:
-            for atom in rule_analysis.nonrecursive_atoms:
-                base.add(atom.predicate)
-        for rule in analysis.exit_rules:
-            for atom in rule.body:
-                base.add(atom.predicate)
-        deps = set(base)
-        for pred in base:
-            if pred in self.program.predicates:
-                deps |= self.program.depends_on(pred)
-        frozen = frozenset(deps)
-        self._deps_cache[analysis] = frozen
-        return frozen
-
-    def _repair_memo(
-        self,
-        old_fp: tuple,
-        new_fp: tuple,
-        mutated: frozenset[str],
-        idb_changes: dict[str, tuple[frozenset, frozenset]],
-    ) -> None:
-        """Migrate old-fingerprint memo entries to the new fingerprint.
-
-        The view answers the primary analyses' full selections, so what
-        the memo holds at the live scope are the ``t_part`` rewrites'
-        entries: one survives when the mutation cannot reach anything
-        it reads.  A primary entry (the view could not vouch for it) or
-        a malformed key is dropped.
-        """
-        changed = mutated | {p for p, (ins, dels) in idb_changes.items()
-                             if ins or dels}
-
-        def keep(tail: tuple) -> bool:
-            if len(tail) != 4 or not isinstance(tail[0], RecursionAnalysis):
-                return False
-            analysis = tail[0]
-            if analysis == self._primary_analysis(analysis.predicate):
-                return False
-            return not self._analysis_dependencies(analysis) & changed
-
-        self.memo.rescope(old_fp, new_fp, keep)
+            with tracer.span("service.view_read"):
+                answers = self._view.select(query, tracer)
+        self.metrics.bump("view_probes")
+        return fingerprint, answers
 
     def add_fact(self, name: str, fact: tuple) -> bool:
         """Convenience :meth:`mutate` for the common single-fact case."""
@@ -613,89 +519,113 @@ class QueryService:
         memo_before = (
             self.memo.stats() if request_tracer is not None else None
         )
+        tracer = (
+            request_tracer if request_tracer is not None
+            else self.metrics.tracer
+        )
+        # Where the materialisation exists, ``auto`` picks it.
+        viewable = (
+            strategy == "auto" and self._view is not None
+            and query.predicate in self.program.idb_predicates
+        )
         attempts = 0
         backoff = self.config.retry_backoff_s
+        fingerprint: tuple = ()
 
         def served(status: str, strategy: str = strategy,
                    answers: frozenset = frozenset(), **fields):
             """The result of this request as of now (the last attempt's
-            snapshot)."""
+            database state)."""
             return ServiceResult(
                 query=query,
                 strategy=strategy,
                 status=status,
                 answers=answers,
-                fingerprint=snap.fingerprint,
+                fingerprint=fingerprint,
                 latency_s=time.monotonic() - submitted,
                 attempts=attempts,
                 trace_id=trace_id,
                 **fields,
             )
 
-        while True:
-            attempts += 1
-            snap = self._snapshot()
-            budget = self._attempt_budget(deadline_at, time.monotonic())
-            try:
-                result = snap.engine.query(
-                    query,
-                    strategy=strategy,
-                    budget=budget,
-                    memo=self.memo.scoped(
-                        snap.fingerprint,
-                        self._view_source(snap.fingerprint)),
-                    tracer=(
-                        request_tracer
-                        if request_tracer is not None
-                        else self.metrics.tracer
-                    ),
-                )
-            except BudgetExceeded as exc:
-                if exc.limit == "wall_clock":
-                    self.metrics.bump("deadline_trips")
-                remaining = (
-                    deadline_at - time.monotonic()
-                    if deadline_at is not None
-                    else None
-                )
-                can_retry = (
-                    exc.retryable
-                    and attempts <= self.config.max_retries
-                    and (remaining is None or remaining > backoff)
-                )
-                if can_retry:
-                    self.metrics.bump("retries")
-                    time.sleep(backoff)
-                    backoff *= 2
-                    continue
-                # Out of retries: partial answers if any exist.
-                stats = (exc.stats if isinstance(exc.stats, EvaluationStats)
-                         else None)
-                if exc.partial is None:
-                    out = served("error", stats=stats, error=str(exc),
-                                 limit=exc.limit)
-                else:
-                    partial = PartialResult(
-                        answers=exc.partial,
-                        stats=stats,
-                        reason=str(exc),
-                        limit=exc.limit,
+        out = None
+        try:
+            while out is None:
+                attempts += 1
+                try:
+                    read = (self._view_read(query, tracer)
+                            if viewable else None)
+                    if read is None:
+                        snap = self._snapshot()
+                        fingerprint = snap.fingerprint
+                        result = snap.engine.query(
+                            query,
+                            strategy=strategy,
+                            budget=self._attempt_budget(
+                                deadline_at, time.monotonic()),
+                            memo=self.memo.scoped(fingerprint),
+                            tracer=tracer,
+                        )
+                except BudgetExceeded as exc:
+                    if exc.limit == "wall_clock":
+                        self.metrics.bump("deadline_trips")
+                    remaining = (
+                        deadline_at - time.monotonic()
+                        if deadline_at is not None
+                        else None
                     )
-                    out = served("partial", answers=partial.answers,
-                                 stats=stats, error=str(exc),
-                                 limit=exc.limit, partial=partial)
-            except ReproError as exc:
-                out = served("error", stats=None,
-                             error=f"{type(exc).__name__}: {exc}")
-            else:
-                out = served("ok", result.strategy, result.answers,
-                             stats=result.stats, result=result)
+                    can_retry = (
+                        exc.retryable
+                        and attempts <= self.config.max_retries
+                        and (remaining is None or remaining > backoff)
+                    )
+                    if can_retry:
+                        self.metrics.bump("retries")
+                        time.sleep(backoff)
+                        backoff *= 2
+                        continue
+                    # Out of retries: partial answers if any exist.
+                    stats = (exc.stats
+                             if isinstance(exc.stats, EvaluationStats)
+                             else None)
+                    if exc.partial is None:
+                        out = served("error", stats=stats, error=str(exc),
+                                     limit=exc.limit)
+                    else:
+                        partial = PartialResult(
+                            answers=exc.partial,
+                            stats=stats,
+                            reason=str(exc),
+                            limit=exc.limit,
+                        )
+                        out = served("partial", answers=partial.answers,
+                                     stats=stats, error=str(exc),
+                                     limit=exc.limit, partial=partial)
+                except ReproError as exc:
+                    out = served("error", stats=None,
+                                 error=f"{type(exc).__name__}: {exc}")
+                else:
+                    if read is None:
+                        out = served("ok", result.strategy, result.answers,
+                                     stats=result.stats, result=result)
+                    else:
+                        fingerprint, answers = read
+                        out = served(
+                            "ok", "view", answers,
+                            stats=EvaluationStats(strategy="view"))
+            return out
+        except BaseException as exc:
+            # Not an evaluation's typed failure: the future raises it,
+            # and the request's accounting still closes below.
+            out = served("error", stats=None,
+                         error=f"{type(exc).__name__}: {exc}")
+            raise
+        finally:
             if request_tracer is not None:
                 self._absorb_trace(
                     out, request_tracer, sampled, memo_before
                 )
             self._finish(out)
-            return out
 
     def _absorb_trace(
         self,

@@ -27,10 +27,7 @@ evaluators, planner and service use on
 - copies: ``copy()`` (private writable clone) and
   ``snapshot(previous=None)`` (stable read view at the same version --
   may be cheaper than a copy, and is ``previous``, the last snapshot of
-  this relation, while the version has not moved);
-- pickling: ``__getstate__`` returns the portable
-  ``(name, arity, version, tuples)`` payload; the receiving side
-  always rehydrates private storage with no observers.
+  this relation, while the version has not moved).
 
 A *storage backend* is a factory for relation storages plus a
 ``scratch()`` method returning a variant safe for private copies --
@@ -52,8 +49,8 @@ class RelationStorage(Protocol):
     """Structural protocol for a relation storage implementation.
 
     ``runtime_checkable`` only verifies method presence; the behavioural
-    contract (set semantics, version arithmetic, deterministic sampling,
-    pickle payload shape) is enforced by the conformance suite in
+    contract (set semantics, version arithmetic, deterministic
+    sampling) is enforced by the conformance suite in
     ``tests/storage/``.
     """
 

@@ -27,9 +27,7 @@ The protocol mapping:
   feeding the PR 9 planner;
 - ``sample`` -> computed Python-side with the same crc32-minwise rule
   as the in-memory backend, so sampled containment estimates are
-  byte-identical across backends;
-- pickling -> the portable ``(name, arity, version, tuples)`` payload;
-  the receiving side rehydrates into a private temporary database.
+  byte-identical across backends.
 
 Facts are tuples of ints and strings; SQLite's dynamic typing stores
 both losslessly in untyped columns (and, like Python, never equates
@@ -492,18 +490,6 @@ class SQLiteRelation:
                 self._conn.close()
             except sqlite3.Error:
                 pass
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        # Same portable payload as the in-memory backend; the receiving
-        # side gets a private temporary database, no observers.
-        return (self.name, self.arity, self._version, tuple(self.tuples()))
-
-    def __setstate__(self, state) -> None:
-        name, arity, version, tuples = state
-        self.__init__(name, arity, tuples)
-        self._version = version
 
     def __repr__(self) -> str:
         where = self._path or "temp"

@@ -337,12 +337,12 @@ class TestMemoProtocol:
         for query in queries:
             assert results[query] == oracle_answers(program, db, query)
 
-    def test_per_seed_entries_survive_and_repair_through_mutate(self):
-        """Through an incremental service the per-seed keys are answered
-        by the view (dirty ones with the new fact, clean ones
-        unchanged, no carry loop either way); the memo holds only the
-        ``t_part`` entry and drops it exactly when a write reaches what
-        ``t_part`` reads."""
+    def test_an_incremental_service_reads_the_union_off_its_view(self):
+        """Through an incremental service a partial selection and its
+        seeds are each one lookup on the view (dirty ones with the new
+        fact, clean ones unchanged, no carry loop and no memo entry
+        either way); asked for by strategy, the same union runs as the
+        tagged batch through the fingerprint-scoped memo."""
         program = paper.example_2_4_program()
         service = QueryService(
             program, fan_database(),
@@ -360,38 +360,27 @@ class TestMemoProtocol:
         try:
             first = service.query("t(x0, Y, Z)?")
             assert first.ok and len(first.answers) == 4
-            assert probes() >= 3  # the three seeds, off the view
-            assert service.memo.stats()["size"] == 1  # t_part
+            assert first.strategy == "view" and probes() == 1
             clean = seed(1)
 
-            # A write t_part (b, t0) cannot reach: its entry survives
-            # and answers the next read.
-            service.mutate(
-                lambda db: db.add_fact("a", ("p0_4", "q0_4", "r", "s")))
-            stats = service.memo.stats()
-            assert (stats["survived"], stats["size"]) == (1, 1)
-            again = service.query("t(x0, Y, Z)?")
-            assert again.answers == first.answers
-            after = service.memo.stats()
-            assert after["hits"] == stats["hits"] + 1
-            assert after["misses"] == stats["misses"] == 1
-
-            # A new exit fact under seed 0's chain: t_part reads t0, so
-            # its entry goes; seed 0 answers with the new fact, seed 1
-            # as before -- both by a probe.
+            # A new exit fact under seed 0's chain: seed 0 and the
+            # union answer with the new fact, seed 1 as before.
             service.mutate(
                 lambda db: db.add_fact("t0", ("p0_2", "q0_2", "w")))
-            stats = service.memo.stats()
-            assert (stats["survived"], stats["size"]) == (1, 0)
-            assert stats["repaired"] == 0
-            before = probes()
             assert ("p0_0", "q0_0", "w") in seed(0)
             assert seed(1) == clean
-            assert probes() == before + 2
             again = service.query("t(x0, Y, Z)?")
             assert again.answers == oracle_answers(
                 program, service.edb, again.query)
             assert ("x0", "y0", "w") in again.answers
-            assert service.memo.stats()["misses"] == 2  # t_part again
+            assert probes() == 5
+            assert service.memo.stats()["size"] == 0
+
+            batched = service.query("t(x0, Y, Z)?", strategy="separable")
+            assert batched.answers == again.answers
+            assert batched.stats.iterations > 0
+            stats = service.memo.stats()
+            assert (stats["misses"], stats["size"]) == (4, 4)  # t_part + 3
+            assert probes() == 5
         finally:
             service.close()

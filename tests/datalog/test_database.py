@@ -1,7 +1,5 @@
 """Unit tests for relations and databases (storage + lazy indexes)."""
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -563,7 +561,7 @@ class TestProjectedLookup:
         st.tuples(st.sampled_from(["add_all", "discard_all"]),
                   st.lists(FACT, max_size=5)),
         st.tuples(st.sampled_from(
-            ["clear", "copy", "snapshot", "pickle", "adopt", "read"]),
+            ["clear", "copy", "snapshot", "adopt", "read"]),
             st.none()),
     ), max_size=14)
 
@@ -605,9 +603,6 @@ class TestProjectedLookup:
                 model.clear()
             elif op == "read":
                 self.check(rel, model)  # builds every index
-            elif op == "pickle":
-                rel = pickle.loads(pickle.dumps(rel))
-                assert not rel._projected and not rel._indexes
             else:
                 others.append((rel, set(model)))
                 if op == "adopt":

@@ -15,7 +15,7 @@ import pytest
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.joins import evaluate_body_project
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.plan_cache import PLAN_CACHE
 from repro.datalog.programs import Program
 from repro.datalog.rules import Rule
@@ -407,3 +407,70 @@ class TestNoPerFactJoin:
         assert removed[150] >= 3 * removed[40]
         assert lookups[150] < removed[150]
         assert lookups[150] <= 1.5 * lookups[40]
+
+
+class TestSelect:
+    """``select(query)`` is ``σ(t)`` on the extent, whatever the query
+    binds -- and stays so under ``apply``."""
+
+    EX24 = parse_program(
+        """
+        t(X, Y, Z) :- a(X, Y, U, V) & t(U, V, Z).
+        t(X, Y, Z) :- t(X, Y, W) & b(W, Z).
+        t(X, Y, Z) :- t0(X, Y, Z).
+        """
+    ).program
+    QUERIES = [
+        "t(x, y, Z)", "t(X, Y, z1)", "t(x, Y, Z)", "t(X, Y, Z)",
+        "t(X, X, Z)", "t(x, X, X)", "t(x, y, z1)", "t(nobody, Y, Z)",
+    ]
+
+    @staticmethod
+    def filtered(view: MaintainedView, query: Atom) -> frozenset:
+        return frozenset(
+            f for f in view.db.tuples(query.predicate) if query.matches(f))
+
+    def test_every_binding_pattern_equals_a_filtered_scan(self):
+        view = MaintainedView(self.EX24, Database.from_facts({
+            "a": [("x", "y", "p", "p"), ("p", "p", "x", "x")],
+            "t0": [("p", "p", "z0"), ("x", "x", "x")],
+            "b": [("z0", "z1"), ("z1", "x")],
+        }))
+        queries = [parse_atom(text) for text in self.QUERIES]
+        for query in queries:
+            got = view.select(query)
+            assert isinstance(got, frozenset)
+            assert got == self.filtered(view, query), query
+        assert view.select(queries[0])  # the data answers something
+        view.apply({"b": (frozenset([("x", "late")]),
+                          frozenset([("z0", "z1")]))})
+        for query in queries:
+            assert view.select(query) == self.filtered(view, query), query
+
+    def test_one_index_build_per_binding_pattern(self):
+        from repro.observability import Tracer
+
+        view = MaintainedView(TC, tc_edb([("a", "b"), ("b", "c")]))
+        tracer = Tracer()
+        for node in "abc":
+            view.select(parse_atom(f"tc(X, {node})"), tracer)
+        assert tracer.counter_total("index_builds") == 1
+        assert tracer.counter_total("full_scans") == 0
+
+    def test_empty_extent_and_arity_zero(self):
+        edge = parse_atom("e(X, Y)")
+        program = Program(TC.rules + (Rule(Atom("some", ()), (edge,)),))
+        view = MaintainedView(program, Database())
+        assert view.select(parse_atom("tc(a, Y)")) == frozenset()
+        assert view.select(parse_atom("tc(X, Y)")) == frozenset()
+        assert view.select(Atom("some", ())) == frozenset()
+        view.apply({"e": (frozenset([("a", "b")]), frozenset())})
+        assert view.select(Atom("some", ())) == {()}
+        assert view.select(parse_atom("tc(a, Y)")) == {("a", "b")}
+
+    def test_wrong_arity_is_a_typed_error(self):
+        from repro.datalog.errors import ArityError
+
+        view = MaintainedView(TC, tc_edb([("a", "b")]))
+        with pytest.raises(ArityError, match="tc used with arity 1 and 2"):
+            view.select(parse_atom("tc(a)"))

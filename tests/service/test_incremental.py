@@ -4,18 +4,21 @@ The ``ServiceConfig(incremental=True)`` path must be observably
 equivalent to the rebuild-everything path (every answer still matches a
 serial oracle on the exact fingerprint served), while the metrics prove
 the cheap machinery actually ran: views repaired instead of rebuilt,
-snapshots structurally shared, and full selections read off the view
-(one index probe, no carry loop) wherever the view stands at the
-request's fingerprint -- and evaluated against the request's own
-snapshot wherever it does not.
+and every ``auto`` read of a derived predicate answered by one lookup
+on the view (no snapshot, no memo entry, no carry loop) wherever the
+view stands at the live fingerprint -- and evaluated against a
+snapshot, as without a view, wherever it does not or a strategy was
+named.
 """
 
+import random
 from concurrent.futures import wait
 
-from repro.core.analysis import RecursionAnalysis
+import pytest
+
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.service import FullSelectionMemo, QueryService, ServiceConfig
+from repro.service import QueryService, ServiceConfig
 from repro.workloads import paper
 
 from ..conftest import oracle_answers
@@ -93,17 +96,98 @@ class TestWriteHeavyStress:
         # The incremental path did the serving, not the fallback.
         assert metrics["view_repairs"] == 50
         assert metrics["view_rebuilds"] == 0
-        assert metrics["snapshots_repaired"] > 0
+        assert metrics["view_probes"] == 100
+        assert metrics["snapshots_created"] == 0
+
+    #: Example 2.4 (classes {1, 2} and {3}), Example 1.1 (class {1},
+    #: column 2 in no class) and a nonlinear transitive closure.
+    PROGRAM = """
+        t(X, Y, Z) :- a(X, Y, U, V) & t(U, V, Z).
+        t(X, Y, Z) :- t(X, Y, W) & b(W, Z).
+        t(X, Y, Z) :- t0(X, Y, Z).
+        buys(X, Y) :- friend(X, W) & buys(W, Y).
+        buys(X, Y) :- perfectFor(X, Y).
+        tc(X, Y) :- b(X, Y).
+        tc(X, Y) :- tc(X, W) & tc(W, Y).
+    """
+    QUERIES = [
+        "t(n1, n1, Z)?",      # full selection, class 1
+        "t(X, Y, n2)?",       # full selection, class 2
+        "t(n0, Y, Z)?",       # partial selection (Example 2.4)
+        "t(X, Y, Z)?",        # all free
+        "t(X, X, Z)?",        # repeated variable
+        "buys(X, n3)?",       # a constant outside every class
+        "tc(n0, Y)?",         # non-separable predicate
+        "t(nowhere, n0, Z)?",  # a seed the data never mentions
+    ]
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_every_kind_of_read_is_a_view_read_and_agrees(self, seed):
+        """Over a seeded insert/delete stream an incremental service
+        reads every kind of ``auto`` query off its view -- no snapshot,
+        no memo entry -- and agrees with a plain service on the same
+        stream and with a serial oracle on the state its fingerprint
+        names."""
+        program = parse_program(self.PROGRAM).program
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(4)]
+
+        def fact(name):
+            arity = {"a": 4, "t0": 3}.get(name, 2)
+            return tuple(rng.choice(nodes) for _ in range(arity))
+
+        names = ["a", "b", "t0", "friend", "perfectFor"]
+        facts = {name: {fact(name) for _ in range(5)} for name in names}
+        plain = QueryService(program, Database.from_facts(facts),
+                             ServiceConfig(workers=1))
+        service = QueryService(program, Database.from_facts(facts),
+                               ServiceConfig(workers=1, incremental=True))
+        states = {}
+        reads = 0
+        try:
+            for _step in range(24):
+                name = rng.choice(names)
+                present = sorted(service.edb.tuples(name))
+                if present and rng.random() < 0.45:
+                    gone = rng.choice(present)
+                    write = lambda db: db.remove_fact(name, gone)  # noqa
+                else:
+                    new = fact(name)
+                    write = lambda db: db.add_fact(name, new)  # noqa
+                plain.mutate(write)
+                service.mutate(write)
+                states[service.edb.fingerprint()] = service.edb.copy()
+                for text in self.QUERIES:
+                    want, got = plain.query(text), service.query(text)
+                    reads += 1
+                    assert want.ok and got.ok
+                    assert got.strategy == "view" and got.result is None
+                    assert got.stats.iterations == 0
+                    assert got.answers == want.answers, text
+                    assert got.answers == oracle_answers(
+                        program, states[got.fingerprint], got.query), text
+            metrics = service.metrics_dict()
+            assert metrics["view_probes"] == reads
+            assert metrics["snapshots_created"] == 0
+            assert len(service.memo) == 0
+            assert metrics["view_rebuilds"] == 0
+            assert plain.metrics_dict()["view_probes"] == 0
+        finally:
+            plain.close()
+            service.close()
 
 
 class TestMemoSurvival:
+    """Nothing of the memo survives a write, and nothing has to: the
+    view answers the reads and a write touches the view only."""
+
     def test_class_confined_mutation_spares_the_other_class(self):
         """Theorem 2.1's independence, observed through the view: a
         mutation whose IDB damage projects onto one new seed of class 2
         changes the class-1 answers it reaches and leaves the other
         class-2 answers verbatim -- and every read, before or after,
-        is an index probe: no carry loop runs, the memo is never asked
-        and a write has nothing of it to rescope."""
+        is an index lookup: no carry loop runs and the memo is never
+        asked."""
         program = paper.example_1_2_program()
         edb = paper.example_1_2_database(6)
         service = QueryService(
@@ -162,22 +246,22 @@ class TestMemoSurvival:
             program, edb, ServiceConfig(workers=1, incremental=True)
         )
 
-        def bought() -> set:
+        def bought(strategy: str) -> set:
             result = service.query("buys(a, Y)?")
-            assert result.ok
+            assert result.ok and result.strategy == strategy
             return {y for _a, y in result.answers}
 
         try:
-            assert bought() == {"p0"}
+            assert bought("view") == {"p0"}
             assert service.metrics_dict()["view_probes"] == 1
             service.edb.add_fact("perfectFor", ("c", "direct"))
-            assert bought() == {"p0", "direct"}
+            assert bought("separable") == {"p0", "direct"}
             # Not vouched for: the view still stands at the old state.
             assert service.metrics_dict()["view_probes"] == 1
             assert service.memo.stats()["misses"] == 1
             service.mutate(
                 lambda db: db.add_fact("perfectFor", ("b", "viamutate")))
-            assert bought() == {"p0", "direct", "viamutate"}
+            assert bought("view") == {"p0", "direct", "viamutate"}
             metrics = service.metrics_dict()
         finally:
             service.close()
@@ -185,10 +269,10 @@ class TestMemoSurvival:
         assert metrics["view_probes"] == 2  # rebuilt: it vouches again
 
     def test_a_request_holding_an_older_snapshot_evaluates_against_it(self):
-        """Snapshot isolation under the probe: the view vouches only for
-        the fingerprint it stands at, so a reader that captured its
-        snapshot before a write gets the *old* state's answers, by an
-        evaluation over that snapshot."""
+        """Snapshot isolation beside the view: the view answers for the
+        live fingerprint only, so a reader that captured its snapshot
+        before a write gets the *old* state's answers, by an evaluation
+        over that snapshot."""
         program = paper.example_1_1_program()
         service = QueryService(
             program, _chain_db(4),
@@ -202,9 +286,7 @@ class TestMemoSurvival:
             probes = service.metrics_dict()["view_probes"]
             result = snap.engine.query(
                 "buys(a1, Y)?",
-                memo=service.memo.scoped(
-                    snap.fingerprint,
-                    service._view_source(snap.fingerprint)),
+                memo=service.memo.scoped(snap.fingerprint),
             )
             assert result.answers == oracle_answers(
                 program, old_db, result.query)
@@ -220,22 +302,14 @@ class TestMemoSurvival:
         finally:
             service.close()
 
-    def test_a_writes_memo_work_does_not_grow_with_the_seeds_read(
-            self, monkeypatch):
-        """60 or 600 distinct full selections read before a write: the
-        view answered them all, the memo holds none, and the write
-        visits no entry -- only a partial selection's ``t_part`` entry
-        is ever looked at."""
+    def test_a_writes_memo_work_does_not_grow_with_the_seeds_read(self):
+        """A write does no memo work at all: ``auto`` reads leave the
+        memo empty however many seeds they name, and the entries that
+        explicit-strategy reads made stay where they are -- at the old
+        fingerprint, where no later request looks."""
         program = paper.example_2_4_program()
-        visited = []
-        rescope = FullSelectionMemo.rescope
-        monkeypatch.setattr(
-            FullSelectionMemo, "rescope",
-            lambda memo, old, new, keep: rescope(
-                memo, old, new,
-                lambda tail: visited.append(tail[0]) or keep(tail)))
 
-        def visits_of_one_write(seeds: int, partial: bool) -> int:
+        def memo_around_one_write(seeds: int, strategy: str) -> tuple:
             edb = Database.from_facts({
                 "a": [("x0", "y0", "p0", "q0")],
                 "t0": [(f"p{i}", f"q{i}", "z0") for i in range(seeds)],
@@ -245,22 +319,53 @@ class TestMemoSurvival:
                 program, edb, ServiceConfig(workers=1, incremental=True))
             try:
                 for i in range(seeds):
-                    assert len(service.query(f"t(p{i}, q{i}, Z)?")) == 2
-                if partial:
-                    assert len(service.query("t(x0, Y, Z)?")) == 2
-                assert len(service.memo) == int(partial)
-                del visited[:]
+                    assert len(service.query(
+                        f"t(p{i}, q{i}, Z)?", strategy=strategy)) == 2
+                before = service.memo.stats()
                 service.mutate(lambda db: db.add_fact("b", ("z1", "z2")))
-                assert service.metrics_dict()["view_probes"] >= seeds
-                return len(visited)
+                assert service.memo.stats() == before
+                assert len(service.query(
+                    "t(p0, q0, Z)?", strategy=strategy)) == 3
+                return before["size"], service.memo.stats()["hits"]
             finally:
                 service.close()
 
-        assert visits_of_one_write(60, False) == 0
-        assert visits_of_one_write(600, False) == 0
-        assert visits_of_one_write(60, True) == 1
-        assert visits_of_one_write(600, True) == 1
-        assert all(isinstance(a, RecursionAnalysis) for a in visited)
+        assert memo_around_one_write(60, "auto") == (0, 0)
+        assert memo_around_one_write(600, "auto") == (0, 0)
+        assert memo_around_one_write(60, "separable") == (60, 0)
+
+    def test_a_named_strategy_is_served_as_without_a_view(self):
+        """``strategy="separable"`` runs Figure 2 on a snapshot through
+        the fingerprint-scoped memo; the next write moves the
+        fingerprint, so the entry answers nothing afterwards."""
+        program = paper.example_1_1_program()
+        service = QueryService(
+            program, _chain_db(4),
+            ServiceConfig(workers=1, incremental=True),
+        )
+        try:
+            first = service.query("buys(a1, Y)?", strategy="separable")
+            assert first.strategy == "separable"
+            assert first.stats.iterations > 0 and first.result is not None
+            assert len(service.memo) == 1
+            again = service.query("buys(a1, Y)?", strategy="separable")
+            assert again.answers == first.answers
+            assert service.memo.stats()["hits"] == 1
+            service.mutate(
+                lambda db: db.add_fact("perfectFor", ("a4", "late")))
+            after = service.query("buys(a1, Y)?", strategy="separable")
+            assert after.answers == first.answers | {("a1", "late")}
+            stats = service.memo.stats()
+            assert (stats["hits"], stats["misses"]) == (1, 2)
+            metrics = service.metrics_dict()
+            assert metrics["view_probes"] == 0
+            assert metrics["snapshots_created"] == 2
+            # An EDB predicate is not the view's to answer either.
+            base = service.query("friend(a1, Y)?")
+            assert base.status == "error"
+            assert "UnknownPredicateError" in base.error
+        finally:
+            service.close()
 
     def test_metrics_expose_the_repair_counters(self):
         program = paper.example_1_1_program()
@@ -288,9 +393,8 @@ class TestMemoSurvival:
         } == {
             "service.mutate.capture": 2,
             "service.mutate.apply": 1,
-            "service.mutate.memo": 1,
-            "service.mutate.snapshot": 1,
         }
+        assert phases["service.view_read"]["count"] == 1
         assert ('repro_service_span_seconds_total'
                 '{span="service.mutate.apply"}') in text
         assert 'repro_service_memo_events_total{kind="repaired"}' in text
@@ -298,7 +402,7 @@ class TestMemoSurvival:
         assert "repro_service_view_repairs_total 1" in text
         assert "repro_service_view_rebuilds_total 0" in text
         assert "repro_service_view_probes_total 1" in text
-        assert "repro_service_snapshots_repaired_total" in text
+        assert "repro_service_snapshots_repaired_total 0" in text
 
 
 class TestIncrementalEquivalence:
@@ -412,12 +516,13 @@ class TestOverflowFallback:
 
 class TestIndexBackedRepair:
     def test_probes_share_one_index_build(self):
-        """A full selection is ``σ_{component = seed}`` of the maintained
-        extent, served by the view relation's lazy index: five reads on
-        one component cost one ``index_builds`` (not five scans, and no
-        index on any EDB relation -- nothing is evaluated), a later
-        mutation none at all -- the index is maintained incrementally
-        -- and every answer equals a full scan of the extent."""
+        """A selection is ``σ_{columns = constants}`` of the maintained
+        extent, served by the view relation's lazy index: the reads of
+        one binding pattern cost one ``index_builds`` between them (not
+        one scan each, and no index on any EDB relation -- nothing is
+        evaluated), a later mutation none at all -- the index is
+        maintained incrementally -- and every answer equals a full scan
+        of the extent."""
         program = paper.example_1_1_program()
         n = 8
         service = QueryService(
@@ -441,11 +546,15 @@ class TestIndexBackedRepair:
             return len(result.answers)
 
         try:
+            # Column 0 is already indexed: the view's own joins probe it.
             before = index_builds()
             answers = check_reads_against_full_scan()
+            assert index_builds() == before
+            for _ in range(3):
+                assert len(service.query(f"buys(X, b{n})?")) == n
             assert index_builds() - before == 1
-            assert list(service._view.db.relation("buys")._projected) == [
-                ((0,), (1,))]
+            assert sorted(service._view.db.relation("buys")._indexes) == [
+                (0,), (1,)]
 
             # Every a_i reaches a_n, so the new gift reaches all five.
             before = index_builds()
@@ -458,7 +567,7 @@ class TestIndexBackedRepair:
             )
             assert check_reads_against_full_scan() == answers
             assert index_builds() == before
-            assert service.metrics_dict()["view_probes"] == 15
+            assert service.metrics_dict()["view_probes"] == 18
             assert len(service.memo) == 0
         finally:
             service.close()
@@ -469,10 +578,10 @@ class TestWritesReindexNothing:
         """After a write the new snapshot shares untouched relations
         (indexes included) with the old one and the mutated relation's
         copy adopts the old indexes patched by the delta, so the
-        evaluations that follow -- a partial selection's sideways pass
-        and its ``t_part``, which the view does not answer -- build no
-        index on any EDB relation, and every snapshot's engine shares
-        one analysis of the program."""
+        evaluations that follow -- a partial selection's sideways pass,
+        its ``t_part`` and its seeds, asked for by strategy so that the
+        view does not answer -- build no index on any EDB relation, and
+        every snapshot's engine shares one analysis of the program."""
         program = paper.example_2_4_program()
         edb = Database.from_facts({
             "a": [("x", "y", "p0", "q0")]
@@ -497,7 +606,8 @@ class TestWritesReindexNothing:
             }
 
         try:
-            assert len(service.query("t(x, Y, Z)?")) == 5
+            assert len(service.query(
+                "t(x, Y, Z)?", strategy="separable")) == 5
             old = service._snapshot()
             warm = edb_indexes(old)
             assert warm["a"] and warm["t0"] and warm["b"]
@@ -514,10 +624,11 @@ class TestWritesReindexNothing:
                 assert indexes_of(a).keys() == warm["a"].keys()
                 assert len(a.lookup((0,), (f"new{step}",))) == 1
                 assert snap.engine.report("t") is old.engine.report("t")
-                # A first-seen constant: its t_part entry is a miss.
+                # A new fingerprint: t_part and the one seed are misses.
                 misses = service.memo.stats()["misses"]
-                result = service.query(f"t(new{step}, Y, Z)?")
-                assert service.memo.stats()["misses"] == misses + 1
+                result = service.query(
+                    f"t(new{step}, Y, Z)?", strategy="separable")
+                assert service.memo.stats()["misses"] == misses + 2
                 assert result.stats.iterations > 0
                 assert len(result.answers) == 5
                 assert result.answers == oracle_answers(

@@ -6,6 +6,7 @@ import pytest
 from repro.budget import Budget
 from repro.datalog.database import Database
 from repro.datalog.errors import (
+    ArityError,
     BudgetExceeded,
     NotFullSelectionError,
     NotSeparableError,
@@ -345,6 +346,14 @@ class TestErrors:
         engine, _, _ = ex11_engine
         with pytest.raises(UnknownPredicateError):
             engine.query("nothing(tom, Y)?")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_wrong_arity_under_every_strategy(self, ex11_engine, strategy):
+        engine, _, _ = ex11_engine
+        with pytest.raises(ArityError, match="buys used with arity 1 and 2"):
+            engine.query("buys(tom)?", strategy=strategy)
+        with pytest.raises(ArityError):
+            engine.advise("buys(tom, Y, Z)?")
 
     def test_unknown_strategy(self, ex11_engine):
         engine, _, _ = ex11_engine
