@@ -15,7 +15,10 @@ the milliseconds spent in reads and in writes, then
   first-seen seed (every pass starts from a cleared memo, as the
   ledger's passes do) and their ratio, and what the pass's writes cost,
   per write and per phase, from the ``service.mutate.capture`` /
-  ``.apply`` spans of ``metrics_dict()["evaluator_phases"]``;
+  ``.apply`` spans of ``metrics_dict()["evaluator_phases"]`` and the
+  view's own ``view.overestimate`` / ``.rederive`` / ``.restart`` /
+  ``.recount`` under ``.apply``, then the plan-cache lookups and the
+  fixpoint rounds a write makes;
 
 ``serve-sqlite`` (temporary-mode SQLite, no view)
   the read p50 of the first read after a write (it captures the new
@@ -29,7 +32,8 @@ stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
 Half-way through a pass's writes both services also answer, untimed,
 one all-free and one repeated-variable query (the stream itself holds
 full selections only).  Exit status 1 when any read differs between
-the two services.
+the two services, or when a ``serve-mixed`` write makes more than
+``MAX_PLAN_LOOKUPS_PER_WRITE`` plan lookups.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -49,9 +53,17 @@ sys.path[:0] = [str(REPO / "ledger"), str(REPO / "src")]
 import workloads  # noqa: E402  (ledger/)
 from harness import calls, open_target  # noqa: E402
 
+from repro.datalog.plan_cache import PLAN_CACHE  # noqa: E402
 from repro.storage import SQLiteRelation  # noqa: E402
 
 PHASES = ("capture", "apply")
+#: ``MaintainedView.apply``'s own spans, the split of ``apply``.
+VIEW_PHASES = ("overestimate", "rederive", "restart", "recount")
+#: ``plan_lookups/write`` over this fails the run (CI): every join and
+#: loop of a write asks the plan cache once at entry, so the figure is
+#: O(rules) -- 10.0 on the full stream, 21.6 while the restart and the
+#: overestimate looked plans up per round.
+MAX_PLAN_LOOKUPS_PER_WRITE = 14
 #: Reads no ledger stream holds, diffed once a pass (untimed).
 EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 #: What a read is filed under, per workload, in print order.
@@ -61,11 +73,22 @@ COUNTED = ("copies", "connections", "statements")
 
 
 def phase_seconds(service) -> dict:
-    phases = service.metrics_dict()["evaluator_phases"]
+    """Seconds so far per write phase (``service.mutate.*``, then the
+    view's own spans) and the ``rounds`` the view's fixpoints ran."""
+    metrics = service.metrics_dict()
+    phases = metrics["evaluator_phases"]
+    spans = [f"service.mutate.{name}" for name in PHASES] \
+        + [f"view.{name}" for name in VIEW_PHASES]
     return {
-        name: phases.get(f"service.mutate.{name}", {}).get("seconds", 0.0)
-        for name in PHASES
+        **{span.rsplit(".", 1)[1]: phases.get(span, {}).get("seconds", 0.0)
+           for span in spans},
+        "rounds": metrics["evaluator_counters"].get("rounds", 0),
     }
+
+
+def plan_lookups() -> int:
+    stats = PLAN_CACHE.stats()
+    return stats["hits"] + stats["misses"]
 
 
 def differ(service, reference, call) -> bool:
@@ -75,20 +98,22 @@ def differ(service, reference, call) -> bool:
 
 def one_pass(service, reference, ops, kinds, counts=None):
     """Run ``ops`` on both services: seconds per read kind and per
-    write, ``counts`` deltas filed the same way, and the number of
-    reads on which the services disagree."""
+    write, ``counts`` deltas and the timed service's plan-cache lookups
+    filed the same way, and the number of reads on which the services
+    disagree."""
     service.memo.clear()
     reference.memo.clear()
     now = time.perf_counter
     half = sum(op[0] != "read" for op in ops) // 2
     seconds = {kind: [] for kind in (*kinds, "write")}
-    counted = {kind: dict.fromkeys(COUNTED, 0) for kind in seconds}
+    counted = {kind: dict.fromkeys((*COUNTED, "plan_lookups"), 0)
+               for kind in seconds}
     seen: set[str] = set()
     # A pass follows a pass: its first read comes after the last write.
     written = ops[-1][0] != "read"
     differing = 0
     for op, call in zip(ops, calls(ops)):
-        before = dict(counts or ())
+        before = dict(counts or (), plan_lookups=plan_lookups())
         misses = service.memo.stats()["misses"]
         start = now()
         if op[0] == "read":
@@ -103,6 +128,7 @@ def one_pass(service, reference, ops, kinds, counts=None):
                         else "hit")
             seen.add(call)
             written = False
+            after = dict(counts or (), plan_lookups=plan_lookups())
             want = reference.query(call)
             differing += not (result.ok and want.ok
                               and result.answers == want.answers)
@@ -110,10 +136,11 @@ def one_pass(service, reference, ops, kinds, counts=None):
             service.mutate(call)
             took = now() - start
             kind, written = "write", True
+            after = dict(counts or (), plan_lookups=plan_lookups())
             reference.mutate(call)
         seconds[kind].append(took)
         for name, value in before.items():
-            counted[kind][name] += counts[name] - value
+            counted[kind][name] += after[name] - value
         if kind == "write" and len(seconds["write"]) == half:
             differing += sum(differ(service, reference, extra)
                              for extra in EXTRA_READS)
@@ -171,14 +198,17 @@ def main(argv=None) -> int:
     differing = 0
     try:
         one_pass(service, reference, ops, kinds)  # warm-up
+        per_write = (*PHASES, *VIEW_PHASES)
         print("pass  reads_ms writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  " + "  ".join(f"{name}_ms/write"
-                                         for name in PHASES)
+                                         for name in per_write)
+                 + "  plan_lookups/write  rounds/write"
                  if "first" in kinds else ""))
+        lookups = 0.0
         for k in range(2 if args.quick else args.passes):
             before = phase_seconds(service)
-            seconds, _, bad = one_pass(service, reference, ops, kinds)
+            seconds, counted, bad = one_pass(service, reference, ops, kinds)
             after = phase_seconds(service)
             differing += bad
             line = (f"{k + 1:4d}  "
@@ -189,12 +219,19 @@ def main(argv=None) -> int:
             if "first" in kinds:
                 n = max(len(seconds["write"]), 1)
                 ratio = p50_us(seconds["first"]) / p50_us(seconds["repeat"])
-                per_write = {name: (after[name] - before[name]) * 1e3 / n
-                             for name in PHASES}
+                lookups = max(lookups, counted["write"]["plan_lookups"] / n)
+                spent = {name: (after[name] - before[name]) * 1e3 / n
+                         for name in per_write}
                 line += f"  {ratio:5.2f}  " + "  ".join(
-                    f"{per_write[name]:{len(name) + 9}.4f}"
-                    for name in PHASES)
+                    f"{spent[name]:{len(name) + 9}.4f}" for name in per_write)
+                line += (f"  {counted['write']['plan_lookups'] / n:18.1f}"
+                         f"  {(after['rounds'] - before['rounds']) / n:12.1f}")
             print(line)
+        if lookups > MAX_PLAN_LOOKUPS_PER_WRITE:
+            print(f"FAILED: {lookups:.1f} plan lookups a write, over "
+                  f"{MAX_PLAN_LOOKUPS_PER_WRITE}: some join or loop of "
+                  f"the write path plans per round", file=sys.stderr)
+            differing += 1
         if args.workload == "serve-sqlite":
             counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
@@ -218,8 +255,9 @@ def main(argv=None) -> int:
         for target in opened:
             target.close()
     if differing:
-        print(f"FAILED: {differing} reads differ from the in-memory "
-              f"non-incremental service", file=sys.stderr)
+        print(f"FAILED: {differing} checks (reads that differ from the "
+              f"in-memory non-incremental service, plan lookups a write)",
+              file=sys.stderr)
         return 1
     return 0
 

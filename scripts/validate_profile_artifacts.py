@@ -14,7 +14,10 @@ every artifact the observability pipeline promises:
    form, ``produced.update(c1)``, not a per-fact comprehension;
 4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
    seed-tagged fixpoint: the report prints the tagged plan and the
-   number of ``separable.loop`` spans does not grow with the seeds.
+   number of ``separable.loop`` spans does not grow with the seeds;
+5. ``--strategy magic`` and ``--strategy seminaive`` print, under
+   ``-- plan --``, the generated semi-naive loop of every stratum they
+   evaluated, and no text that plans per round (``plan_for``).
 
 ``http-smoke`` mode instead drives a live ``repro-datalog serve
 --http-port`` process and curls ``/metrics``, ``/healthz`` and
@@ -128,6 +131,9 @@ def main(argv: list[str]) -> int:
 
     # 4. a partial selection is one batched fixpoint.
     check_batched_union()
+
+    # 5. the opponents run generated loops too.
+    check_stratum_loops(base)
     return 0
 
 
@@ -147,6 +153,24 @@ def check_projected_innermost(plan_section: str) -> None:
         "the loops' probes are not reported as projected:\n"
         + "\n".join(probes)
     )
+
+
+def check_stratum_loops(base: list) -> None:
+    """``profile --strategy magic|seminaive`` evaluates strata: its plan
+    section must show each stratum's generated semi-naive loop -- plans
+    and probes bound at loop entry -- and no per-round ``plan_for``."""
+    for strategy in ("magic", "seminaive"):
+        report = run_cli("profile", *base, "--strategy", strategy,
+                         "--no-timings")
+        plan_section = report.split("-- plan --", 1)[1].split("\n-- ", 1)[0]
+        lines = [line.strip() for line in plan_section.splitlines()]
+        assert any(line.startswith("stratum ") for line in lines) and any(
+            line.startswith("while carry0") for line in lines), (
+            f"--strategy {strategy}: the plan section shows no generated "
+            f"semi-naive loop:\n" + plan_section
+        )
+        assert "plan_for" not in plan_section, plan_section
+    print("stratum loops ok: magic and seminaive show their generated loops")
 
 
 def check_batched_union() -> None:

@@ -452,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--sizes",
-        default=_BENCH_SIZES,
-        help=f"comma-separated size sweep (default: {_BENCH_SIZES})",
+        help="comma-separated size sweep (default: per family, the sizes "
+        f"of its report in --baseline-dir, else {_BENCH_SIZES})",
     )
     bench.add_argument(
         "--repeats",
@@ -891,11 +891,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+        sizes = [int(s) for s in (args.sizes or "").split(",") if s.strip()]
     except ValueError:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return 2
-    if not sizes or any(n <= 0 for n in sizes):
+    if args.sizes is not None and (not sizes or any(n <= 0 for n in sizes)):
         print("error: --sizes needs positive integers", file=sys.stderr)
         return 2
     budget = (
@@ -912,18 +912,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     # Baselines are loaded before any (slow) run so a missing one fails
     # fast, and so --out-dir may equal --baseline-dir.
+    # Without --sizes a family is swept where its committed report was,
+    # so one invocation re-records (or checks) families of unlike sizes.
     baselines: dict[str, dict] = {}
-    if args.check:
-        for family in families:
-            path = report_path(baseline_dir, family.key)
-            if not path.is_file():
-                print(
-                    f"error: no baseline {path}; run bench without "
-                    f"--check first and commit the report",
-                    file=sys.stderr,
-                )
-                return 2
+    for family in families:
+        path = report_path(baseline_dir, family.key)
+        if path.is_file():
             baselines[family.key] = json.loads(path.read_text())
+        elif args.check:
+            print(
+                f"error: no baseline {path}; run bench without "
+                f"--check first and commit the report",
+                file=sys.stderr,
+            )
+            return 2
 
     # Traces only make sense when writing reports; in --check mode the
     # run is a throwaway comparison, so tracing stays off unless asked.
@@ -936,7 +938,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     gated: list = []
     for family in families:
         report = run_family(
-            family, sizes, repeats=args.repeats, budget=budget,
+            family,
+            sizes or baselines.get(family.key, {}).get("sizes")
+            or [int(s) for s in _BENCH_SIZES.split(",")],
+            repeats=args.repeats, budget=budget,
             calibration=calibration, trace_dir=trace_dir,
             backend=args.backend,
         )

@@ -187,7 +187,7 @@ def loop_source(plan: SeparablePlan, which: str,
     the first run, several once ``carry`` has changed its size rank."""
     joins = getattr(plan, f"{which}_joins")
     return list(dict.fromkeys(
-        source for was_traced, source, _ in PLAN_CACHE.loops_for(joins)
+        source for was_traced, source, *_ in PLAN_CACHE.loops_for(joins)
         if was_traced == traced))
 
 

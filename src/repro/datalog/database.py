@@ -140,13 +140,13 @@ class Relation:
                 or self._observers):
             if not isinstance(facts, (set, frozenset, list, tuple)):
                 facts = list(facts)  # read twice when the arity is off
-            loaded = set(map(tuple, facts))
-            if loaded and set(map(len, loaded)) != {arity}:
+            tuples.update(map(tuple, facts))  # in place: loops hold the set
+            if tuples and set(map(len, tuples)) != {arity}:
+                tuples.clear()
                 raise _arity_error(self.name, arity, next(
                     f for f in map(tuple, facts) if len(f) != arity))
-            self._tuples = loaded
-            self._version += len(loaded)
-            return len(loaded)
+            self._version += len(tuples)
+            return len(tuples)
         new: list[Fact] = []
         for f in facts:
             f = tuple(f)
@@ -244,10 +244,13 @@ class Relation:
             for key, fact in zip(_columns(facts, positions), facts):
                 bucket = index.get(key)
                 if bucket is not None:
-                    try:
-                        bucket.remove(fact)
-                    except ValueError:
-                        pass
+                    if bucket[-1] == fact:  # undoing a recent insert: O(1)
+                        bucket.pop()
+                    else:
+                        try:
+                            bucket.remove(fact)
+                        except ValueError:
+                            pass
                     if not bucket:
                         del index[key]
         for (positions, cols), index in self._projected.items():
@@ -683,19 +686,6 @@ class Database:
             for cb in self._observers:
                 relation.observe(cb)
                 cb(relation, None, 0)
-
-    def detach(self, name: str) -> None:
-        """Unmount ``name`` (missing is a no-op); the inverse of
-        :meth:`attach`.  The relation itself is untouched, and stops
-        being observed through this database once no mount is left."""
-        displaced = self._relations.pop(name, None)
-        if displaced is None:
-            return
-        self._fp_cache = None
-        if self._observers and all(r is not displaced
-                                   for r in self._relations.values()):
-            for cb in self._observers:
-                displaced.unobserve(cb)
 
     def ensure(self, name: str, arity: int) -> Relation:
         """Get the named relation, creating it empty if absent."""

@@ -63,7 +63,12 @@ __all__ = [
     "PLAN_CACHE",
     "compile_join_plan",
     "greedy_permutation",
+    "relation_sink",
 ]
+
+#: What a delta variant of a rule calls the delta of an SCC member
+#: (``DELTA + predicate``); never collides with a parsed predicate name.
+DELTA = "Δ"
 
 #: Recognised join-order strategies.  ``greedy`` and ``left_to_right``
 #: are the PR 4 heuristics; ``cost`` runs the selectivity-aware planner
@@ -78,6 +83,7 @@ EQ = "eq"
 
 # Guard opcodes (compiled eq/2 atoms).  Operand sources are encoded as
 # (is_slot, value): a register index when is_slot, a constant otherwise.
+_INF = float("inf")
 _FILTER = 0  # (0, a_is_slot, a, b_is_slot, b) -- pass iff values equal
 _ASSIGN = 1  # (1, src_is_slot, src, dst_slot) -- regs[dst] = value
 
@@ -272,6 +278,7 @@ class JoinPlan:
         """
         consts: list = []
         inputs = [var for var, _ in self.preload]
+        probes: list[str] = []
 
         def const(value) -> str:
             consts.append(value)
@@ -279,10 +286,12 @@ class JoinPlan:
 
         def fetch(d, pred, positions, key, cols):
             index = const(positions)
-            if cols is not None:
-                return (), (f"rels[{d}].lookup_projected({index}, "
-                            f"{const(cols)}, {key()}, tracer)"), False
-            return (), f"rels[{d}].lookup({index}, {key()}, tracer)", False
+            if not bulk:  # may watch its own insertions: asks per tuple
+                return (), f"rels[{d}].lookup({index}, {key()}, tracer)", False
+            probes.append(
+                f"    q{d} = _probe(rels[{d}], {index}, "
+                f"{None if cols is None else const(cols)}, tracer)")
+            return (), f"q{d}({key()})", True
 
         lines, zero, lookups, examined, bindings, reached = self._nest(
             output, bulk, "    " if bulk else "        ", const, inputs,
@@ -293,6 +302,7 @@ class JoinPlan:
             if count:
                 targets = _tuple_text(f"{name}{i}" for i in range(count))
                 head.append(f"    {targets} = {source}")
+        head += probes
         if zero:
             head.append(f"    {' = '.join(zero)} = 0")
         flush = (f"_flush(stats, tracer, {lookups}, {examined}, {bindings}, "
@@ -447,7 +457,7 @@ def _function(shapes: dict, source: str, kind: str, name: str):
         filename = f"<{kind}:{zlib.crc32(source.encode()):08x}>"
         linecache.cache[filename] = (
             len(source), None, source.splitlines(True), filename)
-        namespace = {"_flush": _flush}
+        namespace = {"_flush": _flush, "_probe": _probe}
         exec(compile(source, filename, "exec"), namespace)
         fn = shapes[source] = namespace[name]
     return fn
@@ -739,7 +749,8 @@ def _compile_sequence(
 
 
 def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
-              pseudo: str, live: Sequence[bool], traced: bool) -> tuple:
+              pseudo, live: Sequence[bool], traced: bool,
+              flow: Optional[Sequence[tuple[int, int]]] = None) -> tuple:
     """Source of one whole ``carry``/``seen`` loop of Figure 2.
 
     ``plans[i]`` executes the body of the loop's ``i``-th join term and
@@ -771,8 +782,20 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     (``D`` lists the terms without code, for their ``rule_apps:``); the
     ``separable.loop`` span stays with the caller, which may enter
     several functions under one span.
+
+    With ``flow`` the text is the *semi-naive* flavour, the rounds of a
+    stratum (``datalog/seminaive.py``): ``pseudo`` names one delta per
+    member, term ``i`` reads ``carry[a]`` and derives member ``h`` for
+    ``flow[i] = (a, h)``, and installs its output at once -- ``fresh =
+    new<h>(produced)``, ``add<h>(fresh)``, the caller's pair per member
+    (a relation's ``add_all`` patches the indexes later terms probe) --
+    into ``h``'s next delta.  Valid while every delta's and member's
+    size is inside ``lo`` / ``hi`` (:func:`_narrow`), checked once a
+    round; ``stats`` may be None.
     """
     pad = " " * 12
+    stratum = flow is not None
+    members = range(len(pseudo)) if stratum else ()
     shapes: list[tuple] = []  # the text of each run of like terms
     groups: list[list] = []   # the terms of each run
     indexed = False           # does some term probe carry?
@@ -782,6 +805,8 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
         consts: list = []
         probes: list[tuple] = []
         inputs: list = []
+        a, h = flow[i] if stratum else ("", "")
+        carry, delta = (f"carry{a}", pseudo[a]) if stratum else ("carry", pseudo)
 
         def const(value) -> str:
             consts.append(value)
@@ -789,75 +814,126 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
 
         def fetch(d, pred, positions, key, cols):
             nonlocal indexed
-            if pred != pseudo:
+            if pred != delta:
                 probes.append((d, positions, cols))
                 return (), f"q{len(probes) - 1}({key()})", True
             if not positions:
-                return (["S += 1"] if traced else ()), "carry", False
+                return (["S += 1"] if traced else ()), carry, False
             indexed = True
-            index = const(positions)
+            index = const((a, positions) if stratum else positions)
             cols = _tuple_text(f"f[{const(p)}]" for p in positions)
             build = [f"x = indexes.get({index})", "if x is None:",
-                     f"    x = indexes[{index}] = {{}}", "    for f in carry:",
+                     f"    x = indexes[{index}] = {{}}",
+                     f"    for f in {carry}:",
                      f"        x.setdefault({cols}, []).append(f)"]
             if traced:
                 build += ["    count('index_builds')",
-                          "    count('index_tuples', n)"]
+                          "    count('index_tuples', "
+                          + (f"len({carry}))" if stratum else "n)")]
             return build, f"x.get({key()})", True
 
         lines, zero, *sums = plan._nest(output, True, pad, const, inputs,
-                                        fetch, "produced", pseudo)
+                                        fetch, "produced", delta)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
-        shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts))
+        shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts),
+                 a, h)
         if not shapes or shapes[-1] != shape:
             shapes.append(shape)
             groups.append([])
         groups[-1].append((tuple(probes), tuple(consts), i))
 
     body: list[str] = []
-    for g, (lines, zero, lookups, examined, bindings, made, nq, nk) in \
-            enumerate(shapes):
+    for g, (lines, zero, lookups, examined, bindings, made, nq, nk, a, h) \
+            in enumerate(shapes):
         names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
-        body.append(f"        for {', '.join(names + ['i'])} in J{g}:")
-        if traced:
+        terms = f"J{g} if carry{a} else ()" if len(members) > 1 else f"J{g}"
+        body.append(f"        for {', '.join(names + ['i'])} in {terms}:")
+        if stratum:
+            body.append(f"{pad}produced = set()")
+        elif traced:
             body.append(f"{pad}before = len(produced)")
         body.append(f"{pad}{' = '.join(zero)} = 0")
         body += lines
         body += [f"{pad}X += {examined}", f"{pad}P += {made}"]
         if traced:
-            body += [f"{pad}L += {lookups}", f"{pad}B += {bindings}",
+            body += [f"{pad}L += {lookups}", f"{pad}B += {bindings}"]
+            body += [f"{pad}if {made}:",
+                     f"{pad}    count(outs[i], {made})"] if stratum else [
                      f"{pad}count(f'rule_apps:{{seen_name}}#{{i}}')",
                      f"{pad}out = len(produced) - before",
                      f"{pad}if out:",
                      f"{pad}    count(f'rule_out:{{seen_name}}#{{i}}', out)"]
+        if stratum:
+            body += [f"{pad}fresh = new{h}(produced)", f"{pad}if fresh:",
+                     f"{pad}    add{h}(fresh)",
+                     f"{pad}    size{h} += len(fresh)",
+                     f"{pad}    next{h} |= fresh"]
 
-    head = ["def loop(J, D, lo, hi, carry, seen, carry_name, seen_name, "
-            "stats, budget, tracer):"]
+    if stratum:
+        head = ["def loop(J, lo, hi, carry, seen, sizes, names, apps, outs, "
+                "stats, budget, tracer):"]
+        head += [f"    {_tuple_text(text.format(m=m) for m in members)} = {of}"
+                 for text, of in (("carry{m}", "carry"),
+                                  ("(new{m}, add{m})", "seen"),
+                                  ("size{m}", "sizes"))]
+    else:
+        head = ["def loop(J, D, lo, hi, carry, seen, carry_name, seen_name, "
+                "stats, budget, tracer):"]
     if shapes:
         targets = _tuple_text(f"J{g}" for g in range(len(shapes)))
         head.append(f"    {targets} = J")
-    head.append("    record = stats.record_relation")
+    if not stratum:
+        head.append("    record = stats.record_relation")
     if traced:
         head.append("    count = tracer.count")
-    head += ["    while carry:",
-             "        n = len(carry)",
-             "        if not lo <= n < hi:",
-             "            break",
-             "        budget.check_wall(stats)",
-             "        stats.bump_iterations()"]
-    if traced:
-        head += ["        count('iterations')",
-                 "        for i in D:",
-                 "            count(f'rule_apps:{seen_name}#{i}')"]
-    head += ["        produced = set()",
-             "        L = X = B = P = S = 0" if traced else "        X = P = 0"]
+    if stratum:
+        sizes = [f"len(carry{m})" for m in members] \
+            + [f"size{m}" for m in members]
+        within = " and ".join(f"lo[{v}] <= {size} < hi[{v}]"
+                              for v, size in enumerate(sizes))
+        head += ["    while %s:" % " or ".join(f"carry{m}" for m in members),
+                 f"        if not ({within}):",
+                 "            break",
+                 "        budget.check_wall(stats)",
+                 "        if stats is not None:",
+                 "            for name, size in zip(names, %s):"
+                 % _tuple_text(sizes[len(members):]),
+                 "                stats.record_relation(name, size)",
+                 "                budget.check_relation(name, size, stats)",
+                 "            budget.check_stats(stats)",
+                 "            stats.bump_iterations()"]
+        if traced:
+            head += ["        count('iterations')",
+                     "        for i in apps:",
+                     "            count(i)"]
+        head += [f"        next{m} = set()" for m in members]
+    else:
+        head += ["    while carry:",
+                 "        n = len(carry)",
+                 "        if not lo <= n < hi:",
+                 "            break",
+                 "        budget.check_wall(stats)",
+                 "        stats.bump_iterations()"]
+        if traced:
+            head += ["        count('iterations')",
+                     "        for i in D:",
+                     "            count(f'rule_apps:{seen_name}#{i}')"]
+        head.append("        produced = set()")
+    head.append("        L = X = B = P = S = 0" if traced
+                else "        X = P = 0")
     if indexed:
         head.append("        indexes = {}")
-    tail = ["        carry = produced - seen",
-            "        seen |= carry",
-            "        stats.bump_examined(X)",
-            "        stats.bump_produced(P)"]
+    if stratum:
+        tail = [f"        carry{m} = next{m}" for m in members]
+        tail += ["        if stats is not None:",
+                 "            stats.bump_examined(X)",
+                 "            stats.bump_produced(P)"]
+    else:
+        tail = ["        carry = produced - seen",
+                "        seen |= carry",
+                "        stats.bump_examined(X)",
+                "        stats.bump_produced(P)"]
     if traced:
         tail += ["        if L:",
                  "            count('atom_lookups', L)",
@@ -865,76 +941,85 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                  "        if B:",
                  "            count('bindings_out', B)",
                  "        if S:",
-                 "            count('full_scans', S)",
-                 "        tracer.record('carry', len(carry))"]
-    tail += ["        record(carry_name, len(carry))",
-             "        record(seen_name, len(seen))",
-             "        budget.check_relation(seen_name, len(seen), stats)",
-             "        budget.check_stats(stats)",
-             "    return carry",
-             ""]
+                 "            count('full_scans', S)"]
+        tail += [f"        tracer.record('delta:' + names[{m}], len(carry{m}))"
+                 for m in members] or [
+                     "        tracer.record('carry', len(carry))"]
+    if stratum:
+        tail += ["    return %s, %s" % (
+            _tuple_text(f"carry{m}" for m in members),
+            _tuple_text(f"size{m}" for m in members)), ""]
+    else:
+        tail += ["        record(carry_name, len(carry))",
+                 "        record(seen_name, len(seen))",
+                 "        budget.check_relation(seen_name, len(seen), stats)",
+                 "        budget.check_stats(stats)",
+                 "    return carry",
+                 ""]
     return "\n".join(head + body + tail), tuple(map(tuple, groups))
 
 
-def _rank_interval(body: tuple[Atom, ...], pseudo: str, db: Database,
-                   n: int) -> tuple[int, float]:
-    """The sizes ``[lo, hi)`` of the relation ``pseudo`` around ``n``
-    over which :meth:`PlanCache.plan_for` keys ``body`` the same under
-    ``order="greedy"``, every other relation keeping its size.
+def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
+            db: Database, order: str) -> None:
+    """Narrow ``bounds[slot] = [lo, hi]`` to the sizes ``[lo, hi)`` over
+    which :meth:`PlanCache.plan_for` keys ``body`` as it does now, when
+    only the relations in ``moving`` (predicate -> slot) change size.
 
-    That key is the stable argsort of the body's relation sizes plus
-    which are empty, so it only asks, per other position ``i``, whether
-    ``pseudo`` (at position ``p``) sorts before it: ``n < size_i`` when
-    ``i < p`` and ``n <= size_i`` when ``i > p``.
+    Every key says which relations are empty; ``cost`` keys on each
+    size's ``bit_length`` bucket and ``greedy`` on the stable argsort of
+    the sizes (``i`` sorts before a later ``j`` while ``size_i <=
+    size_j``).  A pair with one moving side is bounded exactly; two
+    moving sides are kept apart at the larger one's current size.
     """
-    p = next(i for i, a in enumerate(body) if a.predicate == pseudo)
-    lo, hi = 1, float("inf")
-    for i, a in enumerate(body):
-        if i == p:
-            continue
+    sized = []  # (size, bounds of the slot or None) per atom
+    for a in body:
         rel = db.relation(a.predicate) if a.predicate != EQ else None
-        bound = (len(rel) if rel is not None else 0) + (i > p)
-        if bound <= n:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    return lo, hi
-
-
-class _Mounted:
-    """``db`` as planning sees it with ``relation`` mounted as ``name``:
-    the carry of a loop, as the set it is where planning reads nothing
-    of a relation but its size, and copied into a :class:`Relation`
-    where it reads statistics (``order="cost"``)."""
-
-    __slots__ = ("_relation", "_name", "_mounted")
-
-    def __init__(self, db: Database, name: str, relation) -> None:
-        self._relation = db.relation
-        self._name = name
-        self._mounted = relation
-
-    def relation(self, name: str):
-        return self._mounted if name == self._name else self._relation(name)
+        n = len(rel) if rel is not None else 0
+        slot = moving.get(a.predicate)
+        if slot is None:
+            sized.append((n, None))
+            continue
+        bound = bounds[slot]
+        sized.append((n, bound))
+        lo, hi = (1, _INF) if n else (0, 1)
+        if order == "cost":
+            lo, hi = 1 << n.bit_length() >> 1, 1 << n.bit_length()
+        bound[:] = max(bound[0], lo), min(bound[1], hi)
+    if order != "greedy":
+        return
+    for j, (nj, bj) in enumerate(sized):
+        for ni, bi in sized[:j]:
+            if bi is bj:  # both fixed, or one relation twice
+                continue
+            if ni <= nj:
+                if bi is not None:
+                    bi[1] = min(bi[1], nj + 1)
+                if bj is not None:
+                    bj[0] = max(bj[0], ni if bi is None else nj)
+            else:
+                if bi is not None:
+                    bi[0] = max(bi[0], nj + 1 if bj is None else ni)
+                if bj is not None:
+                    bj[1] = min(bj[1], ni)
 
 
 def _probe(rel, positions: tuple[int, ...], cols, tracer):
     """``key -> tuples`` (a collection, possibly empty, or None) of one
-    loop-invariant relation, for a generated carry loop: the facts
-    matching ``key`` on ``positions``, or with ``cols`` those columns of
-    them (:meth:`Relation.lookup_projected`).
+    relation, bound once for a whole run of generated code -- a carry
+    loop, a stratum's rounds, a set-at-a-time kernel: the facts matching
+    ``key`` on ``positions``, or with ``cols`` those columns of them
+    (:meth:`Relation.lookup_projected`).
 
     The bound ``dict.get`` of a :class:`Relation` index: the index is
     the relation's own, built here if need be, and stays current because
-    nothing writes the relation during the loop.  A traced run probes a
+    whoever writes the relation during the run (a stratum installing
+    what it derived) patches that very dict.  A traced run probes a
     still-unbuilt index through the relation's method so that the
     build is counted where the reference loop counts it; so does every
     full scan, and every other ``RelationStorage`` (SQLite).
     """
-    if cols is None:
-        lookup = partial(rel.lookup, positions)
-    else:
-        lookup = partial(rel.lookup_projected, positions, cols)
+    lookup = (partial(rel.lookup, positions) if cols is None
+              else partial(rel.lookup_projected, positions, cols))
     if positions and type(rel) is Relation:
         indexes, signature = ((rel._indexes, positions) if cols is None
                               else (rel._projected, (positions, cols)))
@@ -945,6 +1030,19 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
         if index is not None:
             return index.get
     return partial(lookup, tracer=tracer)
+
+
+def relation_sink(rel) -> tuple:
+    """``(new, add)`` of a relation a fixpoint loop writes: ``new(rows)``
+    is the set of ``rows`` not in it, ``add`` installs facts.  A
+    :class:`Relation` answers with one set difference, and first gives
+    up index buckets it shares with a snapshot: its next write would
+    drop them (:meth:`Relation._unshare`) from under the loop's bound
+    probes.  Any other ``RelationStorage`` is asked fact by fact."""
+    if type(rel) is Relation:
+        rel._unshare()
+        return rel._tuples.__rsub__, rel.add_all
+    return (lambda rows: {f for f in rows if f not in rel}), rel.add_all
 
 
 class PlanCache:
@@ -1088,8 +1186,8 @@ class PlanCache:
             self._plans[key] = plan
         return plan
 
-    def loop_for(self, joins: Sequence, pseudo: str, carry: set, order: str,
-                 db: Database, tracer=None):
+    def loop_for(self, joins: Sequence, pseudo, carry, order: str,
+                 db: Database, tracer=None, grows: bool = True):
         """One loop of Figure 2 over the join terms ``joins`` (objects
         with a ``body`` and an ``output``), as a generated function.
 
@@ -1098,25 +1196,43 @@ class PlanCache:
         :meth:`plan_for` once per join -- not once per round -- and
         binds the :func:`loop_text` function of those plans to the fixed
         relations' probes and to the ``carry`` sizes ``[lo, hi)`` the
-        plans are :meth:`plan_for`'s choice for: ``carry``'s size rank
-        among the fixed relations under ``greedy``
-        (:func:`_rank_interval`), its ``bit_length`` bucket -- what the
-        order memo keys on -- under ``cost``, any size under
-        ``left_to_right``.  Returns ``run(carry, seen, carry_name,
-        seen_name, stats, budget, tracer) -> carry``: it advances the
-        loop in place (``seen`` grows) and returns the next ``carry`` --
-        empty when the loop is done, otherwise of a size outside the
-        interval, and the caller asks again.  The flavour follows
-        ``tracer is None``.
+        plans are :meth:`plan_for`'s choice for (:func:`_narrow`):
+        ``carry``'s size rank among the fixed relations under
+        ``greedy``, its ``bit_length`` bucket -- what the order memo
+        keys on -- under ``cost``, any size under ``left_to_right``.
+        Returns ``run(carry, seen, carry_name, seen_name, stats, budget,
+        tracer) -> carry``: it advances the loop in place (``seen``
+        grows) and returns the next ``carry`` -- empty when the loop is
+        done, otherwise of a size outside the interval, and the caller
+        asks again.  The flavour follows ``tracer is None``.
+
+        The semi-naive flavour: ``pseudo`` is the tuple of a stratum's
+        members, ``carry`` their current deltas, ``joins`` its delta
+        variants -- each with a ``flow`` ``(a, h)``: the body calls the
+        delta of ``pseudo[a]`` ``DELTA + pseudo[a]`` and derives
+        ``pseudo[h]``.  With ``grows`` the run installs what it derives
+        in the member relations of ``db``, whose sizes then move as the
+        deltas' do; without, nobody writes ``db``.  Returns ``run(carry,
+        seen, sizes, names, apps, outs, stats, budget, tracer) ->
+        (carry, sizes)``: see :func:`loop_text`.
         """
+        flow = None
+        if isinstance(pseudo, str):
+            mounts, moving, bounds = {pseudo: carry}, {pseudo: 0}, [[1, _INF]]
+        else:
+            flow = [join.flow for join in joins]
+            members, pseudo = pseudo, tuple([DELTA + p for p in pseudo])
+            mounts = dict(zip(pseudo, carry))
+            moving = {name: a for a, name in enumerate(pseudo)}
+            if grows:
+                moving.update((p, len(members) + h)
+                              for h, p in enumerate(members))
+            bounds = [[0, _INF] for _ in range(2 * len(members))]
         unbound: frozenset = frozenset()
-        n = len(carry)
-        lo, hi = 1, float("inf")
-        if order == "cost" and joins:
-            lo = 1 << n.bit_length() - 1
-            hi = 2 * lo
-            carry = Relation(pseudo, len(next(iter(carry))), carry)
-        db = _Mounted(db, pseudo, carry)
+        if order == "cost":  # its planner reads statistics, not only sizes
+            mounts = {name: Relation(name, len(next(iter(rows))), rows)
+                      for name, rows in mounts.items() if rows}
+        db = db.with_mounts(mounts)
         plans, rels, live = [], [], []
         for join in joins:
             plan = self.plan_for(join.body, unbound, order, db, tracer)
@@ -1124,16 +1240,14 @@ class PlanCache:
             plans.append(plan)
             rels.append(found)
             live.append(not plan.always_empty and all(found))
-            if order == "greedy":
-                a, b = _rank_interval(join.body, pseudo, db, n)
-                lo, hi = max(lo, a), min(hi, b)
+            _narrow(bounds, join.body, moving, db, order)
         key = (joins, pseudo, tuple(plans), tuple(live), tracer is not None)
         with self._lock:
             entry = self._loops.get(key)
         if entry is None:
             source, groups = loop_text(
                 plans, [join.output for join in joins], pseudo, live,
-                tracer is not None)
+                tracer is not None, flow)
             entry = (_function(self._shapes, source, "separable-loop",
                                "loop"), groups, source)
             with self._lock:
@@ -1141,30 +1255,35 @@ class PlanCache:
                     del self._loops[next(iter(self._loops))]
                 self._loops[key] = entry
         fn, groups, _ = entry
+        terms = tuple([
+            tuple([(*[_probe(rels[i][d], positions, cols, tracer)
+                      for d, positions, cols in probes], *consts, i)
+                   for probes, consts, i in group])
+            for group in groups])
+        if flow is not None:
+            return partial(fn, terms, *zip(*bounds))
         return partial(
-            fn,
-            tuple([tuple([(*[_probe(rels[i][d], positions, cols, tracer)
-                             for d, positions, cols in probes], *consts, i)
-                          for probes, consts, i in group])
-                   for group in groups]),
-            tuple([i for i, alive in enumerate(live) if not alive]), lo, hi)
+            fn, terms,
+            tuple([i for i, alive in enumerate(live) if not alive]),
+            *bounds[0])
 
     def loops_for(self, joins: Sequence) -> list[tuple]:
-        """``(traced, source, terms)`` of the generated carry loops that
-        ran over ``joins`` (for plan dumps): ``terms`` says per join term
-        with code ``(g, i, probed, constants)`` -- it is ``joins[i]``,
-        read from ``J<g>``, and ``probed`` names the ``(relation, index
-        signature, projected columns or None)`` behind each of its
-        probes."""
+        """``(traced, source, terms, joins)`` of the generated loops that
+        ran over ``joins`` -- the join terms of a carry loop, or the
+        delta names (``DELTA + member``, in member order) of a stratum
+        -- for plan dumps: ``terms`` says per join term with code ``(g,
+        i, probed, constants)`` -- it is ``joins[i]``, read from
+        ``J<g>``, and ``probed`` names the ``(relation, index signature,
+        projected columns or None)`` behind each of its probes."""
         with self._lock:
             return [
                 (key[4], source, [
                     (g, i, tuple((key[2][i].atom_order()[d], positions, cols)
                                  for d, positions, cols in probes), consts)
                     for g, group in enumerate(groups)
-                    for probes, consts, i in group])
+                    for probes, consts, i in group], key[0])
                 for key, (_, groups, source) in self._loops.items()
-                if key[0] == joins
+                if joins in key[:2]
             ]
 
     def clear(self) -> None:

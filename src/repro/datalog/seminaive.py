@@ -12,55 +12,101 @@ Within an SCC the classic delta optimization applies: a rule can only
 derive a new fact in round ``i`` if at least one of its recursive body
 atoms matches a fact that was new in round ``i - 1``, so each rule is
 evaluated once per recursive body occurrence with that occurrence
-restricted to the previous delta.
+restricted to the previous delta.  Those delta variants are the join
+terms of one generated function per stratum
+(:meth:`~repro.datalog.plan_cache.PlanCache.loop_for`, the semi-naive
+flavour of the Separable carry loop: ``carry`` is the delta,
+``seen`` the relation itself), which this module only drives.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..budget import Budget, UNLIMITED
 from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .atoms import Atom
-from .database import Database, Relation
-from .joins import evaluate_body_project
+from .database import Database
+from .joins import evaluate_body_into
+from .plan_cache import DELTA, PLAN_CACHE, relation_sink
 from .programs import Program
 from .rules import Rule
 
-__all__ = ["seminaive_evaluate", "seminaive_stratum"]
-
-_DELTA_PREFIX = "Δ"  # Δp never collides with parsed predicate names
+__all__ = ["seminaive_evaluate", "seminaive_stratum", "delta_rounds"]
 
 
-def _delta_variants(r: Rule, scc: frozenset[str]) -> list[tuple[Atom, ...]]:
-    """Bodies of ``r`` with one SCC-internal atom redirected to its delta.
+class DeltaJoin(NamedTuple):
+    """A rule body with one SCC-internal atom redirected to its delta: a
+    join term of the stratum's generated loop.  ``flow`` is ``(a, h)``,
+    the members (by number) whose delta it reads and whose facts it
+    derives."""
 
-    For a rule with ``k`` body atoms inside the SCC there are ``k``
-    variants; a rule with none (possible when the SCC has several
-    predicates) has no variants and contributes nothing after round one.
+    body: tuple[Atom, ...]
+    output: tuple
+    flow: tuple[int, int]
+
+    def __str__(self) -> str:
+        return "(%s) := %s" % (", ".join(map(str, self.output)),
+                               " & ".join(map(str, self.body)))
+
+
+@lru_cache(maxsize=1024)
+def _stratum(rules: tuple[Rule, ...], scc: frozenset[str]) -> tuple:
+    """``(members, terms, apps, outs, read)`` of one SCC, built once per
+    ``(rules, scc)``: the members in name order; one :class:`DeltaJoin`
+    per rule and body atom inside the SCC (a rule with none contributes
+    nothing after round zero); the ``rule_apps:`` counter of every rule
+    with a term and the ``rule_out:`` counter of every term; the members
+    some term reads in full beside a delta (a nonlinear or mutually
+    recursive body)."""
+    members = tuple(sorted(scc))
+    terms, apps, outs, read = [], [], [], set()
+    for ri, r in enumerate(rules):
+        inside = [i for i, a in enumerate(r.body) if a.predicate in scc]
+        for i in inside:
+            a = r.body[i]
+            terms.append(DeltaJoin(
+                r.body[:i] + (Atom(DELTA + a.predicate, a.args),)
+                + r.body[i + 1:], r.head.args,
+                (members.index(a.predicate),
+                 members.index(r.head.predicate))))
+            outs.append(f"rule_out:{r.head.predicate}#{ri}")
+        if inside:
+            apps.append(f"rule_apps:{r.head.predicate}#{ri}")
+        if len(inside) > 1:
+            read.update(r.body[i].predicate for i in inside)
+    return members, tuple(terms), tuple(apps), tuple(outs), frozenset(read)
+
+
+def delta_rounds(
+    rules: Iterable[Rule], scc: frozenset[str], db: Database,
+    carry: Sequence[set], seen: Sequence[tuple], sizes: Sequence[int] = (),
+    stats: Optional[EvaluationStats] = None, budget: Budget = UNLIMITED,
+    order: str = "greedy", tracer=None,
+) -> tuple:
+    """Propagate the deltas ``carry`` (one set per member of ``scc``, in
+    name order) through the delta variants of ``rules`` until a round
+    derives nothing new; returns the members' final ``sizes``.
+
+    ``seen[h] = (new, add)``: ``new(rows)`` is the set of ``rows`` member
+    ``h`` has not derived yet and ``add`` installs it.  Given ``sizes``,
+    the pairs write the member relations of ``db``
+    (:func:`~repro.datalog.plan_cache.relation_sink`), whose sizes these
+    are; given none, ``db`` is only read and what is derived lives where
+    the pairs put it -- DRed's overestimate grows plain sets over the
+    untouched database.
     """
-    variants: list[tuple[Atom, ...]] = []
-    for i, a in enumerate(r.body):
-        if a.predicate in scc:
-            redirected = Atom(_DELTA_PREFIX + a.predicate, a.args)
-            variants.append(r.body[:i] + (redirected,) + r.body[i + 1:])
-    return variants
-
-
-def _install(rows: Iterable[tuple], target: Relation, delta: set,
-             stats: Optional[EvaluationStats]) -> int:
-    """Add one rule evaluation's output to ``target`` and what was new
-    of it to ``delta``, set-at-a-time: one membership pass and one
-    ``add_all`` (one index patch), not one ``add`` per fact.  Returns
-    the number of rows produced, duplicates included."""
-    rows = list(rows)
-    if stats is not None:
-        stats.bump_produced(len(rows))
-    fresh = {f for f in rows if f not in target}
-    target.add_all(fresh)
-    delta |= fresh
-    return len(rows)
+    members, terms, apps, outs, _ = _stratum(tuple(rules), scc)
+    grows = bool(sizes)
+    carry, sizes = tuple(carry), tuple(sizes) or (0,) * len(members)
+    while any(carry):
+        run = PLAN_CACHE.loop_for(terms, members, carry, order, db, tracer,
+                                  grows)
+        carry, sizes = run(carry, seen, sizes, members, apps, outs, stats,
+                           budget, tracer)
+    return sizes
 
 
 def seminaive_stratum(
@@ -80,7 +126,8 @@ def seminaive_stratum(
     Derived facts are added to ``db`` in place.  A live ``tracer``
     records one ``seminaive.scc`` span with a per-round ``delta:<p>``
     series per member predicate (the sizes ``EvaluationStats`` cannot
-    see) plus the initial/final relation sizes.
+    see) plus the initial/final relation sizes; without one, and
+    without ``stats``, no relation is asked its size.
 
     ``initial_deltas`` restarts the fixpoint from an explicit seed
     instead of the usual round-0 full evaluation: ``{predicate: facts}``
@@ -93,26 +140,33 @@ def seminaive_stratum(
     member predicate (a full evaluation returns ``None`` and holds one
     round's delta at a time, so the extent may live out of core).
     """
-    rules = list(rules)
-    for p in scc:
-        db.ensure(p, program.arity(p))
+    rules = tuple(rules)
+    scc = frozenset(scc)
+    members, _, _, _, read = _stratum(rules, scc)
+    rels = [db.ensure(p, program.arity(p)) for p in members]
+    seen = [relation_sink(rel) for rel in rels]
+    carry: list[set] = [set() for _ in members]
+    added = None
+    if initial_deltas is not None:  # a restart says what it installed
+        added = [set() for _ in members]
+        seen = [(new, lambda fresh, add=add, also=also.update:
+                 (add(fresh), also(fresh)))
+                for (new, add), also in zip(seen, added)]
 
-    # Per-rule labels for the profiler's rule rows; only paid when
-    # traced (the labels also key the rule_apps/rule_out counters).
-    labels = (
-        [f"{r.head.predicate}#{i}" for i, r in enumerate(rules)]
-        if tracer is not None
-        else None
-    )
+    def install(h: int, rows: set) -> None:
+        new, add = seen[h]
+        fresh = new(rows)
+        if fresh:
+            add(fresh)
+            carry[h] |= fresh
 
-    with span_of(
-        tracer, "seminaive.scc", scc=sorted(scc),
-        initial={p: db.size(p) for p in sorted(scc)},
-    ) as span:
-        # Round 0: full evaluation of every rule (seeds the deltas).
-        # New facts accumulate in plain sets and are installed into the
-        # delta relations in one bulk add_all per predicate per round.
-        delta_sets: dict[str, set] = {p: set() for p in scc}
+    # Only a traced run pays for the span's attributes and the rule
+    # labels (they key the profiler's rule_apps/rule_out rows).
+    attrs = {} if tracer is None else {
+        "scc": list(members), "initial": {p: db.size(p) for p in members}}
+    with span_of(tracer, "seminaive.scc", **attrs) as span:
+        # Round 0 seeds the deltas: the given ones, or a full
+        # evaluation of every rule, each installed before the next runs.
         if stats is not None:
             stats.bump_iterations()
         if tracer is not None:
@@ -124,78 +178,35 @@ def seminaive_stratum(
                         f"initial delta for {p!r} is not a member of "
                         f"this SCC"
                     )
-                target = db.relation(p)
-                assert target is not None
-                fresh = {f for f in map(tuple, facts) if f not in target}
-                target.add_all(fresh)
-                delta_sets[p] |= fresh
-        for ri, r in enumerate(rules if initial_deltas is None else ()):
-            target = db.relation(r.head.predicate)
-            assert target is not None
-            produced_r = _install(
-                evaluate_body_project(db, r.body, r.head.args, stats=stats,
-                                      order=order, tracer=tracer),
-                target, delta_sets[r.head.predicate], stats)
-            if tracer is not None:
-                tracer.count(f"rule_apps:{labels[ri]}")
-                if produced_r:
-                    tracer.count(f"rule_out:{labels[ri]}", produced_r)
-        deltas: dict[str, Relation] = {
-            p: Relation(p, program.arity(p), delta_sets[p]) for p in scc
-        }
-        # The relations copied round 0's sets; a seeded restart goes on
-        # to collect every later round's delta in them.
-        added = delta_sets if initial_deltas is not None else None
-        if tracer is not None:
-            for p in sorted(scc):
-                tracer.record(f"delta:{p}", len(deltas[p]))
-
-        variant_cache = {id(r): _delta_variants(r, scc) for r in rules}
-
-        while any(deltas[p] for p in scc):
-            budget.check_wall(stats)
-            if stats is not None:
-                for p in scc:
-                    stats.record_relation(p, db.size(p))
-                    budget.check_relation(p, db.size(p), stats)
-                budget.check_stats(stats)
-                stats.bump_iterations()
-            if tracer is not None:
-                tracer.count("iterations")
-            view = db.with_mounts(
-                {_DELTA_PREFIX + p: rel for p, rel in deltas.items()})
-            new_deltas: dict[str, set] = {p: set() for p in scc}
+                install(members.index(p), set(map(tuple, facts)))
+        else:
             for ri, r in enumerate(rules):
-                target = db.relation(r.head.predicate)
-                assert target is not None
-                produced_r = 0
-                for body in variant_cache[id(r)]:
-                    produced_r += _install(
-                        evaluate_body_project(
-                            view, body, r.head.args, stats=stats,
-                            order=order, tracer=tracer),
-                        target, new_deltas[r.head.predicate], stats)
-                if tracer is not None and variant_cache[id(r)]:
-                    tracer.count(f"rule_apps:{labels[ri]}")
-                    if produced_r:
-                        tracer.count(f"rule_out:{labels[ri]}", produced_r)
-            deltas = {p: Relation(p, program.arity(p), new_deltas[p])
-                      for p in scc}
-            if added is not None:
-                for p in scc:
-                    added[p] |= new_deltas[p]
-            if tracer is not None:
-                for p in sorted(scc):
-                    tracer.record(f"delta:{p}", len(deltas[p]))
-
+                rows: set = set()
+                made = evaluate_body_into(db, r.body, r.head.args, rows,
+                                          stats=stats, order=order,
+                                          tracer=tracer)
+                install(members.index(r.head.predicate), rows)
+                if tracer is not None:
+                    tracer.count(f"rule_apps:{r.head.predicate}#{ri}")
+                    if made:
+                        tracer.count(f"rule_out:{r.head.predicate}#{ri}",
+                                     made)
+        if tracer is not None:
+            for p, delta in zip(members, carry):
+                tracer.record(f"delta:{p}", len(delta))
+        sizes = delta_rounds(
+            rules, scc, db, carry, seen,
+            [len(rel) if stats is not None or p in read else 0
+             for p, rel in zip(members, rels)],
+            stats, budget, order, tracer)
         if stats is not None:
-            for p in scc:
-                stats.record_relation(p, db.size(p))
-                budget.check_relation(p, db.size(p), stats)
+            for p, n in zip(members, sizes):
+                stats.record_relation(p, n)
+                budget.check_relation(p, n, stats)
             budget.check_stats(stats)
         if span is not None:
-            span.attrs["final"] = {p: db.size(p) for p in sorted(scc)}
-    return added
+            span.attrs["final"] = {p: db.size(p) for p in members}
+    return None if added is None else dict(zip(members, added))
 
 
 def seminaive_evaluate(

@@ -42,15 +42,19 @@ Counting (recount the affected set)
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping, Optional
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Fact, Relation
-from ..datalog.joins import evaluate_body_into, evaluate_body_project
+from ..datalog.joins import evaluate_body_into
 from ..datalog.programs import Program
 from ..datalog.rules import Rule
-from ..datalog.seminaive import seminaive_evaluate, seminaive_stratum
+from ..datalog.seminaive import (
+    delta_rounds, seminaive_evaluate, seminaive_stratum)
 from ..datalog.terms import Constant
+from ..observability.tracer import span_of
+from ..stats import EvaluationStats
 
 __all__ = ["MaintainedView"]
 
@@ -68,32 +72,44 @@ _CANDIDATE_PREFIX = _DELTA_PREFIX + "?"
 Delta = Mapping[str, tuple[frozenset, frozenset]]
 
 
-def _mount(view: Database, prefix: str,
-           facts: Mapping[str, set[Fact]]) -> dict[str, str]:
-    """Mount each non-empty fact set as relation ``prefix + predicate``
-    in ``view``; returns ``{predicate: mounted name}``."""
-    names: dict[str, str] = {}
-    for pred, tuples in facts.items():
-        if tuples:
-            name = names[pred] = prefix + pred
-            arity = len(next(iter(tuples)))
-            view.attach(Relation(name, arity, tuples), name)
-    return names
+def _mounted(db: Database, prefix: str,
+             facts: Mapping[str, set[Fact]]) -> Database:
+    """``db`` with each non-empty fact set mounted beside its relations
+    as relation ``prefix + predicate``, for the joins that read it."""
+    return db.with_mounts({
+        prefix + pred: Relation(prefix + pred, len(next(iter(tuples))), tuples)
+        for pred, tuples in facts.items() if tuples})
 
 
-def _unmount(view: Database, names: Mapping[str, str]) -> None:
-    for name in names.values():
-        view.detach(name)
+@lru_cache(maxsize=4096)
+def _delta_body(rule: Rule, i: int) -> tuple[Atom, ...]:
+    """``rule.body`` with its ``i``-th atom reading the mounted delta."""
+    a = rule.body[i]
+    return (rule.body[:i] + (Atom(_DELTA_PREFIX + a.predicate, a.args),)
+            + rule.body[i + 1:])
 
 
-def _head_restricted(rule: Rule, names: Mapping[str, str]
-                     ) -> tuple[Atom, ...]:
-    """``rule.body`` behind the candidate atom of its head predicate
-    (the plain body when no candidates are mounted for it)."""
-    name = names.get(rule.head.predicate)
-    if name is None:
-        return rule.body
-    return (Atom(name, rule.head.args),) + rule.body
+@lru_cache(maxsize=4096)
+def _candidate_body(rule: Rule) -> tuple[Atom, ...]:
+    """``rule.body`` behind the candidate atom of its head predicate."""
+    head = rule.head
+    return (Atom(_CANDIDATE_PREFIX + head.predicate, head.args),) + rule.body
+
+
+class _Bag(list):
+    """A kernel sink that keeps duplicates: one head per derivation."""
+
+    add = list.append
+    update = list.extend
+
+
+def _report(tracer, stats: Optional[EvaluationStats], facts_in: int,
+            facts_out: int) -> None:
+    """File a phase's rounds and fact counts under its open span."""
+    if tracer is not None:
+        tracer.count("rounds", stats.iterations if stats else 0)
+        tracer.count("facts_in", facts_in)
+        tracer.count("facts_out", facts_out)
 
 
 class MaintainedView:
@@ -118,7 +134,7 @@ class MaintainedView:
         # The database is a fixpoint, so every head a rule's join
         # yields is a derived fact: the bag of heads is the count table.
         self.counts: dict[str, dict[Fact, int]] = {
-            pred: dict(self._derivation_counts(self.db, pred, {}))
+            pred: dict(self._derivation_counts(pred))
             for pred in self.idb
         }
 
@@ -148,62 +164,58 @@ class MaintainedView:
 
     # -- maintenance joins -------------------------------------------------
 
-    def _derivation_counts(self, view: Database, pred: str,
-                           names: Mapping[str, str]) -> Counter:
-        """Derivation counts of ``pred`` facts in ``view``: one join per
-        rule, each head tuple once per body substitution producing it.
-
-        Restricted to the candidates mounted for ``pred`` in ``names``;
-        with none mounted every derivable head is counted.
-        """
-        counts: Counter = Counter()
+    def _derivation_counts(self, pred: str,
+                           candidates: Optional[set[Fact]] = None) -> Counter:
+        """Derivation counts of ``pred`` facts: one join per rule, each
+        head tuple once per body substitution producing it -- of the
+        ``candidates`` only, or of every derivable head."""
+        heads = _Bag()
+        view = self.db if candidates is None else _mounted(
+            self.db, _CANDIDATE_PREFIX, {pred: candidates})
         for r in self.program.rules_for(pred):
-            counts.update(evaluate_body_project(
-                view, _head_restricted(r, names), r.head.args,
-                order=self.order))
-        return counts
+            evaluate_body_into(
+                view, r.body if candidates is None else _candidate_body(r),
+                r.head.args, heads, order=self.order)
+        return Counter(heads)
 
-    def _delta_join_heads(
-        self, view: Database, rules: Iterable[Rule],
-        changed: Mapping[str, set],
-    ) -> dict[str, set[Fact]]:
+    def _delta_join_heads(self, rules: Iterable[Rule],
+                          changed: Mapping[str, set]) -> dict[str, set[Fact]]:
         """Rule heads derivable with one body atom restricted to a delta.
 
         One evaluation per (rule, occurrence of a changed predicate),
         the delta occurrence reading the changed facts and every other
         atom reading the current database -- the standard semi-naive
-        delta join, reused for the DRed overestimate, the insert seeds,
-        and the gained-derivation candidates.
+        delta join, reused for the seeds of the DRed overestimate and of
+        the insert restart, and for the gained-derivation candidates.
         """
-        names = _mount(view, _DELTA_PREFIX, changed)
-        if not names:
-            return {}
         heads: dict[str, set[Fact]] = {}
+        if not any(changed.values()):
+            return heads
+        view = _mounted(self.db, _DELTA_PREFIX, changed)
         for r in rules:
             for i, a in enumerate(r.body):
-                delta_name = names.get(a.predicate)
-                if delta_name is None:
-                    continue
-                body = (r.body[:i]
-                        + (Atom(delta_name, a.args),)
-                        + r.body[i + 1:])
-                evaluate_body_into(
-                    view, body, r.head.args,
-                    heads.setdefault(r.head.predicate, set()),
-                    order=self.order)
-        _unmount(view, names)
+                if changed.get(a.predicate):
+                    evaluate_body_into(
+                        view, _delta_body(r, i), r.head.args,
+                        heads.setdefault(r.head.predicate, set()),
+                        order=self.order)
         return heads
 
     # -- maintenance -------------------------------------------------------
 
-    def apply(self, deltas: Delta) -> dict[str, tuple[frozenset, frozenset]]:
+    def apply(self, deltas: Delta,
+              tracer=None) -> dict[str, tuple[frozenset, frozenset]]:
         """Apply net base deltas; returns net IDB changes per predicate.
 
         ``deltas`` maps base relation names to ``(inserted, deleted)``
         fact sets, as produced by
         :meth:`repro.maintenance.capture.DeltaCapture.net`.  Deltas
         naming an IDB predicate are rejected -- derived relations are
-        owned by the view.
+        owned by the view.  A live ``tracer`` gets one span per phase
+        that runs -- ``view.overestimate``, ``view.rederive``,
+        ``view.restart``, ``view.recount`` -- each counting its
+        fixpoint ``rounds`` and its ``facts_in`` / ``facts_out``; the
+        joins and loops inside stay untraced.
         """
         eff_ins: dict[str, set[Fact]] = {}
         eff_dels: dict[str, set[Fact]] = {}
@@ -229,15 +241,9 @@ class MaintainedView:
         # Per IDB fact we ever add or remove: was it present at entry?
         # Comparing against presence at exit yields the net IDB delta.
         touched: dict[str, dict[Fact, bool]] = {p: {} for p in self.idb}
-
-        # Every maintenance join of this call reads one view database:
-        # the relations of ``self.db`` shared, deltas and candidates
-        # mounted beside them by name for the join that reads them.
-        view = self.db.with_mounts({})
-
         if eff_dels:
-            self._apply_deletions(view, eff_dels, touched)
-        inserted = self._apply_insertions(view, eff_ins, touched) \
+            self._apply_deletions(eff_dels, touched, tracer)
+        inserted = self._apply_insertions(eff_ins, touched, tracer) \
             if eff_ins else {}
 
         # Recount the affected set: everything removed or added along
@@ -245,124 +251,118 @@ class MaintainedView:
         # fact (delta join against the *final* database).  Only facts
         # still present need the join: the removed ones gave up their
         # counts with their membership.
-        gains = self._delta_join_heads(view, self.program.rules, inserted)
         live: dict[str, set[Fact]] = {}
-        for pred in self.idb:
-            rel = self.db.relation(pred)
-            live[pred] = {f for f in touched[pred].keys()
-                          | gains.get(pred, set()) if f in rel}
-        names = _mount(view, _CANDIDATE_PREFIX, live)
-        for pred in names:
-            self.counts[pred].update(
-                self._derivation_counts(view, pred, names))
-        _unmount(view, names)
+        with span_of(tracer, "view.recount"):
+            gains = self._delta_join_heads(self.program.rules, inserted)
+            affected = 0
+            for pred in self.idb:
+                rel = self.db.relation(pred)
+                candidates = touched[pred].keys() | gains.get(pred, set())
+                affected += len(candidates)
+                live[pred] = {f for f in candidates if f in rel}
+                if live[pred]:
+                    self.counts[pred].update(
+                        self._derivation_counts(pred, live[pred]))
+            _report(tracer, None, affected, sum(map(len, live.values())))
 
         result: dict[str, tuple[frozenset, frozenset]] = {}
-        for pred in self.idb:
-            rel = self.db.relation(pred)
-            added: set[Fact] = set()
-            removed: set[Fact] = set()
-            for fact, was_present in touched[pred].items():
-                now_present = rel is not None and fact in rel
-                if was_present and not now_present:
-                    removed.add(fact)
-                elif now_present and not was_present:
-                    added.add(fact)
+        for pred, entry in touched.items():
+            added = {f for f, was in entry.items()
+                     if not was and f in live[pred]}
+            removed = {f for f, was in entry.items()
+                       if was and f not in live[pred]}
             if added or removed:
                 result[pred] = (frozenset(added), frozenset(removed))
         return result
 
-    def _apply_deletions(self, view: Database,
-                         dels: Mapping[str, set[Fact]],
-                         touched: dict[str, dict[Fact, bool]]) -> None:
-        # Overestimate bottom-up per SCC against the original database.
+    def _apply_deletions(self, dels: Mapping[str, set[Fact]],
+                         touched: dict[str, dict[Fact, bool]],
+                         tracer) -> None:
+        # Overestimate bottom-up per SCC against the original database:
+        # the delta joins with the lower deltas seed it, and from there
+        # it is the SCC's semi-naive fixpoint with the overestimate as
+        # ``seen`` -- later rounds read only the facts that just joined.
         over: dict[str, set[Fact]] = {p: set() for p in self.idb}
         visible: dict[str, set[Fact]] = {n: set(f) for n, f in dels.items()}
-        for scc, rules in self._scc_rules:
-            frontier: Mapping[str, set[Fact]] = visible
-            while True:
-                heads = self._delta_join_heads(view, rules, frontier)
-                fresh: dict[str, set[Fact]] = {}
-                for pred, facts in heads.items():
-                    rel = self.db.relation(pred)
-                    if rel is None:
-                        continue
-                    new = {f for f in facts
-                           if f in rel and f not in over[pred]}
-                    if new:
-                        over[pred] |= new
-                        fresh[pred] = new
-                if not fresh:
-                    break
-                # Later rounds only need the facts that just joined D:
-                # lower deltas were exhausted in the first round.
-                frontier = fresh
-            for pred in scc:
-                if over.get(pred):
-                    visible[pred] = over[pred]
+        with span_of(tracer, "view.overestimate"):
+            stats = tracer and EvaluationStats()
+            for scc, rules in self._scc_rules:
+                heads = self._delta_join_heads(rules, visible)
+                members = sorted(scc)
+                for pred in members:
+                    over[pred] = visible[pred] = heads.pop(pred, set())
+                delta_rounds(
+                    rules, scc, self.db, [set(over[p]) for p in members],
+                    [(over[p].__rsub__, over[p].update) for p in members],
+                    stats=stats, order=self.order)
+            removed = sum(map(len, over.values()))
+            _report(tracer, stats, sum(map(len, dels.values())), removed)
 
-        # Remove the base deletes and the whole overestimate.
-        for name, facts in dels.items():
-            rel = self.db.relation(name)
-            if rel is not None:
-                rel.discard_all(facts)
-        for pred, facts in over.items():
-            if not facts:
-                continue
-            self.db.relation(pred).discard_all(facts)
-            per = self.counts.setdefault(pred, {})
-            entry = touched[pred]
-            for fact in facts:
-                per.pop(fact, None)
-                entry.setdefault(fact, True)
+        with span_of(tracer, "view.rederive"):
+            # Remove the base deletes and the whole overestimate.
+            for name, facts in dels.items():
+                self.db.relation(name).discard_all(facts)
+            for pred, facts in over.items():
+                if self.db.relation(pred).discard_all(facts) != len(facts):
+                    # Every overestimated fact is a rule head over the
+                    # old database, so only a view that was no fixpoint
+                    # derives one it does not hold (the service rebuilds).
+                    raise RuntimeError(f"the view of {pred!r} is not a "
+                                       f"fixpoint of its rules")
+                per = self.counts[pred]
+                for fact in facts:
+                    per.pop(fact, None)
+                touched[pred].update(dict.fromkeys(facts, True))
 
-        # Rederive survivors bottom-up per SCC.  One candidate join per
-        # rule finds the removed facts that still have a derivation in
-        # the current database; what is missing beyond them can only
-        # follow from them, which is the delta-seeded restart's
-        # precondition -- so the cascade costs one delta round per step
-        # instead of one sweep over every removed fact per step.
-        for scc, rules in self._scc_rules:
-            names = _mount(view, _CANDIDATE_PREFIX,
-                           {p: over[p] for p in scc})
-            back: dict[str, set[Fact]] = {}
-            for r in rules:
-                if r.head.predicate in names:
-                    evaluate_body_into(
-                        view, _head_restricted(r, names), r.head.args,
-                        back.setdefault(r.head.predicate, set()),
-                        order=self.order)
-            _unmount(view, names)
-            if any(back.values()):
-                seminaive_stratum(rules, scc, self.db, self.program,
-                                  order=self.order, initial_deltas=back)
+            # Rederive survivors bottom-up per SCC.  One candidate join
+            # per rule finds the removed facts that still have a
+            # derivation in the current database; what is missing beyond
+            # them can only follow from them, which is the delta-seeded
+            # restart's precondition -- so the cascade costs one delta
+            # round per step instead of one sweep over every removed
+            # fact per step.
+            stats, back_in = tracer and EvaluationStats(), 0
+            for scc, rules in self._scc_rules:
+                view = _mounted(self.db, _CANDIDATE_PREFIX,
+                                {p: over[p] for p in scc})
+                back: dict[str, set[Fact]] = {}
+                for r in rules:
+                    if over[r.head.predicate]:
+                        evaluate_body_into(
+                            view, _candidate_body(r), r.head.args,
+                            back.setdefault(r.head.predicate, set()),
+                            order=self.order)
+                if any(back.values()):
+                    added = seminaive_stratum(
+                        rules, scc, self.db, self.program, stats=stats,
+                        order=self.order, initial_deltas=back)
+                    back_in += sum(map(len, added.values()))
+            _report(tracer, stats, removed, back_in)
 
     def _apply_insertions(
-        self, view: Database, ins: Mapping[str, set[Fact]],
-        touched: dict[str, dict[Fact, bool]],
+        self, ins: Mapping[str, set[Fact]],
+        touched: dict[str, dict[Fact, bool]], tracer,
     ) -> dict[str, set[Fact]]:
         """Install base inserts, propagate; returns all inserted facts."""
-        for name, facts in ins.items():
-            rel = self.db.ensure(name, len(next(iter(facts))))
-            view.attach(rel, name)  # a relation this write created
-            rel.add_all(facts)
-        changed: dict[str, set[Fact]] = {n: set(f) for n, f in ins.items()}
-        for scc, rules in self._scc_rules:
-            lower = {n: f for n, f in changed.items() if n not in scc}
-            seed_heads = self._delta_join_heads(view, rules, lower)
-            seeds: dict[str, set[Fact]] = {}
-            for pred in scc:
-                rel = self.db.relation(pred)
-                seeds[pred] = {f for f in seed_heads.get(pred, ())
-                               if f not in rel}
-            if not any(seeds.values()):
-                continue
-            added = seminaive_stratum(rules, scc, self.db, self.program,
-                                      order=self.order, initial_deltas=seeds)
-            for pred, facts in added.items():
-                if facts:
+        with span_of(tracer, "view.restart"):
+            stats = tracer and EvaluationStats()
+            for name, facts in ins.items():
+                self.db.ensure(name, len(next(iter(facts)))).add_all(facts)
+            changed: dict[str, set[Fact]] = {
+                n: set(f) for n, f in ins.items()}
+            for scc, rules in self._scc_rules:
+                lower = {n: f for n, f in changed.items() if n not in scc}
+                # The restart installs what is new of its seeds.
+                seeds = self._delta_join_heads(rules, lower)
+                if not any(seeds.values()):
+                    continue
+                added = seminaive_stratum(
+                    rules, scc, self.db, self.program, stats=stats,
+                    order=self.order, initial_deltas=seeds)
+                for pred, facts in added.items():
                     changed.setdefault(pred, set()).update(facts)
-                    per = touched[pred]
-                    for fact in facts:
-                        per.setdefault(fact, False)
+                    touched[pred].update(dict.fromkeys(
+                        facts - touched[pred].keys(), False))
+            _report(tracer, stats, sum(map(len, ins.values())),
+                    sum(len(f) for n, f in changed.items() if n not in ins))
         return changed

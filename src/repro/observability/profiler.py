@@ -127,9 +127,19 @@ def _kernel_lines(plan) -> list[str]:
             lines.append(f"  kernel {join}  steps={cached.atom_order()}  "
                          f"K={consts}")
             lines += [f"    {line}" for line in source.splitlines()]
-    for which, joins in (("down", plan.down_joins), ("up", plan.up_joins)):
-        for traced, source, terms in PLAN_CACHE.loops_for(joins):
-            lines.append(f"  {which} loop ({'traced' if traced else 'untraced'}"
+    return lines + _loop_lines([("down loop", plan.down_joins),
+                                ("up loop", plan.up_joins)])
+
+
+def _loop_lines(loops) -> list[str]:
+    """The generated loops that ran over each ``(title, joins)`` of
+    ``loops`` (:meth:`~repro.datalog.plan_cache.PlanCache.loops_for`)."""
+    from ..datalog.plan_cache import PLAN_CACHE
+
+    lines: list[str] = []
+    for title, of in loops:
+        for traced, source, terms, joins in PLAN_CACHE.loops_for(of):
+            lines.append(f"  {title} ({'traced' if traced else 'untraced'}"
                          f" flavour)")
             for g, i, probed, consts in terms:
                 q = ", ".join(
@@ -227,6 +237,15 @@ class QueryProfile:
                   result.describe_plan() if plan is None else plan.describe()]
         if plan is not None:
             lines += _kernel_lines(plan)
+        else:  # a rewritten program: the generated loop of each stratum
+            from ..datalog.plan_cache import DELTA
+
+            strata = dict.fromkeys(
+                tuple(span.attrs["scc"]) for span in self.tracer.spans()
+                if span.name == "seminaive.scc")
+            lines += _loop_lines(
+                (f"stratum {', '.join(scc)} loop",
+                 tuple(DELTA + p for p in scc)) for scc in strata)
         lines += ["", f"-- strategy advice {rule[19:]}",
                   self.advice.explain()]
 

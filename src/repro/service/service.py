@@ -342,8 +342,9 @@ class QueryService:
             return self._rebuild_view(new_fp)
         net = capture.net()
         try:
-            with self.metrics.tracer.span("service.mutate.apply"):
-                self._view.apply(net)
+            tracer = self.metrics.tracer
+            with tracer.span("service.mutate.apply"):
+                self._view.apply(net, tracer)
         except Exception:
             # A delta the maintenance layer cannot express exactly
             # (e.g. through an aliased relation) degrades to a rebuild;

@@ -391,8 +391,11 @@ class TestProjectedInnermostLevel:
     def test_kernel_unions_the_projected_bucket(self):
         text, consts, sink, made = self.kernel(
             (atom("carry", "X"), atom("e", "X", "W")), (W,))
-        assert "c1 = rels[1].lookup_projected(k2, k3, (r0,), tracer)" in text
-        assert "        sink.update(c1)" in text.splitlines()
+        # The probe is bound once per run (``_probe``: the projected
+        # index's own ``get``), not looked up per carry tuple.
+        assert "    q1 = _probe(rels[1], k2, k3, tracer)" in text.splitlines()
+        assert "c1 = q1((r0,))" in text and ".lookup" not in text
+        assert "                sink.update(c1)" in text.splitlines()
         assert "for f in c" not in text
         assert consts[2:] == ((0,), (1,))  # positions -> cols
         assert sink == {("b",), ("c",)} and made == 2
@@ -415,32 +418,32 @@ class TestProjectedInnermostLevel:
     @pytest.mark.parametrize("body, output, line", [
         pytest.param(  # a repeated variable within the atom
             (atom("carry", "X"), atom("e3", "X", "W", "W")), (W,),
-            "            sink.add((r1,))", id="check"),
+            "                    sink.add((r1,))", id="check"),
         pytest.param(  # an eq guard scheduled after the atom
             (atom("carry", "X"), atom("e3", "X", "W", "V"),
              atom(EQ, "W", "V")), (W, V),
-            "            sink.add((r1, r2))", id="guard"),
+            "                    sink.add((r1, r2))", id="guard"),
         pytest.param(  # a constant in the output
             (atom("carry", "X"), atom("e", "X", "W")),
             (Constant("tag"), W),
-            "        sink.update([(k4, f[k3]) for f in c1])", id="constant"),
+            "                sink.update([(k4, f[k3]) for f in c1])", id="constant"),
         pytest.param(  # a register of an outer level in the output
             (atom("carry", "X"), atom("e", "X", "W")), (X, W),
-            "        sink.update([(r0, f[k3]) for f in c1])", id="outer"),
+            "                sink.update([(r0, f[k3]) for f in c1])", id="outer"),
         pytest.param(  # a free column the output drops
             (atom("carry", "X"), atom("e3", "X", "W", "V")), (W,),
-            "        sink.update([(f[k3],) for f in c1])", id="dropped"),
+            "                sink.update([(f[k3],) for f in c1])", id="dropped"),
         pytest.param(  # no output column: zip() of no columns is no rows
             (atom("carry", "X"), atom("e", "X", "W")), (),
-            "        sink.update([() for f in c1])", id="empty"),
+            "                sink.update([() for f in c1])", id="empty"),
         pytest.param(  # ... also when the atom has no free column
             (atom("carry", "X"), atom("e", "X", "X")), (),
-            "        sink.update([() for f in c1])", id="all-bound"),
+            "                sink.update([() for f in c1])", id="all-bound"),
     ])
     def test_other_shapes_keep_their_text(self, body, output, line):
         text, _, sink, made = self.kernel(body, output)
         assert line in text.splitlines()
-        assert "lookup_projected" not in text
+        assert "_probe(rels[1], k2, None, tracer)" in text  # not projected
         db = Database.from_facts(self.FACTS)
         expected = [
             tuple(b[t] if isinstance(t, Variable) else t.value
@@ -462,7 +465,8 @@ class TestProjectedInnermostLevel:
         # The stand-alone kernel reads a carry *relation*: eligible.
         db = Database.from_facts(facts)
         plan = compile_join_plan(body, db=db)
-        assert "lookup_projected" in plan.kernel_source(output)
+        assert "q1 = _probe(rels[1], k2, k3, tracer)" in \
+            plan.kernel_source(output)
 
     def test_tagged_plans_keep_the_comprehension(self):
         """PR 17's seed-tagged output starts with the tag, a register

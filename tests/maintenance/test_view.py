@@ -370,11 +370,22 @@ class TestRederivationCascade:
 
 
 class TestNoPerFactJoin:
+    """Every maintenance join, and every generated loop at its entry,
+    asks the plan cache once per join term: plan lookups per ``apply``
+    are O(rules) -- a join per (fact, rule) would scale them with the
+    delta, a round loop with the depth of the cascade."""
+
+    @staticmethod
+    def lookups(view, deltas):
+        before = PLAN_CACHE.stats()
+        changes = view.apply(deltas)
+        after = PLAN_CACHE.stats()
+        return (after["hits"] + after["misses"]
+                - before["hits"] - before["misses"]), changes
+
     def test_plan_lookups_do_not_grow_with_the_overestimate(self):
         # One write whose DRed overestimate is everyone reaching the
-        # most-befriended user.  Every maintenance join asks the plan
-        # cache once, so lookups per apply are O(rules x rounds); a join
-        # per (fact, rule) would scale them with the overestimate.
+        # most-befriended user.
         lookups, removed = {}, {}
         for people in (40, 150):
             scenario = social_commerce(people=people)
@@ -384,29 +395,35 @@ class TestNoPerFactJoin:
             user = max(befriended, key=lambda u: (befriended[u], u))
             gift = frozenset([(user, "gift")])
             view.apply({"perfectFor": (gift, frozenset())})
-
-            rounds = 0
-            delta_join = view._delta_join_heads
-
-            def counting(*args, **kwargs):
-                nonlocal rounds
-                rounds += 1
-                return delta_join(*args, **kwargs)
-
-            view._delta_join_heads = counting
-            before = PLAN_CACHE.stats()
-            changes = view.apply({"perfectFor": (frozenset(), gift)})
-            after = PLAN_CACHE.stats()
-            lookups[people] = (after["hits"] + after["misses"]
-                               - before["hits"] - before["misses"])
+            lookups[people], changes = self.lookups(
+                view, {"perfectFor": (frozenset(), gift)})
             removed[people] = len(changes["buys"][1])
-            # Each delta-join round plans at most one join per body
-            # atom; the rederive and recount joins add one per rule.
+            # Seeds, loop entry, rederive and recount: each plans at
+            # most one join per body atom.
             body_atoms = sum(len(r.body) for r in scenario.program.rules)
-            assert lookups[people] <= body_atoms * (rounds + 2)
+            assert lookups[people] <= 4 * body_atoms
         assert removed[150] >= 3 * removed[40]
-        assert lookups[150] < removed[150]
-        assert lookups[150] <= 1.5 * lookups[40]
+        assert lookups[150] == lookups[40]
+
+    def test_plan_lookups_do_not_grow_with_the_rounds(self):
+        # Left-linear closure of a chain: a new first edge reaches one
+        # node more a round, and removing it again overestimates one
+        # fact more a round -- ``depth`` rounds of a one-fact delta.
+        program = parse_program(
+            "tc(X, Y) :- tc(X, W) & e(W, Y).\ntc(X, Y) :- e(X, Y)."
+        ).program
+        lookups = {}
+        for depth in (40, 150):
+            view = MaintainedView(program, Database.from_facts(
+                {"e": [(i, i + 1) for i in range(1, depth)]}))
+            edge = frozenset([(0, 1)])
+            grown, changes = self.lookups(view, {"e": (edge, frozenset())})
+            assert len(changes["tc"][0]) == depth
+            shrunk, changes = self.lookups(view, {"e": (frozenset(), edge)})
+            assert len(changes["tc"][1]) == depth
+            lookups[depth] = (grown, shrunk)
+        assert lookups[150] == lookups[40]
+        assert max(lookups[40]) <= 4 * sum(len(r.body) for r in program.rules)
 
 
 class TestSelect:
