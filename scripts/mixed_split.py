@@ -32,8 +32,11 @@ stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
 Half-way through a pass's writes both services also answer, untimed,
 one all-free and one repeated-variable query (the stream itself holds
 full selections only).  Exit status 1 when any read differs between
-the two services, or when a ``serve-mixed`` write makes more than
-``MAX_PLAN_LOOKUPS_PER_WRITE`` plan lookups.
+the two services, when a ``serve-mixed`` write makes more than
+``MAX_PLAN_LOOKUPS_PER_WRITE`` plan lookups, or when a ``serve-mixed``
+read was not one ``MaintainedView.select`` on the calling thread (the
+script wraps ``select`` to note the thread that ran it): a view read is
+answered where it arrives, with no hand-off to a worker.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -44,6 +47,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -54,6 +58,7 @@ import workloads  # noqa: E402  (ledger/)
 from harness import calls, open_target  # noqa: E402
 
 from repro.datalog.plan_cache import PLAN_CACHE  # noqa: E402
+from repro.maintenance import MaintainedView  # noqa: E402
 from repro.storage import SQLiteRelation  # noqa: E402
 
 PHASES = ("capture", "apply")
@@ -70,6 +75,8 @@ EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "hit")}
 COUNTED = ("copies", "connections", "statements")
+#: The thread of every view lookup, in order (``record_select_threads``).
+SELECT_THREADS: list[int] = []
 
 
 def phase_seconds(service) -> dict:
@@ -99,8 +106,9 @@ def differ(service, reference, call) -> bool:
 def one_pass(service, reference, ops, kinds, counts=None):
     """Run ``ops`` on both services: seconds per read kind and per
     write, ``counts`` deltas and the timed service's plan-cache lookups
-    filed the same way, and the number of reads on which the services
-    disagree."""
+    filed the same way, the number of reads on which the services
+    disagree, and the number of reads that were not one view lookup on
+    the calling thread."""
     service.memo.clear()
     reference.memo.clear()
     now = time.perf_counter
@@ -111,14 +119,17 @@ def one_pass(service, reference, ops, kinds, counts=None):
     seen: set[str] = set()
     # A pass follows a pass: its first read comes after the last write.
     written = ops[-1][0] != "read"
-    differing = 0
+    differing = off_caller = 0
+    caller = [threading.get_ident()]
     for op, call in zip(ops, calls(ops)):
         before = dict(counts or (), plan_lookups=plan_lookups())
         misses = service.memo.stats()["misses"]
+        selected = len(SELECT_THREADS)
         start = now()
         if op[0] == "read":
             result = service.query(call)
             took = now() - start
+            off_caller += SELECT_THREADS[selected:] != caller
             if "first" in kinds:
                 kind = "repeat" if call in seen else "first"
             elif written:
@@ -145,7 +156,19 @@ def one_pass(service, reference, ops, kinds, counts=None):
             differing += sum(differ(service, reference, extra)
                              for extra in EXTRA_READS)
             written = False  # the extras captured this write's snapshot
-    return seconds, counted, differing
+    return seconds, counted, differing, off_caller
+
+
+def record_select_threads() -> None:
+    """Note, from here on, the thread of every ``MaintainedView.select``
+    in ``SELECT_THREADS``."""
+    select = MaintainedView.select
+
+    def recorded(self, *args, **kwargs):
+        SELECT_THREADS.append(threading.get_ident())
+        return select(self, *args, **kwargs)
+
+    MaintainedView.select = recorded
 
 
 def trace_storage(counts: dict) -> None:
@@ -195,11 +218,12 @@ def main(argv=None) -> int:
     workload.service = {"workers": own_config["workers"]}
     reference = open_target(workload)
     opened = [service, reference]
-    differing = 0
+    differing = off_caller = 0
+    record_select_threads()
     try:
         one_pass(service, reference, ops, kinds)  # warm-up
         per_write = (*PHASES, *VIEW_PHASES)
-        print("pass  reads_ms writes_ms  "
+        print("pass  reads_ms read_us/read writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  " + "  ".join(f"{name}_ms/write"
                                          for name in per_write)
@@ -208,11 +232,14 @@ def main(argv=None) -> int:
         lookups = 0.0
         for k in range(2 if args.quick else args.passes):
             before = phase_seconds(service)
-            seconds, counted, bad = one_pass(service, reference, ops, kinds)
+            seconds, counted, bad, off = one_pass(service, reference, ops,
+                                                  kinds)
             after = phase_seconds(service)
             differing += bad
-            line = (f"{k + 1:4d}  "
-                    f"{sum(map(sum, map(seconds.get, kinds))) * 1e3:8.2f} "
+            off_caller += off
+            read_s = sum(map(sum, map(seconds.get, kinds)))
+            line = (f"{k + 1:4d}  {read_s * 1e3:8.2f} "
+                    f"{read_s * 1e6 / max(reads, 1):12.1f} "
                     f"{sum(seconds['write']) * 1e3:9.2f}  "
                     + " ".join(f"{p50_us(seconds[kind]):{len(kind) + 7}.1f}"
                                for kind in kinds))
@@ -232,6 +259,11 @@ def main(argv=None) -> int:
                   f"{MAX_PLAN_LOOKUPS_PER_WRITE}: some join or loop of "
                   f"the write path plans per round", file=sys.stderr)
             differing += 1
+        if "first" in kinds and off_caller:
+            print(f"FAILED: {off_caller} reads were not one view lookup on "
+                  f"the calling thread: a view read went to the pool",
+                  file=sys.stderr)
+            differing += off_caller
         if args.workload == "serve-sqlite":
             counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
@@ -239,8 +271,8 @@ def main(argv=None) -> int:
             traced = open_target(workload)
             opened.append(traced)
             one_pass(traced, reference, ops, kinds)  # warm-up
-            seconds, counted, bad = one_pass(traced, reference, ops, kinds,
-                                             counts)
+            seconds, counted, bad, _ = one_pass(traced, reference, ops,
+                                                kinds, counts)
             differing += bad
             for kind in ("write", *kinds):
                 n = max(len(seconds[kind]), 1)
@@ -256,7 +288,8 @@ def main(argv=None) -> int:
             target.close()
     if differing:
         print(f"FAILED: {differing} checks (reads that differ from the "
-              f"in-memory non-incremental service, plan lookups a write)",
+              f"in-memory non-incremental service, plan lookups a write, "
+              f"reads off the calling thread)",
               file=sys.stderr)
         return 1
     return 0

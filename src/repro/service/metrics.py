@@ -206,7 +206,7 @@ class ServiceMetrics:
 
     @property
     def queue_depth(self) -> int:
-        """Requests submitted but not yet picked up by a worker."""
+        """Requests waiting for a worker (a view read never waits)."""
         with self._lock:
             return self._submitted - self._started
 

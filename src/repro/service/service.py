@@ -2,9 +2,10 @@
 
 :class:`QueryService` is the deployment shape the paper's Section 5
 sketches ("a useful component of a recursive query processor") grown to
-serving size: a thread pool answers many queries at once while the EDB
-keeps changing underneath, with three guarantees no bare
-:class:`~repro.engine.Engine` call gives:
+serving size: many queries are answered at once while the EDB keeps
+changing underneath -- a read of the maintained view on the caller's
+thread, every request that evaluates on a thread pool -- with three
+guarantees no bare :class:`~repro.engine.Engine` call gives:
 
 **Snapshot isolation.**  Each request is served against an immutable
 copy of the EDB captured at dequeue time, keyed on
@@ -42,6 +43,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
@@ -72,6 +74,9 @@ __all__ = [
     "QueryService",
 ]
 
+#: Query texts a service keeps parsed (least recently used out first).
+PARSE_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -80,7 +85,7 @@ class ServiceConfig:
     Attributes
     ----------
     workers:
-        Thread-pool size.
+        Thread-pool size for requests that evaluate; a view read needs none.
     memo_size:
         Bound on the full-selection memo (entries, LRU).
     default_deadline_s:
@@ -174,8 +179,9 @@ class ServiceResult:
     ``"error"`` (no answers; ``error`` says why).  ``fingerprint`` is
     the EDB fingerprint of the database state the request was served
     against -- the handle callers use to reason about which state they
-    observed (``()`` for an error raised before any state was read).  ``trace_id`` identifies the request in the slow-query
-    log (every request gets one, whether or not it was sampled).
+    observed (``()`` for an error raised before any state was read).
+    ``trace_id`` identifies the request in the slow-query log (every
+    request gets one, whether or not it was sampled).
     """
 
     query: Atom
@@ -245,6 +251,9 @@ class QueryService:
         self.slowlog_ring = SlowlogRing(self.config.slowlog_capacity)
         self._seq_lock = threading.Lock()
         self._seq = 0
+        # Query text -> its ``Atom``: frozen, so requests can share it.
+        # A text that does not parse raises every time and is not kept.
+        self._parse = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse_query)
         self._sink = sink
         self._sink_lock = threading.Lock()
         if sink is not None:
@@ -274,6 +283,9 @@ class QueryService:
         )
         # The EDB state the view stands at: what a probe vouches for.
         self._view_fp = edb.fingerprint() if self._view else None
+        # The predicates a view read answers: every derived one.
+        self._view_predicates = (
+            program.idb_predicates if self._view else frozenset())
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
@@ -377,6 +389,20 @@ class QueryService:
         self.metrics.bump("view_probes")
         return fingerprint, answers
 
+    def _reads_view(self, query: Atom, strategy: str) -> bool:
+        """Whether the maintained view is where ``query`` is read."""
+        return strategy == "auto" and query.predicate in self._view_predicates
+
+    def _on_caller(self, query: Atom, strategy: str) -> bool:
+        """Whether a request is served on the caller's thread: a view
+        read while the view stands at the live EDB.  Anything that may
+        evaluate goes to the pool; only a direct ``service.edb`` write
+        racing a view read past this check makes it evaluate here."""
+        if not self._reads_view(query, strategy):
+            return False
+        with self._snapshot_lock:
+            return self._view_fp == self.edb.fingerprint()
+
     def add_fact(self, name: str, fact: tuple) -> bool:
         """Convenience :meth:`mutate` for the common single-fact case."""
         return self.mutate(lambda db: db.add_fact(name, fact))
@@ -422,22 +448,18 @@ class QueryService:
         """Enqueue one request; returns a future of :class:`ServiceResult`.
 
         Query text is parsed here (synchronously) so malformed requests
-        fail fast in the caller, not in a worker.
+        fail fast in the caller, not in a worker.  A view read is served
+        here too, and its future is returned done.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        if isinstance(query, str):
-            query = parse_query(query)
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        submitted = time.monotonic()
-        with self._seq_lock:
-            self._seq += 1
-            seq = self._seq
-        self.metrics.request_submitted()
-        return self._executor.submit(
-            self._serve, query, strategy, deadline_s, submitted, seq
-        )
+        request = self._admit(query, strategy, deadline_s)
+        if not self._on_caller(request[0], strategy):
+            return self._executor.submit(self._serve, *request)
+        future: Future[ServiceResult] = Future()
+        try:
+            future.set_result(self._serve(*request))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def query(
         self,
@@ -445,8 +467,12 @@ class QueryService:
         strategy: str = "auto",
         deadline_s: Optional[float] = None,
     ) -> ServiceResult:
-        """Synchronous :meth:`submit` (enqueue and wait)."""
-        return self.submit(query, strategy, deadline_s).result()
+        """Synchronous :meth:`submit`: a view read is served here, any
+        other request is enqueued and waited for."""
+        request = self._admit(query, strategy, deadline_s)
+        if self._on_caller(request[0], strategy):
+            return self._serve(*request)
+        return self._executor.submit(self._serve, *request).result()
 
     def batch(
         self,
@@ -461,6 +487,23 @@ class QueryService:
         return [f.result() for f in futures]
 
     # -- internals ----------------------------------------------------------
+
+    def _admit(self, query: Union[Atom, str], strategy: str,
+               deadline_s: Optional[float]) -> tuple:
+        """Parse, number and count one request: :meth:`_serve`'s
+        arguments."""
+        if self._closed:
+            raise RuntimeError("service is closed")
+        if isinstance(query, str):
+            query = self._parse(query)
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        submitted = time.monotonic()
+        with self._seq_lock:
+            self._seq += 1
+            seq = self._seq
+        self.metrics.request_submitted()
+        return query, strategy, deadline_s, submitted, seq
 
     def _attempt_budget(
         self,
@@ -507,9 +550,9 @@ class QueryService:
         threshold = self.config.slow_query_threshold_s
         # A sampled request must record spans; a threshold means every
         # request might turn out slow, so every request records.  The
-        # per-request tracer is private to this worker thread (the
-        # shared MetricsTracer absorbs it afterwards), which is what
-        # lets the non-thread-safe Tracer serve here at all.
+        # per-request tracer is private to the thread serving the
+        # request (the shared MetricsTracer absorbs it afterwards),
+        # which is what lets the non-thread-safe Tracer serve here.
         request_tracer = (
             Tracer(context={"trace_id": trace_id, "query": str(query)})
             if sampled or threshold is not None
@@ -525,10 +568,7 @@ class QueryService:
             else self.metrics.tracer
         )
         # Where the materialisation exists, ``auto`` picks it.
-        viewable = (
-            strategy == "auto" and self._view is not None
-            and query.predicate in self.program.idb_predicates
-        )
+        viewable = self._reads_view(query, strategy)
         attempts = 0
         backoff = self.config.retry_backoff_s
         fingerprint: tuple = ()
@@ -616,7 +656,7 @@ class QueryService:
                             stats=EvaluationStats(strategy="view"))
             return out
         except BaseException as exc:
-            # Not an evaluation's typed failure: the future raises it,
+            # Not a typed failure: it reaches the caller (or the future),
             # and the request's accounting still closes below.
             out = served("error", stats=None,
                          error=f"{type(exc).__name__}: {exc}")

@@ -549,7 +549,8 @@ def _run_e2(sizes=(8, 12)):
 class TestEndToEnd:
     """Real (tiny) family runs on the fake clock: every cell lasts one
     tick, above the noise floor, so all four are time-gated on any
-    machine -- these used to pass or fail on scheduler luck."""
+    machine -- these used to pass or fail on scheduler luck.  The one
+    real-clock run is opt-in (``-m bench``)."""
 
     def test_honest_rerun_passes(self, fake_clock):
         assert compare_reports(_run_e2(), _run_e2()) == []
@@ -563,10 +564,15 @@ class TestEndToEnd:
         assert [f.kind for f in findings] == ["time"] * 4
         assert all("ratio 3.00" in f.message for f in findings)
 
+    @pytest.mark.bench
     def test_honest_rerun_passes_on_the_real_clock(self):
         """``_timed`` and the interleaved calibration kernel on
         ``time.perf_counter`` through the gate, at sizes where the magic
-        cells clear the noise floor on the machines we run on."""
+        cells clear the noise floor on the machines we run on.
+
+        Two real-clock runs agree within the gate's 1.6x only on a quiet
+        machine, so this is a ``bench`` test (CI's ``bench-smoke`` runs
+        it): tier-1 stays deterministic."""
         findings = compare_reports(_run_e2([16, 24]), _run_e2([16, 24]))
         assert [f for f in findings if f.regression] == []
 
