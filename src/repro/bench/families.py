@@ -16,7 +16,7 @@ kinds: ``"detect"`` (E6) times separability analysis alone -- the paper's "compu
 ``incremental-write`` family) replay one mutation stream through
 :class:`repro.maintenance.MaintainedView` repairs versus a full
 recomputation per write, and ``"build"`` times constructing that view
-(fixpoint plus derivation counts) on the family's database, which is
+(the semi-naive fixpoint) on the family's database, which is
 what a service pays at start-up and on every overflow rebuild.  A
 mutation family supplies the stream via
 :attr:`Family.mutations`; the stream is *balanced* (every insert is
@@ -402,7 +402,7 @@ FAMILIES: dict[str, Family] = {
         expectation=(
             "incremental repairs touch O(delta) facts per write; "
             "from-scratch re-derives the whole IDB per write; building "
-            "the view counts derivations with one join per rule"
+            "the view is one semi-naive fixpoint"
         ),
         gates=(
             # ``build`` answers with the view's derived-fact count, not

@@ -216,8 +216,8 @@ def _make_runner(
 
         def run_build(tracer: Optional[Tracer] = None):
             view = MaintainedView(workload.program, workload.db)
-            derived = sum(len(per) for per in view.counts.values())
-            return derived, EvaluationStats()
+            return (sum(view.db.size(p) for p in view.idb),
+                    EvaluationStats())
 
         return run_build
 

@@ -461,11 +461,8 @@ class Engine:
                 chosen = "magic"
 
         stats.strategy = chosen
-        # Keyword-only and omitted when unused: test doubles wrapping
-        # _dispatch with the historical signature keep working.
-        extra = {"order": order} if order != self.order else {}
         answers = self._dispatch(chosen, query, report, stats, tracer,
-                                 budget, memo, **extra)
+                                 budget, memo, order)
         plan: Optional[SeparablePlan] = None
         if chosen in ("separable", "relaxed", "nodedup"):
             plan = self.plan_for(query)
@@ -521,15 +518,11 @@ class Engine:
         query: Atom,
         report: Optional[SeparabilityReport],
         stats: EvaluationStats,
-        tracer=None,
-        budget: Optional[Budget] = None,
-        memo=None,
-        order: Optional[str] = None,
+        tracer,
+        budget: Budget,
+        memo,
+        order: str,
     ) -> frozenset[tuple]:
-        if budget is None:
-            budget = self.budget
-        if order is None:
-            order = self.order
         if strategy in ("separable", "relaxed"):
             assert report is not None
             acceptable = report.separable or (

@@ -1,10 +1,9 @@
 """A materialized IDB kept consistent under base-relation deltas.
 
 :class:`MaintainedView` owns a database holding the EDB plus the least
-fixpoint of every IDB predicate, together with an exact derivation
-count per derived fact (the number of distinct rule-body substitutions
-producing it).  :meth:`MaintainedView.apply` repairs both under a net
-batch of base inserts and deletes:
+fixpoint of every IDB predicate, and nothing per derivation.
+:meth:`MaintainedView.apply` repairs it under a net batch of base
+inserts and deletes in two phases:
 
 Deletions (DRed, delete-and-rederive)
     Overestimate the damage bottom-up per SCC: a derived fact joins the
@@ -26,22 +25,11 @@ Insertions (delta-seeded restart)
     -- round zero's full evaluation is skipped because the database is
     already a fixpoint except for those seeds.
 
-Counting (recount the affected set)
-    The facts whose derivation count can have changed are exactly
-    ``D`` (every lost derivation passes through a deleted tuple) plus
-    the heads of delta joins seeded by the inserted facts against the
-    final database (every gained derivation uses an inserted tuple,
-    because the old database was already a fixpoint).  A count is a
-    ``count`` aggregate over the head columns of a rule's join, so the
-    affected facts still present are recounted set-at-a-time: per rule
-    one candidate join, its bag of heads summed per predicate.  Counts
-    stay *exact* -- the property suite checks them against a
-    from-scratch oracle -- and no join in this module runs per fact.
+No join in this module runs per fact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
@@ -96,13 +84,6 @@ def _candidate_body(rule: Rule) -> tuple[Atom, ...]:
     return (Atom(_CANDIDATE_PREFIX + head.predicate, head.args),) + rule.body
 
 
-class _Bag(list):
-    """A kernel sink that keeps duplicates: one head per derivation."""
-
-    add = list.append
-    update = list.extend
-
-
 def _report(tracer, stats: Optional[EvaluationStats], facts_in: int,
             facts_out: int) -> None:
     """File a phase's rounds and fact counts under its open span."""
@@ -113,7 +94,7 @@ def _report(tracer, stats: Optional[EvaluationStats], facts_in: int,
 
 
 class MaintainedView:
-    """Materialized IDB + derivation counts, maintained under deltas."""
+    """A materialized IDB, maintained under base deltas by DRed."""
 
     def __init__(self, program: Program, edb: Database,
                  order: str = "greedy") -> None:
@@ -131,16 +112,6 @@ class MaintainedView:
     def rebuild(self, edb: Database) -> None:
         """Recompute the view from scratch (the overflow fallback)."""
         self.db = seminaive_evaluate(self.program, edb, order=self.order)
-        # The database is a fixpoint, so every head a rule's join
-        # yields is a derived fact: the bag of heads is the count table.
-        self.counts: dict[str, dict[Fact, int]] = {
-            pred: dict(self._derivation_counts(pred))
-            for pred in self.idb
-        }
-
-    def count(self, pred: str, fact: Fact) -> int:
-        """Derivation count of ``fact`` (0 if not derived)."""
-        return self.counts.get(pred, {}).get(tuple(fact), 0)
 
     def select(self, query: Atom, tracer=None) -> frozenset[Fact]:
         """The answers of ``query`` on a derived predicate, read off its
@@ -164,20 +135,6 @@ class MaintainedView:
 
     # -- maintenance joins -------------------------------------------------
 
-    def _derivation_counts(self, pred: str,
-                           candidates: Optional[set[Fact]] = None) -> Counter:
-        """Derivation counts of ``pred`` facts: one join per rule, each
-        head tuple once per body substitution producing it -- of the
-        ``candidates`` only, or of every derivable head."""
-        heads = _Bag()
-        view = self.db if candidates is None else _mounted(
-            self.db, _CANDIDATE_PREFIX, {pred: candidates})
-        for r in self.program.rules_for(pred):
-            evaluate_body_into(
-                view, r.body if candidates is None else _candidate_body(r),
-                r.head.args, heads, order=self.order)
-        return Counter(heads)
-
     def _delta_join_heads(self, rules: Iterable[Rule],
                           changed: Mapping[str, set]) -> dict[str, set[Fact]]:
         """Rule heads derivable with one body atom restricted to a delta.
@@ -186,7 +143,7 @@ class MaintainedView:
         the delta occurrence reading the changed facts and every other
         atom reading the current database -- the standard semi-naive
         delta join, reused for the seeds of the DRed overestimate and of
-        the insert restart, and for the gained-derivation candidates.
+        the insert restart.
         """
         heads: dict[str, set[Fact]] = {}
         if not any(changed.values()):
@@ -212,10 +169,10 @@ class MaintainedView:
         :meth:`repro.maintenance.capture.DeltaCapture.net`.  Deltas
         naming an IDB predicate are rejected -- derived relations are
         owned by the view.  A live ``tracer`` gets one span per phase
-        that runs -- ``view.overestimate``, ``view.rederive``,
-        ``view.restart``, ``view.recount`` -- each counting its
-        fixpoint ``rounds`` and its ``facts_in`` / ``facts_out``; the
-        joins and loops inside stay untraced.
+        that runs -- ``view.overestimate`` and ``view.rederive`` for
+        the deletions, ``view.restart`` for the insertions -- each
+        counting its fixpoint ``rounds`` and its ``facts_in`` /
+        ``facts_out``; the joins and loops inside stay untraced.
         """
         eff_ins: dict[str, set[Fact]] = {}
         eff_dels: dict[str, set[Fact]] = {}
@@ -243,34 +200,15 @@ class MaintainedView:
         touched: dict[str, dict[Fact, bool]] = {p: {} for p in self.idb}
         if eff_dels:
             self._apply_deletions(eff_dels, touched, tracer)
-        inserted = self._apply_insertions(eff_ins, touched, tracer) \
-            if eff_ins else {}
-
-        # Recount the affected set: everything removed or added along
-        # the way, plus heads gaining a derivation through an inserted
-        # fact (delta join against the *final* database).  Only facts
-        # still present need the join: the removed ones gave up their
-        # counts with their membership.
-        live: dict[str, set[Fact]] = {}
-        with span_of(tracer, "view.recount"):
-            gains = self._delta_join_heads(self.program.rules, inserted)
-            affected = 0
-            for pred in self.idb:
-                rel = self.db.relation(pred)
-                candidates = touched[pred].keys() | gains.get(pred, set())
-                affected += len(candidates)
-                live[pred] = {f for f in candidates if f in rel}
-                if live[pred]:
-                    self.counts[pred].update(
-                        self._derivation_counts(pred, live[pred]))
-            _report(tracer, None, affected, sum(map(len, live.values())))
+        if eff_ins:
+            self._apply_insertions(eff_ins, touched, tracer)
 
         result: dict[str, tuple[frozenset, frozenset]] = {}
         for pred, entry in touched.items():
-            added = {f for f, was in entry.items()
-                     if not was and f in live[pred]}
+            rel = self.db.relation(pred)
+            added = {f for f, was in entry.items() if not was and f in rel}
             removed = {f for f, was in entry.items()
-                       if was and f not in live[pred]}
+                       if was and f not in rel}
             if added or removed:
                 result[pred] = (frozenset(added), frozenset(removed))
         return result
@@ -309,9 +247,6 @@ class MaintainedView:
                     # derives one it does not hold (the service rebuilds).
                     raise RuntimeError(f"the view of {pred!r} is not a "
                                        f"fixpoint of its rules")
-                per = self.counts[pred]
-                for fact in facts:
-                    per.pop(fact, None)
                 touched[pred].update(dict.fromkeys(facts, True))
 
             # Rederive survivors bottom-up per SCC.  One candidate join
@@ -342,8 +277,8 @@ class MaintainedView:
     def _apply_insertions(
         self, ins: Mapping[str, set[Fact]],
         touched: dict[str, dict[Fact, bool]], tracer,
-    ) -> dict[str, set[Fact]]:
-        """Install base inserts, propagate; returns all inserted facts."""
+    ) -> None:
+        """Install base inserts and propagate them."""
         with span_of(tracer, "view.restart"):
             stats = tracer and EvaluationStats()
             for name, facts in ins.items():
@@ -365,4 +300,3 @@ class MaintainedView:
                         facts - touched[pred].keys(), False))
             _report(tracer, stats, sum(map(len, ins.values())),
                     sum(len(f) for n, f in changed.items() if n not in ins))
-        return changed

@@ -138,6 +138,9 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
+#: Request latencies a :class:`ServiceMetrics` keeps for its quantiles.
+LATENCY_CAPACITY = 65_536
+
 #: The service's event counters: ``as_dict`` key -> (metric name less
 #: the ``repro_service_`` prefix, help text), in exposition order.
 _EVENTS = {
@@ -165,13 +168,13 @@ _EVENTS = {
 class ServiceMetrics:
     """Request-level aggregates for one :class:`~repro.service.QueryService`.
 
-    All methods are thread-safe.  ``latency_capacity`` bounds the
+    All methods are thread-safe.  :data:`LATENCY_CAPACITY` bounds the
     latency reservoir (most recent completions win), keeping a
     long-lived service's memory flat while the quantiles track current
     behaviour.
     """
 
-    def __init__(self, latency_capacity: int = 65_536) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.tracer = MetricsTracer()
         self._submitted = 0
@@ -179,7 +182,7 @@ class ServiceMetrics:
         self._completed = 0
         self._by_status: dict[str, int] = {}
         self._events = dict.fromkeys(_EVENTS, 0)
-        self._latencies: deque[float] = deque(maxlen=latency_capacity)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_CAPACITY)
 
     # -- recording (called by the service) --------------------------------
 
@@ -215,11 +218,6 @@ class ServiceMetrics:
         """Requests currently being evaluated."""
         with self._lock:
             return self._started - self._completed
-
-    def latency_quantile(self, q: float) -> float:
-        with self._lock:
-            values = sorted(self._latencies)
-        return _quantile(values, q)
 
     def as_dict(
         self,

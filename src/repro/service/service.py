@@ -77,6 +77,11 @@ __all__ = [
 #: Query texts a service keeps parsed (least recently used out first).
 PARSE_MEMO_SIZE = 1024
 
+#: Records the in-memory slow-query ring keeps for the HTTP ``/slowlog``
+#: endpoint (oldest evicted first; a sink, when configured, still
+#: receives every record).
+SLOWLOG_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -122,10 +127,6 @@ class ServiceConfig:
         request whose latency reaches the threshold lands a slowlog
         record, sampled or not (the after-the-fact EXPLAIN ANALYZE for
         the queries that actually hurt).
-    slowlog_capacity:
-        Bound on the in-memory slow-query ring the HTTP ``/slowlog``
-        endpoint reads (oldest evicted first; a sink, when configured,
-        still receives every record).
     backend:
         Storage backend spec for the live EDB
         (:func:`repro.storage.resolve_backend` semantics: ``None`` /
@@ -150,7 +151,6 @@ class ServiceConfig:
     incremental: bool = False
     trace_sample: float = 0.0
     slow_query_threshold_s: Optional[float] = None
-    slowlog_capacity: int = 256
     backend: object = None
 
 
@@ -248,7 +248,7 @@ class QueryService:
         self.edb = edb
         self.metrics = metrics or ServiceMetrics()
         self.memo = FullSelectionMemo(self.config.memo_size)
-        self.slowlog_ring = SlowlogRing(self.config.slowlog_capacity)
+        self.slowlog_ring = SlowlogRing(SLOWLOG_CAPACITY)
         self._seq_lock = threading.Lock()
         self._seq = 0
         # Query text -> its ``Atom``: frozen, so requests can share it.
