@@ -316,7 +316,7 @@ class JoinPlan:
 
     def _nest(self, output: tuple, bulk: bool, pad: str, const, inputs: list,
               fetch, sink: str = "sink",
-              pseudo: Optional[str] = None) -> tuple:
+              pseudo: Optional[str] = None, contains=None) -> tuple:
         """The nested loops of this plan as source lines at ``pad``.
 
         ``const(value)`` names a constant and ``inputs`` collects the
@@ -331,9 +331,11 @@ class JoinPlan:
         columns of each fact, so ``fetch`` answers with the set of them
         (:meth:`Relation.lookup_projected`) and the level is one
         ``sink.update``.  A level reading ``pseudo`` (a plain set, not
-        a relation) is never asked that.  Returns ``(lines, counters to
-        zero, lookups, examined, bindings, produced)``, the last four
-        as sums over the counters.
+        a relation) is never asked that.  Given ``contains(d,
+        predicate, positions, key)``, a level that binds every column
+        asks it instead, for the text of a membership test, and is one
+        ``if``.  Returns ``(lines, counters to zero, lookups, examined,
+        bindings, produced)``, the last four as sums over the counters.
         """
         # slot -> the expression holding its value (assign guards alias)
         reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
@@ -378,6 +380,20 @@ class JoinPlan:
         last = len(self.steps) - 1
         for d, (pred, positions, keys, writes, checks, guards) in \
                 enumerate(self.steps):
+            def key(keys=keys) -> str:
+                return _tuple_text(operand(*k) for k in keys)
+
+            if contains is not None and not writes and not checks:
+                lines.append(f"{pad}if {contains(d, pred, positions, key)}:")
+                pad += "    "
+                lines.append(f"{pad}e{d} += 1")
+                zero.append(f"e{d}")
+                lookups.append(reached)
+                examined.append(f"e{d}")
+                reached = f"e{d}"
+                bindings.append(reached)
+                guard(guards, f"g{d}", "if {} == {}:")  # no loop to continue
+                continue
             innermost = bulk and d == last and not checks and not guards
             cols = None
             if innermost and pred != pseudo:
@@ -388,9 +404,7 @@ class JoinPlan:
                 slots = [self._slot_of.get(term) for term in output]
                 if slots and set(slots) == set(column):
                     cols = tuple(column[s] for s in slots)
-            first, candidates, guarded = fetch(
-                d, pred, positions,
-                lambda: _tuple_text(operand(*k) for k in keys), cols)
+            first, candidates, guarded = fetch(d, pred, positions, key, cols)
             lines += [pad + line for line in first]
             lines.append(f"{pad}c{d} = {candidates}")
             if guarded:
@@ -750,7 +764,8 @@ def _compile_sequence(
 
 def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
               pseudo, live: Sequence[bool], traced: bool,
-              flow: Optional[Sequence[tuple[int, int]]] = None) -> tuple:
+              flow: Optional[Sequence[tuple[int, int]]] = None,
+              seeds: int = 0) -> tuple:
     """Source of one whole ``carry``/``seen`` loop of Figure 2.
 
     ``plans[i]`` executes the body of the loop's ``i``-th join term and
@@ -792,10 +807,18 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     into ``h``'s next delta.  Valid while every delta's and member's
     size is inside ``lo`` / ``hi`` (:func:`_narrow`), checked once a
     round; ``stats`` may be None.
+
+    With ``seeds`` it is the *maintenance* flavour (an incremental
+    view's write path): the last ``seeds`` slots of ``pseudo`` are sets
+    the caller passes for round zero only, empty from round one on; an
+    empty slot runs no term, so it passes the size check whatever its
+    interval; and a level binding every column of its atom is ``key in
+    rows`` (the relation's row set, or the slot), not an index probe.
     """
     pad = " " * 12
     stratum = flow is not None
-    members = range(len(pseudo)) if stratum else ()
+    slots = range(len(pseudo)) if stratum else ()
+    members = slots[:len(slots) - seeds]
     shapes: list[tuple] = []  # the text of each run of like terms
     groups: list[list] = []   # the terms of each run
     indexed = False           # does some term probe carry?
@@ -832,8 +855,15 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                           + (f"len({carry}))" if stratum else "n)")]
             return build, f"x.get({key()})", True
 
+        def contains(d, pred, positions, key):
+            if pred == delta:
+                return f"{key()} in {carry}"
+            probes.append((d, positions, ()))
+            return f"{key()} in q{len(probes) - 1}"
+
         lines, zero, *sums = plan._nest(output, True, pad, const, inputs,
-                                        fetch, "produced", delta)
+                                        fetch, "produced", delta,
+                                        contains if seeds else None)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
         shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts),
@@ -847,7 +877,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     for g, (lines, zero, lookups, examined, bindings, made, nq, nk, a, h) \
             in enumerate(shapes):
         names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
-        terms = f"J{g} if carry{a} else ()" if len(members) > 1 else f"J{g}"
+        terms = f"J{g} if carry{a} else ()" if len(slots) > 1 else f"J{g}"
         body.append(f"        for {', '.join(names + ['i'])} in {terms}:")
         if stratum:
             body.append(f"{pad}produced = set()")
@@ -873,10 +903,10 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     if stratum:
         head = ["def loop(J, lo, hi, carry, seen, sizes, names, apps, outs, "
                 "stats, budget, tracer):"]
-        head += [f"    {_tuple_text(text.format(m=m) for m in members)} = {of}"
-                 for text, of in (("carry{m}", "carry"),
-                                  ("(new{m}, add{m})", "seen"),
-                                  ("size{m}", "sizes"))]
+        head += [f"    {_tuple_text(text.format(m=m) for m in over)} = {of}"
+                 for text, of, over in (("carry{m}", "carry", slots),
+                                        ("(new{m}, add{m})", "seen", members),
+                                        ("size{m}", "sizes", members))]
     else:
         head = ["def loop(J, D, lo, hi, carry, seen, carry_name, seen_name, "
                 "stats, budget, tracer):"]
@@ -888,17 +918,20 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     if traced:
         head.append("    count = tracer.count")
     if stratum:
-        sizes = [f"len(carry{m})" for m in members] \
+        sizes = [f"len(carry{m})" for m in slots] \
             + [f"size{m}" for m in members]
-        within = " and ".join(f"lo[{v}] <= {size} < hi[{v}]"
-                              for v, size in enumerate(sizes))
-        head += ["    while %s:" % " or ".join(f"carry{m}" for m in members),
-                 f"        if not ({within}):",
+        within = [f"lo[{v}] <= {size} < hi[{v}]"
+                  for v, size in enumerate(sizes)]
+        if seeds:
+            within[:len(slots)] = [f"({test} or not carry{m})"
+                                   for m, test in zip(slots, within)]
+        head += ["    while %s:" % " or ".join(f"carry{m}" for m in slots),
+                 f"        if not ({' and '.join(within)}):",
                  "            break",
                  "        budget.check_wall(stats)",
                  "        if stats is not None:",
                  "            for name, size in zip(names, %s):"
-                 % _tuple_text(sizes[len(members):]),
+                 % _tuple_text(sizes[len(slots):]),
                  "                stats.record_relation(name, size)",
                  "                budget.check_relation(name, size, stats)",
                  "            budget.check_stats(stats)",
@@ -926,6 +959,9 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
         head.append("        indexes = {}")
     if stratum:
         tail = [f"        carry{m} = next{m}" for m in members]
+        if seeds:
+            tail.append("        %s = ()" % " = ".join(
+                f"carry{m}" for m in slots[len(members):]))
         tail += ["        if stats is not None:",
                  "            stats.bump_examined(X)",
                  "            stats.bump_produced(P)"]
@@ -947,7 +983,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                      "        tracer.record('carry', len(carry))"]
     if stratum:
         tail += ["    return %s, %s" % (
-            _tuple_text(f"carry{m}" for m in members),
+            _tuple_text(f"carry{m}" for m in slots),
             _tuple_text(f"size{m}" for m in members)), ""]
     else:
         tail += ["        record(carry_name, len(carry))",
@@ -960,7 +996,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
 
 
 def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
-            db: Database, order: str) -> None:
+            db: Database, order: str, halfway: bool = False) -> None:
     """Narrow ``bounds[slot] = [lo, hi]`` to the sizes ``[lo, hi)`` over
     which :meth:`PlanCache.plan_for` keys ``body`` as it does now, when
     only the relations in ``moving`` (predicate -> slot) change size.
@@ -969,7 +1005,9 @@ def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
     size's ``bit_length`` bucket and ``greedy`` on the stable argsort of
     the sizes (``i`` sorts before a later ``j`` while ``size_i <=
     size_j``).  A pair with one moving side is bounded exactly; two
-    moving sides are kept apart at the larger one's current size.
+    moving sides are kept apart at the larger one's current size, where
+    sizes only grow (a stratum's) -- or, ``halfway``, at the middle of
+    the two, where they also shrink (a view's relations across writes).
     """
     sized = []  # (size, bounds of the slot or None) per atom
     for a in body:
@@ -991,16 +1029,19 @@ def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
         for ni, bi in sized[:j]:
             if bi is bj:  # both fixed, or one relation twice
                 continue
+            both = halfway and bi is not None and bj is not None
             if ni <= nj:
+                cut = (ni + nj) // 2 if both else nj
                 if bi is not None:
-                    bi[1] = min(bi[1], nj + 1)
+                    bi[1] = min(bi[1], cut + 1)
                 if bj is not None:
-                    bj[0] = max(bj[0], ni if bi is None else nj)
+                    bj[0] = max(bj[0], ni if bi is None else cut)
             else:
+                cut = (ni + nj + 1) // 2 if both else ni
                 if bi is not None:
-                    bi[0] = max(bi[0], nj + 1 if bj is None else ni)
+                    bi[0] = max(bi[0], nj + 1 if bj is None else cut)
                 if bj is not None:
-                    bj[1] = min(bj[1], ni)
+                    bj[1] = min(bj[1], cut)
 
 
 def _probe(rel, positions: tuple[int, ...], cols, tracer):
@@ -1017,12 +1058,16 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
     still-unbuilt index through the relation's method so that the
     build is counted where the reference loop counts it; so does every
     full scan, and every other ``RelationStorage`` (SQLite).
+
+    ``cols == ()`` is a probe with every column bound, tested with
+    ``in``: the answer is the relation's row set, no index at all.
     """
+    if cols == ():
+        return rel._tuples if type(rel) is Relation else rel
     lookup = (partial(rel.lookup, positions) if cols is None
               else partial(rel.lookup_projected, positions, cols))
     if positions and type(rel) is Relation:
-        indexes, signature = ((rel._indexes, positions) if cols is None
-                              else (rel._projected, (positions, cols)))
+        indexes, signature = _index_of(rel, positions, cols)
         index = indexes.get(signature)
         if index is None and tracer is None:
             lookup(())
@@ -1030,6 +1075,38 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
         if index is not None:
             return index.get
     return partial(lookup, tracer=tracer)
+
+
+def _index_of(rel: Relation, positions: tuple, cols) -> tuple:
+    """``(indexes, signature)``: where ``rel`` keeps the index a probe on
+    ``positions`` reads (projected onto ``cols`` unless that is None)."""
+    return ((rel._indexes, positions) if cols is None
+            else (rel._projected, (positions, cols)))
+
+
+def _fits(db: Database, fixed: tuple, held: tuple, lo: tuple, hi: tuple,
+          carry: tuple, sizes: tuple) -> bool:
+    """Whether a write-path function bound on ``db`` runs ``carry`` and
+    ``sizes`` with the plans it would be bound to now: every size is in
+    its interval -- the slots' (an empty slot runs no term), the
+    members', and those of the ``fixed`` relations the terms read, which
+    writes move too (an absent or empty one that gave a term no code is
+    bound to stay empty) -- and every index it probes is still its
+    relation's (``Relation._unshare`` drops them in place; a probe of a
+    dropped one would read stale buckets)."""
+    for rows, low, high in zip(carry, lo, hi):
+        if rows and not low <= len(rows) < high:
+            return False
+    at = len(carry) + len(sizes)
+    for size, low, high in zip(sizes, lo[len(carry):at], hi[len(carry):at]):
+        if not low <= size < high:
+            return False
+    for name, low, high in zip(fixed, lo[at:], hi[at:]):
+        rel = db.relation(name)
+        if not low <= (len(rel) if rel is not None else 0) < high:
+            return False
+    return all(indexes.get(signature) is index
+               for indexes, signature, index in held)
 
 
 def relation_sink(rel) -> tuple:
@@ -1187,7 +1264,8 @@ class PlanCache:
         return plan
 
     def loop_for(self, joins: Sequence, pseudo, carry, order: str,
-                 db: Database, tracer=None, grows: bool = True):
+                 db: Database, tracer=None, grows: bool = True,
+                 seeds: tuple = ()):
         """One loop of Figure 2 over the join terms ``joins`` (objects
         with a ``body`` and an ``output``), as a generated function.
 
@@ -1215,24 +1293,46 @@ class PlanCache:
         deltas' do; without, nobody writes ``db``.  Returns ``run(carry,
         seen, sizes, names, apps, outs, stats, budget, tracer) ->
         (carry, sizes)``: see :func:`loop_text`.
+
+        The maintenance flavour: ``seeds`` names the round-zero slots
+        after the members' deltas in ``carry``.  It is bound to be kept
+        across writes: a slot empty now is planned as one row, every
+        other relation the terms read moves too, so it has an interval
+        of its own, and two moving sizes are split halfway
+        (:func:`_narrow`).  Returns ``(run, fits)``: whether ``run`` may
+        run from ``carry`` and ``sizes`` is ``fits(carry, sizes)``
+        (:func:`_fits`).
         """
         flow = None
         if isinstance(pseudo, str):
             mounts, moving, bounds = {pseudo: carry}, {pseudo: 0}, [[1, _INF]]
         else:
             flow = [join.flow for join in joins]
-            members, pseudo = pseudo, tuple([DELTA + p for p in pseudo])
+            members = pseudo
+            pseudo = tuple([DELTA + p for p in members]) + seeds
             mounts = dict(zip(pseudo, carry))
+            if seeds:
+                width = {a.predicate: a.arity
+                         for join in joins for a in join.body}
+                mounts = {name: rows or {(None,) * width.get(name, 0)}
+                          for name, rows in mounts.items()}
             moving = {name: a for a, name in enumerate(pseudo)}
             if grows:
-                moving.update((p, len(members) + h)
+                moving.update((p, len(pseudo) + h)
                               for h, p in enumerate(members))
-            bounds = [[0, _INF] for _ in range(2 * len(members))]
+            bounds = [[0, _INF] for _ in range(len(pseudo) + len(members))]
+            if seeds:  # kept across writes, which move every relation
+                fixed = tuple(sorted({a.predicate for join in joins
+                                      for a in join.body}
+                                     - moving.keys() - {EQ}))
+                moving.update((p, len(bounds) + f)
+                              for f, p in enumerate(fixed))
+                bounds += [[0, _INF] for _ in fixed]
         unbound: frozenset = frozenset()
         if order == "cost":  # its planner reads statistics, not only sizes
             mounts = {name: Relation(name, len(next(iter(rows))), rows)
                       for name, rows in mounts.items() if rows}
-        db = db.with_mounts(mounts)
+        base, db = db, db.with_mounts(mounts)
         plans, rels, live = [], [], []
         for join in joins:
             plan = self.plan_for(join.body, unbound, order, db, tracer)
@@ -1240,14 +1340,14 @@ class PlanCache:
             plans.append(plan)
             rels.append(found)
             live.append(not plan.always_empty and all(found))
-            _narrow(bounds, join.body, moving, db, order)
+            _narrow(bounds, join.body, moving, db, order, bool(seeds))
         key = (joins, pseudo, tuple(plans), tuple(live), tracer is not None)
         with self._lock:
             entry = self._loops.get(key)
         if entry is None:
             source, groups = loop_text(
                 plans, [join.output for join in joins], pseudo, live,
-                tracer is not None, flow)
+                tracer is not None, flow, len(seeds))
             entry = (_function(self._shapes, source, "separable-loop",
                                "loop"), groups, source)
             with self._lock:
@@ -1260,6 +1360,18 @@ class PlanCache:
                       for d, positions, cols in probes], *consts, i)
                    for probes, consts, i in group])
             for group in groups])
+        if seeds:
+            held = []  # (indexes, signature, the index a probe reads)
+            for group in groups:
+                for probes, _, i in group:
+                    for d, positions, cols in probes:
+                        rel = rels[i][d]
+                        if positions and cols != () and type(rel) is Relation:
+                            where = _index_of(rel, positions, cols)
+                            held.append((*where, where[0].get(where[1])))
+            lo, hi = zip(*bounds)
+            return (partial(fn, terms, lo, hi),
+                    partial(_fits, base, fixed, tuple(held), lo, hi))
         if flow is not None:
             return partial(fn, terms, *zip(*bounds))
         return partial(

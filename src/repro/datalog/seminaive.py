@@ -16,13 +16,15 @@ restricted to the previous delta.  Those delta variants are the join
 terms of one generated function per stratum
 (:meth:`~repro.datalog.plan_cache.PlanCache.loop_for`, the semi-naive
 flavour of the Separable carry loop: ``carry`` is the delta,
-``seen`` the relation itself), which this module only drives.
+``seen`` the relation itself), which this module only drives.  The
+same terms, behind a round zero of delta joins, are an incremental
+view's write path (:func:`seeded_terms`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..observability.tracer import span_of
@@ -30,17 +32,18 @@ from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database
 from .joins import evaluate_body_into
-from .plan_cache import DELTA, PLAN_CACHE, relation_sink
+from .plan_cache import DELTA, EQ, PLAN_CACHE, relation_sink
 from .programs import Program
 from .rules import Rule
 
-__all__ = ["seminaive_evaluate", "seminaive_stratum", "delta_rounds"]
+__all__ = ["seminaive_evaluate", "seminaive_stratum", "seeded_terms"]
 
 
 class DeltaJoin(NamedTuple):
-    """A rule body with one SCC-internal atom redirected to its delta: a
-    join term of the stratum's generated loop.  ``flow`` is ``(a, h)``,
-    the members (by number) whose delta it reads and whose facts it
+    """A rule body with one atom redirected to a delta: a join term of
+    the stratum's generated loop.  ``flow`` is ``(a, h)``: the slot
+    whose delta it reads (a member's, or one of :func:`seeded_terms`'
+    round-zero slots after them) and the member whose facts it
     derives."""
 
     body: tuple[Atom, ...]
@@ -80,33 +83,45 @@ def _stratum(rules: tuple[Rule, ...], scc: frozenset[str]) -> tuple:
     return members, tuple(terms), tuple(apps), tuple(outs), frozenset(read)
 
 
-def delta_rounds(
-    rules: Iterable[Rule], scc: frozenset[str], db: Database,
-    carry: Sequence[set], seen: Sequence[tuple], sizes: Sequence[int] = (),
-    stats: Optional[EvaluationStats] = None, budget: Budget = UNLIMITED,
-    order: str = "greedy", tracer=None,
-) -> tuple:
-    """Propagate the deltas ``carry`` (one set per member of ``scc``, in
-    name order) through the delta variants of ``rules`` until a round
-    derives nothing new; returns the members' final ``sizes``.
+#: What a rederive term calls the facts a delete removed from an SCC
+#: member (``REMOVED + predicate``); never a parsed name, nor a delta's.
+REMOVED = "∇"
 
-    ``seen[h] = (new, add)``: ``new(rows)`` is the set of ``rows`` member
-    ``h`` has not derived yet and ``add`` installs it.  Given ``sizes``,
-    the pairs write the member relations of ``db``
-    (:func:`~repro.datalog.plan_cache.relation_sink`), whose sizes these
-    are; given none, ``db`` is only read and what is derived lives where
-    the pairs put it -- DRed's overestimate grows plain sets over the
-    untouched database.
+
+def seeded_terms(rules: tuple[Rule, ...], scc: frozenset[str],
+                 removed: bool) -> tuple:
+    """``(members, terms, inputs, seeds)`` of one SCC's write-path
+    function (``PlanCache.loop_for``'s maintenance flavour): the
+    stratum's delta terms, then round zero's, reading the slots
+    ``seeds``, one per predicate of ``inputs``.
+
+    Without ``removed`` the inputs are the predicates outside the SCC
+    that its rules read, and round zero is their delta joins.  With
+    ``removed`` they are the members, and round zero is one term per
+    rule: ``REMOVED + head predicate`` matched against its head (head
+    constants and repeated variables unify there) in front of its body,
+    which derives the removed facts the database still derives.
     """
-    members, terms, apps, outs, _ = _stratum(tuple(rules), scc)
-    grows = bool(sizes)
-    carry, sizes = tuple(carry), tuple(sizes) or (0,) * len(members)
-    while any(carry):
-        run = PLAN_CACHE.loop_for(terms, members, carry, order, db, tracer,
-                                  grows)
-        carry, sizes = run(carry, seen, sizes, members, apps, outs, stats,
-                           budget, tracer)
-    return sizes
+    members, terms, *_ = _stratum(rules, scc)
+    terms = list(terms)
+    if removed:
+        inputs = members
+        joins = [((Atom(REMOVED + r.head.predicate, r.head.args),) + r.body,
+                  r.head.predicate, r) for r in rules]
+    else:
+        inputs = tuple(sorted({a.predicate for r in rules for a in r.body
+                               if a.predicate not in scc | {EQ}}))
+        joins = [(r.body[:i] + (Atom(DELTA + a.predicate, a.args),)
+                  + r.body[i + 1:], a.predicate, r)
+                 for r in rules for i, a in enumerate(r.body)
+                 if a.predicate in inputs]
+    for body, source, r in joins:
+        terms.append(DeltaJoin(body, r.head.args, (
+            len(members) + inputs.index(source),
+            members.index(r.head.predicate))))
+    prefix = REMOVED if removed else DELTA
+    return (members, tuple(terms), inputs,
+            tuple([prefix + p for p in inputs]))
 
 
 def seminaive_stratum(
@@ -118,40 +133,24 @@ def seminaive_stratum(
     budget: Budget = UNLIMITED,
     order: str = "greedy",
     tracer=None,
-    initial_deltas: Optional[Mapping[str, Iterable]] = None,
-) -> Optional[dict[str, set]]:
+) -> None:
     """Run one SCC of mutually recursive predicates to fixpoint in ``db``.
 
     ``db`` must already contain every predicate the SCC depends on.
-    Derived facts are added to ``db`` in place.  A live ``tracer``
-    records one ``seminaive.scc`` span with a per-round ``delta:<p>``
-    series per member predicate (the sizes ``EvaluationStats`` cannot
-    see) plus the initial/final relation sizes; without one, and
-    without ``stats``, no relation is asked its size.
-
-    ``initial_deltas`` restarts the fixpoint from an explicit seed
-    instead of the usual round-0 full evaluation: ``{predicate: facts}``
-    for SCC members.  The seeds are installed (new ones become round
-    0's delta) and propagation proceeds with delta variants only.  The
-    caller must guarantee ``db`` is already a fixpoint of the SCC
-    *except for* consequences of the seeds -- this is the delta-seeded
-    restart incremental insert maintenance runs after a base mutation.
-    Only this mode returns something: the facts the restart added, per
-    member predicate (a full evaluation returns ``None`` and holds one
-    round's delta at a time, so the extent may live out of core).
+    Derived facts are added to ``db`` in place (one round's delta is
+    held at a time, so the extent may live out of core).  A live
+    ``tracer`` records one ``seminaive.scc`` span with a per-round
+    ``delta:<p>`` series per member predicate (the sizes
+    ``EvaluationStats`` cannot see) plus the initial/final relation
+    sizes; without one, and without ``stats``, no relation is asked its
+    size.
     """
     rules = tuple(rules)
     scc = frozenset(scc)
-    members, _, _, _, read = _stratum(rules, scc)
+    members, terms, apps, outs, read = _stratum(rules, scc)
     rels = [db.ensure(p, program.arity(p)) for p in members]
     seen = [relation_sink(rel) for rel in rels]
     carry: list[set] = [set() for _ in members]
-    added = None
-    if initial_deltas is not None:  # a restart says what it installed
-        added = [set() for _ in members]
-        seen = [(new, lambda fresh, add=add, also=also.update:
-                 (add(fresh), also(fresh)))
-                for (new, add), also in zip(seen, added)]
 
     def install(h: int, rows: set) -> None:
         new, add = seen[h]
@@ -165,40 +164,35 @@ def seminaive_stratum(
     attrs = {} if tracer is None else {
         "scc": list(members), "initial": {p: db.size(p) for p in members}}
     with span_of(tracer, "seminaive.scc", **attrs) as span:
-        # Round 0 seeds the deltas: the given ones, or a full
-        # evaluation of every rule, each installed before the next runs.
+        # Round 0 seeds the deltas: a full evaluation of every rule, each
+        # installed before the next runs.
         if stats is not None:
             stats.bump_iterations()
         if tracer is not None:
             tracer.count("iterations")
-        if initial_deltas is not None:
-            for p, facts in initial_deltas.items():
-                if p not in scc:
-                    raise ValueError(
-                        f"initial delta for {p!r} is not a member of "
-                        f"this SCC"
-                    )
-                install(members.index(p), set(map(tuple, facts)))
-        else:
-            for ri, r in enumerate(rules):
-                rows: set = set()
-                made = evaluate_body_into(db, r.body, r.head.args, rows,
-                                          stats=stats, order=order,
-                                          tracer=tracer)
-                install(members.index(r.head.predicate), rows)
-                if tracer is not None:
-                    tracer.count(f"rule_apps:{r.head.predicate}#{ri}")
-                    if made:
-                        tracer.count(f"rule_out:{r.head.predicate}#{ri}",
-                                     made)
+        for ri, r in enumerate(rules):
+            rows: set = set()
+            made = evaluate_body_into(db, r.body, r.head.args, rows,
+                                      stats=stats, order=order,
+                                      tracer=tracer)
+            install(members.index(r.head.predicate), rows)
+            if tracer is not None:
+                tracer.count(f"rule_apps:{r.head.predicate}#{ri}")
+                if made:
+                    tracer.count(f"rule_out:{r.head.predicate}#{ri}", made)
         if tracer is not None:
             for p, delta in zip(members, carry):
                 tracer.record(f"delta:{p}", len(delta))
-        sizes = delta_rounds(
-            rules, scc, db, carry, seen,
-            [len(rel) if stats is not None or p in read else 0
-             for p, rel in zip(members, rels)],
-            stats, budget, order, tracer)
+        # Then the delta rounds, one generated function while the plans
+        # hold, its ``seen`` pairs writing the member relations.
+        carry = tuple(carry)
+        sizes = tuple([len(rel) if stats is not None or p in read else 0
+                       for p, rel in zip(members, rels)])
+        while any(carry):
+            run = PLAN_CACHE.loop_for(terms, members, carry, order, db,
+                                      tracer)
+            carry, sizes = run(carry, seen, sizes, members, apps, outs,
+                               stats, budget, tracer)
         if stats is not None:
             for p, n in zip(members, sizes):
                 stats.record_relation(p, n)
@@ -206,7 +200,6 @@ def seminaive_stratum(
             budget.check_stats(stats)
         if span is not None:
             span.attrs["final"] = {p: db.size(p) for p in members}
-    return None if added is None else dict(zip(members, added))
 
 
 def seminaive_evaluate(

@@ -3,85 +3,65 @@
 :class:`MaintainedView` owns a database holding the EDB plus the least
 fixpoint of every IDB predicate, and nothing per derivation.
 :meth:`MaintainedView.apply` repairs it under a net batch of base
-inserts and deletes in two phases:
+inserts and deletes in three phases.  Each phase of each SCC is one
+generated function, the maintenance flavour of
+:meth:`~repro.datalog.plan_cache.PlanCache.loop_for`: its round zero
+joins what changed -- plain sets, passed in -- with the database, and
+the rounds after it are the SCC's semi-naive fixpoint.
 
 Deletions (DRed, delete-and-rederive)
-    Overestimate the damage bottom-up per SCC: a derived fact joins the
-    overestimate ``D`` as soon as *one* derivation uses a deleted or
-    overestimated tuple, with every delta join running against the
-    untouched original database (so derivations using two deleted
-    tuples are still seen).  Remove the base deletes and all of ``D``,
-    then rederive bottom-up per SCC: one *candidate join* per rule --
-    the rule body behind ``Δ̂?p(<head args>)``, the removed ``p`` facts
-    mounted as a relation -- finds every removed fact that still has a
-    derivation in the current database, and the delta-seeded restart
-    below propagates from those.  Survivors on a cycle come back
-    exactly when they keep outside support.
+    *Overestimate* the damage bottom-up per SCC: a derived fact joins
+    the overestimate ``D`` as soon as *one* derivation uses a deleted or
+    overestimated tuple.  Round zero is the delta joins with the base
+    deletes and the lower SCCs' overestimates, and every join runs
+    against the untouched original database (so derivations using two
+    deleted tuples are still seen); ``D`` grows as plain sets.  Remove
+    the base deletes and all of ``D``, then *rederive* bottom-up per
+    SCC: round zero matches the removed facts against the head of each
+    rule for their predicate -- head constants and repeated head
+    variables unify there -- and joins the body behind the match, which
+    puts back every removed fact that still has a derivation; the
+    rounds after it propagate from those.  Survivors on a cycle come
+    back exactly when they keep outside support.
 
-Insertions (delta-seeded restart)
-    Install the base inserts, then per SCC seed the semi-naive fixpoint
-    with the heads of delta joins against the changed lower predicates
-    and restart it via ``seminaive_stratum(..., initial_deltas=...)``
-    -- round zero's full evaluation is skipped because the database is
-    already a fixpoint except for those seeds.
+Insertions (delta-seeded *restart*)
+    Install the base inserts, then per SCC run round zero on the base
+    inserts and the lower SCCs' additions, and semi-naive rounds from
+    what it installs: the database is already a fixpoint except for
+    their consequences.
 
-No join in this module runs per fact.
+A function is generated on its SCC's first write of that phase, and
+the view keeps the last few bound to its relations and indexes.  A
+write asks the plan cache only when it fits none of them: some size --
+of what changed, of a member, of any relation the joins read -- is
+outside the interval its plans were chosen for (a relation found empty
+has filled, say), or an index it probes was dropped.  No join in this
+module runs per fact and nothing is mounted.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
+from ..budget import UNLIMITED
 from ..datalog.atoms import Atom
-from ..datalog.database import Database, Fact, Relation
-from ..datalog.joins import evaluate_body_into
+from ..datalog.database import Database, Fact
+from ..datalog.plan_cache import PLAN_CACHE, relation_sink
 from ..datalog.programs import Program
-from ..datalog.rules import Rule
-from ..datalog.seminaive import (
-    delta_rounds, seminaive_evaluate, seminaive_stratum)
+from ..datalog.seminaive import seeded_terms, seminaive_evaluate
 from ..datalog.terms import Constant
 from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 
 __all__ = ["MaintainedView"]
 
-#: Delta relations mounted for maintenance joins; the hat distinguishes
-#: them from the semi-naive evaluator's own "Δ" views.
-_DELTA_PREFIX = "Δ̂"
-
-#: Candidate facts mounted as ``Δ̂?p(<head args>)`` in front of a rule
-#: body: the join then *is* the unification of the rule head with each
-#: candidate -- head constants and repeated head variables included --
-#: so one join per rule stands in for one head-bound body evaluation
-#: per (fact, rule).
-_CANDIDATE_PREFIX = _DELTA_PREFIX + "?"
-
 Delta = Mapping[str, tuple[frozenset, frozenset]]
 
-
-def _mounted(db: Database, prefix: str,
-             facts: Mapping[str, set[Fact]]) -> Database:
-    """``db`` with each non-empty fact set mounted beside its relations
-    as relation ``prefix + predicate``, for the joins that read it."""
-    return db.with_mounts({
-        prefix + pred: Relation(prefix + pred, len(next(iter(tuples))), tuples)
-        for pred, tuples in facts.items() if tuples})
-
-
-@lru_cache(maxsize=4096)
-def _delta_body(rule: Rule, i: int) -> tuple[Atom, ...]:
-    """``rule.body`` with its ``i``-th atom reading the mounted delta."""
-    a = rule.body[i]
-    return (rule.body[:i] + (Atom(_DELTA_PREFIX + a.predicate, a.args),)
-            + rule.body[i + 1:])
-
-
-@lru_cache(maxsize=4096)
-def _candidate_body(rule: Rule) -> tuple[Atom, ...]:
-    """``rule.body`` behind the candidate atom of its head predicate."""
-    head = rule.head
-    return (Atom(_CANDIDATE_PREFIX + head.predicate, head.args),) + rule.body
+#: Bound functions kept per (SCC, phase), newest first: one per set of
+#: plans the sizes of a write stream call for (a delete that removes a
+#: few facts and one that removes many rank them differently, and so
+#: may a base relation a write grew or shrank).
+_BOUND = 8
 
 
 def _report(tracer, stats: Optional[EvaluationStats], facts_in: int,
@@ -102,7 +82,7 @@ class MaintainedView:
         self.order = order
         self.idb = program.idb_predicates
         self._scc_rules = [
-            (scc, [r for r in program.rules if r.head.predicate in scc])
+            (scc, tuple(r for r in program.rules if r.head.predicate in scc))
             for scc in program.evaluation_order
         ]
         self.rebuild(edb)
@@ -112,6 +92,10 @@ class MaintainedView:
     def rebuild(self, edb: Database) -> None:
         """Recompute the view from scratch (the overflow fallback)."""
         self.db = seminaive_evaluate(self.program, edb, order=self.order)
+        #: (SCC number, phase) -> (members, terms, inputs, seeds, bound):
+        #: its join terms and its functions bound to ``self.db``, as
+        #: ``(run, fits)`` pairs (:meth:`PlanCache.loop_for`).
+        self._paths: dict[tuple[int, str], tuple] = {}
 
     def select(self, query: Atom, tracer=None) -> frozenset[Fact]:
         """The answers of ``query`` on a derived predicate, read off its
@@ -133,30 +117,56 @@ class MaintainedView:
             return frozenset(f for f in facts if query.matches(f))
         return frozenset(facts)
 
-    # -- maintenance joins -------------------------------------------------
+    # -- the generated functions -------------------------------------------
 
-    def _delta_join_heads(self, rules: Iterable[Rule],
-                          changed: Mapping[str, set]) -> dict[str, set[Fact]]:
-        """Rule heads derivable with one body atom restricted to a delta.
+    def _fixpoint(self, k: int, phase: str, inputs: Mapping[str, set],
+                  stats, over: Optional[dict] = None) -> dict[str, set]:
+        """Run SCC ``k``'s function for ``phase`` to its fixpoint, round
+        zero reading ``inputs`` (predicate -> facts).
 
-        One evaluation per (rule, occurrence of a changed predicate),
-        the delta occurrence reading the changed facts and every other
-        atom reading the current database -- the standard semi-naive
-        delta join, reused for the seeds of the DRed overestimate and of
-        the insert restart.
+        The overestimate puts what it derives in ``over`` and leaves the
+        database alone; rederive and restart install it in the member
+        relations and return it per member.
         """
-        heads: dict[str, set[Fact]] = {}
-        if not any(changed.values()):
-            return heads
-        view = _mounted(self.db, _DELTA_PREFIX, changed)
-        for r in rules:
-            for i, a in enumerate(r.body):
-                if changed.get(a.predicate):
-                    evaluate_body_into(
-                        view, _delta_body(r, i), r.head.args,
-                        heads.setdefault(r.head.predicate, set()),
-                        order=self.order)
-        return heads
+        path = self._paths.get((k, phase))
+        if path is None:
+            scc, rules = self._scc_rules[k]
+            path = self._paths[k, phase] = (
+                *seeded_terms(rules, scc, phase == "rederive"), [])
+        members, terms, names, seeds, bound = path
+        carry = (*[()] * len(members), *[inputs.get(p, ()) for p in names])
+        if not any(carry):
+            return {}
+        added: dict[str, set] = {}
+        if over is not None:
+            seen = [(over[p].__rsub__, over[p].update) for p in members]
+            sizes = (0,) * len(members)
+        else:
+            seen, sizes = [], []
+            for p in members:
+                rel = self.db.relation(p)
+                new, add = relation_sink(rel)
+                also = added.setdefault(p, set()).update
+                seen.append((new, lambda fresh, add=add, also=also:
+                             (add(fresh), also(fresh))))
+                sizes.append(len(rel))
+            sizes = tuple(sizes)
+        while any(carry):
+            # After relation_sink, which may drop indexes a probe holds.
+            for run, fits in bound:
+                if fits(carry, sizes):
+                    break
+            else:
+                run, fits = PLAN_CACHE.loop_for(
+                    terms, members, carry, self.order, self.db, None,
+                    over is None, seeds)
+                bound.insert(0, (run, fits))
+                del bound[_BOUND:]
+            # Returns early, carry left over, when a size leaves its
+            # interval.
+            carry, sizes = run(carry, seen, sizes, members, (), (), stats,
+                               UNLIMITED, None)
+        return added
 
     # -- maintenance -------------------------------------------------------
 
@@ -171,8 +181,9 @@ class MaintainedView:
         owned by the view.  A live ``tracer`` gets one span per phase
         that runs -- ``view.overestimate`` and ``view.rederive`` for
         the deletions, ``view.restart`` for the insertions -- each
-        counting its fixpoint ``rounds`` and its ``facts_in`` /
-        ``facts_out``; the joins and loops inside stay untraced.
+        counting its fixpoint ``rounds`` (round zero included) and its
+        ``facts_in`` / ``facts_out``; the functions inside stay
+        untraced.
         """
         eff_ins: dict[str, set[Fact]] = {}
         eff_dels: dict[str, set[Fact]] = {}
@@ -216,23 +227,14 @@ class MaintainedView:
     def _apply_deletions(self, dels: Mapping[str, set[Fact]],
                          touched: dict[str, dict[Fact, bool]],
                          tracer) -> None:
-        # Overestimate bottom-up per SCC against the original database:
-        # the delta joins with the lower deltas seed it, and from there
-        # it is the SCC's semi-naive fixpoint with the overestimate as
-        # ``seen`` -- later rounds read only the facts that just joined.
+        # The overestimate of each SCC is round zero's input of the SCCs
+        # above it, beside the base deletes.
         over: dict[str, set[Fact]] = {p: set() for p in self.idb}
-        visible: dict[str, set[Fact]] = {n: set(f) for n, f in dels.items()}
+        visible: dict[str, set[Fact]] = {**dels, **over}
         with span_of(tracer, "view.overestimate"):
             stats = tracer and EvaluationStats()
-            for scc, rules in self._scc_rules:
-                heads = self._delta_join_heads(rules, visible)
-                members = sorted(scc)
-                for pred in members:
-                    over[pred] = visible[pred] = heads.pop(pred, set())
-                delta_rounds(
-                    rules, scc, self.db, [set(over[p]) for p in members],
-                    [(over[p].__rsub__, over[p].update) for p in members],
-                    stats=stats, order=self.order)
+            for k in range(len(self._scc_rules)):
+                self._fixpoint(k, "overestimate", visible, stats, over)
             removed = sum(map(len, over.values()))
             _report(tracer, stats, sum(map(len, dels.values())), removed)
 
@@ -249,29 +251,14 @@ class MaintainedView:
                                        f"fixpoint of its rules")
                 touched[pred].update(dict.fromkeys(facts, True))
 
-            # Rederive survivors bottom-up per SCC.  One candidate join
-            # per rule finds the removed facts that still have a
-            # derivation in the current database; what is missing beyond
-            # them can only follow from them, which is the delta-seeded
-            # restart's precondition -- so the cascade costs one delta
-            # round per step instead of one sweep over every removed
-            # fact per step.
+            # Put back, bottom-up per SCC, the removed facts that still
+            # have a derivation, and what follows from them -- a delta
+            # round per step of the cascade, not a sweep over every
+            # removed fact per step.
             stats, back_in = tracer and EvaluationStats(), 0
-            for scc, rules in self._scc_rules:
-                view = _mounted(self.db, _CANDIDATE_PREFIX,
-                                {p: over[p] for p in scc})
-                back: dict[str, set[Fact]] = {}
-                for r in rules:
-                    if over[r.head.predicate]:
-                        evaluate_body_into(
-                            view, _candidate_body(r), r.head.args,
-                            back.setdefault(r.head.predicate, set()),
-                            order=self.order)
-                if any(back.values()):
-                    added = seminaive_stratum(
-                        rules, scc, self.db, self.program, stats=stats,
-                        order=self.order, initial_deltas=back)
-                    back_in += sum(map(len, added.values()))
+            for k in range(len(self._scc_rules)):
+                added = self._fixpoint(k, "rederive", over, stats)
+                back_in += sum(map(len, added.values()))
             _report(tracer, stats, removed, back_in)
 
     def _apply_insertions(
@@ -285,15 +272,8 @@ class MaintainedView:
                 self.db.ensure(name, len(next(iter(facts)))).add_all(facts)
             changed: dict[str, set[Fact]] = {
                 n: set(f) for n, f in ins.items()}
-            for scc, rules in self._scc_rules:
-                lower = {n: f for n, f in changed.items() if n not in scc}
-                # The restart installs what is new of its seeds.
-                seeds = self._delta_join_heads(rules, lower)
-                if not any(seeds.values()):
-                    continue
-                added = seminaive_stratum(
-                    rules, scc, self.db, self.program, stats=stats,
-                    order=self.order, initial_deltas=seeds)
+            for k in range(len(self._scc_rules)):
+                added = self._fixpoint(k, "restart", changed, stats)
                 for pred, facts in added.items():
                     changed.setdefault(pred, set()).update(facts)
                     touched[pred].update(dict.fromkeys(

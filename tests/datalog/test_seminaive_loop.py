@@ -18,6 +18,8 @@ from repro.observability import Tracer
 from repro.stats import EvaluationStats
 from repro.storage import resolve_backend
 
+from ..maintenance.test_view import assert_matches_rebuild
+
 NONLINEAR = parse_program(
     "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, W) & tc(W, Y)."
 ).program
@@ -50,30 +52,34 @@ def assert_indexes_hold(rel):
 
 class TestSharedIndexes:
     def test_a_probed_member_drops_borrowed_buckets_before_it_grows(self):
-        """``tc`` is both probed (nonlinear rule) and written by the
-        loop, and its index buckets are shared with a snapshot
+        """``tc`` is both probed (nonlinear rule) and written by a
+        view's restart, and its index buckets are shared with a snapshot
         (``adopt_indexes``): the first write gives them up, so a probe
         bound to them beforehand would read stale buckets for the rest
-        of the run."""
-        edb = Database.from_facts({"e": chain(6)})
-        db = seminaive_evaluate(NONLINEAR, edb)
-        tc = db.relation("tc")
+        of the run.  Two new edges join three chains: a path over both
+        needs two facts the run derived, one of them read through the
+        probe."""
+        edb = Database.from_facts({"e": chain(3) + [(5, 6), (6, 7),
+                                                    (9, 10), (10, 11)]})
+        view = MaintainedView(NONLINEAR, edb)
+        tc = view.db.relation("tc")
+        before = tc.tuples()
         frozen = tc.snapshot()
         for positions in ((0,), (1,)):
             frozen.lookup(positions, (0,))
-        db.add_fact("e", (6, 7))
         tc.adopt_indexes(frozen)
         assert tc._borrowed and frozen._borrowed
         held = {p: {k: list(b) for k, b in index.items()}
                 for p, index in frozen._indexes.items()}
 
-        rules, scc = stratum(NONLINEAR)
-        added = seminaive_stratum(rules, scc, db, NONLINEAR,
-                                  initial_deltas={"tc": [(6, 7)]})
-        edb.add_fact("e", (6, 7))
-        want = seminaive_evaluate(NONLINEAR, edb).tuples("tc")
-        assert tc.tuples() == want
-        assert added == {"tc": {(i, 7) for i in range(7)}}
+        bridges = frozenset([(3, 5), (7, 9)])
+        changes = view.apply({"e": (bridges, frozenset())})
+        for edge in bridges:
+            edb.add_fact("e", edge)
+        assert_matches_rebuild(view, edb)
+        assert (0, 11) in tc
+        assert changes == {"tc": (frozenset(tc.tuples() - before),
+                                  frozenset())}
         assert_indexes_hold(tc)
         # ... and the snapshot's own buckets were never patched.
         assert {p: {k: list(b) for k, b in index.items()}
@@ -123,18 +129,21 @@ class TestNoSizeAskedUntraced:
             db.relation(name)._conn.set_trace_callback(statements.append)
 
     def restart(self, tracer):
+        """Run the stratum again over a database that is its fixpoint
+        but for one new edge: round zero re-derives the old extent and
+        installs only the new edge's pair."""
         edb = Database.from_facts({"e": chain(5)},
                                   backend=resolve_backend("sqlite"))
-        view = MaintainedView(RIGHT, edb)
-        view.db.add_fact("e", (5, 6))
-        len(view.db.relation("e"))  # what planning reads: asked before
+        db = seminaive_evaluate(RIGHT, edb)
+        db.add_fact("e", (5, 6))
+        for name in ("e", "tc"):  # what planning reads: asked before
+            len(db.relation(name))
+        before = db.tuples("tc")
         statements: list[str] = []
-        self.counting(view.db, statements)
+        self.counting(db, statements)
         rules, scc = stratum(RIGHT)
-        added = seminaive_stratum(rules, scc, view.db, RIGHT,
-                                  tracer=tracer,
-                                  initial_deltas={"tc": [(5, 6)]})
-        assert added == {"tc": {(i, 6) for i in range(6)}}
+        seminaive_stratum(rules, scc, db, RIGHT, tracer=tracer)
+        assert db.tuples("tc") - before == {(i, 6) for i in range(6)}
         return [s for s in statements if "COUNT(*)" in s]
 
     def test_an_untraced_restart_counts_no_rows(self):

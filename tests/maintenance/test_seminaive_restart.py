@@ -1,74 +1,70 @@
 """Delta-seeded restart of the semi-naive fixpoint.
 
-``seminaive_stratum(..., initial_deltas=...)`` is the insertion half of
-incremental maintenance: the database is already a fixpoint except for
-the seed facts, and round zero installs the seeds instead of evaluating
-every rule from scratch.  These tests pin that a restart lands on the
-same fixpoint as a full evaluation, and the contract errors.
+The insertion half of :meth:`MaintainedView.apply`: the view is already
+a fixpoint except for the consequences of the base inserts, and round
+zero of the restart function joins the inserts (the seeds) with the
+database instead of evaluating every rule from scratch.  These tests pin
+that a restart lands on the same fixpoint as a rebuild, and what it
+refuses to seed from.
 """
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.datalog.seminaive import seminaive_evaluate, seminaive_stratum
+from repro.maintenance import MaintainedView
+
+from .test_view import assert_matches_rebuild
 
 TC = parse_program(
     "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y)."
 ).program
 
 
-def _stratum_args(program):
-    [scc] = program.evaluation_order
-    rules = [r for r in program.rules if r.head.predicate in scc]
-    return rules, scc
+def insert(*facts):
+    return {"e": (frozenset(facts), frozenset())}
 
 
 class TestRestart:
     def test_restart_reaches_the_full_fixpoint(self):
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        db = seminaive_evaluate(TC, edb)
-        # New edge c -> d: the restart is seeded with the one new
-        # direct pair and must propagate a->d and b->d on its own.
-        db.add_fact("e", ("c", "d"))
-        rules, scc = _stratum_args(TC)
-        seminaive_stratum(rules, scc, db, TC,
-                          initial_deltas={"tc": [("c", "d")]})
+        view = MaintainedView(TC, edb)
+        # New edge c -> d: round zero derives the one new direct pair,
+        # and the restart must propagate a->d and b->d on its own.
+        changes = view.apply(insert(("c", "d")))
         edb.add_fact("e", ("c", "d"))
-        oracle = seminaive_evaluate(TC, edb)
-        assert set(db.tuples("tc")) == set(oracle.tuples("tc"))
+        assert_matches_rebuild(view, edb)
+        assert changes == {"tc": (frozenset({("a", "d"), ("b", "d"),
+                                             ("c", "d")}), frozenset())}
 
     def test_restart_on_a_cycle(self):
-        # Closing the loop with e(c, a): the restart precondition is
-        # that the seeds cover every *direct* consequence of the
-        # changed base facts -- the delta-join heads e(c, a) joined
-        # with the old tc, i.e. (c, a), (c, b), (c, c) -- exactly what
-        # MaintainedView computes.  The fixpoint rounds then owe only
-        # the transitive consequences.
+        # Closing the loop with e(c, a): round zero joins e(c, a) with
+        # the old tc -- (c, a), (c, b), (c, c) -- and the fixpoint
+        # rounds owe only the transitive consequences.
         edb = Database.from_facts({"e": [("a", "b"), ("b", "c")]})
-        db = seminaive_evaluate(TC, edb)
-        db.add_fact("e", ("c", "a"))
-        rules, scc = _stratum_args(TC)
-        seeds = [("c", "a"), ("c", "b"), ("c", "c")]
-        seminaive_stratum(rules, scc, db, TC,
-                          initial_deltas={"tc": seeds})
+        view = MaintainedView(TC, edb)
+        view.apply(insert(("c", "a")))
         edb.add_fact("e", ("c", "a"))
-        oracle = seminaive_evaluate(TC, edb)
-        assert set(db.tuples("tc")) == set(oracle.tuples("tc"))
+        assert_matches_rebuild(view, edb)
+        assert set(view.db.tuples("tc")) == {
+            (x, y) for x in "abc" for y in "abc"}
 
     def test_empty_seeds_do_nothing(self):
         edb = Database.from_facts({"e": [("a", "b")]})
-        db = seminaive_evaluate(TC, edb)
-        version_before = db.relation("tc")._version
-        rules, scc = _stratum_args(TC)
-        seminaive_stratum(rules, scc, db, TC, initial_deltas={"tc": []})
-        assert set(db.tuples("tc")) == {("a", "b")}
-        assert db.relation("tc")._version == version_before
+        view = MaintainedView(TC, edb)
+        version_before = view.db.relation("tc")._version
+        # Nothing inserted, and an insert of a fact already there: no
+        # seed, no round, no write.
+        assert view.apply(insert()) == {}
+        assert view.apply(insert(("a", "b"))) == {}
+        assert set(view.db.tuples("tc")) == {("a", "b")}
+        assert view.db.relation("tc")._version == version_before
 
     def test_seed_for_foreign_predicate_is_rejected(self):
+        # The restart seeds from base relations only: a delta naming a
+        # derived predicate would skip the rules that own it.
         edb = Database.from_facts({"e": [("a", "b")]})
-        db = seminaive_evaluate(TC, edb)
-        rules, scc = _stratum_args(TC)
-        with pytest.raises(ValueError, match="not a member"):
-            seminaive_stratum(rules, scc, db, TC,
-                              initial_deltas={"e": [("x", "y")]})
+        view = MaintainedView(TC, edb)
+        with pytest.raises(ValueError, match="derived predicate"):
+            view.apply({"tc": (frozenset([("x", "y")]), frozenset())})
+        assert set(view.db.tuples("tc")) == {("a", "b")}

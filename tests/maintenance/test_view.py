@@ -275,6 +275,21 @@ SHAPE_CASES = {
          + [("n6", "n1"), ("n2", "n5")]},
         ("succ", ("n2", "n3")),
     ),
+    # A member read in full beside its own delta: the stratum re-plans
+    # per round, not per rule.
+    "nonlinear": (
+        _rules("tc(X, Y) :- tc(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y)."),
+        {"e": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b"),
+               ("x", "c")]},
+        ("e", ("b", "c")),
+    ),
+    "body-constant": (
+        _rules("reach(Y) :- e(start, Y).\n"
+               "reach(Y) :- reach(X) & e(X, Y)."),
+        {"e": [("start", "a"), ("a", "b"), ("b", "c"), ("x", "c"),
+               ("start", "x"), ("c", "a")]},
+        ("e", ("start", "a")),
+    ),
 }
 
 
@@ -326,10 +341,11 @@ class TestRederivationCascade:
 
 
 class TestNoPerFactJoin:
-    """Every maintenance join, and every generated loop at its entry,
-    asks the plan cache once per join term: plan lookups per ``apply``
-    are O(rules) -- a join per (fact, rule) would scale them with the
-    delta, a round loop with the depth of the cascade."""
+    """A write runs one generated function per (SCC, phase), which asks
+    the plan cache once per join term when it is bound: plan lookups
+    per ``apply`` are O(rules) -- a join per (fact, rule) would scale
+    them with the delta, a round loop with the depth of the cascade --
+    and none once the sizes a write meets fit a function bound before."""
 
     @staticmethod
     def lookups(view, deltas):
@@ -380,6 +396,111 @@ class TestNoPerFactJoin:
             lookups[depth] = (grown, shrunk)
         assert lookups[150] == lookups[40]
         assert max(lookups[40]) <= 4 * sum(len(r.body) for r in program.rules)
+
+    def test_after_one_cycle_a_write_plans_and_compiles_nothing(self):
+        # The ledger's write stream: four friend and four perfectFor
+        # facts added, then deleted in reverse, so each write's sizes
+        # come back every cycle.
+        scenario = social_commerce(people=60)
+        view = MaintainedView(scenario.program, scenario.database)
+        users = sorted({x for x, _ in scenario.database.tuples("friend")})
+        pool = [w for c in range(4) for w in (
+            ("friend", (f"new{c}", users[7 * c])),
+            ("perfectFor", (users[7 * c + 3], f"gift{c}")))]
+        cycle = [(name, (frozenset([fact]), frozenset()))
+                 for name, fact in pool]
+        cycle += [(name, (frozenset(), frozenset([fact])))
+                  for name, fact in reversed(pool)]
+        for name, delta in cycle:
+            view.apply({name: delta})
+        compiles, functions = PLAN_CACHE.compiles, len(PLAN_CACHE._shapes)
+        for k in range(100):
+            name, delta = cycle[k % len(cycle)]
+            lookups, changes = self.lookups(view, {name: delta})
+            assert changes and lookups == 0, (k, name)
+        assert PLAN_CACHE.compiles == compiles
+        assert len(PLAN_CACHE._shapes) == functions
+
+
+class TestBoundAcrossWrites:
+    """What makes a write bind its function anew: each case leaves the
+    function bound by an earlier write reading something it may no
+    longer read, or planned for sizes that no longer hold, and the next
+    write must still match a rebuild."""
+
+    def test_after_rebuild(self):
+        edb = tc_edb([("a", "b"), ("b", "c"), ("c", "a")])
+        view = MaintainedView(TC, edb)
+        view.apply({"e": (frozenset(), frozenset([("b", "c")]))})
+        view.apply({"e": (frozenset([("b", "c")]), frozenset())})
+        edb.add_fact("e", ("c", "d"))
+        view.rebuild(edb)  # a new database: nothing bound reads it
+        view.apply({"e": (frozenset([("d", "x")]), frozenset())})
+        edb.add_fact("e", ("d", "x"))
+        assert_matches_rebuild(view, edb)
+
+    def test_after_an_insert_creates_a_base_relation(self):
+        # ``e`` is absent when the restart is first bound, so its delta
+        # term gets no code; the insert that creates ``e`` needs it.
+        edb = Database.from_facts({"src": [(f"a{i}",) for i in range(10)]})
+        view = MaintainedView(REACH, edb)
+        view.apply({"src": (frozenset([("b",)]), frozenset())})
+        edb.add_fact("src", ("b",))
+        edges = frozenset([("a1", "c"), ("c", "d")])
+        view.apply({"e": (edges, frozenset())})
+        for edge in edges:
+            edb.add_fact("e", edge)
+        assert ("d",) in view.db.tuples("r")
+        assert_matches_rebuild(view, edb)
+
+    def test_after_a_borrowed_index_is_dropped(self):
+        # Buckets shared with another relation are dropped, not
+        # patched, by the next write (``Relation._unshare``): a probe
+        # bound to them would answer from the state before it.
+        edb = tc_edb([(f"n{i}", f"n{i + 1}") for i in range(20)])
+        view = MaintainedView(TC, edb)
+        for edges in ([("x", "y"), ("y", "n18")], [("p", "q"), ("q", "n18")]):
+            e = view.db.relation("e")
+            twin = e.copy()
+            for positions in list(e._indexes):
+                twin.lookup(positions, ("a",) * len(positions))
+            e.adopt_indexes(twin)
+            # Round one reaches p over the new (p, q), through the index
+            # of e the delta term probes.
+            view.apply({"e": (frozenset(edges), frozenset())})
+            assert not e._borrowed
+            for edge in edges:
+                edb.add_fact("e", edge)
+        assert ("p", "n20") in view.db.tuples("tc")
+        assert_matches_rebuild(view, edb)
+
+    def test_after_deletes_shrink_a_base_relation(self):
+        # The restart bound on the first insert into ``s`` ranks ``a``
+        # (30 facts) after ``b`` (20); deletes, which bind no restart,
+        # shrink ``a`` to 12, so the next insert into ``s`` -- a delta as
+        # small as the first -- must plan anew rather than run the
+        # order chosen for the old sizes.  The insert after it ranks
+        # them alike: no lookup.
+        program = parse_program(
+            "r(X, Y) :- s(X) & a(X, W) & b(W, Y).").program
+        edb = Database.from_facts({"s": [(0,), (1,)],
+                                   "a": [(i, i % 3) for i in range(30)],
+                                   "b": [(i, "y") for i in range(20)]})
+        view = MaintainedView(program, edb)
+        lookups = []
+        for name, ins, dels in (
+                ("s", [(2,)], []),
+                ("a", [], [(i, i % 3) for i in range(12, 30)]),
+                ("s", [(3,)], []), ("s", [(4,)], [])):
+            lookups.append(TestNoPerFactJoin.lookups(
+                view, {name: (frozenset(ins), frozenset(dels))})[0])
+            for fact in ins:
+                edb.add_fact(name, fact)
+            for fact in dels:
+                edb.remove_fact(name, fact)
+        assert lookups[2] > 0 and lookups[3] == 0
+        assert len(view.db.relation("r")) == 5
+        assert_matches_rebuild(view, edb)
 
 
 class TestSelect:

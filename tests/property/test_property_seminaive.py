@@ -7,7 +7,8 @@ one evaluation: a nonlinear rule (both delta variants read the growing
 relation), a two-member SCC whose members differ in arity, a rule with
 no SCC atom inside that SCC (it has no delta variant), a head constant
 and a repeated head variable -- in a drawn rule order, which is the
-order of the loop's join terms.  ``derandomize`` as in the maintenance
+order of the loop's join terms; a view's restart over the same programs
+runs the maintenance flavour.  ``derandomize`` as in the maintenance
 suite: a failure in CI is a failure everywhere.
 """
 
@@ -16,14 +17,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import Database
-from repro.datalog.joins import evaluate_body_project
 from repro.datalog.naive import naive_evaluate
 from repro.datalog.parser import parse_program
 from repro.datalog.plan_cache import ORDERS
 from repro.datalog.programs import Program
-from repro.datalog.seminaive import seminaive_evaluate, seminaive_stratum
+from repro.datalog.seminaive import seminaive_evaluate
+from repro.maintenance import MaintainedView
 from repro.observability import Tracer
 from repro.storage import resolve_backend
+
+from ..maintenance.test_view import assert_matches_rebuild
 
 COMMON = settings(
     max_examples=25,
@@ -97,25 +100,19 @@ def test_generated_loop_matches_naive(order, backend, setup):
     st.tuples(st.sampled_from(CONSTANTS), st.sampled_from(CONSTANTS)),
     min_size=1, max_size=3))
 def test_restart_lands_on_the_full_fixpoint(setup, inserts):
-    """``initial_deltas`` mode after base inserts: seeded per stratum
-    with every one-step consequence of the current database (a superset
-    of what the changed facts derive directly), it reaches the full
-    evaluation's extent and returns exactly what it added."""
+    """A view's restart after base inserts -- per SCC, round zero joins
+    the inserts and the lower SCCs' additions with the database, then
+    the stratum's delta rounds -- reaches the full evaluation's extent
+    and reports exactly what it added."""
     program, facts = setup
+    view = MaintainedView(program, Database.from_facts(facts))
+    before = extents(program, view.db)
     edb = Database.from_facts(facts)
-    db = seminaive_evaluate(program, edb)
-    before = extents(program, db)
     for fact in inserts:
         edb.add_fact("e", fact)
-        db.add_fact("e", fact)
-    for scc in program.evaluation_order:
-        rules = [r for r in program.rules if r.head.predicate in scc]
-        seeds = {p: set() for p in scc}
-        for r in rules:
-            seeds[r.head.predicate].update(
-                evaluate_body_project(db, r.body, r.head.args))
-        added = seminaive_stratum(rules, scc, db, program,
-                                  initial_deltas=seeds)
-        assert added == {p: db.tuples(p) - before[p] for p in scc}
-    assert extents(program, db) == \
-        extents(program, seminaive_evaluate(program, edb))
+    changes = view.apply({"e": (frozenset(inserts), frozenset())})
+    assert_matches_rebuild(view, edb)
+    after = extents(program, view.db)
+    assert changes == {p: (frozenset(after[p] - before[p]), frozenset())
+                       for p in program.idb_predicates
+                       if after[p] != before[p]}
