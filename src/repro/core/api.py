@@ -30,7 +30,7 @@ from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
-from ..datalog.joins import evaluate_body_project
+from ..datalog.joins import RowList, evaluate_body_into
 from ..datalog.programs import Program
 from ..datalog.terms import Variable
 from ..stats import EvaluationStats
@@ -277,16 +277,18 @@ def _evaluate_partial(
         }
         head_terms = tuple(head_vars[p] for p in cls.positions)
         width = len(head_terms)
-        heads_of: dict[tuple, list[tuple]] = {}  # in discovery order
+        rows = RowList()  # in discovery order: it numbers the seeds
         for a in analysis.rules_of_class(cls):
             seed_terms = tuple(
                 a.recursive_atom.args[p] for p in cls.positions)
-            for row in evaluate_body_project(
-                db, a.nonrecursive_atoms, seed_terms + head_terms,
+            evaluate_body_into(
+                db, a.nonrecursive_atoms, seed_terms + head_terms, rows,
                 initial_bindings=init, stats=stats, order=order,
                 tracer=tracer,
-            ):
-                heads_of.setdefault(row[:width], []).append(row[width:])
+            )
+        heads_of: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            heads_of.setdefault(row[:width], []).append(row[width:])
 
         plan = compile_plan(analysis, selected_class=cls, tagged=True)
         assemble = plan.assembler()

@@ -10,9 +10,10 @@ an *up loop* applying the remaining classes (lines 10-14, producing
 Each loop body is a union of :class:`CarryJoin` terms -- one per rule --
 expressed as ordinary conjunctions in which a reserved pseudo-atom
 (:data:`CARRY` or :data:`SEEN`) stands for the current carry/seen
-relation; executing a term is just a call to
-:func:`repro.datalog.joins.evaluate_body` against a view database with
-the pseudo-relation attached.  This keeps the compiled form inspectable:
+relation; executing a term is just a join of that conjunction (a
+generated loop's inlined level, or
+:func:`repro.datalog.joins.evaluate_body_into`) against a view database
+with the pseudo-relation mounted.  This keeps the compiled form inspectable:
 ``SeparablePlan.describe()`` prints something very close to the paper's
 Figures 3 and 4.
 """

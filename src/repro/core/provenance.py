@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
-from ..datalog.joins import evaluate_body_project
+from ..datalog.joins import RowList, evaluate_body_into
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
@@ -95,13 +95,14 @@ def _child_parent_rows(view: Database, join: CarryJoin, pseudo: str,
                        stats: EvaluationStats, order: str):
     """``(child, parent)`` per derivation of ``join`` over ``view``: the
     output tuple and the ``pseudo`` (carry or seen) tuple it came from,
-    in the join's enumeration order."""
+    in the join's enumeration order (the first derivation of a child
+    is the parent recorded for it)."""
     parent_atom = next(a for a in join.body if a.predicate == pseudo)
     width = len(join.output)
-    for row in evaluate_body_project(
-            view, join.body, join.output + parent_atom.args,
-            stats=stats, order=order):
-        yield row[:width], row[width:]
+    rows = RowList()
+    evaluate_body_into(view, join.body, join.output + parent_atom.args,
+                       rows, stats=stats, order=order)
+    return [(row[:width], row[width:]) for row in rows]
 
 
 def _traced_loop(

@@ -32,7 +32,7 @@ from .errors import (
     UnknownPredicateError,
 )
 from .expansion import ExpansionString, expand, expansion_strings
-from .joins import EQ, evaluate_body, instantiate_args
+from .joins import EQ, evaluate_body_into, instantiate_args
 from .naive import naive_evaluate
 from .parser import (
     ParsedProgram,
@@ -75,7 +75,7 @@ __all__ = [
     "expand",
     "expansion_strings",
     "EQ",
-    "evaluate_body",
+    "evaluate_body_into",
     "instantiate_args",
     "naive_evaluate",
     "ParsedProgram",

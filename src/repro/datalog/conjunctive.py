@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database
-from .joins import evaluate_body, instantiate_args
+from .joins import evaluate_body_into
 from .terms import Constant, Term, Variable
 
 __all__ = [
@@ -76,8 +76,8 @@ class ConjunctiveQuery:
     ) -> frozenset[tuple]:
         """All head tuples the query produces over ``db``."""
         results: set[tuple] = set()
-        for bindings in evaluate_body(db, self.body, stats=stats, order=order):
-            results.add(instantiate_args(self.head, bindings))
+        evaluate_body_into(db, self.body, self.head, results, stats=stats,
+                           order=order)
         return frozenset(results)
 
     def __str__(self) -> str:

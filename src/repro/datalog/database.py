@@ -559,25 +559,14 @@ class Database:
 
     def _remounted(self, backend, clone) -> "Database":
         """A database on ``backend`` holding ``clone(other, name,
-        relation)`` of every relation: each :class:`Relation` object is
-        cloned once and the clone mounted under every name the original
-        is."""
+        relation)`` of every relation."""
         other = Database(backend=backend)
-        clones: dict[int, Relation] = {}
-        for name, rel in self._relations.items():
-            if id(rel) not in clones:
-                clones[id(rel)] = clone(other, name, rel)
-            other._relations[name] = clones[id(rel)]
+        other._relations = {name: clone(other, name, rel)
+                            for name, rel in self._relations.items()}
         return other
 
     def copy(self) -> "Database":
         """A deep copy sharing no mutable state (indexes not copied).
-
-        Aliasing is preserved: a :class:`Relation` mounted under several
-        names via :meth:`attach` is copied *once* and the copy is
-        mounted under the same names, so a write through one alias
-        stays visible through the others -- exactly as in the source
-        database.
 
         Observers are *not* inherited: a copy is a private snapshot and
         mutating it must not feed the original's delta capture.  The
@@ -591,14 +580,14 @@ class Database:
     def snapshot(self, previous: "Database | None" = None) -> "Database":
         """A stable read view of the current contents.
 
-        Like :meth:`copy` (aliasing preserved, no observers inherited)
-        but built from :meth:`Relation.snapshot`, and never written to
-        (so it keeps this database's backend, :attr:`shares_storage`
-        included).  ``previous``, the snapshot this one replaces, is
-        shared from: a relation whose ``(arity, version)`` has not moved
-        is mounted as the *same object* -- rows, indexes, on SQLite the
-        connection and its statements -- so a snapshot after a write
-        costs what the write touched.  A durable SQLite file copies
+        Like :meth:`copy` (no observers inherited) but built from
+        :meth:`Relation.snapshot`, and never written to (so it keeps
+        this database's backend, :attr:`shares_storage` included).
+        ``previous``, the snapshot this one replaces, is shared from: a
+        relation whose ``(arity, version)`` has not moved is mounted as
+        the *same object* -- rows, indexes, on SQLite the connection and
+        its statements -- so a snapshot after a write costs what the
+        write touched.  A durable SQLite file copies
         nothing and pins one read-only WAL connection per relation,
         anew per snapshot.  Every service snapshot is taken here.
         """
@@ -610,9 +599,8 @@ class Database:
     def with_backend(self, backend) -> "Database":
         """A copy of this database with every relation stored in ``backend``.
 
-        Aliasing is preserved exactly as in :meth:`copy`; observers are
-        not carried over.  ``backend=None`` migrates back to the
-        in-memory default.
+        Observers are not carried over.  ``backend=None`` migrates back
+        to the in-memory default.
         """
         return self._remounted(
             backend, lambda other, name, rel:
@@ -620,7 +608,7 @@ class Database:
 
     def with_mounts(self, mounts: Mapping[str, Relation]) -> "Database":
         """A view of this database with ``mounts`` (``{name: relation}``)
-        attached beside its relations.
+        mounted beside its relations.
 
         Every relation is shared, not copied; the view has no observers
         and no backend.  How evaluators put a carry, a delta or a
@@ -637,55 +625,22 @@ class Database:
 
         Current relations are subscribed immediately; relations created
         later through :meth:`ensure` / :meth:`add_fact` are subscribed
-        on creation.  Mounting a foreign relation via :meth:`attach`
-        while observed is reported as a reset event (``fact=None,
-        sign=0``) because its existing tuples never produced deltas.
+        on creation.
         """
         if callback in self._observers:
             return
         self._observers.append(callback)
-        for rel in {id(r): r for r in self._relations.values()}.values():
+        for rel in self._relations.values():
             rel.observe(callback)
 
     def unobserve(self, callback) -> None:
         """Unsubscribe from the database and all its relations."""
         if callback in self._observers:
             self._observers.remove(callback)
-        for rel in {id(r): r for r in self._relations.values()}.values():
+        for rel in self._relations.values():
             rel.unobserve(callback)
 
     # -- access -----------------------------------------------------------
-
-    def attach(self, relation: Relation, name: str | None = None) -> None:
-        """Mount an existing :class:`Relation` object under ``name``.
-
-        The relation is shared, not copied -- mutations are visible to
-        every database it is attached to.  Evaluators use this to build
-        lightweight views (e.g. a database where a delta relation stands
-        in for an IDB predicate) without copying tuples.
-
-        Replacing an existing mount unsubscribes this database's
-        observers from the displaced relation once it no longer holds
-        any mount here -- otherwise a later :meth:`unobserve` (which
-        only walks current mounts) would leave the subscription behind
-        and a detached delta capture would keep receiving its events.
-        """
-        mount = name or relation.name
-        displaced = self._relations.get(mount)
-        self._relations[mount] = relation
-        self._fp_cache = None
-        if (displaced is not None and displaced is not relation
-                and self._observers
-                and all(r is not displaced
-                        for r in self._relations.values())):
-            for cb in self._observers:
-                displaced.unobserve(cb)
-        if self._observers:
-            # The mounted relation's tuples arrived without deltas;
-            # observers can only treat this as a wholesale reset.
-            for cb in self._observers:
-                relation.observe(cb)
-                cb(relation, None, 0)
 
     def ensure(self, name: str, arity: int) -> Relation:
         """Get the named relation, creating it empty if absent."""
@@ -739,16 +694,16 @@ class Database:
 
         ``(name, arity, version)`` per relation, sorted by name;
         O(#relations), no tuples are hashed.  Any fact added or
-        relation cleared (directly or through an attached view) changes
-        the fingerprint, so caches keyed on it -- the engine's base-IDB
-        materialization, the service's snapshot lookup -- notice
-        mutations between queries.
+        relation cleared (directly or through a :meth:`with_mounts`
+        view) changes the fingerprint, so caches keyed on it -- the
+        engine's base-IDB materialization, the service's snapshot
+        lookup -- notice mutations between queries.
 
         The sorted tuple is cached and validated against the sum of all
         relation versions: versions only ever increase, so any mutation
         strictly increases the sum and a stale hit is impossible.
-        Membership changes that could leave the sum unchanged (a new
-        empty relation, an attach) explicitly drop the cache.
+        A membership change that could leave the sum unchanged (a new
+        empty relation) explicitly drops the cache.
         """
         total = 0
         for rel in self._relations.values():

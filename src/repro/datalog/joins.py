@@ -1,13 +1,15 @@
 """Index-backed join evaluation of conjunctive rule bodies.
 
-Three entry points evaluate a conjunction of atoms against a
-:class:`~repro.datalog.database.Database`: :func:`evaluate_body`
-enumerates the satisfying substitutions (variable -> constant value),
-:func:`evaluate_body_project` yields them projected onto an output
-template, and :func:`evaluate_body_into` collects that projection into a
-caller's set.  They are the inner loop of every evaluator in this
-package: naive, semi-naive, magic, counting, and the Separable carry
-loops all reduce to body evaluations.
+:func:`evaluate_body_into` evaluates a conjunction of atoms against a
+:class:`~repro.datalog.database.Database` and adds each satisfying
+substitution, projected onto an output template, to a caller's sink in
+one call -- a whole set at a time, as each round of Figure 2 computes
+its ``produced`` set.  It (or the plan method it calls) is the one way
+a rule body runs outside a generated loop: naive evaluation, counting,
+semi-naive's first round, the exit join of Figure 2, the Lemma 2.1
+sideways pass and provenance all reduce to it.  A :class:`RowList` sink
+keeps the order and multiplicity of what the join made, where a caller
+can observe them.
 
 Bodies are executed through compiled :class:`~repro.datalog.plan_cache.
 JoinPlan` kernels cached in the module-wide
@@ -40,7 +42,7 @@ Three atom orders are offered (:data:`~repro.datalog.plan_cache.ORDERS`):
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..stats import EvaluationStats
 from .atoms import Atom
@@ -49,28 +51,81 @@ from .plan_cache import EQ, ORDERS, PLAN_CACHE
 from .terms import Constant, ConstValue, Variable
 
 __all__ = [
-    "evaluate_body",
-    "evaluate_body_project",
     "evaluate_body_into",
     "instantiate_args",
-    "Bindings",
+    "RowList",
     "EQ",
 ]
-
-#: Evaluators bind variables directly to raw constant values.
-Bindings = dict[Variable, ConstValue]
 
 _EMPTY_SIG: frozenset[Variable] = frozenset()
 
 
-def _plan_for(db, atoms, initial_bindings, order, tracer):
-    """The cached :class:`JoinPlan` for ``atoms`` under the
-    bound-variable signature of ``initial_bindings``; None for the empty
-    conjunction (vacuous truth: exactly the initial bindings)."""
+class RowList(list):
+    """A sink that keeps what a join made in the order it made it,
+    duplicates included: ``add`` / ``update`` are ``append`` /
+    ``extend``."""
+
+    __slots__ = ()
+    add = list.append
+    update = list.extend
+
+
+def evaluate_body_into(
+    db: Database,
+    atoms: Sequence[Atom],
+    output: Sequence,
+    sink,
+    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
+    stats: Optional[EvaluationStats] = None,
+    order: str = "greedy",
+    tracer=None,
+) -> int:
+    """Add ``instantiate_args(output, b)`` to ``sink`` for every
+    substitution ``b`` satisfying every atom in ``atoms``.
+
+    Compiles (or fetches from :data:`~repro.datalog.plan_cache.PLAN_CACHE`)
+    a :class:`~repro.datalog.plan_cache.JoinPlan` for the body and the
+    bound-variable signature of ``initial_bindings``, then runs its
+    kernel, which writes into ``sink`` itself.  Returns the number of
+    tuples produced (before duplicate elimination).
+
+    Parameters
+    ----------
+    db:
+        Source of facts for every predicate mentioned in ``atoms``.
+    atoms:
+        The conjunction to satisfy.  An empty conjunction is satisfied
+        by exactly the initial bindings (vacuous truth).
+    output:
+        The term template each solution is grounded into, typically a
+        rule head's args.  A variable outside the body is read from
+        ``initial_bindings`` (``KeyError`` if it is not there).
+    sink:
+        Where the tuples go: a ``set``, or a :class:`RowList` where
+        order or multiplicity matters.  No body relation may read it.
+    initial_bindings:
+        Pre-bound variables (e.g. selection constants pushed in).
+    stats:
+        Optional accumulator; base tuples fetched are counted as
+        ``tuples_examined`` and the tuples made as ``tuples_produced``,
+        once per call.
+    order:
+        One of :data:`~repro.datalog.plan_cache.ORDERS`:
+        ``"greedy"``, ``"left_to_right"`` (see module docstring) or
+        ``"cost"`` (the selectivity-aware planner).
+    tracer:
+        Optional :class:`~repro.observability.Tracer`; receives
+        per-atom lookup counts, tuples fetched, the join fan-out
+        (``bindings_out``), and the plan-cache traffic
+        (``plan_compiles`` / ``plan_cache_hits`` / ``plan_cache_misses``).
+    """
     if order not in ORDERS:
         raise ValueError(f"unknown join order {order!r}")
     if not atoms:
-        return None
+        sink.add(instantiate_args(output, initial_bindings or {}))
+        if stats is not None:
+            stats.bump_produced()
+        return 1
     body = tuple(atoms)
     if initial_bindings:
         sig = frozenset(
@@ -82,105 +137,7 @@ def _plan_for(db, atoms, initial_bindings, order, tracer):
         )
     else:
         sig = _EMPTY_SIG
-    return PLAN_CACHE.plan_for(body, sig, order, db, tracer)
-
-
-def evaluate_body(
-    db: Database,
-    atoms: Sequence[Atom],
-    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
-    stats: Optional[EvaluationStats] = None,
-    order: str = "greedy",
-    tracer=None,
-) -> Iterator[Bindings]:
-    """Enumerate substitutions satisfying every atom in ``atoms``.
-
-    Compiles (or fetches from :data:`~repro.datalog.plan_cache.PLAN_CACHE`)
-    a :class:`~repro.datalog.plan_cache.JoinPlan` for the body and the
-    bound-variable signature of ``initial_bindings``, then runs it.
-
-    Parameters
-    ----------
-    db:
-        Source of facts for every predicate mentioned in ``atoms``.
-    atoms:
-        The conjunction to satisfy.  An empty conjunction yields exactly
-        the initial bindings (vacuous truth).
-    initial_bindings:
-        Pre-bound variables (e.g. selection constants pushed in).
-    stats:
-        Optional accumulator; base tuples fetched are counted as
-        ``tuples_examined`` (folded in when the enumeration ends or is
-        abandoned, not per lookup).
-    order:
-        One of :data:`~repro.datalog.plan_cache.ORDERS`:
-        ``"greedy"``, ``"left_to_right"`` (see module docstring) or
-        ``"cost"`` (the selectivity-aware planner).
-    tracer:
-        Optional :class:`~repro.observability.Tracer`; receives
-        per-atom lookup counts, tuples fetched, the join fan-out
-        (``bindings_out``), and the plan-cache traffic
-        (``plan_compiles`` / ``plan_cache_hits`` / ``plan_cache_misses``).
-    """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
-    if plan is None:
-        return iter((dict(initial_bindings) if initial_bindings else {},))
-    return plan.execute(db, initial_bindings, stats, tracer)
-
-
-def evaluate_body_project(
-    db: Database,
-    atoms: Sequence[Atom],
-    output: Sequence,
-    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
-    stats: Optional[EvaluationStats] = None,
-    order: str = "greedy",
-    tracer=None,
-) -> Iterator[tuple[ConstValue, ...]]:
-    """``instantiate_args(output, b) for b in evaluate_body(...)``, fused.
-
-    The fixpoint loops all follow a body evaluation with an immediate
-    projection onto the rule head; going through a bindings dict per
-    derivation costs a dict build plus one hash per variable.  This
-    entry point has the compiled plan ground ``output`` (typically
-    ``rule.head.args``) directly from its kernel's locals instead.
-    Counters, ordering, and result multiset match the two-step form
-    exactly, and so does the laziness: a consumer that adds to a body
-    relation mid-iteration (naive and semi-naive round 0 do) sees its
-    own tuples.
-    """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
-    if plan is None:
-        return iter((instantiate_args(output, initial_bindings or {}),))
-    return plan.execute_project(tuple(output), db, initial_bindings, stats,
-                                tracer)
-
-
-def evaluate_body_into(
-    db: Database,
-    atoms: Sequence[Atom],
-    output: Sequence,
-    sink: set,
-    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
-    stats: Optional[EvaluationStats] = None,
-    order: str = "greedy",
-    tracer=None,
-) -> int:
-    """``sink.update(evaluate_body_project(...))``, set-at-a-time.
-
-    The carry loops of Figure 2 only ever collect a join's output into
-    a fresh ``produced`` set, so nothing needs to surface tuple by
-    tuple: the kernel writes into ``sink`` itself.  Returns the number
-    of tuples produced (before duplicate elimination) and, unlike the
-    lazy entry points, counts them on ``stats.tuples_produced`` too.
-    ``sink`` must not be read by the body.
-    """
-    plan = _plan_for(db, atoms, initial_bindings, order, tracer)
-    if plan is None:
-        sink.add(instantiate_args(output, initial_bindings or {}))
-        if stats is not None:
-            stats.bump_produced()
-        return 1
+    plan = PLAN_CACHE.plan_for(body, sig, order, db, tracer)
     return plan.execute_into(tuple(output), db, sink, initial_bindings,
                              stats, tracer)
 

@@ -1,16 +1,14 @@
 """Compiled join kernels: slot-based plans cached per (body, signature).
 
-:func:`~repro.datalog.joins.evaluate_body` and its siblings run every
-rule application through this module, which compiles a rule body once
-into a :class:`JoinPlan` -- a flat sequence of atom steps
-with precomputed index signatures, key templates, register slots for the
-free variables, and ``eq/2`` guards fused between steps -- and each plan
-generates, per output template, the *source* of a specialised Python
-function: nested ``for`` loops over ``Relation.lookup`` results with the
-registers as locals.  One generator emits both flavours: a lazy one
-(``yield`` per output tuple) for evaluators that watch their own
-insertions mid-iteration, and a set-at-a-time one that writes into the
-caller's ``produced`` set, for the carry loops of Figure 2.
+:func:`~repro.datalog.joins.evaluate_body_into` runs every rule
+application outside a generated loop through this module, which
+compiles a rule body once into a :class:`JoinPlan` -- a flat sequence of
+atom steps with precomputed index signatures, key templates, register
+slots for the free variables, and ``eq/2`` guards fused between steps --
+and each plan generates, per output template, the *source* of a
+specialised Python function: nested ``for`` loops over the probed
+buckets with the registers as locals, writing every output tuple into
+the caller's sink a whole set at a time, as each round of Figure 2 does.
 
 Plans are **pure functions of the body, the bound-variable signature,
 and the atom sequence actually executed** -- never of tuple values:
@@ -33,13 +31,9 @@ callers that want deterministic ``plan_*`` counters (the bench harness)
 call :meth:`PlanCache.clear` first, which also drops every generated
 function.
 
-One deliberate fast-path divergence from the reference interpreter: a
-plan resolves all body relations up front and yields nothing if any is
-absent or empty.  That is sound for every evaluator here (a relation
-empty at call start cannot contribute a match, and fixpoint loops only
-grow relations via *completed* matches), but a consumer that grows a
-relation from empty *while* iterating will not see the late tuples.  No
-caller does this.
+A plan resolves all body relations up front and produces nothing if any
+is absent or empty: a relation empty at call start cannot contribute a
+match, and no relation a body reads changes during the call.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import linecache
 import threading
 import zlib
 from functools import partial
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..stats import EvaluationStats
 from .atoms import Atom
@@ -112,8 +106,8 @@ class JoinPlan:
         next: filters and assigns over the registers.
 
     The steps are not interpreted: :meth:`_kernel` turns them, once per
-    output template and flavour, into the source of a specialised
-    Python function (see :meth:`kernel_source`).
+    output template, into the source of a specialised Python function
+    (see :meth:`kernel_source`).
     """
 
     __slots__ = (
@@ -123,11 +117,10 @@ class JoinPlan:
         "preload",
         "pre_guards",
         "steps",
-        "outputs",
         "always_empty",
         "_preds",    # the steps' predicates, in execution order
         "_slot_of",  # variable -> register slot
-        "_kernels",  # (output, bulk) -> (function, constants, inputs)
+        "_kernels",  # output -> (function, constants, inputs)
         "_shapes",   # source text -> function, shared across plans
     )
 
@@ -139,7 +132,6 @@ class JoinPlan:
         preload: tuple[tuple[Variable, int], ...],
         pre_guards: tuple[tuple, ...],
         steps: tuple[tuple, ...],
-        outputs: tuple[Variable, ...],
         always_empty: bool,
         slot_of: dict[Variable, int],
         shapes: Optional[dict] = None,
@@ -150,7 +142,6 @@ class JoinPlan:
         self.preload = preload
         self.pre_guards = pre_guards
         self.steps = steps
-        self.outputs = outputs
         self.always_empty = always_empty
         self._preds = tuple(step[0] for step in steps)
         self._slot_of = slot_of
@@ -161,104 +152,61 @@ class JoinPlan:
         """Predicates in execution order (for tests and plan dumps)."""
         return self._preds
 
-    def execute(
-        self,
-        db: Database,
-        initial_bindings: Optional[Mapping[Variable, ConstValue]],
-        stats: Optional[EvaluationStats] = None,
-        tracer=None,
-    ) -> Iterator[dict[Variable, ConstValue]]:
-        """Enumerate satisfying bindings dicts against ``db``.
-
-        Lazy: relations are probed as the consumer advances, and index
-        buckets are iterated live (tuples added to an already non-empty
-        relation mid-iteration are visible, exactly as interpreted).
-        """
-        names = self.outputs  # the body variables the caller did not bind
-        base = dict(initial_bindings) if initial_bindings else {}
-        for row in self.execute_project(names, db, initial_bindings,
-                                        stats, tracer):
-            out = base.copy()
-            out.update(zip(names, row))
-            yield out
-
-    def execute_project(
-        self,
-        output: tuple,
-        db: Database,
-        initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
-        stats: Optional[EvaluationStats] = None,
-        tracer=None,
-    ) -> Iterator[tuple]:
-        """Like ``execute`` followed by ``instantiate_args(output, ...)``
-        -- but the ground tuples are built straight from the kernel's
-        locals, skipping the bindings dict (and its per-key hashing)
-        entirely.  ``output`` is a term sequence, typically a rule
-        head's args; a variable outside the body is read from
-        ``initial_bindings`` when the call is made, so the ``KeyError``
-        if it is not there either is raised here, solutions or not
-        (only an absent or empty body relation ends the run earlier).
-        Otherwise as lazy as :meth:`execute`.
-        """
-        rows = self._run(output, False, db, initial_bindings, None, stats,
-                         tracer)
-        return iter(()) if rows is None else rows
-
     def execute_into(
         self,
         output: tuple,
         db: Database,
-        sink: set,
+        sink,
         initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
         stats: Optional[EvaluationStats] = None,
         tracer=None,
     ) -> int:
-        """The set-at-a-time flavour: add every ``execute_project`` tuple
-        to ``sink`` and return how many were produced (before duplicate
-        elimination), also counted on ``stats.tuples_produced``.  Only
-        for a ``sink`` no body relation reads -- nothing is visible
-        mid-run.
-        """
-        return self._run(output, True, db, initial_bindings, sink, stats,
-                         tracer) or 0
+        """Add ``instantiate_args(output, b)`` to ``sink`` for every
+        substitution ``b`` satisfying the body against ``db``; return
+        how many tuples were produced (before duplicate elimination),
+        also counted on ``stats.tuples_produced``.
 
-    def _run(self, output: tuple, bulk: bool, db: Database,
-             initial_bindings, sink, stats, tracer):
-        """Call the kernel for ``output``; None when the plan cannot
-        match (all body relations are resolved up front and an absent
-        or empty one ends the run -- see the module doc)."""
+        The tuples are built straight from the kernel's locals, with no
+        bindings dict.  ``output`` is a term sequence, typically a rule
+        head's args; a variable outside the body is read from
+        ``initial_bindings`` when the call is made, so the ``KeyError``
+        if it is not there either is raised here, solutions or not
+        (only an absent or empty body relation ends the run earlier:
+        all body relations are resolved up front).  ``sink`` has
+        ``add`` and ``update`` and no body relation reads it.
+        """
         if self.always_empty:
-            return None
+            return 0
         rels: list[Relation] = []
         relation = db.relation
         for pred in self._preds:
             rel = relation(pred)
             if rel is None or not rel:
-                return None
+                return 0
             rels.append(rel)
-        fn, consts, inputs = self._kernel(output, bulk)
+        fn, consts, inputs = self._kernel(output)
         if inputs:
             inputs = tuple((initial_bindings or {})[var] for var in inputs)
         return fn(rels, consts, inputs, sink, stats, tracer)
 
-    def _kernel(self, output: tuple, bulk: bool) -> tuple:
+    def _kernel(self, output: tuple) -> tuple:
         """``(function, constants, input variables)`` for one output
-        template and flavour, generated on first use.  Plans of one
-        shape (Example 1.1's ``friend``, ``idol`` and ``cheaper`` joins)
-        produce one text and share its function through ``_shapes``."""
-        entry = self._kernels.get((output, bulk))
+        template, generated on first use.  Plans of one shape (Example
+        1.1's ``friend``, ``idol`` and ``cheaper`` joins) produce one
+        text and share its function through ``_shapes``."""
+        entry = self._kernels.get(output)
         if entry is None:
-            source, consts, inputs = self.kernel_text(output, bulk)
+            source, consts, inputs = self.kernel_text(output)
             fn = _function(self._shapes, source, "joinplan", "kernel")
-            entry = self._kernels[(output, bulk)] = (fn, consts, inputs)
+            entry = self._kernels[output] = (fn, consts, inputs)
         return entry
 
-    def kernel_source(self, output: Sequence, bulk: bool = True) -> str:
+    def kernel_source(self, output: Sequence) -> str:
         """The generated Python text of one kernel (what tracebacks
         through a ``<joinplan:...>`` file show)."""
-        return self.kernel_text(tuple(output), bulk)[0]
+        return self.kernel_text(tuple(output))[0]
 
-    def kernel_text(self, output: tuple, bulk: bool) -> tuple:
+    def kernel_text(self, output: tuple) -> tuple:
         """Generate ``(source, constants, input variables)``.
 
         Registers are locals ``r<slot>``.  What is specific to this plan
@@ -285,17 +233,13 @@ class JoinPlan:
             return f"k{len(consts) - 1}"
 
         def fetch(d, pred, positions, key, cols):
-            index = const(positions)
-            if not bulk:  # may watch its own insertions: asks per tuple
-                return (), f"rels[{d}].lookup({index}, {key()}, tracer)", False
             probes.append(
-                f"    q{d} = _probe(rels[{d}], {index}, "
+                f"    q{d} = _probe(rels[{d}], {const(positions)}, "
                 f"{None if cols is None else const(cols)}, tracer)")
             return (), f"q{d}({key()})", True
 
         lines, zero, lookups, examined, bindings, reached = self._nest(
-            output, bulk, "    " if bulk else "        ", const, inputs,
-            fetch)
+            output, "    ", const, inputs, fetch)
         head = ["def kernel(rels, K, P, sink, stats, tracer):"]
         for count, name, source in ((len(consts), "k", "K"),
                                     (len(inputs), "p", "P")):
@@ -305,18 +249,13 @@ class JoinPlan:
         head += probes
         if zero:
             head.append(f"    {' = '.join(zero)} = 0")
-        flush = (f"_flush(stats, tracer, {lookups}, {examined}, {bindings}, "
-                 f"{reached if bulk else '0'})")
-        if bulk:
-            tail = ["    " + flush, "    return " + reached, ""]
-        else:
-            head.append("    try:")
-            tail = ["    finally:", "        " + flush, ""]
+        tail = [f"    _flush(stats, tracer, {lookups}, {examined}, "
+                f"{bindings}, {reached})", "    return " + reached, ""]
         return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
 
-    def _nest(self, output: tuple, bulk: bool, pad: str, const, inputs: list,
-              fetch, sink: str = "sink",
-              pseudo: Optional[str] = None, contains=None) -> tuple:
+    def _nest(self, output: tuple, pad: str, const, inputs: list, fetch,
+              sink: str = "sink", pseudo: Optional[str] = None,
+              contains=None) -> tuple:
         """The nested loops of this plan as source lines at ``pad``.
 
         ``const(value)`` names a constant and ``inputs`` collects the
@@ -394,7 +333,7 @@ class JoinPlan:
                 bindings.append(reached)
                 guard(guards, f"g{d}", "if {} == {}:")  # no loop to continue
                 continue
-            innermost = bulk and d == last and not checks and not guards
+            innermost = d == last and not checks and not guards
             cols = None
             if innermost and pred != pseudo:
                 # The output made of this atom's free columns, each of
@@ -441,8 +380,7 @@ class JoinPlan:
             bindings.append(reached)
             guard(guards, f"g{d}", "if {} != {}: continue")
         else:  # no break: the output is built inside the innermost loop
-            lines.append(f"{pad}{sink}.add({row()})" if bulk
-                         else f"{pad}yield {row()}")
+            lines.append(f"{pad}{sink}.add({row()})")
         return (lines, zero, " + ".join(lookups) or "0",
                 " + ".join(examined) or "0", " + ".join(bindings) or "0",
                 reached)
@@ -747,7 +685,6 @@ def _compile_sequence(
     steps = tuple(
         (p, pos, ks, w, c, tuple(g)) for p, pos, ks, w, c, g in raw_steps
     )
-    outputs = tuple(v for v in slot_of if v not in bound_vars)
     return JoinPlan(
         body=body,
         bound_vars=bound_vars,
@@ -755,7 +692,6 @@ def _compile_sequence(
         preload=tuple(preload),
         pre_guards=tuple(pre_guards),
         steps=steps,
-        outputs=outputs,
         always_empty=always_empty,
         slot_of=slot_of,
         shapes=shapes,
@@ -861,8 +797,8 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             probes.append((d, positions, ()))
             return f"{key()} in q{len(probes) - 1}"
 
-        lines, zero, *sums = plan._nest(output, True, pad, const, inputs,
-                                        fetch, "produced", delta,
+        lines, zero, *sums = plan._nest(output, pad, const, inputs, fetch,
+                                        "produced", delta,
                                         contains if seeds else None)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
@@ -1047,7 +983,7 @@ def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
 def _probe(rel, positions: tuple[int, ...], cols, tracer):
     """``key -> tuples`` (a collection, possibly empty, or None) of one
     relation, bound once for a whole run of generated code -- a carry
-    loop, a stratum's rounds, a set-at-a-time kernel: the facts matching
+    loop, a stratum's rounds, a join kernel: the facts matching
     ``key`` on ``positions``, or with ``cols`` those columns of them
     (:meth:`Relation.lookup_projected`).
 
@@ -1412,11 +1348,11 @@ class PlanCache:
             self.orders = {}
 
     def plans_for(self, body: tuple, output: tuple) -> list[JoinPlan]:
-        """Cached plans of ``body`` that ran the set-at-a-time kernel
-        for ``output`` (for plan dumps)."""
+        """Cached plans of ``body`` that ran their kernel for ``output``
+        (for plan dumps)."""
         with self._lock:
             return [p for key, p in self._plans.items()
-                    if key[0] == body and (output, True) in p._kernels]
+                    if key[0] == body and output in p._kernels]
 
     def stats(self) -> dict:
         """Counter snapshot: ``{size, hits, misses, compiles,

@@ -59,7 +59,7 @@ from ..core.detection import analyze_recursion, require_separable
 from ..core.evaluator import _reference_loops, execute_plan
 from ..core.rewrite import choose_rewrite_class, program_without_class
 from ..core.selections import classify_selection
-from ..datalog.joins import evaluate_body, instantiate_args
+from ..datalog.joins import evaluate_body_into
 from ..datalog.errors import (
     BudgetExceeded,
     CyclicDataError,
@@ -432,14 +432,16 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
             for a in analysis.rules_of_class(cls):
                 seed_terms = tuple(
                     a.recursive_atom.args[p] for p in cls.positions)
-                for bindings in evaluate_body(db, a.nonrecursive_atoms,
-                                              initial_bindings=init):
-                    seed = instantiate_args(seed_terms, bindings)
+                rows: set[tuple] = set()
+                evaluate_body_into(db, a.nonrecursive_atoms,
+                                   seed_terms + head_terms, rows,
+                                   initial_bindings=init)
+                for row in rows:
+                    seed = row[:len(seed_terms)]
                     if seed not in runs:
                         runs[seed] = execute_plan(plan, db, [seed],
                                                   budget=budget)
-                    union |= assemble(
-                        instantiate_args(head_terms, bindings), runs[seed])
+                    union |= assemble(row[len(seed_terms):], runs[seed])
     except _TOLERATED as exc:
         verdict.outcomes["union[batched]"] = StrategyOutcome(
             strategy="union[batched]", skipped=str(exc))

@@ -10,11 +10,11 @@ cancellation is sound because relation membership strictly alternates
 -- :meth:`Relation.add` only fires the observer for a genuinely new
 fact and :meth:`Relation.discard` only for a genuinely present one.
 
-Events a delta cannot express -- a :meth:`Relation.clear`, a foreign
-relation mounted via :meth:`Database.attach`, or a write to a relation
-the caller declared off-limits (``guard_predicates``, typically the IDB
-names) -- set :attr:`overflow`, telling the consumer to fall back to a
-full rebuild.
+Events a delta cannot express -- a :meth:`Relation.clear`, or a write
+to a relation the caller declared off-limits (``guard_predicates``,
+typically the IDB names) -- set :attr:`overflow`, telling the consumer
+to fall back to a full rebuild; so may the consumer itself, for a write
+the capture may not have seen.
 """
 
 from __future__ import annotations
@@ -43,39 +43,11 @@ class DeltaCapture:
         self.overflow = False
         self._inserted: dict[str, set[Fact]] = {}
         self._deleted: dict[str, set[Fact]] = {}
-        self._mounts: dict[int, tuple[str, ...]] = {}
-        self._refresh_mounts()
         db.observe(self._on_event)
 
-    def _refresh_mounts(self) -> None:
-        # Deltas are keyed on the *mount* name, not ``relation.name``:
-        # a relation alias-mounted under a different predicate before
-        # capture started must record its deltas under the name the
-        # maintenance layer will repair, or not at all.
-        mounts: dict[int, list[str]] = {}
-        for name in self._db.predicates():
-            rel = self._db.relation(name)
-            mounts.setdefault(id(rel), []).append(name)
-        self._mounts = {k: tuple(v) for k, v in mounts.items()}
-
     def _on_event(self, relation, fact, sign) -> None:
-        if sign == 0:
-            self.overflow = True
-            return
-        names = self._mounts.get(id(relation))
-        if names is None:
-            # Relation created (via ensure/add_fact) after capture
-            # started: pick up the new mount table once.
-            self._refresh_mounts()
-            names = self._mounts.get(id(relation))
-        if names is None or len(names) != 1:
-            # Unmounted, or alias-mounted under several predicates --
-            # one event would have to stand for several per-predicate
-            # deltas, which the net-delta protocol cannot express.
-            self.overflow = True
-            return
-        name = names[0]
-        if name in self._guard:
+        name = relation.name  # the name the database holds it under
+        if sign == 0 or name in self._guard:
             self.overflow = True
             return
         ins = self._inserted.setdefault(name, set())

@@ -123,7 +123,7 @@ def _kernel_lines(plan) -> list[str]:
     lines: list[str] = []
     for join in plan.down_joins + plan.exit_joins + plan.up_joins:
         for cached in PLAN_CACHE.plans_for(join.body, join.output):
-            source, consts, _ = cached.kernel_text(join.output, True)
+            source, consts, _ = cached.kernel_text(join.output)
             lines.append(f"  kernel {join}  steps={cached.atom_order()}  "
                          f"K={consts}")
             lines += [f"    {line}" for line in source.splitlines()]

@@ -44,7 +44,7 @@ from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom, answer_assembler, connected_components
 from ..datalog.database import Database, Relation
 from ..datalog.errors import CyclicDataError, EvaluationError
-from ..datalog.joins import evaluate_body_project
+from ..datalog.joins import evaluate_body_into
 from ..datalog.programs import Program
 from ..datalog.rectify import rectify_definition
 from ..datalog.rules import Rule
@@ -347,12 +347,10 @@ def evaluate_counting(
                 down_carry.add_all(values)
                 for cr in plan.rules:
                     produced: set[tuple] = set()
-                    for fact in evaluate_body_project(
+                    evaluate_body_into(
                         down_view, down_bodies[cr.index], cr.down_output,
-                        stats=stats, order=order, tracer=tracer,
-                    ):
-                        stats.bump_produced()
-                        produced.add(fact)
+                        produced, stats=stats, order=order, tracer=tracer,
+                    )
                     if tracer is not None:
                         tracer.count(f"rule_apps:down#{cr.index}")
                         if produced:
@@ -403,11 +401,8 @@ def evaluate_counting(
             produced: set[tuple] = set()
             for ei, (body, output) in enumerate(exit_bodies):
                 before = len(produced)
-                for fact in evaluate_body_project(exit_view, body, output,
-                                                  stats=stats, order=order,
-                                                  tracer=tracer):
-                    stats.bump_produced()
-                    produced.add(fact)
+                evaluate_body_into(exit_view, body, output, produced,
+                                   stats=stats, order=order, tracer=tracer)
                 if tracer is not None:
                     tracer.count(f"rule_apps:exit#{ei}")
                     if len(produced) > before:
@@ -439,12 +434,10 @@ def evaluate_counting(
                 up_carry.clear()
                 up_carry.add_all(answers_at[key])
                 produced = set()
-                for fact in evaluate_body_project(
-                    up_view, up_bodies[cr.index], cr.up_output,
+                evaluate_body_into(
+                    up_view, up_bodies[cr.index], cr.up_output, produced,
                     stats=stats, order=order, tracer=tracer,
-                ):
-                    stats.bump_produced()
-                    produced.add(fact)
+                )
                 if produced:
                     target = answers_at.setdefault(parent, set())
                     before = len(target)

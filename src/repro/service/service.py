@@ -319,10 +319,10 @@ class QueryService:
         With :attr:`ServiceConfig.incremental` set, the mutation is
         observed as per-relation deltas and absorbed before the lock is
         released: the maintained IDB view is repaired (or rebuilt on a
-        delta-capture overflow, or when the EDB was changed behind
-        ``mutate``'s back).  Nothing else is touched: memo entries and
-        the snapshot stay behind at the old fingerprint, as in a
-        service without a view.
+        delta-capture overflow, when ``fn`` raised, or when the EDB was
+        changed behind ``mutate``'s back).  Nothing else is touched:
+        memo entries and the snapshot stay behind at the old
+        fingerprint, as in a service without a view.
         """
         with self._snapshot_lock:
             if self._view is None:
@@ -334,6 +334,12 @@ class QueryService:
             try:
                 with self.metrics.tracer.span("service.mutate.capture"):
                     return fn(self.edb)
+            except BaseException:
+                # A relation installs a fact before it tells its
+                # observers, so an observer that raised ahead of the
+                # capture hid a write from it: rebuild, do not repair.
+                capture.overflow = True
+                raise
             finally:
                 capture.detach()
                 self._absorb_mutation(old_fp, capture)
@@ -359,8 +365,8 @@ class QueryService:
                 self._view.apply(net, tracer)
         except Exception:
             # A delta the maintenance layer cannot express exactly
-            # (e.g. through an aliased relation) degrades to a rebuild;
-            # correctness first, incrementality when possible.
+            # degrades to a rebuild; correctness first, incrementality
+            # when possible.
             return self._rebuild_view(new_fp)
         self._view_fp = new_fp
         self.metrics.bump("view_repairs")

@@ -74,8 +74,8 @@ def ensure_backend(db, spec):
     out = db.with_backend(backend)
     for name, arity in getattr(backend, "existing_relations", list)():
         # Durable file: remount relations from earlier sessions that
-        # the incoming database does not mention.  Relations it does
-        # mention were already merged into the file tables above.
-        if out.relation(name) is None:
-            out.attach(backend.make_relation(name, arity))
+        # the incoming database does not mention (a relation opens its
+        # existing table).  Relations it does mention were already
+        # merged into the file tables above.
+        out.ensure(name, arity)
     return out

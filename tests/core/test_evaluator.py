@@ -449,7 +449,7 @@ class TestGeneratedLoop:
                 return super().lookup_projected(positions, cols, key, tracer)
 
         db = fan_database()
-        db.attach(Failing("e", 2, db.relation("e")), "e")
+        db = db.with_mounts({"e": Failing("e", 2, db.relation("e"))})
         plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
         PLAN_CACHE.clear()
         with pytest.raises(OSError) as caught:

@@ -221,42 +221,11 @@ class TestDatabase:
         assert db.size("p") == 1
         assert other.size("p") == 2
 
-    def test_copy_preserves_attach_aliasing(self):
-        # Regression: copy() used to clone a relation once per *name*,
-        # so a relation attached under two names became two unrelated
-        # relations in the copy and writes through one alias vanished
-        # from the other.
-        db = Database()
-        shared = Relation("p", 1, [("a",)])
-        db.attach(shared)
-        db.attach(shared, "alias")
-        other = db.copy()
-        assert other.relation("p") is other.relation("alias")
-        other.add_fact("alias", ("b",))
-        assert other.size("p") == 2
-        # ... while the copy still shares nothing with the original.
-        assert db.size("p") == 1
-        assert shared.tuples() == frozenset({("a",)})
-
     def test_copy_keeps_distinct_relations_distinct(self):
-        db = Database()
-        db.attach(Relation("p", 1, [("a",)]))
-        db.attach(Relation("q", 1, [("a",)]))
+        db = Database.from_facts({"p": [("a",)], "q": [("a",)]})
         other = db.copy()
         other.add_fact("p", ("b",))
         assert other.size("q") == 1
-
-    def test_attach_shares_relation(self):
-        db = Database()
-        shared = Relation("p", 1, [("a",)])
-        db.attach(shared)
-        shared.add(("b",))
-        assert db.size("p") == 2
-
-    def test_attach_under_alias(self):
-        db = Database()
-        db.attach(Relation("p", 1, [("a",)]), "alias")
-        assert db.size("alias") == 1
 
     def test_distinct_constants(self):
         db = Database.from_facts({"p": [("a", "b")], "q": [("b", "c")]})
@@ -270,12 +239,12 @@ class TestDatabase:
         assert db.distinct_constants() == {"a", "b"}
 
     def test_distinct_constants_cache_sees_alias_mutation(self):
-        # The fingerprint key covers mutations made through an attach()
-        # alias in another database, same as the engine's caches.
+        # The fingerprint key covers mutations made through a view that
+        # mounts the relation under another name, same as the engine's
+        # caches.
         db = Database.from_facts({"p": [("a",)]})
         assert db.distinct_constants() == {"a"}
-        view = Database()
-        view.attach(db.relation("p"), "q")
+        view = Database().with_mounts({"q": db.relation("p")})
         view.add_fact("q", ("b",))
         assert db.distinct_constants() == {"a", "b"}
 
@@ -331,33 +300,31 @@ class TestVersioning:
         assert db.fingerprint() != fp
 
     def test_fingerprint_sees_mutation_through_alias(self):
-        # attach() shares the Relation object, so a fact added through
-        # the alias bumps the one shared version counter -- and the
-        # fingerprint must change under *both* names.
+        # with_mounts() shares the Relation object, so a fact added
+        # through the view bumps the one shared version counter -- and
+        # the fingerprint must change under *both* names.
         db = Database.from_facts({"p": [("a", "b")]})
-        rel = db.relation("p")
-        db.attach(rel, "view")
-        fp = db.fingerprint()
-        db.add_fact("view", ("c", "d"))
-        assert db.fingerprint() != fp
+        view = db.with_mounts({"view": db.relation("p")})
+        fp, view_fp = db.fingerprint(), view.fingerprint()
+        view.add_fact("view", ("c", "d"))
+        assert db.fingerprint() != fp and view.fingerprint() != view_fp
         assert ("c", "d") in db.tuples("p")
 
     def test_fingerprint_sees_alias_mutated_in_other_database(self):
-        # The sharing crosses Database objects too: a view database
-        # mutating an attached relation invalidates the owner's
+        # The sharing crosses Database objects: a view database
+        # mutating a mounted relation invalidates the owner's
         # fingerprint (this is what keeps Engine caches honest when
-        # evaluators build _with_pseudo-style views).
+        # evaluators build views).
         owner = Database.from_facts({"p": [("a",)]})
-        view = Database()
-        view.attach(owner.relation("p"), "q")
+        view = Database().with_mounts({"q": owner.relation("p")})
         fp = owner.fingerprint()
         view.add_fact("q", ("b",))
         assert owner.fingerprint() != fp
 
 
 class TestAliasCacheInvalidation:
-    """Engine base-IDB caches must notice mutations made through an
-    attach() alias of an EDB relation."""
+    """Engine base-IDB caches must notice mutations made through a view
+    that mounts an EDB relation under another name."""
 
     def test_engine_recomputes_after_alias_mutation(self):
         from repro.datalog.parser import parse_program
@@ -372,8 +339,8 @@ class TestAliasCacheInvalidation:
         first = engine.query("tc(a, Y)?", strategy="seminaive")
         assert first.answers == frozenset({("a", "b")})
 
-        alias = Database()
-        alias.attach(parsed.database.relation("e"), "edges")
+        alias = Database().with_mounts(
+            {"edges": parsed.database.relation("e")})
         alias.add_fact("edges", ("b", "c"))
 
         second = engine.query("tc(a, Y)?", strategy="seminaive")
@@ -739,13 +706,6 @@ class TestObservers:
         db.add_fact("q", ("x",))   # relation created after observe()
         assert events == [("p", ("b",), 1), ("q", ("x",), 1)]
 
-    def test_database_attach_emits_reset(self):
-        db = Database.from_facts({"p": [("a",)]})
-        events = []
-        db.observe(lambda r, f, s: events.append(s))
-        db.attach(Relation("q", 1, [("x",)]), "q")
-        assert 0 in events  # a mounted foreign extent is not a delta
-
     def test_copy_does_not_inherit_observers(self):
         db = Database.from_facts({"p": [("a",)]})
         events = []
@@ -775,7 +735,7 @@ class TestFingerprintCache:
             lambda: db.relation("q").clear(),
             lambda: db.add_fact("q", ("x", "y")),
             lambda: db.ensure("s", 3),                 # empty relation
-            lambda: db.attach(Relation("t", 1, [("w",)]), "t"),
+            lambda: db.add_fact("t", ("w",)),
             lambda: db.remove_fact("r", ("z",)),
         ]
         for step in steps:

@@ -1,5 +1,7 @@
 """Unit tests for naive and semi-naive bottom-up evaluation."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.budget import Budget
@@ -7,8 +9,12 @@ from repro.datalog.database import Database
 from repro.datalog.errors import BudgetExceeded
 from repro.datalog.naive import naive_evaluate
 from repro.datalog.parser import parse_program
+from repro.datalog.plan_cache import ORDERS
 from repro.datalog.seminaive import seminaive_evaluate
+from repro.observability import Tracer
 from repro.stats import EvaluationStats
+
+CORPUS = Path(__file__).parent.parent / "differential" / "corpus"
 
 TC = """
 tc(X, Y) :- edge(X, W) & tc(W, Y).
@@ -82,6 +88,36 @@ class TestBothEvaluators:
                 parse_program(TC).program, tc_db(edges),
                 stats=EvaluationStats(), budget=tight,
             )
+
+
+class TestNaiveSpecifics:
+    @pytest.mark.parametrize("rules", [TC, "\n".join(TC.split("\n")[::-1])],
+                             ids=["recursive-first", "exit-first"])
+    def test_a_round_is_one_application_of_t_p(self, rules):
+        """Round k of naive evaluation is T_P^k: on a chain of n edges
+        it derives exactly the n - k + 1 paths of length k, whatever
+        order the rules come in, and round n + 1 derives nothing."""
+        n = 6
+        stats, tracer = EvaluationStats(), Tracer()
+        naive_evaluate(parse_program(rules).program,
+                       tc_db([(f"n{i}", f"n{i + 1}") for i in range(n)]),
+                       stats=stats, tracer=tracer)
+        span, = tracer.spans("naive.fixpoint")
+        assert span.series["new_facts"] == [n - k + 1
+                                            for k in range(1, n + 1)] + [0]
+        assert stats.iterations == n + 1
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.dl")),
+                             ids=lambda p: p.stem)
+    def test_answers_equal_seminaive_on_the_corpus(self, path, order):
+        parsed = parse_program(path.read_text())
+        naive = naive_evaluate(parsed.program, parsed.database, order=order)
+        semi = seminaive_evaluate(parsed.program, parsed.database,
+                                  order=order)
+        for predicate in parsed.program.idb_predicates:
+            assert naive.tuples(predicate) == semi.tuples(predicate)
+        assert any(naive.tuples(p) for p in parsed.program.idb_predicates)
 
 
 class TestSemiNaiveSpecifics:

@@ -4,9 +4,11 @@ import pytest
 
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
-from repro.datalog.joins import EQ, evaluate_body, instantiate_args
+from repro.datalog.joins import EQ, instantiate_args
 from repro.datalog.terms import Variable
 from repro.stats import EvaluationStats
+
+from ..interpreter import solutions
 
 
 @pytest.fixture
@@ -17,10 +19,6 @@ def db():
             "color": [("a", "red"), ("c", "blue"), ("d", "blue")],
         }
     )
-
-
-def solutions(db, atoms, **kwargs):
-    return list(evaluate_body(db, atoms, **kwargs))
 
 
 class TestSingleAtom:

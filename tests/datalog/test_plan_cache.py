@@ -1,6 +1,6 @@
 """Unit tests for the compiled join kernel and its plan cache.
 
-The contract under test: :func:`evaluate_body` (which now runs through
+The contract under test: :func:`evaluate_body_into` (which runs through
 :class:`repro.datalog.plan_cache.JoinPlan`) stays observably identical
 to the interpreted join, while plans are compiled O(1) times per
 (rule body, binding signature) -- never per tuple, per round, or per
@@ -12,12 +12,7 @@ import pytest
 from repro.core.evaluator import loop_source
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
-from repro.datalog.joins import (
-    EQ,
-    evaluate_body,
-    evaluate_body_into,
-    evaluate_body_project,
-)
+from repro.datalog.joins import EQ, RowList, evaluate_body_into
 from repro.datalog.parser import parse_program
 from repro.datalog.plan_cache import (
     PLAN_CACHE,
@@ -31,7 +26,7 @@ from repro.datalog.terms import Constant, Variable
 from repro.engine import Engine
 from repro.workloads.generators import chain
 
-from ..interpreter import evaluate_body_interpreted
+from ..interpreter import evaluate_body_interpreted, solutions
 
 TC_TEXT = "tc(X, Y) :- e(X, W) & tc(W, Y).\ntc(X, Y) :- e(X, Y)."
 
@@ -53,23 +48,29 @@ def db():
 class TestCompileExecute:
     def test_plan_matches_interpreter(self, db):
         body = (atom("edge", "X", "Y"), atom("color", "Y", "C"))
+        output = (Variable("X"), Variable("Y"), Variable("C"))
         plan = compile_join_plan(body, db=db)
-        assert binding_set(plan.execute(db, {})) == binding_set(
-            evaluate_body_interpreted(db, body)
+        rows = RowList()
+        assert plan.execute_into(output, db, rows) == 2
+        assert sorted(rows) == sorted(
+            tuple(b[v] for v in output)
+            for b in evaluate_body_interpreted(db, body)
         )
 
     def test_repeated_variable_checked(self):
         db = Database.from_facts({"p": [("a", "a"), ("a", "b")]})
         plan = compile_join_plan((atom("p", "X", "X"),), db=db)
-        assert len(list(plan.execute(db, {}))) == 1
+        rows = RowList()
+        plan.execute_into((Variable("X"),), db, rows)
+        assert rows == [("a",)]
 
     def test_initial_bindings_preloaded(self, db):
         body = (atom("edge", "X", "Y"),)
         x = Variable("X")
         plan = compile_join_plan(body, bound_vars=frozenset({x}), db=db)
-        results = list(plan.execute(db, {x: "b"}))
-        assert {b[Variable("Y")] for b in results} == {"c", "d"}
-        assert all(b[x] == "b" for b in results)
+        rows: set = set()
+        plan.execute_into((x, Variable("Y")), db, rows, {x: "b"})
+        assert rows == {("b", "c"), ("b", "d")}
 
     def test_eq_const_const_false_is_always_empty(self, db):
         plan = compile_join_plan(
@@ -78,7 +79,9 @@ class TestCompileExecute:
             db=db,
         )
         assert plan.always_empty
-        assert list(plan.execute(db, {})) == []
+        rows: set = set()
+        assert plan.execute_into((Variable("X"),), db, rows) == 0
+        assert rows == set()
 
     def test_eq_arity_checked(self, db):
         with pytest.raises(ValueError, match="arity 2"):
@@ -98,59 +101,51 @@ class TestExecuteProject:
     def test_matches_execute_plus_instantiate(self, db):
         body = (atom("edge", "X", "Y"), atom("color", "Y", "C"))
         output = (Variable("C"), Constant("tag"), Variable("X"))
-        facts = set(evaluate_body_project(db, body, output))
+        facts: set = set()
+        evaluate_body_into(db, body, output, facts)
         expected = {
             (b[Variable("C")], "tag", b[Variable("X")])
-            for b in evaluate_body(db, body)
+            for b in evaluate_body_interpreted(db, body)
         }
         assert facts == expected
 
     def test_falls_back_for_prebound_only_variable(self, db):
         # Z never occurs in the body, so it has no register; the
-        # projection falls back to the dict path and reads it from the
-        # initial bindings.
+        # kernel reads it from the initial bindings.
         z = Variable("Z")
-        facts = set(
-            evaluate_body_project(
-                db,
-                (atom("edge", "b", "Y"),),
-                (z, Variable("Y")),
-                initial_bindings={z: "seed"},
-            )
+        facts: set = set()
+        evaluate_body_into(
+            db,
+            (atom("edge", "b", "Y"),),
+            (z, Variable("Y")),
+            facts,
+            initial_bindings={z: "seed"},
         )
         assert facts == {("seed", "c"), ("seed", "d")}
 
     def test_unbound_output_variable_raises(self, db):
         with pytest.raises(KeyError):
-            list(
-                evaluate_body_project(
-                    db, (atom("edge", "X", "Y"),), (Variable("Nope"),)
-                )
+            evaluate_body_into(
+                db, (atom("edge", "X", "Y"),), (Variable("Nope"),), set()
             )
 
     def test_unbound_output_variable_raises_at_the_call(self, db):
         # Outside-the-body outputs are kernel arguments, resolved when
-        # the call is made: no row has to be pulled, and the join need
-        # not have a solution.
+        # the call is made: the join need not have a solution.
         nope = (Variable("Nope"),)
-        with pytest.raises(KeyError):
-            evaluate_body_project(db, (atom("edge", "X", "Y"),), nope)
-        with pytest.raises(KeyError):
-            evaluate_body_project(db, (atom("edge", "zz", "Y"),), nope)
         with pytest.raises(KeyError):
             evaluate_body_into(db, (atom("edge", "zz", "Y"),), nope, set())
         # ...but an empty body relation ends the run before that.
         db.ensure("hollow", 1)
-        assert list(evaluate_body_project(
-            db, (atom("hollow", "X"),), nope)) == []
+        assert evaluate_body_into(
+            db, (atom("hollow", "X"),), nope, set()) == 0
 
     def test_empty_body_projects_initial_bindings(self, db):
         z = Variable("Z")
-        facts = list(
-            evaluate_body_project(
-                db, (), (z,), initial_bindings={z: "v"}
-            )
-        )
+        facts = RowList()
+        assert evaluate_body_into(
+            db, (), (z,), facts, initial_bindings={z: "v"}
+        ) == 1
         assert facts == [("v",)]
 
 
@@ -170,9 +165,7 @@ class TestLeftToRightEqDeferral:
 
     def test_compiled_defers(self):
         db = Database.from_facts({"edge": [("a", "a"), ("a", "b")]})
-        results = list(
-            evaluate_body(db, self.BODY, order="left_to_right")
-        )
+        results = solutions(db, self.BODY, order="left_to_right")
         assert binding_set(results) == binding_set(
             [{Variable("X"): "a", Variable("Y"): "a"}]
         )
@@ -190,11 +183,11 @@ class TestLeftToRightEqDeferral:
         # eq(Z, Y) first: Z is assigned from Y once edge binds it.
         body = (Atom(EQ, (Variable("Z"), Variable("Y"))),
                 atom("edge", "a", "Y"))
-        results = list(evaluate_body(db, body, order="left_to_right"))
+        results = solutions(db, body, order="left_to_right")
         assert [b[Variable("Z")] for b in results] == ["b"]
 
     def test_never_bindable_eq_still_raises(self, db):
-        for evaluator in (evaluate_body, evaluate_body_interpreted):
+        for evaluator in (solutions, evaluate_body_interpreted):
             with pytest.raises(ValueError, match="both sides unbound"):
                 list(
                     evaluator(
@@ -380,7 +373,7 @@ class TestProjectedInnermostLevel:
         plan = compile_join_plan(body, db=db)
         sink: set = set()
         made = plan.execute_into(output, db, sink)
-        text, consts, _ = plan.kernel_text(output, True)
+        text, consts, _ = plan.kernel_text(output)
         return text, consts, sink, made
 
     def loop(self, body, output, facts, pseudo="carry"):
@@ -498,10 +491,7 @@ def _interpreted_plan(plan, db, seed, tracer):
     stats = EvaluationStats()
 
     def apply(joins, pseudo, tuples, arity, label):
-        view = Database()
-        for pred in db.predicates():
-            view.attach(db.relation(pred), pred)
-        view.attach(Relation(pseudo, arity, tuples), pseudo)
+        view = db.with_mounts({pseudo: Relation(pseudo, arity, tuples)})
         produced = set()
         for i, join in enumerate(joins):
             before = len(produced)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
-from repro.datalog.joins import EQ, evaluate_body
+from repro.datalog.joins import EQ
 from repro.datalog.plan_cache import ORDERS, PlanCache, compile_join_plan
 from repro.datalog.planner import (
     DP_MAX_ATOMS,
@@ -20,7 +20,7 @@ from repro.datalog.planner import (
 from repro.datalog.terms import Variable
 from repro.observability import Tracer
 
-from ..interpreter import evaluate_body_interpreted
+from ..interpreter import evaluate_body_interpreted, solutions
 
 
 def binding_set(results):
@@ -156,7 +156,7 @@ class TestCostOrderEquivalence:
         )
         for order in ORDERS:
             assert binding_set(
-                evaluate_body(skewed_db, body, order=order)
+                solutions(skewed_db, body, order=order)
             ) == reference, order
 
     def test_eq_before_binders_deferred(self):
@@ -165,7 +165,7 @@ class TestCostOrderEquivalence:
         db = Database.from_facts({"edge": [("a", "a"), ("a", "b")]})
         body = (Atom(EQ, (Variable("X"), Variable("Y"))),
                 atom("edge", "X", "Y"))
-        results = list(evaluate_body(db, body, order="cost"))
+        results = solutions(db, body, order="cost")
         assert binding_set(results) == binding_set(
             [{Variable("X"): "a", Variable("Y"): "a"}]
         )
@@ -174,13 +174,12 @@ class TestCostOrderEquivalence:
         body = (Atom(EQ, (Variable("A"), Variable("B"))),
                 atom("a", "X", "Y"))
         with pytest.raises(ValueError, match="both sides unbound"):
-            list(evaluate_body(skewed_db, body, order="cost"))
+            solutions(skewed_db, body, order="cost")
 
     def test_unknown_order_rejected(self, skewed_db):
         for order in ("bogus", "adaptive"):
             with pytest.raises(ValueError, match="unknown join order"):
-                list(evaluate_body(skewed_db, (atom("a", "X", "Y"),),
-                                   order=order))
+                solutions(skewed_db, (atom("a", "X", "Y"),), order=order)
 
 
 class TestCostPlanCaching:

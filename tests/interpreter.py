@@ -1,12 +1,13 @@
 """The interpreted reference for compiled join plans.
 
-:func:`evaluate_body_interpreted` is :func:`repro.datalog.joins.
-evaluate_body` as it was before plan compilation: same contract, but it
+:func:`evaluate_body_interpreted` enumerates the substitutions that
+satisfy a body, as the join evaluator did before plan compilation: it
 re-derives the join order and the bound/free split at every recursion
 node and copies the bindings dict per extension.  No evaluator uses it;
 it is the executable specification that ``test_plan_cache.py``,
 ``test_planner.py`` and ``test_property_plan_cache.py`` diff the
-compiled path against.
+compiled path against.  :func:`solutions` puts the compiled path's
+answer in the same shape.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.joins import Bindings
+from repro.datalog.joins import RowList, evaluate_body_into
 from repro.datalog.plan_cache import EQ, ORDERS
 from repro.datalog.terms import Constant, ConstValue, Variable
 from repro.stats import EvaluationStats
 
-__all__ = ["evaluate_body_interpreted"]
+__all__ = ["evaluate_body_interpreted", "solutions"]
+
+#: A substitution: variable -> raw constant value.
+Bindings = dict[Variable, ConstValue]
 
 
 def _eq_ready(a: Atom, bindings: Mapping[Variable, ConstValue]) -> bool:
@@ -151,7 +155,7 @@ def evaluate_body_interpreted(
     order: str = "greedy",
     tracer=None,
 ) -> Iterator[Bindings]:
-    """:func:`evaluate_body` without plan compilation.
+    """Every substitution satisfying ``atoms``, without plan compilation.
 
     Re-derives the join order and bound/free split at every recursion
     node and copies the bindings dict per extension.  Kept as the
@@ -195,3 +199,21 @@ def evaluate_body_interpreted(
             yield from recurse(rest, extended)
 
     yield from recurse(list(atoms), start)
+
+
+def solutions(
+    db: Database,
+    atoms: Sequence[Atom],
+    initial_bindings: Optional[Mapping[Variable, ConstValue]] = None,
+    **kwargs,
+) -> list[Bindings]:
+    """What :func:`repro.datalog.joins.evaluate_body_into` makes of
+    ``atoms``, as bindings dicts like :func:`evaluate_body_interpreted`'s:
+    the rows over the body's variables, in kernel order and with their
+    multiplicity (a :class:`RowList`), each with ``initial_bindings``."""
+    names = tuple(dict.fromkeys(
+        t for a in atoms for t in a.args if isinstance(t, Variable)))
+    rows = RowList()
+    evaluate_body_into(db, atoms, names, rows, initial_bindings, **kwargs)
+    base = dict(initial_bindings or {})
+    return [{**base, **dict(zip(names, row))} for row in rows]

@@ -5,7 +5,7 @@ pre-capture state reproduces the post-capture state -- so cancellation,
 overflow and subscription lifetime are each pinned here.
 """
 
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import Database
 from repro.maintenance import DeltaCapture
 
 
@@ -79,12 +79,6 @@ class TestOverflow:
             db.relation("e").clear()
         assert cap.overflow and cap.touched
 
-    def test_attach_overflows(self):
-        db = small_db()
-        with DeltaCapture(db) as cap:
-            db.attach(Relation("g", 1, [("x",)]), "g")
-        assert cap.overflow
-
     def test_guarded_write_overflows(self):
         db = small_db()
         with DeltaCapture(db, guard_predicates=["tc"]) as cap:
@@ -96,101 +90,6 @@ class TestOverflow:
         with DeltaCapture(db, guard_predicates=["tc"]) as cap:
             db.add_fact("e", ("c", "d"))
         assert not cap.overflow
-
-
-class TestAliasMounts:
-    """Deltas are keyed on the *mount* name.
-
-    A relation alias-mounted before capture started used to record its
-    deltas under ``relation.name`` -- a predicate the maintenance layer
-    never repairs -- so replaying the net deltas silently diverged.
-    """
-
-    def test_pre_capture_alias_keys_on_mount_name(self):
-        db = small_db()
-        db.attach(Relation("edges", 2, [("a", "b")]), "alias")
-        with DeltaCapture(db) as cap:
-            db.add_fact("alias", ("x", "y"))
-        assert cap.net() == {
-            "alias": (frozenset([("x", "y")]), frozenset()),
-        }
-        assert not cap.overflow
-
-    def test_multi_mounted_relation_overflows(self):
-        # One event would have to stand for a delta under each mount
-        # name; the net-delta protocol cannot express that, so the
-        # capture must fall back to a rebuild instead of guessing.
-        db = small_db()
-        db.attach(db.relation("e"), "e_view")
-        with DeltaCapture(db) as cap:
-            db.add_fact("e", ("c", "d"))
-        assert cap.overflow
-
-    def test_guard_matches_the_mount_name(self):
-        # The guard names predicates as the service sees them (mount
-        # names); a relation whose own name differs must still trip it.
-        db = small_db()
-        db.attach(Relation("inner", 2), "tc")
-        with DeltaCapture(db, guard_predicates=["tc"]) as cap:
-            db.add_fact("tc", ("a", "b"))
-        assert cap.overflow
-
-    def test_relation_created_mid_capture_is_keyed(self):
-        db = small_db()
-        with DeltaCapture(db) as cap:
-            db.add_fact("fresh", ("x",))
-            db.add_fact("fresh", ("y",))
-        assert cap.net() == {
-            "fresh": (frozenset([("x",), ("y",)]), frozenset()),
-        }
-        assert not cap.overflow
-
-
-class TestAttachDisplacement:
-    """Replacing a mount must release the displaced relation's
-    subscription -- otherwise a detached capture keeps receiving (and
-    a long-lived service keeps leaking) its events."""
-
-    def test_displaced_relation_is_unsubscribed(self):
-        db = small_db()
-        displaced = db.relation("e")
-        cap = DeltaCapture(db)
-        db.attach(Relation("e2", 2, [("p", "q")]), "e")
-        assert displaced._observers == ()
-        cap.detach()
-
-    def test_detached_capture_receives_no_displaced_events(self):
-        db = small_db()
-        displaced = db.relation("e")
-        cap = DeltaCapture(db)
-        db.attach(Relation("e2", 2, [("p", "q")]), "e")
-        cap.detach()
-        cap.overflow = False  # the attach itself legitimately overflowed
-        displaced.add(("stale", "event"))
-        assert not cap.overflow
-        assert cap.net() == {}
-
-    def test_still_mounted_alias_keeps_its_subscription(self):
-        # The displaced relation survives under another mount: the
-        # subscription must stay, and unobserve-on-detach still finds
-        # it through that mount.
-        db = small_db()
-        shared = db.relation("e")
-        db.attach(shared, "e_view")
-        cap = DeltaCapture(db)
-        db.attach(Relation("e2", 2), "e")    # displaces one of two mounts
-        assert len(shared._observers) == 1
-        cap.detach()
-        assert shared._observers == ()
-
-    def test_remounting_the_same_relation_keeps_subscription(self):
-        db = small_db()
-        rel = db.relation("e")
-        cap = DeltaCapture(db)
-        db.attach(rel, "e")                  # self-replacement
-        assert len(rel._observers) == 1
-        cap.detach()
-        assert rel._observers == ()
 
 
 class TestLifetime:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery, containment_mapping
 from repro.datalog.database import Database
-from repro.datalog.joins import evaluate_body, instantiate_args
+from repro.datalog.joins import evaluate_body_into, instantiate_args
 from repro.datalog.naive import naive_evaluate
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.programs import Program
@@ -85,10 +85,8 @@ def test_join_matches_brute_force(data):
     variables = sorted(
         {v for a in body for v in a.variable_set()}, key=lambda v: v.name
     )
-    got = {
-        tuple(b[v] for v in variables)
-        for b in evaluate_body(db, body, order="greedy")
-    }
+    got: set = set()
+    evaluate_body_into(db, body, variables, got, order="greedy")
     assert got == brute_force(db, body)
 
 
@@ -101,10 +99,9 @@ def test_greedy_equals_left_to_right(data):
     )
 
     def run(order):
-        return {
-            tuple(b[v] for v in variables)
-            for b in evaluate_body(db, body, order=order)
-        }
+        rows: set = set()
+        evaluate_body_into(db, body, variables, rows, order=order)
+        return rows
 
     assert run("greedy") == run("left_to_right")
 

@@ -1,4 +1,4 @@
-"""Join-order properties of :func:`repro.datalog.joins.evaluate_body`.
+"""Join-order properties of :func:`repro.datalog.joins.evaluate_body_into`.
 
 The two offered orders must be *semantically* interchangeable (the
 docstring's "results are identical, only the work differs") and the
@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.joins import evaluate_body
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Variable
 from repro.stats import EvaluationStats
 from repro.workloads.generators import chain
 
+from ..interpreter import solutions
 from .strategies import separable_setups
 
 COMMON = settings(
@@ -32,7 +32,7 @@ COMMON = settings(
 def _binding_set(db, body, order, initial=None, stats=None):
     return frozenset(
         frozenset(b.items())
-        for b in evaluate_body(
+        for b in solutions(
             db, body, initial_bindings=initial, stats=stats, order=order
         )
     )

@@ -1,18 +1,19 @@
 """Compiled join kernel vs interpreted join: semantic equivalence.
 
-:func:`repro.datalog.joins.evaluate_body` compiles bodies into cached
-:class:`~repro.datalog.plan_cache.JoinPlan` kernels; this suite pins
-the property the whole refactor rests on -- for any body the corpus
+:func:`repro.datalog.joins.evaluate_body_into` compiles bodies into
+cached :class:`~repro.datalog.plan_cache.JoinPlan` kernels; this suite
+pins the property the whole refactor rests on -- for any body the corpus
 layouts can produce (recursive conjunctions, repeated variables, eq/2
-atoms, pre-bound variables), the kernel enumerates exactly the binding
-set the reference interpreter does, under both join orders.
+atoms, pre-bound variables), the kernel makes exactly the bindings the
+reference interpreter enumerates, under both join orders.
 
-The kernels are generated Python source in two flavours -- a lazy
-generator and a set-at-a-time function writing into a sink.  The second
-half of the suite holds them to each other and to the interpreter as
-*multisets*, under all four join orders, with identical counters, and
-pins the counters of the paper's examples to the values the
-register-machine interpreter this replaced produced.
+The kernels are generated Python source, one set-at-a-time function per
+output template writing into a sink.  The second half of the suite
+holds them to the interpreter as *multisets* (through a
+:class:`~repro.datalog.joins.RowList` sink), under all three join
+orders, with the interpreter's counters, and pins the counters of the
+paper's examples to the values the register-machine interpreter this
+replaced produced.
 """
 
 from collections import Counter
@@ -24,12 +25,7 @@ from hypothesis import strategies as st
 
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
-from repro.datalog.joins import (
-    EQ,
-    evaluate_body,
-    evaluate_body_into,
-    evaluate_body_project,
-)
+from repro.datalog.joins import EQ, RowList, evaluate_body_into
 from repro.datalog.plan_cache import ORDERS, PLAN_CACHE, compile_join_plan
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.datalog.terms import Constant, Variable
@@ -38,7 +34,7 @@ from repro.observability import Tracer
 from repro.stats import EvaluationStats
 from repro.workloads import paper
 
-from ..interpreter import evaluate_body_interpreted
+from ..interpreter import evaluate_body_interpreted, solutions
 from .strategies import CONSTANTS, separable_setups
 
 COMMON = settings(
@@ -142,7 +138,7 @@ def test_compiled_matches_interpreted(case):
     db, body, initial = case
     for order in ("greedy", "left_to_right"):
         compiled = _binding_set(
-            evaluate_body(db, body, initial_bindings=initial, order=order)
+            solutions(db, body, initial_bindings=initial, order=order)
         )
         interpreted = _binding_set(
             evaluate_body_interpreted(
@@ -152,88 +148,47 @@ def test_compiled_matches_interpreted(case):
         assert compiled == interpreted, order
 
 
-@COMMON
-@given(case=_corpus_bodies())
-def test_projection_matches_dict_path(case):
-    db, body, initial = case
-    output = tuple(_body_variables(body))
-    projected = set(
-        evaluate_body_project(
-            db, body, output, initial_bindings=initial
-        )
-    )
-    expected = {
-        tuple(b[v] for v in output)
-        for b in evaluate_body(db, body, initial_bindings=initial)
-    }
-    assert projected == expected
-
-
-class Bag:
-    """A sink that keeps duplicates: what a kernel adds, as a multiset."""
-
-    def __init__(self) -> None:
-        self.rows: Counter = Counter()
-
-    def add(self, row) -> None:
-        self.rows[row] += 1
-
-    def update(self, rows) -> None:
-        self.rows.update(rows)
-
-
 _COUNTERS = ("atom_lookups", "tuples_examined", "bindings_out")
 
 
-def _run_lazy(db, body, output, initial, order):
-    stats, tracer = EvaluationStats(), Tracer()
-    rows = Counter(evaluate_body_project(
-        db, body, output, initial_bindings=initial, stats=stats,
-        order=order, tracer=tracer))
-    stats.bump_produced(sum(rows.values()))  # lazy callers count these
-    return rows, stats, {n: tracer.counter_total(n) for n in _COUNTERS}
-
-
-def _run_bulk(db, body, output, initial, order):
-    stats, tracer, bag = EvaluationStats(), Tracer(), Bag()
-    produced = evaluate_body_into(
-        db, body, output, bag, initial_bindings=initial, stats=stats,
-        order=order, tracer=tracer)
-    assert produced == sum(bag.rows.values()) == stats.tuples_produced
-    return bag.rows, stats, {n: tracer.counter_total(n) for n in _COUNTERS}
+def _run(db, body, output, initial, order, interpreted=False):
+    """``(rows, counters)``: ``output`` over every solution of ``body``,
+    made by the kernel (or the interpreter) into a :class:`RowList`
+    under a fresh tracer."""
+    stats, tracer, rows = EvaluationStats(), Tracer(), RowList()
+    if interpreted:
+        rows.update(
+            tuple(t.value if isinstance(t, Constant) else b[t]
+                  for t in output)
+            for b in evaluate_body_interpreted(
+                db, body, initial_bindings=initial, stats=stats,
+                order=order, tracer=tracer))
+    else:
+        made = evaluate_body_into(
+            db, body, output, rows, initial_bindings=initial, stats=stats,
+            order=order, tracer=tracer)
+        assert made == len(rows) == stats.tuples_produced
+    assert stats.tuples_examined == tracer.counter_total("tuples_examined")
+    return rows, {n: tracer.counter_total(n) for n in _COUNTERS}
 
 
 @COMMON
 @given(case=_kernel_cases())
-def test_bulk_lazy_and_interpreted_agree_as_multisets(case):
+def test_kernel_and_interpreted_agree_as_multisets(case):
     db, body, initial, output = case
-    bound = dict(initial)
-    reference = Counter(
-        tuple(t.value if isinstance(t, Constant) else b[t] for t in output)
-        for b in evaluate_body_interpreted(
-            db, body, initial_bindings=bound)
-    )
+    reference, counts = _run(db, body, output, initial, "left_to_right",
+                             interpreted=True)
+    # A kernel resolves every body relation first and does nothing if
+    # one is empty (or an eq is constant-false); the interpreter finds
+    # out atom by atom, counting the lookups on the way.
+    short = compile_join_plan(
+        body, frozenset(initial), "left_to_right").always_empty or any(
+        a.predicate != EQ and not db.relation(a.predicate) for a in body)
     for order in ORDERS:
-        lazy, lazy_stats, lazy_counts = _run_lazy(
-            db, body, output, initial, order)
-        bulk, bulk_stats, bulk_counts = _run_bulk(
-            db, body, output, initial, order)
-        assert lazy == reference, order
-        assert bulk == reference, order
-        assert bulk_counts == lazy_counts, order
-        assert (bulk_stats.tuples_examined, bulk_stats.tuples_produced) \
-            == (lazy_stats.tuples_examined, lazy_stats.tuples_produced)
-        assert lazy_stats.tuples_examined == lazy_counts["tuples_examined"]
-
-
-def test_abandoned_lazy_enumeration_still_reports_its_lookups():
-    db = Database.from_facts({"e": [("a", "b"), ("a", "c"), ("b", "d")]})
-    stats = EvaluationStats()
-    for _ in evaluate_body_project(
-            db, (atom("e", "X", "Y"), atom("e", "Y", "Z")),
-            (Variable("Z"),), stats=stats):
-        break
-    assert stats.tuples_examined > 0
+        rows, kernel_counts = _run(db, body, output, initial, order)
+        assert Counter(rows) == Counter(reference), order
+        if order == "left_to_right" and not short:
+            assert kernel_counts == counts
 
 
 #: ``Engine.query("buys(a1, Y)?")`` on the Section 4 databases at n = 8,
@@ -312,28 +267,24 @@ class TestKernelSharing:
         friend.execute_into(self.OUT, db, sinks[0])
         idol.execute_into(self.OUT, db, sinks[1])
         assert sinks == [{("b",)}, {("c",)}]
-        assert friend._kernel(self.OUT, True)[0] \
-            is idol._kernel(self.OUT, True)[0]
+        assert friend._kernel(self.OUT)[0] is idol._kernel(self.OUT)[0]
         assert friend.kernel_source(self.OUT) == idol.kernel_source(self.OUT)
         # Same shape joined on the other column: positions and columns
         # are arguments, not text.
         back = PLAN_CACHE.plan_for(
             (atom("carry", "W"), atom("worships", "X", "W")),
             frozenset(), "greedy", db)
-        assert back._kernel((Variable("X"),), True)[0] \
-            is friend._kernel(self.OUT, True)[0]
-        # The lazy flavour is a different text, hence a different function.
-        assert friend._kernel(self.OUT, False)[0] \
-            is not friend._kernel(self.OUT, True)[0]
+        assert back._kernel((Variable("X"),))[0] \
+            is friend._kernel(self.OUT)[0]
 
     def test_clear_drops_the_compiled_functions(self):
         db = Database.from_facts(
             {"carry": [("a",)], "friend": [("a", "b")]})
         PLAN_CACHE.clear()
-        before = self._plan("friend", db)._kernel(self.OUT, True)[0]
+        before = self._plan("friend", db)._kernel(self.OUT)[0]
         PLAN_CACHE.clear()
         assert not PLAN_CACHE._shapes
-        after = self._plan("friend", db)._kernel(self.OUT, True)[0]
+        after = self._plan("friend", db)._kernel(self.OUT)[0]
         assert after is not before
 
     def test_kernel_source_is_what_tracebacks_show(self):
@@ -343,8 +294,8 @@ class TestKernelSharing:
             {"carry": [("a",)], "friend": [("a", "b")]})
         PLAN_CACHE.clear()
         plan = self._plan("friend", db)
-        fn = plan._kernel(self.OUT, True)[0]
+        fn = plan._kernel(self.OUT)[0]
         filename = fn.__code__.co_filename
         assert filename.startswith("<joinplan:")
         assert "".join(linecache.getlines(filename)) \
-            == plan.kernel_source(self.OUT, bulk=True)
+            == plan.kernel_source(self.OUT)

@@ -9,10 +9,10 @@ index-level deferral pass must preserve).
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.datalog.joins import evaluate_body
 from repro.datalog.plan_cache import ORDERS
 from repro.engine import Engine
 
+from ..interpreter import solutions
 from .strategies import queries_for, separable_setups
 from .test_property_plan_cache import _binding_set, _corpus_bodies
 
@@ -29,11 +29,11 @@ def test_cost_orders_match_greedy_on_corpus_bodies(case):
     """Body-level equivalence, eq-before-binders placements included."""
     db, body, initial = case
     reference = _binding_set(
-        evaluate_body(db, body, initial_bindings=initial, order="greedy")
+        solutions(db, body, initial_bindings=initial, order="greedy")
     )
     for order in ("left_to_right", "cost"):
         assert _binding_set(
-            evaluate_body(
+            solutions(
                 db, body, initial_bindings=initial, order=order
             )
         ) == reference, order

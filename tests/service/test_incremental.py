@@ -513,6 +513,57 @@ class TestOverflowFallback:
             service.close()
         assert metrics["view_rebuilds"] == 1
 
+    @pytest.mark.parametrize("raiser", ["observer", "fn"])
+    def test_a_raising_mutate_falls_back_to_rebuild(self, raiser):
+        """A relation installs a fact before it calls its observers, so
+        an observer subscribed ahead of the service's delta capture that
+        raises hides the write from the capture; ``fn`` raising after it
+        wrote is the same kind of half-done write.  Either way the view
+        is rebuilt before the exception leaves ``mutate``: the next read
+        is a plain service's answer, and the service keeps answering."""
+        program = parse_program(
+            "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, W) & tc(W, Y).\n"
+        ).program
+        facts = {"e": [("a", "b"), ("b", "c")]}
+        plain = QueryService(program, Database.from_facts(facts),
+                             ServiceConfig(workers=1))
+        service = QueryService(program, Database.from_facts(facts),
+                               ServiceConfig(workers=1, incremental=True))
+
+        class Boom(Exception):
+            pass
+
+        def raising(relation, fact, sign):
+            raise Boom
+
+        def write(db):
+            db.add_fact("e", ("c", "d"))
+            if raiser == "fn":
+                raise Boom
+
+        def agree():
+            for query in ("tc(a, Y)?", "tc(X, d)?", "tc(X, Y)?"):
+                expected, got = plain.query(query), service.query(query)
+                assert got.ok and got.answers == expected.answers, query
+
+        try:
+            agree()
+            if raiser == "observer":
+                service.edb.observe(raising)
+            with pytest.raises(Boom):
+                service.mutate(write)
+            service.edb.unobserve(raising)
+            plain.mutate(lambda db: db.add_fact("e", ("c", "d")))
+            agree()
+            for service_ in (plain, service):
+                service_.mutate(lambda db: db.add_fact("e", ("d", "e")))
+            agree()
+            metrics = service.metrics_dict()
+        finally:
+            plain.close()
+            service.close()
+        assert (metrics["view_rebuilds"], metrics["view_repairs"]) == (1, 1)
+
 
 class TestIndexBackedRepair:
     def test_probes_share_one_index_build(self):
