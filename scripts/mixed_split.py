@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""Where a pass of a ledger write workload spends its time, through the
-public API.
+"""Where a pass of a ledger service workload spends its time, through
+the public API.
 
-Builds the ledger's own ``serve-mixed`` or ``serve-sqlite`` stream
-(``ledger/workloads.py``, same seed -> same bytes; services opened and
-ops turned into calls by ``ledger/harness.py``, as the benchmark does)
-and drives it through ``QueryService`` twice over: the workload's own
-service, which is timed, and a plain in-memory non-incremental one on
-the same stream, whose answers are the reference.  Per pass it prints
-the milliseconds spent in reads and in writes, then
+Builds the ledger's own ``serve-mixed``, ``serve-sqlite`` or
+``serve-read`` stream (``ledger/workloads.py``, same seed -> same
+bytes; services opened and ops turned into calls by
+``ledger/harness.py``, as the benchmark does; several clients' streams
+dealt into one, round-robin, as ``ledger/layers.py`` does) and drives it
+through ``QueryService`` twice over: the workload's own service, which
+is timed, and a plain in-memory non-incremental one on the same stream
+(for ``serve-read``, a memo-less ``Engine`` on the same database),
+whose answers are the reference.  Per pass it prints the milliseconds
+spent in reads and in writes, then
 
 ``serve-mixed`` (the default; incremental view, memory)
   the read p50 of a seed seen earlier in the pass against the p50 of a
@@ -26,20 +29,26 @@ the milliseconds spent in reads and in writes, then
   snapshot) beside the other memo misses and the hits; then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
-  connections and SQL statements per write and per read of each kind.
+  connections and SQL statements per write and per read of each kind;
 
+``serve-read`` (read-only, memo larger than the seed set)
+  the read p50 of a first-seen seed (a memo miss) beside that of a memo
+  hit, and the memo's hits / misses / coalesced.
+
+For both memo workloads the memo's per-pass counters follow the p50s.
 These are the numbers ROADMAP aim 1 ("where the mixed workload
 stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
 Half-way through a pass's writes both services also answer, untimed,
 one all-free and one repeated-variable query (the stream itself holds
-full selections only).  Exit status 1 when any read differs between
-the two services, when a ``serve-mixed`` write makes more than
+full selections only).  Exit status 1 when any read differs from the
+reference, when a ``serve-mixed`` write makes more than
 ``MAX_PLAN_LOOKUPS_PER_WRITE`` plan lookups, when a derived relation of
-the view ends a pass holding an index over all of its columns, or when
-a ``serve-mixed`` read was not one ``MaintainedView.select`` on the
-calling thread (the
-script wraps ``select`` to note the thread that ran it): a view read is
-answered where it arrives, with no hand-off to a worker.
+the view ends a pass holding an index over all of its columns, when a
+read was not served on the calling thread by one
+``MaintainedView.select`` (``serve-mixed``) or one ``Engine.query``
+(the others) -- the script wraps both to note the thread that ran them,
+since ``query()`` never hands off -- or when a memo hit's answers are
+not the very object the memo entry holds.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -58,10 +67,13 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "ledger"), str(REPO / "src")]
 
 import workloads  # noqa: E402  (ledger/)
-from harness import calls, open_target  # noqa: E402
+from harness import calls, close_target, open_target  # noqa: E402
+from layers import _deal  # noqa: E402
 
 from repro.datalog.plan_cache import PLAN_CACHE  # noqa: E402
+from repro.engine import Engine  # noqa: E402
 from repro.maintenance import MaintainedView  # noqa: E402
+from repro.service import FullSelectionMemo  # noqa: E402
 from repro.storage import SQLiteRelation  # noqa: E402
 
 PHASES = ("capture", "apply")
@@ -78,10 +90,20 @@ MAX_PLAN_LOOKUPS_PER_WRITE = 0
 EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 #: What a read is filed under, per workload, in print order.
 KINDS = {"serve-mixed": ("repeat", "first"),
-         "serve-sqlite": ("after_write", "miss", "hit")}
+         "serve-sqlite": ("after_write", "miss", "hit"),
+         "serve-read": ("miss", "hit")}
 COUNTED = ("copies", "connections", "statements")
-#: The thread of every view lookup, in order (``record_select_threads``).
+#: What each failed check is reported as.
+CHECKS = {"differ": "reads that differ from the reference",
+          "plan_lookups": "plan lookups a write",
+          "full_key": "full-column indexes",
+          "off_caller": "reads not served on the calling thread",
+          "not_entry": "memo hits that are not the entry's answer set"}
+#: The thread of every view lookup and of every ``Engine.query``, and
+#: every value the memo handed out, in order (``record_calls``).
 SELECT_THREADS: list[int] = []
+EVALUATE_THREADS: list[int] = []
+MEMO_VALUES: list[tuple] = []
 
 
 def phase_seconds(service) -> dict:
@@ -109,13 +131,11 @@ def differ(service, reference, call) -> bool:
 
 
 def one_pass(service, reference, ops, kinds, counts=None):
-    """Run ``ops`` on both services: seconds per read kind and per
-    write, ``counts`` deltas and the timed service's plan-cache lookups
-    filed the same way, the number of reads on which the services
-    disagree, and the number of reads that were not one view lookup on
-    the calling thread."""
+    """Run ``ops`` on the service and the reference: seconds per read
+    kind and per write, ``counts`` deltas and the timed service's
+    plan-cache lookups filed the same way, and the failed checks
+    (``CHECKS``) of the pass's reads."""
     service.memo.clear()
-    reference.memo.clear()
     now = time.perf_counter
     half = sum(op[0] != "read" for op in ops) // 2
     seconds = {kind: [] for kind in (*kinds, "write")}
@@ -124,17 +144,20 @@ def one_pass(service, reference, ops, kinds, counts=None):
     seen: set[str] = set()
     # A pass follows a pass: its first read comes after the last write.
     written = ops[-1][0] != "read"
-    differing = off_caller = 0
+    failed = dict.fromkeys(("differ", "off_caller", "not_entry"), 0)
     caller = [threading.get_ident()]
+    # Who serves a read, on the calling thread: (selects, evaluations).
+    serves = (caller, []) if "first" in kinds else ([], caller)
     for op, call in zip(ops, calls(ops)):
         before = dict(counts or (), plan_lookups=plan_lookups())
         misses = service.memo.stats()["misses"]
-        selected = len(SELECT_THREADS)
+        marks = len(SELECT_THREADS), len(EVALUATE_THREADS), len(MEMO_VALUES)
         start = now()
         if op[0] == "read":
             result = service.query(call)
             took = now() - start
-            off_caller += SELECT_THREADS[selected:] != caller
+            failed["off_caller"] += serves != (SELECT_THREADS[marks[0]:],
+                                               EVALUATE_THREADS[marks[1]:])
             if "first" in kinds:
                 kind = "repeat" if call in seen else "first"
             elif written:
@@ -142,12 +165,16 @@ def one_pass(service, reference, ops, kinds, counts=None):
             else:
                 kind = ("miss" if service.memo.stats()["misses"] > misses
                         else "hit")
+            if kind == "hit":
+                handed = [value for value, _ in MEMO_VALUES[marks[2]:]]
+                failed["not_entry"] += not (
+                    len(handed) == 1 and handed[0] is result.answers)
             seen.add(call)
             written = False
             after = dict(counts or (), plan_lookups=plan_lookups())
             want = reference.query(call)
-            differing += not (result.ok and want.ok
-                              and result.answers == want.answers)
+            failed["differ"] += not (result.ok and getattr(want, "ok", True)
+                                     and result.answers == want.answers)
         else:
             service.mutate(call)
             took = now() - start
@@ -158,22 +185,34 @@ def one_pass(service, reference, ops, kinds, counts=None):
         for name, value in before.items():
             counted[kind][name] += after[name] - value
         if kind == "write" and len(seconds["write"]) == half:
-            differing += sum(differ(service, reference, extra)
-                             for extra in EXTRA_READS)
+            failed["differ"] += sum(differ(service, reference, extra)
+                                    for extra in EXTRA_READS)
             written = False  # the extras captured this write's snapshot
-    return seconds, counted, differing, off_caller
+    return seconds, counted, failed
 
 
-def record_select_threads() -> None:
+def record_calls() -> None:
     """Note, from here on, the thread of every ``MaintainedView.select``
-    in ``SELECT_THREADS``."""
-    select = MaintainedView.select
+    and every ``Engine.query``, and what every ``get_or_run`` returns."""
+    select, evaluate = MaintainedView.select, Engine.query
+    get_or_run = FullSelectionMemo.get_or_run
 
-    def recorded(self, *args, **kwargs):
+    def selected(self, *args, **kwargs):
         SELECT_THREADS.append(threading.get_ident())
         return select(self, *args, **kwargs)
 
-    MaintainedView.select = recorded
+    def evaluated(self, *args, **kwargs):
+        EVALUATE_THREADS.append(threading.get_ident())
+        return evaluate(self, *args, **kwargs)
+
+    def looked_up(self, *args, **kwargs):
+        value = get_or_run(self, *args, **kwargs)
+        MEMO_VALUES.append(value)
+        return value
+
+    MaintainedView.select = selected
+    Engine.query = evaluated
+    FullSelectionMemo.get_or_run = looked_up
 
 
 def trace_storage(counts: dict) -> None:
@@ -234,17 +273,25 @@ def main(argv=None) -> int:
 
     workload = workloads.build(args.workload, args.seed, args.quick)
     kinds = KINDS[args.workload]
-    ops = workload.clients[0]
+    ops = _deal(workload.clients)
     reads = sum(op[0] == "read" for op in ops)
     print(f"{args.workload} seed {args.seed}: {len(ops)} ops a pass "
-          f"({reads} reads, {len(ops) - reads} writes)")
+          f"({reads} reads, {len(ops) - reads} writes, "
+          f"{len(workload.clients)} clients dealt round-robin)")
     service = open_target(workload)
     own_config = workload.service
-    workload.service = {"workers": own_config["workers"]}
+    # serve-read's own service is a plain one: its reference is an Engine.
+    workload.service = (None if args.workload == "serve-read"
+                        else {"workers": own_config["workers"]})
     reference = open_target(workload)
     opened = [service, reference]
-    differing = off_caller = 0
-    record_select_threads()
+    failed = dict.fromkeys(CHECKS, 0)
+
+    def tally(checks: dict) -> None:
+        for name, n in checks.items():
+            failed[name] += n
+
+    record_calls()
     try:
         one_pass(service, reference, ops, kinds)  # warm-up
         per_write = (*PHASES, *VIEW_PHASES)
@@ -253,15 +300,14 @@ def main(argv=None) -> int:
               + ("  ratio  " + "  ".join(f"{name}_ms/write"
                                          for name in per_write)
                  + "  plan_lookups/write  rounds/write"
-                 if "first" in kinds else ""))
+                 if "first" in kinds else "  memo_hits  misses  coalesced"))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
             before = phase_seconds(service)
-            seconds, counted, bad, off = one_pass(service, reference, ops,
-                                                  kinds)
+            seconds, counted, checks = one_pass(service, reference, ops,
+                                                kinds)
             after = phase_seconds(service)
-            differing += bad
-            off_caller += off
+            tally(checks)
             read_s = sum(map(sum, map(seconds.get, kinds)))
             line = (f"{k + 1:4d}  {read_s * 1e3:8.2f} "
                     f"{read_s * 1e6 / max(reads, 1):12.1f} "
@@ -279,6 +325,9 @@ def main(argv=None) -> int:
                 line += (f"  {counted['write']['plan_lookups'] / n:18.1f}"
                          f"  {(after['rounds'] - before['rounds']) / n:12.1f}")
                 full_key.update(full_key_indexes(service._view))
+            else:  # the pass began with a cleared memo
+                line += "  {hits:9d}  {misses:6d}  {coalesced:9d}".format(
+                    **service.memo.stats())
             print(line)
         if "first" in kinds:
             print("buys indexes: %s" % "  ".join(map(str, index_signatures(
@@ -287,18 +336,13 @@ def main(argv=None) -> int:
             print(f"FAILED: {lookups:.1f} plan lookups a write, over "
                   f"{MAX_PLAN_LOOKUPS_PER_WRITE}: some write planned its "
                   f"joins anew", file=sys.stderr)
-            differing += 1
+            failed["plan_lookups"] += 1
         if full_key:
             print(f"FAILED: a pass ended with an index over all the columns "
                   f"of a derived relation, {sorted(full_key)}: some probe "
                   f"with every column bound went through an index",
                   file=sys.stderr)
-            differing += len(full_key)
-        if "first" in kinds and off_caller:
-            print(f"FAILED: {off_caller} reads were not one view lookup on "
-                  f"the calling thread: a view read went to the pool",
-                  file=sys.stderr)
-            differing += off_caller
+            failed["full_key"] += len(full_key)
         if args.workload == "serve-sqlite":
             counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
@@ -306,9 +350,9 @@ def main(argv=None) -> int:
             traced = open_target(workload)
             opened.append(traced)
             one_pass(traced, reference, ops, kinds)  # warm-up
-            seconds, counted, bad, _ = one_pass(traced, reference, ops,
+            seconds, counted, checks = one_pass(traced, reference, ops,
                                                 kinds, counts)
-            differing += bad
+            tally(checks)
             for kind in ("write", *kinds):
                 n = max(len(seconds[kind]), 1)
                 print(f"per {kind:<12} ({len(seconds[kind]):3d} a pass)  "
@@ -320,11 +364,10 @@ def main(argv=None) -> int:
               "{view_rebuilds}  memo {memo}".format(**metrics))
     finally:
         for target in opened:
-            target.close()
-    if differing:
-        print(f"FAILED: {differing} checks (reads that differ from the "
-              f"in-memory non-incremental service, plan lookups a write, "
-              f"full-column indexes, reads off the calling thread)",
+            close_target(target)
+    if any(failed.values()):
+        print("FAILED: " + ", ".join(f"{n} {CHECKS[name]}"
+                                     for name, n in failed.items() if n),
               file=sys.stderr)
         return 1
     return 0

@@ -60,10 +60,11 @@ def full_selection_key(
     A compiled plan is a pure function of the analysis and the selected
     component, and a run of it is additionally a function of the seed
     vector and the join order, so this tuple keys exactly the Lemma 2.1
-    unit of work a cross-request memo may share.  The analysis object
-    itself participates (it is a frozen dataclass), which keeps ``t``
-    and its ``t_part`` rewrite -- same predicate name, different
-    programs -- from colliding.  Callers scope the key to one database
+    unit of work a cross-request memo may share (its entry is the answer
+    set the full selection returns).  The analysis object itself
+    participates (it is a frozen dataclass), which keeps ``t`` and its
+    ``t_part`` rewrite -- same predicate name, different programs --
+    from colliding.  Callers scope the key to one database
     snapshot (the service adds the EDB fingerprint).
     """
     component = (
@@ -75,10 +76,10 @@ def full_selection_key(
 
 
 def _through_memo(memo, key: tuple, run, stats, budget: Budget):
-    """``memo.get_or_run(key, ...)`` for ``run(branch) -> tuples``.
+    """``memo.get_or_run(key, ...)`` for ``run(branch) -> answers``.
 
     A miss runs under a *fresh* branch :class:`EvaluationStats`, cached
-    beside the tuples as the work the entry cost, and every consumer --
+    beside the answers as the work the entry cost, and every consumer --
     first evaluator or cache hit -- merges that branch into ``stats``
     (``None``: nothing to report to).  A budget trip during the miss
     merges the partial branch before propagating, so union-level
@@ -98,7 +99,7 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget):
                 exc.stats = stats
             raise
 
-    tuples, branch = memo.get_or_run(key, compute)
+    answers, branch = memo.get_or_run(key, compute)
     if stats is not None:
         stats.merge(branch)
         if ran:
@@ -107,7 +108,7 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget):
             # reported but never trips by itself -- it did no work, and
             # an entry may carry more than its own (see _run_batch).
             budget.check_stats(stats)
-    return tuples
+    return answers
 
 
 def _evaluate_full(
@@ -122,26 +123,27 @@ def _evaluate_full(
     """One full selection, through the memo when given.
 
     The memo (see :class:`repro.service.FullSelectionMemo`) caches and
-    coalesces on :func:`full_selection_key`.
+    coalesces on :func:`full_selection_key`; its entry is the frozen
+    answer set, assembled once, so a hit returns that very object.
     """
     plan = compile_selection(selection)
     seed = selection.seed
+    assemble = plan.assembler()
 
-    def run(branch: Optional[EvaluationStats]) -> frozenset[tuple]:
-        return execute_plan(
+    def run(branch: Optional[EvaluationStats]) -> set[tuple]:
+        return assemble(seed, execute_plan(
             plan, db, [seed], stats=branch, budget=budget,
             order=order, tracer=tracer,
-        )
+        ))
 
     if memo is None:
-        up_tuples = run(stats)
-    else:
-        key = full_selection_key(
-            selection.analysis, selection.selected_class,
-            selection.selected_positions, seed, order,
-        )
-        up_tuples = _through_memo(memo, key, run, stats, budget)
-    return plan.assembler()(seed, up_tuples)
+        return run(stats)
+    key = full_selection_key(
+        selection.analysis, selection.selected_class,
+        selection.selected_positions, seed, order,
+    )
+    return _through_memo(memo, key, lambda branch: frozenset(run(branch)),
+                         stats, budget)
 
 
 def _part_analysis(
@@ -174,7 +176,7 @@ def _run_batch(
     memo=None,
 ):
     """``t_full`` for every seed of one partial selection, as one run;
-    yields each seed's share, in seed order.
+    yields each seed's share -- its answer columns -- in seed order.
 
     A union of fixpoints over the same rules is one fixpoint over the
     union of the seeds if each tuple remembers its seed: the tagged
@@ -185,8 +187,9 @@ def _run_batch(
     over seeds.
 
     With a memo the protocol stays one ``get_or_run`` per seed, in seed
-    order, on the per-seed :func:`full_selection_key` (what an
-    incremental service answers from its view).  The first ``compute`` that
+    order, on the per-seed :func:`full_selection_key`, and each entry is
+    the seed's share assembled with its seed: the answer set that full
+    selection returns when asked directly.  The first ``compute`` that
     actually runs evaluates the batch over its seed and those later
     seeds the memo holds no entry for (``memo.peek``, where the memo
     has one; all of them otherwise), and the later ``compute``s take
@@ -219,16 +222,19 @@ def _run_batch(
                if peek is None or peek(key) is None]
     done: dict[int, list] = {}  # the shares of what this query ran
 
+    assemble, up = plan.assembler(), plan.up_positions
+
     def share(i: int, branch: EvaluationStats) -> frozenset[tuple]:
         if i not in done:
             done.update(run(
                 [i] + [j for j in missing if j > i and j not in done],
                 branch))
-        return frozenset(done[i])
+        return frozenset(assemble(seeds[i], done[i]))
 
     for i, key in enumerate(keys):
-        yield _through_memo(memo, key, partial(share, i),
-                            None if i in done else stats, budget)
+        answers = _through_memo(memo, key, partial(share, i),
+                                None if i in done else stats, budget)
+        yield [tuple(t[p] for p in up) for t in answers]
 
 
 def _evaluate_partial(
@@ -345,8 +351,11 @@ def evaluate_separable(
         ``EvaluationStats`` otherwise (the seeds of one union that miss
         are computed together, told apart beforehand through the memo's
         ``peek(key)`` if it has one; see :func:`_run_batch` for which
-        entry carries the work).  The caller must scope the memo (or
-        the keys) to this exact ``db`` snapshot.
+        entry carries the work).  An entry is ``(answers, branch)``,
+        ``answers`` the frozenset the full selection returns: a direct
+        one with no residual match returns that very object.  The
+        caller must scope the memo (or the keys) to this exact ``db``
+        snapshot.
 
     Returns the full-arity answer tuples matching the query atom.
     """

@@ -21,7 +21,7 @@ bound to a :class:`~repro.service.QueryService`:
 Bind with ``port=0`` for an ephemeral port (tests and the CI smoke do)
 and read the chosen one back from :attr:`ServiceHTTPD.port`.  The
 server serves each request from its own thread, so a scrape never
-blocks the query workers -- the exporters only take the metrics locks.
+blocks a request being served -- the exporters only take the metrics locks.
 """
 
 from __future__ import annotations

@@ -25,10 +25,12 @@ recursive-plan optimizers (Fejza & Genevès 2023).
   alone: each follower wakes, sees no value, and takes its own turn as
   leader under its own budget.
 
-Values are ``(up_tuples, EvaluationStats)`` pairs: the branch stats are
-computed fresh per miss and *merged* (never mutated) into every
-consumer's accumulator, so a cache hit reports the same Definition 4.2
-relation sizes as the evaluation that populated it.
+Values are ``(answers, EvaluationStats)`` pairs: ``answers`` is the
+frozen answer set the full selection returns (a hit hands out that very
+object), and the branch stats are computed fresh per miss and *merged*
+(never mutated) into every consumer's accumulator, so a cache hit
+reports the same Definition 4.2 relation sizes as the evaluation that
+populated it.
 """
 
 from __future__ import annotations

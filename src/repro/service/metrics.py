@@ -209,7 +209,7 @@ class ServiceMetrics:
 
     @property
     def queue_depth(self) -> int:
-        """Requests waiting for a worker (a view read never waits)."""
+        """Requests waiting for a worker (a ``query()`` never waits)."""
         with self._lock:
             return self._submitted - self._started
 

@@ -3,12 +3,12 @@
 :class:`QueryService` is the deployment shape the paper's Section 5
 sketches ("a useful component of a recursive query processor") grown to
 serving size: many queries are answered at once while the EDB keeps
-changing underneath -- a read of the maintained view on the caller's
-thread, every request that evaluates on a thread pool -- with three
-guarantees no bare :class:`~repro.engine.Engine` call gives:
+changing underneath -- each :meth:`~QueryService.query` on the thread
+that asks, each :meth:`~QueryService.submit` on a thread pool -- with
+three guarantees no bare :class:`~repro.engine.Engine` call gives:
 
 **Snapshot isolation.**  Each request is served against an immutable
-copy of the EDB captured at dequeue time, keyed on
+copy of the EDB captured when it is served, keyed on
 :meth:`~repro.datalog.database.Database.fingerprint`.  Capture and
 mutation are serialized on one lock (mutations go through
 :meth:`QueryService.mutate`), so a fingerprint can never be torn --
@@ -29,7 +29,7 @@ coalesce onto a single carry/seen run.
 :class:`~repro.budget.Budget` whose wall clock is armed at submission:
 a divergent or overweight evaluation trips
 :class:`~repro.errors.BudgetExceeded` inside its fixpoint loop instead
-of pinning a worker.  Wall-clock trips (the only retryable kind) get
+of pinning a thread.  Wall-clock trips (the only retryable kind) get
 bounded retry with exponential backoff; a Lemma 2.1 union that dies
 mid-way degrades into a :class:`PartialResult` carrying the merged
 :class:`~repro.stats.EvaluationStats` and the answers of the half that
@@ -90,7 +90,8 @@ class ServiceConfig:
     Attributes
     ----------
     workers:
-        Thread-pool size for requests that evaluate; a view read needs none.
+        Size of the pool :meth:`QueryService.submit` enqueues on
+        (:meth:`QueryService.query` serves on the calling thread).
     memo_size:
         Bound on the full-selection memo (entries, LRU).
     default_deadline_s:
@@ -395,20 +396,6 @@ class QueryService:
         self.metrics.bump("view_probes")
         return fingerprint, answers
 
-    def _reads_view(self, query: Atom, strategy: str) -> bool:
-        """Whether the maintained view is where ``query`` is read."""
-        return strategy == "auto" and query.predicate in self._view_predicates
-
-    def _on_caller(self, query: Atom, strategy: str) -> bool:
-        """Whether a request is served on the caller's thread: a view
-        read while the view stands at the live EDB.  Anything that may
-        evaluate goes to the pool; only a direct ``service.edb`` write
-        racing a view read past this check makes it evaluate here."""
-        if not self._reads_view(query, strategy):
-            return False
-        with self._snapshot_lock:
-            return self._view_fp == self.edb.fingerprint()
-
     def add_fact(self, name: str, fact: tuple) -> bool:
         """Convenience :meth:`mutate` for the common single-fact case."""
         return self.mutate(lambda db: db.add_fact(name, fact))
@@ -454,18 +441,11 @@ class QueryService:
         """Enqueue one request; returns a future of :class:`ServiceResult`.
 
         Query text is parsed here (synchronously) so malformed requests
-        fail fast in the caller, not in a worker.  A view read is served
-        here too, and its future is returned done.
+        fail fast in the caller, not in a worker; the request itself is
+        served on a ``repro-service`` worker.
         """
-        request = self._admit(query, strategy, deadline_s)
-        if not self._on_caller(request[0], strategy):
-            return self._executor.submit(self._serve, *request)
-        future: Future[ServiceResult] = Future()
-        try:
-            future.set_result(self._serve(*request))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return self._executor.submit(
+            self._serve, *self._admit(query, strategy, deadline_s))
 
     def query(
         self,
@@ -473,12 +453,9 @@ class QueryService:
         strategy: str = "auto",
         deadline_s: Optional[float] = None,
     ) -> ServiceResult:
-        """Synchronous :meth:`submit`: a view read is served here, any
-        other request is enqueued and waited for."""
-        request = self._admit(query, strategy, deadline_s)
-        if self._on_caller(request[0], strategy):
-            return self._serve(*request)
-        return self._executor.submit(self._serve, *request).result()
+        """One request served on the calling thread, no hand-off: what
+        :meth:`submit` would serve on a worker."""
+        return self._serve(*self._admit(query, strategy, deadline_s))
 
     def batch(
         self,
@@ -574,7 +551,8 @@ class QueryService:
             else self.metrics.tracer
         )
         # Where the materialisation exists, ``auto`` picks it.
-        viewable = self._reads_view(query, strategy)
+        viewable = (strategy == "auto"
+                    and query.predicate in self._view_predicates)
         attempts = 0
         backoff = self.config.retry_backoff_s
         fingerprint: tuple = ()

@@ -24,6 +24,7 @@ from repro.datalog.database import Database
 from repro.datalog.errors import BudgetExceeded
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.terms import Variable
+from repro.observability import Tracer
 from repro.service import FullSelectionMemo, QueryService, ServiceConfig
 from repro.stats import EvaluationStats
 from repro.workloads import paper
@@ -181,7 +182,10 @@ class TestMemoProtocol:
                 analysis, cls, cls.positions, (f"p{j}_0", f"q{j}_0"),
                 "greedy")
             share, branch = memo._entries[key]
-            assert share == frozenset((f"z{i}",) for i in range(4))
+            # The seed's share assembled with its seed: the answer set
+            # of the full selection t(p_j, q_j, Z).
+            assert share == frozenset(
+                (f"p{j}_0", f"q{j}_0", f"z{i}") for i in range(4))
             branches.append(branch)
         # The compute of the seed the sideways pass found first ran the
         # batch; the others took their share of it for nothing.
@@ -189,6 +193,66 @@ class TestMemoProtocol:
             False, False, True]
         assert sum(b == EvaluationStats() for b in branches) == 2
         assert memo.stats()["misses"] == 4  # t_part + three seeds
+
+    @pytest.mark.parametrize("order", ["greedy", "left_to_right", "cost"])
+    def test_entries_serve_direct_reads_and_unions_alike(self, fan, order):
+        """One entry per full selection answers both ways it is asked
+        for: a seed read directly from the entry a Lemma 2.1 batch
+        filled, and a union from entries direct reads filled."""
+        program, db, analysis = fan
+        db.add_fact("t0", ("p1_2", "q1_2", "w"))  # seed 1 finds one more
+        seeds = [parse_atom(f"t(p{j}_0, q{j}_0, Z)") for j in range(3)]
+
+        def ask(query, memo=None):
+            return evaluate_separable(program, db, query, analysis=analysis,
+                                      memo=memo, order=order)
+
+        memo = FullSelectionMemo()
+        ask(QUERY, memo)
+        misses = memo.stats()["misses"]
+        for query in seeds:
+            assert ask(query, memo) == ask(query)
+        assert memo.stats()["misses"] == misses
+
+        memo = FullSelectionMemo()
+        for query in seeds:
+            ask(query, memo)
+        assert ask(QUERY, memo) == ask(QUERY)
+        assert memo.stats()["hits"] == 3
+
+    def test_a_repeated_read_is_the_entry_itself(self, fan):
+        program, db, analysis = fan
+        memo = FullSelectionMemo()
+        one = parse_atom("t(p0_0, q0_0, Z)")
+        traced = [Tracer(), Tracer()]
+        first = evaluate_separable(program, db, one, analysis=analysis,
+                                   memo=memo, tracer=traced[0])
+        hits = memo.stats()["hits"]
+        again = evaluate_separable(program, db, one, analysis=analysis,
+                                   memo=memo, tracer=traced[1])
+        (entry, _), = memo._entries.values()
+        assert again is first is entry
+        assert memo.stats()["hits"] == hits + 1
+        loops = [len(list(t.spans("separable.loop"))) for t in traced]
+        assert loops[0] > 0 and loops[1] == 0
+
+    def test_a_residual_match_filters_the_entry_it_reads(self, fan):
+        """``t(X, X, z0)`` is the full selection ``t(X, Y, z0)`` and a
+        repeated-variable filter: the entry holds the unfiltered set,
+        and the query gets a filtered copy, never the entry."""
+        program, db, analysis = fan
+        db.add_fact("t0", ("s", "s", "z0"))
+        memo = FullSelectionMemo()
+        same = parse_atom("t(X, X, z0)")
+        got = evaluate_separable(program, db, same, analysis=analysis,
+                                 memo=memo)
+        (entry, _), = memo._entries.values()
+        assert got == oracle_answers(program, db, same) == {("s", "s", "z0")}
+        assert got is not entry and got < entry
+        full = parse_atom("t(X, Y, z0)")
+        assert evaluate_separable(program, db, full, analysis=analysis,
+                                  memo=memo) is entry
+        assert entry == oracle_answers(program, db, full)
 
     def test_a_memo_with_nothing_but_get_or_run(self, fan):
         program, db, analysis = fan
