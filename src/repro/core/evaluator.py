@@ -135,8 +135,8 @@ def _generated_loop(
     tracer=None,
 ) -> set[tuple]:
     """:func:`_carry_loop`, compiled: the same loop, relation records,
-    budget checks, span and counters, run by the generated function of
-    :meth:`~repro.datalog.plan_cache.PlanCache.loop_for`.
+    budget checks, span and counters (books kept in locals), run by the
+    function :meth:`~repro.datalog.plan_cache.PlanCache.loop_for` makes.
 
     That function is valid over an interval of ``len(carry)``: its size
     rank among the joins' fixed relations (``order="greedy"`` plans
@@ -154,8 +154,8 @@ def _generated_loop(
                  seed=len(initial)) as span:
         while carry:
             run = PLAN_CACHE.loop_for(joins, CARRY, carry, order, db, tracer)
-            carry = run(carry, seen, carry_name, seen_name, stats, budget,
-                        tracer)
+            carry = run(carry, seen, (carry_name, seen_name), stats,
+                        budget, tracer)
         if span is not None:
             span.attrs["final_seen"] = len(seen)
     return seen

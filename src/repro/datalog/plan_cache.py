@@ -238,8 +238,13 @@ class JoinPlan:
                 f"{None if cols is None else const(cols)}, tracer)")
             return (), f"q{d}({key()})", True
 
+        def contains(d, pred, positions, key):
+            probes.append(f"    q{d} = _probe(rels[{d}], {const(positions)}, "
+                          f"(), tracer)")
+            return f"{key()} in q{d}"
+
         lines, zero, lookups, examined, bindings, reached = self._nest(
-            output, "    ", const, inputs, fetch)
+            output, "    ", const, inputs, fetch, contains)
         head = ["def kernel(rels, K, P, sink, stats, tracer):"]
         for count, name, source in ((len(consts), "k", "K"),
                                     (len(inputs), "p", "P")):
@@ -254,8 +259,8 @@ class JoinPlan:
         return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
 
     def _nest(self, output: tuple, pad: str, const, inputs: list, fetch,
-              sink: str = "sink", pseudo: Optional[str] = None,
-              contains=None) -> tuple:
+              contains, sink: str = "sink",
+              pseudo: Optional[str] = None) -> tuple:
         """The nested loops of this plan as source lines at ``pad``.
 
         ``const(value)`` names a constant and ``inputs`` collects the
@@ -270,11 +275,12 @@ class JoinPlan:
         columns of each fact, so ``fetch`` answers with the set of them
         (:meth:`Relation.lookup_projected`) and the level is one
         ``sink.update``.  A level reading ``pseudo`` (a plain set, not
-        a relation) is never asked that.  Given ``contains(d,
-        predicate, positions, key)``, a level that binds every column
-        asks it instead, for the text of a membership test, and is one
-        ``if``.  Returns ``(lines, counters to zero, lookups, examined,
-        bindings, produced)``, the last four as sums over the counters.
+        a relation) is never asked that.  A level that binds every
+        column asks ``contains(d, predicate, positions, key)`` instead,
+        for the text of a membership test, and is one ``if``: no index,
+        and it examines the one row it finds.  Returns ``(lines,
+        counters to zero, lookups, examined, bindings, produced)``, the
+        last four as sums over the counters.
         """
         # slot -> the expression holding its value (assign guards alias)
         reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
@@ -322,7 +328,7 @@ class JoinPlan:
             def key(keys=keys) -> str:
                 return _tuple_text(operand(*k) for k in keys)
 
-            if contains is not None and not writes and not checks:
+            if not writes and not checks:
                 lines.append(f"{pad}if {contains(d, pred, positions, key)}:")
                 pad += "    "
                 lines.append(f"{pad}e{d} += 1")
@@ -409,7 +415,8 @@ def _function(shapes: dict, source: str, kind: str, name: str):
         filename = f"<{kind}:{zlib.crc32(source.encode()):08x}>"
         linecache.cache[filename] = (
             len(source), None, source.splitlines(True), filename)
-        namespace = {"_flush": _flush, "_probe": _probe}
+        namespace = {"_flush": _flush, "_probe": _probe, "_open": _open,
+                     "_books": _books, "_tally": _tally}
         exec(compile(source, filename, "exec"), namespace)
         fn = shapes[source] = namespace[name]
     return fn
@@ -420,11 +427,8 @@ def _flush(stats, tracer, lookups, examined, bindings, produced) -> None:
     if stats is not None:
         stats.bump_examined(examined)
         stats.bump_produced(produced)
-    if tracer is not None and lookups:
-        tracer.count("atom_lookups", lookups)
-        tracer.count("tuples_examined", examined)
-        if bindings:
-            tracer.count("bindings_out", bindings)
+    if tracer is not None:
+        _tally(tracer, (0, lookups, examined, bindings, 0, 0, 0), (), ())
 
 
 def greedy_permutation(
@@ -715,10 +719,11 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     and ``groups[g]`` lists the terms of the ``g``-th run as ``(probes,
     constants, i)`` -- ``probes`` the ``(step, positions, cols)`` of each
     lookup into a fixed relation (``cols``: the columns of a projected
-    probe, else None).  The text unpacks one tuple ``(*probe
-    callables, *constants, i)`` per term from ``J[g]``; it mentions
-    neither values nor how long a run is, so Example 1.1's two-term down
-    loop and Example 1.2's two one-term loops are all one function.
+    probe, ``()`` for a membership test, else None).  The text unpacks
+    one tuple ``(*probe callables, *constants, i)`` per term from
+    ``J[g]``; it mentions neither values nor how long a run is, so
+    Example 1.1's two-term down loop and Example 1.2's two one-term
+    loops are all one function.
 
     Everything the reference loop (``core/evaluator.py::_carry_loop``)
     re-derives per round, but that cannot change while ``carry`` is the
@@ -726,12 +731,19 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     themselves, valid while ``lo <= len(carry) < hi`` (the interval is
     :meth:`PlanCache.loop_for`'s; outside it the function returns and
     the caller re-plans), and each fixed relation's probe ``q<j>``.
-    ``carry`` is iterated where a plan scans it and indexed lazily, once
-    per round, where a plan probes it.  The counter sums of a round
-    reach ``stats`` once, before the budget checks.  ``traced`` adds the
-    tracer counters and the ``carry`` series of the reference loop
-    (``D`` lists the terms without code, for their ``rule_apps:``); the
-    ``separable.loop`` span stays with the caller, which may enter
+    ``carry`` is iterated where a plan scans it, tested with ``in``
+    where a plan binds every column of it, and indexed lazily, once per
+    round, where a plan probes it on fewer.
+
+    The books -- iterations, examined, produced, relation maxima and,
+    ``traced``, the tracer counters -- are locals, and the limits are
+    ints read once (:func:`_open`): the counter sums of a call reach
+    ``stats`` (:func:`_books`) and the tracer (:func:`_tally`) once, in
+    a ``finally``, so a budget trip or a raising probe leaves them as
+    the reference loop does.  A round that crosses a bound, or any
+    while a deadline is armed, has :func:`_books` run the budget's own
+    checks.  ``traced`` also records the ``carry`` series per round;
+    the ``separable.loop`` span stays with the caller, which may enter
     several functions under one span.
 
     With ``flow`` the text is the *semi-naive* flavour, the rounds of a
@@ -742,16 +754,16 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     (a relation's ``add_all`` patches the indexes later terms probe) --
     into ``h``'s next delta.  Valid while every delta's and member's
     size is inside ``lo`` / ``hi`` (:func:`_narrow`), checked once a
-    round; ``stats`` may be None.
+    round, as the budget is, at the round's start; ``stats`` may be
+    None.
 
     With ``seeds`` it is the *maintenance* flavour (an incremental
     view's write path): the last ``seeds`` slots of ``pseudo`` are sets
     the caller passes for round zero only, empty from round one on; an
     empty slot runs no term, so it passes the size check whatever its
-    interval; and a level binding every column of its atom is ``key in
-    rows`` (the relation's row set, or the slot), not an index probe.
+    interval.
     """
-    pad = " " * 12
+    pad = " " * 16
     stratum = flow is not None
     slots = range(len(pseudo)) if stratum else ()
     members = slots[:len(slots) - seeds]
@@ -786,9 +798,8 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                      f"    for f in {carry}:",
                      f"        x.setdefault({cols}, []).append(f)"]
             if traced:
-                build += ["    count('index_builds')",
-                          "    count('index_tuples', "
-                          + (f"len({carry}))" if stratum else "n)")]
+                build += ["    I += 1",
+                          f"    N += len({carry})" if stratum else "    N += n"]
             return build, f"x.get({key()})", True
 
         def contains(d, pred, positions, key):
@@ -798,8 +809,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             return f"{key()} in q{len(probes) - 1}"
 
         lines, zero, *sums = plan._nest(output, pad, const, inputs, fetch,
-                                        "produced", delta,
-                                        contains if seeds else None)
+                                        contains, "produced", delta)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
         shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts),
@@ -814,7 +824,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             in enumerate(shapes):
         names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
         terms = f"J{g} if carry{a} else ()" if len(slots) > 1 else f"J{g}"
-        body.append(f"        for {', '.join(names + ['i'])} in {terms}:")
+        body.append(f"            for {', '.join(names + ['i'])} in {terms}:")
         if stratum:
             body.append(f"{pad}produced = set()")
         elif traced:
@@ -823,13 +833,11 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
         body += lines
         body += [f"{pad}X += {examined}", f"{pad}P += {made}"]
         if traced:
+            out = made if stratum else "out"
             body += [f"{pad}L += {lookups}", f"{pad}B += {bindings}"]
-            body += [f"{pad}if {made}:",
-                     f"{pad}    count(outs[i], {made})"] if stratum else [
-                     f"{pad}count(f'rule_apps:{{seen_name}}#{{i}}')",
-                     f"{pad}out = len(produced) - before",
-                     f"{pad}if out:",
-                     f"{pad}    count(f'rule_out:{{seen_name}}#{{i}}', out)"]
+            body += [] if stratum else [
+                f"{pad}out = len(produced) - before"]
+            body += [f"{pad}if {out}:", f"{pad}    O[i] = O.get(i, 0) + {out}"]
         if stratum:
             body += [f"{pad}fresh = new{h}(produced)", f"{pad}if fresh:",
                      f"{pad}    add{h}(fresh)",
@@ -843,92 +851,145 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                  for text, of, over in (("carry{m}", "carry", slots),
                                         ("(new{m}, add{m})", "seen", members),
                                         ("size{m}", "sizes", members))]
-    else:
-        head = ["def loop(J, D, lo, hi, carry, seen, carry_name, seen_name, "
-                "stats, budget, tracer):"]
-    if shapes:
-        targets = _tuple_text(f"J{g}" for g in range(len(shapes)))
-        head.append(f"    {targets} = J")
-    if not stratum:
-        head.append("    record = stats.record_relation")
-    if traced:
-        head.append("    count = tracer.count")
-    if stratum:
-        sizes = [f"len(carry{m})" for m in slots] \
-            + [f"size{m}" for m in members]
-        within = [f"lo[{v}] <= {size} < hi[{v}]"
-                  for v, size in enumerate(sizes)]
+        caps = _tuple_text(f"cap{m}" for m in members)
+        sizes = _tuple_text(f"size{m}" for m in members)
+        within = [f"lo[{v}] <= {size} < hi[{v}]" for v, size in enumerate(
+            [f"len(carry{m})" for m in slots] + [f"size{m}" for m in members])]
         if seeds:
             within[:len(slots)] = [f"({test} or not carry{m})"
                                    for m, test in zip(slots, within)]
-        head += ["    while %s:" % " or ".join(f"carry{m}" for m in slots),
-                 f"        if not ({' and '.join(within)}):",
-                 "            break",
-                 "        budget.check_wall(stats)",
-                 "        if stats is not None:",
-                 "            for name, size in zip(names, %s):"
-                 % _tuple_text(sizes[len(slots):]),
-                 "                stats.record_relation(name, size)",
-                 "                budget.check_relation(name, size, stats)",
-                 "            budget.check_stats(stats)",
-                 "            stats.bump_iterations()"]
-        if traced:
-            head += ["        count('iterations')",
-                     "        for i in apps:",
-                     "            count(i)"]
-        head += [f"        next{m} = set()" for m in members]
+        over = " or ".join(f"size{m} > cap{m}" for m in members)
+        top = [f"if not ({' and '.join(within)}):", "    break",
+                  f"if R > rounds or {over}:",
+                  f"    {caps} = _books(books, (R, X, P), {sizes})",
+                  f"at = {sizes}", "R += 1"]
+        top += [f"next{m} = set()" for m in members]
+        while_, final = " or ".join(f"carry{m}" for m in slots), "at"
     else:
-        head += ["    while carry:",
-                 "        n = len(carry)",
-                 "        if not lo <= n < hi:",
-                 "            break",
-                 "        budget.check_wall(stats)",
-                 "        stats.bump_iterations()"]
-        if traced:
-            head += ["        count('iterations')",
-                     "        for i in D:",
-                     "            count(f'rule_apps:{seen_name}#{i}')"]
-        head.append("        produced = set()")
-    head.append("        L = X = B = P = S = 0" if traced
-                else "        X = P = 0")
-    if indexed:
-        head.append("        indexes = {}")
+        head = ["def loop(J, D, lo, hi, carry, seen, names, stats, budget, "
+                "tracer):"]
+        caps, sizes = "(_, cap)", "(0, len(seen))"
+        top = ["n = len(carry)", "if n > C:", "    C = n",
+                  "if not lo <= n < hi:", "    break", "R += 1",
+                  "produced = set()"]
+        while_, final = "carry", "(C, len(seen))"
+    if shapes:
+        targets = _tuple_text(f"J{g}" for g in range(len(shapes)))
+        head.append(f"    {targets} = J")
+    books = ["R", "X", "P"] + ([] if stratum else ["C"])
+    if traced:  # F: rounds whose terms all ran; i: the term running
+        books += ["L", "B", "S", "I", "N"] + ([] if stratum else ["F", "i"])
+    head += [f"    books, rounds, {caps} = _open(stats, budget, names, "
+             + ("sizes, True)" if stratum else f"{sizes})"),
+             f"    {' = '.join(books)} = 0"] + ["    O = {}"] * traced \
+        + ["    at = ()"] * stratum + ["    try:", f"        while {while_}:"]
+    head += [" " * 12 + line
+             for line in top + ["indexes = {}"] * indexed]
     if stratum:
-        tail = [f"        carry{m} = next{m}" for m in members]
+        tail = [f"carry{m} = next{m}" for m in members]
         if seeds:
-            tail.append("        %s = ()" % " = ".join(
-                f"carry{m}" for m in slots[len(members):]))
-        tail += ["        if stats is not None:",
-                 "            stats.bump_examined(X)",
-                 "            stats.bump_produced(P)"]
+            tail.append(" = ".join(f"carry{m}" for m in slots[len(members):])
+                        + " = ()")
+        tail += [f"tracer.record('delta:' + names[{m}], len(carry{m}))"
+                 for m in members] * traced
+        back = _tuple_text(f"carry{m}" for m in slots) + ", " + sizes
+        apps = "[(a, R) for a in apps]"
+        outs = "[(outs[j], O[j]) for j in O]"
     else:
-        tail = ["        carry = produced - seen",
-                "        seen |= carry",
-                "        stats.bump_examined(X)",
-                "        stats.bump_produced(P)"]
+        tail = ["F += 1"] * traced + ["carry = produced - seen",
+                                     "seen |= carry"]
+        tail += ["tracer.record('carry', len(carry))"] * traced
+        tail += ["if R > rounds or len(seen) > cap:",
+                 "    _, cap = _books(books, (R, X, P), "
+                 "(max(C, len(carry)), len(seen)))"]
+        back = "carry"
+        apps = ("[(f'rule_apps:{names[1]}#{j}', F + (R > F and j < i)) "
+                "for j in range(len(D) + sum(map(len, J)))]")
+        outs = "[(f'rule_out:{names[1]}#{j}', O[j]) for j in O]"
+    tail = [" " * 12 + line for line in tail]
+    tail += [f"        return {back}", "    finally:",
+             f"        _books(books, (R, X, P), {final}, False)"]
     if traced:
-        tail += ["        if L:",
-                 "            count('atom_lookups', L)",
-                 "            count('tuples_examined', X)",
-                 "        if B:",
-                 "            count('bindings_out', B)",
-                 "        if S:",
-                 "            count('full_scans', S)"]
-        tail += [f"        tracer.record('delta:' + names[{m}], len(carry{m}))"
-                 for m in members] or [
-                     "        tracer.record('carry', len(carry))"]
-    if stratum:
-        tail += ["    return %s, %s" % (
-            _tuple_text(f"carry{m}" for m in slots),
-            _tuple_text(f"size{m}" for m in members)), ""]
-    else:
-        tail += ["        record(carry_name, len(carry))",
-                 "        record(seen_name, len(seen))",
-                 "        budget.check_relation(seen_name, len(seen), stats)",
-                 "        budget.check_stats(stats)",
-                 "    return carry",
-                 ""]
-    return "\n".join(head + body + tail), tuple(map(tuple, groups))
+        tail.append(f"        _tally(tracer, (R, L, X, B, S, I, N), {apps}, "
+                    f"{outs})")
+    return "\n".join(head + body + tail + [""]), tuple(map(tuple, groups))
+
+
+def _open(stats, budget, names, sizes, stratum=False) -> tuple:
+    """``(books, rounds, caps)`` of a generated loop at entry: what
+    :func:`_books` needs, the rounds it may run before the iteration
+    limit trips (-1 while a deadline is armed: every round then calls
+    :func:`_books`) and :func:`_caps`.  A carry loop (not ``stratum``)
+    checks the deadline here, where the reference checks it first."""
+    armed = budget.deadline is not None
+    if armed and not stratum:
+        budget.check_wall(stats)
+    if stats is None:  # a stratum that keeps no statistics
+        return ((None, budget, None, names, stratum), -1 if armed else _INF,
+                (_INF,) * len(sizes))
+    base = (stats.iterations, stats.tuples_examined, stats.tuples_produced)
+    return ((stats, budget, base, names, stratum),
+            -1 if armed else budget.max_iterations - stats.iterations,
+            _caps(stats, budget, names, sizes))
+
+
+def _caps(stats, budget, names, sizes) -> tuple:
+    """Per size, the largest at which no relation or total limit can
+    trip: each of ``names`` gets an equal share of the total's room
+    over what it has on record.  (A carry loop watches ``seen`` only:
+    every later ``carry`` tuple is a ``seen`` tuple too.)"""
+    room = (budget.max_total_tuples - stats.total_relation_size) \
+        // len(names)
+    recorded = stats.relation_sizes.get
+    return tuple([min(budget.max_relation_tuples,
+                      min(size, recorded(name, 0)) + room)
+                  for name, size in zip(names, sizes)])
+
+
+def _books(books, counts, sizes, check=True):
+    """Write a loop's books back: ``stats`` gets ``base + counts``
+    (iterations, examined, produced) and a record of each of ``names``
+    at its size -- idempotent, so a ``finally`` (not ``check``) may
+    repeat what a check wrote.  With ``check``, run the budget's checks
+    as the reference loop does there and return new caps: at a stratum
+    round's start the deadline first and each member after its record,
+    at a carry round's end ``seen`` after both records."""
+    stats, budget, base, names, stratum = books
+    if stats is not None:
+        stats.iterations, stats.tuples_examined, stats.tuples_produced = [
+            b + c for b, c in zip(base, counts)]
+    if check and stratum:
+        budget.check_wall(stats)
+    if stats is None:
+        return (_INF,) * len(sizes)
+    for name, size in zip(names, sizes):
+        stats.record_relation(name, size)
+        if check and stratum:
+            budget.check_relation(name, size, stats)
+    if not check:
+        return None
+    if not stratum:
+        budget.check_relation(names[-1], sizes[-1], stats)
+    budget.check_stats(stats)
+    return _caps(stats, budget, names, sizes)
+
+
+def _tally(tracer, counts, apps, outs) -> None:
+    """Count what a traced loop kept in locals, once a call: ``counts``
+    is ``(iterations, atom_lookups, tuples_examined, bindings_out,
+    full_scans, index_builds, index_tuples)``, ``apps`` and ``outs``
+    ``(counter, n)`` pairs.  No counter is bumped by 0, except
+    ``tuples_examined`` beside lookups (an index is never built over an
+    empty ``carry``).  A kernel run counts through it too."""
+    rounds, lookups, examined, bindings, scans, builds, rows = counts
+    if lookups:
+        tracer.count("atom_lookups", lookups)
+        tracer.count("tuples_examined", examined)
+    for name, n in (("iterations", rounds), ("bindings_out", bindings),
+                    ("full_scans", scans), ("index_builds", builds),
+                    ("index_tuples", rows), *apps, *outs):
+        if n:
+            tracer.count(name, n)
 
 
 def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
@@ -1214,8 +1275,8 @@ class PlanCache:
         ``carry``'s size rank among the fixed relations under
         ``greedy``, its ``bit_length`` bucket -- what the order memo
         keys on -- under ``cost``, any size under ``left_to_right``.
-        Returns ``run(carry, seen, carry_name, seen_name, stats, budget,
-        tracer) -> carry``: it advances the loop in place (``seen``
+        Returns ``run(carry, seen, (carry_name, seen_name), stats,
+        budget, tracer) -> carry``: it advances the loop in place (``seen``
         grows) and returns the next ``carry`` -- empty when the loop is
         done, otherwise of a size outside the interval, and the caller
         asks again.  The flavour follows ``tracer is None``.

@@ -87,6 +87,9 @@ class SQLiteRelation:
         self._lock = threading.RLock()
         self._table = _quote("rel_" + name)
         self._columns = [f"c{i}" for i in range(arity)] or ["c0"]
+        self._where = " AND ".join(f"{c} = ?" for c in self._columns)
+        #: The membership test's text, built once like ``_probes``'.
+        self._member = f"SELECT 1 FROM {self._table} WHERE {self._where}"
         self._conn = self._connect_rw()
         self._create_table()
         if tuples:
@@ -152,10 +155,6 @@ class SQLiteRelation:
             raise ReadOnlyRelationError(
                 f"relation {self.name} is a read-only snapshot"
             )
-
-    @property
-    def _where(self) -> str:
-        return " AND ".join(f"{c} = ?" for c in self._columns)
 
     # -- observation -------------------------------------------------------
 
@@ -285,10 +284,7 @@ class SQLiteRelation:
     def __contains__(self, fact: Fact) -> bool:
         fact = self._check(fact)
         with self._lock:
-            row = self._conn.execute(
-                f"SELECT 1 FROM {self._table} WHERE {self._where} LIMIT 1",
-                self._row(fact),
-            ).fetchone()
+            row = self._conn.execute(self._member, self._row(fact)).fetchone()
         return row is not None
 
     def __len__(self) -> int:

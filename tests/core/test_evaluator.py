@@ -7,7 +7,7 @@ import pytest
 
 from repro.budget import Budget
 from repro.core.api import evaluate_separable
-from repro.core.compiler import compile_selection
+from repro.core.compiler import compile_plan, compile_selection
 from repro.core.detection import require_separable
 from repro.core.evaluator import (
     _reference_loops,
@@ -441,7 +441,7 @@ class TestGeneratedLoop:
                     raise OSError("disk I/O error")
                 return super().lookup(positions, key, tracer)
 
-            # The probe the loop makes: ``e(X, W)`` is its innermost
+            # The probe a loop makes where ``e(X, W)`` is its innermost
             # level and ``(W)`` its output.
             def lookup_projected(self, positions, cols, key, tracer=None):
                 if key == ("c",):
@@ -450,16 +450,21 @@ class TestGeneratedLoop:
 
         db = fan_database()
         db = db.with_mounts({"e": Failing("e", 2, db.relation("e"))})
-        plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
+        # Seed-tagged, so carry is (tag, W): the term that scans ``s``
+        # keys carry on W alone, an index, not a membership test.
+        analysis = require_separable(TWO_RULES, "t")
+        plan = compile_plan(analysis, tagged=True, selected_class=next(
+            c for c in analysis.classes if c.positions == (0,)))
         PLAN_CACHE.clear()
         with pytest.raises(OSError) as caught:
-            execute_plan(plan, db, [seed])
+            execute_plan(plan, db, [(0, "a")])
         frame, = [f for f in traceback.extract_tb(caught.value.__traceback__)
                   if f.filename.startswith("<separable-loop:")]
         assert frame.name == "loop"
-        assert frame.line == "c1 = q0((r0,))"
+        assert frame.line == "c1 = q0((r1,))"
         # The down loop ran two texts by then: carry scanned, and carry
         # probed while it was larger than ``s``.
         scanning, probing = loop_source(plan, "down")
         assert "".join(linecache.getlines(frame.filename)) == scanning
         assert "indexes" in probing and "indexes" not in scanning
+        assert ") in carry" not in probing

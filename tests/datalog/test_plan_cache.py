@@ -429,14 +429,16 @@ class TestProjectedInnermostLevel:
         pytest.param(  # no output column: zip() of no columns is no rows
             (atom("carry", "X"), atom("e", "X", "W")), (),
             "                sink.update([() for f in c1])", id="empty"),
-        pytest.param(  # ... also when the atom has no free column
+        pytest.param(  # an atom with no free column: a membership test
             (atom("carry", "X"), atom("e", "X", "X")), (),
-            "                sink.update([() for f in c1])", id="all-bound"),
+            "            if (r0, r0) in q1:", id="all-bound"),
     ])
     def test_other_shapes_keep_their_text(self, body, output, line):
         text, _, sink, made = self.kernel(body, output)
         assert line in text.splitlines()
-        assert "_probe(rels[1], k2, None, tracer)" in text  # not projected
+        # not projected; a membership test reads the row set itself
+        cols = "()" if line.endswith(" in q1:") else "None"
+        assert f"_probe(rels[1], k2, {cols}, tracer)" in text
         db = Database.from_facts(self.FACTS)
         expected = [
             tuple(b[t] if isinstance(t, Variable) else t.value
@@ -608,3 +610,134 @@ def test_projected_probes_count_what_the_interpreter_counts(case):
         runs[path] = (frozenset(answers), counters(tracer, stats))
     assert runs["generated"] == runs["reference"] == runs["interpreter"]
     assert runs["generated"][0]
+
+
+#: ``e`` is the chain 0 -> 6 and ``ok`` every forward pair but (3, 4):
+#: larger than ``e``, so greedy reaches ``ok`` with both columns bound.
+BOUND_FACTS = {
+    "e": [(i, i + 1) for i in range(6)],
+    "ok": [(a, b) for a in range(7) for b in range(a + 1, 7)
+           if (a, b) != (3, 4)],
+    "t0": [(3, "three"), (6, "end")],
+}
+BOUND_SEPARABLE = parse_program(
+    "t(X, Y) :- e(X, W) & ok(X, W) & t(W, Y).\nt(X, Y) :- t0(X, Y)."
+).program
+BOUND_STRATUM = parse_program(
+    "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, W) & e(W, Y) & ok(W, Y)."
+).program
+
+
+def test_the_interpreter_tests_a_bound_atom_for_membership():
+    """Every position bound: one lookup, one tuple examined per hit, no
+    index -- what a compiled membership level counts."""
+    from repro.observability import Tracer
+
+    db = Database.from_facts(BOUND_FACTS)
+    tracer = Tracer()
+    body = (atom("e", "X", "W"), atom("ok", "X", "W"))
+    found = list(evaluate_body_interpreted(db, body, tracer=tracer))
+    assert len(found) == 5  # every edge but (3, 4)
+    assert tracer.counter_total("atom_lookups") == 1 + 6
+    assert tracer.counter_total("tuples_examined") == 6 + 5
+    assert tracer.counter_total("index_builds") == 0
+    assert not db.relation("ok")._indexes
+
+
+def _interpreted_stratum(program, db, tracer):
+    """``seminaive_stratum``'s rounds -- round zero every rule in turn,
+    then the delta terms, each installing what it derives at once --
+    with every body run by ``tests/interpreter.py``."""
+    from repro.datalog.database import Relation
+    from repro.datalog.plan_cache import DELTA
+    from repro.datalog.seminaive import _stratum
+    from repro.stats import EvaluationStats
+
+    stats = EvaluationStats()
+    (scc,) = program.evaluation_order
+    (p,), terms, *_ = _stratum(tuple(program.rules), scc)
+    rel = db.ensure(p, program.arity(p))
+
+    def run(view, body, output):
+        rows = set()
+        for b in evaluate_body_interpreted(view, body, stats=stats,
+                                           tracer=tracer):
+            rows.add(tuple(b[t] for t in output))
+            stats.bump_produced()
+        fresh = rows - set(rel)
+        rel.add_all(fresh)
+        return fresh
+
+    delta = set()
+    for r in program.rules:
+        delta |= run(db, r.body, r.head.args)
+    while delta:
+        view = db.with_mounts({DELTA + p: Relation(DELTA + p, 2, delta)})
+        delta = set().union(*[run(view, t.body, t.output) for t in terms])
+    return frozenset(rel), stats
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("where", ["kernel", "carry-loop", "stratum"])
+def test_a_bound_level_is_a_membership_test(where, backend):
+    """``ok`` is reached with both columns bound: a membership test in
+    the stand-alone kernel, the carry loop and the stratum alike, on
+    either backend -- the answers and counters of the interpreter, and
+    no index over ``ok``."""
+    from repro.core.compiler import compile_selection
+    from repro.core.detection import require_separable
+    from repro.core.evaluator import _reference_loops, execute_plan
+    from repro.core.selections import classify_selection
+    from repro.datalog.parser import parse_atom
+    from repro.observability import Tracer
+    from repro.stats import EvaluationStats
+    from repro.storage import ensure_backend
+
+    runs, probed = {}, []
+    for path in ("interpreter", "compiled"):
+        db = ensure_backend(Database.from_facts(BOUND_FACTS), backend)
+        tracer, stats = Tracer(), EvaluationStats()
+        PLAN_CACHE.clear()
+        if where == "kernel":
+            body, output = (atom("e", "X", "W"), atom("ok", "X", "W")), (X, W)
+            if path == "interpreter":
+                answers = {(b[X], b[W]) for b in evaluate_body_interpreted(
+                    db, body, stats=stats, tracer=tracer)}
+                stats.bump_produced(len(answers))
+            else:
+                answers = set()
+                evaluate_body_into(db, body, output, answers, stats=stats,
+                                   tracer=tracer)
+        elif where == "carry-loop":
+            selection = classify_selection(
+                require_separable(BOUND_SEPARABLE, "t"),
+                parse_atom("t(0, Y)"))
+            plan = compile_selection(selection)
+            if path == "interpreter":
+                answers, stats = _interpreted_plan(plan, db, selection.seed,
+                                                   tracer)
+            else:
+                answers = execute_plan(plan, db, [selection.seed], stats,
+                                       tracer=tracer)
+                with _reference_loops():
+                    assert execute_plan(plan, db, [selection.seed]) \
+                        == answers
+                text = "".join(loop_source(plan, "down", traced=True))
+                assert ") in q" in text
+        elif path == "interpreter":
+            answers, stats = _interpreted_stratum(BOUND_STRATUM, db.copy(),
+                                                  tracer)
+        else:
+            db = seminaive_evaluate(BOUND_STRATUM, db, stats, tracer=tracer)
+            answers = db.tuples("tc")
+        probed.append(db.relation("ok"))
+        runs[path] = (frozenset(answers), stats.tuples_produced, {
+            name: tracer.counter_total(name)
+            for name in ("atom_lookups", "tuples_examined", "bindings_out")})
+    assert runs["compiled"] == runs["interpreter"]
+    assert runs["compiled"][0] and runs["compiled"][2]["atom_lookups"]
+    ok = probed[-1]
+    if backend == "memory":
+        assert not ok._indexes and not ok._projected
+    else:
+        assert not ok._indexed and not ok._probes

@@ -75,6 +75,8 @@ def _atom_lookup(
     Uses a hash index on the currently-bound positions of ``a`` so that
     only matching tuples are fetched; the remaining (free) positions are
     checked tuple by tuple, handling repeated variables within the atom.
+    An atom with every position bound is a membership test instead: it
+    examines the one tuple it finds, and builds no index.
     """
     rel = db.relation(a.predicate)
     if rel is None or len(rel) == 0:
@@ -95,8 +97,11 @@ def _atom_lookup(
             else:
                 free.append((i, term))
 
-    candidates = rel.lookup(tuple(bound_positions), tuple(key),
-                            tracer=tracer)
+    if free:
+        candidates = rel.lookup(tuple(bound_positions), tuple(key),
+                                tracer=tracer)
+    else:  # every column bound: a membership test, no index
+        candidates = [tuple(key)] if tuple(key) in rel else []
     if stats is not None:
         stats.bump_examined(len(candidates))
     if tracer is not None:

@@ -62,6 +62,19 @@ class TestMutation:
         assert ("b", "a") not in rel
         assert len(rel) == 1 and bool(rel)
 
+    def test_membership_is_exact(self, store):
+        """``in`` is what every fully bound probe asks: arity 0 holds
+        at most ``()``, and a value matches only its own type."""
+        flag = make(store, name="flag", arity=0)
+        assert () not in flag
+        flag.add(())
+        assert () in flag
+        rel = make(store, name="num", arity=1, tuples=[(1,)])
+        assert (1,) in rel and ("1",) not in rel
+        rel.add(("1",))
+        rel.discard((1,))
+        assert ("1",) in rel and (1,) not in rel
+
     def test_discard(self, backend):
         rel = make(backend, tuples=[("a", "b"), ("c", "d")])
         assert rel.discard(("a", "b"))
