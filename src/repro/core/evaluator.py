@@ -136,26 +136,31 @@ def _generated_loop(
 ) -> set[tuple]:
     """:func:`_carry_loop`, compiled: the same loop, relation records,
     budget checks, span and counters (books kept in locals), run by the
-    function :meth:`~repro.datalog.plan_cache.PlanCache.loop_for` makes.
+    function :meth:`~repro.datalog.plan_cache.PlanCache.loop_for` makes
+    of it as of a one-member stratum: slot ``carry``, member ``seen``.
 
     That function is valid over an interval of ``len(carry)``: its size
-    rank among the joins' fixed relations (``order="greedy"`` plans
-    depend on it) or its power-of-two bucket (``order="cost"``).  When a
-    round leaves the interval it hands ``carry`` back and this driver
-    asks for the function of the new one -- one plan lookup per join per
-    interval change where the reference loop makes one per join per
-    round.
+    rank among the joins' fixed relations (``order="greedy"``) or its
+    power-of-two bucket (``order="cost"``).  When a round leaves it, it
+    hands ``carry`` back and this driver asks for the function of the
+    new one -- one plan lookup per join per interval change where the
+    reference loop makes one per join per round.
     """
     seen: set[tuple] = set(initial)
-    carry: set[tuple] = set(initial)
-    stats.record_relation(carry_name, len(carry))
+    stats.record_relation(carry_name, len(initial))
     stats.record_relation(seen_name, len(seen))
+    names = ((carry_name, seen_name),)
+    labels = () if tracer is None else (
+        ("carry",), tuple([(f"rule_apps:{seen_name}#{j}", j)
+                           for j in range(len(joins))]),
+        (), tuple([f"rule_out:{seen_name}#{j}" for j in range(len(joins))]))
+    carry = (set(initial),)
     with span_of(tracer, "separable.loop", relation=seen_name,
                  seed=len(initial)) as span:
-        while carry:
-            run = PLAN_CACHE.loop_for(joins, CARRY, carry, order, db, tracer)
-            carry = run(carry, seen, (carry_name, seen_name), stats,
-                        budget, tracer)
+        while carry[0]:
+            run, _ = PLAN_CACHE.loop_for(joins, (CARRY,), carry, (seen,),
+                                         order, db, tracer)
+            carry = run(carry, (seen,), names, labels, stats, budget, tracer)
         if span is not None:
             span.attrs["final_seen"] = len(seen)
     return seen

@@ -21,6 +21,7 @@ Figures 3 and 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..datalog.atoms import Atom, answer_assembler
 from ..datalog.terms import Term, Variable
@@ -50,6 +51,7 @@ class CarryJoin:
     body: tuple[Atom, ...]
     output: tuple[Term, ...]
     rule_index: int | None = None
+    flow: ClassVar[tuple[int, int]] = (0, 0)  # reads carry, derives seen
 
     def __str__(self) -> str:
         out = ", ".join(str(t) for t in self.output)

@@ -57,7 +57,7 @@ __all__ = [
     "PLAN_CACHE",
     "compile_join_plan",
     "greedy_permutation",
-    "relation_sink",
+    "RelationSink",
 ]
 
 #: What a delta variant of a rule calls the delta of an SCC member
@@ -428,7 +428,7 @@ def _flush(stats, tracer, lookups, examined, bindings, produced) -> None:
         stats.bump_examined(examined)
         stats.bump_produced(produced)
     if tracer is not None:
-        _tally(tracer, (0, lookups, examined, bindings, 0, 0, 0), (), ())
+        _tally(tracer, (0, lookups, examined, bindings, 0, 0, 0))
 
 
 def greedy_permutation(
@@ -449,31 +449,21 @@ def greedy_permutation(
     interpreter raises.  With ``db=None`` all sizes read 0 and ties
     fall back to body position.
     """
-    remaining = list(range(len(body)))
-    bound = set(bound_vars)
-    ordered: list[int] = []
+    remaining, bound, ordered = list(range(len(body))), set(bound_vars), []
+
+    def rank(idx: int) -> tuple:
+        a = body[idx]
+        nb = sum(isinstance(t, Constant) or t in bound for t in a.args)
+        if a.predicate == EQ:
+            return (0 if nb else 1, -nb, 0, idx)
+        rel = db.relation(a.predicate) if db is not None else None
+        return (0, -nb, len(rel) if rel is not None else 0, idx)
+
     while remaining:
-        best = 0
-        best_key = None
-        for j, idx in enumerate(remaining):
-            a = body[idx]
-            nb = 0
-            for t in a.args:
-                if isinstance(t, Constant) or t in bound:
-                    nb += 1
-            if a.predicate == EQ:
-                key = (0 if nb else 1, -nb, 0, idx)
-            else:
-                rel = db.relation(a.predicate) if db is not None else None
-                key = (0, -nb, len(rel) if rel is not None else 0, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = j
-        idx = remaining.pop(best)
+        idx = min(remaining, key=rank)
+        remaining.remove(idx)
         ordered.append(idx)
-        for t in body[idx].args:
-            if isinstance(t, Variable):
-                bound.add(t)
+        bound.update(t for t in body[idx].args if isinstance(t, Variable))
     return tuple(ordered)
 
 
@@ -494,47 +484,38 @@ def _defer_eq_indices(
     given order; ``cost``, whose planner ranks only the non-eq atoms,
     leaves eq placement to the same rule.
     """
-    bound = set(bound_vars)
+    bound, ordered, pending = set(bound_vars), [], []
 
     def ready(a: Atom) -> bool:
-        for t in a.args:
-            if isinstance(t, Constant) or t in bound:
-                return True
-        return False
-
-    ordered: list[int] = []
-    pending: list[int] = []
+        return any(isinstance(t, Constant) or t in bound for t in a.args)
 
     def place(i: int) -> None:
         ordered.append(i)
-        for t in body[i].args:
-            if isinstance(t, Variable):
-                bound.add(t)
+        bound.update(t for t in body[i].args if isinstance(t, Variable))
 
     for i in seq:
         a = body[i]
         if a.predicate == EQ and a.arity == 2 and not ready(a):
             pending.append(i)
             continue
-        place(i)
-        progressed = True
-        while progressed and pending:
-            progressed = False
-            for k, p in enumerate(pending):
-                if ready(body[p]):
-                    place(pending.pop(k))
-                    progressed = True
-                    break
+        place(i)  # then every eq it readied, the first ready one first
+        while (k := next((j for j, p in enumerate(pending)
+                          if ready(body[p])), None)) is not None:
+            place(pending.pop(k))
     ordered.extend(pending)  # still unready: unsafe, raises at compile
     return tuple(ordered)
 
 
-def _order_left_to_right(
-    body: tuple[Atom, ...], bound_vars: frozenset[Variable]
-) -> list[Atom]:
-    """Given order, except unready ``eq`` atoms wait for a binder."""
-    return [body[i]
-            for i in _defer_eq_indices(body, range(len(body)), bound_vars)]
+def _permutation(body: tuple[Atom, ...], bound_vars: frozenset[Variable],
+                 order: str, db: Optional[Database]) -> tuple[int, ...]:
+    """``body``'s execution order under ``order``, as body positions:
+    ``left_to_right`` is the given order, except unready ``eq`` atoms
+    wait for a binder."""
+    if order == "greedy":
+        return greedy_permutation(body, bound_vars, db)
+    if order == "cost":
+        return _cost_sequence(body, bound_vars, db)[0]
+    return _defer_eq_indices(body, range(len(body)), bound_vars)
 
 
 def _cost_sequence(
@@ -577,26 +558,20 @@ def compile_join_plan(
     if order not in ORDERS:
         raise ValueError(f"unknown join order {order!r}")
     body = tuple(atoms)
-    if order == "greedy":
-        perm = greedy_permutation(body, bound_vars, db)
-        ordered = [body[i] for i in perm]
-    elif order == "cost":
-        perm, _ = _cost_sequence(body, bound_vars, db)
-        ordered = [body[i] for i in perm]
-    else:
-        ordered = _order_left_to_right(body, bound_vars)
-    return _compile_sequence(body, bound_vars, order, ordered)
+    return _compile_sequence(body, bound_vars, order,
+                             _permutation(body, bound_vars, order, db))
 
 
 def _compile_sequence(
     body: tuple[Atom, ...],
     bound_vars: frozenset[Variable],
     order: str,
-    ordered: list[Atom],
+    perm: Sequence[int],
     shapes: Optional[dict] = None,
 ) -> JoinPlan:
-    """Compile an already-ordered atom sequence into a :class:`JoinPlan`
-    (``shapes``: the kernel-function table of its cache, if any)."""
+    """Compile ``body`` executed in the order ``perm`` into a
+    :class:`JoinPlan` (``shapes``: the kernel-function table of its
+    cache, if any)."""
     slot_of: dict[Variable, int] = {}
     preload: list[tuple[Variable, int]] = []
     bound: set[Variable] = set(bound_vars)
@@ -615,7 +590,7 @@ def _compile_sequence(
     raw_steps: list[list] = []
     guard_sink = pre_guards  # eq atoms attach to the preceding step
 
-    for a in ordered:
+    for a in [body[i] for i in perm]:
         if a.predicate == EQ:
             if a.arity != 2:
                 raise ValueError(f"built-in {EQ} requires arity 2, got {a}")
@@ -634,22 +609,13 @@ def _compile_sequence(
                     not l_const, left.value if l_const else slot(left),
                     not r_const, right.value if r_const else slot(right),
                 ))
-            elif l_known:
-                dst = slot(right)
-                bound.add(right)  # type: ignore[arg-type]
-                guard_sink.append((
-                    _ASSIGN,
-                    not l_const, left.value if l_const else slot(left),
-                    dst,
-                ))
-            elif r_known:
-                dst = slot(left)
-                bound.add(left)  # type: ignore[arg-type]
-                guard_sink.append((
-                    _ASSIGN,
-                    not r_const, right.value if r_const else slot(right),
-                    dst,
-                ))
+            elif l_known or r_known:  # assign the unknown side
+                src, var = (left, right) if l_known else (right, left)
+                dst = slot(var)
+                bound.add(var)  # type: ignore[arg-type]
+                const = isinstance(src, Constant)
+                guard_sink.append((_ASSIGN, not const,
+                                   src.value if const else slot(src), dst))
             else:
                 raise ValueError(
                     f"cannot evaluate {a}: both sides unbound (unsafe rule?)"
@@ -703,81 +669,62 @@ def _compile_sequence(
 
 
 def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
-              pseudo, live: Sequence[bool], traced: bool,
-              flow: Optional[Sequence[tuple[int, int]]] = None,
-              seeds: int = 0) -> tuple:
-    """Source of one whole ``carry``/``seen`` loop of Figure 2.
+              pseudo: Sequence[str], flow: Sequence[tuple[int, int]],
+              live: Sequence[bool], read: Sequence[bool],
+              traced: bool) -> tuple:
+    """Source of one loop of Figure 2: while a ``carry`` is non-empty, a
+    round of join terms, then ``carry = produced - seen`` and ``seen |=
+    carry`` per member.
 
-    ``plans[i]`` executes the body of the loop's ``i``-th join term and
-    ``outputs[i]`` is its output template; the atom named ``pseudo``
-    stands for ``carry``.  ``live[i]`` is False for a term that cannot
-    match (a fixed relation absent or empty): it gets no code.  Returns
-    ``(source, groups)``: consecutive join terms whose nested loops
+    Slot ``a`` is the set the bodies call ``pseudo[a]``: the first
+    ``len(read)`` are the members' deltas, any after them round-zero
+    slots, empty from round one on.  Term ``i`` reads slot ``a`` and
+    derives member ``h``, ``flow[i] = (a, h)``, by ``plans[i]`` into
+    ``outputs[i]``; a term not ``live[i]`` (a fixed relation absent or
+    empty) gets no code, and a term of an empty slot does not run.  A
+    carry loop is one slot and one member, a set; a stratum has a delta
+    and a :class:`RelationSink` per predicate.  A member some term reads
+    in full (``read[h]``: a nonlinear or mutually recursive SCC)
+    installs at each of its terms' ends instead, and is planned on.
+
+    Returns ``(source, groups)``: consecutive terms whose nested loops
     (:meth:`JoinPlan._nest`) read the same are one *shape*, inlined once
-    and run ``for`` each of them in turn (terms keep their order:
-    ``rule_out:`` credits a tuple to the first term that produces it),
-    and ``groups[g]`` lists the terms of the ``g``-th run as ``(probes,
-    constants, i)`` -- ``probes`` the ``(step, positions, cols)`` of each
-    lookup into a fixed relation (``cols``: the columns of a projected
-    probe, ``()`` for a membership test, else None).  The text unpacks
-    one tuple ``(*probe callables, *constants, i)`` per term from
-    ``J[g]``; it mentions neither values nor how long a run is, so
-    Example 1.1's two-term down loop and Example 1.2's two one-term
-    loops are all one function.
+    and run ``for`` each in turn (in order: ``rule_out:`` credits a tuple
+    to the first term that produces it); ``groups[g]`` lists the terms
+    of run ``g`` as ``(probes, constants, i)``, ``probes`` the ``(step,
+    positions, cols)`` of each lookup into a fixed relation (``cols``: a
+    projected probe's columns, ``()`` a membership test, else None).
+    The text mentions no value, name or run length, so Example 1.1's
+    down loop, Example 1.2's loops and a linear stratum over a join of
+    that shape are one function.
 
-    Everything the reference loop (``core/evaluator.py::_carry_loop``)
-    re-derives per round, but that cannot change while ``carry`` is the
-    only relation that does, is bound before the loop: the plans
-    themselves, valid while ``lo <= len(carry) < hi`` (the interval is
-    :meth:`PlanCache.loop_for`'s; outside it the function returns and
-    the caller re-plans), and each fixed relation's probe ``q<j>``.
-    ``carry`` is iterated where a plan scans it, tested with ``in``
-    where a plan binds every column of it, and indexed lazily, once per
-    round, where a plan probes it on fewer.
-
-    The books -- iterations, examined, produced, relation maxima and,
-    ``traced``, the tracer counters -- are locals, and the limits are
-    ints read once (:func:`_open`): the counter sums of a call reach
-    ``stats`` (:func:`_books`) and the tracer (:func:`_tally`) once, in
-    a ``finally``, so a budget trip or a raising probe leaves them as
-    the reference loop does.  A round that crosses a bound, or any
-    while a deadline is armed, has :func:`_books` run the budget's own
-    checks.  ``traced`` also records the ``carry`` series per round;
-    the ``separable.loop`` span stays with the caller, which may enter
-    several functions under one span.
-
-    With ``flow`` the text is the *semi-naive* flavour, the rounds of a
-    stratum (``datalog/seminaive.py``): ``pseudo`` names one delta per
-    member, term ``i`` reads ``carry[a]`` and derives member ``h`` for
-    ``flow[i] = (a, h)``, and installs its output at once -- ``fresh =
-    new<h>(produced)``, ``add<h>(fresh)``, the caller's pair per member
-    (a relation's ``add_all`` patches the indexes later terms probe) --
-    into ``h``'s next delta.  Valid while every delta's and member's
-    size is inside ``lo`` / ``hi`` (:func:`_narrow`), checked once a
-    round, as the budget is, at the round's start; ``stats`` may be
-    None.
-
-    With ``seeds`` it is the *maintenance* flavour (an incremental
-    view's write path): the last ``seeds`` slots of ``pseudo`` are sets
-    the caller passes for round zero only, empty from round one on; an
-    empty slot runs no term, so it passes the size check whatever its
-    interval.
+    Bound before the loop: the plans, valid while the slots and the
+    members planned on stay inside ``lo`` / ``hi`` (else the function
+    returns and the caller re-plans), and each fixed relation's probe
+    ``q<j>``.  A slot is scanned, tested with ``in`` or indexed once a
+    round, as the plan reads it.  The books are locals, compared with
+    limits read once (:func:`_open`); they reach ``stats``
+    (:func:`_books`) and the tracer (:func:`_tally`) in a ``finally``,
+    as the reference loop (``core/evaluator.py::_carry_loop``) leaves
+    them.  The deadline is checked on entry, the budget at the end of a
+    round that may trip it (every round while a deadline is armed).
     """
-    pad = " " * 16
-    stratum = flow is not None
-    slots = range(len(pseudo)) if stratum else ()
-    members = slots[:len(slots) - seeds]
+    pad, slots, members = " " * 16, range(len(pseudo)), range(len(read))
+
+    def at(name: str, k: int) -> str:  # Figure 2's names for one slot
+        return name if len(slots) == 1 else f"{name}{k}"
+
     shapes: list[tuple] = []  # the text of each run of like terms
     groups: list[list] = []   # the terms of each run
-    indexed = False           # does some term probe carry?
+    indexed = False           # does some term probe a slot?
     for i, (plan, output, alive) in enumerate(zip(plans, outputs, live)):
         if not alive:
             continue
         consts: list = []
         probes: list[tuple] = []
         inputs: list = []
-        a, h = flow[i] if stratum else ("", "")
-        carry, delta = (f"carry{a}", pseudo[a]) if stratum else ("carry", pseudo)
+        a, h = flow[i]
+        carry, delta = at("carry", a), pseudo[a]
 
         def const(value) -> str:
             consts.append(value)
@@ -791,16 +738,14 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             if not positions:
                 return (["S += 1"] if traced else ()), carry, False
             indexed = True
-            index = const((a, positions) if stratum else positions)
+            index = const((a, positions))
             cols = _tuple_text(f"f[{const(p)}]" for p in positions)
             build = [f"x = indexes.get({index})", "if x is None:",
                      f"    x = indexes[{index}] = {{}}",
                      f"    for f in {carry}:",
                      f"        x.setdefault({cols}, []).append(f)"]
-            if traced:
-                build += ["    I += 1",
-                          f"    N += len({carry})" if stratum else "    N += n"]
-            return build, f"x.get({key()})", True
+            return build + ["    I += 1", f"    N += len({carry})"] * traced, \
+                f"x.get({key()})", True
 
         def contains(d, pred, positions, key):
             if pred == delta:
@@ -809,7 +754,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             return f"{key()} in q{len(probes) - 1}"
 
         lines, zero, *sums = plan._nest(output, pad, const, inputs, fetch,
-                                        contains, "produced", delta)
+                                        contains, at("produced", h), delta)
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
         shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts),
@@ -824,170 +769,159 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             in enumerate(shapes):
         names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
         terms = f"J{g} if carry{a} else ()" if len(slots) > 1 else f"J{g}"
+        produced, seen = at("produced", h), at("seen", h)
         body.append(f"            for {', '.join(names + ['i'])} in {terms}:")
-        if stratum:
-            body.append(f"{pad}produced = set()")
-        elif traced:
-            body.append(f"{pad}before = len(produced)")
-        body.append(f"{pad}{' = '.join(zero)} = 0")
-        body += lines
-        body += [f"{pad}X += {examined}", f"{pad}P += {made}"]
-        if traced:
-            out = made if stratum else "out"
-            body += [f"{pad}L += {lookups}", f"{pad}B += {bindings}"]
-            body += [] if stratum else [
-                f"{pad}out = len(produced) - before"]
-            body += [f"{pad}if {out}:", f"{pad}    O[i] = O.get(i, 0) + {out}"]
-        if stratum:
-            body += [f"{pad}fresh = new{h}(produced)", f"{pad}if fresh:",
-                     f"{pad}    add{h}(fresh)",
-                     f"{pad}    size{h} += len(fresh)",
-                     f"{pad}    next{h} |= fresh"]
+        before = [f"{produced} = set()"] * read[h] + [
+            f"before = len({produced})"] * traced + [" = ".join(zero) + " = 0"]
+        after = [f"X += {examined}", f"P += {made}"]
+        if traced:  # credit the term with what it made and what it added
+            after += [f"L += {lookups}", f"B += {bindings}", f"if {made}:",
+                      f"    M[i] = M.get(i, 0) + {made}",
+                      f"out = len({produced}) - before", "if out:",
+                      "    O[i] = O.get(i, 0) + out"]
+        after += [f"fresh = {produced} - {seen}", f"{seen} |= fresh",
+                  f"{at('next', h)} |= fresh"] * read[h]
+        body += [pad + line for line in before] + [*lines] \
+            + [pad + line for line in after]
 
-    if stratum:
-        head = ["def loop(J, lo, hi, carry, seen, sizes, names, apps, outs, "
-                "stats, budget, tracer):"]
-        head += [f"    {_tuple_text(text.format(m=m) for m in over)} = {of}"
-                 for text, of, over in (("carry{m}", "carry", slots),
-                                        ("(new{m}, add{m})", "seen", members),
-                                        ("size{m}", "sizes", members))]
-        caps = _tuple_text(f"cap{m}" for m in members)
-        sizes = _tuple_text(f"size{m}" for m in members)
-        within = [f"lo[{v}] <= {size} < hi[{v}]" for v, size in enumerate(
-            [f"len(carry{m})" for m in slots] + [f"size{m}" for m in members])]
-        if seeds:
-            within[:len(slots)] = [f"({test} or not carry{m})"
-                                   for m, test in zip(slots, within)]
-        over = " or ".join(f"size{m} > cap{m}" for m in members)
-        top = [f"if not ({' and '.join(within)}):", "    break",
-                  f"if R > rounds or {over}:",
-                  f"    {caps} = _books(books, (R, X, P), {sizes})",
-                  f"at = {sizes}", "R += 1"]
-        top += [f"next{m} = set()" for m in members]
-        while_, final = " or ".join(f"carry{m}" for m in slots), "at"
-    else:
-        head = ["def loop(J, D, lo, hi, carry, seen, names, stats, budget, "
-                "tracer):"]
-        caps, sizes = "(_, cap)", "(0, len(seen))"
-        top = ["n = len(carry)", "if n > C:", "    C = n",
-                  "if not lo <= n < hi:", "    break", "R += 1",
-                  "produced = set()"]
-        while_, final = "carry", "(C, len(seen))"
-    if shapes:
-        targets = _tuple_text(f"J{g}" for g in range(len(shapes)))
-        head.append(f"    {targets} = J")
-    books = ["R", "X", "P"] + ([] if stratum else ["C"])
-    if traced:  # F: rounds whose terms all ran; i: the term running
-        books += ["L", "B", "S", "I", "N"] + ([] if stratum else ["F", "i"])
-    head += [f"    books, rounds, {caps} = _open(stats, budget, names, "
-             + ("sizes, True)" if stratum else f"{sizes})"),
-             f"    {' = '.join(books)} = 0"] + ["    O = {}"] * traced \
-        + ["    at = ()"] * stratum + ["    try:", f"        while {while_}:"]
-    head += [" " * 12 + line
-             for line in top + ["indexes = {}"] * indexed]
-    if stratum:
-        tail = [f"carry{m} = next{m}" for m in members]
-        if seeds:
-            tail.append(" = ".join(f"carry{m}" for m in slots[len(members):])
-                        + " = ()")
-        tail += [f"tracer.record('delta:' + names[{m}], len(carry{m}))"
-                 for m in members] * traced
-        back = _tuple_text(f"carry{m}" for m in slots) + ", " + sizes
-        apps = "[(a, R) for a in apps]"
-        outs = "[(outs[j], O[j]) for j in O]"
-    else:
-        tail = ["F += 1"] * traced + ["carry = produced - seen",
-                                     "seen |= carry"]
-        tail += ["tracer.record('carry', len(carry))"] * traced
-        tail += ["if R > rounds or len(seen) > cap:",
-                 "    _, cap = _books(books, (R, X, P), "
-                 "(max(C, len(carry)), len(seen)))"]
-        back = "carry"
-        apps = ("[(f'rule_apps:{names[1]}#{j}', F + (R > F and j < i)) "
-                "for j in range(len(D) + sum(map(len, J)))]")
-        outs = "[(f'rule_out:{names[1]}#{j}', O[j]) for j in O]"
-    tail = [" " * 12 + line for line in tail]
-    tail += [f"        return {back}", "    finally:",
-             f"        _books(books, (R, X, P), {final}, False)"]
-    if traced:
-        tail.append(f"        _tally(tracer, (R, L, X, B, S, I, N), {apps}, "
-                    f"{outs})")
-    return "\n".join(head + body + tail + [""]), tuple(map(tuple, groups))
+    # The sizes checked each round: the slots' and the members' planned on.
+    checked = [(a, at("lo", a), at("hi", a), at("n", a) if a in members
+                else f"len(carry{a})") for a in slots]
+    checked += [(v, f"lo{v}", f"hi{v}", f"len({at('seen', m)})") for m, v in
+                zip(members, range(len(slots), len(slots) + len(members)))
+                if read[m]]
+    within = [f"{lo} <= {size} < {hi}" for _, lo, hi, size in checked]
+    if len(slots) > len(members):  # an empty slot was planned as a row
+        within[:len(slots)] = [f"({test} or not carry{a})"
+                               for a, test in zip(slots, within)]
+    test = " and ".join(within)
+    top = [f"if not ({test}):" if len(within) > 1 else f"if not {test}:",
+           "    break", "R += 1"]
+    first, tail, caps, over, most, last = [], ["F += 1"] * traced, [], [], \
+        [], []
+    for m in members:
+        carry, seen, n, c, made = (at(name, m) for name in (
+            "carry", "seen", "n", "C", "next" if read[m] else "produced"))
+        first += [f"{n} = len({carry})", f"if {n} > {c}:", f"    {c} = {n}"]
+        top.append(f"{made} = set()")
+        tail += [f"{carry} = {made}"] if read[m] else [
+            f"{carry} = {made} - {seen}", f"{seen} |= {carry}"]
+        caps.append(at("cap", m))
+        over.append(f"len({seen}) > {caps[-1]}")
+        most.append(f"(max({c}, len({carry})), len({seen}))")
+        last.append(f"({c}, len({seen}))")
+    if len(slots) > len(members):
+        tail.append(" = ".join(f"carry{a}" for a in slots[len(members):])
+                    + " = ()")
+    tail += [f"tracer.record({at('series', m)}, len({at('carry', m)}))"
+             for m in members] * traced
+    caps = _tuple_text(caps)
+    tail += [f"if R > rounds or {' or '.join(over)}:",
+             f"    {caps} = _books(books, (R, X, P), {_tuple_text(most)})"]
+    books = ["R", "X", "P", *[at("C", m) for m in members]] \
+        + ["L", "B", "S", "I", "N", "F", "i"] * traced  # F: rounds run whole
+    carries = _tuple_text(at("carry", a) for a in slots)
+    head = ["def loop(J, lo, hi, carry, seen, names, labels, stats, budget, "
+            "tracer):",
+            f"    books, rounds, {caps} = _open(stats, budget, names, seen)",
+            f"    {carries} = carry",
+            f"    {_tuple_text(at('seen', m) for m in members)} = seen",
+            "    %s = %s" % (
+                ", ".join(f"{lo}, {hi}" for _, lo, hi, _ in checked),
+                ", ".join(f"lo[{v}], hi[{v}]" for v, *_ in checked)),
+            f"    {_tuple_text(f'J{g}' for g in range(len(shapes)))} = J",
+            f"    {' = '.join(books)} = 0"]
+    head += ["    M, O = {}, {}", "    %s = labels[0]" % _tuple_text(
+        at("series", m) for m in members)] * traced
+    head += ["    try:",
+             f"        while {' or '.join(at('carry', a) for a in slots)}:"]
+    lines = [" " * 12 + line
+             for line in first + top + ["indexes = {}"] * indexed]
+    lines += body + [" " * 12 + line for line in tail]
+    lines += [f"        return {carries}", "    finally:",
+              f"        _books(books, (R, X, P), {_tuple_text(last)}, False)"]
+    lines += ["        _tally(tracer, (R, L, X, B, S, I, N), labels, "
+              "(F, i, M, O))"] * traced
+    return "\n".join(head + lines + [""]), tuple(map(tuple, groups))
 
 
-def _open(stats, budget, names, sizes, stratum=False) -> tuple:
-    """``(books, rounds, caps)`` of a generated loop at entry: what
-    :func:`_books` needs, the rounds it may run before the iteration
-    limit trips (-1 while a deadline is armed: every round then calls
-    :func:`_books`) and :func:`_caps`.  A carry loop (not ``stratum``)
-    checks the deadline here, where the reference checks it first."""
+def _open(stats, budget, names, seen) -> tuple:
+    """``(books, rounds, caps)`` of a generated loop at entry, after the
+    deadline's check: what :func:`_books` needs, the rounds it may run
+    before the iteration limit trips (-1 while a deadline is armed:
+    every round then calls :func:`_books`) and :func:`_caps`."""
     armed = budget.deadline is not None
-    if armed and not stratum:
+    if armed:
         budget.check_wall(stats)
-    if stats is None:  # a stratum that keeps no statistics
-        return ((None, budget, None, names, stratum), -1 if armed else _INF,
-                (_INF,) * len(sizes))
-    base = (stats.iterations, stats.tuples_examined, stats.tuples_produced)
-    return ((stats, budget, base, names, stratum),
-            -1 if armed else budget.max_iterations - stats.iterations,
-            _caps(stats, budget, names, sizes))
+    books = (stats, budget, names, stats and (
+        stats.iterations, stats.tuples_examined, stats.tuples_produced))
+    rounds = -1 if armed else _INF if stats is None \
+        else budget.max_iterations - stats.iterations
+    return books, rounds, _caps(books, [len(member) for member in seen])
 
 
-def _caps(stats, budget, names, sizes) -> tuple:
-    """Per size, the largest at which no relation or total limit can
-    trip: each of ``names`` gets an equal share of the total's room
-    over what it has on record.  (A carry loop watches ``seen`` only:
-    every later ``carry`` tuple is a ``seen`` tuple too.)"""
+def _caps(books, sizes) -> tuple:
+    """Per member size, the largest at which no relation or total limit
+    can trip: each member and its delta get an equal share of the
+    total's room over what the member has on record.  (A delta needs no
+    cap of its own: every later delta tuple is a member tuple too.)"""
+    stats, budget, names, _ = books
+    if stats is None:  # a loop that keeps no statistics
+        return (_INF,) * len(sizes)
     room = (budget.max_total_tuples - stats.total_relation_size) \
-        // len(names)
+        // (2 * len(names))
     recorded = stats.relation_sizes.get
     return tuple([min(budget.max_relation_tuples,
                       min(size, recorded(name, 0)) + room)
-                  for name, size in zip(names, sizes)])
+                  for (_, name), size in zip(names, sizes)])
 
 
 def _books(books, counts, sizes, check=True):
     """Write a loop's books back: ``stats`` gets ``base + counts``
-    (iterations, examined, produced) and a record of each of ``names``
-    at its size -- idempotent, so a ``finally`` (not ``check``) may
-    repeat what a check wrote.  With ``check``, run the budget's checks
-    as the reference loop does there and return new caps: at a stratum
-    round's start the deadline first and each member after its record,
-    at a carry round's end ``seen`` after both records."""
-    stats, budget, base, names, stratum = books
+    (iterations, examined, produced) and, per member of ``names`` --
+    ``(delta name or None, member name)`` -- a record of each name at
+    ``sizes`` ``(the delta's maximum, the member's size)``: idempotent,
+    so a ``finally`` (not ``check``) may repeat what a check wrote.
+    With ``check``, run the budget's checks as the reference loop does
+    at a round's end -- each member after its records, then the total,
+    the iterations and the deadline -- and return new caps."""
+    stats, budget, names, base = books
     if stats is not None:
         stats.iterations, stats.tuples_examined, stats.tuples_produced = [
             b + c for b, c in zip(base, counts)]
-    if check and stratum:
-        budget.check_wall(stats)
-    if stats is None:
-        return (_INF,) * len(sizes)
-    for name, size in zip(names, sizes):
-        stats.record_relation(name, size)
-        if check and stratum:
-            budget.check_relation(name, size, stats)
-    if not check:
-        return None
-    if not stratum:
-        budget.check_relation(names[-1], sizes[-1], stats)
-    budget.check_stats(stats)
-    return _caps(stats, budget, names, sizes)
+        for (delta, name), (most, size) in zip(names, sizes):
+            if delta is not None:
+                stats.record_relation(delta, most)
+            stats.record_relation(name, size)
+            if check:
+                budget.check_relation(name, size, stats)
+    if check:
+        (budget.check_wall if stats is None else budget.check_stats)(stats)
+        return _caps(books, [size for _, size in sizes])
 
 
-def _tally(tracer, counts, apps, outs) -> None:
-    """Count what a traced loop kept in locals, once a call: ``counts``
-    is ``(iterations, atom_lookups, tuples_examined, bindings_out,
-    full_scans, index_builds, index_tuples)``, ``apps`` and ``outs``
-    ``(counter, n)`` pairs.  No counter is bumped by 0, except
-    ``tuples_examined`` beside lookups (an index is never built over an
-    empty ``carry``).  A kernel run counts through it too."""
+def _tally(tracer, counts, labels=(), credits=()) -> None:
+    """Count what a traced loop or kernel kept in locals, once a call:
+    ``counts`` is ``(iterations, atom_lookups, tuples_examined,
+    bindings_out, full_scans, index_builds, index_tuples)``; a loop's
+    ``credits`` ``(rounds whose terms all ran, the term running, per
+    term the tuples it made, ... it added to its round's produced set)``
+    go to its ``labels`` (:meth:`PlanCache.loop_for`).  No counter is
+    bumped by 0, except ``tuples_examined`` beside lookups."""
     rounds, lookups, examined, bindings, scans, builds, rows = counts
+    pairs = []
+    if labels:
+        _, apps, *outs = labels
+        full, running, *credit = credits
+        pairs = [(a, full + (rounds > full and j < running)) for a, j in apps]
+        for names, made in zip(outs, credit):
+            pairs += [(names[j], n) for j, n in made.items() if names]
     if lookups:
         tracer.count("atom_lookups", lookups)
         tracer.count("tuples_examined", examined)
     for name, n in (("iterations", rounds), ("bindings_out", bindings),
                     ("full_scans", scans), ("index_builds", builds),
-                    ("index_tuples", rows), *apps, *outs):
+                    ("index_tuples", rows), *pairs):
         if n:
             tracer.count(name, n)
 
@@ -1043,21 +977,18 @@ def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
 
 def _probe(rel, positions: tuple[int, ...], cols, tracer):
     """``key -> tuples`` (a collection, possibly empty, or None) of one
-    relation, bound once for a whole run of generated code -- a carry
-    loop, a stratum's rounds, a join kernel: the facts matching
-    ``key`` on ``positions``, or with ``cols`` those columns of them
-    (:meth:`Relation.lookup_projected`).
+    relation, bound once for a whole run of a generated loop or kernel:
+    the facts matching ``key`` on ``positions``, or with ``cols`` those
+    columns of them (:meth:`Relation.lookup_projected`).
 
     The bound ``dict.get`` of a :class:`Relation` index: the index is
     the relation's own, built here if need be, and stays current because
-    whoever writes the relation during the run (a stratum installing
-    what it derived) patches that very dict.  A traced run probes a
-    still-unbuilt index through the relation's method so that the
-    build is counted where the reference loop counts it; so does every
-    full scan, and every other ``RelationStorage`` (SQLite).
-
-    ``cols == ()`` is a probe with every column bound, tested with
-    ``in``: the answer is the relation's row set, no index at all.
+    whoever writes the relation during the run (a loop installing what
+    it derived) patches that very dict.  A traced run probes a
+    still-unbuilt index through the relation's method so that the build
+    is counted where the reference loop counts it; so does every full
+    scan, and every other ``RelationStorage`` (SQLite).  ``cols == ()``
+    is a membership test: the answer is the relation's row set.
     """
     if cols == ():
         return rel._tuples if type(rel) is Relation else rel
@@ -1082,41 +1013,54 @@ def _index_of(rel: Relation, positions: tuple, cols) -> tuple:
 
 
 def _fits(db: Database, fixed: tuple, held: tuple, lo: tuple, hi: tuple,
-          carry: tuple, sizes: tuple) -> bool:
-    """Whether a write-path function bound on ``db`` runs ``carry`` and
-    ``sizes`` with the plans it would be bound to now: every size is in
-    its interval -- the slots' (an empty slot runs no term), the
-    members', and those of the ``fixed`` relations the terms read, which
-    writes move too (an absent or empty one that gave a term no code is
-    bound to stay empty) -- and every index it probes is still its
-    relation's (``Relation._unshare`` drops them in place; a probe of a
-    dropped one would read stale buckets)."""
-    for rows, low, high in zip(carry, lo, hi):
-        if rows and not low <= len(rows) < high:
-            return False
-    at = len(carry) + len(sizes)
-    for size, low, high in zip(sizes, lo[len(carry):at], hi[len(carry):at]):
-        if not low <= size < high:
-            return False
-    for name, low, high in zip(fixed, lo[at:], hi[at:]):
-        rel = db.relation(name)
-        if not low <= (len(rel) if rel is not None else 0) < high:
-            return False
-    return all(indexes.get(signature) is index
-               for indexes, signature, index in held)
+          carry: tuple, seen: Sequence) -> bool:
+    """Whether a function :meth:`PlanCache.loop_for` bound on ``db``
+    runs ``carry`` and ``seen`` with the plans it would be bound to now:
+    every size is in its interval -- the slots' (an empty slot runs no
+    term), the members', and those of the ``fixed`` relations the terms
+    read, which a view's writes move too -- and every index it probes is
+    still its relation's (``Relation._unshare`` drops them in place; a
+    probe of a dropped one would read stale buckets)."""
+    sizes = [len(rows) or None for rows in carry] + [*map(len, seen)] + [
+        0 if rel is None else len(rel) for rel in map(db.relation, fixed)]
+    return all(size is None or low <= size < high
+               for size, low, high in zip(sizes, lo, hi)) \
+        and all(indexes.get(signature) is index
+                for indexes, signature, index in held)
 
 
-def relation_sink(rel) -> tuple:
-    """``(new, add)`` of a relation a fixpoint loop writes: ``new(rows)``
-    is the set of ``rows`` not in it, ``add`` installs facts.  A
-    :class:`Relation` answers with one set difference, and first gives
-    up index buckets it shares with a snapshot: its next write would
-    drop them (:meth:`Relation._unshare`) from under the loop's bound
-    probes.  Any other ``RelationStorage`` is asked fact by fact."""
-    if type(rel) is Relation:
-        rel._unshare()
-        return rel._tuples.__rsub__, rel.add_all
-    return (lambda rows: {f for f in rows if f not in rel}), rel.add_all
+class RelationSink:
+    """A relation as a member of a generated loop: ``rows - sink`` is
+    the set of ``rows`` not in it, ``sink |= rows`` installs them (and
+    hands them to ``also``), and ``len(sink)`` is ``size`` plus what it
+    installed, so the relation is never asked.  A :class:`Relation`
+    answers with one set difference, and first gives up index buckets
+    it shares with a snapshot: its next write would drop them
+    (:meth:`Relation._unshare`) from under the loop's bound probes.
+    Any other ``RelationStorage`` is asked fact by fact."""
+
+    __slots__ = ("name", "size", "_rel", "_also")
+
+    def __init__(self, rel, size: int, also=None) -> None:
+        if type(rel) is Relation:
+            rel._unshare()
+        self.name, self.size, self._rel, self._also = rel.name, size, rel, also
+
+    def __rsub__(self, rows: set) -> set:
+        if type(self._rel) is Relation:
+            return rows - self._rel._tuples
+        return {f for f in rows if f not in self._rel}
+
+    def __ior__(self, rows: set) -> "RelationSink":
+        if rows:
+            self._rel.add_all(rows)
+            self.size += len(rows)
+            if self._also is not None:
+                self._also(rows)
+        return self
+
+    def __len__(self) -> int:
+        return self.size
 
 
 class PlanCache:
@@ -1153,7 +1097,8 @@ class PlanCache:
         #: generated source text -> compiled function, shared by the
         #: plans (kernels) and carry loops of that shape
         self._shapes: dict = {}
-        #: (joins, pseudo, plans, live, traced) -> (function, groups, text)
+        #: (joins, pseudo, plans, live, read, traced) -> (function,
+        #: groups, text)
         self._loops: dict[tuple, tuple] = {}
         self._lock = threading.Lock()
 
@@ -1206,16 +1151,12 @@ class PlanCache:
             # distinct values per body over a run, and far cheaper to
             # key on than re-running the walk every call.
             if db is not None:
-                relation = db.relation
-                sizes = []
+                relation, sizes = db.relation, []
                 for a in body:
-                    rel = relation(a.predicate) if a.predicate != EQ \
-                        else None
+                    rel = relation(a.predicate) if a.predicate != EQ else None
                     sizes.append(len(rel) if rel is not None else 0)
-                rank = tuple(sorted(range(len(body)),
-                                    key=sizes.__getitem__))
-                zeros = tuple([s == 0 for s in sizes])
-                key = (body, bound_vars, rank, zeros)
+                rank = tuple(sorted(range(len(body)), key=sizes.__getitem__))
+                key = (body, bound_vars, rank, tuple([s == 0 for s in sizes]))
             else:
                 key = (body, bound_vars, "greedy")
         elif order == "left_to_right":
@@ -1233,14 +1174,9 @@ class PlanCache:
             self.misses += 1
         if tracer is not None:
             tracer.count("plan_cache_misses")
-        if order == "cost":
-            ordered = [body[i] for i in key[3]]
-        elif order == "greedy":
-            ordered = [body[i]
-                       for i in greedy_permutation(body, bound_vars, db)]
-        else:
-            ordered = _order_left_to_right(body, bound_vars)
-        plan = _compile_sequence(body, bound_vars, order, ordered,
+        perm = key[3] if order == "cost" \
+            else _permutation(body, bound_vars, order, db)
+        plan = _compile_sequence(body, bound_vars, order, perm,
                                  self._shapes)
         if tracer is not None:
             tracer.count("plan_compiles")
@@ -1260,91 +1196,62 @@ class PlanCache:
             self._plans[key] = plan
         return plan
 
-    def loop_for(self, joins: Sequence, pseudo, carry, order: str,
-                 db: Database, tracer=None, grows: bool = True,
-                 seeds: tuple = ()):
-        """One loop of Figure 2 over the join terms ``joins`` (objects
-        with a ``body`` and an ``output``), as a generated function.
+    def loop_for(self, joins: Sequence, pseudo: tuple, carry: tuple,
+                 seen: Sequence, order: str, db: Database, tracer=None):
+        """One loop of Figure 2 over the join terms ``joins`` (each with
+        a ``body``, an ``output`` and a ``flow``), generated by
+        :func:`loop_text` from the plans :meth:`plan_for` gives now --
+        asked once per join, not once per round -- and bound to the
+        fixed relations' probes and to the sizes ``[lo, hi)`` of each
+        slot and each member relation of ``db`` over which those plans
+        stay :meth:`plan_for`'s choice (:func:`_narrow`).  Round-zero
+        slots (an incremental view's write) make it a function kept
+        across writes: an empty slot is planned as one row, every
+        relation the terms read has an interval, and two moving sizes
+        are split halfway.
 
-        ``carry`` is the current (non-empty) value of the relation the
-        bodies call ``pseudo``; ``db`` holds the others.  Asks
-        :meth:`plan_for` once per join -- not once per round -- and
-        binds the :func:`loop_text` function of those plans to the fixed
-        relations' probes and to the ``carry`` sizes ``[lo, hi)`` the
-        plans are :meth:`plan_for`'s choice for (:func:`_narrow`):
-        ``carry``'s size rank among the fixed relations under
-        ``greedy``, its ``bit_length`` bucket -- what the order memo
-        keys on -- under ``cost``, any size under ``left_to_right``.
-        Returns ``run(carry, seen, (carry_name, seen_name), stats,
-        budget, tracer) -> carry``: it advances the loop in place (``seen``
-        grows) and returns the next ``carry`` -- empty when the loop is
-        done, otherwise of a size outside the interval, and the caller
-        asks again.  The flavour follows ``tracer is None``.
-
-        The semi-naive flavour: ``pseudo`` is the tuple of a stratum's
-        members, ``carry`` their current deltas, ``joins`` its delta
-        variants -- each with a ``flow`` ``(a, h)``: the body calls the
-        delta of ``pseudo[a]`` ``DELTA + pseudo[a]`` and derives
-        ``pseudo[h]``.  With ``grows`` the run installs what it derives
-        in the member relations of ``db``, whose sizes then move as the
-        deltas' do; without, nobody writes ``db``.  Returns ``run(carry,
-        seen, sizes, names, apps, outs, stats, budget, tracer) ->
-        (carry, sizes)``: see :func:`loop_text`.
-
-        The maintenance flavour: ``seeds`` names the round-zero slots
-        after the members' deltas in ``carry``.  It is bound to be kept
-        across writes: a slot empty now is planned as one row, every
-        other relation the terms read moves too, so it has an interval
-        of its own, and two moving sizes are split halfway
-        (:func:`_narrow`).  Returns ``(run, fits)``: whether ``run`` may
-        run from ``carry`` and ``sizes`` is ``fits(carry, sizes)``
-        (:func:`_fits`).
+        Returns ``(run, fits)``.  ``run(carry, seen, names, labels,
+        stats, budget, tracer) -> carry`` advances the loop in place and
+        returns the slots: empty when it is done, else out of their
+        interval, and the caller asks again.  ``stats`` records
+        ``names[m] = (delta name or None, member name)``; the traced
+        flavour counts under ``labels = (series per member, (rule_apps
+        label, first term) pairs, rule_out label per term credited with
+        what it made, the same with what it added to its round's
+        produced set)``.  ``fits(carry, seen)``: may ``run`` run them?
         """
-        flow = None
-        if isinstance(pseudo, str):
-            mounts, moving, bounds = {pseudo: carry}, {pseudo: 0}, [[1, _INF]]
-        else:
-            flow = [join.flow for join in joins]
-            members = pseudo
-            pseudo = tuple([DELTA + p for p in members]) + seeds
-            mounts = dict(zip(pseudo, carry))
-            if seeds:
-                width = {a.predicate: a.arity
-                         for join in joins for a in join.body}
-                mounts = {name: rows or {(None,) * width.get(name, 0)}
-                          for name, rows in mounts.items()}
-            moving = {name: a for a, name in enumerate(pseudo)}
-            if grows:
-                moving.update((p, len(pseudo) + h)
-                              for h, p in enumerate(members))
-            bounds = [[0, _INF] for _ in range(len(pseudo) + len(members))]
-            if seeds:  # kept across writes, which move every relation
-                fixed = tuple(sorted({a.predicate for join in joins
-                                      for a in join.body}
-                                     - moving.keys() - {EQ}))
-                moving.update((p, len(bounds) + f)
-                              for f, p in enumerate(fixed))
-                bounds += [[0, _INF] for _ in fixed]
-        unbound: frozenset = frozenset()
+        kept = len(pseudo) > len(seen)
+        preds = {a.predicate: a.arity for join in joins for a in join.body}
+        written = [member.name if type(member) is RelationSink else None
+                   for member in seen]
+        mounts = {name: rows or {(None,) * preds.get(name, 0)} if kept
+                  else rows for name, rows in zip(pseudo, carry)}
+        fixed = tuple(sorted({*preds} - {*pseudo, *written, EQ})) if kept \
+            else ()
+        sized = (*pseudo, *written, *fixed)  # the relation of each bound
+        moving = {name: v for v, name in enumerate(sized) if name is not None}
+        bounds = [[0, _INF] for _ in sized]
         if order == "cost":  # its planner reads statistics, not only sizes
             mounts = {name: Relation(name, len(next(iter(rows))), rows)
                       for name, rows in mounts.items() if rows}
         base, db = db, db.with_mounts(mounts)
         plans, rels, live = [], [], []
         for join in joins:
-            plan = self.plan_for(join.body, unbound, order, db, tracer)
+            plan = self.plan_for(join.body, frozenset(), order, db, tracer)
             found = [db.relation(pred) for pred in plan._preds]
             plans.append(plan)
             rels.append(found)
             live.append(not plan.always_empty and all(found))
-            _narrow(bounds, join.body, moving, db, order, bool(seeds))
-        key = (joins, pseudo, tuple(plans), tuple(live), tracer is not None)
+            _narrow(bounds, join.body, moving, db, order, kept)
+        read = tuple([name in preds for name in written])
+        key = (joins, pseudo, tuple(plans), tuple(live), read,
+               tracer is not None)
         with self._lock:
             entry = self._loops.get(key)
         if entry is None:
             source, groups = loop_text(
-                plans, [join.output for join in joins], pseudo, live,
-                tracer is not None, flow, len(seeds))
+                plans, [join.output for join in joins], pseudo,
+                [join.flow for join in joins], live, read, tracer is not None)
             entry = (_function(self._shapes, source, "separable-loop",
                                "loop"), groups, source)
             with self._lock:
@@ -1352,41 +1259,32 @@ class PlanCache:
                     del self._loops[next(iter(self._loops))]
                 self._loops[key] = entry
         fn, groups, _ = entry
-        terms = tuple([
-            tuple([(*[_probe(rels[i][d], positions, cols, tracer)
-                      for d, positions, cols in probes], *consts, i)
-                   for probes, consts, i in group])
-            for group in groups])
-        if seeds:
-            held = []  # (indexes, signature, the index a probe reads)
-            for group in groups:
-                for probes, _, i in group:
-                    for d, positions, cols in probes:
-                        rel = rels[i][d]
-                        if positions and cols != () and type(rel) is Relation:
-                            where = _index_of(rel, positions, cols)
-                            held.append((*where, where[0].get(where[1])))
-            lo, hi = zip(*bounds)
-            return (partial(fn, terms, lo, hi),
-                    partial(_fits, base, fixed, tuple(held), lo, hi))
-        if flow is not None:
-            return partial(fn, terms, *zip(*bounds))
-        return partial(
-            fn, terms,
-            tuple([i for i, alive in enumerate(live) if not alive]),
-            *bounds[0])
+        terms, held = [], []  # held: (indexes, signature, index probed)
+        for group in groups:
+            terms.append(tuple([
+                (*[_probe(rels[i][d], positions, cols, tracer)
+                   for d, positions, cols in probes], *consts, i)
+                for probes, consts, i in group]))
+            for probes, _, i in group if kept else ():
+                for d, positions, cols in probes:
+                    rel = rels[i][d]
+                    if positions and cols != () and type(rel) is Relation:
+                        where = _index_of(rel, positions, cols)
+                        held.append((*where, where[0].get(where[1])))
+        lo, hi = zip(*bounds)
+        return (partial(fn, tuple(terms), lo, hi),
+                partial(_fits, base, fixed, tuple(held), lo, hi))
 
     def loops_for(self, joins: Sequence) -> list[tuple]:
         """``(traced, source, terms, joins)`` of the generated loops that
-        ran over ``joins`` -- the join terms of a carry loop, or the
-        delta names (``DELTA + member``, in member order) of a stratum
-        -- for plan dumps: ``terms`` says per join term with code ``(g,
-        i, probed, constants)`` -- it is ``joins[i]``, read from
-        ``J<g>``, and ``probed`` names the ``(relation, index signature,
-        projected columns or None)`` behind each of its probes."""
+        ran over ``joins`` -- their join terms, or a stratum's delta
+        names -- for plan dumps: per join term with code, ``terms`` has
+        ``(g, i, probed, constants)``: ``joins[i]`` is read from
+        ``J<g>`` and probes ``(relation, index signature, projected
+        columns or None)`` per ``probed``."""
         with self._lock:
             return [
-                (key[4], source, [
+                (key[5], source, [
                     (g, i, tuple((key[2][i].atom_order()[d], positions, cols)
                                  for d, positions, cols in probes), consts)
                     for g, group in enumerate(groups)

@@ -13,12 +13,10 @@ derive a new fact in round ``i`` if at least one of its recursive body
 atoms matches a fact that was new in round ``i - 1``, so each rule is
 evaluated once per recursive body occurrence with that occurrence
 restricted to the previous delta.  Those delta variants are the join
-terms of one generated function per stratum
-(:meth:`~repro.datalog.plan_cache.PlanCache.loop_for`, the semi-naive
-flavour of the Separable carry loop: ``carry`` is the delta,
-``seen`` the relation itself), which this module only drives.  The
-same terms, behind a round zero of delta joins, are an incremental
-view's write path (:func:`seeded_terms`).
+terms of the Separable carry loop's generated function
+(:meth:`~repro.datalog.plan_cache.PlanCache.loop_for`; ``carry`` is a
+delta, ``seen`` a relation), which this module only drives.  Behind a
+round zero of delta joins they are a view's write (:func:`seeded_terms`).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from ..stats import EvaluationStats
 from .atoms import Atom
 from .database import Database
 from .joins import evaluate_body_into
-from .plan_cache import DELTA, EQ, PLAN_CACHE, relation_sink
+from .plan_cache import DELTA, EQ, PLAN_CACHE, RelationSink
 from .programs import Program
 from .rules import Rule
 
@@ -57,17 +55,23 @@ class DeltaJoin(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _stratum(rules: tuple[Rule, ...], scc: frozenset[str]) -> tuple:
-    """``(members, terms, apps, outs, read)`` of one SCC, built once per
-    ``(rules, scc)``: the members in name order; one :class:`DeltaJoin`
-    per rule and body atom inside the SCC (a rule with none contributes
-    nothing after round zero); the ``rule_apps:`` counter of every rule
-    with a term and the ``rule_out:`` counter of every term; the members
+    """``(members, terms, pseudo, names, labels, read)`` of one SCC,
+    built once per ``(rules, scc)``: the members in name order; one
+    :class:`DeltaJoin` per rule and body atom inside the SCC (a rule
+    with none contributes nothing after round zero); what the bodies
+    call the members' deltas (``DELTA + member``); what ``stats``
+    records per member (its size, not its delta's) and the traced
+    loop's labels (``PlanCache.loop_for``): a ``delta:`` series per
+    member, the ``rule_apps:`` counter of every rule with a term beside
+    its first term, the ``rule_out:`` counter of every term; the members
     some term reads in full beside a delta (a nonlinear or mutually
     recursive body)."""
     members = tuple(sorted(scc))
     terms, apps, outs, read = [], [], [], set()
     for ri, r in enumerate(rules):
         inside = [i for i, a in enumerate(r.body) if a.predicate in scc]
+        if inside:
+            apps.append((f"rule_apps:{r.head.predicate}#{ri}", len(terms)))
         for i in inside:
             a = r.body[i]
             terms.append(DeltaJoin(
@@ -76,11 +80,12 @@ def _stratum(rules: tuple[Rule, ...], scc: frozenset[str]) -> tuple:
                 (members.index(a.predicate),
                  members.index(r.head.predicate))))
             outs.append(f"rule_out:{r.head.predicate}#{ri}")
-        if inside:
-            apps.append(f"rule_apps:{r.head.predicate}#{ri}")
         if len(inside) > 1:
             read.update(r.body[i].predicate for i in inside)
-    return members, tuple(terms), tuple(apps), tuple(outs), frozenset(read)
+    labels = (tuple(["delta:" + p for p in members]), tuple(apps),
+              tuple(outs), ())
+    return (members, tuple(terms), tuple([DELTA + p for p in members]),
+            tuple([(None, p) for p in members]), labels, frozenset(read))
 
 
 #: What a rederive term calls the facts a delete removed from an SCC
@@ -90,10 +95,10 @@ REMOVED = "∇"
 
 def seeded_terms(rules: tuple[Rule, ...], scc: frozenset[str],
                  removed: bool) -> tuple:
-    """``(members, terms, inputs, seeds)`` of one SCC's write-path
-    function (``PlanCache.loop_for``'s maintenance flavour): the
-    stratum's delta terms, then round zero's, reading the slots
-    ``seeds``, one per predicate of ``inputs``.
+    """``(members, terms, inputs, pseudo)`` of one SCC's write-path
+    function (``PlanCache.loop_for`` with round-zero slots): the
+    stratum's delta terms, then round zero's, reading the slots after
+    the members' deltas in ``pseudo``, one per predicate of ``inputs``.
 
     Without ``removed`` the inputs are the predicates outside the SCC
     that its rules read, and round zero is their delta joins.  With
@@ -102,7 +107,7 @@ def seeded_terms(rules: tuple[Rule, ...], scc: frozenset[str],
     constants and repeated variables unify there) in front of its body,
     which derives the removed facts the database still derives.
     """
-    members, terms, *_ = _stratum(rules, scc)
+    members, terms, deltas, *_ = _stratum(rules, scc)
     terms = list(terms)
     if removed:
         inputs = members
@@ -121,7 +126,7 @@ def seeded_terms(rules: tuple[Rule, ...], scc: frozenset[str],
             members.index(r.head.predicate))))
     prefix = REMOVED if removed else DELTA
     return (members, tuple(terms), inputs,
-            tuple([prefix + p for p in inputs]))
+            deltas + tuple([prefix + p for p in inputs]))
 
 
 def seminaive_stratum(
@@ -146,18 +151,17 @@ def seminaive_stratum(
     size.
     """
     rules = tuple(rules)
-    scc = frozenset(scc)
-    members, terms, apps, outs, read = _stratum(rules, scc)
+    members, terms, pseudo, names, labels, read = _stratum(
+        rules, frozenset(scc))
     rels = [db.ensure(p, program.arity(p)) for p in members]
-    seen = [relation_sink(rel) for rel in rels]
+    seen = [RelationSink(rel, len(rel) if stats is not None or p in read
+                         else 0) for p, rel in zip(members, rels)]
     carry: list[set] = [set() for _ in members]
 
     def install(h: int, rows: set) -> None:
-        new, add = seen[h]
-        fresh = new(rows)
-        if fresh:
-            add(fresh)
-            carry[h] |= fresh
+        fresh = rows - seen[h]
+        seen[h] |= fresh
+        carry[h] |= fresh
 
     # Only a traced run pays for the span's attributes and the rule
     # labels (they key the profiler's rule_apps/rule_out rows).
@@ -183,21 +187,19 @@ def seminaive_stratum(
         if tracer is not None:
             for p, delta in zip(members, carry):
                 tracer.record(f"delta:{p}", len(delta))
-        # Then the delta rounds, one generated function while the plans
-        # hold, its ``seen`` pairs writing the member relations.
-        carry = tuple(carry)
-        sizes = tuple([len(rel) if stats is not None or p in read else 0
-                       for p, rel in zip(members, rels)])
-        while any(carry):
-            run = PLAN_CACHE.loop_for(terms, members, carry, order, db,
-                                      tracer)
-            carry, sizes = run(carry, seen, sizes, members, apps, outs,
-                               stats, budget, tracer)
-        if stats is not None:
-            for p, n in zip(members, sizes):
-                stats.record_relation(p, n)
-                budget.check_relation(p, n, stats)
+        if stats is not None:  # round 0's end: the loop checks the rest
+            budget.check_wall(stats)
+            for p, member in zip(members, seen):
+                stats.record_relation(p, len(member))
+                budget.check_relation(p, len(member), stats)
             budget.check_stats(stats)
+        # Then the delta rounds, one generated function while the plans
+        # hold, each a round of the carry loop's, checked at its end.
+        carry = tuple(carry)
+        while any(carry):
+            run, _ = PLAN_CACHE.loop_for(terms, pseudo, carry, seen, order,
+                                         db, tracer)
+            carry = run(carry, seen, names, labels, stats, budget, tracer)
         if span is not None:
             span.attrs["final"] = {p: db.size(p) for p in members}
 

@@ -6,8 +6,8 @@ the implemented strategies, and implements the paper's deployment story
 is computationally simple to detect separable recursions, we expect that
 this evaluation algorithm will be a useful component of a recursive
 query processor"* -- i.e. the ``auto`` strategy detects separability and
-compiles the specialized plan, falling back to Generalized Magic Sets
-(and, for unbounded queries, semi-naive materialization) otherwise.
+compiles the specialized plan for a query with a constant, falling back
+to Generalized Magic Sets for every other query, all-free ones included.
 
 Base IDB predicates (predicates the queried recursion depends on but
 that are not mutually recursive with it -- the paper's Section 2
@@ -400,11 +400,11 @@ class Engine:
 
         ``query`` may be an :class:`Atom` or source text such as
         ``"buys(tom, Y)?"``.  ``auto`` picks Separable when the queried
-        predicate is separable and the query has a constant, Magic Sets
-        otherwise, and semi-naive materialization for all-free queries
-        on non-separable predicates.  ``tracer`` overrides the engine's
-        default tracer for this one call; base-IDB materialization is
-        cached across queries and therefore never traced.
+        predicate is separable and the query has a constant, and Magic
+        Sets for every other query, all-free ones included.  ``tracer``
+        overrides the engine's default tracer for this one call;
+        base-IDB materialization is cached across queries and therefore
+        never traced.
 
         ``budget`` overrides the engine's budget for this one call (the
         query service threads per-request deadline budgets through

@@ -46,7 +46,7 @@ from typing import Mapping, Optional
 from ..budget import UNLIMITED
 from ..datalog.atoms import Atom
 from ..datalog.database import Database, Fact
-from ..datalog.plan_cache import PLAN_CACHE, relation_sink
+from ..datalog.plan_cache import PLAN_CACHE, RelationSink
 from ..datalog.programs import Program
 from ..datalog.seminaive import seeded_terms, seminaive_evaluate
 from ..datalog.terms import Constant
@@ -92,7 +92,7 @@ class MaintainedView:
     def rebuild(self, edb: Database) -> None:
         """Recompute the view from scratch (the overflow fallback)."""
         self.db = seminaive_evaluate(self.program, edb, order=self.order)
-        #: (SCC number, phase) -> (members, terms, inputs, seeds, bound):
+        #: (SCC number, phase) -> (members, terms, inputs, pseudo, bound):
         #: its join terms and its functions bound to ``self.db``, as
         #: ``(run, fits)`` pairs (:meth:`PlanCache.loop_for`).
         self._paths: dict[tuple[int, str], tuple] = {}
@@ -133,39 +133,31 @@ class MaintainedView:
             scc, rules = self._scc_rules[k]
             path = self._paths[k, phase] = (
                 *seeded_terms(rules, scc, phase == "rederive"), [])
-        members, terms, names, seeds, bound = path
+        members, terms, names, pseudo, bound = path
         carry = (*[()] * len(members), *[inputs.get(p, ()) for p in names])
         if not any(carry):
             return {}
         added: dict[str, set] = {}
         if over is not None:
-            seen = [(over[p].__rsub__, over[p].update) for p in members]
-            sizes = (0,) * len(members)
+            seen = [over[p] for p in members]
         else:
-            seen, sizes = [], []
-            for p in members:
-                rel = self.db.relation(p)
-                new, add = relation_sink(rel)
-                also = added.setdefault(p, set()).update
-                seen.append((new, lambda fresh, add=add, also=also:
-                             (add(fresh), also(fresh))))
-                sizes.append(len(rel))
-            sizes = tuple(sizes)
+            seen = [RelationSink(rel, len(rel),
+                                 added.setdefault(p, set()).update)
+                    for p, rel in zip(members, map(self.db.relation, members))]
         while any(carry):
-            # After relation_sink, which may drop indexes a probe holds.
+            # After RelationSink, which may drop indexes a probe holds.
             for run, fits in bound:
-                if fits(carry, sizes):
+                if fits(carry, seen):
                     break
             else:
-                run, fits = PLAN_CACHE.loop_for(
-                    terms, members, carry, self.order, self.db, None,
-                    over is None, seeds)
+                run, fits = PLAN_CACHE.loop_for(terms, pseudo, carry, seen,
+                                                self.order, self.db)
                 bound.insert(0, (run, fits))
                 del bound[_BOUND:]
             # Returns early, carry left over, when a size leaves its
             # interval.
-            carry, sizes = run(carry, seen, sizes, members, (), (), stats,
-                               UNLIMITED, None)
+            carry = run(carry, seen, [(None, p) for p in members], (), stats,
+                        UNLIMITED, None)
         return added
 
     # -- maintenance -------------------------------------------------------

@@ -307,7 +307,7 @@ class TestGeneratedLoop:
 
         def spy(self, joins, pseudo, carry, *args, **kwargs):
             if joins == plan.down_joins:
-                entered.append(len(carry))
+                entered.append(len(carry[0]))
             return loop_for(self, joins, pseudo, carry, *args, **kwargs)
 
         monkeypatch.setattr(PlanCache, "loop_for", spy)

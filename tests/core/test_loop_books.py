@@ -262,3 +262,46 @@ def test_a_round_makes_no_books_call(make):
             assert recorded == {"carry": rounds}
         else:  # round zero runs before the loop, and records too
             assert recorded == {"delta:tc": rounds}
+
+
+NONLINEAR = parse_program(
+    "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, W) & tc(W, Y)."
+).program
+
+
+def nonlinear_run(n):
+    """Nonlinear transitive closure of a chain of ``n``: ``tc`` is read
+    in full beside its delta, so each term installs what it derived
+    before the next runs."""
+    db = Database.from_facts({"e": [(i, i + 1) for i in range(n)]})
+    return (lambda stats, budget, tracer: seminaive_evaluate(
+        NONLINEAR, db, stats, budget, tracer=tracer))
+
+
+#: What ``nonlinear_run(30)`` raised when its terms installed one at a
+#: time in every flavour: limit, message, (iterations, examined,
+#: produced, relation_sizes).
+NONLINEAR_TRIPS = {
+    "relation_tuples": (
+        Budget(max_relation_tuples=100), "relation tc reached 165 tuples "
+        "(budget 100)", (2, 590, 387, {"tc": 165})),
+    "total_tuples": (
+        Budget(max_total_tuples=150), "total generated tuples reached 165 "
+        "(budget 150)", (2, 590, 387, {"tc": 165})),
+    "iterations": (
+        Budget(max_iterations=3), "iteration count reached 4 (budget 3)",
+        (4, 6751, 5892, {"tc": 465})),
+    "wall_clock": (
+        None, "wall clock exceeded the 0.500s budget (over by)",
+        (1, 89, 59, {})),
+}
+
+
+@pytest.mark.parametrize("limit", list(NONLINEAR_TRIPS))
+def test_a_nonlinear_stratum_trips_where_it_did(limit):
+    budget, message, books = NONLINEAR_TRIPS[limit]
+    runs = {mode: outcome(nonlinear_run(30), mode,
+                          budget or passed_deadline())
+            for mode in ("untraced", "traced")}
+    assert runs["untraced"][:3] == runs["traced"][:3] \
+        == (limit, message, books)

@@ -379,7 +379,8 @@ class TestProjectedInnermostLevel:
     def loop(self, body, output, facts, pseudo="carry"):
         db = Database.from_facts(facts)
         plan = compile_join_plan(body, db=db)
-        return loop_text([plan], [output], pseudo, [True], False)
+        return loop_text([plan], [output], (pseudo,), [(0, 0)], [True],
+                         [False], False)
 
     def test_kernel_unions_the_projected_bucket(self):
         text, consts, sink, made = self.kernel(
@@ -479,7 +480,8 @@ class TestProjectedInnermostLevel:
         })
         join, = plan.down_joins
         text, _ = loop_text([compile_join_plan(join.body, db=db)],
-                            [join.output], "__carry__", [True], False)
+                            [join.output], ("__carry__",), [(0, 0)], [True],
+                            [False], False)
         assert "produced.update([(r0, f[k" in text
 
 
