@@ -16,13 +16,15 @@ spent in reads and in writes, then
 ``serve-mixed`` (the default; incremental view, memory)
   the read p50 of a seed seen earlier in the pass against the p50 of a
   first-seen seed (every pass starts from a cleared memo, as the
-  ledger's passes do) and their ratio, and what the pass's writes cost,
-  per write and per phase, from the ``service.mutate.capture`` /
-  ``.apply`` spans of ``metrics_dict()["evaluator_phases"]`` and the
-  view's own ``view.overestimate`` / ``.rederive`` / ``.restart``
-  under ``.apply``, then the plan-cache lookups and the fixpoint rounds
-  a write makes; after the passes, the indexes the view's ``buys``
-  holds;
+  ledger's passes do) and their ratio, and the plan-cache lookups a
+  write makes; after the passes, from one more *untimed* pass on a
+  second service opened with ``trace_sample=1.0`` (the timed one, like
+  the ledger's, records nothing), what a write costs per phase -- the
+  ``service.mutate.capture`` / ``.apply`` spans of
+  ``metrics_dict()["evaluator_phases"]`` and the view's own
+  ``view.overestimate`` / ``.rederive`` / ``.restart`` under
+  ``.apply`` -- and the fixpoint rounds it runs; then the indexes the
+  view's ``buys`` holds;
 
 ``serve-sqlite`` (temporary-mode SQLite, no view)
   the read p50 of the first read after a write (it captures the new
@@ -291,22 +293,30 @@ def main(argv=None) -> int:
         for name, n in checks.items():
             failed[name] += n
 
+    def untimed_pass(config, counts=None):
+        """One more pass, after a warm-up, on a second service opened
+        with ``config``: its seconds and counts (``one_pass``)."""
+        workload.service = config
+        twin = open_target(workload)
+        opened.append(twin)
+        one_pass(twin, reference, ops, kinds)  # warm-up
+        before = phase_seconds(twin)
+        seconds, counted, checks = one_pass(twin, reference, ops, kinds,
+                                            counts)
+        tally(checks)
+        return seconds, counted, before, phase_seconds(twin)
+
     record_calls()
     try:
         one_pass(service, reference, ops, kinds)  # warm-up
-        per_write = (*PHASES, *VIEW_PHASES)
         print("pass  reads_ms read_us/read writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
-              + ("  ratio  " + "  ".join(f"{name}_ms/write"
-                                         for name in per_write)
-                 + "  plan_lookups/write  rounds/write"
-                 if "first" in kinds else "  memo_hits  misses  coalesced"))
+              + ("  ratio  plan_lookups/write" if "first" in kinds
+                 else "  memo_hits  misses  coalesced"))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
-            before = phase_seconds(service)
             seconds, counted, checks = one_pass(service, reference, ops,
                                                 kinds)
-            after = phase_seconds(service)
             tally(checks)
             read_s = sum(map(sum, map(seconds.get, kinds)))
             line = (f"{k + 1:4d}  {read_s * 1e3:8.2f} "
@@ -318,18 +328,23 @@ def main(argv=None) -> int:
                 n = max(len(seconds["write"]), 1)
                 ratio = p50_us(seconds["first"]) / p50_us(seconds["repeat"])
                 lookups = max(lookups, counted["write"]["plan_lookups"] / n)
-                spent = {name: (after[name] - before[name]) * 1e3 / n
-                         for name in per_write}
-                line += f"  {ratio:5.2f}  " + "  ".join(
-                    f"{spent[name]:{len(name) + 9}.4f}" for name in per_write)
-                line += (f"  {counted['write']['plan_lookups'] / n:18.1f}"
-                         f"  {(after['rounds'] - before['rounds']) / n:12.1f}")
+                line += (f"  {ratio:5.2f}"
+                         f"  {counted['write']['plan_lookups'] / n:18.1f}")
                 full_key.update(full_key_indexes(service._view))
             else:  # the pass began with a cleared memo
                 line += "  {hits:9d}  {misses:6d}  {coalesced:9d}".format(
                     **service.memo.stats())
             print(line)
         if "first" in kinds:
+            seconds, _, before, after = untimed_pass(
+                dict(own_config, trace_sample=1.0))
+            n = max(len(seconds["write"]), 1)
+            spent = {name: (after[name] - before[name]) * 1e3 / n
+                     for name in (*PHASES, *VIEW_PHASES)}
+            print("untimed pass at trace_sample=1.0, per write:  "
+                  + "  ".join(f"{name}_ms {ms:.4f}"
+                              for name, ms in spent.items())
+                  + f"  rounds {(after['rounds'] - before['rounds']) / n:.1f}")
             print("buys indexes: %s" % "  ".join(map(str, index_signatures(
                 service._view.db.relation("buys")))))
         if lookups > MAX_PLAN_LOOKUPS_PER_WRITE:
@@ -346,13 +361,7 @@ def main(argv=None) -> int:
         if args.workload == "serve-sqlite":
             counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
-            workload.service = own_config
-            traced = open_target(workload)
-            opened.append(traced)
-            one_pass(traced, reference, ops, kinds)  # warm-up
-            seconds, counted, checks = one_pass(traced, reference, ops,
-                                                kinds, counts)
-            tally(checks)
+            seconds, counted, _, _ = untimed_pass(own_config, counts)
             for kind in ("write", *kinds):
                 n = max(len(seconds[kind]), 1)
                 print(f"per {kind:<12} ({len(seconds[kind]):3d} a pass)  "

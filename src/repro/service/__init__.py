@@ -12,8 +12,11 @@ budgets with graceful degradation to partial union results.
 Entry points: :class:`QueryService` (the server),
 :class:`ServiceConfig` (tunables), :class:`ServiceResult` /
 :class:`PartialResult` (responses), :class:`FullSelectionMemo` (the
-cache), :class:`ServiceMetrics` / :class:`MetricsTracer` (aggregated
-observability, exportable as Prometheus text or JSON),
+cache), :class:`ServiceMetrics` (request aggregates, plus the evaluator
+counters and span widths of the requests a private
+:class:`~repro.observability.Tracer` recorded -- the sampled ones, or
+every one under a slow-query threshold; any other request runs
+untraced -- exportable as Prometheus text or JSON),
 :class:`ServiceHTTPD` (live ``/metrics`` + ``/healthz`` + ``/slowlog``
 exposition), and the ``repro-slowlog/1`` record helpers
 (:data:`SLOWLOG_SCHEMA`, :func:`build_slowlog_record`,
@@ -22,7 +25,7 @@ exposition), and the ``repro-slowlog/1`` record helpers
 
 from .httpd import ServiceHTTPD
 from .memo import FullSelectionMemo
-from .metrics import MetricsTracer, ServiceMetrics
+from .metrics import ServiceMetrics
 from .service import (
     PartialResult,
     QueryService,
@@ -43,7 +46,6 @@ __all__ = [
     "PartialResult",
     "FullSelectionMemo",
     "ServiceMetrics",
-    "MetricsTracer",
     "ServiceHTTPD",
     "SLOWLOG_SCHEMA",
     "SlowlogRing",

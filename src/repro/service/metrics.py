@@ -1,39 +1,28 @@
 """Service metrics: thread-safe counters, latency quantiles, exports.
 
-Two pieces:
-
-:class:`MetricsTracer`
-    A thread-safe tracer facade satisfying the evaluator tracer
-    protocol (``span`` / ``count`` / ``record``; see
-    :mod:`repro.observability.tracer`).  The service hands one shared
-    instance to every worker's evaluation, so the per-loop counters the
-    evaluators already emit -- ``iterations``, ``tuples_examined``,
-    ``plan_cache_hits``, per-loop ``separable.loop`` span opens --
-    aggregate across all requests with no per-request tracer objects.
-    Spans are counted (``span:<name>``), not materialized: a service
-    cannot keep an unbounded forest.  The stress test's "the carry loop
-    ran exactly once for K coalesced duplicates" assertion reads
-    ``span:separable.loop`` here.
-
-:class:`ServiceMetrics`
-    Request-level aggregates -- queue depth, per-status request counts,
-    retries, deadline trips, latency reservoir with p50/p99 -- plus the
-    exporters: :meth:`ServiceMetrics.to_metrics_text` renders the
-    Prometheus text format (the service's own lines, then the evaluator
-    counters through the renderer
-    :func:`repro.observability.export.to_metrics_text` uses, so one
-    scrape pipeline handles traces and the service alike), and
-    :meth:`ServiceMetrics.as_dict` the JSON shape the CLI batch driver
-    writes as its artifact.
+:class:`ServiceMetrics` keeps the request-level aggregates -- queue
+depth, per-status request counts, retries, deadline trips, a latency
+reservoir with p50/p99 -- and the evaluator aggregates of the
+*recorded* requests: :meth:`ServiceMetrics.absorb` folds each one's
+finished :class:`~repro.observability.Tracer` in (its counter totals,
+a ``span:<name>`` count per span and the spans' widths per name), so
+``evaluator_counters`` / ``evaluator_phases`` cover what the sampler
+or the slow-query threshold selected, every request at
+``trace_sample=1.0``.  An unrecorded request runs with
+``tracer=None`` and adds nothing.  The exporters:
+:meth:`ServiceMetrics.to_metrics_text` renders the Prometheus text
+format (the service's own lines, then the evaluator counters through
+the renderer :func:`repro.observability.export.to_metrics_text` uses,
+so one scrape pipeline handles traces and the service alike), and
+:meth:`ServiceMetrics.as_dict` the JSON shape the CLI batch driver
+writes as its artifact.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..observability.export import (
     MetricFamilies,
@@ -41,92 +30,7 @@ from ..observability.export import (
     escape_label_value,
 )
 
-__all__ = ["MetricsTracer", "ServiceMetrics"]
-
-
-class MetricsTracer:
-    """Aggregating, thread-safe stand-in for a recording tracer.
-
-    Every counter bump and span open lands in one flat dict under a
-    lock; series observations are dropped (unbounded per-iteration data
-    has no place in service-lifetime aggregates).
-
-    Spans are counted (``span:<name>``) *and* timed: the wall-clock
-    width of every span accumulates per name in :meth:`span_seconds`,
-    which is what lets :meth:`ServiceMetrics.as_dict` report where
-    evaluator time actually goes (loop vs. exit vs. sideways pass)
-    without materializing a single span object.
-
-    :meth:`absorb_tracer` folds a finished per-request
-    :class:`~repro.observability.Tracer` in (the service's
-    sampled-request path).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}
-        self._span_seconds: dict[str, float] = {}
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[None]:
-        self.count(f"span:{name}")
-        start = time.perf_counter()
-        try:
-            yield None
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._span_seconds[name] = (
-                    self._span_seconds.get(name, 0.0) + elapsed
-                )
-
-    def count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-
-    def record(self, name: str, value) -> None:
-        pass
-
-    def counter_total(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def counters(self) -> dict[str, int]:
-        """A snapshot of every aggregated counter."""
-        with self._lock:
-            return dict(self._counters)
-
-    def span_seconds(self) -> dict[str, float]:
-        """Accumulated wall-clock seconds per span name."""
-        with self._lock:
-            return dict(self._span_seconds)
-
-    def absorb_tracer(self, tracer) -> None:
-        """Fold a finished recording tracer's spans into the aggregates.
-
-        Every span bumps ``span:<name>`` and adds its wall-clock width
-        to the per-name duration sum, and the trace's counter totals
-        are added in -- exactly what would have landed here had the
-        evaluation run against this facade directly (minus the dropped
-        series).
-        """
-        totals = tracer.totals()
-        with self._lock:
-            for span in tracer.spans():
-                name = f"span:{span.name}"
-                totals[name] = totals.get(name, 0) + 1
-                if span.end_s is not None:
-                    self._span_seconds[span.name] = (
-                        self._span_seconds.get(span.name, 0.0)
-                        + (span.end_s - span.start_s)
-                    )
-            for name, value in totals.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._span_seconds.clear()
+__all__ = ["ServiceMetrics"]
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -176,7 +80,8 @@ class ServiceMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.tracer = MetricsTracer()
+        self._counters: dict[str, int] = {}
+        self._span_seconds: dict[str, float] = {}
         self._submitted = 0
         self._started = 0
         self._completed = 0
@@ -204,6 +109,23 @@ class ServiceMetrics:
         """Count one service event (a key of :data:`_EVENTS`)."""
         with self._lock:
             self._events[event] += 1
+
+    def absorb(self, tracer) -> None:
+        """Fold a recorded request's finished tracer into the evaluator
+        aggregates: its counter totals, one ``span:<name>`` per span,
+        and each span's wall-clock width under its name."""
+        totals = tracer.totals()
+        with self._lock:
+            for span in tracer.spans():
+                name = f"span:{span.name}"
+                totals[name] = totals.get(name, 0) + 1
+                if span.end_s is not None:
+                    self._span_seconds[span.name] = (
+                        self._span_seconds.get(span.name, 0.0)
+                        + (span.end_s - span.start_s)
+                    )
+            for name, value in totals.items():
+                self._counters[name] = self._counters.get(name, 0) + value
 
     # -- reading ------------------------------------------------------------
 
@@ -241,9 +163,9 @@ class ServiceMetrics:
                     "max": values[-1] if values else 0.0,
                 },
             }
-        counters = self.tracer.counters()
+            counters = dict(self._counters)
+            seconds = dict(self._span_seconds)
         out["evaluator_counters"] = counters
-        seconds = self.tracer.span_seconds()
         total = sum(seconds.values())
         out["evaluator_phases"] = {
             name: {
@@ -391,7 +313,7 @@ class ServiceMetrics:
 
         counter_lines(
             snap["evaluator_counters"], families,
-            "Evaluator counter {!r} summed over all requests.",
+            "Evaluator counter {!r} summed over the recorded requests.",
             "Evaluator counter {!r} by label.",
         )
         return "\n".join(lines) + "\n"

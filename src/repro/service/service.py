@@ -57,7 +57,7 @@ from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
 from ..maintenance import DeltaCapture, MaintainedView
 from ..observability.events import EVENT_SCHEMA, EventSink
-from ..observability.tracer import Tracer
+from ..observability.tracer import Tracer, span_of
 from ..stats import EvaluationStats
 from .memo import FullSelectionMemo
 from .metrics import ServiceMetrics
@@ -118,14 +118,18 @@ class ServiceConfig:
         evaluation.  Every other request is served as without it.
     trace_sample:
         Fraction of requests served under a full recording
-        :class:`~repro.observability.Tracer` (0.0 = none, 1.0 = all).
+        :class:`~repro.observability.Tracer` (0.0 = none, 1.0 = all;
+        anything outside [0, 1], NaN included, raises ``ValueError``).
         Sampling is deterministic over the request sequence number --
         rate 0.25 traces exactly every 4th request -- so tests and
         operators can predict which requests carry span trees.  Every
-        sampled request lands one ``repro-slowlog/1`` record.
+        sampled read lands one ``repro-slowlog/1`` record; a write to
+        the maintained view takes a sequence number too, and a sampled
+        one adds its spans to the evaluator aggregates (no record).
+        An unsampled request runs with ``tracer=None``.
     slow_query_threshold_s:
-        When set, *every* request runs under a recording tracer and any
-        request whose latency reaches the threshold lands a slowlog
+        When set, *every* read runs under a recording tracer and any
+        read whose latency reaches the threshold lands a slowlog
         record, sampled or not (the after-the-fact EXPLAIN ANALYZE for
         the queries that actually hurt).
     backend:
@@ -153,6 +157,11 @@ class ServiceConfig:
     trace_sample: float = 0.0
     slow_query_threshold_s: Optional[float] = None
     backend: object = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.trace_sample <= 1.0:  # NaN fails it too
+            raise ValueError(
+                f"trace_sample must be in [0, 1], got {self.trace_sample!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +284,6 @@ class QueryService:
             Database(),
             budget=self.config.budget,
             order=self.config.order,
-            tracer=self.metrics.tracer,
         )
         self._view: Optional[MaintainedView] = (
             MaintainedView(program, edb, order=self.config.order)
@@ -323,17 +331,21 @@ class QueryService:
         delta-capture overflow, when ``fn`` raised, or when the EDB was
         changed behind ``mutate``'s back).  Nothing else is touched:
         memo entries and the snapshot stay behind at the old
-        fingerprint, as in a service without a view.
+        fingerprint, as in a service without a view.  Such a write takes
+        the next request sequence number, and a sampled one (see
+        :attr:`ServiceConfig.trace_sample`) runs under a recording
+        tracer the metrics absorb; any other passes ``tracer=None``.
         """
         with self._snapshot_lock:
             if self._view is None:
                 return fn(self.edb)
+            tracer = Tracer() if self._sampled(self._next_seq()) else None
             old_fp = self.edb.fingerprint()
             capture = DeltaCapture(
                 self.edb, guard_predicates=self.program.idb_predicates
             )
             try:
-                with self.metrics.tracer.span("service.mutate.capture"):
+                with span_of(tracer, "service.mutate.capture"):
                     return fn(self.edb)
             except BaseException:
                 # A relation installs a fact before it tells its
@@ -343,10 +355,12 @@ class QueryService:
                 raise
             finally:
                 capture.detach()
-                self._absorb_mutation(old_fp, capture)
+                self._absorb_mutation(old_fp, capture, tracer)
+                if tracer is not None:
+                    self.metrics.absorb(tracer)
 
-    def _absorb_mutation(self, old_fp: tuple,
-                         capture: DeltaCapture) -> None:
+    def _absorb_mutation(self, old_fp: tuple, capture: DeltaCapture,
+                         tracer: Optional[Tracer]) -> None:
         """Bring the view to the EDB a captured mutation left behind."""
         new_fp = self.edb.fingerprint()
         if new_fp == old_fp:
@@ -361,8 +375,7 @@ class QueryService:
             return self._rebuild_view(new_fp)
         net = capture.net()
         try:
-            tracer = self.metrics.tracer
-            with tracer.span("service.mutate.apply"):
+            with span_of(tracer, "service.mutate.apply"):
                 self._view.apply(net, tracer)
         except Exception:
             # A delta the maintenance layer cannot express exactly
@@ -391,7 +404,7 @@ class QueryService:
             fingerprint = self.edb.fingerprint()
             if self._view_fp != fingerprint:
                 return None
-            with tracer.span("service.view_read"):
+            with span_of(tracer, "service.view_read"):
                 answers = self._view.select(query, tracer)
         self.metrics.bump("view_probes")
         return fingerprint, answers
@@ -482,11 +495,14 @@ class QueryService:
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         submitted = time.monotonic()
-        with self._seq_lock:
-            self._seq += 1
-            seq = self._seq
+        seq = self._next_seq()
         self.metrics.request_submitted()
         return query, strategy, deadline_s, submitted, seq
+
+    def _next_seq(self) -> int:
+        with self._seq_lock:
+            self._seq += 1
+            return self._seq
 
     def _attempt_budget(
         self,
@@ -510,10 +526,6 @@ class QueryService:
         pure function of the rate -- no RNG, reproducible in tests.
         """
         rate = self.config.trace_sample
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
         return math.floor(seq * rate) > math.floor((seq - 1) * rate)
 
     def _serve(
@@ -533,23 +545,18 @@ class QueryService:
         threshold = self.config.slow_query_threshold_s
         # A sampled request must record spans; a threshold means every
         # request might turn out slow, so every request records.  The
-        # per-request tracer is private to the thread serving the
-        # request (the shared MetricsTracer absorbs it afterwards),
-        # which is what lets the non-thread-safe Tracer serve here.
-        request_tracer = (
+        # tracer is private to the thread serving the request (the
+        # metrics absorb it afterwards), which is what lets the
+        # non-thread-safe Tracer serve here; any other request runs
+        # with ``tracer=None``.
+        tracer = (
             Tracer(context={"trace_id": trace_id, "query": str(query)})
             if sampled or threshold is not None
             else None
         )
         # The memo disposition a slowlog record reports is the stats
         # delta across the request; only a traced request can land one.
-        memo_before = (
-            self.memo.stats() if request_tracer is not None else None
-        )
-        tracer = (
-            request_tracer if request_tracer is not None
-            else self.metrics.tracer
-        )
+        memo_before = self.memo.stats() if tracer is not None else None
         # Where the materialisation exists, ``auto`` picks it.
         viewable = (strategy == "auto"
                     and query.predicate in self._view_predicates)
@@ -646,10 +653,8 @@ class QueryService:
                          error=f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            if request_tracer is not None:
-                self._absorb_trace(
-                    out, request_tracer, sampled, memo_before
-                )
+            if tracer is not None:
+                self._absorb_trace(out, tracer, sampled, memo_before)
             self._finish(out)
 
     def _absorb_trace(
@@ -661,16 +666,15 @@ class QueryService:
     ) -> None:
         """Fold a per-request trace into the aggregates; maybe slowlog it.
 
-        The shared :class:`MetricsTracer` absorbs every span (so the
-        service-lifetime counters are identical whether or not a
-        request was traced), then the request lands a ``repro-slowlog/1``
-        record when it was sampled or its latency reached the
-        threshold.  The memo disposition is the stats delta across the
-        request -- approximate under concurrency (deltas from
+        The metrics absorb every span and counter
+        (:meth:`ServiceMetrics.absorb`), then the request lands a
+        ``repro-slowlog/1`` record when it was sampled or its latency
+        reached the threshold.  The memo disposition is the stats delta
+        across the request -- approximate under concurrency (deltas from
         overlapping requests interleave), exact when requests are
         serial, and honest either way about what the cache did.
         """
-        self.metrics.tracer.absorb_tracer(tracer)
+        self.metrics.absorb(tracer)
         threshold = self.config.slow_query_threshold_s
         reason: list[str] = []
         if sampled:

@@ -371,7 +371,7 @@ class TestMemoSurvival:
         program = paper.example_1_1_program()
         service = QueryService(
             program, _chain_db(4),
-            ServiceConfig(workers=2, incremental=True),
+            ServiceConfig(workers=2, incremental=True, trace_sample=1.0),
         )
         try:
             assert service.query("buys(a1, Y)?").ok
@@ -386,7 +386,7 @@ class TestMemoSurvival:
             phases = service.metrics_dict()["evaluator_phases"]
         finally:
             service.close()
-        # What a write costs, phase by phase, off the shared tracer.
+        # What a write costs, phase by phase, off the recorded writes.
         assert {
             name: phase["count"] for name, phase in phases.items()
             if name.startswith("service.mutate.")
@@ -578,7 +578,7 @@ class TestIndexBackedRepair:
         n = 8
         service = QueryService(
             program, _chain_db(n),
-            ServiceConfig(workers=2, incremental=True),
+            ServiceConfig(workers=2, incremental=True, trace_sample=1.0),
         )
 
         def index_builds() -> int:

@@ -382,20 +382,22 @@ class TestDegradation:
 class TestObservability:
     def test_metrics_text_exposition(self, ex11):
         program, db = ex11
-        with QueryService(program, db) as service:
+        with QueryService(program, db,
+                          ServiceConfig(trace_sample=1.0)) as service:
             service.batch(["buys(tom, Y)?"] * 4)
             text = service.metrics_text()
         assert 'repro_service_requests_total{status="ok"} 4' in text
         assert "repro_service_latency_seconds_count 4" in text
         assert 'repro_service_memo_events_total{kind="hits"} 3' in text
         assert "repro_service_snapshots_total 1" in text
-        # Evaluator counters aggregate through the shared MetricsTracer
-        # under the same names the offline trace exporter uses.
+        # The recorded requests' evaluator counters aggregate under the
+        # same names the offline trace exporter uses.
         assert "repro_iterations_total" in text
 
     def test_metrics_dict_shape(self, ex11):
         program, db = ex11
-        with QueryService(program, db) as service:
+        with QueryService(program, db,
+                          ServiceConfig(trace_sample=1.0)) as service:
             service.query("buys(tom, Y)?")
             snap = service.metrics_dict()
         assert snap["requests_submitted"] == 1

@@ -139,12 +139,11 @@ class TestCoalescing:
         # Twin service: how many carry-loop iterations does ONE
         # evaluation of this full selection cost?
         twin = QueryService(program, _chain_db(14),
-                            ServiceConfig(workers=1))
+                            ServiceConfig(workers=1, trace_sample=1.0))
         try:
             twin.query("buys(a1, Y)?")
-            loops_for_one = twin.metrics.tracer.counter_total(
-                "span:separable.loop"
-            )
+            loops_for_one = twin.metrics_dict()["evaluator_counters"][
+                "span:separable.loop"]
         finally:
             twin.close()
         assert loops_for_one > 0
@@ -152,12 +151,11 @@ class TestCoalescing:
         # Now 16 identical requests race on 8 workers: the memo must
         # collapse them onto a single carry/seen run.
         service = QueryService(program, _chain_db(14),
-                               ServiceConfig(workers=8))
+                               ServiceConfig(workers=8, trace_sample=1.0))
         try:
             results = service.batch(["buys(a1, Y)?"] * 16)
-            loops = service.metrics.tracer.counter_total(
-                "span:separable.loop"
-            )
+            loops = service.metrics_dict()["evaluator_counters"][
+                "span:separable.loop"]
             memo = service.memo.stats()
         finally:
             service.close()

@@ -3,9 +3,11 @@
 import json
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
+from repro.core.evaluator import loop_source
 from repro.datalog.database import Database
 from repro.datalog.plan_cache import PLAN_CACHE
 from repro.observability import RingBufferSink
@@ -14,11 +16,14 @@ from repro.service import (
     SLOWLOG_SCHEMA,
     ServiceConfig,
     ServiceHTTPD,
+    ServiceMetrics,
     SlowlogRing,
     build_slowlog_record,
     validate_slowlog_record,
 )
 from repro.workloads import paper
+
+from ..core.test_evaluator import plan_of
 
 
 @pytest.fixture
@@ -153,18 +158,80 @@ class TestSlowlogRecords:
             e.get("type") == "service_request" for e in sink.events
         )
 
-    def test_lifetime_counters_identical_traced_or_not(self, ex11):
+
+class TestRecordedAggregates:
+    """The evaluator aggregates are the recorded requests' traces: none
+    at rate 0, where every loop runs untraced, and at rate 1.0 the sum
+    over a miss, a view read and a write."""
+
+    def test_rate_zero_records_nothing_and_runs_untraced_loops(self, ex11):
         program, db = ex11
+        PLAN_CACHE.clear()  # so every loop below is one these requests ran
+        with _service(program, db.copy()) as plain, \
+                _service(program, db.copy(), incremental=True) as viewed:
+            plain.query("buys(tom, Y)?")
+            viewed.query("buys(tom, Y)?")
+            viewed.mutate(lambda d: d.add_fact("friend", ("joe", "tom")))
+            viewed.mutate(lambda d: d.remove_fact("friend", ("tom", "sue")))
+            snaps = [plain.metrics_dict(), viewed.metrics_dict()]
+            paths = list(viewed._view._paths.values())
+        assert snaps[1]["view_probes"] == 1 and snaps[1]["view_repairs"] == 2
+        for snap in snaps:
+            assert snap["evaluator_counters"] == {}
+            assert snap["evaluator_phases"] == {}
+        plan, _ = plan_of(program, "buys", "buys(tom, Y)")
+        assert loop_source(plan, "down")
+        assert loop_source(plan, "down", traced=True) == []
+        assert loop_source(plan, "up", traced=True) == []
+        written = [traced for _, terms, *_ in paths
+                   for traced, *_ in PLAN_CACHE.loops_for(terms)]
+        assert written and not any(written)
 
-        def run(rate):
-            # Both runs start on a cold process-wide plan cache, so the
-            # plan counters are comparable whatever ran before.
-            PLAN_CACHE.clear()
-            with _service(program, db, trace_sample=rate) as service:
-                service.query("buys(tom, Y)?")
-            return service.metrics.tracer.counters()
+    def test_rate_one_sums_every_request(self, ex11, monkeypatch):
+        program, db = ex11
+        recorded = []
+        absorb = ServiceMetrics.absorb
 
-        assert run(0.0) == run(1.0)
+        def keep(self, tracer):
+            recorded.append(tracer)
+            absorb(self, tracer)
+
+        monkeypatch.setattr(ServiceMetrics, "absorb", keep)
+        with _service(program, db, incremental=True,
+                      trace_sample=1.0) as service:
+            service.query("buys(tom, Y)?", strategy="separable")  # a miss
+            assert service.query("buys(tom, Y)?").strategy == "view"
+            service.mutate(lambda d: d.add_fact("friend", ("joe", "tom")))
+            snap = service.metrics_dict()
+        assert len(recorded) == 3
+        counters, seconds = Counter(), Counter()
+        for tracer in recorded:
+            counters.update(tracer.totals())
+            for span in tracer.spans():
+                counters[f"span:{span.name}"] += 1
+                seconds[span.name] += span.duration_s
+        assert {"span:separable.loop", "span:service.view_read",
+                "span:service.mutate.apply", "span:view.restart",
+                "rounds"} <= counters.keys()
+        assert snap["evaluator_counters"] == dict(counters)
+        phases = snap["evaluator_phases"]
+        assert {name: p["count"] for name, p in phases.items()} == {
+            name: counters[f"span:{name}"] for name in seconds}
+        for name, phase in phases.items():
+            assert phase["seconds"] == pytest.approx(seconds[name])
+
+
+class TestConfig:
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_a_trace_sample_outside_the_unit_interval_raises(self, rate):
+        with pytest.raises(ValueError, match="trace_sample"):
+            ServiceConfig(trace_sample=rate)
+
+    def test_a_served_request_leaves_nothing_in_flight(self, ex11):
+        program, db = ex11
+        with _service(program, db, trace_sample=0.3) as service:
+            assert service.query("buys(tom, Y)?").ok
+            assert service.metrics.in_flight == 0
 
 
 class TestSlowlogValidation:
@@ -324,7 +391,7 @@ class TestMetricsDict:
         # The stats are process-global and cumulative; reset so the
         # order-mix assertion below sees only this service's requests.
         PLAN_CACHE.clear()
-        with _service(program, db) as service:
+        with _service(program, db, trace_sample=1.0) as service:
             service.query("buys(tom, Y)?")
             snap = service.metrics_dict()
         phases = snap["evaluator_phases"]

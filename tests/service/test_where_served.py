@@ -273,10 +273,11 @@ class TestCoalescing:
         first evaluates (held in ``execute_plan`` until the others wait
         on it), the other three coalesce onto its run, and all four
         return the memo entry's answer set itself."""
-        with _service(incremental=False, workers=1) as twin:
+        with _service(incremental=False, workers=1,
+                      trace_sample=1.0) as twin:
             twin.query("buys(a1, Y)?")
-            loops_for_one = twin.metrics.tracer.counter_total(
-                "span:separable.loop")
+            loops_for_one = twin.metrics_dict()["evaluator_counters"][
+                "span:separable.loop"]
         assert loops_for_one > 0
 
         execute, release = api_module.execute_plan, threading.Event()
@@ -289,7 +290,8 @@ class TestCoalescing:
         k = 4
         results: list = [None] * k
         start = threading.Barrier(k)
-        with _service(incremental=False, workers=1) as service:
+        with _service(incremental=False, workers=1,
+                      trace_sample=1.0) as service:
             def client(i: int) -> None:
                 start.wait(timeout=30)
                 results[i] = service.query("buys(a1, Y)?")
@@ -306,8 +308,8 @@ class TestCoalescing:
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            loops = service.metrics.tracer.counter_total(
-                "span:separable.loop")
+            loops = service.metrics_dict()["evaluator_counters"][
+                "span:separable.loop"]
             memo = service.memo.stats()
             (entry, _branch), = service.memo._entries.values()
         assert (memo["misses"], memo["coalesced"], memo["hits"]) == (
