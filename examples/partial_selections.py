@@ -6,8 +6,8 @@ full selection.  Lemma 2.1 rewrites the recursion into ``t_full`` and
 ``t_part`` so that sideways information passing turns the query into a
 union of full selections.  This example prints the explicit rewrite,
 the compiled plans for both halves -- the ``t_full`` union runs as one
-fixpoint over seed-tagged tuples -- and verifies the answers against
-semi-naive materialization.
+fixpoint that keeps a carry and a seen per seed -- and verifies the
+answers against semi-naive materialization.
 
 Run:  python examples/partial_selections.py
 """
@@ -64,10 +64,10 @@ def main() -> None:
     print(rewritten)
 
     # The two compiled plans the evaluation actually uses.  The seeds
-    # the sideways pass finds run together: seed i enters as (i, *seed)
-    # and the answers split by that leading tag afterwards.
+    # the sideways pass finds run together through the one-seed plan,
+    # each with its own carry and seen, in lockstep rounds.
     print("\n=== plan for the t_full half (every seed, one fixpoint) ===")
-    print(compile_plan(analysis, selected_class=cls, tagged=True).describe())
+    print(compile_plan(analysis, selected_class=cls).describe())
 
     from repro.core.rewrite import program_without_class
 

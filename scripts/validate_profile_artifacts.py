@@ -13,8 +13,9 @@ every artifact the observability pipeline promises:
    Example 1.2 with the innermost level of both loops in the projected
    form, ``produced.update(c1)``, not a per-fact comprehension;
 4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
-   seed-tagged fixpoint: the report prints the tagged plan and the
-   number of ``separable.loop`` spans does not grow with the seeds;
+   grouped fixpoint, a carry and a seen per seed: the report prints the
+   one-seed plan, its loops' per-seed text, and the number of
+   ``separable.loop`` spans does not grow with the seeds;
 5. ``--strategy magic`` and ``--strategy seminaive`` print, under
    ``-- plan --``, the generated semi-naive loop of every stratum they
    evaluated, and no text that plans per round (``plan_for``).
@@ -174,19 +175,21 @@ def check_stratum_loops(base: list) -> None:
 
 
 def check_batched_union() -> None:
-    """Example 2.4's ``t(c, Y, Z)?``: the report shows the seed-tagged
-    plan, and the loop spans do not depend on the number of seeds --
+    """Example 2.4's ``t(c, Y, Z)?``: the report shows the one-seed
+    plan run as one grouped fixpoint -- its loops run their terms once
+    per seed -- and the loop spans do not depend on the number of seeds:
     ``t_part`` is an exit and an up loop, the whole ``t_full`` union a
     down loop, an exit and an up loop."""
     report = run_cli("profile", str(PARTIAL_PROGRAM), "--no-timings")
     plan_section = report.split("-- plan --", 1)[1].split("\n-- ", 1)[0]
-    assert "seed tag" in plan_section, (
-        "the plan section does not show the tagged plan:\n" + plan_section
-    )
+    assert "one grouped fixpoint" in plan_section and \
+        "for seed, carry in batch.items():" in plan_section, (
+            "the plan section does not show the grouped batch:\n"
+            + plan_section)
     loops = sum(line.startswith("separable.loop ")
                 for line in report.splitlines())
     assert 1 <= loops <= 4, f"{loops} separable.loop spans, expected <= 4"
-    print(f"batched union ok: tagged plan shown, {loops} loop spans")
+    print(f"batched union ok: grouped batch shown, {loops} loop spans")
 
 
 def http_smoke() -> int:

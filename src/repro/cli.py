@@ -582,10 +582,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         from .core.rewrite import choose_rewrite_class, program_without_class
 
         cls = choose_rewrite_class(analysis, set(selection.bound))
-        print(f"\n-- t_full (one seed-tagged fixpoint over every seed the "
-              f"sideways pass through class e_{cls.index} finds):")
-        print(compile_plan(analysis, selected_class=cls,
-                           tagged=True).describe())
+        print(f"\n-- t_full (every seed the sideways pass through class "
+              f"e_{cls.index} finds):")
+        print(compile_plan(analysis, selected_class=cls).describe(True))
         part = program_without_class(analysis, cls)
         part_analysis = require_separable(part, query.predicate)
         part_selection = classify_selection(part_analysis, query)

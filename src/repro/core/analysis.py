@@ -154,7 +154,7 @@ class RecursionAnalysis:
     @cached_property
     def compiled_plans(self) -> dict[tuple, object]:
         """The :class:`~repro.core.plan.SeparablePlan` per ``(selected
-        class, pers positions, tagged)``: a plan is a pure function of
+        class, pers positions)``: a plan is a pure function of
         the analysis and those, so :func:`repro.core.compiler.compile_plan`
         builds each once and every later request reuses the object."""
         return {}

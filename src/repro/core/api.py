@@ -9,8 +9,8 @@ separable recursion:
   ``t_part`` recursion (the class dropped, constants persistent) plus,
   for each rule of the rewritten class, a sideways pass through its
   nonrecursive atoms producing fully bound seeds for the original
-  recursion, all of them evaluated as one fixpoint over seed-tagged
-  tuples (:func:`_run_batch`);
+  recursion, all of them evaluated as one fixpoint that keeps a carry
+  and a seen per seed (:func:`_run_batch`);
 * queries with *no* constants are outside the paper's scope ("queries in
   which at least one argument of the query predicate is a constant") and
   raise :class:`~repro.datalog.errors.NotFullSelectionError`; the engine
@@ -37,7 +37,7 @@ from ..stats import EvaluationStats
 from .analysis import EquivalenceClass, RecursionAnalysis
 from .compiler import compile_plan, compile_selection
 from .detection import require_separable
-from .evaluator import execute_plan
+from .evaluator import execute_batch, execute_plan
 from .plan import SeparablePlan
 from .rewrite import choose_rewrite_class, program_without_class
 from .selections import Selection, classify_selection
@@ -178,13 +178,12 @@ def _run_batch(
     """``t_full`` for every seed of one partial selection, as one run;
     yields each seed's share -- its answer columns -- in seed order.
 
-    A union of fixpoints over the same rules is one fixpoint over the
-    union of the seeds if each tuple remembers its seed: the tagged
-    ``plan`` (``compile_plan(..., tagged=True)``) runs Figure 2 once
-    from ``(i, *seeds[i])`` and ``seen_2`` splits by its first column
-    into what ``execute_plan(untagged, db, [seeds[i]])`` would have
-    returned -- as many rounds as the deepest seed needs, not the sum
-    over seeds.
+    A union of fixpoints over the same rules runs as one fixpoint if
+    each seed keeps its own carry and seen: :func:`execute_batch` runs
+    ``plan`` -- the one a full selection of one seed runs -- for all of
+    them in lockstep and hands back each seed's ``seen_2``, what
+    ``execute_plan(plan, db, [seeds[i]])`` would have returned -- in as
+    many rounds as the deepest seed needs, not the sum over seeds.
 
     With a memo the protocol stays one ``get_or_run`` per seed, in seed
     order, on the per-seed :func:`full_selection_key`, and each entry is
@@ -201,14 +200,10 @@ def _run_batch(
     meeting each other's seeds in opposite orders cannot deadlock.
     """
 
-    def run(batch, branch: Optional[EvaluationStats]) -> dict[int, list]:
-        shares: dict[int, list] = {i: [] for i in batch}
-        for t in execute_plan(
-            plan, db, [(i, *seeds[i]) for i in batch], stats=branch,
-            budget=budget, order=order, tracer=tracer,
-        ):
-            shares[t[0]].append(t[1:])
-        return shares
+    def run(batch, branch: Optional[EvaluationStats]) -> dict[int, set]:
+        return dict(zip(batch, execute_batch(
+            plan, db, [seeds[i] for i in batch], stats=branch,
+            budget=budget, order=order, tracer=tracer)))
 
     if memo is None:
         if seeds:
@@ -220,7 +215,7 @@ def _run_batch(
     peek = getattr(memo, "peek", None)
     missing = [i for i, key in enumerate(keys)
                if peek is None or peek(key) is None]
-    done: dict[int, list] = {}  # the shares of what this query ran
+    done: dict[int, set] = {}  # the shares of what this query ran
 
     assemble, up = plan.assembler(), plan.up_positions
 
@@ -296,7 +291,7 @@ def _evaluate_partial(
         for row in rows:
             heads_of.setdefault(row[:width], []).append(row[width:])
 
-        plan = compile_plan(analysis, selected_class=cls, tagged=True)
+        plan = compile_plan(analysis, selected_class=cls)
         assemble = plan.assembler()
         shares = _run_batch(analysis, cls, plan, list(heads_of), db, stats,
                             budget, order, tracer, memo)

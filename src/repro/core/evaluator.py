@@ -26,7 +26,7 @@ from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 
-__all__ = ["execute_plan", "loop_source"]
+__all__ = ["execute_batch", "execute_plan", "loop_source"]
 
 
 def _apply_joins(
@@ -36,6 +36,7 @@ def _apply_joins(
     order: str,
     tracer=None,
     label: Optional[str] = None,
+    plans: Optional[list] = None,
 ) -> set[tuple]:
     """Evaluate a union of carry-join terms against a view database.
 
@@ -45,18 +46,18 @@ def _apply_joins(
     the compiled-plan analogue of the per-rule rows the profiler shows
     for rewritten-program strategies.
 
-    It goes to the plan cache and the plan's set-at-a-time kernel
-    directly: what :func:`~repro.datalog.joins.evaluate_body_into` would
-    re-derive per call is invariant here (a carry join's body and output
-    are non-empty tuples with nothing pre-bound).
+    It goes to the plan cache (unless given ``plans``, one per term)
+    and the plan's set-at-a-time kernel directly: what
+    :func:`~repro.datalog.joins.evaluate_body_into` would re-derive per
+    call is invariant here (a carry join's body and output are non-empty
+    tuples with nothing pre-bound).
     """
     produced: set[tuple] = set()
-    plan_for = PLAN_CACHE.plan_for
-    unbound: frozenset = frozenset()
-    for ji, join in enumerate(joins):
+    if plans is None:
+        plans = _plans(joins, view, order, tracer)
+    for ji, (join, plan) in enumerate(zip(joins, plans)):
         before = len(produced)
-        plan_for(join.body, unbound, order, view, tracer).execute_into(
-            join.output, view, produced, None, stats, tracer)
+        plan.execute_into(join.output, view, produced, None, stats, tracer)
         if tracer is not None and label is not None:
             tracer.count(f"rule_apps:{label}#{ji}")
             out = len(produced) - before
@@ -65,9 +66,19 @@ def _apply_joins(
     return produced
 
 
+def _plans(joins, view: Database, order: str, tracer=None) -> list:
+    """The plan :data:`PLAN_CACHE` picks for each join term on ``view``."""
+    return [PLAN_CACHE.plan_for(join.body, frozenset(), order, view, tracer)
+            for join in joins]
+
+
+def _size(groups: dict) -> int:  # rows over a batch's seeds
+    return sum(map(len, groups.values()))
+
+
 def _carry_loop(
     joins: tuple[CarryJoin, ...],
-    initial: set[tuple],
+    initial: dict,
     arity: int,
     db: Database,
     carry_name: str,
@@ -76,56 +87,73 @@ def _carry_loop(
     budget: Budget,
     order: str,
     tracer=None,
-) -> set[tuple]:
-    """One while loop of Figure 2, as the paper writes it; returns the
-    final ``seen`` set.  The reference :func:`_generated_loop` is diffed
+) -> dict:
+    """One while loop of Figure 2, as the paper writes it, per seed set
+    of ``initial`` (a full selection's is ``initial[None]``); returns the
+    ``seen`` sets.  The reference :func:`_generated_loop` is diffed
     against: it runs only under :func:`_reference_loops`.
 
     ``initial`` seeds both carry and seen (lines 1-2 / 8-9); each
     iteration applies the union of ``joins`` to the carry, removes
-    already-seen tuples (the crucial set difference), and accumulates.
-    A live ``tracer`` records a ``separable.loop`` span with the
-    per-iteration post-difference carry sizes -- Lemma 3.4's
+    already-seen tuples (the crucial set difference), and accumulates
+    -- for a Lemma 2.1 batch, to each non-empty carry in turn by the
+    plans of the largest, booked at the totals over the seeds.  A live
+    ``tracer`` records a ``separable.loop`` span
+    with the per-iteration post-difference carry sizes -- Lemma 3.4's
     disjointness makes ``seed + sum(carries) == |seen|`` an invariant
     the differential oracle checks on every traced run.
     """
-    seen: set[tuple] = set(initial)
-    carry: set[tuple] = set(initial)
-    stats.record_relation(carry_name, len(carry))
-    stats.record_relation(seen_name, len(seen))
-    # One view and one carry relation for the whole loop: each round
+    seen = {k: set(rows) for k, rows in initial.items()}
+    carry = {k: set(rows) for k, rows in initial.items() if rows}
+    total = _size(seen)
+    stats.record_relation(carry_name, total)
+    stats.record_relation(seen_name, total)
+    # One view and one carry relation for the whole loop: each run
     # refills the relation in place (a clear + bulk add_all) instead of
     # rebuilding the Database wrapper and re-copying the base mounts.
     carry_rel = Relation(CARRY, arity)
     view = db.with_mounts({CARRY: carry_rel})
     with span_of(tracer, "separable.loop", relation=seen_name,
-                 seed=len(initial)) as span:
+                 seed=total) as span:
         while carry:
             budget.check_wall(stats)
             stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
-            if joins:  # else nothing reads the carry relation
-                carry_rel.clear()
-                carry_rel.add_all(carry)
-            produced = _apply_joins(joins, view, stats, order, tracer,
-                                    label=seen_name)
-            carry = produced - seen
-            seen |= carry
+            todo, carry = carry, {}
+            first = max(todo, key=lambda k: len(todo[k]))  # planned on
+            for k in sorted(todo, key=lambda k: k != first):
+                if joins:  # else nothing reads the carry relation
+                    carry_rel.clear()
+                    carry_rel.add_all(todo[k])
+                if k == first:
+                    plans = _plans(joins, view, order, tracer)
+                fresh = _apply_joins(joins, view, stats, order, tracer,
+                                     seen_name, plans) - seen[k]
+                seen[k] |= fresh
+                carry.update({k: fresh} if fresh else ())
+            total += _size(carry)
             if tracer is not None:
-                tracer.record("carry", len(carry))
-            stats.record_relation(carry_name, len(carry))
-            stats.record_relation(seen_name, len(seen))
-            budget.check_relation(seen_name, len(seen), stats)
+                tracer.record("carry", _size(carry))
+            stats.record_relation(carry_name, _size(carry))
+            stats.record_relation(seen_name, total)
+            budget.check_relation(seen_name, total, stats)
             budget.check_stats(stats)
         if span is not None:
-            span.attrs["final_seen"] = len(seen)
+            span.attrs["final_seen"] = total
     return seen
+
+
+def _credits(label: str, joins) -> tuple:
+    """The counters a traced generated loop credits its terms with."""
+    terms = range(len(joins))
+    return (tuple([(f"rule_apps:{label}#{j}", j) for j in terms]), (),
+            tuple([f"rule_out:{label}#{j}" for j in terms]))
 
 
 def _generated_loop(
     joins: tuple[CarryJoin, ...],
-    initial: set[tuple],
+    initial: dict,
     db: Database,
     carry_name: str,
     seen_name: str,
@@ -133,36 +161,39 @@ def _generated_loop(
     budget: Budget,
     order: str,
     tracer=None,
-) -> set[tuple]:
+) -> dict:
     """:func:`_carry_loop`, compiled: the same loop, relation records,
     budget checks, span and counters (books kept in locals), run by the
     function :meth:`~repro.datalog.plan_cache.PlanCache.loop_for` makes
-    of it as of a one-member stratum: slot ``carry``, member ``seen``.
+    of it as of a one-member stratum: slot ``carry``, member ``seen``
+    (a batch's: dicts of sets by seed).
 
-    That function is valid over an interval of ``len(carry)``: its size
-    rank among the joins' fixed relations (``order="greedy"``) or its
-    power-of-two bucket (``order="cost"``).  When a round leaves it, it
-    hands ``carry`` back and this driver asks for the function of the
-    new one -- one plan lookup per join per interval change where the
-    reference loop makes one per join per round.
+    That function is valid over an interval of ``len(carry)`` (a
+    batch's largest): its size rank among the joins' fixed relations
+    (``order="greedy"``) or its power-of-two bucket (``order="cost"``).
+    When a round leaves it, it hands ``carry`` back and this driver asks
+    for the function of the new one -- one plan lookup per join per
+    interval change where the reference loop makes one per join per
+    round.
     """
-    seen: set[tuple] = set(initial)
-    stats.record_relation(carry_name, len(initial))
-    stats.record_relation(seen_name, len(seen))
+    seen = {k: set(rows) for k, rows in initial.items()}
+    one = seen.get(None)  # a full selection's: not a batch
+    carry = ({k: rows for k, rows in initial.items() if rows}
+             if one is None else set(one),)
+    member = (seen if one is None else one,)
+    stats.record_relation(carry_name, _size(seen))
+    stats.record_relation(seen_name, _size(seen))
     names = ((carry_name, seen_name),)
-    labels = () if tracer is None else (
-        ("carry",), tuple([(f"rule_apps:{seen_name}#{j}", j)
-                           for j in range(len(joins))]),
-        (), tuple([f"rule_out:{seen_name}#{j}" for j in range(len(joins))]))
-    carry = (set(initial),)
+    labels = () if tracer is None else (("carry",),
+                                        *_credits(seen_name, joins))
     with span_of(tracer, "separable.loop", relation=seen_name,
-                 seed=len(initial)) as span:
+                 seed=_size(seen)) as span:
         while carry[0]:
-            run, _ = PLAN_CACHE.loop_for(joins, (CARRY,), carry, (seen,),
+            run, _ = PLAN_CACHE.loop_for(joins, (CARRY,), carry, member,
                                          order, db, tracer)
-            carry = run(carry, (seen,), names, labels, stats, budget, tracer)
+            carry = run(carry, member, names, labels, stats, budget, tracer)
         if span is not None:
-            span.attrs["final_seen"] = len(seen)
+            span.attrs["final_seen"] = _size(seen)
     return seen
 
 
@@ -196,6 +227,53 @@ def loop_source(plan: SeparablePlan, which: str,
         if was_traced == traced))
 
 
+def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
+                db: Database, stats: EvaluationStats, order: str,
+                tracer=None, reference: bool = False) -> dict:
+    """Line 8 of Figure 2, ``carry_2 := g_2(seen_1)``, per seed by the
+    plans of the largest ``seen_1``: a batch's in one generated pass over
+    the sets as they are, unless ``reference``; else by the kernels."""
+    if None not in seen_1 and not reference:
+        labels = () if tracer is None else ((), *_credits("exit", joins))
+        run, _ = PLAN_CACHE.loop_for(joins, (SEEN,), (seen_1,), (), order,
+                                     db, tracer)
+        return run((seen_1,), (), (), labels, stats, UNLIMITED, tracer)[0]
+    views = {k: db.with_mounts({SEEN: Relation(SEEN, arity, rows)})
+             for k, rows in seen_1.items()}
+    plans = _plans(joins, views[max(seen_1, key=lambda k: len(seen_1[k]))],
+                   order, tracer)
+    return {k: _apply_joins(joins, view, stats, order, tracer, "exit", plans)
+            for k, view in views.items()}
+
+
+def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
+              order: str, tracer=None) -> dict:
+    """Both loops and the exit join from each seed set of ``seeds`` (by
+    seed; a batch's seeds in lockstep); returns their ``seen_2``."""
+    for seed in (s for rows in seeds.values() for s in rows):
+        if len(seed) != plan.seed_arity:
+            raise ValueError(f"seed {seed!r} has {len(seed)} columns, "
+                             f"plan expects {plan.seed_arity}")
+    reference = _REFERENCE.get()
+
+    def loop(joins, initial, arity, carry_name, seen_name):
+        if reference:
+            return _carry_loop(joins, initial, arity, db, carry_name,
+                               seen_name, stats, budget, order, tracer)
+        return _generated_loop(joins, initial, db, carry_name, seen_name,
+                               stats, budget, order, tracer)
+
+    # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
+    seen_1 = loop(plan.down_joins, seeds, plan.seed_arity,
+                  "carry_1", "seen_1")
+    with span_of(tracer, "separable.exit", seen_1=_size(seen_1)):
+        carry_2 = _exit_stage(plan.exit_joins, seen_1, plan.seed_arity, db,
+                              stats, order, tracer, reference)
+    # Lines 9-15: the up loop; ans := seen_2.
+    return loop(plan.up_joins, carry_2, plan.answer_arity,
+                "carry_2", "seen_2")
+
+
 def execute_plan(
     plan: SeparablePlan,
     db: Database,
@@ -209,8 +287,7 @@ def execute_plan(
 
     ``seeds`` are tuples over the plan's seed columns -- for an ordinary
     full selection this is the single vector ``x_0`` of selection
-    constants; the Lemma 2.1 evaluation passes sideways-computed seed
-    sets through the same entry point.
+    constants.
 
     Returns the final ``seen_2``: tuples over ``plan.up_positions``.
     Callers reassemble full-arity answers by interleaving the selection
@@ -220,40 +297,21 @@ def execute_plan(
         # The relation, total and iteration limits are metered on the
         # statistics, so a caller that keeps none still needs them kept.
         stats = EvaluationStats()
-    seed_set = {tuple(s) for s in seeds}
-    for s in seed_set:
-        if len(s) != plan.seed_arity:
-            raise ValueError(
-                f"seed {s!r} has {len(s)} columns, plan expects "
-                f"{plan.seed_arity}"
-            )
-
-    reference = _REFERENCE.get()
-
-    def loop(joins, initial, arity, carry_name, seen_name):
-        if reference:
-            return _carry_loop(joins, initial, arity, db, carry_name,
-                               seen_name, stats, budget, order, tracer)
-        return _generated_loop(joins, initial, db, carry_name, seen_name,
-                               stats, budget, order, tracer)
-
-    # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
-    seen_1 = loop(plan.down_joins, seed_set, plan.seed_arity,
-                  "carry_1", "seen_1")
-
-    # Line 8: carry_2 := g_2(seen_1) -- join seen_1 with each exit body.
-    with span_of(tracer, "separable.exit", seen_1=len(seen_1)):
-        view = db.with_mounts(
-            {SEEN: Relation(SEEN, plan.seed_arity, seen_1)})
-        carry_2 = _apply_joins(plan.exit_joins, view, stats, order, tracer,
-                               label="exit")
-
-    # Lines 9-15: the up loop; ans := seen_2.
-    seen_2 = loop(plan.up_joins, carry_2, plan.answer_arity,
-                  "carry_2", "seen_2")
-    if plan.tag is None:
-        # A tagged seen_2 holds (tag, answer) pairs, one per seed that
-        # reaches the answer: its size is not the number of answers
-        # (the caller, who splits by tag, records that).
-        stats.record_relation("ans", len(seen_2))
+    seen_2 = _figure_2(plan, db, {None: {tuple(s) for s in seeds}}, stats,
+                       budget, order, tracer)[None]
+    stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)
+
+
+def execute_batch(plan: SeparablePlan, db: Database, seeds: Iterable[tuple],
+                  stats: Optional[EvaluationStats] = None,
+                  budget: Budget = UNLIMITED, order: str = "greedy",
+                  tracer=None) -> list[set[tuple]]:
+    """``execute_plan(plan, db, [seed])``'s ``seen_2`` for each seed, as
+    one fixpoint (a Lemma 2.1 union's ``t_full``) of lockstep rounds that
+    keep a carry and a seen per seed.  Relations are booked at their
+    totals over the seeds; ``ans`` is left to the caller."""
+    return list(_figure_2(
+        plan, db, {i: {tuple(s)} for i, s in enumerate(seeds)},
+        EvaluationStats() if stats is None else stats, budget, order,
+        tracer).values())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from ..datalog.atoms import Atom, answer_assembler
-from ..datalog.terms import Term, Variable
+from ..datalog.terms import Term
 
 __all__ = ["CARRY", "SEEN", "CarryJoin", "SeparablePlan"]
 
@@ -83,13 +83,6 @@ class SeparablePlan:
     selected_class_index:
         1-based index of the selected equivalence class, or ``None`` for
         the pers-driven (dummy class) case.
-    tag:
-        The *seed tag* variable of a tagged plan, else ``None``.  Every
-        relation of a tagged plan carries one extra leading column that
-        each join passes through unchanged: seeds ``(i, *seed_i)`` run
-        as one fixpoint and ``seen_2`` splits by tag into what each seed
-        alone would have produced (the batched Lemma 2.1 union of
-        :mod:`repro.core.api`).
     """
 
     predicate: str
@@ -100,27 +93,27 @@ class SeparablePlan:
     exit_joins: tuple[CarryJoin, ...]
     up_joins: tuple[CarryJoin, ...]
     selected_class_index: int | None
-    tag: Variable | None = None
 
     @property
     def seed_arity(self) -> int:
         """Columns of ``carry_1`` / ``seen_1``."""
-        return len(self.selected_positions) + (self.tag is not None)
+        return len(self.selected_positions)
 
     @property
     def answer_arity(self) -> int:
         """Columns of ``carry_2`` / ``seen_2`` / ``ans``."""
-        return len(self.up_positions) + (self.tag is not None)
+        return len(self.up_positions)
 
     def assembler(self):
-        """``(seed, seen_2 tuples) -> full-arity tuples`` of this plan
-        (tags stripped): :func:`~repro.datalog.atoms.answer_assembler`
+        """``(seed, seen_2 tuples) -> full-arity tuples`` of this plan:
+        :func:`~repro.datalog.atoms.answer_assembler`
         over its seed and answer columns."""
         return answer_assembler(
             self.arity, self.selected_positions, self.up_positions)
 
-    def describe(self) -> str:
-        """Pretty-print the plan in the style of Figures 3 and 4."""
+    def describe(self, batched: bool = False) -> str:
+        """Pretty-print the plan in the style of Figures 3 and 4
+        (``batched``: as a Lemma 2.1 union's ``t_full`` half runs it)."""
         lines = [
             f"separable plan for {self.predicate}/{self.arity}",
             f"  seed columns  {tuple(p + 1 for p in self.selected_positions)}"
@@ -131,11 +124,6 @@ class SeparablePlan:
             ),
             f"  answer columns {tuple(p + 1 for p in self.up_positions)}",
         ]
-        if self.tag is not None:
-            lines.append(
-                f"  seed tag      {self.tag}  (leading column of every "
-                f"relation: one fixpoint for all seeds)"
-            )
         if self.down_joins:
             lines.append("  down loop (f_1):")
             lines.extend(f"    {j}" for j in self.down_joins)
@@ -148,4 +136,7 @@ class SeparablePlan:
             lines.extend(f"    {j}" for j in self.up_joins)
         else:
             lines.append("  up loop: none (ans := carry_2)")
+        if batched:
+            lines.append("  runs once for every sideways seed, all as one "
+                         "grouped fixpoint (a carry and a seen per seed)")
         return "\n".join(lines)

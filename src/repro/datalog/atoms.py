@@ -154,11 +154,14 @@ def answer_assembler(
     (together every column of the predicate, each once).
 
     Where each column comes from is worked out once here; every tuple
-    is then one concatenation and one C-level pick.  The one column
-    interleave: a Separable plan's ``seen_2`` and the counting method's
-    level-0 answers both become candidate answers through it.
+    is then one concatenation, and one C-level pick unless the seed's
+    columns lead or trail the row's.  The one column interleave: a
+    Separable plan's ``seen_2`` and the counting method's level-0
+    answers both become candidate answers through it.
     """
-    if arity == 1:
+    if [*selected, *others] == [*range(arity)]:
+        return lambda seed, rows: {seed + row for row in rows}
+    if [*others, *selected] == [*range(arity)]:
         return lambda seed, rows: {row + seed for row in rows}
     pick = itemgetter(*(
         others.index(p) if p in others else len(others) + selected.index(p)

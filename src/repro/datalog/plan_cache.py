@@ -671,7 +671,7 @@ def _compile_sequence(
 def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
               pseudo: Sequence[str], flow: Sequence[tuple[int, int]],
               live: Sequence[bool], read: Sequence[bool],
-              traced: bool) -> tuple:
+              traced: bool, batched: bool = False) -> tuple:
     """Source of one loop of Figure 2: while a ``carry`` is non-empty, a
     round of join terms, then ``carry = produced - seen`` and ``seen |=
     carry`` per member.
@@ -686,6 +686,10 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     and a :class:`RelationSink` per predicate.  A member some term reads
     in full (``read[h]``: a nonlinear or mutually recursive SCC)
     installs at each of its terms' ends instead, and is planned on.
+    ``batched`` runs a carry loop for many seeds (a Lemma 2.1 union):
+    carry and seen are dicts of sets by seed, a round runs the terms once
+    per non-empty carry, sized by the largest and booked at the totals;
+    with no member, it is one pass that installs nothing.
 
     Returns ``(source, groups)``: consecutive terms whose nested loops
     (:meth:`JoinPlan._nest`) read the same are one *shape*, inlined once
@@ -709,6 +713,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     them.  The deadline is checked on entry, the budget at the end of a
     round that may trip it (every round while a deadline is armed).
     """
+    once, read = not read, read or (False,)  # no member: one pass
     pad, slots, members = " " * 16, range(len(pseudo)), range(len(read))
 
     def at(name: str, k: int) -> str:  # Figure 2's names for one slot
@@ -784,6 +789,22 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
         body += [pad + line for line in before] + [*lines] \
             + [pad + line for line in after]
 
+    J = f"    {_tuple_text(f'J{g}' for g in range(len(shapes)))} = J"
+    counts = ["X", "P"] + ["L", "B", "S", "I", "N", "F", "i"] * traced
+    if once:  # a batch's exit join: each seed's produced set, no round
+        lines = ["def loop(J, lo, hi, carry, seen, names, labels, stats, "
+                 "budget, tracer):", "    (batch,) = carry", J,
+                 f"    {' = '.join(counts)} = 0", "    todo = {}"] + [
+            "    M, O = {}, {}"] * traced + [
+            "    try:", "        for seed, carry in batch.items():",
+            "            produced = set()"] + ["            indexes = {}"] * \
+            indexed + body + ["            F += 1"] * traced + [
+            "            todo[seed] = produced", "        return (todo,)",
+            "    finally:", "        _flush(stats, None, 0, X, 0, P)"] + [
+            "        _tally(tracer, (0, L, X, B, S, I, N), labels, "
+            "(F, i, M, O))"] * traced
+        return "\n".join(lines + [""]), tuple(map(tuple, groups))
+
     # The sizes checked each round: the slots' and the members' planned on.
     checked = [(a, at("lo", a), at("hi", a), at("n", a) if a in members
                 else f"len(carry{a})") for a in slots]
@@ -813,28 +834,46 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     if len(slots) > len(members):
         tail.append(" = ".join(f"carry{a}" for a in slots[len(members):])
                     + " = ()")
-    tail += [f"tracer.record({at('series', m)}, len({at('carry', m)}))"
+    carries = _tuple_text(at("carry", a) for a in slots)
+    unpack = [f"    {carries} = carry",
+              f"    {_tuple_text(at('seen', m) for m in members)} = seen"]
+    opened = "names, seen"
+    if batched:  # the round's terms and installs, once per seed's carry
+        first = ["n = max(map(len, todo.values()))", "if t > C:", "    C = t"]
+        top[-1:] = ["batch, todo = todo, {}",
+                    "for seed, carry in batch.items():",
+                    "    seen = seens[seed]", "    produced = set()"] + [
+                    "    indexes = {}"] * indexed
+        body = ["    " + line for line in body]
+        tail = ["    " + line for line in tail + [
+            "if carry:", "    todo[seed] = carry"]] + [
+            "t = sum(map(len, todo.values()))", "T += t"]
+        indexed, carries = False, "(todo,)"
+        unpack = ["    (todo,) = carry", "    (seens,) = seen",
+                  "    T = sum(map(len, seens.values()))",
+                  "    t = sum(map(len, todo.values()))"]
+        opened = "names, (T,)"
+        over, most, last = ["T > cap"], ["(max(C, t), T)"], ["(C, T)"]
+    tail += ["tracer.record(%s, %s)" % (at("series", m), "t" if batched
+                                        else f"len({at('carry', m)})")
              for m in members] * traced
     caps = _tuple_text(caps)
     tail += [f"if R > rounds or {' or '.join(over)}:",
              f"    {caps} = _books(books, (R, X, P), {_tuple_text(most)})"]
-    books = ["R", "X", "P", *[at("C", m) for m in members]] \
-        + ["L", "B", "S", "I", "N", "F", "i"] * traced  # F: rounds run whole
-    carries = _tuple_text(at("carry", a) for a in slots)
+    books = ["R", *counts[:2], *[at("C", m) for m in members], *counts[2:]]
+    opened = f"    books, rounds, {caps} = _open(stats, budget, {opened})"
     head = ["def loop(J, lo, hi, carry, seen, names, labels, stats, budget, "
             "tracer):",
-            f"    books, rounds, {caps} = _open(stats, budget, names, seen)",
-            f"    {carries} = carry",
-            f"    {_tuple_text(at('seen', m) for m in members)} = seen",
+            *(unpack + [opened] if batched else [opened] + unpack),
             "    %s = %s" % (
                 ", ".join(f"{lo}, {hi}" for _, lo, hi, _ in checked),
                 ", ".join(f"lo[{v}], hi[{v}]" for v, *_ in checked)),
-            f"    {_tuple_text(f'J{g}' for g in range(len(shapes)))} = J",
+            J,
             f"    {' = '.join(books)} = 0"]
     head += ["    M, O = {}, {}", "    %s = labels[0]" % _tuple_text(
         at("series", m) for m in members)] * traced
-    head += ["    try:",
-             f"        while {' or '.join(at('carry', a) for a in slots)}:"]
+    head += ["    try:", "        while %s:" % (" or ".join(
+        at("carry", a) for a in slots) if not batched else "todo")]
     lines = [" " * 12 + line
              for line in first + top + ["indexes = {}"] * indexed]
     lines += body + [" " * 12 + line for line in tail]
@@ -849,7 +888,8 @@ def _open(stats, budget, names, seen) -> tuple:
     """``(books, rounds, caps)`` of a generated loop at entry, after the
     deadline's check: what :func:`_books` needs, the rounds it may run
     before the iteration limit trips (-1 while a deadline is armed:
-    every round then calls :func:`_books`) and :func:`_caps`."""
+    every round then calls :func:`_books`) and :func:`_caps` of the
+    members ``seen`` (a batch: of their sizes)."""
     armed = budget.deadline is not None
     if armed:
         budget.check_wall(stats)
@@ -857,7 +897,8 @@ def _open(stats, budget, names, seen) -> tuple:
         stats.iterations, stats.tuples_examined, stats.tuples_produced))
     rounds = -1 if armed else _INF if stats is None \
         else budget.max_iterations - stats.iterations
-    return books, rounds, _caps(books, [len(member) for member in seen])
+    return books, rounds, _caps(books, [
+        member if type(member) is int else len(member) for member in seen])
 
 
 def _caps(books, sizes) -> tuple:
@@ -1208,7 +1249,9 @@ class PlanCache:
         slots (an incremental view's write) make it a function kept
         across writes: an empty slot is planned as one row, every
         relation the terms read has an interval, and two moving sizes
-        are split halfway.
+        are split halfway.  A carry that is a dict of sets by seed is a
+        Lemma 2.1 batch (:func:`loop_text`), planned on its largest set;
+        with no member, ``run`` returns each seed's produced set.
 
         Returns ``(run, fits)``.  ``run(carry, seen, names, labels,
         stats, budget, tracer) -> carry`` advances the loop in place and
@@ -1220,7 +1263,10 @@ class PlanCache:
         what it made, the same with what it added to its round's
         produced set)``.  ``fits(carry, seen)``: may ``run`` run them?
         """
-        kept = len(pseudo) > len(seen)
+        kept = 0 < len(seen) < len(pseudo)
+        batched = type(carry[0]) is dict
+        if batched:  # planned on its largest carry
+            carry = (max(carry[0].values(), key=len, default=set()),)
         preds = {a.predicate: a.arity for join in joins for a in join.body}
         written = [member.name if type(member) is RelationSink else None
                    for member in seen]
@@ -1245,13 +1291,14 @@ class PlanCache:
             _narrow(bounds, join.body, moving, db, order, kept)
         read = tuple([name in preds for name in written])
         key = (joins, pseudo, tuple(plans), tuple(live), read,
-               tracer is not None)
+               tracer is not None, batched)
         with self._lock:
             entry = self._loops.get(key)
         if entry is None:
             source, groups = loop_text(
                 plans, [join.output for join in joins], pseudo,
-                [join.flow for join in joins], live, read, tracer is not None)
+                [join.flow for join in joins], live, read, tracer is not None,
+                batched)
             entry = (_function(self._shapes, source, "separable-loop",
                                "loop"), groups, source)
             with self._lock:

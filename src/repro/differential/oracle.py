@@ -36,8 +36,8 @@ one :class:`~repro.differential.cases.Case`:
   and series except ``plan_cache_hits`` (:func:`_run_loop_sweep`).
 
 * a partial selection additionally evaluates its Lemma 2.1 union
-  *literally* -- ``t_part`` plus one reference-loop run of the untagged
-  plan per sideways seed -- and the seed-tagged batch the Separable
+  *literally* -- ``t_part`` plus one reference-loop run of the plan per
+  sideways seed -- and the one-fixpoint batch the Separable
   strategy ran must have found exactly those answers
   (:func:`_run_union_check`, outcome ``union[batched]``).
 
@@ -398,10 +398,10 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
     """Lemma 2.1 taken literally, against the batch that replaced it.
 
     The Separable strategy evaluates the ``t_full`` half of a partial
-    selection as one fixpoint over seed-tagged tuples.  This evaluates
-    it the way the lemma states it: the sideways pass through each rule
-    of the rewritten class, then one run of the *untagged* plan per
-    seed through the reference loop, unioned with ``t_part``.  Recorded
+    selection as one fixpoint with a carry and a seen per seed.  This
+    evaluates it the way the lemma states it: the sideways pass through
+    each rule of the rewritten class, then one run of the plan per seed
+    through the reference loop, unioned with ``t_part``.  Recorded
     as outcome ``union[batched]``; the strategy's answers differing from
     the union's is an ``answers`` finding under that name.
     """
@@ -452,7 +452,7 @@ def _run_union_check(verdict: OracleVerdict, case: Case,
     if batched != answers:
         verdict.disagreements.append(Disagreement(
             kind="answers", strategy="union[batched]",
-            detail="the seed-tagged batch against the per-seed union of "
+            detail="the batch against the per-seed union of "
                    f"{len(runs)} runs: " + _diff_detail(answers, batched)))
 
 

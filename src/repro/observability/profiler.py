@@ -87,9 +87,9 @@ def _series_lines(tracer: Tracer) -> list[str]:
 
 def _plan_that_ran(result):
     """``result.plan``, or -- for a partial selection the Separable
-    strategy answered, which has no one plan of its own -- the
-    seed-tagged plan of its ``t_full`` half, compiled here for display
-    (its ``t_part`` half is a full selection on another recursion)."""
+    strategy answered, which has no one plan of its own -- the plan its
+    ``t_full`` half ran for every seed, compiled here for display (its
+    ``t_part`` half is a full selection on another recursion)."""
     if result.plan is not None or result.strategy not in (
             "separable", "relaxed"):
         return result.plan
@@ -102,14 +102,14 @@ def _plan_that_ran(result):
     if selection.is_full:  # pragma: no cover - full selections have a plan
         return None
     cls = choose_rewrite_class(analysis, set(selection.bound))
-    return compile_plan(analysis, selected_class=cls, tagged=True)
+    return compile_plan(analysis, selected_class=cls)
 
 
 def _kernel_lines(plan) -> list[str]:
     """The generated code behind a Separable ``plan``, for what ran: the
     set-at-a-time kernel of each join term (the exit joins, and loop
     terms the reference loop evaluated) and the whole-loop function of
-    each carry loop.
+    each carry loop (and of a batch's exit join).
 
     ``K`` is the constants tuple a kernel unpacks: index
     signatures, column numbers and body/output constants.  A loop
@@ -128,6 +128,7 @@ def _kernel_lines(plan) -> list[str]:
                          f"K={consts}")
             lines += [f"    {line}" for line in source.splitlines()]
     return lines + _loop_lines([("down loop", plan.down_joins),
+                                ("exit join", plan.exit_joins),
                                 ("up loop", plan.up_joins)])
 
 
@@ -233,8 +234,8 @@ class QueryProfile:
         lines.append(header)
 
         plan = _plan_that_ran(result)
-        lines += ["", f"-- plan {rule[8:]}",
-                  result.describe_plan() if plan is None else plan.describe()]
+        lines += ["", f"-- plan {rule[8:]}", result.describe_plan()
+                  if plan is None else plan.describe(plan is not result.plan)]
         if plan is not None:
             lines += _kernel_lines(plan)
         else:  # a rewritten program: the generated loop of each stratum

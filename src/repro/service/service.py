@@ -170,7 +170,7 @@ class PartialResult:
 
     ``stats`` is the *merged* :class:`EvaluationStats` over everything
     that ran of the Lemma 2.1 union -- ``t_part`` plus the partial work
-    of the seed-tagged ``t_full`` batch that tripped -- see
+    of the ``t_full`` batch that tripped -- see
     :mod:`repro.core.api`.
     """
 

@@ -1,9 +1,9 @@
-"""The batched Lemma 2.1 union: one seed-tagged fixpoint per partial
-selection instead of one fixpoint per seed.
+"""The batched Lemma 2.1 union: one fixpoint per partial selection,
+keeping a carry and a seen per seed, instead of one fixpoint per seed.
 
-What is pinned here: the tagged plan's shape, that splitting its
-``seen_2`` by tag is the per-seed union, the statistics a batch reports
-(``ans`` counts answers, not ``(tag, answer)`` pairs; a budget trip
+What is pinned here: that each seed's share of the batch is its own
+run, that the batch runs the one-seed plan, the statistics a batch
+reports (``ans`` counts answers, not rows per seed; a budget trip
 mid-batch still carries the ``t_part`` answers and the merged
 accumulator), and the memo protocol -- one ``get_or_run`` per seed, the
 batch's work credited once, per-seed entries that later queries and
@@ -18,12 +18,11 @@ from repro.budget import Budget
 from repro.core.api import evaluate_separable, full_selection_key
 from repro.core.compiler import compile_plan
 from repro.core.detection import require_separable
-from repro.core.evaluator import execute_plan
-from repro.core.plan import CARRY, SEEN
+from repro.core.evaluator import execute_batch, execute_plan, loop_source
 from repro.datalog.database import Database
 from repro.datalog.errors import BudgetExceeded
-from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.terms import Variable
+from repro.datalog.parser import parse_atom
+from repro.datalog.plan_cache import PLAN_CACHE
 from repro.observability import Tracer
 from repro.service import FullSelectionMemo, QueryService, ServiceConfig
 from repro.stats import EvaluationStats
@@ -35,8 +34,8 @@ from ..conftest import oracle_answers
 def fan_database(seeds: int = 3, depth: int = 4) -> Database:
     """Example 2.4 with ``seeds`` disjoint ``a``-chains below ``(x0,
     y0)``, all reaching the same ``b``-chain: every seed's run finds the
-    same ``Z`` values, so a tagged ``seen_2`` holds each answer once per
-    seed."""
+    same ``Z`` values, so the batch's ``seen_2`` holds each answer once
+    per seed."""
     db = Database()
     for j in range(seeds):
         db.add_fact("a", ("x0", "y0", f"p{j}_0", f"q{j}_0"))
@@ -70,76 +69,46 @@ class PassThrough:
         return compute()
 
 
-class TestTaggedPlan:
-    def test_every_relation_grows_one_leading_column(self, fan):
-        _, _, analysis = fan
-        cls = analysis.classes[0]
-        plain = compile_plan(analysis, selected_class=cls)
-        tagged = compile_plan(analysis, selected_class=cls, tagged=True)
-        assert plain.tag is None and isinstance(tagged.tag, Variable)
-        assert tagged.seed_arity == plain.seed_arity + 1
-        assert tagged.answer_arity == plain.answer_arity + 1
-        assert (tagged.selected_positions, tagged.up_positions) == (
-            plain.selected_positions, plain.up_positions)
-        pairs = zip(
-            plain.down_joins + plain.exit_joins + plain.up_joins,
-            tagged.down_joins + tagged.exit_joins + tagged.up_joins,
-        )
-        for before, after in pairs:
-            assert after.output == (tagged.tag,) + before.output
-            pseudo, = [a for a in before.body
-                       if a.predicate in (CARRY, SEEN)]
-            tagged_pseudo, = [a for a in after.body
-                              if a.predicate in (CARRY, SEEN)]
-            assert tagged_pseudo.args == (tagged.tag,) + pseudo.args
-            assert [a for a in after.body if a is not tagged_pseudo] == [
-                a for a in before.body if a is not pseudo]
-        assert "seed tag" in tagged.describe()
-        assert "seed tag" not in plain.describe()
-
-    def test_the_tag_is_fresh(self):
-        program = parse_program(
-            "t(Seed, Y) :- a(Seed, Seed_) & t(Seed_, Y).\n"
-            "t(Seed, Y) :- t0(Seed, Y)."
-        ).program
-        analysis = require_separable(program, "t")
-        plan = compile_plan(analysis, selected_class=analysis.classes[0],
-                            tagged=True)
-        used = {v.name for r in program.rules
-                for a in (r.head,) + tuple(r.body) for v in a.variable_set()}
-        assert plan.tag.name not in used
-
-    def test_splitting_by_tag_is_the_per_seed_union(self, fan):
+class TestGroupedBatch:
+    def test_each_seed_is_its_own_run(self, fan):
         _, db, analysis = fan
-        cls = analysis.classes[0]
-        plain = compile_plan(analysis, selected_class=cls)
-        tagged = compile_plan(analysis, selected_class=cls, tagged=True)
+        plan = compile_plan(analysis, selected_class=analysis.classes[0])
         seeds = [(f"p{j}_0", f"q{j}_0") for j in range(3)] + [("no", "no")]
         stats = EvaluationStats()
-        seen_2 = execute_plan(
-            tagged, db, [(i, *s) for i, s in enumerate(seeds)], stats=stats)
+        shares = execute_batch(plan, db, seeds, stats=stats)
         alone = [EvaluationStats() for _ in seeds]
-        for i, seed in enumerate(seeds):
-            want = execute_plan(plain, db, [seed], stats=alone[i])
-            assert {t[1:] for t in seen_2 if t[0] == i} == want
+        assert shares == [execute_plan(plan, db, [seed], stats=alone[i])
+                          for i, seed in enumerate(seeds)]
         assert stats.tuples_produced == sum(s.tuples_produced for s in alone)
         # Rounds are the deepest seed's, not the sum over seeds.
         assert stats.iterations == max(s.iterations for s in alone)
-        # A tagged relation is the disjoint union of the per-seed ones.
+        # A batch's relation is booked at its total over the seeds.
         for name in ("seen_1", "seen_2"):
             assert stats.relation_sizes[name] == sum(
                 s.relation_sizes[name] for s in alone)
         assert "ans" not in stats.relation_sizes
 
+    def test_the_batch_runs_the_one_seed_plan_per_seed(self, fan):
+        """No column is added: a seed's carry row is its own probe key,
+        so the innermost level is the projected bucket's union."""
+        _, db, analysis = fan
+        plan = compile_plan(analysis, selected_class=analysis.classes[0])
+        PLAN_CACHE.clear()
+        execute_batch(plan, db, [(f"p{j}_0", f"q{j}_0") for j in range(3)])
+        for which in ("down", "up"):
+            text, = loop_source(plan, which)
+            assert "for seed, carry in batch.items():" in text
+            assert "produced.update(c1)" in text
+
 
 class TestStatistics:
-    def test_ans_counts_answers_not_tagged_pairs(self, fan):
+    def test_ans_counts_answers_not_rows_per_seed(self, fan):
         program, db, analysis = fan
         stats = EvaluationStats()
         answers = evaluate_separable(program, db, QUERY, analysis=analysis,
                                      stats=stats)
         assert answers == oracle_answers(program, db, QUERY)
-        # Three seeds reach the same four Z values: 12 tagged pairs.
+        # Three seeds reach the same four Z values: 12 seen_2 rows.
         assert stats.relation_sizes["seen_2"] == 12
         assert stats.relation_sizes["ans"] == len(answers) == 4
 
@@ -406,7 +375,7 @@ class TestMemoProtocol:
         seeds are each one lookup on the view (dirty ones with the new
         fact, clean ones unchanged, no carry loop and no memo entry
         either way); asked for by strategy, the same union runs as the
-        tagged batch through the fingerprint-scoped memo."""
+        batch through the fingerprint-scoped memo."""
         program = paper.example_2_4_program()
         service = QueryService(
             program, fan_database(),

@@ -128,7 +128,7 @@ class TestValidation:
 
 
 class TestCompileOnce:
-    """A plan is a function of (analysis, component, tagged): compiled
+    """A plan is a function of (analysis, component): compiled
     once, kept with the analysis, shared by every query on it."""
 
     def test_queries_on_one_component_share_one_plan_object(
@@ -162,10 +162,11 @@ class TestCompileOnce:
         cls = analysis.classes[0]
         plain = compile_plan(analysis, selected_class=cls)
         assert compile_plan(analysis, selected_class=cls) is plain
-        tagged = compile_plan(analysis, selected_class=cls, tagged=True)
-        assert tagged is not plain and tagged.tag is not None
-        assert compile_plan(analysis, selected_class=cls,
-                            tagged=True) is tagged
+        other_class = compile_plan(analysis,
+                                   selected_class=analysis.classes[1])
+        assert other_class is not plain
+        assert compile_plan(analysis,
+                            selected_class=analysis.classes[1]) is other_class
         other = require_separable(example_2_4_program(), "t")
         assert other == analysis
         assert compile_plan(other, selected_class=cls) is not plain

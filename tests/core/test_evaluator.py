@@ -18,7 +18,8 @@ from repro.core.selections import classify_selection
 from repro.datalog.database import Database, Relation
 from repro.datalog.errors import BudgetExceeded, NotFullSelectionError
 from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.plan_cache import PLAN_CACHE, PlanCache
+from repro.datalog.plan_cache import DELTA, PLAN_CACHE, PlanCache
+from repro.datalog.seminaive import seminaive_stratum
 from repro.stats import EvaluationStats
 from repro.storage import ensure_backend
 from repro.workloads.generators import chain, cycle, grid
@@ -437,34 +438,33 @@ class TestGeneratedLoop:
             __slots__ = ()
 
             def lookup(self, positions, key, tracer=None):
-                if key == ("c",):
+                if key == ("b0",):
                     raise OSError("disk I/O error")
                 return super().lookup(positions, key, tracer)
 
             # The probe a loop makes where ``e(X, W)`` is its innermost
-            # level and ``(W)`` its output.
+            # level and ``(X)`` its output.
             def lookup_projected(self, positions, cols, key, tracer=None):
-                if key == ("c",):
+                if key == ("b0",):
                     raise OSError("disk I/O error")
                 return super().lookup_projected(positions, cols, key, tracer)
 
         db = fan_database()
         db = db.with_mounts({"e": Failing("e", 2, db.relation("e"))})
-        # Seed-tagged, so carry is (tag, W): the term that scans ``s``
-        # keys carry on W alone, an index, not a membership test.
-        analysis = require_separable(TWO_RULES, "t")
-        plan = compile_plan(analysis, tagged=True, selected_class=next(
-            c for c in analysis.classes if c.positions == (0,)))
+        # The semi-naive delta of t is (W, Y): the term that scans ``s``
+        # keys it on W alone, an index, not a membership test.
         PLAN_CACHE.clear()
         with pytest.raises(OSError) as caught:
-            execute_plan(plan, db, [(0, "a")])
+            seminaive_stratum(TWO_RULES.rules, frozenset({"t"}), db,
+                              TWO_RULES)
         frame, = [f for f in traceback.extract_tb(caught.value.__traceback__)
                   if f.filename.startswith("<separable-loop:")]
         assert frame.name == "loop"
-        assert frame.line == "c1 = q0((r1,))"
-        # The down loop ran two texts by then: carry scanned, and carry
-        # probed while it was larger than ``s``.
-        scanning, probing = loop_source(plan, "down")
-        assert "".join(linecache.getlines(frame.filename)) == scanning
+        assert frame.line == "c1 = q0((r0,))"
+        # The stratum ran two texts by then: the delta scanned, and the
+        # delta probed once it was larger than ``s`` -- where e failed.
+        scanning, probing = [
+            source for _, source, *_ in PLAN_CACHE.loops_for((DELTA + "t",))]
+        assert "".join(linecache.getlines(frame.filename)) == probing
         assert "indexes" in probing and "indexes" not in scanning
         assert ") in carry" not in probing

@@ -17,7 +17,9 @@ from contextlib import nullcontext
 import pytest
 
 from repro.budget import Budget
-from repro.core.evaluator import _reference_loops, execute_plan
+from repro.core.compiler import compile_plan
+from repro.core.detection import require_separable
+from repro.core.evaluator import _reference_loops, execute_batch, execute_plan
 from repro.datalog.database import Database, Relation
 from repro.datalog.errors import BudgetExceeded
 from repro.datalog.parser import parse_program
@@ -26,8 +28,13 @@ from repro.datalog.seminaive import seminaive_evaluate
 from repro.differential.oracle import _span_rows
 from repro.observability import Tracer
 from repro.stats import EvaluationStats
-from repro.workloads.paper import example_1_1_database, example_1_1_program
+from repro.workloads.paper import (
+    example_1_1_database,
+    example_1_1_program,
+    example_2_4_program,
+)
 
+from .test_batched_union import fan_database as union_database
 from .test_evaluator import TWO_RULES, fan_database, plan_of
 
 MODES = ("untraced", "traced", "reference")
@@ -139,6 +146,53 @@ def test_a_stratum_trips_where_it_did_per_round(limit):
     runs = {mode: outcome(stratum_run(30), mode, budget or passed_deadline())
             for mode in MODES}
     assert runs["untraced"][:3] == (limit, message, books)
+    assert runs["untraced"][:3] == runs["traced"][:3] \
+        == runs["reference"][:3]
+    assert runs["traced"][3] == runs["reference"][3]
+
+
+def batch_run():
+    """Example 2.4's ``t_full`` for five seeds at once (Lemma 2.1): three
+    chains, a seed that dies at once and one that starts half-way down
+    a chain -- a carry and a seen per seed, in lockstep rounds."""
+    analysis = require_separable(example_2_4_program(), "t")
+    plan = compile_plan(analysis, selected_class=analysis.classes[0])
+    db = union_database()
+    seeds = [(f"p{j}_0", f"q{j}_0") for j in range(3)] + [
+        ("no", "no"), ("p1_2", "q1_2")]
+    return (lambda stats, budget, tracer: execute_batch(
+        plan, db, seeds, stats, budget, tracer=tracer))
+
+
+#: What ``batch_run()`` raised when the batch was one fixpoint over
+#: seed-tagged tuples: limit, message, (iterations, produced,
+#: relation_sizes).  Relations are booked at their totals over the
+#: seeds, so every limit trips in the same round.
+BATCH_TRIPS = {
+    "relation_tuples": (
+        Budget(max_relation_tuples=12), "relation seen_1 reached 13 tuples "
+        "(budget 12)", (2, 8, {"carry_1": 5, "seen_1": 13})),
+    "total_tuples": (
+        Budget(max_total_tuples=30), "total generated tuples reached 36 "
+        "(budget 30)", (6, 22, {"carry_1": 5, "seen_1": 19, "carry_2": 4,
+                                "seen_2": 8})),
+    "iterations": (
+        Budget(max_iterations=4), "iteration count reached 5 (budget 4)",
+        (5, 14, {"carry_1": 5, "seen_1": 19})),
+    "wall_clock": (
+        None, "wall clock exceeded the 0.500s budget (over by)",
+        (0, 0, {"carry_1": 5, "seen_1": 5})),
+}
+
+
+@pytest.mark.parametrize("limit", list(BATCH_TRIPS))
+def test_a_batch_trips_where_the_tagged_fixpoint_did(limit):
+    budget, message, (iterations, produced, sizes) = BATCH_TRIPS[limit]
+    runs = {mode: outcome(batch_run(), mode, budget or passed_deadline())
+            for mode in MODES}
+    for mode, (tripped, said, books, _) in runs.items():
+        assert (tripped, said, books[0], books[2], books[3]) == (
+            limit, message, iterations, produced, sizes), mode
     assert runs["untraced"][:3] == runs["traced"][:3] \
         == runs["reference"][:3]
     assert runs["traced"][3] == runs["reference"][3]

@@ -43,8 +43,9 @@ def test_a_carry_loop_and_a_linear_stratum_are_one_function():
     PLAN_CACHE.clear()
     db = Database.from_facts(FACTS)
     plan, seed = plan_of(example_1_1_program(), "buys", "buys(a, Y)")
-    seen = _generated_loop(plan.down_joins, {seed}, db, "carry_1",
-                           "seen_1", EvaluationStats(), UNLIMITED, "greedy")
+    seen = _generated_loop(plan.down_joins, {None: {seed}}, db, "carry_1",
+                           "seen_1", EvaluationStats(), UNLIMITED,
+                           "greedy")[None]
     assert seen == {("a",), ("b",), ("c",), ("d",), ("e",)}
     assert seminaive_evaluate(STRATUM, db).tuples("r") == seen
     text, = loop_texts()

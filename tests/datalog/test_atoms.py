@@ -4,6 +4,7 @@ import pytest
 
 from repro.datalog.atoms import (
     Atom,
+    answer_assembler,
     atom,
     connected_components,
     shared_variables,
@@ -122,3 +123,33 @@ class TestConnectedComponents:
         components = connected_components(atoms)
         assert components[0] == [atom("a", "X"), atom("c", "X")]
         assert components[1] == [atom("b", "Y")]
+
+
+class TestAnswerAssembler:
+    """Where the seed's columns lead or trail a row's, an answer is one
+    concatenation; anywhere else one ``itemgetter`` pick. Every layout
+    gives the tuples the pick gives."""
+
+    @staticmethod
+    def picked(arity, selected, others, seed, rows):
+        """Column ``p`` of each answer picked out of ``row + seed``."""
+        at = [others.index(p) if p in others
+              else len(others) + selected.index(p) for p in range(arity)]
+        return {tuple((row + seed)[i] for i in at) for row in rows}
+
+    @pytest.mark.parametrize("arity, selected, others", [
+        (3, (0, 1), (2,)),   # prefix: seed + row
+        (3, (2,), (0, 1)),   # suffix: row + seed
+        (3, (1,), (0, 2)),   # interleaved: the pick
+        (3, (0, 2), (1,)),
+        (1, (0,), ()),
+        (1, (), (0,)),
+    ])
+    def test_every_layout_is_the_pick(self, arity, selected, others):
+        seed = tuple(f"s{p}" for p in selected)
+        rows = [tuple(f"r{p}{i}" for p in others) for i in range(4)]
+        got = answer_assembler(arity, selected, others)(seed, rows)
+        assert got == self.picked(arity, selected, others, seed, rows)
+        for answer in got:
+            assert len(answer) == arity
+            assert all(answer[p] == v for p, v in zip(selected, seed))

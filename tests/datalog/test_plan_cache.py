@@ -464,25 +464,36 @@ class TestProjectedInnermostLevel:
         assert "q1 = _probe(rels[1], k2, k3, tracer)" in \
             plan.kernel_source(output)
 
-    def test_tagged_plans_keep_the_comprehension(self):
-        """PR 17's seed-tagged output starts with the tag, a register
-        of the carry level."""
+    def test_a_batch_unions_the_projected_bucket(self):
+        """A Lemma 2.1 batch keeps a carry per seed instead of a seed
+        column, so its output is the probed atom's free columns and the
+        innermost level is the bucket union -- inside the per-seed
+        loop, the same text a full selection's loop runs."""
         from repro.core.compiler import compile_plan
         from repro.core.detection import require_separable
         from repro.workloads import paper
 
         analysis = require_separable(paper.example_2_4_program(), "t")
         cls = next(c for c in analysis.classes if c.positions == (0, 1))
-        plan = compile_plan(analysis, selected_class=cls, tagged=True)
+        plan = compile_plan(analysis, selected_class=cls)
         db = Database.from_facts({
-            "__carry__": [(0, "c", "d")],
+            "__carry__": [("c", "d")],
             "a": [("c", "d", "e", "f"), ("e", "f", "g", "h")],
         })
         join, = plan.down_joins
-        text, _ = loop_text([compile_join_plan(join.body, db=db)],
-                            [join.output], ("__carry__",), [(0, 0)], [True],
-                            [False], False)
-        assert "produced.update([(r0, f[k" in text
+        args = ([compile_join_plan(join.body, db=db)], [join.output],
+                ("__carry__",), [(0, 0)], [True], [False], False)
+        single, _ = loop_text(*args)
+        batch, _ = loop_text(*args, batched=True)
+        assert "produced.update(c1)" in batch
+        assert "                        produced.update(c1)" in single
+        assert "    for seed, carry in batch.items():" in batch
+        assert "for seed" not in single
+        # The terms are the single loop's text, one level further in.
+        terms = single[single.index("            for q0"):
+                       single.index("            carry = produced - seen")]
+        assert "".join("    " + line
+                       for line in terms.splitlines(True)) in batch
 
 
 def _interpreted_plan(plan, db, seed, tracer):

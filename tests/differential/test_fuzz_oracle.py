@@ -205,18 +205,19 @@ class TestUnionCheck:
         verdict = run_case(load_case(CORPUS / "example-1-2-friend-cheaper.dl"))
         assert "union[batched]" not in verdict.outcomes
 
-    def test_a_batch_that_mixes_up_its_tags_is_a_finding(self, monkeypatch):
-        """Tag every seed 0: each row then gets every seed's answers."""
+    def test_a_batch_that_mixes_up_its_seeds_is_a_finding(self,
+                                                          monkeypatch):
+        """Hand every seed the union of all seeds' rows: each row then
+        gets every seed's answers."""
         from repro.core import api
 
-        real = api.execute_plan
+        real = api.execute_batch
 
-        def untagging(plan, db, seeds, **kwargs):
-            if plan.tag is not None:
-                seeds = [(0, *seed[1:]) for seed in seeds]
-            return real(plan, db, seeds, **kwargs)
+        def mixing(plan, db, seeds, **kwargs):
+            shares = real(plan, db, seeds, **kwargs)
+            return [set().union(*shares)] * len(shares)
 
-        monkeypatch.setattr(api, "execute_plan", untagging)
+        monkeypatch.setattr(api, "execute_batch", mixing)
         text = (CORPUS / "example-2-4-partial-selection.dl").read_text()
         case = case_from_text(text.replace(
             "a(m, n, g, h).", "a(m, n, g, h).\na(c, e, p, q).\nt0(p, q, w1)."))

@@ -166,14 +166,15 @@ def test_generated_loop_matches_reference_loop(data):
 
 @COMMON
 @given(setup=separable_setups(), data=st.data())
-def test_tagged_batch_splits_into_the_per_seed_runs(setup, data):
-    """One fixpoint over seed-tagged tuples against one fixpoint per
-    seed: the same answers seed by seed and the same tuples produced;
+def test_batch_splits_into_the_per_seed_runs(setup, data):
+    """One fixpoint with a carry and a seen per seed against one
+    fixpoint per seed: the same answers seed by seed and the same
+    tuples produced;
     under ``left_to_right`` (where the join order cannot depend on how
     large the carry is) the same tuples examined too.  Rounds are the
     deepest seed's per loop, not the sum over seeds."""
     from repro.core.compiler import compile_plan
-    from repro.core.evaluator import execute_plan
+    from repro.core.evaluator import execute_batch, execute_plan
     from repro.observability import Tracer, trace_violations
     from repro.stats import EvaluationStats
 
@@ -187,7 +188,6 @@ def test_tagged_batch_splits_into_the_per_seed_runs(setup, data):
         min_size=1, max_size=5, unique=True,
     ))
     plain = compile_plan(analysis, selected_class=cls)
-    tagged = compile_plan(analysis, selected_class=cls, tagged=True)
 
     def rounds(tracer) -> dict:
         return {s.attrs["relation"]: s.counters.get("iterations", 0)
@@ -203,14 +203,12 @@ def test_tagged_batch_splits_into_the_per_seed_runs(setup, data):
         for traced in (False, True):
             stats = EvaluationStats()
             tracer = Tracer() if traced else None
-            seen_2 = execute_plan(
-                tagged, db, [(i, *s) for i, s in enumerate(seeds)],
-                stats=stats, order=order, tracer=tracer,
-            )
+            shares = execute_batch(plain, db, seeds, stats=stats,
+                                   order=order, tracer=tracer)
             context = (f"program:\n{program}\nclass {cls}, seeds {seeds}, "
                        f"order {order}, traced {traced}")
-            for i, (answers, _, _) in enumerate(alone):
-                assert {t[1:] for t in seen_2 if t[0] == i} == answers, context
+            for share, (answers, _, _) in zip(shares, alone):
+                assert share == answers, context
             assert stats.tuples_produced == sum(
                 s.tuples_produced for _, s, _ in alone), context
             assert stats.iterations == sum(
@@ -220,5 +218,5 @@ def test_tagged_batch_splits_into_the_per_seed_runs(setup, data):
                 assert stats.tuples_examined == sum(
                     s.tuples_examined for _, s, _ in alone), context
             if traced:
-                # seed + sum(carry) == |seen| holds on the tagged loops.
+                # seed + sum(carry) == |seen| holds on the batch's loops.
                 assert trace_violations(tracer) == [], context

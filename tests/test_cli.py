@@ -138,6 +138,8 @@ class TestPlan:
         out = capsys.readouterr().out
         assert "Lemma 2.1" in out
         assert "t_full" in out and "t_part" in out
+        # The one-seed plan, run for every seed as one grouped fixpoint.
+        assert "one grouped fixpoint" in out and "Seed" not in out
 
     def test_nonseparable_errors(self, tmp_path, capsys):
         path = tmp_path / "nonsep.dl"
