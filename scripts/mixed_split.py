@@ -49,8 +49,11 @@ the view ends a pass holding an index over all of its columns, when a
 read was not served on the calling thread by one
 ``MaintainedView.select`` (``serve-mixed``) or one ``Engine.query``
 (the others) -- the script wraps both to note the thread that ran them,
-since ``query()`` never hands off -- or when a memo hit's answers are
-not the very object the memo entry holds.
+since ``query()`` never hands off -- when a memo hit's answers are
+not the very object the memo entry holds, or when a memo hit ran
+``classify_selection`` or ``compile_plan`` (a query form is prepared
+on the first request of its shape, never on a hit; the script wraps
+both in ``repro.core.compiler``, where forms are prepared).
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -72,6 +75,7 @@ import workloads  # noqa: E402  (ledger/)
 from harness import calls, close_target, open_target  # noqa: E402
 from layers import _deal  # noqa: E402
 
+import repro.core.compiler as compiler  # noqa: E402
 from repro.datalog.plan_cache import PLAN_CACHE  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.maintenance import MaintainedView  # noqa: E402
@@ -100,12 +104,15 @@ CHECKS = {"differ": "reads that differ from the reference",
           "plan_lookups": "plan lookups a write",
           "full_key": "full-column indexes",
           "off_caller": "reads not served on the calling thread",
-          "not_entry": "memo hits that are not the entry's answer set"}
-#: The thread of every view lookup and of every ``Engine.query``, and
-#: every value the memo handed out, in order (``record_calls``).
+          "not_entry": "memo hits that are not the entry's answer set",
+          "prepared": "memo hits that classified or compiled"}
+#: The thread of every view lookup and of every ``Engine.query``, every
+#: value the memo handed out and every query-form preparation step
+#: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
 SELECT_THREADS: list[int] = []
 EVALUATE_THREADS: list[int] = []
 MEMO_VALUES: list[tuple] = []
+PREPARED: list[str] = []
 
 
 def phase_seconds(service) -> dict:
@@ -146,18 +153,21 @@ def one_pass(service, reference, ops, kinds, counts=None):
     seen: set[str] = set()
     # A pass follows a pass: its first read comes after the last write.
     written = ops[-1][0] != "read"
-    failed = dict.fromkeys(("differ", "off_caller", "not_entry"), 0)
+    failed = dict.fromkeys(("differ", "off_caller", "not_entry", "prepared"),
+                           0)
     caller = [threading.get_ident()]
     # Who serves a read, on the calling thread: (selects, evaluations).
     serves = (caller, []) if "first" in kinds else ([], caller)
     for op, call in zip(ops, calls(ops)):
         before = dict(counts or (), plan_lookups=plan_lookups())
         misses = service.memo.stats()["misses"]
-        marks = len(SELECT_THREADS), len(EVALUATE_THREADS), len(MEMO_VALUES)
+        marks = (len(SELECT_THREADS), len(EVALUATE_THREADS),
+                 len(MEMO_VALUES), len(PREPARED))
         start = now()
         if op[0] == "read":
             result = service.query(call)
             took = now() - start
+            prepared = len(PREPARED) > marks[3]
             failed["off_caller"] += serves != (SELECT_THREADS[marks[0]:],
                                                EVALUATE_THREADS[marks[1]:])
             if "first" in kinds:
@@ -171,6 +181,7 @@ def one_pass(service, reference, ops, kinds, counts=None):
                 handed = [value for value, _ in MEMO_VALUES[marks[2]:]]
                 failed["not_entry"] += not (
                     len(handed) == 1 and handed[0] is result.answers)
+                failed["prepared"] += prepared
             seen.add(call)
             written = False
             after = dict(counts or (), plan_lookups=plan_lookups())
@@ -195,9 +206,21 @@ def one_pass(service, reference, ops, kinds, counts=None):
 
 def record_calls() -> None:
     """Note, from here on, the thread of every ``MaintainedView.select``
-    and every ``Engine.query``, and what every ``get_or_run`` returns."""
+    and every ``Engine.query``, what every ``get_or_run`` returns, and
+    every ``classify_selection`` / ``compile_plan`` a query form runs."""
     select, evaluate = MaintainedView.select, Engine.query
     get_or_run = FullSelectionMemo.get_or_run
+
+    def noted(name):
+        fn = getattr(compiler, name)
+
+        def call(*args, **kwargs):
+            PREPARED.append(name)
+            return fn(*args, **kwargs)
+        setattr(compiler, name, call)
+
+    noted("classify_selection")
+    noted("compile_plan")
 
     def selected(self, *args, **kwargs):
         SELECT_THREADS.append(threading.get_ident())

@@ -79,9 +79,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.compiler import compile_selection
+from .core.compiler import query_form
 from .core.detection import analyze_recursion, require_separable
-from .core.selections import classify_selection
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program, parse_query
 from .datalog.plan_cache import ORDERS
@@ -571,27 +570,20 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     parsed = _load(args.program)
     query = parse_query(args.query)
-    analysis = require_separable(parsed.program, query.predicate)
-    selection = classify_selection(analysis, query)
-    if not selection.is_full:
+    form = query_form(require_separable(parsed.program, query.predicate),
+                      query)
+    if form.part is not None:
         print(
             f"{query} is not a full selection; it is evaluated through "
             f"the Lemma 2.1 rewrite. The plans that run:"
         )
-        from .core.compiler import compile_plan
-        from .core.rewrite import choose_rewrite_class, program_without_class
-
-        cls = choose_rewrite_class(analysis, set(selection.bound))
         print(f"\n-- t_full (every seed the sideways pass through class "
-              f"e_{cls.index} finds):")
-        print(compile_plan(analysis, selected_class=cls).describe(True))
-        part = program_without_class(analysis, cls)
-        part_analysis = require_separable(part, query.predicate)
-        part_selection = classify_selection(part_analysis, query)
+              f"e_{form.batch.plan.selected_class_index} finds):")
+        print(form.batch.plan.describe(True))
         print("\n-- t_part (class dropped; selection now persistent):")
-        print(compile_selection(part_selection).describe())
+        print(form.part.plan.describe())
         return 0
-    print(compile_selection(selection).describe())
+    print(form.full_plan(query).describe())
     return 0
 
 

@@ -159,6 +159,13 @@ class RecursionAnalysis:
         builds each once and every later request reuses the object."""
         return {}
 
+    @cached_property
+    def query_forms(self) -> dict[tuple, object]:
+        """The :class:`~repro.core.compiler.QueryForm` per query shape
+        (:func:`repro.core.compiler.query_form`): bounded by the
+        program's arities, never by the constants requests bind."""
+        return {}
+
     def class_of_position(self, position: int) -> EquivalenceClass | None:
         """The class owning ``position``, or ``None`` for persistent ones."""
         for c in self.classes:

@@ -1,7 +1,8 @@
-"""The Separable evaluation facade: detect, classify, compile, execute.
+"""The Separable evaluation facade: detect, prepare the form, execute.
 
 :func:`evaluate_separable` answers an arbitrary selection query on a
-separable recursion:
+separable recursion through its :class:`~repro.core.compiler.QueryForm`
+(:func:`evaluate_form` binds a request's constants into one):
 
 * full selections (Definition 2.7) compile straight to a
   :class:`~repro.core.plan.SeparablePlan` and run;
@@ -32,47 +33,17 @@ from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, NotFullSelectionError
 from ..datalog.joins import RowList, evaluate_body_into
 from ..datalog.programs import Program
-from ..datalog.terms import Variable
 from ..stats import EvaluationStats
-from .analysis import EquivalenceClass, RecursionAnalysis
-from .compiler import compile_plan, compile_selection
+from .analysis import RecursionAnalysis
+from .compiler import QueryForm, full_selection_key, query_form
 from .detection import require_separable
 from .evaluator import execute_batch, execute_plan
-from .plan import SeparablePlan
-from .rewrite import choose_rewrite_class, program_without_class
-from .selections import Selection, classify_selection
 
 __all__ = [
+    "evaluate_form",
     "evaluate_separable",
     "full_selection_key",
 ]
-
-
-def full_selection_key(
-    analysis: RecursionAnalysis,
-    selected_class: Optional[EquivalenceClass],
-    selected_positions: tuple[int, ...],
-    seed: tuple,
-    order: str,
-) -> tuple:
-    """The memo key identifying one full-selection carry/seen run.
-
-    A compiled plan is a pure function of the analysis and the selected
-    component, and a run of it is additionally a function of the seed
-    vector and the join order, so this tuple keys exactly the Lemma 2.1
-    unit of work a cross-request memo may share (its entry is the answer
-    set the full selection returns).  The analysis object itself
-    participates (it is a frozen dataclass), which keeps ``t`` and its
-    ``t_part`` rewrite -- same predicate name, different programs --
-    from colliding.  Callers scope the key to one database
-    snapshot (the service adds the EDB fingerprint).
-    """
-    component = (
-        ("class", selected_class.index)
-        if selected_class is not None
-        else ("pers", selected_positions)
-    )
-    return (analysis, component, tuple(seed), order)
 
 
 def _through_memo(memo, key: tuple, run, stats, budget: Budget):
@@ -112,7 +83,8 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget):
 
 
 def _evaluate_full(
-    selection: Selection,
+    form: QueryForm,
+    seed: tuple,
     db: Database,
     stats: EvaluationStats,
     budget: Budget,
@@ -120,15 +92,14 @@ def _evaluate_full(
     tracer=None,
     memo=None,
 ) -> set[tuple]:
-    """One full selection, through the memo when given.
+    """One full selection of ``form`` from ``seed``, through the memo
+    when given.
 
     The memo (see :class:`repro.service.FullSelectionMemo`) caches and
     coalesces on :func:`full_selection_key`; its entry is the frozen
     answer set, assembled once, so a hit returns that very object.
     """
-    plan = compile_selection(selection)
-    seed = selection.seed
-    assemble = plan.assembler()
+    plan, assemble = form.plan, form.assemble
 
     def run(branch: Optional[EvaluationStats]) -> set[tuple]:
         return assemble(seed, execute_plan(
@@ -138,35 +109,12 @@ def _evaluate_full(
 
     if memo is None:
         return run(stats)
-    key = full_selection_key(
-        selection.analysis, selection.selected_class,
-        selection.selected_positions, seed, order,
-    )
-    return _through_memo(memo, key, lambda branch: frozenset(run(branch)),
-                         stats, budget)
-
-
-def _part_analysis(
-    analysis: RecursionAnalysis, cls: EquivalenceClass,
-    allow_disconnected: bool,
-) -> RecursionAnalysis:
-    """The analysis of ``t_part`` (the recursion without ``cls``): a
-    function of the program alone, so derived once and kept with
-    ``analysis`` -- 0.17 ms to re-derive on every partial query."""
-    key = (cls.index, allow_disconnected)
-    part = analysis.part_analyses.get(key)
-    if part is None:
-        part = analysis.part_analyses[key] = require_separable(
-            program_without_class(analysis, cls), analysis.predicate,
-            allow_disconnected=allow_disconnected,
-        )
-    return part
+    return _through_memo(memo, form.key + (seed, order),
+                         lambda branch: frozenset(run(branch)), stats, budget)
 
 
 def _run_batch(
-    analysis: RecursionAnalysis,
-    cls: EquivalenceClass,
-    plan: SeparablePlan,
+    form: QueryForm,
     seeds: list[tuple],
     db: Database,
     stats: EvaluationStats,
@@ -180,7 +128,7 @@ def _run_batch(
 
     A union of fixpoints over the same rules runs as one fixpoint if
     each seed keeps its own carry and seen: :func:`execute_batch` runs
-    ``plan`` -- the one a full selection of one seed runs -- for all of
+    ``form.plan`` -- the one a full selection of one seed runs -- for all of
     them in lockstep and hands back each seed's ``seen_2``, what
     ``execute_plan(plan, db, [seeds[i]])`` would have returned -- in as
     many rounds as the deepest seed needs, not the sum over seeds.
@@ -200,6 +148,8 @@ def _run_batch(
     meeting each other's seeds in opposite orders cannot deadlock.
     """
 
+    plan, assemble = form.plan, form.assemble
+
     def run(batch, branch: Optional[EvaluationStats]) -> dict[int, set]:
         return dict(zip(batch, execute_batch(
             plan, db, [seeds[i] for i in batch], stats=branch,
@@ -210,14 +160,13 @@ def _run_batch(
             yield from run(range(len(seeds)), stats).values()
         return
 
-    keys = [full_selection_key(analysis, cls, cls.positions, seed, order)
-            for seed in seeds]
+    keys = [form.key + (seed, order) for seed in seeds]
     peek = getattr(memo, "peek", None)
     missing = [i for i, key in enumerate(keys)
                if peek is None or peek(key) is None]
     done: dict[int, set] = {}  # the shares of what this query ran
 
-    assemble, up = plan.assembler(), plan.up_positions
+    up = plan.up_positions
 
     def share(i: int, branch: EvaluationStats) -> frozenset[tuple]:
         if i not in done:
@@ -233,18 +182,17 @@ def _run_batch(
 
 
 def _evaluate_partial(
-    selection: Selection,
-    cls: EquivalenceClass,
+    form: QueryForm,
+    query: Atom,
     db: Database,
     stats: EvaluationStats,
     budget: Budget,
     order: str,
-    allow_disconnected: bool = False,
     tracer=None,
     memo=None,
 ) -> set[tuple]:
-    """Operational Lemma 2.1 on the partially bound class ``cls``:
-    ``t_part`` answers plus the ``t_full`` batch (:func:`_run_batch`).
+    """Operational Lemma 2.1 on the form's rewrite class: ``t_part``
+    answers plus the ``t_full`` batch (:func:`_run_batch`).
 
     When either half raises :class:`BudgetExceeded`, the exception
     leaves here carrying the *merged* statistics of everything that ran
@@ -253,61 +201,72 @@ def _evaluate_partial(
     :attr:`~repro.errors.BudgetExceeded.partial`: the query service
     degrades those into a ``PartialResult`` instead of a bare error.
     """
-    analysis = selection.analysis
     answers: set[tuple] = set()
+    batch = form.batch
 
     try:
-        # t_part: the recursion without cls; the same query is full
-        # there because cls's columns are persistent in t_part.
-        answers |= _evaluate_full(
-            classify_selection(
-                _part_analysis(analysis, cls, allow_disconnected),
-                selection.query,
-            ),
-            db, stats, budget, order, tracer, memo,
-        )
+        answers |= _evaluate_full(form.part, form.part.seed(query), db,
+                                  stats, budget, order, tracer, memo)
 
-        # t_full: a sideways pass through each rule of cls produces
-        # fully bound seeds of the original recursion, each with the
-        # head values of cls's columns it answers for.
-        head_vars = analysis.head_vars
-        init = {
-            head_vars[p]: selection.bound[p]
-            for p in cls.positions
-            if p in selection.bound
-        }
-        head_terms = tuple(head_vars[p] for p in cls.positions)
-        width = len(head_terms)
+        # t_full: the sideways pass finds each seed with the head
+        # values of the rewritten class's columns it answers for.
+        init = dict(zip(form.init, form.seed(query)))
+        width = len(batch.seed_positions)
         rows = RowList()  # in discovery order: it numbers the seeds
-        for a in analysis.rules_of_class(cls):
-            seed_terms = tuple(
-                a.recursive_atom.args[p] for p in cls.positions)
+        for body, terms in form.sideways:
             evaluate_body_into(
-                db, a.nonrecursive_atoms, seed_terms + head_terms, rows,
-                initial_bindings=init, stats=stats, order=order,
-                tracer=tracer,
+                db, body, terms, rows, initial_bindings=init, stats=stats,
+                order=order, tracer=tracer,
             )
         heads_of: dict[tuple, list[tuple]] = {}
         for row in rows:
             heads_of.setdefault(row[:width], []).append(row[width:])
 
-        plan = compile_plan(analysis, selected_class=cls)
-        assemble = plan.assembler()
-        shares = _run_batch(analysis, cls, plan, list(heads_of), db, stats,
-                            budget, order, tracer, memo)
+        shares = _run_batch(batch, list(heads_of), db, stats, budget,
+                            order, tracer, memo)
         for heads, share in zip(heads_of.values(), shares):
             for head in heads:
-                answers |= assemble(head, share)
+                answers |= batch.assemble(head, share)
     except BudgetExceeded as exc:
         # The failing run attached only its own stats; replace them with
         # the union accumulator and keep the answers assembled so far.
         exc.stats = stats
         if exc.partial is None:
-            exc.partial = frozenset(
-                f for f in answers if selection.query.matches(f)
-            )
+            exc.partial = frozenset(f for f in answers if query.matches(f))
         raise
     return answers
+
+
+def evaluate_form(
+    form: QueryForm,
+    query: Atom,
+    db: Database,
+    stats: EvaluationStats,
+    budget: Budget = UNLIMITED,
+    order: str = "greedy",
+    tracer=None,
+    memo=None,
+) -> frozenset[tuple]:
+    """Answer ``query``, a request of the shape ``form`` was prepared
+    for (:func:`~repro.core.compiler.query_form`): bind its constants
+    and run -- see :func:`evaluate_separable` for the parameters."""
+    if form.plan is not None:
+        answers = _evaluate_full(form, form.seed(query), db, stats, budget,
+                                 order, tracer, memo)
+    elif form.part is not None:
+        answers = _evaluate_partial(form, query, db, stats, budget, order,
+                                    tracer, memo)
+    else:
+        raise NotFullSelectionError(
+            f"query {query} has no selection constants; the Separable "
+            f"algorithm evaluates selections (use semi-naive "
+            f"materialization for all-free queries)"
+        )
+    # A vacuous form's constants all sit where evaluation put them.
+    result = (frozenset(answers) if form.vacuous
+              else frozenset(f for f in answers if query.matches(f)))
+    stats.record_relation("ans", len(result))
+    return result
 
 
 def evaluate_separable(
@@ -363,36 +322,5 @@ def evaluate_separable(
         stats = EvaluationStats()
     if not stats.strategy:
         stats.strategy = "separable"
-    selection = classify_selection(analysis, query)
-    if not selection.has_constants:
-        raise NotFullSelectionError(
-            f"query {query} has no selection constants; the Separable "
-            f"algorithm evaluates selections (use semi-naive "
-            f"materialization for all-free queries)"
-        )
-    if selection.is_full:
-        answers = _evaluate_full(selection, db, stats, budget, order,
-                                 tracer, memo)
-        placed = selection.selected_positions
-    else:
-        cls = choose_rewrite_class(analysis, set(selection.bound))
-        answers = _evaluate_partial(
-            selection, cls, db, stats, budget, order,
-            allow_disconnected=allow_disconnected, tracer=tracer,
-            memo=memo,
-        )
-        placed = cls.positions
-    variables = [t for t in query.args if isinstance(t, Variable)]
-    if (len(set(variables)) == len(variables)
-            and all(p in placed for p in selection.bound)):
-        # Every query constant sits where evaluation put it -- in the
-        # selected component, or in the rewritten class, whose bound
-        # columns seed the sideways pass and are persistent (so
-        # selected) in t_part: the residual match is vacuous.
-        result = frozenset(answers)
-    else:
-        result = frozenset(
-            fact for fact in answers if query.matches(fact)
-        )
-    stats.record_relation("ans", len(result))
-    return result
+    return evaluate_form(query_form(analysis, query, allow_disconnected),
+                         query, db, stats, budget, order, tracer, memo)

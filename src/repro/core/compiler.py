@@ -17,20 +17,31 @@ The asymmetry mirrors the left-to-right string evaluation of Section
 3.4: predicate instances produced by ``e_1`` sit left of ``t_0`` and are
 evaluated top-down from the constants; instances of the other classes
 sit right of ``t_0`` and are evaluated bottom-up from its tuples.
+
+What the compiler compiles is a query *form*, not a query:
+Definition 2.7's choice of selected component and Lemma 2.1's rewrite
+class depend only on which columns a query binds and which of its
+variables repeat.  :func:`query_form` prepares a :class:`QueryForm`
+on the first request of a shape and keeps it with the analysis; every
+later request of that shape only binds its constants.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.errors import NotFullSelectionError
-from ..datalog.terms import Term
+from ..datalog.terms import Constant
 from .analysis import EquivalenceClass, RecursionAnalysis, RuleAnalysis
+from .detection import require_separable
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
-from .selections import Selection
+from .rewrite import choose_rewrite_class, program_without_class
+from .selections import Selection, classify_selection
 
-__all__ = ["compile_plan", "compile_selection"]
+__all__ = ["QueryForm", "compile_plan", "compile_selection",
+           "full_selection_key", "query_form"]
 
 
 def _down_join(a: RuleAnalysis, positions: tuple[int, ...]) -> CarryJoin:
@@ -179,4 +190,168 @@ def compile_selection(selection: Selection) -> SeparablePlan:
         )
     return compile_plan(
         selection.analysis, pers_positions=selection.selected_positions
+    )
+
+
+def full_selection_key(
+    analysis: RecursionAnalysis,
+    selected_class: Optional[EquivalenceClass],
+    selected_positions: tuple[int, ...],
+    seed: tuple,
+    order: str,
+) -> tuple:
+    """The memo key identifying one full-selection carry/seen run.
+
+    A compiled plan is a pure function of the analysis and the selected
+    component, and a run of it is additionally a function of the seed
+    vector and the join order, so this tuple keys exactly the Lemma 2.1
+    unit of work a cross-request memo may share (its entry is the answer
+    set the full selection returns).  The analysis object itself
+    participates (it is a frozen dataclass), which keeps ``t`` and its
+    ``t_part`` rewrite -- same predicate name, different programs --
+    from colliding.  Callers scope the key to one database snapshot
+    (the service adds the EDB fingerprint).  The first two members are
+    the ``key`` of the selection's :class:`QueryForm`.
+    """
+    return _full_form(analysis, selected_class, selected_positions).key + (
+        tuple(seed), order)
+
+
+@dataclass(frozen=True, eq=False)
+class QueryForm:
+    """A query shape compiled: what Separable decides from which columns
+    carry constants and which variables repeat, prepared once per shape
+    by :func:`query_form`; a request only binds its constants.
+
+    A *full* form (Definition 2.7) has a ``plan``: a request's seed is
+    its constants at ``seed_positions``, its memo key ``key + (seed,
+    order)`` (:func:`full_selection_key`), and ``assemble`` turns the
+    plan's ``seen_2`` into answers.  A *partial* form is Lemma 2.1 on
+    the class ``batch`` is driven by: ``part`` is the full form of
+    ``t_part``, ``batch`` the full form every sideways seed runs,
+    ``sideways`` the ``(nonrecursive atoms, seed terms + head terms)``
+    of each rule of the class, and ``init`` the head variables the
+    constants at ``seed_positions`` bind.  A form with neither has no
+    constants.  ``vacuous``: every constant sits where evaluation puts
+    it and no variable repeats, so answers need no residual match.
+    """
+
+    analysis: RecursionAnalysis
+    seed_positions: tuple[int, ...] = ()
+    plan: Optional[SeparablePlan] = None
+    key: tuple = ()
+    assemble: Optional[Callable] = None
+    part: Optional["QueryForm"] = None
+    batch: Optional["QueryForm"] = None
+    sideways: tuple = ()
+    init: tuple = ()
+    vacuous: bool = False
+
+    def seed(self, query: Atom) -> tuple:
+        """The constants ``query`` binds at the seed positions."""
+        args = query.args
+        return tuple(args[p].value for p in self.seed_positions)
+
+    def full_plan(self, query: Atom) -> SeparablePlan:
+        """``plan``, or :class:`NotFullSelectionError` for ``query``."""
+        if self.plan is None:
+            raise NotFullSelectionError(
+                f"query {query} is not a full selection on "
+                f"{self.analysis.predicate}: no persistent column is "
+                f"bound and no equivalence class is fully bound"
+            )
+        return self.plan
+
+
+def query_form(
+    analysis: RecursionAnalysis,
+    query: Atom,
+    allow_disconnected: bool = False,
+) -> QueryForm:
+    """The form of ``query`` on ``analysis``, prepared on first use.
+
+    Kept in :attr:`RecursionAnalysis.query_forms` per predicate, Lemma
+    2.1 mode and shape (-1 for a constant, else the position of the
+    variable's first occurrence), so the table is bounded by the
+    program, not by the traffic.  A query that cannot be classified
+    raises on every call and is never kept; two threads meeting a new
+    shape may both prepare it, and either result is the same form.
+    """
+    args = query.args
+    shape = (query.predicate, allow_disconnected, *(
+        -1 if isinstance(t, Constant) else args.index(t) for t in args))
+    forms = analysis.query_forms
+    form = forms.get(shape)
+    if form is None:
+        form = forms[shape] = _prepare(analysis, query, allow_disconnected)
+    return form
+
+
+def _full_form(
+    analysis: RecursionAnalysis,
+    selected_class: Optional[EquivalenceClass],
+    positions: tuple[int, ...],
+    vacuous: bool = False,
+) -> QueryForm:
+    if selected_class is not None:
+        plan = compile_plan(analysis, selected_class=selected_class)
+        component: tuple = ("class", selected_class.index)
+    else:
+        plan = compile_plan(analysis, pers_positions=positions)
+        component = ("pers", positions)
+    return QueryForm(analysis, plan.selected_positions, plan,
+                     (analysis, component), plan.assembler(), vacuous=vacuous)
+
+
+def _part_analysis(
+    analysis: RecursionAnalysis, cls: EquivalenceClass,
+    allow_disconnected: bool,
+) -> RecursionAnalysis:
+    """The analysis of ``t_part`` (the recursion without ``cls``): a
+    function of the program alone, so derived once and kept with
+    ``analysis`` -- 0.17 ms to re-derive."""
+    key = (cls.index, allow_disconnected)
+    part = analysis.part_analyses.get(key)
+    if part is None:
+        part = analysis.part_analyses[key] = require_separable(
+            program_without_class(analysis, cls), analysis.predicate,
+            allow_disconnected=allow_disconnected,
+        )
+    return part
+
+
+def _prepare(analysis: RecursionAnalysis, query: Atom,
+             allow_disconnected: bool) -> QueryForm:
+    """Classify, rewrite and compile the shape of ``query``."""
+    selection = classify_selection(analysis, query)
+    variables = [t for t in query.args if not isinstance(t, Constant)]
+    distinct = len(set(variables)) == len(variables)
+    if selection.is_full:
+        placed = selection.selected_positions
+        return _full_form(analysis, selection.selected_class, placed,
+                          distinct and set(selection.bound) <= set(placed))
+    if not selection.has_constants:
+        return QueryForm(analysis)
+    # Lemma 2.1: the same query is full on t_part (cls's columns are
+    # persistent there), and a sideways pass through each rule of cls
+    # seeds full selections of the original recursion with the head
+    # values of cls's columns they answer for.
+    cls = choose_rewrite_class(analysis, set(selection.bound))
+    head_vars = analysis.head_vars
+    head_terms = tuple(head_vars[p] for p in cls.positions)
+    bound = tuple(p for p in cls.positions if p in selection.bound)
+    return QueryForm(
+        analysis, bound,
+        part=query_form(_part_analysis(analysis, cls, allow_disconnected),
+                        query),
+        batch=_full_form(analysis, cls, cls.positions),
+        sideways=tuple(
+            (a.nonrecursive_atoms,
+             tuple(a.recursive_atom.args[p] for p in cls.positions)
+             + head_terms)
+            for a in analysis.rules_of_class(cls)),
+        init=tuple(head_vars[p] for p in bound),
+        # The rewritten class's bound columns seed the sideways pass
+        # and are persistent (so selected) in t_part.
+        vacuous=distinct and set(selection.bound) <= set(cls.positions),
     )

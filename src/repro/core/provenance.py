@@ -244,22 +244,19 @@ def explain(
     plan executions); use :func:`repro.core.api.evaluate_separable` for
     those.
     """
-    from .compiler import compile_selection
+    from .compiler import query_form
     from .detection import require_separable
-    from .selections import classify_selection, require_full
 
     if analysis is None:
         analysis = require_separable(program, query.predicate)
-    selection = require_full(classify_selection(analysis, query))
-    plan = compile_selection(selection)
-    answers, trace = execute_plan_traced(plan, db, [selection.seed],
-                                         order=order)
+    form = query_form(analysis, query)
+    plan, seed = form.full_plan(query), form.seed(query)
+    answers, trace = execute_plan_traced(plan, db, [seed], order=order)
     # justify() wants the up tuple a fact came from, so the facts are
     # assembled one at a time.
-    assemble = plan.assembler()
     result: dict[tuple, Justification] = {}
     for up_tuple in answers:
-        (full,) = assemble(selection.seed, (up_tuple,))
+        (full,) = form.assemble(seed, (up_tuple,))
         if query.matches(full):
             result[full] = justify(trace, up_tuple)
     return result

@@ -12,7 +12,8 @@ directly; partial selections go through the Lemma 2.1 rewrite
 (:mod:`repro.core.rewrite`).  This module classifies a query against a
 :class:`~repro.core.analysis.RecursionAnalysis` and picks the *selected
 component* -- the dummy pers class or a fully bound equivalence class --
-the compiler will drive the first carry loop with.
+the compiler will drive the first carry loop with.  It runs once per
+query shape, when :func:`repro.core.compiler.query_form` prepares it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..datalog.atoms import Atom
-from ..datalog.errors import NotFullSelectionError
-from ..datalog.terms import Constant, ConstValue, Variable
+from ..datalog.terms import Constant, ConstValue
 from .analysis import EquivalenceClass, RecursionAnalysis
 
 __all__ = [
@@ -70,32 +70,6 @@ class Selection:
     def seed(self) -> tuple[ConstValue, ...]:
         """The vector ``x_0`` of selection constants, in seed-column order."""
         return tuple(self.bound[p] for p in self.selected_positions)
-
-    def residual_bound(self) -> dict[int, ConstValue]:
-        """Constants outside the selected component.
-
-        Definition 2.7 only needs one component fully bound; any other
-        constants in the query are applied as a final filter on the
-        answers (they cannot seed a second carry loop).
-        """
-        return {
-            p: v
-            for p, v in self.bound.items()
-            if p not in self.selected_positions
-        }
-
-    def partially_bound_classes(self) -> tuple[EquivalenceClass, ...]:
-        """Classes with at least one but not all columns bound.
-
-        Nonempty exactly when a Lemma 2.1 rewrite is needed (assuming
-        the selection has constants but is not full).
-        """
-        result = []
-        for cls in self.analysis.classes:
-            bound = sum(1 for p in cls.positions if p in self.bound)
-            if 0 < bound < len(cls.positions):
-                result.append(cls)
-        return tuple(result)
 
 
 def classify_selection(
@@ -159,14 +133,3 @@ def classify_selection(
         selected_class=None,
         selected_positions=(),
     )
-
-
-def require_full(selection: Selection) -> Selection:
-    """Return the selection, or raise if it is not full (Definition 2.7)."""
-    if not selection.is_full:
-        raise NotFullSelectionError(
-            f"query {selection.query} is not a full selection on "
-            f"{selection.analysis.predicate}: no persistent column is "
-            f"bound and no equivalence class is fully bound"
-        )
-    return selection

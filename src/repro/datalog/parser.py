@@ -23,6 +23,7 @@ The entry points are :func:`parse_program` (rules + facts + queries),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .atoms import Atom
@@ -38,6 +39,7 @@ __all__ = [
     "parse_rule",
     "parse_atom",
     "parse_query",
+    "parse_query_memo",
     "Token",
 ]
 
@@ -308,3 +310,13 @@ def parse_query(text: str) -> Atom:
     if not parser.at_eof():
         raise parser._error("unexpected trailing input after query")
     return a
+
+
+#: Query texts :func:`parse_query_memo` keeps parsed.
+PARSE_MEMO_SIZE = 1024
+
+#: :func:`parse_query` through one process-wide LRU memo: every entry
+#: point given query text (``Engine.query`` / ``plan_for`` / ``advise``
+#: / ``profile``, the query service) shares its frozen ``Atom``.  A text
+#: that does not parse raises every time and is not kept.
+parse_query_memo = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse_query)

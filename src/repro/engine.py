@@ -22,20 +22,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .budget import Budget, UNLIMITED
-from .core.api import evaluate_separable
-from .core.compiler import compile_selection
+from .core.api import evaluate_form
+from .core.compiler import QueryForm, query_form
 from .core.detection import SeparabilityReport, analyze_recursion
 from .core.plan import SeparablePlan
-from .core.selections import classify_selection
 from .datalog.atoms import Atom
 from .datalog.database import Database
-from .datalog.errors import (
-    NotFullSelectionError,
-    NotSeparableError,
-    UnknownPredicateError,
-)
+from .datalog.errors import NotSeparableError, UnknownPredicateError
 from .datalog.naive import naive_evaluate
-from .datalog.parser import parse_query
+from .datalog.parser import parse_query_memo
 from .datalog.programs import Program
 from .datalog.terms import Constant
 from .datalog.seminaive import seminaive_evaluate, seminaive_stratum
@@ -199,20 +194,17 @@ class Engine:
 
         Plans exist for *full* selections on predicates whose analysis
         is available (separable, or conditions 1-3 under the relaxed
-        mode); :func:`~repro.core.compiler.compile_plan` keeps one per
-        selected component with the analysis, so repeated queries with
-        different constants reuse one compilation -- the "compiling" in
-        the paper's title.
+        mode): the plan of the query's form
+        (:func:`~repro.core.compiler.query_form`), prepared once per
+        shape with the analysis, so repeated queries with different
+        constants reuse one compilation -- the "compiling" in the
+        paper's title.
         """
         if isinstance(query, str):
-            query = parse_query(query)
-        report = self.report(query.predicate)
-        if report.analysis is None:
-            return None
-        selection = classify_selection(report.analysis, query)
-        if not selection.is_full:
-            return None
-        return compile_selection(selection)
+            query = parse_query_memo(query)
+        analysis = self.report(query.predicate).analysis
+        return None if analysis is None else query_form(analysis,
+                                                        query).plan
 
     def advise(self, query: Union[Atom, str]) -> StrategyAdvice:
         """Classify a query against every strategy, with reasons.
@@ -229,19 +221,20 @@ class Engine:
         from .rewriting.selection_push import stable_positions
 
         if isinstance(query, str):
-            query = parse_query(query)
+            query = parse_query_memo(query)
         self._check_query(query)
         report = self.report(query.predicate)
         has_constant = any(isinstance(t, Constant) for t in query.args)
         applicable: list[str] = []
         notes: dict[str, str] = {}
+        full = (report.separable and has_constant
+                and query_form(report.analysis, query).plan is not None)
 
         if report.separable and has_constant:
             applicable.append("separable")
-            selection = classify_selection(report.analysis, query)
             notes["separable"] = (
                 "full selection (Definition 2.7); compiles directly"
-                if selection.is_full
+                if full
                 else "partial selection; evaluated via the Lemma 2.1 rewrite"
             )
         elif not report.separable:
@@ -269,9 +262,7 @@ class Engine:
                 "separable", "query has no selection constants"
             )
 
-        if "separable" in applicable and classify_selection(
-            report.analysis, query
-        ).is_full:
+        if full:
             applicable.append("nodedup")
             notes["nodedup"] = (
                 "full selection; diverges if the reachable data is cyclic"
@@ -422,7 +413,7 @@ class Engine:
         is cached across queries).
         """
         if isinstance(query, str):
-            query = parse_query(query)
+            query = parse_query_memo(query)
         self._check_query(query)
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -461,18 +452,18 @@ class Engine:
                 chosen = "magic"
 
         stats.strategy = chosen
-        answers = self._dispatch(chosen, query, report, stats, tracer,
-                                 budget, memo, order)
-        plan: Optional[SeparablePlan] = None
+        form: Optional[QueryForm] = None
         if chosen in ("separable", "relaxed", "nodedup"):
-            plan = self.plan_for(query)
+            form = self._form(chosen, query, report)
+        answers = self._dispatch(chosen, query, form, stats, tracer,
+                                 budget, memo, order)
         return QueryResult(
             query=query,
             answers=answers,
             strategy=chosen,
             stats=stats,
             report=report,
-            plan=plan,
+            plan=form.plan if form is not None else None,
         )
 
     def profile(
@@ -495,7 +486,7 @@ class Engine:
         the caller owns closing it.
         """
         if isinstance(query, str):
-            query = parse_query(query)
+            query = parse_query_memo(query)
         advice = self.advise(query)
         tracer = Tracer(
             sink=sink,
@@ -512,11 +503,27 @@ class Engine:
             wall_s=wall_s,
         )
 
+    def _form(self, strategy: str, query: Atom,
+              report: SeparabilityReport) -> QueryForm:
+        """The query form a Separable strategy runs ``query`` through,
+        or :class:`NotSeparableError` when the strategy cannot."""
+        relaxed = strategy == "relaxed"
+        if report.analysis is None or not (
+                report.separable
+                or relaxed and report.separable_up_to_condition_4):
+            raise NotSeparableError(
+                f"{query.predicate} is not separable"
+                + (" (even with Condition 4 relaxed)" if relaxed else "")
+                + ":\n" + report.explain(),
+                report=report,
+            )
+        return query_form(report.analysis, query, relaxed)
+
     def _dispatch(
         self,
         strategy: str,
         query: Atom,
-        report: Optional[SeparabilityReport],
+        form: Optional[QueryForm],
         stats: EvaluationStats,
         tracer,
         budget: Budget,
@@ -524,64 +531,24 @@ class Engine:
         order: str,
     ) -> frozenset[tuple]:
         if strategy in ("separable", "relaxed"):
-            assert report is not None
-            acceptable = report.separable or (
-                strategy == "relaxed"
-                and report.separable_up_to_condition_4
-            )
-            if not acceptable or report.analysis is None:
-                raise NotSeparableError(
-                    f"{query.predicate} is not separable"
-                    + (
-                        " (even with Condition 4 relaxed)"
-                        if strategy == "relaxed"
-                        else ""
-                    )
-                    + ":\n"
-                    + report.explain(),
-                    report=report,
-                )
-            return evaluate_separable(
-                self.program,
-                self._database_for(query.predicate),
-                query,
-                analysis=report.analysis,
-                stats=stats,
-                budget=budget,
-                order=order,
-                allow_disconnected=strategy == "relaxed",
-                tracer=tracer,
-                memo=memo,
+            return evaluate_form(
+                form, query, self._database_for(query.predicate), stats,
+                budget, order, tracer, memo,
             )
         if strategy == "nodedup":
-            assert report is not None
-            if not report.separable or report.analysis is None:
-                raise NotSeparableError(
-                    f"{query.predicate} is not separable:\n"
-                    + report.explain(),
-                    report=report,
-                )
-            analysis = report.analysis
-            selection = classify_selection(analysis, query)
-            if not selection.is_full:
-                raise NotFullSelectionError(
-                    f"the no-dedup ablation only runs full selections; "
-                    f"{query} is not one"
-                )
-            plan = self.plan_for(query)
-            assert plan is not None
+            plan = form.full_plan(query)
+            seed = form.seed(query)
             up_tuples = execute_plan_nodedup(
                 plan,
                 self._database_for(query.predicate),
-                [selection.seed],
+                [seed],
                 stats=stats,
                 budget=budget,
                 order=order,
                 tracer=tracer,
             )
             return frozenset(
-                fact
-                for fact in plan.assembler()(selection.seed, up_tuples)
+                fact for fact in form.assemble(seed, up_tuples)
                 if query.matches(fact)
             )
         if strategy == "magic":

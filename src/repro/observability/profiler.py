@@ -88,21 +88,15 @@ def _series_lines(tracer: Tracer) -> list[str]:
 def _plan_that_ran(result):
     """``result.plan``, or -- for a partial selection the Separable
     strategy answered, which has no one plan of its own -- the plan its
-    ``t_full`` half ran for every seed, compiled here for display (its
+    ``t_full`` half ran for every seed, read off the query's form (its
     ``t_part`` half is a full selection on another recursion)."""
     if result.plan is not None or result.strategy not in (
             "separable", "relaxed"):
         return result.plan
-    from ..core.compiler import compile_plan
-    from ..core.rewrite import choose_rewrite_class
-    from ..core.selections import classify_selection
+    from ..core.compiler import query_form
 
-    analysis = result.report.analysis
-    selection = classify_selection(analysis, result.query)
-    if selection.is_full:  # pragma: no cover - full selections have a plan
-        return None
-    cls = choose_rewrite_class(analysis, set(selection.bound))
-    return compile_plan(analysis, selected_class=cls)
+    return query_form(result.report.analysis, result.query,
+                      result.strategy == "relaxed").batch.plan
 
 
 def _kernel_lines(plan) -> list[str]:

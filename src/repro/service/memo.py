@@ -5,7 +5,7 @@ a union of *full* selections, and Figure 2 evaluates a full selection as
 one carry/seen run from one seed vector.  That run is the natural unit
 of work to share between requests: it is a pure function of (analysis,
 selected component, seed, join order) over one database snapshot, which
-is exactly what :func:`repro.core.api.full_selection_key` encodes.  The
+is exactly what :func:`repro.core.compiler.full_selection_key` encodes.  The
 same leverage drives adorned-subgoal answer caching in magic-sets
 engines (Alviano et al. 2019) and memoized subplan enumeration in
 recursive-plan optimizers (Fejza & Genevès 2023).

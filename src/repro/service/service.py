@@ -43,7 +43,6 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
@@ -51,7 +50,7 @@ from ..core.detection import require_separable
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, ReproError
-from ..datalog.parser import parse_query
+from ..datalog.parser import parse_query_memo
 from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
@@ -59,7 +58,7 @@ from ..maintenance import DeltaCapture, MaintainedView
 from ..observability.events import EVENT_SCHEMA, EventSink
 from ..observability.tracer import Tracer, span_of
 from ..stats import EvaluationStats
-from .memo import FullSelectionMemo
+from .memo import FullSelectionMemo, ScopedMemo
 from .metrics import ServiceMetrics
 from .slowlog import (
     SlowlogRing,
@@ -73,9 +72,6 @@ __all__ = [
     "ServiceResult",
     "QueryService",
 ]
-
-#: Query texts a service keeps parsed (least recently used out first).
-PARSE_MEMO_SIZE = 1024
 
 #: Records the in-memory slow-query ring keeps for the HTTP ``/slowlog``
 #: endpoint (oldest evicted first; a sink, when configured, still
@@ -222,11 +218,13 @@ class ServiceResult:
 
 @dataclass
 class _Snapshot:
-    """One immutable EDB state with its per-state engine."""
+    """One immutable EDB state with its per-state engine and its view
+    of the memo (scoped to the state's fingerprint)."""
 
     fingerprint: tuple
     db: Database
     engine: Engine
+    memo: ScopedMemo
 
 
 class QueryService:
@@ -261,9 +259,6 @@ class QueryService:
         self.slowlog_ring = SlowlogRing(SLOWLOG_CAPACITY)
         self._seq_lock = threading.Lock()
         self._seq = 0
-        # Query text -> its ``Atom``: frozen, so requests can share it.
-        # A text that does not parse raises every time and is not kept.
-        self._parse = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse_query)
         self._sink = sink
         self._sink_lock = threading.Lock()
         if sink is not None:
@@ -429,6 +424,7 @@ class QueryService:
             fingerprint=fingerprint,
             db=db,
             engine=self._engine.with_edb(db),
+            memo=self.memo.scoped(fingerprint),
         )
         return snap
 
@@ -491,7 +487,7 @@ class QueryService:
         if self._closed:
             raise RuntimeError("service is closed")
         if isinstance(query, str):
-            query = self._parse(query)
+            query = parse_query_memo(query)
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         submitted = time.monotonic()
@@ -595,7 +591,7 @@ class QueryService:
                             strategy=strategy,
                             budget=self._attempt_budget(
                                 deadline_at, time.monotonic()),
-                            memo=self.memo.scoped(fingerprint),
+                            memo=snap.memo,
                             tracer=tracer,
                         )
                 except BudgetExceeded as exc:

@@ -1,8 +1,13 @@
 """Tests for the human-readable compiled form: the Figure 3/4
 listings, checked structurally."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.core.compiler import compile_selection
 from repro.core.detection import require_separable
 from repro.core.selections import classify_selection
@@ -68,3 +73,41 @@ class TestSeedAndAnswerArities:
         plan = plan_for(example_2_4_program(), "t", query)
         assert plan.seed_arity == seed_arity
         assert plan.answer_arity == answer_arity
+
+
+class TestPlanCommandGolden:
+    """``repro-datalog plan`` prints what the query's form holds: full
+    and partial selections on Examples 1.1, 1.2 and 2.4, byte for byte
+    as before query forms (``golden/plans.txt``)."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "plans.txt"
+    REPO = Path(__file__).resolve().parents[2]
+    CASES = (
+        [("ex11", q) for q in ("buys(tom, Y)?", "buys(X, camera)?",
+                               "buys(tom, camera)?")]
+        + [("ex12", q) for q in ("buys(tom, Y)?", "buys(X, cup)?",
+                                 "buys(tom, cup)?")]
+        + [("ex24", q) for q in ("t(c, Y, Z)?", "t(c, d, Z)?", "t(X, Y, z)?",
+                                 "t(X, d, Z)?", "t(c, Y, z)?", "t(c, c, Z)?")]
+    )
+
+    def test_matches_golden_file(self, tmp_path):
+        ex11 = tmp_path / "ex11.dl"
+        ex11.write_text(
+            "buys(X, Y) :- friend(X, W) & buys(W, Y).\n"
+            "buys(X, Y) :- idol(X, W) & buys(W, Y).\n"
+            "buys(X, Y) :- perfectFor(X, Y).\n"
+        )
+        files = {
+            "ex11": ex11,
+            "ex12": self.REPO / "examples" / "example_1_2.dl",
+            "ex24": self.REPO / "tests" / "differential" / "corpus"
+            / "example-2-4-partial-selection.dl",
+        }
+        out = io.StringIO()
+        for name, query in self.CASES:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert main(["plan", str(files[name]), "--query", query]) == 0
+            out.write(f"== {name} {query}\n{printed.getvalue()}")
+        assert out.getvalue() == self.GOLDEN.read_text()

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.compiler import compile_selection, query_form
 from repro.core.detection import require_separable
-from repro.core.selections import classify_selection, require_full
+from repro.core.selections import classify_selection
 from repro.datalog.errors import NotFullSelectionError
 from repro.datalog.parser import parse_atom
 from repro.workloads.paper import (
@@ -48,9 +49,12 @@ class TestClassDrivenSelections:
         assert s.selected_positions == (1,)
 
     def test_fully_bound_query(self, ex12):
-        s = classify_selection(ex12, parse_atom("buys(tom, cup)"))
+        query = parse_atom("buys(tom, cup)")
+        s = classify_selection(ex12, query)
         assert s.is_full
-        assert s.residual_bound()  # the other column becomes a filter
+        # The other column becomes a filter.
+        assert set(s.bound) - set(s.selected_positions)
+        assert not query_form(ex12, query).vacuous
 
     def test_widest_class_preferred(self, ex24):
         s = classify_selection(ex24, parse_atom("t(c, d, e)"))
@@ -67,19 +71,24 @@ class TestPersDrivenSelections:
         assert s.selected_positions == (1,)
 
     def test_pers_preferred_over_class(self, ex11):
-        s = classify_selection(ex11, parse_atom("buys(tom, camera)"))
+        query = parse_atom("buys(tom, camera)")
+        s = classify_selection(ex11, query)
         assert s.selected_class is None  # pers wins
         assert s.selected_positions == (1,)
-        assert s.residual_bound() == {0: "tom"}
+        assert s.bound == {0: "tom", 1: "camera"}
+        assert not query_form(ex11, query).vacuous  # tom is a filter
 
 
 class TestPartialSelections:
     def test_example_2_4_partial(self, ex24):
         """The paper's running non-full example: t(c, Y, Z)?."""
-        s = classify_selection(ex24, parse_atom("t(c, Y, Z)"))
+        query = parse_atom("t(c, Y, Z)")
+        s = classify_selection(ex24, query)
         assert not s.is_full
         assert s.has_constants
-        assert [c.index for c in s.partially_bound_classes()] == [1]
+        # Lemma 2.1 rewrites the partially bound class e_1.
+        form = query_form(ex24, query)
+        assert form.batch.plan.selected_class_index == 1
 
     def test_no_constants(self, ex11):
         s = classify_selection(ex11, parse_atom("buys(X, Y)"))
@@ -87,13 +96,14 @@ class TestPartialSelections:
         assert not s.has_constants
 
     def test_require_full_raises(self, ex24):
-        s = classify_selection(ex24, parse_atom("t(c, Y, Z)"))
+        query = parse_atom("t(c, Y, Z)")
         with pytest.raises(NotFullSelectionError):
-            require_full(s)
+            query_form(ex24, query).full_plan(query)
 
     def test_require_full_passes(self, ex24):
-        s = classify_selection(ex24, parse_atom("t(c, d, Z)"))
-        assert require_full(s) is s
+        query = parse_atom("t(c, d, Z)")
+        assert query_form(ex24, query).full_plan(query) is compile_selection(
+            classify_selection(ex24, query))
 
 
 class TestValidation:

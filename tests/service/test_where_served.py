@@ -17,9 +17,9 @@ from collections import Counter
 import pytest
 
 import repro.core.api as api_module
-import repro.service.service as service_module
 from repro.datalog.database import Database
 from repro.datalog.errors import DatalogSyntaxError
+from repro.datalog.parser import PARSE_MEMO_SIZE, parse_query_memo
 from repro.engine import Engine
 from repro.maintenance import MaintainedView
 from repro.observability import RingBufferSink
@@ -368,38 +368,37 @@ class TestInlineReadTelemetry:
 
 
 class TestParseMemo:
-    def test_one_text_is_parsed_once(self, monkeypatch):
-        parses = []
-        parse = service_module.parse_query
+    """The service parses through the process-wide parse memo."""
 
-        def counting(text):
-            parses.append(text)
-            return parse(text)
-
-        monkeypatch.setattr(service_module, "parse_query", counting)
+    def test_one_text_is_parsed_once(self):
+        parse_query_memo.cache_clear()
         with _service(incremental=False) as service:
             first = service.query("buys(a1, Y)?")
             second = service.submit("buys(a1, Y)?").result(timeout=60)
         assert first.query is second.query
-        assert parses == ["buys(a1, Y)?"]
+        memo = parse_query_memo.cache_info()
+        assert (memo.misses, memo.hits) == (1, 1)
 
     def test_a_malformed_text_raises_every_time_and_is_not_kept(self):
+        parse_query_memo.cache_clear()
         with _service() as service:
             for _ in range(2):
                 with pytest.raises(DatalogSyntaxError):
                     service.submit("buys(a1 Y")
-            memo = service._parse.cache_info()
+            memo = parse_query_memo.cache_info()
             assert (memo.misses, memo.currsize) == (2, 0)
             assert service.metrics_dict()["requests_submitted"] == 0
 
-    def test_the_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(service_module, "PARSE_MEMO_SIZE", 4)
+    def test_the_memo_is_bounded(self):
+        parse_query_memo.cache_clear()
+        texts = [f"buys(a{i}, Y)?" for i in range(PARSE_MEMO_SIZE + 2)]
         with _service() as service:
-            for i in range(1, 7):
-                assert service.query(f"buys(a{i}, Y)?").ok
-                assert service._parse.cache_info().currsize <= 4
-            # The four latest texts stay; the first is parsed anew.
-            service.query("buys(a6, Y)?")
-            service.query("buys(a1, Y)?")
-            memo = service._parse.cache_info()
-        assert (memo.hits, memo.misses, memo.currsize) == (1, 7, 4)
+            for text in texts:
+                service.submit(text)
+            assert parse_query_memo.cache_info().currsize == PARSE_MEMO_SIZE
+            # The latest texts stay; the first is parsed anew.
+            assert service.query(texts[-1]).ok
+            assert service.query(texts[0]).ok
+            memo = parse_query_memo.cache_info()
+        assert (memo.hits, memo.misses, memo.currsize) == (
+            1, PARSE_MEMO_SIZE + 3, PARSE_MEMO_SIZE)
