@@ -31,7 +31,9 @@ spent in reads and in writes, then
   snapshot) beside the other memo misses and the hits; then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
-  connections and SQL statements per write and per read of each kind;
+  connections and SQL statements per write and per read of each kind,
+  and the keyed SELECTs a frozen (snapshot) relation ran for a
+  ``(relation object, probe, key)`` it had run before (``repeats``);
 
 ``serve-read`` (read-only, memo larger than the seed set)
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
@@ -50,7 +52,9 @@ read was not served on the calling thread by one
 ``MaintainedView.select`` (``serve-mixed``) or one ``Engine.query``
 (the others) -- the script wraps both to note the thread that ran them,
 since ``query()`` never hands off -- when a memo hit's answers are
-not the very object the memo entry holds, or when a memo hit ran
+not the very object the memo entry holds, when a frozen SQLite
+relation repeated a keyed SELECT (it answers a key it has run from
+its bucket), or when a memo hit ran
 ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared).
@@ -66,6 +70,7 @@ import statistics
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -98,14 +103,15 @@ EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "hit"),
          "serve-read": ("miss", "hit")}
-COUNTED = ("copies", "connections", "statements")
+COUNTED = ("copies", "connections", "statements", "repeats")
 #: What each failed check is reported as.
 CHECKS = {"differ": "reads that differ from the reference",
           "plan_lookups": "plan lookups a write",
           "full_key": "full-column indexes",
           "off_caller": "reads not served on the calling thread",
           "not_entry": "memo hits that are not the entry's answer set",
-          "prepared": "memo hits that classified or compiled"}
+          "prepared": "memo hits that classified or compiled",
+          "repeats": "keyed SELECTs a frozen relation ran again"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
 #: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
@@ -242,7 +248,10 @@ def record_calls() -> None:
 
 def trace_storage(counts: dict) -> None:
     """Count, from here on, every ``SQLiteRelation.copy``, every
-    connection a relation opens and every statement run on one."""
+    connection a relation opens and every statement run on one, and as
+    ``repeats`` every keyed SELECT a frozen relation runs a second time
+    on its connection: the same text with the same key expanded into it
+    is the same ``(relation object, probe, key)``."""
     copy, connect = SQLiteRelation.copy, SQLiteRelation._connect_rw
 
     def bump(name):
@@ -255,7 +264,18 @@ def trace_storage(counts: dict) -> None:
     def counted_connect(self):
         bump("connections")
         conn = connect(self)
-        conn.set_trace_callback(lambda _statement: bump("statements"))
+        # Only a bucket outlives its relation, and only a frozen
+        # relation has buckets.
+        rel, ran = weakref.ref(self), set()
+
+        def traced(statement):
+            bump("statements")
+            if statement.startswith("SELECT") and " WHERE " in statement \
+                    and getattr(rel(), "_readonly", True):
+                if statement in ran:
+                    bump("repeats")
+                ran.add(statement)
+        conn.set_trace_callback(traced)
         return conn
 
     SQLiteRelation.copy = counted_copy
@@ -390,6 +410,7 @@ def main(argv=None) -> int:
                 print(f"per {kind:<12} ({len(seconds[kind]):3d} a pass)  "
                       + "  ".join(f"{name} {counted[kind][name] / n:8.2f}"
                                   for name in COUNTED))
+            failed["repeats"] += counts["repeats"]
         metrics = service.metrics_dict()
         print("snapshots_created {snapshots_created}  view_probes "
               "{view_probes}  view_repairs {view_repairs}  view_rebuilds "

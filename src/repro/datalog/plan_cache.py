@@ -1028,7 +1028,10 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
     it derived) patches that very dict.  A traced run probes a
     still-unbuilt index through the relation's method so that the build
     is counted where the reference loop counts it; so does every full
-    scan, and every other ``RelationStorage`` (SQLite).  ``cols == ()``
+    scan.  A frozen (``_readonly``) ``SQLiteRelation`` binds its
+    read-through bucket the same way, so a repeated key is one dict
+    lookup, not a SQL call; a writable one, or any other
+    ``RelationStorage``, is probed through its method.  ``cols == ()``
     is a membership test: the answer is the relation's row set.
     """
     if cols == ():
@@ -1043,6 +1046,12 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
             index = indexes[signature]
         if index is not None:
             return index.get
+    elif positions and getattr(rel, "_readonly", False):
+        bucket = rel._buckets.get((positions, cols))
+        if bucket is None and tracer is None:
+            bucket = rel._bucket(positions, cols)
+        if bucket is not None:
+            return bucket.__getitem__
     return partial(lookup, tracer=tracer)
 
 

@@ -9,10 +9,11 @@ sqlite:<path>``, or the same spec anywhere a backend is named) all
 relations share one durable WAL-mode database file, and
 :meth:`SQLiteRelation.snapshot` returns a *read-only connection*
 pinned to the current WAL state instead of copying tuples.  A
-temporary-mode snapshot is one frozen copy that owns its rows: it
-rejects every mutator but still creates its SQL indexes lazily, and it
-is handed on unchanged to the next snapshot for as long as the
-relation is unwritten -- rows, connection, prepared statements, indexes.
+temporary-mode snapshot is one frozen page copy (``Connection.backup``)
+that owns its rows: it rejects every mutator but still creates its SQL
+indexes lazily, and it is handed on unchanged to the next snapshot for
+as long as the relation is unwritten -- rows, connection, prepared
+statements, indexes, buckets.
 
 The protocol mapping:
 
@@ -20,6 +21,9 @@ The protocol mapping:
   per column subset, mirroring the in-memory backend's tracer
   accounting); ``lookup_projected`` is ``SELECT <cols>`` over the same
   index, and a probe's SQL is text once per ``(positions, cols)``;
+- a frozen (read-only) relation's keyed probes -> a read-through
+  bucket per ``(positions, cols)``: each key runs its SELECT once and
+  keeps its rows, so only the rows actually probed are held;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
   transaction (falling back to per-row statements only when observers
   need per-fact effectiveness);
@@ -58,6 +62,31 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+class _Bucket(dict):
+    """``key -> rows`` of one keyed probe of a frozen relation, read
+    through: a key not asked before runs the prepared SELECT once and
+    keeps its rows (empty ones too), as ``kind`` -- a ``frozenset`` for
+    ``lookup_projected``, a ``tuple`` for ``lookup``.  It holds the
+    connection and lock, not the relation, so dropping a snapshot
+    frees its connection by refcount alone."""
+
+    __slots__ = ("_conn", "_lock", "_sql", "_kind", "_unit")
+
+    def __init__(self, conn, lock, sql: str, kind, unit: bool) -> None:
+        self._conn, self._lock, self._sql = conn, lock, sql
+        self._kind, self._unit = kind, unit
+
+    def __missing__(self, key: tuple):
+        with self._lock:
+            rows = self.get(key)
+            if rows is None:
+                rows = self._conn.execute(self._sql, key).fetchall()
+                # No column selected (all keyed, or arity 0): a 0 a row.
+                rows = self[key] = self._kind(
+                    [()] * len(rows) if self._unit else rows)
+        return rows
+
+
 class SQLiteRelation:
     """One relation stored as a SQLite table.
 
@@ -80,6 +109,8 @@ class SQLiteRelation:
         self._indexed: set[tuple[int, ...]] = set()
         #: ``(positions, cols) -> SELECT text``; ``cols=None`` is ``lookup``.
         self._probes: dict[tuple, str] = {}
+        #: ``(positions, cols) -> _Bucket``, filled once read-only.
+        self._buckets: dict[tuple, _Bucket] = {}
         self._len_cache: tuple[int, int] | None = None
         self._distinct_cache = None
         self._col_distinct_cache = None
@@ -88,8 +119,11 @@ class SQLiteRelation:
         self._table = _quote("rel_" + name)
         self._columns = [f"c{i}" for i in range(arity)] or ["c0"]
         self._where = " AND ".join(f"{c} = ?" for c in self._columns)
-        #: The membership test's text, built once like ``_probes``'.
+        #: The membership test's and the writes' texts, built once.
         self._member = f"SELECT 1 FROM {self._table} WHERE {self._where}"
+        self._delete = f"DELETE FROM {self._table} WHERE {self._where}"
+        self._insert = (f"INSERT OR IGNORE INTO {self._table} VALUES "
+                        f"({', '.join('?' for _ in self._columns)})")
         self._conn = self._connect_rw()
         self._create_table()
         if tuples:
@@ -174,29 +208,34 @@ class SQLiteRelation:
     # -- mutation ---------------------------------------------------------
 
     def add(self, fact: Fact) -> bool:
+        return self._write(self._insert, fact, 1)
+
+    def add_all(self, facts: Iterable[Fact]) -> int:
+        return self._write_all(self._insert, facts, 1)
+
+    def discard(self, fact: Fact) -> bool:
+        return self._write(self._delete, fact, -1)
+
+    def discard_all(self, facts: Iterable[Fact]) -> int:
+        return self._write_all(self._delete, facts, -1)
+
+    def _write(self, sql: str, fact: Fact, sign: int) -> bool:
         fact = self._check(fact)
         self._check_writable()
         with self._lock:
-            cur = self._conn.execute(
-                f"INSERT OR IGNORE INTO {self._table} VALUES "
-                f"({', '.join('?' for _ in self._columns)})",
-                self._row(fact),
-            )
-            if cur.rowcount != 1:
+            if self._conn.execute(sql, self._row(fact)).rowcount != 1:
                 return False
             self._version += 1
         for cb in self._observers:
-            cb(self, fact, 1)
+            cb(self, fact, sign)
         return True
 
-    def add_all(self, facts: Iterable[Fact]) -> int:
+    def _write_all(self, sql: str, facts: Iterable[Fact], sign: int) -> int:
         self._check_writable()
         rows = [self._row(self._check(f)) for f in facts]
         if not rows:
             return 0
-        placeholders = ", ".join("?" for _ in self._columns)
-        sql = f"INSERT OR IGNORE INTO {self._table} VALUES ({placeholders})"
-        new: list[Fact] = []
+        changed: list[Fact] = []
         with self._lock:
             self._conn.execute("BEGIN")
             try:
@@ -205,8 +244,8 @@ class SQLiteRelation:
                     # fan-out; still one transaction.
                     for row in rows:
                         if self._conn.execute(sql, row).rowcount == 1:
-                            new.append(self._fact(row))
-                    count = len(new)
+                            changed.append(self._fact(row))
+                    count = len(changed)
                 else:
                     before = self._conn.total_changes
                     self._conn.executemany(sql, rows)
@@ -216,53 +255,9 @@ class SQLiteRelation:
                 raise
             self._conn.execute("COMMIT")
             self._version += count
-        for fact in new:
+        for fact in changed:
             for cb in self._observers:
-                cb(self, fact, 1)
-        return count
-
-    def discard(self, fact: Fact) -> bool:
-        fact = self._check(fact)
-        self._check_writable()
-        with self._lock:
-            cur = self._conn.execute(
-                f"DELETE FROM {self._table} WHERE {self._where}",
-                self._row(fact),
-            )
-            if cur.rowcount != 1:
-                return False
-            self._version += 1
-        for cb in self._observers:
-            cb(self, fact, -1)
-        return True
-
-    def discard_all(self, facts: Iterable[Fact]) -> int:
-        self._check_writable()
-        rows = [self._row(self._check(f)) for f in facts]
-        if not rows:
-            return 0
-        sql = f"DELETE FROM {self._table} WHERE {self._where}"
-        removed: list[Fact] = []
-        with self._lock:
-            self._conn.execute("BEGIN")
-            try:
-                if self._observers:
-                    for row in rows:
-                        if self._conn.execute(sql, row).rowcount == 1:
-                            removed.append(self._fact(row))
-                    count = len(removed)
-                else:
-                    before = self._conn.total_changes
-                    self._conn.executemany(sql, rows)
-                    count = self._conn.total_changes - before
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-            self._version += count
-        for fact in removed:
-            for cb in self._observers:
-                cb(self, fact, -1)
+                cb(self, fact, sign)
         return count
 
     def clear(self) -> None:
@@ -322,6 +317,8 @@ class SQLiteRelation:
 
     def lookup(self, positions: tuple[int, ...], key: tuple,
                tracer=None) -> list[Fact]:
+        if positions and self._readonly:
+            return list(self._bucket(positions, None, tracer)[tuple(key)])
         rows = self._select(positions, None, key, tracer)
         return rows if self.arity else [() for _ in rows]
 
@@ -331,18 +328,32 @@ class SQLiteRelation:
         """The ``cols`` columns of ``lookup(positions, key)``, selected
         by SQLite over the same lazily created index (injective
         projections only, as on the in-memory backend)."""
+        if positions and self._readonly:
+            return set(self._bucket(positions, cols, tracer)[tuple(key)])
         rows = self._select(positions, cols, key, tracer)
         return set(rows) if cols else {() for _ in rows}
+
+    def _bucket(self, positions: tuple[int, ...], cols,
+                tracer=None) -> _Bucket:
+        """The read-through ``key -> rows`` of a keyed probe of this
+        frozen (read-only) relation: its rows never change, so each key
+        runs its SELECT once per relation object."""
+        with self._lock:
+            bucket = self._buckets.get((positions, cols))
+            if bucket is None:
+                bucket = self._buckets[positions, cols] = _Bucket(
+                    self._conn, self._lock,
+                    self._prepare(positions, cols, tracer),
+                    tuple if cols is None else frozenset,
+                    not (self.arity if cols is None else cols))
+        return bucket
 
     def _select(self, positions: tuple[int, ...], cols, key: tuple,
                 tracer) -> list:
         """The ``cols`` columns (``None``: all) of the rows matching
         ``key`` on ``positions``: a counted full scan without any,
         otherwise over an index created on first use."""
-        sql = self._probes.get((positions, cols))
-        if sql is None:
-            sql = self._probes[positions, cols] = \
-                self._prepare(positions, cols, tracer)
+        sql = self._prepare(positions, cols, tracer)
         if not positions and tracer is not None:
             tracer.count("full_scans")
         with self._lock:
@@ -354,6 +365,9 @@ class SQLiteRelation:
         that owns its rows (temporary mode) indexes them like any
         relation; a ``mode=ro`` WAL connection cannot, and reads through
         whatever indexes the live connection had made."""
+        sql = self._probes.get((positions, cols))
+        if sql is not None:
+            return sql
         if cols is None:
             select = ", ".join(self._columns)
         elif len({*positions, *cols}) != self.arity:
@@ -377,8 +391,10 @@ class SQLiteRelation:
                     tracer.count("index_builds")
                     tracer.count("index_tuples", len(self))
         where = " AND ".join(f"{c} = ?" for c in keyed)
-        return (f"SELECT {select} FROM {self._table}"
-                + (f" WHERE {where}" if where else ""))
+        sql = self._probes[positions, cols] = (
+            f"SELECT {select} FROM {self._table}"
+            + (f" WHERE {where}" if where else ""))
+        return sql
 
     # -- planner statistics -------------------------------------------------
 
@@ -438,8 +454,34 @@ class SQLiteRelation:
     # -- copies and snapshots ----------------------------------------------
 
     def copy(self) -> "SQLiteRelation":
-        """A private writable copy in a fresh temporary database."""
-        return SQLiteRelation(self.name, self.arity, self)
+        """A private writable copy in a fresh temporary database.
+
+        A temporary-mode relation is the only table of its database, so
+        its copy is a page copy (``Connection.backup``), SQL indexes
+        included; a durable file holds every relation, so a copy of one
+        of its relations re-inserts that relation's rows.
+        """
+        if self._path is not None:
+            return SQLiteRelation(self.name, self.arity, self)
+        with self._lock:
+            # Versioned as the row copy would be: one step per row.
+            n = len(self)
+            twin = self._twin(_readonly=False, _version=n, _len_cache=(n, n),
+                              _distinct_cache=None, _col_distinct_cache=None,
+                              _sample_cache=None)
+            twin._conn = twin._connect_rw()
+            self._conn.backup(twin._conn)
+        return twin
+
+    def _twin(self, **fields) -> "SQLiteRelation":
+        """A relation object on this one's table (``fields`` replace
+        its connection, version, caches ...) with its own lock, probe
+        texts, buckets and view of which indexes exist."""
+        twin = object.__new__(SQLiteRelation)
+        twin.__dict__.update(
+            self.__dict__, _observers=(), _probes={}, _buckets={},
+            _indexed=set(self._indexed), _lock=threading.RLock(), **fields)
+        return twin
 
     def snapshot(self, previous=None) -> "SQLiteRelation":
         """A stable read view of the current contents.
@@ -450,9 +492,9 @@ class SQLiteRelation:
         It is re-pinned per snapshot -- a shared one would hold its read
         transaction, and so every checkpoint, back for as long as the
         relation stays unwritten.  Temporary-database relations (private
-        by construction) fall back to a frozen copy, and ``previous`` --
-        the last snapshot of this relation -- *is* that copy while the
-        version has not moved.
+        by construction) fall back to a frozen page copy, and
+        ``previous`` -- the last snapshot of this relation -- *is* that
+        copy while the version has not moved.
         """
         if not (self._path is not None and self._wal):
             if (previous is not None and previous.arity == self.arity
@@ -462,12 +504,8 @@ class SQLiteRelation:
             snap._readonly = True
             snap._version = self._version
             return snap
-        snap = object.__new__(SQLiteRelation)
-        # Same table, version and (version-checked) caches; its own
-        # lock, probe texts and view of which indexes exist.
-        snap.__dict__.update(
-            self.__dict__, _readonly=True, _observers=(), _probes={},
-            _indexed=set(self._indexed), _lock=threading.RLock())
+        # Same table, version and (version-checked) caches.
+        snap = self._twin(_readonly=True)
         uri = Path(self._path).resolve().as_uri() + "?mode=ro"
         snap._conn = sqlite3.connect(uri, uri=True, check_same_thread=False,
                                      isolation_level=None)

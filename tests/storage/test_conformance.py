@@ -382,6 +382,17 @@ class TestSnapshotReads:
             snap.lookup_projected((), (2, 0, 1), (), tracer)
             assert tracer.counter_total("full_scans") == 2 * n
 
+    def test_snapshot_of_indexed_relation_builds_no_index(self, store):
+        rel = make(store, arity=3, tuples=self.FACTS)
+        rel.lookup((0,), ("a",))
+        tracer = Tracer()
+        assert rel.snapshot().lookup((0,), ("a",), tracer)
+        # A temporary-mode snapshot is a page copy, SQL indexes and all;
+        # a durable file's is its connection on the indexed file.  Only
+        # the memory copy indexes its own tuples.
+        assert tracer.counter_total("index_builds") \
+            == (store.name == "memory")
+
     def test_snapshot_rejects_every_mutator(self, store):
         rel = make(store, tuples=[("a", "b")])
         snap = rel.snapshot()

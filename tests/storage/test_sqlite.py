@@ -2,21 +2,29 @@
 
 The conformance suite (``test_conformance.py``) pins the shared
 protocol; these tests pin what only the out-of-core backend does --
-the durable WAL file, pinned read-only snapshots, the schema registry
-that makes reopening a file discover its relations, and end-to-end
-answer equality through the engine.
+the durable WAL file, pinned read-only snapshots, a frozen relation's
+read-through probe buckets, the page copy of a temporary-mode
+relation, the schema registry that makes reopening a file discover
+its relations, and end-to-end answer equality through the engine.
 """
+
+import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
+from repro.datalog.plan_cache import _probe
 from repro.engine import Engine
 from repro.service import QueryService, ServiceConfig
 from repro.storage import (
     MemoryBackend,
     ReadOnlyRelationError,
     SQLiteBackend,
+    SQLiteRelation,
     ensure_backend,
     resolve_backend,
 )
@@ -162,6 +170,198 @@ class TestSnapshots:
             with pytest.raises(ReadOnlyRelationError):
                 served.relation("e").add(("x", "y"))
             assert ("c", "d") in service.query("tc(X, Y)?").answers
+
+
+def selects(rel) -> list:
+    """The SELECTs run on ``rel``'s connection from here on, each with
+    its key expanded into its text."""
+    ran: list[str] = []
+    rel._conn.set_trace_callback(
+        lambda sql: sql.startswith("SELECT") and ran.append(sql))
+    return ran
+
+
+class TestFrozenProbes:
+    """A frozen relation -- a temporary-mode snapshot or a pinned WAL
+    connection -- runs each keyed probe's SELECT once per key."""
+
+    FACTS = [("a", "b", "c"), ("a", "b", "d"), ("a", "x", "c"),
+             ("b", "b", "b")]
+    #: ``(positions, cols)``: ``lookup``, projections, all columns
+    #: keyed, and ``cols=()`` (nothing selected).
+    PROBES = [((0,), None), ((0,), (1, 2)), ((0,), (2, 1)),
+              ((1, 2), (0,)), ((0, 1, 2), None), ((0, 1, 2), ()),
+              ((0, 1), (2,))]
+
+    def frozen(self, facts=FACTS, arity=3):
+        rel = SQLiteBackend().make_relation("p", arity, facts)
+        return rel, rel.snapshot()
+
+    @staticmethod
+    def read(rel, positions, cols, key):
+        return (sorted(rel.lookup(positions, key)) if cols is None
+                else rel.lookup_projected(positions, cols, key))
+
+    def test_repeated_keyed_probe_runs_one_select(self):
+        _, snap = self.frozen()
+        ran = selects(snap)
+        reader = _probe(snap, (0,), (1, 2), None)
+        for _ in range(3):
+            snap.lookup((0,), ("a",))
+            snap.lookup_projected((0,), (1, 2), ("a",))
+            reader(("a",))
+            reader(("nope",))
+        assert len(ran) == 3  # (0,)->all on a; (0,)->(1, 2) on a, nope
+        assert any("'nope'" in sql for sql in ran)
+        # Unkeyed calls are one full scan each, every time.
+        del ran[:]
+        for n in range(1, 4):
+            snap.lookup((), ())
+            snap.lookup_projected((), (2, 0, 1), ())
+            assert len(ran) == 2 * n
+
+    def test_answers_equal_the_live_relation(self):
+        rel, snap = self.frozen()
+        for _ in range(2):      # asked, then from the bucket
+            for positions, cols in self.PROBES:
+                reader = _probe(snap, positions, cols, None)
+                for fact in self.FACTS + [("nope",) * 3]:
+                    key = tuple(fact[p] for p in positions)
+                    want = self.read(rel, positions, cols, key)
+                    assert self.read(snap, positions, cols, key) == want
+                    if cols == ():  # a membership test: the relation
+                        assert (key in reader) == bool(want)
+                        continue
+                    got = reader(key)
+                    assert (sorted(got) if cols is None else set(got)) \
+                        == want
+        unit, frozen_unit = self.frozen([()], 0)
+        assert frozen_unit.lookup((), ()) == unit.lookup((), ()) == [()]
+        assert frozen_unit.lookup_projected((), (), ()) == {()}
+
+    def test_reader_hands_out_immutables_and_methods_copy(self):
+        _, snap = self.frozen()
+        rows = _probe(snap, (0,), None, None)(("a",))
+        projected = _probe(snap, (0,), (1, 2), None)(("a",))
+        missing = _probe(snap, (0,), (1, 2), None)(("nope",))
+        assert type(rows) is tuple and type(projected) is frozenset
+        assert missing == frozenset()
+        listed = snap.lookup((0,), ("a",))
+        listed.clear()
+        got = snap.lookup_projected((0,), (1, 2), ("a",))
+        got.clear()
+        assert sorted(snap.lookup((0,), ("a",))) == sorted(rows)
+        assert snap.lookup_projected((0,), (1, 2), ("a",)) == projected \
+            == {("b", "c"), ("b", "d"), ("x", "c")}
+
+    def test_buckets_follow_the_snapshot(self):
+        rel, first = self.frozen()
+        first.lookup((0,), ("a",))
+        again = rel.snapshot(first)
+        assert again is first and again._buckets
+        rel.add(("a", "y", "y"))
+        moved = rel.snapshot(again)
+        assert moved is not again and moved._buckets == {}
+        assert ("a", "y", "y") in moved.lookup((0,), ("a",))
+        assert ("a", "y", "y") not in again.lookup((0,), ("a",))
+        assert sorted(again.lookup((0,), ("a",))) == self.FACTS[:3]
+
+    def test_wal_snapshot_stays_pinned(self, tmp_path):
+        rel = SQLiteBackend(str(tmp_path / "facts.db")).make_relation(
+            "p", 3, self.FACTS)
+        snap = rel.snapshot()
+        assert snap._buckets == {} and snap._buckets is not rel._buckets
+        before = sorted(snap.lookup((0,), ("a",)))
+        rel.add(("a", "y", "y"))
+        rel.discard(("b", "b", "b"))
+        # From the bucket, and from SQL for a probe not asked before.
+        assert sorted(snap.lookup((0,), ("a",))) == before
+        assert snap.lookup_projected((1,), (0, 2), ("b",)) \
+            == {("a", "c"), ("a", "d"), ("b", "b")}
+        assert snap.lookup((1,), ("y",)) == []
+        moved = rel.snapshot(snap)
+        assert moved._buckets == {} and moved._buckets is not snap._buckets
+        assert ("a", "y", "y") in moved.lookup((0,), ("a",))
+
+    def test_threads_share_one_frozen_snapshot(self):
+        facts = [(f"n{i % 17}", f"n{i % 5}", f"n{i}") for i in range(200)]
+        rel, snap = self.frozen(facts)
+        keys = sorted({f[0] for f in facts}) + ["nope"]
+        want = {k: rel.lookup_projected((0,), (1, 2), (k,)) for k in keys}
+        got: list = []
+
+        def probe():
+            reader = _probe(snap, (0,), (1, 2), None)
+            got.append(all(reader((k,)) == want[k] and
+                           snap.lookup_projected((0,), (1, 2), (k,))
+                           == want[k] for k in keys * 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [True] * 4
+
+
+class TestPageCopy:
+    @pytest.mark.parametrize("spec", ["sqlite", "sqlite:path"])
+    def test_replaced_snapshot_is_freed_without_gc(self, spec, tmp_path):
+        # Buckets hold the connection, not the relation: a replaced
+        # snapshot is freed by refcount (a durable file's read
+        # transaction with it), not by a later cyclic collection.
+        if spec == "sqlite:path":
+            spec = f"sqlite:{tmp_path / 'facts.db'}"
+        parsed = parse_program(TestEngineEquivalence.TEXT)
+        config = ServiceConfig(workers=1, backend=spec)
+        gc.disable()
+        try:
+            with QueryService(parsed.program, parsed.database,
+                              config) as service:
+                assert service.query("tc(a, Y)?").ok
+                rel = service._snapshot().db.relation("e")
+                assert rel.lookup((0,), ("a",)) == [("a", "b")]
+                held, rel = weakref.ref(rel), None
+                assert held()._buckets
+                service.add_fact("e", ("d", "e"))
+                assert ("a", "e") in service.query("tc(a, Y)?").answers
+                assert held() is None
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def master(rel, kind):
+        return sorted(name for (name,) in rel._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = ?", (kind,)))
+
+    def test_page_copy_equals_its_source(self):
+        rel = SQLiteBackend().make_relation(
+            "p", 3, TestFrozenProbes.FACTS)
+        rel.discard(("b", "b", "b"))
+        rel.lookup((0,), ("a",))
+        rel.lookup_projected((1, 2), (0,), ("b", "c"))
+        copy = rel.copy()
+        rows = SQLiteRelation("p", 3, rel)  # what a row copy makes
+        assert sorted(copy) == sorted(rel)
+        assert copy.version == rows.version == len(rel) == len(copy)
+        assert copy._indexed == rel._indexed == {(0,), (1, 2)}
+        assert self.master(copy, "index") == self.master(rel, "index") \
+            == ["idx_rel_p_0", "idx_rel_p_1_2"]
+        assert copy.add(("z", "z", "z")) and ("z", "z", "z") not in rel
+
+    def test_durable_copy_holds_one_table(self, tmp_path):
+        backend = SQLiteBackend(str(tmp_path / "facts.db"))
+        rel = backend.make_relation("e", 2, [("a", "b")])
+        backend.make_relation("f", 1, [("x",)])
+        copy = rel.copy()
+        assert self.master(copy, "table") == ["rel_e"]
+        assert sorted(copy) == [("a", "b")] and copy.version == 1
 
 
 class TestEngineEquivalence:
