@@ -31,9 +31,15 @@ spent in reads and in writes, then
   snapshot) beside the other memo misses and the hits; then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
-  connections and SQL statements per write and per read of each kind,
-  and the keyed SELECTs a frozen (snapshot) relation ran for a
-  ``(relation object, probe, key)`` it had run before (``repeats``);
+  connections and SQL statements per write and per read of each kind
+  (and over all reads), the keyed SELECTs a read ran on a frozen
+  (snapshot) relation split by whether its relation was written since
+  the last snapshot (``selects_written``) or handed on unchanged
+  (``selects_kept``), the loops ``PlanCache.loop_for`` bound anew
+  (``binds``), and the keyed SELECTs a frozen relation ran for a
+  ``(relation object, probe, key)`` it had run before, or that the
+  snapshot it adopted its buckets from had run and no write since
+  touched (``repeats``);
 
 ``serve-read`` (read-only, memo larger than the seed set)
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
@@ -53,8 +59,9 @@ read was not served on the calling thread by one
 (the others) -- the script wraps both to note the thread that ran them,
 since ``query()`` never hands off -- when a memo hit's answers are
 not the very object the memo entry holds, when a frozen SQLite
-relation repeated a keyed SELECT (it answers a key it has run from
-its bucket), or when a memo hit ran
+relation repeated a keyed SELECT (it answers a key it has run, or its
+predecessor ran and no write touched since, from its bucket), or when
+a memo hit ran
 ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared).
@@ -66,6 +73,7 @@ Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
 from __future__ import annotations
 
 import argparse
+import re
 import statistics
 import sys
 import threading
@@ -81,7 +89,7 @@ from harness import calls, close_target, open_target  # noqa: E402
 from layers import _deal  # noqa: E402
 
 import repro.core.compiler as compiler  # noqa: E402
-from repro.datalog.plan_cache import PLAN_CACHE  # noqa: E402
+from repro.datalog.plan_cache import PLAN_CACHE, PlanCache  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.maintenance import MaintainedView  # noqa: E402
 from repro.service import FullSelectionMemo  # noqa: E402
@@ -103,7 +111,8 @@ EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "hit"),
          "serve-read": ("miss", "hit")}
-COUNTED = ("copies", "connections", "statements", "repeats")
+COUNTED = ("copies", "connections", "statements", "selects_written",
+           "selects_kept", "binds", "repeats")
 #: What each failed check is reported as.
 CHECKS = {"differ": "reads that differ from the reference",
           "plan_lookups": "plan lookups a write",
@@ -111,7 +120,8 @@ CHECKS = {"differ": "reads that differ from the reference",
           "off_caller": "reads not served on the calling thread",
           "not_entry": "memo hits that are not the entry's answer set",
           "prepared": "memo hits that classified or compiled",
-          "repeats": "keyed SELECTs a frozen relation ran again"}
+          "repeats": "keyed SELECTs a frozen relation or its predecessor "
+                     "ran again"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
 #: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
@@ -246,13 +256,34 @@ def record_calls() -> None:
     FullSelectionMemo.get_or_run = looked_up
 
 
+def expanded(sql: str, key) -> str:
+    """``sql`` with ``key`` bound into its ``?`` as the trace callback
+    prints it (facts are ints and strings)."""
+    values = iter(key)
+
+    def literal(_) -> str:
+        value = next(values)
+        return ("'%s'" % value.replace("'", "''") if isinstance(value, str)
+                else str(value))
+    return re.sub(r"\?", literal, sql)
+
+
 def trace_storage(counts: dict) -> None:
     """Count, from here on, every ``SQLiteRelation.copy``, every
-    connection a relation opens and every statement run on one, and as
-    ``repeats`` every keyed SELECT a frozen relation runs a second time
-    on its connection: the same text with the same key expanded into it
-    is the same ``(relation object, probe, key)``."""
+    connection a relation opens, every statement run on one -- a keyed
+    SELECT on a frozen relation as ``selects_written`` when its relation
+    was written since the last snapshot (the snapshot copied it), else
+    as ``selects_kept`` -- and every loop ``PlanCache.loop_for`` binds;
+    and as ``repeats`` every keyed SELECT a frozen relation runs for a
+    text it ran before, or that the snapshot it adopted its buckets from
+    ran and no write since touched: the same text with the same key
+    expanded into it is the same ``(relation, probe, key)``."""
     copy, connect = SQLiteRelation.copy, SQLiteRelation._connect_rw
+    snapshot, bind = SQLiteRelation.snapshot, PlanCache._bind
+    #: frozen relation -> the texts it (or what it adopted from) ran
+    ran_by = weakref.WeakKeyDictionary()
+    #: frozen relation -> whether its last snapshot copied it
+    written = weakref.WeakKeyDictionary()
 
     def bump(name):
         counts[name] += 1
@@ -261,25 +292,48 @@ def trace_storage(counts: dict) -> None:
         bump("copies")
         return copy(self)
 
+    def counted_bind(self, *args, **kwargs):
+        bump("binds")
+        return bind(self, *args, **kwargs)
+
     def counted_connect(self):
         bump("connections")
         conn = connect(self)
         # Only a bucket outlives its relation, and only a frozen
         # relation has buckets.
-        rel, ran = weakref.ref(self), set()
+        rel, ran = weakref.ref(self), ran_by.setdefault(self, set())
 
         def traced(statement):
             bump("statements")
+            frozen = rel()
             if statement.startswith("SELECT") and " WHERE " in statement \
-                    and getattr(rel(), "_readonly", True):
+                    and getattr(frozen, "_readonly", True):
+                if frozen is not None:
+                    bump("selects_written" if written.get(frozen, True)
+                         else "selects_kept")
                 if statement in ran:
                     bump("repeats")
                 ran.add(statement)
         conn.set_trace_callback(traced)
         return conn
 
+    def counted_snapshot(self, previous=None):
+        journal = list(self._journal or ())
+        snap = snapshot(self, previous)
+        written[snap] = snap is not previous
+        if snap is not previous and previous is not None and snap._buckets:
+            # Adopted: what previous ran, but for the keys written since.
+            touched = {expanded(previous._probes[positions, cols],
+                                [row[p] for p in positions])
+                       for positions, cols in list(previous._buckets)
+                       for row in journal}
+            ran_by[snap].update(ran_by.get(previous, set()) - touched)
+        return snap
+
     SQLiteRelation.copy = counted_copy
     SQLiteRelation._connect_rw = counted_connect
+    SQLiteRelation.snapshot = counted_snapshot
+    PlanCache._bind = counted_bind
 
 
 def p50_us(values: list) -> float:
@@ -405,10 +459,13 @@ def main(argv=None) -> int:
             counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
             seconds, counted, _, _ = untimed_pass(own_config, counts)
-            for kind in ("write", *kinds):
+            counted["read"] = {name: sum(counted[kind][name] for kind in kinds)
+                               for name in COUNTED}
+            seconds["read"] = sum(map(seconds.get, kinds), [])
+            for kind in ("write", *kinds, "read"):
                 n = max(len(seconds[kind]), 1)
                 print(f"per {kind:<12} ({len(seconds[kind]):3d} a pass)  "
-                      + "  ".join(f"{name} {counted[kind][name] / n:8.2f}"
+                      + "  ".join(f"{name} {counted[kind][name] / n:.2f}"
                                   for name in COUNTED))
             failed["repeats"] += counts["repeats"]
         metrics = service.metrics_dict()

@@ -174,7 +174,8 @@ def _generated_loop(
     When a round leaves it, it hands ``carry`` back and this driver asks
     for the function of the new one -- one plan lookup per join per
     interval change where the reference loop makes one per join per
-    round.
+    round, and none for a function ``loop_for`` already bound on ``db``
+    (an earlier query's, when the database has not moved since).
     """
     seen = {k: set(rows) for k, rows in initial.items()}
     one = seen.get(None)  # a full selection's: not a batch

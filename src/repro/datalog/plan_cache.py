@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import linecache
 import threading
+import weakref
 import zlib
 from functools import partial
 from typing import Mapping, Optional, Sequence
@@ -78,6 +79,11 @@ EQ = "eq"
 # Guard opcodes (compiled eq/2 atoms).  Operand sources are encoded as
 # (is_slot, value): a register index when is_slot, a constant otherwise.
 _INF = float("inf")
+#: Bound loops :meth:`PlanCache.loop_for` keeps per database and loop:
+#: one per set of plans the sizes of its runs call for (a carry that
+#: crosses a fixed relation's size, a delete that removes a few facts
+#: and one that removes many).
+_KEPT = 8
 _FILTER = 0  # (0, a_is_slot, a, b_is_slot, b) -- pass iff values equal
 _ASSIGN = 1  # (1, src_is_slot, src, dst_slot) -- regs[dst] = value
 
@@ -968,7 +974,8 @@ def _tally(tracer, counts, labels=(), credits=()) -> None:
 
 
 def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
-            db: Database, order: str, halfway: bool = False) -> None:
+            db: Database, order: str, halfway: bool = False,
+            anchored: frozenset = frozenset()) -> None:
     """Narrow ``bounds[slot] = [lo, hi]`` to the sizes ``[lo, hi)`` over
     which :meth:`PlanCache.plan_for` keys ``body`` as it does now, when
     only the relations in ``moving`` (predicate -> slot) change size.
@@ -980,36 +987,43 @@ def _narrow(bounds: list, body: tuple[Atom, ...], moving: Mapping[str, int],
     moving sides are kept apart at the larger one's current size, where
     sizes only grow (a stratum's) -- or, ``halfway``, at the middle of
     the two, where they also shrink (a view's relations across writes).
+    An ``anchored`` slot (a fixed relation, which moves only between
+    runs) is split from an unanchored one at its own size, so the
+    other side keeps the room it has without it, and from another
+    anchored one halfway.
     """
-    sized = []  # (size, bounds of the slot or None) per atom
+    sized = []  # (size, bounds of the slot or None, anchored) per atom
     for a in body:
         rel = db.relation(a.predicate) if a.predicate != EQ else None
         n = len(rel) if rel is not None else 0
         slot = moving.get(a.predicate)
         if slot is None:
-            sized.append((n, None))
+            sized.append((n, None, False))
             continue
         bound = bounds[slot]
-        sized.append((n, bound))
+        sized.append((n, bound, slot in anchored))
         lo, hi = (1, _INF) if n else (0, 1)
         if order == "cost":
             lo, hi = 1 << n.bit_length() >> 1, 1 << n.bit_length()
         bound[:] = max(bound[0], lo), min(bound[1], hi)
     if order != "greedy":
         return
-    for j, (nj, bj) in enumerate(sized):
-        for ni, bi in sized[:j]:
+    for j, (nj, bj, aj) in enumerate(sized):
+        for ni, bi, ai in sized[:j]:
             if bi is bj:  # both fixed, or one relation twice
                 continue
-            both = halfway and bi is not None and bj is not None
-            if ni <= nj:
-                cut = (ni + nj) // 2 if both else nj
+            both = bi is not None and bj is not None
+            meet = both and (halfway or ai and aj)
+            if ni <= nj:  # i sorts first while size_i <= cut <= size_j
+                cut = (ni + nj) // 2 if meet else (
+                    ni if both and ai else nj)
                 if bi is not None:
                     bi[1] = min(bi[1], cut + 1)
                 if bj is not None:
                     bj[0] = max(bj[0], ni if bi is None else cut)
-            else:
-                cut = (ni + nj + 1) // 2 if both else ni
+            else:  # j sorts first while size_j < cut <= size_i
+                cut = (ni + nj + 1) // 2 if meet else (
+                    nj + 1 if both and aj else ni)
                 if bi is not None:
                     bi[0] = max(bi[0], nj + 1 if bj is None else cut)
                 if bj is not None:
@@ -1062,17 +1076,28 @@ def _index_of(rel: Relation, positions: tuple, cols) -> tuple:
             else (rel._projected, (positions, cols)))
 
 
-def _fits(db: Database, fixed: tuple, held: tuple, lo: tuple, hi: tuple,
-          carry: tuple, seen: Sequence) -> bool:
+def _largest(rows) -> int:
+    """A slot's size as its plans see it: a batch's largest carry."""
+    if type(rows) is dict:
+        return max(map(len, rows.values()), default=0)
+    return len(rows)
+
+
+def _fits(kept: bool, fixed: tuple, held: tuple, lo: tuple, hi: tuple,
+          db: Database, carry: tuple, seen: Sequence) -> bool:
     """Whether a function :meth:`PlanCache.loop_for` bound on ``db``
     runs ``carry`` and ``seen`` with the plans it would be bound to now:
-    every size is in its interval -- the slots' (an empty slot runs no
-    term), the members', and those of the ``fixed`` relations the terms
-    read, which a view's writes move too -- and every index it probes is
-    still its relation's (``Relation._unshare`` drops them in place; a
-    probe of a dropped one would read stale buckets)."""
-    sizes = [len(rows) or None for rows in carry] + [*map(len, seen)] + [
-        0 if rel is None else len(rel) for rel in map(db.relation, fixed)]
+    every size is in its interval -- the slots' (a batch's largest
+    carry; a ``kept`` loop's empty slot runs no term), the members', and
+    those of the ``fixed`` relations the terms read, which writes
+    between runs move too (an absent or empty one's term got no code)
+    -- and every index it probes is still its relation's
+    (``Relation._unshare`` and ``clear`` drop them in place; a probe of
+    a dropped one would read stale buckets).  A relation of ``db`` stays
+    the same object once made, and a frozen one never drops a bucket."""
+    sizes = [_largest(rows) or (None if kept else 0) for rows in carry] \
+        + [*map(len, seen)] + [0 if rel is None else len(rel)
+                               for rel in map(db.relation, fixed)]
     return all(size is None or low <= size < high
                for size, low, high in zip(sizes, lo, hi)) \
         and all(indexes.get(signature) is index
@@ -1133,7 +1158,7 @@ class PlanCache:
 
     __slots__ = ("maxsize", "hits", "misses", "compiles", "evictions",
                  "orders", "_plans", "_order_memo", "_shapes", "_loops",
-                 "_lock")
+                 "_bound", "_lock")
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
@@ -1150,6 +1175,10 @@ class PlanCache:
         #: (joins, pseudo, plans, live, read, traced) -> (function,
         #: groups, text)
         self._loops: dict[tuple, tuple] = {}
+        #: database -> (id of joins, pseudo, order, batched, member
+        #: names) -> (joins, ``(run, fits)`` bound on it, newest first)
+        #: (:meth:`loop_for`)
+        self._bound: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
     def plan_for(
@@ -1253,14 +1282,20 @@ class PlanCache:
         :func:`loop_text` from the plans :meth:`plan_for` gives now --
         asked once per join, not once per round -- and bound to the
         fixed relations' probes and to the sizes ``[lo, hi)`` of each
-        slot and each member relation of ``db`` over which those plans
-        stay :meth:`plan_for`'s choice (:func:`_narrow`).  Round-zero
-        slots (an incremental view's write) make it a function kept
-        across writes: an empty slot is planned as one row, every
-        relation the terms read has an interval, and two moving sizes
-        are split halfway.  A carry that is a dict of sets by seed is a
-        Lemma 2.1 batch (:func:`loop_text`), planned on its largest set;
-        with no member, ``run`` returns each seed's produced set.
+        slot, each member and each fixed relation of ``db`` over which
+        those plans stay :meth:`plan_for`'s choice (:func:`_narrow`).
+        Round-zero slots (an incremental view's write) plan an empty
+        slot as one row and split two moving sizes halfway.  A carry
+        that is a dict of sets by seed is a Lemma 2.1 batch
+        (:func:`loop_text`), planned on its largest set; with no member,
+        ``run`` returns each seed's produced set.
+
+        An untraced call first asks the functions kept for ``db`` -- the
+        newest few per ``(joins, pseudo, order, flavour)`` -- and binds
+        only when none fits, so a loop entered again on an unchanged
+        database (a query after a query, a view's write after a write)
+        is bound once.  Nothing kept refers to ``db`` itself, and the
+        store holds it weakly: a database dropped is freed by refcount.
 
         Returns ``(run, fits)``.  ``run(carry, seen, names, labels,
         stats, budget, tracer) -> carry`` advances the loop in place and
@@ -1270,26 +1305,52 @@ class PlanCache:
         flavour counts under ``labels = (series per member, (rule_apps
         label, first term) pairs, rule_out label per term credited with
         what it made, the same with what it added to its round's
-        produced set)``.  ``fits(carry, seen)``: may ``run`` run them?
+        produced set)``.  ``fits(db, carry, seen)``: may ``run`` run
+        them on ``db`` now (:func:`_fits`)?
         """
+        written = tuple([member.name if type(member) is RelationSink
+                         else None for member in seen])
+        if tracer is not None:
+            return self._bind(joins, pseudo, carry, seen, order, db, tracer,
+                              written)
+        # The entry keeps ``joins``, so its id names it while it lives.
+        key = (id(joins), pseudo, order, type(carry[0]) is dict, written)
+        with self._lock:
+            _, bound = self._bound.get(db, {}).get(key, (joins, ()))
+            bound = tuple(bound)
+        for run, fits in bound:
+            if fits(db, carry, seen):
+                return run, fits
+        pair = self._bind(joins, pseudo, carry, seen, order, db, None, written)
+        with self._lock:
+            _, bound = self._bound.setdefault(db, {}).setdefault(
+                key, (joins, []))
+            bound.insert(0, pair)
+            del bound[_KEPT:]
+        return pair
+
+    def _bind(self, joins: Sequence, pseudo: tuple, carry: tuple,
+              seen: Sequence, order: str, db: Database, tracer,
+              written: tuple) -> tuple:
+        """:meth:`loop_for`'s ``(run, fits)``, bound anew; ``written``:
+        the name of each member that is a :class:`RelationSink`."""
         kept = 0 < len(seen) < len(pseudo)
         batched = type(carry[0]) is dict
         if batched:  # planned on its largest carry
             carry = (max(carry[0].values(), key=len, default=set()),)
         preds = {a.predicate: a.arity for join in joins for a in join.body}
-        written = [member.name if type(member) is RelationSink else None
-                   for member in seen]
         mounts = {name: rows or {(None,) * preds.get(name, 0)} if kept
                   else rows for name, rows in zip(pseudo, carry)}
-        fixed = tuple(sorted({*preds} - {*pseudo, *written, EQ})) if kept \
-            else ()
+        fixed = tuple(sorted({*preds} - {*pseudo, *written, EQ}))
         sized = (*pseudo, *written, *fixed)  # the relation of each bound
         moving = {name: v for v, name in enumerate(sized) if name is not None}
+        anchored = frozenset() if kept else frozenset(
+            range(len(sized) - len(fixed), len(sized)))
         bounds = [[0, _INF] for _ in sized]
         if order == "cost":  # its planner reads statistics, not only sizes
             mounts = {name: Relation(name, len(next(iter(rows))), rows)
                       for name, rows in mounts.items() if rows}
-        base, db = db, db.with_mounts(mounts)
+        db = db.with_mounts(mounts)
         plans, rels, live = [], [], []
         for join in joins:
             plan = self.plan_for(join.body, frozenset(), order, db, tracer)
@@ -1297,7 +1358,7 @@ class PlanCache:
             plans.append(plan)
             rels.append(found)
             live.append(not plan.always_empty and all(found))
-            _narrow(bounds, join.body, moving, db, order, kept)
+            _narrow(bounds, join.body, moving, db, order, kept, anchored)
         read = tuple([name in preds for name in written])
         key = (joins, pseudo, tuple(plans), tuple(live), read,
                tracer is not None, batched)
@@ -1321,7 +1382,7 @@ class PlanCache:
                 (*[_probe(rels[i][d], positions, cols, tracer)
                    for d, positions, cols in probes], *consts, i)
                 for probes, consts, i in group]))
-            for probes, _, i in group if kept else ():
+            for probes, _, i in group:
                 for d, positions, cols in probes:
                     rel = rels[i][d]
                     if positions and cols != () and type(rel) is Relation:
@@ -1329,7 +1390,7 @@ class PlanCache:
                         held.append((*where, where[0].get(where[1])))
         lo, hi = zip(*bounds)
         return (partial(fn, tuple(terms), lo, hi),
-                partial(_fits, base, fixed, tuple(held), lo, hi))
+                partial(_fits, kept, fixed, tuple(held), lo, hi))
 
     def loops_for(self, joins: Sequence) -> list[tuple]:
         """``(traced, source, terms, joins)`` of the generated loops that
@@ -1356,6 +1417,7 @@ class PlanCache:
             self._order_memo.clear()
             self._shapes.clear()
             self._loops.clear()
+            self._bound.clear()
             self.hits = 0
             self.misses = 0
             self.compiles = 0

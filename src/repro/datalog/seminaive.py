@@ -194,7 +194,8 @@ def seminaive_stratum(
                 budget.check_relation(p, len(member), stats)
             budget.check_stats(stats)
         # Then the delta rounds, one generated function while the plans
-        # hold, each a round of the carry loop's, checked at its end.
+        # hold (bound once per database and plans), each a round of the
+        # carry loop's, checked at its end.
         carry = tuple(carry)
         while any(carry):
             run, _ = PLAN_CACHE.loop_for(terms, pseudo, carry, seen, order,

@@ -31,12 +31,12 @@ Insertions (delta-seeded *restart*)
     their consequences.
 
 A function is generated on its SCC's first write of that phase, and
-the view keeps the last few bound to its relations and indexes.  A
-write asks the plan cache only when it fits none of them: some size --
-of what changed, of a member, of any relation the joins read -- is
-outside the interval its plans were chosen for (a relation found empty
-has filled, say), or an index it probes was dropped.  No join in this
-module runs per fact and nothing is mounted.
+the plan cache keeps the last few bound to the view's database.  A
+write plans anew only when it fits none of them: some size -- of what
+changed, of a member, of any relation the joins read -- is outside the
+interval its plans were chosen for (a relation found empty has filled,
+say), or an index it probes was dropped.  No join in this module runs
+per fact and nothing is mounted.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ from ..stats import EvaluationStats
 __all__ = ["MaintainedView"]
 
 Delta = Mapping[str, tuple[frozenset, frozenset]]
-
-#: Bound functions kept per (SCC, phase), newest first: one per set of
-#: plans the sizes of a write stream call for (a delete that removes a
-#: few facts and one that removes many rank them differently, and so
-#: may a base relation a write grew or shrank).
-_BOUND = 8
 
 
 def _report(tracer, stats: Optional[EvaluationStats], facts_in: int,
@@ -92,9 +86,8 @@ class MaintainedView:
     def rebuild(self, edb: Database) -> None:
         """Recompute the view from scratch (the overflow fallback)."""
         self.db = seminaive_evaluate(self.program, edb, order=self.order)
-        #: (SCC number, phase) -> (members, terms, inputs, pseudo, bound):
-        #: its join terms and its functions bound to ``self.db``, as
-        #: ``(run, fits)`` pairs (:meth:`PlanCache.loop_for`).
+        #: (SCC number, phase) -> (members, terms, inputs, pseudo): its
+        #: join terms (:func:`~repro.datalog.seminaive.seeded_terms`).
         self._paths: dict[tuple[int, str], tuple] = {}
 
     def select(self, query: Atom, tracer=None) -> frozenset[Fact]:
@@ -131,9 +124,9 @@ class MaintainedView:
         path = self._paths.get((k, phase))
         if path is None:
             scc, rules = self._scc_rules[k]
-            path = self._paths[k, phase] = (
-                *seeded_terms(rules, scc, phase == "rederive"), [])
-        members, terms, names, pseudo, bound = path
+            path = self._paths[k, phase] = seeded_terms(
+                rules, scc, phase == "rederive")
+        members, terms, names, pseudo = path
         carry = (*[()] * len(members), *[inputs.get(p, ()) for p in names])
         if not any(carry):
             return {}
@@ -146,14 +139,8 @@ class MaintainedView:
                     for p, rel in zip(members, map(self.db.relation, members))]
         while any(carry):
             # After RelationSink, which may drop indexes a probe holds.
-            for run, fits in bound:
-                if fits(carry, seen):
-                    break
-            else:
-                run, fits = PLAN_CACHE.loop_for(terms, pseudo, carry, seen,
-                                                self.order, self.db)
-                bound.insert(0, (run, fits))
-                del bound[_BOUND:]
+            run, _ = PLAN_CACHE.loop_for(terms, pseudo, carry, seen,
+                                         self.order, self.db)
             # Returns early, carry left over, when a size leaves its
             # interval.
             carry = run(carry, seen, [(None, p) for p in members], (), stats,

@@ -13,7 +13,9 @@ temporary-mode snapshot is one frozen page copy (``Connection.backup``)
 that owns its rows: it rejects every mutator but still creates its SQL
 indexes lazily, and it is handed on unchanged to the next snapshot for
 as long as the relation is unwritten -- rows, connection, prepared
-statements, indexes, buckets.
+statements, indexes, buckets.  Once written, the next snapshot adopts
+its predecessor's probe texts and buckets minus the keys of the facts
+written since (:meth:`SQLiteRelation.snapshot`).
 
 The protocol mapping:
 
@@ -23,7 +25,8 @@ The protocol mapping:
   index, and a probe's SQL is text once per ``(positions, cols)``;
 - a frozen (read-only) relation's keyed probes -> a read-through
   bucket per ``(positions, cols)``: each key runs its SELECT once and
-  keeps its rows, so only the rows actually probed are held;
+  keeps its rows, so only the rows actually probed are held, and the
+  next temporary-mode snapshot keeps every key no write touched;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
   transaction (falling back to per-row statements only when observers
   need per-fact effectiveness);
@@ -43,6 +46,7 @@ from __future__ import annotations
 import heapq
 import sqlite3
 import threading
+import weakref
 import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -68,7 +72,7 @@ class _Bucket(dict):
     keeps its rows (empty ones too), as ``kind`` -- a ``frozenset`` for
     ``lookup_projected``, a ``tuple`` for ``lookup``.  It holds the
     connection and lock, not the relation, so dropping a snapshot
-    frees its connection by refcount alone."""
+    frees it, and closes its connection, by refcount alone."""
 
     __slots__ = ("_conn", "_lock", "_sql", "_kind", "_unit")
 
@@ -111,6 +115,13 @@ class SQLiteRelation:
         self._probes: dict[tuple, str] = {}
         #: ``(positions, cols) -> _Bucket``, filled once read-only.
         self._buckets: dict[tuple, _Bucket] = {}
+        #: The rows written since the last temporary-mode snapshot, which
+        #: the next one drops from the buckets it adopts (None: it adopts
+        #: nothing), that snapshot (a weak reference) and the most rows
+        #: the journal holds before it gives up: a quarter of its rows.
+        self._journal: list | None = None
+        self._journal_base = None
+        self._journal_cap = 0
         self._len_cache: tuple[int, int] | None = None
         self._distinct_cache = None
         self._col_distinct_cache = None
@@ -143,6 +154,14 @@ class SQLiteRelation:
             row = conn.execute("PRAGMA journal_mode=WAL").fetchone()
             self._wal = bool(row) and str(row[0]).lower() == "wal"
             conn.execute("PRAGMA synchronous=NORMAL")
+        return conn
+
+    def _own(self, conn: sqlite3.Connection) -> sqlite3.Connection:
+        """``conn``, closed once this snapshot is freed: a connection is
+        a reference cycle of its own (its statement cache), which only a
+        cyclic collection would otherwise close -- with a replaced
+        snapshot's temporary file or pinned read transaction."""
+        weakref.finalize(self, conn.close)
         return conn
 
     def _create_table(self) -> None:
@@ -222,10 +241,12 @@ class SQLiteRelation:
     def _write(self, sql: str, fact: Fact, sign: int) -> bool:
         fact = self._check(fact)
         self._check_writable()
+        row = self._row(fact)
         with self._lock:
-            if self._conn.execute(sql, self._row(fact)).rowcount != 1:
+            if self._conn.execute(sql, row).rowcount != 1:
                 return False
             self._version += 1
+            self._note((row,))
         for cb in self._observers:
             cb(self, fact, sign)
         return True
@@ -255,6 +276,7 @@ class SQLiteRelation:
                 raise
             self._conn.execute("COMMIT")
             self._version += count
+            self._note(map(self._row, changed) if self._observers else rows)
         for fact in changed:
             for cb in self._observers:
                 cb(self, fact, sign)
@@ -271,8 +293,18 @@ class SQLiteRelation:
             self._indexed.clear()
             self._probes.clear()
             self._version += 1
+            self._journal = None
         for cb in self._observers:
             cb(self, None, 0)
+
+    def _note(self, rows: Iterable[tuple]) -> None:
+        """Journal the ``rows`` a write ran on for the next snapshot
+        (the lock is held); past the cap, give the journal up."""
+        journal = self._journal
+        if journal is not None:
+            journal += rows
+            if len(journal) > self._journal_cap:
+                self._journal = None
 
     # -- queries ----------------------------------------------------------
 
@@ -378,23 +410,28 @@ class SQLiteRelation:
         else:
             # No column to select (all keyed, or arity 0): a 0 per row.
             select = ", ".join(self._columns[c] for c in cols) or "0"
-        keyed = [self._columns[p] for p in positions]
-        with self._lock:
-            if positions and positions not in self._indexed \
-                    and not (self._readonly and self._wal):
-                self._conn.execute(
-                    f"CREATE INDEX IF NOT EXISTS {self._index_name(positions)}"
-                    f" ON {self._table} ({', '.join(keyed)})"
-                )
-                self._indexed.add(positions)
-                if tracer is not None:
-                    tracer.count("index_builds")
-                    tracer.count("index_tuples", len(self))
-        where = " AND ".join(f"{c} = ?" for c in keyed)
+        if positions and not (self._readonly and self._wal):
+            self._index(positions, tracer)
+        where = " AND ".join(f"{self._columns[p]} = ?" for p in positions)
         sql = self._probes[positions, cols] = (
             f"SELECT {select} FROM {self._table}"
             + (f" WHERE {where}" if where else ""))
         return sql
+
+    def _index(self, positions: tuple[int, ...], tracer=None) -> None:
+        """Create the SQL index on ``positions`` unless it exists."""
+        with self._lock:
+            if positions in self._indexed:
+                return
+            keyed = ", ".join(self._columns[p] for p in positions)
+            self._conn.execute(
+                f"CREATE INDEX IF NOT EXISTS {self._index_name(positions)}"
+                f" ON {self._table} ({keyed})"
+            )
+            self._indexed.add(positions)
+            if tracer is not None:
+                tracer.count("index_builds")
+                tracer.count("index_tuples", len(self))
 
     # -- planner statistics -------------------------------------------------
 
@@ -480,7 +517,8 @@ class SQLiteRelation:
         twin = object.__new__(SQLiteRelation)
         twin.__dict__.update(
             self.__dict__, _observers=(), _probes={}, _buckets={},
-            _indexed=set(self._indexed), _lock=threading.RLock(), **fields)
+            _indexed=set(self._indexed), _lock=threading.RLock(),
+            _journal=None, _journal_base=None, **fields)
         return twin
 
     def snapshot(self, previous=None) -> "SQLiteRelation":
@@ -494,21 +532,42 @@ class SQLiteRelation:
         relation stays unwritten.  Temporary-database relations (private
         by construction) fall back to a frozen page copy, and
         ``previous`` -- the last snapshot of this relation -- *is* that
-        copy while the version has not moved.
+        copy while the version has not moved.  Once it has, the copy
+        carries the indexes ``previous`` probed through (made here, on
+        this relation, once) and adopts its probe texts and buckets but
+        for the keys of the rows the journal holds: written since
+        ``previous`` was taken.  After :meth:`clear`, after writes over
+        a quarter of the rows, or from a ``previous`` other than the
+        last snapshot, it adopts nothing.
         """
         if not (self._path is not None and self._wal):
-            if (previous is not None and previous.arity == self.arity
-                    and previous.version == self._version):
-                return previous
-            snap = self.copy()
-            snap._readonly = True
-            snap._version = self._version
+            with self._lock:
+                if (previous is not None and previous.arity == self.arity
+                        and previous.version == self._version):
+                    snap = previous
+                else:
+                    adopt = previous is not None \
+                        and self._journal is not None \
+                        and self._journal_base() is previous
+                    for positions, _ in list(previous._probes) if adopt \
+                            else ():
+                        if positions:  # so that the copy holds the index
+                            self._index(positions)
+                    snap = self.copy()
+                    snap._own(snap._conn)
+                    snap._readonly = True
+                    snap._version, snap._len_cache = self._version, (
+                        self._version, len(snap))
+                    if adopt:
+                        snap._adopt(previous, self._journal)
+                self._journal, self._journal_base = [], weakref.ref(snap)
+                self._journal_cap = len(snap) // 4
             return snap
         # Same table, version and (version-checked) caches.
         snap = self._twin(_readonly=True)
         uri = Path(self._path).resolve().as_uri() + "?mode=ro"
-        snap._conn = sqlite3.connect(uri, uri=True, check_same_thread=False,
-                                     isolation_level=None)
+        snap._conn = snap._own(sqlite3.connect(
+            uri, uri=True, check_same_thread=False, isolation_level=None))
         # An open read transaction pins this connection to the current
         # WAL state; the touching SELECT is what actually starts it.
         snap._conn.execute("BEGIN")
@@ -516,6 +575,19 @@ class SQLiteRelation:
             f"SELECT COUNT(*) FROM {snap._table}"
         ).fetchone()
         return snap
+
+    def _adopt(self, previous: "SQLiteRelation", rows: list) -> None:
+        """Take over ``previous``'s probe texts and buckets (each a copy
+        on this relation's connection) but for the keys of ``rows``."""
+        with previous._lock:
+            self._probes.update(previous._probes)
+            for (positions, cols), old in previous._buckets.items():
+                bucket = self._buckets[positions, cols] = _Bucket(
+                    self._conn, self._lock, old._sql, old._kind, old._unit)
+                bucket.update(old)
+        for (positions, _), bucket in self._buckets.items():
+            for key in {tuple([row[p] for p in positions]) for row in rows}:
+                bucket.pop(key, None)
 
     def close(self) -> None:
         """Release the underlying connection (idempotent)."""

@@ -9,7 +9,8 @@ database size.
 
 import pytest
 
-from repro.core.evaluator import loop_source
+from repro.core.evaluator import _reference_loops, loop_source
+from repro.core.plan import CARRY
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.joins import EQ, RowList, evaluate_body_into
@@ -754,3 +755,184 @@ def test_a_bound_level_is_a_membership_test(where, backend):
         assert not ok._indexes and not ok._projected
     else:
         assert not ok._indexed and not ok._probes
+
+
+class TestBoundLoopStore:
+    """``PlanCache.loop_for`` keeps the loops it bound per database: a
+    loop entered again on an unchanged database is not bound again, and
+    one entered after a write to a live database is bound anew exactly
+    when the write moved what its plans or probes were chosen on -- the
+    answers and statistics stay the reference loop's either way."""
+
+    TEXT = ("t(X, Y) :- e(X, W) & g(X, W) & t(W, Y).\n"
+            "t(X, Y) :- t0(X, Y).")
+    FACTS = {
+        "e": [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")],
+        "g": [("a", "b"), ("b", "c"), ("c", "d"), ("c", "x")],
+        "t0": [("d", "end"), ("c", "mid")],
+    }
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """How many loops ``loop_for`` has bound anew."""
+        count = [0]
+        bind = PlanCache._bind
+
+        def spy(self, *args, **kwargs):
+            count[0] += 1
+            return bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanCache, "_bind", spy)
+        return count
+
+    def engine(self, db=None):
+        program = parse_program(self.TEXT).program
+        return Engine(program, Database.from_facts(self.FACTS)
+                      if db is None else db)
+
+    @staticmethod
+    def read(engine, query="t(a, Y)?"):
+        """The generated loops' answers and statistics, checked against
+        the reference loop's on the same database."""
+        got = engine.query(query)
+        with _reference_loops():
+            want = engine.query(query)
+        assert got.answers == want.answers
+        assert got.stats.as_dict() == want.stats.as_dict()
+        return got.answers, got.stats.as_dict()
+
+    def test_an_unchanged_database_binds_once(self, binds):
+        engine = self.engine()
+        first = self.read(engine)
+        assert first[0] == {("a", "end"), ("a", "mid")} and binds[0]
+        bound = binds[0]
+        assert self.read(engine) == first and binds[0] == bound
+        # Another database of the same facts binds its own.
+        assert self.read(self.engine()) == first and binds[0] == 2 * bound
+
+    def test_a_rank_flip_of_two_fixed_relations_rebinds(self, binds):
+        engine = self.engine()
+        _, before = self.read(engine)
+        bound = binds[0]
+        # g (4 facts) grows past e (5): the down join now probes e first.
+        for i in range(3):
+            engine.edb.add_fact("g", (f"z{i}", f"z{i}"))
+        _, after = self.read(engine)
+        assert binds[0] > bound
+        assert after["tuples_examined"] != before["tuples_examined"]
+
+    def test_an_emptied_and_refilled_relation_rebinds(self, binds):
+        engine = self.engine()
+        self.read(engine)
+        bound = binds[0]
+        g = engine.edb.relation("g")
+        g.clear()  # its indexes go; the same size comes back
+        g.add_all([("a", "d"), ("b", "c"), ("c", "d"), ("c", "x")])
+        answers, _ = self.read(engine)
+        assert binds[0] > bound and answers == {("a", "end")}
+
+    def test_an_index_unshare_drops_rebinds(self, binds):
+        live = Database.from_facts(self.FACTS)
+        snap = live.snapshot()
+        engine = self.engine(snap)
+        self.read(engine)  # probes the index of snap's g (e is a test)
+        bound = binds[0]
+        live.add_fact("g", ("q", "r"))
+        live.snapshot(snap)  # a service's next snapshot: adopts g's
+        assert snap.relation("g")._borrowed
+        # Writes to snap inside every size interval: g's indexes drop.
+        snap.remove_fact("g", ("c", "x"))
+        snap.add_fact("g", ("d", "y"))
+        snap.add_fact("e", ("d", "y"))
+        snap.add_fact("t0", ("y", "far"))
+        assert not snap.relation("g")._indexes
+        answers, _ = self.read(engine)
+        assert binds[0] > bound and ("a", "far") in answers
+
+    def test_clear_means_cold(self, binds):
+        engine = self.engine()
+        self.read(engine)
+        PLAN_CACHE.clear()
+        bound = binds[0]
+        engine.query("t(a, Y)?")
+        assert binds[0] > bound and PLAN_CACHE.stats()["compiles"] > 0
+
+    def test_two_threads_binding_on_one_snapshot_agree(self, binds):
+        import sys
+        import threading
+
+        PLAN_CACHE.clear()
+        engine = self.engine(Database.from_facts(self.FACTS).snapshot())
+        barrier = threading.Barrier(2)
+        got = []
+
+        def read():
+            barrier.wait()
+            result = engine.query("t(a, Y)?")
+            got.append((result.answers, result.stats.as_dict()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 2 and got[0] == got[1] == self.read(engine)
+
+    def test_a_batch_fits_on_its_largest_carry(self):
+        """A Lemma 2.1 batch is planned on its largest carry, and so
+        must be fitted: not on its number of seeds."""
+        db = Database.from_facts({"e": [("a", "b"), ("b", "c"),
+                                        ("c", "d")]})
+        plan = Engine(parse_program(TC_TEXT).program, db).plan_for(
+            "tc(a, Y)?")
+        joins = plan.down_joins
+        many = {i: {(f"s{i}",)} for i in range(5)}  # 5 seeds of 1
+        run, fits = PLAN_CACHE.loop_for(joins, (CARRY,), (many,), (many,),
+                                        "greedy", db)
+        assert fits(db, (many,), (many,))
+        big = {0: {(f"s{i}",) for i in range(5)}, 1: {("a",)}}
+        assert not fits(db, (big,), (big,))  # 2 seeds, the largest of 5
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_replaced_snapshot_is_freed_by_refcount(self, backend,
+                                                      monkeypatch):
+        """Nothing the store keeps refers to the database it is kept
+        on: a service snapshot whose loops were bound goes, connection
+        and all, when the next one replaces it -- no cyclic collection
+        needed."""
+        import gc
+        import sqlite3
+        import weakref
+
+        from repro.service import QueryService, ServiceConfig
+
+        class Tracked(sqlite3.Connection):  # one a weak reference sees
+            pass
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs:
+                            connect(*args, factory=Tracked, **kwargs))
+        program = parse_program(self.TEXT).program
+        config = ServiceConfig(workers=1, backend=backend)
+        gc.disable()
+        try:
+            with QueryService(program, Database.from_facts(self.FACTS),
+                              config) as service:
+                assert service.query("t(a, Y)?").ok
+                db = service._snapshot().db
+                assert db in PLAN_CACHE._bound  # its loops are kept
+                g = db.relation("g")
+                conn = weakref.ref(g._conn) if backend == "sqlite" \
+                    else lambda: None
+                held, db, g = weakref.ref(db), None, None
+                assert conn() is not None or backend == "memory"
+                service.add_fact("g", ("q", "r"))
+                assert ("a", "end") in service.query("t(a, Y)?").answers
+                assert held() is None and conn() is None
+        finally:
+            gc.enable()

@@ -261,10 +261,78 @@ class TestFrozenProbes:
         assert again is first and again._buckets
         rel.add(("a", "y", "y"))
         moved = rel.snapshot(again)
-        assert moved is not again and moved._buckets == {}
+        # Adopted, but for the key the write touched: asked anew.
+        assert moved is not again and ("a",) not in moved._buckets[
+            (0,), None] and moved._buckets[(0,), None] is not \
+            again._buckets[(0,), None]
         assert ("a", "y", "y") in moved.lookup((0,), ("a",))
         assert ("a", "y", "y") not in again.lookup((0,), ("a",))
         assert sorted(again.lookup((0,), ("a",))) == self.FACTS[:3]
+
+    MANY = [(f"n{i % 7}", f"n{i % 3}", f"n{i}") for i in range(48)]
+
+    def asked(self, snap, keys):
+        """Every probe of ``PROBES`` on every key, as a fresh snapshot
+        answers it."""
+        return {(positions, cols, key): self.read(snap, positions, cols, key)
+                for positions, cols in self.PROBES
+                for key in keys[positions]}
+
+    def test_a_written_relation_keeps_the_keys_no_write_touched(self):
+        rel, snap = self.frozen(self.MANY)
+        written = [("n1", "x", "y"), ("n2", "n0", "y"), ("n5", "x", "z")]
+        every = self.MANY + written + [("nope",) * 3]
+        keys = {positions: {tuple(f[p] for p in positions) for f in every}
+                for positions, _ in self.PROBES}
+        self.asked(snap, keys)  # every bucket full
+        writes = [(lambda: rel.add(written[0]), written[:1]),
+                  (lambda: rel.discard(self.MANY[0]), self.MANY[:1]),
+                  (lambda: rel.add_all(written[1:]), written[1:]),
+                  (lambda: rel.discard_all([self.MANY[1], written[0]]),
+                   [self.MANY[1], written[0]])]
+        for write, facts in writes:
+            write()
+            moved = rel.snapshot(snap)
+            assert moved is not snap
+            fresh = SQLiteRelation("p", 3, rel).snapshot()
+            ran = selects(moved)
+            assert self.asked(moved, keys) == self.asked(fresh, keys)
+            touched = {(positions, cols, tuple(f[p] for p in positions))
+                       for positions, cols in self.PROBES for f in facts}
+            assert len(ran) == len(touched)  # an untouched key: no SELECT
+            snap = moved
+
+    def test_clear_or_a_big_write_or_a_foreign_previous_adopts_nothing(self):
+        rel, snap = self.frozen(self.MANY)
+        keys = {positions: {tuple(f[p] for p in positions)
+                            for f in self.MANY}
+                for positions, _ in self.PROBES}
+
+        def adopted(write, previous=None):
+            nonlocal snap
+            self.asked(snap, keys)
+            write()
+            moved = rel.snapshot(snap if previous is None else previous)
+            snap = moved
+            return bool(moved._buckets)
+
+        assert adopted(lambda: rel.add(("n1", "x", "y")))
+        # Over a quarter of the rows written: 13 of 49.
+        assert not adopted(lambda: rel.add_all(
+            [("big", "w", f"w{i}") for i in range(13)]))
+        assert adopted(lambda: rel.discard_all(
+            [("big", "w", f"w{i}") for i in range(12)]))
+        older = snap
+        assert adopted(lambda: rel.add(("n1", "x", "z")))
+        # Not the snapshot the journal started at: an older one ...
+        assert not adopted(lambda: rel.add(("n2", "x", "z")), older)
+        # ... or another relation's.
+        _, foreign = self.frozen(self.MANY)
+        self.asked(foreign, keys)
+        assert not adopted(lambda: rel.add(("n3", "x", "z")), foreign)
+        assert not adopted(lambda: (rel.clear(), rel.add(("n1", "x", "y"))))
+        assert self.asked(snap, keys) == self.asked(
+            SQLiteRelation("p", 3, rel).snapshot(), keys)
 
     def test_wal_snapshot_stays_pinned(self, tmp_path):
         rel = SQLiteBackend(str(tmp_path / "facts.db")).make_relation(
