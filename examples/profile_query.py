@@ -3,10 +3,10 @@
 This example mirrors examples/explain_answers.py but asks a different
 question: not *why* is each answer true, but *what did answering
 cost*.  It profiles the Example 1.2 recursion under two strategies,
-prints the EXPLAIN ANALYZE report, streams the raw event log to a
-JSONL file, replays it, and shows the exporters produce byte-identical
-output from the live and replayed traces -- which is what makes a
-shipped event log a faithful substitute for being there.
+prints the EXPLAIN ANALYZE report, writes the span tree to a JSONL
+trace file, reads it back, and shows the exporters produce
+byte-identical output from the live and rebuilt traces -- which is what
+makes a shipped trace file a faithful substitute for being there.
 
 Run:  python examples/profile_query.py
 """
@@ -18,10 +18,10 @@ from pathlib import Path
 from repro import Database, parse_program
 from repro.engine import Engine
 from repro.observability import (
-    JsonlFileSink,
     replay_file,
     to_chrome_trace,
     to_metrics_text,
+    write_trace,
 )
 
 PROGRAM = """
@@ -43,12 +43,11 @@ def main() -> None:
     db = Database.from_facts(DATABASE)
     workdir = Path(tempfile.mkdtemp(prefix="repro-profile-"))
 
-    # -- 1. profile the query, streaming events as we go ---------------
-    events_path = workdir / "run.jsonl"
-    sink = JsonlFileSink(events_path)
+    # -- 1. profile the query, then write its trace file --------------
     engine = Engine(parsed.program, db)
-    profile = engine.profile("buys(tom, Y)?", sink=sink)
-    sink.close()
+    profile = engine.profile("buys(tom, Y)?")
+    events_path = workdir / "run.jsonl"
+    write_trace(events_path, profile.tracer)
 
     print(profile.render_text())
     print()
@@ -65,7 +64,7 @@ def main() -> None:
         if line.startswith("repro_") and "rule" not in line:
             print(f"  {line}")
 
-    # -- 4. replay the event log; exporters cannot tell the difference -
+    # -- 4. read the trace file; exporters cannot tell the difference --
     replayed = replay_file(events_path)
     live_chrome = json.dumps(to_chrome_trace(profile.tracer),
                              sort_keys=True)
@@ -73,7 +72,7 @@ def main() -> None:
                                  sort_keys=True)
     assert live_chrome == replayed_chrome
     assert to_metrics_text(profile.tracer) == to_metrics_text(replayed)
-    print(f"\nevent log {events_path} replays byte-identically "
+    print(f"\ntrace file {events_path} replays byte-identically "
           f"({len(json.loads(live_chrome)['traceEvents'])} trace events)")
 
     # -- 5. compare strategies on the same query -----------------------

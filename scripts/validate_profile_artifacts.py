@@ -5,7 +5,7 @@ Profiles the Example 1.2 query through the public CLI, then validates
 every artifact the observability pipeline promises:
 
 1. the chrome-trace JSON parses and its B/E events are balanced;
-2. the JSONL event log replays into a tracer whose exporter output is
+2. the JSONL trace file replays into a tracer whose exporter output is
    byte-identical to the live trace's;
 3. the deterministic (``--no-timings``) text report is stable across
    two runs, and its ``-- plan --`` section shows the generated source
@@ -93,7 +93,7 @@ def main(argv: list[str]) -> int:
     print(f"chrome trace ok: {len(chrome['traceEvents'])} events, "
           f"B/E balanced")
 
-    # 2. the JSONL log replays byte-identically.
+    # 2. the JSONL trace file replays byte-identically.
     sys.path.insert(0, str(REPO / "src"))
     from repro.observability import (  # noqa: E402
         read_events,
@@ -112,7 +112,7 @@ def main(argv: list[str]) -> int:
         "replayed chrome trace differs from the live export"
     )
     assert to_metrics_text(replayed)
-    print(f"event log ok: {len(events)} events replay byte-identically")
+    print(f"trace file ok: {len(events)} records replay byte-identically")
 
     # 3. the untimed text report is deterministic.
     first = run_cli("profile", *base, "--no-timings")
@@ -139,17 +139,24 @@ def main(argv: list[str]) -> int:
 
 
 def check_projected_innermost(plan_section: str) -> None:
-    """Example 1.2's loops each probe one fixed relation for the output
-    column: the reported source must union the projected bucket.  A
-    change that silently falls back to the comprehension fails here,
-    not only on a benchmark."""
-    unions = [line.strip() for line in plan_section.splitlines()
-              if "produced.update(" in line]
+    """Example 1.2's down and up loops each probe one fixed relation for
+    the output column: the reported source must union the projected
+    bucket.  A change that silently falls back to the comprehension
+    fails here, not only on a benchmark.  (The exit join, which scans
+    ``perfectFor``, is listed after the down loop and is not looked
+    at.)"""
+    loops, title = [], ""
+    for line in plan_section.splitlines():
+        if line.endswith(" flavour)"):  # "  down loop (traced flavour)"
+            title = line.strip()
+        elif title.startswith(("down loop ", "up loop ")):
+            loops.append(line)
+    unions = [line.strip() for line in loops if "produced.update(" in line]
     assert unions == ["produced.update(c1)"] * 2, (
         "the carry loops do not union a projected bucket at their "
         "innermost level:\n" + "\n".join(unions)
     )
-    probes = [line for line in plan_section.splitlines() if " q=[" in line]
+    probes = [line for line in loops if " q=[" in line]
     assert len(probes) == 2 and all(" -> " in line for line in probes), (
         "the loops' probes are not reported as projected:\n"
         + "\n".join(probes)

@@ -37,7 +37,6 @@ from .harness import (
     report_path,
     run_family,
     summarize,
-    to_markdown,
     write_report,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "resolve_families",
     "run_family",
     "summarize",
-    "to_markdown",
     "write_report",
 ]

@@ -68,7 +68,6 @@ __all__ = [
     "machine_info",
     "git_sha",
     "summarize",
-    "to_markdown",
 ]
 
 #: Version tag of the report layout; bump on incompatible changes.
@@ -573,23 +572,3 @@ def summarize(report: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def to_markdown(report: dict) -> str:
-    """One family report as a Markdown table (``repro-datalog report``),
-    ready to diff against EXPERIMENTS.md."""
-    lines = [
-        f"## {report['family'].upper()} {report['title']}",
-        "",
-        f"n = {report['size_means']}; expected: {report['expectation']}.",
-        "",
-        "| strategy | n | outcome | answers | max_relation_size | median ms |",
-        "|---|---|---|---|---|---|",
-    ]
-    for cell in report["results"]:
-        median = cell["median_s"]
-        lines.append(
-            f"| {cell['strategy']} | {cell['n']} | {cell['outcome']} "
-            f"| {cell['answers']} | {cell['max_relation_size']} "
-            f"| {'' if median is None else f'{median * 1e3:.2f}'} |"
-        )
-    return "\n".join(lines) + "\n"

@@ -29,13 +29,10 @@ Subcommands::
         span tree with wall-clock shares, per-rule work, generated
         relation sizes, per-iteration deltas).  ``--format
         chrome-trace`` emits a Perfetto/chrome://tracing-loadable JSON
-        trace instead; ``--events`` additionally streams the raw event
-        log to a JSONL file replayable with
-        ``repro.observability.replay_file`` (see docs/observability.md).
-
-    repro-datalog report
-        Run the bench families e1, e2, e4, e5 and e6 once at the
-        default sweep and print the reports as Markdown tables.
+        trace instead; ``--events`` additionally writes the recorded
+        span tree to a JSONL file that
+        ``repro.observability.replay_file`` reads back (see
+        docs/observability.md).
 
     repro-datalog fuzz [--iterations 200] [--seed 0] [--strategy s ...]
                        [--corpus DIR] [--no-shrink]
@@ -89,7 +86,7 @@ from .engine import STRATEGIES, Engine
 
 __all__ = ["main", "build_parser"]
 
-#: The size sweep of ``bench`` (default) and ``report``.
+#: The size sweep of ``bench`` (default).
 _BENCH_SIZES = "8,16,32"
 
 
@@ -242,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--events",
         type=Path,
         default=None,
-        help="also stream the raw event log to this JSONL file "
-        "(schema repro-events/1, replayable offline)",
+        help="also write the span tree to this JSONL file "
+        "(schema repro-events/2, replayable offline)",
     )
     profile.add_argument(
         "--out",
@@ -261,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         profile,
         "relation storage backend: memory (default), sqlite, or "
         "sqlite:<path> (docs/storage.md)",
-    )
-
-    sub.add_parser(
-        "report",
-        help="rerun the paper's experiments and print Markdown tables",
     )
 
     fuzz = sub.add_parser(
@@ -371,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="stream per-request service events to this JSONL file "
-        "(schema repro-events/1)",
+        "(schema repro-events/2)",
     )
     serve.add_argument(
         "--stats",
@@ -601,7 +593,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .observability import JsonlFileSink
+    from .observability import Tracer, write_trace
 
     parsed = _load(args.program)
     if args.query is not None:
@@ -619,12 +611,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     engine = Engine(parsed.program, parsed.database, order=args.order,
                     backend=args.backend)
-    sink = JsonlFileSink(args.events) if args.events is not None else None
+    tracer = Tracer()
     try:
-        prof = engine.profile(query, strategy=args.strategy, sink=sink)
+        prof = engine.profile(query, strategy=args.strategy, tracer=tracer)
     finally:
-        if sink is not None:
-            sink.close()
+        if args.events is not None:
+            write_trace(args.events, tracer)
 
     if args.format == "text":
         output = prof.render_text(timings=not args.no_timings)
@@ -639,19 +631,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         print(output)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .bench import calibrate, resolve_families, run_family, to_markdown
-
-    sizes = [int(s) for s in _BENCH_SIZES.split(",")]
-    calibration = calibrate()
-    print("# Reproduction report (generated)\n")
-    for family in resolve_families("e1,e2,e4,e5,e6"):
-        print(to_markdown(
-            run_family(family, sizes, repeats=1, calibration=calibration)
-        ))
     return 0
 
 
@@ -975,7 +954,6 @@ def main(argv: list[str] | None = None) -> int:
         "plan": _cmd_plan,
         "advise": _cmd_advise,
         "profile": _cmd_profile,
-        "report": _cmd_report,
         "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "bench": _cmd_bench,

@@ -232,9 +232,10 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
                 db: Database, stats: EvaluationStats, order: str,
                 tracer=None, reference: bool = False) -> dict:
     """Line 8 of Figure 2, ``carry_2 := g_2(seen_1)``, per seed by the
-    plans of the largest ``seen_1``: a batch's in one generated pass over
-    the sets as they are, unless ``reference``; else by the kernels."""
-    if None not in seen_1 and not reference:
+    plans of the largest ``seen_1``: in one generated pass over the sets
+    as they are, or -- under :func:`_reference_loops` -- by the kernels
+    over a view of each."""
+    if not reference:
         labels = () if tracer is None else ((), *_credits("exit", joins))
         run, _ = PLAN_CACHE.loop_for(joins, (SEEN,), (seen_1,), (), order,
                                      db, tracer)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .terms import Constant, ConstValue, Term, Variable, make_term
 
@@ -218,16 +218,3 @@ def connected_components(atoms: Sequence[Atom]) -> list[list[Atom]]:
         groups[root].append(a)
     return [groups[root] for root in order]
 
-
-def all_variables(atoms: Iterable[Atom]) -> frozenset[Variable]:
-    """The set of distinct variables across a collection of atoms."""
-    result: set[Variable] = set()
-    for a in atoms:
-        result |= a.variable_set()
-    return frozenset(result)
-
-
-def iter_terms(atoms: Iterable[Atom]) -> Iterator[Term]:
-    """Iterate over every term occurrence across ``atoms``."""
-    for a in atoms:
-        yield from a.args

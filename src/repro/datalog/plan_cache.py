@@ -1424,13 +1424,6 @@ class PlanCache:
             self.evictions = 0
             self.orders = {}
 
-    def plans_for(self, body: tuple, output: tuple) -> list[JoinPlan]:
-        """Cached plans of ``body`` that ran their kernel for ``output``
-        (for plan dumps)."""
-        with self._lock:
-            return [p for key, p in self._plans.items()
-                    if key[0] == body and output in p._kernels]
-
     def stats(self) -> dict:
         """Counter snapshot: ``{size, hits, misses, compiles,
         evictions, orders}`` -- ``orders`` is the ``plan_for`` call

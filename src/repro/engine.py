@@ -470,7 +470,7 @@ class Engine:
         self,
         query: Union[Atom, str],
         strategy: str = "auto",
-        sink=None,
+        tracer: Optional[Tracer] = None,
     ) -> QueryProfile:
         """Answer a query under a recording tracer; return the profile.
 
@@ -480,18 +480,18 @@ class Engine:
         the result with the strategy advice and the recorded span
         forest into a :class:`~repro.observability.QueryProfile`.
 
-        ``sink`` is an optional :class:`~repro.observability.EventSink`
-        that streams the trace as it is recorded (e.g. a
-        :class:`~repro.observability.JsonlFileSink` for later replay);
-        the caller owns closing it.
+        ``tracer`` is the :class:`~repro.observability.Tracer` to
+        record into (a fresh one by default); its context gains the
+        query and strategy.  A caller that passes its own keeps the
+        trace of a query that raised -- as ``repro-datalog profile
+        --events`` does, to write it out all the same.
         """
         if isinstance(query, str):
             query = parse_query_memo(query)
+        if tracer is None:
+            tracer = Tracer()
+        tracer.context.update(query=str(query), strategy=strategy)
         advice = self.advise(query)
-        tracer = Tracer(
-            sink=sink,
-            context={"query": str(query), "strategy": strategy},
-        )
         start = time.perf_counter()
         result = self.query(query, strategy=strategy, tracer=tracer)
         wall_s = time.perf_counter() - start

@@ -16,13 +16,12 @@ The span tree with its counter totals (:meth:`Tracer.totals`) is the
 one telemetry model; everything else is a function of it:
 
 * :mod:`repro.observability.events` -- an :class:`EventSink` protocol
-  with ring-buffer and JSONL-file sinks; a tracer built with
-  ``Tracer(sink=...)`` streams every span open/close, counter bump and
-  per-iteration observation as a schema-versioned event, and
-  :func:`replay_trace` rebuilds an equivalent trace from a stored
-  stream;
+  with ring-buffer and JSONL-file sinks, the schema-versioned
+  ``trace_start`` header every stream opens with, and trace files:
+  :func:`write_trace` stores the finished tree (:meth:`Tracer.to_dict`)
+  and :func:`replay_file` rebuilds it (:meth:`Tracer.from_dict`);
 * :mod:`repro.observability.export` -- pure-function exporters over a
-  completed (live or replayed) trace: Chrome trace-event JSON and
+  completed (live or rebuilt) trace: Chrome trace-event JSON and
   Prometheus-style metrics text;
 * :mod:`repro.observability.profiler` -- :class:`QueryProfile`, the
   ``EXPLAIN ANALYZE``-style per-query report behind
@@ -36,7 +35,8 @@ from .events import (
     RingBufferSink,
     read_events,
     replay_file,
-    replay_trace,
+    trace_start,
+    write_trace,
 )
 from .export import escape_label_value, to_chrome_trace, to_metrics_text
 from .invariants import trace_violations
@@ -55,9 +55,10 @@ __all__ = [
     "escape_label_value",
     "read_events",
     "replay_file",
-    "replay_trace",
     "rule_rows",
     "to_chrome_trace",
     "to_metrics_text",
+    "trace_start",
     "trace_violations",
+    "write_trace",
 ]

@@ -1,40 +1,24 @@
-"""Structured trace events: sinks, a JSONL wire format, and replay.
+"""The JSONL wire format: event sinks, the stream header, trace files.
 
-The :class:`~repro.observability.tracer.Tracer` records an in-memory
-span forest; an :class:`EventSink` additionally receives every state
-change *as it happens* -- span open/close, counter bump, per-iteration
-series point -- as a plain-dict event.  That stream is what external
-tooling consumes: ship it over a socket, ring-buffer it in a server,
-or write it to a JSONL file and rebuild the trace later with
-:func:`replay_trace` (the rebuilt trace is exporter-equivalent to the
-live one: ``to_chrome_trace`` and ``to_metrics_text`` produce
-byte-identical output from either).
+A stream is a sequence of plain-dict records -- a JSONL file, a ring
+buffer in a server -- whose first record is the ``trace_start`` header
+(:func:`trace_start`): the schema tag plus a ``context`` dict, so a
+reader can reject an incompatible stream before parsing the rest.  Two
+writers open streams this way:
 
-Event records (``type`` field):
-
-``trace_start``
-    First event of every stream: the schema version tag plus the
-    tracer's ``context`` dict (query id, strategy, ... -- whatever the
-    caller stamped on the run).
-``span_open`` / ``span_close``
-    One pair per span.  ``sid`` is a stream-unique span id, ``parent``
-    the enclosing span's sid (``None`` for roots), ``t`` the
-    ``perf_counter`` timestamp.  ``span_close`` re-carries ``attrs``
-    because evaluators add facts at close time (``final_seen``, the
-    final relation sizes of an SCC), and carries the span's final
-    ``counters`` totals -- bumps happen per tuple in the join loops,
-    so per-bump emission would cost a serialization per tuple.
-``count``
-    One counter bump on span ``sid`` (``name``, increment ``n``).
-    Only emitted for counts landing on an already-closed span (the
-    implicit ``(toplevel)`` catch-all); ordinary spans ship totals on
-    ``span_close``.
-``series``
-    One per-iteration observation appended to span ``sid`` -- the
-    delta/carry/seen cardinalities no scalar counter can carry.
+* a trace file (:func:`write_trace`, ``repro-datalog profile
+  --events``) holds, after the header, one ``trace`` record: the
+  finished span tree as :meth:`Tracer.to_dict
+  <repro.observability.tracer.Tracer.to_dict>` gives it.
+  :func:`replay_file` rebuilds the :class:`~repro.observability.Tracer`
+  from it, and the exporters in :mod:`repro.observability.export`
+  produce byte-identical output from the live and the rebuilt trace;
+* :class:`~repro.service.QueryService` writes one ``service_request``
+  record per completed request and one ``slow_query`` record per
+  sampled or slow one (``repro-slowlog/1``).
 
 Sinks must never raise from :meth:`~EventSink.emit`; a broken sink
-would otherwise abort the evaluation it is observing.
+would otherwise abort the work it is observing.
 """
 
 from __future__ import annotations
@@ -42,9 +26,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Protocol, Union
+from typing import IO, Iterator, Optional, Protocol, Union
 
-from .tracer import Span, Tracer
+from .tracer import Tracer
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -52,16 +36,17 @@ __all__ = [
     "RingBufferSink",
     "JsonlFileSink",
     "read_events",
-    "replay_trace",
     "replay_file",
+    "trace_start",
+    "write_trace",
 ]
 
 #: Version tag of the event record layout; bump on incompatible changes.
-EVENT_SCHEMA = "repro-events/1"
+EVENT_SCHEMA = "repro-events/2"
 
 
 class EventSink(Protocol):
-    """Anything that can receive trace events as they are recorded."""
+    """Anything that can receive stream records as they are written."""
 
     def emit(self, event: dict) -> None:
         """Receive one event record (the dict must not be mutated)."""
@@ -71,7 +56,7 @@ class EventSink(Protocol):
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` events in memory.
+    """Keeps the most recent ``capacity`` records in memory.
 
     The production shape for long-lived servers: bounded memory, and on
     an incident the tail of the stream is right there to dump.
@@ -98,16 +83,14 @@ class RingBufferSink:
 
 
 class JsonlFileSink:
-    """Appends one JSON object per line to a file.
-
-    The file starts with the ``trace_start`` record (schema version +
-    context), so a reader can reject incompatible streams before
-    parsing the rest.  Writes go through Python's buffered file object;
-    :meth:`close` flushes.
+    """Appends one JSON object per line to a file (its directory is
+    created if missing).  Writes go through Python's buffered file
+    object; :meth:`close` flushes.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: Optional[IO[str]] = self.path.open("w")
 
     def emit(self, event: dict) -> None:
@@ -127,11 +110,27 @@ class JsonlFileSink:
         self.close()
 
 
-def read_events(path: Union[str, Path]) -> list[dict]:
-    """Load a JSONL event file written through :class:`JsonlFileSink`.
+def trace_start(sink: EventSink, context: dict) -> None:
+    """Open a stream on ``sink``: emit its ``trace_start`` header."""
+    sink.emit({"type": "trace_start", "schema": EVENT_SCHEMA,
+               "context": dict(context)})
 
-    Validates the leading ``trace_start`` record's schema tag; blank
-    lines are ignored so hand-truncated files still load.
+
+def write_trace(path: Union[str, Path], tracer: Tracer) -> None:
+    """Write ``tracer`` to a JSONL trace file: the ``trace_start``
+    header and one ``trace`` record holding :meth:`Tracer.to_dict`."""
+    with JsonlFileSink(path) as sink:
+        trace_start(sink, tracer.context)
+        sink.emit({"type": "trace", "trace": tracer.to_dict()})
+
+
+def read_events(path: Union[str, Path]) -> list[dict]:
+    """Load a JSONL stream written through :class:`JsonlFileSink`.
+
+    Validates the leading ``trace_start`` record's schema tag (a
+    ``repro-events/1`` file, the retired span event stream, is refused
+    like any other); blank lines are ignored so hand-truncated files
+    still load.
     """
     events: list[dict] = []
     with Path(path).open() as fh:
@@ -151,64 +150,10 @@ def read_events(path: Union[str, Path]) -> list[dict]:
     return events
 
 
-def _rebuild_span(event: dict) -> Span:
-    span = Span(event["name"], dict(event.get("attrs") or {}))
-    span.start_s = event["t"]
-    return span
-
-
-def replay_trace(events: Iterable[dict]) -> Tracer:
-    """Rebuild a :class:`Tracer` from an event stream.
-
-    The result has the same span forest, timestamps, statuses, attrs,
-    counters and series as the tracer that emitted the stream, so the
-    exporters in :mod:`repro.observability.export` produce byte-identical
-    output from it.  Unknown event types are skipped (forward
-    compatibility within one schema version).
-    """
-    tracer = Tracer()
-    spans: dict[int, Span] = {}
-    for event in events:
-        kind = event.get("type")
-        if kind == "trace_start":
-            tracer.context = dict(event.get("context") or {})
-        elif kind == "span_open":
-            span = _rebuild_span(event)
-            spans[event["sid"]] = span
-            parent = spans.get(event.get("parent"))
-            if parent is not None:
-                parent.children.append(span)
-            elif span.name == "(toplevel)":
-                # The live tracer front-inserts the implicit catch-all
-                # root; mirror that so root order matches the original.
-                tracer.roots.insert(0, span)
-            else:
-                tracer.roots.append(span)
-        elif kind == "span_close":
-            span = spans.get(event["sid"])
-            if span is None:
-                continue
-            span.end_s = event["t"]
-            span.status = event.get("status", "ok")
-            span.attrs = dict(event.get("attrs") or span.attrs)
-            if "counters" in event:
-                span.counters = dict(event["counters"])
-        elif kind == "count":
-            span = spans.get(event["sid"])
-            if span is not None:
-                name = event["name"]
-                span.counters[name] = (
-                    span.counters.get(name, 0) + event["n"]
-                )
-        elif kind == "series":
-            span = spans.get(event["sid"])
-            if span is not None:
-                span.series.setdefault(event["name"], []).append(
-                    event["value"]
-                )
-    return tracer
-
-
 def replay_file(path: Union[str, Path]) -> Tracer:
-    """:func:`read_events` + :func:`replay_trace` in one call."""
-    return replay_trace(read_events(path))
+    """The :class:`Tracer` a :func:`write_trace` file holds (records of
+    other types are skipped)."""
+    for event in read_events(path):
+        if event.get("type") == "trace":
+            return Tracer.from_dict(event["trace"])
+    raise ValueError(f"{path}: no trace record")

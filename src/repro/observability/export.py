@@ -2,9 +2,9 @@
 
 Both exporters are pure functions over a :class:`Tracer` whose spans
 are closed -- the tracer may be the live object an evaluation just
-filled, or one rebuilt from a JSONL event file with
-:func:`repro.observability.events.replay_trace`; the two produce
-byte-identical output, which is what makes shipped event logs a
+filled, or one rebuilt from a trace file with
+:func:`repro.observability.events.replay_file`; the two produce
+byte-identical output, which is what makes a shipped trace file a
 faithful substitute for being there.
 
 :func:`to_chrome_trace`

@@ -99,36 +99,18 @@ def _plan_that_ran(result):
                       result.strategy == "relaxed").batch.plan
 
 
-def _kernel_lines(plan) -> list[str]:
-    """The generated code behind a Separable ``plan``, for what ran: the
-    set-at-a-time kernel of each join term (the exit joins, and loop
-    terms the reference loop evaluated) and the whole-loop function of
-    each carry loop (and of a batch's exit join).
-
-    ``K`` is the constants tuple a kernel unpacks: index
-    signatures, column numbers and body/output constants.  A loop
-    unpacks them per join term from ``J<g>``; each term's line gives
-    the relation and index signature behind its probes ``q`` --
-    ``(relation, positions -> cols)`` for a projected one, which
-    answers with those columns of the facts -- and its constants ``k``.
-    """
-    from ..datalog.plan_cache import PLAN_CACHE  # imports our tracer
-
-    lines: list[str] = []
-    for join in plan.down_joins + plan.exit_joins + plan.up_joins:
-        for cached in PLAN_CACHE.plans_for(join.body, join.output):
-            source, consts, _ = cached.kernel_text(join.output)
-            lines.append(f"  kernel {join}  steps={cached.atom_order()}  "
-                         f"K={consts}")
-            lines += [f"    {line}" for line in source.splitlines()]
-    return lines + _loop_lines([("down loop", plan.down_joins),
-                                ("exit join", plan.exit_joins),
-                                ("up loop", plan.up_joins)])
-
-
 def _loop_lines(loops) -> list[str]:
     """The generated loops that ran over each ``(title, joins)`` of
-    ``loops`` (:meth:`~repro.datalog.plan_cache.PlanCache.loops_for`)."""
+    ``loops`` (:meth:`~repro.datalog.plan_cache.PlanCache.loops_for`):
+    a Separable plan's carry loops and exit join, or each stratum's
+    semi-naive loop.
+
+    A loop unpacks its constants per join term from ``J<g>``; each
+    term's line gives the relation and index signature behind its
+    probes ``q`` -- ``(relation, positions -> cols)`` for a projected
+    one, which answers with those columns of the facts -- and its
+    constants ``k``.
+    """
     from ..datalog.plan_cache import PLAN_CACHE
 
     lines: list[str] = []
@@ -231,7 +213,9 @@ class QueryProfile:
         lines += ["", f"-- plan {rule[8:]}", result.describe_plan()
                   if plan is None else plan.describe(plan is not result.plan)]
         if plan is not None:
-            lines += _kernel_lines(plan)
+            lines += _loop_lines([("down loop", plan.down_joins),
+                                  ("exit join", plan.exit_joins),
+                                  ("up loop", plan.up_joins)])
         else:  # a rewritten program: the generated loop of each stratum
             from ..datalog.plan_cache import DELTA
 

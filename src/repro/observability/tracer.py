@@ -44,7 +44,6 @@ class Span:
         "counters",
         "series",
         "children",
-        "sid",
     )
 
     def __init__(self, name: str, attrs: dict) -> None:
@@ -56,8 +55,6 @@ class Span:
         self.counters: dict[str, int] = {}
         self.series: dict[str, list] = {}
         self.children: list[Span] = []
-        #: Stream-unique id, assigned only when a sink is attached.
-        self.sid: Optional[int] = None
 
     @property
     def duration_s(self) -> Optional[float]:
@@ -77,16 +74,31 @@ class Span:
             yield from child.walk()
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (used by bench reports and tests)."""
+        """JSON-ready representation: what a profile's JSON report and
+        a ``repro-events/2`` trace record hold of the span."""
         return {
             "name": self.name,
             "attrs": dict(self.attrs),
+            "start_s": self.start_s,
+            "end_s": self.end_s,
             "duration_s": self.duration_s,
             "status": self.status,
             "counters": dict(self.counters),
             "series": {k: list(v) for k, v in self.series.items()},
             "children": [c.to_dict() for c in self.children],
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Span":
+        """The span :meth:`to_dict` was taken of, children included."""
+        span = cls(data["name"], dict(data["attrs"]))
+        span.start_s = data["start_s"]
+        span.end_s = data["end_s"]
+        span.status = data["status"]
+        span.counters = dict(data["counters"])
+        span.series = {k: list(v) for k, v in data["series"].items()}
+        span.children = [cls.from_dict(c) for c in data["children"]]
+        return span
 
     def __repr__(self) -> str:
         timing = (
@@ -108,36 +120,16 @@ def span_of(tracer: Optional["Tracer"], name: str, **attrs):
 class Tracer:
     """A recording tracer.  Not thread-safe; use one per evaluation.
 
-    An optional ``sink`` (see :mod:`repro.observability.events`)
-    additionally receives every state change as a structured event the
-    moment it is recorded; ``context`` is an arbitrary dict (query id,
-    strategy, ...) stamped into the stream's leading ``trace_start``
-    record.  Without a sink the tracer behaves exactly as before: the
-    emission paths are guarded by a single ``self._sink is not None``
-    check, so in-memory-only tracing pays nothing for the event layer.
+    ``context`` is an arbitrary dict (query, strategy, trace id, ...)
+    the trace carries with it: into :meth:`to_dict`, and so into a
+    written trace file (see :mod:`repro.observability.events`) and the
+    Chrome export's ``otherData``.
     """
 
-    def __init__(self, sink=None, context: Optional[dict] = None) -> None:
+    def __init__(self, context: Optional[dict] = None) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        self._sink = sink
-        self._next_sid = 0
         self.context: dict = dict(context or {})
-        if sink is not None:
-            from .events import EVENT_SCHEMA
-
-            sink.emit(
-                {
-                    "type": "trace_start",
-                    "schema": EVENT_SCHEMA,
-                    "context": dict(self.context),
-                }
-            )
-
-    @property
-    def sink(self):
-        """The attached event sink, or ``None``."""
-        return self._sink
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -145,14 +137,11 @@ class Tracer:
     def span(self, name: str, **attrs) -> Iterator[Span]:
         """Open a nested span; always closes it, recording exceptions."""
         s = Span(name, attrs)
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.children.append(s)
+        if self._stack:
+            self._stack[-1].children.append(s)
         else:
             self.roots.append(s)
         self._stack.append(s)
-        if self._sink is not None:
-            self._emit_open(s, parent)
         try:
             yield s
         except BaseException as exc:
@@ -163,35 +152,6 @@ class Tracer:
         finally:
             s.end_s = time.perf_counter()
             self._stack.pop()
-            if self._sink is not None:
-                # Counter totals ride on the close event rather than as
-                # one event per bump: bumps happen per tuple in the hot
-                # join loops, and per-bump emission would make a file
-                # sink cost a json.dumps per tuple.
-                self._sink.emit(
-                    {
-                        "type": "span_close",
-                        "sid": s.sid,
-                        "t": s.end_s,
-                        "status": s.status,
-                        "attrs": dict(s.attrs),
-                        "counters": dict(s.counters),
-                    }
-                )
-
-    def _emit_open(self, s: Span, parent: Optional[Span]) -> None:
-        s.sid = self._next_sid
-        self._next_sid += 1
-        self._sink.emit(
-            {
-                "type": "span_open",
-                "sid": s.sid,
-                "parent": parent.sid if parent is not None else None,
-                "name": s.name,
-                "t": s.start_s,
-                "attrs": dict(s.attrs),
-            }
-        )
 
     @property
     def current(self) -> Optional[Span]:
@@ -208,27 +168,11 @@ class Tracer:
         """
         target = self._stack[-1] if self._stack else self._toplevel()
         target.counters[name] = target.counters.get(name, 0) + n
-        if self._sink is not None and target.end_s is not None:
-            # Open spans carry their totals on span_close; only the
-            # implicit (toplevel) span is already closed when counts
-            # land on it, so those bumps stream individually.
-            self._sink.emit(
-                {"type": "count", "sid": target.sid, "name": name, "n": n}
-            )
 
     def record(self, name: str, value) -> None:
         """Append one observation to a series on the innermost span."""
         target = self._stack[-1] if self._stack else self._toplevel()
         target.series.setdefault(name, []).append(value)
-        if self._sink is not None:
-            self._sink.emit(
-                {
-                    "type": "series",
-                    "sid": target.sid,
-                    "name": name,
-                    "value": value,
-                }
-            )
 
     def _toplevel(self) -> Span:
         if self.roots and self.roots[0].name == "(toplevel)":
@@ -237,17 +181,6 @@ class Tracer:
         s.end_s = s.start_s
         s.status = "ok"
         self.roots.insert(0, s)
-        if self._sink is not None:
-            self._emit_open(s, None)
-            self._sink.emit(
-                {
-                    "type": "span_close",
-                    "sid": s.sid,
-                    "t": s.end_s,
-                    "status": s.status,
-                    "attrs": {},
-                }
-            )
         return s
 
     # -- inspection --------------------------------------------------------
@@ -281,30 +214,17 @@ class Tracer:
         )
 
     def to_dict(self) -> dict:
-        return {"spans": [s.to_dict() for s in self.roots]}
+        """The whole trace, JSON-ready: its context and span forest."""
+        return {"context": dict(self.context),
+                "spans": [s.to_dict() for s in self.roots]}
 
-    def format_tree(self) -> str:
-        """An indented human-readable rendering of the span forest."""
-        lines: list[str] = []
-
-        def emit(s: Span, depth: int) -> None:
-            timing = (
-                f"{s.duration_s * 1e3:9.3f}ms" if s.closed else "     open"
-            )
-            counters = " ".join(
-                f"{k}={v}" for k, v in sorted(s.counters.items())
-            )
-            series = " ".join(
-                f"{k}={v}" for k, v in sorted(s.series.items())
-            )
-            detail = " ".join(x for x in (counters, series) if x)
-            lines.append(
-                f"{timing}  {'  ' * depth}{s.name}"
-                + (f"  [{detail}]" if detail else "")
-            )
-            for child in s.children:
-                emit(child, depth + 1)
-
-        for root in self.roots:
-            emit(root, 0)
-        return "\n".join(lines)
+    @classmethod
+    def from_dict(cls, data: dict) -> "Tracer":
+        """The tracer :meth:`to_dict` was taken of (also after a JSON
+        round trip): the same forest, timestamps, statuses, attrs,
+        counters, series and context, so the exporters in
+        :mod:`repro.observability.export` produce byte-identical output
+        from either."""
+        tracer = cls(data.get("context"))
+        tracer.roots = [Span.from_dict(d) for d in data["spans"]]
+        return tracer

@@ -55,7 +55,7 @@ from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
 from ..maintenance import DeltaCapture, MaintainedView
-from ..observability.events import EVENT_SCHEMA, EventSink
+from ..observability.events import EventSink, trace_start
 from ..observability.tracer import Tracer, span_of
 from ..stats import EvaluationStats
 from .memo import FullSelectionMemo, ScopedMemo
@@ -233,10 +233,10 @@ class QueryService:
     Use as a context manager (or call :meth:`close`); the thread pool
     holds non-daemon workers.  ``sink`` is an optional
     :class:`~repro.observability.EventSink` receiving one
-    ``service_request`` event per completion (the stream opens with a
-    standard ``trace_start`` record so
-    :func:`repro.observability.read_events` accepts it; trace replay
-    skips the service records as unknown types).
+    ``service_request`` record per completion and one ``slow_query``
+    record per sampled or slow request (the stream opens with the
+    standard ``trace_start`` header, so
+    :func:`repro.observability.read_events` accepts it).
     """
 
     def __init__(
@@ -262,14 +262,8 @@ class QueryService:
         self._sink = sink
         self._sink_lock = threading.Lock()
         if sink is not None:
-            sink.emit(
-                {
-                    "type": "trace_start",
-                    "schema": EVENT_SCHEMA,
-                    "context": {"component": "service",
-                                "workers": self.config.workers},
-                }
-            )
+            trace_start(sink, {"component": "service",
+                               "workers": self.config.workers})
         self._snapshot_lock = threading.Lock()
         self._current: Optional[_Snapshot] = None
         # Every snapshot's engine is a sibling of this one (over no

@@ -10,8 +10,8 @@ Records follow the ``repro-slowlog/1`` schema: query text, strategy,
 latency, why the record exists (``sampled`` / ``slow`` / both), the
 trace's counter totals (:func:`work_counter_totals`) and the memo
 disposition over the request.  They travel through the service's existing
-event sink (interleaved with ``service_request`` events; replay skips
-unknown types) and a bounded in-memory ring serves the HTTP
+event sink (interleaved with ``service_request`` records) and a
+bounded in-memory ring serves the HTTP
 ``/slowlog`` endpoint.
 """
 

@@ -12,7 +12,6 @@ import json
 import pytest
 
 import repro.bench.harness as harness
-from repro.bench import FAMILIES
 from repro.cli import main
 
 from .conftest import FakeClock
@@ -192,24 +191,3 @@ class TestArgumentValidation:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
-
-class TestReport:
-    def test_prints_the_section_4_rows_from_bench_reports(
-        self, capsys, monkeypatch
-    ):
-        monkeypatch.setattr("repro.cli._BENCH_SIZES", "4,6")
-        assert main(["report"]) == 0
-        out = capsys.readouterr().out
-        assert [line for line in out.splitlines() if line[:2] == "##"] == [
-            f"## {key.upper()} {FAMILIES[key].title}"
-            for key in ("e1", "e2", "e4", "e5", "e6")
-        ]
-        e1, e2 = out.split("\n## ")[1:3]
-        # Counting's relation on Example 1.1 is 2^n - 1, Separable's n.
-        assert "| counting | 4 | ok | 1 | 15 |" in e1
-        assert "| counting | 6 | ok | 1 | 63 |" in e1
-        assert "| separable | 6 | ok | 1 | 6 |" in e1
-        # Magic materializes n^2 on Example 1.2.
-        assert "| magic | 4 | ok | 4 | 16 |" in e2
-        assert "| magic | 6 | ok | 6 | 36 |" in e2
-        assert "| separable | 6 | ok | 6 | 6 |" in e2

@@ -370,7 +370,9 @@ class TestGeneratedLoop:
         ``cheaper``) differ only in constants, and so does Example 1.1's
         down loop: its ``friend`` and ``idol`` terms are one shape, run
         twice.  (Example 1.1 has a single class: its up loop has no
-        join terms, which is a text of its own.)"""
+        join terms, which is a text of its own.)  Each exit join is one
+        generated pass over the seeds' ``seen_1`` -- a full selection's
+        one seed too -- and the two examples' exits are one shape."""
         PLAN_CACHE.clear()
         program, db = example_1_1
         both, seed = plan_of(program, "buys", "buys(tom, Y)")
@@ -388,9 +390,13 @@ class TestGeneratedLoop:
         up, = PLAN_CACHE.loops_for(plan.up_joins)
         assert [down[1]] == [up[1]] == loop_source(plan, "up") == [text]
         assert down[2] != up[2]  # probed relations and constants
+        (_, exit_1, *_), = PLAN_CACHE.loops_for(both.exit_joins)
+        (_, exit_2, *_), = PLAN_CACHE.loops_for(plan.exit_joins)
+        assert exit_1 == exit_2
+        assert "for seed, carry in batch.items():" in exit_1
         loops = [source for source in PLAN_CACHE._shapes
                  if source.startswith("def loop(")]
-        assert loops == [text, empty]
+        assert loops == [text, exit_1, empty]
         PLAN_CACHE.clear()
         assert not loop_source(plan, "down")
         assert not PLAN_CACHE._shapes

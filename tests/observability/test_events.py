@@ -1,4 +1,4 @@
-"""Event sinks, the JSONL wire format, and trace replay."""
+"""Event sinks, the JSONL wire format, and trace files."""
 
 import json
 
@@ -11,13 +11,14 @@ from repro.observability import (
     Tracer,
     read_events,
     replay_file,
-    replay_trace,
+    trace_start,
+    write_trace,
 )
 
 
-def _traced_run(sink, context=None):
+def _traced_run(context=None):
     """A small two-loop trace exercising spans, counters and series."""
-    tracer = Tracer(sink=sink, context=context or {"query": "q"})
+    tracer = Tracer(context=context or {"query": "q"})
     with tracer.span("outer", phase="demo"):
         with tracer.span("separable.loop", relation="seen_1", seed=1) as s:
             tracer.count("iterations")
@@ -29,42 +30,49 @@ def _traced_run(sink, context=None):
     return tracer
 
 
+def _records(n):
+    return [{"type": "service_request", "seq": i} for i in range(n)]
+
+
 class TestRingBufferSink:
     def test_receives_every_event(self):
         sink = RingBufferSink()
-        _traced_run(sink)
-        kinds = [e["type"] for e in sink]
-        assert kinds[0] == "trace_start"
-        assert kinds.count("span_open") == kinds.count("span_close") == 3
-        assert "count" in kinds and "series" in kinds
+        trace_start(sink, {})
+        for record in _records(5):
+            sink.emit(record)
+        assert [e["type"] for e in sink] == (
+            ["trace_start"] + ["service_request"] * 5)
+        assert [e["seq"] for e in list(sink)[1:]] == list(range(5))
 
     def test_bounded_capacity_keeps_the_tail(self):
         sink = RingBufferSink(capacity=4)
-        _traced_run(sink)
+        trace_start(sink, {})
+        for record in _records(6):
+            sink.emit(record)
         assert len(sink) == 4
         assert sink.capacity == 4
-        # The oldest events (trace_start, first opens) fell off.
-        assert all(e["type"] != "trace_start" for e in sink)
+        # The oldest records (trace_start, the first two) fell off.
+        assert [e["seq"] for e in sink] == [2, 3, 4, 5]
 
     def test_trace_start_carries_schema_and_context(self):
         sink = RingBufferSink()
-        _traced_run(sink, context={"query": "p(a, X)", "n": 8})
-        start = next(iter(sink))
-        assert start["schema"] == EVENT_SCHEMA
-        assert start["context"] == {"query": "p(a, X)", "n": 8}
+        trace_start(sink, {"query": "p(a, X)", "n": 8})
+        (start,) = sink
+        assert start == {"type": "trace_start", "schema": EVENT_SCHEMA,
+                         "context": {"query": "p(a, X)", "n": 8}}
 
 
 class TestJsonlRoundTrip:
     def test_file_is_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with JsonlFileSink(path) as sink:
-            _traced_run(sink)
-        for line in path.read_text().splitlines():
-            assert isinstance(json.loads(line), dict)
+        write_trace(path, _traced_run())
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all(isinstance(line, dict) for line in lines)
+        assert [line["type"] for line in lines] == ["trace_start", "trace"]
 
     def test_read_events_rejects_non_streams(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "span_open"}\n')
+        path.write_text('{"type": "trace"}\n')
         with pytest.raises(ValueError, match="trace_start"):
             read_events(path)
         path.write_text(
@@ -73,10 +81,21 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             read_events(path)
 
+    def test_read_events_refuses_a_repro_events_1_stream(self, tmp_path):
+        # The span event stream of schema 1 is not read back.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "trace_start", "schema": "repro-events/1"}\n'
+            '{"type": "span_open", "sid": 0, "parent": null, '
+            '"name": "outer", "t": 0.0, "attrs": {}}\n'
+        )
+        with pytest.raises(ValueError, match="repro-events/1"):
+            read_events(path)
+
     def test_replay_rebuilds_the_span_forest(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with JsonlFileSink(path) as sink:
-            live = _traced_run(sink)
+        live = _traced_run()
+        write_trace(path, live)
         replayed = replay_file(path)
         assert replayed.context == live.context
         live_spans = list(live.spans())
@@ -94,22 +113,28 @@ class TestJsonlRoundTrip:
 
     def test_replay_carries_close_time_attr_mutations(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with JsonlFileSink(path) as sink:
-            _traced_run(sink)
+        write_trace(path, _traced_run())
         (loop,) = replay_file(path).spans("separable.loop")
         assert loop.attrs["final_seen"] == 4
 
-    def test_replay_skips_unknown_event_types(self):
-        sink = RingBufferSink()
-        _traced_run(sink)
-        events = list(sink)
-        events.insert(1, {"type": "heartbeat", "t": 0.0})
-        replayed = replay_trace(events)
+    def test_replay_skips_unknown_event_types(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with JsonlFileSink(path) as sink:
+            trace_start(sink, {})
+            sink.emit({"type": "heartbeat", "t": 0.0})
+            sink.emit({"type": "trace", "trace": _traced_run().to_dict()})
+        replayed = replay_file(path)
         assert [s.name for s in replayed.spans("separable.loop")]
 
+    def test_a_stream_without_a_trace_record_is_refused(self, tmp_path):
+        path = tmp_path / "service.jsonl"
+        with JsonlFileSink(path) as sink:
+            trace_start(sink, {"component": "service"})
+            sink.emit(_records(1)[0])
+        with pytest.raises(ValueError, match="no trace record"):
+            replay_file(path)
 
-class TestSinklessTracer:
-    def test_no_sink_means_no_events_and_no_sid_cost(self):
-        tracer = _traced_run(None)
-        assert tracer.sink is None
-        assert list(tracer.spans("separable.loop"))
+    def test_file_sink_creates_its_directory(self, tmp_path):
+        path = tmp_path / "missing" / "deeper" / "t.jsonl"
+        write_trace(path, _traced_run())
+        assert replay_file(path).spans("outer")

@@ -1,4 +1,4 @@
-"""Chrome-trace and Prometheus exporters, live and replayed."""
+"""Chrome-trace and Prometheus exporters, live and rebuilt."""
 
 import json
 from pathlib import Path
@@ -8,12 +8,13 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.engine import Engine
 from repro.observability import (
-    JsonlFileSink,
     Tracer,
     escape_label_value,
     replay_file,
     to_chrome_trace,
     to_metrics_text,
+    trace_violations,
+    write_trace,
 )
 from repro.observability.export import MetricFamilies
 
@@ -27,10 +28,10 @@ perfectFor(sue, tent).
 """
 
 
-def _traced_query(strategy, sink=None):
+def _traced_query(strategy):
     parsed = parse_program(EX12)
     engine = Engine(parsed.program, parsed.database)
-    tracer = Tracer(sink=sink, context={"strategy": strategy})
+    tracer = Tracer(context={"strategy": strategy})
     engine.query("buys(tom, Y)?", strategy=strategy, tracer=tracer)
     return tracer
 
@@ -104,9 +105,8 @@ class TestReplayEquivalence:
         self, tmp_path, strategy
     ):
         path = tmp_path / "t.jsonl"
-        sink = JsonlFileSink(path)
-        live = _traced_query(strategy, sink=sink)
-        sink.close()
+        live = _traced_query(strategy)
+        write_trace(path, live)
         replayed = replay_file(path)
         assert json.dumps(to_chrome_trace(live), sort_keys=True) == \
             json.dumps(to_chrome_trace(replayed), sort_keys=True)
@@ -128,17 +128,62 @@ class TestReplayEquivalence:
         )
 
         path = tmp_path / "t.jsonl"
-        sink = JsonlFileSink(path)
         engine = Engine(example_1_1_program(), example_1_1_database(6))
-        tracer = Tracer(sink=sink)
+        tracer = Tracer()
         engine.query("buys(a1, Y)?", strategy="counting", tracer=tracer)
-        sink.close()
+        write_trace(path, tracer)
         replayed = replay_file(path)
         assert json.dumps(to_chrome_trace(tracer), sort_keys=True) == \
             json.dumps(to_chrome_trace(replayed), sort_keys=True)
         assert {s.name for s in replayed.spans()} >= {
             "counting.descent", "counting.ascent",
         }
+
+
+def _example_1_1_engine():
+    from repro.workloads.paper import (
+        example_1_1_database,
+        example_1_1_program,
+    )
+
+    return Engine(example_1_1_program(), example_1_1_database(6))
+
+
+def _program_engine(text):
+    parsed = parse_program(text)
+    return Engine(parsed.program, parsed.database)
+
+
+EX24 = (Path(__file__).resolve().parent.parent / "differential" / "corpus"
+        / "example-2-4-partial-selection.dl").read_text()
+
+
+class TestDictRoundTrip:
+    """``Tracer.from_dict`` of a JSON round trip of ``to_dict`` is the
+    trace every export reads: the same chrome trace, metrics text,
+    counter totals and invariant verdicts as the live one."""
+
+    @pytest.mark.parametrize("engine, query, strategy", [
+        (lambda: _program_engine(EX12), "buys(tom, Y)?", "separable"),
+        (lambda: _program_engine(EX24), "t(c, Y, Z)?", "separable"),
+        (lambda: _program_engine(EX12), "buys(tom, Y)?", "relaxed"),
+        (lambda: _program_engine(EX12), "buys(tom, Y)?", "magic"),
+        (lambda: _program_engine(EX12), "buys(tom, Y)?", "seminaive"),
+        (_example_1_1_engine, "buys(a1, Y)?", "counting"),
+        (_example_1_1_engine, "buys(X, b6)?", "pushdown"),
+    ], ids=["separable-full", "separable-partial", "relaxed", "magic",
+            "seminaive", "counting", "pushdown"])
+    def test_exports_survive_the_round_trip(self, engine, query, strategy):
+        live = Tracer(context={"strategy": strategy})
+        engine().query(query, strategy=strategy, tracer=live)
+        rebuilt = Tracer.from_dict(json.loads(json.dumps(live.to_dict())))
+        assert json.dumps(to_chrome_trace(rebuilt), sort_keys=True) == \
+            json.dumps(to_chrome_trace(live), sort_keys=True)
+        assert to_metrics_text(rebuilt) == to_metrics_text(live)
+        assert rebuilt.totals() == live.totals()
+        assert trace_violations(rebuilt) == trace_violations(live)
+        assert [s.name for s in rebuilt.spans()] == [
+            s.name for s in live.spans()]
 
 
 class TestMetricsText:

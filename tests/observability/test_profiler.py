@@ -1,6 +1,7 @@
 """Engine.profile and the EXPLAIN ANALYZE report."""
 
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.datalog.plan_cache import PLAN_CACHE
 from repro.engine import Engine
 from repro.observability import (
     QueryProfile,
-    RingBufferSink,
+    Tracer,
     rule_rows,
 )
 
@@ -44,14 +45,13 @@ class TestEngineProfile:
         assert prof.result.strategy == "seminaive"
         assert {s.name for s in prof.tracer.spans()} >= {"seminaive.scc"}
 
-    def test_sink_receives_the_run(self, engine):
-        sink = RingBufferSink()
-        prof = engine.profile("buys(tom, Y)?", sink=sink)
-        kinds = {e["type"] for e in sink}
-        assert {"trace_start", "span_open", "span_close"} <= kinds
-        start = next(iter(sink))
-        assert start["context"]["query"] == "buys(tom, Y)"
-        assert prof.tracer.sink is sink
+    def test_records_into_the_given_tracer(self, engine):
+        tracer = Tracer()
+        prof = engine.profile("buys(tom, Y)?", tracer=tracer)
+        assert prof.tracer is tracer
+        assert tracer.context == {"query": "buys(tom, Y)",
+                                  "strategy": "auto"}
+        assert list(tracer.spans("separable.loop"))
 
 
 class TestRenderText:
@@ -84,7 +84,7 @@ class TestRenderText:
         first = report()
         second = report()
         assert first == second
-        assert "ms" not in first
+        assert re.search(r"\d ?ms\b", first) is None
         assert "wall-clock" not in first
 
     def test_rewritten_strategy_rule_rows(self, engine):

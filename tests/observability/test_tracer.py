@@ -114,13 +114,6 @@ class TestPayload:
         assert span["series"] == {"delta": [5]}
         assert span["status"] == "ok"
         assert span["duration_s"] >= 0
-
-    def test_format_tree_mentions_every_span(self):
-        t = Tracer()
-        with t.span("outer"):
-            with t.span("inner"):
-                t.count("tuples_examined", 9)
-        rendered = t.format_tree()
-        assert "outer" in rendered
-        assert "inner" in rendered
-        assert "tuples_examined=9" in rendered
+        assert span["end_s"] - span["start_s"] == span["duration_s"]
+        assert d["context"] == {}
+        assert Tracer.from_dict(d).to_dict() == d

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -12,6 +14,18 @@ friend(tom, sue).
 cheaper(cup, tent).
 perfectFor(sue, tent).
 buys(tom, Y)?
+"""
+
+#: Example 1.1 over a friend cycle: Counting's descent never ends.
+CYCLIC = """
+buys(X, Y) :- friend(X, W) & buys(W, Y).
+buys(X, Y) :- idol(X, W) & buys(W, Y).
+buys(X, Y) :- perfectFor(X, Y).
+friend(a1, a2).
+friend(a2, a1).
+idol(a2, a3).
+perfectFor(a3, b3).
+buys(a1, Y)?
 """
 
 NONSEP = """
@@ -182,7 +196,7 @@ class TestProfile:
         first = capsys.readouterr().out
         assert main(["profile", str(program_file), "--no-timings"]) == 0
         assert capsys.readouterr().out == first
-        assert "ms" not in first
+        assert re.search(r"\d ?ms\b", first) is None
 
     def test_explicit_query_and_strategy(self, program_file, capsys):
         code = main(
@@ -243,6 +257,31 @@ class TestProfile:
         assert code == 0
         replayed = replay_file(events)
         assert any(s.name == "separable.loop" for s in replayed.spans())
+
+    def test_events_into_a_missing_directory(self, program_file, tmp_path,
+                                             capsys):
+        from repro.observability import replay_file
+
+        events = tmp_path / "missing" / "t.jsonl"
+        assert main(["profile", str(program_file), "--events",
+                     str(events)]) == 0
+        assert list(replay_file(events).spans("separable.loop"))
+
+    def test_events_file_of_an_aborted_query(self, tmp_path, capsys):
+        from repro.observability import replay_file
+
+        program = tmp_path / "cyclic.dl"
+        program.write_text(CYCLIC)
+        events = tmp_path / "t.jsonl"
+        assert main(["profile", str(program), "--strategy", "counting",
+                     "--events", str(events)]) == 2
+        assert "cyclic" in capsys.readouterr().err
+        replayed = replay_file(events)
+        assert replayed.context == {"query": "buys(a1, Y)",
+                                    "strategy": "counting"}
+        (descent,) = replayed.spans("counting.descent")
+        assert descent.status == "CyclicDataError"
+        assert replayed.all_closed()
 
     def test_ambiguous_file_queries_error(self, tmp_path, capsys):
         path = tmp_path / "two.dl"
@@ -353,6 +392,17 @@ class TestServe:
         events = read_events(events_path)
         assert events[0]["type"] == "trace_start"
         assert [e["type"] for e in events].count("service_request") == 2
+        capsys.readouterr()
+
+    def test_events_into_a_missing_directory(self, program_file, tmp_path,
+                                             capsys):
+        from repro.observability import read_events
+
+        events_path = tmp_path / "missing" / "service.jsonl"
+        assert main(["serve", str(program_file),
+                     "--events", str(events_path)]) == 0
+        events = read_events(events_path)
+        assert [e["type"] for e in events].count("service_request") == 1
         capsys.readouterr()
 
     def test_deadline_trips_divergent_requests(self, tmp_path, capsys):
