@@ -28,7 +28,10 @@ spent in reads and in writes, then
 
 ``serve-sqlite`` (temporary-mode SQLite, no view)
   the read p50 of the first read after a write (it captures the new
-  snapshot) beside the other memo misses and the hits; then, from one
+  snapshot) beside the other memo misses and the hits, and per capture
+  the memo entries ``FullSelectionMemo.carry`` kept, those it set
+  aside, those a later lookup brought back and the carry's
+  microseconds; then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
   connections and SQL statements per write and per read of each kind
@@ -60,9 +63,9 @@ read was not served on the calling thread by one
 since ``query()`` never hands off -- when a memo hit's answers are
 not the very object the memo entry holds, when a frozen SQLite
 relation repeated a keyed SELECT (it answers a key it has run, or its
-predecessor ran and no write touched since, from its bucket), or when
-a memo hit ran
-``classify_selection`` or ``compile_plan`` (a query form is prepared
+predecessor ran and no write touched since, from its bucket), when a
+``serve-sqlite`` pass's captures kept no memo entry, or when a memo
+hit ran ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared).
 
@@ -121,7 +124,8 @@ CHECKS = {"differ": "reads that differ from the reference",
           "not_entry": "memo hits that are not the entry's answer set",
           "prepared": "memo hits that classified or compiled",
           "repeats": "keyed SELECTs a frozen relation or its predecessor "
-                     "ran again"}
+                     "ran again",
+          "kept": "passes whose captures kept no memo entry"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
 #: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
@@ -129,6 +133,9 @@ SELECT_THREADS: list[int] = []
 EVALUATE_THREADS: list[int] = []
 MEMO_VALUES: list[tuple] = []
 PREPARED: list[str] = []
+#: Per ``FullSelectionMemo.carry``: the memo, entries kept, entries set
+#: aside and seconds taken.
+CARRIES: list[tuple] = []
 
 
 def phase_seconds(service) -> dict:
@@ -194,7 +201,7 @@ def one_pass(service, reference, ops, kinds, counts=None):
                 kind = ("miss" if service.memo.stats()["misses"] > misses
                         else "hit")
             if kind == "hit":
-                handed = [value for value, _ in MEMO_VALUES[marks[2]:]]
+                handed = [value[0] for value in MEMO_VALUES[marks[2]:]]
                 failed["not_entry"] += not (
                     len(handed) == 1 and handed[0] is result.answers)
                 failed["prepared"] += prepared
@@ -225,7 +232,7 @@ def record_calls() -> None:
     and every ``Engine.query``, what every ``get_or_run`` returns, and
     every ``classify_selection`` / ``compile_plan`` a query form runs."""
     select, evaluate = MaintainedView.select, Engine.query
-    get_or_run = FullSelectionMemo.get_or_run
+    get_or_run, carry = FullSelectionMemo.get_or_run, FullSelectionMemo.carry
 
     def noted(name):
         fn = getattr(compiler, name)
@@ -251,9 +258,18 @@ def record_calls() -> None:
         MEMO_VALUES.append(value)
         return value
 
+    def carried(self, old, new, written):
+        scoped = sum(key[0] == old for key in self._entries)
+        start = time.perf_counter()
+        carry(self, old, new, written)
+        took = time.perf_counter() - start
+        CARRIES.append((self, len(self._entries),
+                        scoped - len(self._entries), took))
+
     MaintainedView.select = selected
     Engine.query = evaluated
     FullSelectionMemo.get_or_run = looked_up
+    FullSelectionMemo.carry = carried
 
 
 def expanded(sql: str, key) -> str:
@@ -409,9 +425,12 @@ def main(argv=None) -> int:
         print("pass  reads_ms read_us/read writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  plan_lookups/write" if "first" in kinds
-                 else "  memo_hits  misses  coalesced"))
+                 else "  memo_hits  misses  coalesced")
+              + ("  kept  dropped  revived  carry_us  (a capture)"
+                 if args.workload == "serve-sqlite" else ""))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
+            carries = len(CARRIES)
             seconds, counted, checks = one_pass(service, reference, ops,
                                                 kinds)
             tally(checks)
@@ -431,6 +450,17 @@ def main(argv=None) -> int:
             else:  # the pass began with a cleared memo
                 line += "  {hits:9d}  {misses:6d}  {coalesced:9d}".format(
                     **service.memo.stats())
+            if args.workload == "serve-sqlite":
+                mine = [c[1:] for c in CARRIES[carries:]
+                        if c[0] is service.memo]
+                kept, dropped, took = map(sum, zip(*mine)) if mine \
+                    else (0, 0, 0.0)
+                n = max(len(mine), 1)
+                # Entries a lookup brought back: kept, but not by carry.
+                revived = service.memo.stats()["survived"] - kept
+                line += (f"  {kept / n:4.1f}  {dropped / n:7.1f}  "
+                         f"{revived / n:7.1f}  {took * 1e6 / n:8.1f}")
+                failed["kept"] += kept + revived == 0
             print(line)
         if "first" in kinds:
             seconds, _, before, after = untimed_pass(

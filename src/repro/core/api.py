@@ -35,7 +35,7 @@ from ..datalog.joins import RowList, evaluate_body_into
 from ..datalog.programs import Program
 from ..stats import EvaluationStats
 from .analysis import RecursionAnalysis
-from .compiler import QueryForm, full_selection_key, query_form
+from .compiler import QueryForm, ReadSet, full_selection_key, query_form
 from .detection import require_separable
 from .evaluator import execute_batch, execute_plan
 
@@ -46,31 +46,34 @@ __all__ = [
 ]
 
 
-def _through_memo(memo, key: tuple, run, stats, budget: Budget):
-    """``memo.get_or_run(key, ...)`` for ``run(branch) -> answers``.
+def _through_memo(memo, key: tuple, run, stats, budget: Budget, reads):
+    """``memo.get_or_run(key, ...)`` for ``run(branch) -> (answers,
+    seen_1)``.
 
     A miss runs under a *fresh* branch :class:`EvaluationStats`, cached
     beside the answers as the work the entry cost, and every consumer --
     first evaluator or cache hit -- merges that branch into ``stats``
     (``None``: nothing to report to).  A budget trip during the miss
     merges the partial branch before propagating, so union-level
-    handlers always see the complete picture.
+    handlers always see the complete picture.  The entry is ``(answers,
+    branch, ReadSet)``: what decides whether it outlives a write.
     """
     ran = False
 
-    def compute() -> tuple[frozenset[tuple], EvaluationStats]:
+    def compute() -> tuple:
         nonlocal ran
         ran = True
         branch = EvaluationStats()
         try:
-            return run(branch), branch
+            answers, seen_1 = run(branch)
         except BudgetExceeded as exc:
             if stats is not None:
                 stats.merge(branch)
                 exc.stats = stats
             raise
+        return answers, branch, ReadSet(reads, seen_1, answers)
 
-    answers, branch = memo.get_or_run(key, compute)
+    answers, branch = memo.get_or_run(key, compute)[:2]
     if stats is not None:
         stats.merge(branch)
         if ran:
@@ -99,18 +102,18 @@ def _evaluate_full(
     coalesces on :func:`full_selection_key`; its entry is the frozen
     answer set, assembled once, so a hit returns that very object.
     """
-    plan, assemble = form.plan, form.assemble
+    plan, assemble, seen_1 = form.plan, form.assemble, []
 
     def run(branch: Optional[EvaluationStats]) -> set[tuple]:
         return assemble(seed, execute_plan(
             plan, db, [seed], stats=branch, budget=budget,
-            order=order, tracer=tracer,
+            order=order, tracer=tracer, seen_1=seen_1,
         ))
 
     if memo is None:
         return run(stats)
-    return _through_memo(memo, form.key + (seed, order),
-                         lambda branch: frozenset(run(branch)), stats, budget)
+    return _through_memo(memo, form.key + (seed, order), lambda branch: (
+        frozenset(run(branch)), seen_1[0]), stats, budget, form.reads)
 
 
 def _run_batch(
@@ -150,10 +153,10 @@ def _run_batch(
 
     plan, assemble = form.plan, form.assemble
 
-    def run(batch, branch: Optional[EvaluationStats]) -> dict[int, set]:
+    def run(batch, branch, seen_1=None) -> dict[int, set]:
         return dict(zip(batch, execute_batch(
             plan, db, [seeds[i] for i in batch], stats=branch,
-            budget=budget, order=order, tracer=tracer)))
+            budget=budget, order=order, tracer=tracer, seen_1=seen_1)))
 
     if memo is None:
         if seeds:
@@ -165,19 +168,22 @@ def _run_batch(
     missing = [i for i, key in enumerate(keys)
                if peek is None or peek(key) is None]
     done: dict[int, set] = {}  # the shares of what this query ran
+    firsts: dict[int, set] = {}  # and their seen_1
 
     up = plan.up_positions
 
-    def share(i: int, branch: EvaluationStats) -> frozenset[tuple]:
+    def share(i: int, branch: EvaluationStats) -> tuple:
         if i not in done:
-            done.update(run(
-                [i] + [j for j in missing if j > i and j not in done],
-                branch))
-        return frozenset(assemble(seeds[i], done[i]))
+            batch, seen_1 = [i] + [j for j in missing
+                                   if j > i and j not in done], []
+            done.update(run(batch, branch, seen_1))
+            firsts.update(zip(batch, seen_1))
+        return frozenset(assemble(seeds[i], done[i])), firsts[i]
 
     for i, key in enumerate(keys):
         answers = _through_memo(memo, key, partial(share, i),
-                                None if i in done else stats, budget)
+                                None if i in done else stats, budget,
+                                form.reads)
         yield [tuple(t[p] for p in up) for t in answers]
 
 
@@ -305,11 +311,11 @@ def evaluate_separable(
         ``EvaluationStats`` otherwise (the seeds of one union that miss
         are computed together, told apart beforehand through the memo's
         ``peek(key)`` if it has one; see :func:`_run_batch` for which
-        entry carries the work).  An entry is ``(answers, branch)``,
-        ``answers`` the frozenset the full selection returns: a direct
-        one with no residual match returns that very object.  The
-        caller must scope the memo (or the keys) to this exact ``db``
-        snapshot.
+        entry carries the work).  An entry is ``(answers, branch,
+        read set)`` (see :func:`_through_memo`), ``answers`` the
+        frozenset the full selection returns: a direct one with no
+        residual match returns that very object.  The caller must scope
+        the memo (or the keys) to this exact ``db`` snapshot.
 
     Returns the full-arity answer tuples matching the query atom.
     """

@@ -33,15 +33,15 @@ from typing import Callable, Optional, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.errors import NotFullSelectionError
-from ..datalog.terms import Constant
+from ..datalog.terms import Constant, Variable
 from .analysis import EquivalenceClass, RecursionAnalysis, RuleAnalysis
 from .detection import require_separable
 from .plan import CARRY, SEEN, CarryJoin, SeparablePlan
 from .rewrite import choose_rewrite_class, program_without_class
 from .selections import Selection, classify_selection
 
-__all__ = ["QueryForm", "compile_plan", "compile_selection",
-           "full_selection_key", "query_form"]
+__all__ = ["QueryForm", "ReadSet", "compile_plan", "compile_selection",
+           "full_selection_key", "query_form", "read_spec"]
 
 
 def _down_join(a: RuleAnalysis, positions: tuple[int, ...]) -> CarryJoin:
@@ -225,8 +225,9 @@ class QueryForm:
 
     A *full* form (Definition 2.7) has a ``plan``: a request's seed is
     its constants at ``seed_positions``, its memo key ``key + (seed,
-    order)`` (:func:`full_selection_key`), and ``assemble`` turns the
-    plan's ``seen_2`` into answers.  A *partial* form is Lemma 2.1 on
+    order)`` (:func:`full_selection_key`), ``assemble`` turns the
+    plan's ``seen_2`` into answers and ``reads`` is its
+    :func:`read_spec`.  A *partial* form is Lemma 2.1 on
     the class ``batch`` is driven by: ``part`` is the full form of
     ``t_part``, ``batch`` the full form every sideways seed runs,
     ``sideways`` the ``(nonrecursive atoms, seed terms + head terms)``
@@ -241,6 +242,7 @@ class QueryForm:
     plan: Optional[SeparablePlan] = None
     key: tuple = ()
     assemble: Optional[Callable] = None
+    reads: Optional[dict] = None
     part: Optional["QueryForm"] = None
     batch: Optional["QueryForm"] = None
     sideways: tuple = ()
@@ -300,7 +302,60 @@ def _full_form(
         plan = compile_plan(analysis, pers_positions=positions)
         component = ("pers", positions)
     return QueryForm(analysis, plan.selected_positions, plan,
-                     (analysis, component), plan.assembler(), vacuous=vacuous)
+                     (analysis, component), plan.assembler(),
+                     read_spec(plan), vacuous=vacuous)
+
+
+def read_spec(plan: SeparablePlan) -> dict:
+    """``relation -> ((up, positions, cols), ...)``: a row of a term's
+    atom takes part in a run of ``plan`` only if its values at
+    ``positions`` are some carry row's at the pseudo-atom columns that
+    hold the same variables (Theorem 2.1), and every carry row ends up
+    in ``seen_1`` (down and exit terms; ``cols`` its columns, ``None``
+    the whole row) or ``seen_2`` (up terms; ``cols`` the answers'
+    columns).  An atom sharing no variable with the carry has none."""
+    whole = tuple(range(plan.seed_arity))
+    reads: dict[str, set] = {}
+    for up, joins in ((False, plan.down_joins + plan.exit_joins),
+                      (True, plan.up_joins)):
+        for join in joins:
+            pseudo, *atoms = join.body
+            for atom in atoms:
+                pairs = [(i, pseudo.args.index(t))
+                         for i, t in enumerate(atom.args)
+                         if isinstance(t, Variable) and t in pseudo.args]
+                cols = tuple(plan.up_positions[j] if up else j
+                             for _, j in pairs)
+                reads.setdefault(atom.predicate, set()).add((
+                    up, tuple(i for i, _ in pairs),
+                    None if not up and cols == whole else cols))
+    return {name: tuple(terms) for name, terms in reads.items()}
+
+
+class ReadSet:
+    """A run's :func:`read_spec` over its ``seen_1`` and answers."""
+
+    __slots__ = ("spec", "seen", "keys")
+
+    def __init__(self, spec: dict, seen_1: set, answers) -> None:
+        self.spec, self.seen, self.keys = spec, (seen_1, answers), {}
+
+    def meets(self, written: dict) -> bool:
+        """Whether a row of ``written`` (``relation -> rows``, ``None``
+        if unknown) lies in the read set; projections are kept."""
+        for name, rows in written.items():
+            for up, positions, cols in self.spec.get(name, ()):
+                if rows is None:
+                    return True
+                keys = self.keys.get((up, cols))
+                if keys is None:
+                    keys = self.keys[up, cols] = (
+                        self.seen[0] if cols is None else
+                        {tuple([s[c] for c in cols]) for s in self.seen[up]})
+                if any(tuple([r[p] for p in positions]) in keys
+                       for r in rows):
+                    return True
+        return False
 
 
 def _part_analysis(

@@ -249,9 +249,9 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
 
 
 def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
-              order: str, tracer=None) -> dict:
+              order: str, tracer=None) -> tuple[dict, dict]:
     """Both loops and the exit join from each seed set of ``seeds`` (by
-    seed; a batch's seeds in lockstep); returns their ``seen_2``."""
+    seed; a batch's seeds in lockstep); returns ``(seen_1, seen_2)``."""
     for seed in (s for rows in seeds.values() for s in rows):
         if len(seed) != plan.seed_arity:
             raise ValueError(f"seed {seed!r} has {len(seed)} columns, "
@@ -272,8 +272,8 @@ def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
         carry_2 = _exit_stage(plan.exit_joins, seen_1, plan.seed_arity, db,
                               stats, order, tracer, reference)
     # Lines 9-15: the up loop; ans := seen_2.
-    return loop(plan.up_joins, carry_2, plan.answer_arity,
-                "carry_2", "seen_2")
+    return seen_1, loop(plan.up_joins, carry_2, plan.answer_arity,
+                        "carry_2", "seen_2")
 
 
 def execute_plan(
@@ -284,6 +284,7 @@ def execute_plan(
     budget: Budget = UNLIMITED,
     order: str = "greedy",
     tracer=None,
+    seen_1: Optional[list] = None,
 ) -> frozenset[tuple]:
     """Run a compiled plan from the given seed tuples.
 
@@ -293,14 +294,18 @@ def execute_plan(
 
     Returns the final ``seen_2``: tuples over ``plan.up_positions``.
     Callers reassemble full-arity answers by interleaving the selection
-    constants (see :mod:`repro.core.api`).
+    constants (see :mod:`repro.core.api`).  A ``seen_1`` list gets the
+    final ``seen_1`` appended.
     """
     if stats is None:
         # The relation, total and iteration limits are metered on the
         # statistics, so a caller that keeps none still needs them kept.
         stats = EvaluationStats()
-    seen_2 = _figure_2(plan, db, {None: {tuple(s) for s in seeds}}, stats,
-                       budget, order, tracer)[None]
+    first, last = _figure_2(plan, db, {None: {tuple(s) for s in seeds}},
+                            stats, budget, order, tracer)
+    if seen_1 is not None:
+        seen_1.append(first[None])
+    seen_2 = last[None]
     stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)
 
@@ -308,12 +313,16 @@ def execute_plan(
 def execute_batch(plan: SeparablePlan, db: Database, seeds: Iterable[tuple],
                   stats: Optional[EvaluationStats] = None,
                   budget: Budget = UNLIMITED, order: str = "greedy",
-                  tracer=None) -> list[set[tuple]]:
+                  tracer=None, seen_1=None) -> list[set[tuple]]:
     """``execute_plan(plan, db, [seed])``'s ``seen_2`` for each seed, as
     one fixpoint (a Lemma 2.1 union's ``t_full``) of lockstep rounds that
     keep a carry and a seen per seed.  Relations are booked at their
-    totals over the seeds; ``ans`` is left to the caller."""
-    return list(_figure_2(
+    totals over the seeds; ``ans`` is left to the caller, each seed's
+    ``seen_1`` to a ``seen_1`` list."""
+    first, last = _figure_2(
         plan, db, {i: {tuple(s)} for i, s in enumerate(seeds)},
         EvaluationStats() if stats is None else stats, budget, order,
-        tracer).values())
+        tracer)
+    if seen_1 is not None:
+        seen_1.extend(first.values())
+    return list(last.values())

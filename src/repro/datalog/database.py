@@ -49,7 +49,8 @@ class Relation:
 
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
                  "_borrowed", "_version", "_distinct_cache",
-                 "_col_distinct_cache", "_sample_cache", "_observers")
+                 "_col_distinct_cache", "_sample_cache", "_observers",
+                 "written")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -434,7 +435,9 @@ class Relation:
         ``previous`` is the last snapshot taken of this relation: it is
         the answer while the version has not moved (snapshots are never
         written to), and otherwise lends the fresh copy its indexes,
-        patched by the difference (:meth:`adopt_indexes`).  Out-of-core
+        patched by the difference (:meth:`adopt_indexes`), which it
+        keeps as ``written`` (``None``: it adopted nothing, or
+        ``previous`` is another relation's).  Out-of-core
         backends can return a cheaper read-only view than a copy (the
         SQLite backend pins a WAL read transaction on a durable file).
         """
@@ -443,8 +446,8 @@ class Relation:
             return previous
         snap = self.copy()
         snap._version = self._version
-        if previous is not None:
-            snap.adopt_indexes(previous)
+        snap.written = (snap.adopt_indexes(previous) if previous is not None
+                        and previous.name == self.name else None)
         return snap
 
     def adopt_indexes(self, other: "Relation") -> None:
@@ -458,14 +461,15 @@ class Relation:
         shared bucket in place any more: both are marked, and a marked
         relation's next mutation drops its indexes instead.  Relations
         that differ in more than a quarter of their tuples adopt
-        nothing; a lazy rebuild is cheaper there.
+        nothing; a lazy rebuild is cheaper there.  Returns the differing
+        tuples, or ``None`` when it adopted nothing.
         """
         if other.arity != self.arity:
-            return
+            return None
         added = list(self._tuples - other._tuples)
         removed = list(other._tuples - self._tuples)
         if 4 * (len(added) + len(removed)) > len(self._tuples):
-            return
+            return None
         # list(): a reader may publish a freshly built index meanwhile.
         for positions, index in list(other._indexes.items()):
             index = dict(index)
@@ -493,6 +497,7 @@ class Relation:
                 index[key] = index.get(key, set()) | {row}
             self._projected[positions, cols] = index
             self._borrowed = other._borrowed = True
+        return added + removed
 
     def __repr__(self) -> str:
         return f"Relation({self.name}/{self.arity}, {len(self)} tuples)"
@@ -512,6 +517,8 @@ class Database:
     ``make_relation``, ``scratch``) routes relation creation through
     ``backend.make_relation(name, arity, tuples)`` instead.
     """
+
+    written: dict | None = None  # see snapshot()
 
     def __init__(self, backend=None) -> None:
         self._relations: dict[str, Relation] = {}
@@ -590,11 +597,18 @@ class Database:
         write touched.  A durable SQLite file copies
         nothing and pins one read-only WAL connection per relation,
         anew per snapshot.  Every service snapshot is taken here.
+
+        Its ``written`` maps each relation not shared with ``previous``
+        to the rows written since (``None``: unknown).
         """
         held = previous._relations if previous is not None else {}
-        return self._remounted(
+        snap = self._remounted(
             self._backend,
             lambda _, name, rel: rel.snapshot(held.get(name)))
+        snap.written = {name: rel.written
+                        for name, rel in snap._relations.items()
+                        if rel is not held.get(name)}
+        return snap
 
     def with_backend(self, backend) -> "Database":
         """A copy of this database with every relation stored in ``backend``.

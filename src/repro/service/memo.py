@@ -25,12 +25,14 @@ recursive-plan optimizers (Fejza & Genevès 2023).
   alone: each follower wakes, sees no value, and takes its own turn as
   leader under its own budget.
 
-Values are ``(answers, EvaluationStats)`` pairs: ``answers`` is the
+Values are ``(answers, EvaluationStats, ReadSet)``: ``answers`` is the
 frozen answer set the full selection returns (a hit hands out that very
 object), and the branch stats are computed fresh per miss and *merged*
 (never mutated) into every consumer's accumulator, so a cache hit
 reports the same Definition 4.2 relation sizes as the evaluation that
-populated it.
+populated it.  By the :class:`~repro.core.compiler.ReadSet`,
+:meth:`FullSelectionMemo.carry` keeps an entry across a write it did
+not read.
 """
 
 from __future__ import annotations
@@ -80,8 +82,14 @@ class FullSelectionMemo:
         self.misses = 0
         self.coalesced = 0
         self.evictions = 0
+        self.survived = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
+        #: Set aside by :meth:`carry`: unscoped key -> ``[(value, i)]``,
+        #: ``_log[i:]`` what every carry since was told was written.
+        self._waiting: OrderedDict[tuple, list] = OrderedDict()
+        self._log: list[dict] = []
+        self._scope: object = None  # the scope of the last carry
         self._inflight: dict[tuple, _InFlight] = {}
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
@@ -94,7 +102,7 @@ class FullSelectionMemo:
         """
         while True:
             with self._lock:
-                if key in self._entries:
+                if key in self._entries or self._revived(key):
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return self._entries[key]
@@ -120,11 +128,7 @@ class FullSelectionMemo:
                 raise
             with self._lock:
                 self.misses += 1
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+                self._put(key, value)
                 self._inflight.pop(key, None)
             flight.resolve(value)
             return value
@@ -136,7 +140,15 @@ class FullSelectionMemo:
         (:func:`repro.core.api._run_batch`); the answer may be stale by
         the time ``get_or_run`` is called, which then decides."""
         with self._lock:
-            return self._entries.get(key)
+            return (self._entries[key] if key in self._entries
+                    or self._revived(key) else None)
+
+    def _put(self, key: tuple, value: object) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
@@ -148,6 +160,56 @@ class FullSelectionMemo:
         """
         return ScopedMemo(self, scope)
 
+    def carry(self, old: object, new: object, written) -> None:
+        """Move to scope ``new`` every entry of scope ``old`` whose read
+        set misses every row of ``written`` (``relation -> rows whose
+        membership changed``, ``None`` where unknown, or ``None``); set
+        the others aside, drop those of other scopes.  An added or
+        deleted row changes a run only through a first derivation from
+        a carry row of the old fixpoint, which is in a ``seen``
+        (Theorem 2.1, :func:`~repro.core.compiler.read_spec`)."""
+        with self._lock:
+            entries, self._entries = self._entries, OrderedDict()
+            self._scope = new
+            if written is None or len(self._log) >= self.maxsize:
+                self._waiting.clear()
+                self._log.clear()
+            for key, value in entries.items() if written is not None else ():
+                if key[0] != old:
+                    continue
+                if value[2].meets(written):
+                    self._waiting.setdefault(key[1:], []).append(
+                        (value, len(self._log)))
+                else:
+                    self._entries[(new,) + key[1:]] = value
+            self._log.append(written or {})
+            self.survived += len(self._entries)
+            held = sum(map(len, self._waiting.values()))
+            while held > self.maxsize:  # at most maxsize wait
+                held -= len(self._waiting.popitem(last=False)[1])
+
+    def _revived(self, key: tuple) -> bool:
+        """Whether an entry :meth:`carry` set aside for ``key`` is valid
+        again, and so back: the rows written since it was, an exclusive
+        or over the writes (a row added and deleted drops out), miss
+        its read set.  The lock is held."""
+        held = self._waiting.get(key[1:]) if key[0] == self._scope else ()
+        since, end = {}, len(self._log)
+        for i in reversed(range(len(held or ()))):  # newest first
+            value, start = held[i]
+            for written in self._log[start:end]:
+                for name, rows in written.items():
+                    old = since.get(name, set())
+                    since[name] = (None if rows is None or old is None
+                                   else old.symmetric_difference(rows))
+            end = start
+            if not value[2].meets(since):
+                del held[i]
+                self.survived += 1
+                self._put(key, value)
+                return True
+        return False
+
     def clear(self) -> None:
         """Drop all completed entries and zero the counters.
 
@@ -156,10 +218,13 @@ class FullSelectionMemo:
         """
         with self._lock:
             self._entries.clear()
+            self._waiting.clear()
+            self._log.clear()
             self.hits = 0
             self.misses = 0
             self.coalesced = 0
             self.evictions = 0
+            self.survived = 0
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot: size plus every event counter."""
@@ -170,11 +235,9 @@ class FullSelectionMemo:
                 "misses": self.misses,
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
-                # A write neither repairs nor migrates an entry (the
-                # view answers an incremental service's reads); the
-                # keys stay for the ledger's reader.
+                "survived": self.survived,
+                # A write repairs no entry; kept for the ledger's reader.
                 "repaired": 0,
-                "survived": 0,
             }
 
     def __len__(self) -> int:

@@ -21,9 +21,9 @@ write simply replaces it (in-flight requests keep the object they hold).
 **Full-selection memoization.**  Lemma 2.1 reduces every selection to a
 union of full selections; the service threads a
 :class:`~repro.service.FullSelectionMemo` (scoped to the snapshot
-fingerprint) through the Separable evaluator, so already-answered full
-selections are served from cache and K concurrent identical ones
-coalesce onto a single carry/seen run.
+fingerprint, an entry kept across a write it did not read) through the
+Separable evaluator: answered full selections are served from cache and
+K concurrent identical ones coalesce onto a single carry/seen run.
 
 **Deadline budgets.**  Every request runs under a per-attempt
 :class:`~repro.budget.Budget` whose wall clock is armed at submission:
@@ -43,6 +43,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
@@ -155,9 +156,16 @@ class ServiceConfig:
     backend: object = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.trace_sample <= 1.0:  # NaN fails it too
-            raise ValueError(
-                f"trace_sample must be in [0, 1], got {self.trace_sample!r}")
+        # Before a service migrates the EDB: no file left behind.
+        for name, ok in (("workers", self.workers >= 1),
+                         ("memo_size", self.memo_size >= 1),
+                         ("max_retries", self.max_retries >= 0),
+                         ("retry_backoff_s",
+                          0.0 <= self.retry_backoff_s < math.inf),
+                         ("trace_sample", 0.0 <= self.trace_sample <= 1.0)):
+            if not ok:  # NaN fails every comparison
+                raise ValueError(
+                    f"{name} is out of range: {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -318,9 +326,9 @@ class QueryService:
         observed as per-relation deltas and absorbed before the lock is
         released: the maintained IDB view is repaired (or rebuilt on a
         delta-capture overflow, when ``fn`` raised, or when the EDB was
-        changed behind ``mutate``'s back).  Nothing else is touched:
-        memo entries and the snapshot stay behind at the old
-        fingerprint, as in a service without a view.  Such a write takes
+        changed behind ``mutate``'s back).  Nothing else is touched: the
+        snapshot and the memo wait for the next capture, as in a
+        service without a view.  Such a write takes
         the next request sequence number, and a sampled one (see
         :attr:`ServiceConfig.trace_sample`) runs under a recording
         tracer the metrics absorb; any other passes ``tracer=None``.
@@ -402,6 +410,12 @@ class QueryService:
         """Convenience :meth:`mutate` for the common single-fact case."""
         return self.mutate(lambda db: db.add_fact(name, fact))
 
+    @cached_property
+    def _derived(self) -> dict:
+        """Per derived relation, those a write to which may change it."""
+        return {p: self.program.depends_on(p) | {p}
+                for p in self.program.idb_predicates}
+
     def _capture(self, fingerprint: tuple) -> _Snapshot:
         """Make the live EDB, standing at ``fingerprint``, the current
         snapshot (the snapshot lock is held).
@@ -410,10 +424,20 @@ class QueryService:
         has touched since (:meth:`Database.snapshot`): a capture costs
         one copy per *written* relation on ``memory`` and temporary
         SQLite, one pinned read-only connection per relation (and no
-        copy) on a durable file.
+        copy) on a durable file.  The memo keeps the entries that read
+        none of the rows written since (:meth:`FullSelectionMemo.carry`;
+        a derived relation counts as written, rows unknown, when a
+        relation it depends on is).
         """
         prev = self._current
         db = self.edb.snapshot(prev.db if prev is not None else None)
+        if prev is not None:
+            written = {name: rows for name, rows in db.written.items()
+                       if rows is None or rows}
+            for name, depends in self._derived.items():
+                if not depends.isdisjoint(written):
+                    written[name] = None
+            self.memo.carry(prev.fingerprint, fingerprint, written)
         snap = self._current = _Snapshot(
             fingerprint=fingerprint,
             db=db,

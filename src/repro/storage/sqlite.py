@@ -48,6 +48,7 @@ import sqlite3
 import threading
 import weakref
 import zlib
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -115,10 +116,11 @@ class SQLiteRelation:
         self._probes: dict[tuple, str] = {}
         #: ``(positions, cols) -> _Bucket``, filled once read-only.
         self._buckets: dict[tuple, _Bucket] = {}
-        #: The rows written since the last temporary-mode snapshot, which
-        #: the next one drops from the buckets it adopts (None: it adopts
-        #: nothing), that snapshot (a weak reference) and the most rows
-        #: the journal holds before it gives up: a quarter of its rows.
+        #: The rows written since the last snapshot, which the next one
+        #: names as ``written`` and, in temporary mode, drops from the
+        #: buckets it adopts (None: unknown), that snapshot (a weak
+        #: reference) and the most rows the journal holds before it
+        #: gives up: a quarter of its rows.
         self._journal: list | None = None
         self._journal_base = None
         self._journal_cap = 0
@@ -260,9 +262,9 @@ class SQLiteRelation:
         with self._lock:
             self._conn.execute("BEGIN")
             try:
-                if self._observers:
+                if self._observers or self._journal is not None:
                     # Per-fact effectiveness is needed for the observer
-                    # fan-out; still one transaction.
+                    # fan-out and the journal; still one transaction.
                     for row in rows:
                         if self._conn.execute(sql, row).rowcount == 1:
                             changed.append(self._fact(row))
@@ -276,7 +278,7 @@ class SQLiteRelation:
                 raise
             self._conn.execute("COMMIT")
             self._version += count
-            self._note(map(self._row, changed) if self._observers else rows)
+            self._note(map(self._row, changed))
         for fact in changed:
             for cb in self._observers:
                 cb(self, fact, sign)
@@ -298,7 +300,7 @@ class SQLiteRelation:
             cb(self, None, 0)
 
     def _note(self, rows: Iterable[tuple]) -> None:
-        """Journal the ``rows`` a write ran on for the next snapshot
+        """Journal the ``rows`` a write moved for the next snapshot
         (the lock is held); past the cap, give the journal up."""
         journal = self._journal
         if journal is not None:
@@ -536,44 +538,50 @@ class SQLiteRelation:
         carries the indexes ``previous`` probed through (made here, on
         this relation, once) and adopts its probe texts and buckets but
         for the keys of the rows the journal holds: written since
-        ``previous`` was taken.  After :meth:`clear`, after writes over
-        a quarter of the rows, or from a ``previous`` other than the
-        last snapshot, it adopts nothing.
+        ``previous`` was taken, one per write that moved it; a new
+        snapshot names those moved an odd number of times ``written``.
+        After :meth:`clear`, after writes over a quarter of the rows,
+        or from a ``previous`` other than the last snapshot, it adopts
+        nothing and ``written`` is ``None``.
         """
-        if not (self._path is not None and self._wal):
-            with self._lock:
-                if (previous is not None and previous.arity == self.arity
-                        and previous.version == self._version):
-                    snap = previous
-                else:
-                    adopt = previous is not None \
-                        and self._journal is not None \
-                        and self._journal_base() is previous
-                    for positions, _ in list(previous._probes) if adopt \
-                            else ():
-                        if positions:  # so that the copy holds the index
-                            self._index(positions)
-                    snap = self.copy()
-                    snap._own(snap._conn)
-                    snap._readonly = True
-                    snap._version, snap._len_cache = self._version, (
-                        self._version, len(snap))
-                    if adopt:
-                        snap._adopt(previous, self._journal)
-                self._journal, self._journal_base = [], weakref.ref(snap)
-                self._journal_cap = len(snap) // 4
-            return snap
-        # Same table, version and (version-checked) caches.
-        snap = self._twin(_readonly=True)
-        uri = Path(self._path).resolve().as_uri() + "?mode=ro"
-        snap._conn = snap._own(sqlite3.connect(
-            uri, uri=True, check_same_thread=False, isolation_level=None))
-        # An open read transaction pins this connection to the current
-        # WAL state; the touching SELECT is what actually starts it.
-        snap._conn.execute("BEGIN")
-        snap._conn.execute(
-            f"SELECT COUNT(*) FROM {snap._table}"
-        ).fetchone()
+        durable = self._path is not None and self._wal
+        with self._lock:
+            known = previous is not None and self._journal is not None \
+                and self._journal_base() is previous
+            if durable:
+                # Same table, version and (version-checked) caches.
+                snap = self._twin(_readonly=True)
+                uri = Path(self._path).resolve().as_uri() + "?mode=ro"
+                snap._conn = snap._own(sqlite3.connect(
+                    uri, uri=True, check_same_thread=False,
+                    isolation_level=None))
+                # An open read transaction pins this connection to the
+                # current WAL state; the touching SELECT is what
+                # actually starts it.
+                snap._conn.execute("BEGIN")
+                snap._conn.execute(
+                    f"SELECT COUNT(*) FROM {snap._table}").fetchone()
+            elif (previous is not None and previous.arity == self.arity
+                    and previous.version == self._version):
+                snap = previous
+            else:
+                for positions, _ in list(previous._probes) if known \
+                        else ():
+                    if positions:  # so that the copy holds the index
+                        self._index(positions)
+                snap = self.copy()
+                snap._own(snap._conn)
+                snap._readonly = True
+                snap._version, snap._len_cache = self._version, (
+                    self._version, len(snap))
+                if known:
+                    snap._adopt(previous, self._journal)
+            if snap is not previous:  # a row written twice is back
+                snap.written = None if not known else [
+                    self._fact(row) for row, n in Counter(
+                        self._journal).items() if n % 2]
+            self._journal, self._journal_base = [], weakref.ref(snap)
+            self._journal_cap = len(snap) // 4
         return snap
 
     def _adopt(self, previous: "SQLiteRelation", rows: list) -> None:

@@ -150,7 +150,7 @@ class TestMemoProtocol:
             key = full_selection_key(
                 analysis, cls, cls.positions, (f"p{j}_0", f"q{j}_0"),
                 "greedy")
-            share, branch = memo._entries[key]
+            share, branch, *_ = memo._entries[key]
             # The seed's share assembled with its seed: the answer set
             # of the full selection t(p_j, q_j, Z).
             assert share == frozenset(
@@ -199,7 +199,7 @@ class TestMemoProtocol:
         hits = memo.stats()["hits"]
         again = evaluate_separable(program, db, one, analysis=analysis,
                                    memo=memo, tracer=traced[1])
-        (entry, _), = memo._entries.values()
+        (entry, *_), = memo._entries.values()
         assert again is first is entry
         assert memo.stats()["hits"] == hits + 1
         loops = [len(list(t.spans("separable.loop"))) for t in traced]
@@ -215,7 +215,7 @@ class TestMemoProtocol:
         same = parse_atom("t(X, X, z0)")
         got = evaluate_separable(program, db, same, analysis=analysis,
                                  memo=memo)
-        (entry, _), = memo._entries.values()
+        (entry, *_), = memo._entries.values()
         assert got == oracle_answers(program, db, same) == {("s", "s", "z0")}
         assert got is not entry and got < entry
         full = parse_atom("t(X, Y, z0)")
@@ -256,7 +256,7 @@ class TestMemoProtocol:
         # reports is the memo-less run's work, with that seed's share
         # of it replaced by what its entry holds -- no double count.
         cls = analysis.classes[0]
-        _, held = memo._entries[full_selection_key(
+        _, held, *_ = memo._entries[full_selection_key(
             analysis, cls, cls.positions, ("p1_0", "q1_0"), "left_to_right")]
         whole, alone = EvaluationStats(), EvaluationStats()
         evaluate_separable(program, db, other, analysis=analysis,

@@ -322,6 +322,24 @@ class TestSnapshotSharing:
                     metrics["snapshots_created"]) == (0, 2)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("memo_size", 0), ("max_retries", -1),
+        ("retry_backoff_s", -0.5), ("retry_backoff_s", float("nan")),
+        ("retry_backoff_s", float("inf")),
+    ])
+    def test_a_bad_value_is_refused_before_the_edb_moves(
+            self, ex11, tmp_path, field, value):
+        """Refused by the config itself, naming the field: the durable
+        file the EDB would have been migrated into is never made."""
+        program, db = ex11
+        path = tmp_path / "edb.db"
+        with pytest.raises(ValueError, match=field):
+            QueryService(program, db, ServiceConfig(
+                backend=f"sqlite:{path}", **{field: value}))
+        assert not path.exists()
+
+
 class TestDegradation:
     def test_partial_result_carries_completed_branches(self, ex24):
         program, db = ex24

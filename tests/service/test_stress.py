@@ -43,9 +43,13 @@ class TestMixedWorkloadStress:
         them; either way the answer is the serial one."""
         program = paper.example_1_1_program()
         n = 12
+        edb = _chain_db(n)
+        # Rows out of reach, so that a one-row write to perfectFor is
+        # under a quarter of it and its snapshot names the row.
+        for k in range(8):
+            edb.add_fact("perfectFor", (f"q{k}", f"c{k}"))
         service = QueryService(
-            program, _chain_db(n),
-            ServiceConfig(workers=8, incremental=incremental),
+            program, edb, ServiceConfig(workers=8, incremental=incremental),
         )
         # Every database state the service can ever serve, keyed by
         # fingerprint.  States are recorded atomically with the
@@ -55,9 +59,10 @@ class TestMixedWorkloadStress:
         states: dict[tuple, Database] = {}
         states[service.edb.fingerprint()] = service.edb.copy()
 
-        def mutate_and_record(name: str, fact: tuple) -> None:
+        def mutate_and_record(name: str, fact: tuple,
+                              add: bool = True) -> None:
             def fn(db):
-                db.add_fact(name, fact)
+                (db.add_fact if add else db.remove_fact)(name, fact)
                 states[db.fingerprint()] = db.copy()
 
             service.mutate(fn)
@@ -75,6 +80,10 @@ class TestMixedWorkloadStress:
                     mutate_and_record(
                         "perfectFor", (f"a{(i % n) + 1}", f"gift{i}")
                     )
+                if i % 12 == 11:  # the gift of i - 6 again: a memo
+                    # entry that write hit may be brought back
+                    mutate_and_record("perfectFor", (
+                        f"a{((i - 6) % n) + 1}", f"gift{i - 6}"), add=False)
                 if i % 31 == 17:
                     mutate_and_record("friend", (f"z{i}", "a1"))
                 constant = f"a{(i % n) + 1}"

@@ -311,7 +311,7 @@ class TestCoalescing:
             loops = service.metrics_dict()["evaluator_counters"][
                 "span:separable.loop"]
             memo = service.memo.stats()
-            (entry, _branch), = service.memo._entries.values()
+            (entry, *_), = service.memo._entries.values()
         assert (memo["misses"], memo["coalesced"], memo["hits"]) == (
             1, k - 1, 0)
         assert loops == loops_for_one

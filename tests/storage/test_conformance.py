@@ -411,6 +411,34 @@ class TestSnapshotReads:
                 mutate()
         assert snap.tuples() == rel.tuples() == frozenset([("a", "b")])
 
+    def test_a_snapshot_names_the_rows_written_since_previous(self, store):
+        rel = make(store, tuples=[(f"x{i}", "y") for i in range(40)])
+        first = rel.snapshot()
+        rel.add_all([("n0", "y"), ("n1", "y")])
+        rel.discard(("x0", "y"))
+        rel.add(("gone", "y"))      # added and deleted: not written
+        rel.discard(("gone", "y"))
+        rel.add(("x1", "y"))        # already there: not written
+        second = rel.snapshot(first)
+        assert sorted(second.written) == [("n0", "y"), ("n1", "y"),
+                                          ("x0", "y")]
+        again = rel.snapshot(second)  # a durable file pins a new one
+        assert again is second or again.written == []
+
+    @pytest.mark.parametrize("write", ["clear", "quarter", "foreign"])
+    def test_a_snapshot_that_cannot_name_its_rows_says_none(
+            self, store, write):
+        rel = make(store, tuples=[(f"x{i}", "y") for i in range(40)])
+        previous = rel.snapshot()
+        if write == "clear":
+            rel.clear()
+        elif write == "quarter":
+            rel.add_all([(f"n{i}", "y") for i in range(30)])
+        else:
+            previous = make(store, name="q", tuples=[("a", "b")]).snapshot()
+            rel.add(("n0", "y"))
+        assert rel.snapshot(previous).written is None
+
     def test_unchanged_relation_is_its_previous_snapshot(self, store):
         held = [("a", "b"), ("a", "c")] + [(f"x{i}", "y") for i in range(8)]
         rel = make(store, tuples=held)
