@@ -46,7 +46,10 @@ spent in reads and in writes, then
 
 ``serve-read`` (read-only, memo larger than the seed set)
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
-  hit, and the memo's hits / misses / coalesced.
+  hit, the memo's hits / misses / coalesced, the entries a miss
+  absorbed (``memo.stats()["absorbed"]`` per miss: runs of seeds its
+  down loop reached, taken whole) and ``tuples_produced`` /
+  ``iterations`` summed over the branch stats of the memo's entries.
 
 For both memo workloads the memo's per-pass counters follow the p50s.
 These are the numbers ROADMAP aim 1 ("where the mixed workload
@@ -64,7 +67,8 @@ since ``query()`` never hands off -- when a memo hit's answers are
 not the very object the memo entry holds, when a frozen SQLite
 relation repeated a keyed SELECT (it answers a key it has run, or its
 predecessor ran and no write touched since, from its bucket), when a
-``serve-sqlite`` pass's captures kept no memo entry, or when a memo
+``serve-sqlite`` pass's captures kept no memo entry, when a
+``serve-read`` pass's misses absorbed no entry, or when a memo
 hit ran ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared).
@@ -125,7 +129,8 @@ CHECKS = {"differ": "reads that differ from the reference",
           "prepared": "memo hits that classified or compiled",
           "repeats": "keyed SELECTs a frozen relation or its predecessor "
                      "ran again",
-          "kept": "passes whose captures kept no memo entry"}
+          "kept": "passes whose captures kept no memo entry",
+          "absorbed": "passes whose misses absorbed no memo entry"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
 #: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
@@ -427,7 +432,9 @@ def main(argv=None) -> int:
               + ("  ratio  plan_lookups/write" if "first" in kinds
                  else "  memo_hits  misses  coalesced")
               + ("  kept  dropped  revived  carry_us  (a capture)"
-                 if args.workload == "serve-sqlite" else ""))
+                 if args.workload == "serve-sqlite" else "")
+              + ("  absorbed/miss  produced  iterations  (over entries)"
+                 if args.workload == "serve-read" else ""))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
             carries = len(CARRIES)
@@ -461,6 +468,15 @@ def main(argv=None) -> int:
                 line += (f"  {kept / n:4.1f}  {dropped / n:7.1f}  "
                          f"{revived / n:7.1f}  {took * 1e6 / n:8.1f}")
                 failed["kept"] += kept + revived == 0
+            if args.workload == "serve-read":
+                memo = service.memo.stats()
+                branches = [value[1] for value in
+                            list(service.memo._entries.values())]
+                line += "  {:13.2f}  {:8d}  {:10d}".format(
+                    memo["absorbed"] / max(memo["misses"], 1),
+                    sum(b.tuples_produced for b in branches),
+                    sum(b.iterations for b in branches))
+                failed["absorbed"] += memo["absorbed"] == 0
             print(line)
         if "first" in kinds:
             seconds, _, before, after = untimed_pass(

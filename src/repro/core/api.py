@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 
-def _through_memo(memo, key: tuple, run, stats, budget: Budget, reads):
+def _through_memo(memo, key: tuple, run, stats, budget: Budget):
     """``memo.get_or_run(key, ...)`` for ``run(branch) -> (answers,
-    seen_1)``.
+    ReadSet)``.
 
     A miss runs under a *fresh* branch :class:`EvaluationStats`, cached
     beside the answers as the work the entry cost, and every consumer --
@@ -65,13 +65,13 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget, reads):
         ran = True
         branch = EvaluationStats()
         try:
-            answers, seen_1 = run(branch)
+            answers, reads = run(branch)
         except BudgetExceeded as exc:
             if stats is not None:
                 stats.merge(branch)
                 exc.stats = stats
             raise
-        return answers, branch, ReadSet(reads, seen_1, answers)
+        return answers, branch, reads
 
     answers, branch = memo.get_or_run(key, compute)[:2]
     if stats is not None:
@@ -100,20 +100,28 @@ def _evaluate_full(
 
     The memo (see :class:`repro.service.FullSelectionMemo`) caches and
     coalesces on :func:`full_selection_key`; its entry is the frozen
-    answer set, assembled once, so a hit returns that very object.
+    answer set, assembled once, so a hit returns that very object.  A
+    miss hands the down loop the memo's ``seen_sets(key)`` when it has
+    them: the runs of the same form, order and scope it may absorb.
     """
-    plan, assemble, seen_1 = form.plan, form.assemble, []
+    plan, assemble = form.plan, form.assemble
 
-    def run(branch: Optional[EvaluationStats]) -> set[tuple]:
-        return assemble(seed, execute_plan(
-            plan, db, [seed], stats=branch, budget=budget,
-            order=order, tracer=tracer, seen_1=seen_1,
-        ))
+    def run(branch, seen=None, known=None) -> frozenset[tuple]:
+        return execute_plan(plan, db, [seed], stats=branch, budget=budget,
+                            order=order, tracer=tracer, seen_1=seen,
+                            known=known)
 
     if memo is None:
-        return run(stats)
-    return _through_memo(memo, form.key + (seed, order), lambda branch: (
-        frozenset(run(branch)), seen_1[0]), stats, budget, form.reads)
+        return assemble(seed, run(stats))
+    key = form.key + (seed, order)
+
+    def miss(branch: EvaluationStats) -> tuple:
+        seen, seen_sets = [], getattr(memo, "seen_sets", None)
+        seen_2 = run(branch, seen, seen_sets and seen_sets(key))
+        return frozenset(assemble(seed, seen_2)), ReadSet(
+            form.reads, seen[0], seen_2, len(seen[1]))
+
+    return _through_memo(memo, key, miss, stats, budget)
 
 
 def _run_batch(
@@ -178,12 +186,12 @@ def _run_batch(
                                    if j > i and j not in done], []
             done.update(run(batch, branch, seen_1))
             firsts.update(zip(batch, seen_1))
-        return frozenset(assemble(seeds[i], done[i])), firsts[i]
+        return frozenset(assemble(seeds[i], done[i])), ReadSet(
+            form.reads, firsts[i], done[i])
 
     for i, key in enumerate(keys):
         answers = _through_memo(memo, key, partial(share, i),
-                                None if i in done else stats, budget,
-                                form.reads)
+                                None if i in done else stats, budget)
         yield [tuple(t[p] for p in up) for t in answers]
 
 

@@ -311,9 +311,9 @@ def read_spec(plan: SeparablePlan) -> dict:
     atom takes part in a run of ``plan`` only if its values at
     ``positions`` are some carry row's at the pseudo-atom columns that
     hold the same variables (Theorem 2.1), and every carry row ends up
-    in ``seen_1`` (down and exit terms; ``cols`` its columns, ``None``
-    the whole row) or ``seen_2`` (up terms; ``cols`` the answers'
-    columns).  An atom sharing no variable with the carry has none."""
+    in ``seen_1`` (down and exit terms) or ``seen_2`` (up terms):
+    ``cols`` are its columns, ``None`` all of ``seen_1``'s.  An atom
+    sharing no variable with the carry has none."""
     whole = tuple(range(plan.seed_arity))
     reads: dict[str, set] = {}
     for up, joins in ((False, plan.down_joins + plan.exit_joins),
@@ -324,8 +324,7 @@ def read_spec(plan: SeparablePlan) -> dict:
                 pairs = [(i, pseudo.args.index(t))
                          for i, t in enumerate(atom.args)
                          if isinstance(t, Variable) and t in pseudo.args]
-                cols = tuple(plan.up_positions[j] if up else j
-                             for _, j in pairs)
+                cols = tuple(j for _, j in pairs)
                 reads.setdefault(atom.predicate, set()).add((
                     up, tuple(i for i, _ in pairs),
                     None if not up and cols == whole else cols))
@@ -333,12 +332,16 @@ def read_spec(plan: SeparablePlan) -> dict:
 
 
 class ReadSet:
-    """A run's :func:`read_spec` over its ``seen_1`` and answers."""
+    """A run's :func:`read_spec` over its ``seen_1`` and ``seen_2``;
+    ``absorbed``: the runs of other seeds its down loop took in whole
+    (:func:`~repro.core.evaluator.execute_plan`'s ``known``)."""
 
-    __slots__ = ("spec", "seen", "keys")
+    __slots__ = ("spec", "seen", "keys", "absorbed")
 
-    def __init__(self, spec: dict, seen_1: set, answers) -> None:
-        self.spec, self.seen, self.keys = spec, (seen_1, answers), {}
+    def __init__(self, spec: dict, seen_1: set, seen_2,
+                 absorbed: int = 0) -> None:
+        self.spec, self.seen, self.keys = spec, (seen_1, seen_2), {}
+        self.absorbed = absorbed
 
     def meets(self, written: dict) -> bool:
         """Whether a row of ``written`` (``relation -> rows``, ``None``

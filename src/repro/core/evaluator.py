@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.database import Database, Relation
@@ -161,6 +161,8 @@ def _generated_loop(
     budget: Budget,
     order: str,
     tracer=None,
+    absorb: tuple = (),
+    covered: Sequence[set] = (),
 ) -> dict:
     """:func:`_carry_loop`, compiled: the same loop, relation records,
     budget checks, span and counters (books kept in locals), run by the
@@ -176,25 +178,42 @@ def _generated_loop(
     interval change where the reference loop makes one per join per
     round, and none for a function ``loop_for`` already bound on ``db``
     (an earlier query's, when the database has not moved since).
+
+    A full selection's loop may reuse runs already made on ``db``: with
+    ``absorb = (known, found)`` its rounds end in
+    :func:`~repro.datalog.plan_cache._absorb` (``known``: ``seed ->
+    (seen_1, seen_2)``), and the rows of the sets ``covered`` start in
+    ``seen`` and out of ``carry``.  A traced span counts both as
+    ``absorbed``: ``seed + sum(carries) + absorbed`` is its
+    ``final_seen``.
     """
     seen = {k: set(rows) for k, rows in initial.items()}
     one = seen.get(None)  # a full selection's: not a batch
     carry = ({k: rows for k, rows in initial.items() if rows}
-             if one is None else set(one),)
+             if one is None else one.difference(*covered),)
     member = (seen if one is None else one,)
-    stats.record_relation(carry_name, _size(seen))
+    absorbed = 0
+    if covered:
+        one.update(*covered)
+        absorbed = len(one) - len(carry[0])
+    stats.record_relation(carry_name, _size(seen) - absorbed)
     stats.record_relation(seen_name, _size(seen))
     names = ((carry_name, seen_name),)
     labels = () if tracer is None else (("carry",),
                                         *_credits(seen_name, joins))
     with span_of(tracer, "separable.loop", relation=seen_name,
-                 seed=_size(seen)) as span:
+                 seed=_size(seen) - absorbed) as span:
         while carry[0]:
             run, _ = PLAN_CACHE.loop_for(joins, (CARRY,), carry, member,
                                          order, db, tracer)
-            carry = run(carry, member, names, labels, stats, budget, tracer)
+            carry = run(carry, member, names, labels, stats, budget, tracer,
+                        *absorb)
         if span is not None:
             span.attrs["final_seen"] = _size(seen)
+            if absorb:
+                absorbed += sum(rows for *_, rows in absorb[1])
+            if absorbed:
+                span.attrs["absorbed"] = absorbed
     return seen
 
 
@@ -249,31 +268,41 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
 
 
 def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
-              order: str, tracer=None) -> tuple[dict, dict]:
+              order: str, tracer=None,
+              known: Optional[dict] = None) -> tuple[dict, dict, list]:
     """Both loops and the exit join from each seed set of ``seeds`` (by
-    seed; a batch's seeds in lockstep); returns ``(seen_1, seen_2)``."""
+    seed; a batch's seeds in lockstep); returns ``(seen_1, seen_2,
+    absorbed)``: the entries of ``known`` the down loop absorbed, as
+    ``(seen_1, seen_2, rows)`` (never under :func:`_reference_loops`)."""
     for seed in (s for rows in seeds.values() for s in rows):
         if len(seed) != plan.seed_arity:
             raise ValueError(f"seed {seed!r} has {len(seed)} columns, "
                              f"plan expects {plan.seed_arity}")
     reference = _REFERENCE.get()
+    found: list = []
 
-    def loop(joins, initial, arity, carry_name, seen_name):
+    def loop(joins, initial, arity, carry_name, seen_name, *reuse):
         if reference:
             return _carry_loop(joins, initial, arity, db, carry_name,
                                seen_name, stats, budget, order, tracer)
         return _generated_loop(joins, initial, db, carry_name, seen_name,
-                               stats, budget, order, tracer)
+                               stats, budget, order, tracer, *reuse)
 
     # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
-    seen_1 = loop(plan.down_joins, seeds, plan.seed_arity,
-                  "carry_1", "seen_1")
-    with span_of(tracer, "separable.exit", seen_1=_size(seen_1)):
-        carry_2 = _exit_stage(plan.exit_joins, seen_1, plan.seed_arity, db,
+    seen_1 = loop(plan.down_joins, seeds, plan.seed_arity, "carry_1",
+                  "seen_1", () if known is None else (known, found))
+    # An absorbed row's seen_1 is closed under the down step and its
+    # exit and up loop made its seen_2; closure distributes over union
+    # (Theorem 2.1), so the exit joins only the rest of seen_1 and the
+    # up loop starts with those seen_2 in seen.
+    rest = {k: rows.difference(*[e[0] for e in found])
+            for k, rows in seen_1.items()} if found else seen_1
+    with span_of(tracer, "separable.exit", seen_1=_size(rest)):
+        carry_2 = _exit_stage(plan.exit_joins, rest, plan.seed_arity, db,
                               stats, order, tracer, reference)
     # Lines 9-15: the up loop; ans := seen_2.
     return seen_1, loop(plan.up_joins, carry_2, plan.answer_arity,
-                        "carry_2", "seen_2")
+                        "carry_2", "seen_2", (), [e[1] for e in found]), found
 
 
 def execute_plan(
@@ -285,6 +314,7 @@ def execute_plan(
     order: str = "greedy",
     tracer=None,
     seen_1: Optional[list] = None,
+    known: Optional[dict] = None,
 ) -> frozenset[tuple]:
     """Run a compiled plan from the given seed tuples.
 
@@ -295,16 +325,19 @@ def execute_plan(
     Returns the final ``seen_2``: tuples over ``plan.up_positions``.
     Callers reassemble full-arity answers by interleaving the selection
     constants (see :mod:`repro.core.api`).  A ``seen_1`` list gets the
-    final ``seen_1`` appended.
+    final ``seen_1`` appended, then the entries of ``known`` -- ``seed
+    -> (seen_1, seen_2)`` of runs of ``plan`` already made on ``db``, a
+    live table -- the down loop absorbed (:func:`_figure_2`).
     """
     if stats is None:
         # The relation, total and iteration limits are metered on the
         # statistics, so a caller that keeps none still needs them kept.
         stats = EvaluationStats()
-    first, last = _figure_2(plan, db, {None: {tuple(s) for s in seeds}},
-                            stats, budget, order, tracer)
+    first, last, found = _figure_2(
+        plan, db, {None: {tuple(s) for s in seeds}}, stats, budget, order,
+        tracer, known)
     if seen_1 is not None:
-        seen_1.append(first[None])
+        seen_1 += [first[None], found]
     seen_2 = last[None]
     stats.record_relation("ans", len(seen_2))
     return frozenset(seen_2)
@@ -319,7 +352,7 @@ def execute_batch(plan: SeparablePlan, db: Database, seeds: Iterable[tuple],
     keep a carry and a seen per seed.  Relations are booked at their
     totals over the seeds; ``ans`` is left to the caller, each seed's
     ``seen_1`` to a ``seen_1`` list."""
-    first, last = _figure_2(
+    first, last, _ = _figure_2(
         plan, db, {i: {tuple(s)} for i, s in enumerate(seeds)},
         EvaluationStats() if stats is None else stats, budget, order,
         tracer)

@@ -422,7 +422,7 @@ def _function(shapes: dict, source: str, kind: str, name: str):
         linecache.cache[filename] = (
             len(source), None, source.splitlines(True), filename)
         namespace = {"_flush": _flush, "_probe": _probe, "_open": _open,
-                     "_books": _books, "_tally": _tally}
+                     "_books": _books, "_tally": _tally, "_absorb": _absorb}
         exec(compile(source, filename, "exec"), namespace)
         fn = shapes[source] = namespace[name]
     return fn
@@ -695,7 +695,10 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     ``batched`` runs a carry loop for many seeds (a Lemma 2.1 union):
     carry and seen are dicts of sets by seed, a round runs the terms once
     per non-empty carry, sized by the largest and booked at the totals;
-    with no member, it is one pass that installs nothing.
+    with no member, it is one pass that installs nothing.  A loop of one
+    slot and one member that no term reads, unbatched, takes a table
+    ``T`` and a list ``A`` too: while ``T`` is non-empty, a round ends
+    in :func:`_absorb`.
 
     Returns ``(source, groups)``: consecutive terms whose nested loops
     (:meth:`JoinPlan._nest`) read the same are one *shape*, inlined once
@@ -840,6 +843,8 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     if len(slots) > len(members):
         tail.append(" = ".join(f"carry{a}" for a in slots[len(members):])
                     + " = ()")
+    absorbs = len(slots) == len(members) == 1 and not read[0] and not batched
+    tail += ["if T:", "    carry = _absorb(T, carry, seen, A)"] * absorbs
     carries = _tuple_text(at("carry", a) for a in slots)
     unpack = [f"    {carries} = carry",
               f"    {_tuple_text(at('seen', m) for m in members)} = seen"]
@@ -869,7 +874,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     books = ["R", *counts[:2], *[at("C", m) for m in members], *counts[2:]]
     opened = f"    books, rounds, {caps} = _open(stats, budget, {opened})"
     head = ["def loop(J, lo, hi, carry, seen, names, labels, stats, budget, "
-            "tracer):",
+            "tracer%s):" % (", T=None, A=None" * absorbs),
             *(unpack + [opened] if batched else [opened] + unpack),
             "    %s = %s" % (
                 ", ".join(f"{lo}, {hi}" for _, lo, hi, _ in checked),
@@ -945,6 +950,25 @@ def _books(books, counts, sizes, check=True):
     if check:
         (budget.check_wall if stats is None else budget.check_stats)(stats)
         return _caps(books, [size for _, size in sizes])
+
+
+def _absorb(table, carry, seen, found) -> set:
+    """A carry loop's round end where ``table`` knows a fresh row: it
+    maps a row to ``(seen, ...)`` of this loop already run from it on
+    the same database (a memo's
+    :meth:`~repro.service.FullSelectionMemo.seen_sets`), and that
+    ``seen``, closed under the loop's step, joins ``seen`` whole and
+    leaves ``carry``.  Appends the entry and the rows it added to
+    ``found`` per row absorbed; returns the carry.  ``table`` is live:
+    it is probed, never iterated."""
+    for row in [row for row in carry if row in table]:
+        entry = table.get(row)
+        if entry is not None and row in carry:
+            before = len(seen) - len(carry)
+            seen |= entry[0]
+            carry = carry - entry[0]
+            found.append((*entry, len(seen) - len(carry) - before))
+    return carry
 
 
 def _tally(tracer, counts, labels=(), credits=()) -> None:

@@ -23,8 +23,9 @@ For a semi-naive stratum (span ``seminaive.scc``):
 
 For a Separable carry loop (span ``separable.loop``) the same shape:
 every iteration's post-difference carry is nonempty except the last,
-and ``seed + sum(carries) == |seen|`` (Figure 2's set difference makes
-the carries disjoint -- Lemma 3.4).
+and ``seed + sum(carries) + absorbed == |seen|`` (Figure 2's set
+difference makes the carries disjoint -- Lemma 3.4; ``absorbed`` counts
+the rows a memo miss took from entries it absorbed, 0 when absent).
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ def _carry_violations(span) -> list[str]:
         )
     seed = span.attrs.get("seed")
     final_seen = span.attrs.get("final_seen")
+    absorbed = span.attrs.get("absorbed", 0)
     if seed is not None and final_seen is not None:
-        if seed + sum(carries) != final_seen:
+        if seed + sum(carries) + absorbed != final_seen:
             problems.append(
                 f"carry loop {label}: seen size inconsistent: seed {seed} "
-                f"+ carries {carries} != final {final_seen}"
+                f"+ carries {carries} + absorbed {absorbed} != final "
+                f"{final_seen}"
             )
     return problems
 

@@ -32,7 +32,8 @@ object), and the branch stats are computed fresh per miss and *merged*
 reports the same Definition 4.2 relation sizes as the evaluation that
 populated it.  By the :class:`~repro.core.compiler.ReadSet`,
 :meth:`FullSelectionMemo.carry` keeps an entry across a write it did
-not read.
+not read, and :meth:`FullSelectionMemo.seen_sets` lets a miss absorb
+the entries its down loop reaches.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ from collections import OrderedDict
 from typing import Callable
 
 __all__ = ["FullSelectionMemo"]
+
+
+def _family(key: tuple) -> tuple:
+    """A full-selection key without its seed (second to last)."""
+    return key[:-2] + key[-1:]
 
 
 class _InFlight:
@@ -91,6 +97,10 @@ class FullSelectionMemo:
         self._log: list[dict] = []
         self._scope: object = None  # the scope of the last carry
         self._inflight: dict[tuple, _InFlight] = {}
+        self.absorbed = 0
+        #: :meth:`seen_sets`: the key without its seed -> seed -> the
+        #: entry's ``(seen_1, seen_2)``, for keys some miss asked about.
+        self._tables: dict[tuple, dict] = {}
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
         """The cached value for ``key``, computing (once) on a miss.
@@ -128,7 +138,8 @@ class FullSelectionMemo:
                 raise
             with self._lock:
                 self.misses += 1
-                self._put(key, value)
+                if self._put(key, value):
+                    self.absorbed += value[2].absorbed
                 self._inflight.pop(key, None)
             flight.resolve(value)
             return value
@@ -143,12 +154,42 @@ class FullSelectionMemo:
             return (self._entries[key] if key in self._entries
                     or self._revived(key) else None)
 
-    def _put(self, key: tuple, value: object) -> None:
+    def seen_sets(self, key: tuple) -> dict:
+        """The live ``seed -> (seen_1, seen_2)`` of the completed entries
+        whose keys are ``key`` but for the seed (``key[-2]``, before the
+        order): the same scope, form and order.  A miss's down loop
+        absorbs them (:func:`repro.core.evaluator.execute_plan`'s
+        ``known``) and probes them without the lock: it is only ever
+        read by key outside it, changed in place under it, and left
+        behind, never emptied, when :meth:`carry` or :meth:`clear`
+        starts anew."""
+        family = _family(key)
+        with self._lock:
+            table = self._tables.get(family)
+            if table is None:
+                table = self._tables[family] = {
+                    k[-2]: v[2].seen for k, v in self._entries.items()
+                    if _family(k) == family}
+            return table
+
+    def _put(self, key: tuple, value: object) -> bool:
+        """Keep ``value`` under ``key``; whether a table holds it."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+            old, _ = self._entries.popitem(last=False)
             self.evictions += 1
+            table = self._tables.get(_family(old))
+            if table is not None:
+                table.pop(old[-2], None)
+        return self._index(key, value)
+
+    def _index(self, key: tuple, value: object) -> bool:
+        """Enter ``value``'s seen sets in the table of ``key``, if kept."""
+        table = self._tables.get(_family(key))
+        if table is not None:
+            table[key[-2]] = value[2].seen
+        return table is not None
 
     def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
@@ -171,6 +212,9 @@ class FullSelectionMemo:
         with self._lock:
             entries, self._entries = self._entries, OrderedDict()
             self._scope = new
+            # New tables: a run on the old state may still read its own.
+            self._tables = {(new,) + family[1:]: {}
+                            for family in self._tables if family[0] == old}
             if written is None or len(self._log) >= self.maxsize:
                 self._waiting.clear()
                 self._log.clear()
@@ -182,6 +226,7 @@ class FullSelectionMemo:
                         (value, len(self._log)))
                 else:
                     self._entries[(new,) + key[1:]] = value
+                    self._index((new,) + key[1:], value)
             self._log.append(written or {})
             self.survived += len(self._entries)
             held = sum(map(len, self._waiting.values()))
@@ -220,6 +265,8 @@ class FullSelectionMemo:
             self._entries.clear()
             self._waiting.clear()
             self._log.clear()
+            self._tables = {}
+            self.absorbed = 0
             self.hits = 0
             self.misses = 0
             self.coalesced = 0
@@ -236,6 +283,7 @@ class FullSelectionMemo:
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "survived": self.survived,
+                "absorbed": self.absorbed,
                 # A write repairs no entry; kept for the ledger's reader.
                 "repaired": 0,
             }
@@ -270,3 +318,6 @@ class ScopedMemo:
 
     def peek(self, key: tuple):
         return self.memo.peek((self.scope,) + tuple(key))
+
+    def seen_sets(self, key: tuple) -> dict:
+        return self.memo.seen_sets((self.scope,) + tuple(key))

@@ -247,7 +247,7 @@ class ServiceMetrics:
                 "Full-selection memo events by kind.",
             )
             for kind in ("hits", "misses", "coalesced", "evictions",
-                         "repaired", "survived"):
+                         "repaired", "survived", "absorbed"):
                 lines.append(
                     f'repro_service_memo_events_total{{kind="{kind}"}} '
                     f"{memo_stats.get(kind, 0)}"

@@ -222,7 +222,7 @@ class TestMemoSurvival:
                 before["buys(a1, Y)?"].answers | {("a1", "zz")})
             assert service.memo.stats() == {
                 "size": 0, "hits": 0, "misses": 0, "coalesced": 0,
-                "evictions": 0, "repaired": 0, "survived": 0,
+                "evictions": 0, "repaired": 0, "survived": 0, "absorbed": 0,
             }
         finally:
             service.close()

@@ -17,7 +17,7 @@ class TestBasics:
         assert len(calls) == 1
         assert memo.stats() == {
             "size": 1, "hits": 1, "misses": 1, "coalesced": 0, "evictions": 0,
-            "repaired": 0, "survived": 0,
+            "repaired": 0, "survived": 0, "absorbed": 0,
         }
 
     def test_maxsize_must_be_positive(self):
