@@ -22,8 +22,9 @@ every artifact the observability pipeline promises:
 
 ``http-smoke`` mode instead drives a live ``repro-datalog serve
 --http-port`` process and curls ``/metrics``, ``/healthz`` and
-``/slowlog`` off its ephemeral port, validating the slow-query records
-against the ``repro-slowlog/1`` schema.
+``/slowlog`` off its ephemeral port, checking each recorded request's
+record as the trace it holds: it loads with ``Tracer.from_dict``, passes
+``trace_violations`` and has no open span.
 
 Exit status 0 on success; any failure raises.
 
@@ -247,15 +248,17 @@ def http_smoke() -> int:
 
         status, body = get("/slowlog?n=8")
         records = json.loads(body)
-        assert status == 200 and records, "no slow-query records"
+        assert status == 200 and records, "no recorded requests"
         sys.path.insert(0, str(REPO / "src"))
-        from repro.service import validate_slowlog_record  # noqa: E402
+        from repro.observability import Tracer, trace_violations  # noqa: E402
 
         for record in records:
-            problems = validate_slowlog_record(record)
-            assert not problems, f"{record.get('trace_id')}: {problems}"
-        print(f"slowlog ok: {len(records)} records validate against "
-              f"repro-slowlog/1")
+            tracer = Tracer.from_dict(record["trace"])
+            problems = trace_violations(tracer)
+            assert not problems, f"{record['trace_id']}: {problems}"
+            assert tracer.all_closed(), f"{record['trace_id']}: open span"
+        print(f"slowlog ok: {len(records)} records load as traces and "
+              f"pass trace_violations")
     finally:
         proc.terminate()
         proc.wait(timeout=30)

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="also write the span tree to this JSONL file "
-        "(schema repro-events/2, replayable offline)",
+        "(schema repro-events/3, replayable offline)",
     )
     profile.add_argument(
         "--out",
@@ -362,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--events",
         type=Path,
         default=None,
-        help="stream per-request service events to this JSONL file "
-        "(schema repro-events/2)",
+        help="write one service_request record per request to this "
+        "JSONL file (schema repro-events/3; a recorded request's "
+        "record holds its span tree)",
     )
     serve.add_argument(
         "--stats",
@@ -412,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="RATE",
-        help="trace this fraction of requests under a full recording "
-        "tracer and log each as a repro-slowlog/1 record "
+        help="record this fraction of requests: each runs under a "
+        "recording tracer and its record carries the span tree "
         "(deterministic over the request sequence; default: 0)",
     )
     serve.add_argument(
@@ -421,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECS",
-        help="also slowlog any request at least this slow (implies "
+        help="also record any request at least this slow (implies "
         "tracing every request; default: off)",
     )
     _add_backend(
@@ -696,26 +697,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not queries:
         print("no queries given (use --query or put 'p(c, X)?' in the file)")
         return 1
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.repeat < 1:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2
-
-    if not 0.0 <= args.trace_sample <= 1.0:
-        print("error: --trace-sample must be in [0, 1]", file=sys.stderr)
+    try:
+        config = ServiceConfig(
+            workers=args.workers,
+            default_deadline_s=args.deadline,
+            incremental=args.incremental,
+            trace_sample=args.trace_sample,
+            slow_query_threshold_s=args.slow_threshold,
+            backend=args.backend,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     requests = [q for q in queries for _ in range(args.repeat)]
-    config = ServiceConfig(
-        workers=args.workers,
-        default_deadline_s=args.deadline,
-        incremental=args.incremental,
-        trace_sample=args.trace_sample,
-        slow_query_threshold_s=args.slow_threshold,
-        backend=args.backend,
-    )
     mutations = _serve_mutation_stream(
         parsed.database, parsed.program, args.mutations
     )
@@ -759,7 +757,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 results = service.batch(requests, strategy=args.strategy)
             metrics = service.metrics_dict()
             metrics_text = service.metrics_text()
-            slow_records = service.slowlog()
+            recorded = service.slowlog()
             if httpd is not None and args.linger > 0:
                 # Scrape window: the batch is done, the service is
                 # still open (healthz says ok), metrics are final.
@@ -816,12 +814,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"view_probes={metrics['view_probes']}"
         )
     if args.trace_sample or args.slow_threshold is not None:
-        sampled = sum(
-            1 for r in slow_records if "sampled" in r["reason"]
-        )
-        slow = sum(1 for r in slow_records if "slow" in r["reason"])
+        sampled = sum(1 for r in recorded if "sampled" in r["reason"])
+        slow = sum(1 for r in recorded if "slow" in r["reason"])
         print(
-            f"  slowlog: {len(slow_records)} records "
+            f"  recorded: {len(recorded)} requests with span trees "
             f"({sampled} sampled, {slow} over threshold)"
         )
 

@@ -112,10 +112,10 @@ class Disagreement:
     strategy: str
     detail: str
     #: Compact profile of the offending run (iteration counts, relation
-    #: sizes, span summaries) -- evidence travelling with the finding,
-    #: so a report can be triaged without re-running the case.  Excluded
-    #: from equality/hashing: two findings are the "same" when their
-    #: diagnosis matches, however the run happened to be timed.
+    #: sizes, the span tree as ``trace``) -- evidence travelling with the
+    #: finding, so a report can be triaged without re-running the case.
+    #: Excluded from equality/hashing: two findings are the "same" when
+    #: their diagnosis matches, however the run happened to be timed.
     profile: Optional[dict] = field(default=None, compare=False)
 
     @property
@@ -267,28 +267,12 @@ def _profile_summary(
 ) -> dict:
     """Evidence attached to findings: what the offending run did.
 
-    A trimmed-down cousin of the CLI profiler's report -- the
-    Definition 4.2 totals plus one entry per recorded span -- small
-    enough to embed in every :class:`Disagreement` so a fuzz report
-    can be triaged without replaying the case.
+    The Definition 4.2 totals plus the run's whole span tree
+    (``trace``, :meth:`Tracer.to_dict`) -- small enough to embed in
+    every :class:`Disagreement`, and what ``Tracer.from_dict`` loads
+    back, so a fuzz report can be triaged without replaying the case.
     """
-    spans: list[dict] = []
-
-    def walk(span, depth: int) -> None:
-        entry: dict = {
-            "name": span.name, "depth": depth, "status": span.status,
-        }
-        if span.attrs:
-            entry["attrs"] = dict(span.attrs)
-        if span.counters:
-            entry["counters"] = dict(sorted(span.counters.items()))
-        spans.append(entry)
-        for child in span.children:
-            walk(child, depth + 1)
-
-    for root in tracer.roots:
-        walk(root, 0)
-    summary: dict = {"strategy": strategy, "spans": spans}
+    summary: dict = {"strategy": strategy, "trace": tracer.to_dict()}
     if stats is not None:
         summary.update(
             iterations=stats.iterations,

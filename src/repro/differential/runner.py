@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..budget import Budget
+from ..observability.tracer import Tracer
 from .cases import Case, load_corpus, save_case
 from .generator import CaseGenerator, GeneratorConfig
 from .oracle import (
@@ -79,12 +80,13 @@ class FuzzFailure:
         for d in self.verdict.disagreements:
             if d.profile is None:
                 continue
+            trace = Tracer.from_dict(d.profile["trace"])
             lines.append(
                 f"  evidence[{d.strategy}]: "
                 f"iterations={d.profile.get('iterations', '?')} "
                 f"max_relation={d.profile.get('max_relation_size', '?')} "
                 f"examined={d.profile.get('tuples_examined', '?')} "
-                f"spans={len(d.profile.get('spans', ()))}"
+                f"spans={sum(1 for _ in trace.spans())}"
             )
         if self.shrunk is not None:
             s_rules, s_facts = self.shrunk.size()

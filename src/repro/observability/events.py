@@ -14,11 +14,13 @@ writers open streams this way:
   from it, and the exporters in :mod:`repro.observability.export`
   produce byte-identical output from the live and the rebuilt trace;
 * :class:`~repro.service.QueryService` writes one ``service_request``
-  record per completed request and one ``slow_query`` record per
-  sampled or slow one (``repro-slowlog/1``).
+  record per completed request; a recorded one (sampled, or over the
+  slow threshold) also holds its span tree under ``trace``, in the
+  trace record's layout.
 
-Sinks must never raise from :meth:`~EventSink.emit`; a broken sink
-would otherwise abort the work it is observing.
+A sink's :meth:`~EventSink.emit` can raise (:class:`JsonlFileSink` on
+a full disk); the service counts such a failure (``sink_errors``)
+rather than fail the request the record describes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 #: Version tag of the event record layout; bump on incompatible changes.
-EVENT_SCHEMA = "repro-events/2"
+EVENT_SCHEMA = "repro-events/3"
 
 
 class EventSink(Protocol):
@@ -128,9 +130,10 @@ def read_events(path: Union[str, Path]) -> list[dict]:
     """Load a JSONL stream written through :class:`JsonlFileSink`.
 
     Validates the leading ``trace_start`` record's schema tag (a
-    ``repro-events/1`` file, the retired span event stream, is refused
-    like any other); blank lines are ignored so hand-truncated files
-    still load.
+    ``repro-events/1`` file, the retired span event stream, and a
+    ``repro-events/2`` one, whose service stream held separate
+    ``slow_query`` summaries, are refused like any other); blank lines
+    are ignored so hand-truncated files still load.
     """
     events: list[dict] = []
     with Path(path).open() as fh:

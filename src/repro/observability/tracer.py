@@ -75,7 +75,7 @@ class Span:
 
     def to_dict(self) -> dict:
         """JSON-ready representation: what a profile's JSON report and
-        a ``repro-events/2`` trace record hold of the span."""
+        a ``repro-events/3`` trace record hold of the span."""
         return {
             "name": self.name,
             "attrs": dict(self.attrs),
@@ -195,8 +195,8 @@ class Tracer:
     def totals(self) -> dict[str, int]:
         """Every counter summed over every span of the trace, names in
         first-seen (depth first) order.  The one fold over
-        ``span.counters``: metrics text, slowlog records, profiles and
-        the service's aggregates are all read off this dict."""
+        ``span.counters``: metrics text, profiles and the service's
+        aggregates are all read off this dict."""
         totals: dict[str, int] = {}
         for s in self.spans():
             for name, value in s.counters.items():

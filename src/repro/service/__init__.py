@@ -18,9 +18,11 @@ counters and span widths of the requests a private
 every one under a slow-query threshold; any other request runs
 untraced -- exportable as Prometheus text or JSON),
 :class:`ServiceHTTPD` (live ``/metrics`` + ``/healthz`` + ``/slowlog``
-exposition), and the ``repro-slowlog/1`` record helpers
-(:data:`SLOWLOG_SCHEMA`, :func:`build_slowlog_record`,
-:func:`validate_slowlog_record`, :class:`SlowlogRing`).
+exposition).  A request leaves one ``service_request`` record; a
+recorded one's holds its span tree (:meth:`Tracer.to_dict
+<repro.observability.Tracer.to_dict>`), so it loads with
+``Tracer.from_dict`` and is checked by
+:func:`~repro.observability.trace_violations` like any trace.
 """
 
 from .httpd import ServiceHTTPD
@@ -32,12 +34,6 @@ from .service import (
     ServiceConfig,
     ServiceResult,
 )
-from .slowlog import (
-    SLOWLOG_SCHEMA,
-    SlowlogRing,
-    build_slowlog_record,
-    validate_slowlog_record,
-)
 
 __all__ = [
     "QueryService",
@@ -47,8 +43,4 @@ __all__ = [
     "FullSelectionMemo",
     "ServiceMetrics",
     "ServiceHTTPD",
-    "SLOWLOG_SCHEMA",
-    "SlowlogRing",
-    "build_slowlog_record",
-    "validate_slowlog_record",
 ]

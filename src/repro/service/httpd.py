@@ -15,8 +15,10 @@ bound to a :class:`~repro.service.QueryService`:
     probe wants, JSON body with queue depth and in-flight count.
 
 ``/slowlog?n=K``
-    The most recent ``K`` slow-query records (``repro-slowlog/1``
-    JSON array, oldest first; default: the whole ring).
+    The newest ``K`` recorded (sampled or slow) requests' records as a
+    JSON array, oldest first (default: every one the service keeps):
+    :meth:`QueryService.slowlog`, each record's ``trace`` a span tree
+    ``Tracer.from_dict`` loads.
 
 Bind with ``port=0`` for an ephemeral port (tests and the CI smoke do)
 and read the chosen one back from :attr:`ServiceHTTPD.port`.  The

@@ -66,6 +66,10 @@ _EVENTS = {
     "view_probes": (
         "view_probes_total",
         "Reads answered by an index lookup on the maintained view."),
+    "sink_errors": (
+        "sink_errors_total",
+        "Request records the event sink raised on (the request was "
+        "served)."),
 }
 
 

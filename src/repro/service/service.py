@@ -56,16 +56,11 @@ from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
 from ..maintenance import DeltaCapture, MaintainedView
-from ..observability.events import EventSink, trace_start
+from ..observability.events import EventSink, RingBufferSink, trace_start
 from ..observability.tracer import Tracer, span_of
 from ..stats import EvaluationStats
 from .memo import FullSelectionMemo, ScopedMemo
 from .metrics import ServiceMetrics
-from .slowlog import (
-    SlowlogRing,
-    build_slowlog_record,
-    work_counter_totals,
-)
 
 __all__ = [
     "ServiceConfig",
@@ -74,10 +69,16 @@ __all__ = [
     "QueryService",
 ]
 
-#: Records the in-memory slow-query ring keeps for the HTTP ``/slowlog``
-#: endpoint (oldest evicted first; a sink, when configured, still
-#: receives every record).
+#: Recorded requests' records the service keeps for
+#: :meth:`QueryService.slowlog` and the HTTP ``/slowlog`` endpoint
+#: (oldest evicted first; a sink, when configured, still receives every
+#: record).
 SLOWLOG_CAPACITY = 256
+
+
+def _seconds_ok(value: Optional[float]) -> bool:
+    """``None``, or a finite number of seconds >= 0 (NaN fails)."""
+    return value is None or 0.0 <= value < math.inf
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ class ServiceConfig:
         Bound on the full-selection memo (entries, LRU).
     default_deadline_s:
         Per-request wall-clock deadline applied when a request names
-        none (``None`` = no deadline).  Measured from submission, so
-        queue wait counts -- a deadline is a promise to the caller,
-        not to the evaluator.
+        none (``None`` = no deadline; a negative or non-finite one
+        raises ``ValueError``, as does such a ``deadline_s`` on a
+        request).  Measured from submission, so queue wait counts -- a
+        deadline is a promise to the caller, not to the evaluator.
     max_retries:
         Extra attempts after a *retryable* (wall-clock) budget trip.
     retry_backoff_s:
@@ -120,15 +122,17 @@ class ServiceConfig:
         Sampling is deterministic over the request sequence number --
         rate 0.25 traces exactly every 4th request -- so tests and
         operators can predict which requests carry span trees.  Every
-        sampled read lands one ``repro-slowlog/1`` record; a write to
-        the maintained view takes a sequence number too, and a sampled
-        one adds its spans to the evaluator aggregates (no record).
-        An unsampled request runs with ``tracer=None``.
+        sampled read is *recorded*: its ``service_request`` record
+        carries its span tree (see :meth:`QueryService.slowlog`); a
+        write to the maintained view takes a sequence number too, and
+        a sampled one adds its spans to the evaluator aggregates (no
+        record).  An unsampled request runs with ``tracer=None``.
     slow_query_threshold_s:
         When set, *every* read runs under a recording tracer and any
-        read whose latency reaches the threshold lands a slowlog
-        record, sampled or not (the after-the-fact EXPLAIN ANALYZE for
-        the queries that actually hurt).
+        read whose latency reaches the threshold is recorded, sampled
+        or not (the after-the-fact EXPLAIN ANALYZE for the queries
+        that actually hurt).  Negative or non-finite raises
+        ``ValueError``.
     backend:
         Storage backend spec for the live EDB
         (:func:`repro.storage.resolve_backend` semantics: ``None`` /
@@ -162,7 +166,11 @@ class ServiceConfig:
                          ("max_retries", self.max_retries >= 0),
                          ("retry_backoff_s",
                           0.0 <= self.retry_backoff_s < math.inf),
-                         ("trace_sample", 0.0 <= self.trace_sample <= 1.0)):
+                         ("trace_sample", 0.0 <= self.trace_sample <= 1.0),
+                         ("default_deadline_s",
+                          _seconds_ok(self.default_deadline_s)),
+                         ("slow_query_threshold_s",
+                          _seconds_ok(self.slow_query_threshold_s))):
             if not ok:  # NaN fails every comparison
                 raise ValueError(
                     f"{name} is out of range: {getattr(self, name)!r}")
@@ -194,8 +202,8 @@ class ServiceResult:
     the EDB fingerprint of the database state the request was served
     against -- the handle callers use to reason about which state they
     observed (``()`` for an error raised before any state was read).
-    ``trace_id`` identifies the request in the slow-query log (every
-    request gets one, whether or not it was sampled).
+    ``trace_id`` identifies the request's ``service_request`` record
+    (every request gets one, whether or not it was recorded).
     """
 
     query: Atom
@@ -241,10 +249,11 @@ class QueryService:
     Use as a context manager (or call :meth:`close`); the thread pool
     holds non-daemon workers.  ``sink`` is an optional
     :class:`~repro.observability.EventSink` receiving one
-    ``service_request`` record per completion and one ``slow_query``
-    record per sampled or slow request (the stream opens with the
+    ``service_request`` record per completion, a recorded request's
+    with its span tree (see :meth:`slowlog`; the stream opens with the
     standard ``trace_start`` header, so
-    :func:`repro.observability.read_events` accepts it).
+    :func:`repro.observability.read_events` accepts it).  A sink that
+    raises fails no request: each failure counts one ``sink_errors``.
     """
 
     def __init__(
@@ -264,10 +273,12 @@ class QueryService:
         self.edb = edb
         self.metrics = metrics or ServiceMetrics()
         self.memo = FullSelectionMemo(self.config.memo_size)
-        self.slowlog_ring = SlowlogRing(SLOWLOG_CAPACITY)
+        self._recorded = RingBufferSink(SLOWLOG_CAPACITY)
         self._seq_lock = threading.Lock()
         self._seq = 0
         self._sink = sink
+        # Guards the sink and the ring: a deque cannot be listed while
+        # another thread appends.
         self._sink_lock = threading.Lock()
         if sink is not None:
             trace_start(sink, {"component": "service",
@@ -508,6 +519,8 @@ class QueryService:
             query = parse_query_memo(query)
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
+        elif not _seconds_ok(deadline_s):
+            raise ValueError(f"deadline_s is out of range: {deadline_s!r}")
         submitted = time.monotonic()
         seq = self._next_seq()
         self.metrics.request_submitted()
@@ -568,8 +581,8 @@ class QueryService:
             if sampled or threshold is not None
             else None
         )
-        # The memo disposition a slowlog record reports is the stats
-        # delta across the request; only a traced request can land one.
+        # The memo disposition a recorded request reports is the stats
+        # delta across the request; only a traced request is recorded.
         memo_before = self.memo.stats() if tracer is not None else None
         # Where the materialisation exists, ``auto`` picks it.
         viewable = (strategy == "auto"
@@ -667,77 +680,66 @@ class QueryService:
                          error=f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            if tracer is not None:
-                self._absorb_trace(out, tracer, sampled, memo_before)
-            self._finish(out)
+            self._finish(out, tracer, sampled, memo_before)
 
-    def _absorb_trace(
+    def _finish(
         self,
         out: ServiceResult,
-        tracer: Tracer,
+        tracer: Optional[Tracer],
         sampled: bool,
-        memo_before: dict,
+        memo_before: Optional[dict],
     ) -> None:
-        """Fold a per-request trace into the aggregates; maybe slowlog it.
+        """Account for a completed request, then write its one record.
 
-        The metrics absorb every span and counter
-        (:meth:`ServiceMetrics.absorb`), then the request lands a
-        ``repro-slowlog/1`` record when it was sampled or its latency
-        reached the threshold.  The memo disposition is the stats delta
-        across the request -- approximate under concurrency (deltas from
-        overlapping requests interleave), exact when requests are
-        serial, and honest either way about what the cache did.
+        A traced request's tracer is folded into the aggregates
+        (:meth:`ServiceMetrics.absorb`); it is *recorded* when it was
+        sampled or its latency reached the threshold, and its
+        ``service_request`` record then also carries ``reason``, the
+        memo disposition (the stats delta across the request --
+        approximate under concurrency, exact when requests are serial),
+        and ``trace``, the span tree (:meth:`Tracer.to_dict`).  The ring
+        behind :meth:`slowlog` keeps the recorded ones.  With no sink,
+        an unrecorded request builds no record.
         """
-        self.metrics.absorb(tracer)
-        threshold = self.config.slow_query_threshold_s
-        reason: list[str] = []
-        if sampled:
-            reason.append("sampled")
-        if threshold is not None and out.latency_s >= threshold:
-            reason.append("slow")
-        if not reason:
-            return
-        memo_after = self.memo.stats()
-        memo_delta = {
-            key: memo_after.get(key, 0) - memo_before.get(key, 0)
-            for key in ("hits", "misses", "coalesced")
-        }
-        memo_delta["size"] = memo_after.get("size", 0)
-        record = build_slowlog_record(
-            trace_id=out.trace_id or "",
-            query=str(out.query),
-            strategy=out.strategy,
-            status=out.status,
-            reason=reason,
-            latency_s=out.latency_s,
-            answers=len(out.answers),
-            attempts=out.attempts,
-            counter_totals=work_counter_totals(tracer),
-            memo=memo_delta,
-            spans=sum(1 for _ in tracer.spans()),
-            error=out.error,
-        )
-        self.slowlog_ring.append(record)
-        if self._sink is not None:
-            with self._sink_lock:
-                self._sink.emit(record)
-
-    def _finish(self, out: ServiceResult) -> None:
+        reason: Sequence[str] = ()
+        if tracer is not None:
+            self.metrics.absorb(tracer)
+            threshold = self.config.slow_query_threshold_s
+            slow = threshold is not None and out.latency_s >= threshold
+            reason = [name for name, hit in (("sampled", sampled),
+                                             ("slow", slow)) if hit]
         self.metrics.request_completed(out.status, out.latency_s)
-        if self._sink is not None:
-            event = {
-                "type": "service_request",
-                "query": str(out.query),
-                "strategy": out.strategy,
-                "status": out.status,
-                "answers": len(out.answers),
-                "attempts": out.attempts,
-                "latency_s": out.latency_s,
-                "queue_depth": self.metrics.queue_depth,
-                "limit": out.limit,
-            }
-            with self._sink_lock:
-                self._sink.emit(event)
+        if not reason and self._sink is None:
+            return
+        record = {
+            "type": "service_request",
+            "trace_id": out.trace_id,
+            "query": str(out.query),
+            "strategy": out.strategy,
+            "status": out.status,
+            "answers": len(out.answers),
+            "attempts": out.attempts,
+            "latency_s": out.latency_s,
+            "queue_depth": self.metrics.queue_depth,
+            "limit": out.limit,
+        }
+        if out.error is not None:
+            record["error"] = out.error
+        if reason:
+            memo_after = self.memo.stats()
+            memo = {key: memo_after[key] - memo_before[key]
+                    for key in ("hits", "misses", "coalesced")}
+            memo["size"] = memo_after["size"]
+            record.update(reason=reason, memo=memo, trace=tracer.to_dict())
+        with self._sink_lock:
+            if reason:
+                self._recorded.emit(record)
+            if self._sink is not None:
+                try:
+                    self._sink.emit(record)
+                except Exception:
+                    # A full disk must not fail the request it records.
+                    self.metrics.bump("sink_errors")
 
     # -- introspection ------------------------------------------------------
 
@@ -756,5 +758,9 @@ class QueryService:
         )
 
     def slowlog(self, n: Optional[int] = None) -> list[dict]:
-        """The most recent ``n`` slow-query records, oldest first."""
-        return self.slowlog_ring.recent(n)
+        """The newest ``n`` (>= 0) recorded requests' records, oldest
+        first -- all the :data:`SLOWLOG_CAPACITY` kept when ``n`` is
+        ``None`` -- the very dicts the sink got."""
+        with self._sink_lock:
+            records = list(self._recorded)
+        return records if n is None else records[max(len(records) - n, 0):]

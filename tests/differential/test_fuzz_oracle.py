@@ -9,6 +9,7 @@ round-tripping of cases through the repro-file format.
 The long campaign at the bottom is opt-in via ``pytest -m fuzz``.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,9 @@ from repro.differential import (
     run_fuzz,
 )
 from repro.differential.cases import case_from_text
+from repro.differential.runner import FuzzFailure
 from repro.engine import STRATEGIES
+from repro.observability import Tracer, trace_violations
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -113,11 +116,20 @@ class TestCheckedRun:
         for name, finding in found.items():
             assert verdict.outcomes[name].ran
             assert finding.profile["strategy"] == name
+            # The evidence is the run's whole span tree.
+            trace = Tracer.from_dict(finding.profile["trace"])
+            assert list(trace.spans()) and trace.all_closed()
+            assert trace_violations(trace) == []
             swept = {k: finding.profile.get(k) for k in ("order", "backend")}
             assert swept == {
                 "order": "cost" if name.startswith("order[") else None,
                 "backend": "sqlite" if name.startswith("backend[") else None,
             }
+        # A report counts each finding's spans off that tree.
+        report = FuzzFailure(0, verdict.case, verdict).describe()
+        counts = re.findall(r"evidence\[.*\]: .* spans=(\d+)", report)
+        assert len(counts) == len(verdict.disagreements)
+        assert all(int(n) > 0 for n in counts)
 
     def test_a_reference_over_the_tuple_limit_is_inconclusive(self):
         from repro.budget import Budget

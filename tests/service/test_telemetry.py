@@ -1,4 +1,5 @@
-"""Request tracing, slow-query log, and HTTP telemetry endpoints."""
+"""Request tracing, the recorded requests' records, and HTTP telemetry
+endpoints."""
 
 import json
 import urllib.error
@@ -10,16 +11,19 @@ import pytest
 from repro.core.evaluator import loop_source
 from repro.datalog.database import Database
 from repro.datalog.plan_cache import PLAN_CACHE
-from repro.observability import RingBufferSink
+import repro.service.service as service_module
+from repro.observability import (
+    JsonlFileSink,
+    RingBufferSink,
+    Tracer,
+    read_events,
+    trace_violations,
+)
 from repro.service import (
     QueryService,
-    SLOWLOG_SCHEMA,
     ServiceConfig,
     ServiceHTTPD,
     ServiceMetrics,
-    SlowlogRing,
-    build_slowlog_record,
-    validate_slowlog_record,
 )
 from repro.workloads import paper
 
@@ -42,6 +46,17 @@ def ex11():
 def _service(program, db, **config_kwargs):
     config_kwargs.setdefault("workers", 1)
     return QueryService(program, db, ServiceConfig(**config_kwargs))
+
+
+def trace_problems(record: dict) -> list[str]:
+    """A recorded request's record checked as what it holds, a trace
+    (after the JSON round trip a sink makes): its span tree loads,
+    keeps the fixpoint invariants and has no open span."""
+    tracer = Tracer.from_dict(json.loads(json.dumps(record))["trace"])
+    problems = trace_violations(tracer)
+    if not tracer.all_closed():
+        problems.append("a span is open")
+    return problems
 
 
 class TestSampler:
@@ -93,17 +108,20 @@ class TestSlowlogRecords:
         with _service(program, db, trace_sample=1.0) as service:
             result = service.query("buys(tom, Y)?")
         (record,) = service.slowlog()
-        assert validate_slowlog_record(record) == []
-        assert record["schema"] == SLOWLOG_SCHEMA
+        assert trace_problems(record) == []
+        assert record["type"] == "service_request"
         assert record["trace_id"] == result.trace_id
         assert record["query"] == "buys(tom, Y)"
         assert record["reason"] == ["sampled"]
         assert record["status"] == "ok"
         assert record["answers"] == len(result.answers)
-        assert record["spans"] > 0
-        assert record["counter_totals"].get("tuples_examined", 0) > 0
-        assert set(record["memo"]) == {
-            "hits", "misses", "coalesced", "size",
+        trace = Tracer.from_dict(record["trace"])
+        assert trace.context == {"trace_id": result.trace_id,
+                                 "query": "buys(tom, Y)"}
+        assert list(trace.spans("separable.loop"))
+        assert trace.counter_total("tuples_examined") > 0
+        assert record["memo"] == {
+            "hits": 0, "misses": 1, "coalesced": 0, "size": 1,
         }
         # JSON round-trips (the sink writes these as JSONL).
         assert json.loads(json.dumps(record)) == record
@@ -119,7 +137,7 @@ class TestSlowlogRecords:
         assert [r["reason"] for r in records] == [
             ["slow"], ["sampled", "slow"], ["slow"], ["sampled", "slow"],
         ]
-        assert all(validate_slowlog_record(r) == [] for r in records)
+        assert all(trace_problems(r) == [] for r in records)
 
     def test_high_threshold_records_nothing(self, ex11):
         program, db = ex11
@@ -135,9 +153,9 @@ class TestSlowlogRecords:
             result = service.query("nosuch(X)?")
         assert result.status == "error"
         (record,) = service.slowlog()
-        assert validate_slowlog_record(record) == []
+        assert trace_problems(record) == []
         assert record["status"] == "error"
-        assert record["error"]
+        assert record["error"] == result.error
 
     def test_records_flow_through_the_sink(self, ex11):
         program, db = ex11
@@ -148,15 +166,13 @@ class TestSlowlogRecords:
             sink=sink,
         ) as service:
             service.query("buys(tom, Y)?")
-        slow = [
-            e for e in sink.events if e.get("type") == "slow_query"
-        ]
-        assert len(slow) == 1
-        assert validate_slowlog_record(slow[0]) == []
-        # The regular per-completion event still arrives too.
-        assert any(
-            e.get("type") == "service_request" for e in sink.events
-        )
+            service.query("nosuch(X)?")
+        start, *records = sink.events
+        assert start["type"] == "trace_start"
+        # One record per request, the very dicts the ring keeps.
+        assert [r["type"] for r in records] == ["service_request"] * 2
+        assert all(a is b for a, b in zip(records, service.slowlog()))
+        assert all(trace_problems(r) == [] for r in records)
 
 
 class TestRecordedAggregates:
@@ -227,6 +243,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="trace_sample"):
             ServiceConfig(trace_sample=rate)
 
+    @pytest.mark.parametrize("field", [
+        "default_deadline_s", "slow_query_threshold_s"])
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), -0.5])
+    def test_a_negative_or_non_finite_duration_raises(self, field,
+                                                       seconds):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: seconds})
+
+    @pytest.mark.parametrize("field", [
+        "default_deadline_s", "slow_query_threshold_s"])
+    def test_zero_and_none_are_durations(self, field):
+        assert getattr(ServiceConfig(**{field: 0.0}), field) == 0.0
+        assert getattr(ServiceConfig(**{field: None}), field) is None
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -0.5])
+    def test_a_request_deadline_is_checked_before_numbering(
+            self, ex11, seconds):
+        program, db = ex11
+        with _service(program, db, default_deadline_s=5.0) as service:
+            with pytest.raises(ValueError, match="deadline_s"):
+                service.query("buys(tom, Y)?", deadline_s=seconds)
+            with pytest.raises(ValueError, match="deadline_s"):
+                service.submit("buys(tom, Y)?", deadline_s=seconds)
+            served = service.query("buys(tom, Y)?", deadline_s=0.0)
+            assert service.metrics_dict()["requests_submitted"] == 1
+        # Refused requests took no sequence number.
+        assert served.trace_id == "req-00000001"
+
     def test_a_served_request_leaves_nothing_in_flight(self, ex11):
         program, db = ex11
         with _service(program, db, trace_sample=0.3) as service:
@@ -235,75 +280,83 @@ class TestConfig:
 
 
 class TestSlowlogValidation:
-    def _valid(self):
-        return build_slowlog_record(
-            trace_id="req-00000001",
-            query="t(X)",
-            strategy="separable",
-            status="ok",
-            reason=["sampled"],
-            latency_s=0.01,
-            answers=3,
-            attempts=1,
-            counter_totals={"tuples_examined": 5},
-            memo={"hits": 0, "misses": 1, "coalesced": 0, "size": 1},
-            spans=4,
-        )
+    """A record is checked as the trace it holds (``Tracer.from_dict``,
+    ``trace_violations``, ``all_closed``); its stream by its schema."""
 
-    def test_builder_output_is_valid(self):
-        assert validate_slowlog_record(self._valid()) == []
+    def test_builder_output_is_valid(self, ex11):
+        program, db = ex11
+        with _service(program, db, trace_sample=1.0,
+                      incremental=True) as service:
+            service.query("buys(tom, Y)?")  # a view read
+            service.query("buys(tom, Y)?", strategy="magic")
+            service.query("buys(sue, Y)?", strategy="separable")
+            records = service.slowlog()
+        assert [r["strategy"] for r in records] == [
+            "view", "magic", "separable"]
+        assert [trace_problems(r) for r in records] == [[]] * 3
 
-    def test_rejects_non_dict(self):
-        assert validate_slowlog_record([]) != []
+    def test_rejects_a_broken_trace(self, ex11):
+        program, db = ex11
+        with _service(program, db, trace_sample=1.0) as service:
+            service.query("buys(tom, Y)?")
+        (record,) = service.slowlog()
+        broken = json.loads(json.dumps(record))
+        (loop, *_) = (span for root in broken["trace"]["spans"]
+                      for span in _walk(root)
+                      if span["name"] == "separable.loop")
+        loop["attrs"]["final_seen"] += 1
+        assert any("seen size inconsistent" in p
+                   for p in trace_problems(broken))
+        loop["attrs"]["final_seen"] -= 1
+        loop["end_s"] = None
+        assert "a span is open" in trace_problems(broken)
 
-    @pytest.mark.parametrize("field", [
-        "schema", "trace_id", "latency_s", "counter_totals",
-    ])
-    def test_rejects_missing_field(self, field):
-        record = self._valid()
-        del record[field]
-        problems = validate_slowlog_record(record)
-        assert any(field in p for p in problems)
+    def test_rejects_wrong_schema_version(self, ex11, tmp_path):
+        # A service stream reads back as records that are traces; the
+        # same file under the schema-2 header, whose records were not,
+        # is refused.
+        program, db = ex11
+        path = tmp_path / "events.jsonl"
+        with JsonlFileSink(path) as sink, QueryService(
+                program, db, ServiceConfig(workers=1, trace_sample=0.5),
+                sink=sink) as service:
+            service.query("buys(tom, Y)?")
+            service.query("buys(sue, Y)?")
+        _, unrecorded, recorded = read_events(path)
+        assert "trace" not in unrecorded and trace_problems(recorded) == []
+        path.write_text(path.read_text().replace(
+            "repro-events/3", "repro-events/2"))
+        with pytest.raises(ValueError, match="repro-events/2"):
+            read_events(path)
 
-    def test_rejects_wrong_schema_version(self):
-        record = self._valid()
-        record["schema"] = "repro-slowlog/99"
-        assert validate_slowlog_record(record) != []
 
-    def test_rejects_unknown_or_empty_reason(self):
-        record = self._valid()
-        record["reason"] = ["because"]
-        assert validate_slowlog_record(record) != []
-        record["reason"] = []
-        assert validate_slowlog_record(record) != []
-
-    def test_rejects_non_int_counter_totals(self):
-        record = self._valid()
-        record["counter_totals"] = {"tuples_examined": "5"}
-        assert validate_slowlog_record(record) != []
-
-    def test_rejects_wrong_field_type(self):
-        record = self._valid()
-        record["attempts"] = "1"
-        assert validate_slowlog_record(record) != []
+def _walk(span: dict):
+    yield span
+    for child in span["children"]:
+        yield from _walk(child)
 
 
 class TestSlowlogRing:
-    def test_bounded_eviction_keeps_newest(self):
-        ring = SlowlogRing(capacity=3)
-        for i in range(5):
-            ring.append({"i": i})
-        assert len(ring) == 3
-        assert ring.total == 5
-        assert [r["i"] for r in ring.recent()] == [2, 3, 4]
+    def test_bounded_eviction_keeps_newest(self, ex11, monkeypatch):
+        program, db = ex11
+        monkeypatch.setattr(service_module, "SLOWLOG_CAPACITY", 3)
+        sink = RingBufferSink()
+        with QueryService(program, db, ServiceConfig(
+                workers=1, trace_sample=1.0), sink=sink) as service:
+            ids = [service.query("buys(tom, Y)?").trace_id
+                   for _ in range(5)]
+        assert [r["trace_id"] for r in service.slowlog()] == ids[2:]
+        # The sink still got every record.
+        assert len(sink) == 1 + 5
 
-    def test_recent_n_returns_newest_oldest_first(self):
-        ring = SlowlogRing(capacity=10)
-        for i in range(4):
-            ring.append({"i": i})
-        assert [r["i"] for r in ring.recent(2)] == [2, 3]
-        assert ring.recent(0) == []
-        assert [r["i"] for r in ring.recent(99)] == [0, 1, 2, 3]
+    def test_recent_n_returns_newest_oldest_first(self, ex11):
+        program, db = ex11
+        with _service(program, db, trace_sample=1.0) as service:
+            ids = [service.query("buys(tom, Y)?").trace_id
+                   for _ in range(4)]
+        assert [r["trace_id"] for r in service.slowlog(2)] == ids[2:]
+        assert service.slowlog(0) == []
+        assert [r["trace_id"] for r in service.slowlog(99)] == ids
 
 
 def _get(url):
@@ -359,7 +412,7 @@ class TestServiceHTTPD:
         assert [r["query"] for r in records] == [
             "buys(tom, Y)", "buys(sue, Y)",
         ]
-        assert all(validate_slowlog_record(r) == [] for r in records)
+        assert all(trace_problems(r) == [] for r in records)
         _, _, body = _get(httpd.url + "/slowlog?n=1")
         assert [r["query"] for r in json.loads(body)] == [
             "buys(sue, Y)",

@@ -434,6 +434,22 @@ class TestServe:
         assert "deadline_trips=" in out
         assert "error=1" in out
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--deadline", "nan", "default_deadline_s"),
+        ("--slow-threshold", "nan", "slow_query_threshold_s"),
+        ("--workers", "0", "workers"),
+        ("--trace-sample", "2", "trace_sample"),
+    ])
+    def test_a_bad_config_exits_2_before_any_file(
+            self, program_file, tmp_path, capsys, flag, value, field):
+        events = tmp_path / "events.jsonl"
+        metrics = tmp_path / "metrics.json"
+        assert main(["serve", str(program_file), flag, value,
+                     "--events", str(events),
+                     "--metrics-out", str(metrics)]) == 2
+        assert f"error: {field} is out of range" in capsys.readouterr().err
+        assert not events.exists() and not metrics.exists()
+
     def test_no_queries(self, tmp_path, capsys):
         path = tmp_path / "empty.dl"
         path.write_text("p(X, Y) :- e(X, Y).\ne(a, b).\n")
