@@ -28,10 +28,13 @@ spent in reads and in writes, then
 
 ``serve-sqlite`` (temporary-mode SQLite, no view)
   the read p50 of the first read after a write (it captures the new
-  snapshot) beside the other memo misses and the hits, and per capture
-  the memo entries ``FullSelectionMemo.carry`` kept, those it set
-  aside, those a later lookup brought back and the carry's
-  microseconds; then, from one
+  snapshot) beside the other memo misses, the resumes and the hits;
+  the pass's misses split into first-seen seeds and seeds an earlier
+  read answered (their entry was set aside by a write and could not be
+  resumed: a row it read was deleted); and per capture the memo
+  entries ``FullSelectionMemo.carry`` kept, those it set aside, those
+  a later lookup brought back (``revived``) or went on from
+  (``resumed``) and the carry's microseconds; then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
   connections and SQL statements per write and per read of each kind
@@ -71,7 +74,8 @@ predecessor ran and no write touched since, from its bucket), when a
 ``serve-read`` pass's misses absorbed no entry, or when a memo
 hit ran ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
-both in ``repro.core.compiler``, where forms are prepared).
+both in ``repro.core.compiler``, where forms are prepared), or when a
+``serve-sqlite`` pass resumed no memo entry.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -116,7 +120,7 @@ MAX_PLAN_LOOKUPS_PER_WRITE = 0
 EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
 #: What a read is filed under, per workload, in print order.
 KINDS = {"serve-mixed": ("repeat", "first"),
-         "serve-sqlite": ("after_write", "miss", "hit"),
+         "serve-sqlite": ("after_write", "miss", "resume", "hit"),
          "serve-read": ("miss", "hit")}
 COUNTED = ("copies", "connections", "statements", "selects_written",
            "selects_kept", "binds", "repeats")
@@ -130,6 +134,7 @@ CHECKS = {"differ": "reads that differ from the reference",
           "repeats": "keyed SELECTs a frozen relation or its predecessor "
                      "ran again",
           "kept": "passes whose captures kept no memo entry",
+          "resumed": "passes that resumed no memo entry",
           "absorbed": "passes whose misses absorbed no memo entry"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
@@ -139,8 +144,10 @@ EVALUATE_THREADS: list[int] = []
 MEMO_VALUES: list[tuple] = []
 PREPARED: list[str] = []
 #: Per ``FullSelectionMemo.carry``: the memo, entries kept, entries set
-#: aside and seconds taken.
+#: aside and seconds taken.  Per pass, the misses on seeds first seen in
+#: it and on seeds an earlier read of it answered (``one_pass``).
 CARRIES: list[tuple] = []
+MISSES: dict[str, int] = {}
 
 
 def phase_seconds(service) -> dict:
@@ -173,6 +180,7 @@ def one_pass(service, reference, ops, kinds, counts=None):
     plan-cache lookups filed the same way, and the failed checks
     (``CHECKS``) of the pass's reads."""
     service.memo.clear()
+    MISSES.update(first=0, aside=0)
     now = time.perf_counter
     half = sum(op[0] != "read" for op in ops) // 2
     seconds = {kind: [] for kind in (*kinds, "write")}
@@ -188,7 +196,8 @@ def one_pass(service, reference, ops, kinds, counts=None):
     serves = (caller, []) if "first" in kinds else ([], caller)
     for op, call in zip(ops, calls(ops)):
         before = dict(counts or (), plan_lookups=plan_lookups())
-        misses = service.memo.stats()["misses"]
+        memo = service.memo.stats()
+        misses, resumed = memo["misses"], memo.get("resumed", 0)
         marks = (len(SELECT_THREADS), len(EVALUATE_THREADS),
                  len(MEMO_VALUES), len(PREPARED))
         start = now()
@@ -198,13 +207,17 @@ def one_pass(service, reference, ops, kinds, counts=None):
             prepared = len(PREPARED) > marks[3]
             failed["off_caller"] += serves != (SELECT_THREADS[marks[0]:],
                                                EVALUATE_THREADS[marks[1]:])
+            memo = service.memo.stats()
+            missed = memo["misses"] > misses
+            if missed:
+                MISSES["aside" if call in seen else "first"] += 1
             if "first" in kinds:
                 kind = "repeat" if call in seen else "first"
             elif written:
                 kind = "after_write"
             else:
-                kind = ("miss" if service.memo.stats()["misses"] > misses
-                        else "hit")
+                kind = ("miss" if missed else "resume"
+                        if memo.get("resumed", 0) > resumed else "hit")
             if kind == "hit":
                 handed = [value[0] for value in MEMO_VALUES[marks[2]:]]
                 failed["not_entry"] += not (
@@ -264,12 +277,11 @@ def record_calls() -> None:
         return value
 
     def carried(self, old, new, written):
-        scoped = sum(key[0] == old for key in self._entries)
+        held = self._held
         start = time.perf_counter()
         carry(self, old, new, written)
         took = time.perf_counter() - start
-        CARRIES.append((self, len(self._entries),
-                        scoped - len(self._entries), took))
+        CARRIES.append((self, len(self._entries), self._held - held, took))
 
     MaintainedView.select = selected
     Engine.query = evaluated
@@ -431,7 +443,8 @@ def main(argv=None) -> int:
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  plan_lookups/write" if "first" in kinds
                  else "  memo_hits  misses  coalesced")
-              + ("  kept  dropped  revived  carry_us  (a capture)"
+              + ("  first_seen  set_aside  kept  dropped  revived  resumed"
+                 "  carry_us  (a capture)"
                  if args.workload == "serve-sqlite" else "")
               + ("  absorbed/miss  produced  iterations  (over entries)"
                  if args.workload == "serve-read" else ""))
@@ -463,11 +476,15 @@ def main(argv=None) -> int:
                 kept, dropped, took = map(sum, zip(*mine)) if mine \
                     else (0, 0, 0.0)
                 n = max(len(mine), 1)
+                memo = service.memo.stats()
                 # Entries a lookup brought back: kept, but not by carry.
-                revived = service.memo.stats()["survived"] - kept
-                line += (f"  {kept / n:4.1f}  {dropped / n:7.1f}  "
-                         f"{revived / n:7.1f}  {took * 1e6 / n:8.1f}")
+                revived = memo["survived"] - kept
+                line += (f"  {MISSES['first']:10d}  {MISSES['aside']:9d}"
+                         f"  {kept / n:4.1f}  {dropped / n:7.1f}  "
+                         f"{revived / n:7.1f}  {memo['resumed'] / n:7.1f}  "
+                         f"{took * 1e6 / n:8.1f}")
                 failed["kept"] += kept + revived == 0
+                failed["resumed"] += memo["resumed"] == 0
             if args.workload == "serve-read":
                 memo = service.memo.stats()
                 branches = [value[1] for value in

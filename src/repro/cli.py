@@ -757,7 +757,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 results = service.batch(requests, strategy=args.strategy)
             metrics = service.metrics_dict()
             metrics_text = service.metrics_text()
-            recorded = service.slowlog()
             if httpd is not None and args.linger > 0:
                 # Scrape window: the batch is done, the service is
                 # still open (healthz says ok), metrics are final.
@@ -786,7 +785,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     by_status = metrics["by_status"]
     lat = metrics["latency_s"]
     memo = metrics.get("memo", {})
-    lookups = memo.get("hits", 0) + memo.get("misses", 0)
+    lookups = sum(memo.get(kind, 0) for kind in ("hits", "misses", "resumed"))
     hit_rate = memo.get("hits", 0) / lookups if lookups else 0.0
     print(f"served {len(results)} requests on {args.workers} workers")
     print(
@@ -799,7 +798,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"  memo: {memo.get('hits', 0)} hits / {lookups} lookups "
-        f"({hit_rate:.0%}), {memo.get('coalesced', 0)} coalesced, "
+        f"({hit_rate:.0%}), {memo.get('resumed', 0)} resumed, "
+        f"{memo.get('coalesced', 0)} coalesced, "
         f"{memo.get('size', 0)} resident"
     )
     print(
@@ -814,11 +814,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"view_probes={metrics['view_probes']}"
         )
     if args.trace_sample or args.slow_threshold is not None:
-        sampled = sum(1 for r in recorded if "sampled" in r["reason"])
-        slow = sum(1 for r in recorded if "slow" in r["reason"])
         print(
-            f"  recorded: {len(recorded)} requests with span trees "
-            f"({sampled} sampled, {slow} over threshold)"
+            f"  recorded: {metrics['recorded']} requests with span trees "
+            f"({metrics['recorded_sampled']} sampled, "
+            f"{metrics['recorded_slow']} over threshold)"
         )
 
     if args.metrics_out is not None:

@@ -85,6 +85,19 @@ def _through_memo(memo, key: tuple, run, stats, budget: Budget):
     return answers
 
 
+def _resume(memo, key: tuple) -> Optional[tuple]:
+    """``execute_plan``'s ``resume`` for a miss on ``key``: the seen
+    sets of the value the memo set aside and hands back
+    (``memo.resume_from``, where it has one), and the rows of each that
+    a row added since joins; ``None`` when there is none."""
+    resume_from = getattr(memo, "resume_from", None)
+    held = resume_from and resume_from(key)
+    if not held:
+        return None
+    reads, inserted = held
+    return reads.seen, reads.joined(inserted)
+
+
 def _evaluate_full(
     form: QueryForm,
     seed: tuple,
@@ -102,24 +115,30 @@ def _evaluate_full(
     coalesces on :func:`full_selection_key`; its entry is the frozen
     answer set, assembled once, so a hit returns that very object.  A
     miss hands the down loop the memo's ``seen_sets(key)`` when it has
-    them: the runs of the same form, order and scope it may absorb.
+    them: the runs of the same form, order and scope it may absorb --
+    unless the memo hands it a value set aside to resume
+    (:func:`_resume`).
     """
     plan, assemble = form.plan, form.assemble
 
-    def run(branch, seen=None, known=None) -> frozenset[tuple]:
+    def run(branch, seen=None, known=None, resume=None) -> frozenset:
         return execute_plan(plan, db, [seed], stats=branch, budget=budget,
                             order=order, tracer=tracer, seen_1=seen,
-                            known=known)
+                            known=known, resume=resume)
 
     if memo is None:
         return assemble(seed, run(stats))
     key = form.key + (seed, order)
 
     def miss(branch: EvaluationStats) -> tuple:
-        seen, seen_sets = [], getattr(memo, "seen_sets", None)
-        seen_2 = run(branch, seen, seen_sets and seen_sets(key))
+        seen, resume = [], _resume(memo, key)
+        if resume is None:
+            seen_sets = getattr(memo, "seen_sets", None)
+            seen_2 = run(branch, seen, seen_sets and seen_sets(key))
+        else:
+            seen_2 = run(branch, seen, resume=resume)
         return frozenset(assemble(seed, seen_2)), ReadSet(
-            form.reads, seen[0], seen_2, len(seen[1]))
+            form.reads, seen[0], seen_2, len(seen[1]), resume is not None)
 
     return _through_memo(memo, key, miss, stats, budget)
 
@@ -150,13 +169,15 @@ def _run_batch(
     selection returns when asked directly.  The first ``compute`` that
     actually runs evaluates the batch over its seed and those later
     seeds the memo holds no entry for (``memo.peek``, where the memo
-    has one; all of them otherwise), and the later ``compute``s take
-    their share of it.  The batch's statistics go with the seed whose
-    ``compute`` ran it and an empty accumulator with the others, so the
-    batch's work is merged exactly once -- a seed this query's batch
-    covered merges nothing more, even if another query's entry answers
-    it in the end.  No ``compute`` waits on the memo, so two queries
-    meeting each other's seeds in opposite orders cannot deadlock.
+    has one; all of them otherwise) and has set aside no value to
+    resume, and the later ``compute``s take their share of it; a seed
+    whose value it resumes (:func:`_resume`) runs alone.  The batch's
+    statistics go with the seed whose ``compute`` ran it and an empty
+    accumulator with the others, so the batch's work is merged exactly
+    once -- a seed this query's batch covered merges nothing more, even
+    if another query's entry answers it in the end.  No ``compute``
+    waits on the memo, so two queries meeting each other's seeds in
+    opposite orders cannot deadlock.
     """
 
     plan, assemble = form.plan, form.assemble
@@ -179,15 +200,26 @@ def _run_batch(
     firsts: dict[int, set] = {}  # and their seen_1
 
     up = plan.up_positions
+    resumable, resumed = getattr(memo, "resume_from", None), set()
 
     def share(i: int, branch: EvaluationStats) -> tuple:
-        if i not in done:
-            batch, seen_1 = [i] + [j for j in missing
-                                   if j > i and j not in done], []
+        resume = None if i in done else _resume(memo, keys[i])
+        if resume is not None:  # this seed alone, from its old sets
+            seen_1: list = []
+            done[i] = execute_plan(plan, db, [seeds[i]], stats=branch,
+                                   budget=budget, order=order,
+                                   tracer=tracer, seen_1=seen_1,
+                                   resume=resume)
+            firsts[i] = seen_1[0]
+            resumed.add(i)
+        elif i not in done:
+            batch, seen_1 = [i] + [
+                j for j in missing if j > i and j not in done
+                and not (resumable and resumable(keys[j]))], []
             done.update(run(batch, branch, seen_1))
             firsts.update(zip(batch, seen_1))
         return frozenset(assemble(seeds[i], done[i])), ReadSet(
-            form.reads, firsts[i], done[i])
+            form.reads, firsts[i], done[i], resumed=i in resumed)
 
     for i, key in enumerate(keys):
         answers = _through_memo(memo, key, partial(share, i),

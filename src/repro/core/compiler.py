@@ -306,18 +306,22 @@ def _full_form(
                      read_spec(plan), vacuous=vacuous)
 
 
+#: The stage of a term in a :func:`read_spec`: a down, exit or up term.
+DOWN, EXIT, UP = 0, 1, 2
+
+
 def read_spec(plan: SeparablePlan) -> dict:
-    """``relation -> ((up, positions, cols), ...)``: a row of a term's
-    atom takes part in a run of ``plan`` only if its values at
+    """``relation -> ((stage, positions, cols), ...)``: a row of a
+    term's atom takes part in a run of ``plan`` only if its values at
     ``positions`` are some carry row's at the pseudo-atom columns that
     hold the same variables (Theorem 2.1), and every carry row ends up
-    in ``seen_1`` (down and exit terms) or ``seen_2`` (up terms):
-    ``cols`` are its columns, ``None`` all of ``seen_1``'s.  An atom
-    sharing no variable with the carry has none."""
-    whole = tuple(range(plan.seed_arity))
+    in ``seen_1`` (``DOWN`` and ``EXIT`` terms) or ``seen_2`` (``UP``
+    terms): ``cols`` are its columns, ``None`` all of that set's, in
+    order.  An atom sharing no variable with the carry has none."""
+    whole = (tuple(range(plan.seed_arity)), tuple(range(plan.answer_arity)))
     reads: dict[str, set] = {}
-    for up, joins in ((False, plan.down_joins + plan.exit_joins),
-                      (True, plan.up_joins)):
+    for stage, joins in ((DOWN, plan.down_joins), (EXIT, plan.exit_joins),
+                         (UP, plan.up_joins)):
         for join in joins:
             pseudo, *atoms = join.body
             for atom in atoms:
@@ -326,39 +330,79 @@ def read_spec(plan: SeparablePlan) -> dict:
                          if isinstance(t, Variable) and t in pseudo.args]
                 cols = tuple(j for _, j in pairs)
                 reads.setdefault(atom.predicate, set()).add((
-                    up, tuple(i for i, _ in pairs),
-                    None if not up and cols == whole else cols))
+                    stage, tuple(i for i, _ in pairs),
+                    None if cols == whole[stage == UP] else cols))
     return {name: tuple(terms) for name, terms in reads.items()}
 
 
 class ReadSet:
     """A run's :func:`read_spec` over its ``seen_1`` and ``seen_2``;
     ``absorbed``: the runs of other seeds its down loop took in whole
-    (:func:`~repro.core.evaluator.execute_plan`'s ``known``)."""
+    (:func:`~repro.core.evaluator.execute_plan`'s ``known``);
+    ``resumed``: the run went on from an earlier run's sets
+    (``execute_plan``'s ``resume``)."""
 
-    __slots__ = ("spec", "seen", "keys", "absorbed")
+    __slots__ = ("spec", "seen", "keys", "met", "absorbed", "resumed")
 
     def __init__(self, spec: dict, seen_1: set, seen_2,
-                 absorbed: int = 0) -> None:
+                 absorbed: int = 0, resumed: bool = False) -> None:
         self.spec, self.seen, self.keys = spec, (seen_1, seen_2), {}
-        self.absorbed = absorbed
+        #: ``(relation, row) -> whether it lies in the read set``.
+        self.met: dict[tuple, bool] = {}
+        self.absorbed, self.resumed = absorbed, resumed
+
+    def rows(self, stage: int, cols):
+        """The rows of the set a ``stage`` term reads by their values at
+        ``cols`` (kept): the set itself where ``cols`` is ``None``."""
+        up = stage == UP
+        if cols is None:
+            return self.seen[up]
+        rows = self.keys.get((up, cols))
+        if rows is None:
+            rows = self.keys[up, cols] = {}
+            for row in self.seen[up]:
+                rows.setdefault(tuple([row[c] for c in cols]), []).append(row)
+        return rows
 
     def meets(self, written: dict) -> bool:
         """Whether a row of ``written`` (``relation -> rows``, ``None``
-        if unknown) lies in the read set; projections are kept."""
+        if unknown) lies in the read set; the answer for each row is
+        kept."""
+        met = self.met
         for name, rows in written.items():
-            for up, positions, cols in self.spec.get(name, ()):
-                if rows is None:
-                    return True
-                keys = self.keys.get((up, cols))
-                if keys is None:
-                    keys = self.keys[up, cols] = (
-                        self.seen[0] if cols is None else
-                        {tuple([s[c] for c in cols]) for s in self.seen[up]})
-                if any(tuple([r[p] for p in positions]) in keys
-                       for r in rows):
+            terms = self.spec.get(name)
+            if not terms:
+                continue
+            if rows is None:
+                return True
+            for r in rows:
+                hit = met.get((name, r))
+                if hit is None:
+                    hit = met[name, r] = any(
+                        tuple([r[p] for p in positions])
+                        in self.rows(stage, cols)
+                        for stage, positions, cols in terms)
+                if hit:
                     return True
         return False
+
+    def joined(self, inserted: dict) -> tuple[set, set, set]:
+        """Per stage, the rows of its set that a row of ``inserted``
+        (``relation -> rows``) joins in a term of that stage: from them
+        alone such a term can derive a row the run did not (a resume's
+        carries)."""
+        found: tuple[set, set, set] = (set(), set(), set())
+        for name, rows in inserted.items():
+            for stage, positions, cols in self.spec.get(name, ()):
+                keys = self.rows(stage, cols)
+                for r in rows:
+                    key = tuple([r[p] for p in positions])
+                    if cols is None:
+                        if key in keys:
+                            found[stage].add(key)
+                    else:
+                        found[stage].update(keys.get(key, ()))
+        return found
 
 
 def _part_analysis(

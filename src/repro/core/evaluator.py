@@ -163,6 +163,7 @@ def _generated_loop(
     tracer=None,
     absorb: tuple = (),
     covered: Sequence[set] = (),
+    resume: Optional[tuple] = None,
 ) -> dict:
     """:func:`_carry_loop`, compiled: the same loop, relation records,
     budget checks, span and counters (books kept in locals), run by the
@@ -185,18 +186,26 @@ def _generated_loop(
     (seen_1, seen_2)``), and the rows of the sets ``covered`` start in
     ``seen`` and out of ``carry``.  A traced span counts both as
     ``absorbed``: ``seed + sum(carries) + absorbed`` is its
-    ``final_seen``.
+    ``final_seen``.  With ``resume = (rows, seen)`` a full selection's
+    loop goes on from an earlier run's ``seen`` (copied), ``rows`` its
+    carry and joining it: the span's ``seed`` is that ``seen``.
     """
-    seen = {k: set(rows) for k, rows in initial.items()}
-    one = seen.get(None)  # a full selection's: not a batch
-    carry = ({k: rows for k, rows in initial.items() if rows}
-             if one is None else one.difference(*covered),)
+    if resume is not None:
+        rows, old = resume
+        one = set(old).union(rows)
+        seen, carry = {None: one}, (set(rows),)
+    else:
+        seen = {k: set(rows) for k, rows in initial.items()}
+        one = seen.get(None)  # a full selection's: not a batch
+        carry = ({k: rows for k, rows in initial.items() if rows}
+                 if one is None else one.difference(*covered),)
     member = (seen if one is None else one,)
     absorbed = 0
     if covered:
         one.update(*covered)
         absorbed = len(one) - len(carry[0])
-    stats.record_relation(carry_name, _size(seen) - absorbed)
+    stats.record_relation(carry_name, _size(seen) - absorbed
+                          if resume is None else len(carry[0]))
     stats.record_relation(seen_name, _size(seen))
     names = ((carry_name, seen_name),)
     labels = () if tracer is None else (("carry",),
@@ -268,12 +277,14 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
 
 
 def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
-              order: str, tracer=None,
-              known: Optional[dict] = None) -> tuple[dict, dict, list]:
+              order: str, tracer=None, known: Optional[dict] = None,
+              resume: Optional[tuple] = None) -> tuple[dict, dict, list]:
     """Both loops and the exit join from each seed set of ``seeds`` (by
     seed; a batch's seeds in lockstep); returns ``(seen_1, seen_2,
     absorbed)``: the entries of ``known`` the down loop absorbed, as
-    ``(seen_1, seen_2, rows)`` (never under :func:`_reference_loops`)."""
+    ``(seen_1, seen_2, rows)`` (never under :func:`_reference_loops`).
+    A ``resume`` (:func:`execute_plan`) runs the generated loops under
+    :func:`_reference_loops` too."""
     for seed in (s for rows in seeds.values() for s in rows):
         if len(seed) != plan.seed_arity:
             raise ValueError(f"seed {seed!r} has {len(seed)} columns, "
@@ -287,6 +298,34 @@ def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
                                seen_name, stats, budget, order, tracer)
         return _generated_loop(joins, initial, db, carry_name, seen_name,
                                stats, budget, order, tracer, *reuse)
+
+    if resume is not None:
+        # Theorem 3.1 on a database that only gained rows: a row the
+        # earlier run's loops did not derive comes, through an added
+        # row, from a seen row that row joins -- each loop goes on from
+        # those, its seen the earlier run's, and the exit joins the new
+        # seen_1 rows plus the old ones an added exit row joins.
+        (old_1, old_2), (down, exit_, up) = resume
+
+        def go_on(joins, carry_name, seen_name, rows, old) -> dict:
+            if rows:
+                return _generated_loop(joins, {}, db, carry_name, seen_name,
+                                       stats, budget, order, tracer, (), (),
+                                       (rows, old))
+            stats.record_relation(carry_name, 0)  # it stays where it was
+            stats.record_relation(seen_name, len(old))
+            return {None: old}
+
+        seen_1 = go_on(plan.down_joins, "carry_1", "seen_1", down, old_1)
+        rest = (seen_1[None] - old_1 if down else set()) | exit_
+        carry_2: set = set()
+        if rest:
+            with span_of(tracer, "separable.exit", seen_1=len(rest)):
+                carry_2 = _exit_stage(plan.exit_joins, {None: rest},
+                                      plan.seed_arity, db, stats, order,
+                                      tracer)[None]
+        return seen_1, go_on(plan.up_joins, "carry_2", "seen_2",
+                             (carry_2 - old_2) | up, old_2), found
 
     # Lines 1-7: the down loop (or seen_1 := {x_0} for pers selections).
     seen_1 = loop(plan.down_joins, seeds, plan.seed_arity, "carry_1",
@@ -315,6 +354,7 @@ def execute_plan(
     tracer=None,
     seen_1: Optional[list] = None,
     known: Optional[dict] = None,
+    resume: Optional[tuple] = None,
 ) -> frozenset[tuple]:
     """Run a compiled plan from the given seed tuples.
 
@@ -328,6 +368,14 @@ def execute_plan(
     final ``seen_1`` appended, then the entries of ``known`` -- ``seed
     -> (seen_1, seen_2)`` of runs of ``plan`` already made on ``db``, a
     live table -- the down loop absorbed (:func:`_figure_2`).
+
+    ``resume = ((seen_1, seen_2), (down, exit, up))`` goes on from an
+    earlier run of ``plan`` from the same seed, on a database that
+    differs from this one only by added rows (in what that run read):
+    its sets, and the rows of its ``seen_1`` that an added row joins in
+    a down and in an exit term, and of its ``seen_2`` in an up term
+    (:meth:`~repro.core.compiler.ReadSet.joined`).  The result is the
+    run's on this database; the earlier sets are not touched.
     """
     if stats is None:
         # The relation, total and iteration limits are metered on the
@@ -335,7 +383,7 @@ def execute_plan(
         stats = EvaluationStats()
     first, last, found = _figure_2(
         plan, db, {None: {tuple(s) for s in seeds}}, stats, budget, order,
-        tracer, known)
+        tracer, known, resume)
     if seen_1 is not None:
         seen_1 += [first[None], found]
     seen_2 = last[None]

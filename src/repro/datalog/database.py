@@ -436,7 +436,8 @@ class Relation:
         the answer while the version has not moved (snapshots are never
         written to), and otherwise lends the fresh copy its indexes,
         patched by the difference (:meth:`adopt_indexes`), which it
-        keeps as ``written`` (``None``: it adopted nothing, or
+        keeps as ``written``: ``row -> +1`` (added) or ``-1`` (deleted)
+        since ``previous`` (``None``: it adopted nothing, or
         ``previous`` is another relation's).  Out-of-core
         backends can return a cheaper read-only view than a copy (the
         SQLite backend pins a WAL read transaction on a durable file).
@@ -462,7 +463,8 @@ class Relation:
         relation's next mutation drops its indexes instead.  Relations
         that differ in more than a quarter of their tuples adopt
         nothing; a lazy rebuild is cheaper there.  Returns the differing
-        tuples, or ``None`` when it adopted nothing.
+        tuples, each mapped to ``+1`` (only here) or ``-1`` (only in
+        ``other``), or ``None`` when it adopted nothing.
         """
         if other.arity != self.arity:
             return None
@@ -497,7 +499,7 @@ class Relation:
                 index[key] = index.get(key, set()) | {row}
             self._projected[positions, cols] = index
             self._borrowed = other._borrowed = True
-        return added + removed
+        return {**dict.fromkeys(added, 1), **dict.fromkeys(removed, -1)}
 
     def __repr__(self) -> str:
         return f"Relation({self.name}/{self.arity}, {len(self)} tuples)"
@@ -599,7 +601,8 @@ class Database:
         anew per snapshot.  Every service snapshot is taken here.
 
         Its ``written`` maps each relation not shared with ``previous``
-        to the rows written since (``None``: unknown).
+        to the rows written since, each to ``+1`` (added) or ``-1``
+        (deleted) -- ``None``: unknown.
         """
         held = previous._relations if previous is not None else {}
         snap = self._remounted(

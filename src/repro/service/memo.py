@@ -32,8 +32,9 @@ object), and the branch stats are computed fresh per miss and *merged*
 reports the same Definition 4.2 relation sizes as the evaluation that
 populated it.  By the :class:`~repro.core.compiler.ReadSet`,
 :meth:`FullSelectionMemo.carry` keeps an entry across a write it did
-not read, and :meth:`FullSelectionMemo.seen_sets` lets a miss absorb
-the entries its down loop reaches.
+not read, :meth:`FullSelectionMemo.seen_sets` lets a miss absorb the
+entries its down loop reaches, and :meth:`FullSelectionMemo.resume_from`
+lets a miss go on from an entry a write that only added rows set aside.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ __all__ = ["FullSelectionMemo"]
 def _family(key: tuple) -> tuple:
     """A full-selection key without its seed (second to last)."""
     return key[:-2] + key[-1:]
+
+
+def _meeting(members: dict, written: dict) -> set:
+    """The seeds of ``members`` (``seed -> value``, one form's) whose
+    read sets a row of ``written`` meets, found by the written rows'
+    keys: one probe of each entry's projection per key."""
+    spec = next(iter(members.values()))[2].spec
+    hit: set = set()
+    for name, rows in written.items():
+        for stage, positions, cols in spec.get(name, ()):
+            if rows is None:
+                return set(members)
+            for key in {tuple([r[p] for p in positions]) for r in rows}:
+                hit.update([seed for seed, value in members.items()
+                            if key in value[2].rows(stage, cols)])
+    return hit
 
 
 class _InFlight:
@@ -74,10 +91,18 @@ class FullSelectionMemo:
 
     ``get_or_run(key, compute)`` is the whole interface the evaluator
     needs (:meth:`peek` only spares a partial selection's batch the
-    seeds already answered); counters (``hits`` / ``misses`` / ``coalesced`` /
-    ``evictions``) feed the service metrics.  ``compute`` runs outside
-    the lock -- it is a whole fixpoint evaluation -- so lookups never
-    block behind evaluations of *other* keys.
+    seeds already answered; :meth:`seen_sets` and :meth:`resume_from`
+    hand a miss what it may reuse); counters (``hits`` / ``misses`` /
+    ``resumed`` / ``coalesced`` / ``evictions``) feed the service
+    metrics.  ``compute`` runs outside the lock -- it is a whole
+    fixpoint evaluation -- so lookups never block behind evaluations of
+    *other* keys.
+
+    A key's first member is its scope.  :meth:`carry` moves the memo
+    from one scope to the next without re-keying: the entries of the
+    live scope stay under the prefix they were made under (``_home``),
+    and a scope carried away from is *retired* -- a value computed on
+    it is returned but not kept.
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
@@ -86,21 +111,58 @@ class FullSelectionMemo:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self.resumed = 0
         self.coalesced = 0
         self.evictions = 0
         self.survived = 0
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        #: Set aside by :meth:`carry`: unscoped key -> ``[(value, i)]``,
-        #: ``_log[i:]`` what every carry since was told was written.
-        self._waiting: OrderedDict[tuple, list] = OrderedDict()
-        self._log: list[dict] = []
-        self._scope: object = None  # the scope of the last carry
-        self._inflight: dict[tuple, _InFlight] = {}
         self.absorbed = 0
-        #: :meth:`seen_sets`: the key without its seed -> seed -> the
-        #: entry's ``(seen_1, seen_2)``, for keys some miss asked about.
+        self._lock = threading.Lock()
+        #: Completed entries by stored key (:meth:`_stored`), least
+        #: recently used first, and the same by family (the key without
+        #: its seed, :func:`_family`): ``family -> seed -> value``.
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._families: dict[tuple, dict] = {}
+        #: :meth:`seen_sets`: ``family -> seed -> (seen_1, seen_2)``, for
+        #: families some miss asked about.
         self._tables: dict[tuple, dict] = {}
+        #: Set aside by :meth:`carry`: unscoped key -> ``[(value, k)]``,
+        #: ``k`` the state (below) the value was made on; how many.
+        self._waiting: OrderedDict[tuple, list] = OrderedDict()
+        self._held = 0
+        #: Per state since the log began (state 0; each carry makes the
+        #: next one): the ``(relation, row)`` whose membership differs
+        #: from state 0's; each such row's first move's sign; per
+        #: relation written with rows unknown, the last state it left.
+        self._states: list[frozenset] = [frozenset()]
+        self._first: dict[tuple, int] = {}
+        self._unknown: dict[str, int] = {}
+        #: The rows the states hold together: past ``16 * maxsize`` the
+        #: log starts anew (an add-only stream grows each state by one).
+        self._tracked = 0
+        #: :meth:`_since` of each state asked about, for the current one.
+        self._moved: dict[int, dict] = {}
+        #: The live scope (the last carry's ``new``), the prefix its
+        #: entries are stored under, and the scopes carried away from.
+        self._scope: object = None
+        self._home: object = None
+        self._retired: OrderedDict = OrderedDict()
+        self._inflight: dict[tuple, _InFlight] = {}
+
+    def _live(self, key: tuple) -> bool:
+        scope = key[0]
+        return scope is self._scope or scope == self._scope
+
+    def _stored(self, key: tuple):
+        """The key ``key``'s entry is kept under -- ``_home`` for the
+        live scope's -- or ``None`` for a retired scope's: its values
+        are not kept.  The lock is held."""
+        scope = key[0]
+        if scope is self._scope or scope == self._scope:  # live
+            return key if scope is self._home else (self._home,) + key[1:]
+        if (self._retired and scope in self._retired) or (
+                self._home is not None and scope == self._home):
+            return None
+        return key
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
         """The cached value for ``key``, computing (once) on a miss.
@@ -108,14 +170,22 @@ class FullSelectionMemo:
         Concurrent callers with the same key coalesce onto a single
         ``compute`` call.  If the computing leader raises, its waiters
         retry the lookup themselves (under their own budgets); the
-        exception propagates only to the leader.
+        exception propagates only to the leader.  A lookup tries, in
+        order: the entry, an entry set aside that the writes since
+        brought back (:meth:`_revived`), then ``compute`` -- which may
+        resume a value set aside (:meth:`resume_from`; counted
+        ``resumed``, else ``misses``).
         """
         while True:
             with self._lock:
-                if key in self._entries or self._revived(key):
-                    self._entries.move_to_end(key)
+                # Never carried: every key is kept as it is.
+                stored = (key if self._home is None and not self._retired
+                          else self._stored(key))
+                if stored is not None and (stored in self._entries
+                                           or self._revived(key, stored)):
+                    self._entries.move_to_end(stored)
                     self.hits += 1
-                    return self._entries[key]
+                    return self._entries[stored]
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = _InFlight()
@@ -137,9 +207,15 @@ class FullSelectionMemo:
                 flight.fail()
                 raise
             with self._lock:
-                self.misses += 1
-                if self._put(key, value):
-                    self.absorbed += value[2].absorbed
+                # A carry meanwhile retires the scope the value is of.
+                stored = self._stored(key)
+                reads = None if stored is None else self._put(stored, value)
+                if reads is not None and reads.resumed:
+                    self.resumed += 1
+                else:
+                    self.misses += 1
+                if reads is not None:
+                    self.absorbed += reads.absorbed
                 self._inflight.pop(key, None)
             flight.resolve(value)
             return value
@@ -151,8 +227,11 @@ class FullSelectionMemo:
         (:func:`repro.core.api._run_batch`); the answer may be stale by
         the time ``get_or_run`` is called, which then decides."""
         with self._lock:
-            return (self._entries[key] if key in self._entries
-                    or self._revived(key) else None)
+            stored = self._stored(key)
+            if stored is not None and (stored in self._entries
+                                       or self._revived(key, stored)):
+                return self._entries[stored]
+            return None
 
     def seen_sets(self, key: tuple) -> dict:
         """The live ``seed -> (seen_1, seen_2)`` of the completed entries
@@ -160,36 +239,98 @@ class FullSelectionMemo:
         order): the same scope, form and order.  A miss's down loop
         absorbs them (:func:`repro.core.evaluator.execute_plan`'s
         ``known``) and probes them without the lock: it is only ever
-        read by key outside it, changed in place under it, and left
-        behind, never emptied, when :meth:`carry` or :meth:`clear`
-        starts anew."""
-        family = _family(key)
+        read by key outside it, changed in place under it while its
+        scope is live, and left behind, never emptied, when
+        :meth:`carry` (which hands the next scope a copy) or
+        :meth:`clear` starts anew.  A retired scope's is empty."""
         with self._lock:
+            stored = self._stored(key)
+            if stored is None:
+                return {}
+            family = _family(stored)
             table = self._tables.get(family)
             if table is None:
                 table = self._tables[family] = {
-                    k[-2]: v[2].seen for k, v in self._entries.items()
-                    if _family(k) == family}
+                    seed: value[2].seen for seed, value
+                    in self._families.get(family, {}).items()}
             return table
 
-    def _put(self, key: tuple, value: object) -> bool:
-        """Keep ``value`` under ``key``; whether a table holds it."""
+    def resume_from(self, key: tuple):
+        """``(read set, inserted)`` for a miss on ``key`` to go on from,
+        or ``None``: the newest value :meth:`carry` set aside for it
+        that no row deleted since meets, and the rows added since
+        (``relation -> rows``).  A relation it reads written with rows
+        unknown, or a retired scope, resumes nothing."""
+        if not self._waiting:  # nothing set aside (read without the lock)
+            return None
+        with self._lock:
+            held = self._waiting.get(key[1:]) if self._live(key) else None
+            for value, state in reversed(held or ()):  # newest first
+                reads = value[2]
+                since = self._since(state, reads.spec)
+                if since is None or reads.meets({
+                        name: [row for row, sign in rows.items() if sign < 0]
+                        for name, rows in since.items()}):
+                    continue
+                return reads, {
+                    name: [row for row, sign in rows.items() if sign > 0]
+                    for name, rows in since.items()}
+            return None
+
+    def _since(self, state: int, spec: dict):
+        """``relation -> {row: +1 | -1}``: the rows whose membership
+        moved from ``state`` to the current one, each to the sign of
+        that move (kept until the next carry; not to be changed), or
+        ``None`` if a relation of ``spec`` was written with rows unknown
+        since.  The lock is held."""
+        unknown = self._unknown
+        if unknown and any(unknown.get(name, -1) >= state for name in spec):
+            return None
+        since = self._moved.get(state)
+        if since is None:
+            now, first = self._states[-1], self._first
+            since = self._moved[state] = {}
+            for name, row in self._states[state].symmetric_difference(now):
+                sign = first.get((name, row))
+                if sign is None:  # its relation started anew since
+                    continue
+                # In now: it differs from state 0 there.
+                since.setdefault(name, {})[row] = (
+                    1 if ((name, row) in now) == (sign > 0) else -1)
+        return since
+
+    def _put(self, key: tuple, value: object):
+        """Keep ``value`` under the stored ``key``; its read set, if its
+        key has a seed (a full-selection key)."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             old, _ = self._entries.popitem(last=False)
             self.evictions += 1
-            table = self._tables.get(_family(old))
-            if table is not None:
-                table.pop(old[-2], None)
-        return self._index(key, value)
-
-    def _index(self, key: tuple, value: object) -> bool:
-        """Enter ``value``'s seen sets in the table of ``key``, if kept."""
-        table = self._tables.get(_family(key))
+            self._unfile(old)
+        if len(key) < 3:
+            return None
+        family, seed = _family(key), key[-2]
+        self._families.setdefault(family, {})[seed] = value
+        table = self._tables.get(family)
         if table is not None:
-            table[key[-2]] = value[2].seen
-        return table is not None
+            table[seed] = value[2].seen
+        return value[2]
+
+    def _unfile(self, key: tuple) -> None:
+        """Take the entry of the stored ``key`` out of its family and
+        table (it left ``_entries``)."""
+        if len(key) < 3:
+            return
+        family, seed = _family(key), key[-2]
+        members = self._families.get(family)
+        if members is not None:
+            members.pop(seed, None)
+            if not members:
+                del self._families[family]
+        table = self._tables.get(family)
+        if table is not None:
+            table.pop(seed, None)
 
     def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
@@ -202,56 +343,110 @@ class FullSelectionMemo:
         return ScopedMemo(self, scope)
 
     def carry(self, old: object, new: object, written) -> None:
-        """Move to scope ``new`` every entry of scope ``old`` whose read
-        set misses every row of ``written`` (``relation -> rows whose
-        membership changed``, ``None`` where unknown, or ``None``); set
-        the others aside, drop those of other scopes.  An added or
-        deleted row changes a run only through a first derivation from
-        a carry row of the old fixpoint, which is in a ``seen``
-        (Theorem 2.1, :func:`~repro.core.compiler.read_spec`)."""
-        with self._lock:
-            entries, self._entries = self._entries, OrderedDict()
-            self._scope = new
-            # New tables: a run on the old state may still read its own.
-            self._tables = {(new,) + family[1:]: {}
-                            for family in self._tables if family[0] == old}
-            if written is None or len(self._log) >= self.maxsize:
-                self._waiting.clear()
-                self._log.clear()
-            for key, value in entries.items() if written is not None else ():
-                if key[0] != old:
-                    continue
-                if value[2].meets(written):
-                    self._waiting.setdefault(key[1:], []).append(
-                        (value, len(self._log)))
-                else:
-                    self._entries[(new,) + key[1:]] = value
-                    self._index((new,) + key[1:], value)
-            self._log.append(written or {})
-            self.survived += len(self._entries)
-            held = sum(map(len, self._waiting.values()))
-            while held > self.maxsize:  # at most maxsize wait
-                held -= len(self._waiting.popitem(last=False)[1])
+        """Make ``new`` the live scope, keeping every entry of scope
+        ``old`` whose read set misses every row of ``written``
+        (``relation -> {row: +1 | -1}`` of the rows whose membership
+        changed, ``None`` where unknown, or ``None``); set the others
+        aside, drop those of other scopes and retire ``old``.  An added
+        or deleted row changes a run only through a first derivation
+        from a carry row of the old fixpoint, which is in a ``seen``
+        (Theorem 2.1, :func:`~repro.core.compiler.read_spec`).
 
-    def _revived(self, key: tuple) -> bool:
+        Only the entries a written row meets move (:func:`_meeting`):
+        the others stay where they are, and each table :meth:`seen_sets`
+        handed out is copied for ``new`` -- a run still on ``old``
+        keeps its own."""
+        with self._lock:
+            if self._live((old,)):
+                home = self._home
+            else:  # a retired old keeps nothing; another keeps its own
+                home = old if self._stored((old,)) is not None else new
+            for family in [f for f in self._families if f[0] != home]:
+                self._drop(family)
+            if written is None or self._tracked > 16 * self.maxsize:
+                self._forget()
+            state = len(self._states) - 1  # old's
+            tables = {}
+            for family, members in list(self._families.items()):
+                if written is None:
+                    self._drop(family)
+                    continue
+                hit = _meeting(members, written)
+                for seed in hit:
+                    key = family[:-1] + (seed, family[-1])
+                    del self._entries[key]
+                    self._waiting.setdefault(key[1:], []).append(
+                        (members.pop(seed), state))
+                self._held += len(hit)
+                if not members:
+                    del self._families[family]
+                table = self._tables.get(family)
+                if table is not None:
+                    table = tables[family] = dict(table)
+                    for seed in hit:
+                        table.pop(seed, None)
+            self._tables = tables
+            if written is not None:
+                self._states.append(self._next_state(state, written))
+                self._tracked += len(self._states[-1]) + 1
+            self._moved = {}
+            self.survived += len(self._entries)
+            while self._held > self.maxsize:  # at most maxsize wait
+                self._held -= len(self._waiting.popitem(last=False)[1])
+            if not (new is old or new == old):
+                self._retired[old] = None
+                self._retired.move_to_end(old)
+                while len(self._retired) > self.maxsize:
+                    self._retired.popitem(last=False)
+            self._retired.pop(new, None)
+            self._scope, self._home = new, home
+
+    def _next_state(self, state: int, written: dict) -> frozenset:
+        """The state after ``state`` once ``written`` moved its rows (the
+        lock is held).  A relation written with rows unknown starts
+        anew: its rows leave the state and their first moves are
+        forgotten, so a later move is told from where it starts."""
+        rows_of = self._states[state]
+        unknown = [name for name, rows in written.items() if rows is None]
+        for name in unknown:
+            self._unknown[name] = state
+        if unknown:
+            rows_of = frozenset(x for x in rows_of if x[0] not in unknown)
+            self._first = {x: sign for x, sign in self._first.items()
+                           if x[0] not in unknown}
+        moved = []
+        for name, rows in written.items():
+            for row, sign in (rows or {}).items():
+                self._first.setdefault((name, row), sign)
+                moved.append((name, row))
+        return rows_of.symmetric_difference(moved)
+
+    def _forget(self) -> None:
+        """Start the log anew, dropping what waits (the lock is held)."""
+        self._waiting.clear()
+        self._held = self._tracked = 0
+        self._states = [frozenset()]
+        self._first, self._unknown, self._moved = {}, {}, {}
+
+    def _drop(self, family: tuple) -> None:
+        """Forget every entry of ``family`` (the lock is held)."""
+        for seed in self._families.pop(family):
+            del self._entries[family[:-1] + (seed, family[-1])]
+
+    def _revived(self, key: tuple, stored: tuple) -> bool:
         """Whether an entry :meth:`carry` set aside for ``key`` is valid
-        again, and so back: the rows written since it was, an exclusive
-        or over the writes (a row added and deleted drops out), miss
-        its read set.  The lock is held."""
-        held = self._waiting.get(key[1:]) if key[0] == self._scope else ()
-        since, end = {}, len(self._log)
+        again, and so back under ``stored``: the rows whose membership
+        moved since its state (:meth:`_since`: a row moved back is not
+        among them) miss its read set.  The lock is held."""
+        held = self._waiting.get(key[1:]) if self._live(key) else ()
         for i in reversed(range(len(held or ()))):  # newest first
-            value, start = held[i]
-            for written in self._log[start:end]:
-                for name, rows in written.items():
-                    old = since.get(name, set())
-                    since[name] = (None if rows is None or old is None
-                                   else old.symmetric_difference(rows))
-            end = start
-            if not value[2].meets(since):
+            value, state = held[i]
+            since = self._since(state, value[2].spec)
+            if since is not None and not value[2].meets(since):
                 del held[i]
+                self._held -= 1
                 self.survived += 1
-                self._put(key, value)
+                self._put(stored, value)
                 return True
         return False
 
@@ -263,12 +458,13 @@ class FullSelectionMemo:
         """
         with self._lock:
             self._entries.clear()
-            self._waiting.clear()
-            self._log.clear()
+            self._families.clear()
+            self._forget()
             self._tables = {}
             self.absorbed = 0
             self.hits = 0
             self.misses = 0
+            self.resumed = 0
             self.coalesced = 0
             self.evictions = 0
             self.survived = 0
@@ -280,6 +476,7 @@ class FullSelectionMemo:
                 "size": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
+                "resumed": self.resumed,
                 "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "survived": self.survived,
@@ -295,7 +492,8 @@ class FullSelectionMemo:
         s = self.stats()
         return (
             f"FullSelectionMemo(size={s['size']}, hits={s['hits']}, "
-            f"misses={s['misses']}, coalesced={s['coalesced']})"
+            f"misses={s['misses']}, resumed={s['resumed']}, "
+            f"coalesced={s['coalesced']})"
         )
 
 
@@ -321,3 +519,6 @@ class ScopedMemo:
 
     def seen_sets(self, key: tuple) -> dict:
         return self.memo.seen_sets((self.scope,) + tuple(key))
+
+    def resume_from(self, key: tuple):
+        return self.memo.resume_from((self.scope,) + tuple(key))

@@ -70,6 +70,14 @@ _EVENTS = {
         "sink_errors_total",
         "Request records the event sink raised on (the request was "
         "served)."),
+    "recorded": (
+        "recorded_total",
+        "Requests recorded with their span tree (sampled or slow)."),
+    "recorded_sampled": (
+        "recorded_sampled_total", "Recorded requests that were sampled."),
+    "recorded_slow": (
+        "recorded_slow_total",
+        "Recorded requests whose latency reached the slow threshold."),
 }
 
 
@@ -250,17 +258,16 @@ class ServiceMetrics:
                 "repro_service_memo_events_total",
                 "Full-selection memo events by kind.",
             )
-            for kind in ("hits", "misses", "coalesced", "evictions",
-                         "repaired", "survived", "absorbed"):
+            for kind in ("hits", "misses", "resumed", "coalesced",
+                         "evictions", "repaired", "survived", "absorbed"):
                 lines.append(
                     f'repro_service_memo_events_total{{kind="{kind}"}} '
                     f"{memo_stats.get(kind, 0)}"
                 )
             gauge("memo_size", "Entries resident in the memo.",
                   memo_stats.get("size", 0))
-            lookups = memo_stats.get("hits", 0) + memo_stats.get(
-                "misses", 0
-            )
+            lookups = sum(memo_stats.get(kind, 0)
+                          for kind in ("hits", "misses", "resumed"))
             gauge(
                 "memo_hit_ratio",
                 "Memo hits over lookups (0 when idle).",

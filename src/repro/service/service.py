@@ -698,8 +698,10 @@ class QueryService:
         memo disposition (the stats delta across the request --
         approximate under concurrency, exact when requests are serial),
         and ``trace``, the span tree (:meth:`Tracer.to_dict`).  The ring
-        behind :meth:`slowlog` keeps the recorded ones.  With no sink,
-        an unrecorded request builds no record.
+        behind :meth:`slowlog` keeps the newest recorded ones; the
+        metrics count them all (``recorded``, ``recorded_sampled``,
+        ``recorded_slow``).  With no sink, an unrecorded request builds
+        no record.
         """
         reason: Sequence[str] = ()
         if tracer is not None:
@@ -731,6 +733,8 @@ class QueryService:
                     for key in ("hits", "misses", "coalesced")}
             memo["size"] = memo_after["size"]
             record.update(reason=reason, memo=memo, trace=tracer.to_dict())
+        for name in ("recorded", *(f"recorded_{why}" for why in reason)):
+            self.metrics.bump(name)
         with self._sink_lock:
             if reason:
                 self._recorded.emit(record)

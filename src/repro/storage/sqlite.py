@@ -48,7 +48,6 @@ import sqlite3
 import threading
 import weakref
 import zlib
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -116,12 +115,13 @@ class SQLiteRelation:
         self._probes: dict[tuple, str] = {}
         #: ``(positions, cols) -> _Bucket``, filled once read-only.
         self._buckets: dict[tuple, _Bucket] = {}
-        #: The rows written since the last snapshot, which the next one
-        #: names as ``written`` and, in temporary mode, drops from the
-        #: buckets it adopts (None: unknown), that snapshot (a weak
+        #: The rows written since the last snapshot, each to the sign
+        #: of its last move (a row moved back drops out), which the next
+        #: one names as ``written`` and, in temporary mode, drops from
+        #: the buckets it adopts (None: unknown), that snapshot (a weak
         #: reference) and the most rows the journal holds before it
         #: gives up: a quarter of its rows.
-        self._journal: list | None = None
+        self._journal: dict | None = None
         self._journal_base = None
         self._journal_cap = 0
         self._len_cache: tuple[int, int] | None = None
@@ -248,7 +248,7 @@ class SQLiteRelation:
             if self._conn.execute(sql, row).rowcount != 1:
                 return False
             self._version += 1
-            self._note((row,))
+            self._note((row,), sign)
         for cb in self._observers:
             cb(self, fact, sign)
         return True
@@ -278,7 +278,7 @@ class SQLiteRelation:
                 raise
             self._conn.execute("COMMIT")
             self._version += count
-            self._note(map(self._row, changed))
+            self._note(map(self._row, changed), sign)
         for fact in changed:
             for cb in self._observers:
                 cb(self, fact, sign)
@@ -299,12 +299,15 @@ class SQLiteRelation:
         for cb in self._observers:
             cb(self, None, 0)
 
-    def _note(self, rows: Iterable[tuple]) -> None:
-        """Journal the ``rows`` a write moved for the next snapshot
-        (the lock is held); past the cap, give the journal up."""
+    def _note(self, rows: Iterable[tuple], sign: int) -> None:
+        """Journal the ``rows`` a write moved (``sign``: +1 in, -1 out)
+        for the next snapshot (the lock is held): a row moved back since
+        drops out.  Past the cap, give the journal up."""
         journal = self._journal
         if journal is not None:
-            journal += rows
+            for row in rows:
+                if journal.pop(row, None) is None:
+                    journal[row] = sign
             if len(journal) > self._journal_cap:
                 self._journal = None
 
@@ -537,9 +540,9 @@ class SQLiteRelation:
         copy while the version has not moved.  Once it has, the copy
         carries the indexes ``previous`` probed through (made here, on
         this relation, once) and adopts its probe texts and buckets but
-        for the keys of the rows the journal holds: written since
-        ``previous`` was taken, one per write that moved it; a new
-        snapshot names those moved an odd number of times ``written``.
+        for the keys of the rows the journal holds: moved since
+        ``previous`` was taken and not moved back; a new snapshot names
+        them ``written``, each to the sign of its move.
         After :meth:`clear`, after writes over a quarter of the rows,
         or from a ``previous`` other than the last snapshot, it adopts
         nothing and ``written`` is ``None``.
@@ -576,11 +579,11 @@ class SQLiteRelation:
                     self._version, len(snap))
                 if known:
                     snap._adopt(previous, self._journal)
-            if snap is not previous:  # a row written twice is back
-                snap.written = None if not known else [
-                    self._fact(row) for row, n in Counter(
-                        self._journal).items() if n % 2]
-            self._journal, self._journal_base = [], weakref.ref(snap)
+            if snap is not previous:
+                snap.written = None if not known else {
+                    self._fact(row): sign
+                    for row, sign in self._journal.items()}
+            self._journal, self._journal_base = {}, weakref.ref(snap)
             self._journal_cap = len(snap) // 4
         return snap
 

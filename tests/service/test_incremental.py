@@ -221,8 +221,9 @@ class TestMemoSurvival:
             assert after["buys(a1, Y)?"].answers == (
                 before["buys(a1, Y)?"].answers | {("a1", "zz")})
             assert service.memo.stats() == {
-                "size": 0, "hits": 0, "misses": 0, "coalesced": 0,
-                "evictions": 0, "repaired": 0, "survived": 0, "absorbed": 0,
+                "size": 0, "hits": 0, "misses": 0, "resumed": 0,
+                "coalesced": 0, "evictions": 0, "repaired": 0,
+                "survived": 0, "absorbed": 0,
             }
         finally:
             service.close()

@@ -16,8 +16,8 @@ class TestBasics:
         assert memo.get_or_run(("k",), lambda: calls.append(1) or "v2") == "v"
         assert len(calls) == 1
         assert memo.stats() == {
-            "size": 1, "hits": 1, "misses": 1, "coalesced": 0, "evictions": 0,
-            "repaired": 0, "survived": 0, "absorbed": 0,
+            "size": 1, "hits": 1, "misses": 1, "resumed": 0, "coalesced": 0,
+            "evictions": 0, "repaired": 0, "survived": 0, "absorbed": 0,
         }
 
     def test_maxsize_must_be_positive(self):

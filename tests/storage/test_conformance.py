@@ -422,8 +422,11 @@ class TestSnapshotReads:
         second = rel.snapshot(first)
         assert sorted(second.written) == [("n0", "y"), ("n1", "y"),
                                           ("x0", "y")]
+        # Each row keeps its direction: added +1, deleted -1.
+        assert second.written == {("n0", "y"): 1, ("n1", "y"): 1,
+                                  ("x0", "y"): -1}
         again = rel.snapshot(second)  # a durable file pins a new one
-        assert again is second or again.written == []
+        assert again is second or again.written == {}
 
     @pytest.mark.parametrize("write", ["clear", "quarter", "foreign"])
     def test_a_snapshot_that_cannot_name_its_rows_says_none(

@@ -351,6 +351,16 @@ class TestServe:
         assert "statuses: ok=3" in out
         assert "memo:" in out and "hits" in out
 
+    def test_recorded_requests_are_counted_past_the_ring(self, program_file,
+                                                        capsys):
+        """The summary counts every recorded request, not the ones the
+        256-record ring behind ``slowlog()`` still holds."""
+        assert main(["serve", str(program_file), "--repeat", "300",
+                     "--trace-sample", "1"]) == 0
+        out = capsys.readouterr().out
+        assert ("recorded: 300 requests with span trees (300 sampled, "
+                "0 over threshold)") in out
+
     def test_explicit_queries_and_stats(self, program_file, capsys):
         assert main([
             "serve", str(program_file),
