@@ -171,7 +171,8 @@ def _run_batch(
     seeds the memo holds no entry for (``memo.peek``, where the memo
     has one; all of them otherwise) and has set aside no value to
     resume, and the later ``compute``s take their share of it; a seed
-    whose value it resumes (:func:`_resume`) runs alone.  The batch's
+    whose value it resumes (:func:`_resume`, asked once per seed before
+    any batch forms) runs alone.  The batch's
     statistics go with the seed whose ``compute`` ran it and an empty
     accumulator with the others, so the batch's work is merged exactly
     once -- a seed this query's batch covered merges nothing more, even
@@ -200,26 +201,24 @@ def _run_batch(
     firsts: dict[int, set] = {}  # and their seen_1
 
     up = plan.up_positions
-    resumable, resumed = getattr(memo, "resume_from", None), set()
+    resumes = {i: resume for i in missing
+               if (resume := _resume(memo, keys[i])) is not None}
 
     def share(i: int, branch: EvaluationStats) -> tuple:
-        resume = None if i in done else _resume(memo, keys[i])
-        if resume is not None:  # this seed alone, from its old sets
+        if i in resumes:  # this seed alone, from its old sets
             seen_1: list = []
             done[i] = execute_plan(plan, db, [seeds[i]], stats=branch,
                                    budget=budget, order=order,
                                    tracer=tracer, seen_1=seen_1,
-                                   resume=resume)
+                                   resume=resumes[i])
             firsts[i] = seen_1[0]
-            resumed.add(i)
         elif i not in done:
-            batch, seen_1 = [i] + [
-                j for j in missing if j > i and j not in done
-                and not (resumable and resumable(keys[j]))], []
+            batch, seen_1 = [i] + [j for j in missing if j > i
+                                   and j not in done and j not in resumes], []
             done.update(run(batch, branch, seen_1))
             firsts.update(zip(batch, seen_1))
         return frozenset(assemble(seeds[i], done[i])), ReadSet(
-            form.reads, firsts[i], done[i], resumed=i in resumed)
+            form.reads, firsts[i], done[i], resumed=i in resumes)
 
     for i, key in enumerate(keys):
         answers = _through_memo(memo, key, partial(share, i),

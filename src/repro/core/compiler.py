@@ -353,15 +353,20 @@ class ReadSet:
 
     def rows(self, stage: int, cols):
         """The rows of the set a ``stage`` term reads by their values at
-        ``cols`` (kept): the set itself where ``cols`` is ``None``."""
+        ``cols`` (kept): the set itself where ``cols`` is ``None``.
+
+        Readers in other threads may ask at once (a resume outside the
+        memo lock, a carry under it): a projection is built whole and
+        published by one assignment, so none sees it half filled."""
         up = stage == UP
         if cols is None:
             return self.seen[up]
         rows = self.keys.get((up, cols))
         if rows is None:
-            rows = self.keys[up, cols] = {}
+            rows = {}
             for row in self.seen[up]:
                 rows.setdefault(tuple([row[c] for c in cols]), []).append(row)
+            self.keys[up, cols] = rows
         return rows
 
     def meets(self, written: dict) -> bool:

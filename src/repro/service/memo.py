@@ -98,11 +98,12 @@ class FullSelectionMemo:
     fixpoint evaluation -- so lookups never block behind evaluations of
     *other* keys.
 
-    A key's first member is its scope.  :meth:`carry` moves the memo
-    from one scope to the next without re-keying: the entries of the
-    live scope stay under the prefix they were made under (``_home``),
-    and a scope carried away from is *retired* -- a value computed on
-    it is returned but not kept.
+    A key's first member is its scope.  Until the first :meth:`carry`
+    every key is kept as it is; from then on one scope is *live* and
+    only its values are kept -- a value computed on any other is
+    returned but not kept.  A carry moves the memo from one scope to
+    the next without re-keying: the live scope's entries stay under
+    the prefix they were made under (``_home``).
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
@@ -141,11 +142,11 @@ class FullSelectionMemo:
         self._tracked = 0
         #: :meth:`_since` of each state asked about, for the current one.
         self._moved: dict[int, dict] = {}
-        #: The live scope (the last carry's ``new``), the prefix its
-        #: entries are stored under, and the scopes carried away from.
+        #: Whether :meth:`carry` ran; the live scope (its last ``new``)
+        #: and the prefix that scope's entries are stored under.
+        self._carried = False
         self._scope: object = None
         self._home: object = None
-        self._retired: OrderedDict = OrderedDict()
         self._inflight: dict[tuple, _InFlight] = {}
 
     def _live(self, key: tuple) -> bool:
@@ -153,16 +154,15 @@ class FullSelectionMemo:
         return scope is self._scope or scope == self._scope
 
     def _stored(self, key: tuple):
-        """The key ``key``'s entry is kept under -- ``_home`` for the
-        live scope's -- or ``None`` for a retired scope's: its values
-        are not kept.  The lock is held."""
-        scope = key[0]
-        if scope is self._scope or scope == self._scope:  # live
-            return key if scope is self._home else (self._home,) + key[1:]
-        if (self._retired and scope in self._retired) or (
-                self._home is not None and scope == self._home):
+        """The key ``key``'s entry is kept under -- itself until the
+        first carry, then under ``_home`` if its scope is live -- or
+        ``None``: a value of a scope not live is not kept.  The lock is
+        held."""
+        if not self._carried:
+            return key
+        if not self._live(key):
             return None
-        return key
+        return key if key[0] is self._home else (self._home,) + key[1:]
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
         """The cached value for ``key``, computing (once) on a miss.
@@ -178,9 +178,7 @@ class FullSelectionMemo:
         """
         while True:
             with self._lock:
-                # Never carried: every key is kept as it is.
-                stored = (key if self._home is None and not self._retired
-                          else self._stored(key))
+                stored = self._stored(key)
                 if stored is not None and (stored in self._entries
                                            or self._revived(key, stored)):
                     self._entries.move_to_end(stored)
@@ -207,9 +205,12 @@ class FullSelectionMemo:
                 flight.fail()
                 raise
             with self._lock:
-                # A carry meanwhile retires the scope the value is of.
+                # A carry meanwhile leaves the value's scope not live:
+                # it is counted, not kept.
                 stored = self._stored(key)
-                reads = None if stored is None else self._put(stored, value)
+                if stored is not None:
+                    self._put(stored, value)
+                reads = value[2] if len(key) >= 3 else None
                 if reads is not None and reads.resumed:
                     self.resumed += 1
                 else:
@@ -242,7 +243,7 @@ class FullSelectionMemo:
         read by key outside it, changed in place under it while its
         scope is live, and left behind, never emptied, when
         :meth:`carry` (which hands the next scope a copy) or
-        :meth:`clear` starts anew.  A retired scope's is empty."""
+        :meth:`clear` starts anew.  A scope not live has none."""
         with self._lock:
             stored = self._stored(key)
             if stored is None:
@@ -260,7 +261,7 @@ class FullSelectionMemo:
         or ``None``: the newest value :meth:`carry` set aside for it
         that no row deleted since meets, and the rows added since
         (``relation -> rows``).  A relation it reads written with rows
-        unknown, or a retired scope, resumes nothing."""
+        unknown, or a scope not live, resumes nothing."""
         if not self._waiting:  # nothing set aside (read without the lock)
             return None
         with self._lock:
@@ -299,9 +300,9 @@ class FullSelectionMemo:
                     1 if ((name, row) in now) == (sign > 0) else -1)
         return since
 
-    def _put(self, key: tuple, value: object):
-        """Keep ``value`` under the stored ``key``; its read set, if its
-        key has a seed (a full-selection key)."""
+    def _put(self, key: tuple, value: object) -> None:
+        """Keep ``value`` under the stored ``key``; a full-selection key
+        (one with a seed) files it in its family and table too."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
@@ -309,13 +310,12 @@ class FullSelectionMemo:
             self.evictions += 1
             self._unfile(old)
         if len(key) < 3:
-            return None
+            return
         family, seed = _family(key), key[-2]
         self._families.setdefault(family, {})[seed] = value
         table = self._tables.get(family)
         if table is not None:
             table[seed] = value[2].seen
-        return value[2]
 
     def _unfile(self, key: tuple) -> None:
         """Take the entry of the stored ``key`` out of its family and
@@ -347,7 +347,7 @@ class FullSelectionMemo:
         ``old`` whose read set misses every row of ``written``
         (``relation -> {row: +1 | -1}`` of the rows whose membership
         changed, ``None`` where unknown, or ``None``); set the others
-        aside, drop those of other scopes and retire ``old``.  An added
+        aside and drop those of other scopes.  An added
         or deleted row changes a run only through a first derivation
         from a carry row of the old fixpoint, which is in a ``seen``
         (Theorem 2.1, :func:`~repro.core.compiler.read_spec`).
@@ -357,10 +357,10 @@ class FullSelectionMemo:
         handed out is copied for ``new`` -- a run still on ``old``
         keeps its own."""
         with self._lock:
-            if self._live((old,)):
-                home = self._home
-            else:  # a retired old keeps nothing; another keeps its own
-                home = old if self._stored((old,)) is not None else new
+            if self._carried and not self._live((old,)):
+                # Nothing kept is old's, and the log does not lead to it.
+                written = None
+            home = self._home if self._carried else old
             for family in [f for f in self._families if f[0] != home]:
                 self._drop(family)
             if written is None or self._tracked > 16 * self.maxsize:
@@ -393,13 +393,7 @@ class FullSelectionMemo:
             self.survived += len(self._entries)
             while self._held > self.maxsize:  # at most maxsize wait
                 self._held -= len(self._waiting.popitem(last=False)[1])
-            if not (new is old or new == old):
-                self._retired[old] = None
-                self._retired.move_to_end(old)
-                while len(self._retired) > self.maxsize:
-                    self._retired.popitem(last=False)
-            self._retired.pop(new, None)
-            self._scope, self._home = new, home
+            self._carried, self._scope, self._home = True, new, home
 
     def _next_state(self, state: int, written: dict) -> frozenset:
         """The state after ``state`` once ``written`` moved its rows (the

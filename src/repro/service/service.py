@@ -730,11 +730,11 @@ class QueryService:
         if reason:
             memo_after = self.memo.stats()
             memo = {key: memo_after[key] - memo_before[key]
-                    for key in ("hits", "misses", "coalesced")}
+                    for key in ("hits", "misses", "resumed", "coalesced")}
             memo["size"] = memo_after["size"]
             record.update(reason=reason, memo=memo, trace=tracer.to_dict())
-        for name in ("recorded", *(f"recorded_{why}" for why in reason)):
-            self.metrics.bump(name)
+            for name in ("recorded", *(f"recorded_{why}" for why in reason)):
+                self.metrics.bump(name)
         with self._sink_lock:
             if reason:
                 self._recorded.emit(record)

@@ -11,13 +11,15 @@ backends.
 """
 
 import random
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.budget import Budget
 from repro.core import compiler, evaluator
-from repro.core.compiler import compile_plan
+from repro.core.compiler import DOWN, ReadSet, compile_plan
 from repro.core.evaluator import execute_plan
 from repro.datalog.database import Database
 from repro.datalog.errors import BudgetExceeded
@@ -263,6 +265,81 @@ def test_an_add_only_stream_keeps_the_log_bounded():
         memo.carry(i, i + 1, {"r": {(i,): 1}})
         assert memo._tracked <= 16 * 4 + len(memo._states[-1]) + 1
     assert len(memo._states) < 20
+
+
+class TestThreads:
+    def test_a_projection_is_published_whole(self):
+        """A projection of a read set is read by other threads without
+        a lock (a resume's ``joined`` beside a carry's ``meets``): it
+        is built aside and published full."""
+        published = []
+
+        class Keys(dict):
+            def __setitem__(self, key, rows):
+                published.append(sum(map(len, rows.values())))
+                super().__setitem__(key, rows)
+
+        reads = ReadSet({"r": ((DOWN, (0,), (1,)),)},
+                        {(i, i % 3) for i in range(30)}, set())
+        reads.keys = Keys()
+        assert reads.meets({"r": [(2, "x")]})
+        assert published == [30]
+
+    def test_readers_resume_beside_a_writer(self, backend):
+        """Four threads read while a fifth adds and deletes rows: every
+        answer equals a memo-less run on the state it was served on,
+        and entries were resumed."""
+        rng = random.Random(17)
+        people = [f"{c}{i}" for c in "ab" for i in range(6)]
+        queries = [f"buys({p}, Y)?" for p in people] \
+            + [f"buys(X, g{i})?" for i in range(8)]
+        write = toggle(rng, {
+            "friend": [(p, q) for p in people for q in people],
+            "perfectFor": [(p, f"g{i}") for p in people for i in range(9)],
+        })
+        with open_service(SOCIAL, social(rng), backend) as service:
+            states = {service.edb.fingerprint(): state(service)}
+
+            def recorded(live):
+                write(live)
+                states[live.fingerprint()] = Database.from_facts(
+                    {name: live.tuples(name) for name in live.predicates()})
+
+            results, stop = [], threading.Event()
+
+            def reader(seed):
+                mine = random.Random(seed)
+                for _ in range(120):
+                    results.append(service.query(mine.choice(queries)))
+
+            def writer():
+                while not stop.is_set():
+                    service.mutate(recorded)
+                    stop.wait(0.002)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=reader, args=(k,))
+                       for k in range(4)]
+            threads.append(threading.Thread(target=writer))
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads[:4]:
+                    thread.join(timeout=120)
+            finally:
+                stop.set()
+                threads[4].join(timeout=120)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            resumed = service.memo.stats()["resumed"]
+        assert [r.error for r in results if not r.ok] == []
+        for result in results:
+            want = Engine(SOCIAL, states[result.fingerprint]).query(
+                result.query, strategy="seminaive").answers
+            assert result.answers == want, (result.fingerprint,
+                                            str(result.query))
+        assert resumed > 0
 
 
 class TestFaults:

@@ -361,6 +361,20 @@ class TestServe:
         assert ("recorded: 300 requests with span trees (300 sampled, "
                 "0 over threshold)") in out
 
+    def test_a_sink_records_only_sampled_or_slow_requests(
+            self, program_file, tmp_path, capsys):
+        """With an events file every request leaves a record there, but
+        only the sampled or slow ones count as recorded."""
+        events = tmp_path / "events.jsonl"
+        assert main(["serve", str(program_file), "--repeat", "20",
+                     "--events", str(events),
+                     "--slow-threshold", "3600"]) == 0
+        out = capsys.readouterr().out
+        assert ("recorded: 0 requests with span trees (0 sampled, "
+                "0 over threshold)") in out
+        lines = events.read_text().splitlines()
+        assert sum('"service_request"' in line for line in lines) == 20
+
     def test_explicit_queries_and_stats(self, program_file, capsys):
         assert main([
             "serve", str(program_file),
