@@ -6,12 +6,13 @@ Builds the ledger's own ``serve-mixed``, ``serve-sqlite`` or
 ``serve-read`` stream (``ledger/workloads.py``, same seed -> same
 bytes; services opened and ops turned into calls by
 ``ledger/harness.py``, as the benchmark does; several clients' streams
-dealt into one, round-robin, as ``ledger/layers.py`` does) and drives it
-through ``QueryService`` twice over: the workload's own service, which
-is timed, and a plain in-memory non-incremental one on the same stream
-(for ``serve-read``, a memo-less ``Engine`` on the same database),
-whose answers are the reference.  Per pass it prints the milliseconds
-spent in reads and in writes, then
+dealt into one, round-robin, as ``ledger/layers.py`` does), drives it
+through the workload's own ``QueryService``, timed, and checks every
+read against the ledger's independent reference, which shares no code
+with ``repro`` (``ledger/reference.py``: ``harness.expected_answers``
+for the stream's reads, a ``Reference`` on the facts of the moment for
+the extra ones).  Per pass it prints the milliseconds spent in reads and
+in writes, then
 
 ``serve-mixed`` (the default; incremental view, memory)
   the read p50 of a seed seen earlier in the pass against the p50 of a
@@ -49,7 +50,7 @@ spent in reads and in writes, then
 
 ``serve-read`` (read-only, memo larger than the seed set)
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
-  hit, the memo's hits / misses / coalesced, the entries a miss
+  hit, the memo's hits / misses, the entries a miss
   absorbed (``memo.stats()["absorbed"]`` per miss: runs of seeds its
   down loop reached, taken whole) and ``tuples_produced`` /
   ``iterations`` summed over the branch stats of the memo's entries.
@@ -57,7 +58,7 @@ spent in reads and in writes, then
 For both memo workloads the memo's per-pass counters follow the p50s.
 These are the numbers ROADMAP aim 1 ("where the mixed workload
 stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
-Half-way through a pass's writes both services also answer, untimed,
+Half-way through a pass's writes the service also answers, untimed,
 one all-free and one repeated-variable query (the stream itself holds
 full selections only).  Exit status 1 when any read differs from the
 reference, when a ``serve-mixed`` write makes more than
@@ -84,6 +85,7 @@ Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import statistics
 import sys
@@ -96,8 +98,10 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "ledger"), str(REPO / "src")]
 
 import workloads  # noqa: E402  (ledger/)
-from harness import calls, close_target, open_target  # noqa: E402
+from harness import (  # noqa: E402
+    calls, close_target, expected_answers, open_target)
 from layers import _deal  # noqa: E402
+from reference import Reference  # noqa: E402
 
 import repro.core.compiler as compiler  # noqa: E402
 from repro.datalog.plan_cache import PLAN_CACHE, PlanCache  # noqa: E402
@@ -116,8 +120,10 @@ VIEW_PHASES = ("overestimate", "rederive", "restart")
 #: every join and loop of a write planned at entry, 21.6 while the
 #: restart and the overestimate planned per round).
 MAX_PLAN_LOOKUPS_PER_WRITE = 0
-#: Reads no ledger stream holds, diffed once a pass (untimed).
-EXTRA_READS = ("buys(X, Y)?", "buys(X, X)?")
+#: Reads no ledger stream holds, checked once a pass (untimed): each
+#: text and the rows of the all-free answer it keeps.
+EXTRA_READS = {"buys(X, Y)?": lambda row: True,
+               "buys(X, X)?": lambda row: row[0] == row[1]}
 #: What a read is filed under, per workload, in print order.
 KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "resume", "hit"),
@@ -169,16 +175,31 @@ def plan_lookups() -> int:
     return stats["hits"] + stats["misses"]
 
 
-def differ(service, reference, call) -> bool:
-    result, want = service.query(call), reference.query(call)
-    return not (result.ok and want.ok and result.answers == want.answers)
+def differ(result, want) -> bool:
+    return not (result.ok and result.answers == want)
 
 
-def one_pass(service, reference, ops, kinds, counts=None):
-    """Run ``ops`` on the service and the reference: seconds per read
-    kind and per write, ``counts`` deltas and the timed service's
-    plan-cache lookups filed the same way, and the failed checks
-    (``CHECKS``) of the pass's reads."""
+def expected(workload, ops) -> tuple[list, dict]:
+    """The reference answers of ``ops``: per op (``None`` for a write),
+    and per extra read at the pass's half-way write."""
+    facts = {pred: set(rows) for pred, rows in workload.facts.items()}
+    half = sum(op[0] != "read" for op in ops) // 2
+    for op in [op for op in ops if op[0] != "read"][:half]:
+        (facts[op[1]].add if op[0] == "add" else facts[op[1]].discard)(
+            op[2])
+    free = Reference(workload.recursion, facts).answers(
+        (None,) * workload.recursion.arity)
+    extras = {text: frozenset(filter(keep, free))
+              for text, keep in EXTRA_READS.items()}
+    return expected_answers(dataclasses.replace(
+        workload, clients=[ops]))[0], extras
+
+
+def one_pass(service, ops, wants, kinds, counts=None):
+    """Run ``ops`` on the service, checking its reads against ``wants``
+    (:func:`expected`): seconds per read kind and per write, ``counts``
+    deltas and the service's plan-cache lookups filed the same way, and
+    the failed checks (``CHECKS``) of the pass's reads."""
     service.memo.clear()
     MISSES.update(first=0, aside=0)
     now = time.perf_counter
@@ -194,7 +215,8 @@ def one_pass(service, reference, ops, kinds, counts=None):
     caller = [threading.get_ident()]
     # Who serves a read, on the calling thread: (selects, evaluations).
     serves = (caller, []) if "first" in kinds else ([], caller)
-    for op, call in zip(ops, calls(ops)):
+    answers, extras = wants
+    for op, call, want in zip(ops, calls(ops), answers):
         before = dict(counts or (), plan_lookups=plan_lookups())
         memo = service.memo.stats()
         misses, resumed = memo["misses"], memo.get("resumed", 0)
@@ -226,21 +248,18 @@ def one_pass(service, reference, ops, kinds, counts=None):
             seen.add(call)
             written = False
             after = dict(counts or (), plan_lookups=plan_lookups())
-            want = reference.query(call)
-            failed["differ"] += not (result.ok and getattr(want, "ok", True)
-                                     and result.answers == want.answers)
+            failed["differ"] += differ(result, want)
         else:
             service.mutate(call)
             took = now() - start
             kind, written = "write", True
             after = dict(counts or (), plan_lookups=plan_lookups())
-            reference.mutate(call)
         seconds[kind].append(took)
         for name, value in before.items():
             counted[kind][name] += after[name] - value
         if kind == "write" and len(seconds["write"]) == half:
-            failed["differ"] += sum(differ(service, reference, extra)
-                                    for extra in EXTRA_READS)
+            failed["differ"] += sum(differ(service.query(text), extra)
+                                    for text, extra in extras.items())
             written = False  # the extras captured this write's snapshot
     return seconds, counted, failed
 
@@ -410,13 +429,10 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {len(ops)} ops a pass "
           f"({reads} reads, {len(ops) - reads} writes, "
           f"{len(workload.clients)} clients dealt round-robin)")
+    wants = expected(workload, ops)
     service = open_target(workload)
     own_config = workload.service
-    # serve-read's own service is a plain one: its reference is an Engine.
-    workload.service = (None if args.workload == "serve-read"
-                        else {"workers": own_config["workers"]})
-    reference = open_target(workload)
-    opened = [service, reference]
+    opened = [service]
     failed = dict.fromkeys(CHECKS, 0)
 
     def tally(checks: dict) -> None:
@@ -429,20 +445,19 @@ def main(argv=None) -> int:
         workload.service = config
         twin = open_target(workload)
         opened.append(twin)
-        one_pass(twin, reference, ops, kinds)  # warm-up
+        one_pass(twin, ops, wants, kinds)  # warm-up
         before = phase_seconds(twin)
-        seconds, counted, checks = one_pass(twin, reference, ops, kinds,
-                                            counts)
+        seconds, counted, checks = one_pass(twin, ops, wants, kinds, counts)
         tally(checks)
         return seconds, counted, before, phase_seconds(twin)
 
     record_calls()
     try:
-        one_pass(service, reference, ops, kinds)  # warm-up
+        one_pass(service, ops, wants, kinds)  # warm-up
         print("pass  reads_ms read_us/read writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  plan_lookups/write" if "first" in kinds
-                 else "  memo_hits  misses  coalesced")
+                 else "  memo_hits  misses")
               + ("  first_seen  set_aside  kept  dropped  revived  resumed"
                  "  carry_us  (a capture)"
                  if args.workload == "serve-sqlite" else "")
@@ -451,8 +466,7 @@ def main(argv=None) -> int:
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
             carries = len(CARRIES)
-            seconds, counted, checks = one_pass(service, reference, ops,
-                                                kinds)
+            seconds, counted, checks = one_pass(service, ops, wants, kinds)
             tally(checks)
             read_s = sum(map(sum, map(seconds.get, kinds)))
             line = (f"{k + 1:4d}  {read_s * 1e3:8.2f} "
@@ -468,7 +482,7 @@ def main(argv=None) -> int:
                          f"  {counted['write']['plan_lookups'] / n:18.1f}")
                 full_key.update(full_key_indexes(service._view))
             else:  # the pass began with a cleared memo
-                line += "  {hits:9d}  {misses:6d}  {coalesced:9d}".format(
+                line += "  {hits:9d}  {misses:6d}".format(
                     **service.memo.stats())
             if args.workload == "serve-sqlite":
                 mine = [c[1:] for c in CARRIES[carries:]

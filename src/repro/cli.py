@@ -799,7 +799,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"  memo: {memo.get('hits', 0)} hits / {lookups} lookups "
         f"({hit_rate:.0%}), {memo.get('resumed', 0)} resumed, "
-        f"{memo.get('coalesced', 0)} coalesced, "
         f"{memo.get('size', 0)} resident"
     )
     print(

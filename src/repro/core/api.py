@@ -111,13 +111,12 @@ def _evaluate_full(
     """One full selection of ``form`` from ``seed``, through the memo
     when given.
 
-    The memo (see :class:`repro.service.FullSelectionMemo`) caches and
-    coalesces on :func:`full_selection_key`; its entry is the frozen
-    answer set, assembled once, so a hit returns that very object.  A
-    miss hands the down loop the memo's ``seen_sets(key)`` when it has
-    them: the runs of the same form, order and scope it may absorb --
-    unless the memo hands it a value set aside to resume
-    (:func:`_resume`).
+    The memo (see :class:`repro.service.FullSelectionMemo`) caches on
+    :func:`full_selection_key`; its entry is the frozen answer set,
+    assembled once, so a hit returns that very object.  A miss hands
+    the down loop the memo's ``seen_sets(key)`` when it has them: the
+    runs of the same form, order and scope it may absorb -- unless the
+    memo hands it a value set aside to resume (:func:`_resume`).
     """
     plan, assemble = form.plan, form.assemble
 
@@ -176,9 +175,10 @@ def _run_batch(
     statistics go with the seed whose ``compute`` ran it and an empty
     accumulator with the others, so the batch's work is merged exactly
     once -- a seed this query's batch covered merges nothing more, even
-    if another query's entry answers it in the end.  No ``compute``
-    waits on the memo, so two queries meeting each other's seeds in
-    opposite orders cannot deadlock.
+    if another query's entry answers it in the end.  Nothing waits --
+    no ``compute`` on the memo, no lookup on a ``compute`` -- so two
+    queries meeting each other's seeds in opposite orders cannot
+    deadlock.
     """
 
     plan, assemble = form.plan, form.assemble

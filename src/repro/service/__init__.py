@@ -6,7 +6,7 @@ is that component grown to service shape: a thread pool answering many
 selections at once over a mutating EDB, with snapshot isolation
 (:meth:`~repro.datalog.database.Database.fingerprint`-keyed immutable
 copies), cross-request full-selection memoization (the Lemma 2.1 cache
-unit, with in-flight coalescing), and per-request wall-clock deadline
+unit; a miss never waits on another), and per-request wall-clock deadline
 budgets with graceful degradation to partial union results.
 
 Entry points: :class:`QueryService` (the server),

@@ -1,4 +1,4 @@
-"""The cross-request full-selection memo: bounded LRU plus coalescing.
+"""The cross-request full-selection memo: a bounded LRU.
 
 Lemma 2.1 says every selection on a separable recursion decomposes into
 a union of *full* selections, and Figure 2 evaluates a full selection as
@@ -10,20 +10,13 @@ same leverage drives adorned-subgoal answer caching in magic-sets
 engines (Alviano et al. 2019) and memoized subplan enumeration in
 recursive-plan optimizers (Fejza & Genevès 2023).
 
-:class:`FullSelectionMemo` is the service-grade realization:
-
-* **bounded LRU** -- completed entries are kept up to ``maxsize``,
-  evicting least-recently-*used* (a hit refreshes recency, unlike the
-  plan cache's FIFO, because selection constants follow request
-  popularity, not compilation order);
-* **in-flight coalescing** -- when K requests ask for the same key
-  concurrently, one (the *leader*) computes while the other K-1 block
-  on the entry's event and then share the value, so the carry/seen
-  loops run once per constant no matter the fan-in;
-* **leader-failure isolation** -- a leader that trips its budget (its
-  deadline may be shorter than a follower's) caches nothing and fails
-  alone: each follower wakes, sees no value, and takes its own turn as
-  leader under its own budget.
+:class:`FullSelectionMemo` keeps completed entries up to ``maxsize``,
+evicting the least-recently-*used* (a hit refreshes recency, unlike the
+plan cache's FIFO, because selection constants follow request
+popularity, not compilation order).  Nothing waits: a miss computes
+outside the lock, and two callers that miss one key at once both
+compute -- the run is a pure function of its key, so the second keeps
+an equal value in place of the first.
 
 Values are ``(answers, EvaluationStats, ReadSet)``: ``answers`` is the
 frozen answer set the full selection returns (a hit hands out that very
@@ -67,25 +60,6 @@ def _meeting(members: dict, written: dict) -> set:
     return hit
 
 
-class _InFlight:
-    """One in-progress computation other threads can wait on."""
-
-    __slots__ = ("event", "value", "failed")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: object = None
-        self.failed = False
-
-    def resolve(self, value: object) -> None:
-        self.value = value
-        self.event.set()
-
-    def fail(self) -> None:
-        self.failed = True
-        self.event.set()
-
-
 class FullSelectionMemo:
     """Thread-safe bounded LRU of answered full selections.
 
@@ -93,10 +67,9 @@ class FullSelectionMemo:
     needs (:meth:`peek` only spares a partial selection's batch the
     seeds already answered; :meth:`seen_sets` and :meth:`resume_from`
     hand a miss what it may reuse); counters (``hits`` / ``misses`` /
-    ``resumed`` / ``coalesced`` / ``evictions``) feed the service
-    metrics.  ``compute`` runs outside the lock -- it is a whole
-    fixpoint evaluation -- so lookups never block behind evaluations of
-    *other* keys.
+    ``resumed`` / ``evictions``) feed the service metrics.  ``compute``
+    runs outside the lock -- it is a whole fixpoint evaluation -- so a
+    lookup never blocks behind an evaluation, of its own key or another.
 
     A key's first member is its scope.  Until the first :meth:`carry`
     every key is kept as it is; from then on one scope is *live* and
@@ -113,7 +86,6 @@ class FullSelectionMemo:
         self.hits = 0
         self.misses = 0
         self.resumed = 0
-        self.coalesced = 0
         self.evictions = 0
         self.survived = 0
         self.absorbed = 0
@@ -132,10 +104,11 @@ class FullSelectionMemo:
         self._held = 0
         #: Per state since the log began (state 0; each carry makes the
         #: next one): the ``(relation, row)`` whose membership differs
-        #: from state 0's; each such row's first move's sign; per
-        #: relation written with rows unknown, the last state it left.
+        #: from state 0's; per relation, each such row's first move's
+        #: sign; per relation written with rows unknown, the last state
+        #: it left.
         self._states: list[frozenset] = [frozenset()]
-        self._first: dict[tuple, int] = {}
+        self._first: dict[str, dict] = {}
         self._unknown: dict[str, int] = {}
         #: The rows the states hold together: past ``16 * maxsize`` the
         #: log starts anew (an add-only stream grows each state by one).
@@ -147,7 +120,6 @@ class FullSelectionMemo:
         self._carried = False
         self._scope: object = None
         self._home: object = None
-        self._inflight: dict[tuple, _InFlight] = {}
 
     def _live(self, key: tuple) -> bool:
         scope = key[0]
@@ -164,75 +136,57 @@ class FullSelectionMemo:
             return None
         return key if key[0] is self._home else (self._home,) + key[1:]
 
-    def get_or_run(self, key: tuple, compute: Callable[[], object]):
-        """The cached value for ``key``, computing (once) on a miss.
+    def _found(self, key: tuple):
+        """The stored key of ``key``'s entry -- kept, or set aside and
+        brought back (:meth:`_revived`) -- or ``None``.  The lock is
+        held."""
+        stored = self._stored(key)
+        if stored is not None and (stored in self._entries
+                                   or self._revived(key, stored)):
+            return stored
+        return None
 
-        Concurrent callers with the same key coalesce onto a single
-        ``compute`` call.  If the computing leader raises, its waiters
-        retry the lookup themselves (under their own budgets); the
-        exception propagates only to the leader.  A lookup tries, in
-        order: the entry, an entry set aside that the writes since
-        brought back (:meth:`_revived`), then ``compute`` -- which may
-        resume a value set aside (:meth:`resume_from`; counted
-        ``resumed``, else ``misses``).
+    def get_or_run(self, key: tuple, compute: Callable[[], object]):
+        """The cached value for ``key``, computing it on a miss.
+
+        A lookup tries, in order: the entry, an entry set aside that the
+        writes since brought back (:meth:`_revived`), then ``compute``
+        -- which may resume a value set aside (:meth:`resume_from`;
+        counted ``resumed``, else ``misses``).  ``compute`` runs outside
+        the lock and its exception reaches its caller alone, keeping
+        nothing.
         """
-        while True:
-            with self._lock:
-                stored = self._stored(key)
-                if stored is not None and (stored in self._entries
-                                           or self._revived(key, stored)):
-                    self._entries.move_to_end(stored)
-                    self.hits += 1
-                    return self._entries[stored]
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    leader = True
-                else:
-                    self.coalesced += 1
-                    leader = False
-            if not leader:
-                flight.event.wait()
-                if not flight.failed:
-                    return flight.value
-                continue  # leader failed: compete to become the leader
-            try:
-                value = compute()
-            except BaseException:
-                with self._lock:
-                    self._inflight.pop(key, None)
-                flight.fail()
-                raise
-            with self._lock:
-                # A carry meanwhile leaves the value's scope not live:
-                # it is counted, not kept.
-                stored = self._stored(key)
-                if stored is not None:
-                    self._put(stored, value)
-                reads = value[2] if len(key) >= 3 else None
-                if reads is not None and reads.resumed:
-                    self.resumed += 1
-                else:
-                    self.misses += 1
-                if reads is not None:
-                    self.absorbed += reads.absorbed
-                self._inflight.pop(key, None)
-            flight.resolve(value)
-            return value
+        with self._lock:
+            stored = self._found(key)
+            if stored is not None:
+                self._entries.move_to_end(stored)
+                self.hits += 1
+                return self._entries[stored]
+        value = compute()
+        with self._lock:
+            # A carry meanwhile leaves the value's scope not live: it is
+            # counted, not kept.
+            stored = self._stored(key)
+            if stored is not None:
+                self._put(stored, value)
+            reads = value[2] if len(key) >= 3 else None
+            if reads is not None and reads.resumed:
+                self.resumed += 1
+            else:
+                self.misses += 1
+            if reads is not None:
+                self.absorbed += reads.absorbed
+        return value
 
     def peek(self, key: tuple):
-        """The completed entry for ``key``, or ``None``: no waiting on a
-        leader, no counter, no LRU touch.  Lets a Lemma 2.1 batch leave
-        out the seeds that are already answered
-        (:func:`repro.core.api._run_batch`); the answer may be stale by
-        the time ``get_or_run`` is called, which then decides."""
+        """The completed entry for ``key``, or ``None``: no counter, no
+        LRU touch.  Lets a Lemma 2.1 batch leave out the seeds that are
+        already answered (:func:`repro.core.api._run_batch`); the answer
+        may be stale by the time ``get_or_run`` is called, which then
+        decides."""
         with self._lock:
-            stored = self._stored(key)
-            if stored is not None and (stored in self._entries
-                                       or self._revived(key, stored)):
-                return self._entries[stored]
-            return None
+            stored = self._found(key)
+            return None if stored is None else self._entries[stored]
 
     def seen_sets(self, key: tuple) -> dict:
         """The live ``seed -> (seen_1, seen_2)`` of the completed entries
@@ -258,25 +212,41 @@ class FullSelectionMemo:
 
     def resume_from(self, key: tuple):
         """``(read set, inserted)`` for a miss on ``key`` to go on from,
-        or ``None``: the newest value :meth:`carry` set aside for it
-        that no row deleted since meets, and the rows added since
-        (``relation -> rows``).  A relation it reads written with rows
-        unknown, or a scope not live, resumes nothing."""
+        or ``None``: the value set aside for it that :meth:`_aside`
+        finds, and the rows added since (``relation -> rows``)."""
         if not self._waiting:  # nothing set aside (read without the lock)
             return None
         with self._lock:
-            held = self._waiting.get(key[1:]) if self._live(key) else None
-            for value, state in reversed(held or ()):  # newest first
-                reads = value[2]
-                since = self._since(state, reads.spec)
-                if since is None or reads.meets({
-                        name: [row for row, sign in rows.items() if sign < 0]
-                        for name, rows in since.items()}):
-                    continue
-                return reads, {
-                    name: [row for row, sign in rows.items() if sign > 0]
-                    for name, rows in since.items()}
-            return None
+            found = self._aside(key)
+            if found is None:
+                return None
+            held, i, since = found
+            return held[i][0][2], {
+                name: [row for row, sign in rows.items() if sign > 0]
+                for name, rows in since.items()}
+
+    def _aside(self, key: tuple):
+        """``(held, i, since)``: ``held[i]`` the newest value :meth:`carry`
+        set aside for ``key`` that no row moved since meets (valid
+        again), failing that the newest no row deleted since meets (to
+        resume), and ``since`` the moves (:meth:`_since`); or ``None``.
+        A relation it reads written with rows unknown, or a scope not
+        live, gives none.  The lock is held."""
+        held = self._waiting.get(key[1:]) if self._live(key) else None
+        found = None
+        for i in reversed(range(len(held or ()))):  # newest first
+            value, state = held[i]
+            reads = value[2]
+            since = self._since(state, reads.spec)
+            if since is None:
+                continue
+            if not reads.meets(since):
+                return held, i, since
+            if found is None and not reads.meets({
+                    name: [row for row, sign in rows.items() if sign < 0]
+                    for name, rows in since.items()}):
+                found = held, i, since
+        return found
 
     def _since(self, state: int, spec: dict):
         """``relation -> {row: +1 | -1}``: the rows whose membership
@@ -292,7 +262,7 @@ class FullSelectionMemo:
             now, first = self._states[-1], self._first
             since = self._moved[state] = {}
             for name, row in self._states[state].symmetric_difference(now):
-                sign = first.get((name, row))
+                sign = first.get(name, {}).get(row)
                 if sign is None:  # its relation started anew since
                     continue
                 # In now: it differs from state 0 there.
@@ -399,20 +369,26 @@ class FullSelectionMemo:
         """The state after ``state`` once ``written`` moved its rows (the
         lock is held).  A relation written with rows unknown starts
         anew: its rows leave the state and their first moves are
-        forgotten, so a later move is told from where it starts."""
-        rows_of = self._states[state]
-        unknown = [name for name, rows in written.items() if rows is None]
-        for name in unknown:
-            self._unknown[name] = state
-        if unknown:
-            rows_of = frozenset(x for x in rows_of if x[0] not in unknown)
-            self._first = {x: sign for x, sign in self._first.items()
-                           if x[0] not in unknown}
+        forgotten, so a later move is told from where it starts.  Only
+        a relation that holds tracked rows costs a pass over the state
+        (a derived one, written with rows unknown on every capture that
+        touches what it depends on, never does)."""
+        rows_of, first = self._states[state], self._first
+        stale = set()
+        for name, rows in written.items():
+            if rows is None:
+                self._unknown[name] = state
+                if first.pop(name, None):
+                    stale.add(name)
+        if stale:
+            rows_of = frozenset(x for x in rows_of if x[0] not in stale)
         moved = []
         for name, rows in written.items():
-            for row, sign in (rows or {}).items():
-                self._first.setdefault((name, row), sign)
-                moved.append((name, row))
+            if rows:
+                signs = first.setdefault(name, {})
+                for row, sign in rows.items():
+                    signs.setdefault(row, sign)
+                    moved.append((name, row))
         return rows_of.symmetric_difference(moved)
 
     def _forget(self) -> None:
@@ -429,26 +405,28 @@ class FullSelectionMemo:
 
     def _revived(self, key: tuple, stored: tuple) -> bool:
         """Whether an entry :meth:`carry` set aside for ``key`` is valid
-        again, and so back under ``stored``: the rows whose membership
-        moved since its state (:meth:`_since`: a row moved back is not
-        among them) miss its read set.  The lock is held."""
-        held = self._waiting.get(key[1:]) if self._live(key) else ()
-        for i in reversed(range(len(held or ()))):  # newest first
-            value, state = held[i]
-            since = self._since(state, value[2].spec)
-            if since is not None and not value[2].meets(since):
-                del held[i]
-                self._held -= 1
-                self.survived += 1
-                self._put(stored, value)
-                return True
-        return False
+        again -- the rows whose membership moved since its state (a row
+        moved back is not among them) miss its read set
+        (:meth:`_aside`) -- and so back under ``stored``.  The lock is
+        held."""
+        found = self._aside(key)
+        if found is None:
+            return False
+        held, i, since = found
+        value = held[i][0]
+        if value[2].meets(since):  # only to resume
+            return False
+        del held[i]
+        self._held -= 1
+        self.survived += 1
+        self._put(stored, value)
+        return True
 
     def clear(self) -> None:
         """Drop all completed entries and zero the counters.
 
-        In-flight computations are untouched: their leaders will still
-        publish, which is harmless (the entry is simply fresh).
+        A ``compute`` running meanwhile still keeps its value, which is
+        harmless (the entry is simply fresh).
         """
         with self._lock:
             self._entries.clear()
@@ -459,7 +437,6 @@ class FullSelectionMemo:
             self.hits = 0
             self.misses = 0
             self.resumed = 0
-            self.coalesced = 0
             self.evictions = 0
             self.survived = 0
 
@@ -471,11 +448,12 @@ class FullSelectionMemo:
                 "hits": self.hits,
                 "misses": self.misses,
                 "resumed": self.resumed,
-                "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "survived": self.survived,
                 "absorbed": self.absorbed,
-                # A write repairs no entry; kept for the ledger's reader.
+                # Nothing waits and a write repairs no entry: both kept
+                # only for ledger/layers.py, which reads them.
+                "coalesced": 0,
                 "repaired": 0,
             }
 
@@ -486,8 +464,7 @@ class FullSelectionMemo:
         s = self.stats()
         return (
             f"FullSelectionMemo(size={s['size']}, hits={s['hits']}, "
-            f"misses={s['misses']}, resumed={s['resumed']}, "
-            f"coalesced={s['coalesced']})"
+            f"misses={s['misses']}, resumed={s['resumed']})"
         )
 
 

@@ -258,8 +258,8 @@ class ServiceMetrics:
                 "repro_service_memo_events_total",
                 "Full-selection memo events by kind.",
             )
-            for kind in ("hits", "misses", "resumed", "coalesced",
-                         "evictions", "repaired", "survived", "absorbed"):
+            for kind in ("hits", "misses", "resumed", "evictions",
+                         "survived", "absorbed"):
                 lines.append(
                     f'repro_service_memo_events_total{{kind="{kind}"}} '
                     f"{memo_stats.get(kind, 0)}"

@@ -22,8 +22,8 @@ write simply replaces it (in-flight requests keep the object they hold).
 union of full selections; the service threads a
 :class:`~repro.service.FullSelectionMemo` (scoped to the snapshot
 fingerprint, an entry kept across a write it did not read) through the
-Separable evaluator: answered full selections are served from cache and
-K concurrent identical ones coalesce onto a single carry/seen run.
+Separable evaluator: answered full selections are served from cache, and
+a miss never waits on another request's run of the same selection.
 
 **Deadline budgets.**  Every request runs under a per-attempt
 :class:`~repro.budget.Budget` whose wall clock is armed at submission:
@@ -730,7 +730,7 @@ class QueryService:
         if reason:
             memo_after = self.memo.stats()
             memo = {key: memo_after[key] - memo_before[key]
-                    for key in ("hits", "misses", "resumed", "coalesced")}
+                    for key in ("hits", "misses", "resumed")}
             memo["size"] = memo_after["size"]
             record.update(reason=reason, memo=memo, trace=tracer.to_dict())
             for name in ("recorded", *(f"recorded_{why}" for why in reason)):

@@ -398,8 +398,9 @@ class TestMemoSurvival:
         assert phases["service.view_read"]["count"] == 1
         assert ('repro_service_span_seconds_total'
                 '{span="service.mutate.apply"}') in text
-        assert 'repro_service_memo_events_total{kind="repaired"}' in text
         assert 'repro_service_memo_events_total{kind="survived"}' in text
+        # Kinds that always read 0 are not exported.
+        assert 'kind="repaired"' not in text and 'kind="coalesced"' not in text
         assert "repro_service_view_repairs_total 1" in text
         assert "repro_service_view_rebuilds_total 0" in text
         assert "repro_service_view_probes_total 1" in text

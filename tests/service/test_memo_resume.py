@@ -267,6 +267,29 @@ def test_an_add_only_stream_keeps_the_log_bounded():
     assert len(memo._states) < 20
 
 
+def test_a_derived_relation_costs_a_carry_no_tracked_row():
+    """A capture names every derived relation its writes reach as
+    written with rows unknown, and a derived relation never has tracked
+    rows: such a carry touches the new row alone, not every row the log
+    tracks (counted by the rows' hashes, which any pass that rebuilds
+    the state or the first moves takes again)."""
+    hashed = [0]
+
+    class Row(tuple):
+        def __hash__(self):
+            hashed[0] += 1
+            return tuple.__hash__(self)
+
+    memo = FullSelectionMemo(maxsize=64)
+    memo.carry(0, 1, {"friend": {Row((i,)): 1 for i in range(200)}})
+    for step in range(1, 6):
+        hashed[0] = 0
+        memo.carry(step, step + 1, {"friend": {Row(("x", step)): 1},
+                                    "buys": None})
+        assert hashed[0] <= 4
+    assert len(memo._states[-1]) == 205
+
+
 class TestThreads:
     def test_a_projection_is_published_whole(self):
         """A projection of a read set is read by other threads without

@@ -45,7 +45,7 @@ def test_every_recorded_record_is_a_trace(backend, incremental):
             result = service.query(query)
             after = service.memo.stats()
             memo = {key: after[key] - before[key]
-                    for key in ("hits", "misses", "resumed", "coalesced")}
+                    for key in ("hits", "misses", "resumed")}
             served.append((result, {**memo, "size": after["size"]}))
         records = service.slowlog()
     assert sink.events[0]["type"] == "trace_start"

@@ -79,10 +79,10 @@ class TestServing:
     def test_repeats_hit_the_memo(self, ex11):
         program, db = ex11
         with QueryService(program, db) as service:
-            service.batch(["buys(tom, Y)?"] * 10)
+            service.query("buys(tom, Y)?")
+            service.batch(["buys(tom, Y)?"] * 9)
             stats = service.memo.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 9
+        assert (stats["misses"], stats["hits"]) == (1, 9)
 
     def test_submit_after_close_raises(self, ex11):
         program, db = ex11

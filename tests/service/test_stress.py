@@ -1,4 +1,4 @@
-"""Concurrency stress: snapshot isolation, evaluate-once coalescing,
+"""Concurrency stress: snapshot isolation, identical requests at once,
 deadline isolation, plan-cache counter consistency.
 
 The acceptance scenario for the query service: 8 workers serving
@@ -141,8 +141,8 @@ class TestMixedWorkloadStress:
         assert after["size"] <= PLAN_CACHE.maxsize
 
 
-class TestCoalescing:
-    def test_concurrent_identical_full_selections_evaluate_once(self):
+class TestIdenticalRequests:
+    def test_identical_full_selections_at_once_hit_or_run(self):
         program = paper.example_1_1_program()
 
         # Twin service: how many carry-loop iterations does ONE
@@ -157,8 +157,9 @@ class TestCoalescing:
             twin.close()
         assert loops_for_one > 0
 
-        # Now 16 identical requests race on 8 workers: the memo must
-        # collapse them onto a single carry/seen run.
+        # Now 16 identical requests race on 8 workers: each either hits
+        # or runs the carry/seen loops itself (nothing waits on another's
+        # run), and every run is the one run the twin made.
         service = QueryService(program, _chain_db(14),
                                ServiceConfig(workers=8, trace_sample=1.0))
         try:
@@ -166,16 +167,17 @@ class TestCoalescing:
             loops = service.metrics_dict()["evaluator_counters"][
                 "span:separable.loop"]
             memo = service.memo.stats()
+            again = service.query("buys(a1, Y)?")
+            after = service.memo.stats()
         finally:
             service.close()
         assert all(r.status == "ok" for r in results)
         assert len({r.answers for r in results}) == 1
-        assert memo["misses"] == 1
-        assert memo["hits"] + memo["coalesced"] == 15
-        assert loops == loops_for_one, (
-            "duplicate full selections re-ran the carry loop instead "
-            "of coalescing"
-        )
+        assert memo["hits"] + memo["misses"] == 16
+        assert loops == memo["misses"] * loops_for_one
+        assert again.answers == results[0].answers
+        assert (after["hits"], after["misses"]) == (
+            memo["hits"] + 1, memo["misses"])
 
 
 class TestDeadlineIsolation:

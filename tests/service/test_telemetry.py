@@ -121,7 +121,7 @@ class TestSlowlogRecords:
         assert list(trace.spans("separable.loop"))
         assert trace.counter_total("tuples_examined") > 0
         assert record["memo"] == {
-            "hits": 0, "misses": 1, "resumed": 0, "coalesced": 0, "size": 1,
+            "hits": 0, "misses": 1, "resumed": 0, "size": 1,
         }
         # JSON round-trips (the sink writes these as JSONL).
         assert json.loads(json.dumps(record)) == record
