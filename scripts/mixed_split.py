@@ -35,18 +35,20 @@ in writes, then
   resumed: a row it read was deleted); and per capture the memo
   entries ``FullSelectionMemo.carry`` kept, those it set aside, those
   a later lookup brought back (``revived``) or went on from
-  (``resumed``) and the carry's microseconds; then, from one
+  (``resumed``) and the carry's microseconds, and the loops
+  ``PlanCache.loop_for`` bound anew (``binds``) or re-pointed at the
+  pass's snapshots (``repoints``: a kept loop whose probes read a
+  relation object the snapshot replaced); then, from one
   more *untimed* pass on a second service whose connections are opened
   under ``sqlite3.Connection.set_trace_callback``, the relation copies,
   connections and SQL statements per write and per read of each kind
   (and over all reads), the keyed SELECTs a read ran on a frozen
   (snapshot) relation split by whether its relation was written since
   the last snapshot (``selects_written``) or handed on unchanged
-  (``selects_kept``), the loops ``PlanCache.loop_for`` bound anew
-  (``binds``), and the keyed SELECTs a frozen relation ran for a
-  ``(relation object, probe, key)`` it had run before, or that the
-  snapshot it adopted its buckets from had run and no write since
-  touched (``repeats``);
+  (``selects_kept``), ``binds`` and ``repoints``, and the keyed
+  SELECTs a frozen relation ran for a ``(relation object, probe, key)``
+  it had run before, or that the snapshot it adopted its buckets from
+  had run and no write since touched (``repeats``);
 
 ``serve-read`` (read-only, memo larger than the seed set)
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
@@ -76,7 +78,9 @@ predecessor ran and no write touched since, from its bucket), when a
 hit ran ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared), or when a
-``serve-sqlite`` pass resumed no memo entry.
+``serve-sqlite`` pass resumed no memo entry, or when a timed
+``serve-sqlite`` pass bound a loop anew (its 16 database states repeat
+every pass, so the warm-up pass has met every loop's sizes).
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -129,7 +133,7 @@ KINDS = {"serve-mixed": ("repeat", "first"),
          "serve-sqlite": ("after_write", "miss", "resume", "hit"),
          "serve-read": ("miss", "hit")}
 COUNTED = ("copies", "connections", "statements", "selects_written",
-           "selects_kept", "binds", "repeats")
+           "selects_kept", "binds", "repoints", "repeats")
 #: What each failed check is reported as.
 CHECKS = {"differ": "reads that differ from the reference",
           "plan_lookups": "plan lookups a write",
@@ -141,7 +145,8 @@ CHECKS = {"differ": "reads that differ from the reference",
                      "ran again",
           "kept": "passes whose captures kept no memo entry",
           "resumed": "passes that resumed no memo entry",
-          "absorbed": "passes whose misses absorbed no memo entry"}
+          "absorbed": "passes whose misses absorbed no memo entry",
+          "binds": "loops bound anew in timed passes"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
 #: (``classify_selection`` / ``compile_plan``), in order (``record_calls``).
@@ -325,13 +330,13 @@ def trace_storage(counts: dict) -> None:
     connection a relation opens, every statement run on one -- a keyed
     SELECT on a frozen relation as ``selects_written`` when its relation
     was written since the last snapshot (the snapshot copied it), else
-    as ``selects_kept`` -- and every loop ``PlanCache.loop_for`` binds;
-    and as ``repeats`` every keyed SELECT a frozen relation runs for a
-    text it ran before, or that the snapshot it adopted its buckets from
-    ran and no write since touched: the same text with the same key
-    expanded into it is the same ``(relation, probe, key)``."""
+    as ``selects_kept``; and as ``repeats`` every keyed SELECT a frozen
+    relation runs for a text it ran before, or that the snapshot it
+    adopted its buckets from ran and no write since touched: the same
+    text with the same key expanded into it is the same ``(relation,
+    probe, key)``."""
     copy, connect = SQLiteRelation.copy, SQLiteRelation._connect_rw
-    snapshot, bind = SQLiteRelation.snapshot, PlanCache._bind
+    snapshot = SQLiteRelation.snapshot
     #: frozen relation -> the texts it (or what it adopted from) ran
     ran_by = weakref.WeakKeyDictionary()
     #: frozen relation -> whether its last snapshot copied it
@@ -343,10 +348,6 @@ def trace_storage(counts: dict) -> None:
     def counted_copy(self):
         bump("copies")
         return copy(self)
-
-    def counted_bind(self, *args, **kwargs):
-        bump("binds")
-        return bind(self, *args, **kwargs)
 
     def counted_connect(self):
         bump("connections")
@@ -385,7 +386,17 @@ def trace_storage(counts: dict) -> None:
     SQLiteRelation.copy = counted_copy
     SQLiteRelation._connect_rw = counted_connect
     SQLiteRelation.snapshot = counted_snapshot
-    PlanCache._bind = counted_bind
+
+
+def count_loops(counts: dict) -> None:
+    """Count, from here on, every loop ``PlanCache.loop_for`` binds
+    anew (``binds``) and every kept one it re-points (``repoints``)."""
+    for name, method in (("binds", PlanCache._bind),
+                         ("repoints", PlanCache._repoint)):
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+        setattr(PlanCache, method.__name__, counted)
 
 
 def p50_us(values: list) -> float:
@@ -434,6 +445,8 @@ def main(argv=None) -> int:
     own_config = workload.service
     opened = [service]
     failed = dict.fromkeys(CHECKS, 0)
+    counts = dict.fromkeys(COUNTED, 0) \
+        if args.workload == "serve-sqlite" else None
 
     def tally(checks: dict) -> None:
         for name, n in checks.items():
@@ -452,6 +465,8 @@ def main(argv=None) -> int:
         return seconds, counted, before, phase_seconds(twin)
 
     record_calls()
+    if counts is not None:
+        count_loops(counts)
     try:
         one_pass(service, ops, wants, kinds)  # warm-up
         print("pass  reads_ms read_us/read writes_ms  "
@@ -459,14 +474,15 @@ def main(argv=None) -> int:
               + ("  ratio  plan_lookups/write" if "first" in kinds
                  else "  memo_hits  misses")
               + ("  first_seen  set_aside  kept  dropped  revived  resumed"
-                 "  carry_us  (a capture)"
+                 "  carry_us  (a capture)  binds  repoints"
                  if args.workload == "serve-sqlite" else "")
               + ("  absorbed/miss  produced  iterations  (over entries)"
                  if args.workload == "serve-read" else ""))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
             carries = len(CARRIES)
-            seconds, counted, checks = one_pass(service, ops, wants, kinds)
+            seconds, counted, checks = one_pass(service, ops, wants, kinds,
+                                                counts)
             tally(checks)
             read_s = sum(map(sum, map(seconds.get, kinds)))
             line = (f"{k + 1:4d}  {read_s * 1e3:8.2f} "
@@ -497,6 +513,10 @@ def main(argv=None) -> int:
                          f"  {kept / n:4.1f}  {dropped / n:7.1f}  "
                          f"{revived / n:7.1f}  {memo['resumed'] / n:7.1f}  "
                          f"{took * 1e6 / n:8.1f}")
+                binds, repoints = (sum(c[name] for c in counted.values())
+                                   for name in ("binds", "repoints"))
+                line += f"  {'':11s}  {binds:5d}  {repoints:8d}"
+                failed["binds"] += binds
                 failed["kept"] += kept + revived == 0
                 failed["resumed"] += memo["resumed"] == 0
             if args.workload == "serve-read":
@@ -533,7 +553,6 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             failed["full_key"] += len(full_key)
         if args.workload == "serve-sqlite":
-            counts = dict.fromkeys(COUNTED, 0)
             trace_storage(counts)
             seconds, counted, _, _ = untimed_pass(own_config, counts)
             counted["read"] = {name: sum(counted[kind][name] for kind in kinds)

@@ -177,8 +177,10 @@ def _generated_loop(
     When a round leaves it, it hands ``carry`` back and this driver asks
     for the function of the new one -- one plan lookup per join per
     interval change where the reference loop makes one per join per
-    round, and none for a function ``loop_for`` already bound on ``db``
-    (an earlier query's, when the database has not moved since).
+    round, and none for a function ``loop_for`` already bound for sizes
+    that hold on ``db`` (an earlier query's, on this database or an
+    earlier snapshot; only its probes are taken anew where they read a
+    relation ``db`` replaced).
 
     A full selection's loop may reuse runs already made on ``db``: with
     ``absorb = (known, found)`` its rounds end in

@@ -50,7 +50,7 @@ class Relation:
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
                  "_borrowed", "_version", "_distinct_cache",
                  "_col_distinct_cache", "_sample_cache", "_observers",
-                 "written")
+                 "written", "__weakref__")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:

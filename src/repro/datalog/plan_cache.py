@@ -79,10 +79,10 @@ EQ = "eq"
 # Guard opcodes (compiled eq/2 atoms).  Operand sources are encoded as
 # (is_slot, value): a register index when is_slot, a constant otherwise.
 _INF = float("inf")
-#: Bound loops :meth:`PlanCache.loop_for` keeps per database and loop:
-#: one per set of plans the sizes of its runs call for (a carry that
-#: crosses a fixed relation's size, a delete that removes a few facts
-#: and one that removes many).
+#: Bound loops :meth:`PlanCache.loop_for` keeps per loop, on whatever
+#: database: one per set of plans the sizes of its runs call for (a
+#: carry that crosses a fixed relation's size, a delete that removes a
+#: few facts and one that removes many, a snapshot whose sizes moved).
 _KEPT = 8
 _FILTER = 0  # (0, a_is_slot, a, b_is_slot, b) -- pass iff values equal
 _ASSIGN = 1  # (1, src_is_slot, src, dst_slot) -- regs[dst] = value
@@ -1073,9 +1073,12 @@ def _probe(rel, positions: tuple[int, ...], cols, tracer):
     is a membership test: the answer is the relation's row set.
     """
     if cols == ():
-        return rel._tuples if type(rel) is Relation else rel
-    lookup = (partial(rel.lookup, positions) if cols is None
-              else partial(rel.lookup_projected, positions, cols))
+        return rel._tuples if type(rel) is Relation else weakref.proxy(rel)
+    # Through a weak proxy: a kept loop's probe keeps no relation alive.
+    lookup = (partial(type(rel).lookup, weakref.proxy(rel), positions)
+              if cols is None else partial(type(rel).lookup_projected,
+                                           weakref.proxy(rel), positions,
+                                           cols))
     if positions and type(rel) is Relation:
         indexes, signature = _index_of(rel, positions, cols)
         index = indexes.get(signature)
@@ -1107,25 +1110,93 @@ def _largest(rows) -> int:
     return len(rows)
 
 
-def _fits(kept: bool, fixed: tuple, held: tuple, lo: tuple, hi: tuple,
-          db: Database, carry: tuple, seen: Sequence) -> bool:
-    """Whether a function :meth:`PlanCache.loop_for` bound on ``db``
-    runs ``carry`` and ``seen`` with the plans it would be bound to now:
-    every size is in its interval -- the slots' (a batch's largest
-    carry; a ``kept`` loop's empty slot runs no term), the members', and
-    those of the ``fixed`` relations the terms read, which writes
-    between runs move too (an absent or empty one's term got no code)
-    -- and every index it probes is still its relation's
-    (``Relation._unshare`` and ``clear`` drop them in place; a probe of
-    a dropped one would read stale buckets).  A relation of ``db`` stays
-    the same object once made, and a frozen one never drops a bucket."""
-    sizes = [_largest(rows) or (None if kept else 0) for rows in carry] \
-        + [*map(len, seen)] + [0 if rel is None else len(rel)
-                               for rel in map(db.relation, fixed)]
-    return all(size is None or low <= size < high
-               for size, low, high in zip(sizes, lo, hi)) \
-        and all(indexes.get(signature) is index
-                for indexes, signature, index in held)
+class _Bound:
+    """A loop :meth:`PlanCache.loop_for` keeps, apart from any database:
+    its function, :func:`loop_text`'s ``groups`` (each probe's relation
+    named; ``probed``: the names), :meth:`sized`'s fields, and
+    ``pointing``, its probes taken from one database (:meth:`point`),
+    replaced whole and without a lock -- a caller runs the pointing it
+    checked or made, so a lost race costs one re-point; it refers back
+    to the loop until one of its relations goes, and then drops to None
+    (:func:`_unpoint`)."""
+
+    __slots__ = ("fn", "groups", "probed", "kept", "fixed", "lo", "hi",
+                 "pointing")
+
+    def sized(self, db: Database, carry: tuple, seen: Sequence) -> bool:
+        """Whether the loop runs ``carry`` and ``seen`` on ``db`` with
+        the plans it would be bound to now: every size is in its
+        interval -- the slots' (a batch's largest carry; a ``kept``
+        loop's empty slot runs no term), the members', and those of the
+        ``fixed`` relations the terms read, which writes and snapshots
+        move too (an absent or empty one's term got no code)."""
+        lo, hi, kept = self.lo, self.hi, self.kept
+        v = 0  # the slots first: there most loops kept for a shape differ
+        for size in map(_largest, carry):
+            if (size or not kept) and not lo[v] <= size < hi[v]:
+                return False
+            v += 1
+        fixed = [0 if rel is None else len(rel)
+                 for rel in map(db.relation, self.fixed)]
+        for size in [*map(len, seen), *fixed]:
+            if not lo[v] <= size < hi[v]:
+                return False
+            v += 1
+        return True
+
+    def pointed(self, pointing: tuple, db: Database) -> bool:
+        """Whether ``pointing``'s probes are ``db``'s: each relation (held
+        weakly) is the one ``db`` names so -- as on the database it was
+        taken on; a snapshot mounts an unwritten one as the same object
+        -- and each index it probes is still its relation's
+        (``Relation._unshare`` and ``clear`` drop them in place)."""
+        if pointing[0]() is not db:
+            relation = db.relation
+            for name, ref in zip(self.probed, pointing[1]):
+                if ref() is not relation(name):
+                    return False
+        for indexes, signature, index in pointing[2]:
+            if indexes.get(signature) is not index:
+                return False
+        return True
+
+    def fits(self, pointing: tuple, db: Database, carry: tuple,
+             seen: Sequence) -> bool:
+        """May ``pointing``'s ``run`` run ``carry`` and ``seen`` on
+        ``db`` now?"""
+        return self.sized(db, carry, seen) and self.pointed(pointing, db)
+
+    def point(self, db: Database, tracer=None) -> tuple:
+        """``(db, refs, held, run, fits)``, all but ``run`` what
+        :meth:`pointed` checks, ``run`` bound to the probes of ``db``'s
+        relations (:func:`_probe`), holding none of them: a replaced
+        snapshot goes by refcount and drops it (:func:`_unpoint`)."""
+        relation, terms, held = db.relation, [], []
+        for group in self.groups:
+            terms.append(tuple([
+                (*[_probe(relation(name), positions, cols, tracer)
+                   for name, positions, cols in probes], *consts, i)
+                for probes, consts, i in group]))
+            for probes, _, _ in group:
+                for name, positions, cols in probes:
+                    rel = relation(name)
+                    if positions and cols != () and type(rel) is Relation:
+                        where = _index_of(rel, positions, cols)
+                        held.append((*where, where[0].get(where[1])))
+        drop = partial(_unpoint, self)
+        pointing = (weakref.ref(db), tuple([weakref.ref(relation(name), drop)
+                                            for name in self.probed]),
+                    tuple(held), partial(self.fn, tuple(terms), self.lo,
+                                         self.hi))
+        return (*pointing, partial(self.fits, pointing))
+
+
+def _unpoint(loop: _Bound, ref) -> None:
+    """A relation probed through ``ref`` is gone: drop ``loop``'s
+    pointing on it, and what it held (buckets, a connection) with it."""
+    pointing = loop.pointing
+    if pointing is not None and ref in pointing[1]:
+        loop.pointing = None
 
 
 class RelationSink:
@@ -1199,10 +1270,9 @@ class PlanCache:
         #: (joins, pseudo, plans, live, read, traced) -> (function,
         #: groups, text)
         self._loops: dict[tuple, tuple] = {}
-        #: database -> (id of joins, pseudo, order, batched, member
-        #: names) -> (joins, ``(run, fits)`` bound on it, newest first)
-        #: (:meth:`loop_for`)
-        self._bound: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        #: (id of joins, pseudo, order, batched, member names) -> (joins,
+        #: its :class:`_Bound` loops, newest first) (:meth:`loop_for`)
+        self._bound: dict[tuple, tuple] = {}
         self._lock = threading.Lock()
 
     def plan_for(
@@ -1314,12 +1384,13 @@ class PlanCache:
         (:func:`loop_text`), planned on its largest set; with no member,
         ``run`` returns each seed's produced set.
 
-        An untraced call first asks the functions kept for ``db`` -- the
-        newest few per ``(joins, pseudo, order, flavour)`` -- and binds
-        only when none fits, so a loop entered again on an unchanged
-        database (a query after a query, a view's write after a write)
-        is bound once.  Nothing kept refers to ``db`` itself, and the
-        store holds it weakly: a database dropped is freed by refcount.
+        An untraced call takes the first of the loops kept -- the
+        newest few per ``(joins, pseudo, order, flavour)``, on whatever
+        database -- whose sizes hold on ``db`` (:meth:`_Bound.sized`),
+        runs its pointing if its probes are ``db``'s, else
+        re-points it (:meth:`_repoint`), and binds only when none fits:
+        a loop is bound once per set of plans, and on a snapshot after
+        a write re-pointed only if it probes a relation written.
 
         Returns ``(run, fits)``.  ``run(carry, seen, names, labels,
         stats, budget, tracer) -> carry`` advances the loop in place and
@@ -1330,34 +1401,44 @@ class PlanCache:
         label, first term) pairs, rule_out label per term credited with
         what it made, the same with what it added to its round's
         produced set)``.  ``fits(db, carry, seen)``: may ``run`` run
-        them on ``db`` now (:func:`_fits`)?
+        them on ``db`` now (:meth:`_Bound.fits`)?
         """
         written = tuple([member.name if type(member) is RelationSink
                          else None for member in seen])
         if tracer is not None:
             return self._bind(joins, pseudo, carry, seen, order, db, tracer,
-                              written)
+                              written).pointing[3:]
         # The entry keeps ``joins``, so its id names it while it lives.
         key = (id(joins), pseudo, order, type(carry[0]) is dict, written)
         with self._lock:
-            _, bound = self._bound.get(db, {}).get(key, (joins, ()))
-            bound = tuple(bound)
-        for run, fits in bound:
-            if fits(db, carry, seen):
-                return run, fits
-        pair = self._bind(joins, pseudo, carry, seen, order, db, None, written)
+            _, loops = self._bound.get(key, (joins, ()))
+            loops = tuple(loops)
+        for loop in loops:
+            if loop.sized(db, carry, seen):
+                pointing = loop.pointing
+                if pointing is None or not loop.pointed(pointing, db):
+                    pointing = self._repoint(loop, db)
+                return pointing[3:]
+        loop = self._bind(joins, pseudo, carry, seen, order, db, None, written)
+        pointing = loop.pointing  # before another thread may re-point it
         with self._lock:
-            _, bound = self._bound.setdefault(db, {}).setdefault(
-                key, (joins, []))
-            bound.insert(0, pair)
-            del bound[_KEPT:]
-        return pair
+            while key not in self._bound and len(self._bound) >= self.maxsize:
+                del self._bound[next(iter(self._bound))]
+            _, loops = self._bound.setdefault(key, (joins, []))
+            loops.insert(0, loop)
+            del loops[_KEPT:]
+        return pointing[3:]
+
+    def _repoint(self, loop: _Bound, db: Database) -> tuple:
+        """``loop``'s new pointing, on ``db`` (:meth:`_Bound.point`)."""
+        loop.pointing = pointing = loop.point(db)
+        return pointing
 
     def _bind(self, joins: Sequence, pseudo: tuple, carry: tuple,
               seen: Sequence, order: str, db: Database, tracer,
-              written: tuple) -> tuple:
-        """:meth:`loop_for`'s ``(run, fits)``, bound anew; ``written``:
-        the name of each member that is a :class:`RelationSink`."""
+              written: tuple) -> _Bound:
+        """:meth:`loop_for`'s loop, bound anew and pointed on ``db``;
+        ``written``: the name of each :class:`RelationSink` member."""
         kept = 0 < len(seen) < len(pseudo)
         batched = type(carry[0]) is dict
         if batched:  # planned on its largest carry
@@ -1374,15 +1455,14 @@ class PlanCache:
         if order == "cost":  # its planner reads statistics, not only sizes
             mounts = {name: Relation(name, len(next(iter(rows))), rows)
                       for name, rows in mounts.items() if rows}
-        db = db.with_mounts(mounts)
-        plans, rels, live = [], [], []
+        view = db.with_mounts(mounts)
+        plans, live = [], []
         for join in joins:
-            plan = self.plan_for(join.body, frozenset(), order, db, tracer)
-            found = [db.relation(pred) for pred in plan._preds]
+            plan = self.plan_for(join.body, frozenset(), order, view, tracer)
             plans.append(plan)
-            rels.append(found)
-            live.append(not plan.always_empty and all(found))
-            _narrow(bounds, join.body, moving, db, order, kept, anchored)
+            live.append(not plan.always_empty
+                        and all(map(view.relation, plan._preds)))
+            _narrow(bounds, join.body, moving, view, order, kept, anchored)
         read = tuple([name in preds for name in written])
         key = (joins, pseudo, tuple(plans), tuple(live), read,
                tracer is not None, batched)
@@ -1399,22 +1479,19 @@ class PlanCache:
                 while len(self._loops) >= self.maxsize:
                     del self._loops[next(iter(self._loops))]
                 self._loops[key] = entry
-        fn, groups, _ = entry
-        terms, held = [], []  # held: (indexes, signature, index probed)
-        for group in groups:
-            terms.append(tuple([
-                (*[_probe(rels[i][d], positions, cols, tracer)
-                   for d, positions, cols in probes], *consts, i)
-                for probes, consts, i in group]))
-            for probes, _, i in group:
-                for d, positions, cols in probes:
-                    rel = rels[i][d]
-                    if positions and cols != () and type(rel) is Relation:
-                        where = _index_of(rel, positions, cols)
-                        held.append((*where, where[0].get(where[1])))
-        lo, hi = zip(*bounds)
-        return (partial(fn, tuple(terms), lo, hi),
-                partial(_fits, kept, fixed, tuple(held), lo, hi))
+        loop = _Bound()
+        loop.fn, groups, _ = entry
+        loop.groups = tuple([tuple([  # each probe's step named
+            (tuple([(plans[i]._preds[d], positions, cols)
+                    for d, positions, cols in probes]), consts, i)
+            for probes, consts, i in group]) for group in groups])
+        loop.probed = tuple(dict.fromkeys(
+            name for group in loop.groups for probes, _, _ in group
+            for name, _, _ in probes))
+        loop.kept, loop.fixed = kept, fixed
+        loop.lo, loop.hi = zip(*bounds)
+        loop.pointing = loop.point(db, tracer)
+        return loop
 
     def loops_for(self, joins: Sequence) -> list[tuple]:
         """``(traced, source, terms, joins)`` of the generated loops that

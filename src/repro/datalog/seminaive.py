@@ -194,8 +194,9 @@ def seminaive_stratum(
                 budget.check_relation(p, len(member), stats)
             budget.check_stats(stats)
         # Then the delta rounds, one generated function while the plans
-        # hold (bound once per database and plans), each a round of the
-        # carry loop's, checked at its end.
+        # hold (bound once per loop and plans, its probes taken anew on
+        # another database's relations), each a round of the carry
+        # loop's, checked at its end.
         carry = tuple(carry)
         while any(carry):
             run, _ = PLAN_CACHE.loop_for(terms, pseudo, carry, seen, order,

@@ -758,11 +758,14 @@ def test_a_bound_level_is_a_membership_test(where, backend):
 
 
 class TestBoundLoopStore:
-    """``PlanCache.loop_for`` keeps the loops it bound per database: a
-    loop entered again on an unchanged database is not bound again, and
-    one entered after a write to a live database is bound anew exactly
-    when the write moved what its plans or probes were chosen on -- the
-    answers and statistics stay the reference loop's either way."""
+    """``PlanCache.loop_for`` keeps the loops it bound per loop shape,
+    on whatever database: a loop entered again on an unchanged database
+    is not bound again, one entered on another database whose sizes
+    keep its plans takes its probes anew (a re-point) only where they
+    read another relation object, and one entered after a write is
+    bound anew exactly when the write moved what its plans were chosen
+    on -- the answers and statistics stay the reference loop's either
+    way."""
 
     TEXT = ("t(X, Y) :- e(X, W) & g(X, W) & t(W, Y).\n"
             "t(X, Y) :- t0(X, Y).")
@@ -774,15 +777,16 @@ class TestBoundLoopStore:
 
     @pytest.fixture
     def binds(self, monkeypatch):
-        """How many loops ``loop_for`` has bound anew."""
-        count = [0]
-        bind = PlanCache._bind
+        """How many loops ``loop_for`` has bound anew, and (second) how
+        many kept ones it has re-pointed."""
+        count = [0, 0]
+        for k, name in enumerate(("_bind", "_repoint")):
+            def spy(self, *args, _k=k, _method=getattr(PlanCache, name),
+                    **kwargs):
+                count[_k] += 1
+                return _method(self, *args, **kwargs)
 
-        def spy(self, *args, **kwargs):
-            count[0] += 1
-            return bind(self, *args, **kwargs)
-
-        monkeypatch.setattr(PlanCache, "_bind", spy)
+            monkeypatch.setattr(PlanCache, name, spy)
         return count
 
     def engine(self, db=None):
@@ -807,8 +811,10 @@ class TestBoundLoopStore:
         assert first[0] == {("a", "end"), ("a", "mid")} and binds[0]
         bound = binds[0]
         assert self.read(engine) == first and binds[0] == bound
-        # Another database of the same facts binds its own.
-        assert self.read(self.engine()) == first and binds[0] == 2 * bound
+        # Another database of the same facts re-points and binds nothing:
+        # the down loop and the exit join (the up loop probes nothing).
+        other = engine.with_edb(Database.from_facts(self.FACTS))
+        assert self.read(other) == first and binds == [bound, 2]
 
     def test_a_rank_flip_of_two_fixed_relations_rebinds(self, binds):
         engine = self.engine()
@@ -901,10 +907,10 @@ class TestBoundLoopStore:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_a_replaced_snapshot_is_freed_by_refcount(self, backend,
                                                       monkeypatch):
-        """Nothing the store keeps refers to the database it is kept
-        on: a service snapshot whose loops were bound goes, connection
-        and all, when the next one replaces it -- no cyclic collection
-        needed."""
+        """The store holds a relation only weakly: a service snapshot
+        whose loops were bound goes, connection and all, when the next
+        one replaces it, while the store keeps those loops -- no cyclic
+        collection needed."""
         import gc
         import sqlite3
         import weakref
@@ -925,7 +931,11 @@ class TestBoundLoopStore:
                               config) as service:
                 assert service.query("t(a, Y)?").ok
                 db = service._snapshot().db
-                assert db in PLAN_CACHE._bound  # its loops are kept
+                kept = [loop for _, loops in PLAN_CACHE._bound.values()
+                        for loop in loops if loop.pointing is not None]
+                assert any(  # its loops are pointed at its relations
+                    ref() is db.relation(name) for loop in kept
+                    for name, ref in zip(loop.probed, loop.pointing[1]))
                 g = db.relation("g")
                 conn = weakref.ref(g._conn) if backend == "sqlite" \
                     else lambda: None
@@ -934,5 +944,139 @@ class TestBoundLoopStore:
                 service.add_fact("g", ("q", "r"))
                 assert ("a", "end") in service.query("t(a, Y)?").answers
                 assert held() is None and conn() is None
+                assert {*kept} <= {loop for _, loops in
+                                   PLAN_CACHE._bound.values()
+                                   for loop in loops}
         finally:
             gc.enable()
+
+    def test_a_loop_left_behind_keeps_no_relation(self, binds):
+        """A kept loop that the next snapshot's sizes pass by still holds
+        no relation of the snapshot it was pointed on: the frozen SQLite
+        relation its terms tested for membership goes, connection and
+        all, with that snapshot."""
+        import gc
+        import sqlite3
+        import weakref
+
+        from repro.storage import SQLiteBackend
+
+        PLAN_CACHE.clear()
+        live = Database.from_facts(self.FACTS, backend=SQLiteBackend())
+        snap = live.snapshot()
+        engine = self.engine(snap)
+        self.read(engine)  # g (4 facts) probed first, then ``(X, W) in e``
+        e = snap.relation("e")
+        assert isinstance(e._conn, sqlite3.Connection)
+        held, bound = weakref.ref(e), binds[0]
+        gc.disable()
+        try:
+            for fact in [("a", "c"), ("b", "c")]:  # e drops below g
+                live.remove_fact("e", fact)
+            engine = engine.with_edb(live.snapshot(snap))
+            snap = e = None
+            self.read(engine)
+            assert binds[0] > bound and held() is None
+        finally:
+            gc.enable()
+
+    def test_a_snapshot_repoints_only_the_loops_reading_a_write(self,
+                                                               binds):
+        """A snapshot after a write to ``e`` mounts ``g`` and ``t0`` as
+        the same objects: the loops that do not read ``e`` run as they
+        were pointed, and those that do are re-pointed, not bound."""
+        PLAN_CACHE.clear()
+        live = Database.from_facts(self.FACTS)
+        snap = live.snapshot()
+        engine = self.engine(snap)
+        first = self.read(engine)
+        before = {loop: loop.pointing for _, loops in
+                  PLAN_CACHE._bound.values() for loop in loops}
+        reads_e = [loop for loop in before if "e" in loop.probed]
+        assert reads_e and len(reads_e) < len(before)
+        bound = binds[0]
+        live.add_fact("e", ("z", "z"))  # out of a's reach, inside e's sizes
+        later = live.snapshot(snap)
+        assert later.relation("g") is snap.relation("g")
+        assert later.relation("e") is not snap.relation("e")
+        assert self.read(engine.with_edb(later)) == first
+        assert binds == [bound, len(reads_e)]
+        for loop, pointing in before.items():
+            assert (loop.pointing is pointing) == (loop not in reads_e)
+
+    def test_a_rank_flip_across_snapshots_rebinds(self, binds):
+        live = Database.from_facts(self.FACTS)
+        snap = live.snapshot()
+        engine = self.engine(snap)
+        _, before = self.read(engine)
+        bound = binds[0]
+        # g (4 facts) grows past e (5) on the next snapshot.
+        for i in range(3):
+            live.add_fact("g", (f"z{i}", f"z{i}"))
+        _, after = self.read(engine.with_edb(live.snapshot(snap)))
+        assert binds[0] > bound
+        assert after["tuples_examined"] != before["tuples_examined"]
+        # The first snapshot's loops are kept beside the new ones.
+        assert self.read(engine)[1] == before and binds[0] > bound
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_readers_on_alternating_snapshots_beside_a_writer(self, backend,
+                                                              binds):
+        """Four threads read the newest two snapshots in turn while a
+        fifth writes and snapshots: every kept loop is re-pointed back
+        and forth, and every answer is the reference loop's on the
+        snapshot it was read on."""
+        import random
+        import sys
+        import threading
+
+        from repro.storage import SQLiteBackend
+
+        rng = random.Random(29)
+        live = Database.from_facts(
+            self.FACTS, backend=None if backend == "memory"
+            else SQLiteBackend())
+        nodes = ["a", "b", "c", "d", "x"]
+        snaps = [live.snapshot()]
+        engine = self.engine(snaps[0])
+        stop, ready = threading.Event(), threading.Event()
+        got = []
+
+        def writer():
+            while not stop.is_set() and len(snaps) < 60:
+                name = rng.choice(["e", "g", "t0"])
+                fact = (rng.choice(nodes), rng.choice(nodes + ["end"]))
+                (live.remove_fact if fact in live.relation(name)
+                 else live.add_fact)(name, fact)
+                snaps.append(live.snapshot(snaps[-1]))
+                if len(snaps) > 2:
+                    ready.set()
+                stop.wait(0.001)
+
+        def reader(k):
+            ready.wait(30)
+            for i in range(40):
+                snap = snaps[-1 - (i + k) % 2]
+                result = engine.with_edb(snap).query("t(a, Y)?")
+                got.append((snap, result.answers))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[1:]:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            threads[0].join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 160 and len({id(snap) for snap, _ in got}) > 2
+        for snap, answers in got:
+            with _reference_loops():
+                want = engine.with_edb(snap).query("t(a, Y)?").answers
+            assert answers == want
+        assert binds[1]

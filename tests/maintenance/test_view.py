@@ -423,10 +423,10 @@ class TestNoPerFactJoin:
 
 
 class TestBoundAcrossWrites:
-    """What makes a write bind its function anew: each case leaves the
-    function bound by an earlier write reading something it may no
-    longer read, or planned for sizes that no longer hold, and the next
-    write must still match a rebuild."""
+    """What makes a write bind its function anew, or take its probes
+    anew: each case leaves the function bound by an earlier write
+    reading something it may no longer read, or planned for sizes that
+    no longer hold, and the next write must still match a rebuild."""
 
     def test_after_rebuild(self):
         edb = tc_edb([("a", "b"), ("b", "c"), ("c", "a")])
@@ -434,7 +434,7 @@ class TestBoundAcrossWrites:
         view.apply({"e": (frozenset(), frozenset([("b", "c")]))})
         view.apply({"e": (frozenset([("b", "c")]), frozenset())})
         edb.add_fact("e", ("c", "d"))
-        view.rebuild(edb)  # a new database: nothing bound reads it
+        view.rebuild(edb)  # a new database: no kept probe reads it
         view.apply({"e": (frozenset([("d", "x")]), frozenset())})
         edb.add_fact("e", ("d", "x"))
         assert_matches_rebuild(view, edb)
