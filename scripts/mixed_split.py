@@ -51,6 +51,10 @@ in writes, then
   had run and no write since touched (``repeats``);
 
 ``serve-read`` (read-only, memo larger than the seed set)
+  first, on a service of its own warmed by one pass, what a memo hit
+  costs in each layer it passes through -- ``QueryService.query``,
+  ``Engine.query``, ``evaluate_form`` and ``get_or_run``, each the best
+  of 5 ``timeit`` runs of ``LAYER_CALLS`` calls; then per pass
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
   hit, the memo's hits / misses, the entries a miss
   absorbed (``memo.stats()["absorbed"]`` per miss: runs of seeds its
@@ -95,6 +99,7 @@ import statistics
 import sys
 import threading
 import time
+import timeit
 import weakref
 from pathlib import Path
 
@@ -108,10 +113,13 @@ from layers import _deal  # noqa: E402
 from reference import Reference  # noqa: E402
 
 import repro.core.compiler as compiler  # noqa: E402
+from repro.core.api import evaluate_form  # noqa: E402
+from repro.datalog.parser import parse_query_memo  # noqa: E402
 from repro.datalog.plan_cache import PLAN_CACHE, PlanCache  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.maintenance import MaintainedView  # noqa: E402
 from repro.service import FullSelectionMemo  # noqa: E402
+from repro.stats import EvaluationStats  # noqa: E402
 from repro.storage import SQLiteRelation  # noqa: E402
 
 PHASES = ("capture", "apply")
@@ -124,6 +132,8 @@ VIEW_PHASES = ("overestimate", "rederive", "restart")
 #: every join and loop of a write planned at entry, 21.6 while the
 #: restart and the overestimate planned per round).
 MAX_PLAN_LOOKUPS_PER_WRITE = 0
+#: Calls per ``timeit`` run of a warmed memo hit's layers (serve-read).
+LAYER_CALLS = 20_000
 #: Reads no ledger stream holds, checked once a pass (untimed): each
 #: text and the rows of the all-free answer it keeps.
 EXTRA_READS = {"buys(X, Y)?": lambda row: True,
@@ -173,6 +183,37 @@ def phase_seconds(service) -> dict:
            for span in spans},
         "rounds": metrics["evaluator_counters"].get("rounds", 0),
     }
+
+
+def layer_costs(workload, ops) -> dict:
+    """Microseconds a warmed memo hit of the stream's first read spends
+    in each layer: the whole request, then the evaluation inside it, the
+    form bound to its constants inside that, and the memo lookup."""
+    service = open_target(workload)
+    try:
+        for call in calls(ops):
+            service.query(call)
+        text = calls(ops)[0]
+        atom = parse_query_memo(text)
+        snap = service._snapshot()
+        engine, memo = snap.engine, snap.memo
+        form = compiler.query_form(engine.report(atom.predicate).analysis,
+                                   atom)
+        db = engine._database_for(atom.predicate)
+        key = form.key + (form.seed(atom), engine.order)
+        layers = {
+            "QueryService.query": lambda: service.query(text),
+            "Engine.query": lambda: engine.query(atom, memo=memo),
+            "evaluate_form": lambda: evaluate_form(
+                form, atom, db, EvaluationStats(), order=engine.order,
+                memo=memo),
+            "get_or_run": lambda: memo.get_or_run(key, None),
+        }
+        return {name: min(timeit.repeat(layer, number=LAYER_CALLS,
+                                        repeat=5)) / LAYER_CALLS * 1e6
+                for name, layer in layers.items()}
+    finally:
+        close_target(service)
 
 
 def plan_lookups() -> int:
@@ -464,6 +505,11 @@ def main(argv=None) -> int:
         tally(checks)
         return seconds, counted, before, phase_seconds(twin)
 
+    if args.workload == "serve-read":
+        print("a warmed memo hit, us per layer (best of 5 x %d calls):  %s"
+              % (LAYER_CALLS, "  ".join(
+                  f"{name} {us:.2f}"
+                  for name, us in layer_costs(workload, ops).items())))
     record_calls()
     if counts is not None:
         count_loops(counts)

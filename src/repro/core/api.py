@@ -119,23 +119,20 @@ def _evaluate_full(
     memo hands it a value set aside to resume (:func:`_resume`).
     """
     plan, assemble = form.plan, form.assemble
-
-    def run(branch, seen=None, known=None, resume=None) -> frozenset:
-        return execute_plan(plan, db, [seed], stats=branch, budget=budget,
-                            order=order, tracer=tracer, seen_1=seen,
-                            known=known, resume=resume)
-
     if memo is None:
-        return assemble(seed, run(stats))
+        return assemble(seed, execute_plan(plan, db, [seed], stats=stats,
+                                           budget=budget, order=order,
+                                           tracer=tracer))
     key = form.key + (seed, order)
 
     def miss(branch: EvaluationStats) -> tuple:
-        seen, resume = [], _resume(memo, key)
+        seen, resume, known = [], _resume(memo, key), None
         if resume is None:
             seen_sets = getattr(memo, "seen_sets", None)
-            seen_2 = run(branch, seen, seen_sets and seen_sets(key))
-        else:
-            seen_2 = run(branch, seen, resume=resume)
+            known = seen_sets and seen_sets(key)
+        seen_2 = execute_plan(plan, db, [seed], stats=branch, budget=budget,
+                              order=order, tracer=tracer, seen_1=seen,
+                              known=known, resume=resume)
         return frozenset(assemble(seed, seen_2)), ReadSet(
             form.reads, seen[0], seen_2, len(seen[1]), resume is not None)
 

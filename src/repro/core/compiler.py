@@ -251,8 +251,7 @@ class QueryForm:
 
     def seed(self, query: Atom) -> tuple:
         """The constants ``query`` binds at the seed positions."""
-        args = query.args
-        return tuple(args[p].value for p in self.seed_positions)
+        return query.values_at(self.seed_positions)
 
     def full_plan(self, query: Atom) -> SeparablePlan:
         """``plan``, or :class:`NotFullSelectionError` for ``query``."""
@@ -273,15 +272,13 @@ def query_form(
     """The form of ``query`` on ``analysis``, prepared on first use.
 
     Kept in :attr:`RecursionAnalysis.query_forms` per predicate, Lemma
-    2.1 mode and shape (-1 for a constant, else the position of the
-    variable's first occurrence), so the table is bounded by the
-    program, not by the traffic.  A query that cannot be classified
-    raises on every call and is never kept; two threads meeting a new
-    shape may both prepare it, and either result is the same form.
+    2.1 mode and :attr:`Atom.shape <repro.datalog.atoms.Atom.shape>`, so
+    the table is bounded by the program, not by the traffic.  A query
+    that cannot be classified raises on every call and is never kept;
+    two threads meeting a new shape may both prepare it, and either
+    result is the same form.
     """
-    args = query.args
-    shape = (query.predicate, allow_disconnected, *(
-        -1 if isinstance(t, Constant) else args.index(t) for t in args))
+    shape = (query.predicate, allow_disconnected, query.shape)
     forms = analysis.query_forms
     form = forms.get(shape)
     if form is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .terms import Constant, ConstValue, Term, Variable, make_term
 
@@ -25,6 +25,9 @@ __all__ = [
     "connected_components",
     "shared_variables",
 ]
+
+
+_DERIVED = dict(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +41,10 @@ class Atom:
     # (what the generated __hash__ would return every time) and kept out
     # of equality and repr.
     _hash: int = field(init=False, repr=False, compare=False)
+    # What a query derives from its atom, kept on the one atom the parse
+    # memo hands out per text: :attr:`shape` and :meth:`values_at`.
+    _shape: Optional[tuple] = field(**_DERIVED)
+    _bound: Optional[tuple] = field(**_DERIVED)
 
     def __post_init__(self) -> None:
         if not self.predicate:
@@ -46,6 +53,29 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Per position ``-1`` for a constant, else the position of the
+        variable's first occurrence: the atom, its constants' values aside."""
+        shape = self._shape
+        if shape is None:
+            args = self.args
+            shape = tuple([-1 if isinstance(t, Constant) else args.index(t)
+                           for t in args])
+            object.__setattr__(self, "_shape", shape)
+        return shape
+
+    def values_at(self, positions: tuple[int, ...]) -> tuple:
+        """The values of the constants at ``positions`` (a query form's
+        seed positions, say), kept until other positions are asked."""
+        bound = self._bound
+        if bound is not None and bound[0] == positions:
+            return bound[1]
+        args = self.args
+        values = tuple([args[p].value for p in positions])
+        object.__setattr__(self, "_bound", (positions, values))
+        return values
 
     @property
     def arity(self) -> int:

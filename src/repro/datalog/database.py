@@ -17,6 +17,8 @@ mutation/lookup/version/stats/observer surface and plug into
 
 from __future__ import annotations
 
+import heapq
+import zlib
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,6 +37,16 @@ def _columns(facts: Sequence[Fact], cols: tuple[int, ...]):
     if not cols:
         return [()] * len(facts)  # zip() of no columns yields no rows
     return zip(*[map(itemgetter(c), facts) for c in cols])
+
+
+def minwise_sample(facts, k: int) -> tuple[Fact, ...]:
+    """The ``k`` of ``facts`` with the smallest ``crc32(repr(t))`` (ties
+    by ``repr``), all of them by ``repr`` when there are no more: what
+    every backend's ``sample`` returns."""
+    if len(facts) <= k:
+        return tuple(sorted(facts, key=repr))
+    return tuple(heapq.nsmallest(
+        k, facts, key=lambda t: (zlib.crc32((r := repr(t)).encode()), r)))
 
 
 def _arity_error(name: str, arity: int, fact: Fact) -> ArityError:
@@ -411,15 +423,7 @@ class Relation:
         if cached is not None and cached[0] == self._version \
                 and cached[1] == k:
             return cached[2]
-        if len(self._tuples) <= k:
-            sampled = tuple(sorted(self._tuples, key=repr))
-        else:
-            import heapq
-            import zlib
-            sampled = tuple(heapq.nsmallest(
-                k, self._tuples,
-                key=lambda t: (zlib.crc32(repr(t).encode()), repr(t)),
-            ))
+        sampled = minwise_sample(self._tuples, k)
         self._sample_cache = (self._version, k, sampled)
         return sampled
 

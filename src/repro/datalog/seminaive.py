@@ -216,12 +216,16 @@ def seminaive_evaluate(
 ) -> Database:
     """Materialize every IDB predicate of ``program`` over ``edb``.
 
-    Returns a new database with the EDB relations plus the least-fixpoint
-    extent of each IDB predicate; ``edb`` is not modified.
+    Returns a new database holding ``edb``'s relations themselves (the
+    indexes the joins build stay with them; a durable file's are copied,
+    as ``Engine`` does) and the least-fixpoint extent of each IDB
+    predicate, in relations of its own.
     """
     if stats is None:
         stats = EvaluationStats()
-    db = edb.copy()
+    idb = program.idb_predicates
+    db = edb.copy() if edb.shares_storage else edb._remounted(
+        edb._backend, lambda _, name, rel: rel.copy() if name in idb else rel)
     for scc in program.evaluation_order:
         scc_rules = [
             r for r in program.rules if r.head.predicate in scc

@@ -18,7 +18,8 @@ strategies run, and the materialization is cached across queries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .budget import Budget, UNLIMITED
@@ -58,7 +59,7 @@ STRATEGIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryResult:
     """Answers plus provenance for one query evaluation.
 
@@ -314,8 +315,14 @@ class Engine:
             notes=notes,
         )
 
+    @cached_property
+    def _arities(self) -> dict[str, int]:  # of each predicate a query names
+        return {p: self.program.arity(p) for p in self.program.idb_predicates}
+
     def _check_query(self, query: Atom) -> None:
         """Typed errors for a query no strategy can answer."""
+        if self._arities.get(query.predicate) == len(query.args):
+            return
         if query.predicate not in self.program.idb_predicates:
             raise UnknownPredicateError(
                 f"{query.predicate} is not defined by the program"
@@ -331,8 +338,11 @@ class Engine:
         The cache is keyed on the EDB's mutation fingerprint: adding
         facts to (or clearing) any relation between queries invalidates
         every cached materialization, so answers always reflect the
-        current data.
+        current data -- unless it is the EDB itself, current by definition.
         """
+        cached = self._base_db.get(predicate)
+        if cached is self.edb:
+            return cached
         fingerprint = self.edb.fingerprint()
         if fingerprint != self._base_db_fingerprint:
             self._base_db.clear()
@@ -432,7 +442,7 @@ class Engine:
             stats = EvaluationStats()
         if budget is None:
             budget = self.budget
-        if budget.deadline is None:
+        if budget.deadline is None and budget.max_wall_seconds is not None:
             budget = budget.start_clock()
         if tracer is None:
             tracer = self.tracer
@@ -443,13 +453,8 @@ class Engine:
 
         chosen = strategy
         if strategy == "auto":
-            has_constant = any(
-                isinstance(t, Constant) for t in query.args
-            )
-            if report is not None and report.separable and has_constant:
-                chosen = "separable"
-            else:
-                chosen = "magic"
+            chosen = ("separable" if report.separable and -1 in query.shape
+                      else "magic")
 
         stats.strategy = chosen
         form: Optional[QueryForm] = None
@@ -457,14 +462,8 @@ class Engine:
             form = self._form(chosen, query, report)
         answers = self._dispatch(chosen, query, form, stats, tracer,
                                  budget, memo, order)
-        return QueryResult(
-            query=query,
-            answers=answers,
-            strategy=chosen,
-            stats=stats,
-            report=report,
-            plan=form.plan if form is not None else None,
-        )
+        return QueryResult(query, answers, chosen, stats, report,
+                           form.plan if form is not None else None)
 
     def profile(
         self,

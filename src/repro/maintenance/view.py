@@ -49,7 +49,6 @@ from ..datalog.database import Database, Fact
 from ..datalog.plan_cache import PLAN_CACHE, RelationSink
 from ..datalog.programs import Program
 from ..datalog.seminaive import seeded_terms, seminaive_evaluate
-from ..datalog.terms import Constant
 from ..observability.tracer import span_of
 from ..stats import EvaluationStats
 
@@ -79,13 +78,17 @@ class MaintainedView:
             (scc, tuple(r for r in program.rules if r.head.predicate in scc))
             for scc in program.evaluation_order
         ]
+        #: Per :attr:`Atom.shape`, the positions :meth:`select` reads.
+        self._reads: dict[tuple, tuple] = {}
         self.rebuild(edb)
 
     # -- construction ------------------------------------------------------
 
     def rebuild(self, edb: Database) -> None:
-        """Recompute the view from scratch (the overflow fallback)."""
-        self.db = seminaive_evaluate(self.program, edb, order=self.order)
+        """Recompute the view from scratch (the overflow fallback) on a
+        private copy of ``edb``: a write patches the view's own."""
+        self.db = seminaive_evaluate(self.program, edb.copy(),
+                                     order=self.order)
         #: (SCC number, phase) -> (members, terms, inputs, pseudo): its
         #: join terms (:func:`~repro.datalog.seminaive.seeded_terms`).
         self._paths: dict[tuple[int, str], tuple] = {}
@@ -101,12 +104,17 @@ class MaintainedView:
         by the first read of that binding pattern, patched by every
         write after it; a live ``tracer`` sees the one ``index_builds``).
         """
-        self.program.check_arity(query)
-        positions = tuple(p for p, t in enumerate(query.args)
-                          if isinstance(t, Constant))
-        facts = self.db.relation(query.predicate).lookup(
-            positions, tuple(query.args[p].value for p in positions), tracer)
-        if query.has_repeated_variables():
+        rel = self.db.relation(query.predicate)
+        if rel is None or rel.arity != len(query.args):
+            self.program.check_arity(query)
+        read = self._reads.get(query.shape)
+        if read is None:  # the constants' positions; a repeated variable
+            read = self._reads[query.shape] = (
+                tuple([p for p, s in enumerate(query.shape) if s < 0]),
+                any(s not in (-1, p) for p, s in enumerate(query.shape)))
+        positions, repeated = read
+        facts = rel.lookup(positions, query.values_at(positions), tracer)
+        if repeated:
             return frozenset(f for f in facts if query.matches(f))
         return frozenset(facts)
 

@@ -38,6 +38,8 @@ from typing import Callable
 
 __all__ = ["FullSelectionMemo"]
 
+_MISSING = object()
+
 
 def _family(key: tuple) -> tuple:
     """A full-selection key without its seed (second to last)."""
@@ -136,15 +138,18 @@ class FullSelectionMemo:
             return None
         return key if key[0] is self._home else (self._home,) + key[1:]
 
-    def _found(self, key: tuple):
-        """The stored key of ``key``'s entry -- kept, or set aside and
-        brought back (:meth:`_revived`) -- or ``None``.  The lock is
-        held."""
+    def _found(self, key: tuple) -> tuple:
+        """``(stored key, value)`` of ``key``'s entry -- kept, or set
+        aside and brought back (:meth:`_revived`) -- or ``(None, None)``.
+        The lock is held."""
         stored = self._stored(key)
-        if stored is not None and (stored in self._entries
-                                   or self._revived(key, stored)):
-            return stored
-        return None
+        if stored is not None:
+            value = self._entries.get(stored, _MISSING)
+            if value is not _MISSING:
+                return stored, value
+            if self._revived(key, stored):
+                return stored, self._entries[stored]
+        return None, None
 
     def get_or_run(self, key: tuple, compute: Callable[[], object]):
         """The cached value for ``key``, computing it on a miss.
@@ -157,11 +162,11 @@ class FullSelectionMemo:
         nothing.
         """
         with self._lock:
-            stored = self._found(key)
+            stored, value = self._found(key)
             if stored is not None:
                 self._entries.move_to_end(stored)
                 self.hits += 1
-                return self._entries[stored]
+                return value
         value = compute()
         with self._lock:
             # A carry meanwhile leaves the value's scope not live: it is
@@ -185,8 +190,7 @@ class FullSelectionMemo:
         may be stale by the time ``get_or_run`` is called, which then
         decides."""
         with self._lock:
-            stored = self._found(key)
-            return None if stored is None else self._entries[stored]
+            return self._found(key)[1]
 
     def seen_sets(self, key: tuple) -> dict:
         """The live ``seed -> (seen_1, seen_2)`` of the completed entries

@@ -20,6 +20,7 @@ writes as its artifact.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from typing import Optional
@@ -88,14 +89,18 @@ class ServiceMetrics:
     latency reservoir (most recent completions win), keeping a
     long-lived service's memory flat while the quantiles track current
     behaviour.
+
+    A request takes the lock once, to complete: numbering it and counting
+    it open (waiting, then running) are steps the GIL makes atomic.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._span_seconds: dict[str, float] = {}
-        self._submitted = 0
-        self._started = 0
+        self._sequence = itertools.count(1)
+        #: Open requests: sequence number -> whether one still waits.
+        self._open: dict[int, bool] = {}
         self._completed = 0
         self._by_status: dict[str, int] = {}
         self._events = dict.fromkeys(_EVENTS, 0)
@@ -103,19 +108,29 @@ class ServiceMetrics:
 
     # -- recording (called by the service) --------------------------------
 
-    def request_submitted(self) -> None:
-        with self._lock:
-            self._submitted += 1
+    def number(self) -> int:
+        """The next number of the sequence, for a view write."""
+        return next(self._sequence)
 
-    def request_started(self) -> None:
-        with self._lock:
-            self._started += 1
+    def admit(self, waits: bool) -> int:
+        """Number a request and count it open: ``waits`` or running."""
+        seq = next(self._sequence)
+        self._open[seq] = waits
+        return seq
 
-    def request_completed(self, status: str, latency_s: float) -> None:
+    def request_started(self, seq: int) -> None:
+        self._open[seq] = False
+
+    def request_completed(self, seq: int, status: str, latency_s: float,
+                          event: Optional[str] = None) -> None:
+        """Count request ``seq`` completed, with ``event`` if any."""
         with self._lock:
+            del self._open[seq]
             self._completed += 1
             self._by_status[status] = self._by_status.get(status, 0) + 1
             self._latencies.append(latency_s)
+            if event is not None:
+                self._events[event] += 1
 
     def bump(self, event: str) -> None:
         """Count one service event (a key of :data:`_EVENTS`)."""
@@ -144,14 +159,12 @@ class ServiceMetrics:
     @property
     def queue_depth(self) -> int:
         """Requests waiting for a worker (a ``query()`` never waits)."""
-        with self._lock:
-            return self._submitted - self._started
+        return sum(self._open.copy().values())
 
     @property
     def in_flight(self) -> int:
         """Requests currently being evaluated."""
-        with self._lock:
-            return self._started - self._completed
+        return list(self._open.copy().values()).count(False)
 
     def as_dict(
         self,
@@ -161,11 +174,12 @@ class ServiceMetrics:
         """JSON-ready snapshot (the batch driver's artifact payload)."""
         with self._lock:
             values = sorted(self._latencies)
+            waits = list(self._open.copy().values())
             out: dict = {
-                "requests_submitted": self._submitted,
+                "requests_submitted": self._completed + len(waits),
                 "requests_completed": self._completed,
-                "queue_depth": self._submitted - self._started,
-                "in_flight": self._started - self._completed,
+                "queue_depth": sum(waits),
+                "in_flight": waits.count(False),
                 "by_status": dict(self._by_status),
                 **self._events,
                 "latency_s": {

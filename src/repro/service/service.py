@@ -47,7 +47,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
-from ..core.detection import require_separable
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, ReproError
@@ -192,7 +191,7 @@ class PartialResult:
     limit: Optional[str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServiceResult:
     """One served request: answers plus serving provenance.
 
@@ -274,8 +273,6 @@ class QueryService:
         self.metrics = metrics or ServiceMetrics()
         self.memo = FullSelectionMemo(self.config.memo_size)
         self._recorded = RingBufferSink(SLOWLOG_CAPACITY)
-        self._seq_lock = threading.Lock()
-        self._seq = 0
         self._sink = sink
         # Guards the sink and the ring: a deque cannot be listed while
         # another thread appends.
@@ -347,7 +344,8 @@ class QueryService:
         with self._snapshot_lock:
             if self._view is None:
                 return fn(self.edb)
-            tracer = Tracer() if self._sampled(self._next_seq()) else None
+            tracer = (Tracer() if self._sampled(self.metrics.number())
+                      else None)
             old_fp = self.edb.fingerprint()
             capture = DeltaCapture(
                 self.edb, guard_predicates=self.program.idb_predicates
@@ -414,7 +412,6 @@ class QueryService:
                 return None
             with span_of(tracer, "service.view_read"):
                 answers = self._view.select(query, tracer)
-        self.metrics.bump("view_probes")
         return fingerprint, answers
 
     def add_fact(self, name: str, fact: tuple) -> bool:
@@ -483,7 +480,7 @@ class QueryService:
         served on a ``repro-service`` worker.
         """
         return self._executor.submit(
-            self._serve, *self._admit(query, strategy, deadline_s))
+            self._serve, *self._admit(query, strategy, deadline_s, True))
 
     def query(
         self,
@@ -493,7 +490,7 @@ class QueryService:
     ) -> ServiceResult:
         """One request served on the calling thread, no hand-off: what
         :meth:`submit` would serve on a worker."""
-        return self._serve(*self._admit(query, strategy, deadline_s))
+        return self._serve(*self._admit(query, strategy, deadline_s, False))
 
     def batch(
         self,
@@ -510,9 +507,9 @@ class QueryService:
     # -- internals ----------------------------------------------------------
 
     def _admit(self, query: Union[Atom, str], strategy: str,
-               deadline_s: Optional[float]) -> tuple:
-        """Parse, number and count one request: :meth:`_serve`'s
-        arguments."""
+               deadline_s: Optional[float], waits: bool) -> tuple:
+        """Parse, number and count one request, which ``waits`` for a
+        worker or not: :meth:`_serve`'s arguments."""
         if self._closed:
             raise RuntimeError("service is closed")
         if isinstance(query, str):
@@ -522,22 +519,15 @@ class QueryService:
         elif not _seconds_ok(deadline_s):
             raise ValueError(f"deadline_s is out of range: {deadline_s!r}")
         submitted = time.monotonic()
-        seq = self._next_seq()
-        self.metrics.request_submitted()
-        return query, strategy, deadline_s, submitted, seq
+        return (query, strategy, deadline_s, submitted,
+                self.metrics.admit(waits), waits)
 
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
-
-    def _attempt_budget(
-        self,
-        deadline_at: Optional[float],
-        now: float,
-    ) -> Budget:
-        """The budget for one attempt, wall clock armed from ``now``."""
+    def _attempt_budget(self, deadline_at: Optional[float]) -> Budget:
+        """The budget for one attempt, wall clock armed from now."""
         base = self.config.budget
+        if deadline_at is None and base.max_wall_seconds is None:
+            return base
+        now = time.monotonic()
         if deadline_at is not None:
             remaining = max(deadline_at - now, 0.0)
             wall = base.max_wall_seconds
@@ -553,7 +543,8 @@ class QueryService:
         pure function of the rate -- no RNG, reproducible in tests.
         """
         rate = self.config.trace_sample
-        return math.floor(seq * rate) > math.floor((seq - 1) * rate)
+        return rate > 0 and math.floor(seq * rate) > math.floor(
+            (seq - 1) * rate)
 
     def _serve(
         self,
@@ -562,8 +553,10 @@ class QueryService:
         deadline_s: Optional[float],
         submitted: float,
         seq: int,
+        waited: bool,
     ) -> ServiceResult:
-        self.metrics.request_started()
+        if waited:
+            self.metrics.request_started(seq)
         deadline_at = (
             submitted + deadline_s if deadline_s is not None else None
         )
@@ -592,20 +585,14 @@ class QueryService:
         fingerprint: tuple = ()
 
         def served(status: str, strategy: str = strategy,
-                   answers: frozenset = frozenset(), **fields):
+                   answers: frozenset = frozenset(), stats=None, error=None,
+                   limit=None, partial=None, result=None) -> ServiceResult:
             """The result of this request as of now (the last attempt's
             database state)."""
             return ServiceResult(
-                query=query,
-                strategy=strategy,
-                status=status,
-                answers=answers,
-                fingerprint=fingerprint,
-                latency_s=time.monotonic() - submitted,
-                attempts=attempts,
-                trace_id=trace_id,
-                **fields,
-            )
+                query, strategy, status, answers, stats, fingerprint,
+                time.monotonic() - submitted, attempts, error, limit,
+                partial, result, trace_id)
 
         out = None
         try:
@@ -620,8 +607,7 @@ class QueryService:
                         result = snap.engine.query(
                             query,
                             strategy=strategy,
-                            budget=self._attempt_budget(
-                                deadline_at, time.monotonic()),
+                            budget=self._attempt_budget(deadline_at),
                             memo=snap.memo,
                             tracer=tracer,
                         )
@@ -661,26 +647,24 @@ class QueryService:
                                      stats=stats, error=str(exc),
                                      limit=exc.limit, partial=partial)
                 except ReproError as exc:
-                    out = served("error", stats=None,
+                    out = served("error",
                                  error=f"{type(exc).__name__}: {exc}")
                 else:
                     if read is None:
                         out = served("ok", result.strategy, result.answers,
-                                     stats=result.stats, result=result)
+                                     result.stats, result=result)
                     else:
                         fingerprint, answers = read
-                        out = served(
-                            "ok", "view", answers,
-                            stats=EvaluationStats(strategy="view"))
+                        out = served("ok", "view", answers,
+                                     EvaluationStats(strategy="view"))
             return out
         except BaseException as exc:
             # Not a typed failure: it reaches the caller (or the future),
             # and the request's accounting still closes below.
-            out = served("error", stats=None,
-                         error=f"{type(exc).__name__}: {exc}")
+            out = served("error", error=f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            self._finish(out, tracer, sampled, memo_before)
+            self._finish(out, tracer, sampled, memo_before, seq)
 
     def _finish(
         self,
@@ -688,6 +672,7 @@ class QueryService:
         tracer: Optional[Tracer],
         sampled: bool,
         memo_before: Optional[dict],
+        seq: int,
     ) -> None:
         """Account for a completed request, then write its one record.
 
@@ -710,7 +695,9 @@ class QueryService:
             slow = threshold is not None and out.latency_s >= threshold
             reason = [name for name, hit in (("sampled", sampled),
                                              ("slow", slow)) if hit]
-        self.metrics.request_completed(out.status, out.latency_s)
+        self.metrics.request_completed(
+            seq, out.status, out.latency_s,
+            "view_probes" if out.strategy == "view" else None)
         if not reason and self._sink is None:
             return
         record = {

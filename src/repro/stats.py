@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 __all__ = ["EvaluationStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationStats:
     """Mutable accumulator for one query evaluation.
 
@@ -118,8 +118,10 @@ class EvaluationStats:
         Lemma 2.1 rewrite): the paper's measure for the union is the
         largest relation any subevaluation generated.
         """
+        sizes = self.relation_sizes
         for name, size in other.relation_sizes.items():
-            self.record_relation(name, size)
+            if size > sizes.get(name, -1):
+                sizes[name] = size
         self.iterations += other.iterations
         self.tuples_produced += other.tuples_produced
         self.tuples_examined += other.tuples_examined

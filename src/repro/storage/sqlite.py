@@ -43,14 +43,13 @@ both losslessly in untyped columns (and, like Python, never equates
 
 from __future__ import annotations
 
-import heapq
 import sqlite3
 import threading
 import weakref
-import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ..datalog.database import minwise_sample
 from ..errors import ArityError, ReproError
 
 __all__ = ["SQLiteBackend", "SQLiteRelation", "ReadOnlyRelationError"]
@@ -482,14 +481,8 @@ class SQLiteRelation:
         if cached is not None and cached[0] == self._version \
                 and cached[1] == k:
             return cached[2]
-        facts = [self._fact(r) for r in self._all_rows()]
-        if len(facts) <= k:
-            sampled = tuple(sorted(facts, key=repr))
-        else:
-            sampled = tuple(heapq.nsmallest(
-                k, facts,
-                key=lambda t: (zlib.crc32(repr(t).encode()), repr(t)),
-            ))
+        sampled = minwise_sample([self._fact(r) for r in self._all_rows()],
+                                 k)
         self._sample_cache = (self._version, k, sampled)
         return sampled
 

@@ -269,3 +269,66 @@ class TestMutationAtomicity:
         # would show friend one ahead of idol.
         assert seen_sizes
         assert all(f == i for f, i in seen_sizes)
+
+    def test_request_accounting_holds_under_contention(self):
+        """Requests are numbered and counted open without the metrics
+        lock: six threads calling ``query()`` beside ``submit()``s on
+        four workers, handed over every microsecond, lose no count and
+        share no trace id, and a reader sees the submitted and completed
+        counts only grow, completed never ahead of submitted."""
+        service = QueryService(paper.example_1_1_program(), _chain_db(8),
+                               ServiceConfig(workers=4, incremental=True))
+        callers, per_caller, submitted = 6, 150, 120
+        results, futures, views = [], [], []
+        stop = threading.Event()
+
+        def call(k):
+            for i in range(per_caller):
+                strategy = "auto" if i % 3 else "separable"
+                results.append(service.query(
+                    f"buys(a{(i + k) % 8 + 1}, Y)?", strategy=strategy))
+
+        def read():
+            while not stop.is_set():
+                m = service.metrics_dict()
+                views.append((m["requests_submitted"],
+                              m["requests_completed"]))
+
+        threads = [threading.Thread(target=call, args=(k,))
+                   for k in range(callers)]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for t in threads:
+                t.start()
+            futures = [service.submit(f"buys(a{i % 8 + 1}, Y)?")
+                       for i in range(submitted)]
+            done, not_done = wait(futures, timeout=120)
+            assert not not_done
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+            results += [f.result() for f in futures]
+        finally:
+            stop.set()
+            reader.join(10)
+            sys.setswitchinterval(interval)
+            service.close()
+        total = callers * per_caller + submitted
+        metrics = service.metrics_dict()
+        assert len(results) == total and all(r.ok for r in results)
+        assert {key: metrics[key] for key in (
+            "requests_submitted", "requests_completed", "queue_depth",
+            "in_flight", "by_status")} == {
+            "requests_submitted": total, "requests_completed": total,
+            "queue_depth": 0, "in_flight": 0, "by_status": {"ok": total}}
+        assert metrics["latency_s"]["count"] == total
+        assert metrics["view_probes"] == sum(r.strategy == "view"
+                                             for r in results)
+        assert sorted(r.trace_id for r in results) == [
+            f"req-{n:08x}" for n in range(1, total + 1)]
+        assert views and all(
+            done <= admitted and admitted <= later[0] and done <= later[1]
+            for (admitted, done), later in zip(views, views[1:]))

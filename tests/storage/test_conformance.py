@@ -8,6 +8,10 @@ matter where the tuples live, because the differential oracle and the
 bench gates compare them across backends.
 """
 
+import heapq
+import random
+import zlib
+
 import pytest
 
 from repro.datalog.database import Database, Relation
@@ -298,6 +302,18 @@ class TestPlannerStatistics:
         # differential oracle runs it on both backends.
         assert rel.sample(8) == reference.sample(8)
         assert rel.sample(64) == reference.sample(64)
+
+    def test_sample_keeps_the_minwise_order(self, backend):
+        # The key is (crc32(repr(t)), repr(t)), repr taken once: the
+        # same tuple sequence the two-repr key gives, seeded rows, k < n.
+        rng = random.Random(53)
+        facts = {(f"v{rng.randrange(500)}", rng.randrange(500))
+                 for _ in range(300)}
+        rel = make(backend, tuples=facts)
+        for k in (1, 8, 32, 299):
+            assert rel.sample(k) == tuple(heapq.nsmallest(
+                k, facts,
+                key=lambda t: (zlib.crc32(repr(t).encode()), repr(t))))
 
     def test_statistics_cached_per_version(self, backend):
         rel = make(backend, tuples=[("a", "b")])
