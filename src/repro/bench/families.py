@@ -17,7 +17,7 @@ kinds: ``"detect"`` (E6) times separability analysis alone -- the paper's "compu
 :class:`repro.maintenance.MaintainedView` repairs versus a full
 recomputation per write, and ``"build"`` times constructing that view
 (the semi-naive fixpoint) on the family's database, which is
-what a service pays at start-up and on every overflow rebuild.  A
+what a service pays at start-up and on every view rebuild.  A
 mutation family supplies the stream via
 :attr:`Family.mutations`; the stream is *balanced* (every insert is
 later deleted) so each timed repeat starts from the same state.

@@ -11,7 +11,7 @@ time and not just in relation sizes.
 :class:`Relation` is the reference implementation of the
 ``RelationStorage`` protocol (see :mod:`repro.storage`); alternative
 backends -- e.g. the out-of-core SQLite one -- implement the same
-mutation/lookup/version/stats/observer surface and plug into
+mutation/lookup/version/stats surface and plug into
 :class:`Database` via its ``backend`` parameter.
 """
 
@@ -26,7 +26,7 @@ from .atoms import Atom
 from .errors import ArityError
 from .terms import Constant, ConstValue
 
-__all__ = ["Relation", "Database"]
+__all__ = ["Relation", "Database", "difference"]
 
 Fact = tuple  # tuple[ConstValue, ...]
 
@@ -49,6 +49,20 @@ def minwise_sample(facts, k: int) -> tuple[Fact, ...]:
         k, facts, key=lambda t: (zlib.crc32((r := repr(t)).encode()), r)))
 
 
+def difference(new, old) -> tuple[set[Fact], set[Fact]]:
+    """``(rows only in new, rows only in old)`` of two relations of any
+    backend, ``None`` reading as empty: a memory relation's set is read
+    as it is, any other relation is iterated once."""
+    new, old = _rows(new), _rows(old)
+    return new - old, old - new
+
+
+def _rows(rel) -> set[Fact]:
+    if rel is None:
+        return set()
+    return rel._tuples if isinstance(rel, Relation) else set(rel)
+
+
 def _arity_error(name: str, arity: int, fact: Fact) -> ArityError:
     return ArityError(
         f"relation {name} has arity {arity}, "
@@ -61,8 +75,8 @@ class Relation:
 
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
                  "_borrowed", "_version", "_distinct_cache",
-                 "_col_distinct_cache", "_sample_cache", "_observers",
-                 "written", "__weakref__")
+                 "_col_distinct_cache", "_sample_cache", "written",
+                 "__weakref__")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -80,34 +94,8 @@ class Relation:
         self._distinct_cache: tuple[int, frozenset[ConstValue]] | None = None
         self._col_distinct_cache: tuple[int, tuple[int, ...]] | None = None
         self._sample_cache: tuple[int, int, tuple[Fact, ...]] | None = None
-        self._observers: tuple = ()
         if tuples:
             self.add_all(tuples)
-
-    # -- observation -------------------------------------------------------
-
-    def observe(self, callback) -> None:
-        """Subscribe ``callback(relation, fact, sign)`` to mutations.
-
-        ``sign`` is ``+1`` for an effective insert, ``-1`` for an
-        effective delete, and ``0`` with ``fact=None`` for a wholesale
-        reset (:meth:`clear`) that cannot be expressed as a delta.
-        Observers are stored in a tuple so the no-observer hot path
-        costs a single falsy check.
-        """
-        if callback not in self._observers:
-            self._observers = self._observers + (callback,)
-
-    def unobserve(self, callback) -> None:
-        """Remove a previously subscribed callback (missing is a no-op).
-
-        Matched by equality, not identity: a bound method like
-        ``capture._on_event`` is a fresh object on every attribute
-        access, and subscribers pass exactly that.
-        """
-        self._observers = tuple(
-            cb for cb in self._observers if cb != callback
-        )
 
     @property
     def version(self) -> int:
@@ -131,9 +119,6 @@ class Relation:
         self._version += 1
         if self._indexes or self._projected:
             self._index_added((fact,))
-        if self._observers:
-            for cb in self._observers:
-                cb(self, fact, 1)
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
@@ -143,14 +128,13 @@ class Relation:
         tuple set first and every live index is patched once at the
         end, instead of paying the per-fact index walk ``add`` does.
         Semi-naive delta installation and the carry-loop refills go
-        through here.  An empty relation nobody indexes or observes --
-        every carry refill, and the ``seen_1`` of the exit stage -- is
-        loaded without a Python-level step per fact.
+        through here.  An empty relation nobody indexes -- every carry
+        refill, and the ``seen_1`` of the exit stage -- is loaded without
+        a Python-level step per fact.
         """
         arity = self.arity
         tuples = self._tuples
-        if not (tuples or self._indexes or self._projected
-                or self._observers):
+        if not (tuples or self._indexes or self._projected):
             if not isinstance(facts, (set, frozenset, list, tuple)):
                 facts = list(facts)  # read twice when the arity is off
             tuples.update(map(tuple, facts))  # in place: loops hold the set
@@ -173,10 +157,6 @@ class Relation:
         self._version += len(new)
         if self._indexes or self._projected:
             self._index_added(new)
-        if self._observers:
-            for fact in new:
-                for cb in self._observers:
-                    cb(self, fact, 1)
         return len(new)
 
     def discard(self, fact: Fact) -> bool:
@@ -195,9 +175,6 @@ class Relation:
         self._version += 1
         if self._indexes or self._projected:
             self._index_removed((fact,))
-        if self._observers:
-            for cb in self._observers:
-                cb(self, fact, -1)
         return True
 
     def discard_all(self, facts: Iterable[Fact]) -> int:
@@ -206,8 +183,8 @@ class Relation:
         Bulk counterpart of :meth:`discard`, mirroring :meth:`add_all`:
         the whole batch leaves the tuple set first and every live index
         is patched in one pass, instead of paying the per-fact
-        O(#indexes) walk and observer fan-out ``discard`` does.  DRed's
-        delete/rederive path goes through here with whole delta sets.
+        O(#indexes) walk ``discard`` does.  DRed's delete/rederive path
+        goes through here with whole delta sets.
         """
         arity = self.arity
         tuples = self._tuples
@@ -224,10 +201,6 @@ class Relation:
         self._version += len(removed)
         if self._indexes or self._projected:
             self._index_removed(removed)
-        if self._observers:
-            for fact in removed:
-                for cb in self._observers:
-                    cb(self, fact, -1)
         return len(removed)
 
     def _unshare(self) -> None:
@@ -283,9 +256,6 @@ class Relation:
         self._projected.clear()
         self._borrowed = False
         self._version += 1
-        if self._observers:
-            for cb in self._observers:
-                cb(self, None, 0)
 
     # -- queries ----------------------------------------------------------
 
@@ -430,7 +400,7 @@ class Relation:
     # -- copies and snapshots ----------------------------------------------
 
     def copy(self) -> "Relation":
-        """A private writable copy (indexes, caches, observers not copied)."""
+        """A private writable copy (indexes and caches not copied)."""
         return Relation(self.name, self.arity, self._tuples)
 
     def snapshot(self, previous: "Relation | None" = None) -> "Relation":
@@ -472,8 +442,7 @@ class Relation:
         """
         if other.arity != self.arity:
             return None
-        added = list(self._tuples - other._tuples)
-        removed = list(other._tuples - self._tuples)
+        added, removed = map(list, difference(self, other))
         if 4 * (len(added) + len(removed)) > len(self._tuples):
             return None
         # list(): a reader may publish a freshly built index meanwhile.
@@ -530,7 +499,6 @@ class Database:
         self._relations: dict[str, Relation] = {}
         self._distinct_cache: tuple[tuple, frozenset[ConstValue]] | None = \
             None
-        self._observers: list = []
         self._fp_cache: tuple[int, tuple] | None = None
         self._backend = backend
 
@@ -581,11 +549,9 @@ class Database:
     def copy(self) -> "Database":
         """A deep copy sharing no mutable state (indexes not copied).
 
-        Observers are *not* inherited: a copy is a private snapshot and
-        mutating it must not feed the original's delta capture.  The
-        storage backend carries over in its scratch form, so relations
-        the evaluators derive on the copy stay in the same storage
-        class as the inputs without touching any durable file.
+        The storage backend carries over in its scratch form, so
+        relations the evaluators derive on the copy stay in the same
+        storage class as the inputs without touching any durable file.
         """
         return self._remounted(
             self._scratch_backend(), lambda _, name, rel: rel.copy())
@@ -593,9 +559,9 @@ class Database:
     def snapshot(self, previous: "Database | None" = None) -> "Database":
         """A stable read view of the current contents.
 
-        Like :meth:`copy` (no observers inherited) but built from
-        :meth:`Relation.snapshot`, and never written to (so it keeps
-        this database's backend, :attr:`shares_storage` included).
+        Like :meth:`copy` but built from :meth:`Relation.snapshot`, and
+        never written to (so it keeps this database's backend,
+        :attr:`shares_storage` included).
         ``previous``, the snapshot this one replaces, is shared from: a
         relation whose ``(arity, version)`` has not moved is mounted as
         the *same object* -- rows, indexes, on SQLite the connection and
@@ -620,8 +586,7 @@ class Database:
     def with_backend(self, backend) -> "Database":
         """A copy of this database with every relation stored in ``backend``.
 
-        Observers are not carried over.  ``backend=None`` migrates back
-        to the in-memory default.
+        ``backend=None`` migrates back to the in-memory default.
         """
         return self._remounted(
             backend, lambda other, name, rel:
@@ -631,35 +596,13 @@ class Database:
         """A view of this database with ``mounts`` (``{name: relation}``)
         mounted beside its relations.
 
-        Every relation is shared, not copied; the view has no observers
-        and no backend.  How evaluators put a carry, a delta or a
-        candidate relation next to the data a rule body reads.
+        Every relation is shared, not copied; the view has no backend.
+        How evaluators put a carry, a delta or a candidate relation next
+        to the data a rule body reads.
         """
         view = Database()
         view._relations = {**self._relations, **mounts}
         return view
-
-    # -- observation -------------------------------------------------------
-
-    def observe(self, callback) -> None:
-        """Subscribe ``callback(relation, fact, sign)`` to every relation.
-
-        Current relations are subscribed immediately; relations created
-        later through :meth:`ensure` / :meth:`add_fact` are subscribed
-        on creation.
-        """
-        if callback in self._observers:
-            return
-        self._observers.append(callback)
-        for rel in self._relations.values():
-            rel.observe(callback)
-
-    def unobserve(self, callback) -> None:
-        """Unsubscribe from the database and all its relations."""
-        if callback in self._observers:
-            self._observers.remove(callback)
-        for rel in self._relations.values():
-            rel.unobserve(callback)
 
     # -- access -----------------------------------------------------------
 
@@ -670,8 +613,6 @@ class Database:
             rel = self._make_relation(name, arity)
             self._relations[name] = rel
             self._fp_cache = None
-            for cb in self._observers:
-                rel.observe(cb)
         elif rel.arity != arity:
             raise ArityError(
                 f"relation {name} already exists with arity {rel.arity}, "

@@ -1,15 +1,15 @@
-"""Incremental view maintenance: delta capture + maintained IDB state.
+"""Incremental view maintenance: a materialized IDB kept under writes.
 
-:class:`DeltaCapture` turns raw :class:`~repro.datalog.database.Relation`
-mutations (observed at ``version`` granularity) into net per-relation
-insert/delete sets; :class:`MaintainedView` repairs a materialized IDB
-under those deltas -- counting-based insert maintenance through a
-delta-seeded semi-naive restart, DRed-style delete/rederive for
-deletions -- instead of re-running the fixpoint from scratch.  See
-``docs/incremental.md`` for the algorithm and its limits.
+:class:`MaintainedView` repairs a materialized IDB under net
+per-relation insert/delete sets -- counting-based insert maintenance
+through a delta-seeded semi-naive restart, DRed-style delete/rederive
+for deletions -- instead of re-running the fixpoint from scratch.  The
+service takes those sets as the difference between the view's own copy
+of each written relation and the live one
+(:func:`repro.datalog.database.difference`).  See ``docs/incremental.md``
+for the algorithm and its limits.
 """
 
-from .capture import DeltaCapture
 from .view import MaintainedView
 
-__all__ = ["DeltaCapture", "MaintainedView"]
+__all__ = ["MaintainedView"]

@@ -85,8 +85,9 @@ class MaintainedView:
     # -- construction ------------------------------------------------------
 
     def rebuild(self, edb: Database) -> None:
-        """Recompute the view from scratch (the overflow fallback) on a
-        private copy of ``edb``: a write patches the view's own."""
+        """Recompute the view from scratch on a private copy of
+        ``edb``: a write patches the view's own, and the copy is what
+        the next write is diffed against."""
         self.db = seminaive_evaluate(self.program, edb.copy(),
                                      order=self.order)
         #: (SCC number, phase) -> (members, terms, inputs, pseudo): its
@@ -162,15 +163,16 @@ class MaintainedView:
         """Apply net base deltas; returns net IDB changes per predicate.
 
         ``deltas`` maps base relation names to ``(inserted, deleted)``
-        fact sets, as produced by
-        :meth:`repro.maintenance.capture.DeltaCapture.net`.  Deltas
-        naming an IDB predicate are rejected -- derived relations are
-        owned by the view.  A live ``tracer`` gets one span per phase
-        that runs -- ``view.overestimate`` and ``view.rederive`` for
-        the deletions, ``view.restart`` for the insertions -- each
-        counting its fixpoint ``rounds`` (round zero included) and its
-        ``facts_in`` / ``facts_out``; the functions inside stay
-        untraced.
+        fact sets -- the service passes, per written relation, the rows
+        only in the live one and the rows only in the view's copy
+        (:func:`repro.datalog.database.difference`); a row already where
+        a set would put it is skipped.  Deltas naming an IDB predicate
+        are rejected -- derived relations are owned by the view.  A
+        live ``tracer`` gets one span per phase that runs --
+        ``view.overestimate`` and ``view.rederive`` for the deletions,
+        ``view.restart`` for the insertions -- each counting its
+        fixpoint ``rounds`` (round zero included) and its ``facts_in`` /
+        ``facts_out``; the functions inside stay untraced.
         """
         eff_ins: dict[str, set[Fact]] = {}
         eff_dels: dict[str, set[Fact]] = {}

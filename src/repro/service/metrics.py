@@ -63,7 +63,7 @@ _EVENTS = {
         "Incremental IDB repairs applied by the maintained view."),
     "view_rebuilds": (
         "view_rebuilds_total",
-        "Full view rebuilds after a delta-capture overflow."),
+        "Full view rebuilds: a derived relation written, or a failed repair."),
     "view_probes": (
         "view_probes_total",
         "Reads answered by an index lookup on the maintained view."),

@@ -48,13 +48,13 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
+from ..datalog.database import Database, difference
 from ..datalog.errors import BudgetExceeded, ReproError
 from ..datalog.parser import parse_query_memo
 from ..datalog.plan_cache import PLAN_CACHE
 from ..datalog.programs import Program
 from ..engine import Engine, QueryResult
-from ..maintenance import DeltaCapture, MaintainedView
+from ..maintenance import MaintainedView
 from ..observability.events import EventSink, RingBufferSink, trace_start
 from ..observability.tracer import Tracer, span_of
 from ..stats import EvaluationStats
@@ -108,8 +108,9 @@ class ServiceConfig:
         per-request deadline is layered onto a copy.
     incremental:
         Maintain a materialized IDB view under mutation (see
-        :mod:`repro.maintenance`): :meth:`QueryService.mutate` captures
-        per-relation deltas and repairs the view incrementally, and a
+        :mod:`repro.maintenance`): after each :meth:`QueryService.mutate`
+        the view is repaired by the difference between its own copy of
+        each written relation and the live one, and a
         ``strategy="auto"`` read of a derived predicate is one index
         lookup on the view (:meth:`MaintainedView.select
         <repro.maintenance.MaintainedView.select>`) instead of an
@@ -330,12 +331,12 @@ class QueryService:
         fingerprint): it is served against the state before ``fn`` or
         after it, never during.
 
-        With :attr:`ServiceConfig.incremental` set, the mutation is
-        observed as per-relation deltas and absorbed before the lock is
-        released: the maintained IDB view is repaired (or rebuilt on a
-        delta-capture overflow, when ``fn`` raised, or when the EDB was
-        changed behind ``mutate``'s back).  Nothing else is touched: the
-        snapshot and the memo wait for the next capture, as in a
+        With :attr:`ServiceConfig.incremental` set, the maintained IDB
+        view is brought to the EDB ``fn`` left behind, whether ``fn``
+        returned or raised, before the lock is released
+        (:meth:`_bring_view_forward`); a write made behind ``mutate``'s
+        back since the last one comes with it.  Nothing else is touched:
+        the snapshot and the memo wait for the next capture, as in a
         service without a view.  Such a write takes
         the next request sequence number, and a sampled one (see
         :attr:`ServiceConfig.trace_sample`) runs under a recording
@@ -346,49 +347,45 @@ class QueryService:
                 return fn(self.edb)
             tracer = (Tracer() if self._sampled(self.metrics.number())
                       else None)
-            old_fp = self.edb.fingerprint()
-            capture = DeltaCapture(
-                self.edb, guard_predicates=self.program.idb_predicates
-            )
             try:
                 with span_of(tracer, "service.mutate.capture"):
                     return fn(self.edb)
-            except BaseException:
-                # A relation installs a fact before it tells its
-                # observers, so an observer that raised ahead of the
-                # capture hid a write from it: rebuild, do not repair.
-                capture.overflow = True
-                raise
             finally:
-                capture.detach()
-                self._absorb_mutation(old_fp, capture, tracer)
+                self._bring_view_forward(tracer)
                 if tracer is not None:
                     self.metrics.absorb(tracer)
 
-    def _absorb_mutation(self, old_fp: tuple, capture: DeltaCapture,
-                         tracer: Optional[Tracer]) -> None:
-        """Bring the view to the EDB a captured mutation left behind."""
-        new_fp = self.edb.fingerprint()
-        if new_fp == old_fp:
+    def _bring_view_forward(self, tracer: Optional[Tracer]) -> None:
+        """Bring the view to the live EDB (the snapshot lock is held).
+
+        The view keeps its own copy of the EDB, standing at
+        ``_view_fp``, so what it owes a write is, per relation whose
+        fingerprint entry moved, the rows only in the live relation and
+        the rows only in its copy: exact whatever wrote them -- ``fn``,
+        a ``clear()``, a write behind ``mutate``'s back.  A moved
+        derived relation, or a difference :meth:`MaintainedView.apply`
+        cannot take, rebuilds the view instead.
+        """
+        live_fp, view_fp = self.edb.fingerprint(), self._view_fp
+        if live_fp == view_fp:
             return
-        assert self._view is not None
-        # The deltas describe old_fp -> new_fp: a view standing anywhere
-        # else (the EDB was written to behind mutate's back) cannot
-        # absorb them.  It stands nowhere until brought to new_fp.
-        stale = old_fp != self._view_fp
+        # Stands nowhere until brought to live_fp (None: a rebuild failed).
         self._view_fp = None
-        if stale or capture.overflow:
-            return self._rebuild_view(new_fp)
-        net = capture.net()
-        try:
-            with span_of(tracer, "service.mutate.apply"):
-                self._view.apply(net, tracer)
-        except Exception:
-            # A delta the maintenance layer cannot express exactly
-            # degrades to a rebuild; correctness first, incrementality
-            # when possible.
-            return self._rebuild_view(new_fp)
-        self._view_fp = new_fp
+        with span_of(tracer, "service.mutate.apply"):
+            moved = {name for name, _, _ in
+                     set(live_fp).symmetric_difference(view_fp or ())}
+            if view_fp is None or not moved.isdisjoint(self._view_predicates):
+                return self._rebuild_view(live_fp)
+            mine = self._view.db
+            deltas = {name: difference(self.edb.relation(name),
+                                       mine.relation(name))
+                      for name in moved}
+            try:
+                self._view.apply(deltas, tracer)
+            except Exception:
+                # Correctness first, incrementality when possible.
+                return self._rebuild_view(live_fp)
+        self._view_fp = live_fp
         self.metrics.bump("view_repairs")
 
     def _rebuild_view(self, fingerprint: tuple) -> None:

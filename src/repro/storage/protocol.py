@@ -21,9 +21,6 @@ evaluators, planner and service use on
   / ``sample(k)``, all cached per version, with ``sample`` drawing the
   crc32-minwise sample the PR 9 containment estimator relies on being
   identical across backends;
-- observation: ``observe`` / ``unobserve`` with
-  ``callback(relation, fact, sign)`` events (``+1`` insert, ``-1``
-  delete, ``0`` reset with ``fact=None``);
 - copies: ``copy()`` (private writable clone) and
   ``snapshot(previous=None)`` (stable read view at the same version --
   may be cheaper than a copy, and is ``previous``, the last snapshot of
@@ -56,10 +53,6 @@ class RelationStorage(Protocol):
 
     name: str
     arity: int
-
-    # observation
-    def observe(self, callback) -> None: ...
-    def unobserve(self, callback) -> None: ...
 
     @property
     def version(self) -> int: ...

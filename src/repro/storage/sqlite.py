@@ -28,8 +28,8 @@ The protocol mapping:
   keeps its rows, so only the rows actually probed are held, and the
   next temporary-mode snapshot keeps every key no write touched;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
-  transaction (falling back to per-row statements only when observers
-  need per-fact effectiveness);
+  transaction (falling back to per-row statements only while the
+  journal needs per-fact effectiveness);
 - ``column_distinct_counts`` / ``distinct_values`` -> SQL aggregates
   feeding the PR 9 planner;
 - ``sample`` -> computed Python-side with the same crc32-minwise rule
@@ -94,7 +94,7 @@ class SQLiteRelation:
     """One relation stored as a SQLite table.
 
     Implements the full ``RelationStorage`` protocol (see
-    :mod:`repro.storage.protocol`) with the exact version/observer/cache
+    :mod:`repro.storage.protocol`) with the exact version/cache
     semantics of the in-memory :class:`~repro.datalog.database.Relation`.
     Connections are opened with ``check_same_thread=False`` and guarded
     by an :class:`threading.RLock`, matching the service's
@@ -108,7 +108,6 @@ class SQLiteRelation:
         self._path = str(path) if path is not None else None
         self._readonly = False
         self._version = 0
-        self._observers: tuple = ()
         self._indexed: set[tuple[int, ...]] = set()
         #: ``(positions, cols) -> SELECT text``; ``cols=None`` is ``lookup``.
         self._probes: dict[tuple, str] = {}
@@ -210,17 +209,6 @@ class SQLiteRelation:
                 f"relation {self.name} is a read-only snapshot"
             )
 
-    # -- observation -------------------------------------------------------
-
-    def observe(self, callback) -> None:
-        if callback not in self._observers:
-            self._observers = self._observers + (callback,)
-
-    def unobserve(self, callback) -> None:
-        self._observers = tuple(
-            cb for cb in self._observers if cb != callback
-        )
-
     @property
     def version(self) -> int:
         return self._version
@@ -248,8 +236,6 @@ class SQLiteRelation:
                 return False
             self._version += 1
             self._note((row,), sign)
-        for cb in self._observers:
-            cb(self, fact, sign)
         return True
 
     def _write_all(self, sql: str, facts: Iterable[Fact], sign: int) -> int:
@@ -257,16 +243,16 @@ class SQLiteRelation:
         rows = [self._row(self._check(f)) for f in facts]
         if not rows:
             return 0
-        changed: list[Fact] = []
+        changed: list[tuple] = []
         with self._lock:
             self._conn.execute("BEGIN")
             try:
-                if self._observers or self._journal is not None:
-                    # Per-fact effectiveness is needed for the observer
-                    # fan-out and the journal; still one transaction.
+                if self._journal is not None:
+                    # The journal needs per-row effectiveness; still
+                    # one transaction.
                     for row in rows:
                         if self._conn.execute(sql, row).rowcount == 1:
-                            changed.append(self._fact(row))
+                            changed.append(row)
                     count = len(changed)
                 else:
                     before = self._conn.total_changes
@@ -277,10 +263,7 @@ class SQLiteRelation:
                 raise
             self._conn.execute("COMMIT")
             self._version += count
-            self._note(map(self._row, changed), sign)
-        for fact in changed:
-            for cb in self._observers:
-                cb(self, fact, sign)
+            self._note(changed, sign)
         return count
 
     def clear(self) -> None:
@@ -295,8 +278,6 @@ class SQLiteRelation:
             self._probes.clear()
             self._version += 1
             self._journal = None
-        for cb in self._observers:
-            cb(self, None, 0)
 
     def _note(self, rows: Iterable[tuple], sign: int) -> None:
         """Journal the ``rows`` a write moved (``sign``: +1 in, -1 out)
@@ -514,7 +495,7 @@ class SQLiteRelation:
         texts, buckets and view of which indexes exist."""
         twin = object.__new__(SQLiteRelation)
         twin.__dict__.update(
-            self.__dict__, _observers=(), _probes={}, _buckets={},
+            self.__dict__, _probes={}, _buckets={},
             _indexed=set(self._indexed), _lock=threading.RLock(),
             _journal=None, _journal_base=None, **fields)
         return twin

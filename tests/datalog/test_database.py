@@ -43,13 +43,13 @@ class TestRelation:
             r.add_all([("a", "b"), ("c",)])
 
     def test_bulk_load_of_an_empty_relation(self):
-        """Empty, unindexed, unobserved: ``add_all`` (and ``__init__``)
-        load the whole batch at once -- same contents, count, version
-        and ``ArityError`` as the per-fact path."""
+        """Empty and unindexed: ``add_all`` (and ``__init__``) load the
+        whole batch at once -- same contents, count, version and
+        ``ArityError`` as the per-fact path."""
         facts = [("a", "b"), ["c", "d"], ("a", "b")]
         loaded = Relation("p", 2, iter(facts))
         stepwise = Relation("p", 2)
-        stepwise.observe(lambda *event: None)  # takes the per-fact path
+        stepwise.lookup((0,), ("a",))  # indexed: takes the per-fact path
         assert stepwise.add_all(facts) == 2
         assert loaded.tuples() == stepwise.tuples() \
             == {("a", "b"), ("c", "d")}
@@ -391,7 +391,7 @@ class TestDiscard:
     def test_discard_all_bumps_version_once_per_batch(self):
         # Mirrors add_all: one += len(removed) batch increment, so the
         # fingerprint arithmetic matches a per-fact discard loop without
-        # paying per-fact observer/index walks.
+        # paying per-fact index walks.
         rel = Relation("p", 1, [("a",), ("b",), ("c",)])
         v = rel.version
         assert rel.discard_all([("a",), ("z",), ("b",)]) == 2
@@ -405,13 +405,6 @@ class TestDiscard:
         assert rel.discard_all([("a", "b"), ("a", "c"), ("x", "y")]) == 2
         assert rel.lookup((0,), ("a",)) == []
         assert rel.lookup((0,), ("d",)) == [("d", "e")]
-
-    def test_discard_all_fires_observer_per_removed_fact(self):
-        rel = Relation("p", 1, [("a",), ("b",)])
-        events = []
-        rel.observe(lambda r, f, s: events.append((f, s)))
-        rel.discard_all([("a",), ("z",), ("b",)])
-        assert events == [(("a",), -1), (("b",), -1)]
 
     def test_discard_all_arity_enforced(self):
         rel = Relation("p", 2)
@@ -657,62 +650,6 @@ class TestProjectedLookup:
         assert other.lookup_projected((0,), (1,), ("d",)) == {("e",)}
         assert other.lookup_projected((0,), (1,), ("g",)) == {("h",)}
         assert sorted(other.lookup((1,), ("e",))) == [("d", "e"), ("f", "e")]
-
-
-class TestObservers:
-    def test_add_discard_clear_events(self):
-        rel = Relation("p", 1)
-        events = []
-        rel.observe(lambda r, f, s: events.append((r.name, f, s)))
-        rel.add(("a",))
-        rel.add(("a",))            # duplicate: no event
-        rel.discard(("a",))
-        rel.discard(("a",))        # absent: no event
-        rel.clear()
-        assert events == [
-            ("p", ("a",), 1), ("p", ("a",), -1), ("p", None, 0),
-        ]
-
-    def test_add_all_fires_per_new_fact(self):
-        rel = Relation("p", 1, [("a",)])
-        events = []
-        rel.observe(lambda r, f, s: events.append((f, s)))
-        rel.add_all([("a",), ("b",), ("c",)])
-        assert events == [(("b",), 1), (("c",), 1)]
-
-    def test_unobserve_bound_method_by_equality(self):
-        # A bound method is a fresh object on every attribute access;
-        # unobserve must match by equality or detach silently fails.
-        class Sink:
-            def __init__(self):
-                self.events = []
-
-            def on_event(self, rel, fact, sign):
-                self.events.append((fact, sign))
-
-        sink = Sink()
-        rel = Relation("p", 1)
-        rel.observe(sink.on_event)
-        rel.add(("a",))
-        rel.unobserve(sink.on_event)
-        rel.add(("b",))
-        assert sink.events == [(("a",), 1)]
-
-    def test_database_observe_covers_future_relations(self):
-        db = Database.from_facts({"p": [("a",)]})
-        events = []
-        db.observe(lambda r, f, s: events.append((r.name, f, s)))
-        db.add_fact("p", ("b",))
-        db.add_fact("q", ("x",))   # relation created after observe()
-        assert events == [("p", ("b",), 1), ("q", ("x",), 1)]
-
-    def test_copy_does_not_inherit_observers(self):
-        db = Database.from_facts({"p": [("a",)]})
-        events = []
-        db.observe(lambda r, f, s: events.append(s))
-        clone = db.copy()
-        clone.add_fact("p", ("b",))
-        assert events == []
 
 
 class TestFingerprintCache:

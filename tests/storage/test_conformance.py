@@ -2,10 +2,10 @@
 
 Each test runs against every registered backend (the in-memory
 reference and SQLite) through the same ``RelationStorage`` surface the
-evaluators use.  The point is byte-level interchangeability: versions,
-observer events and planner statistics must be identical no
-matter where the tuples live, because the differential oracle and the
-bench gates compare them across backends.
+evaluators use.  The point is byte-level interchangeability: versions
+and planner statistics must be identical no matter where the tuples
+live, because the differential oracle and the bench gates compare them
+across backends.
 """
 
 import heapq
@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import Database, Relation, difference
 from repro.datalog.errors import ArityError
 from repro.observability import Tracer
 from repro.storage import (
@@ -149,43 +149,19 @@ class TestVersioning:
         assert db.fingerprint() == reference.fingerprint()
 
 
-class TestObservers:
-    def test_event_stream_matches_reference_semantics(self, backend):
-        rel = make(backend, arity=1)
-        events = []
-        rel.observe(lambda r, f, s: events.append((r.name, f, s)))
-        rel.add(("a",))
-        rel.add(("a",))            # duplicate: no event
-        rel.discard(("a",))
-        rel.discard(("a",))        # absent: no event
-        rel.clear()
-        assert events == [
-            ("p", ("a",), 1), ("p", ("a",), -1), ("p", None, 0),
-        ]
-
-    def test_bulk_ops_fire_per_effective_fact(self, backend):
-        rel = make(backend, arity=1, tuples=[("a",)])
-        events = []
-        rel.observe(lambda r, f, s: events.append((f, s)))
-        rel.add_all([("a",), ("b",), ("c",)])
-        rel.discard_all([("c",), ("z",)])
-        assert events == [(("b",), 1), (("c",), 1), (("c",), -1)]
-
-    def test_unobserve_bound_method_by_equality(self, backend):
-        class Sink:
-            def __init__(self):
-                self.events = []
-
-            def on_event(self, rel, fact, sign):
-                self.events.append((fact, sign))
-
-        sink = Sink()
-        rel = make(backend, arity=1)
-        rel.observe(sink.on_event)
-        rel.add(("a",))
-        rel.unobserve(sink.on_event)
-        rel.add(("b",))
-        assert sink.events == [(("a",), 1)]
+class TestDifference:
+    def test_replaying_the_difference_reproduces_the_state(self, backend):
+        mine = make(backend, tuples=[("a", "b"), ("b", "c"), ("c", "d")])
+        live = make(backend, tuples=[("b", "c"), ("c", "d"), ("d", "e")])
+        added, removed = difference(live, mine)
+        assert (added, removed) == ({("d", "e")}, {("a", "b")})
+        # Across backends, and an absent relation reads as empty.
+        assert difference(Relation("p", 2, live), mine) == (added, removed)
+        assert difference(None, mine) == (set(), set(mine))
+        mine.discard_all(removed)
+        mine.add_all(added)
+        assert mine.tuples() == live.tuples()
+        assert difference(live, mine) == (set(), set())
 
 
 class TestLookup:
