@@ -574,6 +574,31 @@ class TestWritesAreDiffed:
             backend, write, TC + "tc(X, Y) :- f(X, Y).\n")
         assert (metrics["view_rebuilds"], metrics["view_repairs"]) == (0, 1)
 
+    def test_a_cleared_base_relation(self, backend):
+        metrics = self._one_mutate(
+            backend, lambda db: db.relation("e").clear())
+        assert (metrics["view_rebuilds"], metrics["view_repairs"]) == (0, 1)
+
+    def test_a_write_to_a_derived_relation_is_rebuilt(self, backend):
+        # The diff is taken over base relations only; a row written
+        # straight into a derived one is a moved derived relation, and
+        # the view is rebuilt rather than repaired around it.
+        program = parse_program(TC).program
+        service = QueryService(
+            program, Database.from_facts(self.FACTS),
+            ServiceConfig(workers=1, incremental=True, backend=backend))
+        try:
+            assert service.query("tc(a, Y)?").strategy == "view"
+            service.mutate(lambda db: db.add_fact("tc", ("a", "z")))
+            result = service.query("tc(a, Y)?")
+            assert result.strategy == "view"
+            assert result.answers == oracle_answers(
+                program, service.edb, result.query)
+            metrics = service.metrics_dict()
+        finally:
+            service.close()
+        assert (metrics["view_rebuilds"], metrics["view_repairs"]) == (1, 0)
+
 
 class TestUnseenWritesAreRepaired:
     def test_clear_is_repaired(self):
