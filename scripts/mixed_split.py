@@ -61,6 +61,17 @@ in writes, then
   down loop reached, taken whole) and ``tuples_produced`` /
   ``iterations`` summed over the branch stats of the memo's entries.
 
+``chain-deep`` (an ``Engine``, reads only)
+  per pass the untraced microseconds a round of Figure 2's loops takes
+  -- ``execute_plan``'s wall time over the ``stats.iterations`` it
+  booked, the median over the pass's queries -- the rounds a query
+  runs and ``execute_plan``'s median milliseconds (the ledger's traced
+  pass runs the traced text, so its ``evaluator.us_per_iteration``
+  does not show the untraced round);
+  after the pass each of its queries runs again, untimed, under
+  ``_reference_loops()``, and its books (iterations, examined,
+  produced, relation sizes) must equal the untraced run's.
+
 For both memo workloads the memo's per-pass counters follow the p50s.
 These are the numbers ROADMAP aim 1 ("where the mixed workload
 stands"), the ROADMAP storage item and ``docs/performance.md`` quote.
@@ -84,7 +95,8 @@ on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared), or when a
 ``serve-sqlite`` pass resumed no memo entry, or when a timed
 ``serve-sqlite`` pass bound a loop anew (its 16 database states repeat
-every pass, so the warm-up pass has met every loop's sizes).
+every pass, so the warm-up pass has met every loop's sizes), or when a
+``chain-deep`` query's untraced books differ from the reference loop's.
 
 Usage: python scripts/mixed_split.py [--workload NAME] [--seed N]
                                      [--passes N] [--quick]
@@ -94,6 +106,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import re
 import statistics
 import sys
@@ -112,8 +125,10 @@ from harness import (  # noqa: E402
 from layers import _deal  # noqa: E402
 from reference import Reference  # noqa: E402
 
+import repro.core.api as api  # noqa: E402
 import repro.core.compiler as compiler  # noqa: E402
 from repro.core.api import evaluate_form  # noqa: E402
+from repro.core.evaluator import _reference_loops, execute_plan  # noqa: E402
 from repro.datalog.parser import parse_query_memo  # noqa: E402
 from repro.datalog.plan_cache import PLAN_CACHE, PlanCache  # noqa: E402
 from repro.engine import Engine  # noqa: E402
@@ -464,9 +479,67 @@ def full_key_indexes(view) -> list:
     return found
 
 
+def books(stats: EvaluationStats) -> tuple:
+    return (stats.iterations, stats.tuples_examined, stats.tuples_produced,
+            stats.relation_sizes)
+
+
+def round_split(workload, passes: int) -> int:
+    """``chain-deep``: per pass, the untraced microseconds a round takes
+    and the rounds a query runs; then each query of the pass again,
+    untimed, under ``_reference_loops()``.  Exit status 1 when an answer
+    differs from the reference or a query's books from the reference
+    loop's."""
+    ops = workload.clients[0]
+    wants = expected_answers(workload)[0]
+    engine = open_target(workload)
+    runs: list[tuple] = []  # per execute_plan call: seconds, books, args
+    failed = {"differ": 0, "books": 0}
+
+    def timed(plan, db, seeds, stats=None, **kwargs):
+        mine = EvaluationStats()
+        start = time.perf_counter()
+        answers = execute_plan(plan, db, seeds, stats=mine, **kwargs)
+        runs.append((time.perf_counter() - start, books(mine),
+                     (plan, db, seeds), kwargs))
+        if stats is not None:
+            stats.merge(mine)
+        return answers
+
+    api.execute_plan = timed
+    print(f"chain-deep: {len(ops)} queries a pass")
+    print("pass  us/round  rounds/query  execute_ms")
+    try:
+        for k in range(passes + 1):  # the first pass warms up
+            del runs[:]
+            gc.collect()
+            for call, want in zip(calls(ops), wants):
+                failed["differ"] += engine.query(call).answers != want
+            rounds = [run[1][0] for run in runs]
+            per_round = [run[0] / n for run, n in zip(runs, rounds)]
+            if k:
+                print(f"{k:4d}  {p50_us(per_round):8.3f}  "
+                      f"{sum(rounds) / len(ops):12.1f}  "
+                      f"{p50_us([run[0] for run in runs]) / 1e3:10.3f}")
+            for _, booked, args, kwargs in runs:
+                reference = EvaluationStats()
+                with _reference_loops():
+                    execute_plan(*args, stats=reference, **kwargs)
+                failed["books"] += booked != books(reference)
+    finally:
+        api.execute_plan = execute_plan
+        close_target(engine)
+    if any(failed.values()):
+        print(f"FAILED: {failed['differ']} reads that differ from the "
+              f"reference, {failed['books']} queries whose untraced books "
+              f"differ from the reference loop's", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(KINDS),
+    parser.add_argument("--workload", choices=sorted([*KINDS, "chain-deep"]),
                         default="serve-mixed")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--passes", type=int, default=5)
@@ -475,6 +548,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     workload = workloads.build(args.workload, args.seed, args.quick)
+    if args.workload == "chain-deep":
+        return round_split(workload, 2 if args.quick else args.passes)
     kinds = KINDS[args.workload]
     ops = _deal(workload.clients)
     reads = sum(op[0] == "read" for op in ops)

@@ -11,7 +11,7 @@ every artifact the observability pipeline promises:
    two runs, and its ``-- plan --`` section shows the generated source
    of the carry loops that ran (a ``while carry:`` line) -- for
    Example 1.2 with the innermost level of both loops in the projected
-   form, ``produced.update(c1)``, not a per-fact comprehension;
+   form, ``produced |= c1``, not a per-fact comprehension;
 4. a partial selection (Example 2.4) runs its Lemma 2.1 union as one
    grouped fixpoint, a carry and a seen per seed: the report prints the
    one-seed plan, its loops' per-seed text, and the number of
@@ -152,8 +152,9 @@ def check_projected_innermost(plan_section: str) -> None:
             title = line.strip()
         elif title.startswith(("down loop ", "up loop ")):
             loops.append(line)
-    unions = [line.strip() for line in loops if "produced.update(" in line]
-    assert unions == ["produced.update(c1)"] * 2, (
+    unions = [line.strip() for line in loops
+              if "produced.update(" in line or "produced |= " in line]
+    assert unions == ["produced |= c1"] * 2, (
         "the carry loops do not union a projected bucket at their "
         "innermost level:\n" + "\n".join(unions)
     )

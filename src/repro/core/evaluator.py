@@ -76,6 +76,17 @@ def _size(groups: dict) -> int:  # rows over a batch's seeds
     return sum(map(len, groups.values()))
 
 
+@contextmanager
+def _whole(stats: EvaluationStats):
+    """Keep the counts the block books in ``stats`` only if it returns."""
+    booked = stats.iterations, stats.tuples_examined, stats.tuples_produced
+    try:
+        yield
+    except BaseException:
+        stats.iterations, stats.tuples_examined, stats.tuples_produced = booked
+        raise
+
+
 def _carry_loop(
     joins: tuple[CarryJoin, ...],
     initial: dict,
@@ -97,11 +108,11 @@ def _carry_loop(
     iteration applies the union of ``joins`` to the carry, removes
     already-seen tuples (the crucial set difference), and accumulates
     -- for a Lemma 2.1 batch, to each non-empty carry in turn by the
-    plans of the largest, booked at the totals over the seeds.  A live
-    ``tracer`` records a ``separable.loop`` span
-    with the per-iteration post-difference carry sizes -- Lemma 3.4's
-    disjointness makes ``seed + sum(carries) == |seen|`` an invariant
-    the differential oracle checks on every traced run.
+    plans of the largest, booked at the totals over the seeds, whole
+    rounds only (:func:`_whole`; the tracer counts term by term).  A live
+    ``tracer`` records a ``separable.loop`` span with the per-iteration
+    post-difference carry sizes -- Lemma 3.4's disjointness makes ``seed
+    + sum(carries) == |seen|`` an invariant the oracle checks.
     """
     seen = {k: set(rows) for k, rows in initial.items()}
     carry = {k: set(rows) for k, rows in initial.items() if rows}
@@ -117,21 +128,22 @@ def _carry_loop(
                  seed=total) as span:
         while carry:
             budget.check_wall(stats)
-            stats.bump_iterations()
             if tracer is not None:
                 tracer.count("iterations")
             todo, carry = carry, {}
             first = max(todo, key=lambda k: len(todo[k]))  # planned on
-            for k in sorted(todo, key=lambda k: k != first):
-                if joins:  # else nothing reads the carry relation
-                    carry_rel.clear()
-                    carry_rel.add_all(todo[k])
-                if k == first:
-                    plans = _plans(joins, view, order, tracer)
-                fresh = _apply_joins(joins, view, stats, order, tracer,
-                                     seen_name, plans) - seen[k]
-                seen[k] |= fresh
-                carry.update({k: fresh} if fresh else ())
+            with _whole(stats):
+                stats.bump_iterations()
+                for k in sorted(todo, key=lambda k: k != first):
+                    if joins:  # else nothing reads the carry relation
+                        carry_rel.clear()
+                        carry_rel.add_all(todo[k])
+                    if k == first:
+                        plans = _plans(joins, view, order, tracer)
+                    fresh = _apply_joins(joins, view, stats, order, tracer,
+                                         seen_name, plans) - seen[k]
+                    seen[k] |= fresh
+                    carry.update({k: fresh} if fresh else ())
             total += _size(carry)
             if tracer is not None:
                 tracer.record("carry", _size(carry))
@@ -264,7 +276,7 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
     """Line 8 of Figure 2, ``carry_2 := g_2(seen_1)``, per seed by the
     plans of the largest ``seen_1``: in one generated pass over the sets
     as they are, or -- under :func:`_reference_loops` -- by the kernels
-    over a view of each."""
+    over a view of each; the statistics book the pass whole or not."""
     if not reference:
         labels = () if tracer is None else ((), *_credits("exit", joins))
         run, _ = PLAN_CACHE.loop_for(joins, (SEEN,), (seen_1,), (), order,
@@ -274,8 +286,9 @@ def _exit_stage(joins: tuple[CarryJoin, ...], seen_1: dict, arity: int,
              for k, rows in seen_1.items()}
     plans = _plans(joins, views[max(seen_1, key=lambda k: len(seen_1[k]))],
                    order, tracer)
-    return {k: _apply_joins(joins, view, stats, order, tracer, "exit", plans)
-            for k, view in views.items()}
+    with _whole(stats):
+        return {k: _apply_joins(joins, view, stats, order, tracer, "exit",
+                                plans) for k, view in views.items()}
 
 
 def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
@@ -334,13 +347,14 @@ def _figure_2(plan: SeparablePlan, db: Database, seeds, stats, budget,
                   "seen_1", () if known is None else (known, found))
     # An absorbed row's seen_1 is closed under the down step and its
     # exit and up loop made its seen_2; closure distributes over union
-    # (Theorem 2.1), so the exit joins only the rest of seen_1 and the
-    # up loop starts with those seen_2 in seen.
+    # (Theorem 2.1), so the exit joins only the rest of seen_1 (none
+    # runs if none is left) and the up loop starts with those seen_2.
     rest = {k: rows.difference(*[e[0] for e in found])
             for k, rows in seen_1.items()} if found else seen_1
     with span_of(tracer, "separable.exit", seen_1=_size(rest)):
-        carry_2 = _exit_stage(plan.exit_joins, rest, plan.seed_arity, db,
-                              stats, order, tracer, reference)
+        carry_2 = {k: set() for k in rest} if found and not _size(rest) \
+            else _exit_stage(plan.exit_joins, rest, plan.seed_arity, db,
+                             stats, order, tracer, reference)
     # Lines 9-15: the up loop; ans := seen_2.
     return seen_1, loop(plan.up_joins, carry_2, plan.answer_arity,
                         "carry_2", "seen_2", (), [e[1] for e in found]), found

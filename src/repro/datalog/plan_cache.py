@@ -265,8 +265,8 @@ class JoinPlan:
         return "\n".join(head + lines + tail), tuple(consts), tuple(inputs)
 
     def _nest(self, output: tuple, pad: str, const, inputs: list, fetch,
-              contains, sink: str = "sink",
-              pseudo: Optional[str] = None) -> tuple:
+              contains, sink: str = "sink", pseudo: Optional[str] = None,
+              scan: bool = False) -> tuple:
         """The nested loops of this plan as source lines at ``pad``.
 
         ``const(value)`` names a constant and ``inputs`` collects the
@@ -280,13 +280,15 @@ class JoinPlan:
         is the innermost one and its output rows are exactly those
         columns of each fact, so ``fetch`` answers with the set of them
         (:meth:`Relation.lookup_projected`) and the level is one
-        ``sink.update``.  A level reading ``pseudo`` (a plain set, not
-        a relation) is never asked that.  A level that binds every
-        column asks ``contains(d, predicate, positions, key)`` instead,
-        for the text of a membership test, and is one ``if``: no index,
-        and it examines the one row it finds.  Returns ``(lines,
-        counters to zero, lookups, examined, bindings, produced)``, the
-        last four as sums over the counters.
+        ``sink.update`` (``|=`` in a loop, whose sink is a set).  A
+        level reading ``pseudo`` (a plain set, not a relation) is never
+        asked that.  A level that binds every column asks
+        ``contains(d, predicate, positions, key)`` instead, for the text
+        of a membership test, and is one ``if``: no index, and it
+        examines the one row it finds.  With ``scan``, a first level
+        that scans its candidates is one ``for f0 in`` line, booked by
+        the caller.  Returns ``(lines, counters to zero, lookups,
+        examined, bindings, produced)``, the last four summed counters.
         """
         # slot -> the expression holding its value (assign guards alias)
         reg = {s: f"p{i}" for i, (_, s) in enumerate(self.preload)}
@@ -356,29 +358,35 @@ class JoinPlan:
                 if slots and set(slots) == set(column):
                     cols = tuple(column[s] for s in slots)
             first, candidates, guarded = fetch(d, pred, positions, key, cols)
-            lines += [pad + line for line in first]
-            lines.append(f"{pad}c{d} = {candidates}")
-            if guarded:
-                lines.append(f"{pad}if c{d}:")
+            if scan and not (d or lines or first or guarded or innermost):
+                lines.append(f"{pad}for f0 in {candidates}:")
                 pad += "    "
-            lines.append(f"{pad}e{d} += len(c{d})")
-            zero.append(f"e{d}")
-            lookups.append(reached)
-            examined.append(f"e{d}")
-            reached = f"e{d}"
-            if innermost:
-                # Nothing to test: the bucket of rows as it is, or one
-                # C-speed comprehension over the bucket of facts.
-                if cols is None:
-                    reg.update((s, f"f[{const(i)}]") for i, s in writes)
-                    rows = f"[{row()} for f in c{d}]"
-                else:
-                    rows = f"c{d}"
-                lines.append(f"{pad}{sink}.update({rows})")
-                bindings.append(reached)
-                break
-            lines.append(f"{pad}for f{d} in c{d}:")
-            pad += "    "
+                reg.update((s, f"f0[{const(i)}]") for i, s in writes)
+                writes = ()
+            else:
+                lines += [pad + line for line in first]
+                lines.append(f"{pad}c{d} = {candidates}")
+                if guarded:
+                    lines.append(f"{pad}if c{d}:")
+                    pad += "    "
+                lines.append(f"{pad}e{d} += len(c{d})")
+                zero.append(f"e{d}")
+                lookups.append(reached)
+                examined.append(f"e{d}")
+                reached = f"e{d}"
+                if innermost:
+                    # Nothing to test: the bucket of rows as it is, or
+                    # one C-speed comprehension over the bucket of facts.
+                    if cols is None:
+                        reg.update((s, f"f[{const(i)}]") for i, s in writes)
+                        union = f".update([{row()} for f in c{d}])"
+                    else:  # a loop's sink is a set
+                        union = f" |= c{d}" if pseudo else f".update(c{d})"
+                    lines.append(f"{pad}{sink}{union}")
+                    bindings.append(reached)
+                    break
+                lines.append(f"{pad}for f{d} in c{d}:")
+                pad += "    "
             for i, s in writes:
                 reg[s] = f"r{s}"
                 lines.append(f"{pad}r{s} = f{d}[{const(i)}]")
@@ -707,9 +715,11 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     of run ``g`` as ``(probes, constants, i)``, ``probes`` the ``(step,
     positions, cols)`` of each lookup into a fixed relation (``cols``: a
     projected probe's columns, ``()`` a membership test, else None).
-    The text mentions no value, name or run length, so Example 1.1's
-    down loop, Example 1.2's loops and a linear stratum over a join of
-    that shape are one function.
+    Untraced, a run that scans its slot first, for a member no term
+    reads, books ``len(J0)`` times the slot's size; an unbatched round
+    makes one pass, each row through each term.  The text names no value,
+    name or run length: Example 1.1's down loop, Example 1.2's loops and
+    a linear stratum over a join of that shape are one function.
 
     Bound before the loop: the plans, valid while the slots and the
     members planned on stay inside ``lo`` / ``hi`` (else the function
@@ -717,10 +727,11 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     ``q<j>``.  A slot is scanned, tested with ``in`` or indexed once a
     round, as the plan reads it.  The books are locals, compared with
     limits read once (:func:`_open`); they reach ``stats``
-    (:func:`_books`) and the tracer (:func:`_tally`) in a ``finally``,
-    as the reference loop (``core/evaluator.py::_carry_loop``) leaves
-    them.  The deadline is checked on entry, the budget at the end of a
-    round that may trip it (every round while a deadline is armed).
+    (:func:`_books`) in a ``finally``, whole rounds only, and the tracer
+    (:func:`_tally`) term by term, as the reference loop
+    (``core/evaluator.py::_carry_loop``) leaves them.  The deadline is
+    checked on entry, the budget at the end of a round that may trip it
+    (every round while a deadline is armed).
     """
     once, read = not read, read or (False,)  # no member: one pass
     pad, slots, members = " " * 16, range(len(pseudo)), range(len(read))
@@ -768,7 +779,8 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             return f"{key()} in q{len(probes) - 1}"
 
         lines, zero, *sums = plan._nest(output, pad, const, inputs, fetch,
-                                        contains, at("produced", h), delta)
+                                        contains, at("produced", h), delta,
+                                        not traced and not read[h])
         if inputs:  # an output variable the body does not bind
             raise KeyError(inputs[0])
         shape = (tuple(lines), tuple(zero), *sums, len(probes), len(consts),
@@ -778,16 +790,33 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
             groups.append([])
         groups[-1].append((tuple(probes), tuple(consts), i))
 
+    # A round books its counts once its terms have all run: untraced,
+    # rx / rp hold them meanwhile; traced, the books take a copy.
+    pooled = not traced and not once and (batched or len(shapes) > 1)
+    x, p = ("rx", "rp") if pooled else ("X", "P")
+    done, final = (["booked = R, X, P"], "booked") if traced else (
+        ["R += 1"] + ["X += rx", "P += rp"] * pooled, "(R, X, P)")
     body: list[str] = []
     for g, (lines, zero, lookups, examined, bindings, made, nq, nk, a, h) \
             in enumerate(shapes):
-        names = [f"q{j}" for j in range(nq)] + [f"k{j}" for j in range(nk)]
-        terms = f"J{g} if carry{a} else ()" if len(slots) > 1 else f"J{g}"
+        names = ", ".join([f"q{j}" for j in range(nq)]
+                          + [f"k{j}" for j in range(nk)] + ["i"])
         produced, seen = at("produced", h), at("seen", h)
-        body.append(f"            for {', '.join(names + ['i'])} in {terms}:")
+        scan = lines[0].startswith(f"{pad}for f0 in ")  # booked below
+        if scan and not (batched or once):  # each row of a round, each term
+            size = at("n", a) if a in members else f"len(carry{a})"
+            body += [pad[4:] + " = ".join(zero) + " = 0", lines[0][4:],
+                     f"{pad}for {names} in J{g}:", *lines[1:],
+                     f"{pad[4:]}{x} += len(J{g}) * {size} + {examined}",
+                     f"{pad[4:]}{p} += {made}"]
+            continue
+        if scan:  # a seed's carry, or its seen_1, has rows: term by term
+            examined = f"len({at('carry', a)}) + {examined}"
+        terms = f"J{g} if carry{a} else ()" if len(slots) > 1 else f"J{g}"
+        body.append(f"            for {names} in {terms}:")
         before = [f"{produced} = set()"] * read[h] + [
             f"before = len({produced})"] * traced + [" = ".join(zero) + " = 0"]
-        after = [f"X += {examined}", f"P += {made}"]
+        after = [f"{x} += {examined}", f"{p} += {made}"]
         if traced:  # credit the term with what it made and what it added
             after += [f"L += {lookups}", f"B += {bindings}", f"if {made}:",
                       f"    M[i] = M.get(i, 0) + {made}",
@@ -801,17 +830,17 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
     J = f"    {_tuple_text(f'J{g}' for g in range(len(shapes)))} = J"
     counts = ["X", "P"] + ["L", "B", "S", "I", "N", "F", "i"] * traced
     if once:  # a batch's exit join: each seed's produced set, no round
+        run = ["        for seed, carry in batch.items():",
+               "            produced = set()"] + ["            indexes = {}"] \
+            * indexed + body + ["            F += 1"] * traced + [
+            "            todo[seed] = produced",
+            "        _flush(stats, None, 0, X, 0, P)", "        return todo,"]
         lines = ["def loop(J, lo, hi, carry, seen, names, labels, stats, "
                  "budget, tracer):", "    (batch,) = carry", J,
-                 f"    {' = '.join(counts)} = 0", "    todo = {}"] + [
-            "    M, O = {}, {}"] * traced + [
-            "    try:", "        for seed, carry in batch.items():",
-            "            produced = set()"] + ["            indexes = {}"] * \
-            indexed + body + ["            F += 1"] * traced + [
-            "            todo[seed] = produced", "        return (todo,)",
-            "    finally:", "        _flush(stats, None, 0, X, 0, P)"] + [
+                 f"    {' = '.join(counts)} = 0", "    todo = {}"] + ([
+            "    M, O = {}, {}", "    try:", *run, "    finally:",
             "        _tally(tracer, (0, L, X, B, S, I, N), labels, "
-            "(F, i, M, O))"] * traced
+            "(F, i, M, O))"] if traced else [line[4:] for line in run])
         return "\n".join(lines + [""]), tuple(map(tuple, groups))
 
     # The sizes checked each round: the slots' and the members' planned on.
@@ -826,7 +855,7 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                                for a, test in zip(slots, within)]
     test = " and ".join(within)
     top = [f"if not ({test}):" if len(within) > 1 else f"if not {test}:",
-           "    break", "R += 1"]
+           "    break"] + ["R += 1"] * traced + ["rx = rp = 0"] * pooled
     first, tail, caps, over, most, last = [], ["F += 1"] * traced, [], [], \
         [], []
     for m in members:
@@ -857,8 +886,9 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                     "    indexes = {}"] * indexed
         body = ["    " + line for line in body]
         tail = ["    " + line for line in tail + [
-            "if carry:", "    todo[seed] = carry"]] + [
+            "if carry:", "    todo[seed] = carry"]] + done + [
             "t = sum(map(len, todo.values()))", "T += t"]
+        done = []
         indexed, carries = False, "(todo,)"
         unpack = ["    (todo,) = carry", "    (seens,) = seen",
                   "    T = sum(map(len, seens.values()))",
@@ -881,15 +911,15 @@ def loop_text(plans: Sequence[JoinPlan], outputs: Sequence[tuple],
                 ", ".join(f"lo[{v}], hi[{v}]" for v, *_ in checked)),
             J,
             f"    {' = '.join(books)} = 0"]
-    head += ["    M, O = {}, {}", "    %s = labels[0]" % _tuple_text(
-        at("series", m) for m in members)] * traced
+    head += ["    booked = R, X, P", "    M, O = {}, {}", "    %s = labels[0]"
+             % _tuple_text(at("series", m) for m in members)] * traced
     head += ["    try:", "        while %s:" % (" or ".join(
         at("carry", a) for a in slots) if not batched else "todo")]
     lines = [" " * 12 + line
              for line in first + top + ["indexes = {}"] * indexed]
-    lines += body + [" " * 12 + line for line in tail]
+    lines += body + [" " * 12 + line for line in done + tail]
     lines += [f"        return {carries}", "    finally:",
-              f"        _books(books, (R, X, P), {_tuple_text(last)}, False)"]
+              f"        _books(books, {final}, {_tuple_text(last)}, False)"]
     lines += ["        _tally(tracer, (R, L, X, B, S, I, N), labels, "
               "(F, i, M, O))"] * traced
     return "\n".join(head + lines + [""]), tuple(map(tuple, groups))
@@ -1257,11 +1287,6 @@ class PlanCache:
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-        self.evictions = 0
-        self.orders: dict[str, int] = {}
         self._plans: dict[tuple, JoinPlan] = {}
         self._order_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
         #: generated source text -> compiled function, shared by the
@@ -1274,6 +1299,7 @@ class PlanCache:
         #: its :class:`_Bound` loops, newest first) (:meth:`loop_for`)
         self._bound: dict[tuple, tuple] = {}
         self._lock = threading.Lock()
+        self.clear()  # the counters
 
     def plan_for(
         self,
@@ -1523,7 +1549,7 @@ class PlanCache:
             self.misses = 0
             self.compiles = 0
             self.evictions = 0
-            self.orders = {}
+            self.orders: dict[str, int] = {}
 
     def stats(self) -> dict:
         """Counter snapshot: ``{size, hits, misses, compiles,

@@ -98,7 +98,7 @@ class TestGroupedBatch:
         for which in ("down", "up"):
             text, = loop_source(plan, which)
             assert "for seed, carry in batch.items():" in text
-            assert "produced.update(c1)" in text
+            assert "produced |= c1" in text
 
 
 class TestStatistics:

@@ -379,10 +379,12 @@ class TestGeneratedLoop:
         assert loop_source(both, "down") == []  # has not run yet
         execute_plan(both, db, [seed])
         text, = loop_source(both, "down")
-        assert text.count("for f0 in c0:") == 1
+        # One pass over the carry, both terms probed for each row.
+        assert text.count("for f0 in carry:") == 1
+        assert text.count("for q0, k0, i in J0:") == 1
         assert loop_source(both, "down", traced=True) == []
         empty, = loop_source(both, "up")
-        assert "produced.update" not in empty and "for " not in empty
+        assert "produced |=" not in empty and "for " not in empty
         program, db = example_1_2
         plan, seed = plan_of(program, "buys", "buys(tom, Y)")
         execute_plan(plan, db, [seed])
@@ -466,7 +468,7 @@ class TestGeneratedLoop:
         frame, = [f for f in traceback.extract_tb(caught.value.__traceback__)
                   if f.filename.startswith("<separable-loop:")]
         assert frame.name == "loop"
-        assert frame.line == "c1 = q0((r0,))"
+        assert frame.line == "c1 = q0((f0[k0],))"
         # The stratum ran two texts by then: the delta scanned, and the
         # delta probed once it was larger than ``s`` -- where e failed.
         scanning, probing = [

@@ -4,10 +4,11 @@ A generated carry loop or stratum keeps its iterations, examined and
 produced counts, relation maxima and tracer sums in locals, and compares
 them with limits read once from the budget.  These tests pin what that
 must not change -- every limit trips where the per-round reference trips
-it, with the same message and the same statistics, and a probe raising
-mid-round leaves the statistics the reference leaves -- and what it
-buys: a round makes no call into ``EvaluationStats``, ``Budget`` or the
-tracer's counters.
+it, with the same message and the same statistics; the books of every
+run equal the reference's; and every flavour books whole rounds, so a
+probe raising mid-round leaves the books of the rounds before it --
+and what it buys: a round makes no call into ``EvaluationStats``,
+``Budget`` or the tracer's counters.
 """
 
 import re
@@ -19,11 +20,18 @@ import pytest
 from repro.budget import Budget
 from repro.core.compiler import compile_plan
 from repro.core.detection import require_separable
-from repro.core.evaluator import _reference_loops, execute_batch, execute_plan
+from repro.core.evaluator import (
+    _reference_loops,
+    execute_batch,
+    execute_plan,
+    loop_source,
+)
 from repro.datalog.database import Database, Relation
 from repro.datalog.errors import BudgetExceeded
 from repro.datalog.parser import parse_program
-from repro.datalog.plan_cache import PLAN_CACHE
+from repro.datalog.plan_cache import PLAN_CACHE, PlanCache
+from repro.maintenance import MaintainedView
+from repro.maintenance import view as view_module
 from repro.datalog.seminaive import seminaive_evaluate
 from repro.differential.oracle import _span_rows
 from repro.observability import Tracer
@@ -221,9 +229,11 @@ class Raising(Relation):
 @pytest.mark.parametrize("shape", ["chain", "fan"])
 def test_a_probe_raising_mid_round_leaves_the_reference_books(
         shape, monkeypatch):
-    """The round's earlier terms are in ``stats``, the raising one is
-    not, and the relation maxima are those of the rounds before -- as
-    the reference loop, which flushes per kernel run, leaves them."""
+    """A round books whole or not at all: none of the raising round's
+    terms is in ``stats``, whichever term raised, and the books are
+    those of a run stopped by ``max_iterations`` after the rounds that
+    completed.  The tracer still counts term by term, as the reference
+    loop's kernels do."""
     if shape == "chain":
         db = example_1_1_database(30)
         plan, seed = plan_of(example_1_1_program(), "buys", "buys(a1, Y)")
@@ -233,7 +243,7 @@ def test_a_probe_raising_mid_round_leaves_the_reference_books(
         plan, seed = plan_of(TWO_RULES, "t", "t(a, Y)")
         name, at = "s", 4
     rel = db.relation(name)
-    db = db.with_mounts({name: Raising(name, rel.arity, rel)})
+    raising = db.with_mounts({name: Raising(name, rel.arity, rel)})
     runs = {}
     for mode in MODES:
         monkeypatch.setattr(Raising, "left", [at])
@@ -241,11 +251,127 @@ def test_a_probe_raising_mid_round_leaves_the_reference_books(
             else None
         with pytest.raises(OSError), \
                 _reference_loops() if mode == "reference" else nullcontext():
-            execute_plan(plan, db, [seed], stats, tracer=tracer)
+            execute_plan(plan, raising, [seed], stats, tracer=tracer)
         runs[mode] = (stats.as_dict(), tracer and _span_rows(tracer))
     assert runs["untraced"][0] == runs["traced"][0] == runs["reference"][0]
-    assert runs["untraced"][0]["iterations"] > 1
+    completed = runs["untraced"][0]["iterations"]
+    assert completed > 1
     assert runs["traced"][1] == runs["reference"][1]
+    # The same rounds, ended by the budget at the last one's end.
+    stats = EvaluationStats()
+    with pytest.raises(BudgetExceeded):
+        execute_plan(plan, db, [seed], stats,
+                     Budget(max_iterations=completed - 1))
+    assert stats.as_dict() == runs["untraced"][0]
+
+
+TWO_KEYS = parse_program(
+    "t(X, Y) :- e(X, W) & t(W, Y).\n"
+    "t(X, Y) :- f(W, X) & t(W, Y).\n"
+    "t(X, Y) :- t0(X, Y)."
+).program
+SWAPPED = parse_program(
+    "t(X, Z, Y) :- a(X, Z, W, V) & t(W, V, Y).\n"
+    "t(X, Z, Y) :- b(Z, X, W, V) & t(W, V, Y).\n"
+    "t(X, Z, Y) :- t0(X, Z, Y)."
+).program
+
+
+def two_keys_run():
+    """Two down terms of one shape, ``e`` probed on its first column and
+    ``f`` on its second, over carries of several rows: one pass over
+    each carry runs both."""
+    e = [(i, (3 * i + 1) % 17) for i in range(17)]
+    f = [((5 * i + 2) % 17, i) for i in range(17)]
+    db = Database.from_facts({"e": e, "f": f,
+                              "t0": [(i, f"end{i}") for i in (4, 9)]})
+    plan, seed = plan_of(TWO_KEYS, "t", "t(0, Y)")
+    return plan, (lambda stats, budget, tracer: execute_plan(
+        plan, db, [seed], stats, budget, tracer=tracer))
+
+
+def swapped_run():
+    """Example 2.4's kind of two-column key, read in two orders: the
+    terms are two runs of one term each, so a round books both."""
+    nodes = [(f"x{i}", f"y{i}") for i in range(12)]
+    db = Database.from_facts({
+        "a": [(*nodes[i], *nodes[(i * 5 + j) % 12])
+              for i in range(12) for j in (1, 2)],
+        "b": [(nodes[i][1], nodes[i][0], *nodes[(i * 7 + 3) % 12])
+              for i in range(12)],
+        "t0": [(*nodes[i], f"z{i}") for i in range(0, 12, 3)]})
+    plan, seed = plan_of(SWAPPED, "t", "t(x0, y0, Y)")
+    return plan, (lambda stats, budget, tracer: execute_plan(
+        plan, db, [seed], stats, budget, tracer=tracer))
+
+
+def example_2_4_run():
+    """Example 2.4's full selection on its two-column class: the carry
+    is keyed on both columns."""
+    analysis = require_separable(example_2_4_program(), "t")
+    plan = compile_plan(analysis, selected_class=analysis.classes[0])
+    db = union_database()
+    return plan, (lambda stats, budget, tracer: execute_plan(
+        plan, db, [("x0", "y0")], stats, budget, tracer=tracer))
+
+
+def books(stats) -> tuple:
+    return (stats.iterations, stats.tuples_examined, stats.tuples_produced,
+            stats.relation_sizes)
+
+
+@pytest.mark.parametrize("make", [two_keys_run, swapped_run, example_2_4_run,
+                                  lambda: (None, batch_run())],
+                         ids=["two-keys", "swapped", "example-2-4", "batch"])
+def test_the_untraced_books_equal_the_reference(make):
+    plan, run = make()
+    PLAN_CACHE.clear()
+    runs = {}
+    for mode in ("untraced", "reference"):
+        stats = EvaluationStats()
+        with _reference_loops() if mode == "reference" else nullcontext():
+            answers = run(stats, Budget(), None)
+        runs[mode] = answers, books(stats)
+    assert runs["untraced"] == runs["reference"]
+    assert runs["untraced"][1][0] > 2
+    assert runs["untraced"][1][3]["carry_1"] > 1  # several rows a round
+    if make is two_keys_run:
+        text, = loop_source(plan, "down")
+        assert "    (J0,) = J" in text.splitlines()
+        assert text.count("for f0 in carry:") == 1
+
+
+def test_a_view_write_books_what_the_term_major_text_books(monkeypatch):
+    """A view's write runs a stratum's untraced round text, which has
+    no reference loop: its books, per phase, are held to those of the
+    term-major traced text of the same loops."""
+    edb = Database.from_facts({"e": [(i, i + 1) for i in range(12)]
+                               + [(i, i + 3) for i in range(0, 12, 4)]})
+    write = {"e": (frozenset({(5, 20), (20, 21), (21, 2)}),
+                   frozenset({(6, 7)}))}
+    loop_for = PlanCache.loop_for
+
+    def traced(self, joins, pseudo, carry, seen, order, db, tracer=None):
+        run, fits = loop_for(self, joins, pseudo, carry, seen, order, db,
+                             Tracer())
+        labels = (tuple(f"series{m}" for m in range(len(seen))), (), (), ())
+        return (lambda carry, seen, names, _, stats, budget, __: run(
+            carry, seen, names, labels, stats, budget, Tracer())), fits
+
+    booked = {}
+    for flavour in ("untraced", "traced"):
+        view = MaintainedView(LINEAR, edb)
+        phases = booked[flavour] = []
+        monkeypatch.setattr(view_module, "_report", lambda _, stats, *__:
+                            phases.append(books(stats)))
+        if flavour == "traced":
+            monkeypatch.setattr(PlanCache, "loop_for", traced)
+        changes = view.apply(write, tracer=Tracer())
+        monkeypatch.undo()
+        booked[flavour].append(changes)
+    assert booked["untraced"] == booked["traced"]
+    assert len(booked["untraced"]) == 4  # three phases and the changes
+    assert all(phase[0] > 1 for phase in booked["untraced"][:3])
 
 
 def spied(calls):

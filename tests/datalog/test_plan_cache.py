@@ -405,7 +405,7 @@ class TestProjectedInnermostLevel:
     def test_generated_loop_probes_the_fixed_relation_projected(self):
         text, groups = self.loop(
             (atom("carry", "X"), atom("e", "X", "W")), (W,), self.FACTS)
-        assert "produced.update(c1)" in map(str.strip, text.splitlines())
+        assert "produced |= c1" in map(str.strip, text.splitlines())
         assert "for f in c" not in text
         (((probe,), _, _),), = groups
         assert probe == (1, (0,), (1,))  # step, positions, cols
@@ -469,7 +469,9 @@ class TestProjectedInnermostLevel:
         """A Lemma 2.1 batch keeps a carry per seed instead of a seed
         column, so its output is the probed atom's free columns and the
         innermost level is the bucket union -- inside the per-seed
-        loop, the same text a full selection's loop runs."""
+        loop, the probe and union a full selection's loop runs.  A
+        seed's carry is scanned term by term, a full selection's round
+        row by row."""
         from repro.core.compiler import compile_plan
         from repro.core.detection import require_separable
         from repro.workloads import paper
@@ -486,15 +488,24 @@ class TestProjectedInnermostLevel:
                 ("__carry__",), [(0, 0)], [True], [False], False)
         single, _ = loop_text(*args)
         batch, _ = loop_text(*args, batched=True)
-        assert "produced.update(c1)" in batch
-        assert "                        produced.update(c1)" in single
+        assert "produced |= c1" in batch
+        assert "                        produced |= c1" in single
         assert "    for seed, carry in batch.items():" in batch
         assert "for seed" not in single
-        # The terms are the single loop's text, one level further in.
-        terms = single[single.index("            for q0"):
-                       single.index("            carry = produced - seen")]
+        # The probe and the union are the single loop's lines, one
+        # level further in; the loops around them are in the other
+        # order, and each term books its scan of a seed's carry.
+        scan = "for f0 in carry:"
+        terms = "for q0, k0, k1, i in J0:"
+        inner = single[single.index("                    c1 = "):
+                       single.index("            X += ")]
         assert "".join("    " + line
-                       for line in terms.splitlines(True)) in batch
+                       for line in inner.splitlines(True)) in batch
+        assert single.index(scan) < single.index(terms)
+        assert batch.index(terms) < batch.index(scan)
+        assert "            X += len(J0) * n + e1" in single.splitlines()
+        assert "                    rx += len(carry) + e1" in \
+            batch.splitlines()
 
 
 def _interpreted_plan(plan, db, seed, tracer):
@@ -620,7 +631,7 @@ def test_projected_probes_count_what_the_interpreter_counts(case):
             texts = "".join(loop_source(plan, "down", traced=True)
                             + loop_source(plan, "up", traced=True))
             assert not (plan.down_joins or plan.up_joins) \
-                or "produced.update(c" in texts
+                or "produced |= c" in texts
         runs[path] = (frozenset(answers), counters(tracer, stats))
     assert runs["generated"] == runs["reference"] == runs["interpreter"]
     assert runs["generated"][0]

@@ -80,6 +80,40 @@ class TestExact:
             assert bool(absorbing[1]) == (k > 0)
             known[seed] = (plain[0], answers)
 
+    def test_an_absorbed_seen_1_skips_the_exit_join(self, monkeypatch):
+        """On a ring, ``u0_1``'s ``seen_1`` holds ``u0_0``: a miss from
+        ``u0_0`` absorbs it whole and leaves the exit nothing to join,
+        so the exit does not run.  Answers and books are those of the
+        exit run on the empty rest, which examines nothing (planned on
+        an empty ``seen_1``, its term gets no code), and the answers a
+        plain run's."""
+        import repro.core.evaluator as evaluator
+        from repro.stats import EvaluationStats
+
+        db = communities(random.Random(3))
+        analysis = require_separable(SOCIAL, "buys")
+        plan = compile_plan(analysis, selected_class=analysis.classes[0])
+        seen: list = []
+        first = execute_plan(plan, db, [("u0_1",)], seen_1=seen)
+        assert ("u0_0",) in seen[0]
+        known = {("u0_1",): (seen[0], first)}
+        exits, exit_stage = [], evaluator._exit_stage
+        monkeypatch.setattr(evaluator, "_exit_stage", lambda *args, **kw: (
+            exits.append(args[1]), exit_stage(*args, **kw))[1])
+        plain, absorbing = EvaluationStats(), EvaluationStats()
+        answers = execute_plan(plan, db, [("u0_0",)], plain)
+        assert len(exits) == 1
+        seen = []
+        assert execute_plan(plan, db, [("u0_0",)], absorbing, seen_1=seen,
+                            known=known) == answers
+        assert len(exits) == 1 and len(seen[1]) == 1  # absorbed, no exit
+        # What the exit would have booked on the rest: nothing.
+        rest = EvaluationStats()
+        assert exit_stage(plan.exit_joins, {None: set()}, plan.seed_arity,
+                          db, rest, "greedy") == {None: set()}
+        assert (rest.tuples_examined, rest.tuples_produced) == (0, 0)
+        assert absorbing.tuples_examined < plain.tuples_examined
+
     def test_the_reference_loop_never_absorbs(self):
         db = communities(random.Random(3))
         analysis = require_separable(SOCIAL, "buys")
