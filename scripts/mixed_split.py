@@ -53,13 +53,17 @@ in writes, then
 ``serve-read`` (read-only, memo larger than the seed set)
   first, on a service of its own warmed by one pass, what a memo hit
   costs in each layer it passes through -- ``QueryService.query``,
-  ``Engine.query``, ``evaluate_form`` and ``get_or_run``, each the best
-  of 5 ``timeit`` runs of ``LAYER_CALLS`` calls; then per pass
+  ``QueryService._snapshot`` (the held snapshot found current by one
+  int comparison), ``Engine.query``, ``evaluate_form`` and
+  ``get_or_run``, each the best of 5 ``timeit`` runs of ``LAYER_CALLS``
+  calls; then per pass
   the read p50 of a first-seen seed (a memo miss) beside that of a memo
   hit, the memo's hits / misses, the entries a miss
   absorbed (``memo.stats()["absorbed"]`` per miss: runs of seeds its
-  down loop reached, taken whole) and ``tuples_produced`` /
-  ``iterations`` summed over the branch stats of the memo's entries.
+  down loop reached, taken whole), ``tuples_produced`` /
+  ``iterations`` summed over the branch stats of the memo's entries,
+  and how often the pass took the service's snapshot lock (counted by
+  a wrapping lock put in after the warm-up pass).
 
 ``chain-deep`` (an ``Engine``, reads only)
   per pass the untraced microseconds a round of Figure 2's loops takes
@@ -89,7 +93,9 @@ not the very object the memo entry holds, when a frozen SQLite
 relation repeated a keyed SELECT (it answers a key it has run, or its
 predecessor ran and no write touched since, from its bucket), when a
 ``serve-sqlite`` pass's captures kept no memo entry, when a
-``serve-read`` pass's misses absorbed no entry, or when a memo
+``serve-read`` pass's misses absorbed no entry or took the snapshot
+lock (no write moves the state, so every read finds the held snapshot
+current without it), or when a memo
 hit ran ``classify_selection`` or ``compile_plan`` (a query form is prepared
 on the first request of its shape, never on a hit; the script wraps
 both in ``repro.core.compiler``, where forms are prepared), or when a
@@ -171,6 +177,7 @@ CHECKS = {"differ": "reads that differ from the reference",
           "kept": "passes whose captures kept no memo entry",
           "resumed": "passes that resumed no memo entry",
           "absorbed": "passes whose misses absorbed no memo entry",
+          "locked": "timed read-only passes that took the snapshot lock",
           "binds": "loops bound anew in timed passes"}
 #: The thread of every view lookup and of every ``Engine.query``, every
 #: value the memo handed out and every query-form preparation step
@@ -202,8 +209,9 @@ def phase_seconds(service) -> dict:
 
 def layer_costs(workload, ops) -> dict:
     """Microseconds a warmed memo hit of the stream's first read spends
-    in each layer: the whole request, then the evaluation inside it, the
-    form bound to its constants inside that, and the memo lookup."""
+    in each layer: the whole request, the snapshot it finds current,
+    the evaluation inside it, the form bound to its constants inside
+    that, and the memo lookup."""
     service = open_target(workload)
     try:
         for call in calls(ops):
@@ -218,6 +226,7 @@ def layer_costs(workload, ops) -> dict:
         key = form.key + (form.seed(atom), engine.order)
         layers = {
             "QueryService.query": lambda: service.query(text),
+            "QueryService._snapshot": service._snapshot,
             "Engine.query": lambda: engine.query(atom, memo=memo),
             "evaluate_form": lambda: evaluate_form(
                 form, atom, db, EvaluationStats(), order=engine.order,
@@ -455,6 +464,21 @@ def count_loops(counts: dict) -> None:
         setattr(PlanCache, method.__name__, counted)
 
 
+class CountingLock:
+    """A lock that counts how often it is taken (``with`` only, as the
+    service takes its snapshot lock)."""
+
+    def __init__(self, lock) -> None:
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
 def p50_us(values: list) -> float:
     return statistics.median(values) * 1e6 if values else float("nan")
 
@@ -590,6 +614,7 @@ def main(argv=None) -> int:
         count_loops(counts)
     try:
         one_pass(service, ops, wants, kinds)  # warm-up
+        lock = service._snapshot_lock = CountingLock(service._snapshot_lock)
         print("pass  reads_ms read_us/read writes_ms  "
               + " ".join(f"{kind}_p50_us" for kind in kinds)
               + ("  ratio  plan_lookups/write" if "first" in kinds
@@ -598,10 +623,10 @@ def main(argv=None) -> int:
                  "  carry_us  (a capture)  binds  repoints"
                  if args.workload == "serve-sqlite" else "")
               + ("  absorbed/miss  produced  iterations  (over entries)"
-                 if args.workload == "serve-read" else ""))
+                 "  locks" if args.workload == "serve-read" else ""))
         lookups, full_key = 0.0, set()
         for k in range(2 if args.quick else args.passes):
-            carries = len(CARRIES)
+            carries, taken = len(CARRIES), lock.taken
             seconds, counted, checks = one_pass(service, ops, wants, kinds,
                                                 counts)
             tally(checks)
@@ -644,11 +669,13 @@ def main(argv=None) -> int:
                 memo = service.memo.stats()
                 branches = [value[1] for value in
                             list(service.memo._entries.values())]
-                line += "  {:13.2f}  {:8d}  {:10d}".format(
+                locks = lock.taken - taken
+                line += "  {:13.2f}  {:8d}  {:10d}{:23d}".format(
                     memo["absorbed"] / max(memo["misses"], 1),
                     sum(b.tuples_produced for b in branches),
-                    sum(b.iterations for b in branches))
+                    sum(b.iterations for b in branches), locks)
                 failed["absorbed"] += memo["absorbed"] == 0
+                failed["locked"] += locks > 0
             print(line)
         if "first" in kinds:
             seconds, _, before, after = untimed_pass(

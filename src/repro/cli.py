@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--incremental",
         action="store_true",
         help="maintain the IDB incrementally under mutation instead of "
-        "invalidating snapshots and memo entries per fingerprint",
+        "invalidating snapshots and memo entries per EDB state number",
     )
     serve.add_argument(
         "--mutations",

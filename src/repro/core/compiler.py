@@ -28,6 +28,7 @@ later request of that shape only binds its constants.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -206,12 +207,11 @@ def full_selection_key(
     component, and a run of it is additionally a function of the seed
     vector and the join order, so this tuple keys exactly the Lemma 2.1
     unit of work a cross-request memo may share (its entry is the answer
-    set the full selection returns).  The analysis object itself
-    participates (it is a frozen dataclass), which keeps ``t`` and its
-    ``t_part`` rewrite -- same predicate name, different programs --
-    from colliding.  Callers scope the key to one database snapshot
-    (the service adds the EDB fingerprint).  The first two members are
-    the ``key`` of the selection's :class:`QueryForm`.
+    set the full selection returns).  A weak reference to the analysis
+    (it keeps its hash: no Python ``__hash__`` call) keeps ``t`` and its
+    ``t_part`` rewrite -- same name, different programs -- apart.  The
+    service adds the EDB's state number; the first two members are the
+    ``key`` of the selection's :class:`QueryForm`.
     """
     return _full_form(analysis, selected_class, selected_positions).key + (
         tuple(seed), order)
@@ -299,7 +299,7 @@ def _full_form(
         plan = compile_plan(analysis, pers_positions=positions)
         component = ("pers", positions)
     return QueryForm(analysis, plan.selected_positions, plan,
-                     (analysis, component), plan.assembler(),
+                     (weakref.ref(analysis), component), plan.assembler(),
                      read_spec(plan), vacuous=vacuous)
 
 

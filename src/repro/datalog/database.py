@@ -31,6 +31,18 @@ __all__ = ["Relation", "Database", "difference"]
 Fact = tuple  # tuple[ConstValue, ...]
 
 
+class Clock:
+    """A database's state number, ``now`` (:meth:`Database.fingerprint`)."""
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0
+
+
+_LOOSE = Clock()  # of the relations no database made: never read
+
+
 def _columns(facts: Sequence[Fact], cols: tuple[int, ...]):
     """``tuple(f[c] for c in cols)`` for each of ``facts``, in order,
     extracted at C speed (one ``itemgetter`` pass per column)."""
@@ -76,7 +88,7 @@ class Relation:
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
                  "_borrowed", "_version", "_distinct_cache",
                  "_col_distinct_cache", "_sample_cache", "written",
-                 "__weakref__")
+                 "_clock", "__weakref__")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -94,16 +106,14 @@ class Relation:
         self._distinct_cache: tuple[int, frozenset[ConstValue]] | None = None
         self._col_distinct_cache: tuple[int, tuple[int, ...]] | None = None
         self._sample_cache: tuple[int, int, tuple[Fact, ...]] | None = None
+        self._clock = _LOOSE
         if tuples:
             self.add_all(tuples)
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped on every effective add, discard, clear.
-
-        Consumers caching state derived from this relation (the engine's
-        base-IDB materialization) compare versions to detect staleness.
-        """
+        """Mutation counter: bumped on every effective add, discard,
+        clear, and by as much its maker's number (``_clock``)."""
         return self._version
 
     # -- mutation ---------------------------------------------------------
@@ -119,6 +129,7 @@ class Relation:
         self._version += 1
         if self._indexes or self._projected:
             self._index_added((fact,))
+        self._clock.now += 1
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
@@ -143,6 +154,7 @@ class Relation:
                 raise _arity_error(self.name, arity, next(
                     f for f in map(tuple, facts) if len(f) != arity))
             self._version += len(tuples)
+            self._clock.now += len(tuples)
             return len(tuples)
         new: list[Fact] = []
         for f in facts:
@@ -157,6 +169,7 @@ class Relation:
         self._version += len(new)
         if self._indexes or self._projected:
             self._index_added(new)
+        self._clock.now += len(new)
         return len(new)
 
     def discard(self, fact: Fact) -> bool:
@@ -175,6 +188,7 @@ class Relation:
         self._version += 1
         if self._indexes or self._projected:
             self._index_removed((fact,))
+        self._clock.now += 1
         return True
 
     def discard_all(self, facts: Iterable[Fact]) -> int:
@@ -201,6 +215,7 @@ class Relation:
         self._version += len(removed)
         if self._indexes or self._projected:
             self._index_removed(removed)
+        self._clock.now += len(removed)
         return len(removed)
 
     def _unshare(self) -> None:
@@ -256,6 +271,7 @@ class Relation:
         self._projected.clear()
         self._borrowed = False
         self._version += 1
+        self._clock.now += 1
 
     # -- queries ----------------------------------------------------------
 
@@ -497,21 +513,22 @@ class Database:
 
     def __init__(self, backend=None) -> None:
         self._relations: dict[str, Relation] = {}
-        self._distinct_cache: tuple[tuple, frozenset[ConstValue]] | None = \
-            None
-        self._fp_cache: tuple[int, tuple] | None = None
+        self._distinct_cache: tuple[int, frozenset[ConstValue]] | None = None
         self._backend = backend
+        self.clock = Clock()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_facts(cls, facts: Mapping[str, Iterable[Fact]],
                    backend=None) -> "Database":
-        """Build a database from ``{predicate: iterable of tuples}``."""
+        """Build a database from ``{predicate: iterable of tuples}``, one
+        :meth:`ensure` and one ``add_all`` per predicate."""
         db = cls(backend=backend)
         for name, tuples in facts.items():
-            for t in tuples:
-                db.add_fact(name, tuple(t))
+            rows = list(tuples)
+            if rows:
+                db.ensure(name, len(rows[0])).add_all(rows)
         return db
 
     @property
@@ -540,10 +557,14 @@ class Database:
 
     def _remounted(self, backend, clone) -> "Database":
         """A database on ``backend`` holding ``clone(other, name,
-        relation)`` of every relation."""
+        relation)`` of every relation; a clone made anew moves its
+        number, which starts at the versions' sum plus their count."""
         other = Database(backend=backend)
-        other._relations = {name: clone(other, name, rel)
-                            for name, rel in self._relations.items()}
+        for name, rel in self._relations.items():
+            held = other._relations[name] = clone(other, name, rel)
+            if held is not rel:
+                held._clock = other.clock
+            other.clock.now += 1 + held.version
         return other
 
     def copy(self) -> "Database":
@@ -596,12 +617,13 @@ class Database:
         """A view of this database with ``mounts`` (``{name: relation}``)
         mounted beside its relations.
 
-        Every relation is shared, not copied; the view has no backend.
-        How evaluators put a carry, a delta or a candidate relation next
-        to the data a rule body reads.
+        Every relation is shared, not copied, and so is the number; the
+        view has no backend.  How evaluators put a carry, a delta or a
+        candidate relation next to the data a rule body reads.
         """
         view = Database()
         view._relations = {**self._relations, **mounts}
+        view.clock = self.clock
         return view
 
     # -- access -----------------------------------------------------------
@@ -610,9 +632,9 @@ class Database:
         """Get the named relation, creating it empty if absent."""
         rel = self._relations.get(name)
         if rel is None:
-            rel = self._make_relation(name, arity)
-            self._relations[name] = rel
-            self._fp_cache = None
+            rel = self._relations[name] = self._make_relation(name, arity)
+            rel._clock = self.clock
+            self.clock.now += 1
         elif rel.arity != arity:
             raise ArityError(
                 f"relation {name} already exists with arity {rel.arity}, "
@@ -651,34 +673,18 @@ class Database:
         """Names of all relations present (including empty ones)."""
         return frozenset(self._relations)
 
-    def fingerprint(self) -> tuple[tuple[str, int, int], ...]:
-        """A cheap mutation fingerprint over all relations.
+    def fingerprint(self) -> int:
+        """This database's state number: a write call to a relation it
+        made (through any view) adds, once its rows land, what it adds to
+        the relation's version; making a relation adds 1.  It never goes
+        back, so caches keyed on it -- the engine's, the service's
+        snapshot and memo -- notice every write."""
+        return self.clock.now
 
-        ``(name, arity, version)`` per relation, sorted by name;
-        O(#relations), no tuples are hashed.  Any fact added or
-        relation cleared (directly or through a :meth:`with_mounts`
-        view) changes the fingerprint, so caches keyed on it -- the
-        engine's base-IDB materialization, the service's snapshot
-        lookup -- notice mutations between queries.
-
-        The sorted tuple is cached and validated against the sum of all
-        relation versions: versions only ever increase, so any mutation
-        strictly increases the sum and a stale hit is impossible.
-        A membership change that could leave the sum unchanged (a new
-        empty relation) explicitly drops the cache.
-        """
-        total = 0
-        for rel in self._relations.values():
-            total += rel._version
-        cached = self._fp_cache
-        if cached is not None and cached[0] == total:
-            return cached[1]
-        fp = tuple(
-            (name, rel.arity, rel.version)
-            for name, rel in sorted(self._relations.items())
-        )
-        self._fp_cache = (total, fp)
-        return fp
+    def versions(self) -> dict[str, tuple[int, int]]:
+        """``{name: (arity, version)}``; against an older one, what moved."""
+        return {name: (rel.arity, rel.version)
+                for name, rel in self._relations.items()}
 
     def arity(self, name: str) -> int | None:
         """Arity of the named relation, or ``None`` if absent."""

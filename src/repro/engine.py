@@ -335,10 +335,9 @@ class Engine:
         """EDB plus materialized extents of every *base* IDB predicate
         the given predicate depends on (excluding itself).
 
-        The cache is keyed on the EDB's mutation fingerprint: adding
-        facts to (or clearing) any relation between queries invalidates
-        every cached materialization, so answers always reflect the
-        current data -- unless it is the EDB itself, current by definition.
+        The cache is keyed on the EDB's state number: a write between
+        queries invalidates every cached materialization, so answers
+        reflect the current data -- unless it is the EDB itself.
         """
         cached = self._base_db.get(predicate)
         if cached is self.edb:

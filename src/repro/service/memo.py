@@ -123,10 +123,6 @@ class FullSelectionMemo:
         self._scope: object = None
         self._home: object = None
 
-    def _live(self, key: tuple) -> bool:
-        scope = key[0]
-        return scope is self._scope or scope == self._scope
-
     def _stored(self, key: tuple):
         """The key ``key``'s entry is kept under -- itself until the
         first carry, then under ``_home`` if its scope is live -- or
@@ -134,9 +130,9 @@ class FullSelectionMemo:
         held."""
         if not self._carried:
             return key
-        if not self._live(key):
+        if key[0] != self._scope:
             return None
-        return key if key[0] is self._home else (self._home,) + key[1:]
+        return key if key[0] == self._home else (self._home,) + key[1:]
 
     def _found(self, key: tuple) -> tuple:
         """``(stored key, value)`` of ``key``'s entry -- kept, or set
@@ -236,7 +232,8 @@ class FullSelectionMemo:
         resume), and ``since`` the moves (:meth:`_since`); or ``None``.
         A relation it reads written with rows unknown, or a scope not
         live, gives none.  The lock is held."""
-        held = self._waiting.get(key[1:]) if self._live(key) else None
+        held = (self._waiting.get(key[1:]) if key[0] == self._scope
+                else None)
         found = None
         for i in reversed(range(len(held or ()))):  # newest first
             value, state = held[i]
@@ -309,8 +306,8 @@ class FullSelectionMemo:
     def scoped(self, scope: object) -> "ScopedMemo":
         """A view of this memo with ``scope`` prefixed onto every key.
 
-        The service scopes each request's memo access to the EDB
-        snapshot fingerprint it is served against, so entries from
+        The service scopes each request's memo access to the EDB state
+        number it is served against, so entries from
         different database states can never answer each other while
         still sharing one bounded LRU (and one set of counters).
         """
@@ -331,7 +328,7 @@ class FullSelectionMemo:
         handed out is copied for ``new`` -- a run still on ``old``
         keeps its own."""
         with self._lock:
-            if self._carried and not self._live((old,)):
+            if self._carried and old != self._scope:
                 # Nothing kept is old's, and the log does not lead to it.
                 written = None
             home = self._home if self._carried else old

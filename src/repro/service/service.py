@@ -8,20 +8,20 @@ that asks, each :meth:`~QueryService.submit` on a thread pool -- with
 three guarantees no bare :class:`~repro.engine.Engine` call gives:
 
 **Snapshot isolation.**  Each request is served against an immutable
-copy of the EDB captured when it is served, keyed on
-:meth:`~repro.datalog.database.Database.fingerprint`.  Capture and
-mutation are serialized on one lock (mutations go through
-:meth:`QueryService.mutate`), so a fingerprint can never be torn --
-every answer is exactly the serial answer for *some* database state the
-service actually passed through.  The one current snapshot is shared
-by every request that sees its fingerprint; relation versions only ever
-increase, so an older fingerprint can never be asked for again and a
-write simply replaces it (in-flight requests keep the object they hold).
+copy of the EDB captured when it is served, labelled with the EDB's
+state number (:meth:`~repro.datalog.database.Database.fingerprint`).
+Capture and mutation are serialized on one lock (mutations go through
+:meth:`QueryService.mutate`), so a state can never be torn -- every
+answer is exactly the serial answer for *some* database state the
+service actually passed through.  The one current snapshot serves every
+request that finds, without the lock, the live number equal to its
+label; the number only ever grows, so a write simply replaces it
+(in-flight requests keep the object they hold).
 
 **Full-selection memoization.**  Lemma 2.1 reduces every selection to a
 union of full selections; the service threads a
-:class:`~repro.service.FullSelectionMemo` (scoped to the snapshot
-fingerprint, an entry kept across a write it did not read) through the
+:class:`~repro.service.FullSelectionMemo` (scoped to the snapshot's
+state number, an entry kept across a write it did not read) through the
 Separable evaluator: answered full selections are served from cache, and
 a miss never waits on another request's run of the same selection.
 
@@ -199,9 +199,8 @@ class ServiceResult:
     ``status`` is ``"ok"`` (complete answers), ``"partial"`` (budget
     tripped mid-union; ``partial`` carries what completed) or
     ``"error"`` (no answers; ``error`` says why).  ``fingerprint`` is
-    the EDB fingerprint of the database state the request was served
-    against -- the handle callers use to reason about which state they
-    observed (``()`` for an error raised before any state was read).
+    the EDB state number it was served against: which state the caller
+    observed (``None`` for an error raised before any was read).
     ``trace_id`` identifies the request's ``service_request`` record
     (every request gets one, whether or not it was recorded).
     """
@@ -211,7 +210,7 @@ class ServiceResult:
     status: str
     answers: frozenset
     stats: Optional[EvaluationStats]
-    fingerprint: tuple
+    fingerprint: Optional[int]
     latency_s: float
     attempts: int
     error: Optional[str] = None
@@ -234,10 +233,9 @@ class ServiceResult:
 
 @dataclass
 class _Snapshot:
-    """One immutable EDB state with its per-state engine and its view
-    of the memo (scoped to the state's fingerprint)."""
+    """One EDB state (``fingerprint``), its engine and its memo view."""
 
-    fingerprint: tuple
+    fingerprint: int
     db: Database
     engine: Engine
     memo: ScopedMemo
@@ -296,8 +294,9 @@ class QueryService:
             if self.config.incremental
             else None
         )
-        # The EDB state the view stands at: what a probe vouches for.
-        self._view_fp = edb.fingerprint() if self._view else None
+        # The EDB state the view stands at and its relations' versions.
+        self._view_fp, self._view_versions = (
+            (edb.fingerprint(), edb.versions()) if self._view else (None, {}))
         # The predicates a view read answers: every derived one.
         self._view_predicates = (
             program.idb_predicates if self._view else frozenset())
@@ -328,8 +327,8 @@ class QueryService:
         ``fn`` receives the live database; whatever it returns is
         passed through.  Because snapshot capture holds the same lock,
         no request can ever observe a half-applied mutation (a "torn"
-        fingerprint): it is served against the state before ``fn`` or
-        after it, never during.
+        state): it is served against the state before ``fn`` or after
+        it, never during.
 
         With :attr:`ServiceConfig.incremental` set, the maintained IDB
         view is brought to the EDB ``fn`` left behind, whether ``fn``
@@ -360,11 +359,11 @@ class QueryService:
 
         The view keeps its own copy of the EDB, standing at
         ``_view_fp``, so what it owes a write is, per relation whose
-        fingerprint entry moved, the rows only in the live relation and
-        the rows only in its copy: exact whatever wrote them -- ``fn``,
-        a ``clear()``, a write behind ``mutate``'s back.  A moved
-        derived relation, or a difference :meth:`MaintainedView.apply`
-        cannot take, rebuilds the view instead.
+        ``(arity, version)`` moved since ``_view_versions``, the rows
+        only in the live relation and the rows only in its copy: exact
+        whatever wrote them -- ``fn``, a ``clear()``, a write behind
+        ``mutate``'s back.  A moved derived relation, or a difference
+        :meth:`MaintainedView.apply` cannot take, rebuilds the view.
         """
         live_fp, view_fp = self.edb.fingerprint(), self._view_fp
         if live_fp == view_fp:
@@ -372,39 +371,31 @@ class QueryService:
         # Stands nowhere until brought to live_fp (None: a rebuild failed).
         self._view_fp = None
         with span_of(tracer, "service.mutate.apply"):
-            moved = {name for name, _, _ in
-                     set(live_fp).symmetric_difference(view_fp or ())}
-            if view_fp is None or not moved.isdisjoint(self._view_predicates):
-                return self._rebuild_view(live_fp)
-            mine = self._view.db
-            deltas = {name: difference(self.edb.relation(name),
-                                       mine.relation(name))
-                      for name in moved}
+            live, mine = self.edb.versions(), self._view.db
+            moved = {name for name, _ in
+                     live.items() ^ self._view_versions.items()}
+            repair = view_fp is not None and moved.isdisjoint(
+                self._view_predicates)
             try:
-                self._view.apply(deltas, tracer)
+                if repair:
+                    self._view.apply({name: difference(
+                        self.edb.relation(name), mine.relation(name))
+                        for name in moved}, tracer)
             except Exception:
-                # Correctness first, incrementality when possible.
-                return self._rebuild_view(live_fp)
-        self._view_fp = live_fp
-        self.metrics.bump("view_repairs")
-
-    def _rebuild_view(self, fingerprint: tuple) -> None:
-        """Bring the view to the live EDB by a full re-evaluation."""
-        self._view.rebuild(self.edb)
-        self._view_fp = fingerprint
-        self.metrics.bump("view_rebuilds")
+                repair = False  # correctness first, incrementality after
+            if not repair:
+                self._view.rebuild(self.edb)
+        self._view_fp, self._view_versions = live_fp, live
+        self.metrics.bump("view_repairs" if repair else "view_rebuilds")
 
     def _view_read(self, query: Atom,
-                   tracer) -> Optional[tuple[tuple, frozenset]]:
+                   tracer) -> Optional[tuple[int, frozenset]]:
         """``(fingerprint, answers)`` of ``query`` off the maintained
         view, or ``None`` when the view does not stand at the live EDB
-        (it was written to behind :meth:`mutate`'s back).
-
-        The lock keeps a write from being mid-way, so the answers are
-        exactly those of the state ``fingerprint`` names.
-        """
+        (it was written to behind :meth:`mutate`'s back).  The lock keeps
+        a write from being mid-way: a view write patches in place."""
         with self._snapshot_lock:
-            fingerprint = self.edb.fingerprint()
+            fingerprint = self.edb.clock.now
             if self._view_fp != fingerprint:
                 return None
             with span_of(tracer, "service.view_read"):
@@ -421,9 +412,9 @@ class QueryService:
         return {p: self.program.depends_on(p) | {p}
                 for p in self.program.idb_predicates}
 
-    def _capture(self, fingerprint: tuple) -> _Snapshot:
-        """Make the live EDB, standing at ``fingerprint``, the current
-        snapshot (the snapshot lock is held).
+    def _capture(self, fingerprint: int) -> _Snapshot:
+        """Make the live EDB, standing at least at ``fingerprint``, the
+        current snapshot (the snapshot lock is held).
 
         It shares with the snapshot it replaces every relation no write
         has touched since (:meth:`Database.snapshot`): a capture costs
@@ -444,17 +435,20 @@ class QueryService:
                     written[name] = None
             self.memo.carry(prev.fingerprint, fingerprint, written)
         snap = self._current = _Snapshot(
-            fingerprint=fingerprint,
-            db=db,
-            engine=self._engine.with_edb(db),
-            memo=self.memo.scoped(fingerprint),
-        )
+            fingerprint, db, self._engine.with_edb(db),
+            self.memo.scoped(fingerprint))
         return snap
 
     def _snapshot(self) -> _Snapshot:
-        """The snapshot for the EDB's current fingerprint."""
+        """The held snapshot while its label is the live number (read
+        without the lock), else one captured under it.  The label is
+        read before the copy and a write moves the number after its rows
+        land, so a snapshot is never older than its label."""
+        snap = self._current
+        if snap is not None and snap.fingerprint == self.edb.clock.now:
+            return snap
         with self._snapshot_lock:
-            fingerprint = self.edb.fingerprint()
+            fingerprint = self.edb.clock.now
             snap = self._current
             if snap is not None and snap.fingerprint == fingerprint:
                 return snap
@@ -579,7 +573,7 @@ class QueryService:
                     and query.predicate in self._view_predicates)
         attempts = 0
         backoff = self.config.retry_backoff_s
-        fingerprint: tuple = ()
+        fingerprint: Optional[int] = None
 
         def served(status: str, strategy: str = strategy,
                    answers: frozenset = frozenset(), stats=None, error=None,

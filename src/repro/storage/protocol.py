@@ -16,7 +16,7 @@ evaluators, planner and service use on
   cover every column);
 - versioning: a ``version`` counter bumped once per effective mutation
   (``add_all``/``discard_all`` bump by the batch's effective size),
-  which feeds :meth:`~repro.datalog.database.Database.fingerprint`;
+  and ``_clock.now``, its maker's state number, by as much once it lands;
 - planner statistics: ``distinct_values`` / ``column_distinct_counts``
   / ``sample(k)``, all cached per version, with ``sample`` drawing the
   crc32-minwise sample the PR 9 containment estimator relies on being

@@ -49,7 +49,7 @@ import weakref
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..datalog.database import minwise_sample
+from ..datalog.database import _LOOSE, minwise_sample
 from ..errors import ArityError, ReproError
 
 __all__ = ["SQLiteBackend", "SQLiteRelation", "ReadOnlyRelationError"]
@@ -126,6 +126,7 @@ class SQLiteRelation:
         self._distinct_cache = None
         self._col_distinct_cache = None
         self._sample_cache = None
+        self._clock = _LOOSE
         self._lock = threading.RLock()
         self._table = _quote("rel_" + name)
         self._columns = [f"c{i}" for i in range(arity)] or ["c0"]
@@ -236,6 +237,7 @@ class SQLiteRelation:
                 return False
             self._version += 1
             self._note((row,), sign)
+        self._clock.now += 1
         return True
 
     def _write_all(self, sql: str, facts: Iterable[Fact], sign: int) -> int:
@@ -264,6 +266,7 @@ class SQLiteRelation:
             self._conn.execute("COMMIT")
             self._version += count
             self._note(changed, sign)
+        self._clock.now += count
         return count
 
     def clear(self) -> None:
@@ -278,6 +281,7 @@ class SQLiteRelation:
             self._probes.clear()
             self._version += 1
             self._journal = None
+        self._clock.now += 1
 
     def _note(self, rows: Iterable[tuple], sign: int) -> None:
         """Journal the ``rows`` a write moved (``sign``: +1 in, -1 out)
@@ -484,7 +488,7 @@ class SQLiteRelation:
             n = len(self)
             twin = self._twin(_readonly=False, _version=n, _len_cache=(n, n),
                               _distinct_cache=None, _col_distinct_cache=None,
-                              _sample_cache=None)
+                              _sample_cache=None, _clock=_LOOSE)
             twin._conn = twin._connect_rw()
             self._conn.backup(twin._conn)
         return twin

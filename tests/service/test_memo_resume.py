@@ -48,8 +48,9 @@ def open_service(program, db, backend, budget=SMALL) -> QueryService:
 
 def from_scratch(key: tuple, db: Database) -> tuple:
     """``(answers, seen_1, seen_2)`` of the run a memo key names, made
-    anew on ``db``."""
+    anew on ``db`` (the key holds its analysis by weak reference)."""
     analysis, (kind, which), seed, order = key[1:]
+    analysis = analysis()
     if kind == "class":
         cls = next(c for c in analysis.classes if c.index == which)
         plan = compile_plan(analysis, selected_class=cls)
@@ -309,9 +310,11 @@ class TestThreads:
         assert published == [30]
 
     def test_readers_resume_beside_a_writer(self, backend):
-        """Four threads read while a fifth adds and deletes rows: every
-        answer equals a memo-less run on the state it was served on,
-        and entries were resumed."""
+        """Four threads read while a fifth adds and deletes rows, paced
+        on each other (12 to 24 reads a state) so that reads of one
+        seed fall on both sides of a write: every answer equals a
+        memo-less run on the state it was served on, and entries were
+        resumed."""
         rng = random.Random(17)
         people = [f"{c}{i}" for c in "ab" for i in range(6)]
         queries = [f"buys({p}, Y)?" for p in people] \
@@ -328,17 +331,22 @@ class TestThreads:
                 states[live.fingerprint()] = Database.from_facts(
                     {name: live.tuples(name) for name in live.predicates()})
 
-            results, stop = [], threading.Event()
+            results, writes, stop = [], [], threading.Event()
 
             def reader(seed):
                 mine = random.Random(seed)
                 for _ in range(120):
+                    while len(results) >= 24 * (len(writes) + 1) \
+                            and not stop.is_set():
+                        stop.wait(0.0005)
                     results.append(service.query(mine.choice(queries)))
 
             def writer():
                 while not stop.is_set():
-                    service.mutate(recorded)
-                    stop.wait(0.002)
+                    if len(results) >= 12 * (len(writes) + 1):
+                        writes.append(service.mutate(recorded))
+                    else:
+                        stop.wait(0.0005)
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)

@@ -141,6 +141,88 @@ class TestMixedWorkloadStress:
         assert after["size"] <= PLAN_CACHE.maxsize
 
 
+class TestLockFreeSnapshot:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_read_without_the_lock_names_a_state_it_was_served(
+            self, backend):
+        """Four threads call ``query()`` while a fifth writes and reads
+        after each write, handed over every microsecond.  A read finds
+        the held snapshot current by comparing the state number without
+        the lock, so every result's number must be one a write recorded
+        inside ``mutate`` (or the first), its answers the oracle's on
+        that state, and a read after one's own write must name a number
+        at least as large as the write's."""
+        program = paper.example_1_1_program()
+        n = 10
+        service = QueryService(program, _chain_db(n), ServiceConfig(
+            workers=1, backend=backend))
+
+        def frozen(db):
+            return Database.from_facts(
+                {name: db.tuples(name) for name in db.predicates()})
+
+        states = {service.edb.fingerprint(): frozen(service.edb)}
+        results, own, stop = [], [], threading.Event()
+
+        def write(i):
+            def fn(db):
+                if i % 3 == 2:  # the row the last write added
+                    db.remove_fact("perfectFor", (f"a{i % n + 1}",
+                                                  f"g{i - 1}"))
+                else:
+                    db.add_fact("perfectFor", (f"a{(i + 1) % n + 1}",
+                                               f"g{i}"))
+                states[db.fingerprint()] = frozen(db)
+                return db.fingerprint()
+            return service.mutate(fn)
+
+        def reader(k):
+            while not stop.is_set():
+                results.append(service.query(f"buys(a{k % n + 1}, Y)?"))
+                k += 1
+
+        def writer():
+            for i in range(30):
+                written = write(i)
+                own.append((written, service.query(
+                    f"buys(a{i % n + 1}, Y)?")))
+                stop.wait(0.001)  # the readers read the state a while
+            stop.set()
+
+        threads = [threading.Thread(target=reader, args=(k,))
+                   for k in range(4)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            threads[4].join(timeout=120)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+            created = service.metrics_dict()["snapshots_created"]
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(own) == 30 == len(states) - 1
+        assert all(result.fingerprint >= written for written, result in own)
+        # The readers were served many states, most reads by a snapshot
+        # some other read captured.
+        assert len({result.fingerprint for result in results}) > 10
+        # One capture at most per state: the others found it current.
+        assert created <= len(states)
+        oracle: dict[tuple, frozenset] = {}
+        for result in results + [result for _, result in own]:
+            assert result.ok and result.fingerprint in states
+            key = (result.fingerprint, str(result.query))
+            if key not in oracle:
+                oracle[key] = oracle_answers(
+                    program, states[result.fingerprint], result.query)
+            assert result.answers == oracle[key], key
+
+
 class TestIdenticalRequests:
     def test_identical_full_selections_at_once_hit_or_run(self):
         program = paper.example_1_1_program()

@@ -148,6 +148,31 @@ class TestVersioning:
         reference.add_fact("e", ("c", "d"))
         assert db.fingerprint() == reference.fingerprint()
 
+    def test_from_facts_is_the_fact_by_fact_build(self, backend):
+        """``Database.from_facts`` loads a predicate with one ``ensure``
+        and one ``add_all``: the relations, versions, state number and
+        rows of adding each fact in turn, duplicates, an empty predicate
+        and an arity-0 one included, and its ``ArityError``."""
+        facts = {"e": [("a", "b"), ("b", "c"), ("a", "b")], "v": [("a",)],
+                 "none": [], "z": [()]}
+        bulk = Database.from_facts(facts, backend=backend)
+        one = Database(backend=backend)
+        for name, rows in facts.items():
+            for row in rows:
+                one.add_fact(name, row)
+        assert bulk.versions() == one.versions() == {
+            "e": (2, 2), "v": (1, 1), "z": (0, 1)}
+        assert bulk.fingerprint() == one.fingerprint() == 7
+        assert {name: bulk.tuples(name) for name in facts} == {
+            name: one.tuples(name) for name in facts}
+        mixed = [("a", "b"), ("a",)]
+        with pytest.raises(ArityError):
+            Database.from_facts({"e": mixed}, backend=backend)
+        one = Database(backend=backend)
+        with pytest.raises(ArityError):
+            for row in mixed:
+                one.add_fact("e", row)
+
 
 class TestDifference:
     def test_replaying_the_difference_reproduces_the_state(self, backend):
