@@ -365,10 +365,10 @@ def record_calls() -> None:
         MEMO_VALUES.append(value)
         return value
 
-    def carried(self, old, new, written):
+    def carried(self, old, new, written, log=None):
         held = self._held
         start = time.perf_counter()
-        carry(self, old, new, written)
+        carry(self, old, new, written, log)
         took = time.perf_counter() - start
         CARRIES.append((self, len(self._entries), self._held - held, took))
 
@@ -435,16 +435,15 @@ def trace_storage(counts: dict) -> None:
         conn.set_trace_callback(traced)
         return conn
 
-    def counted_snapshot(self, previous=None):
-        journal = list(self._journal or ())
-        snap = snapshot(self, previous)
+    def counted_snapshot(self, previous=None, moved=None):
+        snap = snapshot(self, previous, moved)
         written[snap] = snap is not previous
         if snap is not previous and previous is not None and snap._buckets:
             # Adopted: what previous ran, but for the keys written since.
             touched = {expanded(previous._probes[positions, cols],
                                 [row[p] for p in positions])
                        for positions, cols in list(previous._buckets)
-                       for row in journal}
+                       for row in moved or ()}
             ran_by[snap].update(ran_by.get(previous, set()) - touched)
         return snap
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -26,21 +27,53 @@ from .atoms import Atom
 from .errors import ArityError
 from .terms import Constant, ConstValue
 
-__all__ = ["Relation", "Database", "difference"]
+__all__ = ["Relation", "Database"]
 
 Fact = tuple  # tuple[ConstValue, ...]
 
 
 class Clock:
-    """A database's state number, ``now`` (:meth:`Database.fingerprint`)."""
+    """A database's state number, ``now`` (:meth:`Database.fingerprint`),
+    and, once :meth:`start`-ed, its write log (:meth:`Database.changes`):
+    one ``(epoch, relation, rows, sign)`` per effective write call of a
+    relation the database made, ``epoch`` the number after the call and
+    ``sign`` +1 (``rows`` added) or -1 (removed).  A write appends its
+    entry before it moves ``now``, so whoever reads a number finds every
+    entry up to it; ``base`` is the oldest epoch the log reaches back to.
+    """
 
-    __slots__ = ("now",)
+    __slots__ = ("now", "log", "base", "rows")
 
     def __init__(self) -> None:
         self.now = 0
+        self.log: list | None = None
+        self.base = self.rows = 0  # rows: how many the log holds
+
+    def start(self) -> None:
+        """Log every write from now on (a started log goes on)."""
+        if self.log is None:
+            self.log, self.base = [], self.now
+
+    def moved(self, name: str, rows, sign: int, step: int) -> None:
+        """A write call moved ``rows`` of relation ``name`` and adds
+        ``step`` to ``now``: logged first (a copy), if this clock logs."""
+        if self.log is not None and rows:
+            self.log.append((self.now + step, name, tuple(rows), sign))
+            self.rows += len(rows)
+        self.now += step
+
+    def cut(self, epoch: int) -> None:
+        """Drop the entries up to ``epoch``, the log's new base.  The base
+        moves first: a reader without the writers' lock that finds the
+        new list finds the new base (and the old list reads whole)."""
+        if epoch > self.base:
+            i = bisect_right(self.log, epoch, key=_EPOCH)
+            self.rows -= sum([len(entry[2]) for entry in self.log[:i]])
+            self.base, self.log = epoch, self.log[i:]
 
 
-_LOOSE = Clock()  # of the relations no database made: never read
+_LOOSE = Clock()  # of the relations no database made: never read or logged
+_EPOCH = itemgetter(0)
 
 
 def _columns(facts: Sequence[Fact], cols: tuple[int, ...]):
@@ -61,20 +94,6 @@ def minwise_sample(facts, k: int) -> tuple[Fact, ...]:
         k, facts, key=lambda t: (zlib.crc32((r := repr(t)).encode()), r)))
 
 
-def difference(new, old) -> tuple[set[Fact], set[Fact]]:
-    """``(rows only in new, rows only in old)`` of two relations of any
-    backend, ``None`` reading as empty: a memory relation's set is read
-    as it is, any other relation is iterated once."""
-    new, old = _rows(new), _rows(old)
-    return new - old, old - new
-
-
-def _rows(rel) -> set[Fact]:
-    if rel is None:
-        return set()
-    return rel._tuples if isinstance(rel, Relation) else set(rel)
-
-
 def _arity_error(name: str, arity: int, fact: Fact) -> ArityError:
     return ArityError(
         f"relation {name} has arity {arity}, "
@@ -87,8 +106,8 @@ class Relation:
 
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_projected",
                  "_borrowed", "_version", "_distinct_cache",
-                 "_col_distinct_cache", "_sample_cache", "written",
-                 "_clock", "__weakref__")
+                 "_col_distinct_cache", "_sample_cache", "_clock",
+                 "__weakref__")
 
     def __init__(self, name: str, arity: int,
                  tuples: Iterable[Fact] = ()) -> None:
@@ -120,28 +139,16 @@ class Relation:
 
     def add(self, fact: Fact) -> bool:
         """Insert a tuple; returns True if it was new."""
-        fact = tuple(fact)
-        if len(fact) != self.arity:
-            raise _arity_error(self.name, self.arity, fact)
-        if fact in self._tuples:
-            return False
-        self._tuples.add(fact)
-        self._version += 1
-        if self._indexes or self._projected:
-            self._index_added((fact,))
-        self._clock.now += 1
-        return True
+        return self.add_all((fact,)) == 1
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many tuples; returns the number that were new.
 
-        Bulk counterpart of :meth:`add`: the whole batch lands in the
-        tuple set first and every live index is patched once at the
-        end, instead of paying the per-fact index walk ``add`` does.
-        Semi-naive delta installation and the carry-loop refills go
-        through here.  An empty relation nobody indexes -- every carry
-        refill, and the ``seen_1`` of the exit stage -- is loaded without
-        a Python-level step per fact.
+        The whole batch lands in the tuple set first and every live
+        index is patched once at the end: semi-naive delta installation
+        and the carry-loop refills go through here.  An empty relation
+        nobody indexes -- every carry refill, the exit stage's
+        ``seen_1`` -- is loaded without a Python-level step per fact.
         """
         arity = self.arity
         tuples = self._tuples
@@ -154,7 +161,7 @@ class Relation:
                 raise _arity_error(self.name, arity, next(
                     f for f in map(tuple, facts) if len(f) != arity))
             self._version += len(tuples)
-            self._clock.now += len(tuples)
+            self._clock.moved(self.name, tuples, 1, len(tuples))
             return len(tuples)
         new: list[Fact] = []
         for f in facts:
@@ -169,36 +176,21 @@ class Relation:
         self._version += len(new)
         if self._indexes or self._projected:
             self._index_added(new)
-        self._clock.now += len(new)
+        self._clock.moved(self.name, new, 1, len(new))
         return len(new)
 
     def discard(self, fact: Fact) -> bool:
-        """Remove a tuple; returns True if it was present.
-
-        Live indexes are patched in place (the bucket entry is removed,
-        empty buckets dropped) so a delete costs the same O(#indexes)
-        walk as :meth:`add` instead of an index rebuild.
-        """
-        fact = tuple(fact)
-        if len(fact) != self.arity:
-            raise _arity_error(self.name, self.arity, fact)
-        if fact not in self._tuples:
-            return False
-        self._tuples.discard(fact)
-        self._version += 1
-        if self._indexes or self._projected:
-            self._index_removed((fact,))
-        self._clock.now += 1
-        return True
+        """Remove a tuple; returns True if it was present."""
+        return self.discard_all((fact,)) == 1
 
     def discard_all(self, facts: Iterable[Fact]) -> int:
         """Remove many tuples; returns the number that were present.
 
-        Bulk counterpart of :meth:`discard`, mirroring :meth:`add_all`:
-        the whole batch leaves the tuple set first and every live index
-        is patched in one pass, instead of paying the per-fact
-        O(#indexes) walk ``discard`` does.  DRed's delete/rederive path
-        goes through here with whole delta sets.
+        Mirroring :meth:`add_all`, the whole batch leaves the tuple set
+        first and every live index is patched in place in one pass (the
+        bucket entry removed, empty buckets dropped) instead of being
+        rebuilt.  DRed's delete/rederive path goes through here with
+        whole delta sets.
         """
         arity = self.arity
         tuples = self._tuples
@@ -215,7 +207,7 @@ class Relation:
         self._version += len(removed)
         if self._indexes or self._projected:
             self._index_removed(removed)
-        self._clock.now += len(removed)
+        self._clock.moved(self.name, removed, -1, len(removed))
         return len(removed)
 
     def _unshare(self) -> None:
@@ -266,12 +258,13 @@ class Relation:
 
     def clear(self) -> None:
         """Remove all tuples and drop all indexes."""
+        gone = tuple(self._tuples) if self._clock.log is not None else ()
         self._tuples.clear()
         self._indexes.clear()
         self._projected.clear()
         self._borrowed = False
         self._version += 1
-        self._clock.now += 1
+        self._clock.moved(self.name, gone, -1, 1)
 
     # -- queries ----------------------------------------------------------
 
@@ -417,50 +410,53 @@ class Relation:
 
     def copy(self) -> "Relation":
         """A private writable copy (indexes and caches not copied)."""
-        return Relation(self.name, self.arity, self._tuples)
+        twin = Relation(self.name, self.arity)
+        twin._tuples = set(self._tuples)
+        twin._version = len(twin._tuples)
+        return twin
 
-    def snapshot(self, previous: "Relation | None" = None) -> "Relation":
+    def snapshot(self, previous: "Relation | None" = None,
+                 moved: dict | None = None) -> "Relation":
         """A stable view of the current contents, at this version.
 
         ``previous`` is the last snapshot taken of this relation: it is
         the answer while the version has not moved (snapshots are never
         written to), and otherwise lends the fresh copy its indexes,
-        patched by the difference (:meth:`adopt_indexes`), which it
-        keeps as ``written``: ``row -> +1`` (added) or ``-1`` (deleted)
-        since ``previous`` (``None``: it adopted nothing, or
-        ``previous`` is another relation's).  Out-of-core
-        backends can return a cheaper read-only view than a copy (the
-        SQLite backend pins a WAL read transaction on a durable file).
+        patched by ``moved`` (:meth:`adopt_indexes`): the rows moved
+        since ``previous`` was taken, each to ``+1`` (added) or ``-1``
+        (deleted) -- ``None``: unknown, and nothing is adopted.
+        Out-of-core backends can return a cheaper read-only view than a
+        copy (the SQLite backend pins a WAL read transaction on a
+        durable file).
         """
         if (previous is not None and previous.arity == self.arity
                 and previous._version == self._version):
             return previous
         snap = self.copy()
         snap._version = self._version
-        snap.written = (snap.adopt_indexes(previous) if previous is not None
-                        and previous.name == self.name else None)
+        if previous is not None and moved is not None:
+            snap.adopt_indexes(previous, moved)
         return snap
 
-    def adopt_indexes(self, other: "Relation") -> None:
-        """Take over ``other``'s indexes, patched to this relation's tuples.
+    def adopt_indexes(self, other: "Relation", moved: dict) -> None:
+        """Take over ``other``'s indexes, patched by ``moved``: the rows
+        this relation holds and ``other`` does not, each to ``+1``, and
+        the reverse, each to ``-1``.
 
         For a relation that differs from ``other`` by a few tuples -- the
         snapshot after a small write: each index dict is copied
-        shallowly and only the buckets of the differing tuples are
-        built anew, so nothing is rebuilt from scratch and every other
-        bucket list is shared with ``other``.  Neither side may patch a
-        shared bucket in place any more: both are marked, and a marked
-        relation's next mutation drops its indexes instead.  Relations
-        that differ in more than a quarter of their tuples adopt
-        nothing; a lazy rebuild is cheaper there.  Returns the differing
-        tuples, each mapped to ``+1`` (only here) or ``-1`` (only in
-        ``other``), or ``None`` when it adopted nothing.
+        shallowly and only the buckets of the moved tuples are built
+        anew, so nothing is rebuilt from scratch and every other bucket
+        list is shared with ``other``.  Neither side may patch a shared
+        bucket in place any more: both are marked, and a marked
+        relation's next mutation drops its indexes instead.  Past a
+        quarter of its tuples moved, or at another arity, it adopts
+        nothing; a lazy rebuild is cheaper there.
         """
-        if other.arity != self.arity:
-            return None
-        added, removed = map(list, difference(self, other))
-        if 4 * (len(added) + len(removed)) > len(self._tuples):
-            return None
+        if other.arity != self.arity or 4 * len(moved) > len(self._tuples):
+            return
+        added = [row for row, sign in moved.items() if sign > 0]
+        removed = [row for row, sign in moved.items() if sign < 0]
         # list(): a reader may publish a freshly built index meanwhile.
         for positions, index in list(other._indexes.items()):
             index = dict(index)
@@ -488,7 +484,6 @@ class Relation:
                 index[key] = index.get(key, set()) | {row}
             self._projected[positions, cols] = index
             self._borrowed = other._borrowed = True
-        return {**dict.fromkeys(added, 1), **dict.fromkeys(removed, -1)}
 
     def __repr__(self) -> str:
         return f"Relation({self.name}/{self.arity}, {len(self)} tuples)"
@@ -509,7 +504,8 @@ class Database:
     ``backend.make_relation(name, arity, tuples)`` instead.
     """
 
-    written: dict | None = None  # see snapshot()
+    #: A snapshot's source clock (:meth:`snapshot`), else ``None``.
+    _origin: Clock | None = None
 
     def __init__(self, backend=None) -> None:
         self._relations: dict[str, Relation] = {}
@@ -578,30 +574,30 @@ class Database:
             self._scratch_backend(), lambda _, name, rel: rel.copy())
 
     def snapshot(self, previous: "Database | None" = None) -> "Database":
-        """A stable read view of the current contents.
+        """A stable read view of the current contents, at this number.
 
         Like :meth:`copy` but built from :meth:`Relation.snapshot`, and
         never written to (so it keeps this database's backend,
-        :attr:`shares_storage` included).
-        ``previous``, the snapshot this one replaces, is shared from: a
-        relation whose ``(arity, version)`` has not moved is mounted as
-        the *same object* -- rows, indexes, on SQLite the connection and
-        its statements -- so a snapshot after a write costs what the
-        write touched.  A durable SQLite file copies
-        nothing and pins one read-only WAL connection per relation,
-        anew per snapshot.  Every service snapshot is taken here.
-
-        Its ``written`` maps each relation not shared with ``previous``
-        to the rows written since, each to ``+1`` (added) or ``-1``
-        (deleted) -- ``None``: unknown.
+        :attr:`shares_storage` included).  ``previous``, the snapshot
+        this one replaces, is shared from: a relation whose ``(arity,
+        version)`` has not moved is mounted as the *same object* --
+        rows, indexes, on SQLite the connection and its statements --
+        and a written one adopts what ``previous`` built but for the
+        rows :meth:`changes` names since ``previous``'s epoch (one older
+        than the log lends only its unwritten relations, a snapshot of
+        another database nothing), so a snapshot after a write costs
+        what the write touched.  A durable SQLite file copies nothing
+        and pins one read-only WAL connection per relation, anew per
+        snapshot.  Every service snapshot is taken here.
         """
-        held = previous._relations if previous is not None else {}
-        snap = self._remounted(
-            self._backend,
-            lambda _, name, rel: rel.snapshot(held.get(name)))
-        snap.written = {name: rel.written
-                        for name, rel in snap._relations.items()
-                        if rel is not held.get(name)}
+        # The number first: it is never newer than the rows copied.
+        now, held, moves = self.clock.now, {}, None
+        if previous is not None and previous._origin is self.clock:
+            held = previous._relations
+            moves = self.changes(previous.clock.now)
+        snap = self._remounted(self._backend, lambda _, name, rel: (
+            rel.snapshot(held.get(name), moves and moves.get(name, {}))))
+        snap.clock.now, snap._origin = now, self.clock
         return snap
 
     def with_backend(self, backend) -> "Database":
@@ -681,10 +677,29 @@ class Database:
         snapshot and memo -- notice every write."""
         return self.clock.now
 
-    def versions(self) -> dict[str, tuple[int, int]]:
-        """``{name: (arity, version)}``; against an older one, what moved."""
-        return {name: (rel.arity, rel.version)
-                for name, rel in self._relations.items()}
+    def changes(self, since: int, until: int | None = None):
+        """``{name: {row: +1 | -1}}``: the rows whose membership moved
+        from state ``since`` to ``until`` (now if ``None``), each to the
+        sign of that move -- a row moved back drops out, and so does a
+        relation left with none -- read off the write log
+        (:class:`Clock`); ``None`` when the log does not reach back to
+        ``since``, or was never started.  A ``clear()`` names the rows
+        it removed, so a replay of the moves onto the state at ``since``
+        is the state at ``until`` whatever wrote them."""
+        clock = self.clock
+        log = clock.log  # before the base: see Clock.cut
+        if log is None or since < clock.base:
+            return None
+        moves: dict[str, dict] = {}
+        start = bisect_right(log, since, key=_EPOCH)
+        end = None if until is None else bisect_right(log, until, start,
+                                                      key=_EPOCH)
+        for _, name, rows, sign in log[start:end]:
+            net = moves.setdefault(name, {})
+            for row in rows:
+                if net.pop(row, None) is None:
+                    net[row] = sign
+        return {name: net for name, net in moves.items() if net}
 
     def arity(self, name: str) -> int | None:
         """Arity of the named relation, or ``None`` if absent."""

@@ -52,7 +52,7 @@ class Case:
     expect_separable: bool | None = None
     note: str = ""
 
-    def with_note(self, note: str) -> "Case":
+    def annotated(self, note: str) -> "Case":
         return replace(self, note=note)
 
     def size(self) -> tuple[int, int]:

@@ -160,7 +160,7 @@ def _shrink_failure(
     result = shrink_case(
         failure.case, predicate, max_attempts=config.max_shrink_attempts
     )
-    failure.shrunk = result.case.with_note(
+    failure.shrunk = result.case.annotated(
         (failure.case.note + " shrunk").strip()
     )
 

@@ -164,11 +164,11 @@ class MaintainedView:
 
         ``deltas`` maps base relation names to ``(inserted, deleted)``
         fact sets -- the service passes, per written relation, the rows
-        only in the live one and the rows only in the view's copy
-        (:func:`repro.datalog.database.difference`); a row already where
-        a set would put it is skipped.  Deltas naming an IDB predicate
-        are rejected -- derived relations are owned by the view.  A
-        live ``tracer`` gets one span per phase that runs --
+        its write log names as added and as deleted since the view last
+        caught up (:meth:`repro.datalog.database.Database.changes`); a
+        row already where a set would put it is skipped.  Deltas naming
+        an IDB predicate are rejected -- derived relations are owned by
+        the view.  A live ``tracer`` gets one span per phase that runs --
         ``view.overestimate`` and ``view.rederive`` for the deletions,
         ``view.restart`` for the insertions -- each counting its
         fixpoint ``rounds`` (round zero included) and its ``facts_in`` /

@@ -55,7 +55,7 @@ def _carry_loop_nodedup(
     """
     seen: set[tuple] = set(initial)
     carry: set[tuple] = set(initial)
-    visited_states: set[frozenset[tuple]] = {frozenset(carry)}
+    visited: set[frozenset[tuple]] = {frozenset(carry)}
     stats.record_relation(carry_name, len(carry))
     stats.record_relation(seen_name, len(seen))
     with span_of(tracer, "nodedup.loop", relation=seen_name,
@@ -76,14 +76,14 @@ def _carry_loop_nodedup(
             budget.check_relation(seen_name, len(seen), stats)
             budget.check_stats(stats)
             state = frozenset(carry)
-            if carry and state in visited_states:
+            if carry and state in visited:
                 raise CyclicDataError(
                     f"carry state of {carry_name} repeated without the "
                     f"seen-difference; the data is cyclic and the "
                     f"no-dedup iteration diverges",
                     stats=stats,
                 )
-            visited_states.add(state)
+            visited.add(state)
     return seen
 
 

@@ -46,6 +46,13 @@ def _family(key: tuple) -> tuple:
     return key[:-2] + key[-1:]
 
 
+def _signed(moves: dict, sign: int) -> dict:
+    """``relation -> rows`` of the rows of ``moves`` that moved ``sign``
+    (+1 in, -1 out); a relation written with rows unknown stays ``None``."""
+    return {name: rows and [row for row, s in rows.items() if s == sign]
+            for name, rows in moves.items()}
+
+
 def _meeting(members: dict, written: dict) -> set:
     """The seeds of ``members`` (``seed -> value``, one form's) whose
     read sets a row of ``written`` meets, found by the written rows'
@@ -100,23 +107,14 @@ class FullSelectionMemo:
         #: :meth:`seen_sets`: ``family -> seed -> (seen_1, seen_2)``, for
         #: families some miss asked about.
         self._tables: dict[tuple, dict] = {}
-        #: Set aside by :meth:`carry`: unscoped key -> ``[(value, k)]``,
-        #: ``k`` the state (below) the value was made on; how many.
+        #: Set aside by :meth:`carry`: unscoped key -> ``[(value, s)]``,
+        #: ``s`` the scope the value was made on; how many.
         self._waiting: OrderedDict[tuple, list] = OrderedDict()
         self._held = 0
-        #: Per state since the log began (state 0; each carry makes the
-        #: next one): the ``(relation, row)`` whose membership differs
-        #: from state 0's; per relation, each such row's first move's
-        #: sign; per relation written with rows unknown, the last state
-        #: it left.
-        self._states: list[frozenset] = [frozenset()]
-        self._first: dict[str, dict] = {}
-        self._unknown: dict[str, int] = {}
-        #: The rows the states hold together: past ``16 * maxsize`` the
-        #: log starts anew (an add-only stream grows each state by one).
-        self._tracked = 0
-        #: :meth:`_since` of each state asked about, for the current one.
-        self._moved: dict[int, dict] = {}
+        #: The last carry's ``log`` and, per scope asked about, its answer
+        #: (the carry's ``old``: its ``written``).
+        self._log: Callable | None = None
+        self._moved: dict = {}
         #: Whether :meth:`carry` ran; the live scope (its last ``new``)
         #: and the prefix that scope's entries are stored under.
         self._carried = False
@@ -221,9 +219,7 @@ class FullSelectionMemo:
             if found is None:
                 return None
             held, i, since = found
-            return held[i][0][2], {
-                name: [row for row, sign in rows.items() if sign > 0]
-                for name, rows in since.items()}
+            return held[i][0][2], _signed(since, 1)
 
     def _aside(self, key: tuple):
         """``(held, i, since)``: ``held[i]`` the newest value :meth:`carry`
@@ -231,44 +227,32 @@ class FullSelectionMemo:
         again), failing that the newest no row deleted since meets (to
         resume), and ``since`` the moves (:meth:`_since`); or ``None``.
         A relation it reads written with rows unknown, or a scope not
-        live, gives none.  The lock is held."""
+        live, gives none; a value the log no longer reaches is
+        forgotten.  The lock is held."""
         held = (self._waiting.get(key[1:]) if key[0] == self._scope
                 else None)
         found = None
         for i in reversed(range(len(held or ()))):  # newest first
-            value, state = held[i]
-            reads = value[2]
-            since = self._since(state, reads.spec)
-            if since is None:
-                continue
+            reads, since = held[i][0][2], self._since(held[i][1])
+            if since is None:  # past the log's reach, as is every older one
+                del held[:i + 1]  # and a newer one found moves down
+                self._held -= i + 1
+                return found and (held, found[1] - i - 1, found[2])
             if not reads.meets(since):
                 return held, i, since
-            if found is None and not reads.meets({
-                    name: [row for row, sign in rows.items() if sign < 0]
-                    for name, rows in since.items()}):
+            if found is None and not reads.meets(_signed(since, -1)):
                 found = held, i, since
         return found
 
-    def _since(self, state: int, spec: dict):
-        """``relation -> {row: +1 | -1}``: the rows whose membership
-        moved from ``state`` to the current one, each to the sign of
-        that move (kept until the next carry; not to be changed), or
-        ``None`` if a relation of ``spec`` was written with rows unknown
-        since.  The lock is held."""
-        unknown = self._unknown
-        if unknown and any(unknown.get(name, -1) >= state for name in spec):
-            return None
-        since = self._moved.get(state)
-        if since is None:
-            now, first = self._states[-1], self._first
-            since = self._moved[state] = {}
-            for name, row in self._states[state].symmetric_difference(now):
-                sign = first.get(name, {}).get(row)
-                if sign is None:  # its relation started anew since
-                    continue
-                # In now: it differs from state 0 there.
-                since.setdefault(name, {})[row] = (
-                    1 if ((name, row) in now) == (sign > 0) else -1)
+    def _since(self, scope):
+        """``relation -> {row: +1 | -1} | None``: the moves from
+        ``scope`` to the live one by the last carry's ``log`` (kept
+        until the next carry; not to be changed), or ``None`` past its
+        reach.  The lock is held."""
+        since = self._moved.get(scope, _MISSING)
+        if since is _MISSING:
+            since = self._moved[scope] = (
+                None if self._log is None else self._log(scope))
         return since
 
     def _put(self, key: tuple, value: object) -> None:
@@ -313,7 +297,8 @@ class FullSelectionMemo:
         """
         return ScopedMemo(self, scope)
 
-    def carry(self, old: object, new: object, written) -> None:
+    def carry(self, old: object, new: object, written,
+              log: Callable | None = None) -> None:
         """Make ``new`` the live scope, keeping every entry of scope
         ``old`` whose read set misses every row of ``written``
         (``relation -> {row: +1 | -1}`` of the rows whose membership
@@ -323,20 +308,24 @@ class FullSelectionMemo:
         from a carry row of the old fixpoint, which is in a ``seen``
         (Theorem 2.1, :func:`~repro.core.compiler.read_spec`).
 
+        ``log`` maps a scope to ``written`` from it to ``new`` (``None``
+        past its reach): what a value set aside asks on a later lookup,
+        to come back or resume.  Without one nothing waits.
+
         Only the entries a written row meets move (:func:`_meeting`):
         the others stay where they are, and each table :meth:`seen_sets`
         handed out is copied for ``new`` -- a run still on ``old``
         keeps its own."""
         with self._lock:
             if self._carried and old != self._scope:
-                # Nothing kept is old's, and the log does not lead to it.
+                # Nothing kept is old's: written does not lead from it.
                 written = None
             home = self._home if self._carried else old
             for family in [f for f in self._families if f[0] != home]:
                 self._drop(family)
-            if written is None or self._tracked > 16 * self.maxsize:
-                self._forget()
-            state = len(self._states) - 1  # old's
+            if written is None:
+                self._waiting.clear()
+                self._held = 0
             tables = {}
             for family, members in list(self._families.items()):
                 if written is None:
@@ -347,7 +336,7 @@ class FullSelectionMemo:
                     key = family[:-1] + (seed, family[-1])
                     del self._entries[key]
                     self._waiting.setdefault(key[1:], []).append(
-                        (members.pop(seed), state))
+                        (members.pop(seed), old))
                 self._held += len(hit)
                 if not members:
                     del self._families[family]
@@ -357,47 +346,11 @@ class FullSelectionMemo:
                     for seed in hit:
                         table.pop(seed, None)
             self._tables = tables
-            if written is not None:
-                self._states.append(self._next_state(state, written))
-                self._tracked += len(self._states[-1]) + 1
-            self._moved = {}
+            self._log, self._moved = log, {old: written}
             self.survived += len(self._entries)
             while self._held > self.maxsize:  # at most maxsize wait
                 self._held -= len(self._waiting.popitem(last=False)[1])
             self._carried, self._scope, self._home = True, new, home
-
-    def _next_state(self, state: int, written: dict) -> frozenset:
-        """The state after ``state`` once ``written`` moved its rows (the
-        lock is held).  A relation written with rows unknown starts
-        anew: its rows leave the state and their first moves are
-        forgotten, so a later move is told from where it starts.  Only
-        a relation that holds tracked rows costs a pass over the state
-        (a derived one, written with rows unknown on every capture that
-        touches what it depends on, never does)."""
-        rows_of, first = self._states[state], self._first
-        stale = set()
-        for name, rows in written.items():
-            if rows is None:
-                self._unknown[name] = state
-                if first.pop(name, None):
-                    stale.add(name)
-        if stale:
-            rows_of = frozenset(x for x in rows_of if x[0] not in stale)
-        moved = []
-        for name, rows in written.items():
-            if rows:
-                signs = first.setdefault(name, {})
-                for row, sign in rows.items():
-                    signs.setdefault(row, sign)
-                    moved.append((name, row))
-        return rows_of.symmetric_difference(moved)
-
-    def _forget(self) -> None:
-        """Start the log anew, dropping what waits (the lock is held)."""
-        self._waiting.clear()
-        self._held = self._tracked = 0
-        self._states = [frozenset()]
-        self._first, self._unknown, self._moved = {}, {}, {}
 
     def _drop(self, family: tuple) -> None:
         """Forget every entry of ``family`` (the lock is held)."""
@@ -406,7 +359,7 @@ class FullSelectionMemo:
 
     def _revived(self, key: tuple, stored: tuple) -> bool:
         """Whether an entry :meth:`carry` set aside for ``key`` is valid
-        again -- the rows whose membership moved since its state (a row
+        again -- the rows whose membership moved since its scope (a row
         moved back is not among them) miss its read set
         (:meth:`_aside`) -- and so back under ``stored``.  The lock is
         held."""
@@ -432,7 +385,8 @@ class FullSelectionMemo:
         with self._lock:
             self._entries.clear()
             self._families.clear()
-            self._forget()
+            self._waiting.clear()
+            self._held = 0
             self._tables = {}
             self.absorbed = 0
             self.hits = 0

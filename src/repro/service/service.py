@@ -43,12 +43,12 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..budget import Budget, UNLIMITED
 from ..datalog.atoms import Atom
-from ..datalog.database import Database, difference
+from ..datalog.database import Database
 from ..datalog.errors import BudgetExceeded, ReproError
 from ..datalog.parser import parse_query_memo
 from ..datalog.plan_cache import PLAN_CACHE
@@ -109,8 +109,8 @@ class ServiceConfig:
     incremental:
         Maintain a materialized IDB view under mutation (see
         :mod:`repro.maintenance`): after each :meth:`QueryService.mutate`
-        the view is repaired by the difference between its own copy of
-        each written relation and the live one, and a
+        the view is repaired by the rows the EDB's write log names
+        since the view last caught up, and a
         ``strategy="auto"`` read of a derived predicate is one index
         lookup on the view (:meth:`MaintainedView.select
         <repro.maintenance.MaintainedView.select>`) instead of an
@@ -269,6 +269,7 @@ class QueryService:
 
             edb = ensure_backend(edb, self.config.backend)
         self.edb = edb
+        edb.clock.start()  # the one record of a write: Database.changes
         self.metrics = metrics or ServiceMetrics()
         self.memo = FullSelectionMemo(self.config.memo_size)
         self._recorded = RingBufferSink(SLOWLOG_CAPACITY)
@@ -294,9 +295,8 @@ class QueryService:
             if self.config.incremental
             else None
         )
-        # The EDB state the view stands at and its relations' versions.
-        self._view_fp, self._view_versions = (
-            (edb.fingerprint(), edb.versions()) if self._view else (None, {}))
+        # The EDB state the view stands at.
+        self._view_fp = edb.fingerprint() if self._view else None
         # The predicates a view read answers: every derived one.
         self._view_predicates = (
             program.idb_predicates if self._view else frozenset())
@@ -342,6 +342,7 @@ class QueryService:
         tracer the metrics absorb; any other passes ``tracer=None``.
         """
         with self._snapshot_lock:
+            self._trim()
             if self._view is None:
                 return fn(self.edb)
             tracer = (Tracer() if self._sampled(self.metrics.number())
@@ -358,35 +359,50 @@ class QueryService:
         """Bring the view to the live EDB (the snapshot lock is held).
 
         The view keeps its own copy of the EDB, standing at
-        ``_view_fp``, so what it owes a write is, per relation whose
-        ``(arity, version)`` moved since ``_view_versions``, the rows
-        only in the live relation and the rows only in its copy: exact
-        whatever wrote them -- ``fn``, a ``clear()``, a write behind
-        ``mutate``'s back.  A moved derived relation, or a difference
-        :meth:`MaintainedView.apply` cannot take, rebuilds the view.
+        ``_view_fp``, so what it owes a write is the EDB's moves since
+        (:meth:`Database.changes`): exact whatever wrote them -- ``fn``,
+        a ``clear()``, a write behind ``mutate``'s back.  A moved
+        derived relation, a log that no longer reaches ``_view_fp``, or
+        moves :meth:`MaintainedView.apply` cannot take, rebuild the
+        view.
         """
-        live_fp, view_fp = self.edb.fingerprint(), self._view_fp
+        live_fp, view_fp = self.edb.clock.now, self._view_fp
         if live_fp == view_fp:
             return
         # Stands nowhere until brought to live_fp (None: a rebuild failed).
         self._view_fp = None
         with span_of(tracer, "service.mutate.apply"):
-            live, mine = self.edb.versions(), self._view.db
-            moved = {name for name, _ in
-                     live.items() ^ self._view_versions.items()}
-            repair = view_fp is not None and moved.isdisjoint(
-                self._view_predicates)
+            moves = (None if view_fp is None
+                     else self.edb.changes(view_fp, live_fp))
+            repair = moves is not None and self._view_predicates.isdisjoint(
+                moves)
             try:
                 if repair:
-                    self._view.apply({name: difference(
-                        self.edb.relation(name), mine.relation(name))
-                        for name in moved}, tracer)
+                    self._view.apply({name: (
+                        [row for row, sign in rows.items() if sign > 0],
+                        [row for row, sign in rows.items() if sign < 0])
+                        for name, rows in moves.items()}, tracer)
             except Exception:
                 repair = False  # correctness first, incrementality after
             if not repair:
                 self._view.rebuild(self.edb)
-        self._view_fp, self._view_versions = live_fp, live
+        self._view_fp = live_fp
         self.metrics.bump("view_repairs" if repair else "view_rebuilds")
+
+    def _trim(self) -> None:
+        """Past ``16 * memo_size`` logged rows, cut the EDB's write log at
+        the oldest epoch the current snapshot or the view needs, then, if
+        still past it, the next one up to now: what the log no longer
+        reaches copies, rebuilds or is forgotten (the lock is held)."""
+        clock, bound = self.edb.clock, 16 * self.config.memo_size
+        if clock.rows <= bound:
+            return
+        snap = self._current
+        for epoch in sorted({snap and snap.fingerprint, self._view_fp,
+                             clock.now} - {None}):
+            clock.cut(epoch)
+            if clock.rows <= bound:
+                return
 
     def _view_read(self, query: Atom,
                    tracer) -> Optional[tuple[int, frozenset]]:
@@ -421,23 +437,29 @@ class QueryService:
         one copy per *written* relation on ``memory`` and temporary
         SQLite, one pinned read-only connection per relation (and no
         copy) on a durable file.  The memo keeps the entries that read
-        none of the rows written since (:meth:`FullSelectionMemo.carry`;
-        a derived relation counts as written, rows unknown, when a
-        relation it depends on is).
+        none of the rows the write log names since
+        (:meth:`FullSelectionMemo.carry`, :meth:`_moves`).
         """
         prev = self._current
         db = self.edb.snapshot(prev.db if prev is not None else None)
         if prev is not None:
-            written = {name: rows for name, rows in db.written.items()
-                       if rows is None or rows}
-            for name, depends in self._derived.items():
-                if not depends.isdisjoint(written):
-                    written[name] = None
-            self.memo.carry(prev.fingerprint, fingerprint, written)
+            moves = partial(self._moves, until=fingerprint)
+            self.memo.carry(prev.fingerprint, fingerprint,
+                            moves(prev.fingerprint), moves)
         snap = self._current = _Snapshot(
             fingerprint, db, self._engine.with_edb(db),
             self.memo.scoped(fingerprint))
         return snap
+
+    def _moves(self, since: int, until: int) -> Optional[dict]:
+        """:meth:`Database.changes`, a derived relation counted as written
+        with rows unknown (``None``) when a relation it depends on moved."""
+        moves = self.edb.changes(since, until)
+        if moves is not None:
+            for name, depends in self._derived.items():
+                if not depends.isdisjoint(moves):
+                    moves[name] = None
+        return moves
 
     def _snapshot(self) -> _Snapshot:
         """The held snapshot while its label is the live number (read

@@ -22,9 +22,10 @@ evaluators, planner and service use on
   crc32-minwise sample the PR 9 containment estimator relies on being
   identical across backends;
 - copies: ``copy()`` (private writable clone) and
-  ``snapshot(previous=None)`` (stable read view at the same version --
-  may be cheaper than a copy, and is ``previous``, the last snapshot of
-  this relation, while the version has not moved).
+  ``snapshot(previous=None, moved=None)`` (stable read view at the same
+  version -- may be cheaper than a copy, is ``previous``, the last
+  snapshot of this relation, while the version has not moved, and may
+  adopt what ``previous`` built but for the rows ``moved`` names).
 
 A *storage backend* is a factory for relation storages plus a
 ``scratch()`` method returning a variant safe for private copies --
@@ -80,7 +81,7 @@ class RelationStorage(Protocol):
 
     # copies
     def copy(self): ...
-    def snapshot(self, previous=None): ...
+    def snapshot(self, previous=None, moved=None): ...
 
 
 @runtime_checkable

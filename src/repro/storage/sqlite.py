@@ -15,7 +15,7 @@ indexes lazily, and it is handed on unchanged to the next snapshot for
 as long as the relation is unwritten -- rows, connection, prepared
 statements, indexes, buckets.  Once written, the next snapshot adopts
 its predecessor's probe texts and buckets minus the keys of the facts
-written since (:meth:`SQLiteRelation.snapshot`).
+its database's write log names since (:meth:`SQLiteRelation.snapshot`).
 
 The protocol mapping:
 
@@ -29,7 +29,7 @@ The protocol mapping:
   next temporary-mode snapshot keeps every key no write touched;
 - ``add_all`` / ``discard_all`` -> ``executemany`` inside one
   transaction (falling back to per-row statements only while the
-  journal needs per-fact effectiveness);
+  database's write log needs per-fact effectiveness);
 - ``column_distinct_counts`` / ``distinct_values`` -> SQL aggregates
   feeding the PR 9 planner;
 - ``sample`` -> computed Python-side with the same crc32-minwise rule
@@ -113,15 +113,6 @@ class SQLiteRelation:
         self._probes: dict[tuple, str] = {}
         #: ``(positions, cols) -> _Bucket``, filled once read-only.
         self._buckets: dict[tuple, _Bucket] = {}
-        #: The rows written since the last snapshot, each to the sign
-        #: of its last move (a row moved back drops out), which the next
-        #: one names as ``written`` and, in temporary mode, drops from
-        #: the buckets it adopts (None: unknown), that snapshot (a weak
-        #: reference) and the most rows the journal holds before it
-        #: gives up: a quarter of its rows.
-        self._journal: dict | None = None
-        self._journal_base = None
-        self._journal_cap = 0
         self._len_cache: tuple[int, int] | None = None
         self._distinct_cache = None
         self._col_distinct_cache = None
@@ -231,47 +222,45 @@ class SQLiteRelation:
     def _write(self, sql: str, fact: Fact, sign: int) -> bool:
         fact = self._check(fact)
         self._check_writable()
-        row = self._row(fact)
         with self._lock:
-            if self._conn.execute(sql, row).rowcount != 1:
+            if self._conn.execute(sql, self._row(fact)).rowcount != 1:
                 return False
             self._version += 1
-            self._note((row,), sign)
-        self._clock.now += 1
+        self._clock.moved(self.name, (fact,), sign, 1)
         return True
 
     def _write_all(self, sql: str, facts: Iterable[Fact], sign: int) -> int:
         self._check_writable()
-        rows = [self._row(self._check(f)) for f in facts]
-        if not rows:
+        facts = [self._check(f) for f in facts]
+        if not facts:
             return 0
-        changed: list[tuple] = []
         with self._lock:
             self._conn.execute("BEGIN")
             try:
-                if self._journal is not None:
-                    # The journal needs per-row effectiveness; still
-                    # one transaction.
-                    for row in rows:
-                        if self._conn.execute(sql, row).rowcount == 1:
-                            changed.append(row)
-                    count = len(changed)
+                if self._clock.log is not None:
+                    # The log needs per-row effectiveness; still one
+                    # transaction.
+                    facts = [f for f in facts if self._conn.execute(
+                        sql, self._row(f)).rowcount == 1]
+                    count = len(facts)
                 else:
                     before = self._conn.total_changes
-                    self._conn.executemany(sql, rows)
+                    self._conn.executemany(sql, map(self._row, facts))
                     count = self._conn.total_changes - before
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
             self._conn.execute("COMMIT")
             self._version += count
-            self._note(changed, sign)
-        self._clock.now += count
+        self._clock.moved(self.name, facts, sign, count)
         return count
 
     def clear(self) -> None:
         self._check_writable()
         with self._lock:
+            # The rows go to the log: read only where there is one.
+            gone = ([] if self._clock.log is None
+                    else [self._fact(r) for r in self._all_rows()])
             self._conn.execute(f"DELETE FROM {self._table}")
             for positions in self._indexed:
                 self._conn.execute(
@@ -280,20 +269,7 @@ class SQLiteRelation:
             self._indexed.clear()
             self._probes.clear()
             self._version += 1
-            self._journal = None
-        self._clock.now += 1
-
-    def _note(self, rows: Iterable[tuple], sign: int) -> None:
-        """Journal the ``rows`` a write moved (``sign``: +1 in, -1 out)
-        for the next snapshot (the lock is held): a row moved back since
-        drops out.  Past the cap, give the journal up."""
-        journal = self._journal
-        if journal is not None:
-            for row in rows:
-                if journal.pop(row, None) is None:
-                    journal[row] = sign
-            if len(journal) > self._journal_cap:
-                self._journal = None
+        self._clock.moved(self.name, gone, -1, 1)
 
     # -- queries ----------------------------------------------------------
 
@@ -500,11 +476,10 @@ class SQLiteRelation:
         twin = object.__new__(SQLiteRelation)
         twin.__dict__.update(
             self.__dict__, _probes={}, _buckets={},
-            _indexed=set(self._indexed), _lock=threading.RLock(),
-            _journal=None, _journal_base=None, **fields)
+            _indexed=set(self._indexed), _lock=threading.RLock(), **fields)
         return twin
 
-    def snapshot(self, previous=None) -> "SQLiteRelation":
+    def snapshot(self, previous=None, moved=None) -> "SQLiteRelation":
         """A stable read view of the current contents.
 
         On a durable WAL database this opens a read-only connection and
@@ -515,20 +490,15 @@ class SQLiteRelation:
         relation stays unwritten.  Temporary-database relations (private
         by construction) fall back to a frozen page copy, and
         ``previous`` -- the last snapshot of this relation -- *is* that
-        copy while the version has not moved.  Once it has, the copy
-        carries the indexes ``previous`` probed through (made here, on
-        this relation, once) and adopts its probe texts and buckets but
-        for the keys of the rows the journal holds: moved since
-        ``previous`` was taken and not moved back; a new snapshot names
-        them ``written``, each to the sign of its move.
-        After :meth:`clear`, after writes over a quarter of the rows,
-        or from a ``previous`` other than the last snapshot, it adopts
-        nothing and ``written`` is ``None``.
+        copy while the version has not moved.  Once it has, and
+        ``moved`` names the rows moved since ``previous`` was taken (its
+        database's :meth:`~repro.datalog.database.Database.changes`;
+        ``None``: unknown), the copy carries the indexes ``previous``
+        probed through (made here, on this relation, once) and adopts
+        its probe texts and buckets but for the keys of those rows.
         """
         durable = self._path is not None and self._wal
         with self._lock:
-            known = previous is not None and self._journal is not None \
-                and self._journal_base() is previous
             if durable:
                 # Same table, version and (version-checked) caches.
                 snap = self._twin(_readonly=True)
@@ -546,6 +516,7 @@ class SQLiteRelation:
                     and previous.version == self._version):
                 snap = previous
             else:
+                known = previous is not None and moved is not None
                 for positions, _ in list(previous._probes) if known \
                         else ():
                     if positions:  # so that the copy holds the index
@@ -556,16 +527,10 @@ class SQLiteRelation:
                 snap._version, snap._len_cache = self._version, (
                     self._version, len(snap))
                 if known:
-                    snap._adopt(previous, self._journal)
-            if snap is not previous:
-                snap.written = None if not known else {
-                    self._fact(row): sign
-                    for row, sign in self._journal.items()}
-            self._journal, self._journal_base = {}, weakref.ref(snap)
-            self._journal_cap = len(snap) // 4
+                    snap._adopt(previous, moved)
         return snap
 
-    def _adopt(self, previous: "SQLiteRelation", rows: list) -> None:
+    def _adopt(self, previous: "SQLiteRelation", rows) -> None:
         """Take over ``previous``'s probe texts and buckets (each a copy
         on this relation's connection) but for the keys of ``rows``."""
         with previous._lock:

@@ -227,6 +227,20 @@ class TestDatabase:
         other.add_fact("p", ("b",))
         assert other.size("q") == 1
 
+    def test_a_relation_copy_counts_its_own_rows(self):
+        """A copy holds its own set, at a version of its row count, and
+        its writes move no database's number."""
+        db = Database.from_facts({"p": [("a",), ("b",)]})
+        rel = db.relation("p")
+        rel.discard(("b",))
+        rel.add(("c",))
+        clone = rel.copy()
+        assert clone.tuples() == rel.tuples()
+        assert (clone.version, rel.version) == (2, 4)
+        number = db.fingerprint()
+        clone.add(("d",))
+        assert db.fingerprint() == number and ("d",) not in rel
+
     def test_distinct_constants(self):
         db = Database.from_facts({"p": [("a", "b")], "q": [("b", "c")]})
         assert db.distinct_constants() == {"a", "b", "c"}
@@ -332,7 +346,7 @@ class TestVersioning:
             number = db.fingerprint()
             assert type(number) is int and number not in numbers, step
             assert number == sum(
-                1 + version for _, version in db.versions().values())
+                1 + db.relation(name).version for name in db.predicates())
             numbers.append(number)
         assert numbers == sorted(numbers)
 
@@ -444,9 +458,16 @@ class TestDiscard:
         assert not db.remove_fact("missing", ("a",))
 
 
+def moved(new: Relation, old: Relation) -> dict:
+    """The rows only in ``new`` to ``+1``, only in ``old`` to ``-1``:
+    what a write log names between the two."""
+    return {**dict.fromkeys(new.tuples() - old.tuples(), 1),
+            **dict.fromkeys(old.tuples() - new.tuples(), -1)}
+
+
 class TestAdoptIndexes:
     """``adopt_indexes``: a near-copy inherits indexes, patched by the
-    difference, sharing every untouched bucket."""
+    rows moved between them, sharing every untouched bucket."""
 
     FACTS = [("a", "b"), ("a", "c"), ("d", "e"), ("f", "e"), ("g", "h")] \
         + [(f"s{i}", f"t{i}") for i in range(15)]
@@ -468,7 +489,7 @@ class TestAdoptIndexes:
         new.discard(("g", "h"))      # bucket disappears
         new.add(("a", "z"))          # bucket grows
         new.add(("x", "y"))          # bucket appears
-        new.adopt_indexes(old)
+        new.adopt_indexes(old, moved(new, old))
         fresh = Relation("p", 2, new.tuples())
         for positions in ((0,), (1,)):
             fresh.lookup(positions, ("?",))
@@ -485,7 +506,7 @@ class TestAdoptIndexes:
         old = self._indexed()
         new = old.copy()
         new.add(("a", "z"))
-        new.adopt_indexes(old)
+        new.adopt_indexes(old, moved(new, old))
         assert new._indexes[(0,)][("d",)] is old._indexes[(0,)][("d",)]
         assert new._indexes[(0,)][("a",)] is not old._indexes[(0,)][("a",)]
         tracer = Tracer()
@@ -498,7 +519,7 @@ class TestAdoptIndexes:
     def test_mutation_after_sharing_never_patches_a_shared_bucket(self, who):
         old = self._indexed()
         new = old.copy()
-        new.adopt_indexes(old)
+        new.adopt_indexes(old, moved(new, old))
         mutated, other = (new, old) if who == "adopter" else (old, new)
         mutated.add(("d", "q"))
         mutated.discard(("f", "e"))
@@ -514,7 +535,7 @@ class TestAdoptIndexes:
     def test_bulk_mutation_after_sharing(self):
         old = self._indexed()
         new = old.copy()
-        new.adopt_indexes(old)
+        new.adopt_indexes(old, moved(new, old))
         new.add_all([("d", "q"), ("d", "r")])
         new.discard_all([("d", "e")])
         assert sorted(new.lookup((0,), ("d",))) == [("d", "q"), ("d", "r")]
@@ -523,10 +544,10 @@ class TestAdoptIndexes:
     def test_mostly_different_or_other_arity_adopts_nothing(self):
         old = self._indexed()
         other = Relation("p", 2, [("a", "b"), ("u", "v"), ("w", "x")])
-        other.adopt_indexes(old)
+        other.adopt_indexes(old, moved(other, old))
         assert other._indexes == {} and not old._borrowed
         unary = Relation("p", 1, [("a",)])
-        unary.adopt_indexes(old)
+        unary.adopt_indexes(old, {})
         assert unary._indexes == {}
 
 
@@ -597,7 +618,7 @@ class TestProjectedLookup:
                     new = rel.copy()
                     new.discard(gone)
                     new.add((0, 1, 2))
-                    new.adopt_indexes(rel)
+                    new.adopt_indexes(rel, moved(new, rel))
                     model = (model - {gone}) | {(0, 1, 2)}
                     rel = new
                 else:
@@ -653,7 +674,7 @@ class TestProjectedLookup:
         new.add(("a", "z"))
         new.discard(("s0", "t0"))
         new.discard(("a", "b"))
-        new.adopt_indexes(old)
+        new.adopt_indexes(old, moved(new, old))
         shared = new._projected[(0,), (1,)]
         assert shared[("d",)] is old._projected[(0,), (1,)][("d",)]
         assert shared[("a",)] == {("c",), ("z",)} and ("s0",) not in shared

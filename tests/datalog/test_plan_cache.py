@@ -850,6 +850,7 @@ class TestBoundLoopStore:
 
     def test_an_index_unshare_drops_rebinds(self, binds):
         live = Database.from_facts(self.FACTS)
+        live.clock.start()  # as a service's: its snapshots adopt
         snap = live.snapshot()
         engine = self.engine(snap)
         self.read(engine)  # probes the index of snap's g (e is a test)

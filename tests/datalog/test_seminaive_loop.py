@@ -67,7 +67,7 @@ class TestSharedIndexes:
         frozen = tc.snapshot()
         for positions in ((0,), (1,)):
             frozen.lookup(positions, (0,))
-        tc.adopt_indexes(frozen)
+        tc.adopt_indexes(frozen, {})
         assert tc._borrowed and frozen._borrowed
         held = {p: {k: list(b) for k, b in index.items()}
                 for p, index in frozen._indexes.items()}

@@ -464,7 +464,7 @@ class TestBoundAcrossWrites:
             twin = e.copy()
             for positions in list(e._indexes):
                 twin.lookup(positions, ("a",) * len(positions))
-            e.adopt_indexes(twin)
+            e.adopt_indexes(twin, {})
             # Round one reaches p over the new (p, q), through the index
             # of e the delta term probes.
             view.apply({"e": (frozenset(edges), frozenset())})

@@ -18,7 +18,8 @@ import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.service import QueryService, ServiceConfig
+from repro.service import FullSelectionMemo, QueryService, ServiceConfig
+from repro.storage import SQLiteRelation
 from repro.workloads import paper
 
 from ..conftest import oracle_answers
@@ -341,7 +342,8 @@ class TestMemoSurvival:
     def test_a_named_strategy_is_served_as_without_a_view(self):
         """``strategy="separable"`` runs Figure 2 on a snapshot through
         the fingerprint-scoped memo; the next write moves the
-        fingerprint, so the entry answers nothing afterwards."""
+        fingerprint, so the entry answers nothing afterwards: the write
+        log names the one row added, so the run resumes from it."""
         program = paper.example_1_1_program()
         service = QueryService(
             program, _chain_db(4),
@@ -360,7 +362,8 @@ class TestMemoSurvival:
             after = service.query("buys(a1, Y)?", strategy="separable")
             assert after.answers == first.answers | {("a1", "late")}
             stats = service.memo.stats()
-            assert (stats["hits"], stats["misses"]) == (1, 2)
+            assert (stats["hits"], stats["misses"], stats["resumed"]) \
+                == (1, 1, 1)
             metrics = service.metrics_dict()
             assert metrics["view_probes"] == 0
             assert metrics["snapshots_created"] == 2
@@ -503,10 +506,10 @@ TC = "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, W) & tc(W, Y).\n"
 @pytest.mark.parametrize("backend", [None, "sqlite"],
                          ids=["memory", "sqlite"])
 class TestWritesAreDiffed:
-    """A write owes the view, per relation whose fingerprint entry
-    moved, the rows only in the live relation and the rows only in the
-    view's own copy: whatever ``fn`` did in between, one ``mutate``
-    leaves answers equal to a plain service's and to the oracle's, by a
+    """A write owes the view the rows the EDB's write log names since
+    the view last caught up, each moved once however often it was
+    written: whatever ``fn`` did in between, one ``mutate`` leaves
+    answers equal to a plain service's and to the oracle's, by a
     repair."""
 
     FACTS = {"e": [("a", "b"), ("b", "c")]}
@@ -665,6 +668,51 @@ class TestUnseenWritesAreRepaired:
             plain.close()
             service.close()
         assert (metrics["view_rebuilds"], metrics["view_repairs"]) == (0, 2)
+
+
+class TestOneRecordOfAWrite:
+    """A write is recorded once, in the EDB's write log, and the view,
+    the snapshot and the memo read their slices of it: a one-row write
+    costs its row, not a pass over the relation it wrote."""
+
+    WRITE = staticmethod(lambda db: db.add_fact("perfectFor", ("a3", "late")))
+
+    def test_an_incremental_write_reads_no_relation_whole(self, monkeypatch):
+        scans = []
+        all_rows = SQLiteRelation._all_rows
+
+        def counted(rel):
+            scans.append(rel)
+            return all_rows(rel)
+
+        monkeypatch.setattr(SQLiteRelation, "_all_rows", counted)
+        with QueryService(paper.example_1_1_program(), _chain_db(40),
+                          ServiceConfig(workers=1, incremental=True,
+                                        backend="sqlite")) as service:
+            assert service.query("buys(a1, Y)?").strategy == "view"
+            live = service.edb.relation("perfectFor")
+            scans.clear()
+            service.mutate(self.WRITE)
+            assert not any(rel is live for rel in scans)
+            assert ("a1", "late") in service.query("buys(a1, Y)?").answers
+            assert service.metrics_dict()["view_repairs"] == 1
+
+    def test_a_plain_write_names_its_one_row_to_the_memo(self, monkeypatch):
+        carried = []
+        carry = FullSelectionMemo.carry
+
+        def recorded(memo, old, new, written, log=None):
+            carried.append(written)
+            carry(memo, old, new, written, log)
+
+        monkeypatch.setattr(FullSelectionMemo, "carry", recorded)
+        with QueryService(paper.example_1_1_program(), _chain_db(40),
+                          ServiceConfig(workers=1,
+                                        backend="sqlite")) as service:
+            service.query("buys(a1, Y)?")
+            service.mutate(self.WRITE)
+            assert ("a1", "late") in service.query("buys(a1, Y)?").answers
+        assert carried == [{"perfectFor": {("a3", "late"): 1}, "buys": None}]
 
 
 class TestIndexBackedRepair:

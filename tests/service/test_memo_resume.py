@@ -28,7 +28,8 @@ from repro.engine import Engine
 from repro.service import FullSelectionMemo, QueryService, ServiceConfig
 from repro.workloads import paper, scenarios
 
-from .test_memo_survival import SOCIAL, social, state, toggle, variants
+from .test_memo_survival import (SOCIAL, check, social, state, toggle,
+                                  variants)
 
 #: Enough for every legitimate run here; a mutant that never stops
 #: trips it instead of hanging the suite.
@@ -258,37 +259,57 @@ class TestWhatAResumeSees:
 
 
 def test_an_add_only_stream_keeps_the_log_bounded():
-    """Each state holds the rows moved since the log began, so a stream
-    that only adds grows them; past ``16 * maxsize`` rows the log
-    starts anew."""
-    memo = FullSelectionMemo(maxsize=4)
-    for i in range(400):
-        memo.carry(i, i + 1, {"r": {(i,): 1}})
-        assert memo._tracked <= 16 * 4 + len(memo._states[-1]) + 1
-    assert len(memo._states) < 20
+    """The write log grows by a row per add; past ``16 * memo_size``
+    rows a write first cuts it -- at the snapshot's epoch, then at
+    now -- so it holds at most the bound and one write more, with reads
+    beside the writes or none, and a lookup forgets what waited for it
+    from before the cut."""
+    for reads in (True, False):
+        with QueryService(SOCIAL, social(random.Random(3)), ServiceConfig(
+                workers=1, memo_size=4)) as service:
+            start = service.edb.fingerprint()
+            for i in range(400):
+                service.mutate(lambda db, i=i: db.add_fact(
+                    "perfectFor", (f"a{i % 6}", f"n{i}")))
+                assert service.edb.clock.rows <= 16 * 4 + 1
+                if reads:
+                    check(service, f"buys(a{i % 6}, Y)?")
+            assert service.edb.changes(start) is None
+            assert service.memo._held <= 4
+            for i in range(6):  # a lookup forgets what the log cannot reach
+                check(service, f"buys(a{i}, Y)?")
+            assert all(service.edb.changes(scope) is not None
+                       for held in service.memo._waiting.values()
+                       for _, scope in held)
 
 
 def test_a_derived_relation_costs_a_carry_no_tracked_row():
     """A capture names every derived relation its writes reach as
-    written with rows unknown, and a derived relation never has tracked
-    rows: such a carry touches the new row alone, not every row the log
-    tracks (counted by the rows' hashes, which any pass that rebuilds
-    the state or the first moves takes again)."""
+    written with rows unknown, beside the rows the log names since the
+    snapshot before: such a carry touches the new row alone, not every
+    row the log holds (counted by the values' hashes, which any pass
+    over the logged rows takes again)."""
     hashed = [0]
 
-    class Row(tuple):
+    class Value(str):
         def __hash__(self):
             hashed[0] += 1
-            return tuple.__hash__(self)
+            return str.__hash__(self)
 
+    db = Database()
+    db.clock.start()
+    friend = db.ensure("friend", 1)
+    friend.add_all([(Value(f"v{i}"),) for i in range(200)])
     memo = FullSelectionMemo(maxsize=64)
-    memo.carry(0, 1, {"friend": {Row((i,)): 1 for i in range(200)}})
-    for step in range(1, 6):
+    for step in range(5):
+        since = db.fingerprint()
+        friend.add((Value(f"x{step}"),))
         hashed[0] = 0
-        memo.carry(step, step + 1, {"friend": {Row(("x", step)): 1},
-                                    "buys": None})
+        moves = db.changes(since)
+        memo.carry(since, db.fingerprint(), {**moves, "buys": None},
+                   db.changes)
         assert hashed[0] <= 4
-    assert len(memo._states[-1]) == 205
+    assert db.clock.rows == 205
 
 
 class TestThreads:

@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from repro.datalog.database import Database, Relation, difference
+from repro.datalog.database import Database, Relation
 from repro.datalog.errors import ArityError
 from repro.observability import Tracer
 from repro.storage import (
@@ -43,6 +43,22 @@ def store(request, tmp_path):
 
 def make(backend, name="p", arity=2, tuples=()):
     return backend.make_relation(name, arity, tuples)
+
+
+def versions(db) -> dict:
+    """``{name: (arity, version)}`` of ``db``'s relations."""
+    return {name: (db.relation(name).arity, db.relation(name).version)
+            for name in db.predicates()}
+
+
+def logged(backend, name="p", arity=2, tuples=()):
+    """``(database, relation)``: a database on ``backend`` that logs its
+    writes, holding ``tuples`` in ``name``."""
+    db = Database(backend=backend)
+    db.clock.start()
+    rel = db.ensure(name, arity)
+    rel.add_all(tuples)
+    return db, rel
 
 
 class TestProtocol:
@@ -160,7 +176,7 @@ class TestVersioning:
         for name, rows in facts.items():
             for row in rows:
                 one.add_fact(name, row)
-        assert bulk.versions() == one.versions() == {
+        assert versions(bulk) == versions(one) == {
             "e": (2, 2), "v": (1, 1), "z": (0, 1)}
         assert bulk.fingerprint() == one.fingerprint() == 7
         assert {name: bulk.tuples(name) for name in facts} == {
@@ -174,19 +190,68 @@ class TestVersioning:
                 one.add_fact("e", row)
 
 
-class TestDifference:
-    def test_replaying_the_difference_reproduces_the_state(self, backend):
-        mine = make(backend, tuples=[("a", "b"), ("b", "c"), ("c", "d")])
-        live = make(backend, tuples=[("b", "c"), ("c", "d"), ("d", "e")])
-        added, removed = difference(live, mine)
-        assert (added, removed) == ({("d", "e")}, {("a", "b")})
-        # Across backends, and an absent relation reads as empty.
-        assert difference(Relation("p", 2, live), mine) == (added, removed)
-        assert difference(None, mine) == (set(), set(mine))
-        mine.discard_all(removed)
-        mine.add_all(added)
-        assert mine.tuples() == live.tuples()
-        assert difference(live, mine) == (set(), set())
+class TestChanges:
+    """``Database.changes``: the moves since a state, replayed onto it,
+    give the state now (or at ``until``) whatever wrote them."""
+
+    ROWS = [(f"x{i}", f"y{j}") for i in range(4) for j in range(3)]
+    CALLS = ["add", "add_all", "discard", "discard_all", "clear"]
+
+    def test_replaying_the_changes_reproduces_the_state(self, backend):
+        """A seeded stream of the five write calls; every state's moves
+        to now and to a later state, replayed onto it on every backend
+        -- each named row was where its move takes it from."""
+        for seed in range(3):
+            rng = random.Random(seed)
+            db = Database.from_facts(
+                {"p": rng.sample(self.ROWS, 6), "q": [("a",)]},
+                backend=backend)
+            db.clock.start()
+            states = {db.fingerprint(): {n: db.tuples(n) for n in "pqr"}}
+            for _ in range(24):
+                rel = db.ensure(rng.choice("pr"), 2)
+                call = rng.choice(self.CALLS)
+                rows = rng.sample(self.ROWS, 3)
+                if call == "clear":
+                    rel.clear()
+                elif call in ("add", "discard"):
+                    getattr(rel, call)(rows[0])
+                else:
+                    getattr(rel, call)(rows)
+                states[db.fingerprint()] = {n: db.tuples(n) for n in "pqr"}
+            epochs = sorted(states)
+            for since in epochs:
+                until = rng.choice([e for e in epochs if e >= since])
+                for to, moves in ((epochs[-1], db.changes(since)),
+                                  (until, db.changes(since, until))):
+                    for other in BACKENDS:
+                        replay = Database.from_facts(
+                            states[since], backend=resolve_backend(other))
+                        for name, rows in moves.items():
+                            rel = replay.ensure(name, 2)
+                            out = [r for r, sign in rows.items() if sign < 0]
+                            into = [r for r, sign in rows.items() if sign > 0]
+                            assert rel.discard_all(out) == len(out)
+                            assert rel.add_all(into) == len(into)
+                        assert {n: replay.tuples(n) for n in "pqr"} \
+                            == states[to], (seed, since, to)
+
+    def test_a_log_reaches_back_to_its_start_or_its_cut(self, backend):
+        db = Database.from_facts({"p": [("a", "b")]}, backend=backend)
+        assert db.changes(db.fingerprint()) is None  # never started
+        db.clock.start()
+        start = db.fingerprint()
+        db.add_fact("p", ("c", "d"))
+        middle = db.fingerprint()
+        db.remove_fact("p", ("a", "b"))
+        assert db.changes(start - 1) is None
+        assert db.changes(start) == {"p": {("c", "d"): 1, ("a", "b"): -1}}
+        assert db.clock.rows == 2
+        db.clock.cut(middle)
+        assert db.changes(start) is None and db.clock.rows == 1
+        assert db.changes(middle) == {"p": {("a", "b"): -1}}
+        db.add_fact("p", ("a", "b"))  # moved back: drops out
+        assert db.changes(middle) == {}
 
 
 class TestLookup:
@@ -429,35 +494,51 @@ class TestSnapshotReads:
         assert snap.tuples() == rel.tuples() == frozenset([("a", "b")])
 
     def test_a_snapshot_names_the_rows_written_since_previous(self, store):
-        rel = make(store, tuples=[(f"x{i}", "y") for i in range(40)])
-        first = rel.snapshot()
+        db, rel = logged(store, tuples=[(f"x{i}", "y") for i in range(40)])
+        first = db.snapshot()
         rel.add_all([("n0", "y"), ("n1", "y")])
         rel.discard(("x0", "y"))
         rel.add(("gone", "y"))      # added and deleted: not written
         rel.discard(("gone", "y"))
         rel.add(("x1", "y"))        # already there: not written
-        second = rel.snapshot(first)
-        assert sorted(second.written) == [("n0", "y"), ("n1", "y"),
-                                          ("x0", "y")]
         # Each row keeps its direction: added +1, deleted -1.
-        assert second.written == {("n0", "y"): 1, ("n1", "y"): 1,
-                                  ("x0", "y"): -1}
-        again = rel.snapshot(second)  # a durable file pins a new one
-        assert again is second or again.written == {}
+        assert db.changes(first.fingerprint()) == {"p": {
+            ("n0", "y"): 1, ("n1", "y"): 1, ("x0", "y"): -1}}
+        second = db.snapshot(first)
+        assert db.changes(second.fingerprint()) == {}
+        assert second.tuples("p") == rel.tuples()
+        # A clear names every row it removed.
+        rel.clear()
+        rel.add(("n0", "y"))
+        assert db.changes(second.fingerprint()) == {"p": dict.fromkeys(
+            rel.tuples() ^ second.tuples("p"), -1)}
+        assert db.snapshot(second).tuples("p") == {("n0", "y")}
 
-    @pytest.mark.parametrize("write", ["clear", "quarter", "foreign"])
+    @pytest.mark.parametrize("write", ["unstarted", "cut", "foreign"])
     def test_a_snapshot_that_cannot_name_its_rows_says_none(
             self, store, write):
-        rel = make(store, tuples=[(f"x{i}", "y") for i in range(40)])
-        previous = rel.snapshot()
-        if write == "clear":
-            rel.clear()
-        elif write == "quarter":
-            rel.add_all([(f"n{i}", "y") for i in range(30)])
-        else:
-            previous = make(store, name="q", tuples=[("a", "b")]).snapshot()
-            rel.add(("n0", "y"))
-        assert rel.snapshot(previous).written is None
+        """Where the log does not reach a snapshot's epoch -- it was
+        never started, or was cut since -- no rows are named, and a
+        snapshot of another database lends the next one nothing."""
+        db, rel = logged(store, tuples=[(f"x{i}", "y") for i in range(40)])
+        if write == "unstarted":
+            db = Database.from_facts({"p": rel.tuples()}, backend=store)
+            rel = db.relation("p")
+        previous = db.snapshot()
+        previous.relation("p").lookup((0,), ("x1",))
+        rel.add(("n0", "y"))
+        if write == "cut":
+            db.clock.cut(db.fingerprint())
+        elif write == "foreign":
+            other, _ = logged(store, name="p", tuples=rel.tuples())
+            previous = other.snapshot()
+            previous.relation("p").lookup((0,), ("x1",))
+        if write != "foreign":
+            assert db.changes(previous.fingerprint()) is None
+        snap = db.snapshot(previous).relation("p")
+        assert not getattr(snap, "_indexes", None) \
+            and not getattr(snap, "_buckets", None)
+        assert snap.tuples() == rel.tuples()
 
     def test_unchanged_relation_is_its_previous_snapshot(self, store):
         held = [("a", "b"), ("a", "c")] + [(f"x{i}", "y") for i in range(8)]
@@ -469,7 +550,7 @@ class TestSnapshotReads:
         # one would hold its WAL read transaction open across writes).
         assert (again is first) == (getattr(store, "path", None) is None)
         rel.add(("b", "c"))
-        moved = rel.snapshot(again)
+        moved = rel.snapshot(again, {("b", "c"): 1})
         assert moved is not again and moved.version == rel.version
         assert again.tuples() == frozenset(held)
         tracer = Tracer()

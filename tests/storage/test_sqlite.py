@@ -260,7 +260,7 @@ class TestFrozenProbes:
         again = rel.snapshot(first)
         assert again is first and again._buckets
         rel.add(("a", "y", "y"))
-        moved = rel.snapshot(again)
+        moved = rel.snapshot(again, {("a", "y", "y"): 1})
         # Adopted, but for the key the write touched: asked anew.
         assert moved is not again and ("a",) not in moved._buckets[
             (0,), None] and moved._buckets[(0,), None] is not \
@@ -279,7 +279,11 @@ class TestFrozenProbes:
                 for key in keys[positions]}
 
     def test_a_written_relation_keeps_the_keys_no_write_touched(self):
-        rel, snap = self.frozen(self.MANY)
+        db = Database(backend=SQLiteBackend())
+        db.clock.start()
+        rel = db.ensure("p", 3)
+        rel.add_all(self.MANY)
+        snap = rel.snapshot()
         written = [("n1", "x", "y"), ("n2", "n0", "y"), ("n5", "x", "z")]
         every = self.MANY + written + [("nope",) * 3]
         keys = {positions: {tuple(f[p] for p in positions) for f in every}
@@ -291,8 +295,9 @@ class TestFrozenProbes:
                   (lambda: rel.discard_all([self.MANY[1], written[0]]),
                    [self.MANY[1], written[0]])]
         for write, facts in writes:
+            since = db.fingerprint()
             write()
-            moved = rel.snapshot(snap)
+            moved = rel.snapshot(snap, db.changes(since)["p"])
             assert moved is not snap
             fresh = SQLiteRelation("p", 3, rel).snapshot()
             ran = selects(moved)
@@ -302,37 +307,50 @@ class TestFrozenProbes:
             assert len(ran) == len(touched)  # an untouched key: no SELECT
             snap = moved
 
-    def test_clear_or_a_big_write_or_a_foreign_previous_adopts_nothing(self):
-        rel, snap = self.frozen(self.MANY)
-        keys = {positions: {tuple(f[p] for p in positions)
-                            for f in self.MANY}
+    def test_a_snapshot_adopts_what_its_log_names(self):
+        """Through its database a written relation's snapshot adopts its
+        predecessor's buckets whenever the write log names the rows
+        moved since -- after a clear, a write over a quarter of the
+        rows, or from an older snapshot too -- and nothing from a
+        snapshot the log no longer reaches or of another database."""
+        db = Database(backend=SQLiteBackend())
+        db.clock.start()
+        rel = db.ensure("p", 3)
+        rel.add_all(self.MANY)
+        snap = db.snapshot()
+        big = [("big", "w", f"w{i}") for i in range(13)]
+        every = self.MANY + big + [(f"n{i}", "x", y) for i in range(5)
+                                   for y in "yz"]
+        keys = {positions: {tuple(f[p] for p in positions) for f in every}
                 for positions, _ in self.PROBES}
 
         def adopted(write, previous=None):
             nonlocal snap
-            self.asked(snap, keys)
+            self.asked(snap.relation("p"), keys)
             write()
-            moved = rel.snapshot(snap if previous is None else previous)
-            snap = moved
-            return bool(moved._buckets)
+            snap = db.snapshot(snap if previous is None else previous)
+            frozen = snap.relation("p")
+            kept = bool(frozen._buckets)
+            assert self.asked(frozen, keys) == self.asked(
+                SQLiteRelation("p", 3, rel).snapshot(), keys)
+            return kept
 
         assert adopted(lambda: rel.add(("n1", "x", "y")))
-        # Over a quarter of the rows written: 13 of 49.
-        assert not adopted(lambda: rel.add_all(
-            [("big", "w", f"w{i}") for i in range(13)]))
-        assert adopted(lambda: rel.discard_all(
-            [("big", "w", f"w{i}") for i in range(12)]))
+        assert adopted(lambda: rel.add_all(big))  # 13 of 49 rows
+        assert adopted(lambda: rel.discard_all(big[:12]))
         older = snap
         assert adopted(lambda: rel.add(("n1", "x", "z")))
-        # Not the snapshot the journal started at: an older one ...
-        assert not adopted(lambda: rel.add(("n2", "x", "z")), older)
-        # ... or another relation's.
-        _, foreign = self.frozen(self.MANY)
-        self.asked(foreign, keys)
-        assert not adopted(lambda: rel.add(("n3", "x", "z")), foreign)
-        assert not adopted(lambda: (rel.clear(), rel.add(("n1", "x", "y"))))
-        assert self.asked(snap, keys) == self.asked(
-            SQLiteRelation("p", 3, rel).snapshot(), keys)
+        assert adopted(lambda: rel.add(("n2", "x", "z")), older)
+        assert adopted(lambda: (rel.clear(), rel.add(("n1", "x", "y"))))
+        older = snap
+        assert not adopted(lambda: (rel.add(("n3", "x", "y")),
+                                    db.clock.cut(db.fingerprint())), older)
+        other = Database(backend=SQLiteBackend())
+        other.clock.start()
+        other.ensure("p", 3).add_all(self.MANY)
+        foreign = other.snapshot()
+        self.asked(foreign.relation("p"), keys)
+        assert not adopted(lambda: rel.add(("n4", "x", "z")), foreign)
 
     def test_wal_snapshot_stays_pinned(self, tmp_path):
         rel = SQLiteBackend(str(tmp_path / "facts.db")).make_relation(
